@@ -128,8 +128,7 @@ impl Token {
     }
 }
 
-/// Handle for a promise capability
-/// ([`Feature::PromiseIpc`](semper_base::config::Feature::PromiseIpc)):
+/// Handle for a promise capability:
 /// the selector returned by a [`Syscall::SubmitAsync`], standing in for
 /// the eventual result of the submitted call. Pass [`PromiseToken::sel`]
 /// as a selector operand of a dependent call to chain on the unresolved
@@ -207,7 +206,7 @@ impl KernelConn {
         self.corr.reset();
     }
 
-    // ----- promise IPC (`Feature::PromiseIpc`) ------------------------
+    // ----- promise IPC -------------------------------------------------
 
     /// Submits `call` asynchronously ([`Syscall::SubmitAsync`]). The
     /// kernel replies immediately with a promise selector — resolve the

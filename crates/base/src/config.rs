@@ -35,7 +35,11 @@ pub enum KernelMode {
     SemperOS,
 }
 
-/// Optional protocol features (for ablation experiments).
+/// Optional protocol features (for ablation experiments): each one
+/// changes which messages a kernel sends. Mechanisms that are inert
+/// until used are not features — fault tolerance arms with the harness's
+/// `FaultPlan` (`Kernel::enable_fault_injection`), and promise IPC is
+/// served whenever a `Syscall::SubmitAsync` arrives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Feature {
     /// Batch revoke requests to the same remote kernel into one message
@@ -59,25 +63,6 @@ pub enum Feature {
     /// default so every pre-existing scenario and golden stays
     /// bit-identical; the `*_parallel` bench scenarios enable it.
     ParallelSweep,
-    /// Fault-tolerant operation under a `semper_sim::FaultPlan`: the
-    /// ops engine arms per-pending-op deadlines, retries idempotent
-    /// legs a bounded number of times, aborts everything else with a
-    /// real `Err`, and tolerates the duplicate/missing replies a lossy
-    /// NoC produces (debug asserts on those paths soften to counters).
-    /// Off by default so every golden and trace fingerprint stays
-    /// bit-identical; the fault suites and fault bench scenarios
-    /// enable it together with a non-empty plan.
-    FaultInjection,
-    /// Promise-capability IPC (ROADMAP item 4): `Syscall::SubmitAsync`
-    /// returns a first-class *promise capability* immediately; the
-    /// kernel pipelines dependent calls naming an unresolved promise
-    /// (parked in the promise's resolution queue, replayed in arrival
-    /// order on resolve) and routes the `Provide`/`Resolve` legs of
-    /// cross-kernel promises through the ops engine. Off by default so
-    /// every pre-existing golden, trace fingerprint, and bench cycle
-    /// count stays bit-identical; the `*_pipelined` scenarios and the
-    /// promise suites enable it.
-    PromiseIpc,
 }
 
 /// Full description of a simulated machine and its OS deployment.
@@ -165,13 +150,12 @@ impl MachineConfig {
 
     /// Kernel thread-pool size per the paper's formula (§4.2):
     /// `V_group + K_max * M_inflight`, where `V_group` is the number of
-    /// VPEs in this kernel's group. With `Feature::PromiseIpc` the VPE
-    /// term doubles: an asynchronous inner execution can hold a thread
-    /// concurrently with the same VPE's blocking syscall.
+    /// VPEs in this kernel's group. Asynchronous inner executions
+    /// (`Syscall::SubmitAsync`) can each hold a thread beside their
+    /// VPE's blocking syscall; the kernel adds them by count where it
+    /// checks the bound.
     pub fn thread_pool_size(&self, vpes_in_group: u32) -> u32 {
-        let vpe_term =
-            if self.has_feature(Feature::PromiseIpc) { 2 * vpes_in_group } else { vpes_in_group };
-        vpe_term + self.kernels as u32 * self.max_inflight
+        vpes_in_group + self.kernels as u32 * self.max_inflight
     }
 
     /// Validates structural constraints; returns a human-readable reason

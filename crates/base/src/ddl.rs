@@ -39,7 +39,7 @@ pub enum CapType {
     /// The kernel object itself (used for kernel-owned root capabilities).
     Kernel = 7,
     /// A promise: a placeholder for the result of an asynchronous
-    /// invocation (`Feature::PromiseIpc`). Promise keys live outside the
+    /// invocation (`Syscall::SubmitAsync`). Promise keys live outside the
     /// capability tree — they name kernel-internal resolution state, not
     /// a mapdb record.
     Promise = 8,

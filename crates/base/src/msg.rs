@@ -228,7 +228,7 @@ pub enum Syscall {
     /// `semper_kernel::ops::bulk`). `Batch` and `Exit` may not appear
     /// as items.
     Batch(Box<[Syscall]>),
-    /// Submits the inner call asynchronously (`Feature::PromiseIpc`):
+    /// Submits the inner call asynchronously:
     /// the kernel replies immediately with a *promise capability*
     /// ([`SysReplyData::Promise`]) standing in for the eventual result.
     /// Selector-valued operands of later calls may name an unresolved
@@ -238,7 +238,7 @@ pub enum Syscall {
     /// does not widen [`Syscall`]. `Exit`, `Batch`, and the promise
     /// calls themselves may not be submitted asynchronously.
     SubmitAsync(Box<Syscall>),
-    /// Queries a promise capability (`Feature::PromiseIpc`). If the
+    /// Queries a promise capability. If the
     /// promise is resolved the kernel replies with the stored result
     /// (non-consuming: waiting again re-reads it). Otherwise, with
     /// `block` set the caller's reply is deferred until resolution;
@@ -500,7 +500,7 @@ pub enum Kcall {
         call: Box<Kcall>,
     },
     /// First leg of an eager cross-kernel delegate against an
-    /// unresolved promise (`Feature::PromiseIpc`): the sender's kernel
+    /// unresolved promise: the sender's kernel
     /// *will* delegate a capability — not yet describable because an
     /// operand promise is unresolved — to `recv_vpe`. The receiving
     /// kernel runs the consent upcall now, so by the time the operand

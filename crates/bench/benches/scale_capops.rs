@@ -60,7 +60,7 @@
 //!   read-back derive), either as four synchronous syscalls or
 //!   submitted up front through `Syscall::SubmitAsync` with
 //!   dependencies named by their *promise* selector
-//!   (`Feature::PromiseIpc`, `kernel::ops::promise`) and only the
+//!   (`kernel::ops::promise`) and only the
 //!   tail redeemed.
 //!   `revoke_sim_cycles` holds the workload's end-to-end makespan —
 //!   the pipelined twin must finish in strictly fewer simulated
@@ -81,7 +81,7 @@
 //! computed, and `BENCH_ASSERT_SPEEDUP=<min>` turns that into a hard
 //! gate (for multi-core hosts; see EXPERIMENTS.md).
 //!
-//! Results land in `BENCH_PR10.json` at the workspace root (override with
+//! Results land in `BENCH_PR12.json` at the workspace root (override with
 //! `BENCH_OUT`). If `BENCH_BASELINE` names an earlier report, its
 //! scenario timings are embedded under `"baseline"` and per-scenario
 //! speedups are computed — this is how each PR's report compares
@@ -741,8 +741,8 @@ fn faulted_spanning_teardown(caps: u32) -> Scenario {
 /// off" (delegate the window to the partner VPE in the other group),
 /// then a second read against the root — once as four synchronous
 /// syscalls, once submitted up front through `Syscall::SubmitAsync`
-/// with dependencies named by *promise* selectors
-/// (`Feature::PromiseIpc`) and only the tail redeemed. The pipelined
+/// with dependencies named by *promise* selectors and only the tail
+/// redeemed. The pipelined
 /// twin's submissions return immediately, so later clients' submission
 /// round trips overlap the kernel-side delegate work of earlier
 /// chains, and the final read rides the pipeline behind the still
@@ -754,9 +754,6 @@ fn faulted_spanning_teardown(caps: u32) -> Scenario {
 fn service_chain(clients: u16, pipelined: bool) -> Scenario {
     let t = Instant::now();
     let mut m = MicroMachine::new(2, clients, KernelMode::SemperOS);
-    if pipelined {
-        m.machine().enable_feature_everywhere(Feature::PromiseIpc);
-    }
     // Only group-0 clients initiate (round-robin placement: even ids →
     // group 0); their partners in group 1 receive the hand-off.
     let client_vpes: Vec<VpeId> = (0..clients).map(|j| VpeId(j * 2)).collect();
@@ -1097,7 +1094,7 @@ fn main() {
     println!("suite wall-clock: {wall_ms_total:.1} ms at {threads} thread(s)");
 
     let mut fields = vec![
-        ("pr", Val::U(10)),
+        ("pr", Val::U(12)),
         ("bench", Val::S("scale_capops".into())),
         ("smoke", Val::U(u64::from(smoke))),
         // Harness-level fields (PR 8): worker count and total suite
@@ -1240,7 +1237,7 @@ fn main() {
         }
     }
 
-    let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR10.json");
+    let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR12.json");
     let out_path = std::env::var("BENCH_OUT").unwrap_or_else(|_| default_out.to_string());
     let json = render(&Val::obj(fields));
     std::fs::write(&out_path, json).expect("write benchmark report");

@@ -44,7 +44,7 @@ impl KeyAllocator {
         self.next_id.get(&vpe).copied().unwrap_or(0)
     }
 
-    /// Allocates a promise key for `(pe, vpe)` (`Feature::PromiseIpc`).
+    /// Allocates a promise key for `(pe, vpe)` (`Syscall::SubmitAsync`).
     ///
     /// Promise keys name kernel-internal resolution state, not mapdb
     /// records, and draw their object ids from a separate per-VPE

@@ -235,9 +235,6 @@ impl Machine {
                     // The service-side half of syscall batching: close
                     // one file = one batched revoke of its extents.
                     svc.set_batched_ops(cfg.has_feature(semper_base::Feature::SyscallBatching));
-                    // The service-side half of promise IPC: close one
-                    // file = pipelined async revokes, tail-waited.
-                    svc.set_pipelined_ops(cfg.has_feature(semper_base::Feature::PromiseIpc));
                     Node::Service(Box::new(svc))
                 }
                 Role::Client(c) => {
@@ -1055,7 +1052,7 @@ impl Machine {
     }
 
     /// Enables an optional protocol feature on every kernel — and, for
-    /// the features with an actor-side half, on the affected actors
+    /// syscall batching, on the services that are its actor-side half
     /// (ablation benchmarks).
     pub fn enable_feature_everywhere(&mut self, f: semper_base::Feature) {
         if !self.cfg.features.contains(&f) {
@@ -1066,9 +1063,6 @@ impl Machine {
                 Node::Kernel(k) => k.enable_feature_for_test(f),
                 Node::Service(s) if f == semper_base::Feature::SyscallBatching => {
                     s.set_batched_ops(true)
-                }
-                Node::Service(s) if f == semper_base::Feature::PromiseIpc => {
-                    s.set_pipelined_ops(true)
                 }
                 _ => {}
             }
@@ -1259,19 +1253,18 @@ mod tests {
     }
 
     #[test]
-    fn submit_async_without_feature_rejected() {
+    fn submit_async_served_by_default() {
         let mut m = micro(1, 2);
         let (r, _) = m.syscall_blocking(
             VpeId(0),
             Syscall::SubmitAsync(Box::new(Syscall::CreateMem { size: 4096, perms: Perms::RW })),
         );
-        assert_eq!(r.result.unwrap_err().code(), semper_base::Code::NotSupported);
+        assert!(matches!(r.result, Ok(SysReplyData::Promise { .. })), "{r:?}");
     }
 
     #[test]
     fn promise_submit_wait_roundtrip() {
         let mut m = micro(1, 2);
-        m.enable_feature_everywhere(semper_base::Feature::PromiseIpc);
         let (r, submit_cycles) = m.syscall_blocking(
             VpeId(0),
             Syscall::SubmitAsync(Box::new(Syscall::CreateMem { size: 4096, perms: Perms::RW })),
@@ -1300,7 +1293,6 @@ mod tests {
         // gate a CreateMem promise behind a slow cross-kernel delegate
         // (program order), then name it before it can resolve.
         let mut m = micro(2, 4);
-        m.enable_feature_everywhere(semper_base::Feature::PromiseIpc);
         let (r, _) =
             m.syscall_blocking(VpeId(0), Syscall::CreateMem { size: 4096, perms: Perms::RW });
         let Ok(SysReplyData::Mem { sel, .. }) = r.result else { panic!("{r:?}") };
@@ -1335,12 +1327,15 @@ mod tests {
         // Two pipelined calls: the gated second submission (program
         // order behind the in-flight delegate) and the parked derive.
         assert_eq!(st.calls_pipelined, 2, "the derive never parked");
+        // Two asynchronous executions ran beside the blocking calls of
+        // a 2-VPE group, with no flag set: thread use stayed inside
+        // §4.2's pool plus one thread per execution in flight.
+        assert!(st.max_pending_ops <= u64::from(m.cfg().thread_pool_size(2)) + 2);
     }
 
     #[test]
     fn promise_chain_runs_in_program_order() {
         let mut m = micro(1, 2);
-        m.enable_feature_everywhere(semper_base::Feature::PromiseIpc);
         // Three async submissions back to back; only then wait on the
         // last. Program-order gating must execute them sequentially, so
         // all three are resolved when the tail redeems.
@@ -1369,7 +1364,6 @@ mod tests {
     #[test]
     fn promise_handle_revoke_severs_binding() {
         let mut m = micro(1, 2);
-        m.enable_feature_everywhere(semper_base::Feature::PromiseIpc);
         let (r, _) = m.syscall_blocking(
             VpeId(0),
             Syscall::SubmitAsync(Box::new(Syscall::CreateMem { size: 4096, perms: Perms::RW })),
@@ -1389,7 +1383,6 @@ mod tests {
     #[test]
     fn promise_cross_kernel_delegate_resolves() {
         let mut m = micro(2, 4);
-        m.enable_feature_everywhere(semper_base::Feature::PromiseIpc);
         // VPE 0 (group 0) creates memory and async-delegates it to
         // VPE 1 (group 1) — the eager provide prefetches the receiver's
         // consent across kernels while the operand gate is still shut.

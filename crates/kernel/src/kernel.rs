@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 
 use semper_base::config::{KernelMode, MachineConfig};
 use semper_base::msg::{KReply, Kcall, Payload, SysReplyData, Syscall, Upcall};
-use semper_base::{Code, DetHashMap, Error, KernelId, Msg, OpId, PeId, RawDdlKey, Result, VpeId};
+use semper_base::{Code, DetHashMap, Error, KernelId, Msg, OpId, PeId, Result, VpeId};
 use semper_caps::{CapTable, Capability, KeyAllocator, MappingDb, MembershipTable};
 use semper_noc::GlobalMemory;
 
@@ -50,33 +50,18 @@ pub struct Kernel {
 
     pub(crate) pending: PendingTable,
     pub(crate) next_op: u64,
-    /// Revokes waiting for a capability another operation is already
-    /// revoking: packed key → waiting op ids, in registration order.
-    pub(crate) revoke_waiters: DetHashMap<RawDdlKey, Vec<OpId>>,
-    /// Partitions of remote parallel sweeps this kernel participates
-    /// in: (coordinator, coordinator's op) → local partition op. Later
-    /// mark rounds and the delete order resolve through this index.
-    pub(crate) sweep_parts: DetHashMap<(KernelId, OpId), OpId>,
-    /// Reusable work buffers for the revocation paths (host-side
-    /// allocation reuse; no modeled cost).
-    pub(crate) scratch: crate::ops::revoke::RevokeScratch,
-    /// Active batched system call per VPE (at most one: a batch *is*
-    /// the VPE's blocking syscall). While an entry exists, every
-    /// syscall reply addressed to that VPE is a batch-item completion
-    /// and is folded into the batch instead of leaving as a message
-    /// (see [`Kernel::reply_sys`] and [`crate::ops::bulk`]).
-    pub(crate) bulk_by_vpe: DetHashMap<VpeId, OpId>,
-    /// Modeled cycles of batch continuations executed from within reply
-    /// handlers (a resumed item completes and the batch advances to the
-    /// next one). Drained into the surrounding handler's cost by
-    /// [`Kernel::handle`] / [`Kernel::kill_vpe`].
-    pub(crate) bulk_extra_cost: u64,
+    /// Revocation state: waiter registry, sweep-partition index, work
+    /// buffers (see [`crate::ops::revoke`]).
+    pub(crate) revoke: crate::ops::revoke::RevokeState,
+    /// Modeled cycles of continuations that ran from within the
+    /// completion funnel ([`Kernel::reply_sys`]): a batch advancing to
+    /// its next items, a promise resolving and replaying its parked
+    /// calls. They execute within the surrounding handler's window;
+    /// [`Kernel::charge`] folds them into its cost.
+    pub(crate) continuation_cost: u64,
 
-    /// Send credits towards each peer kernel (bounds in-flight requests
-    /// to `M_inflight`, §4.1).
-    pub(crate) kcredits: DetHashMap<KernelId, u32>,
-    /// Requests waiting for a credit, per peer kernel.
-    pub(crate) kqueue: DetHashMap<KernelId, VecDeque<Kcall>>,
+    /// The inter-kernel request credit gate (§4.1).
+    pub(crate) kgate: CreditGate,
     /// DTU endpoint configurations of the group's VPEs: which capability
     /// each endpoint is activated for, with the reverse index that makes
     /// the revocation sweep's per-deletion endpoint invalidation O(1).
@@ -84,41 +69,61 @@ pub struct Kernel {
     /// (see [`crate::epbind::EpBindings`] and the `gates` module).
     pub(crate) eps: crate::epbind::EpBindings,
 
-    /// Outbound group migrations in their handover window, as
-    /// `(vpe, pe, op)`: from `start_group_migration` until the
-    /// bystander fan-in drains (or the install is refused). While
-    /// non-empty, the dispatch paths apply the forward-or-hold rules
-    /// (see [`crate::ops::migrate`]); the common `is_empty()` fast
-    /// path keeps the classic paths cost-free.
-    pub(crate) active_migrations: Vec<(VpeId, PeId, OpId)>,
-    /// Failed migrations not yet collected by the initiating driver
-    /// (see [`Kernel::take_migration_failure`]).
-    pub(crate) migration_failures: Vec<(VpeId, Error)>,
+    /// Open handover windows and uncollected failures of outbound
+    /// group migrations (see [`crate::ops::migrate`]).
+    pub(crate) migration: crate::ops::migrate::MigrationState,
 
     /// Fault-tolerance state (deadlines, retry legs, crash script);
     /// inert unless [`Kernel::enable_fault_injection`] ran (see
     /// [`crate::ops::faults`]).
     pub(crate) fault: crate::ops::faults::FaultState,
 
-    /// Promise resolution state, by raw promise key
-    /// (`Feature::PromiseIpc`; see [`crate::ops::promise`]). Never
-    /// iterated on protocol paths without sorting first.
-    pub(crate) promises: DetHashMap<u64, crate::ops::promise::PromiseState>,
-    /// Promise-selector bindings: `(owner, selector)` → raw promise key.
-    /// Kept separate from the capability tables so the classic selector
-    /// paths never see promise selectors.
-    pub(crate) promise_binds: DetHashMap<(VpeId, semper_base::CapSel), u64>,
-    /// The most recently submitted promise per VPE — the gate the next
-    /// `SubmitAsync` chains behind (program-order pipelining).
-    pub(crate) async_pipeline_tail: DetHashMap<VpeId, u64>,
-    /// In-flight asynchronous inner executions: `(owner, reserved tag)`
-    /// → raw promise key. The reply funnel resolves through this index;
-    /// a missing entry means the owner died and the late result drops.
-    pub(crate) async_execs: DetHashMap<(VpeId, u64), u64>,
-    /// Next reserved reply tag for asynchronous inner executions.
-    pub(crate) next_async_tag: u64,
+    /// Promise capabilities and in-flight asynchronous executions
+    /// (see [`crate::ops::promise`]).
+    pub(crate) promises: crate::ops::promise::Promises,
 
     pub(crate) stats: KernelStats,
+}
+
+/// The credit gate of §4.1: at most `M_inflight` requests are in
+/// flight towards each peer kernel (one per DTU message slot); further
+/// requests queue here until a consumed request returns its credit.
+#[derive(Debug, Default)]
+pub(crate) struct CreditGate {
+    /// Send credits left towards each peer kernel contacted so far.
+    credits: DetHashMap<KernelId, u32>,
+    /// Requests waiting for a credit, per peer kernel.
+    queue: DetHashMap<KernelId, VecDeque<Kcall>>,
+}
+
+impl CreditGate {
+    /// Drops the requests stalled towards a dead peer (nobody will
+    /// consume them; their operations abort instead).
+    pub(crate) fn drop_queue(&mut self, peer: KernelId) {
+        self.queue.remove(&peer);
+    }
+
+    /// No request is stalled behind the gate.
+    pub(crate) fn quiescent(&self) -> core::result::Result<(), String> {
+        let mut stalled: Vec<(KernelId, usize)> =
+            self.queue.iter().filter(|(_, q)| !q.is_empty()).map(|(k, q)| (*k, q.len())).collect();
+        if stalled.is_empty() {
+            return Ok(());
+        }
+        stalled.sort_unstable();
+        Err(format!("credit-stalled requests: {stalled:?}"))
+    }
+}
+
+/// True if `call` may run as a batch item or as an asynchronous inner
+/// call. `Exit` has no reply to collect; a nested batch would nest the
+/// one-blocking-syscall invariant; the promise calls have their own
+/// pipelining and would tangle the outer call's reply funnel.
+pub(crate) fn nestable(call: &Syscall) -> bool {
+    !matches!(
+        call,
+        Syscall::Exit | Syscall::Batch(_) | Syscall::SubmitAsync(_) | Syscall::WaitPromise { .. }
+    )
 }
 
 impl Kernel {
@@ -134,13 +139,6 @@ impl Kernel {
         mem: GlobalMemory,
     ) -> Kernel {
         let pe = membership.kernel_pe(id);
-        let mut kcredits = DetHashMap::default();
-        for k in 0..membership.kernel_count() {
-            let k = KernelId(k as u16);
-            if k != id {
-                kcredits.insert(k, cfg.max_inflight);
-            }
-        }
         Kernel {
             id,
             pe,
@@ -156,22 +154,13 @@ impl Kernel {
             mem,
             pending: PendingTable::default(),
             next_op: 1,
-            revoke_waiters: DetHashMap::default(),
-            sweep_parts: DetHashMap::default(),
-            scratch: Default::default(),
-            bulk_by_vpe: DetHashMap::default(),
-            bulk_extra_cost: 0,
-            kcredits,
-            kqueue: DetHashMap::default(),
+            revoke: Default::default(),
+            continuation_cost: 0,
+            kgate: CreditGate::default(),
             eps: crate::epbind::EpBindings::new(),
-            active_migrations: Vec::new(),
-            migration_failures: Vec::new(),
+            migration: Default::default(),
             fault: Default::default(),
-            promises: DetHashMap::default(),
-            promise_binds: DetHashMap::default(),
-            async_pipeline_tail: DetHashMap::default(),
-            async_execs: DetHashMap::default(),
-            next_async_tag: crate::ops::promise::ASYNC_TAG_BASE,
+            promises: Default::default(),
             stats: KernelStats::default(),
         }
     }
@@ -312,7 +301,10 @@ impl Kernel {
         if in_use > self.stats.max_pending_ops {
             self.stats.max_pending_ops = in_use;
         }
-        let pool = self.cfg.thread_pool_size(self.vpes.len() as u32) as u64;
+        // §4.2's pool, plus one thread per asynchronous inner execution
+        // in flight (each can park beside its VPE's blocking syscall).
+        let pool = self.cfg.thread_pool_size(self.vpes.len() as u32) as u64
+            + self.promises.execs_in_flight();
         debug_assert!(
             in_use <= pool,
             "kernel {id}: {in_use} thread-holding ops exceed pool {pool}",
@@ -330,12 +322,14 @@ impl Kernel {
     }
 
     /// Sends a system-call reply to a VPE — the single completion
-    /// funnel of every syscall path. If the VPE is blocked on a
-    /// [`Syscall::Batch`](semper_base::msg::Syscall::Batch), the
+    /// funnel of every syscall path. A tag from the reserved range
+    /// completes an asynchronous inner execution: the result resolves
+    /// its promise instead of messaging the VPE. If the VPE is blocked
+    /// on a [`Syscall::Batch`](semper_base::msg::Syscall::Batch), the
     /// "reply" is one item's completion: it is recorded in the batch
     /// (whose combined reply leaves when all items are done) instead of
-    /// leaving as a message. With no batch active this is the plain
-    /// single-call path, byte-for-byte as before.
+    /// leaving as a message. Otherwise this is the plain single-call
+    /// path.
     pub(crate) fn reply_sys(
         &mut self,
         out: &mut Outbox,
@@ -344,16 +338,13 @@ impl Kernel {
         result: Result<SysReplyData>,
     ) {
         if tag >= crate::ops::promise::ASYNC_TAG_BASE {
-            // Completion of an asynchronous inner execution: resolve the
-            // promise instead of messaging the VPE. A missing index entry
-            // means the owner died mid-flight; the late result drops.
-            if let Some(key) = self.async_execs.remove(&(vpe, tag)) {
-                let c = self.promise_exec_done(key, result, out);
-                self.bulk_extra_cost += c;
-            }
+            // Only the kernel mints such tags: `handle_syscall` refuses
+            // them from clients.
+            let cost = self.promise_exec_done(vpe, tag, result, out);
+            self.continuation_cost += cost;
             return;
         }
-        if let Some(&op) = self.bulk_by_vpe.get(&vpe) {
+        if let Some(op) = self.vpes.get(&vpe).and_then(|v| v.batch) {
             self.bulk_item_done(op, tag as usize, result, out);
             return;
         }
@@ -362,43 +353,38 @@ impl Kernel {
         }
     }
 
+    /// Sends an inter-kernel request when the handler completes (see
+    /// [`Kernel::send_kcall_at`]).
+    pub(crate) fn send_kcall(&mut self, out: &mut Outbox, peer: KernelId, call: Kcall) {
+        self.send_kcall_at(out, peer, call, None);
+    }
+
     /// Sends an inter-kernel request, honouring the credit budget: if no
     /// credit is available towards `peer`, the request queues until a
     /// reply returns a credit (prevents DTU message-slot overruns, §4.1).
-    pub(crate) fn send_kcall(&mut self, out: &mut Outbox, peer: KernelId, call: Kcall) {
-        debug_assert_ne!(peer, self.id, "kcall to self");
-        let credits = self.kcredits.entry(peer).or_insert(self.cfg.max_inflight);
-        if *credits > 0 {
-            *credits -= 1;
-            self.stats.kcalls_out += 1;
-            let dst = self.membership.kernel_pe(peer);
-            out.push(Msg::new(self.pe, dst, Payload::kcall(call)));
-        } else {
-            self.stats.kcalls_credit_stalled += 1;
-            self.kqueue.entry(peer).or_default().push_back(call);
-        }
-    }
-
-    /// Like [`Kernel::send_kcall`], but if a credit is available the
-    /// message is injected `offset` cycles after the handler started
-    /// (pipelined send from within a loop).
-    pub(crate) fn send_kcall_pipelined(
+    /// With `after`, an admitted message is injected that many cycles
+    /// after the handler *started* (pipelined send from within a loop)
+    /// instead of when it completes.
+    pub(crate) fn send_kcall_at(
         &mut self,
         out: &mut Outbox,
         peer: KernelId,
         call: Kcall,
-        offset: u64,
+        after: Option<u64>,
     ) {
         debug_assert_ne!(peer, self.id, "kcall to self");
-        let credits = self.kcredits.entry(peer).or_insert(self.cfg.max_inflight);
+        let credits = self.kgate.credits.entry(peer).or_insert(self.cfg.max_inflight);
         if *credits > 0 {
             *credits -= 1;
             self.stats.kcalls_out += 1;
-            let dst = self.membership.kernel_pe(peer);
-            out.push_after(Msg::new(self.pe, dst, Payload::kcall(call)), offset);
+            let msg = Msg::new(self.pe, self.membership.kernel_pe(peer), Payload::kcall(call));
+            match after {
+                None => out.push(msg),
+                Some(offset) => out.push_after(msg, offset),
+            }
         } else {
             self.stats.kcalls_credit_stalled += 1;
-            self.kqueue.entry(peer).or_default().push_back(call);
+            self.kgate.queue.entry(peer).or_default().push_back(call);
         }
     }
 
@@ -418,14 +404,14 @@ impl Kernel {
     /// chains), and the thread-pool formula `K_max · M_inflight`
     /// accounts for requests that are consumed but not yet answered.
     pub fn return_credit(&mut self, out: &mut Outbox, peer: KernelId) {
-        let credits = self.kcredits.entry(peer).or_insert(0);
+        let credits = self.kgate.credits.entry(peer).or_insert(self.cfg.max_inflight);
         // Capped at the configured window: a duplicated request under
         // fault injection is consumed twice at the peer and would
         // otherwise mint a credit out of thin air.
         if *credits < self.cfg.max_inflight {
             *credits += 1;
         }
-        let queued = self.kqueue.get_mut(&peer).and_then(|q| q.pop_front());
+        let queued = self.kgate.queue.get_mut(&peer).and_then(|q| q.pop_front());
         if let Some(call) = queued {
             // Re-send through the credit gate (a credit is available now).
             self.send_kcall(out, peer, call);
@@ -460,10 +446,14 @@ impl Kernel {
                 0
             }
         };
-        // Batch continuations triggered by this handler (a resumed item
-        // completed and the next items ran) execute within the same
-        // handler window; fold their cost in.
-        let cost = cost + std::mem::take(&mut self.bulk_extra_cost);
+        self.charge(cost)
+    }
+
+    /// Closes a handler window: adds the continuations that ran inside
+    /// it (see `continuation_cost`) and books the kernel busy for the
+    /// total.
+    fn charge(&mut self, handler_cost: u64) -> u64 {
+        let cost = handler_cost + std::mem::take(&mut self.continuation_cost);
         self.stats.busy_cycles += cost;
         cost
     }
@@ -480,21 +470,12 @@ impl Kernel {
         // resolution: during the drain the VPE's local bookkeeping is
         // already gone, but the call belongs to the moving group and
         // must replay (possibly forwarded) in arrival order.
-        if !self.active_migrations.is_empty() {
-            if let Some(mig) = self.migration_of_pe(src) {
-                self.hold_op(
-                    mig,
-                    crate::ops::migrate::Held::Syscall { src, tag, call: call.clone() },
-                );
-                return entry;
-            }
+        if let Some(mig) = self.migration_of_pe(src) {
+            self.hold_op(mig, crate::ops::migrate::Held::Syscall { src, tag, call: call.clone() });
+            return entry;
         }
         let vpe = match self.vpe_on_pe(src) {
-            Ok(v) if self.vpe_alive(v) => v,
-            Ok(v) => {
-                self.reply_sys(out, v, tag, Err(Error::new(Code::NoSuchVpe)));
-                return entry + self.cfg.cost.syscall_exit;
-            }
+            Ok(v) => v,
             Err(e) => {
                 // Unknown PE. If the membership table routes it to
                 // another kernel, the VPE's group migrated away and
@@ -509,47 +490,42 @@ impl Kernel {
                 return entry;
             }
         };
-        if self.bulk_by_vpe.contains_key(&vpe) {
-            // The VPE is blocked on an active batch; any further system
-            // call from it is a protocol violation. Refuse it directly:
-            // running a handler here would funnel its completion through
-            // `reply_sys`, which — seeing the active batch — would
-            // misroute the reply into the batch as a (possibly
-            // out-of-range) item completion.
-            if let Ok(pe) = self.pe_of_vpe(vpe) {
-                let reply = Payload::sys_reply(tag, Err(Error::new(Code::InvalidArgs)));
-                out.push(Msg::new(self.pe, pe, reply));
-            }
+        let refusal = match self.vpes.get(&vpe) {
+            // The tag is the client's choice. One from the range the
+            // kernel reserves for asynchronous inner executions would
+            // be mistaken for one by `reply_sys`; and a VPE blocked on
+            // an active batch may not issue a further call at all (its
+            // reply would be taken for an item completion).
+            Some(v) if v.alive() => (tag >= crate::ops::promise::ASYNC_TAG_BASE
+                || v.batch.is_some())
+            .then_some(Code::InvalidArgs),
+            _ => Some(Code::NoSuchVpe),
+        };
+        if let Some(code) = refusal {
+            // Refused directly, not through the completion funnel,
+            // which would misroute exactly these replies.
+            out.push(Msg::new(self.pe, src, Payload::sys_reply(tag, Err(Error::new(code)))));
             return entry + self.cfg.cost.syscall_exit;
         }
         // A call from a bystander VPE that resolves into a moving group
         // (exchange peer, revoke subtree, exit teardown) is held for
         // replay once the handover window closes.
-        if !self.active_migrations.is_empty() {
-            if let Some(mig) = self.syscall_touches_migrating(vpe, call) {
-                self.hold_op(
-                    mig,
-                    crate::ops::migrate::Held::Syscall { src, tag, call: call.clone() },
-                );
-                return entry;
-            }
+        if let Some(mig) = self.syscall_touches_migrating(vpe, call) {
+            self.hold_op(mig, crate::ops::migrate::Held::Syscall { src, tag, call: call.clone() });
+            return entry;
         }
         // A call naming a promise selector is a dependent call: it
         // severs, parks, or replays through the promise engine instead
-        // of the classic handlers (`Feature::PromiseIpc` only; the
-        // bindings map is empty otherwise, so the classic path is
-        // untouched).
-        if !self.promise_binds.is_empty() {
-            if let Some(cost) = self.sys_promise_dependent(vpe, tag, call, out) {
-                return entry + cost;
-            }
+        // of the classic handlers.
+        if let Some(cost) = self.sys_promise_dependent(vpe, tag, call, out) {
+            return entry + cost;
         }
         entry + self.dispatch_syscall(vpe, tag, call, out)
     }
 
-    /// Dispatches one syscall to its handler (the tail of
-    /// [`Kernel::handle_syscall`], shared with promise-dependent call
-    /// replay).
+    /// Dispatches one syscall to its handler — the one `Syscall` →
+    /// handler table, shared by fresh calls, batch items, asynchronous
+    /// inner calls, and promise-dependent call replay.
     pub(crate) fn dispatch_syscall(
         &mut self,
         vpe: VpeId,
@@ -573,7 +549,9 @@ impl Kernel {
             Syscall::CreateSrv { name } => self.sys_create_srv(vpe, tag, *name, out),
             Syscall::OpenSession { name } => self.sys_open_session(vpe, tag, *name, out),
             Syscall::Activate { sel, ep } => self.sys_activate(vpe, tag, *sel, *ep, out),
-            Syscall::Exit => self.sys_exit(vpe, out),
+            // Voluntary exit: revoke everything, mark dead. No reply
+            // (the VPE is gone).
+            Syscall::Exit => self.terminate_vpe(vpe, out),
             Syscall::Batch(items) => self.sys_batch(vpe, tag, items, out),
             Syscall::SubmitAsync(inner) => self.sys_submit_async(vpe, tag, inner, out),
             Syscall::WaitPromise { sel, block } => {
@@ -584,44 +562,26 @@ impl Kernel {
 
     // ----- VPE lifecycle ------------------------------------------------
 
-    /// Voluntary exit: revoke everything, mark dead. No reply (the VPE is
-    /// gone).
-    pub(crate) fn sys_exit(&mut self, vpe: VpeId, out: &mut Outbox) -> u64 {
-        self.terminate_vpe(vpe, out)
-    }
-
-    /// Kills a VPE (failure injection / machine control). Safe to call
-    /// for VPEs of other groups (no-op) or dead VPEs (no-op). A kill
-    /// that resolves into a group mid-handover is held and replayed
-    /// when the window closes — at the destination if the VPE moved.
+    /// Kills a VPE on the machine's behalf (failure injection); returns
+    /// the modeled cost like [`Kernel::handle`] does.
     pub fn kill_vpe(&mut self, vpe: VpeId, out: &mut Outbox) -> u64 {
-        if !self.vpe_alive(vpe) {
-            return 0;
-        }
-        if !self.active_migrations.is_empty() {
-            if let Some(mig) = self.migration_holding_kill(vpe) {
-                self.hold_op(mig, crate::ops::migrate::Held::Kill { vpe });
-                return 0;
-            }
-        }
-        let cost = self.terminate_vpe(vpe, out) + std::mem::take(&mut self.bulk_extra_cost);
-        self.stats.busy_cycles += cost;
-        cost
+        let cost = self.kill(vpe, out);
+        self.charge(cost)
     }
 
-    /// Request handler for [`Kcall::KillVpe`]: a kill that chased a
-    /// migrated group to this kernel (either relayed directly or
-    /// replayed from a source kernel's hold queue). Re-applies the
-    /// hold rule — the group may be mid-handover *again*.
-    pub(crate) fn kill_vpe_request(&mut self, vpe: VpeId, out: &mut Outbox) -> u64 {
+    /// Kills a VPE — for the machine, for a [`Kcall::KillVpe`] that
+    /// chased a migrated group here, or replayed from a hold queue.
+    /// No-op for VPEs of other groups and dead VPEs. A kill that
+    /// resolves into a group mid-handover (possibly *again*) is held
+    /// and replayed when the window closes — at the destination if the
+    /// VPE moved.
+    pub(crate) fn kill(&mut self, vpe: VpeId, out: &mut Outbox) -> u64 {
         if !self.vpe_alive(vpe) {
             return 0;
         }
-        if !self.active_migrations.is_empty() {
-            if let Some(mig) = self.migration_holding_kill(vpe) {
-                self.hold_op(mig, crate::ops::migrate::Held::Kill { vpe });
-                return 0;
-            }
+        if let Some(mig) = self.migration_holding_kill(vpe) {
+            self.hold_op(mig, crate::ops::migrate::Held::Kill { vpe });
+            return 0;
         }
         self.terminate_vpe(vpe, out)
     }
@@ -632,26 +592,13 @@ impl Kernel {
         } else {
             return 0;
         }
-        // A batch the dying VPE was blocked on has nobody left to reply
-        // to: tear it down. Items still suspended in other protocols
-        // resolve through their own dead-VPE paths; their late results
-        // are dropped.
-        if let Some(op) = self.bulk_by_vpe.remove(&vpe) {
-            self.pending.remove(op);
-        }
-        // Cancel pending operations waiting on this VPE's upcalls (the
-        // engine's sweep); other protocol stages detect death via
+        // Every protocol drops what it kept on the dying VPE's behalf.
+        // Operations suspended elsewhere detect the death via
         // `vpe_alive` when their replies arrive (producing orphan
         // cleanups per §4.3.2).
+        self.bulk_vpe_died(vpe);
         self.cancel_upcall_waiters(vpe, out);
-        // Drop the dying VPE's promise state; in-flight invocations
-        // land in dropped slots via the reserved-tag reply funnel.
-        if !self.promise_binds.is_empty()
-            || !self.promises.is_empty()
-            || !self.async_pipeline_tail.is_empty()
-        {
-            self.teardown_promises(vpe, out);
-        }
+        self.promise_vpe_died(vpe, out);
         // Revoke all capabilities still in the VPE's table, starting at
         // the roots we own. Children in other groups are reached by the
         // revocation protocol itself.

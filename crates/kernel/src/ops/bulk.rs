@@ -59,7 +59,7 @@
 use semper_base::msg::{SysReplyData, Syscall};
 use semper_base::{CapSel, Code, Error, OpId, Result, VpeId};
 
-use crate::kernel::Kernel;
+use crate::kernel::{nestable, Kernel};
 use crate::ops::revoke::Initiator;
 use crate::ops::{Awaits, PendingOp, PhaseSpec, Thread};
 use crate::outbox::Outbox;
@@ -155,7 +155,6 @@ impl Kernel {
         // Syscalls from a VPE with an active batch — including a second
         // batch — are refused by `handle_syscall` before any handler
         // runs, so the interception funnel below cannot misfire.
-        debug_assert!(!self.bulk_by_vpe.contains_key(&vpe), "{vpe} batch-while-batch not refused");
         let op = self.alloc_op();
         let bulk = BulkOp {
             vpe,
@@ -167,7 +166,8 @@ impl Kernel {
             advancing: false,
         };
         self.park(op, PendingOp::Bulk(Phase::Run(Box::new(bulk))));
-        self.bulk_by_vpe.insert(vpe, op);
+        let prev = self.vpes.get_mut(&vpe).expect("caller is local").batch.replace(op);
+        debug_assert!(prev.is_none(), "{vpe} batch-while-batch not refused");
         self.bulk_advance(op, out)
     }
 
@@ -218,7 +218,9 @@ impl Kernel {
                     let Some(PendingOp::Bulk(Phase::Run(b))) = self.pending.remove(op) else {
                         unreachable!("checked above");
                     };
-                    self.bulk_by_vpe.remove(&b.vpe);
+                    if let Some(v) = self.vpes.get_mut(&b.vpe) {
+                        v.batch = None;
+                    }
                     let results: Vec<Result<SysReplyData>> =
                         b.results.into_iter().map(|r| r.expect("every item completed")).collect();
                     // The batch entry is gone, so this reply leaves as a
@@ -230,52 +232,26 @@ impl Kernel {
                     cost += run.len() as u64 * self.cfg.cost.batch_item;
                     cost += self.bulk_start_revokes(op, vpe, run, out);
                 }
+                // A non-revoke item starts through the one dispatcher,
+                // with the item index as its internal reply tag.
+                // Whatever path the handler completes on —
+                // synchronously here, or via the reply router rounds
+                // later — its `reply_sys` is intercepted and becomes the
+                // item's result. Calls that cannot nest are rejected
+                // per item so the rest of the batch still runs.
                 Step::One(vpe, idx, item) => {
                     cost += self.cfg.cost.batch_item;
-                    cost += self.bulk_start_item(vpe, idx, item, out);
+                    if nestable(&item) {
+                        cost += self.dispatch_syscall(vpe, idx as u64, &item, out);
+                    } else {
+                        let e = Error::new(Code::NotSupported);
+                        self.reply_sys(out, vpe, idx as u64, Err(e));
+                    }
                 }
             }
             // Loop: if the step completed synchronously (its reply was
             // intercepted and `outstanding` is back to 0), continue with
             // the next item; otherwise the top of the loop parks.
-        }
-    }
-
-    /// Starts one non-revoke item through the standalone entry handler,
-    /// with the item index as its internal reply tag. Whatever path the
-    /// handler completes on — synchronously here, or via the reply
-    /// router rounds later — its `reply_sys` is intercepted and becomes
-    /// the item's result.
-    fn bulk_start_item(&mut self, vpe: VpeId, idx: usize, item: Syscall, out: &mut Outbox) -> u64 {
-        let tag = idx as u64;
-        match item {
-            Syscall::Noop => {
-                self.reply_sys(out, vpe, tag, Ok(SysReplyData::None));
-                self.cfg.cost.syscall_exit
-            }
-            Syscall::CreateMem { size, perms } => self.sys_create_mem(vpe, tag, size, perms, out),
-            Syscall::DeriveMem { src, offset, size, perms } => {
-                self.sys_derive_mem(vpe, tag, src, offset, size, perms, out)
-            }
-            Syscall::Exchange { other, own_sel, other_sel, kind } => {
-                self.sys_exchange(vpe, tag, other, own_sel, other_sel, kind, out)
-            }
-            Syscall::CreateSrv { name } => self.sys_create_srv(vpe, tag, name, out),
-            Syscall::OpenSession { name } => self.sys_open_session(vpe, tag, name, out),
-            Syscall::Activate { sel, ep } => self.sys_activate(vpe, tag, sel, ep, out),
-            Syscall::Exit
-            | Syscall::Batch(_)
-            | Syscall::SubmitAsync(_)
-            | Syscall::WaitPromise { .. } => {
-                // Exit has no reply to batch; nested batches would nest
-                // the one-blocking-syscall invariant; the promise calls
-                // have their own pipelining and would tangle the batch's
-                // reply funnel. All are rejected per item so the rest of
-                // the batch still runs.
-                self.reply_sys(out, vpe, tag, Err(Error::new(Code::NotSupported)));
-                0
-            }
-            Syscall::Revoke { .. } => unreachable!("revokes take the coalesced path"),
         }
     }
 
@@ -381,7 +357,17 @@ impl Kernel {
         };
         if advance {
             let cost = self.bulk_advance(op, out);
-            self.bulk_extra_cost += cost;
+            self.continuation_cost += cost;
+        }
+    }
+
+    /// A batch the dying `vpe` was blocked on has nobody left to reply
+    /// to: tear it down. Items still suspended in other protocols
+    /// resolve through their own dead-VPE paths; their late results are
+    /// dropped.
+    pub(crate) fn bulk_vpe_died(&mut self, vpe: VpeId) {
+        if let Some(op) = self.vpes.get_mut(&vpe).and_then(|v| v.batch.take()) {
+            self.pending.remove(op);
         }
     }
 }

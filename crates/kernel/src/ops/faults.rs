@@ -1,5 +1,5 @@
-//! Fault tolerance for the ops engine
-//! ([`Feature::FaultInjection`](semper_base::config::Feature::FaultInjection)).
+//! Fault tolerance for the ops engine, armed by
+//! [`Kernel::enable_fault_injection`].
 //!
 //! A lossy NoC (see `semper_sim::faults`) breaks the engine's core
 //! assumption that every request eventually produces exactly one reply.
@@ -87,7 +87,6 @@ impl Kernel {
     /// and softens the duplicate-message asserts into counters. The
     /// harness must then advance the clock via [`Kernel::poll_faults`].
     pub fn enable_fault_injection(&mut self, deadline_budget: u64) {
-        self.enable_feature_for_test(semper_base::Feature::FaultInjection);
         self.fault.enabled = true;
         self.fault.deadline_budget = deadline_budget;
     }
@@ -223,7 +222,7 @@ impl Kernel {
         self.fault.dead_peers.push(dead);
         // Requests stalled behind the credit gate towards the dead
         // kernel would never be consumed; their ops abort below.
-        self.kqueue.remove(&dead);
+        self.kgate.drop_queue(dead);
         let mut doomed: Vec<OpId> = self
             .pending
             .iter()
@@ -370,7 +369,7 @@ impl Kernel {
                 // operation touching them) and dependents woken. The
                 // unresponsive remote subtrees belong to a dead or
                 // unreachable kernel — orphaned there, gone with it.
-                revoke::Phase::Run(rop) => self.complete_revoke(op, rop, out),
+                revoke::Phase::Run(rop) => self.complete_revoke(rop, out),
                 // Report what the completed sub-revokes deleted; the
                 // caller's protocol treats revoke replies as always-Ok.
                 revoke::Phase::Batch { caller_op, caller_kernel, cap_keys, fanin } => {
@@ -394,7 +393,7 @@ impl Kernel {
                 // with a fresh deadline.
                 sweep::Phase::Coordinate(mut s) => {
                     s.marks_outstanding = 0;
-                    s.deps = 0;
+                    s.region.deps = 0;
                     self.pending.insert(op, PendingOp::Sweep(sweep::Phase::Coordinate(s)));
                     self.run_ready(vec![ReadyOp::SweepCoord(op)], out)
                 }
@@ -402,27 +401,12 @@ impl Kernel {
                 // sweep with the counts that arrived: release every
                 // surviving participant's deferred waiters and our own,
                 // and notify the initiator.
-                sweep::Phase::Collect(s) => {
-                    let mut cost = self.cfg.cost.revoke_finish;
-                    for &k in &s.participants {
-                        if self.fault.dead_peers.contains(&k) {
-                            continue;
-                        }
-                        cost += exit;
-                        self.send_kcall(out, k, Kcall::SweepDoneNotice { op });
-                    }
-                    self.notify_initiator(s.initiator, true, s.fanin.tally(), out);
-                    let mut ready: Vec<ReadyOp> = Vec::new();
-                    for w in s.woken {
-                        self.wake_waiter(w, &mut ready);
-                    }
-                    cost + self.run_ready(ready, out)
-                }
+                sweep::Phase::Collect(s) => self.sweep_close(op, s, out),
                 // The coordinator is gone (or unreachable): retire the
                 // partition locally — delete what it marked so no
                 // `Revoking` marks leak, and fire its deferred waiters.
                 sweep::Phase::Partition(p) => {
-                    self.sweep_parts.remove(&(p.caller, p.caller_op));
+                    self.revoke.sweep_parts.remove(&(p.caller, p.caller_op));
                     self.abort_sweep_partition(p, out)
                 }
             },
@@ -491,98 +475,32 @@ impl Kernel {
         }
     }
 
-    /// Force-retires one sweep partition without its coordinator:
-    /// deletes the marked subtrees (the partition's territory) in one
-    /// batched pass and wakes both its deferred waiters and anything
-    /// waiting on the deleted capabilities. Shared by the partition
-    /// abort path and the late-done-notice anomaly path.
-    pub(crate) fn abort_sweep_partition(
-        &mut self,
-        mut p: sweep::SweepPart,
-        out: &mut Outbox,
-    ) -> u64 {
-        let mut cost = 0;
-        let mut stack = std::mem::take(&mut self.scratch.stack);
-        let mut deleted = std::mem::take(&mut self.scratch.deleted);
-        let mut woken = std::mem::take(&mut self.scratch.woken);
-        debug_assert!(deleted.is_empty() && woken.is_empty());
-        for root in std::mem::take(&mut p.roots) {
-            self.mapdb.delete_local_subtree_into(root, &mut stack, &mut deleted);
-        }
-        cost += self.sweep_deleted(&mut deleted, &mut woken);
-        cost += self.cfg.cost.revoke_finish;
-        self.scratch.stack = stack;
-        self.scratch.deleted = deleted;
-        let mut to_wake = std::mem::take(&mut p.woken);
-        to_wake.append(&mut woken);
-        self.scratch.woken = woken;
-        let mut ready: Vec<ReadyOp> = Vec::new();
-        for w in to_wake {
-            self.wake_waiter(w, &mut ready);
-        }
-        cost + self.run_ready(ready, out)
-    }
-
     /// Asserts that the kernel reached true quiescence: no suspended
-    /// operations, no open migration windows, no sweep partitions, no
-    /// registered revoke waiters, no active batches, and no requests
-    /// stalled behind the credit gate. The fault suites call this after
-    /// every run — a leak here is exactly the silent hang the
-    /// termination hardening exists to prevent.
+    /// operations (which covers active batches and unresolved eager
+    /// provides), and every protocol's own state drained — no marked
+    /// capability awaiting deletion, no open migration window, no
+    /// unresolved promise, no request stalled behind the credit gate.
+    /// The fault suites call this after every run — a leak here is
+    /// exactly the silent hang the termination hardening exists to
+    /// prevent.
     pub fn check_quiescent(&self) -> core::result::Result<(), String> {
-        if !self.pending.is_empty() {
+        let ledger = if self.pending.is_empty() {
+            Ok(())
+        } else {
             let mut stuck: Vec<String> =
                 self.pending.iter().map(|(op, s)| format!("{op}:{}", s.spec().name)).collect();
             stuck.sort_unstable();
-            return Err(format!("kernel {}: pending ops at quiescence: {stuck:?}", self.id));
-        }
-        if !self.active_migrations.is_empty() {
-            return Err(format!(
-                "kernel {}: open migration windows: {:?}",
-                self.id, self.active_migrations
-            ));
-        }
-        if !self.sweep_parts.is_empty() {
-            let mut keys: Vec<(KernelId, OpId)> = self.sweep_parts.keys().copied().collect();
-            keys.sort_unstable();
-            return Err(format!("kernel {}: live sweep partitions: {keys:?}", self.id));
-        }
-        if !self.revoke_waiters.is_empty() {
-            return Err(format!(
-                "kernel {}: {} revoke-waiter entries at quiescence",
-                self.id,
-                self.revoke_waiters.len()
-            ));
-        }
-        if !self.bulk_by_vpe.is_empty() {
-            return Err(format!("kernel {}: active batched syscalls at quiescence", self.id));
-        }
-        let mut unresolved: Vec<u64> = self
-            .promises
-            .iter()
-            .filter(|(_, p)| p.resolved.is_none() || !p.waiters.is_empty())
-            .map(|(k, _)| *k)
-            .collect();
-        if !unresolved.is_empty() {
-            unresolved.sort_unstable();
-            return Err(format!(
-                "kernel {}: unresolved promises (or parked waiters) at quiescence: {unresolved:?}",
-                self.id
-            ));
-        }
-        if !self.async_execs.is_empty() {
-            return Err(format!(
-                "kernel {}: {} in-flight async executions at quiescence",
-                self.id,
-                self.async_execs.len()
-            ));
-        }
-        let mut stalled: Vec<(KernelId, usize)> =
-            self.kqueue.iter().filter(|(_, q)| !q.is_empty()).map(|(k, q)| (*k, q.len())).collect();
-        if !stalled.is_empty() {
-            stalled.sort_unstable();
-            return Err(format!("kernel {}: credit-stalled requests: {stalled:?}", self.id));
-        }
-        Ok(())
+            Err(format!("pending ops at quiescence: {stuck:?}"))
+        };
+        [
+            ledger,
+            self.migration.quiescent(),
+            self.revoke.quiescent(),
+            self.promises.quiescent(),
+            self.kgate.quiescent(),
+        ]
+        .into_iter()
+        .collect::<core::result::Result<(), String>>()
+        .map_err(|e| format!("kernel {}: {e}", self.id))
     }
 }

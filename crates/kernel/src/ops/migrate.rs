@@ -82,6 +82,32 @@ use crate::ops::{Awaits, FanIn, PendingOp, PhaseSpec, Thread};
 use crate::outbox::Outbox;
 use crate::vpes::VpeState;
 
+/// Kernel-wide migration state: the open handover windows and the
+/// failures no driver collected yet.
+#[derive(Debug, Default)]
+pub(crate) struct MigrationState {
+    /// Outbound group migrations in their handover window, as
+    /// `(vpe, pe, op)`: from `start_group_migration` until the
+    /// bystander fan-in drains (or the install is refused). While
+    /// non-empty, the dispatch paths apply the forward-or-hold rules;
+    /// the common empty case keeps the classic paths cost-free.
+    active: Vec<(VpeId, PeId, OpId)>,
+    /// Failed migrations not yet collected by the initiating driver
+    /// (see [`Kernel::take_migration_failure`]).
+    failures: Vec<(VpeId, Error)>,
+}
+
+impl MigrationState {
+    /// No handover window is open.
+    pub(crate) fn quiescent(&self) -> core::result::Result<(), String> {
+        if self.active.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("open migration windows: {:?}", self.active))
+        }
+    }
+}
+
 /// One operation intercepted during the handover window, parked in the
 /// migration's hold queue and replayed in arrival order once the
 /// window closes (or the migration fails and the group stays put).
@@ -275,7 +301,7 @@ impl Kernel {
                 held: Vec::new(),
             }))),
         );
-        self.active_migrations.push((vpe, pe, op));
+        self.migration.active.push((vpe, pe, op));
         Ok(cost + self.cfg.cost.kcall_exit)
     }
 
@@ -359,8 +385,8 @@ impl Kernel {
         if let Err(e) = result {
             // The destination rejected atomically; the group never
             // left. Unwind the window and surface the error.
-            self.active_migrations.retain(|&(v, _, _)| v != vpe);
-            self.migration_failures.push((vpe, e));
+            self.migration.active.retain(|&(v, _, _)| v != vpe);
+            self.migration.failures.push((vpe, e));
             self.stats.migrations_failed += 1;
             return self.cfg.cost.kcall_exit + self.replay_held(held, out);
         }
@@ -444,7 +470,7 @@ impl Kernel {
         out: &mut Outbox,
     ) -> u64 {
         self.stats.migrations_out += 1;
-        self.active_migrations.retain(|&(v, _, _)| v != vpe);
+        self.migration.active.retain(|&(v, _, _)| v != vpe);
         self.replay_held(held, out)
     }
 
@@ -463,7 +489,7 @@ impl Kernel {
                 }
                 Held::Kill { vpe } => {
                     if self.vpe_alive(vpe) {
-                        cost += self.kill_vpe_request(vpe, out);
+                        cost += self.kill(vpe, out);
                     } else if let Ok(owner) = self.kernel_of_vpe(vpe) {
                         if owner != self.id {
                             self.send_kcall(out, owner, Kcall::KillVpe { vpe });
@@ -481,18 +507,18 @@ impl Kernel {
     /// The driver-facing failure channel: takes (and clears) the
     /// recorded error of a failed migration of `vpe`, if any.
     pub fn take_migration_failure(&mut self, vpe: VpeId) -> Option<Error> {
-        let idx = self.migration_failures.iter().position(|(v, _)| *v == vpe)?;
-        Some(self.migration_failures.remove(idx).1)
+        let idx = self.migration.failures.iter().position(|(v, _)| *v == vpe)?;
+        Some(self.migration.failures.remove(idx).1)
     }
 
     /// The active migration moving `vpe`, if any.
     pub(crate) fn migration_of_vpe(&self, vpe: VpeId) -> Option<OpId> {
-        self.active_migrations.iter().find(|&&(v, _, _)| v == vpe).map(|&(_, _, op)| op)
+        self.migration.active.iter().find(|&&(v, _, _)| v == vpe).map(|&(_, _, op)| op)
     }
 
     /// The active migration moving the VPE on `pe`, if any.
     pub(crate) fn migration_of_pe(&self, pe: PeId) -> Option<OpId> {
-        self.active_migrations.iter().find(|&&(_, p, _)| p == pe).map(|&(_, _, op)| op)
+        self.migration.active.iter().find(|&&(_, p, _)| p == pe).map(|&(_, _, op)| op)
     }
 
     /// Walks the capability subtree under `root` (local records only)
@@ -517,6 +543,9 @@ impl Kernel {
     /// (the caller itself is checked via [`Kernel::migration_of_pe`]
     /// before PE resolution).
     pub(crate) fn syscall_touches_migrating(&self, vpe: VpeId, call: &Syscall) -> Option<OpId> {
+        if self.migration.active.is_empty() {
+            return None;
+        }
         match call {
             Syscall::Exchange { other, .. } => self.migration_of_vpe(*other),
             Syscall::Revoke { sel, .. } => {
@@ -541,6 +570,9 @@ impl Kernel {
     /// refuses to open the window over them), so op-correlated
     /// continuations (`DelegateAck`, sweep delete/done) are never held.
     pub(crate) fn migration_holding_kcall(&self, call: &Kcall) -> Option<OpId> {
+        if self.migration.active.is_empty() {
+            return None;
+        }
         match call {
             Kcall::ObtainReq { owner_vpe, .. } => self.migration_of_vpe(*owner_vpe),
             Kcall::DelegateReq { recv_vpe, .. } => self.migration_of_vpe(*recv_vpe),
@@ -559,6 +591,9 @@ impl Kernel {
     /// if any: the VPE itself is moving, or its exit-revocation would
     /// sweep into a moving subtree.
     pub(crate) fn migration_holding_kill(&self, vpe: VpeId) -> Option<OpId> {
+        if self.migration.active.is_empty() {
+            return None;
+        }
         if let Some(op) = self.migration_of_vpe(vpe) {
             return Some(op);
         }

@@ -9,7 +9,8 @@
 //! a set of typed phases plus the handler for each phase transition:
 //!
 //! * [`PendingOp`] — the union of all suspended phases, one variant per
-//!   protocol ([`exchange`], [`session`], [`revoke`], [`migrate`]).
+//!   protocol ([`exchange`], [`session`], [`revoke`], [`sweep`],
+//!   [`migrate`], [`bulk`], [`promise`]).
 //!   Each phase carries exactly the continuation state its resume
 //!   handler needs.
 //! * [`PhaseSpec`] — the per-phase declaration: what the phase awaits
@@ -28,6 +29,27 @@
 //!   migration's membership acks), with a running tally for the
 //!   statistics the reply carries back.
 //!
+//! # One of each
+//!
+//! Every protocol-independent concept exists once: one `Syscall` →
+//! handler table (`Kernel::dispatch_syscall`, which batch items and
+//! asynchronous inner calls also go through, with `kernel::nestable`
+//! saying which calls may), one credit-gated request send
+//! (`Kernel::send_kcall_at`), one mark walk and one delete pass for
+//! Algorithm 1 (`Kernel::mark_subtree` / `Kernel::delete_marked` in
+//! [`revoke`], driven by classic revokes, coalesced bulk runs and
+//! partitioned sweeps alike), and one way to kill a VPE
+//! (`Kernel::kill`).
+//!
+//! State that outlives a single parked phase lives with its protocol,
+//! not as loose fields on `Kernel`: `revoke::RevokeState`,
+//! `migrate::MigrationState`, `promise::Promises`, the kernel's
+//! `CreditGate`, and two per-VPE markers in [`crate::VpeState`] (the
+//! active batch, the promise pipeline tail). The rest of the kernel asks
+//! each of them two questions only — *are you quiescent?*
+//! (`Kernel::check_quiescent`) and *VPE `v` died*
+//! (`Kernel::terminate_vpe`).
+//!
 //! # Paper §4.3 → engine phases
 //!
 //! | paper step | engine phase |
@@ -37,10 +59,11 @@
 //! | §4.3.2 two-way delegate handshake, first leg | [`exchange::Phase::DelegateRemote`] → [`exchange::Phase::DelegateAtRecv`] |
 //! | §4.3.2 two-way delegate handshake, second leg | [`exchange::Phase::DelegatePendingInsert`] / [`exchange::Phase::DelegateWaitDone`] / [`exchange::Phase::DelegateAborted`] |
 //! | §3.4 session capability attachment | [`session::Phase::OpenRemote`] → [`session::Phase::AtService`], [`session::Phase::OpenLocal`] |
-//! | §4.3.3 Algorithm 1 mark/sweep + reply counting | [`revoke::Phase::Run`] / [`revoke::Phase::Batch`] |
-//! | §5.2 partitioned parallel sweep (mark → delete) | [`sweep::Phase::Coordinate`] → [`sweep::Phase::Collect`], [`sweep::Phase::Partition`] |
+//! | §4.3.3 Algorithm 1 mark/delete + reply counting | [`revoke::Phase::Run`]; an incoming `RevokeBatchReq` (§5.2 message batching) tracks its keys in [`revoke::Phase::Batch`] |
+//! | §5.2 partitioned parallel sweep (mark → delete, same walk and pass) | [`sweep::Phase::Coordinate`] → [`sweep::Phase::Collect`], [`sweep::Phase::Partition`] |
 //! | §4.2 group migration (ownership handover) | [`migrate::Phase::AwaitInstall`] → [`migrate::Phase::Draining`] |
 //! | §5.2 bulk capability operations (`Syscall::Batch`) | [`bulk::Phase::Run`] |
+//! | promise IPC, eager provide of an asynchronous spanning delegate | [`promise::Phase::ProvidePending`] → [`promise::Phase::AwaitResolved`] → [`promise::Phase::AwaitInsert`]; receiver: [`promise::Phase::ConsentAtRecv`] → [`promise::Phase::AwaitResolve`] |
 //!
 //! # What a new protocol costs
 //!
@@ -203,7 +226,7 @@ pub enum PendingOp {
     /// message, executed in order with coalesced revoke fan-outs.
     Bulk(bulk::Phase),
     /// Promise-capability IPC ([`promise`]): the eager-provide legs of
-    /// an asynchronous cross-kernel delegate (`Feature::PromiseIpc`).
+    /// an asynchronous cross-kernel delegate.
     Promise(promise::Phase),
 }
 
@@ -232,21 +255,12 @@ impl PendingOp {
                 // thread: the batch op itself is declared `Free`, and
                 // ordered execution guarantees at most one coalesced
                 // run is suspended per batch.
-                PendingOp::Revoke(revoke::Phase::Run(op)) => matches!(
-                    op.initiator,
-                    revoke::Initiator::Syscall { .. }
-                        | revoke::Initiator::Internal
-                        | revoke::Initiator::Bulk { .. }
-                ),
+                PendingOp::Revoke(revoke::Phase::Run(op)) => op.initiator.holds_thread(),
                 // A sweep coordinator carries whatever its classic
                 // counterpart would have carried.
-                PendingOp::Sweep(sweep::Phase::Coordinate(s))
-                | PendingOp::Sweep(sweep::Phase::Collect(s)) => matches!(
-                    s.initiator,
-                    revoke::Initiator::Syscall { .. }
-                        | revoke::Initiator::Internal
-                        | revoke::Initiator::Bulk { .. }
-                ),
+                PendingOp::Sweep(sweep::Phase::Coordinate(s) | sweep::Phase::Collect(s)) => {
+                    s.initiator.holds_thread()
+                }
                 other => unreachable!("{} has no initiator", other.spec().name),
             },
         }
@@ -318,11 +332,9 @@ impl Kernel {
         if let Kcall::Forwarded { from: orig, call: inner } = call {
             return self.dispatch_kcall(*orig, inner, out);
         }
-        if !self.active_migrations.is_empty() {
-            if let Some(mig) = self.migration_holding_kcall(call) {
-                self.hold_op(mig, migrate::Held::Kcall { from, call: call.clone() });
-                return 0;
-            }
+        if let Some(mig) = self.migration_holding_kcall(call) {
+            self.hold_op(mig, migrate::Held::Kcall { from, call: call.clone() });
+            return 0;
         }
         if let Some(target) = self.kcall_forward_target(call) {
             self.stats.kcalls_forwarded += 1;
@@ -374,7 +386,7 @@ impl Kernel {
             Kcall::Resolve { op, reply_op, result } => {
                 self.promise_resolve_request(from, *op, *reply_op, result, out)
             }
-            Kcall::KillVpe { vpe } => self.kill_vpe_request(*vpe, out),
+            Kcall::KillVpe { vpe } => self.kill(*vpe, out),
             Kcall::Forwarded { .. } => unreachable!("unwrapped above"),
         }
     }

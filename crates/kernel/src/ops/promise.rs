@@ -1,5 +1,8 @@
-//! Promise-capability IPC — pipelined asynchronous invocation
-//! (`Feature::PromiseIpc`).
+//! Promise-capability IPC — pipelined asynchronous invocation.
+//!
+//! Served unconditionally: the state below is empty until the first
+//! [`Syscall::SubmitAsync`] arrives, and every check on the classic
+//! paths is an empty-map lookup.
 //!
 //! A [`Syscall::SubmitAsync`] returns immediately with a *promise
 //! capability*: a first-class selector standing in for the eventual
@@ -19,8 +22,8 @@
 //! a reserved selector range ([`PROMISE_SEL_BASE`]). Promises live
 //! *outside* the capability tree: no mapdb record, no table slot, no
 //! children — `Kernel::state_digest` is untouched by any amount of
-//! promise traffic, which is what keeps every pre-existing golden and
-//! trace fingerprint bit-identical with the feature off.
+//! promise traffic, which is what keeps every golden and trace
+//! fingerprint of promise-free runs bit-identical.
 //!
 //! # Protocol phases
 //!
@@ -50,20 +53,21 @@
 //! # Termination
 //!
 //! A promise always resolves to a real `Ok`/`Err` — never a silent
-//! hang. VPE death tears down its promises ([`Kernel::teardown_promises`]),
+//! hang. VPE death tears down its promises ([`Kernel::promise_vpe_died`]),
 //! revoking the promise selector severs the *handle* (the underlying
-//! invocation still lands, into a dropped slot), and under
-//! `Feature::FaultInjection` every parked phase above carries a per-op
-//! deadline, so dropped `Resolve` legs or a crashed peer kernel abort
-//! the promise with `Err(Timeout)` through the ordinary fault engine.
+//! invocation still lands, into a dropped slot), and under fault
+//! injection every parked phase above carries a per-op deadline, so
+//! dropped `Resolve` legs or a crashed peer kernel abort the promise
+//! with `Err(Timeout)` through the ordinary fault engine.
 
-use semper_base::config::Feature;
 use semper_base::msg::{CapDesc, KReply, Kcall, SysReplyData, Syscall, Upcall};
-use semper_base::{CapSel, Code, DdlKey, Error, ExchangeKind, KernelId, OpId, Result, VpeId};
+use semper_base::{
+    CapSel, Code, DdlKey, DetHashMap, Error, ExchangeKind, KernelId, OpId, Result, VpeId,
+};
 use semper_caps::alloc::PROMISE_ID_BASE;
 use semper_caps::Capability;
 
-use crate::kernel::Kernel;
+use crate::kernel::{nestable, Kernel};
 use crate::ops::exchange::{self, key_type_for};
 use crate::ops::{Awaits, PendingOp, PhaseSpec, Thread};
 use crate::outbox::Outbox;
@@ -81,6 +85,54 @@ pub const ASYNC_TAG_BASE: u64 = 1 << 62;
 /// object ids are per-VPE monotone, so the mapping is bijective).
 pub(crate) fn promise_sel(key: u64) -> CapSel {
     CapSel(PROMISE_SEL_BASE + (DdlKey::from_raw(key).object_id() - PROMISE_ID_BASE))
+}
+
+/// Kernel-wide promise state: the promises themselves, the selectors
+/// bound to them, and the asynchronous inner executions in flight.
+#[derive(Debug, Default)]
+pub(crate) struct Promises {
+    /// Resolution state, by raw promise key. Never iterated on protocol
+    /// paths without sorting first.
+    slots: DetHashMap<u64, PromiseState>,
+    /// Promise-selector bindings: `(owner, selector)` → raw promise key.
+    /// Kept separate from the capability tables so the classic selector
+    /// paths never see promise selectors.
+    binds: DetHashMap<(VpeId, CapSel), u64>,
+    /// In-flight asynchronous inner executions: `(owner, reserved tag)`
+    /// → raw promise key. The reply funnel resolves through this index;
+    /// a missing entry means the owner died and the late result drops.
+    execs: DetHashMap<(VpeId, u64), u64>,
+    /// Reserved reply tags handed out so far (counted up from
+    /// [`ASYNC_TAG_BASE`]).
+    tags_used: u64,
+}
+
+impl Promises {
+    /// Asynchronous inner executions in flight — each may hold a
+    /// cooperative thread beside its owner's blocking syscall (§4.2).
+    pub(crate) fn execs_in_flight(&self) -> u64 {
+        self.execs.len() as u64
+    }
+
+    /// Every promise resolved, nothing parked on one, nothing in flight.
+    pub(crate) fn quiescent(&self) -> core::result::Result<(), String> {
+        let mut unresolved: Vec<u64> = self
+            .slots
+            .iter()
+            .filter(|(_, p)| p.resolved.is_none() || !p.waiters.is_empty())
+            .map(|(k, _)| *k)
+            .collect();
+        if !unresolved.is_empty() {
+            unresolved.sort_unstable();
+            return Err(format!(
+                "unresolved promises (or parked waiters) at quiescence: {unresolved:?}"
+            ));
+        }
+        if !self.execs.is_empty() {
+            return Err(format!("{} in-flight async executions at quiescence", self.execs.len()));
+        }
+        Ok(())
+    }
 }
 
 /// Kernel-internal state of one promise.
@@ -284,24 +336,14 @@ impl Kernel {
         inner: &Syscall,
         out: &mut Outbox,
     ) -> u64 {
-        if !self.cfg.has_feature(Feature::PromiseIpc) {
-            self.reply_sys(out, vpe, tag, Err(Error::new(Code::NotSupported)));
-            return self.cfg.cost.syscall_exit;
-        }
-        if matches!(
-            inner,
-            Syscall::Exit
-                | Syscall::Batch(_)
-                | Syscall::SubmitAsync(_)
-                | Syscall::WaitPromise { .. }
-        ) {
+        if !nestable(inner) {
             self.reply_sys(out, vpe, tag, Err(Error::new(Code::NotSupported)));
             return self.cfg.cost.syscall_exit;
         }
         let pe = self.pe_of_vpe(vpe).expect("submitter is local");
         let key = self.keys.alloc_promise(pe, vpe).raw();
         let sel = promise_sel(key);
-        self.promise_binds.insert((vpe, sel), key);
+        self.promises.binds.insert((vpe, sel), key);
         let mut state = PromiseState {
             owner: vpe,
             sel,
@@ -342,18 +384,15 @@ impl Kernel {
 
         // Program-order gate: chain behind the previous unresolved
         // promise of this VPE, or open the gate right away.
-        let chained = match self.async_pipeline_tail.get(&vpe) {
-            Some(prev) => match self.promises.get_mut(prev) {
-                Some(p) if p.resolved.is_none() => {
-                    p.waiters.push(PromiseWaiter::Exec { promise: key });
-                    true
-                }
-                _ => false,
-            },
-            None => false,
+        let tail = self.vpes.get_mut(&vpe).expect("submitter is local").promise_tail.replace(key);
+        let chained = match tail.and_then(|prev| self.promises.slots.get_mut(&prev)) {
+            Some(p) if p.resolved.is_none() => {
+                p.waiters.push(PromiseWaiter::Exec { promise: key });
+                true
+            }
+            _ => false,
         };
-        self.async_pipeline_tail.insert(vpe, key);
-        self.promises.insert(key, state);
+        self.promises.slots.insert(key, state);
         self.reply_sys(out, vpe, tag, Ok(SysReplyData::Promise { sel }));
         if chained {
             self.stats.calls_pipelined += 1;
@@ -366,7 +405,7 @@ impl Kernel {
     /// Opens a promise's pipeline gate: substitutes resolved operands
     /// and launches the inner call (or the eager-provide continuation).
     pub(crate) fn promise_gate_open(&mut self, key: u64, out: &mut Outbox) -> u64 {
-        let Some(state) = self.promises.get_mut(&key) else {
+        let Some(state) = self.promises.slots.get_mut(&key) else {
             return 0; // discarded or torn down before the gate opened
         };
         let Some(call) = state.call.take() else {
@@ -385,54 +424,29 @@ impl Kernel {
         if let Some(op) = eager {
             return self.promise_eager_gate(op, key, &call, out);
         }
-        let tag = self.next_async_tag;
-        self.next_async_tag += 1;
-        self.async_execs.insert((owner, tag), key);
-        self.cfg.cost.thread_switch + self.promise_exec_dispatch(owner, tag, call, out)
-    }
-
-    /// Dispatches an asynchronous inner execution through the ordinary
-    /// standalone handlers; the reply funnel routes the completion back
-    /// to [`Kernel::promise_exec_done`] by the reserved tag range.
-    fn promise_exec_dispatch(
-        &mut self,
-        vpe: VpeId,
-        tag: u64,
-        call: Syscall,
-        out: &mut Outbox,
-    ) -> u64 {
-        match call {
-            Syscall::Noop => {
-                self.reply_sys(out, vpe, tag, Ok(SysReplyData::None));
-                self.cfg.cost.syscall_exit
-            }
-            Syscall::CreateMem { size, perms } => self.sys_create_mem(vpe, tag, size, perms, out),
-            Syscall::DeriveMem { src, offset, size, perms } => {
-                self.sys_derive_mem(vpe, tag, src, offset, size, perms, out)
-            }
-            Syscall::Exchange { other, own_sel, other_sel, kind } => {
-                self.sys_exchange(vpe, tag, other, own_sel, other_sel, kind, out)
-            }
-            Syscall::Revoke { sel, own } => self.sys_revoke(vpe, tag, sel, own, out),
-            Syscall::CreateSrv { name } => self.sys_create_srv(vpe, tag, name, out),
-            Syscall::OpenSession { name } => self.sys_open_session(vpe, tag, name, out),
-            Syscall::Activate { sel, ep } => self.sys_activate(vpe, tag, sel, ep, out),
-            Syscall::Exit
-            | Syscall::Batch(_)
-            | Syscall::SubmitAsync(_)
-            | Syscall::WaitPromise { .. } => unreachable!("rejected at submission"),
-        }
+        // The inner call runs through the ordinary handlers under a
+        // reserved tag; `reply_sys` routes its completion back to
+        // `promise_exec_done` by the tag range.
+        let tag = ASYNC_TAG_BASE + self.promises.tags_used;
+        self.promises.tags_used += 1;
+        self.promises.execs.insert((owner, tag), key);
+        self.cfg.cost.thread_switch + self.dispatch_syscall(owner, tag, &call, out)
     }
 
     /// Completion funnel for asynchronous inner executions (called from
-    /// `reply_sys` when the tag is in the reserved range).
+    /// `reply_sys` for tags in the reserved range). A missing index
+    /// entry means the owner died mid-flight; the late result drops.
     pub(crate) fn promise_exec_done(
         &mut self,
-        key: u64,
+        vpe: VpeId,
+        tag: u64,
         result: Result<SysReplyData>,
         out: &mut Outbox,
     ) -> u64 {
-        self.resolve_promise(key, result, out)
+        match self.promises.execs.remove(&(vpe, tag)) {
+            Some(key) => self.resolve_promise(key, result, out),
+            None => 0,
+        }
     }
 
     /// Resolves a promise and replays its parked continuations in
@@ -443,7 +457,7 @@ impl Kernel {
         result: Result<SysReplyData>,
         out: &mut Outbox,
     ) -> u64 {
-        let Some(state) = self.promises.get_mut(&key) else {
+        let Some(state) = self.promises.slots.get_mut(&key) else {
             return 0; // torn down while the invocation was in flight
         };
         if state.resolved.is_some() {
@@ -475,7 +489,7 @@ impl Kernel {
                     }
                 }
                 PromiseWaiter::Discard => {
-                    self.promises.remove(&key);
+                    self.promises.slots.remove(&key);
                 }
             }
         }
@@ -495,8 +509,11 @@ impl Kernel {
         call: &Syscall,
         out: &mut Outbox,
     ) -> Option<u64> {
+        if self.promises.binds.is_empty() {
+            return None;
+        }
         if let Syscall::Revoke { sel, .. } = call {
-            if self.promise_binds.contains_key(&(vpe, *sel)) {
+            if self.promises.binds.contains_key(&(vpe, *sel)) {
                 return Some(self.sys_revoke_promise(vpe, tag, *sel, out));
             }
         }
@@ -505,6 +522,7 @@ impl Kernel {
         }
         if let Some(key) = self.first_unresolved_operand(vpe, call) {
             self.promises
+                .slots
                 .get_mut(&key)
                 .expect("first_unresolved_operand checked the state")
                 .waiters
@@ -523,7 +541,7 @@ impl Kernel {
 
     /// True if any selector operand of `call` names a promise of `vpe`.
     fn has_promise_operand(&self, vpe: VpeId, call: &Syscall) -> bool {
-        let bound = |sel: &CapSel| self.promise_binds.contains_key(&(vpe, *sel));
+        let bound = |sel: &CapSel| self.promises.binds.contains_key(&(vpe, *sel));
         match call {
             Syscall::DeriveMem { src, .. } => bound(src),
             Syscall::Exchange { own_sel, other_sel, .. } => bound(own_sel) || bound(other_sel),
@@ -535,8 +553,8 @@ impl Kernel {
     /// The first operand (in field order) naming an unresolved promise.
     fn first_unresolved_operand(&self, vpe: VpeId, call: &Syscall) -> Option<u64> {
         let check = |sel: &CapSel| -> Option<u64> {
-            let key = *self.promise_binds.get(&(vpe, *sel))?;
-            match self.promises.get(&key) {
+            let key = *self.promises.binds.get(&(vpe, *sel))?;
+            match self.promises.slots.get(&key) {
                 Some(p) if p.resolved.is_none() => Some(key),
                 _ => None,
             }
@@ -556,10 +574,10 @@ impl Kernel {
     /// error; a non-selector-valued result is `InvalidArgs`.
     fn substitute_operands(&self, vpe: VpeId, mut call: Syscall) -> Result<Syscall> {
         let subst = |sel: &mut CapSel| -> Result<()> {
-            let Some(&key) = self.promise_binds.get(&(vpe, *sel)) else {
+            let Some(&key) = self.promises.binds.get(&(vpe, *sel)) else {
                 return Ok(());
             };
-            let state = self.promises.get(&key).ok_or(Error::new(Code::NoSuchCap))?;
+            let state = self.promises.slots.get(&key).ok_or(Error::new(Code::NoSuchCap))?;
             match &state.resolved {
                 None => Err(Error::new(Code::Unresolved)),
                 Some(Err(e)) => Err(*e),
@@ -599,19 +617,15 @@ impl Kernel {
         block: bool,
         out: &mut Outbox,
     ) -> u64 {
-        if !self.cfg.has_feature(Feature::PromiseIpc) {
-            self.reply_sys(out, vpe, tag, Err(Error::new(Code::NotSupported)));
-            return self.cfg.cost.syscall_exit;
-        }
         let ref_c = self.ref_cost();
-        let key = match self.promise_binds.get(&(vpe, sel)) {
+        let key = match self.promises.binds.get(&(vpe, sel)) {
             Some(&k) => k,
             None => {
                 self.reply_sys(out, vpe, tag, Err(Error::new(Code::NoSuchCap)));
                 return self.cfg.cost.syscall_exit;
             }
         };
-        let stored = match self.promises.get_mut(&key) {
+        let stored = match self.promises.slots.get_mut(&key) {
             None => {
                 self.reply_sys(out, vpe, tag, Err(Error::new(Code::NoSuchCap)));
                 return self.cfg.cost.syscall_exit;
@@ -640,14 +654,14 @@ impl Kernel {
         sel: CapSel,
         out: &mut Outbox,
     ) -> u64 {
-        let key = self.promise_binds.remove(&(vpe, sel)).expect("caller checked the binding");
-        match self.promises.get_mut(&key) {
+        let key = self.promises.binds.remove(&(vpe, sel)).expect("caller checked the binding");
+        match self.promises.slots.get_mut(&key) {
             Some(p) if p.resolved.is_none() => {
                 // In-flight: sever now, drop the state when it lands.
                 p.waiters.push(PromiseWaiter::Discard);
             }
             _ => {
-                self.promises.remove(&key);
+                self.promises.slots.remove(&key);
             }
         }
         self.reply_sys(out, vpe, tag, Ok(SysReplyData::None));
@@ -713,7 +727,7 @@ impl Kernel {
         result: &Result<OpId>,
         out: &mut Outbox,
     ) -> u64 {
-        if !self.promises.contains_key(&p.promise) {
+        if !self.promises.slots.contains_key(&p.promise) {
             // The submitter was torn down; release B's pending state.
             if let Ok(b_op) = result {
                 self.send_resolve_abort(p.peer_kernel, *b_op, Error::new(Code::VpeGone), out);
@@ -816,7 +830,7 @@ impl Kernel {
         match result {
             Err(e) => self.cfg.cost.syscall_exit + self.resolve_promise(promise, Err(*e), out),
             Ok((child_key, insert_op)) => {
-                let commit = self.promises.contains_key(&promise)
+                let commit = self.promises.slots.contains_key(&promise)
                     && self.mapdb.get(parent_key).map(|c| !c.revoking()).unwrap_or(false);
                 if commit {
                     let _ = self.mapdb.link_child(parent_key, *child_key);
@@ -1001,26 +1015,35 @@ impl Kernel {
 
     // ----- teardown and quiescence ------------------------------------
 
-    /// Drops all promise state owned by a dying VPE. Parked eager ops
-    /// whose consent verdict is still in flight are left to complete
-    /// naturally (their resume handler notices the missing promise);
-    /// ops whose verdict already arrived would otherwise never resume,
-    /// so they are swept here, releasing B's pending state.
-    pub(crate) fn teardown_promises(&mut self, vpe: VpeId, out: &mut Outbox) {
-        self.async_pipeline_tail.remove(&vpe);
-        if self.promises.is_empty() && self.async_execs.is_empty() {
+    /// Drops all promise state owned by a dying VPE; in-flight
+    /// invocations land in dropped slots via the reserved-tag reply
+    /// funnel. Parked eager ops whose consent verdict is still in
+    /// flight are left to complete naturally (their resume handler
+    /// notices the missing promise); ops whose verdict already arrived
+    /// would otherwise never resume, so they are swept here, releasing
+    /// B's pending state.
+    pub(crate) fn promise_vpe_died(&mut self, vpe: VpeId, out: &mut Outbox) {
+        if let Some(v) = self.vpes.get_mut(&vpe) {
+            v.promise_tail = None;
+        }
+        if self.promises.slots.is_empty() && self.promises.execs.is_empty() {
             return;
         }
-        let mut owned: Vec<u64> =
-            self.promises.keys().copied().filter(|k| DdlKey::from_raw(*k).vpe() == vpe).collect();
+        let mut owned: Vec<u64> = self
+            .promises
+            .slots
+            .keys()
+            .copied()
+            .filter(|k| DdlKey::from_raw(*k).vpe() == vpe)
+            .collect();
         owned.sort_unstable();
         for key in &owned {
-            self.promises.remove(key);
+            self.promises.slots.remove(key);
         }
         if !owned.is_empty() {
-            self.promise_binds.retain(|(v, _), _| *v != vpe);
+            self.promises.binds.retain(|(v, _), _| *v != vpe);
         }
-        self.async_execs.retain(|(v, _), _| *v != vpe);
+        self.promises.execs.retain(|(v, _), _| *v != vpe);
         let mut doomed: Vec<OpId> = self
             .pending
             .iter()
@@ -1044,6 +1067,6 @@ impl Kernel {
     /// True if `vpe` owns any promise (resolved or not). Promise state
     /// never migrates, so group migration refuses while this holds.
     pub(crate) fn vpe_has_promise_state(&self, vpe: VpeId) -> bool {
-        !self.promises.is_empty() && self.promises.keys().any(|k| DdlKey::from_raw(*k).vpe() == vpe)
+        self.promises.slots.keys().any(|k| DdlKey::from_raw(*k).vpe() == vpe)
     }
 }

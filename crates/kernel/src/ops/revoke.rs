@@ -28,8 +28,10 @@
 
 use semper_base::config::Feature;
 use semper_base::msg::{KReply, Kcall, SysReplyData};
+use std::collections::BTreeMap;
+
 use semper_base::{
-    CapSel, Code, DdlKey, DetHashSet, Error, KernelId, OpId, RawDdlKey, Result, VpeId,
+    CapSel, Code, DdlKey, DetHashMap, DetHashSet, Error, KernelId, OpId, RawDdlKey, Result, VpeId,
 };
 use semper_caps::Capability;
 
@@ -37,28 +39,56 @@ use crate::kernel::Kernel;
 use crate::ops::{sweep, Awaits, FanIn, PendingOp, PhaseSpec, Thread};
 use crate::outbox::Outbox;
 
-/// Reusable host-side work buffers for the revocation paths.
+/// Kernel-wide state of the revocation protocols: the waiter registry
+/// and sweep-partition index shared by classic revokes and partitioned
+/// sweeps ([`super::sweep`]), plus reusable host-side work buffers.
 ///
-/// A dense teardown runs thousands of mark walks and sweeps back to
-/// back; allocating a fresh stack, deletion list, and remote-child list
-/// for each of them dominated the *host* wall clock of the
+/// A dense teardown runs thousands of mark walks and delete passes back
+/// to back; allocating a fresh stack, deletion list, and remote-child
+/// list for each of them dominated the *host* wall clock of the
 /// `dense_table_teardown` benchmark without changing any modeled cycle.
-/// The buffers live on the kernel and are taken/restored around each
-/// use (`std::mem::take`), so re-entrant completions — a revoke's
-/// notification advancing a batch, which starts the next revoke — each
-/// see an empty buffer and restores stay balanced.
+/// The buffers are taken/restored around each use (`std::mem::take`),
+/// so re-entrant completions — a revoke's notification advancing a
+/// batch, which starts the next revoke — each see an empty buffer and
+/// restores stay balanced.
 #[derive(Debug, Default)]
-pub(crate) struct RevokeScratch {
+pub(crate) struct RevokeState {
+    /// Operations waiting for a capability another operation is already
+    /// revoking: packed key → waiting op ids, in registration order.
+    waiters: DetHashMap<RawDdlKey, Vec<OpId>>,
+    /// Partitions of remote parallel sweeps this kernel participates
+    /// in: (coordinator, coordinator's op) → local partition op. Later
+    /// mark rounds and the delete order resolve through this index.
+    pub(crate) sweep_parts: DetHashMap<(KernelId, OpId), OpId>,
     /// DFS stack shared by mark and delete walks.
-    pub(crate) stack: Vec<DdlKey>,
-    /// Deleted capabilities of one sweep, processed in one batched pass.
-    pub(crate) deleted: Vec<Capability>,
+    stack: Vec<DdlKey>,
+    /// Deleted capabilities of one delete pass.
+    deleted: Vec<Capability>,
     /// Remote children collected by one mark phase.
-    pub(crate) remote: Vec<(KernelId, DdlKey)>,
-    /// Waiters woken by one sweep.
-    pub(crate) woken: Vec<OpId>,
+    remote: Vec<DdlKey>,
     /// Keys marked by the current operation (overlapping-root folding).
-    pub(crate) marked: DetHashSet<RawDdlKey>,
+    marked: DetHashSet<RawDdlKey>,
+}
+
+impl RevokeState {
+    /// Registers `waiter` for the deletion of `key`, which a running
+    /// revocation owns.
+    pub(crate) fn wait_for(&mut self, key: DdlKey, waiter: OpId) {
+        self.waiters.entry(key.raw()).or_default().push(waiter);
+    }
+
+    /// Nothing marked is left waiting to be deleted.
+    pub(crate) fn quiescent(&self) -> core::result::Result<(), String> {
+        if !self.sweep_parts.is_empty() {
+            let mut keys: Vec<(KernelId, OpId)> = self.sweep_parts.keys().copied().collect();
+            keys.sort_unstable();
+            return Err(format!("live sweep partitions: {keys:?}"));
+        }
+        if !self.waiters.is_empty() {
+            return Err(format!("{} revoke-waiter entries at quiescence", self.waiters.len()));
+        }
+        Ok(())
+    }
 }
 
 /// An operation whose fan-in drained and is ready to run its completion
@@ -68,7 +98,7 @@ pub(crate) struct RevokeScratch {
 #[derive(Debug)]
 pub(crate) enum ReadyOp {
     /// A classic revocation: sweep its marked subtrees and notify.
-    Revoke(OpId, RevokeOp),
+    Revoke(RevokeOp),
     /// A parallel-sweep coordinator whose mark phase finished: order
     /// the partition deletions ([`Kernel::sweep_begin_delete`]).
     SweepCoord(OpId),
@@ -119,6 +149,26 @@ pub enum Initiator {
         /// Number of items in the run.
         items: u32,
     },
+}
+
+impl Initiator {
+    /// True if the revocation runs on the starter's cooperative thread
+    /// (§4.2): syscalls and internal cleanup hold the calling thread —
+    /// a coalesced bulk run carries its batch syscall's — while
+    /// incoming requests are thread-free.
+    pub fn holds_thread(&self) -> bool {
+        matches!(self, Initiator::Syscall { .. } | Initiator::Internal | Initiator::Bulk { .. })
+    }
+
+    /// True if notifying this initiator touches `vpe`'s capability
+    /// group (see [`crate::ops::PendingOp::references_vpe`]).
+    pub fn references_vpe(&self, vpe: VpeId) -> bool {
+        match *self {
+            Initiator::Syscall { vpe: v, .. } => v == vpe,
+            Initiator::Kcall { cap_key, .. } => cap_key.vpe() == vpe,
+            Initiator::Internal | Initiator::Batch { .. } | Initiator::Bulk { .. } => false,
+        }
+    }
 }
 
 /// A revocation in progress (Algorithm 1 state).
@@ -181,12 +231,7 @@ impl Phase {
     pub fn references_vpe(&self, vpe: VpeId) -> bool {
         match self {
             Phase::Run(op) => {
-                let initiator = match op.initiator {
-                    Initiator::Syscall { vpe: v, .. } => v == vpe,
-                    Initiator::Kcall { cap_key, .. } => cap_key.vpe() == vpe,
-                    Initiator::Internal | Initiator::Batch { .. } | Initiator::Bulk { .. } => false,
-                };
-                initiator || op.local_roots.iter().any(|k| k.vpe() == vpe)
+                op.initiator.references_vpe(vpe) || op.local_roots.iter().any(|k| k.vpe() == vpe)
             }
             Phase::Batch { cap_keys, .. } => cap_keys.iter().any(|k| k.vpe() == vpe),
         }
@@ -259,8 +304,7 @@ impl Kernel {
         let mut op =
             RevokeOp { initiator, fanin: FanIn::new(), local_roots: Vec::new(), spanning: false };
         let mut cost = 0;
-        // Remote children grouped by owning kernel, for optional batching.
-        let mut remote = std::mem::take(&mut self.scratch.remote);
+        let mut remote = std::mem::take(&mut self.revoke.remote);
         debug_assert!(remote.is_empty());
         // A coalesced bulk run may name overlapping roots (duplicates,
         // or one root inside another root's subtree). Keys this call
@@ -278,7 +322,7 @@ impl Kernel {
         let mut marked: Option<DetHashSet<RawDdlKey>> = match (&initiator, roots.len(), parallel) {
             (Initiator::Bulk { .. }, n, _) if n > 1 => Some(Default::default()),
             (_, _, true) => {
-                let mut m = std::mem::take(&mut self.scratch.marked);
+                let mut m = std::mem::take(&mut self.revoke.marked);
                 m.clear();
                 Some(m)
             }
@@ -286,22 +330,22 @@ impl Kernel {
         };
 
         for root in roots {
-            if !self.mapdb.contains(root) {
-                // Already revoked and deleted — vacuously complete.
-                continue;
-            }
-            if self.mapdb.get(root).expect("checked").revoking() {
-                if marked.as_ref().is_some_and(|m| m.contains(&root.raw())) {
-                    // Covered by an earlier root of this same operation.
-                    continue;
-                }
+            // A missing root is already revoked and deleted — vacuously
+            // complete.
+            let Ok(cap) = self.mapdb.get(root) else { continue };
+            if cap.revoking() {
                 // A running revocation owns this subtree: wait for the
-                // capability to be deleted.
-                self.revoke_waiters.entry(root.raw()).or_default().push(op_id);
-                op.fanin.arm();
+                // capability to be deleted — unless that revocation is
+                // this very operation (an earlier root covered it).
+                if !marked.as_ref().is_some_and(|m| m.contains(&root.raw())) {
+                    self.revoke.wait_for(root, op_id);
+                    op.fanin.arm();
+                }
                 continue;
             }
-            cost += self.mark_subtree(root, op_id, &mut op, &mut remote, marked.as_mut());
+            let (c, deps) = self.mark_subtree(root, op_id, marked.as_mut(), &mut remote);
+            cost += c;
+            op.fanin.arm_n(deps);
             op.local_roots.push(root);
         }
 
@@ -310,14 +354,14 @@ impl Kernel {
             // A wide or multi-kernel fan-out is driven as a partitioned
             // parallel sweep when the feature is on: one grouped mark
             // request per owning kernel, swept concurrently.
-            let first = remote[0].0;
-            if parallel
-                && (remote.len() >= sweep::SWEEP_MIN_FANOUT
-                    || remote.iter().any(|(k, _)| *k != first))
-            {
+            let spans_kernels = || {
+                let first = self.membership.kernel_of_key(remote[0]);
+                remote.iter().any(|k| self.membership.kernel_of_key(*k) != first)
+            };
+            if parallel && (remote.len() >= sweep::SWEEP_MIN_FANOUT || spans_kernels()) {
                 let marked = marked.take().expect("tracked whenever the feature is on");
                 let c = self.start_sweep(op_id, op, &mut remote, marked, out);
-                self.scratch.remote = remote;
+                self.revoke.remote = remote;
                 return cost + c;
             }
             cost += self.send_revoke_requests(op_id, &mut op, &mut remote, out);
@@ -326,41 +370,44 @@ impl Kernel {
         // Restore the scratch buffers before the completion path: the
         // initiator's notification can re-enter `start_revoke` (a batch
         // advancing to its next item).
-        self.scratch.remote = remote;
+        self.revoke.remote = remote;
         if let Some(m) = marked {
-            self.scratch.marked = m;
+            self.revoke.marked = m;
         }
 
         if op.fanin.idle() {
-            cost + self.complete_revoke(op_id, op, out)
+            cost + self.complete_revoke(op, out)
         } else {
             self.park(op_id, PendingOp::Revoke(Phase::Run(op)));
             cost + self.cfg.cost.thread_switch
         }
     }
 
-    /// Depth-first mark of the local subtree under `root` (which must be
-    /// present and not yet revoking). Remote children are collected;
-    /// already-revoking capabilities become dependencies — unless this
-    /// same operation marked them (`marked`, coalesced bulk runs only),
-    /// in which case they are already covered.
-    fn mark_subtree(
+    /// The one mark walk (Algorithm 1, phase 1): depth-first over the
+    /// local subtree under `root`, which must be present and not yet
+    /// revoking. Children owned by other kernels are appended to
+    /// `foreign`. A capability that is already `Revoking` belongs to a
+    /// running revocation: `waiter` is registered for its deletion and
+    /// counted as a dependency — unless `marked` (kept by multi-root
+    /// and sweep operations, which can revisit their own territory)
+    /// shows this same operation marked it. Returns the modeled cost
+    /// and the number of dependencies registered.
+    pub(crate) fn mark_subtree(
         &mut self,
         root: DdlKey,
-        op_id: OpId,
-        op: &mut RevokeOp,
-        remote: &mut Vec<(KernelId, DdlKey)>,
+        waiter: OpId,
         mut marked: Option<&mut DetHashSet<RawDdlKey>>,
-    ) -> u64 {
-        let mut cost = 0;
-        let mut stack = std::mem::take(&mut self.scratch.stack);
+        foreign: &mut Vec<DdlKey>,
+    ) -> (u64, u32) {
+        let (mut cost, mut deps) = (0, 0);
+        let mut stack = std::mem::take(&mut self.revoke.stack);
         debug_assert!(stack.is_empty());
         stack.push(root);
         while let Some(key) = stack.pop() {
             let Ok(cap) = self.mapdb.get(key) else {
                 // Not ours: a remote child — one reference to classify it.
                 cost += self.ref_cost();
-                remote.push((self.membership.kernel_of_key(key), key));
+                foreign.push(key);
                 continue;
             };
             // Following the parent link and scanning the child list are
@@ -368,14 +415,10 @@ impl Kernel {
             cost += 2 * self.ref_cost();
             if cap.revoking() {
                 debug_assert_ne!(key, root, "caller checked the root");
-                if marked.as_ref().is_some_and(|m| m.contains(&key.raw())) {
-                    // Marked by an earlier root of this same operation
-                    // (a bulk run revoking a child before its ancestor).
-                    continue;
+                if !marked.as_ref().is_some_and(|m| m.contains(&key.raw())) {
+                    self.revoke.wait_for(key, waiter);
+                    deps += 1;
                 }
-                // Another operation owns this subtree; depend on it.
-                self.revoke_waiters.entry(key.raw()).or_default().push(op_id);
-                op.fanin.arm();
                 continue;
             }
             for child in cap.children().rev() {
@@ -387,8 +430,21 @@ impl Kernel {
             }
             cost += self.cfg.cost.revoke_mark;
         }
-        self.scratch.stack = stack;
-        cost
+        self.revoke.stack = stack;
+        (cost, deps)
+    }
+
+    /// Groups keys by owning kernel: ascending kernel id, arrival order
+    /// within a group.
+    pub(crate) fn group_by_owner(
+        &self,
+        keys: impl Iterator<Item = DdlKey>,
+    ) -> BTreeMap<KernelId, Vec<DdlKey>> {
+        let mut by_kernel: BTreeMap<KernelId, Vec<DdlKey>> = BTreeMap::new();
+        for key in keys {
+            by_kernel.entry(self.membership.kernel_of_key(key)).or_default().push(key);
+        }
+        by_kernel
     }
 
     /// Sends revoke requests for remote children — one message per child,
@@ -400,19 +456,14 @@ impl Kernel {
         &mut self,
         op_id: OpId,
         op: &mut RevokeOp,
-        remote: &mut Vec<(KernelId, DdlKey)>,
+        remote: &mut Vec<DdlKey>,
         out: &mut Outbox,
     ) -> u64 {
         let mut cost = 0;
         if self.cfg.has_feature(Feature::RevokeBatching)
             || matches!(op.initiator, Initiator::Bulk { .. })
         {
-            let mut by_kernel: std::collections::BTreeMap<KernelId, Vec<DdlKey>> =
-                std::collections::BTreeMap::new();
-            for (k, key) in remote.drain(..) {
-                by_kernel.entry(k).or_default().push(key);
-            }
-            for (k, cap_keys) in by_kernel {
+            for (k, cap_keys) in self.group_by_owner(remote.drain(..)) {
                 op.fanin.arm();
                 cost += self.cfg.cost.kcall_exit;
                 let call = Kcall::RevokeBatchReq { op: op_id, cap_keys };
@@ -420,7 +471,7 @@ impl Kernel {
                 self.send_kcall(out, k, call);
             }
         } else {
-            for (k, cap_key) in remote.drain(..) {
+            for cap_key in remote.drain(..) {
                 op.fanin.arm();
                 // Marshalling one revoke request: compose the message,
                 // inject it through the DTU, and record the outstanding
@@ -429,9 +480,10 @@ impl Kernel {
                 // the fan-out.
                 cost +=
                     self.cfg.cost.kcall_exit + self.cfg.cost.revoke_mark + self.cfg.cost.dtu_send;
+                let k = self.membership.kernel_of_key(cap_key);
                 let call = Kcall::RevokeReq { op: op_id, cap_key };
                 self.record_retry_leg(op_id, k, &call);
-                self.send_kcall_pipelined(out, k, call, cost);
+                self.send_kcall_at(out, k, call, Some(cost));
             }
         }
         cost
@@ -441,8 +493,8 @@ impl Kernel {
     /// initiator. Completion of waiters can cascade; a worklist keeps the
     /// recursion bounded. Also the fault engine's forced-completion path
     /// for a revoke whose remote legs stopped answering.
-    pub(crate) fn complete_revoke(&mut self, op_id: OpId, op: RevokeOp, out: &mut Outbox) -> u64 {
-        self.run_ready(vec![ReadyOp::Revoke(op_id, op)], out)
+    pub(crate) fn complete_revoke(&mut self, op: RevokeOp, out: &mut Outbox) -> u64 {
+        self.run_ready(vec![ReadyOp::Revoke(op)], out)
     }
 
     /// Runs completion steps from a worklist until it drains: classic
@@ -454,7 +506,7 @@ impl Kernel {
         let mut cost = 0;
         while let Some(r) = ready.pop() {
             match r {
-                ReadyOp::Revoke(id, op) => cost += self.finish_one_revoke(id, op, &mut ready, out),
+                ReadyOp::Revoke(op) => cost += self.finish_one_revoke(op, &mut ready, out),
                 ReadyOp::SweepCoord(id) => cost += self.sweep_begin_delete(id, out),
                 ReadyOp::SweepPart(id) => cost += self.sweep_part_finish(id, out),
             }
@@ -462,49 +514,55 @@ impl Kernel {
         cost
     }
 
-    /// Sweeps one classic revocation's marked subtrees in a single
-    /// batched pass, notifies the initiator, and queues woken waiters.
+    /// Wakes `waiters` and runs every completion that cascades from
+    /// them.
+    pub(crate) fn wake_all(&mut self, waiters: Vec<OpId>, out: &mut Outbox) -> u64 {
+        let mut ready = Vec::new();
+        for w in waiters {
+            self.wake_waiter(w, &mut ready);
+        }
+        self.run_ready(ready, out)
+    }
+
+    /// Deletes one classic revocation's marked subtrees, notifies the
+    /// initiator, and queues woken waiters.
     fn finish_one_revoke(
         &mut self,
-        _id: OpId,
         mut op: RevokeOp,
         ready: &mut Vec<ReadyOp>,
         out: &mut Outbox,
     ) -> u64 {
-        let mut cost = 0;
-        let mut stack = std::mem::take(&mut self.scratch.stack);
-        let mut deleted = std::mem::take(&mut self.scratch.deleted);
-        let mut woken = std::mem::take(&mut self.scratch.woken);
-        debug_assert!(deleted.is_empty() && woken.is_empty());
-        for root in std::mem::take(&mut op.local_roots) {
-            self.mapdb.delete_local_subtree_into(root, &mut stack, &mut deleted);
-        }
-        op.fanin.add(deleted.len() as u64);
-        cost += self.sweep_deleted(&mut deleted, &mut woken);
-        cost += self.cfg.cost.revoke_finish;
+        let mut woken = Vec::new();
+        let (cost, deleted) = self.delete_marked(std::mem::take(&mut op.local_roots), &mut woken);
+        op.fanin.add(deleted);
         self.notify_initiator(op.initiator, op.spanning, op.fanin.tally(), out);
-        for waiter in woken.drain(..) {
+        for waiter in woken {
             self.wake_waiter(waiter, ready);
         }
-        self.scratch.stack = stack;
-        self.scratch.deleted = deleted;
-        self.scratch.woken = woken;
-        cost
+        cost + self.cfg.cost.revoke_finish
     }
 
-    /// Processes a batch of deleted capabilities: per-capability cost
-    /// and endpoint invalidation, waiter collection, and the owners'
-    /// table bindings removed with **one table lookup per run of
-    /// consecutive same-owner capabilities** — the batched host-side
-    /// dispatch that a dense teardown (thousands of same-table
-    /// capabilities) collapses into a handful of lookups. Clears
-    /// `deleted`; waiters are appended to `woken` for the caller to
-    /// fire (or defer, for partitioned sweeps).
-    pub(crate) fn sweep_deleted(
+    /// The one delete pass (Algorithm 1, phase 2): deletes the marked
+    /// subtrees under `roots` and processes the deleted capabilities in
+    /// one batch — per-capability cost and endpoint invalidation,
+    /// waiter collection, and the owners' table bindings removed with
+    /// **one table lookup per run of consecutive same-owner
+    /// capabilities** (a dense teardown of thousands of same-table
+    /// capabilities collapses into a handful of lookups). Operations
+    /// waiting on a deleted capability are appended to `woken` for the
+    /// caller to fire (or defer, for partitioned sweeps). Returns the
+    /// modeled cost and the number of capabilities deleted.
+    pub(crate) fn delete_marked(
         &mut self,
-        deleted: &mut Vec<Capability>,
+        roots: Vec<DdlKey>,
         woken: &mut Vec<OpId>,
-    ) -> u64 {
+    ) -> (u64, u64) {
+        let mut stack = std::mem::take(&mut self.revoke.stack);
+        let mut deleted = std::mem::take(&mut self.revoke.deleted);
+        debug_assert!(deleted.is_empty());
+        for root in roots {
+            self.mapdb.delete_local_subtree_into(root, &mut stack, &mut deleted);
+        }
         let mut cost = 0;
         for cap in deleted.iter() {
             self.stats.caps_deleted += 1;
@@ -515,7 +573,7 @@ impl Kernel {
             cost += self.cfg.cost.revoke_delete + 2 * self.ref_cost();
             cost += self.invalidate_eps_for(cap.key);
             // Wake operations waiting for this capability.
-            if let Some(ws) = self.revoke_waiters.remove(&cap.key.raw()) {
+            if let Some(ws) = self.revoke.waiters.remove(&cap.key.raw()) {
                 woken.extend(ws);
             }
         }
@@ -531,8 +589,11 @@ impl Kernel {
                 i += 1;
             }
         }
+        let count = deleted.len() as u64;
         deleted.clear();
-        cost
+        self.revoke.stack = stack;
+        self.revoke.deleted = deleted;
+        (cost, count)
     }
 
     /// Resolves one woken waiter: a classic revoke's fan-in completes;
@@ -546,20 +607,20 @@ impl Kernel {
                     else {
                         unreachable!("checked above");
                     };
-                    ready.push(ReadyOp::Revoke(waiter, wop));
+                    ready.push(ReadyOp::Revoke(wop));
                 }
             }
             Some(PendingOp::Sweep(sweep::Phase::Coordinate(s))) => {
                 // Saturating: a fault-forced coordinator abort zeroes
                 // `deps` while registered wakes are still due.
-                s.deps = s.deps.saturating_sub(1);
-                if s.deps == 0 && s.marks_outstanding == 0 {
+                s.region.deps = s.region.deps.saturating_sub(1);
+                if s.region.deps == 0 && s.marks_outstanding == 0 {
                     ready.push(ReadyOp::SweepCoord(waiter));
                 }
             }
             Some(PendingOp::Sweep(sweep::Phase::Partition(p))) => {
-                p.deps = p.deps.saturating_sub(1);
-                if p.deps == 0 && p.delete_requested {
+                p.region.deps = p.region.deps.saturating_sub(1);
+                if p.region.deps == 0 && p.delete_requested {
                     ready.push(ReadyOp::SweepPart(waiter));
                 }
             }
@@ -718,7 +779,7 @@ impl Kernel {
                     let Some(PendingOp::Revoke(Phase::Run(rop))) = self.pending.remove(op) else {
                         unreachable!("checked above");
                     };
-                    self.complete_revoke(op, rop, out)
+                    self.complete_revoke(rop, out)
                 } else {
                     // Decrementing the outstanding counter (Algorithm
                     // 1's `receive_revoke_reply` fast path) is

@@ -55,8 +55,6 @@
 //! the per-operation marked set, exactly as the classic coalesced path
 //! does.
 
-use std::collections::BTreeMap;
-
 use semper_base::msg::{KReply, Kcall};
 use semper_base::{DdlKey, DetHashSet, KernelId, OpId, RawDdlKey, VpeId};
 
@@ -70,31 +68,39 @@ use crate::outbox::Outbox;
 /// or more kernels converts unconditionally.
 pub(crate) const SWEEP_MIN_FANOUT: usize = 8;
 
+/// One kernel's share of a sweep — the coordinator's own region or a
+/// participant's partition: what it marked, and who waits on it.
+#[derive(Debug, Clone, Default)]
+pub struct Region {
+    /// Roots of the marked local subtrees.
+    pub roots: Vec<DdlKey>,
+    /// Keys marked so far (folds later-round keys that land inside an
+    /// already marked region — and keeps them from becoming
+    /// self-dependencies).
+    pub marked: DetHashSet<RawDdlKey>,
+    /// Dependencies on concurrent revocations found by the mark walks;
+    /// deletion waits until they drained.
+    pub deps: u32,
+    /// Waiters on capabilities this region deleted, deferred to sweep
+    /// completion.
+    pub woken: Vec<OpId>,
+}
+
 /// Coordinator state of a partitioned sweep.
 #[derive(Debug, Clone)]
 pub struct SweepOp {
     /// Who to notify when the whole sweep completed.
     pub initiator: Initiator,
-    /// Dependencies on concurrent revocations found by the
-    /// coordinator's own mark walks; deletion is ordered only once they
-    /// drained.
-    pub deps: u32,
+    /// The coordinator's own marked region.
+    pub region: Region,
     /// Mark requests (rounds × partitions) without a reply yet.
     pub marks_outstanding: u32,
     /// Delete-phase fan-in: one arm per participant, tallying deleted
     /// capabilities (including the coordinator's own region).
     pub fanin: FanIn,
-    /// Roots of the coordinator's marked local region.
-    pub local_roots: Vec<DdlKey>,
     /// Participant kernels in first-contact order (delete orders and
     /// the completion notice walk this list).
     pub participants: Vec<KernelId>,
-    /// Waiters on coordinator-deleted capabilities, deferred to sweep
-    /// completion.
-    pub woken: Vec<OpId>,
-    /// Keys the coordinator marked (folds frontier keys that bounce
-    /// back into the coordinator's own region).
-    pub marked: DetHashSet<RawDdlKey>,
     /// Frontier-expansion rounds run so far (statistics: sweep depth).
     pub rounds: u64,
 }
@@ -106,22 +112,13 @@ pub struct SweepPart {
     pub caller: KernelId,
     /// The coordinator's correlation id (identifies the sweep).
     pub caller_op: OpId,
-    /// Roots of the partition's marked subtrees.
-    pub roots: Vec<DdlKey>,
-    /// Keys this partition marked (folds later-round keys that land
-    /// inside an already marked region — and keeps them from becoming
-    /// self-dependencies).
-    pub marked: DetHashSet<RawDdlKey>,
-    /// Dependencies on concurrent revocations; the delete reply waits
-    /// for them.
-    pub deps: u32,
+    /// The partition's marked region; its waiters are released by the
+    /// coordinator's done notice.
+    pub region: Region,
     /// True once the coordinator ordered deletion.
     pub delete_requested: bool,
     /// True once the partition was deleted (awaiting the done notice).
     pub swept: bool,
-    /// Waiters on partition-deleted capabilities, deferred to the
-    /// coordinator's done notice.
-    pub woken: Vec<OpId>,
 }
 
 /// The sweep protocol's phase table.
@@ -164,18 +161,18 @@ impl Phase {
     /// validation (`revoking()`); this covers the initiator and the
     /// recorded roots.
     pub fn references_vpe(&self, vpe: VpeId) -> bool {
+        let roots = |r: &Region| r.roots.iter().any(|k| k.vpe() == vpe);
         match self {
             Phase::Coordinate(s) | Phase::Collect(s) => {
-                let initiator = match s.initiator {
-                    Initiator::Syscall { vpe: v, .. } => v == vpe,
-                    Initiator::Kcall { cap_key, .. } => cap_key.vpe() == vpe,
-                    Initiator::Internal | Initiator::Batch { .. } | Initiator::Bulk { .. } => false,
-                };
-                initiator || s.local_roots.iter().any(|k| k.vpe() == vpe)
+                s.initiator.references_vpe(vpe) || roots(&s.region)
             }
-            Phase::Partition(p) => p.roots.iter().any(|k| k.vpe() == vpe),
+            Phase::Partition(p) => roots(&p.region),
         }
     }
+}
+
+fn coordinating(p: &PendingOp) -> bool {
+    matches!(p, PendingOp::Sweep(Phase::Coordinate(_)))
 }
 
 impl Kernel {
@@ -188,7 +185,7 @@ impl Kernel {
         &mut self,
         op_id: OpId,
         rop: RevokeOp,
-        remote: &mut Vec<(KernelId, DdlKey)>,
+        remote: &mut Vec<DdlKey>,
         marked: DetHashSet<RawDdlKey>,
         out: &mut Outbox,
     ) -> u64 {
@@ -196,47 +193,72 @@ impl Kernel {
         self.stats.sweeps += 1;
         let mut s = SweepOp {
             initiator: rop.initiator,
-            deps: rop.fanin.outstanding(),
+            region: Region {
+                roots: rop.local_roots,
+                marked,
+                deps: rop.fanin.outstanding(),
+                woken: Vec::new(),
+            },
             marks_outstanding: 0,
             fanin: FanIn::new(),
-            local_roots: rop.local_roots,
             participants: Vec::new(),
-            woken: Vec::new(),
-            marked,
             rounds: 0,
         };
-        let mut by_kernel: BTreeMap<KernelId, Vec<DdlKey>> = BTreeMap::new();
-        for (k, key) in remote.drain(..) {
-            debug_assert_ne!(k, self.id, "local children are marked, not partitioned");
-            by_kernel.entry(k).or_default().push(key);
-        }
-        let cost = self.sweep_send_marks(op_id, &mut s, by_kernel, out);
+        let cost = self.sweep_expand(op_id, &mut s, remote, out);
         self.park(op_id, PendingOp::Sweep(Phase::Coordinate(s)));
         cost + self.cfg.cost.thread_switch
     }
 
-    /// Sends one grouped mark request per partition of `by_kernel`,
-    /// arming the coordinator's mark counter and recording first-time
-    /// participants.
-    fn sweep_send_marks(
+    /// Marks one round's `keys` into `region` on behalf of `waiter`;
+    /// children owned elsewhere land in `foreign`.
+    fn sweep_mark_round(
         &mut self,
-        op_id: OpId,
-        s: &mut SweepOp,
-        by_kernel: BTreeMap<KernelId, Vec<DdlKey>>,
-        out: &mut Outbox,
+        waiter: OpId,
+        keys: &[DdlKey],
+        region: &mut Region,
+        foreign: &mut Vec<DdlKey>,
     ) -> u64 {
         let mut cost = 0;
-        for (k, cap_keys) in by_kernel {
-            self.stats.sweep_fanout += cap_keys.len() as u64;
-            s.marks_outstanding += 1;
-            if !s.participants.contains(&k) {
-                s.participants.push(k);
-                self.stats.sweep_partitions += 1;
+        for &root in keys {
+            let Ok(cap) = self.mapdb.get(root) else {
+                cost += self.ref_cost();
+                if self.membership.kernel_of_key(root) != self.id {
+                    // The root's group migrated away after the
+                    // coordinator partitioned its frontier: report it
+                    // back as next-round frontier so the coordinator
+                    // regroups it to the current owner.
+                    foreign.push(root);
+                }
+                // Otherwise already deleted by a concurrent operation
+                // that completed: vacuous.
+                continue;
+            };
+            if cap.revoking() {
+                cost += self.ref_cost();
+                // A later round landed inside an already marked part of
+                // this same region, or a concurrent revocation owns the
+                // subtree: deletion waits for the capability to go.
+                if !region.marked.contains(&root.raw()) {
+                    self.revoke.wait_for(root, waiter);
+                    region.deps += 1;
+                }
+                continue;
             }
-            cost += self.cfg.cost.kcall_exit + self.cfg.cost.sweep_key * cap_keys.len() as u64;
-            self.send_kcall(out, k, Kcall::SweepMarkReq { op: op_id, cap_keys });
+            let (c, deps) = self.mark_subtree(root, waiter, Some(&mut region.marked), foreign);
+            cost += c;
+            region.deps += deps;
+            region.roots.push(root);
         }
         cost
+    }
+
+    /// Deletes a region's marked subtrees in one pass; waiters on the
+    /// deleted capabilities are deferred into the region (parts of
+    /// their subtrees may live in partitions that are still being
+    /// deleted). Returns the modeled cost and the deletion count.
+    fn sweep_delete_region(&mut self, region: &mut Region) -> (u64, u64) {
+        region.marked.clear();
+        self.delete_marked(std::mem::take(&mut region.roots), &mut region.woken)
     }
 
     /// Request handler for [`Kcall::SweepMarkReq`]: marks the partition
@@ -250,99 +272,36 @@ impl Kernel {
         cap_keys: &[DdlKey],
         out: &mut Outbox,
     ) -> u64 {
-        let local = match self.sweep_parts.get(&(from, caller_op)) {
+        let local = match self.revoke.sweep_parts.get(&(from, caller_op)) {
             Some(&id) => id,
             None => {
                 let id = self.alloc_op();
-                self.sweep_parts.insert((from, caller_op), id);
+                self.revoke.sweep_parts.insert((from, caller_op), id);
                 self.park(
                     id,
                     PendingOp::Sweep(Phase::Partition(SweepPart {
                         caller: from,
                         caller_op,
-                        roots: Vec::new(),
-                        marked: Default::default(),
-                        deps: 0,
+                        region: Region::default(),
                         delete_requested: false,
                         swept: false,
-                        woken: Vec::new(),
                     })),
                 );
                 id
             }
         };
-        // Take the partition out of the ledger for the walk (the walk
-        // borrows the mapping database mutably); reinserted below.
+        // Take the partition out of the ledger for the walk (which
+        // borrows the kernel mutably); reinserted below.
         let Some(PendingOp::Sweep(Phase::Partition(mut part))) = self.pending.remove(local) else {
             unreachable!("sweep_parts points at a partition");
         };
-        let mut cost = self.cfg.cost.sweep_key * cap_keys.len() as u64;
-        let mut frontier: Vec<DdlKey> = Vec::new();
-        let mut marked_count: u64 = 0;
-        let mut stack = std::mem::take(&mut self.scratch.stack);
-        debug_assert!(stack.is_empty());
-        for &root in cap_keys {
-            if !self.mapdb.contains(root) {
-                cost += self.ref_cost();
-                if self.membership.kernel_of_key(root) != self.id {
-                    // The root's group migrated away after the
-                    // coordinator partitioned its frontier: report it
-                    // back as next-round frontier so the coordinator
-                    // regroups it to the current owner.
-                    frontier.push(root);
-                }
-                // Otherwise already deleted by a concurrent operation
-                // that completed: vacuous.
-                continue;
-            }
-            if self.mapdb.get(root).expect("checked").revoking() {
-                cost += self.ref_cost();
-                if part.marked.contains(&root.raw()) {
-                    // A later round landed inside an already marked
-                    // region of this same partition.
-                    continue;
-                }
-                // A concurrent revocation owns this subtree: the delete
-                // reply waits for the capability to be deleted.
-                self.revoke_waiters.entry(root.raw()).or_default().push(local);
-                part.deps += 1;
-                continue;
-            }
-            stack.push(root);
-            while let Some(key) = stack.pop() {
-                let Ok(cap) = self.mapdb.get(key) else {
-                    // Not ours: the next frontier, reported back to the
-                    // coordinator.
-                    cost += self.ref_cost();
-                    frontier.push(key);
-                    continue;
-                };
-                cost += 2 * self.ref_cost();
-                if cap.revoking() {
-                    if part.marked.contains(&key.raw()) {
-                        continue;
-                    }
-                    self.revoke_waiters.entry(key.raw()).or_default().push(local);
-                    part.deps += 1;
-                    continue;
-                }
-                for child in cap.children().rev() {
-                    stack.push(child);
-                }
-                self.mapdb.mark_revoking(key).expect("present");
-                part.marked.insert(key.raw());
-                marked_count += 1;
-                cost += self.cfg.cost.revoke_mark;
-            }
-            part.roots.push(root);
-        }
-        self.scratch.stack = stack;
+        let before = part.region.marked.len();
+        let mut frontier = Vec::new();
+        let cost = self.cfg.cost.sweep_key * cap_keys.len() as u64
+            + self.sweep_mark_round(local, cap_keys, &mut part.region, &mut frontier);
+        let marked = (part.region.marked.len() - before) as u64;
         self.pending.insert(local, PendingOp::Sweep(Phase::Partition(part)));
-        self.send_kreply(
-            out,
-            from,
-            KReply::SweepMark { op: caller_op, marked: marked_count, frontier },
-        );
+        self.send_kreply(out, from, KReply::SweepMark { op: caller_op, marked, frontier });
         cost + self.cfg.cost.kcall_exit
     }
 
@@ -355,17 +314,11 @@ impl Kernel {
         frontier: &[DdlKey],
         out: &mut Outbox,
     ) -> u64 {
-        // Check before removing: a duplicated or straggler mark reply
-        // must not knock out an op parked in another phase.
-        match self.pending.get(op) {
-            Some(PendingOp::Sweep(Phase::Coordinate(_))) => {}
-            _ => {
-                self.fault_anomaly(&format!("mark reply for unknown sweep {op}"));
-                return 0;
-            }
-        }
-        let Some(PendingOp::Sweep(Phase::Coordinate(mut s))) = self.pending.remove(op) else {
-            unreachable!("checked above");
+        let Some(PendingOp::Sweep(Phase::Coordinate(mut s))) =
+            self.pending.remove_if(op, coordinating)
+        else {
+            self.fault_anomaly(&format!("mark reply for unknown sweep {op}"));
+            return 0;
         };
         // Saturating: a fault-forced abort zeroes the counter while
         // straggler replies are still in flight.
@@ -374,9 +327,9 @@ impl Kernel {
         if !frontier.is_empty() {
             s.rounds += 1;
             cost += self.cfg.cost.sweep_round;
-            cost += self.sweep_expand(op, &mut s, frontier.to_vec(), out);
+            cost += self.sweep_expand(op, &mut s, &mut frontier.to_vec(), out);
         }
-        let mark_done = s.marks_outstanding == 0 && s.deps == 0;
+        let mark_done = s.marks_outstanding == 0 && s.region.deps == 0;
         self.pending.insert(op, PendingOp::Sweep(Phase::Coordinate(s)));
         if mark_done {
             cost += self.run_ready(vec![ReadyOp::SweepCoord(op)], out);
@@ -384,75 +337,34 @@ impl Kernel {
         cost
     }
 
-    /// Expands one frontier: keys owned by other kernels extend their
-    /// partitions (one grouped request each); keys that bounced back to
-    /// the coordinator are marked locally, and any remote children
-    /// *they* expose feed the next iteration.
+    /// Expands one frontier (draining `work`): keys owned by other
+    /// kernels extend their partitions (one grouped request each, arming
+    /// the mark counter and recording first-time participants); keys
+    /// that bounced back to the coordinator are marked locally, and any
+    /// remote children *they* expose feed the next iteration.
     fn sweep_expand(
         &mut self,
         op: OpId,
         s: &mut SweepOp,
-        mut work: Vec<DdlKey>,
+        work: &mut Vec<DdlKey>,
         out: &mut Outbox,
     ) -> u64 {
         let mut cost = 0;
         loop {
-            let mut by_kernel: BTreeMap<KernelId, Vec<DdlKey>> = BTreeMap::new();
-            let mut local_keys: Vec<DdlKey> = Vec::new();
-            for key in work.drain(..) {
-                let k = self.membership.kernel_of_key(key);
-                if k == self.id {
-                    local_keys.push(key);
-                } else {
-                    by_kernel.entry(k).or_default().push(key);
+            let mut by_kernel = self.group_by_owner(work.drain(..));
+            let local_keys = by_kernel.remove(&self.id).unwrap_or_default();
+            // One grouped mark request per partition.
+            for (k, cap_keys) in by_kernel {
+                self.stats.sweep_fanout += cap_keys.len() as u64;
+                s.marks_outstanding += 1;
+                if !s.participants.contains(&k) {
+                    s.participants.push(k);
+                    self.stats.sweep_partitions += 1;
                 }
+                cost += self.cfg.cost.kcall_exit + self.cfg.cost.sweep_key * cap_keys.len() as u64;
+                self.send_kcall(out, k, Kcall::SweepMarkReq { op, cap_keys });
             }
-            cost += self.sweep_send_marks(op, s, by_kernel, out);
-            if local_keys.is_empty() {
-                return cost;
-            }
-            let mut stack = std::mem::take(&mut self.scratch.stack);
-            debug_assert!(stack.is_empty());
-            for root in local_keys {
-                if !self.mapdb.contains(root) {
-                    cost += self.ref_cost();
-                    continue;
-                }
-                if self.mapdb.get(root).expect("checked").revoking() {
-                    cost += self.ref_cost();
-                    if s.marked.contains(&root.raw()) {
-                        continue;
-                    }
-                    self.revoke_waiters.entry(root.raw()).or_default().push(op);
-                    s.deps += 1;
-                    continue;
-                }
-                stack.push(root);
-                while let Some(key) = stack.pop() {
-                    let Ok(cap) = self.mapdb.get(key) else {
-                        cost += self.ref_cost();
-                        work.push(key);
-                        continue;
-                    };
-                    cost += 2 * self.ref_cost();
-                    if cap.revoking() {
-                        if s.marked.contains(&key.raw()) {
-                            continue;
-                        }
-                        self.revoke_waiters.entry(key.raw()).or_default().push(op);
-                        s.deps += 1;
-                        continue;
-                    }
-                    for child in cap.children().rev() {
-                        stack.push(child);
-                    }
-                    self.mapdb.mark_revoking(key).expect("present");
-                    s.marked.insert(key.raw());
-                    cost += self.cfg.cost.revoke_mark;
-                }
-                s.local_roots.push(root);
-            }
-            self.scratch.stack = stack;
+            cost += self.sweep_mark_round(op, &local_keys, &mut s.region, work);
             if work.is_empty() {
                 return cost;
             }
@@ -468,37 +380,18 @@ impl Kernel {
     /// region in one batched pass and orders every participant to
     /// delete its partition.
     pub(crate) fn sweep_begin_delete(&mut self, op: OpId, out: &mut Outbox) -> u64 {
-        match self.pending.get(op) {
-            Some(PendingOp::Sweep(Phase::Coordinate(_))) => {}
-            _ => {
-                self.fault_anomaly(&format!("delete step for unknown sweep {op}"));
-                return 0;
-            }
-        }
-        let Some(PendingOp::Sweep(Phase::Coordinate(mut s))) = self.pending.remove(op) else {
-            unreachable!("checked above");
+        let Some(PendingOp::Sweep(Phase::Coordinate(mut s))) =
+            self.pending.remove_if(op, coordinating)
+        else {
+            self.fault_anomaly(&format!("delete step for unknown sweep {op}"));
+            return 0;
         };
-        debug_assert!(s.marks_outstanding == 0 && s.deps == 0);
+        debug_assert!(s.marks_outstanding == 0 && s.region.deps == 0);
         if s.rounds > self.stats.sweep_depth {
             self.stats.sweep_depth = s.rounds;
         }
-        let mut cost = 0;
-        let mut stack = std::mem::take(&mut self.scratch.stack);
-        let mut deleted = std::mem::take(&mut self.scratch.deleted);
-        debug_assert!(deleted.is_empty());
-        for root in std::mem::take(&mut s.local_roots) {
-            self.mapdb.delete_local_subtree_into(root, &mut stack, &mut deleted);
-        }
-        s.fanin.add(deleted.len() as u64);
-        // Waiters on the coordinator's region defer to sweep completion
-        // like everyone else's: parts of their subtrees may live in
-        // partitions that are still being deleted.
-        let mut woken = std::mem::take(&mut s.woken);
-        cost += self.sweep_deleted(&mut deleted, &mut woken);
-        s.woken = woken;
-        s.marked.clear();
-        self.scratch.stack = stack;
-        self.scratch.deleted = deleted;
+        let (mut cost, deleted) = self.sweep_delete_region(&mut s.region);
+        s.fanin.add(deleted);
         for i in 0..s.participants.len() {
             let k = s.participants[i];
             s.fanin.arm();
@@ -520,20 +413,17 @@ impl Kernel {
         caller_op: OpId,
         out: &mut Outbox,
     ) -> u64 {
-        let Some(&local) = self.sweep_parts.get(&(from, caller_op)) else {
+        let Some(&local) = self.revoke.sweep_parts.get(&(from, caller_op)) else {
             // Under fault injection: the partition already retired (or
             // aborted) and this order is a straggler or duplicate.
             self.fault_anomaly(&format!("delete order for unknown sweep ({from}, {caller_op})"));
             return 0;
         };
-        let (dup, swept, ready_now) = {
-            let Some(PendingOp::Sweep(Phase::Partition(p))) = self.pending.get_mut(local) else {
-                unreachable!("sweep_parts points at a partition");
-            };
-            let dup = p.delete_requested;
-            p.delete_requested = true;
-            (dup, p.swept, p.deps == 0)
+        let Some(PendingOp::Sweep(Phase::Partition(p))) = self.pending.get_mut(local) else {
+            unreachable!("sweep_parts points at a partition");
         };
+        let (dup, swept, ready_now) = (p.delete_requested, p.swept, p.region.deps == 0);
+        p.delete_requested = true;
         if dup {
             // A re-sent delete order (coordinator deadline retry, or a
             // NoC duplicate). If the partition already swept, the
@@ -555,80 +445,67 @@ impl Kernel {
     }
 
     /// Deletes one partition in a single batched pass and reports the
-    /// count to the coordinator. Woken waiters are deferred into the
+    /// count to the coordinator. Woken waiters stay deferred in the
     /// partition (fired on the done notice); the partition op stays
     /// parked until then.
     pub(crate) fn sweep_part_finish(&mut self, local: OpId, out: &mut Outbox) -> u64 {
-        let (caller, caller_op, roots, stray) = {
-            let Some(PendingOp::Sweep(Phase::Partition(p))) = self.pending.get_mut(local) else {
-                self.fault_anomaly(&format!("partition delete for unknown op {local}"));
-                return 0;
-            };
-            debug_assert!(p.delete_requested && p.deps == 0);
-            let stray = p.swept;
-            let roots = if stray { Vec::new() } else { std::mem::take(&mut p.roots) };
-            (p.caller, p.caller_op, roots, stray)
+        let Some(PendingOp::Sweep(Phase::Partition(mut p))) =
+            self.pending.remove_if(local, |p| matches!(p, PendingOp::Sweep(Phase::Partition(_))))
+        else {
+            self.fault_anomaly(&format!("partition delete for unknown op {local}"));
+            return 0;
         };
-        if stray {
+        debug_assert!(p.delete_requested && p.region.deps == 0);
+        let cost = if p.swept {
             // A second trigger after sweeping (only reachable with
             // fault-forced wakes); the first pass did the work.
             self.fault_anomaly(&format!("partition {local} deleted twice"));
-            return 0;
-        }
-        let mut cost = 0;
-        let mut stack = std::mem::take(&mut self.scratch.stack);
-        let mut deleted = std::mem::take(&mut self.scratch.deleted);
-        let mut woken = std::mem::take(&mut self.scratch.woken);
-        debug_assert!(deleted.is_empty() && woken.is_empty());
-        for root in roots {
-            self.mapdb.delete_local_subtree_into(root, &mut stack, &mut deleted);
-        }
-        let count = deleted.len() as u64;
-        cost += self.sweep_deleted(&mut deleted, &mut woken);
-        self.scratch.stack = stack;
-        self.scratch.deleted = deleted;
-        if let Some(PendingOp::Sweep(Phase::Partition(p))) = self.pending.get_mut(local) {
+            0
+        } else {
+            let (cost, deleted) = self.sweep_delete_region(&mut p.region);
             p.swept = true;
-            p.marked.clear();
-            p.woken.append(&mut woken);
-        }
-        self.scratch.woken = woken;
-        self.send_kreply(out, caller, KReply::SweepDelete { op: caller_op, deleted: count });
-        cost + self.cfg.cost.kcall_exit + self.cfg.cost.revoke_finish
+            self.send_kreply(out, p.caller, KReply::SweepDelete { op: p.caller_op, deleted });
+            cost + self.cfg.cost.kcall_exit + self.cfg.cost.revoke_finish
+        };
+        self.pending.insert(local, PendingOp::Sweep(Phase::Partition(p)));
+        cost
     }
 
     /// Completion handler for [`KReply::SweepDelete`]: collects the
     /// per-partition counts; when the last partition reported, the
-    /// subtree is gone — notify the initiator, tell every participant
-    /// to release its deferred waiters, and fire our own.
+    /// subtree is gone and the sweep closes.
     pub(crate) fn sweep_delete_reply(&mut self, op: OpId, deleted: u64, out: &mut Outbox) -> u64 {
-        let drained = {
-            let Some(PendingOp::Sweep(Phase::Collect(s))) = self.pending.get_mut(op) else {
-                // Under fault injection: a duplicated reply, or a
-                // straggler for a sweep that already closed.
-                self.fault_anomaly(&format!("delete reply for unknown sweep {op}"));
-                return 0;
-            };
-            s.fanin.complete_one(deleted)
+        let Some(PendingOp::Sweep(Phase::Collect(s))) = self.pending.get_mut(op) else {
+            // Under fault injection: a duplicated reply, or a
+            // straggler for a sweep that already closed.
+            self.fault_anomaly(&format!("delete reply for unknown sweep {op}"));
+            return 0;
         };
-        if !drained {
+        if !s.fanin.complete_one(deleted) {
             return 0;
         }
         let Some(PendingOp::Sweep(Phase::Collect(s))) = self.pending.remove(op) else {
             unreachable!("checked above");
         };
+        self.sweep_close(op, s, out)
+    }
+
+    /// Closes a sweep with the counts that arrived: notifies the
+    /// initiator, tells every (surviving) participant to release its
+    /// deferred waiters, and fires the coordinator's own. Also the
+    /// fault engine's abort for a sweep whose partitions stopped
+    /// reporting.
+    pub(crate) fn sweep_close(&mut self, op: OpId, s: SweepOp, out: &mut Outbox) -> u64 {
         let mut cost = self.cfg.cost.revoke_finish;
-        for i in 0..s.participants.len() {
-            let k = s.participants[i];
+        for &k in &s.participants {
+            if self.fault.dead_peers.contains(&k) {
+                continue;
+            }
             cost += self.cfg.cost.kcall_exit;
             self.send_kcall(out, k, Kcall::SweepDoneNotice { op });
         }
         self.notify_initiator(s.initiator, true, s.fanin.tally(), out);
-        let mut ready: Vec<ReadyOp> = Vec::new();
-        for w in s.woken {
-            self.wake_waiter(w, &mut ready);
-        }
-        cost + self.run_ready(ready, out)
+        cost + self.wake_all(s.region.woken, out)
     }
 
     /// Request handler for [`Kcall::SweepDoneNotice`]: the whole sweep
@@ -639,7 +516,7 @@ impl Kernel {
         caller_op: OpId,
         out: &mut Outbox,
     ) -> u64 {
-        let Some(local) = self.sweep_parts.remove(&(from, caller_op)) else {
+        let Some(local) = self.revoke.sweep_parts.remove(&(from, caller_op)) else {
             // Under fault injection: the partition already retired (or
             // aborted), and this notice is a straggler or duplicate.
             self.fault_anomaly(&format!("done notice for unknown sweep ({from}, {caller_op})"));
@@ -657,10 +534,16 @@ impl Kernel {
             ));
             return self.abort_sweep_partition(p, out);
         }
-        let mut ready: Vec<ReadyOp> = Vec::new();
-        for w in p.woken {
-            self.wake_waiter(w, &mut ready);
-        }
-        self.run_ready(ready, out)
+        self.wake_all(p.region.woken, out)
+    }
+
+    /// Force-retires one sweep partition without its coordinator:
+    /// deletes the marked subtrees (the partition's territory) and
+    /// wakes both its deferred waiters and anything waiting on the
+    /// deleted capabilities. Shared by the fault engine's partition
+    /// abort and the late-done-notice anomaly path.
+    pub(crate) fn abort_sweep_partition(&mut self, mut p: SweepPart, out: &mut Outbox) -> u64 {
+        let (cost, _) = self.sweep_delete_region(&mut p.region);
+        cost + self.cfg.cost.revoke_finish + self.wake_all(p.region.woken, out)
     }
 }

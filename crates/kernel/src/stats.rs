@@ -77,26 +77,23 @@ pub struct KernelStats {
     /// High-water mark of frontier-expansion rounds in one sweep — the
     /// cross-kernel depth of the deepest swept subtree.
     pub sweep_depth: u64,
-    /// Idempotent request legs re-sent after a deadline expired
-    /// (`Feature::FaultInjection` only).
+    /// Idempotent request legs re-sent after a deadline expired (fault
+    /// injection only).
     pub retries: u64,
     /// Pending operations aborted with `Err` — deadline expiry with no
-    /// retry budget left, or a peer kernel declared dead
-    /// (`Feature::FaultInjection` only).
+    /// retry budget left, or a peer kernel declared dead (fault
+    /// injection only).
     pub ops_aborted: u64,
     /// Protocol anomalies absorbed under fault injection: replies for
     /// unknown ops, duplicate fan-in completions, duplicate delete
     /// orders — events that are hard errors outside fault mode.
     pub fault_anomalies: u64,
-    /// Promise capabilities handed out by `Syscall::SubmitAsync`
-    /// (`Feature::PromiseIpc` only).
+    /// Promise capabilities handed out by `Syscall::SubmitAsync`.
     pub promises_created: u64,
-    /// Promises resolved — to a value or an error (`Feature::PromiseIpc`
-    /// only).
+    /// Promises resolved — to a value or an error.
     pub promises_resolved: u64,
     /// Dependent calls that were pipelined: parked against an unresolved
-    /// promise and replayed on resolution instead of blocking the client
-    /// (`Feature::PromiseIpc` only).
+    /// promise and replayed on resolution instead of blocking the client.
     pub calls_pipelined: u64,
 }
 

@@ -4,7 +4,7 @@
 //! single-threaded process (§2.2). Each VPE runs on exactly one PE of the
 //! kernel's group and has its own capability table.
 
-use semper_base::{PeId, VpeId};
+use semper_base::{OpId, PeId, VpeId};
 
 /// Lifecycle of a VPE as seen by its kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,12 +27,28 @@ pub struct VpeState {
     pub life: VpeLife,
     /// True if this VPE registered itself as a service.
     pub is_service: bool,
+    /// The batched system call the VPE is blocked on (at most one: a
+    /// batch *is* its blocking syscall). While set, every syscall reply
+    /// addressed to the VPE is a batch-item completion (see
+    /// [`crate::Kernel::reply_sys`] and [`crate::ops::bulk`]).
+    pub batch: Option<OpId>,
+    /// Raw key of the VPE's most recently submitted promise — the gate
+    /// its next `SubmitAsync` chains behind (program-order pipelining,
+    /// [`crate::ops::promise`]).
+    pub promise_tail: Option<u64>,
 }
 
 impl VpeState {
     /// Creates a fresh, alive VPE.
     pub fn new(id: VpeId, pe: PeId) -> VpeState {
-        VpeState { id, pe, life: VpeLife::Alive, is_service: false }
+        VpeState {
+            id,
+            pe,
+            life: VpeLife::Alive,
+            is_service: false,
+            batch: None,
+            promise_tail: None,
+        }
     }
 
     /// True if the VPE is alive.

@@ -583,6 +583,25 @@ fn credit_budget_is_respected() {
     assert!(c.kernels[0].stats().kcalls_credit_stalled > 0, "expected credit stalls");
 }
 
+/// The tag of a system call is the client's choice. One from the range
+/// the kernel reserves for asynchronous inner executions must be refused
+/// — it used to be routed as one, leaving the caller blocked forever.
+#[test]
+fn client_tag_in_reserved_range_is_refused() {
+    use semper_base::{msg::Payload, Msg};
+    let mut c = TestCluster::new(1, 1);
+    let msg = Msg::new(c.pe_of(VpeId(0)), c.kernels[0].pe(), Payload::sys(1 << 62, Syscall::Noop));
+    let mut out = semper_kernel::Outbox::new();
+    c.kernels[0].handle(&msg, &mut out);
+    let replies = out.drain();
+    let [(Msg { dst, payload: Payload::SysReply(reply), .. }, _)] = &replies[..] else {
+        panic!("expected exactly one reply, got {replies:?}");
+    };
+    assert_eq!(*dst, c.pe_of(VpeId(0)));
+    assert_eq!(reply.tag, 1 << 62);
+    assert_eq!(reply.result.as_ref().unwrap_err().code(), Code::InvalidArgs);
+}
+
 // ----- DTU endpoint activation (gates) -----------------------------------
 
 #[test]

@@ -62,19 +62,6 @@ struct OpenFile {
     delegated: Vec<CapSel>,
 }
 
-/// Where a pipelined close currently is, between syscall replies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PipeStep {
-    /// `SubmitAsync(Revoke)` in flight for the head of `remaining`.
-    Submit,
-    /// Severing the promise handle of a non-tail revoke.
-    Sever,
-    /// Blocking `WaitPromise` on the tail promise.
-    WaitTail,
-    /// Severing the tail handle after it resolved.
-    SeverTail,
-}
-
 /// Work that needs system calls, processed one syscall at a time.
 #[derive(Debug, Clone)]
 enum Work {
@@ -95,23 +82,6 @@ enum Work {
     },
     /// Close a file: revoke each delegated capability, then ack.
     Close { client_pe: PeId, tag: u64, fid: u64, remaining: Vec<CapSel> },
-    /// Close a file over the promise pipeline (`Feature::PromiseIpc`):
-    /// submit one asynchronous revoke per delegated extent, sever each
-    /// promise handle the moment the kernel hands it back, and block
-    /// on the tail promise only — program-order pipelining guarantees
-    /// every earlier revoke completed once the tail resolves.
-    ClosePipelined {
-        client_pe: PeId,
-        tag: u64,
-        fid: u64,
-        /// Extent selectors not yet submitted.
-        remaining: Vec<CapSel>,
-        /// Revokes submitted in total, counted at the tail resolution.
-        submitted: u64,
-        /// Promise handle of the revoke most recently submitted.
-        promise: Option<CapSel>,
-        step: PipeStep,
-    },
 }
 
 /// One m3fs instance.
@@ -145,11 +115,6 @@ pub struct FsService {
     /// extents as one `Syscall::Batch` instead of one revoke syscall
     /// per extent (`Feature::SyscallBatching`'s service-side half).
     batch_ops: bool,
-    /// When set, the close path issues its revokes asynchronously via
-    /// promise capabilities and blocks on the tail promise only
-    /// (`Feature::PromiseIpc`'s service-side half). Takes precedence
-    /// over `batch_ops`.
-    pipelined_ops: bool,
     queue: VecDeque<Work>,
     current: Option<Work>,
 
@@ -182,7 +147,6 @@ impl FsService {
             next_fid: 1,
             conn: KernelConn::new(pe, kernel_pe),
             batch_ops: false,
-            pipelined_ops: false,
             queue: VecDeque::new(),
             current: None,
             stats: FsServiceStats::default(),
@@ -195,15 +159,6 @@ impl FsService {
     /// path is the baseline the determinism goldens pin.
     pub fn set_batched_ops(&mut self, on: bool) {
         self.batch_ops = on;
-    }
-
-    /// Switches the close path to promise-pipelined revocation: every
-    /// delegated extent is revoked through `Syscall::SubmitAsync`, each
-    /// promise handle severed as soon as it arrives, and only the tail
-    /// promise is waited on. Off by default — the blocking path is the
-    /// baseline the determinism goldens pin.
-    pub fn set_pipelined_ops(&mut self, on: bool) {
-        self.pipelined_ops = on;
     }
 
     /// This instance's VPE.
@@ -428,30 +383,8 @@ impl FsService {
                 self.current = Some(work);
                 self.syscall(call, out);
             }
-            Work::Close { client_pe, tag, fid, remaining } => {
-                if self.pipelined_ops && remaining.len() > 1 {
-                    // Pipelined path: the revoke for extent `i+1` is
-                    // submitted while the kernel still works on extent
-                    // `i`; the service's submit/sever round trips
-                    // overlap with the revocation sweeps instead of
-                    // serialising behind them.
-                    let (client_pe, tag, fid) = (*client_pe, *tag, *fid);
-                    let remaining = remaining.clone();
-                    let sel = remaining[0];
-                    self.current = Some(Work::ClosePipelined {
-                        client_pe,
-                        tag,
-                        fid,
-                        remaining,
-                        submitted: 0,
-                        promise: None,
-                        step: PipeStep::Submit,
-                    });
-                    self.syscall(
-                        Syscall::SubmitAsync(Box::new(Syscall::Revoke { sel, own: true })),
-                        out,
-                    );
-                } else if self.batch_ops && remaining.len() > 1 {
+            Work::Close { remaining, .. } => {
+                if self.batch_ops && remaining.len() > 1 {
                     // Bulk path: revoke every delegated extent of the
                     // file in one batched system call — one round trip,
                     // and the kernel coalesces the cross-kernel fan-out.
@@ -466,9 +399,6 @@ impl FsService {
                     self.current = Some(work);
                     self.syscall(Syscall::Revoke { sel, own: true }, out);
                 }
-            }
-            Work::ClosePipelined { .. } => {
-                unreachable!("pipelined close work is created in flight, never queued");
             }
         }
     }
@@ -607,99 +537,6 @@ impl FsService {
                         let sel = remaining[0];
                         self.current = Some(Work::Close { client_pe, tag, fid, remaining });
                         self.syscall(Syscall::Revoke { sel, own: true }, out);
-                    }
-                }
-                self.cost.fs_meta_op
-            }
-            Work::ClosePipelined {
-                client_pe,
-                tag,
-                fid,
-                mut remaining,
-                submitted,
-                promise,
-                step,
-            } => {
-                match step {
-                    PipeStep::Submit => {
-                        // The kernel handed back the promise for the
-                        // head revoke; it executes asynchronously.
-                        let Ok(SysReplyData::Promise { sel }) = &reply.result else {
-                            panic!("pipelined close: expected a promise, got {:?}", reply.result);
-                        };
-                        let psel = *sel;
-                        remaining.remove(0);
-                        let submitted = submitted + 1;
-                        if remaining.is_empty() {
-                            // Tail: block on it. Program order means
-                            // the tail resolving implies every earlier
-                            // revoke completed as well.
-                            self.current = Some(Work::ClosePipelined {
-                                client_pe,
-                                tag,
-                                fid,
-                                remaining,
-                                submitted,
-                                promise: Some(psel),
-                                step: PipeStep::WaitTail,
-                            });
-                            self.syscall(Syscall::WaitPromise { sel: psel, block: true }, out);
-                        } else {
-                            self.current = Some(Work::ClosePipelined {
-                                client_pe,
-                                tag,
-                                fid,
-                                remaining,
-                                submitted,
-                                promise: Some(psel),
-                                step: PipeStep::Sever,
-                            });
-                            self.syscall(Syscall::Revoke { sel: psel, own: true }, out);
-                        }
-                    }
-                    PipeStep::Sever => {
-                        // Handle severed; submit the next revoke while
-                        // the previous ones are still in flight.
-                        debug_assert!(reply.result.is_ok(), "sever failed: {:?}", reply.result);
-                        let sel = remaining[0];
-                        self.current = Some(Work::ClosePipelined {
-                            client_pe,
-                            tag,
-                            fid,
-                            remaining,
-                            submitted,
-                            promise: None,
-                            step: PipeStep::Submit,
-                        });
-                        self.syscall(
-                            Syscall::SubmitAsync(Box::new(Syscall::Revoke { sel, own: true })),
-                            out,
-                        );
-                    }
-                    PipeStep::WaitTail => {
-                        debug_assert!(
-                            reply.result.is_ok(),
-                            "pipelined revoke failed: {:?}",
-                            reply.result
-                        );
-                        // Count every revoke of the chain here: the
-                        // tail resolved, so all of them landed.
-                        self.stats.revokes += submitted;
-                        let psel = promise.expect("tail promise recorded at submit");
-                        self.current = Some(Work::ClosePipelined {
-                            client_pe,
-                            tag,
-                            fid,
-                            remaining,
-                            submitted,
-                            promise: None,
-                            step: PipeStep::SeverTail,
-                        });
-                        self.syscall(Syscall::Revoke { sel: psel, own: true }, out);
-                    }
-                    PipeStep::SeverTail => {
-                        debug_assert!(reply.result.is_ok(), "sever failed: {:?}", reply.result);
-                        self.reply_fs(out, client_pe, tag, Ok(FsReplyData::Ok));
                     }
                 }
                 self.cost.fs_meta_op

@@ -1,4 +1,4 @@
-//! Blocking vs promise-pipelined service chains (`Feature::PromiseIpc`).
+//! Blocking vs promise-pipelined service chains.
 //!
 //! ```text
 //! cargo run --release --example pipelined_service_chain
@@ -22,7 +22,6 @@
 //! counts**: CI executes this example serially and with
 //! `BENCH_THREADS=4` and diffs the two outputs verbatim.
 
-use semper_base::config::Feature;
 use semper_base::msg::{ExchangeKind, Perms, SysReplyData, Syscall};
 use semper_base::{CapSel, KernelMode, VpeId};
 use semperos::experiment::MicroMachine;
@@ -67,9 +66,6 @@ fn result_sel(reply: &SysReplyData) -> CapSel {
 /// simulated cycle count of the whole workload.
 fn run_twin(pipelined: bool) -> (String, u64) {
     let mut mm = MicroMachine::new(KERNELS, CLIENTS_PER_GROUP, KernelMode::SemperOS);
-    if pipelined {
-        mm.machine().enable_feature_everywhere(Feature::PromiseIpc);
-    }
     // Only group-0 clients initiate; their partners in group 1 receive
     // the hand-off (round-robin placement: even ids → group 0).
     let clients: Vec<VpeId> = (0..CLIENTS_PER_GROUP).map(|j| VpeId(j * KERNELS)).collect();

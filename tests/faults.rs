@@ -3,7 +3,7 @@
 //! The five failure scenarios that `examples/failure_injection.rs`
 //! demonstrates print-only are pinned here as hard assertions, and the
 //! deterministic fault engine (`semper_sim::faults` +
-//! `Feature::FaultInjection`) gets its own scripted scenarios: a kernel
+//! `Kernel::enable_fault_injection`) gets its own scripted scenarios: a kernel
 //! crash between the mark and delete phases of a parallel sweep, a
 //! one-way network partition across a live group migration, and a
 //! drop/duplicate/delay storm over a mixed workload. Every scenario
@@ -328,9 +328,6 @@ fn partition_aborts_then_heals_migration() {
 #[test]
 fn promise_chain_survives_resolve_leg_storm() {
     let mut c = TestCluster::new(3, 2);
-    for k in &mut c.kernels {
-        k.enable_feature_for_test(Feature::PromiseIpc);
-    }
     let plan = FaultPlan::seeded(0x9120_5704).with_drop(80).with_duplicate(50).with_delay(100, 12);
     c.set_fault_plan(plan, 256);
 
@@ -389,9 +386,6 @@ fn promise_chain_survives_resolve_leg_storm() {
 #[test]
 fn peer_crash_holding_unresolved_promise_yields_real_error() {
     let mut c = TestCluster::new(2, 2);
-    for k in &mut c.kernels {
-        k.enable_feature_for_test(Feature::PromiseIpc);
-    }
     let plan = FaultPlan::empty().with_crash(CrashPoint {
         kernel: 1,
         phase: "promise-consent",

@@ -246,14 +246,23 @@ fn draw_batch_item(rng: &mut DetRng, live: &mut Vec<CapSel>, vpes: u16) -> Sysca
 /// the same final state as the same N operations issued sequentially —
 /// identical capability records and table bindings (state digests),
 /// invariants intact, full quiescence — and the batch reply corresponds
-/// item-for-item to the sequential replies.
+/// item-for-item to the sequential replies. Every case runs twice: the
+/// second time the batched cluster also has `Feature::ParallelSweep`,
+/// so coalesced revoke runs convert into partitioned sweeps.
 #[test]
 fn batched_ops_match_sequential() {
-    for_cases(48, |case| {
+    let sweeps = std::sync::atomic::AtomicU64::new(0);
+    for_cases(96, |i| {
+        let (case, sweep) = (i % 48, i >= 48);
         let mut rng = DetRng::split(0xBA7C_4ED5, case);
         let n_items = rng.between(1, 17) as usize;
         let mut seq = TestCluster::new(3, 2);
         let mut bat = TestCluster::new(3, 2);
+        if sweep {
+            for k in &mut bat.kernels {
+                k.enable_feature_for_test(semper_base::Feature::ParallelSweep);
+            }
+        }
 
         // Identical pre-seeded roots in both clusters.
         let mut live: Vec<CapSel> = Vec::new();
@@ -299,8 +308,10 @@ fn batched_ops_match_sequential() {
                 ks.id()
             );
             assert_eq!(kb.pending_ops(), 0, "case {case}: suspended ops after batch");
+            sweeps.fetch_add(kb.stats().sweeps, std::sync::atomic::Ordering::Relaxed);
         }
     });
+    assert!(sweeps.into_inner() > 0, "no coalesced revoke run converted into a sweep");
 }
 
 /// The parallel partitioned sweep (`Feature::ParallelSweep`) is an
@@ -432,13 +443,13 @@ fn draw_pipe_op(rng: &mut DetRng, prior: &[PipeOp]) -> PipeOp {
 /// their *promise* selector, results redeemed afterwards). Returns the
 /// observable transcript: every per-call result plus every kernel's
 /// state digest.
-fn run_pipe_case(case: u64, pipelined: bool) -> String {
+fn run_pipe_case(case: u64, pipelined: bool, sweep: bool) -> String {
     let mut rng = DetRng::split(0x9120_14ED, case);
     let n_ops = rng.between(2, 15) as usize;
     let mut c = TestCluster::new(3, 2);
-    if pipelined {
+    if sweep {
         for k in &mut c.kernels {
-            k.enable_feature_for_test(semper_base::Feature::PromiseIpc);
+            k.enable_feature_for_test(semper_base::Feature::ParallelSweep);
         }
     }
     let issuer = VpeId(0);
@@ -547,14 +558,17 @@ fn run_pipe_case(case: u64, pipelined: bool) -> String {
 /// *schedule*, not its semantics: a random dependent-call DAG submitted
 /// through promise capabilities produces exactly the per-call results
 /// of the same DAG executed blocking, leaves every kernel with the same
-/// state digest, quiesces fully, and replays bit-identically.
+/// state digest, quiesces fully, and replays bit-identically — also
+/// with `Feature::ParallelSweep` on the pipelined cluster (the second
+/// 48 cases).
 #[test]
 fn pipelined_ops_match_blocking() {
-    for_cases(48, |case| {
-        let blocking = run_pipe_case(case, false);
-        let pipelined = run_pipe_case(case, true);
+    for_cases(96, |i| {
+        let (case, sweep) = (i % 48, i >= 48);
+        let blocking = run_pipe_case(case, false, false);
+        let pipelined = run_pipe_case(case, true, sweep);
         assert_eq!(blocking, pipelined, "case {case}: pipelined run diverged from blocking");
-        let replay = run_pipe_case(case, true);
+        let replay = run_pipe_case(case, true, sweep);
         assert_eq!(pipelined, replay, "case {case}: pipelined replay diverged");
     });
 }
