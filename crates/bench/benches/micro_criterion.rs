@@ -10,7 +10,7 @@ use semper_base::msg::{CapKindDesc, Payload, Perms, Syscall};
 use semper_base::{CapSel, CapType, CostModel, DdlKey, Msg, PeId, VpeId};
 use semper_caps::{Capability, MappingDb};
 use semper_noc::{Mesh, Noc};
-use semper_sim::{Cycles, EventQueue};
+use semper_sim::{Cycles, EventQueue, PeSchedule};
 use std::hint::black_box;
 
 fn ddl_keys(c: &mut Criterion) {
@@ -78,6 +78,23 @@ fn event_queue(c: &mut Criterion) {
                 acc = acc.wrapping_add(e);
             }
             black_box(acc)
+        })
+    });
+    // The case that dominated `revoke_teardown`: 4 096 messages behind
+    // one busy PE, each handler keeping it busy for another 100 cycles,
+    // so every delivery finds the rest of the lane still waiting.
+    c.bench_function("pe_schedule_deep_lane_drain_4k", |b| {
+        b.iter(|| {
+            let mut s: PeSchedule<u64> = PeSchedule::new(1);
+            for i in 0..4096u64 {
+                s.schedule(Cycles(i), 0, i);
+            }
+            let mut acc = 0u64;
+            while let Some((t, pe, e)) = s.pop_ready() {
+                s.set_busy(pe, t + 100);
+                acc = acc.wrapping_add(e);
+            }
+            black_box((acc, s.processed()))
         })
     });
 }

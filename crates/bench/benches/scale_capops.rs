@@ -81,7 +81,7 @@
 //! computed, and `BENCH_ASSERT_SPEEDUP=<min>` turns that into a hard
 //! gate (for multi-core hosts; see EXPERIMENTS.md).
 //!
-//! Results land in `BENCH_PR12.json` at the workspace root (override with
+//! Results land in `BENCH_PR13.json` at the workspace root (override with
 //! `BENCH_OUT`). If `BENCH_BASELINE` names an earlier report, its
 //! scenario timings are embedded under `"baseline"` and per-scenario
 //! speedups are computed — this is how each PR's report compares
@@ -1094,7 +1094,7 @@ fn main() {
     println!("suite wall-clock: {wall_ms_total:.1} ms at {threads} thread(s)");
 
     let mut fields = vec![
-        ("pr", Val::U(12)),
+        ("pr", Val::U(13)),
         ("bench", Val::S("scale_capops".into())),
         ("smoke", Val::U(u64::from(smoke))),
         // Harness-level fields (PR 8): worker count and total suite
@@ -1237,7 +1237,7 @@ fn main() {
         }
     }
 
-    let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR12.json");
+    let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR13.json");
     let out_path = std::env::var("BENCH_OUT").unwrap_or_else(|_| default_out.to_string());
     let json = render(&Val::obj(fields));
     std::fs::write(&out_path, json).expect("write benchmark report");

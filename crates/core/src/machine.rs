@@ -328,9 +328,26 @@ impl Machine {
         self.sched.now()
     }
 
-    /// Events processed so far.
+    /// Events processed so far, as the scheduler *counts* pops: one per
+    /// delivery plus one per deferral hop of every stalled message (see
+    /// [`PeSchedule::processed`]). The count is part of the determinism
+    /// contract; the heap operations actually executed for it are
+    /// [`Machine::heap_ops`].
     pub fn events(&self) -> u64 {
         self.sched.processed()
+    }
+
+    /// Messages handed to a handler (or to the fault plan's delivery
+    /// verdict) so far: the part of [`Machine::events`] that was not a
+    /// stall-lane deferral hop.
+    pub fn deliveries(&self) -> u64 {
+        self.sched.delivered()
+    }
+
+    /// Heap pushes plus pops the scheduler has executed. A host-side
+    /// figure with no simulated effect.
+    pub fn heap_ops(&self) -> u64 {
+        self.sched.heap_ops()
     }
 
     // ----- event loop -----------------------------------------------------

@@ -45,12 +45,23 @@ pub struct EventQueue<E> {
     next_seq: u64,
     now: Cycles,
     popped: u64,
+    /// Sequence numbers consumed by `skip_seqs`: never pushed.
+    skipped: u64,
+    /// Pops counted by `credit_pops`: never executed.
+    credited: u64,
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> EventQueue<E> {
-        EventQueue { heap: BinaryHeap::new(), next_seq: 0, now: Cycles::ZERO, popped: 0 }
+        EventQueue {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+            now: Cycles::ZERO,
+            popped: 0,
+            skipped: 0,
+            credited: 0,
+        }
     }
 
     /// Current simulated time (the timestamp of the last popped event).
@@ -58,9 +69,18 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of events processed so far.
+    /// Number of pops counted so far: every [`EventQueue::pop`] plus
+    /// the pops credited through [`EventQueue::credit_pops`].
     pub fn processed(&self) -> u64 {
         self.popped
+    }
+
+    /// Pushes plus pops the heap has executed — the host work behind
+    /// `processed()`, which also counts pops that were only credited.
+    /// Every sequence number not skipped was pushed and every counted
+    /// pop not credited was executed, so nothing is counted per push.
+    pub fn heap_ops(&self) -> u64 {
+        (self.next_seq - self.skipped) + (self.popped - self.credited)
     }
 
     /// Number of events currently pending.
@@ -93,11 +113,40 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest event, advancing `now` to its timestamp.
     pub fn pop(&mut self) -> Option<(Cycles, E)> {
+        // `schedule` refuses timestamps before `now` and `now` only ever
+        // moves to the heap's minimum, so `entry.at >= self.now` here.
         let entry = self.heap.pop()?;
-        debug_assert!(entry.at >= self.now);
         self.now = entry.at;
         self.popped += 1;
         Some((entry.at, entry.event))
+    }
+
+    // ----- sequence ranges ------------------------------------------------
+    //
+    // For a caller that stands one heap entry in for a *run* of entries
+    // with equal timestamps and consecutive sequence numbers (see
+    // `PeSchedule`). Sequence numbers are unique, so no other entry can
+    // sort inside such a run: popping the run's first entry and
+    // accounting for the rest by count is indistinguishable, through
+    // this queue's interface, from pushing and popping each of them.
+
+    /// The sequence number the next [`EventQueue::schedule`] will use.
+    pub(crate) fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// Consumes `n` sequence numbers without pushing: the entries they
+    /// would have keyed ride behind an entry already in the heap.
+    pub(crate) fn skip_seqs(&mut self, n: u64) {
+        self.next_seq += n;
+        self.skipped += n;
+    }
+
+    /// Counts `n` pops that did not touch the heap: entries that rode
+    /// behind a popped one and would have popped back to back with it.
+    pub(crate) fn credit_pops(&mut self, n: u64) {
+        self.popped += n;
+        self.credited += n;
     }
 
     /// Timestamp of the earliest pending event.
@@ -157,6 +206,24 @@ mod tests {
         q.schedule(Cycles(10), ());
         q.pop();
         q.schedule(Cycles(5), ());
+    }
+
+    #[test]
+    fn sequence_ranges_are_counted_but_not_executed() {
+        let mut q = EventQueue::new();
+        q.schedule(Cycles(5), 'a');
+        // Three more entries ride behind 'a' under sequence numbers 1..=3.
+        q.skip_seqs(3);
+        assert_eq!(q.next_seq(), 4);
+        q.schedule(Cycles(5), 'b');
+        assert_eq!(q.pop(), Some((Cycles(5), 'a')));
+        q.credit_pops(3);
+        assert_eq!(q.processed(), 4);
+        assert_eq!(q.len(), 1);
+        // Two pushes and one pop really happened.
+        assert_eq!(q.heap_ops(), 3);
+        assert_eq!(q.pop(), Some((Cycles(5), 'b')));
+        assert_eq!((q.processed(), q.heap_ops()), (5, 4));
     }
 
     #[test]

@@ -4,39 +4,72 @@
 //! arriving while the PE is still executing must wait until the PE
 //! frees. The original engine expressed that wait by pushing the whole
 //! event back into the global heap (timestamped at `busy_until`) every
-//! time it popped too early — O(log n) heap churn *and* a full event
-//! move per retry, paid once per deferral hop on the hottest paths
-//! (kernel PEs under syscall bursts are busy almost continuously).
+//! time it popped too early. [`PeSchedule`] keeps that engine's
+//! observable behaviour and none of its cost: a deferred event is
+//! *parked* once in its PE's stall lane and a *wake token* stands in
+//! for it in the ordering, and wake tokens that the heap would pop
+//! back to back are one heap entry, a *run*.
 //!
-//! [`PeSchedule`] replaces the retry loop with per-PE *stall lanes*:
-//! a deferred event is parked exactly once in its destination PE's lane
-//! (an O(1) slot write; the event is never moved again until delivery)
-//! and a pointer-sized wake token rides the heap in its place. Lanes
-//! drain when `busy_until` passes: the token pops at the PE's free
-//! time and hands the parked event out of the lane.
+//! # Runs
+//!
+//! A wake token is the pair `(at, seq)` the retry loop would have
+//! requeued the event under: `at` is the PE's `busy_until` at the
+//! deferral, `seq` the next sequence number of the queue. A run is a
+//! set of tokens of one PE with equal `at` and consecutive `seq`; its
+//! parked events are linked in `seq` order. Only the run's first token
+//! is in the heap (or held back, see below) — the others are a count.
+//! A PE's stall lane is the chains of its runs; all lanes share one
+//! slab of parked events, and an event stays in its slot from park to
+//! delivery however often its run moves.
+//!
+//! * **Park.** An event popping while its PE is busy takes the next
+//!   sequence number. If the newest run belongs to the same PE, wakes
+//!   at the same time and ends at the previous sequence number, the
+//!   event joins it and the heap is not touched; otherwise it starts a
+//!   run, one push.
+//! * **Pop on a free PE.** The head event is handed out. The remainder
+//!   keeps its key `(at, seq + 1)`, which sorts below everything in the
+//!   heap and everything scheduled from now on, so it is the next pop
+//!   by construction: it is held beside the heap instead of making a
+//!   push + pop round trip.
+//! * **Pop on a busy PE** (an earlier same-cycle event claimed the PE,
+//!   or the PE's busy time was extended from outside). The retry loop
+//!   would now pop every token of the run in turn and requeue each at
+//!   the new `busy_until` under the next sequence number. The run does
+//!   that as a whole: it takes `count` consecutive sequence numbers,
+//!   `count − 1` pops are credited to [`PeSchedule::processed`], and the
+//!   chain of parked events moves as one link — joined to the newest
+//!   run under the same test as a park, or pushed as one entry.
+//!
+//! Every step is O(1) in the length of the run. Draining a lane of N
+//! events behind a busy PE costs about 2 heap operations per handler
+//! where per-event tokens cost N, which on a revocation fan-in is the
+//! difference between 164 thousand and 4 million heap pops for the
+//! same 60 thousand messages (EXPERIMENTS.md, "The stall-lane event
+//! engine").
 //!
 //! # Ordering contract (bit-identical to the retry loop)
 //!
-//! The global heap remains the *sole* ordering authority. A wake token
-//! is scheduled at exactly the timestamp the old engine would have
-//! rescheduled the event at (`busy_until` as of the deferral), and it
-//! consumes one sequence number at exactly the same moment the old
-//! requeue did — including on re-deferral, when a token pops at the
-//! PE's former free time but an earlier same-cycle event claimed the
-//! PE first. Same-cycle contenders therefore interleave with freshly
-//! delivered traffic in precisely the order the retry loop produced,
-//! [`PeSchedule::processed`] counts the same pops, and every handler
-//! runs at the same cycle. `tests/scheduler.rs` checks this equivalence
-//! against a reference model on randomized workloads; the golden
-//! assertions in `tests/determinism.rs` pin it to recorded cycle
-//! counts.
+//! The global heap remains the *sole* ordering authority, and the
+//! equivalence is exact by construction rather than by tolerance.
+//! Sequence numbers are unique integers, so no foreign heap entry can
+//! sort between two tokens of a run: the retry loop would have popped
+//! them back to back, at one timestamp, against one unchanged
+//! `busy_until` — no handler runs between two deferrals — and so would
+//! have made the same decision for each and handed out exactly the
+//! consecutive sequence numbers the run takes. Same-cycle contenders
+//! therefore interleave with freshly delivered traffic in precisely the
+//! order the retry loop produced, [`PeSchedule::processed`] counts the
+//! same pops, [`PeSchedule::now`] reads the same, and every handler
+//! runs at the same cycle. `tests/scheduler.rs` checks this against a
+//! reference model (the retry loop itself) on randomized workloads;
+//! the golden assertions in `tests/determinism.rs` pin it to recorded
+//! cycle counts.
 
 use crate::queue::EventQueue;
 use crate::time::Cycles;
 
-/// Heap entry: either a fresh delivery or a wake token pointing at a
-/// parked event. Tokens are what make deferral cheap — the event
-/// payload stays in the lane while the token rides the heap.
+/// Heap entry: a fresh delivery, or the first wake token of a run.
 enum Tok<E> {
     /// An event on its first trip through the queue.
     Deliver {
@@ -45,49 +78,85 @@ enum Tok<E> {
         /// The event itself.
         event: E,
     },
-    /// A deferred event parked in `pe`'s stall lane at `slot`.
+    /// The first wake token of run `run`; the run's other tokens are
+    /// its `count`, not heap entries.
     Wake {
-        /// Destination PE (owner of the lane).
-        pe: u32,
-        /// Slot in the lane's slab.
-        slot: u32,
+        /// Index into `PeSchedule::runs`.
+        run: u32,
     },
 }
 
-/// One PE's stall lane: a slab of parked events with a free list.
-///
-/// Delivery order among parked events is dictated by their wake tokens
-/// in the global heap (see the module docs), so the lane itself needs
-/// no internal ordering — just O(1) park and take.
-struct Lane<E> {
-    slots: Vec<Option<E>>,
+/// End of a chain of parked events.
+const NIL: u32 = u32::MAX;
+
+/// A parked event and the one parked behind it in the same run.
+struct Parked<E> {
+    event: Option<E>,
+    next: u32,
+}
+
+/// Wake tokens of one PE with equal wake time and consecutive sequence
+/// numbers, `end − count .. end`. The first token's key is the key of
+/// the run's heap entry; appending at the tail does not change it, and
+/// once the head is delivered the run is out of the heap for good.
+struct Run {
+    pe: u32,
+    at: Cycles,
+    /// One past the last token's sequence number: the number a token
+    /// must take to extend the run.
+    end: u64,
+    count: u64,
+    /// The parked events, `head` first, linked through [`Parked::next`].
+    head: u32,
+    tail: u32,
+}
+
+/// A `Vec` whose vacated indices are handed out again.
+struct Slab<T> {
+    items: Vec<T>,
     free: Vec<u32>,
 }
 
-impl<E> Default for Lane<E> {
-    fn default() -> Self {
-        Lane { slots: Vec::new(), free: Vec::new() }
+impl<T> Slab<T> {
+    fn new() -> Slab<T> {
+        Slab { items: Vec::new(), free: Vec::new() }
     }
-}
 
-impl<E> Lane<E> {
-    fn park(&mut self, event: E) -> u32 {
+    fn insert(&mut self, item: T) -> u32 {
         match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = Some(event);
-                slot
+            Some(i) => {
+                self.items[i as usize] = item;
+                i
             }
             None => {
-                self.slots.push(Some(event));
-                (self.slots.len() - 1) as u32
+                let i = u32::try_from(self.items.len()).ok().filter(|&i| i != NIL);
+                self.items.push(item);
+                i.expect("fewer than 2^32 - 1 parked events")
             }
         }
     }
 
-    fn take(&mut self, slot: u32) -> E {
-        let e = self.slots[slot as usize].take().expect("wake token points at a parked event");
-        self.free.push(slot);
-        e
+    /// Marks `i` reusable. The item stays in place until overwritten.
+    fn release(&mut self, i: u32) {
+        self.free.push(i);
+    }
+
+    /// Indices handed out and not released.
+    fn live(&self) -> usize {
+        self.items.len() - self.free.len()
+    }
+}
+
+impl<T> std::ops::Index<u32> for Slab<T> {
+    type Output = T;
+    fn index(&self, i: u32) -> &T {
+        &self.items[i as usize]
+    }
+}
+
+impl<T> std::ops::IndexMut<u32> for Slab<T> {
+    fn index_mut(&mut self, i: u32) -> &mut T {
+        &mut self.items[i as usize]
     }
 }
 
@@ -100,8 +169,20 @@ impl<E> Lane<E> {
 pub struct PeSchedule<E> {
     queue: EventQueue<Tok<E>>,
     busy_until: Vec<Cycles>,
-    lanes: Vec<Lane<E>>,
-    parked: usize,
+    /// Parked events of all lanes; a PE's lane is the chains of its runs.
+    lane_slots: Slab<Parked<E>>,
+    /// Live runs: each is in the heap exactly once, or is `held`.
+    runs: Slab<Run>,
+    /// The run that took the most recent wake-token sequence number —
+    /// the only one the next token can be contiguous with.
+    newest: Option<u32>,
+    /// The remainder of the run whose head was delivered last: the next
+    /// pop, kept out of the heap.
+    held: Option<u32>,
+    /// Wake tokens issued so far. Every counted pop either hands an
+    /// event out or issues one token for it, so deliveries are the
+    /// difference — kept off the delivery path this way.
+    wake_tokens: u64,
 }
 
 impl<E> PeSchedule<E> {
@@ -110,8 +191,11 @@ impl<E> PeSchedule<E> {
         PeSchedule {
             queue: EventQueue::new(),
             busy_until: vec![Cycles::ZERO; pes],
-            lanes: (0..pes).map(|_| Lane::default()).collect(),
-            parked: 0,
+            lane_slots: Slab::new(),
+            runs: Slab::new(),
+            newest: None,
+            held: None,
+            wake_tokens: 0,
         }
     }
 
@@ -120,27 +204,35 @@ impl<E> PeSchedule<E> {
         self.queue.now()
     }
 
-    /// Heap pops so far. Counts wake-token pops exactly as the old
-    /// engine counted retry pops, so event totals are comparable across
-    /// the refactor.
+    /// Pops *counted* so far: one per delivery and one per deferral hop
+    /// of every event, exactly what the retry loop executed, so event
+    /// totals are comparable across both refactors. A run deferred as a
+    /// whole counts each of its tokens; [`PeSchedule::heap_ops`] has
+    /// the heap operations actually performed.
     pub fn processed(&self) -> u64 {
         self.queue.processed()
     }
 
-    /// Entries currently in the heap (each parked event holds exactly
-    /// one wake token, so parked events are included).
-    pub fn pending(&self) -> usize {
-        self.queue.len()
+    /// Events handed to the caller by `pop_ready`/`pop_ready_before`:
+    /// the pops that were messages rather than deferral hops.
+    pub fn delivered(&self) -> u64 {
+        self.queue.processed() - self.wake_tokens
+    }
+
+    /// Heap pushes plus pops actually performed (host work; no
+    /// simulated meaning).
+    pub fn heap_ops(&self) -> u64 {
+        self.queue.heap_ops()
     }
 
     /// Events currently parked in stall lanes (diagnostics).
     pub fn parked(&self) -> usize {
-        self.parked
+        self.lane_slots.live()
     }
 
     /// True if nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.held.is_none() && self.queue.is_empty()
     }
 
     /// The time `pe` is busy until.
@@ -162,12 +254,16 @@ impl<E> PeSchedule<E> {
 
     /// Schedules `event` for PE `pe` at absolute time `at`.
     pub fn schedule(&mut self, at: Cycles, pe: usize, event: E) {
-        self.queue.schedule(at, Tok::Deliver { pe: pe as u32, event });
+        let pe = u32::try_from(pe).expect("fewer than 2^32 PEs");
+        self.queue.schedule(at, Tok::Deliver { pe, event });
     }
 
     /// Timestamp of the earliest pending entry (delivery or wake).
     pub fn peek_time(&self) -> Option<Cycles> {
-        self.queue.peek_time()
+        match self.held {
+            Some(run) => Some(self.runs[run].at),
+            None => self.queue.peek_time(),
+        }
     }
 
     /// Pops the next event whose PE is free at its delivery time,
@@ -175,10 +271,11 @@ impl<E> PeSchedule<E> {
     ///
     /// Events popping while their PE is busy are parked in the PE's
     /// stall lane (once — the event is not touched again until
-    /// delivery) and replaced by a wake token at the PE's free time.
-    /// A token popping while the PE is busy again (an earlier same-cycle
-    /// event won the PE) is rescheduled at the new free time, consuming
-    /// a fresh sequence number exactly as the old retry loop did.
+    /// delivery) behind a wake token at the PE's free time. A run of
+    /// tokens popping while the PE is busy again (an earlier same-cycle
+    /// event won the PE) moves to the new free time as a whole, taking
+    /// the sequence numbers and counting the pops the old retry loop
+    /// spent on it one event at a time.
     pub fn pop_ready(&mut self) -> Option<(Cycles, usize, E)> {
         self.pop_ready_bounded(None)
     }
@@ -197,34 +294,97 @@ impl<E> PeSchedule<E> {
     fn pop_ready_bounded(&mut self, deadline: Option<Cycles>) -> Option<(Cycles, usize, E)> {
         loop {
             if let Some(deadline) = deadline {
-                if self.queue.peek_time()? > deadline {
+                if self.peek_time()? > deadline {
                     return None;
                 }
             }
-            let (t, tok) = self.queue.pop()?;
-            match tok {
-                Tok::Deliver { pe, event } => {
-                    let busy = self.busy_until[pe as usize];
-                    if busy > t {
-                        let slot = self.lanes[pe as usize].park(event);
-                        self.parked += 1;
-                        self.queue.schedule(busy, Tok::Wake { pe, slot });
-                        continue;
-                    }
-                    return Some((t, pe as usize, event));
+            let (t, run) = match self.held.take() {
+                Some(run) => {
+                    self.queue.credit_pops(1);
+                    (self.runs[run].at, run)
                 }
-                Tok::Wake { pe, slot } => {
-                    let busy = self.busy_until[pe as usize];
-                    if busy > t {
-                        self.queue.schedule(busy, Tok::Wake { pe, slot });
-                        continue;
+                None => match self.queue.pop()? {
+                    (t, Tok::Deliver { pe, event }) => {
+                        let busy = self.busy_until[pe as usize];
+                        if busy > t {
+                            self.park(pe, busy, event);
+                            continue;
+                        }
+                        return Some((t, pe as usize, event));
                     }
-                    let event = self.lanes[pe as usize].take(slot);
-                    self.parked -= 1;
-                    return Some((t, pe as usize, event));
-                }
+                    (t, Tok::Wake { run }) => (t, run),
+                },
+            };
+            let pe = self.runs[run].pe;
+            let busy = self.busy_until[pe as usize];
+            if busy > t {
+                // One token's pop is counted; the rest of the run would
+                // have popped right behind it.
+                self.queue.credit_pops(self.runs[run].count - 1);
+                self.wake_at(run, busy);
+                continue;
+            }
+            return Some((t, pe as usize, self.take_head(run)));
+        }
+    }
+
+    /// Parks `event` in `pe`'s lane behind a wake token at `at`.
+    fn park(&mut self, pe: u32, at: Cycles, event: E) {
+        let slot = self.lane_slots.insert(Parked { event: Some(event), next: NIL });
+        // A run of one; `wake_at` keys it or folds it into the newest run.
+        let run = self.runs.insert(Run { pe, at, end: 0, count: 1, head: slot, tail: slot });
+        self.wake_at(run, at);
+    }
+
+    /// Issues wake tokens at `at` under the next `count` sequence
+    /// numbers for the parked events of `run`, which is in neither the
+    /// heap nor `held`: as the tail of the newest run if the tokens are
+    /// contiguous with it, else as one heap entry.
+    fn wake_at(&mut self, run: u32, at: Cycles) {
+        let Run { pe, count, head, tail, .. } = self.runs[run];
+        let first = self.queue.next_seq();
+        self.wake_tokens += count;
+        let contiguous = self.newest.filter(|&n| {
+            let n = &self.runs[n];
+            n.pe == pe && n.at == at && n.end == first
+        });
+        if let Some(n) = contiguous {
+            let n = &mut self.runs[n];
+            self.lane_slots[n.tail].next = head;
+            n.tail = tail;
+            n.count += count;
+            n.end += count;
+            self.queue.skip_seqs(count);
+            self.runs.release(run);
+        } else {
+            let r = &mut self.runs[run];
+            r.at = at;
+            r.end = first + count;
+            self.queue.schedule(at, Tok::Wake { run });
+            self.queue.skip_seqs(count - 1);
+            self.newest = Some(run);
+        }
+    }
+
+    /// Hands out the head event of `run`, whose first token just popped
+    /// on a free PE, and holds the remainder as the next pop.
+    fn take_head(&mut self, run: u32) -> E {
+        let r = &mut self.runs[run];
+        let slot = r.head;
+        let parked = &mut self.lane_slots[slot];
+        let event = parked.event.take().expect("a run's chain holds one event per token");
+        r.head = parked.next;
+        r.count -= 1;
+        self.lane_slots.release(slot);
+        if r.count > 0 {
+            self.held = Some(run);
+        } else {
+            self.runs.release(run);
+            if self.newest == Some(run) {
+                self.newest = None;
             }
         }
+        event
     }
 }
 
@@ -300,6 +460,7 @@ mod tests {
             s.set_busy(0, Cycles(base + 51));
         }
         // One deferral per round, always through the same recycled slot.
-        assert_eq!(s.lanes[0].slots.len(), 1);
+        assert_eq!(s.lane_slots.items.len(), 1);
+        assert_eq!(s.runs.items.len(), 1);
     }
 }

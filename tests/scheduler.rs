@@ -109,6 +109,7 @@ fn stall_lane_trace(w: &Workload, initial: &[(Cycles, Ev)]) -> (Trace, u64, u64)
         }
     }
     assert_eq!(sched.parked(), 0, "drained engine must have empty stall lanes");
+    assert_eq!(sched.delivered(), trace.len() as u64, "delivered() counts handed-out events");
     (trace, sched.processed(), sched.now().0)
 }
 
@@ -282,4 +283,299 @@ fn uncontended_events_never_park() {
         (0..32).map(|id| (Cycles(id * 100), Ev { id, pe: (id % 4) as usize, gen: 0 })).collect();
     let (trace, pops, _) = stall_lane_trace(&w, &initial);
     assert_eq!(pops, trace.len() as u64, "no deferral pops expected");
+}
+
+// ----- both engines behind one interface ----------------------------------
+//
+// The cases below interfere with the schedule from outside the pop
+// loop and stop it at deadlines, so each scenario is written once
+// against `Engine` and run on the retry loop and on `PeSchedule`.
+
+/// What a scenario needs of an event engine.
+trait Engine {
+    fn new(pes: usize) -> Self;
+    fn schedule(&mut self, at: Cycles, ev: Ev);
+    /// The next event whose PE is free, not popping past `deadline`.
+    fn pop(&mut self, deadline: Option<Cycles>) -> Option<(Cycles, Ev)>;
+    fn set_busy(&mut self, pe: usize, until: Cycles);
+    fn extend_busy(&mut self, pe: usize, until: Cycles);
+    /// (pops counted, current time).
+    fn counters(&self) -> (u64, u64);
+}
+
+/// The retry loop (`Machine::step`/`run_until` before the stall lanes).
+struct RetryLoop {
+    queue: EventQueue<Ev>,
+    busy_until: Vec<Cycles>,
+}
+
+impl Engine for RetryLoop {
+    fn new(pes: usize) -> Self {
+        RetryLoop { queue: EventQueue::new(), busy_until: vec![Cycles::ZERO; pes] }
+    }
+    fn schedule(&mut self, at: Cycles, ev: Ev) {
+        self.queue.schedule(at, ev);
+    }
+    fn pop(&mut self, deadline: Option<Cycles>) -> Option<(Cycles, Ev)> {
+        loop {
+            let head = self.queue.peek_time()?;
+            if deadline.is_some_and(|d| head > d) {
+                return None;
+            }
+            let (t, ev) = self.queue.pop().expect("peeked");
+            if self.busy_until[ev.pe] > t {
+                let at = self.busy_until[ev.pe];
+                self.queue.schedule(at, ev);
+                continue;
+            }
+            return Some((t, ev));
+        }
+    }
+    fn set_busy(&mut self, pe: usize, until: Cycles) {
+        self.busy_until[pe] = until;
+    }
+    fn extend_busy(&mut self, pe: usize, until: Cycles) {
+        self.busy_until[pe] = self.busy_until[pe].max(until);
+    }
+    fn counters(&self) -> (u64, u64) {
+        (self.queue.processed(), self.queue.now().0)
+    }
+}
+
+impl Engine for PeSchedule<Ev> {
+    fn new(pes: usize) -> Self {
+        PeSchedule::new(pes)
+    }
+    fn schedule(&mut self, at: Cycles, ev: Ev) {
+        PeSchedule::schedule(self, at, ev.pe, ev);
+    }
+    fn pop(&mut self, deadline: Option<Cycles>) -> Option<(Cycles, Ev)> {
+        let popped = match deadline {
+            None => self.pop_ready(),
+            Some(d) => self.pop_ready_before(d),
+        };
+        popped.map(|(t, pe, ev)| {
+            assert_eq!(pe, ev.pe, "schedule() PE must round-trip");
+            (t, ev)
+        })
+    }
+    fn set_busy(&mut self, pe: usize, until: Cycles) {
+        PeSchedule::set_busy(self, pe, until);
+    }
+    fn extend_busy(&mut self, pe: usize, until: Cycles) {
+        PeSchedule::extend_busy(self, pe, until);
+    }
+    fn counters(&self) -> (u64, u64) {
+        (self.processed(), self.now().0)
+    }
+}
+
+/// A busy-time change made from outside the pop loop, as
+/// `Machine::syscall_blocking`, the boot sequence and
+/// `start_vpe_migration` make them.
+#[derive(Clone, Copy)]
+enum Outside {
+    Set(usize, Cycles),
+    Extend(usize, Cycles),
+}
+
+/// Everything observable of one run: the delivery trace, and after each
+/// phase (one per deadline, then one to idle) the trace length, pops
+/// counted and current time.
+type Observed = (Trace, Vec<(usize, u64, u64)>);
+
+/// Drives `G` through `initial` under `w`: one bounded phase per
+/// deadline, then to idle. `outside(deliveries so far, now)` runs
+/// before every pop attempt.
+fn drive<G: Engine>(
+    w: &Workload,
+    initial: &[(Cycles, Ev)],
+    deadlines: &[Cycles],
+    outside: &dyn Fn(usize, Cycles) -> Vec<Outside>,
+) -> Observed {
+    let mut engine = G::new(w.pes);
+    for (at, ev) in initial {
+        engine.schedule(*at, *ev);
+    }
+    let mut trace = Trace::new();
+    let mut cuts = Vec::new();
+    let phases = deadlines.iter().map(|d| Some(*d)).chain([None]);
+    for deadline in phases {
+        loop {
+            for change in outside(trace.len(), Cycles(engine.counters().1)) {
+                match change {
+                    Outside::Set(pe, until) => engine.set_busy(pe, until),
+                    Outside::Extend(pe, until) => engine.extend_busy(pe, until),
+                }
+            }
+            let Some((t, ev)) = engine.pop(deadline) else { break };
+            assert!(deadline.is_none_or(|d| t <= d), "delivered past the deadline");
+            let end = t + w.cost(ev.id);
+            engine.set_busy(ev.pe, end);
+            trace.push((t.0, ev.id, ev.pe));
+            for (at, child) in w.followups(ev, end) {
+                engine.schedule(at, child);
+            }
+        }
+        let (pops, now) = engine.counters();
+        cuts.push((trace.len(), pops, now));
+    }
+    (trace, cuts)
+}
+
+/// Runs the scenario on both engines and requires identical
+/// observations; returns them for scenario-specific checks.
+fn assert_engines_agree(
+    what: &str,
+    w: &Workload,
+    initial: &[(Cycles, Ev)],
+    deadlines: &[Cycles],
+    outside: &dyn Fn(usize, Cycles) -> Vec<Outside>,
+) -> Observed {
+    let reference = drive::<RetryLoop>(w, initial, deadlines, outside);
+    let lanes = drive::<PeSchedule<Ev>>(w, initial, deadlines, outside);
+    assert_eq!(lanes.0, reference.0, "{what}: delivery trace diverged");
+    assert_eq!(lanes.1, reference.1, "{what}: (deliveries, pops, now) per phase diverged");
+    reference
+}
+
+/// (a) Busy times moved from outside while events are parked. Extending
+/// strands parked runs at a wake time where the PE is still busy;
+/// `set_busy` may also pull a PE's free time *below* wake times already
+/// handed out, so a lane's runs are not ordered by wake time. Both
+/// happen between any two pops here.
+#[test]
+fn outside_busy_changes_match_reference() {
+    for seed in 0..16u64 {
+        let w = Workload { seed: 0x0B5E ^ (seed * 0x9E37_79B9), pes: 3 };
+        let initial = initial_burst(w.seed, w.pes, 250, 60, 2);
+        let outside = |step: usize, now: Cycles| {
+            let mut rng = DetRng::split(w.seed ^ 0x5E7, step as u64);
+            let pe = rng.below(w.pes as u64) as usize;
+            match rng.below(8) {
+                0 | 1 => vec![Outside::Extend(pe, now + rng.below(15))],
+                2 => vec![Outside::Set(pe, Cycles(now.0.saturating_sub(3)) + rng.below(12))],
+                _ => Vec::new(),
+            }
+        };
+        let (trace, cuts) =
+            assert_engines_agree(&format!("seed {seed}"), &w, &initial, &[Cycles(30)], &outside);
+        assert!(cuts[1].1 > trace.len() as u64, "seed {seed}: no deferrals happened");
+    }
+}
+
+/// (b) Every PE frees on the same cycle (a boot-style `extend_busy`
+/// before the first pop) with a deep lane each. Arrivals come in clumps
+/// per PE, so wake tokens form runs of mixed lengths that the other
+/// PEs' tokens split; fresh deliveries land on the free cycle itself,
+/// and zero-delay follow-ups keep PEs freeing on shared cycles.
+#[test]
+fn simultaneous_frees_with_split_runs_match_reference() {
+    for seed in 0..16u64 {
+        let w = Workload { seed: 0x5A3E ^ (seed * 0x9E37_79B9), pes: 4 };
+        let free_at = Cycles(100);
+        let mut rng = DetRng::seed_from(w.seed);
+        let mut initial = Vec::new();
+        let mut id = 0u64;
+        while id < 240 {
+            let pe = rng.below(w.pes as u64) as usize;
+            for _ in 0..rng.between(1, 6) {
+                initial.push((Cycles(id / 3), Ev { id, pe, gen: 2 }));
+                id += 1;
+            }
+        }
+        for pe in 0..w.pes {
+            initial.push((free_at, Ev { id: 1000 + pe as u64, pe, gen: 1 }));
+        }
+        let boot = |step: usize, _: Cycles| match step {
+            0 => (0..w.pes).map(|pe| Outside::Extend(pe, free_at)).collect(),
+            _ => Vec::new(),
+        };
+        let (trace, cuts) = assert_engines_agree(&format!("seed {seed}"), &w, &initial, &[], &boot);
+        assert_eq!(trace[0].0, free_at.0, "seed {seed}: nothing runs before the common free cycle");
+        assert!(cuts[0].1 > 2 * trace.len() as u64, "seed {seed}: lanes were not deep");
+    }
+}
+
+/// (c) A deadline at every position relative to the runs of one lane.
+/// PE 0 is held busy until 40 and, from cycle 10 on, until 70, so the
+/// arrivals before and after cycle 10 park as two runs with wake times
+/// 40 and 70 in one lane; PE 1 runs unhindered and its follow-ups
+/// consume sequence numbers in between. Sweeping the deadline over
+/// every cycle puts it before the first run, on it (the run pops busy
+/// and moves behind the second), between the two, on the second and
+/// past both; a second deadline then resumes from each of those states.
+#[test]
+fn deadline_at_every_position_of_a_two_run_lane() {
+    let w = Workload { seed: 0xD1CE, pes: 2 };
+    let mut initial = Vec::new();
+    for i in 0..6u64 {
+        initial.push((Cycles(1 + i), Ev { id: i, pe: 0, gen: 1 }));
+        initial.push((Cycles(11 + i), Ev { id: 10 + i, pe: 0, gen: 1 }));
+    }
+    for (i, at) in [0u64, 10, 20, 30, 40, 55, 70].into_iter().enumerate() {
+        initial.push((Cycles(at), Ev { id: 100 + i as u64, pe: 1, gen: 2 }));
+    }
+    // PE 1's deliveries at cycles 0 and 10 are the first two; follow-ups
+    // of the first land on PE 0 or 1 but never deliver on PE 0 before 70.
+    let outside = |_: usize, now: Cycles| {
+        if now < Cycles(10) {
+            vec![Outside::Extend(0, Cycles(40))]
+        } else {
+            vec![Outside::Extend(0, Cycles(70))]
+        }
+    };
+    let (trace, _) = assert_engines_agree("unbounded", &w, &initial, &[], &outside);
+    let first_on_pe0 = trace.iter().find(|(_, _, pe)| *pe == 0).expect("PE 0 ran");
+    assert_eq!(first_on_pe0.0, 70, "both runs must wait for the extended busy time");
+    let horizon = trace.last().expect("non-empty").0 + 2;
+    for d in 0..=horizon {
+        let what = format!("deadline {d}");
+        assert_engines_agree(&what, &w, &initial, &[Cycles(d)], &outside);
+        assert_engines_agree(&what, &w, &initial, &[Cycles(d), Cycles(d + 9)], &outside);
+    }
+}
+
+/// (d) A larger randomized case: 6 000 initial events and their
+/// follow-ups on 2 PEs, arriving faster than they are served, so the
+/// lanes grow to hundreds of events before they drain.
+#[test]
+fn large_two_pe_workload_matches_reference() {
+    let w = Workload { seed: 0xB16, pes: 2 };
+    let initial = initial_burst(w.seed, w.pes, 6_000, 15_000, 1);
+    let (trace, cuts) = assert_engines_agree("large", &w, &initial, &[], &|_, _| Vec::new());
+    assert!(trace.len() >= 6_000);
+    assert!(cuts[0].1 > 100 * trace.len() as u64, "lanes were not deep");
+}
+
+/// Complexity guard, in counts so it cannot flake: `n` events land on
+/// one PE in the same cycle and each handler takes one cycle. The retry
+/// loop pops all `k` waiting events each time one of them is served —
+/// n + (n−1) + … + 1 pops — and `processed()` must keep saying so,
+/// while the heap itself does a bounded number of operations per event.
+#[test]
+fn deep_lane_drains_in_linear_heap_operations() {
+    fn drain<G: Engine>(n: u64) -> G {
+        let mut engine = G::new(1);
+        for id in 0..n {
+            engine.schedule(Cycles(10), Ev { id, pe: 0, gen: 0 });
+        }
+        let mut served = 0;
+        while let Some((t, ev)) = engine.pop(None) {
+            assert_eq!(ev.id, served, "arrival order");
+            engine.set_busy(0, t + 1);
+            served += 1;
+        }
+        assert_eq!(served, n);
+        engine
+    }
+    let closed_form = |n: u64| (n * (n + 1) / 2, 10 + n - 1);
+    assert_eq!(drain::<RetryLoop>(300).counters(), closed_form(300));
+    assert_eq!(drain::<PeSchedule<Ev>>(300).counters(), closed_form(300));
+
+    let n = 20_000u64;
+    let sched = drain::<PeSchedule<Ev>>(n);
+    assert_eq!(sched.counters(), closed_form(n));
+    assert_eq!(sched.delivered(), n);
+    assert!(sched.heap_ops() <= 4 * n, "{} heap operations for {n} events", sched.heap_ops());
 }
