@@ -160,19 +160,6 @@ impl Replayer {
         self.trace.is_some()
     }
 
-    /// True while a blocking system call is in flight at the kernel.
-    pub fn syscall_inflight(&self) -> bool {
-        self.sys.busy()
-    }
-
-    /// True while a filesystem request is in flight at the service.
-    /// Extent requests and file closes make the service exchange or
-    /// revoke capabilities owned by this VPE's group — the inter-kernel
-    /// traffic a non-quiescent migration must hold or forward.
-    pub fn fs_inflight(&self) -> bool {
-        self.fs.busy()
-    }
-
     /// True while a `NextExtent` request is outstanding: an IO is open
     /// and blocked on the service, whose answer is a `DeriveMem` plus a
     /// capability delegation into this VPE's group. Opening a handover
@@ -483,13 +470,6 @@ impl AppClient {
     /// Re-homes the kernel connection after a group migration.
     pub fn set_kernel_pe(&mut self, kernel_pe: PeId) {
         self.replayer.set_kernel_pe(kernel_pe);
-    }
-
-    /// True while a blocking system call or filesystem request is in
-    /// flight (see [`Replayer::syscall_inflight`] /
-    /// [`Replayer::fs_inflight`]).
-    pub fn op_inflight(&self) -> bool {
-        self.replayer.syscall_inflight() || self.replayer.fs_inflight()
     }
 
     /// True while an extent request is outstanding (see

@@ -64,30 +64,10 @@ impl NginxServer {
         self.replayer.set_kernel_pe(kernel_pe);
     }
 
-    /// True while a blocking system call or filesystem request is in
-    /// flight (see [`Replayer::syscall_inflight`] /
-    /// [`Replayer::fs_inflight`]).
-    pub fn op_inflight(&self) -> bool {
-        self.replayer.syscall_inflight() || self.replayer.fs_inflight()
-    }
-
     /// True while an extent request is outstanding (see
     /// [`Replayer::awaiting_extent`]).
     pub fn awaiting_extent(&self) -> bool {
         self.replayer.awaiting_extent()
-    }
-
-    /// One-line state dump for stall diagnostics (tests/benches).
-    pub fn debug_state(&self) -> String {
-        format!(
-            "sys={} fs={} err={:?} current={:?} pending={} served={}",
-            self.replayer.syscall_inflight(),
-            self.replayer.fs_inflight(),
-            self.replayer.error(),
-            self.current.as_ref().map(|(src, req)| (src.0, req.id)),
-            self.pending.len(),
-            self.served,
-        )
     }
 
     /// Starts the server: opens its m3fs session.

@@ -12,8 +12,6 @@ use serde::{Deserialize, Serialize};
 
 /// Number of endpoints per DTU (paper §5.1).
 pub const EP_COUNT: u8 = 16;
-/// Message slots per receive endpoint (paper §5.1).
-pub const MSG_SLOTS: u32 = 32;
 /// Maximum number of kernels the system supports (paper §5.1: 8 receive
 /// endpoints for kernels × 8 kernels each... bounded at 64).
 pub const MAX_KERNELS: u16 = 64;

@@ -10,14 +10,6 @@ use semper_apps::AppKind;
 use semper_base::MachineConfig;
 use semperos::experiment::{parallel_efficiency, run_app_instances};
 
-/// Harness worker-thread count, from the `BENCH_THREADS` environment
-/// knob (`semperos::runner::env_threads`): every bench target sizes its
-/// [`semperos::Runner`] from this, so one knob parallelizes the whole
-/// harness. `1` (the default) is the serial harness.
-pub fn threads() -> usize {
-    semperos::runner::env_threads()
-}
-
 /// Prints a benchmark banner.
 pub fn banner(title: &str, paper_ref: &str) {
     println!();
@@ -48,5 +40,3 @@ pub fn dev(measured: f64, paper: f64) -> String {
     }
     format!("{:+5.1}%", 100.0 * (measured - paper) / paper)
 }
-
-pub mod report;

@@ -15,7 +15,7 @@
 //! order is *not* part of the protocol: all protocol-visible orderings
 //! come from the explicitly ordered structures — capability child lists
 //! (creation order) drive subtree walks, so [`MappingDb::local_subtree`]
-//! and [`MappingDb::delete_local_subtree`] yield the same preorder the
+//! and [`MappingDb::delete_local_subtree_into`] yield the same preorder the
 //! `BTreeMap`-backed implementation produced. The only whole-map
 //! iterations are [`MappingDb::iter`] (diagnostics; unspecified order)
 //! and [`MappingDb::check_invariants`] (sorted explicitly so failure
@@ -113,8 +113,8 @@ impl MappingDb {
     /// plus the list of remote children encountered (children whose
     /// capabilities are not in this database).
     ///
-    /// Used by the revocation protocol: local capabilities are marked and
-    /// later swept; remote children each trigger an inter-kernel call.
+    /// The read-only form of the walk [`MappingDb::delete_local_subtree_into`]
+    /// performs; the kernel's own mark walk interleaves marking with it.
     pub fn local_subtree(&self, key: DdlKey) -> (Vec<DdlKey>, Vec<DdlKey>) {
         let mut local = Vec::new();
         let mut remote = Vec::new();
@@ -135,22 +135,14 @@ impl MappingDb {
     }
 
     /// Deletes the locally owned subtree rooted at `key`, unlinking the
-    /// root from its (possibly local) parent. Returns the deleted
-    /// capabilities in deletion order.
-    pub fn delete_local_subtree(&mut self, key: DdlKey) -> Vec<Capability> {
-        let mut stack = Vec::new();
-        let mut deleted = Vec::new();
-        self.delete_local_subtree_into(key, &mut stack, &mut deleted);
-        deleted
-    }
-
-    /// [`MappingDb::delete_local_subtree`] with caller-provided buffers:
-    /// the walk stack and the deleted-capability collection are reused
-    /// across calls, so a teardown revoking thousands of subtrees stops
-    /// paying two allocations per revoke. `stack` must be empty;
-    /// `deleted` is appended to (callers batching several roots drain it
-    /// between roots or at the end). Deletion order is the same preorder
-    /// [`MappingDb::local_subtree`] yields; remote children are skipped.
+    /// root from its (possibly local) parent, and appends the deleted
+    /// capabilities to `deleted` in deletion order. The walk stack and
+    /// the collection are the caller's, reused across calls, so a
+    /// teardown revoking thousands of subtrees does not pay two
+    /// allocations per revoke. `stack` must be empty; callers batching
+    /// several roots drain `deleted` between roots or at the end.
+    /// Deletion order is the same preorder [`MappingDb::local_subtree`]
+    /// yields; remote children are skipped.
     pub fn delete_local_subtree_into(
         &mut self,
         key: DdlKey,
@@ -301,7 +293,8 @@ mod tests {
         root(&mut db, key(0));
         child(&mut db, key(1), key(0));
         child(&mut db, key(2), key(1));
-        let deleted = db.delete_local_subtree(key(1));
+        let mut deleted = Vec::new();
+        db.delete_local_subtree_into(key(1), &mut Vec::new(), &mut deleted);
         assert_eq!(deleted.len(), 2);
         assert!(db.contains(key(0)));
         assert!(!db.contains(key(1)));

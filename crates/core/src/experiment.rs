@@ -33,18 +33,6 @@ impl MicroMachine {
     /// Builds a machine with `kernels` kernels and `vpes_per_group` stub
     /// VPEs per group.
     pub fn new(kernels: u16, vpes_per_group: u16, mode: KernelMode) -> MicroMachine {
-        MicroMachine::new_with_threads(kernels, vpes_per_group, mode, 1)
-    }
-
-    /// [`MicroMachine::new`] with machine construction spread over
-    /// `threads` workers ([`Machine::build_with_threads`]); the built
-    /// machine is identical regardless of `threads`.
-    pub fn new_with_threads(
-        kernels: u16,
-        vpes_per_group: u16,
-        mode: KernelMode,
-        threads: usize,
-    ) -> MicroMachine {
         let vpes = kernels as u32 * vpes_per_group as u32;
         let mut cfg = MachineConfig::small();
         cfg.mode = mode;
@@ -52,7 +40,7 @@ impl MicroMachine {
         cfg.services = 0;
         cfg.num_pes = kernels * (1 + vpes_per_group);
         cfg.mesh_width = semper_base::config::mesh_width_for(cfg.num_pes);
-        let machine = Machine::build_with_threads(cfg, vpes, 0, Workload::Micro, threads);
+        let machine = Machine::build(cfg, vpes, 0, Workload::Micro);
         MicroMachine { machine, kernels, vpes_per_group, mode }
     }
 
@@ -244,22 +232,8 @@ impl AppRunResult {
 
 /// Runs `instances` copies of `app` on `cfg`; returns the measurements.
 pub fn run_app_instances(cfg: &MachineConfig, app: AppKind, instances: u32) -> AppRunResult {
-    run_app_instances_threads(cfg, app, instances, 1)
-}
-
-/// [`run_app_instances`] with machine construction spread over `threads`
-/// workers. The simulation itself stays single-threaded (one
-/// deterministic event loop); only the build phase parallelizes, so the
-/// measurements are identical regardless of `threads`.
-pub fn run_app_instances_threads(
-    cfg: &MachineConfig,
-    app: AppKind,
-    instances: u32,
-    threads: usize,
-) -> AppRunResult {
     let traces = (0..instances).map(|i| app.trace(i)).collect::<Vec<_>>();
-    let mut m =
-        Machine::build_with_threads(cfg.clone(), instances, 0, Workload::Apps(traces), threads);
+    let mut m = Machine::build(cfg.clone(), instances, 0, Workload::Apps(traces));
     m.boot_os();
     let base = m.start_clients();
     m.run_until_idle();

@@ -40,6 +40,6 @@ pub mod topology;
 
 pub use experiment::{AppRunResult, MicroMachine, NginxResult};
 pub use machine::{Machine, Node, Workload};
-pub use pool::{MachinePool, SharedMachinePool};
+pub use pool::MachinePool;
 pub use runner::{Job, Runner};
 pub use topology::{Role, Topology};

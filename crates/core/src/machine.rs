@@ -122,28 +122,6 @@ impl Machine {
     /// Builds a machine: `cfg` hardware/OS shape, `clients`/`servers`/
     /// `loadgens` role counts, populated per `workload`.
     pub fn build(cfg: MachineConfig, clients: u32, loadgens: u16, workload: Workload) -> Machine {
-        Machine::build_with_threads(cfg, clients, loadgens, workload, 1)
-    }
-
-    /// [`Machine::build`] with the construction phase spread over
-    /// `threads` worker threads: the per-kernel state (capability
-    /// tables, membership copy, VPE registration) is built one kernel
-    /// per job, and the filesystem image — the single most expensive
-    /// construction step — is built concurrently with the kernels.
-    ///
-    /// Construction is embarrassingly parallel per kernel: every kernel
-    /// derives only from the (read-only) topology and configuration, so
-    /// the built machine is identical to a serial build regardless of
-    /// `threads` — pinned by
-    /// `tests/determinism.rs::parallel_build_matches_serial_build`.
-    /// `threads = 1` takes the inline path and spawns nothing.
-    pub fn build_with_threads(
-        cfg: MachineConfig,
-        clients: u32,
-        loadgens: u16,
-        workload: Workload,
-        threads: usize,
-    ) -> Machine {
         let nginx_depth = match &workload {
             Workload::Nginx { depth } => Some(*depth),
             _ => None,
@@ -153,27 +131,25 @@ impl Machine {
         let topo = Topology::build(&cfg, app_clients, servers, loadgens);
         let noc = Noc::new(Mesh::new(cfg.mesh_width), cfg.cost);
 
-        // Per-kernel VPE registration lists, in VPE order — the same
-        // relative order per kernel the single sweep over `vpe_dir`
-        // produced, so a kernel built from its list is identical.
-        let mut per_kernel_vpes: Vec<Vec<(VpeId, PeId)>> = vec![Vec::new(); cfg.kernels as usize];
+        // One kernel per group, each with its disjoint 1 TiB memory
+        // partition, its VPEs registered in VPE order and the directory
+        // installed.
+        let mut kernels: BTreeMap<u16, Kernel> = (0..cfg.kernels)
+            .map(|k| {
+                let mem = GlobalMemory::new((u64::from(k) + 1) << 40, 1 << 40);
+                let mut kernel =
+                    Kernel::new(KernelId(k), cfg.clone(), topo.membership.clone(), mem);
+                kernel.set_vpe_dir(topo.vpe_dir.clone());
+                (k, kernel)
+            })
+            .collect();
         for (vpe_idx, pe) in topo.vpe_dir.iter().enumerate() {
             let k = topo.membership.kernel_of(*pe);
-            per_kernel_vpes[k.idx()].push((VpeId(vpe_idx as u16), *pe));
+            kernels
+                .get_mut(&k.0)
+                .expect("every PE belongs to a kernel")
+                .add_vpe(VpeId(vpe_idx as u16), *pe);
         }
-        // One kernel with its disjoint 1 TiB memory partition, its VPEs
-        // registered and the directory installed. Reads only `cfg` and
-        // `topo`; safe to run on any worker.
-        let build_kernel = |k: usize, vpes: Vec<(VpeId, PeId)>| -> Kernel {
-            let mem = GlobalMemory::new(((k as u64) + 1) << 40, 1 << 40);
-            let mut kernel =
-                Kernel::new(KernelId(k as u16), cfg.clone(), topo.membership.clone(), mem);
-            for (vpe, pe) in vpes {
-                kernel.add_vpe(vpe, pe);
-            }
-            kernel.set_vpe_dir(topo.vpe_dir.clone());
-            kernel
-        };
 
         // The filesystem image shared by all service instances via `Arc`
         // (each instance clones its private copy lazily on first
@@ -182,28 +158,8 @@ impl Machine {
         // image instead of one per service). Built lazily: micro-
         // benchmark machines host no services, and the image build
         // dominated their construction cost (the figure benches build
-        // machines per measurement). In a parallel build it is known
-        // up-front whether services exist, so the image builds on its
-        // own worker while the kernels build on the rest.
+        // machines per measurement).
         let mut image_parts: Option<(std::sync::Arc<FsImage>, u64)> = None;
-        let kernels: Vec<Kernel> = if threads > 1 {
-            let runner = crate::runner::Runner::new(threads);
-            std::thread::scope(|s| {
-                let image =
-                    (cfg.services > 0).then(|| s.spawn(|| build_image(app_clients.max(clients))));
-                let jobs: Vec<(usize, Vec<(VpeId, PeId)>)> =
-                    per_kernel_vpes.drain(..).enumerate().collect();
-                let kernels = runner.map(jobs, |_, (k, vpes)| build_kernel(k, vpes));
-                if let Some(handle) = image {
-                    image_parts = Some(handle.join().expect("image build worker"));
-                }
-                kernels
-            })
-        } else {
-            per_kernel_vpes.drain(..).enumerate().map(|(k, vpes)| build_kernel(k, vpes)).collect()
-        };
-        let mut kernels: BTreeMap<u16, Kernel> =
-            kernels.into_iter().map(|k| (k.id().0, k)).collect();
 
         let mut nodes: Vec<Node> = Vec::with_capacity(cfg.num_pes as usize);
         let mut trace_iter = match workload {
@@ -1004,21 +960,6 @@ impl Machine {
         v
     }
 
-    /// True while `vpe` (a server or client node) has a kernel syscall
-    /// or filesystem request in flight — the moment a non-quiescent
-    /// migration wants to start so that the operation's capability
-    /// traffic races the handover window (the rebalancing bench keys
-    /// on this; an arbitrary instant usually finds the VPE in modeled
-    /// compute with nothing outstanding).
-    pub fn vpe_op_inflight(&self, vpe: VpeId) -> bool {
-        let pe = self.topo.vpe_dir[vpe.idx()];
-        match &self.nodes[pe.idx()] {
-            Node::Server(s) => s.op_inflight(),
-            Node::Client(c) => c.op_inflight(),
-            _ => false,
-        }
-    }
-
     /// True while `vpe` has an extent request outstanding at its m3fs
     /// service: the service's answer is a capability delegation into
     /// `vpe`'s group, so a handover window opened now is guaranteed to
@@ -1030,16 +971,6 @@ impl Machine {
             Node::Server(s) => s.awaiting_extent(),
             Node::Client(c) => c.awaiting_extent(),
             _ => false,
-        }
-    }
-
-    /// One-line node state dump for stall diagnostics (tests/benches).
-    pub fn vpe_debug(&self, vpe: VpeId) -> String {
-        let pe = self.topo.vpe_dir[vpe.idx()];
-        match &self.nodes[pe.idx()] {
-            Node::Server(s) => s.debug_state(),
-            Node::Service(s) => s.debug_state(),
-            _ => "non-server".to_string(),
         }
     }
 

@@ -21,8 +21,6 @@
 //! must not be reused; [`MachinePool::put`] enforces this by dropping
 //! them instead of pooling.
 
-use std::sync::Mutex;
-
 use semper_base::KernelMode;
 
 use crate::experiment::MicroMachine;
@@ -46,23 +44,12 @@ impl MachinePool {
     /// Takes a machine of the given shape, building one only if the
     /// pool has none available.
     pub fn take(&mut self, kernels: u16, vpes_per_group: u16, mode: KernelMode) -> MicroMachine {
-        self.try_take(kernels, vpes_per_group, mode)
-            .unwrap_or_else(|| MicroMachine::new(kernels, vpes_per_group, mode))
-    }
-
-    /// Takes a pooled machine of the given shape if one is parked,
-    /// without building. This is the locking-friendly half of `take`:
-    /// [`SharedMachinePool`] holds its shard lock only across this call
-    /// and builds outside the lock, so concurrent takers of one shape
-    /// never serialize machine construction behind each other.
-    pub fn try_take(
-        &mut self,
-        kernels: u16,
-        vpes_per_group: u16,
-        mode: KernelMode,
-    ) -> Option<MicroMachine> {
         let shape = (kernels, vpes_per_group, mode);
-        self.free.iter_mut().find(|(s, _)| *s == shape).and_then(|(_, v)| v.pop())
+        self.free
+            .iter_mut()
+            .find(|(s, _)| *s == shape)
+            .and_then(|(_, v)| v.pop())
+            .unwrap_or_else(|| MicroMachine::new(kernels, vpes_per_group, mode))
     }
 
     /// Returns a quiesced machine to the pool for reuse.
@@ -104,82 +91,6 @@ impl MachinePool {
     }
 }
 
-/// A sharded, thread-safe [`MachinePool`] for the parallel harness
-/// (`crate::runner`): worker threads take and return machines
-/// concurrently, with one mutex per shard so same-shape traffic
-/// contends only on its own shard.
-///
-/// # Determinism
-///
-/// Which worker gets which *instance* of a shape is
-/// scheduling-dependent; the measured cycles are not. A measurement on
-/// any quiesced machine of a shape yields the same simulated cycles as
-/// on a fresh one — the reuse contract of [`MachinePool`], pinned by
-/// `pooled_reuse_is_cycle_identical` in `tests/determinism.rs` and
-/// re-checked across workers by
-/// `parallel_runner_matches_serial`. Shards therefore never leak into
-/// results: they only decide how often a machine is rebuilt.
-pub struct SharedMachinePool {
-    shards: Vec<Mutex<MachinePool>>,
-}
-
-impl SharedMachinePool {
-    /// A pool with `shards` shards (clamped to at least 1). Size it to
-    /// the runner's worker count: with one shard per worker, same-shape
-    /// takers rarely contend.
-    pub fn new(shards: usize) -> SharedMachinePool {
-        SharedMachinePool {
-            shards: (0..shards.max(1)).map(|_| Mutex::new(MachinePool::new())).collect(),
-        }
-    }
-
-    /// The shard responsible for a shape. Keyed by shape — not by
-    /// worker — so a machine parked by one worker is found by every
-    /// other worker asking for that shape.
-    fn shard(&self, shape: Shape) -> &Mutex<MachinePool> {
-        let (kernels, vpes, mode) = shape;
-        let h = kernels as usize * 31 + vpes as usize * 7 + mode as usize;
-        &self.shards[h % self.shards.len()]
-    }
-
-    /// Takes a machine of the given shape, building one (outside the
-    /// shard lock) only if the shard has none parked.
-    pub fn take(&self, kernels: u16, vpes_per_group: u16, mode: KernelMode) -> MicroMachine {
-        let pooled = self.shard((kernels, vpes_per_group, mode)).lock().unwrap().try_take(
-            kernels,
-            vpes_per_group,
-            mode,
-        );
-        pooled.unwrap_or_else(|| MicroMachine::new(kernels, vpes_per_group, mode))
-    }
-
-    /// Returns a quiesced machine to its shape's shard (same rules as
-    /// [`MachinePool::put`]: feature-mutated machines are dropped).
-    pub fn put(&self, m: MicroMachine) {
-        self.shard(m.shape()).lock().unwrap().put(m);
-    }
-
-    /// Runs one measurement on a pooled machine of the given shape and
-    /// returns the machine to the pool afterwards.
-    pub fn with<R>(
-        &self,
-        kernels: u16,
-        vpes_per_group: u16,
-        mode: KernelMode,
-        f: impl FnOnce(&mut MicroMachine) -> R,
-    ) -> R {
-        let mut m = self.take(kernels, vpes_per_group, mode);
-        let r = f(&mut m);
-        self.put(m);
-        r
-    }
-
-    /// Number of machines currently parked across all shards.
-    pub fn idle(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().idle()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,33 +129,6 @@ mod tests {
         let mut pool = MachinePool::new();
         let cycles = pool.with(1, 2, KernelMode::M3, |m| m.measure_exchange_local());
         assert!(cycles > 0);
-        assert_eq!(pool.idle(), 1);
-    }
-
-    #[test]
-    fn shared_pool_parks_and_reuses_across_threads() {
-        let pool = SharedMachinePool::new(4);
-        pool.put(MicroMachine::new(1, 2, KernelMode::M3));
-        pool.put(MicroMachine::new(1, 2, KernelMode::M3));
-        assert_eq!(pool.idle(), 2);
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|| {
-                    let cycles = pool.with(1, 2, KernelMode::M3, |m| m.measure_exchange_local());
-                    assert!(cycles > 0);
-                });
-            }
-        });
-        // Both workers drew parked machines and returned them.
-        assert_eq!(pool.idle(), 2, "pooled machines must come back after parallel use");
-    }
-
-    #[test]
-    fn shared_pool_builds_when_empty() {
-        let pool = SharedMachinePool::new(2);
-        let m = pool.take(1, 2, KernelMode::M3);
-        assert_eq!(pool.idle(), 0);
-        pool.put(m);
         assert_eq!(pool.idle(), 1);
     }
 }

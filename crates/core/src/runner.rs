@@ -2,13 +2,13 @@
 //!
 //! The simulator is single-threaded by design — one [`Machine`] is one
 //! deterministic event loop — but the *harness* around it runs many
-//! independent machines: the `scale_capops` scenarios, the figure
-//! benches' measurement sweeps, and the property suites' 48-case loops
-//! each build their own machine and never share state. [`Runner`]
-//! executes such independent jobs on `std::thread::scope` worker
-//! threads and merges the results back into **submission order**, so
-//! every report row, table line, and JSON byte that derives from the
-//! results is identical to a serial run — only wall-clock drops.
+//! independent machines: the `tests/scale_pins.rs` scenarios, the
+//! fault matrix and the property suites' 48-case loops each build their
+//! own machine and never share state. [`Runner`] executes such
+//! independent jobs on `std::thread::scope` worker threads and merges
+//! the results back into **submission order**, so every row and golden
+//! line that derives from the results is identical to a serial run —
+//! only wall-clock drops. Callers name their worker count.
 //!
 //! # Determinism contract
 //!
@@ -42,22 +42,11 @@ use std::sync::Mutex;
 
 use crate::experiment::MicroMachine;
 use crate::machine::Machine;
-use crate::pool::{MachinePool, SharedMachinePool};
+use crate::pool::MachinePool;
 
 /// A boxed heterogeneous job for [`Runner::run`]: the scenario closures
-/// of a bench driver, each returning one result row.
+/// of a test driver, each returning one result row.
 pub type Job<'a, R> = Box<dyn FnOnce() -> R + Send + 'a>;
-
-/// Worker-thread count of the harness, from the `BENCH_THREADS`
-/// environment knob. Absent, empty, unparsable, or `0` all mean `1`
-/// (the serial harness — exactly the pre-runner behaviour).
-pub fn env_threads() -> usize {
-    std::env::var("BENCH_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
 
 /// Executes independent jobs on scoped worker threads and merges the
 /// results into submission order.
@@ -72,12 +61,6 @@ impl Runner {
     /// spawned — the serial path is literally the serial loop).
     pub fn new(threads: usize) -> Runner {
         Runner { threads: threads.max(1) }
-    }
-
-    /// A runner sized by the `BENCH_THREADS` environment knob
-    /// ([`env_threads`]).
-    pub fn from_env() -> Runner {
-        Runner::new(env_threads())
     }
 
     /// The worker count.
@@ -156,35 +139,6 @@ impl Runner {
     pub fn run<'a, R: Send>(&self, jobs: Vec<Job<'a, R>>) -> Vec<R> {
         self.map(jobs, |_, job| job())
     }
-
-    /// Takes machines of one shape from a [`SharedMachinePool`], runs
-    /// `f` over every item with a pooled machine, and returns the
-    /// machines afterwards — the pooled counterpart of [`Runner::map`].
-    /// Reuse is cycle-identical per shape (the `MachinePool` contract),
-    /// so results do not depend on which worker got which machine.
-    #[allow(clippy::too_many_arguments)]
-    pub fn map_pooled<T, R, F>(
-        &self,
-        pool: &SharedMachinePool,
-        kernels: u16,
-        vpes_per_group: u16,
-        mode: semper_base::KernelMode,
-        items: Vec<T>,
-        f: F,
-    ) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T, &mut MicroMachine) -> R + Sync,
-    {
-        self.map(items, |i, item| pool.with(kernels, vpes_per_group, mode, |m| f(i, item, m)))
-    }
-}
-
-impl Default for Runner {
-    fn default() -> Runner {
-        Runner::from_env()
-    }
 }
 
 // ----- the Send audit, as a build failure ----------------------------------
@@ -195,20 +149,12 @@ impl Default for Runner {
 // mutability. These compile-time assertions lock that in: introducing
 // an `Rc` anywhere under these types fails `cargo build` right here
 // with the offending type in the error, instead of surfacing later as
-// a trait-bound error inside the runner (or not at all while the
-// parallel paths are feature-gated off).
+// a trait-bound error inside the runner.
 const fn assert_send<T: Send>() {}
-const fn assert_sync<T: Sync>() {}
 const _: () = {
     assert_send::<Machine>();
     assert_send::<MicroMachine>();
     assert_send::<MachinePool>();
-    assert_send::<SharedMachinePool>();
-    // Shared read-only inputs of parallel machine construction.
-    assert_sync::<SharedMachinePool>();
-    assert_sync::<crate::topology::Topology>();
-    assert_sync::<semper_base::MachineConfig>();
-    assert_sync::<semper_m3fs::FsImage>();
 };
 
 #[cfg(test)]

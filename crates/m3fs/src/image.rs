@@ -226,16 +226,6 @@ impl FsImage {
         }
         Ok(names)
     }
-
-    /// Number of inodes (including the root).
-    pub fn inode_count(&self) -> usize {
-        self.inodes.len()
-    }
-
-    /// Bytes of extent storage allocated so far.
-    pub fn bytes_allocated(&self) -> u64 {
-        self.next_extent
-    }
 }
 
 fn normalize(path: &str) -> String {

@@ -181,20 +181,6 @@ impl FsService {
         self.boot == BootState::Ready
     }
 
-    /// One-line state dump for stall diagnostics (tests/benches).
-    pub fn debug_state(&self) -> String {
-        format!(
-            "ready={} conn_busy={} current={} queued={} sessions={} extents={} revokes={}",
-            self.ready(),
-            self.conn.busy(),
-            self.current.is_some(),
-            self.queue.len(),
-            self.sessions.len(),
-            self.stats.extents_served,
-            self.stats.revokes,
-        )
-    }
-
     /// Starts the boot sequence: register the service, then allocate the
     /// image region.
     pub fn boot(&mut self, out: &mut Outbox) -> u64 {
@@ -527,8 +513,11 @@ impl FsService {
                         Some(e) => Err(e),
                     };
                     self.reply_fs(out, client_pe, tag, outcome);
+                } else if let Err(e) = &reply.result {
+                    // Sequential close, same rule: the first failed
+                    // revoke ends the close and is the client's answer.
+                    self.reply_fs(out, client_pe, tag, Err(*e));
                 } else {
-                    debug_assert!(reply.result.is_ok(), "revoke failed: {:?}", reply.result);
                     self.stats.revokes += 1;
                     remaining.remove(0);
                     if remaining.is_empty() {

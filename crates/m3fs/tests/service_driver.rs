@@ -5,7 +5,7 @@
 use semper_base::msg::{
     FsOp, FsReply, FsReplyData, FsReq, Outbox, Payload, SysReplyData, Syscall, Upcall,
 };
-use semper_base::{CapSel, Code, CostModel, Msg, OpId, PeId, VpeId};
+use semper_base::{CapSel, Code, CostModel, Error, Msg, OpId, PeId, VpeId};
 use semper_m3fs::{FsImage, FsService, FsSpec};
 
 const SVC_PE: PeId = PeId(3);
@@ -156,6 +156,36 @@ fn close_revokes_each_delegated_extent() {
     assert!(matches!(expect_fs_reply(&mut out, 12), Ok(FsReplyData::Ok)));
     assert_eq!(s.stats().revokes, 1);
     assert_eq!(s.stats().closes, 1);
+}
+
+/// A failed close-time revoke must reach the client in every build
+/// profile: the service stops revoking and answers the close with the
+/// kernel's error instead of counting the extent as revoked.
+#[test]
+fn close_reports_a_failed_revoke_to_the_client() {
+    let mut s = booted_service();
+    let mut out =
+        fs_req(&mut s, 10, FsOp::Open { path: "/f.dat".into(), write: false, create: false });
+    let _ = expect_fs_reply(&mut out, 10);
+    // Serve the same extent twice: two delegated capabilities to revoke.
+    for (req_tag, derived) in [(11, CapSel(8)), (12, CapSel(9))] {
+        let mut out = fs_req(&mut s, req_tag, FsOp::NextExtent { fid: 1, offset: 0, write: false });
+        let (tag, _) = expect_syscall(&mut out);
+        let mut out = sys_reply(&mut s, tag, Ok(SysReplyData::Sel(derived)));
+        let (tag, _) = expect_syscall(&mut out);
+        let mut out = sys_reply(&mut s, tag, Ok(SysReplyData::Delegated { recv_sel: CapSel(4) }));
+        let _ = expect_fs_reply(&mut out, req_tag);
+    }
+
+    let mut out = fs_req(&mut s, 13, FsOp::Close { fid: 1 });
+    let (tag, call) = expect_syscall(&mut out);
+    assert!(matches!(call, Syscall::Revoke { sel: CapSel(8), .. }), "{call:?}");
+    let mut out = sys_reply(&mut s, tag, Ok(SysReplyData::None));
+    let (tag, call) = expect_syscall(&mut out);
+    assert!(matches!(call, Syscall::Revoke { sel: CapSel(9), .. }), "{call:?}");
+    let mut out = sys_reply(&mut s, tag, Err(Error::new(Code::NoSuchCap)));
+    assert_eq!(expect_fs_reply(&mut out, 13).unwrap_err().code(), Code::NoSuchCap);
+    assert_eq!(s.stats().revokes, 1, "only the revoke that succeeded counts");
 }
 
 #[test]

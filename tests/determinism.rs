@@ -13,8 +13,8 @@
 use semper_apps::AppKind;
 use semper_base::{KernelId, KernelMode, MachineConfig};
 use semper_kernel::KernelStats;
-use semperos::experiment::{run_app_instances, run_app_instances_threads, MicroMachine};
-use semperos::{Job, Runner, SharedMachinePool};
+use semperos::experiment::{run_app_instances, MicroMachine};
+use semperos::{Job, Runner};
 
 /// A full application run, reduced to its observable outputs.
 #[derive(Debug, PartialEq, Eq)]
@@ -375,7 +375,7 @@ fn det_row(name: &'static str, mut m: MicroMachine, cycles: u64) -> DetRow {
 
 /// The scenario job list of the parallel-runner golden: a mix of
 /// shapes and protocols, each job building and consuming its own
-/// machine — the `scale_capops` pattern in miniature.
+/// machine — the `tests/scale_pins.rs` pattern in miniature.
 fn runner_jobs() -> Vec<Job<'static, DetRow>> {
     vec![
         Box::new(|| {
@@ -414,8 +414,7 @@ fn runner_jobs() -> Vec<Job<'static, DetRow>> {
 /// The parallel runner's determinism golden (ISSUE 8): the same job
 /// list at 1, 2 and 4 workers must produce byte-identical rows — same
 /// simulated cycles, event counts, kernel statistics, and full kernel
-/// state digests, in the same (submission) order — and pooled-machine
-/// reuse across workers must not perturb measured cycles.
+/// state digests, in the same (submission) order.
 #[test]
 fn parallel_runner_matches_serial() {
     let render = |rows: &[DetRow]| -> String {
@@ -449,48 +448,6 @@ fn parallel_runner_matches_serial() {
             render(&parallel),
             "{threads}-worker rendering diverged from serial"
         );
-    }
-
-    // Pooled reuse across workers: machines parked by one worker and
-    // reused by another must measure the same cycles as a fresh build
-    // (the MachinePool contract, now exercised through the shared pool
-    // under real thread interleaving).
-    let fresh = MicroMachine::new(2, 2, KernelMode::SemperOS).measure_chain_revoke(24, true);
-    let pool = SharedMachinePool::new(4);
-    pool.put(MicroMachine::new(2, 2, KernelMode::SemperOS));
-    pool.put(MicroMachine::new(2, 2, KernelMode::SemperOS));
-    let pooled = Runner::new(4).map_pooled(
-        &pool,
-        2,
-        2,
-        KernelMode::SemperOS,
-        (0..6).collect::<Vec<u32>>(),
-        |_, _, m| m.measure_chain_revoke(24, true),
-    );
-    assert_eq!(pooled, vec![fresh; 6], "pooled reuse across workers drifted from fresh");
-    assert!(pool.idle() >= 2, "the seeded machines must come back to the pool");
-}
-
-/// A machine built with the parallel build phase must be
-/// indistinguishable from a serially built one: the same application
-/// run on both yields bit-identical per-client finish times and kernel
-/// statistics.
-#[test]
-fn parallel_build_matches_serial_build() {
-    let mut cfg = MachineConfig::small();
-    cfg.num_pes = 16;
-    cfg.kernels = 2;
-    cfg.services = 2;
-    let serial = app_run(&cfg, AppKind::Find, 4);
-    for threads in [2, 4] {
-        let res = run_app_instances_threads(&cfg, AppKind::Find, 4, threads);
-        let parallel = RunFingerprint {
-            durations: res.durations.clone(),
-            makespan: res.makespan,
-            cap_ops: res.cap_ops,
-            kernel_stats: res.kernel_stats,
-        };
-        assert_eq!(serial, parallel, "{threads}-thread build produced a different machine");
     }
 }
 

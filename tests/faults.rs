@@ -1,8 +1,9 @@
 //! Asserted fault-injection suite (PR 9).
 //!
-//! The five failure scenarios that `examples/failure_injection.rs`
-//! demonstrates print-only are pinned here as hard assertions, and the
-//! deterministic fault engine (`semper_sim::faults` +
+//! Five failure scenarios — VPEs dying at the worst moments of an
+//! exchange, a revoke or a migration (the interference cases of
+//! Table 2) — are pinned as hard assertions, and the deterministic
+//! fault engine (`semper_sim::faults` +
 //! `Kernel::enable_fault_injection`) gets its own scripted scenarios: a kernel
 //! crash between the mark and delete phases of a parallel sweep, a
 //! one-way network partition across a live group migration, and a
@@ -11,10 +12,9 @@
 //! surviving kernels reach true quiescence ([`TestCluster::
 //! assert_quiescent`]), and the structural invariants hold.
 //!
-//! The legacy scenarios build independent clusters, so they run on the
-//! parallel harness (`semperos::Runner`, sized by `BENCH_THREADS`);
-//! their results come back in submission order regardless of the
-//! worker count.
+//! The five scenarios and the fault matrix build independent clusters,
+//! so they run on the parallel harness (`semperos::Runner`); results
+//! come back in submission order regardless of the worker count.
 
 use semper_base::config::Feature;
 use semper_base::msg::{ExchangeKind, Perms, SysReply, SysReplyData, Syscall};
@@ -67,7 +67,7 @@ fn assert_no_pending(c: &TestCluster) {
     }
 }
 
-// ----- the five legacy scenarios, assert-ified -------------------------
+// ----- the five failure scenarios --------------------------------------
 
 /// Scenario 1: the obtainer dies while its obtain is in flight. The
 /// owner's kernel must clean the orphaned child link, leaving only the
@@ -196,8 +196,7 @@ fn kill_races_live_migration() -> &'static str {
     "kill_races_live_migration"
 }
 
-/// The five legacy scenarios from `examples/failure_injection.rs`,
-/// asserted and run on the parallel harness.
+/// The five failure scenarios, run on the parallel harness.
 #[test]
 fn legacy_failure_scenarios_hold() {
     let jobs: Vec<Job<'static, &'static str>> = vec![
@@ -207,7 +206,7 @@ fn legacy_failure_scenarios_hold() {
         Box::new(workload_death_mid_parallel_sweep),
         Box::new(kill_races_live_migration),
     ];
-    let ran = Runner::from_env().run(jobs);
+    let ran = Runner::new(4).run(jobs);
     assert_eq!(
         ran,
         vec![
@@ -219,6 +218,122 @@ fn legacy_failure_scenarios_hold() {
         ],
         "scenario results must come back in submission order"
     );
+}
+
+// ----- the fixed-seed fault matrix -------------------------------------
+
+/// One matrix cell: a fixed workload under `plan`. Three groups of two
+/// VPEs; every VPE creates a root, delegates it to the next group
+/// (spanning), and then every root is revoked — all issued
+/// asynchronously with partial pumping so the windows overlap the
+/// injected faults. The run must terminate quiescent; the returned
+/// block is its complete observable state: the NoC fault counters, each
+/// surviving kernel's recovery stats, and its full state digest.
+fn run_plan(name: &'static str, plan: FaultPlan, sweep: bool) -> String {
+    let mut c = TestCluster::new(3, 2);
+    if sweep {
+        for k in &mut c.kernels {
+            k.enable_feature_for_test(Feature::ParallelSweep);
+        }
+    }
+    c.set_fault_plan(plan, 256);
+
+    let roots: Vec<(VpeId, CapSel)> =
+        (0..6u16).map(|v| (VpeId(v), create_mem(&mut c, VpeId(v)))).collect();
+    for (i, &(vpe, sel)) in roots.iter().enumerate() {
+        let to = VpeId(((vpe.0 / 2 + 1) % 3) * 2);
+        c.syscall_async(
+            vpe,
+            Syscall::Exchange {
+                other: to,
+                own_sel: sel,
+                other_sel: CapSel::INVALID,
+                kind: ExchangeKind::Delegate,
+            },
+        );
+        c.pump_n(1 + i);
+    }
+    for &(vpe, sel) in &roots {
+        c.syscall_async(vpe, Syscall::Revoke { sel, own: true });
+    }
+    c.pump_all();
+    c.check_invariants();
+    c.assert_quiescent();
+
+    let fs = c.fault_stats().expect("plan installed");
+    let mut out = format!(
+        "plan {name}:\n  net: injected {} dropped {} duplicated {} delayed {} \
+         partitioned {} healed {}\n",
+        fs.injected, fs.dropped, fs.duplicated, fs.delayed, fs.partitioned, fs.partitions_healed
+    );
+    for k in &c.kernels {
+        if !c.kernel_alive(k.id()) {
+            out.push_str(&format!("  kernel {}: crashed\n", k.id()));
+            continue;
+        }
+        let s = k.stats();
+        out.push_str(&format!(
+            "  kernel {}: retries {} aborted {} anomalies {} caps {}\n",
+            k.id(),
+            s.retries,
+            s.ops_aborted,
+            s.fault_anomalies,
+            k.mapdb().len()
+        ));
+        for line in k.state_digest() {
+            out.push_str("    ");
+            out.push_str(&line);
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// Three scripted plans — a drop-heavy lossy network, a
+/// duplicate/delay storm, and a one-way partition combined with a
+/// scripted kernel crash point under the parallel sweep — over one fixed
+/// workload.
+fn fault_matrix() -> Vec<Job<'static, String>> {
+    vec![
+        Box::new(|| {
+            run_plan(
+                "drop-heavy",
+                FaultPlan::seeded(0xFA17_0001).with_drop(90).with_delay(40, 8),
+                false,
+            )
+        }),
+        Box::new(|| {
+            run_plan(
+                "dup-delay-storm",
+                FaultPlan::seeded(0xFA17_0002).with_duplicate(70).with_delay(110, 14),
+                false,
+            )
+        }),
+        Box::new(|| {
+            run_plan(
+                "partition-and-crash",
+                FaultPlan::seeded(0xFA17_0003)
+                    .with_drop(25)
+                    .with_partition(PartitionWindow { from: 0, to: 1, start: 8, end: 160 })
+                    .with_crash(CrashPoint { kernel: 2, phase: "sweep-part", after_nth: 1 }),
+                true,
+            )
+        }),
+    ]
+}
+
+/// The fault engine's determinism contract: plan + seed ⇒ bit-identical
+/// run. Two serial runs and a four-worker run of the matrix must return
+/// byte-identical blocks, and every plan must actually have fired.
+#[test]
+fn fault_matrix_is_byte_identical_across_runs_and_workers() {
+    let first = Runner::new(1).run(fault_matrix());
+    assert_eq!(first.len(), 3);
+    for block in &first {
+        assert!(!block.contains("injected 0 "), "a plan never fired:\n{block}");
+    }
+    assert_eq!(first, Runner::new(1).run(fault_matrix()), "second serial run diverged");
+    assert_eq!(first, Runner::new(4).run(fault_matrix()), "four-worker run diverged");
 }
 
 // ----- scripted fault-engine scenarios ---------------------------------
