@@ -36,8 +36,11 @@ pub enum KernelMode {
 /// Optional protocol features (for ablation experiments): each one
 /// changes which messages a kernel sends. Mechanisms that are inert
 /// until used are not features — fault tolerance arms with the harness's
-/// `FaultPlan` (`Kernel::enable_fault_injection`), and promise IPC is
-/// served whenever a `Syscall::SubmitAsync` arrives.
+/// `FaultPlan` (`Kernel::enable_fault_injection`), promise IPC is served
+/// whenever a `Syscall::SubmitAsync` arrives, and a `Syscall::Batch`
+/// coalesces its revoke runs per destination kernel for any client that
+/// builds one. Revocation has two drivers, both the paper's: Algorithm 1
+/// (the default) and its §5.2 batching ([`Feature::RevokeBatching`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Feature {
     /// Batch revoke requests to the same remote kernel into one message
@@ -51,16 +54,8 @@ pub enum Feature {
     /// `Syscall::Batch` where the workload allows it (m3fs batches the
     /// close-time revokes of a file's delegated extents into one
     /// message). Off by default so the sequential scenarios stay
-    /// bit-identical; the `*_batched` bench scenarios enable it.
+    /// bit-identical; the `file_workload_batched` scale pin enables it.
     SyscallBatching,
-    /// Partitioned parallel revocation sweeps: a revoke whose subtree
-    /// spans several kernels (or exceeds a fan-out threshold) is driven
-    /// as a two-phase mark → delete protocol with one grouped request
-    /// per owning kernel, so the partitions are swept concurrently in
-    /// sim time (the GC-style parallel sweep of ROADMAP item 2). Off by
-    /// default so every pre-existing scenario and golden stays
-    /// bit-identical; the `*_parallel` bench scenarios enable it.
-    ParallelSweep,
 }
 
 /// Full description of a simulated machine and its OS deployment.

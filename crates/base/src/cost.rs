@@ -70,14 +70,6 @@ pub struct CostModel {
     /// Completing a revoke operation (waking the syscall thread,
     /// accounting).
     pub revoke_finish: u64,
-    /// Marshalling or decoding one subtree-root key of a partitioned
-    /// sweep request (`SweepMarkReq`); the per-key share of batching a
-    /// whole partition into one message.
-    pub sweep_key: u64,
-    /// Coordinator bookkeeping per frontier-expansion round of a
-    /// partitioned sweep (regrouping reported remote children by owning
-    /// kernel).
-    pub sweep_round: u64,
     /// Marshalling/validating a capability descriptor for an
     /// inter-kernel exchange (paid once at each kernel of a
     /// group-spanning exchange).
@@ -126,8 +118,6 @@ impl CostModel {
             revoke_mark: 65,
             revoke_delete: 160,
             revoke_finish: 30,
-            sweep_key: 12,
-            sweep_round: 90,
             xfer_desc: 455,
 
             upcall_work: 1570,

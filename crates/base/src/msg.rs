@@ -412,38 +412,6 @@ pub enum Kcall {
         /// DDL keys of the subtree roots to revoke.
         cap_keys: Vec<DdlKey>,
     },
-    /// Mark phase of a partitioned parallel sweep
-    /// ([`crate::config::Feature::ParallelSweep`]): mark the subtrees
-    /// rooted at `cap_keys` (all owned by the receiving kernel) as
-    /// revoking, and report the remote children encountered — the next
-    /// frontier — back to the coordinating kernel. One message per
-    /// owning kernel covers a whole partition; a later frontier round
-    /// may extend an existing partition.
-    SweepMarkReq {
-        /// The coordinator's correlation id (identifies the sweep).
-        op: OpId,
-        /// Partition subtree roots owned by the receiving kernel.
-        cap_keys: Vec<DdlKey>,
-    },
-    /// Delete phase of a partitioned parallel sweep: every capability
-    /// the receiving kernel marked for sweep `op` is deleted, in one
-    /// batched handler dispatch. Answered with [`KReply::SweepDelete`]
-    /// only once the partition is gone *and* all of its dependencies on
-    /// concurrent revocations have drained.
-    SweepDeleteReq {
-        /// The coordinator's correlation id.
-        op: OpId,
-    },
-    /// Completion notice of a partitioned parallel sweep: every
-    /// partition of sweep `op` reported deletion, so the whole subtree
-    /// is gone. Participants fire their deferred waiters (operations
-    /// that depended on capabilities this sweep marked) only now —
-    /// a dependency never resolves while any part of the subtree
-    /// survives elsewhere. Fire-and-forget: no reply.
-    SweepDoneNotice {
-        /// The coordinator's correlation id.
-        op: OpId,
-    },
     /// Open a session: attach `child_key` (a session capability created by
     /// the sender's kernel) as a child of service `service`'s capability.
     OpenSessReq {
@@ -594,27 +562,6 @@ pub enum KReply {
         /// Outcome.
         result: Result<()>,
     },
-    /// Reply to [`Kcall::SweepMarkReq`]: the partition (or partition
-    /// extension) is marked; `frontier` lists the remote children
-    /// encountered — the coordinator groups them by owning kernel for
-    /// the next mark round.
-    SweepMark {
-        /// Correlation id echoed from the request.
-        op: OpId,
-        /// Capabilities marked by this request (statistics only).
-        marked: u64,
-        /// Remote children encountered during the mark walk.
-        frontier: Vec<DdlKey>,
-    },
-    /// Reply to [`Kcall::SweepDeleteReq`] — sent only when the
-    /// partition is completely deleted and its dependencies on
-    /// concurrent revocations have drained.
-    SweepDelete {
-        /// Correlation id echoed from the request.
-        op: OpId,
-        /// Number of capabilities deleted in the partition.
-        deleted: u64,
-    },
     /// Reply to [`Kcall::OpenSessReq`].
     OpenSess {
         /// Correlation id echoed from the request.
@@ -666,8 +613,6 @@ impl KReply {
             | KReply::DelegateDone { op, .. }
             | KReply::Revoke { op, .. }
             | KReply::RevokeBatch { op, .. }
-            | KReply::SweepMark { op, .. }
-            | KReply::SweepDelete { op, .. }
             | KReply::OpenSess { op, .. }
             | KReply::Migrate { op, .. }
             | KReply::MembershipAck { op }
@@ -951,8 +896,6 @@ impl Payload {
                 KReply::DelegateDone { .. } => 16,
                 KReply::Revoke { .. } => 32,
                 KReply::RevokeBatch { cap_keys, .. } => 24 + 8 * cap_keys.len() as u32,
-                KReply::SweepMark { frontier, .. } => 24 + 8 * frontier.len() as u32,
-                KReply::SweepDelete { .. } => 24,
                 KReply::OpenSess { .. } => 24,
                 KReply::Migrate { .. } => 24,
                 KReply::MembershipAck { .. } => 8,
@@ -985,7 +928,7 @@ impl Payload {
 }
 
 /// Architectural payload bytes of one inter-kernel call (excluding the
-/// DTU header). Batched revokes and sweep marks count 8 bytes per key;
+/// DTU header). Batched revokes count 8 bytes per key;
 /// a forwarded request pays an 8-byte relay header (original caller id)
 /// plus the inner call's payload.
 fn kcall_size(call: &Kcall) -> u32 {
@@ -997,9 +940,6 @@ fn kcall_size(call: &Kcall) -> u32 {
         Kcall::DelegateAck { .. } => 16,
         Kcall::RevokeReq { .. } => 24,
         Kcall::RevokeBatchReq { cap_keys, .. } => 16 + 8 * cap_keys.len() as u32,
-        Kcall::SweepMarkReq { cap_keys, .. } => 16 + 8 * cap_keys.len() as u32,
-        Kcall::SweepDeleteReq { .. } => 16,
-        Kcall::SweepDoneNotice { .. } => 16,
         Kcall::OpenSessReq { .. } => 32,
         // Per record: key + kind + selector + parent (32 bytes)
         // plus one key per child reference.

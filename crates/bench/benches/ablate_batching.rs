@@ -12,40 +12,22 @@ use semper_base::KernelMode;
 use semper_bench::banner;
 use semper_sim::Cycles;
 use semperos::experiment::MicroMachine;
-use semperos::pool::MachinePool;
-
-/// The two reusable machines of this ablation. Feature toggles poison a
-/// machine for shape-keyed pooling, so the batched variant lives
-/// outside the pool as its own long-lived machine — all batched
-/// measurements share it, all plain measurements share the pooled one.
-struct Machines {
-    pool: MachinePool,
-    batched: Option<MicroMachine>,
-}
-
-fn tree_revoke(m: &mut Machines, children: u32, kernels: u16, batching: bool) -> u64 {
-    if batching {
-        let bm = m.batched.get_or_insert_with(|| {
-            let mut bm = MicroMachine::new(13, 12, KernelMode::SemperOS);
-            bm.machine().enable_feature_everywhere(Feature::RevokeBatching);
-            bm
-        });
-        return bm.measure_tree_revoke(children, kernels);
-    }
-    m.pool.with(13, 12, KernelMode::SemperOS, |pm| pm.measure_tree_revoke(children, kernels))
-}
 
 fn main() {
     banner("Ablation: revoke message batching", "§5.2 (proposed optimisation)");
-    let mut machines = Machines { pool: MachinePool::new(), batched: None };
+    // The two machines of this ablation: all plain measurements share
+    // one, all batched measurements the other.
+    let mut plain_m = MicroMachine::new(13, 12, KernelMode::SemperOS);
+    let mut batched_m = MicroMachine::new(13, 12, KernelMode::SemperOS);
+    batched_m.machine().enable_feature_everywhere(Feature::RevokeBatching);
     println!(
         "{:<10} {:<9} {:>16} {:>16} {:>9}",
         "children", "kernels", "unbatched (µs)", "batched (µs)", "speedup"
     );
     for children in [16u32, 32, 64, 96, 128] {
         for kernels in [4u16, 12] {
-            let plain = tree_revoke(&mut machines, children, kernels, false);
-            let batched = tree_revoke(&mut machines, children, kernels, true);
+            let plain = plain_m.measure_tree_revoke(children, kernels);
+            let batched = batched_m.measure_tree_revoke(children, kernels);
             println!(
                 "{:<10} {:<9} {:>16.2} {:>16.2} {:>8.2}x",
                 children,

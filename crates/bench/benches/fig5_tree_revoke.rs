@@ -11,12 +11,13 @@
 use semper_base::KernelMode;
 use semper_bench::banner;
 use semper_sim::Cycles;
-use semperos::pool::MachinePool;
+use semperos::experiment::MicroMachine;
 
 fn main() {
     banner("Figure 5: parallel revocation of capability trees", "Figure 5");
-    // All measurements share one pooled 13-group machine.
-    let mut pool = MachinePool::new();
+    // All measurements share one 13-group machine; group 0 hosts the
+    // root VPE.
+    let mut m = MicroMachine::new(13, 12, KernelMode::SemperOS);
     let kernel_counts: [u16; 5] = [0, 1, 4, 8, 12];
     print!("{:<10}", "children");
     for k in kernel_counts {
@@ -26,17 +27,15 @@ fn main() {
     for children in [1u32, 16, 32, 48, 64, 80, 96, 112, 128] {
         print!("{children:<10}");
         for k in kernel_counts {
-            // A machine with 13 groups; group 0 hosts the root VPE.
-            let cycles =
-                pool.with(13, 12, KernelMode::SemperOS, |m| m.measure_tree_revoke(children, k));
+            let cycles = m.measure_tree_revoke(children, k);
             print!(" {:>14.2}", Cycles(cycles).as_micros());
         }
         println!();
     }
     println!();
     // Break-even check at 128 children: local vs 12 kernels.
-    let local = pool.with(13, 12, KernelMode::SemperOS, |m| m.measure_tree_revoke(128, 0));
-    let par12 = pool.with(13, 12, KernelMode::SemperOS, |m| m.measure_tree_revoke(128, 12));
+    let local = m.measure_tree_revoke(128, 0);
+    let par12 = m.measure_tree_revoke(128, 12);
     println!(
         "128 children: local {:.2}µs vs 12 kernels {:.2}µs — parallel revocation {}",
         Cycles(local).as_micros(),

@@ -14,9 +14,9 @@
 //! and delete on the revocation hot path is O(1). The map's iteration
 //! order is *not* part of the protocol: all protocol-visible orderings
 //! come from the explicitly ordered structures — capability child lists
-//! (creation order) drive subtree walks, so [`MappingDb::local_subtree`]
-//! and [`MappingDb::delete_local_subtree_into`] yield the same preorder the
-//! `BTreeMap`-backed implementation produced. The only whole-map
+//! (creation order) drive subtree walks, so
+//! [`MappingDb::delete_local_subtree_into`] deletes in the same preorder
+//! the `BTreeMap`-backed implementation produced. The only whole-map
 //! iterations are [`MappingDb::iter`] (diagnostics; unspecified order)
 //! and [`MappingDb::check_invariants`] (sorted explicitly so failure
 //! reports are stable).
@@ -109,31 +109,6 @@ impl MappingDb {
         Ok(prev)
     }
 
-    /// Collects the *locally owned* subtree rooted at `key` in preorder,
-    /// plus the list of remote children encountered (children whose
-    /// capabilities are not in this database).
-    ///
-    /// The read-only form of the walk [`MappingDb::delete_local_subtree_into`]
-    /// performs; the kernel's own mark walk interleaves marking with it.
-    pub fn local_subtree(&self, key: DdlKey) -> (Vec<DdlKey>, Vec<DdlKey>) {
-        let mut local = Vec::new();
-        let mut remote = Vec::new();
-        let mut stack = vec![key];
-        while let Some(k) = stack.pop() {
-            match self.caps.get(&k.raw()) {
-                Some(cap) => {
-                    local.push(k);
-                    // Reverse keeps preorder left-to-right after pop().
-                    for child in cap.children().rev() {
-                        stack.push(child);
-                    }
-                }
-                None => remote.push(k),
-            }
-        }
-        (local, remote)
-    }
-
     /// Deletes the locally owned subtree rooted at `key`, unlinking the
     /// root from its (possibly local) parent, and appends the deleted
     /// capabilities to `deleted` in deletion order. The walk stack and
@@ -141,8 +116,9 @@ impl MappingDb {
     /// teardown revoking thousands of subtrees does not pay two
     /// allocations per revoke. `stack` must be empty; callers batching
     /// several roots drain `deleted` between roots or at the end.
-    /// Deletion order is the same preorder [`MappingDb::local_subtree`]
-    /// yields; remote children are skipped.
+    /// Deletion order is preorder, children in creation order (the
+    /// order the kernel's mark walk visits them in); remote children —
+    /// keys not in this database — are skipped.
     pub fn delete_local_subtree_into(
         &mut self,
         key: DdlKey,
@@ -246,6 +222,14 @@ mod tests {
         db.link_child(parent, k).unwrap();
     }
 
+    /// Deletes the local subtree under `root`; returns the keys in
+    /// deletion order.
+    fn deletion_order(db: &mut MappingDb, root: DdlKey) -> Vec<DdlKey> {
+        let mut deleted = Vec::new();
+        db.delete_local_subtree_into(root, &mut Vec::new(), &mut deleted);
+        deleted.iter().map(|c| c.key).collect()
+    }
+
     #[test]
     fn insert_get_remove() {
         let mut db = MappingDb::new();
@@ -271,9 +255,8 @@ mod tests {
         child(&mut db, key(1), key(0));
         child(&mut db, key(2), key(0));
         child(&mut db, key(3), key(1));
-        let (local, remote) = db.local_subtree(key(0));
-        assert_eq!(local, vec![key(0), key(1), key(3), key(2)]);
-        assert!(remote.is_empty());
+        assert_eq!(deletion_order(&mut db, key(0)), vec![key(0), key(1), key(3), key(2)]);
+        assert!(db.is_empty());
     }
 
     #[test]
@@ -282,9 +265,9 @@ mod tests {
         root(&mut db, key(0));
         child(&mut db, key(1), key(0));
         db.link_child(key(0), remote_key(7)).unwrap();
-        let (local, remote) = db.local_subtree(key(0));
-        assert_eq!(local, vec![key(0), key(1)]);
-        assert_eq!(remote, vec![remote_key(7)]);
+        // The remote child — a key not in this database — is skipped.
+        assert_eq!(deletion_order(&mut db, key(0)), vec![key(0), key(1)]);
+        assert!(db.is_empty());
     }
 
     #[test]
@@ -344,14 +327,14 @@ mod tests {
         for i in 1..=50 {
             child(&mut db, key(i), key(0));
         }
-        let (before, _) = db.local_subtree(key(0));
+        let before = deletion_order(&mut db.clone(), key(0));
         for i in 100..200 {
             root(&mut db, key(i));
         }
         for i in 100..200 {
             db.remove(key(i));
         }
-        let (after, _) = db.local_subtree(key(0));
+        let after = deletion_order(&mut db, key(0));
         assert_eq!(before, after);
         assert_eq!(before.len(), 51);
     }

@@ -25,8 +25,6 @@ use crate::machine::{Machine, Workload};
 pub struct MicroMachine {
     machine: Machine,
     kernels: u16,
-    vpes_per_group: u16,
-    mode: KernelMode,
 }
 
 impl MicroMachine {
@@ -41,18 +39,12 @@ impl MicroMachine {
         cfg.num_pes = kernels * (1 + vpes_per_group);
         cfg.mesh_width = semper_base::config::mesh_width_for(cfg.num_pes);
         let machine = Machine::build(cfg, vpes, 0, Workload::Micro);
-        MicroMachine { machine, kernels, vpes_per_group, mode }
+        MicroMachine { machine, kernels }
     }
 
     /// The underlying machine.
     pub fn machine(&mut self) -> &mut Machine {
         &mut self.machine
-    }
-
-    /// The construction shape `(kernels, vpes_per_group, mode)` — the
-    /// pooling key of [`crate::pool::MachinePool`].
-    pub fn shape(&self) -> (u16, u16, KernelMode) {
-        (self.kernels, self.vpes_per_group, self.mode)
     }
 
     /// The stub VPE `j` of group `g`.

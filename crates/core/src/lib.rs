@@ -14,8 +14,6 @@
 //!   harness: capability-operation microbenchmarks (Table 3, Figures
 //!   4-5), application runs with parallel efficiency (Table 4, Figures
 //!   6-9), and the Nginx throughput experiment (Figure 10).
-//! * [`pool`] — a reusable machine pool so figure benches stop paying
-//!   machine construction per measurement.
 //! * [`runner`] — parallel execution of *independent* machines on
 //!   worker threads with a deterministic, submission-ordered merge.
 //!
@@ -34,12 +32,10 @@
 
 pub mod experiment;
 pub mod machine;
-pub mod pool;
 pub mod runner;
 pub mod topology;
 
 pub use experiment::{AppRunResult, MicroMachine, NginxResult};
 pub use machine::{Machine, Node, Workload};
-pub use pool::MachinePool;
 pub use runner::{Job, Runner};
 pub use topology::{Role, Topology};

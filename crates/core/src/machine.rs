@@ -526,10 +526,9 @@ impl Machine {
     }
 
     /// Asserts that every surviving kernel reached true quiescence
-    /// (empty pending-op ledger, no open migration windows, no sweep
-    /// partitions, no leaked waiters, no credit-stalled requests) — the
-    /// termination property of the fault engine. Call after
-    /// [`Machine::run_until_idle`].
+    /// (empty pending-op ledger, no open migration windows, no leaked
+    /// waiters, no credit-stalled requests) — the termination property
+    /// of the fault engine. Call after [`Machine::run_until_idle`].
     pub fn assert_quiescent(&self) {
         for pe in 0..self.cfg.num_pes {
             if let Node::Kernel(k) = &self.nodes[pe as usize] {

@@ -42,7 +42,6 @@ use std::sync::Mutex;
 
 use crate::experiment::MicroMachine;
 use crate::machine::Machine;
-use crate::pool::MachinePool;
 
 /// A boxed heterogeneous job for [`Runner::run`]: the scenario closures
 /// of a test driver, each returning one result row.
@@ -154,7 +153,6 @@ const fn assert_send<T: Send>() {}
 const _: () = {
     assert_send::<Machine>();
     assert_send::<MicroMachine>();
-    assert_send::<MachinePool>();
 };
 
 #[cfg(test)]

@@ -50,8 +50,8 @@ pub struct Kernel {
 
     pub(crate) pending: PendingTable,
     pub(crate) next_op: u64,
-    /// Revocation state: waiter registry, sweep-partition index, work
-    /// buffers (see [`crate::ops::revoke`]).
+    /// Revocation state: waiter registry and work buffers (see
+    /// [`crate::ops::revoke`]).
     pub(crate) revoke: crate::ops::revoke::RevokeState,
     /// Modeled cycles of continuations that ran from within the
     /// completion funnel ([`Kernel::reply_sys`]): a batch advancing to

@@ -14,32 +14,30 @@
 //! * **Deadlines.** Every parked phase (except the purely local batch
 //!   tracker) is armed with an expiry on the harness-advanced fault
 //!   clock. [`Kernel::poll_faults`] first re-sends recorded idempotent
-//!   request legs (bounded retries — revoke and sweep-delete requests
-//!   are safe to replay because re-revoking a deleted subtree is
-//!   vacuous), then aborts the op: the ledger entry is reaped, held
+//!   request legs (bounded retries — revoke requests are safe to
+//!   replay because re-revoking a deleted subtree is vacuous), then
+//!   aborts the op: the ledger entry is reaped, held
 //!   threads release, and whoever waits is woken with an error.
 //! * **Peer death.** When the harness declares a kernel crashed
 //!   ([`Kernel::peer_down`]), every in-flight op waiting on that peer
 //!   aborts immediately, and queued requests towards it are dropped.
 //! * **Anomaly absorption.** Duplicated messages produce replies for
-//!   ops that already completed, duplicate fan-in completions, and
-//!   duplicate delete orders. Outside fault mode these are hard bugs
+//!   ops that already completed and duplicate fan-in completions.
+//!   Outside fault mode these are hard bugs
 //!   (debug asserts); under fault mode they are counted in
 //!   `stats.fault_anomalies` and ignored.
 //!
 //! Abort is per-phase surgery, not a generic drop: a revocation that
 //! already marked subtrees must still *sweep* them (leaving `Revoking`
 //! marks behind would wedge every later operation that touches them),
-//! a sweep coordinator force-runs its delete phase, and a migration
-//! abort unwinds through the protocol's own failure path so held
-//! operations replay.
+//! and a migration abort unwinds through the protocol's own failure
+//! path so held operations replay.
 
 use semper_base::msg::{KReply, Kcall};
 use semper_base::{Code, DetHashMap, Error, KernelId, OpId};
 
 use crate::kernel::Kernel;
-use crate::ops::revoke::ReadyOp;
-use crate::ops::{exchange, migrate, promise, revoke, session, sweep, PendingOp};
+use crate::ops::{exchange, migrate, promise, revoke, session, PendingOp};
 use crate::outbox::Outbox;
 
 /// How many times an expired op re-sends its recorded request legs
@@ -145,11 +143,10 @@ impl Kernel {
     }
 
     /// Records one idempotent request leg of `op` for deadline-driven
-    /// re-sending. Only revoke requests and sweep delete orders are
-    /// recorded: replaying them against an already-revoked subtree is
-    /// vacuous at the receiver, so a retry recovers a *dropped request*
-    /// without corrupting state (a duplicated *reply* is absorbed by
-    /// the saturating fan-in).
+    /// re-sending. Only revoke requests are recorded: replaying them
+    /// against an already-revoked subtree is vacuous at the receiver, so
+    /// a retry recovers a *dropped request* without corrupting state (a
+    /// duplicated *reply* is absorbed by the saturating fan-in).
     pub(crate) fn record_retry_leg(&mut self, op: OpId, peer: KernelId, call: &Kcall) {
         if !self.fault.enabled {
             return;
@@ -272,16 +269,10 @@ impl Kernel {
             },
             PendingOp::Revoke(p) => match p {
                 revoke::Phase::Batch { caller_kernel, .. } => *caller_kernel == dead,
-                // A classic revoke fans out to many peers without
+                // A revoke fans out to many peers without
                 // recording which legs are outstanding; its deadline
                 // (with retries towards the survivors) covers it.
                 revoke::Phase::Run(_) => false,
-            },
-            PendingOp::Sweep(p) => match p {
-                sweep::Phase::Partition(part) => part.caller == dead,
-                sweep::Phase::Coordinate(s) | sweep::Phase::Collect(s) => {
-                    s.participants.contains(&dead)
-                }
             },
             PendingOp::Migrate(p) => match p {
                 migrate::Phase::AwaitInstall(i) => i.dst == dead,
@@ -384,30 +375,6 @@ impl Kernel {
                         },
                     );
                     exit
-                }
-            },
-            PendingOp::Sweep(phase) => match phase {
-                // Give up on the missing mark replies and dependency
-                // wakes: force the delete phase over what *was* marked.
-                // `sweep_begin_delete` re-parks the op as `Collect`
-                // with a fresh deadline.
-                sweep::Phase::Coordinate(mut s) => {
-                    s.marks_outstanding = 0;
-                    s.region.deps = 0;
-                    self.pending.insert(op, PendingOp::Sweep(sweep::Phase::Coordinate(s)));
-                    self.run_ready(vec![ReadyOp::SweepCoord(op)], out)
-                }
-                // Some partitions never reported deletion. Close the
-                // sweep with the counts that arrived: release every
-                // surviving participant's deferred waiters and our own,
-                // and notify the initiator.
-                sweep::Phase::Collect(s) => self.sweep_close(op, s, out),
-                // The coordinator is gone (or unreachable): retire the
-                // partition locally — delete what it marked so no
-                // `Revoking` marks leak, and fire its deferred waiters.
-                sweep::Phase::Partition(p) => {
-                    self.revoke.sweep_parts.remove(&(p.caller, p.caller_op));
-                    self.abort_sweep_partition(p, out)
                 }
             },
             PendingOp::Migrate(phase) => match phase {

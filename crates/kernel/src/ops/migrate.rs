@@ -47,8 +47,8 @@
 //!
 //! * Every system call and inter-kernel request that resolves into the
 //!   moving group — the moving VPE's own calls, exchanges naming it as
-//!   the peer, revokes and sweep marks whose subtree touches its
-//!   capabilities, kill requests — is **held** in the migration's
+//!   the peer, revokes whose subtree touches its capabilities, kill
+//!   requests — is **held** in the migration's
 //!   per-op queue ([`Held`]), in arrival order. Holding (rather than
 //!   forwarding mid-window) keeps the arrival order of a peer's
 //!   requests intact: a forwarded op could overtake an earlier held
@@ -523,7 +523,7 @@ impl Kernel {
 
     /// Walks the capability subtree under `root` (local records only)
     /// and returns the migration the subtree resolves into, if any: a
-    /// revoke or sweep starting here would mark records mid-marshal.
+    /// revoke starting here would mark records mid-marshal.
     /// Keys owned elsewhere are skipped — the remote owner applies its
     /// own window when the fan-out reaches it.
     pub(crate) fn subtree_touches_migrating(&self, root: DdlKey) -> Option<OpId> {
@@ -568,7 +568,7 @@ impl Kernel {
     /// Requests correlated to an op parked *at the sender* before the
     /// window opened cannot reference the group (the start validation
     /// refuses to open the window over them), so op-correlated
-    /// continuations (`DelegateAck`, sweep delete/done) are never held.
+    /// continuations (`DelegateAck`) are never held.
     pub(crate) fn migration_holding_kcall(&self, call: &Kcall) -> Option<OpId> {
         if self.migration.active.is_empty() {
             return None;
@@ -578,7 +578,7 @@ impl Kernel {
             Kcall::DelegateReq { recv_vpe, .. } => self.migration_of_vpe(*recv_vpe),
             Kcall::RevokeReq { cap_key, .. } => self.subtree_touches_migrating(*cap_key),
             Kcall::OrphanNotice { parent_key, .. } => self.migration_of_vpe(parent_key.vpe()),
-            Kcall::RevokeBatchReq { cap_keys, .. } | Kcall::SweepMarkReq { cap_keys, .. } => {
+            Kcall::RevokeBatchReq { cap_keys, .. } => {
                 cap_keys.iter().find_map(|k| self.subtree_touches_migrating(*k))
             }
             Kcall::KillVpe { vpe } => self.migration_of_vpe(*vpe),
@@ -616,8 +616,8 @@ impl Kernel {
     /// membership update, or a held op replays after the handover).
     /// `None` on every classic path: requests that arrive at their
     /// owner dispatch locally, and op-correlated continuations are
-    /// never relayed whole (batched revokes and sweep marks relocate
-    /// per key inside their handlers instead).
+    /// never relayed whole (batched revokes relocate per key inside
+    /// their handler instead).
     pub(crate) fn kcall_forward_target(&self, call: &Kcall) -> Option<KernelId> {
         let owner = match call {
             Kcall::ObtainReq { owner_vpe, .. } => self.kernel_of_vpe(*owner_vpe).ok()?,

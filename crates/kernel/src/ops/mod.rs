@@ -9,8 +9,8 @@
 //! a set of typed phases plus the handler for each phase transition:
 //!
 //! * [`PendingOp`] — the union of all suspended phases, one variant per
-//!   protocol ([`exchange`], [`session`], [`revoke`], [`sweep`],
-//!   [`migrate`], [`bulk`], [`promise`]).
+//!   protocol ([`exchange`], [`session`], [`revoke`], [`migrate`],
+//!   [`bulk`], [`promise`]).
 //!   Each phase carries exactly the continuation state its resume
 //!   handler needs.
 //! * [`PhaseSpec`] — the per-phase declaration: what the phase awaits
@@ -37,9 +37,8 @@
 //! saying which calls may), one credit-gated request send
 //! (`Kernel::send_kcall_at`), one mark walk and one delete pass for
 //! Algorithm 1 (`Kernel::mark_subtree` / `Kernel::delete_marked` in
-//! [`revoke`], driven by classic revokes, coalesced bulk runs and
-//! partitioned sweeps alike), and one way to kill a VPE
-//! (`Kernel::kill`).
+//! [`revoke`], driven by single revokes and coalesced bulk runs
+//! alike), and one way to kill a VPE (`Kernel::kill`).
 //!
 //! State that outlives a single parked phase lives with its protocol,
 //! not as loose fields on `Kernel`: `revoke::RevokeState`,
@@ -60,7 +59,6 @@
 //! | §4.3.2 two-way delegate handshake, second leg | [`exchange::Phase::DelegatePendingInsert`] / [`exchange::Phase::DelegateWaitDone`] / [`exchange::Phase::DelegateAborted`] |
 //! | §3.4 session capability attachment | [`session::Phase::OpenRemote`] → [`session::Phase::AtService`], [`session::Phase::OpenLocal`] |
 //! | §4.3.3 Algorithm 1 mark/delete + reply counting | [`revoke::Phase::Run`]; an incoming `RevokeBatchReq` (§5.2 message batching) tracks its keys in [`revoke::Phase::Batch`] |
-//! | §5.2 partitioned parallel sweep (mark → delete, same walk and pass) | [`sweep::Phase::Coordinate`] → [`sweep::Phase::Collect`], [`sweep::Phase::Partition`] |
 //! | §4.2 group migration (ownership handover) | [`migrate::Phase::AwaitInstall`] → [`migrate::Phase::Draining`] |
 //! | §5.2 bulk capability operations (`Syscall::Batch`) | [`bulk::Phase::Run`] |
 //! | promise IPC, eager provide of an asynchronous spanning delegate | [`promise::Phase::ProvidePending`] → [`promise::Phase::AwaitResolved`] → [`promise::Phase::AwaitInsert`]; receiver: [`promise::Phase::ConsentAtRecv`] → [`promise::Phase::AwaitResolve`] |
@@ -91,7 +89,6 @@ pub mod migrate;
 pub mod promise;
 pub mod revoke;
 pub mod session;
-pub mod sweep;
 
 use semper_base::msg::{KReply, Kcall, UpcallReply};
 use semper_base::{KernelId, OpId, PeId, VpeId};
@@ -218,8 +215,6 @@ pub enum PendingOp {
     Session(session::Phase),
     /// Revocation (§4.3.3, Algorithm 1).
     Revoke(revoke::Phase),
-    /// Partitioned parallel revocation sweep ([`sweep`]).
-    Sweep(sweep::Phase),
     /// Capability-group migration (§4.2 ownership handover).
     Migrate(migrate::Phase),
     /// A batched system call ([`bulk`]): N capability operations in one
@@ -237,7 +232,6 @@ impl PendingOp {
             PendingOp::Exchange(p) => p.spec(),
             PendingOp::Session(p) => p.spec(),
             PendingOp::Revoke(p) => p.spec(),
-            PendingOp::Sweep(p) => p.spec(),
             PendingOp::Migrate(p) => p.spec(),
             PendingOp::Bulk(p) => p.spec(),
             PendingOp::Promise(p) => p.spec(),
@@ -256,11 +250,6 @@ impl PendingOp {
                 // ordered execution guarantees at most one coalesced
                 // run is suspended per batch.
                 PendingOp::Revoke(revoke::Phase::Run(op)) => op.initiator.holds_thread(),
-                // A sweep coordinator carries whatever its classic
-                // counterpart would have carried.
-                PendingOp::Sweep(sweep::Phase::Coordinate(s) | sweep::Phase::Collect(s)) => {
-                    s.initiator.holds_thread()
-                }
                 other => unreachable!("{} has no initiator", other.spec().name),
             },
         }
@@ -294,7 +283,6 @@ impl PendingOp {
             PendingOp::Exchange(p) => p.references_vpe(vpe),
             PendingOp::Session(p) => p.references_vpe(vpe),
             PendingOp::Revoke(p) => p.references_vpe(vpe),
-            PendingOp::Sweep(p) => p.references_vpe(vpe),
             PendingOp::Migrate(p) => p.references_vpe(vpe),
             PendingOp::Bulk(p) => p.references_vpe(vpe),
             PendingOp::Promise(p) => p.references_vpe(vpe),
@@ -366,11 +354,6 @@ impl Kernel {
             Kcall::RevokeBatchReq { op, cap_keys } => {
                 self.revoke_batch_request(from, *op, cap_keys, out)
             }
-            Kcall::SweepMarkReq { op, cap_keys } => {
-                self.sweep_mark_request(from, *op, cap_keys, out)
-            }
-            Kcall::SweepDeleteReq { op } => self.sweep_delete_request(from, *op, out),
-            Kcall::SweepDoneNotice { op } => self.sweep_done_notice(from, *op, out),
             Kcall::OpenSessReq { op, child_key, service, client_vpe } => {
                 self.open_sess_request(from, *op, *child_key, *service, *client_vpe, out)
             }
@@ -399,9 +382,7 @@ impl Kernel {
         // `receive_revoke_reply`), far cheaper to dispatch than the
         // protocol replies that resume full continuations.
         let entry = match reply {
-            KReply::Revoke { .. } | KReply::RevokeBatch { .. } | KReply::SweepDelete { .. } => {
-                self.cfg.cost.thread_switch
-            }
+            KReply::Revoke { .. } | KReply::RevokeBatch { .. } => self.cfg.cost.thread_switch,
             _ => self.cfg.cost.kcall_entry,
         };
         entry
@@ -414,11 +395,6 @@ impl Kernel {
                     debug_assert!(result.is_ok(), "revoke replies always succeed");
                     self.revoke_reply_arrived(*op, *deleted, out)
                 }
-                // The mark reply resumes the coordinator's regrouping
-                // work (a full continuation, like the protocol
-                // replies); the delete reply is a counter decrement.
-                KReply::SweepMark { op, frontier, .. } => self.sweep_mark_reply(*op, frontier, out),
-                KReply::SweepDelete { op, deleted } => self.sweep_delete_reply(*op, *deleted, out),
                 other => self.resume_from_kreply(from, other, out),
             }
     }

@@ -36,12 +36,11 @@ use semper_base::{
 use semper_caps::Capability;
 
 use crate::kernel::Kernel;
-use crate::ops::{sweep, Awaits, FanIn, PendingOp, PhaseSpec, Thread};
+use crate::ops::{Awaits, FanIn, PendingOp, PhaseSpec, Thread};
 use crate::outbox::Outbox;
 
-/// Kernel-wide state of the revocation protocols: the waiter registry
-/// and sweep-partition index shared by classic revokes and partitioned
-/// sweeps ([`super::sweep`]), plus reusable host-side work buffers.
+/// Kernel-wide state of the revocation protocol: the waiter registry
+/// plus reusable host-side work buffers.
 ///
 /// A dense teardown runs thousands of mark walks and delete passes back
 /// to back; allocating a fresh stack, deletion list, and remote-child
@@ -56,55 +55,28 @@ pub(crate) struct RevokeState {
     /// Operations waiting for a capability another operation is already
     /// revoking: packed key → waiting op ids, in registration order.
     waiters: DetHashMap<RawDdlKey, Vec<OpId>>,
-    /// Partitions of remote parallel sweeps this kernel participates
-    /// in: (coordinator, coordinator's op) → local partition op. Later
-    /// mark rounds and the delete order resolve through this index.
-    pub(crate) sweep_parts: DetHashMap<(KernelId, OpId), OpId>,
     /// DFS stack shared by mark and delete walks.
     stack: Vec<DdlKey>,
     /// Deleted capabilities of one delete pass.
     deleted: Vec<Capability>,
     /// Remote children collected by one mark phase.
     remote: Vec<DdlKey>,
-    /// Keys marked by the current operation (overlapping-root folding).
-    marked: DetHashSet<RawDdlKey>,
 }
 
 impl RevokeState {
     /// Registers `waiter` for the deletion of `key`, which a running
     /// revocation owns.
-    pub(crate) fn wait_for(&mut self, key: DdlKey, waiter: OpId) {
+    fn wait_for(&mut self, key: DdlKey, waiter: OpId) {
         self.waiters.entry(key.raw()).or_default().push(waiter);
     }
 
     /// Nothing marked is left waiting to be deleted.
     pub(crate) fn quiescent(&self) -> core::result::Result<(), String> {
-        if !self.sweep_parts.is_empty() {
-            let mut keys: Vec<(KernelId, OpId)> = self.sweep_parts.keys().copied().collect();
-            keys.sort_unstable();
-            return Err(format!("live sweep partitions: {keys:?}"));
-        }
         if !self.waiters.is_empty() {
             return Err(format!("{} revoke-waiter entries at quiescence", self.waiters.len()));
         }
         Ok(())
     }
-}
-
-/// An operation whose fan-in drained and is ready to run its completion
-/// step. The shared worklist in [`Kernel::run_ready`] bounds the
-/// cascade of wake-ups (a completed revoke wakes dependents, whose
-/// completions wake more) that recursion would otherwise nest.
-#[derive(Debug)]
-pub(crate) enum ReadyOp {
-    /// A classic revocation: sweep its marked subtrees and notify.
-    Revoke(RevokeOp),
-    /// A parallel-sweep coordinator whose mark phase finished: order
-    /// the partition deletions ([`Kernel::sweep_begin_delete`]).
-    SweepCoord(OpId),
-    /// A sweep partition whose delete order arrived and whose
-    /// dependencies drained ([`Kernel::sweep_part_finish`]).
-    SweepPart(OpId),
 }
 
 /// Who started a revocation, and therefore who must be notified when it
@@ -311,23 +283,10 @@ impl Kernel {
         // marked itself are tracked so a later root that is already
         // `Revoking` *by us* folds into the earlier subtree instead of
         // registering a dependency on itself — which would deadlock.
-        // Single-root operations (every non-bulk path) skip the
-        // tracking — except under [`Feature::ParallelSweep`], where the
-        // marked set is always kept: if the operation converts into a
-        // partitioned sweep, the coordinator needs it to fold later
-        // frontier keys that bounce back into its own marked region.
-        // (For operations that never revisit a node — every single-root
-        // walk — the set is dead weight with no modeled cost.)
-        let parallel = self.cfg.has_feature(Feature::ParallelSweep);
-        let mut marked: Option<DetHashSet<RawDdlKey>> = match (&initiator, roots.len(), parallel) {
-            (Initiator::Bulk { .. }, n, _) if n > 1 => Some(Default::default()),
-            (_, _, true) => {
-                let mut m = std::mem::take(&mut self.revoke.marked);
-                m.clear();
-                Some(m)
-            }
-            _ => None,
-        };
+        // Single-root operations (every non-bulk path) never revisit a
+        // node and skip the tracking.
+        let mut marked: Option<DetHashSet<RawDdlKey>> =
+            (matches!(initiator, Initiator::Bulk { .. }) && roots.len() > 1).then(Default::default);
 
         for root in roots {
             // A missing root is already revoked and deleted — vacuously
@@ -351,29 +310,13 @@ impl Kernel {
 
         if !remote.is_empty() {
             op.spanning = true;
-            // A wide or multi-kernel fan-out is driven as a partitioned
-            // parallel sweep when the feature is on: one grouped mark
-            // request per owning kernel, swept concurrently.
-            let spans_kernels = || {
-                let first = self.membership.kernel_of_key(remote[0]);
-                remote.iter().any(|k| self.membership.kernel_of_key(*k) != first)
-            };
-            if parallel && (remote.len() >= sweep::SWEEP_MIN_FANOUT || spans_kernels()) {
-                let marked = marked.take().expect("tracked whenever the feature is on");
-                let c = self.start_sweep(op_id, op, &mut remote, marked, out);
-                self.revoke.remote = remote;
-                return cost + c;
-            }
             cost += self.send_revoke_requests(op_id, &mut op, &mut remote, out);
         }
 
-        // Restore the scratch buffers before the completion path: the
+        // Restore the scratch buffer before the completion path: the
         // initiator's notification can re-enter `start_revoke` (a batch
         // advancing to its next item).
         self.revoke.remote = remote;
-        if let Some(m) = marked {
-            self.revoke.marked = m;
-        }
 
         if op.fanin.idle() {
             cost + self.complete_revoke(op, out)
@@ -389,10 +332,10 @@ impl Kernel {
     /// `foreign`. A capability that is already `Revoking` belongs to a
     /// running revocation: `waiter` is registered for its deletion and
     /// counted as a dependency — unless `marked` (kept by multi-root
-    /// and sweep operations, which can revisit their own territory)
-    /// shows this same operation marked it. Returns the modeled cost
-    /// and the number of dependencies registered.
-    pub(crate) fn mark_subtree(
+    /// operations, which can revisit their own territory) shows this
+    /// same operation marked it. Returns the modeled cost and the
+    /// number of dependencies registered.
+    fn mark_subtree(
         &mut self,
         root: DdlKey,
         waiter: OpId,
@@ -434,19 +377,6 @@ impl Kernel {
         (cost, deps)
     }
 
-    /// Groups keys by owning kernel: ascending kernel id, arrival order
-    /// within a group.
-    pub(crate) fn group_by_owner(
-        &self,
-        keys: impl Iterator<Item = DdlKey>,
-    ) -> BTreeMap<KernelId, Vec<DdlKey>> {
-        let mut by_kernel: BTreeMap<KernelId, Vec<DdlKey>> = BTreeMap::new();
-        for key in keys {
-            by_kernel.entry(self.membership.kernel_of_key(key)).or_default().push(key);
-        }
-        by_kernel
-    }
-
     /// Sends revoke requests for remote children — one message per child,
     /// or one batch per kernel when [`Feature::RevokeBatching`] is on
     /// (the optimisation §5.2 proposes). Bulk-initiated operations
@@ -463,7 +393,12 @@ impl Kernel {
         if self.cfg.has_feature(Feature::RevokeBatching)
             || matches!(op.initiator, Initiator::Bulk { .. })
         {
-            for (k, cap_keys) in self.group_by_owner(remote.drain(..)) {
+            // Ascending kernel id, arrival order within a group.
+            let mut by_kernel: BTreeMap<KernelId, Vec<DdlKey>> = BTreeMap::new();
+            for key in remote.drain(..) {
+                by_kernel.entry(self.membership.kernel_of_key(key)).or_default().push(key);
+            }
+            for (k, cap_keys) in by_kernel {
                 op.fanin.arm();
                 cost += self.cfg.cost.kcall_exit;
                 let call = Kcall::RevokeBatchReq { op: op_id, cap_keys };
@@ -494,42 +429,21 @@ impl Kernel {
     /// recursion bounded. Also the fault engine's forced-completion path
     /// for a revoke whose remote legs stopped answering.
     pub(crate) fn complete_revoke(&mut self, op: RevokeOp, out: &mut Outbox) -> u64 {
-        self.run_ready(vec![ReadyOp::Revoke(op)], out)
-    }
-
-    /// Runs completion steps from a worklist until it drains: classic
-    /// revokes sweep and notify; sweep coordinators order their
-    /// partition deletions; sweep partitions delete and reply. Each step
-    /// may push further ready operations (woken dependents). LIFO order
-    /// matches the pre-sweep completion cascade exactly.
-    pub(crate) fn run_ready(&mut self, mut ready: Vec<ReadyOp>, out: &mut Outbox) -> u64 {
+        // Each step may push woken dependents whose fan-in drained.
+        let mut ready = vec![op];
         let mut cost = 0;
-        while let Some(r) = ready.pop() {
-            match r {
-                ReadyOp::Revoke(op) => cost += self.finish_one_revoke(op, &mut ready, out),
-                ReadyOp::SweepCoord(id) => cost += self.sweep_begin_delete(id, out),
-                ReadyOp::SweepPart(id) => cost += self.sweep_part_finish(id, out),
-            }
+        while let Some(op) = ready.pop() {
+            cost += self.finish_one_revoke(op, &mut ready, out);
         }
         cost
     }
 
-    /// Wakes `waiters` and runs every completion that cascades from
-    /// them.
-    pub(crate) fn wake_all(&mut self, waiters: Vec<OpId>, out: &mut Outbox) -> u64 {
-        let mut ready = Vec::new();
-        for w in waiters {
-            self.wake_waiter(w, &mut ready);
-        }
-        self.run_ready(ready, out)
-    }
-
-    /// Deletes one classic revocation's marked subtrees, notifies the
+    /// Deletes one revocation's marked subtrees, notifies the
     /// initiator, and queues woken waiters.
     fn finish_one_revoke(
         &mut self,
         mut op: RevokeOp,
-        ready: &mut Vec<ReadyOp>,
+        ready: &mut Vec<RevokeOp>,
         out: &mut Outbox,
     ) -> u64 {
         let mut woken = Vec::new();
@@ -550,13 +464,9 @@ impl Kernel {
     /// capabilities** (a dense teardown of thousands of same-table
     /// capabilities collapses into a handful of lookups). Operations
     /// waiting on a deleted capability are appended to `woken` for the
-    /// caller to fire (or defer, for partitioned sweeps). Returns the
-    /// modeled cost and the number of capabilities deleted.
-    pub(crate) fn delete_marked(
-        &mut self,
-        roots: Vec<DdlKey>,
-        woken: &mut Vec<OpId>,
-    ) -> (u64, u64) {
+    /// caller to fire. Returns the modeled cost and the number of
+    /// capabilities deleted.
+    fn delete_marked(&mut self, roots: Vec<DdlKey>, woken: &mut Vec<OpId>) -> (u64, u64) {
         let mut stack = std::mem::take(&mut self.revoke.stack);
         let mut deleted = std::mem::take(&mut self.revoke.deleted);
         debug_assert!(deleted.is_empty());
@@ -596,10 +506,10 @@ impl Kernel {
         (cost, count)
     }
 
-    /// Resolves one woken waiter: a classic revoke's fan-in completes;
-    /// a sweep coordinator or partition drops a dependency. Operations
-    /// whose last wait drained are pushed onto the ready worklist.
-    pub(crate) fn wake_waiter(&mut self, waiter: OpId, ready: &mut Vec<ReadyOp>) {
+    /// Resolves one woken waiter: its fan-in completes one dependency,
+    /// and an operation whose last wait drained is pushed onto the
+    /// ready worklist.
+    fn wake_waiter(&mut self, waiter: OpId, ready: &mut Vec<RevokeOp>) {
         match self.pending.get_mut(waiter) {
             Some(PendingOp::Revoke(Phase::Run(wop))) => {
                 if wop.fanin.complete_one(0) {
@@ -607,21 +517,7 @@ impl Kernel {
                     else {
                         unreachable!("checked above");
                     };
-                    ready.push(ReadyOp::Revoke(wop));
-                }
-            }
-            Some(PendingOp::Sweep(sweep::Phase::Coordinate(s))) => {
-                // Saturating: a fault-forced coordinator abort zeroes
-                // `deps` while registered wakes are still due.
-                s.region.deps = s.region.deps.saturating_sub(1);
-                if s.region.deps == 0 && s.marks_outstanding == 0 {
-                    ready.push(ReadyOp::SweepCoord(waiter));
-                }
-            }
-            Some(PendingOp::Sweep(sweep::Phase::Partition(p))) => {
-                p.region.deps = p.region.deps.saturating_sub(1);
-                if p.region.deps == 0 && p.delete_requested {
-                    ready.push(ReadyOp::SweepPart(waiter));
+                    ready.push(wop);
                 }
             }
             // Under fault injection: the waiter aborted (or was forced
@@ -631,8 +527,8 @@ impl Kernel {
     }
 
     /// Notifies whoever started a revocation (Algorithm 1, lines
-    /// 19-23) — shared by classic revokes and partitioned sweeps.
-    pub(crate) fn notify_initiator(
+    /// 19-23).
+    fn notify_initiator(
         &mut self,
         initiator: Initiator,
         spanning: bool,

@@ -62,21 +62,11 @@ pub struct KernelStats {
     /// revoked (the enforcement action of a revoke).
     pub eps_invalidated: u64,
     /// Host-side handler dispatches: one per message handled by this
-    /// kernel (syscalls, kcalls, replies, upcall answers). The batched
-    /// sweep's host-cost metric — a partitioned sweep processes a whole
-    /// partition per dispatch instead of one capability per dispatch.
+    /// kernel (syscalls, kcalls, replies, upcall answers). The bulk
+    /// path's host-cost metric — a coalesced revoke run processes a
+    /// whole per-kernel group per dispatch instead of one capability
+    /// per dispatch.
     pub handler_dispatches: u64,
-    /// Partitioned parallel sweeps coordinated by this kernel.
-    pub sweeps: u64,
-    /// Partitions (per-kernel mark requests, counting each participant
-    /// once per sweep) fanned out by sweeps this kernel coordinated.
-    pub sweep_partitions: u64,
-    /// Total subtree-root keys partitioned out by sweeps this kernel
-    /// coordinated (fan-out width).
-    pub sweep_fanout: u64,
-    /// High-water mark of frontier-expansion rounds in one sweep — the
-    /// cross-kernel depth of the deepest swept subtree.
-    pub sweep_depth: u64,
     /// Idempotent request legs re-sent after a deadline expired (fault
     /// injection only).
     pub retries: u64,
@@ -85,8 +75,8 @@ pub struct KernelStats {
     /// injection only).
     pub ops_aborted: u64,
     /// Protocol anomalies absorbed under fault injection: replies for
-    /// unknown ops, duplicate fan-in completions, duplicate delete
-    /// orders — events that are hard errors outside fault mode.
+    /// unknown ops, duplicate fan-in completions — events that are
+    /// hard errors outside fault mode.
     pub fault_anomalies: u64,
     /// Promise capabilities handed out by `Syscall::SubmitAsync`.
     pub promises_created: u64,

@@ -399,7 +399,9 @@ impl FsService {
         }
         match self.boot {
             BootState::Registering => {
-                debug_assert!(reply.result.is_ok(), "CreateSrv failed: {:?}", reply.result);
+                if let Err(e) = &reply.result {
+                    panic!("m3fs registration: CreateSrv failed: {e:?}");
+                }
                 self.boot = BootState::AllocatingImage;
                 self.syscall(Syscall::CreateMem { size: self.image_size, perms: Perms::RW }, out);
                 return self.cost.fs_meta_op;
@@ -585,6 +587,19 @@ mod tests {
         let mut out = Outbox::new();
         s.handle(&reply, &mut out);
         assert!(s.ready());
+    }
+
+    /// A refused registration must stop the boot in every profile: the
+    /// service may not go on to report `ready()` with nobody able to
+    /// open a session to it.
+    #[test]
+    #[should_panic(expected = "CreateSrv failed")]
+    fn boot_fails_when_create_srv_is_refused() {
+        let mut s = svc();
+        s.boot(&mut Outbox::new());
+        let reply =
+            Msg::new(PeId(0), PeId(3), Payload::sys_reply(1, Err(Error::new(Code::NoSuchService))));
+        s.handle(&reply, &mut Outbox::new());
     }
 
     #[test]

@@ -50,8 +50,8 @@ pub struct PartitionWindow {
 /// A scripted kernel crash at an ops-engine phase boundary: kernel
 /// `kernel` dies when it parks a phase named `phase` for the
 /// `after_nth`-th time (1-based), *before* the parked phase's awaited
-/// reply can arrive — e.g. `("sweep-mark", 1)` is "dies after
-/// SweepMark, before SweepDelete".
+/// reply can arrive — e.g. `("revoke-run", 1)` is "dies after marking
+/// its part of a spanning revoke, before any remote child answered".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashPoint {
     /// Raw id of the kernel that dies.
@@ -267,9 +267,9 @@ mod tests {
     #[test]
     fn crash_points_filter_by_kernel() {
         let p = FaultPlan::empty()
-            .with_crash(CrashPoint { kernel: 2, phase: "sweep-mark", after_nth: 1 })
+            .with_crash(CrashPoint { kernel: 2, phase: "promise-consent", after_nth: 1 })
             .with_crash(CrashPoint { kernel: 1, phase: "revoke-run", after_nth: 3 });
-        assert_eq!(p.crash_points(2), vec![("sweep-mark", 1)]);
+        assert_eq!(p.crash_points(2), vec![("promise-consent", 1)]);
         assert_eq!(p.crash_points(1), vec![("revoke-run", 3)]);
         assert!(p.crash_points(0).is_empty());
         assert!(!p.is_empty());

@@ -5,7 +5,7 @@
 //! Table 2) — are pinned as hard assertions, and the deterministic
 //! fault engine (`semper_sim::faults` +
 //! `Kernel::enable_fault_injection`) gets its own scripted scenarios: a kernel
-//! crash between the mark and delete phases of a parallel sweep, a
+//! crash between the mark and delete phases of a spanning revoke, a
 //! one-way network partition across a live group migration, and a
 //! drop/duplicate/delay storm over a mixed workload. Every scenario
 //! must *terminate* — each issued operation completes or errors, the
@@ -16,7 +16,6 @@
 //! so they run on the parallel harness (`semperos::Runner`); results
 //! come back in submission order regardless of the worker count.
 
-use semper_base::config::Feature;
 use semper_base::msg::{ExchangeKind, Perms, SysReply, SysReplyData, Syscall};
 use semper_base::{CapSel, KernelId, VpeId};
 use semper_kernel::harness::TestCluster;
@@ -135,31 +134,33 @@ fn exit_with_cross_kernel_chain() -> &'static str {
     "exit_with_cross_kernel_chain"
 }
 
-/// Scenario 4: a peer kernel's whole workload dies while a parallel
-/// partitioned sweep is marking its partition. The victims' teardown
-/// revokes must chain onto the in-flight sweep, and the sweep must
-/// still complete and acknowledge the initiator.
-fn workload_death_mid_parallel_sweep() -> &'static str {
+/// Scenario 4: a peer kernel's whole workload dies while a spanning
+/// revoke has marked its copies and waits on their remote children. The
+/// victims' teardown revokes must chain onto the in-flight revoke, and
+/// the revoke must still complete and acknowledge the initiator.
+fn workload_death_mid_spanning_revoke() -> &'static str {
     let mut c = TestCluster::new(4, 2);
-    for k in &mut c.kernels {
-        k.enable_feature_for_test(Feature::ParallelSweep);
-    }
     let root = create_mem(&mut c, VpeId(0));
     for to in [2u16, 3, 4, 5, 6, 7] {
-        let _ = delegate(&mut c, VpeId(0), VpeId(to), root);
+        let copy = delegate(&mut c, VpeId(0), VpeId(to), root);
+        // The victims' copies get a child on another kernel, so their
+        // kernel's sub-revokes park instead of completing in place.
+        if to < 4 {
+            let _ = delegate(&mut c, VpeId(to), VpeId(to + 2), copy);
+        }
     }
     let before = c.total_caps();
     let tag = c.syscall_async(VpeId(0), Syscall::Revoke { sel: root, own: true });
-    c.pump_n(3); // mark requests are out; the partitions are not yet swept
+    c.pump_n(3); // kernel 1 marked both victims' copies and waits on kernels 2 and 3
     c.kill(VpeId(2));
     c.kill(VpeId(3));
+    assert_eq!(c.kernels[1].pending_ops(), 4, "exit revokes did not chain onto the revoke");
     c.pump_all();
-    assert!(c.take_reply(VpeId(0), tag).unwrap().result.is_ok(), "sweep not acknowledged");
+    assert!(c.take_reply(VpeId(0), tag).unwrap().result.is_ok(), "revoke not acknowledged");
     c.check_invariants();
-    assert!(c.kernels[0].stats().sweeps >= 1, "revoke did not take the sweep path");
-    assert_eq!(c.total_caps(), before - 7 - 2, "subtree + the dead VPEs' self-caps gone");
+    assert_eq!(c.total_caps(), before - 9 - 2, "subtree + the dead VPEs' self-caps gone");
     assert_no_pending(&c);
-    "workload_death_mid_parallel_sweep"
+    "workload_death_mid_spanning_revoke"
 }
 
 /// Scenario 5: a stale-routed obtain and a kill race a live group
@@ -203,7 +204,7 @@ fn legacy_failure_scenarios_hold() {
         Box::new(obtainer_killed_mid_obtain),
         Box::new(receiver_killed_mid_delegate),
         Box::new(exit_with_cross_kernel_chain),
-        Box::new(workload_death_mid_parallel_sweep),
+        Box::new(workload_death_mid_spanning_revoke),
         Box::new(kill_races_live_migration),
     ];
     let ran = Runner::new(4).run(jobs);
@@ -213,7 +214,7 @@ fn legacy_failure_scenarios_hold() {
             "obtainer_killed_mid_obtain",
             "receiver_killed_mid_delegate",
             "exit_with_cross_kernel_chain",
-            "workload_death_mid_parallel_sweep",
+            "workload_death_mid_spanning_revoke",
             "kill_races_live_migration",
         ],
         "scenario results must come back in submission order"
@@ -229,13 +230,8 @@ fn legacy_failure_scenarios_hold() {
 /// injected faults. The run must terminate quiescent; the returned
 /// block is its complete observable state: the NoC fault counters, each
 /// surviving kernel's recovery stats, and its full state digest.
-fn run_plan(name: &'static str, plan: FaultPlan, sweep: bool) -> String {
+fn run_plan(name: &'static str, plan: FaultPlan) -> String {
     let mut c = TestCluster::new(3, 2);
-    if sweep {
-        for k in &mut c.kernels {
-            k.enable_feature_for_test(Feature::ParallelSweep);
-        }
-    }
     c.set_fault_plan(plan, 256);
 
     let roots: Vec<(VpeId, CapSel)> =
@@ -291,22 +287,18 @@ fn run_plan(name: &'static str, plan: FaultPlan, sweep: bool) -> String {
 
 /// Three scripted plans — a drop-heavy lossy network, a
 /// duplicate/delay storm, and a one-way partition combined with a
-/// scripted kernel crash point under the parallel sweep — over one fixed
-/// workload.
+/// scripted kernel crash point (kernel 2 dies on the first spanning
+/// delegate it issues, while it is the receiving side of kernel 1's) —
+/// over one fixed workload.
 fn fault_matrix() -> Vec<Job<'static, String>> {
     vec![
         Box::new(|| {
-            run_plan(
-                "drop-heavy",
-                FaultPlan::seeded(0xFA17_0001).with_drop(90).with_delay(40, 8),
-                false,
-            )
+            run_plan("drop-heavy", FaultPlan::seeded(0xFA17_0001).with_drop(90).with_delay(40, 8))
         }),
         Box::new(|| {
             run_plan(
                 "dup-delay-storm",
                 FaultPlan::seeded(0xFA17_0002).with_duplicate(70).with_delay(110, 14),
-                false,
             )
         }),
         Box::new(|| {
@@ -315,8 +307,7 @@ fn fault_matrix() -> Vec<Job<'static, String>> {
                 FaultPlan::seeded(0xFA17_0003)
                     .with_drop(25)
                     .with_partition(PartitionWindow { from: 0, to: 1, start: 8, end: 160 })
-                    .with_crash(CrashPoint { kernel: 2, phase: "sweep-part", after_nth: 1 }),
-                true,
+                    .with_crash(CrashPoint { kernel: 2, phase: "delegate-remote", after_nth: 1 }),
             )
         }),
     ]
@@ -324,7 +315,8 @@ fn fault_matrix() -> Vec<Job<'static, String>> {
 
 /// The fault engine's determinism contract: plan + seed ⇒ bit-identical
 /// run. Two serial runs and a four-worker run of the matrix must return
-/// byte-identical blocks, and every plan must actually have fired.
+/// byte-identical blocks, and every plan must actually have fired —
+/// the third one's crash point included.
 #[test]
 fn fault_matrix_is_byte_identical_across_runs_and_workers() {
     let first = Runner::new(1).run(fault_matrix());
@@ -332,36 +324,35 @@ fn fault_matrix_is_byte_identical_across_runs_and_workers() {
     for block in &first {
         assert!(!block.contains("injected 0 "), "a plan never fired:\n{block}");
     }
+    let crashed = format!("kernel {}: crashed", KernelId(2));
+    assert!(first[2].contains(&crashed), "the crash point never fired:\n{}", first[2]);
     assert_eq!(first, Runner::new(1).run(fault_matrix()), "second serial run diverged");
     assert_eq!(first, Runner::new(4).run(fault_matrix()), "four-worker run diverged");
 }
 
 // ----- scripted fault-engine scenarios ---------------------------------
 
-/// The ISSUE's tentpole script: kernel 2 dies after marking its sweep
-/// partition, before the delete order arrives. The crash point fires on
-/// the first `sweep-part` park at kernel 2 — its island freezes with
-/// the partition marked but unswept. The survivors must detect the
-/// peer's death, the coordinator must force its delete phase over the
-/// partitions that did answer, and the initiating revoke must still be
-/// acknowledged. No silent hang, no leaked ledger entries.
+/// A kernel crash on the paper's own revoke path: kernel 2 dies on its
+/// first `revoke-run` park — it has marked its part of the subtree and
+/// is waiting on kernel 3 — so its island freezes marked but unswept.
+/// The initiator's deadline must fire, the revoke must sweep what did
+/// answer and still be acknowledged. No silent hang, no leaked ledger
+/// entries.
 #[test]
-fn kernel_crash_between_sweep_mark_and_delete() {
+fn kernel_crash_mid_spanning_revoke() {
     let mut c = TestCluster::new(4, 2);
-    for k in &mut c.kernels {
-        k.enable_feature_for_test(Feature::ParallelSweep);
-    }
     let plan =
-        FaultPlan::empty().with_crash(CrashPoint { kernel: 2, phase: "sweep-part", after_nth: 1 });
+        FaultPlan::empty().with_crash(CrashPoint { kernel: 2, phase: "revoke-run", after_nth: 1 });
     c.set_fault_plan(plan, 64);
 
-    // Root at VPE 0 (kernel 0), one copy in every other group: the
-    // sweep partitions by owning kernel, so kernels 1, 2 and 3 each
-    // hold a partition.
+    // Root at VPE 0 (kernel 0), copies in groups 1 and 3, and a
+    // two-level branch 0 → 2 → 3.
     let root = create_mem(&mut c, VpeId(0));
-    for to in [2u16, 3, 4, 5, 6, 7] {
+    for to in [2u16, 3, 6, 7] {
         let _ = delegate(&mut c, VpeId(0), VpeId(to), root);
     }
+    let branch = delegate(&mut c, VpeId(0), VpeId(4), root);
+    let behind = delegate(&mut c, VpeId(4), VpeId(6), branch);
     let tag = c.syscall_async(VpeId(0), Syscall::Revoke { sel: root, own: true });
     c.pump_all();
 
@@ -369,24 +360,20 @@ fn kernel_crash_between_sweep_mark_and_delete() {
     assert_eq!(c.dead_kernels().len(), 1, "only kernel 2 may die");
     let reply = c.take_reply(VpeId(0), tag).expect("initiator must be answered");
     assert!(reply.result.is_ok(), "revoke replies are always-Ok: {:?}", reply.result);
-    assert!(c.kernels[0].stats().sweeps >= 1, "revoke did not take the sweep path");
-    // The coordinator lost a participant: either its fan-in aborted via
-    // peer-death or a deadline — both count as an aborted op.
-    assert!(c.kernels[0].stats().ops_aborted >= 1, "the lost partition never aborted");
-    // Survivors' partitions are swept: no copy of the subtree remains
-    // outside the dead island.
-    for k in &c.kernels {
-        if !c.kernel_alive(k.id()) {
-            continue;
-        }
-        for vpe in 0..8u16 {
-            if let Some(t) = k.table(VpeId(vpe)) {
-                for (sel, _) in t.iter() {
-                    assert!(sel.0 < 2, "kernel {} still holds subtree cap {sel}", k.id());
-                }
-            }
+    // The initiator lost a leg: its deadline fired and re-sent the
+    // legs towards the survivors before the revoke closed.
+    assert!(c.kernels[0].stats().retries >= 1, "the lost leg's deadline never fired");
+    // Every copy a surviving kernel could name is gone. The island died
+    // with its handler's output unsent, so the one capability *behind*
+    // it — known only to kernel 2 — is orphaned, and nothing else.
+    let mut left = Vec::new();
+    for k in c.kernels.iter().filter(|k| c.kernel_alive(k.id())) {
+        for vpe in (0..8u16).map(VpeId) {
+            let sels = k.table(vpe).into_iter().flat_map(|t| t.iter());
+            left.extend(sels.filter(|(sel, _)| sel.0 != 0).map(|(sel, _)| (vpe, sel)));
         }
     }
+    assert_eq!(left, [(VpeId(6), behind)], "survivors kept part of the subtree");
     c.check_invariants();
     c.assert_quiescent();
 }

@@ -246,23 +246,14 @@ fn draw_batch_item(rng: &mut DetRng, live: &mut Vec<CapSel>, vpes: u16) -> Sysca
 /// the same final state as the same N operations issued sequentially —
 /// identical capability records and table bindings (state digests),
 /// invariants intact, full quiescence — and the batch reply corresponds
-/// item-for-item to the sequential replies. Every case runs twice: the
-/// second time the batched cluster also has `Feature::ParallelSweep`,
-/// so coalesced revoke runs convert into partitioned sweeps.
+/// item-for-item to the sequential replies.
 #[test]
 fn batched_ops_match_sequential() {
-    let sweeps = std::sync::atomic::AtomicU64::new(0);
-    for_cases(96, |i| {
-        let (case, sweep) = (i % 48, i >= 48);
+    for_cases(48, |case| {
         let mut rng = DetRng::split(0xBA7C_4ED5, case);
         let n_items = rng.between(1, 17) as usize;
         let mut seq = TestCluster::new(3, 2);
         let mut bat = TestCluster::new(3, 2);
-        if sweep {
-            for k in &mut bat.kernels {
-                k.enable_feature_for_test(semper_base::Feature::ParallelSweep);
-            }
-        }
 
         // Identical pre-seeded roots in both clusters.
         let mut live: Vec<CapSel> = Vec::new();
@@ -308,98 +299,6 @@ fn batched_ops_match_sequential() {
                 ks.id()
             );
             assert_eq!(kb.pending_ops(), 0, "case {case}: suspended ops after batch");
-            sweeps.fetch_add(kb.stats().sweeps, std::sync::atomic::Ordering::Relaxed);
-        }
-    });
-    assert!(sweeps.into_inner() > 0, "no coalesced revoke run converted into a sweep");
-}
-
-/// The parallel partitioned sweep (`Feature::ParallelSweep`) is an
-/// optimization of the revocation *schedule*, not its semantics: on a
-/// random multi-kernel derivation DAG, revoking the root deletes
-/// exactly the same capability set and leaves every kernel with the
-/// same state digest as the classic depth-first sweep. Cases where the
-/// structure never crosses a kernel (so no sweep triggers) are valid
-/// too — equivalence is then trivial but still checked.
-#[test]
-fn parallel_sweep_matches_sequential_sweep() {
-    for_cases(48, |case| {
-        let mut rng = DetRng::split(0x5EE9_5EE9, case);
-        let n_edges = rng.between(4, 35) as usize;
-        let mut seq = TestCluster::new(4, 2);
-        let mut par = TestCluster::new(4, 2);
-        for k in &mut par.kernels {
-            k.enable_feature_for_test(semper_base::Feature::ParallelSweep);
-        }
-
-        // Build the identical random structure on both clusters: a mix
-        // of delegations (fan-out, possibly spanning kernels) and
-        // derives (depth) from a single root at VPE 0. Replies are
-        // asserted equal, so both clusters hold the same DAG.
-        let both = |seq: &mut TestCluster, par: &mut TestCluster, vpe: VpeId, call: Syscall| {
-            let a = seq.syscall(vpe, call.clone()).result;
-            let b = par.syscall(vpe, call).result;
-            assert_eq!(a, b, "case {case}: clusters diverged during build");
-            a
-        };
-        let root_sel = match both(
-            &mut seq,
-            &mut par,
-            VpeId(0),
-            Syscall::CreateMem { size: 4096, perms: Perms::RW },
-        ) {
-            Ok(SysReplyData::Mem { sel, .. }) => sel,
-            other => panic!("case {case}: create_mem failed: {other:?}"),
-        };
-        let mut sels: Vec<(VpeId, CapSel)> = vec![(VpeId(0), root_sel)];
-        for _ in 0..n_edges {
-            let (from, from_sel) = sels[rng.below(sels.len() as u64) as usize];
-            if rng.below(4) == 0 {
-                // Derive: a child of the same holder (adds depth).
-                let call =
-                    Syscall::DeriveMem { src: from_sel, offset: 0, size: 64, perms: Perms::R };
-                if let Ok(SysReplyData::Sel(sel)) = both(&mut seq, &mut par, from, call) {
-                    sels.push((from, sel));
-                }
-            } else {
-                // Delegate: a copy at some other VPE (adds fan-out,
-                // often across kernels).
-                let to = VpeId(rng.below(8) as u16);
-                if to == from {
-                    continue;
-                }
-                let call = Syscall::Exchange {
-                    other: to,
-                    own_sel: from_sel,
-                    other_sel: CapSel::INVALID,
-                    kind: ExchangeKind::Delegate,
-                };
-                if let Ok(SysReplyData::Delegated { recv_sel }) =
-                    both(&mut seq, &mut par, from, call)
-                {
-                    sels.push((to, recv_sel));
-                }
-            }
-        }
-
-        let before = seq.total_caps();
-        assert_eq!(before, par.total_caps(), "case {case}: pre-revoke cap counts differ");
-        let r = both(&mut seq, &mut par, VpeId(0), Syscall::Revoke { sel: root_sel, own: true });
-        assert!(r.is_ok(), "case {case}: revoke failed: {r:?}");
-
-        // Identical deletions, identical final state, full quiescence.
-        assert_eq!(seq.total_caps(), before - sels.len(), "case {case}: sequential delete set");
-        assert_eq!(par.total_caps(), before - sels.len(), "case {case}: parallel delete set");
-        seq.check_invariants();
-        par.check_invariants();
-        for (ks, kp) in seq.kernels.iter().zip(&par.kernels) {
-            assert_eq!(
-                ks.state_digest(),
-                kp.state_digest(),
-                "case {case}: kernel {} state diverged",
-                ks.id()
-            );
-            assert_eq!(kp.pending_ops(), 0, "case {case}: suspended ops after parallel sweep");
         }
     });
 }
@@ -443,15 +342,10 @@ fn draw_pipe_op(rng: &mut DetRng, prior: &[PipeOp]) -> PipeOp {
 /// their *promise* selector, results redeemed afterwards). Returns the
 /// observable transcript: every per-call result plus every kernel's
 /// state digest.
-fn run_pipe_case(case: u64, pipelined: bool, sweep: bool) -> String {
+fn run_pipe_case(case: u64, pipelined: bool) -> String {
     let mut rng = DetRng::split(0x9120_14ED, case);
     let n_ops = rng.between(2, 15) as usize;
     let mut c = TestCluster::new(3, 2);
-    if sweep {
-        for k in &mut c.kernels {
-            k.enable_feature_for_test(semper_base::Feature::ParallelSweep);
-        }
-    }
     let issuer = VpeId(0);
     let root = match c.syscall(issuer, Syscall::CreateMem { size: 4096, perms: Perms::RW }).result {
         Ok(SysReplyData::Mem { sel, .. }) => sel,
@@ -558,17 +452,14 @@ fn run_pipe_case(case: u64, pipelined: bool, sweep: bool) -> String {
 /// *schedule*, not its semantics: a random dependent-call DAG submitted
 /// through promise capabilities produces exactly the per-call results
 /// of the same DAG executed blocking, leaves every kernel with the same
-/// state digest, quiesces fully, and replays bit-identically — also
-/// with `Feature::ParallelSweep` on the pipelined cluster (the second
-/// 48 cases).
+/// state digest, quiesces fully, and replays bit-identically.
 #[test]
 fn pipelined_ops_match_blocking() {
-    for_cases(96, |i| {
-        let (case, sweep) = (i % 48, i >= 48);
-        let blocking = run_pipe_case(case, false, false);
-        let pipelined = run_pipe_case(case, true, sweep);
+    for_cases(48, |case| {
+        let blocking = run_pipe_case(case, false);
+        let pipelined = run_pipe_case(case, true);
         assert_eq!(blocking, pipelined, "case {case}: pipelined run diverged from blocking");
-        let replay = run_pipe_case(case, true, sweep);
+        let replay = run_pipe_case(case, true);
         assert_eq!(pipelined, replay, "case {case}: pipelined replay diverged");
     });
 }

@@ -5,7 +5,7 @@
 //! shapes — and the protocols added on top of them — to thousands of
 //! capabilities, and pin every *deterministic* output of each run:
 //! simulated cycles, events, capabilities deleted, cross-kernel
-//! requests, and whichever sweep / fault / promise counters the run
+//! requests, and whichever dispatch / fault / promise counters the run
 //! moved. Host time is not measured here; that is `benchmark/`'s job.
 //!
 //! One test runs all scenarios at two scales (the full sizes and the
@@ -18,8 +18,9 @@
 //!
 //! The three feature twins keep their claims as plain asserts: a batched
 //! teardown sends fewer cross-kernel requests than the sequential one,
-//! the parallel sweep needs at most ⅔ of the sequential cycles and half
-//! of its handler dispatches, and pipelined service chains finish before
+//! one `Syscall::Batch` of revokes (per-kernel coalescing in
+//! `kernel::ops::bulk`, no feature) needs at most ⅔ of the sequential
+//! cycles and half of its handler dispatches, and pipelined service chains finish before
 //! blocking ones with every promise resolved.
 
 use semper_apps::AppKind;
@@ -43,7 +44,7 @@ impl Row {
     /// `before` is the kernels' statistics where the measured phase
     /// starts: requests, dispatches, retries and aborts are counted from
     /// there (the counters cover machine construction too); deletions
-    /// and the sweep and promise counters cover the whole run.
+    /// and the promise counters cover the whole run.
     fn new(
         name: &'static str,
         size: u32,
@@ -64,9 +65,6 @@ impl Row {
         ];
         let tail = [
             ("handler_dispatches", delta(|s| s.handler_dispatches)),
-            ("sweep_fanout", total(|s| s.sweep_fanout)),
-            ("sweep_depth", after.iter().map(|s| s.sweep_depth).max().unwrap_or(0)),
-            ("sweep_partitions", total(|s| s.sweep_partitions)),
             ("faults_injected", faults.map_or(0, |f| f.injected)),
             ("fault_retries", delta(|s| s.retries)),
             ("ops_aborted", delta(|s| s.ops_aborted)),
@@ -179,18 +177,14 @@ fn revoke_batch(m: &mut MicroMachine, vpe: VpeId, sels: &[CapSel]) -> u64 {
     cycles
 }
 
-/// Dense spanning teardown, sequential vs parallel: one VPE of group 0
+/// Dense spanning teardown, sequential vs batched: one VPE of group 0
 /// owns `caps` capabilities, each delegated once round-robin to groups
 /// 1–3, so the revocation subtree spans three peer kernels. Teardown is
 /// one blocking `Revoke` per capability in reverse allocation order, or
-/// one `Syscall::Batch` under `Feature::ParallelSweep`: the coalesced
-/// revoke partitions the subtree by owning kernel and drives the
-/// two-phase mark → delete sweep (`kernel::ops::sweep`).
-fn dense_table_spanning(caps: u32, parallel: bool) -> Row {
+/// one `Syscall::Batch` with no feature on: the coalesced revoke run
+/// groups its remote children into one request per owning kernel.
+fn dense_table_spanning(caps: u32, batched: bool) -> Row {
     let mut m = MicroMachine::new(4, 2, KernelMode::SemperOS);
-    if parallel {
-        m.machine().enable_feature_everywhere(Feature::ParallelSweep);
-    }
     let a = m.vpe(0, 0);
     let sels: Vec<CapSel> = (0..caps).map(|_| m.create_mem(a)).collect();
     for (i, sel) in sels.iter().enumerate() {
@@ -199,14 +193,14 @@ fn dense_table_spanning(caps: u32, parallel: bool) -> Row {
     }
 
     let before = m.machine().kernel_stats();
-    let cycles = if parallel {
+    let cycles = if batched {
         revoke_batch(&mut m, a, &sels)
     } else {
         sels.into_iter().rev().map(|sel| m.revoke(a, sel)).sum()
     };
     m.machine().check_invariants();
     let name =
-        if parallel { "dense_table_teardown_parallel" } else { "dense_table_teardown_sequential" };
+        if batched { "dense_table_teardown_batched" } else { "dense_table_teardown_sequential" };
     Row::of(name, caps, cycles, m.machine(), &before)
 }
 
@@ -549,11 +543,11 @@ fn assert_twin_claims(rows: &[Row]) {
     }
 
     let seq = row("dense_table_teardown_sequential");
-    let par = row("dense_table_teardown_parallel");
-    let (s, p) = (seq.get("sim_cycles"), par.get("sim_cycles"));
-    assert!(p * 3 <= s * 2, "parallel sweep: {p} cycles, more than 2/3 of sequential's {s}");
-    let (s, p) = (seq.get("handler_dispatches"), par.get("handler_dispatches"));
-    assert!(p * 2 <= s, "parallel sweep: {p} handler dispatches, more than half of {s}");
+    let bat = row("dense_table_teardown_batched");
+    let (s, b) = (seq.get("sim_cycles"), bat.get("sim_cycles"));
+    assert!(b * 3 <= s * 2, "batched teardown: {b} cycles, more than 2/3 of sequential's {s}");
+    let (s, b) = (seq.get("handler_dispatches"), bat.get("handler_dispatches"));
+    assert!(b * 2 <= s, "batched teardown: {b} handler dispatches, more than half of {s}");
 
     let blk = row("service_chain_blocking").get("sim_cycles");
     let pip = row("service_chain_pipelined");
