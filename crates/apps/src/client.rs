@@ -9,6 +9,7 @@
 //! trace; the Nginx server reuses the replayer for per-request traces.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use semper_base::msg::{
     FsOp, FsReply, FsReplyData, FsReq, Outbox, Payload, SysReplyData, Syscall, Upcall, UpcallReply,
@@ -69,7 +70,7 @@ impl FileState {
 
 #[derive(Debug, Clone)]
 struct Io {
-    path: String,
+    path: Arc<str>,
     /// Next file offset to access.
     offset: u64,
     /// End of the requested range (clamped for reads).
@@ -95,7 +96,7 @@ pub struct Replayer {
     session: Option<(u64, PeId)>,
     trace: Option<Trace>,
     ip: usize,
-    files: BTreeMap<String, FileState>,
+    files: BTreeMap<Arc<str>, FileState>,
     io: Option<Io>,
     stats: ClientStats,
     error: Option<Error>,
@@ -200,7 +201,8 @@ impl Replayer {
                 self.trace = None;
                 return (cost, true);
             };
-            let op = op.clone();
+            // The step stays in the trace: a request takes a handle on
+            // its path, nothing is copied.
             match op {
                 TraceOp::Compute { cycles } => {
                     cost += cycles;
@@ -208,26 +210,27 @@ impl Replayer {
                     self.ip += 1;
                 }
                 TraceOp::Open { path, write, create } => {
-                    cost += self.send_fs(out, FsOp::Open { path, write, create });
+                    let (write, create) = (*write, *create);
+                    cost += self.send_fs(out, FsOp::Open { path: path.clone(), write, create });
                     return (cost, false);
                 }
                 TraceOp::Read { path, bytes } => {
-                    let Some(f) = self.files.get(&path) else {
+                    let Some(f) = self.files.get(path) else {
                         self.fail(Error::new(Code::InvalidArgs));
                         return (cost, false);
                     };
-                    let end = bytes.min(f.size);
+                    let end = (*bytes).min(f.size);
                     if end == 0 {
                         self.ip += 1;
                         continue;
                     }
-                    self.io = Some(Io { path, offset: 0, end, write: false });
+                    self.io = Some(Io { path: path.clone(), offset: 0, end, write: false });
                     if self.drive_io(out, &mut cost) {
                         return (cost, false);
                     }
                 }
                 TraceOp::Write { path, bytes } => {
-                    let Some(f) = self.files.get_mut(&path) else {
+                    let Some(f) = self.files.get_mut(path) else {
                         self.fail(Error::new(Code::InvalidArgs));
                         return (cost, false);
                     };
@@ -235,29 +238,29 @@ impl Replayer {
                     let start = f.size;
                     let end = start + bytes;
                     f.size = end;
-                    self.io = Some(Io { path, offset: start, end, write: true });
+                    self.io = Some(Io { path: path.clone(), offset: start, end, write: true });
                     if self.drive_io(out, &mut cost) {
                         return (cost, false);
                     }
                 }
                 TraceOp::Stat { path } => {
-                    cost += self.send_fs(out, FsOp::Stat { path });
+                    cost += self.send_fs(out, FsOp::Stat { path: path.clone() });
                     return (cost, false);
                 }
                 TraceOp::ReadDir { path } => {
-                    cost += self.send_fs(out, FsOp::ReadDir { path });
+                    cost += self.send_fs(out, FsOp::ReadDir { path: path.clone() });
                     return (cost, false);
                 }
                 TraceOp::Mkdir { path } => {
-                    cost += self.send_fs(out, FsOp::Mkdir { path });
+                    cost += self.send_fs(out, FsOp::Mkdir { path: path.clone() });
                     return (cost, false);
                 }
                 TraceOp::Unlink { path } => {
-                    cost += self.send_fs(out, FsOp::Unlink { path });
+                    cost += self.send_fs(out, FsOp::Unlink { path: path.clone() });
                     return (cost, false);
                 }
                 TraceOp::Close { path } => {
-                    let Some(f) = self.files.remove(&path) else {
+                    let Some(f) = self.files.remove(path) else {
                         self.fail(Error::new(Code::InvalidArgs));
                         return (cost, false);
                     };
@@ -274,36 +277,33 @@ impl Replayer {
     /// (`ip` advanced, `io` cleared).
     fn drive_io(&mut self, out: &mut Outbox, cost: &mut u64) -> bool {
         loop {
-            let Some(io) = &self.io else { return false };
+            let Some(io) = &mut self.io else { return false };
             if io.offset >= io.end {
                 self.io = None;
                 self.ip += 1;
                 return false;
             }
-            let (offset, end, write, path) = (io.offset, io.end, io.write, io.path.clone());
-            let Some(f) = self.files.get(&path) else {
+            let Some(f) = self.files.get(&io.path) else {
                 self.fail(Error::new(Code::InvalidArgs));
                 return false;
             };
-            match f.covering(offset) {
+            match f.covering(io.offset) {
                 Some((_, cached_end)) => {
                     // Access through a capability we already hold.
-                    let usable = cached_end.min(end) - offset;
+                    let usable = cached_end.min(io.end) - io.offset;
                     let access = self.cost.mem_access(usable);
                     *cost += access;
                     self.stats.compute_cycles += access;
-                    if write {
+                    if io.write {
                         self.stats.bytes_written += usable;
                     } else {
                         self.stats.bytes_read += usable;
                     }
-                    if let Some(io) = &mut self.io {
-                        io.offset += usable;
-                    }
+                    io.offset += usable;
                 }
                 None => {
-                    let fid = f.fid;
-                    *cost += self.send_fs(out, FsOp::NextExtent { fid, offset, write });
+                    let op = FsOp::NextExtent { fid: f.fid, offset: io.offset, write: io.write };
+                    *cost += self.send_fs(out, op);
                     return true;
                 }
             }
@@ -362,8 +362,10 @@ impl Replayer {
                 }
             }
             Payload::FsReply(reply) => self.on_fs_reply(reply, out),
-            other => {
-                debug_assert!(false, "client got unexpected payload {other:?}");
+            _ => {
+                // Nothing else is ever addressed to a client: a protocol
+                // violation like the two above, in every build.
+                self.fail(Error::new(Code::InternalError));
                 (0, false)
             }
         }
@@ -382,12 +384,13 @@ impl Replayer {
             Ok(FsReplyData::Opened { fid, size }) => {
                 // The Open op told us the path.
                 let Some(TraceOp::Open { path, .. }) =
-                    self.trace.as_ref().and_then(|t| t.ops.get(self.ip)).cloned()
+                    self.trace.as_ref().and_then(|t| t.ops.get(self.ip))
                 else {
                     self.fail(Error::new(Code::InternalError));
                     return (cost, false);
                 };
-                self.files.insert(path, FileState { fid: *fid, size: *size, cached: Vec::new() });
+                let file = FileState { fid: *fid, size: *size, cached: Vec::new() };
+                self.files.insert(path.clone(), file);
                 self.ip += 1;
             }
             Ok(FsReplyData::Extent { sel: _, addr: _, offset, len }) => {
@@ -396,8 +399,7 @@ impl Replayer {
                     self.fail(Error::new(Code::InternalError));
                     return (cost, false);
                 };
-                let path = io.path.clone();
-                let Some(f) = self.files.get_mut(&path) else {
+                let Some(f) = self.files.get_mut(&io.path) else {
                     self.fail(Error::new(Code::InternalError));
                     return (cost, false);
                 };
@@ -513,16 +515,21 @@ mod tests {
     use super::*;
     use crate::trace::AppKind;
 
-    #[test]
-    fn boot_opens_session() {
-        let mut c = AppClient::new(
+    /// A `find` client on PE 1, its kernel on PE 0, service name 7.
+    fn client() -> AppClient {
+        AppClient::new(
             VpeId(0),
             PeId(1),
             PeId(0),
             CostModel::calibrated(),
             7,
             AppKind::Find.trace(0),
-        );
+        )
+    }
+
+    #[test]
+    fn boot_opens_session() {
+        let mut c = client();
         let mut out = Outbox::new();
         c.boot(&mut out);
         assert_eq!(c.phase(), ClientPhase::OpeningSession);
@@ -535,14 +542,7 @@ mod tests {
 
     #[test]
     fn session_reply_starts_trace() {
-        let mut c = AppClient::new(
-            VpeId(0),
-            PeId(1),
-            PeId(0),
-            CostModel::calibrated(),
-            7,
-            AppKind::Find.trace(0),
-        );
+        let mut c = client();
         let mut out = Outbox::new();
         c.boot(&mut out);
         out.drain();
@@ -567,19 +567,26 @@ mod tests {
 
     #[test]
     fn failed_session_marks_failure() {
-        let mut c = AppClient::new(
-            VpeId(0),
-            PeId(1),
-            PeId(0),
-            CostModel::calibrated(),
-            7,
-            AppKind::Find.trace(0),
-        );
+        let mut c = client();
         let mut out = Outbox::new();
         c.boot(&mut out);
         let reply =
             Msg::new(PeId(0), PeId(1), Payload::sys_reply(0, Err(Error::new(Code::NoSuchService))));
         c.handle(&reply, &mut out);
         assert!(matches!(c.phase(), ClientPhase::Failed(_)));
+    }
+
+    /// Nothing but upcalls, system-call replies and filesystem replies
+    /// is addressed to a client; anything else fails it in every build
+    /// profile instead of being swallowed at no cost.
+    #[test]
+    fn unexpected_payload_fails_the_client() {
+        let mut c = client();
+        let mut out = Outbox::new();
+        c.boot(&mut out);
+        let stray =
+            Msg::new(PeId(5), PeId(1), Payload::Http(semper_base::msg::HttpReq { id: 1, uri: 0 }));
+        c.handle(&stray, &mut out);
+        assert_eq!(c.phase(), ClientPhase::Failed(Error::new(Code::InternalError)));
     }
 }

@@ -196,10 +196,7 @@ impl LoadGen {
                 self.send_request(server, out);
                 0
             }
-            other => {
-                debug_assert!(false, "loadgen got unexpected payload {other:?}");
-                0
-            }
+            other => panic!("loadgen got unexpected payload {other:?}"),
         }
     }
 }
@@ -231,5 +228,13 @@ mod tests {
         let msgs = out.drain();
         assert_eq!(msgs.len(), 1);
         assert_eq!(msgs[0].0.dst, PeId(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "loadgen got unexpected payload")]
+    fn loadgen_rejects_anything_but_a_response() {
+        let mut lg = LoadGen::new(PeId(0), vec![PeId(1)], 1);
+        let stray = Msg::new(PeId(1), PeId(0), Payload::Http(HttpReq { id: 1, uri: 0 }));
+        lg.handle(&stray, &mut Outbox::new());
     }
 }

@@ -20,8 +20,13 @@
 //! to the paper's.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One step of an application trace.
+///
+/// Paths are shared: the generators below build each distinct path once
+/// per trace and every step naming it holds a handle, so replaying a
+/// step (and sending its request) copies no path bytes.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TraceOp {
     /// Pure computation for the given number of cycles (think time; also
@@ -34,7 +39,7 @@ pub enum TraceOp {
     /// Open a file.
     Open {
         /// Path within the instance's m3fs.
-        path: String,
+        path: Arc<str>,
         /// Open for writing.
         write: bool,
         /// Create if missing.
@@ -44,7 +49,7 @@ pub enum TraceOp {
     /// delegated extent capabilities.
     Read {
         /// Path (must be open).
-        path: String,
+        path: Arc<str>,
         /// Bytes to read; clamped to the file size.
         bytes: u64,
     },
@@ -52,34 +57,34 @@ pub enum TraceOp {
     /// as needed).
     Write {
         /// Path (must be open for writing).
-        path: String,
+        path: Arc<str>,
         /// Bytes to write.
         bytes: u64,
     },
     /// Stat a path (metadata only, no capabilities).
     Stat {
         /// Path to inspect.
-        path: String,
+        path: Arc<str>,
     },
     /// List a directory.
     ReadDir {
         /// Directory path.
-        path: String,
+        path: Arc<str>,
     },
     /// Create a directory.
     Mkdir {
         /// New directory path.
-        path: String,
+        path: Arc<str>,
     },
     /// Remove a file.
     Unlink {
         /// Path to remove.
-        path: String,
+        path: Arc<str>,
     },
     /// Close an open file (revokes its extent capabilities).
     Close {
         /// Path (must be open).
-        path: String,
+        path: Arc<str>,
     },
 }
 
@@ -245,19 +250,20 @@ fn inject_chatter(ops: Vec<TraceOp>, count: u32) -> Vec<TraceOp> {
         return ops;
     }
     let per_slot = count as usize / ops.len().max(1) + 1;
+    let path: Arc<str> = "/input/member0.dat".into();
     let mut out = Vec::with_capacity(ops.len() + count as usize);
     let mut injected = 0usize;
     for op in ops {
         out.push(op);
         for _ in 0..per_slot {
             if injected < count as usize {
-                out.push(TraceOp::Stat { path: "/input/member0.dat".into() });
+                out.push(TraceOp::Stat { path: path.clone() });
                 injected += 1;
             }
         }
     }
     while injected < count as usize {
-        out.push(TraceOp::Stat { path: "/input/member0.dat".into() });
+        out.push(TraceOp::Stat { path: path.clone() });
         injected += 1;
     }
     out
@@ -287,10 +293,10 @@ fn tar(instance: u32) -> Trace {
     // Cap ops: 1 session + (5 member reads = 6 extents) + (archive write
     // = 4 extents) → 10 delegations + 10 revokes + 1 session = 21.
     let mut ops = Vec::new();
-    let archive = format!("/work/{instance}/out.tar");
+    let archive: Arc<str> = format!("/work/{instance}/out.tar").into();
     ops.push(TraceOp::Open { path: archive.clone(), write: true, create: true });
     for (i, kib) in TAR_MEMBER_KIB.iter().enumerate() {
-        let path = format!("/input/member{i}.dat");
+        let path: Arc<str> = format!("/input/member{i}.dat").into();
         ops.push(TraceOp::Open { path: path.clone(), write: false, create: false });
         ops.push(TraceOp::Read { path: path.clone(), bytes: kib * 1024 });
         ops.push(TraceOp::Compute { cycles: LIGHT_COMPUTE * kib / 128 });
@@ -309,14 +315,15 @@ fn untar(instance: u32) -> Trace {
     // whole unpack buffer). Cap ops: 1 session + 5 delegations + 5
     // revokes = 11.
     let mut ops = Vec::new();
-    let scratch = format!("/work/{instance}/unpacked.dat");
-    ops.push(TraceOp::Open { path: "/input/archive.tar".into(), write: false, create: false });
+    let archive: Arc<str> = "/input/archive.tar".into();
+    let scratch: Arc<str> = format!("/work/{instance}/unpacked.dat").into();
+    ops.push(TraceOp::Open { path: archive.clone(), write: false, create: false });
     ops.push(TraceOp::Open { path: scratch.clone(), write: true, create: true });
-    ops.push(TraceOp::Read { path: "/input/archive.tar".into(), bytes: TAR_ARCHIVE_BYTES });
+    ops.push(TraceOp::Read { path: archive.clone(), bytes: TAR_ARCHIVE_BYTES });
     ops.push(TraceOp::Compute { cycles: LIGHT_COMPUTE * 32 });
     // The unpack writes land in the first extent of the scratch file.
     ops.push(TraceOp::Write { path: scratch.clone(), bytes: 512 * 1024 });
-    ops.push(TraceOp::Close { path: "/input/archive.tar".into() });
+    ops.push(TraceOp::Close { path: archive });
     ops.push(TraceOp::Close { path: scratch });
     Trace { name: "untar".into(), ops }
 }
@@ -326,16 +333,17 @@ fn find(_instance: u32) -> Trace {
     // file that does not exist, plus one read of the directory index.
     // Cap ops: 1 session + 1 delegation + 1 revoke = 3.
     let mut ops = Vec::new();
-    ops.push(TraceOp::Open { path: "/tree/index.dat".into(), write: false, create: false });
-    ops.push(TraceOp::Read { path: "/tree/index.dat".into(), bytes: 4096 });
+    let index: Arc<str> = "/tree/index.dat".into();
+    ops.push(TraceOp::Open { path: index.clone(), write: false, create: false });
+    ops.push(TraceOp::Read { path: index.clone(), bytes: 4096 });
     for d in 0..4 {
-        ops.push(TraceOp::ReadDir { path: format!("/tree/d{d}") });
+        ops.push(TraceOp::ReadDir { path: format!("/tree/d{d}").into() });
         for e in 0..(FIND_ENTRIES / 4) {
-            ops.push(TraceOp::Stat { path: format!("/tree/d{d}/e{e}") });
+            ops.push(TraceOp::Stat { path: format!("/tree/d{d}/e{e}").into() });
             ops.push(TraceOp::Compute { cycles: 300 });
         }
     }
-    ops.push(TraceOp::Close { path: "/tree/index.dat".into() });
+    ops.push(TraceOp::Close { path: index });
     Trace { name: "find".into(), ops }
 }
 
@@ -347,8 +355,8 @@ fn sqlite(instance: u32) -> Trace {
     // + table page (2 × 1) + select read (2) + backup page (1)
     //   = 11 delegations + 11 revokes + 1 session ≈ 24 (paper: 24).
     let mut ops = Vec::new();
-    let db = format!("/work/{instance}/app.db");
-    let journal = format!("/work/{instance}/app.db-journal");
+    let db: Arc<str> = format!("/work/{instance}/app.db").into();
+    let journal: Arc<str> = format!("/work/{instance}/app.db-journal").into();
     // Phase 1: create table (db + journal).
     ops.push(TraceOp::Open { path: db.clone(), write: true, create: true });
     ops.push(TraceOp::Compute { cycles: HEAVY_COMPUTE });
@@ -382,9 +390,9 @@ fn leveldb(instance: u32) -> Trace {
     // higher file-access frequency than SQLite, less compute per access.
     // Cap ops target: 22 = 1 session + ~10-11 delegations + revokes.
     let mut ops = Vec::new();
-    let log = format!("/work/{instance}/000001.log");
-    let manifest = format!("/work/{instance}/MANIFEST");
-    let table = format!("/work/{instance}/000002.ldb");
+    let log: Arc<str> = format!("/work/{instance}/000001.log").into();
+    let manifest: Arc<str> = format!("/work/{instance}/MANIFEST").into();
+    let table: Arc<str> = format!("/work/{instance}/000002.ldb").into();
     ops.push(TraceOp::Open { path: manifest.clone(), write: true, create: true });
     ops.push(TraceOp::Write { path: manifest.clone(), bytes: 4 * 1024 });
     ops.push(TraceOp::Close { path: manifest.clone() });
@@ -423,35 +431,33 @@ fn postmark(instance: u32) -> Trace {
     //   ≈ 18-19 delegations + revokes.
     let mut ops = Vec::new();
     let dir = format!("/work/{instance}");
-    ops.push(TraceOp::Mkdir { path: format!("{dir}/mail") });
+    ops.push(TraceOp::Mkdir { path: format!("{dir}/mail").into() });
     // Mailbox index read.
-    let index = format!("{dir}/mail/index");
+    let index: Arc<str> = format!("{dir}/mail/index").into();
     ops.push(TraceOp::Open { path: index.clone(), write: true, create: true });
     ops.push(TraceOp::Write { path: index.clone(), bytes: 8 * 1024 });
     ops.push(TraceOp::Close { path: index });
     // 8 create+write (deliver), 6 read (fetch), 3 append (flag update);
     // deliveries later unlinked (maildir churn).
-    for i in 0..8 {
-        let mail = format!("{dir}/mail/msg{i}");
+    let mails: Vec<Arc<str>> = (0..8).map(|i| format!("{dir}/mail/msg{i}").into()).collect();
+    for mail in &mails {
         ops.push(TraceOp::Open { path: mail.clone(), write: true, create: true });
         ops.push(TraceOp::Write { path: mail.clone(), bytes: 6 * 1024 });
         ops.push(TraceOp::Compute { cycles: LIGHT_COMPUTE });
-        ops.push(TraceOp::Close { path: mail });
+        ops.push(TraceOp::Close { path: mail.clone() });
     }
-    for i in 0..6 {
-        let mail = format!("{dir}/mail/msg{i}");
+    for mail in &mails[..6] {
         ops.push(TraceOp::Open { path: mail.clone(), write: false, create: false });
         ops.push(TraceOp::Read { path: mail.clone(), bytes: 6 * 1024 });
-        ops.push(TraceOp::Close { path: mail });
+        ops.push(TraceOp::Close { path: mail.clone() });
     }
-    for i in 0..3 {
-        let mail = format!("{dir}/mail/msg{i}");
+    for mail in &mails[..3] {
         ops.push(TraceOp::Open { path: mail.clone(), write: true, create: false });
         ops.push(TraceOp::Write { path: mail.clone(), bytes: 1024 });
-        ops.push(TraceOp::Close { path: mail });
+        ops.push(TraceOp::Close { path: mail.clone() });
     }
-    for i in 0..4 {
-        ops.push(TraceOp::Unlink { path: format!("{dir}/mail/msg{i}") });
+    for mail in &mails[..4] {
+        ops.push(TraceOp::Unlink { path: mail.clone() });
     }
     Trace { name: "PostMark".into(), ops }
 }
@@ -459,7 +465,7 @@ fn postmark(instance: u32) -> Trace {
 /// The per-request trace an Nginx worker replays (§5.3.3): serve one
 /// static file.
 pub fn nginx_request(uri: u32) -> Trace {
-    let path = format!("/docroot/page{}.html", uri % 8);
+    let path: Arc<str> = format!("/docroot/page{}.html", uri % 8).into();
     Trace {
         name: "nginx-req".into(),
         ops: vec![

@@ -21,6 +21,7 @@ use crate::ddl::DdlKey;
 use crate::error::Result;
 use crate::ids::{CapSel, EpId, OpId, PeId, ServiceId, VpeId};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Memory permissions for memory capabilities (subset semantics: a derived
 /// capability can only narrow permissions).
@@ -668,12 +669,17 @@ pub enum UpcallReply {
 }
 
 /// Filesystem operations (client → m3fs over a session).
+///
+/// Paths are shared (`Arc<str>`): a request takes a handle on the path
+/// its trace step already holds instead of copying the bytes, and the
+/// service's open-file table takes another. The wire still carries the
+/// bytes — [`Payload::wire_size`] counts `path.len()`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FsOp {
     /// Opens a file; returns a file id.
     Open {
         /// Path, relative to the FS root.
-        path: String,
+        path: Arc<str>,
         /// Open for writing/appending.
         write: bool,
         /// Create the file if missing.
@@ -693,22 +699,22 @@ pub enum FsOp {
     /// Returns metadata for a path.
     Stat {
         /// Path to inspect.
-        path: String,
+        path: Arc<str>,
     },
     /// Lists the names in a directory (used by the `find` workload).
     ReadDir {
         /// Directory path.
-        path: String,
+        path: Arc<str>,
     },
     /// Creates a directory.
     Mkdir {
         /// Path of the new directory.
-        path: String,
+        path: Arc<str>,
     },
     /// Removes a file.
     Unlink {
         /// Path of the file to remove.
-        path: String,
+        path: Arc<str>,
     },
     /// Closes an open file; the service revokes all memory capabilities
     /// it delegated for this file.
@@ -804,7 +810,7 @@ pub struct HttpResp {
 ///
 /// The large variants are boxed: the enum would otherwise be as large
 /// as its fattest member (56 bytes, dominated by the inter-kernel
-/// calls and the `String`-carrying filesystem requests), and every
+/// calls and the path-carrying filesystem requests), and every
 /// event-queue insertion, heap sift, and stall-lane park would move
 /// that much. Boxing `Kcall`/`KReply`/`Fs`/`FsReply` brings a [`Msg`]
 /// down to 40 bytes. The mid-size variants (`Sys`, `SysReply`, the

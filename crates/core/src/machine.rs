@@ -300,7 +300,7 @@ impl Machine {
         self.sched.delivered()
     }
 
-    /// Heap pushes plus pops the scheduler has executed. A host-side
+    /// Queue pushes plus pops the scheduler has executed. A host-side
     /// figure with no simulated effect.
     pub fn heap_ops(&self) -> u64 {
         self.sched.heap_ops()
@@ -1054,10 +1054,7 @@ fn handle_stub(
             ));
             cost.session_accept
         }
-        other => {
-            debug_assert!(false, "stub got unexpected payload {other:?}");
-            0
-        }
+        other => panic!("stub got unexpected payload {other:?}"),
     }
 }
 

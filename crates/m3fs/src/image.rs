@@ -8,7 +8,9 @@
 
 use semper_base::msg::FileStat;
 use semper_base::{Code, Error, Result};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// Size of one extent in bytes (the range granularity at which m3fs
 /// hands out memory capabilities).
@@ -94,7 +96,7 @@ impl FsImage {
         let mut img = FsImage { inodes: BTreeMap::new(), region_size, next_extent: 0 };
         img.inodes.insert("/".to_string(), Inode { size: 0, extents: Vec::new(), is_dir: true });
         for d in &spec.dirs {
-            img.mkdir_all(d);
+            img.mkdir_all(&normalize(d));
         }
         for (path, size) in &spec.files {
             img.create_file(path).expect("spec paths are valid");
@@ -103,8 +105,8 @@ impl FsImage {
         img
     }
 
-    fn mkdir_all(&mut self, path: &str) {
-        let norm = normalize(path);
+    /// Creates `norm` (a normalised path) and every missing ancestor.
+    fn mkdir_all(&mut self, norm: &str) {
         let mut cur = String::new();
         for part in norm.split('/').filter(|p| !p.is_empty()) {
             cur.push('/');
@@ -120,13 +122,14 @@ impl FsImage {
     /// Creates an empty file; fails if the path exists.
     pub fn create_file(&mut self, path: &str) -> Result<()> {
         let norm = normalize(path);
-        if self.inodes.contains_key(&norm) {
+        if self.inodes.contains_key(&*norm) {
             return Err(Error::new(Code::FileExists));
         }
         if let Some(parent) = parent_of(&norm) {
-            self.mkdir_all(&parent);
+            self.mkdir_all(parent);
         }
-        self.inodes.insert(norm, Inode { size: 0, extents: Vec::new(), is_dir: false });
+        self.inodes
+            .insert(norm.into_owned(), Inode { size: 0, extents: Vec::new(), is_dir: false });
         Ok(())
     }
 
@@ -136,7 +139,7 @@ impl FsImage {
         let needed = size.div_ceil(EXTENT_BYTES);
         // Check capacity before touching the inode.
         let have = {
-            let inode = self.inodes.get(&norm).ok_or(Error::new(Code::NoSuchFile))?;
+            let inode = self.inodes.get(&*norm).ok_or(Error::new(Code::NoSuchFile))?;
             if inode.is_dir {
                 return Err(Error::new(Code::IsDir));
             }
@@ -151,7 +154,7 @@ impl FsImage {
             new_extents.push(Extent { region_offset: self.next_extent });
             self.next_extent += EXTENT_BYTES;
         }
-        let inode = self.inodes.get_mut(&norm).expect("checked above");
+        let inode = self.inodes.get_mut(&*norm).expect("checked above");
         inode.extents.extend(new_extents);
         inode.size = inode.size.max(size);
         Ok(())
@@ -159,19 +162,19 @@ impl FsImage {
 
     /// Looks up an inode.
     pub fn stat(&self, path: &str) -> Result<FileStat> {
-        let inode = self.inodes.get(&normalize(path)).ok_or(Error::new(Code::NoSuchFile))?;
+        let inode = self.inodes.get(&*normalize(path)).ok_or(Error::new(Code::NoSuchFile))?;
         Ok(FileStat { size: inode.size, is_dir: inode.is_dir, extents: inode.extents.len() as u32 })
     }
 
     /// True if the path exists.
     pub fn exists(&self, path: &str) -> bool {
-        self.inodes.contains_key(&normalize(path))
+        self.inodes.contains_key(&*normalize(path))
     }
 
     /// The extent covering byte `offset` of the file, with the file
     /// offset the extent starts at.
     pub fn extent_at(&self, path: &str, offset: u64) -> Result<(Extent, u64, u64)> {
-        let inode = self.inodes.get(&normalize(path)).ok_or(Error::new(Code::NoSuchFile))?;
+        let inode = self.inodes.get(&*normalize(path)).ok_or(Error::new(Code::NoSuchFile))?;
         if inode.is_dir {
             return Err(Error::new(Code::IsDir));
         }
@@ -188,20 +191,20 @@ impl FsImage {
     /// Removes a file.
     pub fn unlink(&mut self, path: &str) -> Result<()> {
         let norm = normalize(path);
-        let inode = self.inodes.get(&norm).ok_or(Error::new(Code::NoSuchFile))?;
+        let inode = self.inodes.get(&*norm).ok_or(Error::new(Code::NoSuchFile))?;
         if inode.is_dir {
             return Err(Error::new(Code::IsDir));
         }
         // Extent storage is not reclaimed (bump allocation) — the
         // workloads' churn fits the headroom; see FsSpec::region_size.
-        self.inodes.remove(&norm);
+        self.inodes.remove(&*norm);
         Ok(())
     }
 
     /// Creates a directory.
     pub fn mkdir(&mut self, path: &str) -> Result<()> {
         let norm = normalize(path);
-        if self.inodes.contains_key(&norm) {
+        if self.inodes.contains_key(&*norm) {
             return Err(Error::new(Code::FileExists));
         }
         self.mkdir_all(&norm);
@@ -211,43 +214,52 @@ impl FsImage {
     /// Names of entries directly inside a directory.
     pub fn read_dir(&self, path: &str) -> Result<Vec<String>> {
         let norm = normalize(path);
-        let dir = self.inodes.get(&norm).ok_or(Error::new(Code::NoSuchFile))?;
+        let dir = self.inodes.get(&*norm).ok_or(Error::new(Code::NoSuchFile))?;
         if !dir.is_dir {
             return Err(Error::new(Code::InvalidArgs));
         }
         let prefix = if norm == "/" { "/".to_string() } else { format!("{norm}/") };
+        // Everything below the directory sorts in one block starting at
+        // the prefix: stop at the first key outside it.
         let mut names = Vec::new();
-        for key in self.inodes.keys() {
-            if let Some(rest) = key.strip_prefix(&prefix) {
-                if !rest.is_empty() && !rest.contains('/') {
-                    names.push(rest.to_string());
-                }
+        let below = (Bound::Included(prefix.as_str()), Bound::Unbounded);
+        for (key, _) in self.inodes.range::<str, _>(below) {
+            let Some(rest) = key.strip_prefix(&prefix) else { break };
+            if !rest.is_empty() && !rest.contains('/') {
+                names.push(rest.to_string());
             }
         }
         Ok(names)
     }
 }
 
-fn normalize(path: &str) -> String {
-    let norm = if path.starts_with('/') {
-        path.trim_end_matches('/').to_string()
-    } else {
-        format!("/{}", path.trim_end_matches('/'))
+/// The canonical spelling of `path`: a leading slash, single slashes
+/// between components, no trailing slash (the root is `/`). Borrowed
+/// when `path` is already spelled that way — every path the trace
+/// generators produce is.
+fn normalize(path: &str) -> Cow<'_, str> {
+    let canonical =
+        path.starts_with('/') && !path.contains("//") && (path.len() == 1 || !path.ends_with('/'));
+    if canonical {
+        return Cow::Borrowed(path);
     }
-    .replace("//", "/");
+    let mut norm = String::with_capacity(path.len() + 1);
+    for part in path.split('/').filter(|part| !part.is_empty()) {
+        norm.push('/');
+        norm.push_str(part);
+    }
     if norm.is_empty() {
-        "/".to_string()
-    } else {
-        norm
+        norm.push('/');
     }
+    Cow::Owned(norm)
 }
 
-fn parent_of(norm: &str) -> Option<String> {
-    let idx = norm.rfind('/')?;
-    if idx == 0 {
-        None
-    } else {
-        Some(norm[..idx].to_string())
+/// The parent directory of a normalised path; `None` directly under
+/// the root.
+fn parent_of(norm: &str) -> Option<&str> {
+    match norm.rfind('/')? {
+        0 => None,
+        idx => Some(&norm[..idx]),
     }
 }
 
@@ -334,6 +346,24 @@ mod tests {
         assert_eq!(i.read_dir("/").unwrap(), vec!["data"]);
     }
 
+    /// Siblings sharing a name prefix sort around the directory's block
+    /// of keys (`/data-old` before `/data/`, `/data2` after it): neither
+    /// they nor their children are listed, nor are grandchildren.
+    #[test]
+    fn read_dir_skips_siblings_sharing_a_name_prefix() {
+        let spec = FsSpec::empty()
+            .file("/data-old/x", 1)
+            .file("/data/a.txt", 1)
+            .file("/data/sub/deep.txt", 1)
+            .file("/data2/y", 1)
+            .file("/data2.txt", 1);
+        let i = FsImage::build(&spec, 64 << 20);
+        assert_eq!(i.read_dir("/data").unwrap(), vec!["a.txt", "sub"]);
+        assert_eq!(i.read_dir("/data2").unwrap(), vec!["y"]);
+        assert_eq!(i.read_dir("/").unwrap(), vec!["data", "data-old", "data2", "data2.txt"]);
+        assert_eq!(i.read_dir("/data/sub/").unwrap(), vec!["deep.txt"]);
+    }
+
     #[test]
     fn mkdir_nested() {
         let mut i = img();
@@ -348,6 +378,27 @@ mod tests {
         let i = img();
         assert!(i.exists("data/a.txt"));
         assert!(i.exists("/data/a.txt"));
+    }
+
+    #[test]
+    fn normalize_collapses_every_run_of_slashes() {
+        assert_eq!(normalize("/a///b"), "/a/b");
+        assert_eq!(normalize("a//b/"), "/a/b");
+        assert_eq!(normalize("///"), "/");
+        assert_eq!(normalize(""), "/");
+        // A file created under one spelling is found under the others.
+        let mut i = img();
+        i.create_file("/a///b").unwrap();
+        assert!(i.exists("/a/b"));
+        assert!(i.exists("/a//b"));
+        assert!(i.exists("/a///b"));
+    }
+
+    #[test]
+    fn normalize_borrows_canonical_paths() {
+        assert!(matches!(normalize("/input/member0.dat"), Cow::Borrowed(_)));
+        assert!(matches!(normalize("/"), Cow::Borrowed(_)));
+        assert!(matches!(normalize("/input/"), Cow::Owned(_)));
     }
 
     #[test]

@@ -53,9 +53,10 @@ enum BootState {
 }
 
 /// An open file handle.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct OpenFile {
-    path: String,
+    /// The path of the `Open` request, shared with it.
+    path: Arc<str>,
     session: u64,
     /// Service-side selectors of extent capabilities delegated for this
     /// file (children of the image capability; revoked on close).
@@ -219,10 +220,7 @@ impl FsService {
             }
             Payload::Fs(req) => self.handle_fs(msg.src, req, out),
             Payload::SysReply(reply) => self.handle_sys_reply(reply, out),
-            other => {
-                debug_assert!(false, "m3fs got unexpected payload {other:?}");
-                0
-            }
+            other => panic!("m3fs got unexpected payload {other:?}"),
         }
     }
 
@@ -243,14 +241,16 @@ impl FsService {
             FsOp::Open { path, write, create } => {
                 self.stats.opens += 1;
                 let result = (|| -> Result<FsReplyData> {
-                    if !self.image.exists(path) {
-                        if *create && *write {
-                            Arc::make_mut(&mut self.image).create_file(path)?;
-                        } else {
-                            return Err(Error::new(Code::NoSuchFile));
+                    // One lookup when the file exists; `stat` fails with
+                    // `NoSuchFile` only.
+                    let stat = match self.image.stat(path) {
+                        Err(_) if *create && *write => {
+                            let image = Arc::make_mut(&mut self.image);
+                            image.create_file(path)?;
+                            image.stat(path)?
                         }
-                    }
-                    let stat = self.image.stat(path)?;
+                        found => found?,
+                    };
                     if stat.is_dir {
                         return Err(Error::new(Code::IsDir));
                     }
@@ -295,7 +295,7 @@ impl FsService {
             }
             FsOp::NextExtent { fid, offset, write } => {
                 let prep = (|| -> Result<Work> {
-                    let file = self.files.get(fid).ok_or(Error::new(Code::InvalidArgs))?.clone();
+                    let file = self.files.get(fid).ok_or(Error::new(Code::InvalidArgs))?;
                     if file.session != req.session {
                         return Err(Error::new(Code::InvalidSession));
                     }
@@ -417,16 +417,12 @@ impl FsService {
                 }
                 return self.cost.fs_meta_op;
             }
-            BootState::Cold => {
-                debug_assert!(false, "sys reply before boot");
-                return 0;
-            }
+            BootState::Cold => panic!("m3fs: sys reply before boot: {reply:?}"),
             BootState::Ready => {}
         }
 
         let Some(work) = self.current.take() else {
-            debug_assert!(false, "sys reply without in-flight work");
-            return 0;
+            panic!("m3fs: sys reply without in-flight work: {reply:?}");
         };
         let cost = match work {
             Work::Extent {
@@ -504,15 +500,17 @@ impl FsService {
                 if let Ok(SysReplyData::Batch(results)) = &reply.result {
                     // Batched close: one reply covers every delegated
                     // extent of the file. A failed item must reach the
-                    // client as an error — swallowing it in release
-                    // builds would report a close as clean while extent
-                    // capabilities survive.
-                    debug_assert_eq!(results.len(), remaining.len());
+                    // client as an error, and so must a reply that is
+                    // short of items — reporting either as a clean close
+                    // would leave extent capabilities alive behind it.
                     self.stats.revokes += results.iter().filter(|r| r.is_ok()).count() as u64;
                     let failed = results.iter().find_map(|r| r.as_ref().err().copied());
                     let outcome = match failed {
-                        None => Ok(FsReplyData::Ok),
                         Some(e) => Err(e),
+                        None if results.len() != remaining.len() => {
+                            Err(Error::new(Code::InternalError))
+                        }
+                        None => Ok(FsReplyData::Ok),
                     };
                     self.reply_fs(out, client_pe, tag, outcome);
                 } else if let Err(e) = &reply.result {
@@ -600,6 +598,25 @@ mod tests {
         let reply =
             Msg::new(PeId(0), PeId(3), Payload::sys_reply(1, Err(Error::new(Code::NoSuchService))));
         s.handle(&reply, &mut Outbox::new());
+    }
+
+    /// A system-call reply the connection did not ask for — here, one
+    /// arriving before boot — is a protocol violation in every profile,
+    /// not a free no-op.
+    #[test]
+    #[should_panic(expected = "unmatched syscall reply")]
+    fn sys_reply_before_boot_panics() {
+        let mut s = svc();
+        let reply = Msg::new(PeId(0), PeId(3), Payload::sys_reply(1, Ok(SysReplyData::None)));
+        s.handle(&reply, &mut Outbox::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "m3fs got unexpected payload")]
+    fn stray_payload_panics() {
+        let mut s = svc();
+        let stray = Msg::new(PeId(7), PeId(3), Payload::fs_reply(1, Ok(FsReplyData::Ok)));
+        s.handle(&stray, &mut Outbox::new());
     }
 
     #[test]

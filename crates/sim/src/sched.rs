@@ -219,7 +219,7 @@ impl<E> PeSchedule<E> {
         self.queue.processed() - self.wake_tokens
     }
 
-    /// Heap pushes plus pops actually performed (host work; no
+    /// Queue pushes plus pops actually performed (host work; no
     /// simulated meaning).
     pub fn heap_ops(&self) -> u64 {
         self.queue.heap_ops()
