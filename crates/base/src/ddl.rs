@@ -83,12 +83,11 @@ impl DdlKey {
         )
     }
 
-    /// Creates a key from its raw 64-bit representation.
-    ///
-    /// The type field is *not* validated here; use [`DdlKey::cap_type`] to
-    /// decode it fallibly.
-    pub fn from_raw(raw: u64) -> DdlKey {
-        DdlKey(raw)
+    /// Decodes a key from its raw 64-bit representation; `None` unless
+    /// the type field holds a known [`CapType`].
+    pub fn from_raw(raw: u64) -> Option<DdlKey> {
+        let key = DdlKey(raw);
+        key.cap_type().map(|_| key)
     }
 
     /// Returns the raw 64-bit representation.
@@ -145,7 +144,7 @@ mod tests {
     #[test]
     fn raw_roundtrip() {
         let k = DdlKey::new(PeId(1), VpeId(2), CapType::Memory, 3);
-        assert_eq!(DdlKey::from_raw(k.raw()), k);
+        assert_eq!(DdlKey::from_raw(k.raw()), Some(k));
     }
 
     #[test]
@@ -164,8 +163,8 @@ mod tests {
 
     #[test]
     fn unknown_type_decodes_none() {
-        let k = DdlKey::from_raw(0xFF << 24);
-        assert_eq!(k.cap_type(), None);
+        assert_eq!(DdlKey::from_raw(0xFF << 24), None);
+        assert_eq!(DdlKey::from_raw(0), None);
     }
 
     #[test]

@@ -42,11 +42,6 @@ impl Perms {
     /// No permissions (useful for revoked placeholders in tests).
     pub const NONE: Perms = Perms(0);
 
-    /// Creates a permission set from raw bits (low three bits used).
-    pub fn from_bits(bits: u8) -> Perms {
-        Perms(bits & 0b111)
-    }
-
     /// Returns the raw bits.
     pub fn bits(self) -> u8 {
         self.0
@@ -468,36 +463,6 @@ pub enum Kcall {
         /// The relayed request.
         call: Box<Kcall>,
     },
-    /// First leg of an eager cross-kernel delegate against an
-    /// unresolved promise: the sender's kernel
-    /// *will* delegate a capability — not yet describable because an
-    /// operand promise is unresolved — to `recv_vpe`. The receiving
-    /// kernel runs the consent upcall now, so by the time the operand
-    /// resolves only the transfer legs remain. Answered with
-    /// [`KReply::Provide`]; the actual capability follows in a
-    /// [`Kcall::Resolve`].
-    Provide {
-        /// Correlation id (sender-local).
-        op: OpId,
-        /// The delegating VPE.
-        from_vpe: VpeId,
-        /// The VPE that will receive the capability.
-        recv_vpe: VpeId,
-    },
-    /// Second leg of an eager delegate: the operand promise resolved,
-    /// so the sender now names the capability to transfer (or aborts
-    /// with an `Err`, e.g. the promise resolved to a failure or the
-    /// submitter died — then the receiver just drops its pending state
-    /// and no reply is sent). Answered with [`KReply::Resolved`] on the
-    /// `Ok` path.
-    Resolve {
-        /// The *receiver's* correlation id (from [`KReply::Provide`]).
-        op: OpId,
-        /// The sender's correlation id, echoed in [`KReply::Resolved`].
-        reply_op: OpId,
-        /// The parent capability to delegate from, or the abort reason.
-        result: Result<CapDesc>,
-    },
     /// Terminate a VPE hosted by the receiving kernel. Sent by a
     /// migration source replaying a kill that arrived while the VPE's
     /// group was mid-handover (the group — and with it the kill — now
@@ -583,25 +548,6 @@ pub enum KReply {
         /// Correlation id echoed from the update.
         op: OpId,
     },
-    /// Reply to [`Kcall::Provide`]: the receiving VPE's consent verdict.
-    /// On success, the receiver kernel's correlation id addressing the
-    /// follow-up [`Kcall::Resolve`].
-    Provide {
-        /// Correlation id echoed from the request.
-        op: OpId,
-        /// On success: the receiver kernel's pending-op id.
-        result: Result<OpId>,
-    },
-    /// Reply to an `Ok` [`Kcall::Resolve`]: the receiver created the
-    /// pending child capability. On success, the child's DDL key plus
-    /// the receiver's insert correlation id — the sender commits with
-    /// the ordinary [`Kcall::DelegateAck`] handshake.
-    Resolved {
-        /// The resolve's `reply_op` echoed back.
-        op: OpId,
-        /// On success: pending child key and the receiver's insert op.
-        result: Result<(DdlKey, OpId)>,
-    },
 }
 
 impl KReply {
@@ -616,9 +562,7 @@ impl KReply {
             | KReply::RevokeBatch { op, .. }
             | KReply::OpenSess { op, .. }
             | KReply::Migrate { op, .. }
-            | KReply::MembershipAck { op }
-            | KReply::Provide { op, .. }
-            | KReply::Resolved { op, .. } => *op,
+            | KReply::MembershipAck { op } => *op,
         }
     }
 }
@@ -905,8 +849,6 @@ impl Payload {
                 KReply::OpenSess { .. } => 24,
                 KReply::Migrate { .. } => 24,
                 KReply::MembershipAck { .. } => 8,
-                KReply::Provide { .. } => 16,
-                KReply::Resolved { .. } => 24,
             },
             Payload::Upcall(_) | Payload::UpcallReply(_) => 24,
             Payload::Fs(req) => {
@@ -955,8 +897,6 @@ fn kcall_size(call: &Kcall) -> u32 {
         Kcall::MembershipUpdate { .. } => 16,
         Kcall::Forwarded { call, .. } => 8 + kcall_size(call),
         Kcall::KillVpe { .. } => 8,
-        Kcall::Provide { .. } => 24,
-        Kcall::Resolve { .. } => 48,
     }
 }
 
@@ -1029,11 +969,6 @@ mod tests {
         assert_eq!(Perms::RW.intersect(Perms::W), Perms::W);
         assert_eq!(Perms::RWX.to_string(), "rwx");
         assert_eq!(Perms::R.to_string(), "r--");
-    }
-
-    #[test]
-    fn perms_from_bits_masks_high_bits() {
-        assert_eq!(Perms::from_bits(0xFF), Perms::RWX);
     }
 
     #[test]

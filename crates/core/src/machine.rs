@@ -1328,8 +1328,8 @@ mod tests {
     fn promise_cross_kernel_delegate_resolves() {
         let mut m = micro(2, 4);
         // VPE 0 (group 0) creates memory and async-delegates it to
-        // VPE 1 (group 1) — the eager provide prefetches the receiver's
-        // consent across kernels while the operand gate is still shut.
+        // VPE 1 (group 1) — the two-way handshake (§4.3.2) runs under
+        // the reserved tag and its completion resolves the promise.
         let (r, _) =
             m.syscall_blocking(VpeId(0), Syscall::CreateMem { size: 4096, perms: Perms::RW });
         let Ok(SysReplyData::Mem { sel, .. }) = r.result else { panic!("{r:?}") };

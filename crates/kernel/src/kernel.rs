@@ -598,7 +598,7 @@ impl Kernel {
         // cleanups per §4.3.2).
         self.bulk_vpe_died(vpe);
         self.cancel_upcall_waiters(vpe, out);
-        self.promise_vpe_died(vpe, out);
+        self.promise_vpe_died(vpe);
         // Revoke all capabilities still in the VPE's table, starting at
         // the roots we own. Children in other groups are reached by the
         // revocation protocol itself.

@@ -865,7 +865,7 @@ impl Kernel {
 }
 
 /// DDL key type matching a resource description.
-pub(crate) fn key_type_for(desc: &CapKindDesc) -> CapType {
+fn key_type_for(desc: &CapKindDesc) -> CapType {
     match desc {
         CapKindDesc::Vpe { .. } => CapType::Vpe,
         CapKindDesc::Memory { .. } => CapType::Memory,

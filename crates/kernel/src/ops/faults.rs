@@ -24,7 +24,7 @@
 //! * **Anomaly absorption.** Duplicated messages produce replies for
 //!   ops that already completed and duplicate fan-in completions.
 //!   Outside fault mode these are hard bugs
-//!   (debug asserts); under fault mode they are counted in
+//!   (panics, in every profile); under fault mode they are counted in
 //!   `stats.fault_anomalies` and ignored.
 //!
 //! Abort is per-phase surgery, not a generic drop: a revocation that
@@ -37,7 +37,7 @@ use semper_base::msg::{KReply, Kcall};
 use semper_base::{Code, DetHashMap, Error, KernelId, OpId};
 
 use crate::kernel::Kernel;
-use crate::ops::{exchange, migrate, promise, revoke, session, PendingOp};
+use crate::ops::{exchange, migrate, revoke, session, PendingOp};
 use crate::outbox::Outbox;
 
 /// How many times an expired op re-sends its recorded request legs
@@ -111,14 +111,12 @@ impl Kernel {
     }
 
     /// Counts one absorbed protocol anomaly (duplicate or stray
-    /// message). Outside fault mode the event is a hard bug.
+    /// message). Outside fault mode the event is a hard bug, in every
+    /// profile: a release kernel must not silently drop a reply that
+    /// resumes nothing.
     pub(crate) fn fault_anomaly(&mut self, what: &str) {
-        if self.fault.enabled {
-            self.stats.fault_anomalies += 1;
-        } else {
-            debug_assert!(false, "{what}");
-        }
-        let _ = what;
+        assert!(self.fault.enabled, "{what}");
+        self.stats.fault_anomalies += 1;
     }
 
     /// Bookkeeping hook of [`Kernel::park`]: checks the crash script
@@ -280,18 +278,6 @@ impl Kernel {
                 // force-completes it.
                 migrate::Phase::Draining(_) => false,
             },
-            PendingOp::Promise(p) => match p {
-                // An eager provide without its consent verdict waits on
-                // the receiver's kernel; once the verdict arrived it
-                // waits only on the local operand gate.
-                promise::Phase::ProvidePending(prov) => {
-                    prov.consent.is_none() && prov.peer_kernel == dead
-                }
-                promise::Phase::AwaitResolved { peer_kernel, .. }
-                | promise::Phase::AwaitInsert { peer_kernel, .. } => *peer_kernel == dead,
-                promise::Phase::ConsentAtRecv { caller_kernel, .. }
-                | promise::Phase::AwaitResolve { caller_kernel, .. } => *caller_kernel == dead,
-            },
             PendingOp::Bulk(_) => false,
         }
     }
@@ -392,46 +378,6 @@ impl Kernel {
                     self.migration_complete(vpe, held, out)
                 }
             },
-            PendingOp::Promise(phase) => match phase {
-                // The consent verdict never arrived (or the operand gate
-                // never opened before the deadline — conservatively the
-                // same surgery): release B's pending state if consent
-                // was granted, and fail the promise.
-                promise::Phase::ProvidePending(p) => {
-                    if let Some(Ok(b_op)) = p.consent {
-                        self.send_resolve_abort(p.peer_kernel, b_op, err, out);
-                    }
-                    exit + self.resolve_promise(p.promise, Err(err), out)
-                }
-                promise::Phase::AwaitResolved { promise, .. } => {
-                    exit + self.resolve_promise(promise, Err(err), out)
-                }
-                // The receiver inserted (or will insert) the child; we
-                // can no longer learn which — same orphan discipline as
-                // the classic delegate's `DelegateWaitDone` abort.
-                promise::Phase::AwaitInsert { promise, parent_key, child_key, linked, .. } => {
-                    if linked {
-                        self.mapdb.unlink_child(parent_key, child_key);
-                    }
-                    self.stats.orphans_cleaned += 1;
-                    exit + self.resolve_promise(promise, Err(err), out)
-                }
-                // The receiving VPE never answered the consent upcall:
-                // meet the reply obligation towards A with the error.
-                promise::Phase::ConsentAtRecv { caller_op, caller_kernel, .. } => {
-                    if !self.fault.dead_peers.contains(&caller_kernel) {
-                        self.send_kreply(
-                            out,
-                            caller_kernel,
-                            KReply::Provide { op: caller_op, result: Err(err) },
-                        );
-                    }
-                    exit
-                }
-                // Never inserted anything — dropping the pending state
-                // is safe and complete (§4.3.2 discipline).
-                promise::Phase::AwaitResolve { .. } => 0,
-            },
             // Batch trackers never arm deadlines and wait on no peer;
             // defensive re-insert if one ever lands here.
             state @ PendingOp::Bulk(_) => {
@@ -443,8 +389,8 @@ impl Kernel {
     }
 
     /// Asserts that the kernel reached true quiescence: no suspended
-    /// operations (which covers active batches and unresolved eager
-    /// provides), and every protocol's own state drained — no marked
+    /// operations (which covers active batches), and every protocol's
+    /// own state drained — no marked
     /// capability awaiting deletion, no open migration window, no
     /// unresolved promise, no request stalled behind the credit gate.
     /// The fault suites call this after every run — a leak here is

@@ -582,7 +582,6 @@ impl Kernel {
                 cap_keys.iter().find_map(|k| self.subtree_touches_migrating(*k))
             }
             Kcall::KillVpe { vpe } => self.migration_of_vpe(*vpe),
-            Kcall::Provide { recv_vpe, .. } => self.migration_of_vpe(*recv_vpe),
             _ => None,
         }
     }
@@ -625,7 +624,6 @@ impl Kernel {
             Kcall::RevokeReq { cap_key, .. } => self.membership.kernel_of_key(*cap_key),
             Kcall::OrphanNotice { parent_key, .. } => self.membership.kernel_of_key(*parent_key),
             Kcall::KillVpe { vpe } => self.kernel_of_vpe(*vpe).ok()?,
-            Kcall::Provide { recv_vpe, .. } => self.kernel_of_vpe(*recv_vpe).ok()?,
             _ => return None,
         };
         (owner != self.id).then_some(owner)

@@ -10,7 +10,7 @@
 //!
 //! * [`PendingOp`] — the union of all suspended phases, one variant per
 //!   protocol ([`exchange`], [`session`], [`revoke`], [`migrate`],
-//!   [`bulk`], [`promise`]).
+//!   [`bulk`]).
 //!   Each phase carries exactly the continuation state its resume
 //!   handler needs.
 //! * [`PhaseSpec`] — the per-phase declaration: what the phase awaits
@@ -61,7 +61,6 @@
 //! | §4.3.3 Algorithm 1 mark/delete + reply counting | [`revoke::Phase::Run`]; an incoming `RevokeBatchReq` (§5.2 message batching) tracks its keys in [`revoke::Phase::Batch`] |
 //! | §4.2 group migration (ownership handover) | [`migrate::Phase::AwaitInstall`] → [`migrate::Phase::Draining`] |
 //! | §5.2 bulk capability operations (`Syscall::Batch`) | [`bulk::Phase::Run`] |
-//! | promise IPC, eager provide of an asynchronous spanning delegate | [`promise::Phase::ProvidePending`] → [`promise::Phase::AwaitResolved`] → [`promise::Phase::AwaitInsert`]; receiver: [`promise::Phase::ConsentAtRecv`] → [`promise::Phase::AwaitResolve`] |
 //!
 //! # What a new protocol costs
 //!
@@ -220,9 +219,6 @@ pub enum PendingOp {
     /// A batched system call ([`bulk`]): N capability operations in one
     /// message, executed in order with coalesced revoke fan-outs.
     Bulk(bulk::Phase),
-    /// Promise-capability IPC ([`promise`]): the eager-provide legs of
-    /// an asynchronous cross-kernel delegate.
-    Promise(promise::Phase),
 }
 
 impl PendingOp {
@@ -234,7 +230,6 @@ impl PendingOp {
             PendingOp::Revoke(p) => p.spec(),
             PendingOp::Migrate(p) => p.spec(),
             PendingOp::Bulk(p) => p.spec(),
-            PendingOp::Promise(p) => p.spec(),
         }
     }
 
@@ -265,7 +260,6 @@ impl PendingOp {
     pub fn upcall_responder(&self) -> Option<VpeId> {
         match self {
             PendingOp::Exchange(p) => p.upcall_responder(),
-            PendingOp::Promise(p) => p.upcall_responder(),
             _ => None,
         }
     }
@@ -285,7 +279,6 @@ impl PendingOp {
             PendingOp::Revoke(p) => p.references_vpe(vpe),
             PendingOp::Migrate(p) => p.references_vpe(vpe),
             PendingOp::Bulk(p) => p.references_vpe(vpe),
-            PendingOp::Promise(p) => p.references_vpe(vpe),
         }
     }
 }
@@ -363,12 +356,6 @@ impl Kernel {
             Kcall::MembershipUpdate { op, pe, new_kernel } => {
                 self.membership_update(from, *op, *pe, *new_kernel, out)
             }
-            Kcall::Provide { op, from_vpe, recv_vpe } => {
-                self.promise_provide_request(from, *op, *from_vpe, *recv_vpe, out)
-            }
-            Kcall::Resolve { op, reply_op, result } => {
-                self.promise_resolve_request(from, *op, *reply_op, result, out)
-            }
             Kcall::KillVpe { vpe } => self.kill(*vpe, out),
             Kcall::Forwarded { .. } => unreachable!("unwrapped above"),
         }
@@ -408,7 +395,6 @@ impl Kernel {
     ) -> u64 {
         use exchange::Phase as Ex;
         use migrate::Phase as Mig;
-        use promise::Phase as Pr;
         use session::Phase as Sess;
 
         let op = reply.op();
@@ -445,19 +431,6 @@ impl Kernel {
             (PendingOp::Migrate(Mig::Draining(drain)), KReply::MembershipAck { .. }) => {
                 self.migrate_ack(op, drain, out)
             }
-            (PendingOp::Promise(Pr::ProvidePending(p)), KReply::Provide { result, .. }) => {
-                self.promise_provide_reply(op, p, result, out)
-            }
-            (
-                PendingOp::Promise(Pr::AwaitResolved { promise, parent_key, .. }),
-                KReply::Resolved { result, .. },
-            ) => self.promise_resolved_reply(from, op, promise, parent_key, result, out),
-            (
-                PendingOp::Promise(Pr::AwaitInsert {
-                    promise, parent_key, child_key, linked, ..
-                }),
-                KReply::DelegateDone { result, .. },
-            ) => self.promise_insert_done(promise, parent_key, child_key, linked, result, out),
             (state, reply) => {
                 // Under fault injection: a duplicated reply arriving
                 // after the op legitimately advanced to another phase.
@@ -471,8 +444,13 @@ impl Kernel {
 
     /// Routes a VPE's upcall answer: resumes the phase parked under the
     /// echoed correlation id. A missing op means the operation was
-    /// cancelled (a party died); the answer is dropped. An op parked in
-    /// a phase that awaits something else is put back untouched.
+    /// cancelled (a party died); the answer is dropped.
+    ///
+    /// Op ids count up from 1 per kernel, so the id alone authenticates
+    /// nothing: the phase resumes only if `src` is the PE the upcall
+    /// went to and the answer is of the kind that phase asked for.
+    /// Anything else — a VPE answering a question put to another — is
+    /// dropped at zero cost with the op left parked, in every profile.
     pub(crate) fn route_upcall_reply(
         &mut self,
         src: PeId,
@@ -480,16 +458,27 @@ impl Kernel {
         out: &mut Outbox,
     ) -> u64 {
         use exchange::Phase as Ex;
-        use promise::Phase as Pr;
         use session::Phase as Sess;
 
         let op = match reply {
             UpcallReply::AcceptExchange { op, .. } | UpcallReply::SessionOpen { op, .. } => *op,
         };
-        let Some(state) = self.pending.remove(op) else {
+        let asked = match (self.pending.get(op), reply) {
             // The operation was cancelled (e.g. a party died); ignore.
-            return 0;
+            (None, _) => return 0,
+            (Some(PendingOp::Exchange(phase)), UpcallReply::AcceptExchange { .. }) => {
+                phase.upcall_responder().and_then(|vpe| self.pe_of_vpe(vpe).ok())
+            }
+            (
+                Some(PendingOp::Session(Sess::OpenLocal { srv, .. } | Sess::AtService { srv, .. })),
+                UpcallReply::SessionOpen { .. },
+            ) => Some(srv.srv_pe),
+            (Some(_), _) => None,
         };
+        if asked != Some(src) {
+            return 0;
+        }
+        let state = self.pending.remove(op).expect("looked up above");
         match (state, reply) {
             (
                 PendingOp::Exchange(Ex::LocalAccept {
@@ -501,12 +490,9 @@ impl Kernel {
                     other_sel,
                 }),
                 UpcallReply::AcceptExchange { accept, .. },
-            ) => {
-                debug_assert_eq!(self.pe_of_vpe(peer).ok(), Some(src));
-                self.local_exchange_accept(
-                    tag, initiator, peer, kind, own_sel, other_sel, *accept, out,
-                )
-            }
+            ) => self.local_exchange_accept(
+                tag, initiator, peer, kind, own_sel, other_sel, *accept, out,
+            ),
             (
                 PendingOp::Exchange(Ex::ObtainAtOwner {
                     caller_op,
@@ -543,10 +529,6 @@ impl Kernel {
                 out,
             ),
             (
-                PendingOp::Promise(Pr::ConsentAtRecv { caller_op, caller_kernel, recv, .. }),
-                UpcallReply::AcceptExchange { accept, .. },
-            ) => self.promise_consent_accept(caller_op, caller_kernel, recv, *accept, out),
-            (
                 PendingOp::Session(Sess::OpenLocal { tag, client, child_key, srv }),
                 UpcallReply::SessionOpen { result, .. },
             ) => self.session_local_accept(tag, client, child_key, srv, *result, out),
@@ -557,9 +539,7 @@ impl Kernel {
                 self.session_service_accept(caller_op, caller_kernel, child_key, srv, *result, out)
             }
             (state, reply) => {
-                debug_assert!(false, "upcall reply {reply:?} cannot resume {}", state.spec().name);
-                self.pending.insert(op, state);
-                0
+                unreachable!("{reply:?} passed the check for {}", state.spec().name)
             }
         }
     }
@@ -580,22 +560,6 @@ impl Kernel {
             let p = self.pending.remove(op).expect("collected above");
             match p {
                 PendingOp::Exchange(phase) => self.cancel_exchange_phase(phase, out),
-                PendingOp::Promise(promise::Phase::ConsentAtRecv {
-                    caller_op,
-                    caller_kernel,
-                    ..
-                }) => {
-                    // The receiving VPE died mid-consent: report the
-                    // verdict the sender's promise will resolve to.
-                    self.send_kreply(
-                        out,
-                        caller_kernel,
-                        KReply::Provide {
-                            op: caller_op,
-                            result: Err(semper_base::Error::new(semper_base::Code::VpeGone)),
-                        },
-                    );
-                }
                 other => unreachable!("{} does not await consent upcalls", other.spec().name),
             }
         }

@@ -25,30 +25,15 @@
 //! promise traffic, which is what keeps every golden and trace
 //! fingerprint of promise-free runs bit-identical.
 //!
-//! # Protocol phases
+//! # No wire protocol
 //!
-//! A purely local submission needs no new wire traffic: the inner call
-//! executes through the ordinary handlers under a reserved reply tag
-//! ([`ASYNC_TAG_BASE`]), and the kernel's reply funnel resolves the
-//! promise instead of messaging the VPE. The one genuinely new wire
-//! exchange is the *eager provide* for an asynchronous cross-kernel
-//! delegate, which prefetches the receiver's consent while the operand
-//! promise is still unresolved:
-//!
-//! | # | where | phase                  | awaits                     |
-//! |---|-------|------------------------|----------------------------|
-//! | 1 | A     | `ProvidePending`       | `KReply::Provide` + gate   |
-//! | 2 | B     | `ConsentAtRecv`        | consent upcall reply       |
-//! | 3 | B     | `AwaitResolve`         | `Kcall::Resolve`           |
-//! | 4 | A     | `AwaitResolved`        | `KReply::Resolved`         |
-//! | 5 | A     | `AwaitInsert`          | `KReply::DelegateDone`     |
-//!
-//! Leg 5 reuses the ordinary `Kcall::DelegateAck` commit handshake and
-//! B's existing `DelegatePendingInsert` phase, preserving the
-//! link-before-insert ordering of the classic delegate (§4.3): after
-//! the operand gate opens, the transfer costs the same two round-trips
-//! as a blocking delegate — the consent round-trip has already been
-//! paid in the shadow of the operand's resolution.
+//! A submission needs no new wire traffic: the inner call — a
+//! group-spanning obtain or delegate included — executes through the
+//! ordinary handlers under a reserved reply tag ([`ASYNC_TAG_BASE`]),
+//! and the kernel's reply funnel resolves the promise instead of
+//! messaging the VPE. Everything in this module is kernel-local state
+//! behind that one funnel; an asynchronous delegate runs the paper's
+//! two-way handshake (§4.3.2) like its blocking twin.
 //!
 //! # Termination
 //!
@@ -56,20 +41,16 @@
 //! hang. VPE death tears down its promises ([`Kernel::promise_vpe_died`]),
 //! revoking the promise selector severs the *handle* (the underlying
 //! invocation still lands, into a dropped slot), and under fault
-//! injection every parked phase above carries a per-op deadline, so
-//! dropped `Resolve` legs or a crashed peer kernel abort the promise
-//! with `Err(Timeout)` through the ordinary fault engine.
+//! injection the inner call's parked phases carry the ordinary per-op
+//! deadlines, so a dropped leg or a crashed peer kernel aborts the call
+//! — and with it the promise — with `Err(Timeout)` through the ordinary
+//! fault engine.
 
-use semper_base::msg::{CapDesc, KReply, Kcall, SysReplyData, Syscall, Upcall};
-use semper_base::{
-    CapSel, Code, DdlKey, DetHashMap, Error, ExchangeKind, KernelId, OpId, Result, VpeId,
-};
+use semper_base::msg::{SysReplyData, Syscall};
+use semper_base::{CapSel, Code, DdlKey, DetHashMap, Error, Result, VpeId};
 use semper_caps::alloc::PROMISE_ID_BASE;
-use semper_caps::Capability;
 
 use crate::kernel::{nestable, Kernel};
-use crate::ops::exchange::{self, key_type_for};
-use crate::ops::{Awaits, PendingOp, PhaseSpec, Thread};
 use crate::outbox::Outbox;
 
 /// First selector of the per-VPE promise-selector range. Table-allocated
@@ -83,25 +64,25 @@ pub const ASYNC_TAG_BASE: u64 = 1 << 62;
 
 /// The selector bound to a promise key (derived, not allocated: promise
 /// object ids are per-VPE monotone, so the mapping is bijective).
-pub(crate) fn promise_sel(key: u64) -> CapSel {
-    CapSel(PROMISE_SEL_BASE + (DdlKey::from_raw(key).object_id() - PROMISE_ID_BASE))
+pub(crate) fn promise_sel(key: DdlKey) -> CapSel {
+    CapSel(PROMISE_SEL_BASE + (key.object_id() - PROMISE_ID_BASE))
 }
 
 /// Kernel-wide promise state: the promises themselves, the selectors
 /// bound to them, and the asynchronous inner executions in flight.
 #[derive(Debug, Default)]
 pub(crate) struct Promises {
-    /// Resolution state, by raw promise key. Never iterated on protocol
+    /// Resolution state, by promise key. Never iterated on protocol
     /// paths without sorting first.
-    slots: DetHashMap<u64, PromiseState>,
-    /// Promise-selector bindings: `(owner, selector)` → raw promise key.
+    slots: DetHashMap<DdlKey, PromiseState>,
+    /// Promise-selector bindings: `(owner, selector)` → promise key.
     /// Kept separate from the capability tables so the classic selector
     /// paths never see promise selectors.
-    binds: DetHashMap<(VpeId, CapSel), u64>,
+    binds: DetHashMap<(VpeId, CapSel), DdlKey>,
     /// In-flight asynchronous inner executions: `(owner, reserved tag)`
-    /// → raw promise key. The reply funnel resolves through this index;
+    /// → promise key. The reply funnel resolves through this index;
     /// a missing entry means the owner died and the late result drops.
-    execs: DetHashMap<(VpeId, u64), u64>,
+    execs: DetHashMap<(VpeId, u64), DdlKey>,
     /// Reserved reply tags handed out so far (counted up from
     /// [`ASYNC_TAG_BASE`]).
     tags_used: u64,
@@ -116,7 +97,7 @@ impl Promises {
 
     /// Every promise resolved, nothing parked on one, nothing in flight.
     pub(crate) fn quiescent(&self) -> core::result::Result<(), String> {
-        let mut unresolved: Vec<u64> = self
+        let mut unresolved: Vec<DdlKey> = self
             .slots
             .iter()
             .filter(|(_, p)| p.resolved.is_none() || !p.waiters.is_empty())
@@ -149,9 +130,6 @@ pub struct PromiseState {
     pub waiters: Vec<PromiseWaiter>,
     /// The submitted call, taken when the pipeline gate opens.
     pub call: Option<Box<Syscall>>,
-    /// The `ProvidePending` op id if an eager provide was launched at
-    /// submission (asynchronous cross-kernel delegate).
-    pub eager_op: Option<OpId>,
 }
 
 /// A continuation parked in a promise's resolution queue.
@@ -161,8 +139,8 @@ pub enum PromiseWaiter {
     /// when this promise resolves (program order — each promise has at
     /// most one `Exec` waiter).
     Exec {
-        /// Raw key of the gated promise.
-        promise: u64,
+        /// Key of the gated promise.
+        promise: DdlKey,
     },
     /// A blocking [`Syscall::WaitPromise`]; replied with the resolution.
     Wait {
@@ -187,142 +165,6 @@ pub enum PromiseWaiter {
     Discard,
 }
 
-/// Whether an eager provide's operand gate has opened yet, and with
-/// what parent validation verdict.
-#[derive(Debug, Clone)]
-pub enum Gate {
-    /// The operand promise has not resolved yet.
-    Waiting,
-    /// The gate opened; the delegated parent validated to `Ok(key)` or
-    /// failed (the promise already resolved to that error).
-    Open(Result<DdlKey>),
-}
-
-/// A-side state of an eager provide (phase 1 of the table above).
-#[derive(Debug, Clone)]
-pub struct Provide {
-    /// Raw key of the promise this delegate will resolve.
-    pub promise: u64,
-    /// The receiving VPE (owned by `peer_kernel`).
-    pub recv_vpe: VpeId,
-    /// The receiver's kernel.
-    pub peer_kernel: KernelId,
-    /// The receiver's consent verdict, once [`KReply::Provide`] arrived.
-    pub consent: Option<Result<OpId>>,
-    /// The operand gate.
-    pub gate: Gate,
-}
-
-/// Promise-protocol phases parked in the pending-op ledger.
-#[derive(Debug, Clone)]
-pub enum Phase {
-    /// A: eager `Kcall::Provide` sent at submission; resumes on consent
-    /// arrival *and* operand-gate opening (in either order).
-    ProvidePending(Box<Provide>),
-    /// A: `Kcall::Resolve` sent; awaiting [`KReply::Resolved`].
-    AwaitResolved {
-        /// Raw key of the promise being resolved.
-        promise: u64,
-        /// The delegated parent capability.
-        parent_key: DdlKey,
-        /// The receiver's kernel.
-        peer_kernel: KernelId,
-    },
-    /// A: `Kcall::DelegateAck` sent; awaiting [`KReply::DelegateDone`].
-    AwaitInsert {
-        /// Raw key of the promise being resolved.
-        promise: u64,
-        /// The delegated parent capability.
-        parent_key: DdlKey,
-        /// The receiver-side child key.
-        child_key: DdlKey,
-        /// The receiver's kernel.
-        peer_kernel: KernelId,
-        /// Whether the child was linked under the parent (unlinked again
-        /// if the insert fails).
-        linked: bool,
-    },
-    /// B: consent upcall in flight to the receiving VPE.
-    ConsentAtRecv {
-        /// A's correlation id (echoed in [`KReply::Provide`]).
-        caller_op: OpId,
-        /// A's kernel.
-        caller_kernel: KernelId,
-        /// The delegating VPE (consent prompt only).
-        from_vpe: VpeId,
-        /// The receiving VPE.
-        recv: VpeId,
-    },
-    /// B: consent granted; awaiting the sender's [`Kcall::Resolve`].
-    AwaitResolve {
-        /// A's kernel.
-        caller_kernel: KernelId,
-        /// The receiving VPE.
-        recv: VpeId,
-    },
-}
-
-impl Phase {
-    /// Scheduling/await metadata. All A-side phases run thread-free —
-    /// the submitter is not blocked, so no cooperative kernel thread is
-    /// held; only B's consent wait holds one (it is budgeted like any
-    /// consumed-unanswered inter-kernel request, §4.2).
-    pub fn spec(&self) -> &'static PhaseSpec {
-        match self {
-            Phase::ProvidePending(_) => {
-                &PhaseSpec { name: "promise-provide", awaits: Awaits::KReply, thread: Thread::Free }
-            }
-            Phase::AwaitResolved { .. } => &PhaseSpec {
-                name: "promise-await-resolved",
-                awaits: Awaits::KReply,
-                thread: Thread::Free,
-            },
-            Phase::AwaitInsert { .. } => &PhaseSpec {
-                name: "promise-await-insert",
-                awaits: Awaits::KReply,
-                thread: Thread::Free,
-            },
-            Phase::ConsentAtRecv { .. } => &PhaseSpec {
-                name: "promise-consent",
-                awaits: Awaits::UpcallReply,
-                thread: Thread::Holds,
-            },
-            Phase::AwaitResolve { .. } => &PhaseSpec {
-                name: "promise-await-resolve",
-                awaits: Awaits::KReply,
-                thread: Thread::Free,
-            },
-        }
-    }
-
-    /// The VPE whose upcall reply this phase awaits, if any.
-    pub(crate) fn upcall_responder(&self) -> Option<VpeId> {
-        match self {
-            Phase::ConsentAtRecv { recv, .. } => Some(*recv),
-            _ => None,
-        }
-    }
-
-    /// True if this phase involves `vpe` (migration refusal check).
-    pub(crate) fn references_vpe(&self, vpe: VpeId) -> bool {
-        match self {
-            Phase::ProvidePending(p) => {
-                DdlKey::from_raw(p.promise).vpe() == vpe || p.recv_vpe == vpe
-            }
-            Phase::AwaitResolved { promise, parent_key, .. } => {
-                DdlKey::from_raw(*promise).vpe() == vpe || parent_key.vpe() == vpe
-            }
-            Phase::AwaitInsert { promise, parent_key, child_key, .. } => {
-                DdlKey::from_raw(*promise).vpe() == vpe
-                    || parent_key.vpe() == vpe
-                    || child_key.vpe() == vpe
-            }
-            Phase::ConsentAtRecv { from_vpe, recv, .. } => *from_vpe == vpe || *recv == vpe,
-            Phase::AwaitResolve { recv, .. } => *recv == vpe,
-        }
-    }
-}
-
 impl Kernel {
     // ----- submission and the program-order pipeline ------------------
 
@@ -341,46 +183,18 @@ impl Kernel {
             return self.cfg.cost.syscall_exit;
         }
         let pe = self.pe_of_vpe(vpe).expect("submitter is local");
-        let key = self.keys.alloc_promise(pe, vpe).raw();
+        let key = self.keys.alloc_promise(pe, vpe);
         let sel = promise_sel(key);
         self.promises.binds.insert((vpe, sel), key);
-        let mut state = PromiseState {
+        let state = PromiseState {
             owner: vpe,
             sel,
             resolved: None,
             waiters: Vec::new(),
             call: Some(Box::new(inner.clone())),
-            eager_op: None,
         };
         self.stats.promises_created += 1;
         let mut cost = self.ref_cost() + self.cfg.cost.syscall_exit;
-
-        // Eager provide: an asynchronous cross-kernel delegate prefetches
-        // the receiver's consent while the operand gate is still shut.
-        if let Syscall::Exchange { other, kind: ExchangeKind::Delegate, .. } = inner {
-            if let Ok(peer) = self.kernel_of_vpe(*other) {
-                if peer != self.id {
-                    let op = self.alloc_op();
-                    self.send_kcall(
-                        out,
-                        peer,
-                        Kcall::Provide { op, from_vpe: vpe, recv_vpe: *other },
-                    );
-                    self.park(
-                        op,
-                        PendingOp::Promise(Phase::ProvidePending(Box::new(Provide {
-                            promise: key,
-                            recv_vpe: *other,
-                            peer_kernel: peer,
-                            consent: None,
-                            gate: Gate::Waiting,
-                        }))),
-                    );
-                    state.eager_op = Some(op);
-                    cost += self.cfg.cost.kcall_exit;
-                }
-            }
-        }
 
         // Program-order gate: chain behind the previous unresolved
         // promise of this VPE, or open the gate right away.
@@ -403,8 +217,8 @@ impl Kernel {
     }
 
     /// Opens a promise's pipeline gate: substitutes resolved operands
-    /// and launches the inner call (or the eager-provide continuation).
-    pub(crate) fn promise_gate_open(&mut self, key: u64, out: &mut Outbox) -> u64 {
+    /// and launches the inner call.
+    pub(crate) fn promise_gate_open(&mut self, key: DdlKey, out: &mut Outbox) -> u64 {
         let Some(state) = self.promises.slots.get_mut(&key) else {
             return 0; // discarded or torn down before the gate opened
         };
@@ -412,7 +226,6 @@ impl Kernel {
             return 0;
         };
         let owner = state.owner;
-        let eager = state.eager_op;
         if !self.vpe_alive(owner) {
             // Teardown normally drops the state first; belt and braces.
             return self.resolve_promise(key, Err(Error::new(Code::VpeGone)), out);
@@ -421,9 +234,6 @@ impl Kernel {
             Ok(c) => c,
             Err(e) => return self.resolve_promise(key, Err(e), out),
         };
-        if let Some(op) = eager {
-            return self.promise_eager_gate(op, key, &call, out);
-        }
         // The inner call runs through the ordinary handlers under a
         // reserved tag; `reply_sys` routes its completion back to
         // `promise_exec_done` by the tag range.
@@ -451,9 +261,9 @@ impl Kernel {
 
     /// Resolves a promise and replays its parked continuations in
     /// arrival order.
-    pub(crate) fn resolve_promise(
+    fn resolve_promise(
         &mut self,
-        key: u64,
+        key: DdlKey,
         result: Result<SysReplyData>,
         out: &mut Outbox,
     ) -> u64 {
@@ -551,8 +361,8 @@ impl Kernel {
     }
 
     /// The first operand (in field order) naming an unresolved promise.
-    fn first_unresolved_operand(&self, vpe: VpeId, call: &Syscall) -> Option<u64> {
-        let check = |sel: &CapSel| -> Option<u64> {
+    fn first_unresolved_operand(&self, vpe: VpeId, call: &Syscall) -> Option<DdlKey> {
+        let check = |sel: &CapSel| -> Option<DdlKey> {
             let key = *self.promises.binds.get(&(vpe, *sel))?;
             match self.promises.slots.get(&key) {
                 Some(p) if p.resolved.is_none() => Some(key),
@@ -668,405 +478,23 @@ impl Kernel {
         self.ref_cost() + self.cfg.cost.syscall_exit
     }
 
-    // ----- eager provide: A side --------------------------------------
-
-    /// Gate-open continuation of an eager provide: validates the (now
-    /// substituted) delegated parent and proceeds if the receiver's
-    /// consent already arrived.
-    fn promise_eager_gate(&mut self, op: OpId, key: u64, call: &Syscall, out: &mut Outbox) -> u64 {
-        let Some(PendingOp::Promise(Phase::ProvidePending(mut p))) = self.pending.remove(op) else {
-            // The eager op was already aborted (deadline / dead peer);
-            // the promise resolved to an error there.
-            return 0;
-        };
-        let Syscall::Exchange { own_sel, .. } = call else {
-            unreachable!("eager ops are delegates");
-        };
-        let owner = DdlKey::from_raw(key).vpe();
-        let parent = self
-            .tables
-            .get(&owner)
-            .ok_or(Error::new(Code::NoSuchVpe))
-            .and_then(|t| t.get(*own_sel))
-            .and_then(|pk| {
-                let cap = self.mapdb.get(pk)?;
-                if cap.revoking() {
-                    return Err(Error::new(Code::RevokeInProgress));
-                }
-                Ok(pk)
-            });
-        match (p.consent.take(), parent) {
-            (None, parent) => {
-                let cost = match &parent {
-                    Err(e) => self.resolve_promise(key, Err(*e), out),
-                    Ok(_) => 0,
-                };
-                p.gate = Gate::Open(parent);
-                self.pending.insert(op, PendingOp::Promise(Phase::ProvidePending(p)));
-                self.ref_cost() + cost
-            }
-            (Some(Err(e)), _) => {
-                // Receiver denied; B holds no pending state to release.
-                self.ref_cost() + self.resolve_promise(key, Err(e), out)
-            }
-            (Some(Ok(b_op)), Ok(pkey)) => {
-                self.promise_send_resolve(op, key, pkey, p.peer_kernel, b_op, out)
-            }
-            (Some(Ok(b_op)), Err(e)) => {
-                self.send_resolve_abort(p.peer_kernel, b_op, e, out);
-                self.cfg.cost.kcall_exit + self.resolve_promise(key, Err(e), out)
-            }
-        }
-    }
-
-    /// Resume handler for [`KReply::Provide`] (the consent verdict).
-    pub(crate) fn promise_provide_reply(
-        &mut self,
-        op: OpId,
-        mut p: Box<Provide>,
-        result: &Result<OpId>,
-        out: &mut Outbox,
-    ) -> u64 {
-        if !self.promises.slots.contains_key(&p.promise) {
-            // The submitter was torn down; release B's pending state.
-            if let Ok(b_op) = result {
-                self.send_resolve_abort(p.peer_kernel, *b_op, Error::new(Code::VpeGone), out);
-                return self.cfg.cost.kcall_exit;
-            }
-            return 0;
-        }
-        match std::mem::replace(&mut p.gate, Gate::Waiting) {
-            Gate::Waiting => {
-                p.consent = Some(*result);
-                self.pending.insert(op, PendingOp::Promise(Phase::ProvidePending(p)));
-                self.cfg.cost.thread_switch
-            }
-            Gate::Open(Ok(pkey)) => match result {
-                Ok(b_op) => {
-                    self.promise_send_resolve(op, p.promise, pkey, p.peer_kernel, *b_op, out)
-                }
-                Err(e) => {
-                    self.cfg.cost.syscall_exit + self.resolve_promise(p.promise, Err(*e), out)
-                }
-            },
-            Gate::Open(Err(e)) => {
-                // The promise already resolved to `e` at gate-open; just
-                // release B's pending state if consent was granted.
-                if let Ok(b_op) = result {
-                    self.send_resolve_abort(p.peer_kernel, *b_op, e, out);
-                    return self.cfg.cost.kcall_exit;
-                }
-                0
-            }
-        }
-    }
-
-    /// Sends the `Kcall::Resolve` transfer leg (re-validating the parent
-    /// — consent arrival may postdate the gate) and parks `AwaitResolved`.
-    fn promise_send_resolve(
-        &mut self,
-        op: OpId,
-        promise: u64,
-        parent_key: DdlKey,
-        peer: KernelId,
-        b_op: OpId,
-        out: &mut Outbox,
-    ) -> u64 {
-        let kind = match self.mapdb.get(parent_key) {
-            Ok(c) if !c.revoking() => c.kind,
-            Ok(_) => {
-                let e = Error::new(Code::RevokeInProgress);
-                self.send_resolve_abort(peer, b_op, e, out);
-                return self.cfg.cost.kcall_exit + self.resolve_promise(promise, Err(e), out);
-            }
-            Err(e) => {
-                self.send_resolve_abort(peer, b_op, e, out);
-                return self.cfg.cost.kcall_exit + self.resolve_promise(promise, Err(e), out);
-            }
-        };
-        self.send_kcall(
-            out,
-            peer,
-            Kcall::Resolve {
-                op: b_op,
-                reply_op: op,
-                result: Ok(CapDesc { key: parent_key, kind }),
-            },
-        );
-        self.park(
-            op,
-            PendingOp::Promise(Phase::AwaitResolved { promise, parent_key, peer_kernel: peer }),
-        );
-        self.ref_cost() + self.cfg.cost.xfer_desc + self.cfg.cost.kcall_exit
-    }
-
-    /// Aborts B's pending resolve state (fire-and-forget; B sends no
-    /// reply to an `Err` resolve).
-    pub(crate) fn send_resolve_abort(
-        &mut self,
-        peer: KernelId,
-        b_op: OpId,
-        e: Error,
-        out: &mut Outbox,
-    ) {
-        if self.fault.dead_peers.contains(&peer) {
-            return; // no point burning a send credit on a dead island
-        }
-        self.send_kcall(out, peer, Kcall::Resolve { op: b_op, reply_op: OpId(0), result: Err(e) });
-    }
-
-    /// Resume handler for [`KReply::Resolved`]: commits (or aborts) the
-    /// insert through the ordinary `DelegateAck` handshake, preserving
-    /// link-before-insert.
-    pub(crate) fn promise_resolved_reply(
-        &mut self,
-        from: KernelId,
-        op: OpId,
-        promise: u64,
-        parent_key: DdlKey,
-        result: &Result<(DdlKey, OpId)>,
-        out: &mut Outbox,
-    ) -> u64 {
-        match result {
-            Err(e) => self.cfg.cost.syscall_exit + self.resolve_promise(promise, Err(*e), out),
-            Ok((child_key, insert_op)) => {
-                let commit = self.promises.slots.contains_key(&promise)
-                    && self.mapdb.get(parent_key).map(|c| !c.revoking()).unwrap_or(false);
-                if commit {
-                    let _ = self.mapdb.link_child(parent_key, *child_key);
-                }
-                self.send_kcall(
-                    out,
-                    from,
-                    Kcall::DelegateAck { op: *insert_op, reply_op: op, commit },
-                );
-                self.park(
-                    op,
-                    PendingOp::Promise(Phase::AwaitInsert {
-                        promise,
-                        parent_key,
-                        child_key: *child_key,
-                        peer_kernel: from,
-                        linked: commit,
-                    }),
-                );
-                if commit {
-                    self.ref_cost() + self.cfg.cost.cap_insert + self.cfg.cost.kcall_exit
-                } else {
-                    self.ref_cost() + self.cfg.cost.kcall_exit
-                }
-            }
-        }
-    }
-
-    /// Resume handler for [`KReply::DelegateDone`] on the promise path:
-    /// the final leg — resolve the promise with the receiver-side
-    /// selector (or unlink and resolve to the error).
-    pub(crate) fn promise_insert_done(
-        &mut self,
-        promise: u64,
-        parent_key: DdlKey,
-        child_key: DdlKey,
-        linked: bool,
-        result: &Result<CapSel>,
-        out: &mut Outbox,
-    ) -> u64 {
-        match result {
-            Ok(recv_sel) => {
-                self.stats.exchanges_spanning += 1;
-                self.cfg.cost.syscall_exit
-                    + self.resolve_promise(
-                        promise,
-                        Ok(SysReplyData::Delegated { recv_sel: *recv_sel }),
-                        out,
-                    )
-            }
-            Err(e) => {
-                if linked {
-                    self.mapdb.unlink_child(parent_key, child_key);
-                }
-                self.cfg.cost.syscall_exit + self.resolve_promise(promise, Err(*e), out)
-            }
-        }
-    }
-
-    // ----- eager provide: B side --------------------------------------
-
-    /// Handles [`Kcall::Provide`]: runs the consent upcall now so the
-    /// verdict is ready by the time the sender's operand resolves.
-    pub(crate) fn promise_provide_request(
-        &mut self,
-        from: KernelId,
-        op: OpId,
-        from_vpe: VpeId,
-        recv_vpe: VpeId,
-        out: &mut Outbox,
-    ) -> u64 {
-        if !self.vpe_alive(recv_vpe) {
-            self.send_kreply(
-                out,
-                from,
-                KReply::Provide { op, result: Err(Error::new(Code::VpeGone)) },
-            );
-            return self.cfg.cost.kcall_exit;
-        }
-        let pe = self.pe_of_vpe(recv_vpe).expect("recv vpe is local");
-        let my_op = self.alloc_op();
-        self.send_upcall(
-            out,
-            pe,
-            Upcall::AcceptExchange {
-                op: my_op,
-                from_vpe,
-                kind: ExchangeKind::Delegate,
-                sel: CapSel::INVALID,
-            },
-        );
-        self.park(
-            my_op,
-            PendingOp::Promise(Phase::ConsentAtRecv {
-                caller_op: op,
-                caller_kernel: from,
-                from_vpe,
-                recv: recv_vpe,
-            }),
-        );
-        self.ref_cost() + self.cfg.cost.xfer_desc
-    }
-
-    /// Resume handler for the consent upcall reply: reports the verdict
-    /// and, on acceptance, parks `AwaitResolve` for the transfer leg.
-    pub(crate) fn promise_consent_accept(
-        &mut self,
-        caller_op: OpId,
-        caller_kernel: KernelId,
-        recv: VpeId,
-        accept: bool,
-        out: &mut Outbox,
-    ) -> u64 {
-        if !accept {
-            self.send_kreply(
-                out,
-                caller_kernel,
-                KReply::Provide { op: caller_op, result: Err(Error::new(Code::ExchangeDenied)) },
-            );
-            return self.cfg.cost.kcall_exit;
-        }
-        let b_op = self.alloc_op();
-        self.park(b_op, PendingOp::Promise(Phase::AwaitResolve { caller_kernel, recv }));
-        self.send_kreply(out, caller_kernel, KReply::Provide { op: caller_op, result: Ok(b_op) });
-        self.cfg.cost.kcall_exit
-    }
-
-    /// Handles [`Kcall::Resolve`]: creates the pending child (the exact
-    /// `delegate_recv_accept` discipline — uninserted until the sender's
-    /// commit) or silently drops the pending state on an abort.
-    pub(crate) fn promise_resolve_request(
-        &mut self,
-        from: KernelId,
-        op: OpId,
-        reply_op: OpId,
-        result: &Result<CapDesc>,
-        out: &mut Outbox,
-    ) -> u64 {
-        match self.pending.get(op) {
-            Some(PendingOp::Promise(Phase::AwaitResolve { .. })) => {}
-            _ => {
-                self.fault_anomaly("Resolve for unknown or mismatched op");
-                return 0;
-            }
-        }
-        let Some(PendingOp::Promise(Phase::AwaitResolve { caller_kernel, recv })) =
-            self.pending.remove(op)
-        else {
-            unreachable!("checked above");
-        };
-        debug_assert_eq!(from, caller_kernel, "Resolve from the wrong kernel");
-        let desc = match result {
-            Err(_) => return self.ref_cost(), // abort: drop, no reply
-            Ok(d) => d,
-        };
-        if !self.vpe_alive(recv) {
-            self.send_kreply(
-                out,
-                from,
-                KReply::Resolved { op: reply_op, result: Err(Error::new(Code::VpeGone)) },
-            );
-            return self.cfg.cost.kcall_exit;
-        }
-        let pe = self.pe_of_vpe(recv).expect("recv vpe is local");
-        let child_key = self.keys.alloc(pe, recv, key_type_for(&desc.kind));
-        let cap = Capability::child(child_key, desc.kind, recv, CapSel::INVALID, desc.key);
-        let insert_op = self.alloc_op();
-        self.park(
-            insert_op,
-            PendingOp::Exchange(exchange::Phase::DelegatePendingInsert {
-                caller_kernel: from,
-                cap: Box::new(cap),
-            }),
-        );
-        self.send_kreply(
-            out,
-            from,
-            KReply::Resolved { op: reply_op, result: Ok((child_key, insert_op)) },
-        );
-        self.cfg.cost.cap_create + self.cfg.cost.kcall_exit
-    }
-
     // ----- teardown and quiescence ------------------------------------
 
     /// Drops all promise state owned by a dying VPE; in-flight
     /// invocations land in dropped slots via the reserved-tag reply
-    /// funnel. Parked eager ops whose consent verdict is still in
-    /// flight are left to complete naturally (their resume handler
-    /// notices the missing promise); ops whose verdict already arrived
-    /// would otherwise never resume, so they are swept here, releasing
-    /// B's pending state.
-    pub(crate) fn promise_vpe_died(&mut self, vpe: VpeId, out: &mut Outbox) {
+    /// funnel.
+    pub(crate) fn promise_vpe_died(&mut self, vpe: VpeId) {
         if let Some(v) = self.vpes.get_mut(&vpe) {
             v.promise_tail = None;
         }
-        if self.promises.slots.is_empty() && self.promises.execs.is_empty() {
-            return;
-        }
-        let mut owned: Vec<u64> = self
-            .promises
-            .slots
-            .keys()
-            .copied()
-            .filter(|k| DdlKey::from_raw(*k).vpe() == vpe)
-            .collect();
-        owned.sort_unstable();
-        for key in &owned {
-            self.promises.slots.remove(key);
-        }
-        if !owned.is_empty() {
-            self.promises.binds.retain(|(v, _), _| *v != vpe);
-        }
+        self.promises.slots.retain(|k, _| k.vpe() != vpe);
+        self.promises.binds.retain(|(v, _), _| *v != vpe);
         self.promises.execs.retain(|(v, _), _| *v != vpe);
-        let mut doomed: Vec<OpId> = self
-            .pending
-            .iter()
-            .filter(|(_, state)| {
-                matches!(state, PendingOp::Promise(Phase::ProvidePending(p))
-                    if DdlKey::from_raw(p.promise).vpe() == vpe && p.consent.is_some())
-            })
-            .map(|(op, _)| op)
-            .collect();
-        doomed.sort_unstable_by_key(|op| op.0);
-        for op in doomed {
-            let Some(PendingOp::Promise(Phase::ProvidePending(p))) = self.pending.remove(op) else {
-                unreachable!("collected above");
-            };
-            if let Some(Ok(b_op)) = p.consent {
-                self.send_resolve_abort(p.peer_kernel, b_op, Error::new(Code::VpeGone), out);
-            }
-        }
     }
 
     /// True if `vpe` owns any promise (resolved or not). Promise state
     /// never migrates, so group migration refuses while this holds.
     pub(crate) fn vpe_has_promise_state(&self, vpe: VpeId) -> bool {
-        self.promises.slots.keys().any(|k| DdlKey::from_raw(*k).vpe() == vpe)
+        self.promises.slots.keys().any(|k| k.vpe() == vpe)
     }
 }

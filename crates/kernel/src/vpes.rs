@@ -4,7 +4,7 @@
 //! single-threaded process (§2.2). Each VPE runs on exactly one PE of the
 //! kernel's group and has its own capability table.
 
-use semper_base::{OpId, PeId, VpeId};
+use semper_base::{DdlKey, OpId, PeId, VpeId};
 
 /// Lifecycle of a VPE as seen by its kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,10 +32,10 @@ pub struct VpeState {
     /// addressed to the VPE is a batch-item completion (see
     /// [`crate::Kernel::reply_sys`] and [`crate::ops::bulk`]).
     pub batch: Option<OpId>,
-    /// Raw key of the VPE's most recently submitted promise — the gate
+    /// Key of the VPE's most recently submitted promise — the gate
     /// its next `SubmitAsync` chains behind (program-order pipelining,
     /// [`crate::ops::promise`]).
-    pub promise_tail: Option<u64>,
+    pub promise_tail: Option<DdlKey>,
 }
 
 impl VpeState {

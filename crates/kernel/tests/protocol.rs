@@ -2,8 +2,10 @@
 //! including every interference case of Table 2.
 
 use semper_base::config::Feature;
-use semper_base::msg::{ExchangeKind, Perms, SysReplyData, Syscall};
-use semper_base::{CapSel, Code, VpeId};
+use semper_base::msg::{
+    ExchangeKind, KReply, Outbox, Payload, Perms, SysReplyData, Syscall, UpcallReply,
+};
+use semper_base::{CapSel, Code, Error, Msg, OpId, VpeId};
 use semper_kernel::harness::TestCluster;
 
 /// Convenience: create a memory capability and return its selector.
@@ -15,9 +17,10 @@ fn create_mem(c: &mut TestCluster, vpe: VpeId) -> CapSel {
     }
 }
 
-/// Convenience: `to` obtains `from`'s capability at `sel`.
-fn obtain(c: &mut TestCluster, to: VpeId, from: VpeId, sel: CapSel) -> CapSel {
-    let r = c.syscall(
+/// `to` asks for `from`'s capability at `sel` without pumping; returns
+/// the tag.
+fn obtain_async(c: &mut TestCluster, to: VpeId, from: VpeId, sel: CapSel) -> u64 {
+    c.syscall_async(
         to,
         Syscall::Exchange {
             other: from,
@@ -25,7 +28,14 @@ fn obtain(c: &mut TestCluster, to: VpeId, from: VpeId, sel: CapSel) -> CapSel {
             other_sel: sel,
             kind: ExchangeKind::Obtain,
         },
-    );
+    )
+}
+
+/// Convenience: `to` obtains `from`'s capability at `sel`.
+fn obtain(c: &mut TestCluster, to: VpeId, from: VpeId, sel: CapSel) -> CapSel {
+    let tag = obtain_async(c, to, from, sel);
+    c.pump_all();
+    let r = c.take_reply(to, tag).expect("syscall must produce a reply");
     match r.result {
         Ok(SysReplyData::Sel(sel)) => sel,
         other => panic!("obtain failed: {other:?}"),
@@ -715,4 +725,122 @@ fn kill_mid_spanning_revoke() {
             "{vpe} still holds revoked capability {sel}"
         );
     }
+}
+
+// ----- who may answer an upcall, and replies that resume nothing ----------
+
+/// Hands kernel 0 — which has exactly one op parked — an upcall answer
+/// as if VPE `from` had sent it (the op ids a forger must guess count
+/// up from 1 per kernel), and asserts the kernel ignored it: nothing
+/// sent, the op still parked.
+fn assert_upcall_reply_dropped(c: &mut TestCluster, from: VpeId, reply: UpcallReply) {
+    assert_eq!(c.kernels[0].pending_ops(), 1);
+    let msg = Msg::new(c.pe_of(from), c.kernels[0].pe(), Payload::upcall_reply(reply.clone()));
+    let mut out = Outbox::new();
+    c.kernels[0].handle(&msg, &mut out);
+    assert!(out.is_empty(), "{reply:?} from {from} was acted on: {:?}", out.drain());
+    assert_eq!(c.kernels[0].pending_ops(), 1, "{reply:?} from {from} unparked the op");
+}
+
+/// A spanning obtain parked at the owner's kernel awaits *the owner's*
+/// consent: VPE 1 answering `accept` under the op id must not hand
+/// VPE 0's memory to VPE 2.
+#[test]
+fn spanning_consent_from_unasked_pe_is_dropped() {
+    let mut c = TestCluster::new(2, 2);
+    let sel = create_mem(&mut c, VpeId(0));
+    c.deny_exchanges(VpeId(0));
+    let tag = obtain_async(&mut c, VpeId(2), VpeId(0), sel);
+    c.pump_n(2); // syscall at kernel 1, ObtainReq at kernel 0: upcall in flight
+    let forged = UpcallReply::AcceptExchange { op: OpId(1), accept: true };
+    assert_upcall_reply_dropped(&mut c, VpeId(1), forged);
+
+    c.pump_all();
+    let r = c.take_reply(VpeId(2), tag).expect("the owner's real answer completes the obtain");
+    assert_eq!(r.result.unwrap_err().code(), Code::ExchangeDenied);
+    c.check_invariants();
+}
+
+/// The group-local twin: the *requester* answers the consent upcall
+/// that went to the owner.
+#[test]
+fn local_consent_from_unasked_pe_is_dropped() {
+    let mut c = TestCluster::new(1, 2);
+    let sel = create_mem(&mut c, VpeId(0));
+    c.deny_exchanges(VpeId(0));
+    let tag = obtain_async(&mut c, VpeId(1), VpeId(0), sel);
+    c.pump_n(1);
+    let forged = UpcallReply::AcceptExchange { op: OpId(1), accept: true };
+    assert_upcall_reply_dropped(&mut c, VpeId(1), forged);
+
+    c.pump_all();
+    let r = c.take_reply(VpeId(1), tag).expect("the owner's real answer completes the obtain");
+    assert_eq!(r.result.unwrap_err().code(), Code::ExchangeDenied);
+    c.check_invariants();
+}
+
+/// A session opens with the identifier the *service* chose: the client
+/// answering its own `SessionOpen` upcall is ignored.
+#[test]
+fn session_open_from_non_service_pe_is_dropped() {
+    let mut c = TestCluster::new(1, 2);
+    assert!(c.syscall(VpeId(0), Syscall::CreateSrv { name: 42 }).result.is_ok());
+    let tag = c.syscall_async(VpeId(1), Syscall::OpenSession { name: 42 });
+    c.pump_n(1);
+    let forged = UpcallReply::SessionOpen { op: OpId(1), result: Ok(0xBAD) };
+    assert_upcall_reply_dropped(&mut c, VpeId(1), forged);
+
+    c.pump_all();
+    let r = c.take_reply(VpeId(1), tag).expect("the service's real answer opens the session");
+    let Ok(SysReplyData::Session { ident, .. }) = r.result else { panic!("{r:?}") };
+    assert_ne!(ident, 0xBAD, "the session carries the forger's identifier");
+    c.check_invariants();
+}
+
+/// An answer of the wrong kind leaves the phase parked even when it
+/// comes from the PE that was asked — and does not panic the kernel.
+#[test]
+fn upcall_reply_of_the_wrong_kind_leaves_the_phase_parked() {
+    let mut c = TestCluster::new(1, 2);
+    let sel = create_mem(&mut c, VpeId(0));
+    let tag = obtain_async(&mut c, VpeId(1), VpeId(0), sel);
+    c.pump_n(1);
+    let wrong = UpcallReply::SessionOpen { op: OpId(1), result: Ok(7) };
+    assert_upcall_reply_dropped(&mut c, VpeId(0), wrong);
+
+    c.pump_all();
+    let r = c.take_reply(VpeId(1), tag).expect("the real consent completes the obtain");
+    assert!(matches!(r.result, Ok(SysReplyData::Sel(_))), "{r:?}");
+    c.check_invariants();
+}
+
+/// A reply that resumes nothing, as kernel 1 would send it.
+fn stray_obtain_reply(c: &TestCluster) -> Msg {
+    let reply = KReply::Obtain { op: OpId(99), result: Err(Error::new(Code::NoSuchCap)) };
+    Msg::new(c.kernels[1].pe(), c.kernels[0].pe(), Payload::kreply(reply))
+}
+
+/// Without fault injection every request produces exactly one reply,
+/// so a reply that resumes nothing is a kernel bug — in release builds
+/// as much as in debug builds.
+#[test]
+#[should_panic(expected = "without a pending op")]
+fn stray_kreply_panics_a_fault_free_kernel() {
+    let mut c = TestCluster::new(2, 1);
+    let msg = stray_obtain_reply(&c);
+    c.kernels[0].handle(&msg, &mut Outbox::new());
+}
+
+/// Under fault injection the same reply is a duplicate or a straggler:
+/// counted and dropped.
+#[test]
+fn stray_kreply_is_counted_under_fault_injection() {
+    let mut c = TestCluster::new(2, 1);
+    c.kernels[0].enable_fault_injection(64);
+    let msg = stray_obtain_reply(&c);
+    let mut out = Outbox::new();
+    c.kernels[0].handle(&msg, &mut out);
+    assert!(out.is_empty());
+    assert_eq!(c.kernels[0].stats().fault_anomalies, 1);
+    assert_eq!(c.kernels[0].pending_ops(), 0);
 }

@@ -267,9 +267,9 @@ mod tests {
     #[test]
     fn crash_points_filter_by_kernel() {
         let p = FaultPlan::empty()
-            .with_crash(CrashPoint { kernel: 2, phase: "promise-consent", after_nth: 1 })
+            .with_crash(CrashPoint { kernel: 2, phase: "delegate-at-recv", after_nth: 1 })
             .with_crash(CrashPoint { kernel: 1, phase: "revoke-run", after_nth: 3 });
-        assert_eq!(p.crash_points(2), vec![("promise-consent", 1)]);
+        assert_eq!(p.crash_points(2), vec![("delegate-at-recv", 1)]);
         assert_eq!(p.crash_points(1), vec![("revoke-run", 3)]);
         assert!(p.crash_points(0).is_empty());
         assert!(!p.is_empty());

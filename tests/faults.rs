@@ -422,8 +422,8 @@ fn partition_aborts_then_heals_migration() {
 
 /// A drop/duplicate/delay storm over a pipelined promise chain: three
 /// asynchronous cross-kernel delegates are submitted back to back, so
-/// their `Provide`/`Resolve` legs cross the lossy NoC while the chain
-/// is still unresolved. Every redeeming wait must be answered — the
+/// their `DelegateReq`/`DelegateAck` legs cross the lossy NoC while the
+/// chain is still unresolved. Every redeeming wait must be answered — the
 /// delegation result, or a real `Err` from a deadline abort — never
 /// silence, and the cluster must reach true quiescence with no parked
 /// waiter or async execution leaked.
@@ -481,16 +481,16 @@ fn promise_chain_survives_resolve_leg_storm() {
 }
 
 /// Kernel 1 crashes while it holds the receiver-side consent of an
-/// unresolved promise (`promise-consent` park). The submitter's kernel
-/// must detect the peer's death, abort the provide leg, and resolve the
-/// promise to a real error — the redeeming wait returns `Err`, never
+/// unresolved promise's asynchronous delegate (`delegate-at-recv`
+/// park). The submitter's kernel must detect the peer's death, abort
+/// the delegate's request leg, and resolve the promise to a real error — the redeeming wait returns `Err`, never
 /// hangs — and the surviving island reaches true quiescence.
 #[test]
 fn peer_crash_holding_unresolved_promise_yields_real_error() {
     let mut c = TestCluster::new(2, 2);
     let plan = FaultPlan::empty().with_crash(CrashPoint {
         kernel: 1,
-        phase: "promise-consent",
+        phase: "delegate-at-recv",
         after_nth: 1,
     });
     c.set_fault_plan(plan, 64);
@@ -516,7 +516,7 @@ fn peer_crash_holding_unresolved_promise_yields_real_error() {
     assert!(r.result.is_err(), "a promise held by a dead peer must resolve to an error: {r:?}");
     let s = c.kernels[0].stats();
     assert!(s.promises_resolved >= 1, "the orphaned promise never resolved");
-    assert!(s.ops_aborted >= 1, "the provide leg never aborted");
+    assert!(s.ops_aborted >= 1, "the delegate leg never aborted");
     c.check_invariants();
     c.assert_quiescent();
 }

@@ -645,7 +645,7 @@ fn ddl_key_roundtrip() {
         assert_eq!(k.vpe(), VpeId(vpe));
         assert_eq!(k.cap_type(), Some(ty));
         assert_eq!(k.object_id(), obj);
-        assert_eq!(DdlKey::from_raw(k.raw()), k);
+        assert_eq!(DdlKey::from_raw(k.raw()), Some(k));
     }
 }
 

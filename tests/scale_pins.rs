@@ -549,13 +549,14 @@ fn assert_twin_claims(rows: &[Row]) {
     let (s, b) = (seq.get("handler_dispatches"), bat.get("handler_dispatches"));
     assert!(b * 2 <= s, "batched teardown: {b} handler dispatches, more than half of {s}");
 
-    let blk = row("service_chain_blocking").get("sim_cycles");
+    let blk = row("service_chain_blocking");
     let pip = row("service_chain_pipelined");
-    assert!(
-        pip.get("sim_cycles") < blk,
-        "pipelined chains: {} cycles, not under blocking's {blk}",
-        pip.get("sim_cycles")
-    );
+    let (b, p) = (blk.get("sim_cycles"), pip.get("sim_cycles"));
+    assert!(p < b, "pipelined chains: {p} cycles, not under blocking's {b}");
+    // Promise IPC has no wire protocol: the asynchronous hand-off runs
+    // the blocking twin's two-way handshake under a reserved tag.
+    let (b, p) = (blk.get("kcalls"), pip.get("kcalls"));
+    assert_eq!(p, b, "asynchronous submission added inter-kernel messages: {p} against {b}");
     let (created, resolved) = (pip.get("promises_created"), pip.get("promises_resolved"));
     assert!(
         created > 0 && created == resolved,
