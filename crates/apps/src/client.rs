@@ -150,25 +150,9 @@ impl Replayer {
         self.session.is_some()
     }
 
-    /// Re-homes the kernel connection after a group migration (see
-    /// [`KernelConn::set_kernel_pe`]).
-    pub fn set_kernel_pe(&mut self, kernel_pe: PeId) {
-        self.sys.set_kernel_pe(kernel_pe);
-    }
-
     /// True if a trace is loaded and not yet finished.
     pub fn busy(&self) -> bool {
         self.trace.is_some()
-    }
-
-    /// True while a `NextExtent` request is outstanding: an IO is open
-    /// and blocked on the service, whose answer is a `DeriveMem` plus a
-    /// capability delegation into this VPE's group. Opening a handover
-    /// window at this moment guarantees the delegation races it —
-    /// benchmarks use this to exercise forward-or-hold deterministically
-    /// instead of hoping a window lands on a capability exchange.
-    pub fn awaiting_extent(&self) -> bool {
-        self.fs.busy() && self.io.is_some()
     }
 
     /// Issues the `OpenSession` system call.
@@ -467,17 +451,6 @@ impl AppClient {
     /// Replay statistics.
     pub fn stats(&self) -> &ClientStats {
         self.replayer.stats()
-    }
-
-    /// Re-homes the kernel connection after a group migration.
-    pub fn set_kernel_pe(&mut self, kernel_pe: PeId) {
-        self.replayer.set_kernel_pe(kernel_pe);
-    }
-
-    /// True while an extent request is outstanding (see
-    /// [`Replayer::awaiting_extent`]).
-    pub fn awaiting_extent(&self) -> bool {
-        self.replayer.awaiting_extent()
     }
 
     /// Starts the client: opens the service session.

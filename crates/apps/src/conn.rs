@@ -50,8 +50,8 @@
 //! a single-slot affair: [`KernelConn::pending`] names the in-flight
 //! token, [`KernelConn::accept`] resolves it.
 
-use semper_base::msg::{Outbox, Payload, SysReply, SysReplyData, Syscall};
-use semper_base::{CapSel, Code, Error, Msg, PeId, Result};
+use semper_base::msg::{Outbox, Payload, SysReply, Syscall};
+use semper_base::{Code, Error, Msg, PeId, Result};
 
 /// Matches request tags to reply tags for a channel with one request in
 /// flight at a time (syscalls to a kernel, filesystem IPC over a
@@ -128,22 +128,6 @@ impl Token {
     }
 }
 
-/// Handle for a promise capability:
-/// the selector returned by a [`Syscall::SubmitAsync`], standing in for
-/// the eventual result of the submitted call. Pass [`PromiseToken::sel`]
-/// as a selector operand of a dependent call to chain on the unresolved
-/// result, or redeem it with [`KernelConn::wait_promise`] /
-/// [`KernelConn::poll_promise`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PromiseToken(CapSel);
-
-impl PromiseToken {
-    /// The promise selector (usable as a dependent-call operand).
-    pub fn sel(&self) -> CapSel {
-        self.0
-    }
-}
-
 /// A VPE's connection to its group's kernel: typed submission of
 /// [`Syscall`]s, single-slot completion tracking, hard-error reply
 /// matching. See the module docs for the migration story.
@@ -165,14 +149,6 @@ impl KernelConn {
     /// replayer historically tags its session call 0).
     pub fn starting_at(pe: PeId, kernel_pe: PeId, first_tag: u64) -> KernelConn {
         KernelConn { pe, kernel_pe, corr: Correlator::new(first_tag) }
-    }
-
-    /// Re-homes the connection after the VPE's capability group
-    /// migrated: subsequent system calls go to the new owner's PE. An
-    /// in-flight call is unaffected — the old owner forwards it and the
-    /// reply carries the original correlation tag.
-    pub fn set_kernel_pe(&mut self, kernel_pe: PeId) {
-        self.kernel_pe = kernel_pe;
     }
 
     /// True while a system call is in flight (VPEs block on syscalls).
@@ -204,42 +180,6 @@ impl KernelConn {
     /// Clears the in-flight marker (failure teardown).
     pub fn reset(&mut self) {
         self.corr.reset();
-    }
-
-    // ----- promise IPC -------------------------------------------------
-
-    /// Submits `call` asynchronously ([`Syscall::SubmitAsync`]). The
-    /// kernel replies immediately with a promise selector — resolve the
-    /// reply with [`KernelConn::accept_promise`] — while the inner call
-    /// executes in the background; successive submissions pipeline in
-    /// program order.
-    pub fn submit_async(&mut self, call: Syscall, out: &mut Outbox) -> Token {
-        self.submit(Syscall::SubmitAsync(Box::new(call)), out)
-    }
-
-    /// Resolves a [`KernelConn::submit_async`] reply into its
-    /// [`PromiseToken`]. Tag mismatches are hard errors (as in
-    /// [`KernelConn::accept`]); a non-promise payload is `InvalidArgs`.
-    pub fn accept_promise(&mut self, reply: &SysReply) -> Result<PromiseToken> {
-        self.corr.accept(reply.tag)?;
-        match &reply.result {
-            Ok(SysReplyData::Promise { sel }) => Ok(PromiseToken(*sel)),
-            Ok(_) => Err(Error::new(Code::InvalidArgs)),
-            Err(e) => Err(*e),
-        }
-    }
-
-    /// Blocks on a promise ([`Syscall::WaitPromise`] with `block`): the
-    /// reply carries the resolved result (re-readable — redeeming is
-    /// non-consuming).
-    pub fn wait_promise(&mut self, p: PromiseToken, out: &mut Outbox) -> Token {
-        self.submit(Syscall::WaitPromise { sel: p.sel(), block: true }, out)
-    }
-
-    /// Polls a promise: replies immediately with the resolution, or
-    /// `Err(Unresolved)` if the submitted call has not completed yet.
-    pub fn poll_promise(&mut self, p: PromiseToken, out: &mut Outbox) -> Token {
-        self.submit(Syscall::WaitPromise { sel: p.sel(), block: false }, out)
     }
 }
 
@@ -285,7 +225,7 @@ impl BatchBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use semper_base::msg::{Perms, SysReplyData};
+    use semper_base::msg::SysReplyData;
 
     #[test]
     fn submit_and_accept_roundtrip() {
@@ -324,47 +264,6 @@ mod tests {
         assert_eq!(c.issue(), 1);
         c.accept(1).unwrap();
         assert!(!c.busy());
-    }
-
-    #[test]
-    fn promise_submit_redeem_roundtrip() {
-        let mut conn = KernelConn::new(PeId(5), PeId(0));
-        let mut out = Outbox::new();
-        let token =
-            conn.submit_async(Syscall::CreateMem { size: 4096, perms: Perms::RW }, &mut out);
-        let msgs = out.drain();
-        let Payload::Sys { call: Syscall::SubmitAsync(inner), .. } = &msgs[0].0.payload else {
-            panic!("expected an async submission");
-        };
-        assert!(matches!(**inner, Syscall::CreateMem { size: 4096, .. }));
-        let sel = CapSel(1 << 30);
-        let reply = SysReply { tag: token.tag(), result: Ok(SysReplyData::Promise { sel }) };
-        let p = conn.accept_promise(&reply).unwrap();
-        assert_eq!(p.sel(), sel);
-        assert!(!conn.busy());
-        // Redeem: wait blocks, poll does not.
-        let t2 = conn.wait_promise(p, &mut out);
-        let msgs = out.drain();
-        assert!(matches!(
-            &msgs[0].0.payload,
-            Payload::Sys { call: Syscall::WaitPromise { block: true, .. }, .. }
-        ));
-        conn.accept(&SysReply { tag: t2.tag(), result: Ok(SysReplyData::Sel(CapSel(9))) }).unwrap();
-        let _ = conn.poll_promise(p, &mut out);
-        let msgs = out.drain();
-        assert!(matches!(
-            &msgs[0].0.payload,
-            Payload::Sys { call: Syscall::WaitPromise { block: false, .. }, .. }
-        ));
-    }
-
-    #[test]
-    fn non_promise_reply_to_accept_promise_is_invalid() {
-        let mut conn = KernelConn::new(PeId(5), PeId(0));
-        let mut out = Outbox::new();
-        let token = conn.submit_async(Syscall::Noop, &mut out);
-        let reply = SysReply { tag: token.tag(), result: Ok(SysReplyData::None) };
-        assert_eq!(conn.accept_promise(&reply).unwrap_err().code(), Code::InvalidArgs);
     }
 
     #[test]

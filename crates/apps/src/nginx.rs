@@ -59,17 +59,6 @@ impl NginxServer {
         self.replayer.has_session()
     }
 
-    /// Re-homes the kernel connection after a group migration.
-    pub fn set_kernel_pe(&mut self, kernel_pe: PeId) {
-        self.replayer.set_kernel_pe(kernel_pe);
-    }
-
-    /// True while an extent request is outstanding (see
-    /// [`Replayer::awaiting_extent`]).
-    pub fn awaiting_extent(&self) -> bool {
-        self.replayer.awaiting_extent()
-    }
-
     /// Starts the server: opens its m3fs session.
     pub fn boot(&mut self, out: &mut Outbox) -> u64 {
         debug_assert!(!self.booted);

@@ -42,8 +42,9 @@ pub struct CostModel {
     /// Building and sending the system-call reply.
     pub syscall_exit: u64,
     /// Decoding one item of a batched system call out of the batch
-    /// buffer ([`Syscall::Batch`] pays `syscall_entry` once plus this
-    /// per item; the item's own handler cost comes on top).
+    /// buffer ([`Syscall::Batch`](crate::msg::Syscall::Batch) pays
+    /// `syscall_entry` once plus this per item; the item's own handler
+    /// cost comes on top).
     pub batch_item: u64,
     /// Decoding and dispatching an incoming inter-kernel call.
     pub kcall_entry: u64,

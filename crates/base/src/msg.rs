@@ -304,25 +304,6 @@ pub struct SysReply {
     pub result: Result<SysReplyData>,
 }
 
-/// One capability record in a capability-group migration transfer
-/// (§4.2 ownership handover): everything the adopting kernel needs to
-/// rebuild the record — the globally valid key, resource description,
-/// owner-table selector, and the tree links (which stay valid across
-/// the move because they are DDL keys, not pointers).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MigratedCap {
-    /// Global DDL key of the capability.
-    pub key: DdlKey,
-    /// Resource description.
-    pub kind: CapKindDesc,
-    /// Selector in the owner's capability table.
-    pub sel: CapSel,
-    /// Parent in the capability tree (may be owned by any kernel).
-    pub parent: Option<DdlKey>,
-    /// Children in creation order (may be owned by any kernel).
-    pub children: Vec<DdlKey>,
-}
-
 /// Inter-kernel calls (§4.1) — the distributed capability protocol plus
 /// startup/registry traffic.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -420,58 +401,6 @@ pub enum Kcall {
         /// The connecting client VPE.
         client_vpe: VpeId,
     },
-    /// Migrate a capability group: the sender hands ownership of `pe`'s
-    /// DDL partition — VPE `vpe` and every capability record it owns —
-    /// to the receiving kernel (§4.2). The receiver rebuilds the
-    /// records verbatim and adopts the PE into its group.
-    MigrateReq {
-        /// Correlation id (sender-local).
-        op: OpId,
-        /// The PE whose partition moves.
-        pe: PeId,
-        /// The VPE hosted on that PE.
-        vpe: VpeId,
-        /// The VPE's next DDL object id (resumes the per-creator
-        /// counter so post-migration allocations stay globally unique).
-        next_object_id: u32,
-        /// The VPE's selector-space high-water mark.
-        next_sel: u32,
-        /// The capability records, in selector order.
-        caps: Vec<MigratedCap>,
-    },
-    /// Announces a completed migration to a bystander kernel: DDL keys
-    /// in `pe`'s partition now route to `new_kernel`. Acknowledged with
-    /// [`KReply::MembershipAck`] so the migration only completes once
-    /// every kernel routes consistently.
-    MembershipUpdate {
-        /// Correlation id (sender-local).
-        op: OpId,
-        /// The reassigned PE.
-        pe: PeId,
-        /// Its new owning kernel.
-        new_kernel: crate::ids::KernelId,
-    },
-    /// A request relayed by a kernel that no longer owns the target
-    /// group (§4.2 live migration): the group migrated away, so the old
-    /// owner forwards the request to the new owner instead of erroring.
-    /// `from` is the *original* caller kernel — the receiver handles the
-    /// inner call on its behalf and replies directly to it (the
-    /// re-homed reply path), carrying the original correlation id.
-    Forwarded {
-        /// The kernel that originally issued the inner call.
-        from: crate::ids::KernelId,
-        /// The relayed request.
-        call: Box<Kcall>,
-    },
-    /// Terminate a VPE hosted by the receiving kernel. Sent by a
-    /// migration source replaying a kill that arrived while the VPE's
-    /// group was mid-handover (the group — and with it the kill — now
-    /// belongs to the destination). Fire-and-forget: teardown completes
-    /// through the ordinary revocation protocol.
-    KillVpe {
-        /// The VPE to terminate.
-        vpe: VpeId,
-    },
 }
 
 /// Replies to inter-kernel calls.
@@ -535,19 +464,6 @@ pub enum KReply {
         /// On success: the session identifier chosen by the service.
         result: Result<u64>,
     },
-    /// Reply to [`Kcall::MigrateReq`] — the receiving kernel installed
-    /// the group.
-    Migrate {
-        /// Correlation id echoed from the request.
-        op: OpId,
-        /// On success: the number of capability records installed.
-        result: Result<u64>,
-    },
-    /// Reply to [`Kcall::MembershipUpdate`].
-    MembershipAck {
-        /// Correlation id echoed from the update.
-        op: OpId,
-    },
 }
 
 impl KReply {
@@ -560,9 +476,7 @@ impl KReply {
             | KReply::DelegateDone { op, .. }
             | KReply::Revoke { op, .. }
             | KReply::RevokeBatch { op, .. }
-            | KReply::OpenSess { op, .. }
-            | KReply::Migrate { op, .. }
-            | KReply::MembershipAck { op } => *op,
+            | KReply::OpenSess { op, .. } => *op,
         }
     }
 }
@@ -847,8 +761,6 @@ impl Payload {
                 KReply::Revoke { .. } => 32,
                 KReply::RevokeBatch { cap_keys, .. } => 24 + 8 * cap_keys.len() as u32,
                 KReply::OpenSess { .. } => 24,
-                KReply::Migrate { .. } => 24,
-                KReply::MembershipAck { .. } => 8,
             },
             Payload::Upcall(_) | Payload::UpcallReply(_) => 24,
             Payload::Fs(req) => {
@@ -876,9 +788,7 @@ impl Payload {
 }
 
 /// Architectural payload bytes of one inter-kernel call (excluding the
-/// DTU header). Batched revokes count 8 bytes per key;
-/// a forwarded request pays an 8-byte relay header (original caller id)
-/// plus the inner call's payload.
+/// DTU header). Batched revokes count 8 bytes per key.
 fn kcall_size(call: &Kcall) -> u32 {
     match call {
         Kcall::AnnounceService { .. } => 48,
@@ -889,14 +799,6 @@ fn kcall_size(call: &Kcall) -> u32 {
         Kcall::RevokeReq { .. } => 24,
         Kcall::RevokeBatchReq { cap_keys, .. } => 16 + 8 * cap_keys.len() as u32,
         Kcall::OpenSessReq { .. } => 32,
-        // Per record: key + kind + selector + parent (32 bytes)
-        // plus one key per child reference.
-        Kcall::MigrateReq { caps, .. } => {
-            32 + caps.iter().map(|c| 32 + 8 * c.children.len() as u32).sum::<u32>()
-        }
-        Kcall::MembershipUpdate { .. } => 16,
-        Kcall::Forwarded { call, .. } => 8 + kcall_size(call),
-        Kcall::KillVpe { .. } => 8,
     }
 }
 

@@ -37,13 +37,6 @@ impl KeyAllocator {
         key
     }
 
-    /// Number of keys ever allocated for `vpe` (promise keys excluded:
-    /// they draw from a disjoint id range that never migrates, so the
-    /// migration handover resumes only the ordinary counter).
-    pub fn allocated(&self, vpe: VpeId) -> u32 {
-        self.next_id.get(&vpe).copied().unwrap_or(0)
-    }
-
     /// Allocates a promise key for `(pe, vpe)` (`Syscall::SubmitAsync`).
     ///
     /// Promise keys name kernel-internal resolution state, not mapdb
@@ -55,26 +48,6 @@ impl KeyAllocator {
         let key = DdlKey::new(pe, vpe, CapType::Promise, *id);
         *id = id.checked_add(1).expect("promise-id space exhausted");
         key
-    }
-
-    /// Resumes the counter of a migrated-in VPE at `next` (the value the
-    /// previous owner's allocator had reached). Keys allocated after a
-    /// migration continue the same per-creator sequence, so global
-    /// uniqueness is preserved across ownership handovers.
-    pub fn resume(&mut self, vpe: VpeId, next: u32) {
-        let prev = self.next_id.insert(vpe, next);
-        debug_assert!(prev.is_none(), "resuming {vpe} over live counter state");
-    }
-
-    /// Drops the counter state of an exited VPE.
-    ///
-    /// Safe because keys embed the VPE id: a recycled VPE id would
-    /// restart at object id 0, so callers must only recycle VPE ids when
-    /// all keys of the old VPE are gone (the kernel revokes everything on
-    /// exit).
-    pub fn forget(&mut self, vpe: VpeId) {
-        self.next_id.remove(&vpe);
-        self.next_promise_id.remove(&vpe);
     }
 }
 
@@ -102,9 +75,7 @@ mod tests {
         let _ = a.alloc(PeId(1), VpeId(1), CapType::Vpe);
         let k = a.alloc(PeId(1), VpeId(2), CapType::Vpe);
         assert_eq!(k.object_id(), 0);
-        assert_eq!(a.allocated(VpeId(1)), 1);
-        assert_eq!(a.allocated(VpeId(2)), 1);
-        assert_eq!(a.allocated(VpeId(3)), 0);
+        assert_eq!(a.alloc(PeId(1), VpeId(1), CapType::Vpe).object_id(), 1);
     }
 
     #[test]
@@ -126,18 +97,7 @@ mod tests {
         assert_eq!(p1.object_id(), PROMISE_ID_BASE + 1);
         assert_eq!(p0.cap_type(), Some(CapType::Promise));
         // Promise allocation leaves the ordinary sequence untouched.
-        assert_eq!(a.allocated(VpeId(7)), 1);
         assert_eq!(a.alloc(PeId(1), VpeId(7), CapType::Memory).object_id(), 1);
         assert_ne!(m, p0);
-    }
-
-    #[test]
-    fn forget_resets_counter() {
-        let mut a = KeyAllocator::new();
-        let _ = a.alloc(PeId(0), VpeId(0), CapType::Memory);
-        a.forget(VpeId(0));
-        assert_eq!(a.allocated(VpeId(0)), 0);
-        let k = a.alloc(PeId(0), VpeId(0), CapType::Memory);
-        assert_eq!(k.object_id(), 0);
     }
 }

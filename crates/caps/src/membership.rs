@@ -1,11 +1,10 @@
 //! The membership table: PE-id partitions → kernels (§3.2, Figure 2).
 //!
 //! Each kernel holds a full copy of this table; it is how a DDL key is
-//! routed to the kernel owning the object. The mapping is set up at
-//! boot; the capability-group migration protocol
-//! (`semper_kernel::ops::migrate`) reassigns individual PEs at runtime
-//! via [`MembershipTable::set_kernel_of`], propagating the change to
-//! every kernel's copy through acknowledged membership updates.
+//! routed to the kernel owning the object. The mapping is static after
+//! boot — the paper evaluates fixed PE groups only (§5.3.2) — so every
+//! copy agrees forever: a request is handled by the kernel it reaches,
+//! and a reply comes from the kernel that was asked.
 
 use semper_base::{DdlKey, KernelId, PeId};
 
@@ -60,18 +59,6 @@ impl MembershipTable {
     /// Panics if `pe` is outside the machine.
     pub fn kernel_of(&self, pe: PeId) -> KernelId {
         self.kernel_of_pe[pe.idx()]
-    }
-
-    /// Reassigns `pe`'s partition to kernel `k` (capability-group
-    /// migration). Kernel PEs themselves never migrate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pe` is outside the machine or `k` does not exist.
-    pub fn set_kernel_of(&mut self, pe: PeId, k: KernelId) {
-        assert!(k.idx() < self.kernel_pes.len(), "PE reassigned to nonexistent kernel {k}");
-        assert!(!self.kernel_pes.contains(&pe), "kernel PEs cannot migrate");
-        self.kernel_of_pe[pe.idx()] = k;
     }
 
     /// The kernel owning the object behind a DDL key (routed by the

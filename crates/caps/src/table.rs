@@ -50,25 +50,6 @@ impl CapTable {
         }
     }
 
-    /// Rebuilds a table from migrated state: the transferred selector
-    /// bindings plus the source table's selector-space high-water mark,
-    /// so selectors handed out after the migration never collide with
-    /// ones the previous owner allocated. The source's free list is not
-    /// transferred — gaps below `next_sel` are simply skipped, which is
-    /// deterministic (allocation continues from the high-water mark).
-    pub fn rehydrate(
-        first_free: u32,
-        next_sel: u32,
-        pairs: impl Iterator<Item = (CapSel, DdlKey)>,
-    ) -> CapTable {
-        let mut table = CapTable::new(first_free);
-        table.next_sel = next_sel.max(first_free);
-        for (sel, key) in pairs {
-            table.insert(sel, key).expect("migrated selectors are unique");
-        }
-        table
-    }
-
     /// Allocates the next free selector: the most recently freed one if
     /// any (LIFO reuse keeps tables dense), else a fresh one.
     pub fn alloc_sel(&mut self) -> CapSel {
@@ -153,13 +134,6 @@ impl CapTable {
     pub fn iter(&self) -> impl Iterator<Item = (CapSel, DdlKey)> + '_ {
         self.slots.iter().map(|(s, k)| (*s, *k))
     }
-
-    /// Highest selector ever handed out plus one — the size of the
-    /// selector space consumed so far (diagnostics; bounded even under
-    /// churn thanks to the free list).
-    pub fn selector_space(&self) -> u32 {
-        self.next_sel
-    }
 }
 
 #[cfg(test)]
@@ -241,7 +215,7 @@ mod tests {
             assert!(t.remove_key(key(i)).is_some(), "remove {i}");
             assert!(sel.0 < 3, "selector space leaked: {sel}");
         }
-        assert_eq!(t.selector_space(), 3);
+        assert_eq!(t.next_sel, 3);
         assert!(t.is_empty());
     }
 

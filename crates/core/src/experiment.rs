@@ -13,7 +13,7 @@ use semper_apps::AppKind;
 use semper_base::msg::{Perms, SysReplyData, Syscall};
 use semper_base::{CapSel, ExchangeKind, KernelMode, MachineConfig, VpeId};
 use semper_kernel::KernelStats;
-use semper_sim::{Cycles, Summary};
+use semper_sim::Cycles;
 
 use crate::machine::{Machine, Workload};
 
@@ -205,11 +205,10 @@ pub struct AppRunResult {
 impl AppRunResult {
     /// Mean instance runtime in cycles.
     pub fn mean_duration(&self) -> f64 {
-        let mut s = Summary::new();
-        for d in &self.durations {
-            s.add(*d);
+        if self.durations.is_empty() {
+            return 0.0;
         }
-        s.mean()
+        self.durations.iter().map(|&d| d as f64).sum::<f64>() / self.durations.len() as f64
     }
 
     /// Capability operations per second of simulated time, over the

@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use semper_apps::client::ClientPhase;
 use semper_apps::{AppClient, LoadGen, NginxServer, Trace};
 use semper_base::msg::{Outbox, Payload, SysReply, Upcall, UpcallReply};
-use semper_base::{Code, Error, KernelId, MachineConfig, Msg, PeId, VpeId};
+use semper_base::{KernelId, MachineConfig, Msg, PeId, VpeId};
 use semper_kernel::{Kernel, KernelStats};
 use semper_m3fs::{FsImage, FsService, FsSpec, M3FS_NAME};
 use semper_noc::{GlobalMemory, Mesh, Noc};
@@ -99,23 +99,6 @@ pub struct Machine {
     /// Kernels taken down by a scripted crash; traffic to their PE
     /// drops.
     dead_kernels: BTreeSet<KernelId>,
-}
-
-/// A group migration whose handover window is open: returned by
-/// [`Machine::start_vpe_migration`], consumed by
-/// [`Machine::finish_vpe_migration`].
-#[must_use = "a started migration must be finished via finish_vpe_migration"]
-pub struct MigrationTicket {
-    vpe: VpeId,
-    dst: KernelId,
-    /// The migrating VPE's PE (re-homed at completion).
-    vpe_pe: PeId,
-    /// The source kernel's PE, polled for completion.
-    src_pe: PeId,
-    /// `migrations_out` at the source before the start was injected.
-    before: u64,
-    /// When the start was injected (elapsed-cycle accounting).
-    start: Cycles,
 }
 
 impl Machine {
@@ -466,12 +449,11 @@ impl Machine {
     /// Advances simulated time to (at least) `horizon` and returns the
     /// base for the caller's next wait: `max(horizon, now())`.
     ///
-    /// This codifies the PR 7 lesson on wait windows: `Machine::now()`
-    /// only advances when an event is processed, so a wait loop that
-    /// recomputes `run_until(now() + window)` livelocks as soon as the
-    /// next event lies beyond the window — `now()` never moves, the
-    /// horizon never reaches the event. Callers instead thread the
-    /// *returned* horizon through consecutive waits:
+    /// `Machine::now()` only advances when an event is processed, so a
+    /// wait loop that recomputes `run_until(now() + window)` livelocks
+    /// as soon as the next event lies beyond the window — `now()` never
+    /// moves, the horizon never reaches the event. Callers instead
+    /// thread the *returned* horizon through consecutive waits:
     ///
     /// ```text
     /// let mut horizon = m.now();
@@ -483,8 +465,10 @@ impl Machine {
     /// Each wait moves the absolute horizon forward by `WINDOW` even
     /// when no event lands inside it, so a future event is always
     /// reached after finitely many waits. A horizon in the past is a
-    /// no-op that returns `now()` (the clamp that makes interleaved
-    /// unbounded runs — e.g. `finish_vpe_migration` — safe).
+    /// no-op that returns `now()` (the clamp that makes interleaving
+    /// with unbounded runs such as `run_until_idle` safe). The repo
+    /// benchmark's nginx workload serves its fixed request count in
+    /// windows of this form.
     pub fn advance_until(&mut self, horizon: Cycles) -> Cycles {
         let horizon = horizon.max(self.sched.now());
         self.run_until(horizon);
@@ -526,8 +510,8 @@ impl Machine {
     }
 
     /// Asserts that every surviving kernel reached true quiescence
-    /// (empty pending-op ledger, no open migration windows, no leaked
-    /// waiters, no credit-stalled requests) — the termination property
+    /// (empty pending-op ledger, no leaked waiters, no unresolved
+    /// promise, no credit-stalled requests) — the termination property
     /// of the fault engine. Call after [`Machine::run_until_idle`].
     pub fn assert_quiescent(&self) {
         for pe in 0..self.cfg.num_pes {
@@ -771,141 +755,6 @@ impl Machine {
         }
     }
 
-    // ----- capability-group migration (machine control) --------------------
-
-    /// Migrates `vpe`'s capability group to kernel `dst` and runs the
-    /// machine until the handover completes (install at the destination,
-    /// record handover, membership acks from every bystander kernel —
-    /// see `semper_kernel::ops::migrate`). Returns the elapsed simulated
-    /// cycles.
-    ///
-    /// The group need not be quiescent: the source holds or forwards
-    /// operations that race the handover window, so this can be called
-    /// while clients are mid-trace. If the group is busy when the
-    /// migration is requested, the start retries (bounded) while
-    /// in-flight operations referencing the group drain. Events not on
-    /// the migration's critical path stay queued — the caller's workload
-    /// keeps running.
-    ///
-    /// # Errors
-    ///
-    /// Returns the kernel's refusal when the source rejects the start
-    /// (service VPE, active endpoints, a capability under revocation
-    /// that never drains) or the destination rejects the install; on
-    /// error the group stays at the source with membership untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the VPE is already in `dst`'s group.
-    pub fn migrate_vpe(&mut self, vpe: VpeId, dst: KernelId) -> Result<u64, Error> {
-        let ticket = self.start_vpe_migration(vpe, dst)?;
-        self.finish_vpe_migration(ticket)
-    }
-
-    /// Opens the handover window for `vpe`'s group without driving it to
-    /// completion: injects the migration start at the source kernel and
-    /// returns a ticket for [`Machine::finish_vpe_migration`]. Between
-    /// the two calls the caller may keep running the machine — traffic
-    /// that races the open window rides the source kernel's hold queue
-    /// or is forwarded (see `semper_kernel::ops::migrate`), which is how
-    /// benchmarks exercise non-quiescent handovers under live load.
-    ///
-    /// The start retries (bounded) while in-flight operations still
-    /// reference the group, draining one event per retry; validation is
-    /// side-effect free, so a refused attempt leaves no trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns the source kernel's refusal (service VPE, active
-    /// endpoints, a capability under revocation that never drains).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the VPE is already in `dst`'s group.
-    pub fn start_vpe_migration(
-        &mut self,
-        vpe: VpeId,
-        dst: KernelId,
-    ) -> Result<MigrationTicket, Error> {
-        let pe = self.topo.vpe_dir[vpe.idx()];
-        let src_kernel = self.topo.kernel_of(pe);
-        assert_ne!(src_kernel, dst, "{vpe} is already in {dst}'s group");
-        let src_pe = self.topo.membership.kernel_pe(src_kernel);
-        let mut out = Outbox::new();
-        let mut retries = 0u32;
-        let (start, cost) = loop {
-            let start = self.sched.now().max(self.sched.busy_until(src_pe.idx()));
-            let res = match &mut self.nodes[src_pe.idx()] {
-                Node::Kernel(k) => k.start_group_migration(vpe, dst, &mut out),
-                _ => unreachable!("kernel PE hosts a kernel"),
-            };
-            match res {
-                Ok(cost) => break (start, cost),
-                Err(e) if e.code() == Code::RevokeInProgress && retries < 4096 => {
-                    retries += 1;
-                    if !self.step() {
-                        return Err(e);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        };
-        self.sched.extend_busy(src_pe.idx(), start + cost);
-        self.send_at(out.drain(), start + cost);
-        let before = match &self.nodes[src_pe.idx()] {
-            Node::Kernel(k) => k.stats().migrations_out,
-            _ => unreachable!("kernel PE hosts a kernel"),
-        };
-        Ok(MigrationTicket { vpe, dst, vpe_pe: pe, src_pe, before, start })
-    }
-
-    /// Drives a migration started by [`Machine::start_vpe_migration`] to
-    /// completion (install at the destination, record handover,
-    /// membership acks from every bystander kernel), then re-homes
-    /// machine-level routing. Returns the simulated cycles elapsed since
-    /// the start was injected — including any window the caller ran
-    /// between the two calls.
-    ///
-    /// # Errors
-    ///
-    /// Returns the install-side failure; the group stays at the source
-    /// with membership untouched.
-    pub fn finish_vpe_migration(&mut self, ticket: MigrationTicket) -> Result<u64, Error> {
-        let MigrationTicket { vpe, dst, vpe_pe: pe, src_pe, before, start } = ticket;
-        loop {
-            let (failure, done) = match &mut self.nodes[src_pe.idx()] {
-                Node::Kernel(k) => {
-                    (k.take_migration_failure(vpe), k.stats().migrations_out > before)
-                }
-                _ => unreachable!("kernel PE hosts a kernel"),
-            };
-            if let Some(e) = failure {
-                return Err(e);
-            }
-            if done {
-                break;
-            }
-            if !self.step() && !self.pump_fault_deadlines(None) {
-                panic!("queue drained while migration of {vpe} was pending");
-            }
-        }
-        // Mirror the membership change for machine-level routing
-        // (syscall injection and credit returns use the topology's
-        // copy). Kernel PEs never migrate, so in-flight credit returns
-        // cannot be misrouted; VPE traffic still heading for the old
-        // owner is forwarded by it.
-        self.topo.membership.set_kernel_of(pe, dst);
-        // Re-home the moved VPE's actor so new system calls go straight
-        // to the new owner.
-        let new_kernel_pe = self.topo.membership.kernel_pe(dst);
-        match &mut self.nodes[pe.idx()] {
-            Node::Server(s) => s.set_kernel_pe(new_kernel_pe),
-            Node::Client(c) => c.set_kernel_pe(new_kernel_pe),
-            _ => {}
-        }
-        Ok((self.sched.now() - start).0)
-    }
-
     // ----- direct syscall injection (microbenchmarks) ----------------------
 
     /// Issues a system call from a stub VPE and runs the machine until
@@ -957,20 +806,6 @@ impl Machine {
             }
         }
         v
-    }
-
-    /// True while `vpe` has an extent request outstanding at its m3fs
-    /// service: the service's answer is a capability delegation into
-    /// `vpe`'s group, so a handover window opened now is guaranteed to
-    /// race inter-kernel traffic (see `Replayer::awaiting_extent` in
-    /// `semper_apps`).
-    pub fn vpe_awaiting_extent(&self, vpe: VpeId) -> bool {
-        let pe = self.topo.vpe_dir[vpe.idx()];
-        match &self.nodes[pe.idx()] {
-            Node::Server(s) => s.awaiting_extent(),
-            Node::Client(c) => c.awaiting_extent(),
-            _ => false,
-        }
     }
 
     /// Total requests completed by all load generators.
@@ -1132,7 +967,7 @@ mod tests {
         m.check_invariants();
     }
 
-    /// The PR 7 livelock regression: a naive wait loop that recomputes
+    /// The livelock regression: a naive wait loop that recomputes
     /// `run_until(now() + window)` never advances once the queue is
     /// quiet, because `now()` only moves when an event is processed.
     /// `advance_until` must keep moving the returned base horizon by the

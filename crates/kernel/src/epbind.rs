@@ -82,13 +82,6 @@ impl EpBindings {
         victims
     }
 
-    /// True if any endpoint of `vpe` holds a binding. O(bindings);
-    /// used only by control-plane guards (group migration), never on a
-    /// protocol hot path.
-    pub fn vpe_bound(&self, vpe: VpeId) -> bool {
-        self.forward.keys().any(|(v, _)| *v == vpe)
-    }
-
     /// Drops `slot` from `old`'s reverse entry (after a rebind).
     fn drop_reverse(&mut self, old: DdlKey, slot: EpSlot) {
         if let Some(slots) = self.reverse.get_mut(&old.raw()) {

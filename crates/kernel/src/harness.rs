@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use semper_base::config::MachineConfig;
 use semper_base::msg::{Payload, SysReply, Syscall, Upcall, UpcallReply};
-use semper_base::{Error, KernelId, Msg, PeId, VpeId};
+use semper_base::{KernelId, Msg, PeId, VpeId};
 use semper_caps::MembershipTable;
 use semper_noc::GlobalMemory;
 use semper_sim::{FaultPlan, NetVerdict};
@@ -157,51 +157,11 @@ impl TestCluster {
         }
     }
 
-    /// Starts migrating `vpe`'s capability group to kernel `dst`
-    /// without pumping, so racing traffic can be interleaved with the
-    /// handover window (see `crate::ops::migrate`). Returns the source
-    /// kernel id — poll `take_migration_failure` there after pumping.
-    pub fn start_migration(&mut self, vpe: VpeId, dst: KernelId) -> Result<KernelId, Error> {
-        let src = self.kernel_of(vpe);
-        let mut out = Outbox::new();
-        self.kernels[src.idx()].start_group_migration(vpe, dst, &mut out)?;
-        for (m, _) in out.drain() {
-            self.queue.push_back(m);
-        }
-        Ok(src)
-    }
-
-    /// Migrates `vpe`'s capability group to kernel `dst` and pumps the
-    /// migration protocol to quiescence (install, handover, membership
-    /// acks — see `crate::ops::migrate`). Errors if the source kernel
-    /// refuses the start or the destination refuses the install.
-    pub fn migrate(&mut self, vpe: VpeId, dst: KernelId) -> Result<(), Error> {
-        let src = self.start_migration(vpe, dst)?;
-        self.pump_all();
-        match self.kernels[src.idx()].take_migration_failure(vpe) {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
     /// Issues a system call from `vpe` without pumping; returns the tag.
     pub fn syscall_async(&mut self, vpe: VpeId, call: Syscall) -> u64 {
         self.tag_counter += 1;
         let tag = self.tag_counter;
         let k = self.kernel_of(vpe);
-        let dst = self.kernels[k.idx()].pe();
-        self.queue.push_back(Msg::new(self.pe_of(vpe), dst, Payload::sys(tag, call)));
-        tag
-    }
-
-    /// Issues a system call from `vpe` addressed to kernel `k`'s PE even
-    /// when the cluster knows the group lives elsewhere — models a DTU
-    /// still programmed with the pre-migration kernel. The stale kernel
-    /// holds the call during its handover window or relays it to the
-    /// current owner afterwards.
-    pub fn syscall_async_via(&mut self, vpe: VpeId, k: KernelId, call: Syscall) -> u64 {
-        self.tag_counter += 1;
-        let tag = self.tag_counter;
         let dst = self.kernels[k.idx()].pe();
         self.queue.push_back(Msg::new(self.pe_of(vpe), dst, Payload::sys(tag, call)));
         tag
@@ -318,8 +278,8 @@ impl TestCluster {
 
     /// Asserts that the cluster reached true quiescence: no queued or
     /// delayed messages, and every surviving kernel passes
-    /// [`Kernel::check_quiescent`] (empty ledger, no open windows, no
-    /// leaked waiters). The termination property of the fault engine.
+    /// [`Kernel::check_quiescent`] (empty ledger, no leaked waiters).
+    /// The termination property of the fault engine.
     pub fn assert_quiescent(&self) {
         assert!(self.queue.is_empty(), "{} messages still queued", self.queue.len());
         assert!(self.delayed.is_empty(), "{} messages still delayed", self.delayed.len());

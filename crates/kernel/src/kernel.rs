@@ -69,10 +69,6 @@ pub struct Kernel {
     /// (see [`crate::epbind::EpBindings`] and the `gates` module).
     pub(crate) eps: crate::epbind::EpBindings,
 
-    /// Open handover windows and uncollected failures of outbound
-    /// group migrations (see [`crate::ops::migrate`]).
-    pub(crate) migration: crate::ops::migrate::MigrationState,
-
     /// Fault-tolerance state (deadlines, retry legs, crash script);
     /// inert unless [`Kernel::enable_fault_injection`] ran (see
     /// [`crate::ops::faults`]).
@@ -158,7 +154,6 @@ impl Kernel {
             continuation_cost: 0,
             kgate: CreditGate::default(),
             eps: crate::epbind::EpBindings::new(),
-            migration: Default::default(),
             fault: Default::default(),
             promises: Default::default(),
             stats: KernelStats::default(),
@@ -435,16 +430,17 @@ impl Kernel {
                 self.stats.syscalls += 1;
                 self.handle_syscall(msg.src, *tag, call, out)
             }
-            Payload::Kcall(call) => {
-                self.stats.kcalls_in += 1;
-                self.route_kcall(msg.src, call, out)
-            }
+            Payload::Kcall(call) => self.route_kcall(msg.src, call, out),
             Payload::KReply(reply) => self.route_kreply(msg.src, reply, out),
             Payload::UpcallReply(reply) => self.route_upcall_reply(msg.src, reply, out),
-            other => {
-                debug_assert!(false, "kernel received unexpected payload {other:?}");
-                0
-            }
+            // Nothing a kernel serves: a VPE addressed its kernel with
+            // another actor's payload. Dropped unread, in every profile.
+            Payload::SysReply(_)
+            | Payload::Upcall(_)
+            | Payload::Fs(_)
+            | Payload::FsReply(_)
+            | Payload::Http(_)
+            | Payload::HttpReply(_) => 0,
         };
         self.charge(cost)
     }
@@ -466,54 +462,33 @@ impl Kernel {
         out: &mut Outbox,
     ) -> u64 {
         let entry = self.cfg.cost.syscall_entry;
-        // A call from a PE whose group is mid-handover is held before
-        // resolution: during the drain the VPE's local bookkeeping is
-        // already gone, but the call belongs to the moving group and
-        // must replay (possibly forwarded) in arrival order.
-        if let Some(mig) = self.migration_of_pe(src) {
-            self.hold_op(mig, crate::ops::migrate::Held::Syscall { src, tag, call: call.clone() });
-            return entry;
-        }
-        let vpe = match self.vpe_on_pe(src) {
-            Ok(v) => v,
-            Err(e) => {
-                // Unknown PE. If the membership table routes it to
-                // another kernel, the VPE's group migrated away and
-                // this is a stale endpoint racing the update: relay
-                // the call to the current owner (the reply re-homes to
-                // the VPE directly).
-                let owner = self.membership.kernel_of(src);
-                if owner != self.id {
-                    return entry + self.forward_syscall(src, tag, call, owner, out);
-                }
-                debug_assert!(false, "syscall from unknown PE {src}: {e}");
-                return entry;
-            }
-        };
-        let refusal = match self.vpes.get(&vpe) {
+        let caller = match self.vpe_on_pe(src).ok().and_then(|vpe| self.vpes.get(&vpe)) {
             // The tag is the client's choice. One from the range the
             // kernel reserves for asynchronous inner executions would
             // be mistaken for one by `reply_sys`; and a VPE blocked on
             // an active batch may not issue a further call at all (its
             // reply would be taken for an item completion).
-            Some(v) if v.alive() => (tag >= crate::ops::promise::ASYNC_TAG_BASE
-                || v.batch.is_some())
-            .then_some(Code::InvalidArgs),
-            _ => Some(Code::NoSuchVpe),
+            Some(v) if v.alive() => {
+                if tag >= crate::ops::promise::ASYNC_TAG_BASE || v.batch.is_some() {
+                    Err(Code::InvalidArgs)
+                } else {
+                    Ok(v.id)
+                }
+            }
+            // A dead VPE, or a PE that hosts no VPE of this group
+            // (another group's PE, or an unused one): membership is
+            // static, so nobody else will answer for it either.
+            _ => Err(Code::NoSuchVpe),
         };
-        if let Some(code) = refusal {
-            // Refused directly, not through the completion funnel,
-            // which would misroute exactly these replies.
-            out.push(Msg::new(self.pe, src, Payload::sys_reply(tag, Err(Error::new(code)))));
-            return entry + self.cfg.cost.syscall_exit;
-        }
-        // A call from a bystander VPE that resolves into a moving group
-        // (exchange peer, revoke subtree, exit teardown) is held for
-        // replay once the handover window closes.
-        if let Some(mig) = self.syscall_touches_migrating(vpe, call) {
-            self.hold_op(mig, crate::ops::migrate::Held::Syscall { src, tag, call: call.clone() });
-            return entry;
-        }
+        let vpe = match caller {
+            Ok(vpe) => vpe,
+            Err(code) => {
+                // Refused directly, not through the completion funnel,
+                // which would misroute exactly these replies.
+                out.push(Msg::new(self.pe, src, Payload::sys_reply(tag, Err(Error::new(code)))));
+                return entry + self.cfg.cost.syscall_exit;
+            }
+        };
         // A call naming a promise selector is a dependent call: it
         // severs, parks, or replays through the promise engine instead
         // of the classic handlers.
@@ -564,28 +539,14 @@ impl Kernel {
 
     /// Kills a VPE on the machine's behalf (failure injection); returns
     /// the modeled cost like [`Kernel::handle`] does.
+    /// No-op for VPEs of other groups and dead VPEs.
     pub fn kill_vpe(&mut self, vpe: VpeId, out: &mut Outbox) -> u64 {
-        let cost = self.kill(vpe, out);
+        let cost = if self.vpe_alive(vpe) { self.terminate_vpe(vpe, out) } else { 0 };
         self.charge(cost)
     }
 
-    /// Kills a VPE — for the machine, for a [`Kcall::KillVpe`] that
-    /// chased a migrated group here, or replayed from a hold queue.
-    /// No-op for VPEs of other groups and dead VPEs. A kill that
-    /// resolves into a group mid-handover (possibly *again*) is held
-    /// and replayed when the window closes — at the destination if the
-    /// VPE moved.
-    pub(crate) fn kill(&mut self, vpe: VpeId, out: &mut Outbox) -> u64 {
-        if !self.vpe_alive(vpe) {
-            return 0;
-        }
-        if let Some(mig) = self.migration_holding_kill(vpe) {
-            self.hold_op(mig, crate::ops::migrate::Held::Kill { vpe });
-            return 0;
-        }
-        self.terminate_vpe(vpe, out)
-    }
-
+    /// Tears a VPE down: the one path behind `Syscall::Exit` and
+    /// [`Kernel::kill_vpe`].
     pub(crate) fn terminate_vpe(&mut self, vpe: VpeId, out: &mut Outbox) -> u64 {
         if let Some(v) = self.vpes.get_mut(&vpe) {
             v.life = VpeLife::Dead;

@@ -20,8 +20,12 @@
 //!   across PE groups.
 //! * [`ops::memops`] — group-local memory capability operations (create
 //!   and derive; the engine's single-phase degenerate case).
-//! * [`ops::migrate`] — capability-group migration: a VPE's DDL
-//!   ownership handed to another kernel mid-run.
+//!
+//! PE groups are static after boot, as in every run the paper makes
+//! (§5.3.2): a request is handled by the kernel it reaches, and the
+//! routers act on an inter-kernel message only if it comes from a
+//! kernel's own PE — and resume a parked phase only for the kernel
+//! that phase awaits.
 //!
 //! The kernel is written as an event-driven actor: [`Kernel::handle`]
 //! consumes one message and returns the modeled cycle cost, pushing any

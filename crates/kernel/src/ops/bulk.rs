@@ -38,7 +38,7 @@
 //! Each non-revoke item is started through the *same* `sys_*` entry
 //! handler the standalone call uses, with the item index as its
 //! (kernel-internal) reply tag. The single dispatch point every handler
-//! funnels completions through — [`Kernel::reply_sys`] — checks whether
+//! funnels completions through — `Kernel::reply_sys` — checks whether
 //! the destination VPE has an active batch: if so, the "reply" is
 //! recorded as that item's result instead of leaving as a message, and
 //! the batch advances to the next item. The standalone handlers are
@@ -80,7 +80,7 @@ pub struct BulkOp {
     /// Items started but not yet completed (0 or, during a coalesced
     /// revoke run, the run length).
     pub outstanding: u32,
-    /// True while [`Kernel::bulk_advance`] is executing — synchronous
+    /// True while `Kernel::bulk_advance` is executing — synchronous
     /// item completions must record their result without re-entering
     /// the advance loop (which would recurse once per item).
     pub advancing: bool,
@@ -100,27 +100,6 @@ impl Phase {
         match self {
             Phase::Run(_) => {
                 &PhaseSpec { name: "bulk-batch", awaits: Awaits::FanIn, thread: Thread::Free }
-            }
-        }
-    }
-
-    /// True if resuming this phase would touch `vpe`'s capability
-    /// group (see [`crate::ops::PendingOp::references_vpe`]).
-    /// Conservative: open items' selectors cannot be resolved without
-    /// kernel context, so any open revoke or exit item counts as
-    /// referencing every group.
-    pub fn references_vpe(&self, vpe: VpeId) -> bool {
-        match self {
-            Phase::Run(b) => {
-                b.vpe == vpe
-                    || b.items.iter().enumerate().any(|(i, item)| {
-                        b.results[i].is_none()
-                            && match item {
-                                Syscall::Exchange { other, .. } => *other == vpe,
-                                Syscall::Revoke { .. } | Syscall::Exit => true,
-                                _ => false,
-                            }
-                    })
             }
         }
     }

@@ -129,6 +129,8 @@ pub enum Phase {
         tag: u64,
         /// The delegating VPE.
         delegator: VpeId,
+        /// The receiver's kernel, which confirms the abort.
+        peer_kernel: KernelId,
         /// Why the delegate was aborted.
         reason: Error,
     },
@@ -187,31 +189,6 @@ impl Phase {
             Phase::ObtainAtOwner { owner, .. } => Some(*owner),
             Phase::DelegateAtRecv { recv, .. } => Some(*recv),
             _ => None,
-        }
-    }
-
-    /// True if resuming this phase would touch `vpe`'s capability
-    /// group (see [`crate::ops::PendingOp::references_vpe`]).
-    pub fn references_vpe(&self, vpe: VpeId) -> bool {
-        match self {
-            Phase::LocalAccept { initiator, peer, .. } => *initiator == vpe || *peer == vpe,
-            Phase::ObtainRemote { requester, child_key, .. } => {
-                *requester == vpe || child_key.vpe() == vpe
-            }
-            Phase::ObtainAtOwner { child_key, parent_key, owner, .. } => {
-                *owner == vpe || child_key.vpe() == vpe || parent_key.vpe() == vpe
-            }
-            Phase::DelegateRemote { delegator, parent_key, .. } => {
-                *delegator == vpe || parent_key.vpe() == vpe
-            }
-            Phase::DelegateWaitDone { delegator, parent_key, child_key, .. } => {
-                *delegator == vpe || parent_key.vpe() == vpe || child_key.vpe() == vpe
-            }
-            Phase::DelegateAtRecv { parent_key, recv, .. } => {
-                *recv == vpe || parent_key.vpe() == vpe
-            }
-            Phase::DelegatePendingInsert { cap, .. } => cap.owner == vpe,
-            Phase::DelegateAborted { delegator, .. } => *delegator == vpe,
         }
     }
 }
@@ -534,10 +511,7 @@ impl Kernel {
             Ok(desc) => {
                 if !self.vpe_alive(requester) {
                     // Orphaned: tell the kernel that answered — the
-                    // parent's current owner, which may differ from the
-                    // kernel the request was first sent to if the
-                    // owner's group migrated and the request was
-                    // forwarded — to unlink the child reference it
+                    // parent's owner — to unlink the child reference it
                     // optimistically created.
                     self.send_kcall(
                         out,
@@ -676,10 +650,8 @@ impl Kernel {
 
     /// Resumes [`Phase::DelegateRemote`]: delegator-side handling of the
     /// first-leg reply — validate the parent is still alive, then
-    /// commit or abort. The ack goes to `from`, the kernel that
-    /// actually answered: if the receiver's group migrated mid-leg and
-    /// the request was forwarded, that is the new owner, not the
-    /// kernel the request was first sent to.
+    /// commit or abort. The ack goes to `from`, the receiver's kernel
+    /// (the router resumed this phase for its reply only).
     pub(crate) fn delegate_reply(
         &mut self,
         from: KernelId,
@@ -746,7 +718,12 @@ impl Kernel {
                     );
                     self.park(
                         reply_op,
-                        PendingOp::Exchange(Phase::DelegateAborted { tag, delegator, reason }),
+                        PendingOp::Exchange(Phase::DelegateAborted {
+                            tag,
+                            delegator,
+                            peer_kernel: from,
+                            reason,
+                        }),
                     );
                     self.ref_cost()
                 }
@@ -764,22 +741,26 @@ impl Kernel {
         commit: bool,
         out: &mut Outbox,
     ) -> u64 {
-        match self.pending.get(op) {
-            Some(PendingOp::Exchange(Phase::DelegatePendingInsert { .. })) => {}
-            _ => {
-                // Under fault injection: a duplicated ack, or the
-                // pending insert already aborted (its capability was
-                // never inserted, so dropping the ack is safe).
-                self.fault_anomaly(&format!("delegate ack {op} without pending insert"));
-                return 0;
+        let asked = match self.pending.get(op) {
+            Some(state @ PendingOp::Exchange(Phase::DelegatePendingInsert { .. })) => {
+                self.awaited_kernel(state)
             }
+            _ => None,
+        };
+        if asked != Some(from) {
+            // Under fault injection: a duplicated ack, or the
+            // pending insert already aborted (its capability was
+            // never inserted, so dropping the ack is safe). An ack from
+            // a kernel other than the delegator's is the same anomaly;
+            // the pending insert stays parked for the real one.
+            self.fault_anomaly(&format!("delegate ack {op} from {from}: no pending insert of its"));
+            return 0;
         }
-        let Some(PendingOp::Exchange(Phase::DelegatePendingInsert { caller_kernel, cap })) =
+        let Some(PendingOp::Exchange(Phase::DelegatePendingInsert { cap, .. })) =
             self.pending.remove(op)
         else {
             unreachable!("checked above");
         };
-        debug_assert_eq!(from, caller_kernel);
         let result = if !commit {
             Err(Error::new(Code::ExchangeDenied))
         } else if !self.vpe_alive(cap.owner) {

@@ -29,15 +29,13 @@
 //!
 //! Abort is per-phase surgery, not a generic drop: a revocation that
 //! already marked subtrees must still *sweep* them (leaving `Revoking`
-//! marks behind would wedge every later operation that touches them),
-//! and a migration abort unwinds through the protocol's own failure
-//! path so held operations replay.
+//! marks behind would wedge every later operation that touches them).
 
 use semper_base::msg::{KReply, Kcall};
 use semper_base::{Code, DetHashMap, Error, KernelId, OpId};
 
 use crate::kernel::Kernel;
-use crate::ops::{exchange, migrate, revoke, session, PendingOp};
+use crate::ops::{exchange, revoke, session, PendingOp};
 use crate::outbox::Outbox;
 
 /// How many times an expired op re-sends its recorded request legs
@@ -221,7 +219,7 @@ impl Kernel {
         let mut doomed: Vec<OpId> = self
             .pending
             .iter()
-            .filter(|(_, state)| self.awaits_dead_peer(state, dead))
+            .filter(|(_, state)| self.awaited_kernel(state) == Some(dead))
             .map(|(op, _)| op)
             .collect();
         doomed.sort_unstable();
@@ -237,55 +235,51 @@ impl Kernel {
         cost
     }
 
-    /// True if `state` cannot make progress once `dead` stopped
-    /// responding. Conservative: multi-peer fan-ins that merely
-    /// *include* the dead peer are matched too (their surviving legs'
-    /// replies land on an absent op and are absorbed as anomalies);
-    /// phases waiting on local VPEs or on nobody return false and are
-    /// covered by their deadline instead.
-    fn awaits_dead_peer(&self, state: &PendingOp, dead: KernelId) -> bool {
+    /// The one peer kernel `state` cannot make progress without — written
+    /// down once, for two readers. [`Kernel::peer_down`] aborts every
+    /// phase whose kernel died; the reply router resumes an
+    /// `Awaits::KReply` phase only for a reply from this kernel
+    /// (membership is static and nothing is relayed, so the kernel that
+    /// was asked is the only one that can answer). For the phases that
+    /// await a local VPE's upcall answer on a remote caller's behalf it
+    /// is that caller. `None` for phases waiting on local VPEs only or
+    /// on a fan-in of many peers; those are covered by their deadline.
+    pub(crate) fn awaited_kernel(&self, state: &PendingOp) -> Option<KernelId> {
         match state {
             PendingOp::Exchange(p) => match p {
                 exchange::Phase::ObtainRemote { peer_kernel, .. }
-                | exchange::Phase::DelegateRemote { peer_kernel, .. } => *peer_kernel == dead,
+                | exchange::Phase::DelegateRemote { peer_kernel, .. }
+                | exchange::Phase::DelegateAborted { peer_kernel, .. } => Some(*peer_kernel),
                 exchange::Phase::ObtainAtOwner { caller_kernel, .. }
                 | exchange::Phase::DelegateAtRecv { caller_kernel, .. }
                 | exchange::Phase::DelegatePendingInsert { caller_kernel, .. } => {
-                    *caller_kernel == dead
+                    Some(*caller_kernel)
                 }
                 exchange::Phase::DelegateWaitDone { child_key, .. } => {
-                    self.membership.kernel_of_key(*child_key) == dead
+                    Some(self.membership.kernel_of_key(*child_key))
                 }
-                exchange::Phase::LocalAccept { .. } | exchange::Phase::DelegateAborted { .. } => {
-                    false
-                }
+                exchange::Phase::LocalAccept { .. } => None,
             },
             PendingOp::Session(p) => match p {
-                session::Phase::OpenRemote { srv, .. } => srv.owner == dead,
-                session::Phase::AtService { caller_kernel, .. } => *caller_kernel == dead,
-                session::Phase::OpenLocal { .. } => false,
+                session::Phase::OpenRemote { srv, .. } => Some(srv.owner),
+                session::Phase::AtService { caller_kernel, .. } => Some(*caller_kernel),
+                session::Phase::OpenLocal { .. } => None,
             },
             PendingOp::Revoke(p) => match p {
-                revoke::Phase::Batch { caller_kernel, .. } => *caller_kernel == dead,
+                revoke::Phase::Batch { caller_kernel, .. } => Some(*caller_kernel),
                 // A revoke fans out to many peers without
                 // recording which legs are outstanding; its deadline
                 // (with retries towards the survivors) covers it.
-                revoke::Phase::Run(_) => false,
+                revoke::Phase::Run(_) => None,
             },
-            PendingOp::Migrate(p) => match p {
-                migrate::Phase::AwaitInstall(i) => i.dst == dead,
-                // Draining waits on every bystander; the deadline
-                // force-completes it.
-                migrate::Phase::Draining(_) => false,
-            },
-            PendingOp::Bulk(_) => false,
+            PendingOp::Bulk(_) => None,
         }
     }
 
     /// Aborts one pending op with per-phase surgery so the system stays
-    /// consistent: waiters are woken, marked subtrees are swept, reply
-    /// obligations towards callers are met (with an error), and held
-    /// operations replay. Returns the modeled cost.
+    /// consistent: waiters are woken, marked subtrees are swept, and
+    /// reply obligations towards callers are met (with an error).
+    /// Returns the modeled cost.
     fn abort_op(&mut self, op: OpId, state: PendingOp, out: &mut Outbox) -> u64 {
         self.stats.ops_aborted += 1;
         let err = Error::new(Code::Timeout);
@@ -316,7 +310,7 @@ impl Kernel {
                     self.reply_sys(out, delegator, tag, Err(err));
                     exit
                 }
-                exchange::Phase::DelegateAborted { tag, delegator, reason } => {
+                exchange::Phase::DelegateAborted { tag, delegator, reason, .. } => {
                     self.reply_sys(out, delegator, tag, Err(reason));
                     exit
                 }
@@ -363,21 +357,6 @@ impl Kernel {
                     exit
                 }
             },
-            PendingOp::Migrate(phase) => match phase {
-                // The protocol's own refusal path: the group never
-                // left, membership stays, held operations replay.
-                migrate::Phase::AwaitInstall(install) => {
-                    self.migrate_installed(op, *install, Err(err), out)
-                }
-                // Records are handed over and the destination routes
-                // the group; missing bystander acks only delay *their*
-                // view. Close the window so held operations replay
-                // (stragglers chase the group via the forward rule).
-                migrate::Phase::Draining(drain) => {
-                    let migrate::Drain { vpe, held, .. } = *drain;
-                    self.migration_complete(vpe, held, out)
-                }
-            },
             // Batch trackers never arm deadlines and wait on no peer;
             // defensive re-insert if one ever lands here.
             state @ PendingOp::Bulk(_) => {
@@ -391,7 +370,7 @@ impl Kernel {
     /// Asserts that the kernel reached true quiescence: no suspended
     /// operations (which covers active batches), and every protocol's
     /// own state drained — no marked
-    /// capability awaiting deletion, no open migration window, no
+    /// capability awaiting deletion, no
     /// unresolved promise, no request stalled behind the credit gate.
     /// The fault suites call this after every run — a leak here is
     /// exactly the silent hang the termination hardening exists to
@@ -405,15 +384,9 @@ impl Kernel {
             stuck.sort_unstable();
             Err(format!("pending ops at quiescence: {stuck:?}"))
         };
-        [
-            ledger,
-            self.migration.quiescent(),
-            self.revoke.quiescent(),
-            self.promises.quiescent(),
-            self.kgate.quiescent(),
-        ]
-        .into_iter()
-        .collect::<core::result::Result<(), String>>()
-        .map_err(|e| format!("kernel {}: {e}", self.id))
+        [ledger, self.revoke.quiescent(), self.promises.quiescent(), self.kgate.quiescent()]
+            .into_iter()
+            .collect::<core::result::Result<(), String>>()
+            .map_err(|e| format!("kernel {}: {e}", self.id))
     }
 }

@@ -9,8 +9,7 @@
 //! a set of typed phases plus the handler for each phase transition:
 //!
 //! * [`PendingOp`] — the union of all suspended phases, one variant per
-//!   protocol ([`exchange`], [`session`], [`revoke`], [`migrate`],
-//!   [`bulk`]).
+//!   protocol ([`exchange`], [`session`], [`revoke`], [`bulk`]).
 //!   Each phase carries exactly the continuation state its resume
 //!   handler needs.
 //! * [`PhaseSpec`] — the per-phase declaration: what the phase awaits
@@ -25,9 +24,8 @@
 //!   parked phase through one ledger lookup; requests dispatch straight
 //!   to the protocol's request handler.
 //! * [`FanIn`] — counted completion shared by every fan-out phase
-//!   (revocation's outstanding remote subtrees, batched revokes,
-//!   migration's membership acks), with a running tally for the
-//!   statistics the reply carries back.
+//!   (revocation's outstanding remote subtrees, batched revokes), with
+//!   a running tally for the statistics the reply carries back.
 //!
 //! # One of each
 //!
@@ -38,12 +36,13 @@
 //! (`Kernel::send_kcall_at`), one mark walk and one delete pass for
 //! Algorithm 1 (`Kernel::mark_subtree` / `Kernel::delete_marked` in
 //! [`revoke`], driven by single revokes and coalesced bulk runs
-//! alike), and one way to kill a VPE (`Kernel::kill`).
+//! alike), and one way to kill a VPE (`Kernel::terminate_vpe`, behind
+//! both `Syscall::Exit` and the machine's `Kernel::kill_vpe`).
 //!
 //! State that outlives a single parked phase lives with its protocol,
 //! not as loose fields on `Kernel`: `revoke::RevokeState`,
-//! `migrate::MigrationState`, `promise::Promises`, the kernel's
-//! `CreditGate`, and two per-VPE markers in [`crate::VpeState`] (the
+//! `promise::Promises`, the kernel's `CreditGate`, and two per-VPE
+//! markers in [`crate::VpeState`] (the
 //! active batch, the promise pipeline tail). The rest of the kernel asks
 //! each of them two questions only — *are you quiescent?*
 //! (`Kernel::check_quiescent`) and *VPE `v` died*
@@ -59,17 +58,19 @@
 //! | §4.3.2 two-way delegate handshake, second leg | [`exchange::Phase::DelegatePendingInsert`] / [`exchange::Phase::DelegateWaitDone`] / [`exchange::Phase::DelegateAborted`] |
 //! | §3.4 session capability attachment | [`session::Phase::OpenRemote`] → [`session::Phase::AtService`], [`session::Phase::OpenLocal`] |
 //! | §4.3.3 Algorithm 1 mark/delete + reply counting | [`revoke::Phase::Run`]; an incoming `RevokeBatchReq` (§5.2 message batching) tracks its keys in [`revoke::Phase::Batch`] |
-//! | §4.2 group migration (ownership handover) | [`migrate::Phase::AwaitInstall`] → [`migrate::Phase::Draining`] |
 //! | §5.2 bulk capability operations (`Syscall::Batch`) | [`bulk::Phase::Run`] |
 //!
 //! # What a new protocol costs
 //!
-//! Group migration ([`migrate`]) is the existence proof: a new
-//! distributed operation is its phase enum (two variants), a spec row
-//! per phase, one request handler per participant role, and one resume
-//! handler per phase — the ledger, router, credit gating, thread
-//! accounting, and fan-in counting are all inherited. The pre-engine
-//! protocols carried ~150 LoC of that plumbing *each*.
+//! Session establishment ([`session`]) is the smallest example: a
+//! distributed operation is its phase enum (three variants), a spec row
+//! per phase, one request handler per participant role, one resume
+//! handler per phase, and — for a phase that awaits a peer kernel — a
+//! row in `Kernel::awaited_kernel` ([`faults`]), which tells the reply
+//! router who may answer and the fault engine whose death dooms the
+//! phase. The ledger, router, credit gating, thread accounting, and
+//! fan-in counting are all inherited. The pre-engine protocols carried
+//! ~150 LoC of that plumbing *each*.
 //!
 //! # Determinism contract
 //!
@@ -84,7 +85,6 @@ pub mod exchange;
 pub mod faults;
 pub mod ledger;
 pub mod memops;
-pub mod migrate;
 pub mod promise;
 pub mod revoke;
 pub mod session;
@@ -139,10 +139,9 @@ pub struct PhaseSpec {
 ///
 /// Shared by every phase that waits for N independent completions:
 /// revocation (one per remote subtree plus one per dependency on a
-/// concurrent revoke), batched revokes (one per key), and migration
-/// (one membership ack per bystander kernel). The tally accumulates
-/// whatever the completions report (deleted capabilities, installed
-/// records) for the completion notification.
+/// concurrent revoke) and batched revokes (one per key). The tally
+/// accumulates what the completions report (deleted capabilities) for
+/// the completion notification.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FanIn {
     outstanding: u32,
@@ -214,8 +213,6 @@ pub enum PendingOp {
     Session(session::Phase),
     /// Revocation (§4.3.3, Algorithm 1).
     Revoke(revoke::Phase),
-    /// Capability-group migration (§4.2 ownership handover).
-    Migrate(migrate::Phase),
     /// A batched system call ([`bulk`]): N capability operations in one
     /// message, executed in order with coalesced revoke fan-outs.
     Bulk(bulk::Phase),
@@ -228,7 +225,6 @@ impl PendingOp {
             PendingOp::Exchange(p) => p.spec(),
             PendingOp::Session(p) => p.spec(),
             PendingOp::Revoke(p) => p.spec(),
-            PendingOp::Migrate(p) => p.spec(),
             PendingOp::Bulk(p) => p.spec(),
         }
     }
@@ -263,24 +259,6 @@ impl PendingOp {
             _ => None,
         }
     }
-
-    /// True if this suspended operation references `vpe`'s capability
-    /// group: its resume handler would read or mutate records the
-    /// group-migration protocol is about to marshal away.
-    /// [`Kernel::start_group_migration`] refuses to open the handover
-    /// window while such an op is parked — operations arriving *after*
-    /// the window opens are held and replayed instead. Conservative
-    /// where a phase cannot resolve selectors without kernel context
-    /// (bulk items).
-    pub fn references_vpe(&self, vpe: VpeId) -> bool {
-        match self {
-            PendingOp::Exchange(p) => p.references_vpe(vpe),
-            PendingOp::Session(p) => p.references_vpe(vpe),
-            PendingOp::Revoke(p) => p.references_vpe(vpe),
-            PendingOp::Migrate(p) => p.references_vpe(vpe),
-            PendingOp::Bulk(p) => p.references_vpe(vpe),
-        }
-    }
 }
 
 impl Kernel {
@@ -292,37 +270,24 @@ impl Kernel {
     // charged here, once, so every protocol pays the same dispatch
     // price it did pre-engine.
 
-    /// Routes one inter-kernel request to its protocol handler.
-    pub(crate) fn route_kcall(&mut self, src: PeId, call: &Kcall, out: &mut Outbox) -> u64 {
+    /// The kernel speaking from `src`, or `None` if `src` is not a
+    /// kernel's own PE. The membership table maps a *VPE's* PE to its
+    /// group's kernel too, so the group lookup alone would let any VPE
+    /// speak as its kernel to every other kernel (in the real system
+    /// the DTU's endpoint configuration forbids that).
+    fn sending_kernel(&self, src: PeId) -> Option<KernelId> {
         let from = self.membership.kernel_of(src);
-        self.cfg.cost.kcall_entry + self.dispatch_kcall(from, call, out)
+        (self.membership.kernel_pe(from) == src).then_some(from)
     }
 
-    /// Dispatches one inter-kernel request on behalf of `from` — the
-    /// shared funnel of fresh arrivals ([`Kernel::route_kcall`]),
-    /// relayed requests ([`Kcall::Forwarded`] unwraps to the original
-    /// caller so replies re-home to it), and hold-queue replays.
-    ///
-    /// Before the protocol match, two migration-window rules apply
-    /// (both host-cost-only no-ops outside a window): a request
-    /// resolving into a group this kernel is currently migrating is
-    /// held for replay, and a request whose group is owned elsewhere
-    /// (the sender raced a membership update) is relayed to the
-    /// current owner.
-    pub(crate) fn dispatch_kcall(&mut self, from: KernelId, call: &Kcall, out: &mut Outbox) -> u64 {
-        if let Kcall::Forwarded { from: orig, call: inner } = call {
-            return self.dispatch_kcall(*orig, inner, out);
-        }
-        if let Some(mig) = self.migration_holding_kcall(call) {
-            self.hold_op(mig, migrate::Held::Kcall { from, call: call.clone() });
-            return 0;
-        }
-        if let Some(target) = self.kcall_forward_target(call) {
-            self.stats.kcalls_forwarded += 1;
-            self.send_kcall(out, target, Kcall::Forwarded { from, call: Box::new(call.clone()) });
-            return self.cfg.cost.kcall_exit;
-        }
-        match call {
+    /// Routes one inter-kernel request to its protocol handler.
+    /// Membership is static, so the request is always handled where it
+    /// arrives. One that does not come from a kernel PE is dropped at
+    /// zero cost, in every profile.
+    pub(crate) fn route_kcall(&mut self, src: PeId, call: &Kcall, out: &mut Outbox) -> u64 {
+        let Some(from) = self.sending_kernel(src) else { return 0 };
+        self.stats.kcalls_in += 1;
+        let cost = match call {
             Kcall::AnnounceService { id, name, owner, srv_key, srv_pe, srv_vpe } => self
                 .announce_service(crate::registry::ServiceInfo {
                     id: *id,
@@ -350,21 +315,16 @@ impl Kernel {
             Kcall::OpenSessReq { op, child_key, service, client_vpe } => {
                 self.open_sess_request(from, *op, *child_key, *service, *client_vpe, out)
             }
-            Kcall::MigrateReq { op, pe, vpe, next_object_id, next_sel, caps } => {
-                self.migrate_request(from, *op, *pe, *vpe, *next_object_id, *next_sel, caps, out)
-            }
-            Kcall::MembershipUpdate { op, pe, new_kernel } => {
-                self.membership_update(from, *op, *pe, *new_kernel, out)
-            }
-            Kcall::KillVpe { vpe } => self.kill(*vpe, out),
-            Kcall::Forwarded { .. } => unreachable!("unwrapped above"),
-        }
+        };
+        self.cfg.cost.kcall_entry + cost
     }
 
     /// Routes one inter-kernel reply: counted completions (revocation)
     /// decrement their fan-in; everything else resumes a parked phase.
+    /// Like a request, a reply that does not come from a kernel PE is
+    /// dropped at zero cost.
     pub(crate) fn route_kreply(&mut self, src: PeId, reply: &KReply, out: &mut Outbox) -> u64 {
-        let from = self.membership.kernel_of(src);
+        let Some(from) = self.sending_kernel(src) else { return 0 };
         // Revoke completions are counter decrements (Algorithm 1's
         // `receive_revoke_reply`), far cheaper to dispatch than the
         // protocol replies that resume full continuations.
@@ -386,24 +346,27 @@ impl Kernel {
             }
     }
 
-    /// Resumes the phase parked under a reply's correlation id.
-    fn resume_from_kreply(
-        &mut self,
-        from: semper_base::KernelId,
-        reply: &KReply,
-        out: &mut Outbox,
-    ) -> u64 {
+    /// Resumes the phase parked under a reply's correlation id — if
+    /// `from` is the kernel that phase awaits (`Kernel::awaited_kernel`;
+    /// nothing is relayed, so a reply can only come from the kernel
+    /// that was asked). A kernel is a trusted party: an answer from the
+    /// wrong one is a protocol bug, handled like a stray reply.
+    fn resume_from_kreply(&mut self, from: KernelId, reply: &KReply, out: &mut Outbox) -> u64 {
         use exchange::Phase as Ex;
-        use migrate::Phase as Mig;
         use session::Phase as Sess;
 
         let op = reply.op();
-        let Some(state) = self.pending.remove(op) else {
+        let Some(asked) = self.pending.get(op).map(|state| self.awaited_kernel(state)) else {
             // Under fault injection: a duplicated reply, or a straggler
             // for an op that already aborted.
             self.fault_anomaly(&format!("reply {reply:?} without a pending op"));
             return 0;
         };
+        if asked != Some(from) {
+            self.fault_anomaly(&format!("reply {reply:?} from {from}, asked {asked:?}"));
+            return 0;
+        }
+        let state = self.pending.remove(op).expect("looked up above");
         match (state, reply) {
             (
                 PendingOp::Exchange(Ex::ObtainRemote { tag, requester, child_key, .. }),
@@ -418,19 +381,13 @@ impl Kernel {
                 KReply::DelegateDone { result, .. },
             ) => self.delegate_done(tag, delegator, parent_key, child_key, *result, out),
             (
-                PendingOp::Exchange(Ex::DelegateAborted { tag, delegator, reason }),
+                PendingOp::Exchange(Ex::DelegateAborted { tag, delegator, reason, .. }),
                 KReply::DelegateDone { .. },
             ) => self.delegate_done_aborted(tag, delegator, reason, out),
             (
                 PendingOp::Session(Sess::OpenRemote { tag, client, child_key, srv }),
                 KReply::OpenSess { result, .. },
             ) => self.open_sess_reply(tag, client, child_key, srv, *result, out),
-            (PendingOp::Migrate(Mig::AwaitInstall(install)), KReply::Migrate { result, .. }) => {
-                self.migrate_installed(op, *install, *result, out)
-            }
-            (PendingOp::Migrate(Mig::Draining(drain)), KReply::MembershipAck { .. }) => {
-                self.migrate_ack(op, drain, out)
-            }
             (state, reply) => {
                 // Under fault injection: a duplicated reply arriving
                 // after the op legitimately advanced to another phase.

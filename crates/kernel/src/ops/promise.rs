@@ -38,7 +38,7 @@
 //! # Termination
 //!
 //! A promise always resolves to a real `Ok`/`Err` — never a silent
-//! hang. VPE death tears down its promises ([`Kernel::promise_vpe_died`]),
+//! hang. VPE death tears down its promises (`Kernel::promise_vpe_died`),
 //! revoking the promise selector severs the *handle* (the underlying
 //! invocation still lands, into a dropped slot), and under fault
 //! injection the inner call's parked phases carry the ordinary per-op
@@ -490,11 +490,5 @@ impl Kernel {
         self.promises.slots.retain(|k, _| k.vpe() != vpe);
         self.promises.binds.retain(|(v, _), _| *v != vpe);
         self.promises.execs.retain(|(v, _), _| *v != vpe);
-    }
-
-    /// True if `vpe` owns any promise (resolved or not). Promise state
-    /// never migrates, so group migration refuses while this holds.
-    pub(crate) fn vpe_has_promise_state(&self, vpe: VpeId) -> bool {
-        self.promises.slots.keys().any(|k| k.vpe() == vpe)
     }
 }

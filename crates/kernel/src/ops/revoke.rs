@@ -131,16 +131,6 @@ impl Initiator {
     pub fn holds_thread(&self) -> bool {
         matches!(self, Initiator::Syscall { .. } | Initiator::Internal | Initiator::Bulk { .. })
     }
-
-    /// True if notifying this initiator touches `vpe`'s capability
-    /// group (see [`crate::ops::PendingOp::references_vpe`]).
-    pub fn references_vpe(&self, vpe: VpeId) -> bool {
-        match *self {
-            Initiator::Syscall { vpe: v, .. } => v == vpe,
-            Initiator::Kcall { cap_key, .. } => cap_key.vpe() == vpe,
-            Initiator::Internal | Initiator::Batch { .. } | Initiator::Bulk { .. } => false,
-        }
-    }
 }
 
 /// A revocation in progress (Algorithm 1 state).
@@ -192,20 +182,6 @@ impl Phase {
             Phase::Batch { .. } => {
                 &PhaseSpec { name: "revoke-batch", awaits: Awaits::FanIn, thread: Thread::Free }
             }
-        }
-    }
-
-    /// True if resuming this phase would touch `vpe`'s capability
-    /// group (see [`crate::ops::PendingOp::references_vpe`]). Roots
-    /// already marked locally are also caught by the migration start's
-    /// table validation (`revoking()`); this covers the initiator and
-    /// the batch echo keys.
-    pub fn references_vpe(&self, vpe: VpeId) -> bool {
-        match self {
-            Phase::Run(op) => {
-                op.initiator.references_vpe(vpe) || op.local_roots.iter().any(|k| k.vpe() == vpe)
-            }
-            Phase::Batch { cap_keys, .. } => cap_keys.iter().any(|k| k.vpe() == vpe),
         }
     }
 }
@@ -644,17 +620,6 @@ impl Kernel {
         let mut cost = 0;
         for key in cap_keys {
             if !self.mapdb.contains(*key) {
-                let owner = self.membership.kernel_of_key(*key);
-                if owner != self.id {
-                    // The key's group migrated away after the sender
-                    // partitioned the batch: chain this entry to the
-                    // current owner; its reply completes the entry.
-                    let call = Kcall::RevokeReq { op: batch, cap_key: *key };
-                    self.record_retry_leg(batch, owner, &call);
-                    self.send_kcall(out, owner, call);
-                    cost += self.cfg.cost.kcall_exit;
-                    continue;
-                }
                 // Already gone (e.g. revoked by a concurrent operation
                 // that completed): vacuously done.
                 self.batch_entry_done(batch, 0, out);
@@ -682,12 +647,6 @@ impl Kernel {
                     // essentially free.
                     0
                 }
-            }
-            // A batch entry chained to another kernel (its key's group
-            // migrated away) completed remotely.
-            Some(PendingOp::Revoke(Phase::Batch { .. })) => {
-                self.batch_entry_done(op, deleted, out);
-                0
             }
             _ => {
                 // Under fault injection: a duplicated reply, or a

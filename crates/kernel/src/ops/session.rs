@@ -79,18 +79,6 @@ impl Phase {
             },
         }
     }
-
-    /// True if resuming this phase would touch `vpe`'s capability
-    /// group (see [`crate::ops::PendingOp::references_vpe`]).
-    pub fn references_vpe(&self, vpe: VpeId) -> bool {
-        match self {
-            Phase::OpenRemote { client, child_key, srv, .. }
-            | Phase::OpenLocal { client, child_key, srv, .. } => {
-                *client == vpe || child_key.vpe() == vpe || srv.srv_vpe == vpe
-            }
-            Phase::AtService { child_key, srv, .. } => child_key.vpe() == vpe || srv.srv_vpe == vpe,
-        }
-    }
 }
 
 impl Kernel {
@@ -120,9 +108,6 @@ impl Kernel {
         let sel = table.insert_new(srv_key);
         self.mapdb.insert(Capability::root(srv_key, CapKindDesc::Service { id }, vpe, sel));
         self.stats.caps_created += 1;
-        if let Some(v) = self.vpes.get_mut(&vpe) {
-            v.is_service = true;
-        }
 
         let info = ServiceInfo { id, name, owner: self.id, srv_key, srv_pe: pe, srv_vpe: vpe };
         self.registry.add(info);

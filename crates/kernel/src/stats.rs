@@ -32,25 +32,6 @@ pub struct KernelStats {
     pub pointless_denied: u64,
     /// Sessions opened for clients of this group.
     pub sessions_opened: u64,
-    /// Capability groups migrated out (ownership handed to another
-    /// kernel and acknowledged by every bystander).
-    pub migrations_out: u64,
-    /// Capability groups installed by an incoming migration.
-    pub migrations_in: u64,
-    /// Migrations refused by the destination's install validation (the
-    /// group stayed at the source; see
-    /// [`Kernel::take_migration_failure`](crate::Kernel::take_migration_failure)).
-    pub migrations_failed: u64,
-    /// Operations intercepted during a handover window and parked in a
-    /// migration's hold queue (each replays exactly once).
-    pub ops_held: u64,
-    /// System calls relayed to a group's current owner because the
-    /// calling endpoint raced a membership update.
-    pub syscalls_forwarded: u64,
-    /// Inter-kernel requests relayed to a group's current owner
-    /// (wrapped in `Kcall::Forwarded`, replies re-home to the original
-    /// caller).
-    pub kcalls_forwarded: u64,
     /// Cycles this kernel spent executing handlers.
     pub busy_cycles: u64,
     /// High-water mark of simultaneously pending operations (threads in

@@ -25,12 +25,10 @@ pub struct VpeState {
     pub pe: PeId,
     /// Lifecycle state.
     pub life: VpeLife,
-    /// True if this VPE registered itself as a service.
-    pub is_service: bool,
     /// The batched system call the VPE is blocked on (at most one: a
     /// batch *is* its blocking syscall). While set, every syscall reply
     /// addressed to the VPE is a batch-item completion (see
-    /// [`crate::Kernel::reply_sys`] and [`crate::ops::bulk`]).
+    /// `Kernel::reply_sys` and [`crate::ops::bulk`]).
     pub batch: Option<OpId>,
     /// Key of the VPE's most recently submitted promise — the gate
     /// its next `SubmitAsync` chains behind (program-order pipelining,
@@ -41,14 +39,7 @@ pub struct VpeState {
 impl VpeState {
     /// Creates a fresh, alive VPE.
     pub fn new(id: VpeId, pe: PeId) -> VpeState {
-        VpeState {
-            id,
-            pe,
-            life: VpeLife::Alive,
-            is_service: false,
-            batch: None,
-            promise_tail: None,
-        }
+        VpeState { id, pe, life: VpeLife::Alive, batch: None, promise_tail: None }
     }
 
     /// True if the VPE is alive.
@@ -65,7 +56,6 @@ mod tests {
     fn new_vpe_is_alive() {
         let v = VpeState::new(VpeId(3), PeId(7));
         assert!(v.alive());
-        assert!(!v.is_service);
         assert_eq!(v.pe, PeId(7));
     }
 

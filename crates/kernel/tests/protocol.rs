@@ -3,9 +3,10 @@
 
 use semper_base::config::Feature;
 use semper_base::msg::{
-    ExchangeKind, KReply, Outbox, Payload, Perms, SysReplyData, Syscall, UpcallReply,
+    ExchangeKind, HttpReq, KReply, Kcall, Outbox, Payload, Perms, SysReply, SysReplyData, Syscall,
+    UpcallReply,
 };
-use semper_base::{CapSel, Code, Error, Msg, OpId, VpeId};
+use semper_base::{CapSel, Code, Error, Msg, OpId, PeId, VpeId};
 use semper_kernel::harness::TestCluster;
 
 /// Convenience: create a memory capability and return its selector.
@@ -598,18 +599,23 @@ fn credit_budget_is_respected() {
 /// — it used to be routed as one, leaving the caller blocked forever.
 #[test]
 fn client_tag_in_reserved_range_is_refused() {
-    use semper_base::{msg::Payload, Msg};
     let mut c = TestCluster::new(1, 1);
     let msg = Msg::new(c.pe_of(VpeId(0)), c.kernels[0].pe(), Payload::sys(1 << 62, Syscall::Noop));
-    let mut out = semper_kernel::Outbox::new();
+    let mut out = Outbox::new();
     c.kernels[0].handle(&msg, &mut out);
-    let replies = out.drain();
-    let [(Msg { dst, payload: Payload::SysReply(reply), .. }, _)] = &replies[..] else {
-        panic!("expected exactly one reply, got {replies:?}");
-    };
-    assert_eq!(*dst, c.pe_of(VpeId(0)));
+    let (dst, reply) = sole_sys_reply(&mut out);
+    assert_eq!(dst, c.pe_of(VpeId(0)));
     assert_eq!(reply.tag, 1 << 62);
-    assert_eq!(reply.result.as_ref().unwrap_err().code(), Code::InvalidArgs);
+    assert_eq!(reply.result.unwrap_err().code(), Code::InvalidArgs);
+}
+
+/// The one message in `out`, which must be a system-call reply: its
+/// destination and the reply.
+fn sole_sys_reply(out: &mut Outbox) -> (PeId, SysReply) {
+    match &out.drain()[..] {
+        [(Msg { dst, payload: Payload::SysReply(reply), .. }, _)] => (*dst, reply.clone()),
+        other => panic!("expected exactly one syscall reply, got {other:?}"),
+    }
 }
 
 // ----- DTU endpoint activation (gates) -----------------------------------
@@ -814,10 +820,16 @@ fn upcall_reply_of_the_wrong_kind_leaves_the_phase_parked() {
     c.check_invariants();
 }
 
+/// A failed-obtain reply under `op`, as `src` would send it to
+/// kernel 0.
+fn obtain_reply(c: &TestCluster, src: PeId, op: OpId) -> Msg {
+    let reply = KReply::Obtain { op, result: Err(Error::new(Code::NoSuchCap)) };
+    Msg::new(src, c.kernels[0].pe(), Payload::kreply(reply))
+}
+
 /// A reply that resumes nothing, as kernel 1 would send it.
 fn stray_obtain_reply(c: &TestCluster) -> Msg {
-    let reply = KReply::Obtain { op: OpId(99), result: Err(Error::new(Code::NoSuchCap)) };
-    Msg::new(c.kernels[1].pe(), c.kernels[0].pe(), Payload::kreply(reply))
+    obtain_reply(c, c.kernels[1].pe(), OpId(99))
 }
 
 /// Without fault injection every request produces exactly one reply,
@@ -843,4 +855,180 @@ fn stray_kreply_is_counted_under_fault_injection() {
     assert!(out.is_empty());
     assert_eq!(c.kernels[0].stats().fault_anomalies, 1);
     assert_eq!(c.kernels[0].pending_ops(), 0);
+}
+
+// ----- who may speak as a kernel, and which kernel may answer -------------
+
+/// The membership table maps a VPE's PE to its group's kernel, but only
+/// the kernel's own PE speaks for it: a `RevokeReq` a group-1 VPE
+/// addresses to kernel 0 deletes nothing and is not answered.
+#[test]
+fn forged_revoke_request_from_a_vpe_pe_is_dropped() {
+    let mut c = TestCluster::new(2, 1);
+    let sel = create_mem(&mut c, VpeId(0));
+    let cap_key = c.kernels[0].table(VpeId(0)).unwrap().get(sel).unwrap();
+    let caps = c.kernels[0].mapdb().len();
+    let forged = Kcall::RevokeReq { op: OpId(1), cap_key };
+    let msg = Msg::new(c.pe_of(VpeId(1)), c.kernels[0].pe(), Payload::kcall(forged));
+    let mut out = Outbox::new();
+    assert_eq!(c.kernels[0].handle(&msg, &mut out), 0, "a dropped forgery costs nothing");
+    assert!(out.is_empty(), "the forged request was answered: {:?}", out.drain());
+    assert_eq!(c.kernels[0].mapdb().len(), caps, "the forged request deleted a capability");
+    assert!(c.kernels[0].table(VpeId(0)).unwrap().get(sel).is_ok());
+    c.check_invariants();
+}
+
+/// Starts a spanning obtain by VPE 0 (kernel 0) from the first VPE of
+/// group 1 and stops with `obtain-remote` parked at kernel 0 under
+/// op 1, the `ObtainReq` still queued. Returns the obtain's tag.
+fn park_obtain_remote(c: &mut TestCluster, owner: VpeId) -> u64 {
+    let sel = create_mem(c, owner);
+    let tag = obtain_async(c, VpeId(0), owner, sel);
+    c.pump_n(1);
+    assert_eq!(c.kernels[0].pending_ops(), 1);
+    tag
+}
+
+/// The reply twin: a VPE of the *owner's* group — the group whose
+/// kernel the phase awaits — answers the obtain. Dropped; the owner
+/// kernel's real reply still completes the call.
+#[test]
+fn forged_obtain_reply_from_a_vpe_pe_leaves_the_phase_parked() {
+    let mut c = TestCluster::new(2, 2);
+    let tag = park_obtain_remote(&mut c, VpeId(2));
+    let msg = obtain_reply(&c, c.pe_of(VpeId(3)), OpId(1));
+    let mut out = Outbox::new();
+    assert_eq!(c.kernels[0].handle(&msg, &mut out), 0, "a dropped forgery costs nothing");
+    assert!(out.is_empty(), "the forged reply was acted on: {:?}", out.drain());
+    assert_eq!(c.kernels[0].pending_ops(), 1, "the forged reply unparked the obtain");
+
+    c.pump_all();
+    let r = c.take_reply(VpeId(0), tag).expect("the owner kernel's reply completes the obtain");
+    assert!(matches!(r.result, Ok(SysReplyData::Sel(_))), "{r:?}");
+    c.check_invariants();
+}
+
+/// Kernels are trusted, membership is static and nothing is relayed, so
+/// a reply can only come from the kernel that was asked: kernel 2
+/// answering an obtain put to kernel 1 is a kernel bug, in every
+/// profile.
+#[test]
+#[should_panic(expected = "asked Some(")]
+fn obtain_reply_from_an_unasked_kernel_panics_a_fault_free_kernel() {
+    let mut c = TestCluster::new(3, 1);
+    park_obtain_remote(&mut c, VpeId(1));
+    let msg = obtain_reply(&c, c.kernels[2].pe(), OpId(1));
+    c.kernels[0].handle(&msg, &mut Outbox::new());
+}
+
+/// Under fault injection the same reply is counted and the phase stays
+/// parked for the kernel it awaits.
+#[test]
+fn obtain_reply_from_an_unasked_kernel_is_counted_under_fault_injection() {
+    let mut c = TestCluster::new(3, 1);
+    c.kernels[0].enable_fault_injection(64);
+    let tag = park_obtain_remote(&mut c, VpeId(1));
+    let msg = obtain_reply(&c, c.kernels[2].pe(), OpId(1));
+    let mut out = Outbox::new();
+    c.kernels[0].handle(&msg, &mut out);
+    assert!(out.is_empty(), "the un-asked kernel's reply was acted on: {:?}", out.drain());
+    assert_eq!(c.kernels[0].stats().fault_anomalies, 1);
+    assert_eq!(c.kernels[0].pending_ops(), 1, "the un-asked kernel's reply unparked the obtain");
+
+    c.pump_all();
+    let r = c.take_reply(VpeId(0), tag).expect("kernel 1's reply completes the obtain");
+    assert!(matches!(r.result, Ok(SysReplyData::Sel(_))), "{r:?}");
+    c.check_invariants();
+}
+
+/// Starts a spanning delegate VPE 0 (kernel 0) → VPE 1 (kernel 1) and
+/// stops with the uninserted capability parked at kernel 1 under op 2
+/// (op 1 was the consent upcall), the first-leg reply still queued.
+/// Returns the delegate's tag and kernel 2's commit for that insert.
+fn park_pending_insert(c: &mut TestCluster) -> (u64, Msg) {
+    let sel = create_mem(c, VpeId(0));
+    let tag = c.syscall_async(
+        VpeId(0),
+        Syscall::Exchange {
+            other: VpeId(1),
+            own_sel: sel,
+            other_sel: CapSel::INVALID,
+            kind: ExchangeKind::Delegate,
+        },
+    );
+    c.pump_n(4); // syscall, DelegateReq, consent upcall, its answer
+    assert_eq!(c.kernels[1].pending_ops(), 1);
+    let ack = Kcall::DelegateAck { op: OpId(2), reply_op: OpId(77), commit: true };
+    (tag, Msg::new(c.kernels[2].pe(), c.kernels[1].pe(), Payload::kcall(ack)))
+}
+
+/// The second leg of the handshake is a request that resumes a phase:
+/// only the delegator's kernel may commit the pending insert.
+#[test]
+#[should_panic(expected = "no pending insert of its")]
+fn delegate_ack_from_an_unasked_kernel_panics_a_fault_free_kernel() {
+    let mut c = TestCluster::new(3, 1);
+    let (_, ack) = park_pending_insert(&mut c);
+    c.kernels[1].handle(&ack, &mut Outbox::new());
+}
+
+#[test]
+fn delegate_ack_from_an_unasked_kernel_is_counted_under_fault_injection() {
+    let mut c = TestCluster::new(3, 1);
+    c.kernels[1].enable_fault_injection(64);
+    let (tag, ack) = park_pending_insert(&mut c);
+    let mut out = Outbox::new();
+    c.kernels[1].handle(&ack, &mut out);
+    assert!(out.is_empty(), "kernel 2's ack was answered: {:?}", out.drain());
+    assert_eq!(c.kernels[1].stats().fault_anomalies, 1);
+    assert_eq!(c.kernels[1].pending_ops(), 1, "kernel 2's ack consumed the pending insert");
+    assert_eq!(c.kernels[1].table(VpeId(1)).unwrap().len(), 1, "kernel 2's ack inserted it");
+
+    c.pump_all();
+    let r = c.take_reply(VpeId(0), tag).expect("kernel 0's ack completes the delegate");
+    assert!(matches!(r.result, Ok(SysReplyData::Delegated { .. })), "{r:?}");
+    c.check_invariants();
+}
+
+// ----- messages a kernel does not serve ----------------------------------
+
+/// A system call from a PE that hosts no VPE of the kernel's group —
+/// another group's VPE, or the kernel's own PE — is answered
+/// `NoSuchVpe` at the ordinary refusal price: membership is static, so
+/// no other kernel will answer in this one's place, and the caller must
+/// not block forever.
+#[test]
+fn syscall_from_outside_the_group_is_refused() {
+    let mut c = TestCluster::new(2, 1);
+    let cost = semper_base::config::MachineConfig::small().cost;
+    for src in [c.pe_of(VpeId(1)), c.kernels[0].pe()] {
+        let msg = Msg::new(src, c.kernels[0].pe(), Payload::sys(7, Syscall::Noop));
+        let mut out = Outbox::new();
+        let cycles = c.kernels[0].handle(&msg, &mut out);
+        assert_eq!(cycles, cost.syscall_entry + cost.syscall_exit);
+        let (dst, reply) = sole_sys_reply(&mut out);
+        assert_eq!(dst, src);
+        assert_eq!(reply.tag, 7);
+        assert_eq!(reply.result.unwrap_err().code(), Code::NoSuchVpe);
+    }
+}
+
+/// Payloads meant for other actors (a reply, an upcall, filesystem or
+/// HTTP traffic) are dropped unread when a VPE sends them to a kernel —
+/// not an assertion a VPE can trip in debug builds.
+#[test]
+fn non_kernel_payloads_are_dropped_at_zero_cost() {
+    let mut c = TestCluster::new(1, 1);
+    for payload in [
+        Payload::sys_reply(1, Ok(SysReplyData::None)),
+        Payload::Http(HttpReq { id: 1, uri: 0 }),
+        Payload::fs_reply(1, Err(Error::new(Code::InvalidArgs))),
+    ] {
+        let msg = Msg::new(c.pe_of(VpeId(0)), c.kernels[0].pe(), payload);
+        let mut out = Outbox::new();
+        assert_eq!(c.kernels[0].handle(&msg, &mut out), 0);
+        assert!(out.is_empty());
+    }
+    assert_eq!(c.kernels[0].pending_ops(), 0);
+    c.check_invariants();
 }

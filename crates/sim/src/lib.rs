@@ -18,14 +18,12 @@ pub mod faults;
 pub mod queue;
 pub mod rng;
 pub mod sched;
-pub mod stats;
 pub mod time;
 
 pub use faults::{CrashPoint, FaultPlan, FaultStats, NetVerdict, PartitionWindow};
 pub use queue::EventQueue;
 pub use rng::DetRng;
 pub use sched::PeSchedule;
-pub use stats::{Counter, Summary};
 pub use time::Cycles;
 
 // The engine holds no `Rc`, `RefCell`, thread-local or global state —
@@ -39,6 +37,4 @@ const _: () = {
     assert_send::<PeSchedule<u64>>();
     assert_send::<DetRng>();
     assert_send::<FaultPlan>();
-    assert_send::<Counter>();
-    assert_send::<Summary>();
 };

@@ -122,7 +122,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Number of pops counted so far: every [`EventQueue::pop`] plus
-    /// the pops credited through [`EventQueue::credit_pops`].
+    /// the pops credited through `EventQueue::credit_pops`.
     pub fn processed(&self) -> u64 {
         self.popped
     }

@@ -246,78 +246,6 @@ fn session_open_close_matches_golden() {
     );
 }
 
-/// Golden cycle counts for [`group_migration_matches_golden`], recorded
-/// when the capability-group migration protocol landed (PR 3, on the
-/// `kernel::ops` engine). Pins the full choreography: marshal, install,
-/// handover, membership fan-out/acks, and the post-migration routing of
-/// exchanges and revokes to the group's new owner.
-const GOLDEN_MIG_FIRST: u64 = 6918;
-const GOLDEN_MIG_SECOND: u64 = 6902;
-const GOLDEN_MIG_OBTAIN: u64 = 6548;
-const GOLDEN_MIG_REVOKE: u64 = 6671;
-const GOLDEN_MIG_FINAL_NOW: u64 = 48565;
-const GOLDEN_MIG_EVENTS: u64 = 46;
-
-/// A three-kernel machine migrates a VPE's capability group twice
-/// (kernel 0 → 1 → 2) while the group's capability tree has children in
-/// every other group, then exercises the protocol against the new
-/// owner: a spanning obtain routed by the updated membership tables and
-/// a revoke sweeping the pre-migration children. Cycle-pinned.
-#[test]
-fn group_migration_matches_golden() {
-    use semper_base::KernelId;
-
-    let run = || {
-        let mut m = MicroMachine::new(3, 2, KernelMode::SemperOS);
-        let a = m.vpe(0, 0);
-        let root = m.create_mem(a);
-        // Children in both remote groups plus one local sibling holder.
-        let (_, _) = m.delegate(a, m.vpe(1, 0), root);
-        let (_, _) = m.delegate(a, m.vpe(2, 0), root);
-        let (_, _) = m.delegate(a, m.vpe(0, 1), root);
-
-        let first = m.machine().migrate_vpe(a, KernelId(1)).expect("quiescent migration");
-        let second = m.machine().migrate_vpe(a, KernelId(2)).expect("quiescent migration");
-        // Routing after two hops: a spanning obtain from group 0 must
-        // find the group at kernel 2.
-        let (_, obtain_cycles) = m.obtain(m.vpe(0, 1), a, root);
-        let revoke_cycles = m.revoke(a, root);
-        m.machine().check_invariants();
-        let stats: Vec<KernelStats> = m.machine().kernel_stats();
-        let migrations: u64 = stats.iter().map(|s| s.migrations_out + s.migrations_in).sum();
-        (
-            first,
-            second,
-            obtain_cycles,
-            revoke_cycles,
-            m.machine().now().0,
-            m.machine().events(),
-            migrations,
-            stats,
-        )
-    };
-    let first = run();
-    let second = run();
-    assert_eq!(first, second, "group migration diverged between runs");
-    println!(
-        "golden: first={} second={} obtain={} revoke={} now={} events={}",
-        first.0, first.1, first.2, first.3, first.4, first.5
-    );
-    assert_eq!(first.6, 4, "two completed migrations, counted at source and destination");
-    assert_eq!(
-        (first.0, first.1, first.2, first.3, first.4, first.5),
-        (
-            GOLDEN_MIG_FIRST,
-            GOLDEN_MIG_SECOND,
-            GOLDEN_MIG_OBTAIN,
-            GOLDEN_MIG_REVOKE,
-            GOLDEN_MIG_FINAL_NOW,
-            GOLDEN_MIG_EVENTS,
-        ),
-        "migration cycle trace drifted from the PR 3 golden"
-    );
-}
-
 /// A measurement on a quiesced, reused machine must yield the same
 /// simulated cycles as on a freshly built machine: selector free lists
 /// hand back freed selectors, credit budgets are restored at

@@ -1,23 +1,23 @@
 //! Asserted fault-injection suite (PR 9).
 //!
-//! Five failure scenarios — VPEs dying at the worst moments of an
-//! exchange, a revoke or a migration (the interference cases of
+//! Four failure scenarios — VPEs dying at the worst moments of an
+//! exchange or a revoke (the interference cases of
 //! Table 2) — are pinned as hard assertions, and the deterministic
 //! fault engine (`semper_sim::faults` +
 //! `Kernel::enable_fault_injection`) gets its own scripted scenarios: a kernel
 //! crash between the mark and delete phases of a spanning revoke, a
-//! one-way network partition across a live group migration, and a
+//! one-way network partition across a spanning obtain, and a
 //! drop/duplicate/delay storm over a mixed workload. Every scenario
 //! must *terminate* — each issued operation completes or errors, the
 //! surviving kernels reach true quiescence ([`TestCluster::
 //! assert_quiescent`]), and the structural invariants hold.
 //!
-//! The five scenarios and the fault matrix build independent clusters,
+//! The four scenarios and the fault matrix build independent clusters,
 //! so they run on the parallel harness (`semperos::Runner`); results
 //! come back in submission order regardless of the worker count.
 
 use semper_base::msg::{ExchangeKind, Perms, SysReply, SysReplyData, Syscall};
-use semper_base::{CapSel, KernelId, VpeId};
+use semper_base::{CapSel, Code, KernelId, VpeId};
 use semper_kernel::harness::TestCluster;
 use semper_sim::{CrashPoint, FaultPlan, PartitionWindow};
 use semperos::{Job, Runner};
@@ -66,7 +66,7 @@ fn assert_no_pending(c: &TestCluster) {
     }
 }
 
-// ----- the five failure scenarios --------------------------------------
+// ----- the four failure scenarios --------------------------------------
 
 /// Scenario 1: the obtainer dies while its obtain is in flight. The
 /// owner's kernel must clean the orphaned child link, leaving only the
@@ -163,41 +163,7 @@ fn workload_death_mid_spanning_revoke() -> &'static str {
     "workload_death_mid_spanning_revoke"
 }
 
-/// Scenario 5: a stale-routed obtain and a kill race a live group
-/// migration. The old owner must hold or relay both; the obtain must
-/// be answered, the kill must chase the group to the new owner, and
-/// the migration itself must still complete.
-fn kill_races_live_migration() -> &'static str {
-    let mut c = TestCluster::new(3, 1);
-    let root = create_mem(&mut c, VpeId(0));
-    let src = c.start_migration(VpeId(0), KernelId(2)).expect("start migration");
-    let tag = c.syscall_async(
-        VpeId(1),
-        Syscall::Exchange {
-            other: VpeId(0),
-            own_sel: CapSel::INVALID,
-            other_sel: root,
-            kind: ExchangeKind::Obtain,
-        },
-    );
-    c.kill(VpeId(0));
-    c.pump_all();
-    assert!(c.kernels[src.idx()].take_migration_failure(VpeId(0)).is_none());
-    // The obtain raced the kill: either outcome is legal, but it must
-    // be answered, and the teardown must reach the new owner.
-    assert!(c.take_reply(VpeId(1), tag).is_some(), "racing obtain lost its reply");
-    c.pump_all();
-    c.check_invariants();
-    for k in &c.kernels {
-        assert!(!k.vpe_alive(VpeId(0)), "kernel {} kept the killed VPE alive", k.id());
-    }
-    assert_no_pending(&c);
-    let s = *c.kernels[src.idx()].stats();
-    assert_eq!(s.migrations_out, 1, "the migration itself must still complete");
-    "kill_races_live_migration"
-}
-
-/// The five failure scenarios, run on the parallel harness.
+/// The four failure scenarios, run on the parallel harness.
 #[test]
 fn legacy_failure_scenarios_hold() {
     let jobs: Vec<Job<'static, &'static str>> = vec![
@@ -205,7 +171,6 @@ fn legacy_failure_scenarios_hold() {
         Box::new(receiver_killed_mid_delegate),
         Box::new(exit_with_cross_kernel_chain),
         Box::new(workload_death_mid_spanning_revoke),
-        Box::new(kill_races_live_migration),
     ];
     let ran = Runner::new(4).run(jobs);
     assert_eq!(
@@ -215,7 +180,6 @@ fn legacy_failure_scenarios_hold() {
             "receiver_killed_mid_delegate",
             "exit_with_cross_kernel_chain",
             "workload_death_mid_spanning_revoke",
-            "kill_races_live_migration",
         ],
         "scenario results must come back in submission order"
     );
@@ -378,44 +342,45 @@ fn kernel_crash_mid_spanning_revoke() {
     c.assert_quiescent();
 }
 
-/// A one-way partition (kernel 0 cannot reach kernel 2) opens just as
-/// a group migration 0 → 2 starts: the install request is dropped on
-/// the NoC, the source's `migrate-await-install` deadline expires, and
-/// the migration aborts through the protocol's own refusal path — the
-/// group never leaves. After the window heals, the same migration
-/// succeeds.
+/// A one-way partition (kernel 0 cannot reach kernel 2) is open when
+/// VPE 0 obtains from VPE 2: the `ObtainReq` is dropped on the NoC, the
+/// requester's `obtain-remote` deadline expires, and the system call is
+/// answered `Timeout` — nothing was inserted on either side. After the
+/// window heals, the same obtain succeeds.
 #[test]
-fn partition_aborts_then_heals_migration() {
+fn partition_aborts_then_heals_spanning_obtain() {
     let mut c = TestCluster::new(3, 1);
-    // The window covers the install request's send but closes before
-    // the 128-step deadline fires: the first migration still aborts
-    // (install requests carry no retry legs — the drop is fatal), and
-    // by the time the deadline pump has run, the route is healed.
+    // The window covers the request's send but closes before the
+    // 128-step deadline fires: the first obtain still aborts (obtain
+    // requests carry no retry legs — the drop is fatal), and by the
+    // time the deadline pump has run, the route is healed.
     let plan =
         FaultPlan::empty().with_partition(PartitionWindow { from: 0, to: 2, start: 0, end: 64 });
     c.set_fault_plan(plan, 128);
-    let root = create_mem(&mut c, VpeId(0));
+    let sel = create_mem(&mut c, VpeId(2));
+    let obtain = Syscall::Exchange {
+        other: VpeId(2),
+        own_sel: CapSel::INVALID,
+        other_sel: sel,
+        kind: ExchangeKind::Obtain,
+    };
 
-    let src = c.start_migration(VpeId(0), KernelId(2)).expect("start migration");
-    c.pump_all();
-    let err = c.kernels[src.idx()].take_migration_failure(VpeId(0));
-    assert!(err.is_some(), "the partitioned install must abort the migration");
-    assert_eq!(c.kernel_of(VpeId(0)), KernelId(0), "the group must not leave the source");
+    let caps = c.total_caps();
+    let r = c.syscall(VpeId(0), obtain.clone());
+    assert_eq!(r.result.unwrap_err().code(), Code::Timeout, "the partitioned obtain must abort");
+    assert_eq!(c.total_caps(), caps, "an aborted obtain must not leave a capability behind");
     let fs = c.fault_stats().expect("plan installed");
     assert!(fs.partitioned > 0, "the partition never dropped anything");
     c.check_invariants();
     c.assert_quiescent();
 
     // The pump drained past the window's end (quiet-network clock
-    // jumps); the healed route must now carry the same migration.
-    c.migrate(VpeId(0), KernelId(2)).expect("migration must succeed after the heal");
-    assert_eq!(c.kernel_of(VpeId(0)), KernelId(2));
+    // jumps); the healed route must now carry the same obtain.
+    let r = c.syscall(VpeId(0), obtain);
+    assert!(matches!(r.result, Ok(SysReplyData::Sel(_))), "obtain after the heal: {r:?}");
+    assert_eq!(c.total_caps(), caps + 1);
     let fs = c.fault_stats().expect("plan installed");
     assert_eq!(fs.partitions_healed, 1, "the healed window must be counted once");
-    // The delegation structure survived the aborted attempt: the
-    // migrated VPE still holds its root capability.
-    let k = c.kernel_of(VpeId(0));
-    assert!(c.kernels[k.idx()].table(VpeId(0)).unwrap().get(root).is_ok());
     c.check_invariants();
     c.assert_quiescent();
 }

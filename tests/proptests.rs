@@ -648,138 +648,3 @@ fn ddl_key_roundtrip() {
         assert_eq!(DdlKey::from_raw(k.raw()), Some(k));
     }
 }
-
-/// Operations racing a live migration are equivalent to quiescing
-/// first: a `race` cluster starts the migration and then runs a random
-/// operation sequence through the *old* owner (its DTU not yet
-/// re-programmed), with random partial pumping so the calls land in the
-/// await-install window, the membership-drain window, or after
-/// completion; a `twin` cluster migrates to quiescence first and then
-/// runs the same sequence. VPEs block on system calls, so each call
-/// completes before the next is issued — the racing is strictly
-/// ops-versus-migration. The old owner holds or forwards every call, so
-/// both clusters must produce identical replies, identical deleted
-/// sets, and bit-identical state digests.
-#[test]
-fn ops_during_migration_match_quiesce_then_migrate() {
-    use semper_base::KernelId;
-
-    for_cases(48, |case| {
-        let mut rng = DetRng::split(0x417E_CA5E, case);
-        // 3 kernels x 2 VPEs; the migrating VPE 0 starts in group 0 and
-        // moves to group 2.
-        let mut race = TestCluster::new(3, 2);
-        let mut twin = TestCluster::new(3, 2);
-        let a = VpeId(0);
-
-        // Identical quiescent seeding on both clusters. Exchange roots
-        // and revoke roots are disjoint so the generated operations
-        // never race each other — only the migration.
-        let both = |race: &mut TestCluster, twin: &mut TestCluster, vpe: VpeId, call: Syscall| {
-            let r = race.syscall(vpe, call.clone()).result;
-            let t = twin.syscall(vpe, call).result;
-            assert_eq!(r, t, "case {case}: clusters diverged during seeding");
-            r
-        };
-        let mem = |race: &mut TestCluster, twin: &mut TestCluster, vpe| match both(
-            race,
-            twin,
-            vpe,
-            Syscall::CreateMem { size: 4096, perms: Perms::RW },
-        ) {
-            Ok(SysReplyData::Mem { sel, .. }) => sel,
-            other => panic!("case {case}: create_mem failed: {other:?}"),
-        };
-        let ex_roots: Vec<CapSel> = (0..3).map(|_| mem(&mut race, &mut twin, a)).collect();
-        let mut rv_roots: Vec<CapSel> = (0..3).map(|_| mem(&mut race, &mut twin, a)).collect();
-        for sel in &rv_roots {
-            // Give every revoke root a spanning child at group 1.
-            let r = both(
-                &mut race,
-                &mut twin,
-                a,
-                Syscall::Exchange {
-                    other: VpeId(2),
-                    own_sel: *sel,
-                    other_sel: CapSel::INVALID,
-                    kind: ExchangeKind::Delegate,
-                },
-            );
-            assert!(r.is_ok(), "case {case}: seeding delegate failed: {r:?}");
-        }
-        let theirs = mem(&mut race, &mut twin, VpeId(2)); // obtain target
-
-        // Twin: quiesce-then-migrate, then the sequence, sequentially.
-        twin.migrate(a, KernelId(2)).expect("quiescent twin migration");
-        // Race: open the handover window, then fire the sequence at the
-        // old owner with random partial pumping in between.
-        let src = race.start_migration(a, KernelId(2)).expect("race start");
-
-        let n_ops = rng.between(4, 15) as usize;
-        for i in 0..n_ops {
-            let pump = rng.between(0, 7) as usize;
-            race.pump_n(pump);
-            let call = match rng.below(8) {
-                0..=1 => Syscall::Exchange {
-                    other: VpeId(1 + rng.below(5) as u16),
-                    own_sel: ex_roots[rng.below(3) as usize],
-                    other_sel: CapSel::INVALID,
-                    kind: ExchangeKind::Delegate,
-                },
-                2..=3 => Syscall::DeriveMem {
-                    src: ex_roots[rng.below(3) as usize],
-                    offset: 0,
-                    size: 64,
-                    perms: Perms::R,
-                },
-                4 => Syscall::Exchange {
-                    other: VpeId(2),
-                    own_sel: CapSel::INVALID,
-                    other_sel: theirs,
-                    kind: ExchangeKind::Obtain,
-                },
-                5..=6 if !rv_roots.is_empty() => {
-                    Syscall::Revoke { sel: rv_roots.pop().unwrap(), own: true }
-                }
-                _ => Syscall::CreateMem { size: 4096, perms: Perms::RW },
-            };
-            let expected = twin.syscall(a, call.clone()).result;
-            // The racing call goes to the stale kernel and blocks: no
-            // lost, duplicated, or misrouted operation may occur no
-            // matter which migration phase it lands in.
-            let tag = race.syscall_async_via(a, KernelId(0), call);
-            let mut steps = 0u32;
-            let got = loop {
-                if let Some(r) = race.take_reply(a, tag) {
-                    break r.result;
-                }
-                assert!(race.step(), "case {case}: op {i} lost its reply");
-                steps += 1;
-                assert!(steps < 100_000, "case {case}: op {i} never completed");
-            };
-            assert_eq!(got, expected, "case {case}: op {i} diverged");
-        }
-        race.pump_all();
-        assert!(race.kernels[src.idx()].take_migration_failure(a).is_none());
-
-        // Identical final state, full quiescence, equal deleted sets.
-        race.check_invariants();
-        twin.check_invariants();
-        assert_eq!(race.total_caps(), twin.total_caps(), "case {case}: survivor counts differ");
-        for (kr, kt) in race.kernels.iter().zip(&twin.kernels) {
-            assert_eq!(
-                kr.state_digest(),
-                kt.state_digest(),
-                "case {case}: kernel {} state diverged",
-                kr.id()
-            );
-            assert_eq!(kr.pending_ops(), 0, "case {case}: race left suspended ops");
-            assert_eq!(kt.pending_ops(), 0, "case {case}: twin left suspended ops");
-        }
-        let s = race.kernels[src.idx()].stats();
-        assert!(
-            s.ops_held + s.syscalls_forwarded > 0,
-            "case {case}: the old owner never held or forwarded anything"
-        );
-    });
-}

@@ -1,7 +1,7 @@
 //! Cycle pins at 10–100× the paper's evaluation scale.
 //!
 //! The paper's revocation experiments (Figures 4 and 5) stop at chains
-//! and trees of ~100 capabilities. These fifteen scenarios push the same
+//! and trees of ~100 capabilities. These thirteen scenarios push the same
 //! shapes — and the protocols added on top of them — to thousands of
 //! capabilities, and pin every *deterministic* output of each run:
 //! simulated cycles, events, capabilities deleted, cross-kernel
@@ -25,11 +25,11 @@
 
 use semper_apps::AppKind;
 use semper_base::msg::{ExchangeKind, Perms, SysReplyData, Syscall};
-use semper_base::{CapSel, Feature, KernelId, KernelMode, MachineConfig, VpeId};
+use semper_base::{CapSel, Feature, KernelMode, MachineConfig, VpeId};
 use semper_kernel::KernelStats;
 use semper_sim::{FaultPlan, FaultStats, PartitionWindow};
 use semperos::experiment::{run_app_instances, MicroMachine};
-use semperos::machine::{Machine, Workload};
+use semperos::machine::Machine;
 use semperos::{Job, Runner};
 
 /// One scenario's deterministic outputs, in golden order. The first
@@ -202,119 +202,6 @@ fn dense_table_spanning(caps: u32, batched: bool) -> Row {
     let name =
         if batched { "dense_table_teardown_batched" } else { "dense_table_teardown_sequential" };
     Row::of(name, caps, cycles, m.machine(), &before)
-}
-
-/// Group migration around a three-kernel ring: one VPE owns `caps`
-/// capabilities, every sixteenth delegated to another group so the
-/// moving group carries live cross-kernel child links; the whole group
-/// then migrates kernel 0 → 1 → 2 → 0 (`kernel::ops::migrate`).
-/// `sim_cycles` is the sum over the three hops.
-fn group_migration(caps: u32) -> Row {
-    let mut m = MicroMachine::new(3, 2, KernelMode::SemperOS);
-    let a = m.vpe(0, 0);
-    let sels: Vec<CapSel> = (0..caps).map(|_| m.create_mem(a)).collect();
-    for (i, sel) in sels.iter().enumerate().step_by(16) {
-        let to = m.vpe(1 + (i as u16 / 16) % 2, 0);
-        let _ = m.delegate(a, to, *sel);
-    }
-
-    let before = m.machine().kernel_stats();
-    let cycles = [KernelId(1), KernelId(2), KernelId(0)]
-        .into_iter()
-        .map(|dst| m.machine().migrate_vpe(a, dst).expect("quiescent migration"))
-        .sum();
-    m.machine().check_invariants();
-    Row::of("group_migration_ring", caps, cycles, m.machine(), &before)
-}
-
-/// Live rebalancing under load: a three-kernel machine runs the
-/// webserver workload — nginx servers replaying their m3fs-backed
-/// handling trace against closed-loop load generators — while every
-/// server's capability group migrates to the next kernel of the ring,
-/// `hops` full rotations, *without quiescing*. Each handover opens the
-/// forward-or-hold window (`kernel::ops::migrate`, `Phase::Draining`):
-/// the m3fs service's extent delegations and close-revokes into the
-/// moving group keep landing at the old owner mid-window and ride the
-/// hold queue; bystander kernels' stale-routed requests get relayed to
-/// the new owner. The closed loop must never stall, every migration must
-/// complete, and the handover window must actually have been exercised.
-/// `sim_cycles` is the sum of the handovers; `size` the server count.
-fn rebalance_under_load(servers: u16, hops: u32) -> Row {
-    let mut cfg = MachineConfig::small();
-    cfg.num_pes = 96;
-    cfg.kernels = 3;
-    cfg.services = 3;
-    cfg.mesh_width = semper_base::config::mesh_width_for(cfg.num_pes);
-    let mut m =
-        Machine::build(cfg, u32::from(servers), (servers / 4).max(1), Workload::Nginx { depth: 4 });
-    m.boot_os();
-    m.start_nginx();
-    let warmup = m.now() + 400_000;
-    m.run_until(warmup);
-    assert!(m.loadgen_completed() > 0, "no request completed during warmup");
-
-    let before = m.kernel_stats();
-    let server_vpes = m.topo().server_vpes.clone();
-    let mut handover_cycles = 0u64;
-    // Every wait below threads an absolute horizon through
-    // `Machine::advance_until`, which moves the base forward by the
-    // full window even when no event lands inside it — recomputing
-    // `run_until(now() + window)` instead livelocks as soon as the next
-    // event (e.g. a server coming out of a ~150k-cycle modeled extent
-    // access) lies beyond the window. See `Machine::advance_until`.
-    let mut horizon = m.now();
-    for hop in 0..hops {
-        let completed = m.loadgen_completed();
-        for &vpe in &server_vpes {
-            let pe = m.topo().vpe_dir[vpe.idx()];
-            let dst = KernelId((m.topo().kernel_of(pe).0 + 1) % 3);
-            // Open the handover the moment the server has an extent
-            // request outstanding: the service's answer is a DeriveMem
-            // plus a delegation into the moving group within a couple
-            // thousand cycles — inside the window — so every hop
-            // provably races capability traffic. (Servers spend most
-            // cycles in modeled compute; an arbitrary start instant
-            // finds nothing outstanding.)
-            let mut patience = 0u32;
-            while !m.vpe_awaiting_extent(vpe) {
-                horizon = m.advance_until(horizon + 500);
-                patience += 1;
-                assert!(patience < 8192, "{vpe} never requested an extent; server wedged?");
-            }
-            let ticket = m.start_vpe_migration(vpe, dst).expect("start live migration");
-            // Let the closed loop race the open window before draining
-            // it: service traffic into the moving group arriving now is
-            // held or forwarded by the old owner instead of erroring.
-            horizon = m.advance_until(horizon + 15_000);
-            handover_cycles += m.finish_vpe_migration(ticket).expect("live migration");
-            // A slice of steady-state traffic against the rebalanced
-            // placement before the next group moves.
-            horizon = m.advance_until(horizon + 25_000);
-        }
-        // The closed loop must keep completing requests across the
-        // rotation; per-request latency is large (hundreds of
-        // thousands of cycles of modeled trace replay), so give the
-        // check a bounded catch-up window instead of demanding
-        // progress inside the migration slices themselves.
-        let mut patience = 0u32;
-        while m.loadgen_completed() <= completed {
-            horizon = m.advance_until(horizon + 50_000);
-            patience += 1;
-            assert!(patience < 256, "closed loop stalled during rotation {hop}");
-        }
-    }
-    m.check_invariants();
-
-    let st = m.kernel_stats();
-    let moved: u64 = st.iter().map(|s| s.migrations_out).sum();
-    assert_eq!(moved, u64::from(hops) * server_vpes.len() as u64, "every hop must complete");
-    let held: u64 = st.iter().map(|s| s.ops_held).sum();
-    let forwarded: u64 = st.iter().map(|s| s.syscalls_forwarded + s.kcalls_forwarded).sum();
-    assert!(
-        held + forwarded > 0,
-        "no handover window was exercised: the migrations all found quiescent groups"
-    );
-    Row::of("rebalance_under_load", u32::from(servers), handover_cycles, &m, &before)
 }
 
 /// Spanning revoke, sequential vs batched: one VPE of group 0 owns `n`
@@ -500,23 +387,20 @@ fn service_chain(clients: u16, pipelined: bool) -> Row {
     Row::of(name, u32::from(clients), cycles, m.machine(), &before)
 }
 
-/// The fifteen scenarios with every size divided by `div` (1 = the full
+/// The thirteen scenarios with every size divided by `div` (1 = the full
 /// sizes the module docs quote).
 fn suite(div: u32) -> Vec<Job<'static, Row>> {
     // Floors: with fewer than 4 tar instances every client sits in a
     // group that hosts a service and no close ever crosses a kernel;
     // fewer than 4 chains in flight leave the pipelined submissions
-    // nothing to overlap; the ring needs a server per kernel.
+    // nothing to overlap.
     let instances = (8 / div).max(4);
     let clients = (64 / div).max(4) as u16;
-    let servers = (48 / div).max(3) as u16;
     vec![
         Box::new(move || chain_revoke(4096 / div, false)),
         Box::new(move || chain_revoke(1024 / div, true)),
         Box::new(move || tree_revoke(10_000 / div, 10_000 / div)),
         Box::new(move || dense_table_teardown(10_000 / div)),
-        Box::new(move || group_migration(4096 / div)),
-        Box::new(move || rebalance_under_load(servers, 2)),
         Box::new(move || spanning_revoke(2048 / div, false)),
         Box::new(move || spanning_revoke(2048 / div, true)),
         Box::new(move || file_workload(instances, false)),

@@ -371,8 +371,7 @@ impl Engine for PeSchedule<Ev> {
 }
 
 /// A busy-time change made from outside the pop loop, as
-/// `Machine::syscall_blocking`, the boot sequence and
-/// `start_vpe_migration` make them.
+/// `Machine::syscall_blocking` and the boot sequence make them.
 #[derive(Clone, Copy)]
 enum Outside {
     Set(usize, Cycles),
