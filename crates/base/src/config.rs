@@ -36,8 +36,7 @@ pub enum KernelMode {
 /// Optional protocol features (for ablation experiments): each one
 /// changes which messages a kernel sends. Mechanisms that are inert
 /// until used are not features — fault tolerance arms with the harness's
-/// `FaultPlan` (`Kernel::enable_fault_injection`), promise IPC is served
-/// whenever a `Syscall::SubmitAsync` arrives, and a `Syscall::Batch`
+/// `FaultPlan` (`Kernel::enable_fault_injection`), and a `Syscall::Batch`
 /// coalesces its revoke runs per destination kernel for any client that
 /// builds one. Revocation has two drivers, both the paper's: Algorithm 1
 /// (the default) and its §5.2 batching ([`Feature::RevokeBatching`]).
@@ -77,9 +76,6 @@ pub struct MachineConfig {
     pub features: Vec<Feature>,
     /// The cycle-cost model.
     pub cost: CostModel,
-    /// RNG seed for workload generation (simulation itself is
-    /// deterministic regardless).
-    pub seed: u64,
 }
 
 impl MachineConfig {
@@ -94,7 +90,6 @@ impl MachineConfig {
             max_inflight: DEFAULT_MAX_INFLIGHT,
             features: Vec::new(),
             cost: CostModel::calibrated(),
-            seed: DEFAULT_SEED,
         }
     }
 
@@ -109,7 +104,6 @@ impl MachineConfig {
             max_inflight: DEFAULT_MAX_INFLIGHT,
             features: Vec::new(),
             cost: CostModel::calibrated(),
-            seed: DEFAULT_SEED,
         }
     }
 
@@ -124,7 +118,6 @@ impl MachineConfig {
             max_inflight: DEFAULT_MAX_INFLIGHT,
             features: Vec::new(),
             cost: CostModel::calibrated(),
-            seed: DEFAULT_SEED,
         }
     }
 
@@ -143,10 +136,8 @@ impl MachineConfig {
 
     /// Kernel thread-pool size per the paper's formula (§4.2):
     /// `V_group + K_max * M_inflight`, where `V_group` is the number of
-    /// VPEs in this kernel's group. Asynchronous inner executions
-    /// (`Syscall::SubmitAsync`) can each hold a thread beside their
-    /// VPE's blocking syscall; the kernel adds them by count where it
-    /// checks the bound.
+    /// VPEs in this kernel's group (one blocking system call each).
+    /// `Kernel::park` checks every thread-holding operation against it.
     pub fn thread_pool_size(&self, vpes_in_group: u32) -> u32 {
         vpes_in_group + self.kernels as u32 * self.max_inflight
     }
@@ -189,9 +180,6 @@ pub fn mesh_width_for(num_pes: u16) -> u16 {
     }
     w
 }
-
-/// Default RNG seed shared by all experiments.
-pub const DEFAULT_SEED: u64 = 0x5E3D_BA5E_0000_0001;
 
 #[cfg(test)]
 mod tests {

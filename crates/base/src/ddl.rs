@@ -38,11 +38,6 @@ pub enum CapType {
     Session = 6,
     /// The kernel object itself (used for kernel-owned root capabilities).
     Kernel = 7,
-    /// A promise: a placeholder for the result of an asynchronous
-    /// invocation (`Syscall::SubmitAsync`). Promise keys live outside the
-    /// capability tree — they name kernel-internal resolution state, not
-    /// a mapdb record.
-    Promise = 8,
 }
 
 impl CapType {
@@ -56,7 +51,6 @@ impl CapType {
             5 => CapType::Service,
             6 => CapType::Session,
             7 => CapType::Kernel,
-            8 => CapType::Promise,
             _ => return None,
         })
     }
@@ -176,11 +170,11 @@ mod tests {
 
     #[test]
     fn cap_type_from_u8_exhaustive() {
-        for v in 1..=8u8 {
+        for v in 1..=7u8 {
             let ty = CapType::from_u8(v).expect("known type");
             assert_eq!(ty as u8, v);
         }
         assert_eq!(CapType::from_u8(0), None);
-        assert_eq!(CapType::from_u8(9), None);
+        assert_eq!(CapType::from_u8(8), None);
     }
 }

@@ -52,13 +52,12 @@ pub enum Code {
     /// The VPE referenced by the call does not exist (never created or
     /// already destroyed).
     NoSuchVpe,
-    /// Timeout while waiting for a remote party (only used by tests and
-    /// watchdogs; the protocols themselves are timeout-free).
+    /// Timeout while waiting for a remote party. The protocols
+    /// themselves are timeout-free; under fault injection the fault
+    /// engine answers this when it aborts an operation whose deadline
+    /// expired or whose peer kernel died (`Kernel::poll_faults`,
+    /// `Kernel::peer_down`).
     Timeout,
-    /// A promise capability has not resolved yet (non-blocking
-    /// `WaitPromise` polls report this; it is informational, not a
-    /// failure of the promised operation).
-    Unresolved,
 }
 
 impl Code {
@@ -84,7 +83,6 @@ impl Code {
             Code::InternalError => "EINTERNAL",
             Code::NoSuchVpe => "ENOVPE",
             Code::Timeout => "ETIMEOUT",
-            Code::Unresolved => "EUNRES",
         }
     }
 }
@@ -162,7 +160,6 @@ mod tests {
             Code::InternalError,
             Code::NoSuchVpe,
             Code::Timeout,
-            Code::Unresolved,
         ];
         let mut seen = std::collections::BTreeSet::new();
         for c in codes {

@@ -224,28 +224,6 @@ pub enum Syscall {
     /// `semper_kernel::ops::bulk`). `Batch` and `Exit` may not appear
     /// as items.
     Batch(Box<[Syscall]>),
-    /// Submits the inner call asynchronously:
-    /// the kernel replies immediately with a *promise capability*
-    /// ([`SysReplyData::Promise`]) standing in for the eventual result.
-    /// Selector-valued operands of later calls may name an unresolved
-    /// promise; the kernel parks those calls in the promise's resolution
-    /// queue and replays them — with the resolved value substituted — in
-    /// arrival order once the promise resolves. Boxed so this variant
-    /// does not widen [`Syscall`]. `Exit`, `Batch`, and the promise
-    /// calls themselves may not be submitted asynchronously.
-    SubmitAsync(Box<Syscall>),
-    /// Queries a promise capability. If the
-    /// promise is resolved the kernel replies with the stored result
-    /// (non-consuming: waiting again re-reads it). Otherwise, with
-    /// `block` set the caller's reply is deferred until resolution;
-    /// without it the kernel replies [`crate::Code::Unresolved`]
-    /// immediately — a poll.
-    WaitPromise {
-        /// Selector of the promise capability.
-        sel: CapSel,
-        /// Block until resolution instead of polling.
-        block: bool,
-    },
 }
 
 /// Payload of a successful system-call reply.
@@ -287,12 +265,6 @@ pub enum SysReplyData {
     /// pointer) so this variant does not widen `SysReplyData` — and
     /// thereby every `Msg` — past the slim-layout budget.
     Batch(Box<Vec<Result<SysReplyData>>>),
-    /// A [`Syscall::SubmitAsync`] was accepted; `sel` is the promise
-    /// capability standing in for the eventual result.
-    Promise {
-        /// Selector of the new promise capability.
-        sel: CapSel,
-    },
 }
 
 /// Reply to a system call.
@@ -818,10 +790,6 @@ fn syscall_size(call: &Syscall) -> u32 {
         Syscall::Activate { .. } => 16,
         Syscall::Exit => 8,
         Syscall::Batch(items) => 8 + items.iter().map(syscall_size).sum::<u32>(),
-        // An async submission pays an 8-byte promise header on top of
-        // the inner call's payload.
-        Syscall::SubmitAsync(inner) => 8 + syscall_size(inner),
-        Syscall::WaitPromise { .. } => 16,
     }
 }
 
@@ -993,10 +961,5 @@ impl Outbox {
     /// True if nothing was queued.
     pub fn is_empty(&self) -> bool {
         self.msgs.is_empty()
-    }
-
-    /// Read-only view of the queued messages (tests).
-    pub fn peek(&self) -> impl Iterator<Item = &Msg> {
-        self.msgs.iter().map(|(m, _)| m)
     }
 }

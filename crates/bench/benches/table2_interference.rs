@@ -2,8 +2,8 @@
 //! operations.
 //!
 //! This harness *constructs* each interference case of Table 2 with the
-//! untimed protocol cluster and reports the observed outcome, confirming
-//! that the protocol produces exactly the paper's matrix:
+//! untimed protocol cluster, asserts the observed outcome and reports it,
+//! confirming that the protocol produces exactly the paper's matrix:
 //!
 //! | 1st \ 2nd | Obtain     | Delegate   | Revoke/Crash |
 //! |-----------|------------|------------|--------------|
@@ -48,6 +48,7 @@ fn main() {
         let ok1 = c.take_reply(VpeId(1), t1).unwrap().result.is_ok();
         let ok2 = c.take_reply(VpeId(2), t2).unwrap().result.is_ok();
         c.check_invariants();
+        assert!(ok1 && ok2, "obtain || obtain: a serialized obtain failed");
         println!("obtain || obtain    -> serialized (both succeed: {})", ok1 && ok2);
     }
 
@@ -61,6 +62,7 @@ fn main() {
         c.pump_all();
         let orphans = c.kernels[0].stats().orphans_cleaned;
         c.check_invariants();
+        assert_eq!(orphans, 1, "obtain || crash: the orphaned child link was not cleaned");
         println!("obtain || crash     -> orphaned (cleaned: {})", orphans == 1);
     }
 
@@ -86,6 +88,8 @@ fn main() {
             .iter()
             .any(|cap| matches!(cap.kind, semper_base::msg::CapKindDesc::Memory { .. }));
         c.check_invariants();
+        assert!(revoked, "delegate || revoke: the revoke was not acknowledged");
+        assert!(!leaked, "delegate || revoke: the receiver kept an invalid capability");
         println!(
             "delegate || revoke  -> invalid PREVENTED by two-way handshake \
              (revoke acked: {revoked}, no leaked capability: {})",
@@ -117,6 +121,8 @@ fn main() {
             == Code::RevokeInProgress;
         let done = c.take_reply(VpeId(0), rt).unwrap().result.is_ok();
         c.check_invariants();
+        assert!(denied, "revoke || obtain: the pointless obtain was not denied");
+        assert!(done, "revoke || obtain: the revoke was not acknowledged");
         println!(
             "revoke || obtain    -> pointless exchange denied immediately: {}",
             denied && done
@@ -154,6 +160,8 @@ fn main() {
         let inner = c.take_reply(VpeId(1), t_inner).unwrap().result.is_ok();
         let remaining = c.total_caps();
         c.check_invariants();
+        assert!(outer && inner, "revoke || revoke: a revoke was not acknowledged");
+        assert_eq!(remaining, 3, "revoke || revoke: acknowledged before the subtree was gone");
         println!(
             "revoke || revoke    -> incomplete PREVENTED: both acked after full \
              deletion ({}, {} capabilities left = self-caps only: {})",

@@ -14,7 +14,6 @@ use semper_base::{CapType, DdlKey, DetHashMap, PeId, VpeId};
 #[derive(Debug, Default, Clone)]
 pub struct KeyAllocator {
     next_id: DetHashMap<VpeId, u32>,
-    next_promise_id: DetHashMap<VpeId, u32>,
 }
 
 impl KeyAllocator {
@@ -36,24 +35,7 @@ impl KeyAllocator {
         *id = id.checked_add(1).expect("object-id space exhausted");
         key
     }
-
-    /// Allocates a promise key for `(pe, vpe)` (`Syscall::SubmitAsync`).
-    ///
-    /// Promise keys name kernel-internal resolution state, not mapdb
-    /// records, and draw their object ids from a separate per-VPE
-    /// counter based at [`PROMISE_ID_BASE`] — ordinary allocations are
-    /// byte-identical whether or not a workload also creates promises.
-    pub fn alloc_promise(&mut self, pe: PeId, vpe: VpeId) -> DdlKey {
-        let id = self.next_promise_id.entry(vpe).or_insert(PROMISE_ID_BASE);
-        let key = DdlKey::new(pe, vpe, CapType::Promise, *id);
-        *id = id.checked_add(1).expect("promise-id space exhausted");
-        key
-    }
 }
-
-/// First object id of the promise-key range (disjoint from ordinary
-/// per-VPE object ids, which start at 0 and stay far below this).
-pub const PROMISE_ID_BASE: u32 = 0x80_0000;
 
 #[cfg(test)]
 mod tests {
@@ -85,19 +67,5 @@ mod tests {
         assert_eq!(k.pe(), PeId(9));
         assert_eq!(k.vpe(), VpeId(4));
         assert_eq!(k.cap_type(), Some(CapType::Session));
-    }
-
-    #[test]
-    fn promise_keys_use_disjoint_range() {
-        let mut a = KeyAllocator::new();
-        let m = a.alloc(PeId(1), VpeId(7), CapType::Memory);
-        let p0 = a.alloc_promise(PeId(1), VpeId(7));
-        let p1 = a.alloc_promise(PeId(1), VpeId(7));
-        assert_eq!(p0.object_id(), PROMISE_ID_BASE);
-        assert_eq!(p1.object_id(), PROMISE_ID_BASE + 1);
-        assert_eq!(p0.cap_type(), Some(CapType::Promise));
-        // Promise allocation leaves the ordinary sequence untouched.
-        assert_eq!(a.alloc(PeId(1), VpeId(7), CapType::Memory).object_id(), 1);
-        assert_ne!(m, p0);
     }
 }

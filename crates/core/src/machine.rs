@@ -510,9 +510,9 @@ impl Machine {
     }
 
     /// Asserts that every surviving kernel reached true quiescence
-    /// (empty pending-op ledger, no leaked waiters, no unresolved
-    /// promise, no credit-stalled requests) — the termination property
-    /// of the fault engine. Call after [`Machine::run_until_idle`].
+    /// (empty pending-op ledger, no leaked waiters, no credit-stalled
+    /// requests) — the termination property of the fault engine. Call
+    /// after [`Machine::run_until_idle`].
     pub fn assert_quiescent(&self) {
         for pe in 0..self.cfg.num_pes {
             if let Node::Kernel(k) = &self.nodes[pe as usize] {
@@ -1029,159 +1029,5 @@ mod tests {
         m.assert_quiescent();
         let st = m.fault_stats().expect("plan armed");
         assert!(st.injected > 0, "the plan never fired on 16 spanning obtains");
-    }
-
-    #[test]
-    fn submit_async_served_by_default() {
-        let mut m = micro(1, 2);
-        let (r, _) = m.syscall_blocking(
-            VpeId(0),
-            Syscall::SubmitAsync(Box::new(Syscall::CreateMem { size: 4096, perms: Perms::RW })),
-        );
-        assert!(matches!(r.result, Ok(SysReplyData::Promise { .. })), "{r:?}");
-    }
-
-    #[test]
-    fn promise_submit_wait_roundtrip() {
-        let mut m = micro(1, 2);
-        let (r, submit_cycles) = m.syscall_blocking(
-            VpeId(0),
-            Syscall::SubmitAsync(Box::new(Syscall::CreateMem { size: 4096, perms: Perms::RW })),
-        );
-        let Ok(SysReplyData::Promise { sel }) = r.result else { panic!("{r:?}") };
-        // The submission replies immediately — before the inner call's
-        // own round trip would have completed.
-        assert!(submit_cycles > 0);
-        let (r, _) = m.syscall_blocking(VpeId(0), Syscall::WaitPromise { sel, block: true });
-        assert!(matches!(r.result, Ok(SysReplyData::Mem { .. })), "{r:?}");
-        // Redeeming again returns the stored result (promises are
-        // idempotent until the handle is severed).
-        let (r, _) = m.syscall_blocking(VpeId(0), Syscall::WaitPromise { sel, block: false });
-        assert!(matches!(r.result, Ok(SysReplyData::Mem { .. })), "{r:?}");
-        m.run_until_idle();
-        m.check_invariants();
-        let st = &m.kernel_stats()[0];
-        assert_eq!(st.promises_created, 1);
-        assert_eq!(st.promises_resolved, 1);
-    }
-
-    #[test]
-    fn dependent_call_parks_until_promise_resolves() {
-        // A purely local inner call resolves synchronously at submit
-        // time, so the dependent call needs a promise still in flight:
-        // gate a CreateMem promise behind a slow cross-kernel delegate
-        // (program order), then name it before it can resolve.
-        let mut m = micro(2, 4);
-        let (r, _) =
-            m.syscall_blocking(VpeId(0), Syscall::CreateMem { size: 4096, perms: Perms::RW });
-        let Ok(SysReplyData::Mem { sel, .. }) = r.result else { panic!("{r:?}") };
-        let (r, _) = m.syscall_blocking(
-            VpeId(0),
-            Syscall::SubmitAsync(Box::new(Syscall::Exchange {
-                other: VpeId(1),
-                own_sel: sel,
-                other_sel: semper_base::CapSel::INVALID,
-                kind: semper_base::ExchangeKind::Delegate,
-            })),
-        );
-        let Ok(SysReplyData::Promise { .. }) = r.result else { panic!("{r:?}") };
-        let (r, _) = m.syscall_blocking(
-            VpeId(0),
-            Syscall::SubmitAsync(Box::new(Syscall::CreateMem { size: 8192, perms: Perms::RW })),
-        );
-        let Ok(SysReplyData::Promise { sel: p2 }) = r.result else { panic!("{r:?}") };
-        // Dependent call naming the unresolved promise: the kernel parks
-        // it, replays it with the resolved selector substituted, and the
-        // reply carries the derived capability.
-        let (r, _) = m.syscall_blocking(
-            VpeId(0),
-            Syscall::DeriveMem { src: p2, offset: 0, size: 4096, perms: Perms::R },
-        );
-        assert!(matches!(r.result, Ok(SysReplyData::Sel(_))), "{r:?}");
-        m.run_until_idle();
-        m.check_invariants();
-        let st = &m.kernel_stats()[0];
-        assert_eq!(st.promises_created, 2);
-        assert_eq!(st.promises_resolved, 2);
-        // Two pipelined calls: the gated second submission (program
-        // order behind the in-flight delegate) and the parked derive.
-        assert_eq!(st.calls_pipelined, 2, "the derive never parked");
-        // Two asynchronous executions ran beside the blocking calls of
-        // a 2-VPE group, with no flag set: thread use stayed inside
-        // §4.2's pool plus one thread per execution in flight.
-        assert!(st.max_pending_ops <= u64::from(m.cfg().thread_pool_size(2)) + 2);
-    }
-
-    #[test]
-    fn promise_chain_runs_in_program_order() {
-        let mut m = micro(1, 2);
-        // Three async submissions back to back; only then wait on the
-        // last. Program-order gating must execute them sequentially, so
-        // all three are resolved when the tail redeems.
-        let mut sels = Vec::new();
-        for _ in 0..3 {
-            let (r, _) = m.syscall_blocking(
-                VpeId(0),
-                Syscall::SubmitAsync(Box::new(Syscall::CreateMem { size: 4096, perms: Perms::RW })),
-            );
-            let Ok(SysReplyData::Promise { sel }) = r.result else { panic!("{r:?}") };
-            sels.push(sel);
-        }
-        let (r, _) =
-            m.syscall_blocking(VpeId(0), Syscall::WaitPromise { sel: sels[2], block: true });
-        assert!(matches!(r.result, Ok(SysReplyData::Mem { .. })), "{r:?}");
-        for s in &sels[..2] {
-            let (r, _) =
-                m.syscall_blocking(VpeId(0), Syscall::WaitPromise { sel: *s, block: false });
-            assert!(matches!(r.result, Ok(SysReplyData::Mem { .. })), "tail resolved first: {r:?}");
-        }
-        m.run_until_idle();
-        m.check_invariants();
-        assert_eq!(m.kernel_stats()[0].promises_resolved, 3);
-    }
-
-    #[test]
-    fn promise_handle_revoke_severs_binding() {
-        let mut m = micro(1, 2);
-        let (r, _) = m.syscall_blocking(
-            VpeId(0),
-            Syscall::SubmitAsync(Box::new(Syscall::CreateMem { size: 4096, perms: Perms::RW })),
-        );
-        let Ok(SysReplyData::Promise { sel }) = r.result else { panic!("{r:?}") };
-        let (r, _) = m.syscall_blocking(VpeId(0), Syscall::Revoke { sel, own: true });
-        assert!(r.result.is_ok(), "{r:?}");
-        // The handle is gone; the inner call still ran to completion in
-        // the background without leaking kernel state.
-        let (r, _) = m.syscall_blocking(VpeId(0), Syscall::WaitPromise { sel, block: true });
-        assert_eq!(r.result.unwrap_err().code(), semper_base::Code::NoSuchCap);
-        m.run_until_idle();
-        m.check_invariants();
-        m.assert_quiescent();
-    }
-
-    #[test]
-    fn promise_cross_kernel_delegate_resolves() {
-        let mut m = micro(2, 4);
-        // VPE 0 (group 0) creates memory and async-delegates it to
-        // VPE 1 (group 1) — the two-way handshake (§4.3.2) runs under
-        // the reserved tag and its completion resolves the promise.
-        let (r, _) =
-            m.syscall_blocking(VpeId(0), Syscall::CreateMem { size: 4096, perms: Perms::RW });
-        let Ok(SysReplyData::Mem { sel, .. }) = r.result else { panic!("{r:?}") };
-        let (r, _) = m.syscall_blocking(
-            VpeId(0),
-            Syscall::SubmitAsync(Box::new(Syscall::Exchange {
-                other: VpeId(1),
-                own_sel: sel,
-                other_sel: semper_base::CapSel::INVALID,
-                kind: semper_base::ExchangeKind::Delegate,
-            })),
-        );
-        let Ok(SysReplyData::Promise { sel: psel }) = r.result else { panic!("{r:?}") };
-        let (r, _) = m.syscall_blocking(VpeId(0), Syscall::WaitPromise { sel: psel, block: true });
-        assert!(matches!(r.result, Ok(SysReplyData::Delegated { .. })), "{r:?}");
-        m.run_until_idle();
-        m.check_invariants();
-        m.assert_quiescent();
     }
 }

@@ -55,9 +55,8 @@ pub struct Kernel {
     pub(crate) revoke: crate::ops::revoke::RevokeState,
     /// Modeled cycles of continuations that ran from within the
     /// completion funnel ([`Kernel::reply_sys`]): a batch advancing to
-    /// its next items, a promise resolving and replaying its parked
-    /// calls. They execute within the surrounding handler's window;
-    /// [`Kernel::charge`] folds them into its cost.
+    /// its next items. They execute within the surrounding handler's
+    /// window; [`Kernel::charge`] folds them into its cost.
     pub(crate) continuation_cost: u64,
 
     /// The inter-kernel request credit gate (§4.1).
@@ -73,10 +72,6 @@ pub struct Kernel {
     /// inert unless [`Kernel::enable_fault_injection`] ran (see
     /// [`crate::ops::faults`]).
     pub(crate) fault: crate::ops::faults::FaultState,
-
-    /// Promise capabilities and in-flight asynchronous executions
-    /// (see [`crate::ops::promise`]).
-    pub(crate) promises: crate::ops::promise::Promises,
 
     pub(crate) stats: KernelStats,
 }
@@ -111,15 +106,11 @@ impl CreditGate {
     }
 }
 
-/// True if `call` may run as a batch item or as an asynchronous inner
-/// call. `Exit` has no reply to collect; a nested batch would nest the
-/// one-blocking-syscall invariant; the promise calls have their own
-/// pipelining and would tangle the outer call's reply funnel.
+/// True if `call` may run as a batch item. `Exit` has no reply to
+/// collect; a nested batch would nest the one-blocking-syscall
+/// invariant.
 pub(crate) fn nestable(call: &Syscall) -> bool {
-    !matches!(
-        call,
-        Syscall::Exit | Syscall::Batch(_) | Syscall::SubmitAsync(_) | Syscall::WaitPromise { .. }
-    )
+    !matches!(call, Syscall::Exit | Syscall::Batch(_))
 }
 
 impl Kernel {
@@ -155,7 +146,6 @@ impl Kernel {
             kgate: CreditGate::default(),
             eps: crate::epbind::EpBindings::new(),
             fault: Default::default(),
-            promises: Default::default(),
             stats: KernelStats::default(),
         }
     }
@@ -296,10 +286,7 @@ impl Kernel {
         if in_use > self.stats.max_pending_ops {
             self.stats.max_pending_ops = in_use;
         }
-        // §4.2's pool, plus one thread per asynchronous inner execution
-        // in flight (each can park beside its VPE's blocking syscall).
-        let pool = self.cfg.thread_pool_size(self.vpes.len() as u32) as u64
-            + self.promises.execs_in_flight();
+        let pool = u64::from(self.cfg.thread_pool_size(self.vpes.len() as u32));
         debug_assert!(
             in_use <= pool,
             "kernel {id}: {in_use} thread-holding ops exceed pool {pool}",
@@ -317,9 +304,7 @@ impl Kernel {
     }
 
     /// Sends a system-call reply to a VPE — the single completion
-    /// funnel of every syscall path. A tag from the reserved range
-    /// completes an asynchronous inner execution: the result resolves
-    /// its promise instead of messaging the VPE. If the VPE is blocked
+    /// funnel of every syscall path. If the VPE is blocked
     /// on a [`Syscall::Batch`](semper_base::msg::Syscall::Batch), the
     /// "reply" is one item's completion: it is recorded in the batch
     /// (whose combined reply leaves when all items are done) instead of
@@ -332,13 +317,6 @@ impl Kernel {
         tag: u64,
         result: Result<SysReplyData>,
     ) {
-        if tag >= crate::ops::promise::ASYNC_TAG_BASE {
-            // Only the kernel mints such tags: `handle_syscall` refuses
-            // them from clients.
-            let cost = self.promise_exec_done(vpe, tag, result, out);
-            self.continuation_cost += cost;
-            return;
-        }
         if let Some(op) = self.vpes.get(&vpe).and_then(|v| v.batch) {
             self.bulk_item_done(op, tag as usize, result, out);
             return;
@@ -463,13 +441,10 @@ impl Kernel {
     ) -> u64 {
         let entry = self.cfg.cost.syscall_entry;
         let caller = match self.vpe_on_pe(src).ok().and_then(|vpe| self.vpes.get(&vpe)) {
-            // The tag is the client's choice. One from the range the
-            // kernel reserves for asynchronous inner executions would
-            // be mistaken for one by `reply_sys`; and a VPE blocked on
-            // an active batch may not issue a further call at all (its
-            // reply would be taken for an item completion).
+            // A VPE blocked on an active batch may not issue a further
+            // call (its reply would be taken for an item completion).
             Some(v) if v.alive() => {
-                if tag >= crate::ops::promise::ASYNC_TAG_BASE || v.batch.is_some() {
+                if v.batch.is_some() {
                     Err(Code::InvalidArgs)
                 } else {
                     Ok(v.id)
@@ -489,18 +464,11 @@ impl Kernel {
                 return entry + self.cfg.cost.syscall_exit;
             }
         };
-        // A call naming a promise selector is a dependent call: it
-        // severs, parks, or replays through the promise engine instead
-        // of the classic handlers.
-        if let Some(cost) = self.sys_promise_dependent(vpe, tag, call, out) {
-            return entry + cost;
-        }
         entry + self.dispatch_syscall(vpe, tag, call, out)
     }
 
     /// Dispatches one syscall to its handler — the one `Syscall` →
-    /// handler table, shared by fresh calls, batch items, asynchronous
-    /// inner calls, and promise-dependent call replay.
+    /// handler table, shared by fresh calls and batch items.
     pub(crate) fn dispatch_syscall(
         &mut self,
         vpe: VpeId,
@@ -528,10 +496,6 @@ impl Kernel {
             // (the VPE is gone).
             Syscall::Exit => self.terminate_vpe(vpe, out),
             Syscall::Batch(items) => self.sys_batch(vpe, tag, items, out),
-            Syscall::SubmitAsync(inner) => self.sys_submit_async(vpe, tag, inner, out),
-            Syscall::WaitPromise { sel, block } => {
-                self.sys_wait_promise(vpe, tag, *sel, *block, out)
-            }
         }
     }
 
@@ -559,7 +523,6 @@ impl Kernel {
         // cleanups per §4.3.2).
         self.bulk_vpe_died(vpe);
         self.cancel_upcall_waiters(vpe, out);
-        self.promise_vpe_died(vpe);
         // Revoke all capabilities still in the VPE's table, starting at
         // the roots we own. Children in other groups are reached by the
         // revocation protocol itself.

@@ -318,21 +318,10 @@ impl Kernel {
                 // pending capability is safe and complete.
                 exchange::Phase::DelegatePendingInsert { .. } => 0,
             },
-            PendingOp::Session(phase) => match phase {
-                session::Phase::OpenRemote { tag, client, .. }
-                | session::Phase::OpenLocal { tag, client, .. } => {
-                    self.reply_sys(out, client, tag, Err(err));
-                    exit
-                }
-                session::Phase::AtService { caller_op, caller_kernel, .. } => {
-                    self.send_kreply(
-                        out,
-                        caller_kernel,
-                        KReply::OpenSess { op: caller_op, result: Err(err) },
-                    );
-                    exit
-                }
-            },
+            PendingOp::Session(phase) => {
+                self.cancel_session_phase(phase, err, out);
+                exit
+            }
             PendingOp::Revoke(phase) => match phase {
                 // Completing with the legs that did answer is the only
                 // consistent abort: marked subtrees must be swept
@@ -369,9 +358,8 @@ impl Kernel {
 
     /// Asserts that the kernel reached true quiescence: no suspended
     /// operations (which covers active batches), and every protocol's
-    /// own state drained — no marked
-    /// capability awaiting deletion, no
-    /// unresolved promise, no request stalled behind the credit gate.
+    /// own state drained — no marked capability awaiting deletion, no
+    /// request stalled behind the credit gate.
     /// The fault suites call this after every run — a leak here is
     /// exactly the silent hang the termination hardening exists to
     /// prevent.
@@ -384,7 +372,7 @@ impl Kernel {
             stuck.sort_unstable();
             Err(format!("pending ops at quiescence: {stuck:?}"))
         };
-        [ledger, self.revoke.quiescent(), self.promises.quiescent(), self.kgate.quiescent()]
+        [ledger, self.revoke.quiescent(), self.kgate.quiescent()]
             .into_iter()
             .collect::<core::result::Result<(), String>>()
             .map_err(|e| format!("kernel {}: {e}", self.id))

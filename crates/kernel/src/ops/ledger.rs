@@ -51,21 +51,6 @@ impl PendingTable {
         Some(state)
     }
 
-    /// Removes and returns a suspended operation only if `expected`
-    /// accepts it; an op parked in another phase stays untouched (a
-    /// duplicated or straggler message must not knock it out).
-    pub fn remove_if(
-        &mut self,
-        op: OpId,
-        expected: impl FnOnce(&PendingOp) -> bool,
-    ) -> Option<PendingOp> {
-        if expected(self.ops.get(&op.0)?) {
-            self.remove(op)
-        } else {
-            None
-        }
-    }
-
     /// Looks up a suspended operation.
     pub fn get(&self, op: OpId) -> Option<&PendingOp> {
         self.ops.get(&op.0)

@@ -30,9 +30,10 @@
 //! # One of each
 //!
 //! Every protocol-independent concept exists once: one `Syscall` →
-//! handler table (`Kernel::dispatch_syscall`, which batch items and
-//! asynchronous inner calls also go through, with `kernel::nestable`
-//! saying which calls may), one credit-gated request send
+//! handler table (`Kernel::dispatch_syscall`, which batch items also go
+//! through, with `kernel::nestable` saying which calls may), one
+//! completion funnel (`Kernel::reply_sys`: the VPE's active batch, else
+//! a message to the VPE), one credit-gated request send
 //! (`Kernel::send_kcall_at`), one mark walk and one delete pass for
 //! Algorithm 1 (`Kernel::mark_subtree` / `Kernel::delete_marked` in
 //! [`revoke`], driven by single revokes and coalesced bulk runs
@@ -40,13 +41,11 @@
 //! both `Syscall::Exit` and the machine's `Kernel::kill_vpe`).
 //!
 //! State that outlives a single parked phase lives with its protocol,
-//! not as loose fields on `Kernel`: `revoke::RevokeState`,
-//! `promise::Promises`, the kernel's `CreditGate`, and two per-VPE
-//! markers in [`crate::VpeState`] (the
-//! active batch, the promise pipeline tail). The rest of the kernel asks
-//! each of them two questions only — *are you quiescent?*
-//! (`Kernel::check_quiescent`) and *VPE `v` died*
-//! (`Kernel::terminate_vpe`).
+//! not as loose fields on `Kernel`: `revoke::RevokeState`, the kernel's
+//! `CreditGate`, and one per-VPE marker in [`crate::VpeState`] (the
+//! active batch). The rest of the kernel asks each of them two
+//! questions only — *are you quiescent?* (`Kernel::check_quiescent`)
+//! and *VPE `v` died* (`Kernel::terminate_vpe`).
 //!
 //! # Paper §4.3 → engine phases
 //!
@@ -85,12 +84,11 @@ pub mod exchange;
 pub mod faults;
 pub mod ledger;
 pub mod memops;
-pub mod promise;
 pub mod revoke;
 pub mod session;
 
 use semper_base::msg::{KReply, Kcall, UpcallReply};
-use semper_base::{KernelId, OpId, PeId, VpeId};
+use semper_base::{Code, Error, KernelId, OpId, PeId, VpeId};
 
 use crate::kernel::Kernel;
 use crate::outbox::Outbox;
@@ -246,17 +244,16 @@ impl PendingOp {
         }
     }
 
-    /// The local VPE whose upcall answer this phase awaits, if its
-    /// death must cancel the operation. Only the exchange consent
-    /// phases resolve this way: the VPE being asked for consent can die
-    /// while the upcall is in flight, and the initiator (possibly at
-    /// another kernel) must be unblocked with `VpeGone`. Session-open
-    /// upcalls go to *service* VPEs, whose death mid-open is not
-    /// modeled (services outlive the workloads in every scenario).
+    /// The local VPE whose upcall answer this phase awaits: the VPE
+    /// asked for consent to an exchange, or the service VPE asked to
+    /// open a session. It can die while the upcall is in flight, and
+    /// the initiator (possibly at another kernel) must then be
+    /// unblocked with `VpeGone`.
     pub fn upcall_responder(&self) -> Option<VpeId> {
         match self {
             PendingOp::Exchange(p) => p.upcall_responder(),
-            _ => None,
+            PendingOp::Session(p) => p.upcall_responder(),
+            PendingOp::Revoke(_) | PendingOp::Bulk(_) => None,
         }
     }
 }
@@ -501,7 +498,7 @@ impl Kernel {
         }
     }
 
-    /// Cancels every pending operation awaiting a consent upcall from
+    /// Cancels every pending operation awaiting an upcall answer from
     /// `vpe` (the VPE died). The cancellation order is protocol-visible
     /// (each cancel emits a reply), so the collected ops are sorted by
     /// id — the order the pre-hash-map id-ordered ledger iterated in.
@@ -517,7 +514,10 @@ impl Kernel {
             let p = self.pending.remove(op).expect("collected above");
             match p {
                 PendingOp::Exchange(phase) => self.cancel_exchange_phase(phase, out),
-                other => unreachable!("{} does not await consent upcalls", other.spec().name),
+                PendingOp::Session(phase) => {
+                    self.cancel_session_phase(phase, Error::new(Code::VpeGone), out)
+                }
+                other => unreachable!("{} awaits no upcall answer", other.spec().name),
             }
         }
     }

@@ -79,6 +79,15 @@ impl Phase {
             },
         }
     }
+
+    /// The service VPE whose answer this phase awaits (its death
+    /// cancels the open; see [`PendingOp::upcall_responder`]).
+    pub fn upcall_responder(&self) -> Option<VpeId> {
+        match self {
+            Phase::OpenLocal { srv, .. } | Phase::AtService { srv, .. } => Some(srv.srv_vpe),
+            Phase::OpenRemote { .. } => None,
+        }
+    }
 }
 
 impl Kernel {
@@ -256,6 +265,10 @@ impl Kernel {
                     // nothing inserted yet.
                     return 0;
                 }
+                if let Err(e) = self.service_cap_usable(&srv) {
+                    self.reply_sys(out, client, tag, Err(e));
+                    return self.cfg.cost.syscall_exit;
+                }
                 let sel = self.insert_session(client, child_key, srv, ident, true);
                 self.stats.sessions_opened += 1;
                 self.reply_sys(
@@ -273,9 +286,9 @@ impl Kernel {
     }
 
     /// Resumes [`Phase::AtService`]: the service VPE answered the upcall
-    /// for a remote client; link the session capability under the
-    /// service capability before replying — the same ordering obtain
-    /// uses.
+    /// for a remote client; re-validate the service capability and link
+    /// the session capability under it before replying — the same
+    /// ordering obtain uses.
     pub(crate) fn session_service_accept(
         &mut self,
         caller_op: OpId,
@@ -285,15 +298,11 @@ impl Kernel {
         result: Result<u64>,
         out: &mut Outbox,
     ) -> u64 {
-        let reply = match result {
-            Err(e) => Err(e),
-            Ok(ident) => {
-                self.mapdb
-                    .link_child(srv.srv_key, child_key)
-                    .expect("service capability checked at request time");
-                Ok(ident)
-            }
-        };
+        let reply = result.and_then(|ident| {
+            self.service_cap_usable(&srv)?;
+            self.mapdb.link_child(srv.srv_key, child_key)?;
+            Ok(ident)
+        });
         self.send_kreply(out, caller_kernel, KReply::OpenSess { op: caller_op, result: reply });
         self.ref_cost() + self.cfg.cost.cap_insert + self.cfg.cost.kcall_exit
     }
@@ -338,9 +347,47 @@ impl Kernel {
         }
     }
 
+    /// Re-validates a local service's capability when the service
+    /// answers an open, as `obtain_owner_accept` does for an obtain: the
+    /// check made when the open arrived is stale by now — the service
+    /// may have revoked the capability (gone: `NoSuchService`) or be
+    /// revoking it (marked: `RevokeInProgress`, a *pointless* exchange
+    /// in Table 2's terms; a session linked under a marked parent would
+    /// be an *invalid* capability once the revoke finishes).
+    fn service_cap_usable(&mut self, srv: &ServiceInfo) -> Result<()> {
+        match self.mapdb.get(srv.srv_key) {
+            Err(_) => Err(Error::new(Code::NoSuchService)),
+            Ok(cap) if cap.revoking() => {
+                self.stats.pointless_denied += 1;
+                Err(Error::new(Code::RevokeInProgress))
+            }
+            Ok(_) => Ok(()),
+        }
+    }
+
+    /// Fails a parked open towards whoever waits for it — the client,
+    /// or the client's kernel: the service VPE died before answering
+    /// (`VpeGone`, the teardown sweep) or the fault engine gave up on
+    /// the phase (`Timeout`).
+    pub(crate) fn cancel_session_phase(&mut self, phase: Phase, err: Error, out: &mut Outbox) {
+        match phase {
+            Phase::OpenRemote { tag, client, .. } | Phase::OpenLocal { tag, client, .. } => {
+                self.reply_sys(out, client, tag, Err(err));
+            }
+            Phase::AtService { caller_op, caller_kernel, .. } => {
+                self.send_kreply(
+                    out,
+                    caller_kernel,
+                    KReply::OpenSess { op: caller_op, result: Err(err) },
+                );
+            }
+        }
+    }
+
     /// Builds and inserts a session capability for `client`. For local
-    /// services the parent link is registered immediately; for remote
-    /// services the owning kernel linked it before replying.
+    /// services the parent link is registered immediately (the caller
+    /// checked the service capability); for remote services the owning
+    /// kernel linked it before replying.
     fn insert_session(
         &mut self,
         client: VpeId,
@@ -360,7 +407,7 @@ impl Kernel {
         ));
         self.stats.caps_created += 1;
         if link_local_parent {
-            self.mapdb.link_child(srv.srv_key, child_key).expect("local service capability exists");
+            self.mapdb.link_child(srv.srv_key, child_key).expect("caller checked the parent");
         }
         sel
     }

@@ -59,13 +59,6 @@ pub struct KernelStats {
     /// unknown ops, duplicate fan-in completions — events that are
     /// hard errors outside fault mode.
     pub fault_anomalies: u64,
-    /// Promise capabilities handed out by `Syscall::SubmitAsync`.
-    pub promises_created: u64,
-    /// Promises resolved — to a value or an error.
-    pub promises_resolved: u64,
-    /// Dependent calls that were pipelined: parked against an unresolved
-    /// promise and replayed on resolution instead of blocking the client.
-    pub calls_pipelined: u64,
 }
 
 impl KernelStats {

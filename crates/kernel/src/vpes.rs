@@ -4,7 +4,7 @@
 //! single-threaded process (§2.2). Each VPE runs on exactly one PE of the
 //! kernel's group and has its own capability table.
 
-use semper_base::{DdlKey, OpId, PeId, VpeId};
+use semper_base::{OpId, PeId, VpeId};
 
 /// Lifecycle of a VPE as seen by its kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,16 +30,12 @@ pub struct VpeState {
     /// addressed to the VPE is a batch-item completion (see
     /// `Kernel::reply_sys` and [`crate::ops::bulk`]).
     pub batch: Option<OpId>,
-    /// Key of the VPE's most recently submitted promise — the gate
-    /// its next `SubmitAsync` chains behind (program-order pipelining,
-    /// [`crate::ops::promise`]).
-    pub promise_tail: Option<DdlKey>,
 }
 
 impl VpeState {
     /// Creates a fresh, alive VPE.
     pub fn new(id: VpeId, pe: PeId) -> VpeState {
-        VpeState { id, pe, life: VpeLife::Alive, batch: None, promise_tail: None }
+        VpeState { id, pe, life: VpeLife::Alive, batch: None }
     }
 
     /// True if the VPE is alive.

@@ -468,6 +468,101 @@ fn open_session_unknown_service_fails() {
     assert_eq!(r.result.unwrap_err().code(), Code::NoSuchService);
 }
 
+// A service is a VPE like any other: it can revoke its service
+// capability, or die, while a client's open waits for its answer. The
+// check made when the open *arrived* is stale by then; the accept paths
+// re-validate, as `obtain_owner_accept` does.
+
+/// A service on VPE 0 and an open from `client`, pumped `steps`
+/// messages in: 3 leave a remote open's answer queued (2 a local
+/// open's), one fewer leaves the upcall itself queued. Returns the
+/// service capability's selector and the open's tag.
+fn open_in_flight(c: &mut TestCluster, client: VpeId, steps: usize) -> (CapSel, u64) {
+    let r = c.syscall(VpeId(0), Syscall::CreateSrv { name: 7 });
+    let Ok(SysReplyData::Sel(srv_sel)) = r.result else { panic!("{r:?}") };
+    let tag = c.syscall_async(client, Syscall::OpenSession { name: 7 });
+    c.pump_n(steps);
+    (srv_sel, tag)
+}
+
+/// The service (VPE 0) revokes `sel` ahead of everything queued; the
+/// cluster then drains.
+fn revoke_ahead_of_queue(c: &mut TestCluster, sel: CapSel) {
+    let tag = c.syscall_front(VpeId(0), Syscall::Revoke { sel, own: true });
+    c.pump_all();
+    assert!(c.take_reply(VpeId(0), tag).expect("revoke answered").result.is_ok());
+}
+
+fn assert_open_refused(c: &mut TestCluster, client: VpeId, tag: u64, code: Code) {
+    let r = c.take_reply(client, tag).expect("the client must be answered");
+    assert_eq!(r.result.unwrap_err().code(), code);
+    c.check_invariants();
+    c.assert_quiescent();
+}
+
+#[test]
+fn remote_open_answered_after_service_cap_revoked_is_refused() {
+    let mut c = TestCluster::new(2, 1);
+    let (srv_sel, tag) = open_in_flight(&mut c, VpeId(1), 3);
+    revoke_ahead_of_queue(&mut c, srv_sel);
+    assert_open_refused(&mut c, VpeId(1), tag, Code::NoSuchService);
+    assert_eq!(c.total_caps(), 2, "only the two self-capabilities may survive");
+}
+
+#[test]
+fn local_open_answered_after_service_cap_revoked_is_refused() {
+    let mut c = TestCluster::new(1, 2);
+    let (srv_sel, tag) = open_in_flight(&mut c, VpeId(1), 2);
+    revoke_ahead_of_queue(&mut c, srv_sel);
+    assert_open_refused(&mut c, VpeId(1), tag, Code::NoSuchService);
+    assert_eq!(c.total_caps(), 2, "only the two self-capabilities may survive");
+}
+
+/// Table 2's *invalid* capability, for sessions: the service capability
+/// already has a remote session, so its revoke parks on kernel 1 — and
+/// the answer to a second open arrives while it is marked. Linking the
+/// new session under it would leave kernel 2 a capability whose parent
+/// the finishing revoke deletes.
+#[test]
+fn open_answered_during_service_cap_revoke_leaves_no_invalid_cap() {
+    let mut c = TestCluster::new(3, 1);
+    let r = c.syscall(VpeId(0), Syscall::CreateSrv { name: 7 });
+    let Ok(SysReplyData::Sel(srv_sel)) = r.result else { panic!("{r:?}") };
+    assert!(c.syscall(VpeId(1), Syscall::OpenSession { name: 7 }).result.is_ok());
+    let tag = c.syscall_async(VpeId(2), Syscall::OpenSession { name: 7 });
+    c.pump_n(3);
+    revoke_ahead_of_queue(&mut c, srv_sel);
+    assert_open_refused(&mut c, VpeId(2), tag, Code::RevokeInProgress);
+    assert_eq!(c.kernels[0].stats().pointless_denied, 1);
+    for cap in c.kernels.iter().flat_map(|k| k.mapdb().iter()) {
+        let Some(parent) = cap.parent else { continue };
+        assert!(
+            c.kernels.iter().any(|k| k.mapdb().contains(parent)),
+            "{:?} survives under a parent that exists on no kernel",
+            cap.key
+        );
+    }
+    assert_eq!(c.total_caps(), 3, "only the three self-capabilities may survive");
+}
+
+#[test]
+fn service_killed_with_its_answer_queued_fails_the_open() {
+    let mut c = TestCluster::new(2, 1);
+    let (_, tag) = open_in_flight(&mut c, VpeId(1), 3);
+    c.kill(VpeId(0));
+    c.pump_all();
+    assert_open_refused(&mut c, VpeId(1), tag, Code::VpeGone);
+}
+
+#[test]
+fn service_killed_before_answering_fails_the_open() {
+    let mut c = TestCluster::new(2, 1);
+    let (_, tag) = open_in_flight(&mut c, VpeId(1), 2);
+    c.kill(VpeId(0));
+    c.pump_all();
+    assert_open_refused(&mut c, VpeId(1), tag, Code::VpeGone);
+}
+
 // ----- derive + exit ------------------------------------------------------
 
 #[test]
@@ -592,21 +687,6 @@ fn credit_budget_is_respected() {
     }
     c.check_invariants();
     assert!(c.kernels[0].stats().kcalls_credit_stalled > 0, "expected credit stalls");
-}
-
-/// The tag of a system call is the client's choice. One from the range
-/// the kernel reserves for asynchronous inner executions must be refused
-/// — it used to be routed as one, leaving the caller blocked forever.
-#[test]
-fn client_tag_in_reserved_range_is_refused() {
-    let mut c = TestCluster::new(1, 1);
-    let msg = Msg::new(c.pe_of(VpeId(0)), c.kernels[0].pe(), Payload::sys(1 << 62, Syscall::Noop));
-    let mut out = Outbox::new();
-    c.kernels[0].handle(&msg, &mut out);
-    let (dst, reply) = sole_sys_reply(&mut out);
-    assert_eq!(dst, c.pe_of(VpeId(0)));
-    assert_eq!(reply.tag, 1 << 62);
-    assert_eq!(reply.result.unwrap_err().code(), Code::InvalidArgs);
 }
 
 /// The one message in `out`, which must be a system-call reply: its

@@ -16,7 +16,7 @@
 //! so they run on the parallel harness (`semperos::Runner`); results
 //! come back in submission order regardless of the worker count.
 
-use semper_base::msg::{ExchangeKind, Perms, SysReply, SysReplyData, Syscall};
+use semper_base::msg::{ExchangeKind, Perms, SysReplyData, Syscall};
 use semper_base::{CapSel, Code, KernelId, VpeId};
 use semper_kernel::harness::TestCluster;
 use semper_sim::{CrashPoint, FaultPlan, PartitionWindow};
@@ -42,21 +42,6 @@ fn delegate(c: &mut TestCluster, from: VpeId, to: VpeId, sel: CapSel) -> CapSel 
     match r.result {
         Ok(SysReplyData::Delegated { recv_sel }) => recv_sel,
         other => panic!("delegate failed: {other:?}"),
-    }
-}
-
-/// Pumps until the reply for `tag` arrives (bounded); unlike
-/// [`TestCluster::syscall`] this does not drain the whole cluster, so
-/// other operations stay genuinely in flight.
-fn await_reply(c: &mut TestCluster, vpe: VpeId, tag: u64) -> SysReply {
-    let mut steps = 0u64;
-    loop {
-        if let Some(r) = c.take_reply(vpe, tag) {
-            return r;
-        }
-        assert!(c.step(), "{vpe} tag {tag}: cluster went idle without a reply");
-        steps += 1;
-        assert!(steps < 200_000, "{vpe} tag {tag}: reply never arrived");
     }
 }
 
@@ -385,73 +370,14 @@ fn partition_aborts_then_heals_spanning_obtain() {
     c.assert_quiescent();
 }
 
-/// A drop/duplicate/delay storm over a pipelined promise chain: three
-/// asynchronous cross-kernel delegates are submitted back to back, so
-/// their `DelegateReq`/`DelegateAck` legs cross the lossy NoC while the
-/// chain is still unresolved. Every redeeming wait must be answered — the
-/// delegation result, or a real `Err` from a deadline abort — never
-/// silence, and the cluster must reach true quiescence with no parked
-/// waiter or async execution leaked.
+/// Kernel 1 crashes while it holds the receiver-side consent of a
+/// blocking group-spanning delegate (`delegate-at-recv` park). The
+/// delegator's kernel must detect the peer's death and abort the
+/// delegate's request leg: the system call is answered `Timeout` — never
+/// hangs — nothing stays linked under the root, and the surviving island
+/// reaches true quiescence.
 #[test]
-fn promise_chain_survives_resolve_leg_storm() {
-    let mut c = TestCluster::new(3, 2);
-    let plan = FaultPlan::seeded(0x9120_5704).with_drop(80).with_duplicate(50).with_delay(100, 12);
-    c.set_fault_plan(plan, 256);
-
-    let root = create_mem(&mut c, VpeId(0));
-    // Submit the whole chain before anything resolves: `await_reply`
-    // pumps only up to each submission's (immediate) reply, so the
-    // delegates themselves are still in flight when the next one is
-    // gated behind them in program order.
-    let mut promises = Vec::new();
-    for to in [2u16, 4, 3] {
-        let tag = c.syscall_async(
-            VpeId(0),
-            Syscall::SubmitAsync(Box::new(Syscall::Exchange {
-                other: VpeId(to),
-                own_sel: root,
-                other_sel: CapSel::INVALID,
-                kind: ExchangeKind::Delegate,
-            })),
-        );
-        let r = await_reply(&mut c, VpeId(0), tag);
-        let Ok(SysReplyData::Promise { sel }) = r.result else {
-            panic!("submission must yield a promise: {r:?}");
-        };
-        promises.push(sel);
-    }
-    let tags: Vec<u64> = promises
-        .iter()
-        .map(|p| c.syscall_async(VpeId(0), Syscall::WaitPromise { sel: *p, block: true }))
-        .collect();
-    c.pump_all();
-
-    for (i, tag) in tags.iter().enumerate() {
-        let reply = c.take_reply(VpeId(0), *tag);
-        let Some(reply) = reply else {
-            panic!("chain link {i}: wait vanished without a reply");
-        };
-        assert!(
-            matches!(reply.result, Ok(SysReplyData::Delegated { .. }) | Err(_)),
-            "chain link {i} must complete or abort with a real error: {:?}",
-            reply.result
-        );
-    }
-    let fs = c.fault_stats().expect("plan installed");
-    assert!(fs.injected > 0, "the storm never fired");
-    let resolved: u64 = c.kernels.iter().map(|k| k.stats().promises_resolved).sum();
-    assert_eq!(resolved, 3, "every promise of the chain must resolve exactly once");
-    c.check_invariants();
-    c.assert_quiescent();
-}
-
-/// Kernel 1 crashes while it holds the receiver-side consent of an
-/// unresolved promise's asynchronous delegate (`delegate-at-recv`
-/// park). The submitter's kernel must detect the peer's death, abort
-/// the delegate's request leg, and resolve the promise to a real error — the redeeming wait returns `Err`, never
-/// hangs — and the surviving island reaches true quiescence.
-#[test]
-fn peer_crash_holding_unresolved_promise_yields_real_error() {
+fn peer_crash_at_delegate_at_recv_yields_real_error() {
     let mut c = TestCluster::new(2, 2);
     let plan = FaultPlan::empty().with_crash(CrashPoint {
         kernel: 1,
@@ -461,27 +387,24 @@ fn peer_crash_holding_unresolved_promise_yields_real_error() {
     c.set_fault_plan(plan, 64);
 
     let root = create_mem(&mut c, VpeId(0));
-    let tag = c.syscall_async(
+    let r = c.syscall(
         VpeId(0),
-        Syscall::SubmitAsync(Box::new(Syscall::Exchange {
+        Syscall::Exchange {
             other: VpeId(2),
             own_sel: root,
             other_sel: CapSel::INVALID,
             kind: ExchangeKind::Delegate,
-        })),
+        },
     );
-    let r = await_reply(&mut c, VpeId(0), tag);
-    let Ok(SysReplyData::Promise { sel }) = r.result else {
-        panic!("submission must yield a promise: {r:?}");
-    };
-    c.pump_all();
     assert!(!c.kernel_alive(KernelId(1)), "the scripted crash point never fired");
-
-    let r = c.syscall(VpeId(0), Syscall::WaitPromise { sel, block: true });
-    assert!(r.result.is_err(), "a promise held by a dead peer must resolve to an error: {r:?}");
-    let s = c.kernels[0].stats();
-    assert!(s.promises_resolved >= 1, "the orphaned promise never resolved");
-    assert!(s.ops_aborted >= 1, "the delegate leg never aborted");
+    assert_eq!(r.result.unwrap_err().code(), Code::Timeout, "a dead peer must abort the delegate");
+    let k0 = &c.kernels[0];
+    assert!(k0.stats().ops_aborted >= 1, "the delegate leg never aborted");
+    // Two self-capabilities and the root: the handshake's second leg
+    // never ran, so no child was linked.
+    assert_eq!(k0.mapdb().len(), 3, "the aborted delegate left a capability behind");
+    let root_key = k0.table(VpeId(0)).expect("VPE 0 is local").get(root).expect("root survives");
+    assert_eq!(k0.mapdb().get(root_key).expect("root survives").child_count(), 0);
     c.check_invariants();
     c.assert_quiescent();
 }

@@ -303,167 +303,6 @@ fn batched_ops_match_sequential() {
     });
 }
 
-/// One node of a random dependent-call DAG for the promise-IPC
-/// equivalence test. `dep` indexes an earlier node whose result the
-/// call consumes (`None` → the pre-seeded root capability).
-#[derive(Debug, Clone, Copy)]
-enum PipeOp {
-    Create,
-    Derive { dep: Option<usize> },
-    Delegate { dep: Option<usize>, to: u16 },
-}
-
-/// Draws a DAG node; dependencies only reference earlier nodes that
-/// yield a capability selector (creates and derives).
-fn draw_pipe_op(rng: &mut DetRng, prior: &[PipeOp]) -> PipeOp {
-    let dep = |rng: &mut DetRng| {
-        let candidates: Vec<usize> = prior
-            .iter()
-            .enumerate()
-            .filter(|(_, op)| matches!(op, PipeOp::Create | PipeOp::Derive { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        if candidates.is_empty() || rng.below(3) == 0 {
-            None
-        } else {
-            Some(candidates[rng.below(candidates.len() as u64) as usize])
-        }
-    };
-    match rng.below(6) {
-        0..=1 => PipeOp::Create,
-        2..=3 => PipeOp::Derive { dep: dep(rng) },
-        _ => PipeOp::Delegate { dep: dep(rng), to: 1 + rng.below(5) as u16 },
-    }
-}
-
-/// One run of a random dependent-call DAG, either blocking (each call
-/// its own synchronous syscall) or pipelined (every call submitted
-/// asynchronously through `Syscall::SubmitAsync`, dependencies named by
-/// their *promise* selector, results redeemed afterwards). Returns the
-/// observable transcript: every per-call result plus every kernel's
-/// state digest.
-fn run_pipe_case(case: u64, pipelined: bool) -> String {
-    let mut rng = DetRng::split(0x9120_14ED, case);
-    let n_ops = rng.between(2, 15) as usize;
-    let mut c = TestCluster::new(3, 2);
-    let issuer = VpeId(0);
-    let root = match c.syscall(issuer, Syscall::CreateMem { size: 4096, perms: Perms::RW }).result {
-        Ok(SysReplyData::Mem { sel, .. }) => sel,
-        other => panic!("case {case}: root create failed: {other:?}"),
-    };
-
-    let mut ops: Vec<PipeOp> = Vec::new();
-    for _ in 0..n_ops {
-        let op = draw_pipe_op(&mut rng, &ops);
-        ops.push(op);
-    }
-
-    let mut results: Vec<semper_base::Result<SysReplyData>> = Vec::new();
-    if pipelined {
-        // Submit the whole DAG up front; each dependency is the
-        // *promise* selector of the producing call, so the kernel must
-        // park or substitute — the client never blocks mid-chain.
-        let mut promises: Vec<CapSel> = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            let operand = |dep: &Option<usize>, promises: &[CapSel]| match dep {
-                Some(j) => promises[*j],
-                None => root,
-            };
-            let inner = match op {
-                PipeOp::Create => Syscall::CreateMem { size: 4096, perms: Perms::RW },
-                PipeOp::Derive { dep } => Syscall::DeriveMem {
-                    src: operand(dep, &promises),
-                    offset: 0,
-                    size: 64,
-                    perms: Perms::R,
-                },
-                PipeOp::Delegate { dep, to } => Syscall::Exchange {
-                    other: VpeId(*to),
-                    own_sel: operand(dep, &promises),
-                    other_sel: CapSel::INVALID,
-                    kind: ExchangeKind::Delegate,
-                },
-            };
-            let r = c.syscall(issuer, Syscall::SubmitAsync(Box::new(inner)));
-            let Ok(SysReplyData::Promise { sel }) = r.result else {
-                panic!("case {case}: submission {i} not a promise: {r:?}");
-            };
-            promises.push(sel);
-        }
-        for (i, p) in promises.iter().enumerate() {
-            let r = c.syscall(issuer, Syscall::WaitPromise { sel: *p, block: true });
-            assert!(r.result.is_ok(), "case {case}: pipelined op {i} failed: {:?}", r.result);
-            results.push(r.result);
-        }
-    } else {
-        // Blocking reference: each call waits for its predecessor, so a
-        // dependency is the *resolved* selector of the producing call.
-        let mut sels: Vec<CapSel> = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            let operand = |dep: &Option<usize>, sels: &[CapSel]| match dep {
-                Some(j) => sels[*j],
-                None => root,
-            };
-            let call = match op {
-                PipeOp::Create => Syscall::CreateMem { size: 4096, perms: Perms::RW },
-                PipeOp::Derive { dep } => Syscall::DeriveMem {
-                    src: operand(dep, &sels),
-                    offset: 0,
-                    size: 64,
-                    perms: Perms::R,
-                },
-                PipeOp::Delegate { dep, to } => Syscall::Exchange {
-                    other: VpeId(*to),
-                    own_sel: operand(dep, &sels),
-                    other_sel: CapSel::INVALID,
-                    kind: ExchangeKind::Delegate,
-                },
-            };
-            let r = c.syscall(issuer, call);
-            assert!(r.result.is_ok(), "case {case}: blocking op {i} failed: {:?}", r.result);
-            let sel = match &r.result {
-                Ok(SysReplyData::Mem { sel, .. }) => *sel,
-                Ok(SysReplyData::Sel(sel)) => *sel,
-                _ => CapSel::INVALID,
-            };
-            sels.push(sel);
-            results.push(r.result);
-        }
-    }
-
-    c.pump_all();
-    c.check_invariants();
-    c.assert_quiescent();
-    let mut transcript = String::new();
-    for (i, r) in results.iter().enumerate() {
-        transcript.push_str(&format!("op {i}: {r:?}\n"));
-    }
-    for k in &c.kernels {
-        assert_eq!(k.pending_ops(), 0, "case {case}: suspended ops left behind");
-        for line in k.state_digest() {
-            transcript.push_str(&line);
-            transcript.push('\n');
-        }
-    }
-    transcript
-}
-
-/// Pipelined asynchronous invocation is an optimization of the call
-/// *schedule*, not its semantics: a random dependent-call DAG submitted
-/// through promise capabilities produces exactly the per-call results
-/// of the same DAG executed blocking, leaves every kernel with the same
-/// state digest, quiesces fully, and replays bit-identically.
-#[test]
-fn pipelined_ops_match_blocking() {
-    for_cases(48, |case| {
-        let blocking = run_pipe_case(case, false);
-        let pipelined = run_pipe_case(case, true);
-        assert_eq!(blocking, pipelined, "case {case}: pipelined run diverged from blocking");
-        let replay = run_pipe_case(case, true);
-        assert_eq!(pipelined, replay, "case {case}: pipelined replay diverged");
-    });
-}
-
 /// One full faulted run: a random capability workload executed under a
 /// random fault plan, pumped to quiescence within a step bound.
 /// Returns a complete observable transcript — every reply, every

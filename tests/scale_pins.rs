@@ -1,12 +1,12 @@
 //! Cycle pins at 10–100× the paper's evaluation scale.
 //!
 //! The paper's revocation experiments (Figures 4 and 5) stop at chains
-//! and trees of ~100 capabilities. These thirteen scenarios push the same
+//! and trees of ~100 capabilities. These eleven scenarios push the same
 //! shapes — and the protocols added on top of them — to thousands of
 //! capabilities, and pin every *deterministic* output of each run:
 //! simulated cycles, events, capabilities deleted, cross-kernel
-//! requests, and whichever dispatch / fault / promise counters the run
-//! moved. Host time is not measured here; that is `benchmark/`'s job.
+//! requests, and whichever dispatch / fault counters the run moved.
+//! Host time is not measured here; that is `benchmark/`'s job.
 //!
 //! One test runs all scenarios at two scales (the full sizes and the
 //! same shapes ÷16) and compares every field of every row with
@@ -16,15 +16,14 @@
 //! expected ones and say so in CHANGES.md. Anything else that moves a
 //! line is a regression.
 //!
-//! The three feature twins keep their claims as plain asserts: a batched
-//! teardown sends fewer cross-kernel requests than the sequential one,
-//! one `Syscall::Batch` of revokes (per-kernel coalescing in
+//! The two twins keep their claims as plain asserts: a batched teardown
+//! sends fewer cross-kernel requests than the sequential one, and one
+//! `Syscall::Batch` of revokes (per-kernel coalescing in
 //! `kernel::ops::bulk`, no feature) needs at most ⅔ of the sequential
-//! cycles and half of its handler dispatches, and pipelined service chains finish before
-//! blocking ones with every promise resolved.
+//! cycles and half of its handler dispatches.
 
 use semper_apps::AppKind;
-use semper_base::msg::{ExchangeKind, Perms, SysReplyData, Syscall};
+use semper_base::msg::{SysReplyData, Syscall};
 use semper_base::{CapSel, Feature, KernelMode, MachineConfig, VpeId};
 use semper_kernel::KernelStats;
 use semper_sim::{FaultPlan, FaultStats, PartitionWindow};
@@ -44,7 +43,7 @@ impl Row {
     /// `before` is the kernels' statistics where the measured phase
     /// starts: requests, dispatches, retries and aborts are counted from
     /// there (the counters cover machine construction too); deletions
-    /// and the promise counters cover the whole run.
+    /// cover the whole run.
     fn new(
         name: &'static str,
         size: u32,
@@ -69,9 +68,6 @@ impl Row {
             ("fault_retries", delta(|s| s.retries)),
             ("ops_aborted", delta(|s| s.ops_aborted)),
             ("partitions_healed", faults.map_or(0, |f| f.partitions_healed)),
-            ("promises_created", total(|s| s.promises_created)),
-            ("promises_resolved", total(|s| s.promises_resolved)),
-            ("calls_pipelined", total(|s| s.calls_pipelined)),
         ];
         fields.extend(tail.into_iter().filter(|(_, v)| *v != 0));
         Row { name, fields }
@@ -297,105 +293,12 @@ fn faulted_spanning_teardown(caps: u32) -> Row {
     row
 }
 
-/// Service chains, blocking vs promise-pipelined: every group-0 client
-/// of a two-kernel machine runs the canonical dependent chain of a
-/// service interaction — "open" (create a memory capability), "read"
-/// (derive the transfer window from it), "hand off" (delegate the
-/// window to the partner VPE in the other group), then a second read
-/// against the root — once as four synchronous syscalls, once submitted
-/// up front through `Syscall::SubmitAsync` with dependencies named by
-/// *promise* selectors (`kernel::ops::promise`) and only the tail
-/// redeemed. `sim_cycles` is the makespan of the whole workload; `size`
-/// the client count.
-fn service_chain(clients: u16, pipelined: bool) -> Row {
-    let mut m = MicroMachine::new(2, clients, KernelMode::SemperOS);
-    // Only group-0 clients initiate (round-robin placement: even ids →
-    // group 0); their partners in group 1 receive the hand-off.
-    let client_vpes: Vec<VpeId> = (0..clients).map(|j| VpeId(j * 2)).collect();
-
-    // `root` is hop 0's capability (resolved selector when blocking,
-    // promise selector when pipelined); `dep` the previous hop's.
-    let hop_call = |hop: usize, client: VpeId, root: CapSel, dep: CapSel| match hop {
-        0 => Syscall::CreateMem { size: 16 * 1024, perms: Perms::RW },
-        1 => Syscall::DeriveMem { src: root, offset: 0, size: 4096, perms: Perms::R },
-        2 => Syscall::Exchange {
-            other: VpeId(client.0 ^ 1),
-            own_sel: dep,
-            other_sel: CapSel::INVALID,
-            kind: ExchangeKind::Delegate,
-        },
-        _ => Syscall::DeriveMem { src: root, offset: 4096, size: 4096, perms: Perms::R },
-    };
-    const HOPS: usize = 4;
-
-    let before = m.machine().kernel_stats();
-    let t0 = m.machine().now();
-    if pipelined {
-        // Submit every client's whole chain; each submission replies
-        // with a promise immediately, so the kernels work on earlier
-        // chains while later clients are still submitting, and hop 3
-        // rides the per-VPE pipeline behind the in-flight hand-off.
-        let mut tails = Vec::with_capacity(client_vpes.len());
-        for &client in &client_vpes {
-            let (mut root, mut dep) = (CapSel::INVALID, CapSel::INVALID);
-            for hop in 0..HOPS {
-                let call = Syscall::SubmitAsync(Box::new(hop_call(hop, client, root, dep)));
-                let (reply, _) = m.machine().syscall_blocking(client, call);
-                match reply.result {
-                    Ok(SysReplyData::Promise { sel }) => dep = sel,
-                    other => panic!("submission must yield a promise: {other:?}"),
-                }
-                if hop == 0 {
-                    root = dep;
-                }
-            }
-            tails.push((client, dep));
-        }
-        // Redeem only the tails: program order guarantees the earlier
-        // hops completed when the tail resolves.
-        for (client, tail) in tails {
-            let (reply, _) = m
-                .machine()
-                .syscall_blocking(client, Syscall::WaitPromise { sel: tail, block: true });
-            assert!(
-                matches!(reply.result, Ok(SysReplyData::Mem { .. } | SysReplyData::Sel(_))),
-                "tail must resolve to the read-back window: {reply:?}"
-            );
-        }
-    } else {
-        for &client in &client_vpes {
-            let (mut root, mut dep) = (CapSel::INVALID, CapSel::INVALID);
-            for hop in 0..HOPS {
-                let (reply, _) =
-                    m.machine().syscall_blocking(client, hop_call(hop, client, root, dep));
-                dep = match reply.result.unwrap_or_else(|e| panic!("hop {hop} failed: {e}")) {
-                    SysReplyData::Mem { sel, .. } => sel,
-                    SysReplyData::Sel(sel) => sel,
-                    _ => CapSel::INVALID,
-                };
-                if hop == 0 {
-                    root = dep;
-                }
-            }
-        }
-    }
-    m.machine().run_until_idle();
-    let cycles = (m.machine().now() - t0).0;
-    m.machine().check_invariants();
-    m.machine().assert_quiescent();
-    let name = if pipelined { "service_chain_pipelined" } else { "service_chain_blocking" };
-    Row::of(name, u32::from(clients), cycles, m.machine(), &before)
-}
-
-/// The thirteen scenarios with every size divided by `div` (1 = the full
+/// The eleven scenarios with every size divided by `div` (1 = the full
 /// sizes the module docs quote).
 fn suite(div: u32) -> Vec<Job<'static, Row>> {
-    // Floors: with fewer than 4 tar instances every client sits in a
-    // group that hosts a service and no close ever crosses a kernel;
-    // fewer than 4 chains in flight leave the pipelined submissions
-    // nothing to overlap.
+    // Floor: with fewer than 4 tar instances every client sits in a
+    // group that hosts a service and no close ever crosses a kernel.
     let instances = (8 / div).max(4);
-    let clients = (64 / div).max(4) as u16;
     vec![
         Box::new(move || chain_revoke(4096 / div, false)),
         Box::new(move || chain_revoke(1024 / div, true)),
@@ -408,8 +311,6 @@ fn suite(div: u32) -> Vec<Job<'static, Row>> {
         Box::new(move || dense_table_spanning(10_000 / div, false)),
         Box::new(move || dense_table_spanning(10_000 / div, true)),
         Box::new(move || faulted_spanning_teardown(2048 / div)),
-        Box::new(move || service_chain(clients, false)),
-        Box::new(move || service_chain(clients, true)),
     ]
 }
 
@@ -432,24 +333,6 @@ fn assert_twin_claims(rows: &[Row]) {
     assert!(b * 3 <= s * 2, "batched teardown: {b} cycles, more than 2/3 of sequential's {s}");
     let (s, b) = (seq.get("handler_dispatches"), bat.get("handler_dispatches"));
     assert!(b * 2 <= s, "batched teardown: {b} handler dispatches, more than half of {s}");
-
-    let blk = row("service_chain_blocking");
-    let pip = row("service_chain_pipelined");
-    let (b, p) = (blk.get("sim_cycles"), pip.get("sim_cycles"));
-    assert!(p < b, "pipelined chains: {p} cycles, not under blocking's {b}");
-    // Promise IPC has no wire protocol: the asynchronous hand-off runs
-    // the blocking twin's two-way handshake under a reserved tag.
-    let (b, p) = (blk.get("kcalls"), pip.get("kcalls"));
-    assert_eq!(p, b, "asynchronous submission added inter-kernel messages: {p} against {b}");
-    let (created, resolved) = (pip.get("promises_created"), pip.get("promises_resolved"));
-    assert!(
-        created > 0 && created == resolved,
-        "pipelined chains leaked promises: {created} created, {resolved} resolved"
-    );
-    assert!(
-        pip.get("calls_pipelined") > 0,
-        "no call pipelined: the read-back must ride behind the in-flight hand-off"
-    );
 }
 
 /// Every deterministic field of every scenario, at both scales, against
