@@ -7,7 +7,7 @@
 //! behaviour the paper measures (parallel efficiency drops as more
 //! instances share a kernel).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use semper_apps::client::ClientPhase;
 use semper_apps::{AppClient, LoadGen, NginxServer, Trace};
@@ -16,7 +16,7 @@ use semper_base::{KernelId, MachineConfig, Msg, PeId, VpeId};
 use semper_kernel::{Kernel, KernelStats};
 use semper_m3fs::{FsImage, FsService, FsSpec, M3FS_NAME};
 use semper_noc::{GlobalMemory, Mesh, Noc};
-use semper_sim::{Cycles, FaultPlan, FaultStats, NetVerdict, PeSchedule};
+use semper_sim::{Cycles, PeSchedule};
 
 use crate::topology::{Role, Topology};
 
@@ -92,13 +92,6 @@ pub struct Machine {
     /// it is dispatched and every handler emission as it is scheduled,
     /// so lost-versus-parked messages can be told apart.
     trace: bool,
-    /// The scripted fault plan ([`Machine::set_fault_plan`]); `None`
-    /// (the default) is the fault-free machine, bit-identical to before
-    /// the fault engine existed.
-    fault_plan: Option<FaultPlan>,
-    /// Kernels taken down by a scripted crash; traffic to their PE
-    /// drops.
-    dead_kernels: BTreeSet<KernelId>,
 }
 
 impl Machine {
@@ -219,8 +212,6 @@ impl Machine {
             scratch: Outbox::new(),
             credit_scratch: Outbox::new(),
             trace: std::env::var_os("MACHINE_TRACE").is_some(),
-            fault_plan: None,
-            dead_kernels: BTreeSet::new(),
         };
         if let Some(depth) = nginx_depth {
             m.assign_loadgen_targets(depth);
@@ -276,9 +267,8 @@ impl Machine {
         self.sched.processed()
     }
 
-    /// Messages handed to a handler (or to the fault plan's delivery
-    /// verdict) so far: the part of [`Machine::events`] that was not a
-    /// stall-lane deferral hop.
+    /// Messages handed to a handler so far: the part of
+    /// [`Machine::events`] that was not a stall-lane deferral hop.
     pub fn deliveries(&self) -> u64 {
         self.sched.delivered()
     }
@@ -334,16 +324,13 @@ impl Machine {
             Some(d) => self.sched.pop_ready_before(d),
         };
         let Some((t, pe, msg)) = popped else { return false };
-        // The fault plan's NoC-boundary verdicts (see `semper_sim::faults`)
-        // apply at delivery: drop, duplicate, re-delay, or kill traffic
-        // to a crashed island. `None` verdict = deliver normally.
-        if self.fault_plan.is_some() && !self.deliver_verdict(t, pe, &msg) {
-            return true;
-        }
         if self.trace {
             eprintln!("[{t}] {} -> {} (pe {pe}): {:?}", msg.src, msg.dst, msg.payload);
         }
-        debug_assert!(self.scratch.is_empty() && self.credit_scratch.is_empty());
+        assert!(
+            self.scratch.is_empty() && self.credit_scratch.is_empty(),
+            "a handler's output outlived its event"
+        );
         let cost = match &mut self.nodes[pe] {
             Node::Kernel(k) => k.handle(&msg, &mut self.scratch),
             Node::Service(s) => s.handle(&msg, &mut self.scratch),
@@ -355,19 +342,6 @@ impl Machine {
         };
         let end = t + cost;
         self.sched.set_busy(pe, end);
-        if self.fault_plan.is_some() {
-            if let Node::Kernel(k) = &self.nodes[pe] {
-                if k.crashed() {
-                    // The scripted crash point fired inside this handler:
-                    // the island dies with the handler's output unsent,
-                    // and every survivor runs peer-death detection.
-                    let dead = k.id();
-                    self.scratch.drain_iter().for_each(drop);
-                    self.kernel_down(dead, end);
-                    return true;
-                }
-            }
-        }
         // DTU slot tracking (§4.1): consuming an inter-kernel request
         // frees the slot, returning the sender's credit. This is a
         // hardware-level exchange, so it does not occupy the sender's
@@ -414,23 +388,12 @@ impl Machine {
             }
             self.sched.schedule(delivery, dst, m);
         }
-        if self.fault_plan.is_some() {
-            self.poll_fault_deadlines(end);
-        }
         true
     }
 
-    /// Runs until no events remain; returns the final time. Under a
-    /// fault plan, "no events" additionally requires every pending-op
-    /// deadline to have fired: a faulted run is only over once every
-    /// operation completed or aborted.
+    /// Runs until no events remain; returns the final time.
     pub fn run_until_idle(&mut self) -> Cycles {
-        loop {
-            while self.step() {}
-            if !self.pump_fault_deadlines(None) {
-                break;
-            }
-        }
+        while self.step() {}
         self.sched.now()
     }
 
@@ -438,12 +401,7 @@ impl Machine {
     /// exactly `deadline` are processed; messages stalled behind a PE
     /// that only frees after the deadline are left parked).
     pub fn run_until(&mut self, deadline: Cycles) {
-        loop {
-            while self.step_bounded(Some(deadline)) {}
-            if !self.pump_fault_deadlines(Some(deadline)) {
-                break;
-            }
-        }
+        while self.step_bounded(Some(deadline)) {}
     }
 
     /// Advances simulated time to (at least) `horizon` and returns the
@@ -473,213 +431,6 @@ impl Machine {
         let horizon = horizon.max(self.sched.now());
         self.run_until(horizon);
         horizon.max(self.sched.now())
-    }
-
-    // ----- fault injection --------------------------------------------------
-
-    /// Arms a scripted fault plan (see `semper_sim::faults`): the plan's
-    /// NoC verdicts apply to every inter-kernel message at delivery
-    /// (drop / duplicate / delay / one-way partition, with the plan's
-    /// `now` being the delivery cycle), scripted crash points are
-    /// installed, and every kernel runs fault-tolerant with
-    /// per-pending-op deadlines of `deadline_budget` cycles. Must be
-    /// armed before the faulted workload starts; without a plan the
-    /// machine is bit-identical to one built before the fault engine
-    /// existed.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan, deadline_budget: u64) {
-        for pe in 0..self.cfg.num_pes {
-            if let Node::Kernel(k) = &mut self.nodes[pe as usize] {
-                k.enable_fault_injection(deadline_budget);
-                let points = plan.crash_points(k.id().0);
-                if !points.is_empty() {
-                    k.arm_crash_points(points);
-                }
-            }
-        }
-        self.fault_plan = Some(plan);
-    }
-
-    /// The armed plan's NoC-level fault counters, if a plan is set.
-    pub fn fault_stats(&self) -> Option<&FaultStats> {
-        self.fault_plan.as_ref().map(|p| p.stats())
-    }
-
-    /// Kernels taken down by scripted crashes.
-    pub fn dead_kernels(&self) -> &BTreeSet<KernelId> {
-        &self.dead_kernels
-    }
-
-    /// Asserts that every surviving kernel reached true quiescence
-    /// (empty pending-op ledger, no leaked waiters, no credit-stalled
-    /// requests) — the termination property of the fault engine. Call
-    /// after [`Machine::run_until_idle`].
-    pub fn assert_quiescent(&self) {
-        for pe in 0..self.cfg.num_pes {
-            if let Node::Kernel(k) = &self.nodes[pe as usize] {
-                if self.dead_kernels.contains(&k.id()) {
-                    continue;
-                }
-                k.check_quiescent().unwrap_or_else(|e| panic!("not quiescent: {e}"));
-            }
-        }
-    }
-
-    /// The kernel hosted on `pe`, if that PE is a kernel PE.
-    fn kernel_role(&self, pe: PeId) -> Option<KernelId> {
-        match self.topo.roles.get(pe.idx()) {
-            Some(Role::Kernel(k)) => Some(*k),
-            _ => None,
-        }
-    }
-
-    /// Applies the fault plan to one popped event. Returns true when the
-    /// message should be delivered normally; false when the fault path
-    /// consumed it (dropped, delayed, or addressed to a dead island).
-    fn deliver_verdict(&mut self, t: Cycles, pe: usize, msg: &Msg) -> bool {
-        let dst_kernel = self.kernel_role(msg.dst);
-        // Traffic to a crashed island vanishes. A request's DTU slot at
-        // the dead end is gone with it; release the sender's credit so
-        // its queue towards the corpse keeps draining (those ops abort
-        // via peer-death or their deadlines).
-        if let Some(dk) = dst_kernel {
-            if self.dead_kernels.contains(&dk) {
-                self.return_credit_faulted(msg, t);
-                return false;
-            }
-        }
-        // The plan's verdicts apply to the inter-kernel NoC boundary
-        // only: requests and replies between two kernel islands.
-        let (Some(from), Some(to)) = (self.kernel_role(msg.src), dst_kernel) else {
-            return true;
-        };
-        if !matches!(msg.payload, Payload::Kcall(_) | Payload::KReply(_)) {
-            return true;
-        }
-        let verdict = match self.fault_plan.as_mut() {
-            Some(p) => p.verdict(from.0, to.0, t.0),
-            None => NetVerdict::Deliver,
-        };
-        match verdict {
-            NetVerdict::Deliver => true,
-            NetVerdict::Drop => {
-                // Lost *after* the wire: the slot counts as consumed so
-                // credit accounting cannot deadlock the sender.
-                self.return_credit_faulted(msg, t);
-                false
-            }
-            NetVerdict::Duplicate => {
-                // Deliver now and once more later; the copy takes its
-                // own verdict when it surfaces.
-                self.sched.schedule(t, pe, msg.clone());
-                true
-            }
-            NetVerdict::Delay(d) => {
-                self.sched.schedule(t + d, pe, msg.clone());
-                false
-            }
-        }
-    }
-
-    /// Releases the sender's DTU credit for a request that was dropped
-    /// instead of delivered, injecting whatever queued traffic the
-    /// freed slot releases.
-    fn return_credit_faulted(&mut self, msg: &Msg, at: Cycles) {
-        if !matches!(msg.payload, Payload::Kcall(_)) {
-            return;
-        }
-        let Some(from) = self.kernel_role(msg.src) else { return };
-        let Some(to) = self.kernel_role(msg.dst) else { return };
-        if self.dead_kernels.contains(&from) {
-            return;
-        }
-        debug_assert!(self.credit_scratch.is_empty());
-        if let Node::Kernel(k) = &mut self.nodes[msg.src.idx()] {
-            k.return_credit(&mut self.credit_scratch, to);
-        }
-        for (m, _) in self.credit_scratch.drain_iter() {
-            let delivery = self.noc.route(&m, at);
-            let dst = m.dst.idx();
-            self.sched.schedule(delivery, dst, m);
-        }
-    }
-
-    /// Takes a crashed kernel down: marks it dead and runs peer-death
-    /// detection on every survivor (in kernel-id order), so their
-    /// in-flight operations towards the corpse abort.
-    fn kernel_down(&mut self, dead: KernelId, at: Cycles) {
-        self.dead_kernels.insert(dead);
-        for k in 0..self.cfg.kernels {
-            let k = KernelId(k);
-            if self.dead_kernels.contains(&k) {
-                continue;
-            }
-            let pe = self.topo.membership.kernel_pe(k);
-            let mut out = Outbox::new();
-            if let Node::Kernel(kn) = &mut self.nodes[pe.idx()] {
-                kn.peer_down(dead, &mut out);
-            }
-            self.send_at(out.drain(), at);
-        }
-    }
-
-    /// Runs every surviving kernel's deadline poll at fault-clock `at`
-    /// (in kernel-id order) and injects whatever the aborts produced.
-    fn poll_fault_deadlines(&mut self, at: Cycles) {
-        for k in 0..self.cfg.kernels {
-            let k = KernelId(k);
-            if self.dead_kernels.contains(&k) {
-                continue;
-            }
-            let pe = self.topo.membership.kernel_pe(k);
-            let mut out = Outbox::new();
-            let crashed = match &mut self.nodes[pe.idx()] {
-                Node::Kernel(kn) => {
-                    kn.poll_faults(at.0, &mut out);
-                    kn.crashed()
-                }
-                _ => false,
-            };
-            if crashed {
-                // A crash point on an abort path (e.g. a re-park).
-                drop(out);
-                self.kernel_down(k, at);
-                continue;
-            }
-            self.send_at(out.drain(), at);
-        }
-    }
-
-    /// With the event queue quiet, jumps the fault clock to the earliest
-    /// armed pending-op deadline (within `horizon`, if given) and fires
-    /// it, so starved operations abort instead of hanging the run.
-    /// Returns true when a deadline fired (the caller keeps stepping);
-    /// always false without a fault plan.
-    fn pump_fault_deadlines(&mut self, horizon: Option<Cycles>) -> bool {
-        if self.fault_plan.is_none() {
-            return false;
-        }
-        let mut next: Option<u64> = None;
-        for k in 0..self.cfg.kernels {
-            let k = KernelId(k);
-            if self.dead_kernels.contains(&k) {
-                continue;
-            }
-            let pe = self.topo.membership.kernel_pe(k);
-            if let Node::Kernel(kn) = &self.nodes[pe.idx()] {
-                if let Some(d) = kn.next_fault_deadline() {
-                    next = Some(next.map_or(d, |n| n.min(d)));
-                }
-            }
-        }
-        let Some(deadline) = next else { return false };
-        if let Some(h) = horizon {
-            if deadline > h.0 {
-                return false;
-            }
-        }
-        let at = Cycles(deadline).max(self.sched.now());
-        self.poll_fault_deadlines(at);
-        true
     }
 
     // ----- boot ------------------------------------------------------------
@@ -781,9 +532,7 @@ impl Machine {
                     return (reply, (at - start).0);
                 }
             }
-            // Under a fault plan a drained queue may still hold armed
-            // pending-op deadlines whose aborts produce the reply.
-            if !self.step() && !self.pump_fault_deadlines(None) {
+            if !self.step() {
                 panic!("queue drained without a syscall reply for {vpe}");
             }
         }
@@ -820,14 +569,10 @@ impl Machine {
             .sum()
     }
 
-    /// Runs kernel invariant checks (tests). Crashed islands are
-    /// excluded — their state froze mid-operation by design.
+    /// Runs kernel invariant checks (tests).
     pub fn check_invariants(&self) {
         for pe in 0..self.cfg.num_pes {
             if let Node::Kernel(k) = &self.nodes[pe as usize] {
-                if self.dead_kernels.contains(&k.id()) {
-                    continue;
-                }
                 k.check_invariants().unwrap_or_else(|e| panic!("kernel {}: {e}", k.id()));
             }
         }
@@ -988,46 +733,5 @@ mod tests {
             horizon = m.advance_until(horizon + 500);
             assert_eq!(horizon, t0 + i * 500, "wait {i} must move the horizon");
         }
-    }
-
-    /// Fault smoke at machine level: a lossy, delaying inter-kernel NoC
-    /// must not hang a cross-group obtain — the op completes or aborts
-    /// within its deadline, every kernel ends quiescent, and the plan's
-    /// counters record the injections.
-    #[test]
-    fn faulted_machine_terminates_and_stays_quiescent() {
-        use semper_sim::FaultPlan;
-        let mut m = micro(2, 4);
-        m.set_fault_plan(
-            FaultPlan::seeded(0xFA_17ED).with_drop(250).with_delay(250, 4_000),
-            200_000,
-        );
-        let (r, _) =
-            m.syscall_blocking(VpeId(0), Syscall::CreateMem { size: 4096, perms: Perms::RW });
-        let Ok(SysReplyData::Mem { sel, .. }) = r.result else { panic!("{r:?}") };
-        for i in 0..16u16 {
-            // Alternate a spanning and a local obtain; each must produce
-            // *a* reply (Ok, or Err(Timeout) when a dropped leg exhausts
-            // its retries) — never a hang.
-            let requester = VpeId(1 + (i % 3));
-            let (r, _) = m.syscall_blocking(
-                requester,
-                Syscall::Exchange {
-                    other: VpeId(0),
-                    own_sel: semper_base::CapSel::INVALID,
-                    other_sel: sel,
-                    kind: semper_base::ExchangeKind::Obtain,
-                },
-            );
-            assert!(
-                matches!(r.result, Ok(SysReplyData::Sel(_)) | Err(_)),
-                "obtain {i} must complete or abort, got {r:?}"
-            );
-        }
-        m.run_until_idle();
-        m.check_invariants();
-        m.assert_quiescent();
-        let st = m.fault_stats().expect("plan armed");
-        assert!(st.injected > 0, "the plan never fired on 16 spanning obtains");
     }
 }

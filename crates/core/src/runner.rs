@@ -2,9 +2,9 @@
 //!
 //! The simulator is single-threaded by design — one [`Machine`] is one
 //! deterministic event loop — but the *harness* around it runs many
-//! independent machines: the `tests/scale_pins.rs` scenarios, the
-//! fault matrix and the property suites' 48-case loops each build their
-//! own machine and never share state. [`Runner`] executes such
+//! independent machines: the `tests/scale_pins.rs` scenarios and the
+//! property suites' 48-case loops each build their own machine (or
+//! untimed kernel cluster) and never share state. [`Runner`] executes such
 //! independent jobs on `std::thread::scope` worker threads and merges
 //! the results back into **submission order**, so every row and golden
 //! line that derives from the results is identical to a serial run —
@@ -128,8 +128,10 @@ impl Runner {
         // submission order is not. Sort explicitly rather than assuming
         // workers finished in claim order.
         merged.sort_by_key(|(i, _)| *i);
-        assert_eq!(merged.len(), n, "every job must deliver exactly one result");
-        debug_assert!(merged.iter().enumerate().all(|(pos, (i, _))| pos == *i));
+        assert!(
+            merged.len() == n && merged.iter().enumerate().all(|(pos, (i, _))| pos == *i),
+            "every job must deliver exactly one result"
+        );
         merged.into_iter().map(|(_, r)| r).collect()
     }
 

@@ -9,6 +9,12 @@
 //! The stubs auto-accept exchanges and sessions unless told otherwise,
 //! and the queue can be stepped one message at a time to construct the
 //! exact interleavings of Table 2.
+//!
+//! The cluster is also the one host of fault injection
+//! ([`TestCluster::set_fault_plan`]): the plan decides each
+//! inter-kernel message's fate, and what it lets through is delivered
+//! by the same `dispatch` every fault-free message takes. The fault
+//! clock is the cluster's step counter.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -27,6 +33,7 @@ pub struct TestCluster {
     /// The kernels, indexed by kernel id.
     pub kernels: Vec<Kernel>,
     queue: VecDeque<Msg>,
+    membership: MembershipTable,
     vpe_of_pe: BTreeMap<PeId, VpeId>,
     pe_of_vpe: Vec<PeId>,
     /// VPEs that deny capability exchanges.
@@ -44,12 +51,13 @@ pub struct TestCluster {
     /// The scripted fault plan, when this cluster runs under fault
     /// injection (see [`TestCluster::set_fault_plan`]).
     fault_plan: Option<FaultPlan>,
-    /// Delayed messages as `(release_step, seq, msg)`; `seq` preserves
+    /// Delayed messages by `(release_step, seq)`; `seq` preserves
     /// submission order among messages released at the same step.
-    delayed: Vec<(u64, u64, Msg)>,
+    delayed: BTreeMap<(u64, u64), Msg>,
     delay_seq: u64,
-    /// The fault clock: one tick per [`TestCluster::step`] in fault
-    /// mode (plus quiet-network jumps to the next deadline).
+    /// The fault clock — the only one the fault engine has: one tick
+    /// per [`TestCluster::step`] in fault mode (plus quiet-network
+    /// jumps to the next release or deadline).
     fault_step: u64,
     /// Kernels taken down by a scripted crash; all traffic to their
     /// island drops.
@@ -96,6 +104,7 @@ impl TestCluster {
         TestCluster {
             kernels: ks,
             queue: VecDeque::new(),
+            membership,
             vpe_of_pe,
             pe_of_vpe,
             deny: BTreeSet::new(),
@@ -105,7 +114,7 @@ impl TestCluster {
             tag_counter: 0,
             trace: None,
             fault_plan: None,
-            delayed: Vec::new(),
+            delayed: BTreeMap::new(),
             delay_seq: 0,
             fault_step: 0,
             dead_islands: BTreeSet::new(),
@@ -152,9 +161,7 @@ impl TestCluster {
         let k = self.kernel_of(vpe);
         let mut out = Outbox::new();
         self.kernels[k.idx()].kill_vpe(vpe, &mut out);
-        for (m, _) in out.drain() {
-            self.queue.push_back(m);
-        }
+        self.enqueue(out);
     }
 
     /// Issues a system call from `vpe` without pumping; returns the tag.
@@ -302,7 +309,7 @@ impl TestCluster {
         let Some(msg) = self.queue.pop_front() else {
             // Quiet network: jump the clock forward. First to the next
             // delayed release, otherwise to the earliest deadline.
-            if let Some(release) = self.delayed.iter().map(|(r, _, _)| *r).min() {
+            if let Some((&(release, _), _)) = self.delayed.first_key_value() {
                 self.fault_step = self.fault_step.max(release);
                 self.release_delayed();
                 return true;
@@ -328,23 +335,9 @@ impl TestCluster {
     /// Moves every delayed message whose release step arrived back into
     /// the queue, in (release, submission) order.
     fn release_delayed(&mut self) {
-        if self.delayed.is_empty() {
-            return;
-        }
-        let now = self.fault_step;
-        let mut due: Vec<(u64, u64, Msg)> = Vec::new();
-        self.delayed.retain_mut(|entry| {
-            if entry.0 <= now {
-                due.push((entry.0, entry.1, entry.2.clone()));
-                false
-            } else {
-                true
-            }
-        });
-        due.sort_by_key(|(release, seq, _)| (*release, *seq));
-        for (_, _, msg) in due {
-            self.queue.push_back(msg);
-        }
+        let later = self.delayed.split_off(&(self.fault_step + 1, 0));
+        let due = std::mem::replace(&mut self.delayed, later);
+        self.queue.extend(due.into_values());
     }
 
     /// Runs every surviving kernel's deadline poll (in kernel-id order)
@@ -356,112 +349,54 @@ impl TestCluster {
             }
             let mut out = Outbox::new();
             self.kernels[kidx].poll_faults(self.fault_step, &mut out);
-            for (m, _) in out.drain() {
-                self.queue.push_back(m);
-            }
+            self.enqueue(out);
             if self.kernels[kidx].crashed() {
                 // A crash point on an abort path (e.g. a re-park).
-                self.kernel_down(kidx);
+                self.kernel_down(self.kernels[kidx].id());
             }
         }
     }
 
     /// Delivers one message under the fault plan: traffic to dead
-    /// islands drops (with the sender's DTU credit released), and
-    /// inter-kernel messages take the plan's verdict. Everything else
-    /// behaves exactly like the fault-free dispatch.
+    /// islands drops, inter-kernel messages take the plan's verdict,
+    /// and whatever survives both goes through [`TestCluster::dispatch`]
+    /// like any fault-free message.
     fn deliver_faulted(&mut self, msg: Msg) {
-        let src_kidx = self.kernels.iter().position(|k| k.pe() == msg.src);
-        let dst_kidx = self.kernels.iter().position(|k| k.pe() == msg.dst);
+        let (src, dst) = self.kernel_ends(&msg);
         // Traffic addressed to a crashed island vanishes. A request's
         // DTU slot at the dead end is gone with it; release the
         // sender's credit so its queue towards the corpse keeps
         // draining (those requests abort via peer-death or deadline).
-        if let Some(didx) = dst_kidx {
-            let dead_dst = self.dead_islands.contains(&self.kernels[didx].id());
-            if dead_dst {
-                if matches!(msg.payload, Payload::Kcall(_)) {
-                    if let Some(sidx) = src_kidx {
-                        if !self.dead_islands.contains(&self.kernels[sidx].id()) {
-                            let dst_kernel = self.kernels[didx].id();
-                            let mut out = Outbox::new();
-                            self.kernels[sidx].return_credit(&mut out, dst_kernel);
-                            for (m, _) in out.drain() {
-                                self.queue.push_back(m);
-                            }
-                        }
-                    }
-                }
-                return;
-            }
+        if dst.is_some_and(|d| self.dead_islands.contains(&d)) {
+            self.free_slot(&msg, src, dst);
+            return;
         }
         // The plan's verdict applies to the inter-kernel NoC boundary
         // only: requests and replies between two kernel islands.
-        if let (Some(sidx), Some(didx)) = (src_kidx, dst_kidx) {
-            if matches!(msg.payload, Payload::Kcall(_) | Payload::KReply(_)) {
-                let from = self.kernels[sidx].id().0;
-                let to = self.kernels[didx].id().0;
-                let now = self.fault_step;
-                let verdict = self
-                    .fault_plan
-                    .as_mut()
-                    .map(|p| p.verdict(from, to, now))
-                    .unwrap_or(NetVerdict::Deliver);
-                match verdict {
-                    NetVerdict::Deliver => {}
-                    NetVerdict::Drop => {
-                        // The message is lost *after* the wire: treat
-                        // the slot as consumed so credit accounting
-                        // cannot deadlock the sender.
-                        if matches!(msg.payload, Payload::Kcall(_)) {
-                            let dst_kernel = self.kernels[didx].id();
-                            let mut out = Outbox::new();
-                            self.kernels[sidx].return_credit(&mut out, dst_kernel);
-                            for (m, _) in out.drain() {
-                                self.queue.push_back(m);
-                            }
-                        }
-                        return;
-                    }
-                    NetVerdict::Duplicate => {
-                        // Deliver now and once more later; the copy
-                        // takes its own verdict when it surfaces.
-                        self.queue.push_back(msg.clone());
-                    }
-                    NetVerdict::Delay(d) => {
-                        let seq = self.delay_seq;
-                        self.delay_seq += 1;
-                        self.delayed.push((self.fault_step + d, seq, msg));
-                        return;
-                    }
+        if let (Some(from), Some(to), Payload::Kcall(_) | Payload::KReply(_)) =
+            (src, dst, &msg.payload)
+        {
+            let plan = self.fault_plan.as_mut().expect("faulted delivery runs under a plan");
+            match plan.verdict(from.0, to.0, self.fault_step) {
+                NetVerdict::Deliver => {}
+                NetVerdict::Drop => {
+                    // The message is lost *after* the wire: treat the
+                    // slot as consumed so credit accounting cannot
+                    // deadlock the sender.
+                    self.free_slot(&msg, src, dst);
+                    return;
+                }
+                NetVerdict::Duplicate => {
+                    // Deliver now and once more later; the copy takes
+                    // its own verdict when it surfaces.
+                    self.queue.push_back(msg.clone());
+                }
+                NetVerdict::Delay(d) => {
+                    self.delayed.insert((self.fault_step + d, self.delay_seq), msg);
+                    self.delay_seq += 1;
+                    return;
                 }
             }
-        }
-        if let Some(didx) = dst_kidx {
-            if let Some(trace) = &mut self.trace {
-                trace.push(format!("{}->{} {:?}", msg.src, msg.dst, msg.payload));
-            }
-            let mut out = Outbox::new();
-            self.kernels[didx].handle(&msg, &mut out);
-            if self.kernels[didx].crashed() {
-                // The scripted crash point fired *inside* this handler:
-                // the island dies with the handler's output unsent.
-                drop(out);
-                self.kernel_down(didx);
-                return;
-            }
-            if matches!(msg.payload, Payload::Kcall(_)) {
-                let dst_kernel = self.kernels[didx].id();
-                if let Some(sidx) = src_kidx {
-                    if !self.dead_islands.contains(&self.kernels[sidx].id()) {
-                        self.kernels[sidx].return_credit(&mut out, dst_kernel);
-                    }
-                }
-            }
-            for (m, _) in out.drain() {
-                self.queue.push_back(m);
-            }
-            return;
         }
         self.dispatch(msg);
     }
@@ -469,18 +404,15 @@ impl TestCluster {
     /// Takes a crashed kernel's island down: marks it dead and runs
     /// peer-death detection on every survivor (in kernel-id order), so
     /// their in-flight operations towards the corpse abort.
-    fn kernel_down(&mut self, kidx: usize) {
-        let dead = self.kernels[kidx].id();
+    fn kernel_down(&mut self, dead: KernelId) {
         self.dead_islands.insert(dead);
         for i in 0..self.kernels.len() {
-            if i == kidx || self.dead_islands.contains(&self.kernels[i].id()) {
+            if self.dead_islands.contains(&self.kernels[i].id()) {
                 continue;
             }
             let mut out = Outbox::new();
             self.kernels[i].peer_down(dead, &mut out);
-            for (m, _) in out.drain() {
-                self.queue.push_back(m);
-            }
+            self.enqueue(out);
         }
     }
 
@@ -489,25 +421,54 @@ impl TestCluster {
         self.kernels.iter().map(|k| k.mapdb().len()).sum()
     }
 
+    /// The kernels at the two ends of `msg`: `None` for an end that is
+    /// not a kernel's own PE.
+    fn kernel_ends(&self, msg: &Msg) -> (Option<KernelId>, Option<KernelId>) {
+        let at = |pe: PeId| {
+            let k = self.membership.kernel_of(pe);
+            (self.membership.kernel_pe(k) == pe).then_some(k)
+        };
+        (at(msg.src), at(msg.dst))
+    }
+
+    /// Appends a handler's output to the message queue.
+    fn enqueue(&mut self, mut out: Outbox) {
+        self.queue.extend(out.drain_iter().map(|(m, _)| m));
+    }
+
+    /// DTU slot tracking: an inter-kernel request that was consumed (or
+    /// lost past the wire) frees its slot at `dst`, which returns the
+    /// sender's credit (see [`Kernel::return_credit`]) and queues
+    /// whatever the credit released. A crashed sender gets nothing back.
+    fn free_slot(&mut self, msg: &Msg, src: Option<KernelId>, dst: Option<KernelId>) {
+        let (Some(src), Some(dst), Payload::Kcall(_)) = (src, dst, &msg.payload) else { return };
+        if self.dead_islands.contains(&src) {
+            return;
+        }
+        let mut out = Outbox::new();
+        self.kernels[src.idx()].return_credit(&mut out, dst);
+        self.enqueue(out);
+    }
+
+    /// The one delivery funnel: every message that reaches its
+    /// destination — fault-free, or past the plan's verdict — is handled
+    /// here.
     fn dispatch(&mut self, msg: Msg) {
         if let Some(trace) = &mut self.trace {
             trace.push(format!("{}->{} {:?}", msg.src, msg.dst, msg.payload));
         }
-        // Kernel PE?
-        if let Some(kidx) = self.kernels.iter().position(|k| k.pe() == msg.dst) {
+        let (src, dst) = self.kernel_ends(&msg);
+        if let Some(k) = dst {
             let mut out = Outbox::new();
-            self.kernels[kidx].handle(&msg, &mut out);
-            // DTU slot tracking: consuming an inter-kernel request frees
-            // the sender's credit (see Kernel::return_credit).
-            if matches!(msg.payload, Payload::Kcall(_)) {
-                let dst_kernel = self.kernels[kidx].id();
-                if let Some(src_idx) = self.kernels.iter().position(|k| k.pe() == msg.src) {
-                    self.kernels[src_idx].return_credit(&mut out, dst_kernel);
-                }
+            self.kernels[k.idx()].handle(&msg, &mut out);
+            if self.kernels[k.idx()].crashed() {
+                // A scripted crash point fired *inside* this handler:
+                // the island dies with the handler's output unsent.
+                self.kernel_down(k);
+                return;
             }
-            for (m, _) in out.drain() {
-                self.queue.push_back(m);
-            }
+            self.enqueue(out);
+            self.free_slot(&msg, src, dst);
             return;
         }
         // VPE stub.

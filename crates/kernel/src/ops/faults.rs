@@ -12,8 +12,9 @@
 //! was called (so the default configuration stays bit-identical):
 //!
 //! * **Deadlines.** Every parked phase (except the purely local batch
-//!   tracker) is armed with an expiry on the harness-advanced fault
-//!   clock. [`Kernel::poll_faults`] first re-sends recorded idempotent
+//!   tracker) is armed with an expiry on the fault clock — the
+//!   harness's step counter (`TestCluster::step`).
+//!   [`Kernel::poll_faults`] first re-sends recorded idempotent
 //!   request legs (bounded retries — revoke requests are safe to
 //!   replay because re-revoking a deleted subtree is vacuous), then
 //!   aborts the op: the ledger entry is reaped, held
@@ -58,10 +59,10 @@ pub(crate) struct RetryLegs {
 pub struct FaultState {
     /// True once [`Kernel::enable_fault_injection`] ran.
     pub(crate) enabled: bool,
-    /// Cycle/step budget granted to each parked phase (0 = no
-    /// deadlines).
+    /// Steps granted to each parked phase (0 = no deadlines).
     pub(crate) deadline_budget: u64,
-    /// The harness-advanced fault clock (last `poll_faults` time).
+    /// The fault clock: the harness's step counter at the last
+    /// `poll_faults`.
     pub(crate) now: u64,
     /// Scripted crash points: remaining parks per phase name; the
     /// kernel dies when one reaches zero.
@@ -69,7 +70,7 @@ pub struct FaultState {
     /// True once a scripted crash point fired; the harness checks this
     /// after every dispatch and discards the crashed handler's output.
     pub(crate) crashed: bool,
-    /// Expiry tick per pending op.
+    /// Expiry step per pending op.
     pub(crate) deadlines: DetHashMap<OpId, u64>,
     /// Re-sendable request legs per pending op.
     pub(crate) retry_legs: DetHashMap<OpId, RetryLegs>,
@@ -79,9 +80,9 @@ pub struct FaultState {
 
 impl Kernel {
     /// Switches this kernel into fault-tolerant operation: arms
-    /// per-pending-op deadlines of `deadline_budget` fault-clock ticks
-    /// and softens the duplicate-message asserts into counters. The
-    /// harness must then advance the clock via [`Kernel::poll_faults`].
+    /// per-pending-op deadlines of `deadline_budget` steps and softens
+    /// the duplicate-message asserts into counters. The harness must
+    /// then advance the clock via [`Kernel::poll_faults`].
     pub fn enable_fault_injection(&mut self, deadline_budget: u64) {
         self.fault.enabled = true;
         self.fault.deadline_budget = deadline_budget;
@@ -153,19 +154,17 @@ impl Kernel {
     /// Advances the fault clock and handles every expired deadline, in
     /// op-id order: ops with retry budget re-send their recorded legs
     /// (skipping dead peers) and re-arm; everything else aborts.
-    /// Returns the modeled cost of the abort work.
-    pub fn poll_faults(&mut self, now: u64, out: &mut Outbox) -> u64 {
+    pub fn poll_faults(&mut self, now: u64, out: &mut Outbox) {
         if !self.fault.enabled {
-            return 0;
+            return;
         }
         self.fault.now = now;
         if self.fault.deadlines.is_empty() {
-            return 0;
+            return;
         }
         let mut entries: Vec<(OpId, u64)> =
             self.fault.deadlines.iter().map(|(op, dl)| (*op, *dl)).collect();
         entries.sort_unstable();
-        let mut cost = 0;
         for (op, dl) in entries {
             if self.pending.get(op).is_none() {
                 // The op completed since its deadline was armed; reap
@@ -197,20 +196,19 @@ impl Kernel {
                 self.fault.deadlines.remove(&op);
                 self.fault.retry_legs.remove(&op);
                 if let Some(state) = self.pending.remove(op) {
-                    cost += self.abort_op(op, state, out);
+                    self.abort_op(state, out);
                 }
             }
         }
-        cost
     }
 
     /// Declares a peer kernel dead: drops queued requests towards it
     /// and aborts every pending op waiting on it (in op-id order, so
     /// the abort replies leave deterministically). The harness calls
     /// this on every surviving kernel when a scripted crash fires.
-    pub fn peer_down(&mut self, dead: KernelId, out: &mut Outbox) -> u64 {
+    pub fn peer_down(&mut self, dead: KernelId, out: &mut Outbox) {
         if !self.fault.enabled || self.fault.dead_peers.contains(&dead) {
-            return 0;
+            return;
         }
         self.fault.dead_peers.push(dead);
         // Requests stalled behind the credit gate towards the dead
@@ -223,16 +221,14 @@ impl Kernel {
             .map(|(op, _)| op)
             .collect();
         doomed.sort_unstable();
-        let mut cost = 0;
         for op in doomed {
             self.fault.deadlines.remove(&op);
             self.fault.retry_legs.remove(&op);
             // Aborting one op can complete others (waiter cascades);
             // re-check that this one is still parked.
             let Some(state) = self.pending.remove(op) else { continue };
-            cost += self.abort_op(op, state, out);
+            self.abort_op(state, out);
         }
-        cost
     }
 
     /// The one peer kernel `state` cannot make progress without — written
@@ -279,28 +275,21 @@ impl Kernel {
     /// Aborts one pending op with per-phase surgery so the system stays
     /// consistent: waiters are woken, marked subtrees are swept, and
     /// reply obligations towards callers are met (with an error).
-    /// Returns the modeled cost.
-    fn abort_op(&mut self, op: OpId, state: PendingOp, out: &mut Outbox) -> u64 {
+    fn abort_op(&mut self, state: PendingOp, out: &mut Outbox) {
         self.stats.ops_aborted += 1;
         let err = Error::new(Code::Timeout);
-        let exit = self.cfg.cost.kcall_exit;
         match state {
             PendingOp::Exchange(phase) => match phase {
                 // The upcall-cancellation sweep already knows how to
                 // fail these three towards their initiators.
                 p @ (exchange::Phase::LocalAccept { .. }
                 | exchange::Phase::ObtainAtOwner { .. }
-                | exchange::Phase::DelegateAtRecv { .. }) => {
-                    self.cancel_exchange_phase(p, out);
-                    exit
-                }
+                | exchange::Phase::DelegateAtRecv { .. }) => self.cancel_exchange_phase(p, out),
                 exchange::Phase::ObtainRemote { tag, requester, .. } => {
                     self.reply_sys(out, requester, tag, Err(err));
-                    exit
                 }
                 exchange::Phase::DelegateRemote { tag, delegator, .. } => {
                     self.reply_sys(out, delegator, tag, Err(err));
-                    exit
                 }
                 // The receiver inserted (or will insert) the child; we
                 // can no longer learn which. Fail the syscall and leave
@@ -308,20 +297,15 @@ impl Kernel {
                 exchange::Phase::DelegateWaitDone { tag, delegator, .. } => {
                     self.stats.orphans_cleaned += 1;
                     self.reply_sys(out, delegator, tag, Err(err));
-                    exit
                 }
                 exchange::Phase::DelegateAborted { tag, delegator, reason, .. } => {
                     self.reply_sys(out, delegator, tag, Err(reason));
-                    exit
                 }
                 // Never inserted — §4.3.2's whole point: dropping the
                 // pending capability is safe and complete.
-                exchange::Phase::DelegatePendingInsert { .. } => 0,
+                exchange::Phase::DelegatePendingInsert { .. } => {}
             },
-            PendingOp::Session(phase) => {
-                self.cancel_session_phase(phase, err, out);
-                exit
-            }
+            PendingOp::Session(phase) => self.cancel_session_phase(phase, err, out),
             PendingOp::Revoke(phase) => match phase {
                 // Completing with the legs that did answer is the only
                 // consistent abort: marked subtrees must be swept
@@ -329,7 +313,9 @@ impl Kernel {
                 // operation touching them) and dependents woken. The
                 // unresponsive remote subtrees belong to a dead or
                 // unreachable kernel — orphaned there, gone with it.
-                revoke::Phase::Run(rop) => self.complete_revoke(rop, out),
+                revoke::Phase::Run(rop) => {
+                    self.complete_revoke(rop, out);
+                }
                 // Report what the completed sub-revokes deleted; the
                 // caller's protocol treats revoke replies as always-Ok.
                 revoke::Phase::Batch { caller_op, caller_kernel, cap_keys, fanin } => {
@@ -343,16 +329,12 @@ impl Kernel {
                             result: Ok(()),
                         },
                     );
-                    exit
                 }
             },
-            // Batch trackers never arm deadlines and wait on no peer;
-            // defensive re-insert if one ever lands here.
-            state @ PendingOp::Bulk(_) => {
-                self.stats.ops_aborted -= 1;
-                self.pending.insert(op, state);
-                0
-            }
+            PendingOp::Bulk(_) => unreachable!(
+                "a batch tracker is never aborted: `note_parked` arms no deadline for \
+                 `bulk-batch` and `awaited_kernel` names no peer for it"
+            ),
         }
     }
 

@@ -1,21 +1,23 @@
 //! Deterministic fault injection.
 //!
-//! A [`FaultPlan`] scripts failures for one simulated run: network
-//! faults at the NoC boundary (drop, duplicate, delay, one-way
-//! partitions between kernel islands) and kernel crashes at named
-//! ops-engine phase boundaries. The plan is *part of the experiment
-//! configuration*: the same plan and seed produce a bit-identical run,
-//! because
+//! A [`FaultPlan`] scripts failures for one run of the untimed kernel
+//! cluster (`semper_kernel::harness::TestCluster`, the plan's one
+//! host): network faults at the NoC boundary (drop, duplicate, delay,
+//! one-way partitions between kernel islands) and kernel crashes at
+//! named ops-engine phase boundaries. Time is the cluster's step
+//! counter — one step per delivered message — which is all the paper's
+//! safety argument needs (§4.3.1: per-channel FIFO, nothing about
+//! cycles). The plan is *part of the experiment configuration*: the
+//! same plan and seed produce a bit-identical run, because
 //!
 //! 1. random network verdicts come from a dedicated [`DetRng`] stream
 //!    with **exactly one draw per inter-kernel message** (the verdict
 //!    and the delay width both derive from that single draw), and
-//! 2. the harness consults [`FaultPlan::verdict`] at a single choke
-//!    point, in the deterministic delivery order of the event queue.
+//! 2. the cluster consults [`FaultPlan::verdict`] at a single choke
+//!    point, in the deterministic delivery order of its FIFO.
 //!
 //! The empty plan ([`FaultPlan::default`]) returns
-//! [`NetVerdict::Deliver`] for everything and scripts no crashes, so a
-//! machine built without a plan behaves byte-for-byte as before.
+//! [`NetVerdict::Deliver`] for everything and scripts no crashes.
 
 use crate::rng::DetRng;
 
@@ -28,22 +30,22 @@ pub enum NetVerdict {
     Drop,
     /// Deliver the message twice.
     Duplicate,
-    /// Deliver after an extra delay (harness time units).
+    /// Deliver after this many extra steps.
     Delay(u64),
 }
 
 /// A scripted one-way partition: messages from island `from` to island
-/// `to` are dropped while `start <= now < end` (harness time units).
-/// Model a two-way partition with two windows.
+/// `to` are dropped while `start <= now < end`, in steps. Model a
+/// two-way partition with two windows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionWindow {
     /// Source kernel island (raw kernel id).
     pub from: u16,
     /// Destination kernel island (raw kernel id).
     pub to: u16,
-    /// First instant the partition is in force.
+    /// First step the partition is in force.
     pub start: u64,
-    /// First instant after the partition heals.
+    /// First step after the partition heals.
     pub end: u64,
 }
 
@@ -88,7 +90,7 @@ pub struct FaultPlan {
     pub dup_permille: u64,
     /// Per-message delay probability in permille.
     pub delay_permille: u64,
-    /// Maximum extra delay (harness time units) for a delayed message.
+    /// Maximum extra delay, in steps, for a delayed message.
     pub max_delay: u64,
     rng: Option<DetRng>,
     partitions: Vec<PartitionWindow>,
@@ -160,7 +162,7 @@ impl FaultPlan {
     }
 
     /// Decides the fate of one inter-kernel message from island `from`
-    /// to island `to` at harness time `now`.
+    /// to island `to` at step `now`.
     ///
     /// Scripted partitions take precedence over the random stream; a
     /// partitioned message consumes **no** random draw, and a

@@ -22,6 +22,8 @@ use semper_kernel::harness::TestCluster;
 use semper_sim::{DetRng, FaultPlan};
 use semperos::Runner;
 
+mod common;
+
 /// Runs `cases` seeded property cases on 4 worker threads.
 fn for_cases(cases: u64, body: impl Fn(u64) + Sync) {
     Runner::new(4).map((0..cases).collect(), |_, case| body(case));
@@ -460,14 +462,19 @@ fn run_faulted_case(case: u64) -> String {
 /// the cluster reaches true quiescence with no ledger leaks, and the
 /// run is deterministic: replaying the same plan and seed reproduces
 /// every reply, every kernel state digest, and every fault counter
-/// bit-identically.
+/// bit-identically. The 48 transcripts are also pinned against a
+/// recorded fingerprint (96d084c): a harness change that reorders
+/// faulted delivery deterministically would pass the replay check.
 #[test]
 fn faulted_ops_terminate() {
-    for_cases(48, |case| {
+    let transcripts = Runner::new(4).map((0..48).collect(), |_, case| {
         let first = run_faulted_case(case);
         let replay = run_faulted_case(case);
         assert_eq!(first, replay, "case {case}: replay diverged from the first run");
+        first
     });
+    let fp = common::fingerprint(&transcripts.concat());
+    assert_eq!(fp, 0xb124_6b3b_fbdd_06d5, "faulted transcripts moved (fp {fp:#x})");
 }
 
 /// DDL keys pack and unpack losslessly for every field combination.

@@ -1,11 +1,11 @@
 //! Cycle pins at 10–100× the paper's evaluation scale.
 //!
 //! The paper's revocation experiments (Figures 4 and 5) stop at chains
-//! and trees of ~100 capabilities. These eleven scenarios push the same
+//! and trees of ~100 capabilities. These ten scenarios push the same
 //! shapes — and the protocols added on top of them — to thousands of
 //! capabilities, and pin every *deterministic* output of each run:
 //! simulated cycles, events, capabilities deleted, cross-kernel
-//! requests, and whichever dispatch / fault counters the run moved.
+//! requests and handler dispatches.
 //! Host time is not measured here; that is `benchmark/`'s job.
 //!
 //! One test runs all scenarios at two scales (the full sizes and the
@@ -26,14 +26,11 @@ use semper_apps::AppKind;
 use semper_base::msg::{SysReplyData, Syscall};
 use semper_base::{CapSel, Feature, KernelMode, MachineConfig, VpeId};
 use semper_kernel::KernelStats;
-use semper_sim::{FaultPlan, FaultStats, PartitionWindow};
 use semperos::experiment::{run_app_instances, MicroMachine};
 use semperos::machine::Machine;
 use semperos::{Job, Runner};
 
-/// One scenario's deterministic outputs, in golden order. The first
-/// five fields are always present; the tail lists only the counters the
-/// run moved (an absent counter is zero).
+/// One scenario's deterministic outputs, in golden order.
 struct Row {
     name: &'static str,
     fields: Vec<(&'static str, u64)>,
@@ -41,9 +38,9 @@ struct Row {
 
 impl Row {
     /// `before` is the kernels' statistics where the measured phase
-    /// starts: requests, dispatches, retries and aborts are counted from
-    /// there (the counters cover machine construction too); deletions
-    /// cover the whole run.
+    /// starts: requests and dispatches are counted from there (the
+    /// counters cover machine construction too); deletions cover the
+    /// whole run.
     fn new(
         name: &'static str,
         size: u32,
@@ -51,25 +48,17 @@ impl Row {
         events: u64,
         before: &[KernelStats],
         after: &[KernelStats],
-        faults: Option<&FaultStats>,
     ) -> Row {
         let total = |f: fn(&KernelStats) -> u64| after.iter().map(f).sum::<u64>();
         let delta = |f: fn(&KernelStats) -> u64| total(f) - before.iter().map(f).sum::<u64>();
-        let mut fields = vec![
+        let fields = vec![
             ("size", u64::from(size)),
             ("sim_cycles", sim_cycles),
             ("events", events),
             ("caps_deleted", total(|s| s.caps_deleted)),
             ("kcalls", delta(|s| s.kcalls_out)),
-        ];
-        let tail = [
             ("handler_dispatches", delta(|s| s.handler_dispatches)),
-            ("faults_injected", faults.map_or(0, |f| f.injected)),
-            ("fault_retries", delta(|s| s.retries)),
-            ("ops_aborted", delta(|s| s.ops_aborted)),
-            ("partitions_healed", faults.map_or(0, |f| f.partitions_healed)),
         ];
-        fields.extend(tail.into_iter().filter(|(_, v)| *v != 0));
         Row { name, fields }
     }
 
@@ -81,7 +70,7 @@ impl Row {
         m: &Machine,
         before: &[KernelStats],
     ) -> Row {
-        Row::new(name, size, sim_cycles, m.events(), before, &m.kernel_stats(), m.fault_stats())
+        Row::new(name, size, sim_cycles, m.events(), before, &m.kernel_stats())
     }
 
     fn get(&self, key: &str) -> u64 {
@@ -244,56 +233,10 @@ fn file_workload(instances: u32, batched: bool) -> Row {
     }
     let res = run_app_instances(&cfg, AppKind::Tar, instances);
     let name = if batched { "file_workload_batched" } else { "file_workload_sequential" };
-    Row::new(name, instances, res.makespan, res.events, &[], &res.kernel_stats, None)
+    Row::new(name, instances, res.makespan, res.events, &[], &res.kernel_stats)
 }
 
-/// Spanning teardown under a scripted fault plan: the spanning-revoke
-/// shape torn down while the seeded fault engine (`semper_sim::faults`)
-/// drops, duplicates and delays cross-kernel messages and holds a
-/// one-way kernel 0 → 1 partition open for a window mid-teardown. Every
-/// revoke still returns to the caller (retried legs, or a deadline-driven
-/// abort of the remote leg — never a hang) and the machine drains to a
-/// quiescent state; same plan + seed ⇒ the same cycles and fault
-/// counters, which is what lets this row be pinned.
-fn faulted_spanning_teardown(caps: u32) -> Row {
-    let mut m = MicroMachine::new(2, 2, KernelMode::SemperOS);
-    let a = m.vpe(0, 0);
-    let b = m.vpe(1, 0);
-    let sels: Vec<CapSel> = (0..caps).map(|_| m.create_mem(a)).collect();
-    for sel in &sels {
-        let _ = m.delegate(a, b, *sel);
-    }
-
-    // The plan starts at teardown: the build above runs fault-free so
-    // the capability graph under test is always the same. The partition
-    // window sits mid-teardown, so revokes before it exercise the
-    // drop/duplicate/delay path and revokes inside it exercise the
-    // deadline → retry → abort path.
-    let now = m.machine().now().0;
-    let plan = FaultPlan::seeded(0x5EED_FA17)
-        .with_drop(30)
-        .with_duplicate(20)
-        .with_delay(50, 2_000)
-        .with_partition(PartitionWindow {
-            from: 0,
-            to: 1,
-            start: now + 50_000,
-            end: now + 250_000,
-        });
-    m.machine().set_fault_plan(plan, 150_000);
-
-    let before = m.machine().kernel_stats();
-    let cycles = sels.into_iter().rev().map(|sel| m.revoke(a, sel)).sum();
-    let idle = m.machine().run_until_idle();
-    assert!(idle.0 > now, "faulted teardown never advanced");
-    m.machine().check_invariants();
-    m.machine().assert_quiescent();
-    let row = Row::of("faulted_spanning_teardown", caps, cycles, m.machine(), &before);
-    assert!(row.get("faults_injected") > 0, "the plan never fired");
-    row
-}
-
-/// The eleven scenarios with every size divided by `div` (1 = the full
+/// The ten scenarios with every size divided by `div` (1 = the full
 /// sizes the module docs quote).
 fn suite(div: u32) -> Vec<Job<'static, Row>> {
     // Floor: with fewer than 4 tar instances every client sits in a
@@ -310,7 +253,6 @@ fn suite(div: u32) -> Vec<Job<'static, Row>> {
         Box::new(move || file_workload(instances, true)),
         Box::new(move || dense_table_spanning(10_000 / div, false)),
         Box::new(move || dense_table_spanning(10_000 / div, true)),
-        Box::new(move || faulted_spanning_teardown(2048 / div)),
     ]
 }
 
