@@ -18,6 +18,7 @@
 //! and *object id* a per-creator sequence number.
 
 use crate::ids::{PeId, VpeId};
+use core::num::NonZeroU64;
 use serde::{Deserialize, Serialize};
 
 /// Object classes distinguishable by a DDL key's type field.
@@ -57,8 +58,12 @@ impl CapType {
 }
 
 /// A globally valid capability address (64-bit packed DDL key).
+///
+/// The type field of a valid key is never 0, so the packed form is
+/// never 0 either: `Option<DdlKey>` is 8 bytes, which is what keeps the
+/// mapping database's parent and sibling links one word each.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct DdlKey(u64);
+pub struct DdlKey(NonZeroU64);
 
 /// Maximum value of the per-creator object id field (24 bits).
 pub const MAX_OBJECT_ID: u32 = (1 << 24) - 1;
@@ -72,41 +77,41 @@ impl DdlKey {
     /// allocation in the kernel wraps far below that bound.
     pub fn new(pe: PeId, vpe: VpeId, ty: CapType, object_id: u32) -> DdlKey {
         assert!(object_id <= MAX_OBJECT_ID, "object id overflows DDL key field");
-        DdlKey(
-            ((pe.0 as u64) << 48) | ((vpe.0 as u64) << 32) | ((ty as u64) << 24) | object_id as u64,
-        )
+        let raw =
+            ((pe.0 as u64) << 48) | ((vpe.0 as u64) << 32) | ((ty as u64) << 24) | object_id as u64;
+        DdlKey(NonZeroU64::new(raw).expect("the type field is never 0"))
     }
 
     /// Decodes a key from its raw 64-bit representation; `None` unless
     /// the type field holds a known [`CapType`].
     pub fn from_raw(raw: u64) -> Option<DdlKey> {
-        let key = DdlKey(raw);
-        key.cap_type().map(|_| key)
+        CapType::from_u8((raw >> 24) as u8)?;
+        NonZeroU64::new(raw).map(DdlKey)
     }
 
     /// Returns the raw 64-bit representation.
     pub fn raw(self) -> u64 {
-        self.0
+        self.0.get()
     }
 
     /// The creator PE id — the partition used for kernel routing.
     pub fn pe(self) -> PeId {
-        PeId((self.0 >> 48) as u16)
+        PeId((self.raw() >> 48) as u16)
     }
 
     /// The creator VPE id.
     pub fn vpe(self) -> VpeId {
-        VpeId((self.0 >> 32) as u16)
+        VpeId((self.raw() >> 32) as u16)
     }
 
     /// The object class, if the type field holds a known value.
     pub fn cap_type(self) -> Option<CapType> {
-        CapType::from_u8((self.0 >> 24) as u8)
+        CapType::from_u8((self.raw() >> 24) as u8)
     }
 
     /// The per-creator object id.
     pub fn object_id(self) -> u32 {
-        (self.0 & MAX_OBJECT_ID as u64) as u32
+        (self.raw() & MAX_OBJECT_ID as u64) as u32
     }
 }
 
@@ -118,7 +123,7 @@ impl core::fmt::Debug for DdlKey {
 
 impl core::fmt::Display for DdlKey {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "{:#018x}", self.0)
+        write!(f, "{:#018x}", self.raw())
     }
 }
 
@@ -159,6 +164,11 @@ mod tests {
     fn unknown_type_decodes_none() {
         assert_eq!(DdlKey::from_raw(0xFF << 24), None);
         assert_eq!(DdlKey::from_raw(0), None);
+    }
+
+    #[test]
+    fn optional_key_is_one_word() {
+        assert_eq!(core::mem::size_of::<Option<DdlKey>>(), 8);
     }
 
     #[test]

@@ -7,19 +7,10 @@
 //! baseline mode the same structure is used but lookups skip the DDL
 //! decode cost.
 //!
-//! # Child-list determinism contract
-//!
-//! The child list is insertion-ordered: children appear in creation
-//! order, and revocation walks them in that order — this is
-//! protocol-visible (it fixes the order of inter-kernel revoke messages)
-//! and must never be replaced by hash-ordered iteration. The backing
-//! structure is [`crate::ChildList`], an intrusive linked list over a
-//! slab with a hash index: insert, membership, *and unlink* are O(1)
-//! (the previous `Vec` representation scanned on unlink, making the
-//! m3fs close-one-extent-at-a-time pattern quadratic against a wide
-//! parent).
+//! The record holds only the ends of its child list and its length;
+//! the sibling links between them live in [`crate::MappingDb`], because
+//! a child may be another kernel's capability.
 
-use crate::childlist::ChildList;
 use semper_base::msg::CapKindDesc;
 use semper_base::{CapSel, DdlKey, VpeId};
 
@@ -47,9 +38,11 @@ pub struct Capability {
     pub sel: CapSel,
     /// Parent in the capability tree (`None` for root capabilities).
     pub parent: Option<DdlKey>,
-    /// Children in the capability tree, in creation order (the
-    /// protocol-visible order; see the module docs).
-    children: ChildList,
+    /// Oldest and newest child and the child count; the links between
+    /// them are in [`crate::MappingDb`] ([`crate::MappingDb::children`]).
+    pub(crate) first_child: Option<DdlKey>,
+    pub(crate) last_child: Option<DdlKey>,
+    pub(crate) children: u32,
     /// Lifecycle state.
     pub state: CapState,
     /// Outstanding inter-kernel revoke replies for this capability
@@ -66,7 +59,9 @@ impl Capability {
             owner,
             sel,
             parent: None,
-            children: ChildList::new(),
+            first_child: None,
+            last_child: None,
+            children: 0,
             state: CapState::Usable,
             outstanding: 0,
         }
@@ -94,37 +89,16 @@ impl Capability {
         self.state == CapState::Revoking
     }
 
-    /// The children in creation order (double-ended; revocation sweeps
-    /// walk it back-to-front).
-    pub fn children(&self) -> crate::childlist::Iter<'_> {
-        self.children.iter()
-    }
-
     /// Number of children.
     pub fn child_count(&self) -> usize {
-        self.children.len()
-    }
-
-    /// True if `child` is registered.
-    pub fn has_child(&self, child: DdlKey) -> bool {
-        self.children.contains(child)
-    }
-
-    /// Registers a child reference (idempotent). O(1).
-    pub fn add_child(&mut self, child: DdlKey) {
-        self.children.push_back(child);
-    }
-
-    /// Removes a child reference; returns true if it was present. O(1)
-    /// regardless of the child list's width (see [`crate::ChildList`]).
-    pub fn remove_child(&mut self, child: DdlKey) -> bool {
-        self.children.remove(child)
+        self.children as usize
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MappingDb;
     use semper_base::msg::Perms;
     use semper_base::{CapType, PeId};
 
@@ -150,32 +124,51 @@ mod tests {
         assert_eq!(c.parent, Some(key(0)));
     }
 
+    /// A root in a database of its own, for the child-bookkeeping tests:
+    /// the record keeps the ends of its child list and its length.
+    fn db_with_root() -> MappingDb {
+        let mut db = MappingDb::new();
+        db.insert(Capability::root(key(0), mem_desc(), VpeId(1), CapSel(2)));
+        db
+    }
+
+    fn ends(db: &MappingDb) -> (Option<DdlKey>, Option<DdlKey>, usize) {
+        let c = db.get(key(0)).unwrap();
+        (c.first_child, c.last_child, c.child_count())
+    }
+
     #[test]
     fn add_child_is_idempotent() {
-        let mut c = Capability::root(key(0), mem_desc(), VpeId(1), CapSel(2));
-        c.add_child(key(1));
-        c.add_child(key(1));
-        assert_eq!(c.children().collect::<Vec<_>>(), vec![key(1)]);
-        assert!(c.has_child(key(1)));
+        let mut db = db_with_root();
+        db.link_child(key(0), key(1)).unwrap();
+        db.link_child(key(0), key(1)).unwrap();
+        assert_eq!(ends(&db), (Some(key(1)), Some(key(1)), 1));
     }
 
     #[test]
     fn remove_child_reports_presence() {
-        let mut c = Capability::root(key(0), mem_desc(), VpeId(1), CapSel(2));
-        c.add_child(key(1));
-        assert!(c.remove_child(key(1)));
-        assert!(!c.remove_child(key(1)));
-        assert_eq!(c.child_count(), 0);
-        assert!(!c.has_child(key(1)));
+        let mut db = db_with_root();
+        db.link_child(key(0), key(1)).unwrap();
+        assert!(db.unlink_child(key(0), key(1)));
+        assert!(!db.unlink_child(key(0), key(1)));
+        assert_eq!(ends(&db), (None, None, 0));
     }
 
     #[test]
     fn children_keep_creation_order() {
-        let mut c = Capability::root(key(0), mem_desc(), VpeId(1), CapSel(2));
-        c.add_child(key(3));
-        c.add_child(key(1));
-        c.add_child(key(2));
-        assert_eq!(c.children().collect::<Vec<_>>(), vec![key(3), key(1), key(2)]);
+        let mut db = db_with_root();
+        for k in [3, 1, 2] {
+            db.link_child(key(0), key(k)).unwrap();
+        }
+        assert_eq!(ends(&db), (Some(key(3)), Some(key(2)), 3));
+    }
+
+    #[test]
+    fn record_is_at_most_72_bytes() {
+        // The resource (24 bytes), four one-word keys (own, parent, first
+        // and last child) and four small fields; nothing is allocated
+        // per record.
+        assert!(core::mem::size_of::<Capability>() <= 72);
     }
 
     #[test]

@@ -5,12 +5,13 @@
 //! * [`membership`] — the membership table (§3.2, Figure 2) mapping PE-id
 //!   partitions of the DDL key space to kernels.
 //! * [`alloc`] — DDL key allocation (per-creator object-id counters).
-//! * [`cap`] — the capability object: resource descriptor, owner, and the
-//!   parent/child links of the mapping database.
+//! * [`cap`] — the capability object: resource descriptor, owner, its
+//!   parent and the ends of its child list.
 //! * [`table`] — per-VPE capability tables (selector → DDL key).
-//! * [`mapdb`] — the kernel-wide mapping database (DDL key → capability),
-//!   with the tree-maintenance operations the exchange and revoke
-//!   protocols build on.
+//! * [`mapdb`] — the kernel-wide mapping database (DDL key → capability)
+//!   and the sibling links of every child list, with the
+//!   tree-maintenance operations the exchange and revoke protocols
+//!   build on.
 //!
 //! The *protocol* that mutates these structures across kernels lives in
 //! `semper-kernel`; everything here is single-kernel state with
@@ -18,14 +19,12 @@
 
 pub mod alloc;
 pub mod cap;
-pub mod childlist;
 pub mod mapdb;
 pub mod membership;
 pub mod table;
 
 pub use alloc::KeyAllocator;
 pub use cap::{CapState, Capability};
-pub use childlist::ChildList;
 pub use mapdb::MappingDb;
 pub use membership::MembershipTable;
 pub use table::CapTable;

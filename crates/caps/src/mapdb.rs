@@ -6,28 +6,47 @@
 //! parent/child links, because links may point at capabilities owned by
 //! *other* kernels — a local pointer structure cannot represent that.
 //!
+//! # Child lists
+//!
+//! A record keeps only its oldest and newest child and its child count.
+//! The sibling links between them are one map owned by the database,
+//! keyed by *child*: a child has one parent, and it may be remote, so its
+//! link cannot live in its own record. Link and unlink are O(1) hash
+//! operations that touch the child's link and its two neighbours,
+//! however wide the parent; the record itself allocates nothing.
+//!
 //! # Determinism contract
 //!
-//! Since the O(1)-bookkeeping refactor the flat map is a hash map keyed
-//! on the packed 64-bit key form ([`semper_base::RawDdlKey`]) with the
-//! fixed-seed hasher from [`semper_base::hash`] — every lookup, insert,
-//! and delete on the revocation hot path is O(1). The map's iteration
-//! order is *not* part of the protocol: all protocol-visible orderings
-//! come from the explicitly ordered structures — capability child lists
-//! (creation order) drive subtree walks, so
-//! [`MappingDb::delete_local_subtree_into`] deletes in the same preorder
-//! the `BTreeMap`-backed implementation produced. The only whole-map
-//! iterations are [`MappingDb::iter`] (diagnostics; unspecified order)
-//! and [`MappingDb::check_invariants`] (sorted explicitly so failure
-//! reports are stable).
+//! Children iterate in *creation order*, front to back or back to front
+//! ([`MappingDb::children`]). That order is protocol-visible — it fixes
+//! the order of inter-kernel revoke messages and of
+//! [`MappingDb::delete_local_subtree_into`]'s preorder — and must never
+//! be replaced by hash-ordered iteration. The two maps are hash maps
+//! keyed on the packed 64-bit key ([`semper_base::RawDdlKey`]) with the
+//! fixed-seed hasher from [`semper_base::hash`]; their iteration order is
+//! *not* part of the protocol. The only whole-map iterations are
+//! [`MappingDb::iter`] (diagnostics; unspecified order) and
+//! [`MappingDb::check_invariants`] (sorted explicitly so failure reports
+//! are stable).
 
 use crate::cap::{CapState, Capability};
 use semper_base::{Code, DdlKey, DetHashMap, Error, RawDdlKey, Result};
+
+/// A child's place in its parent's child list.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    parent: DdlKey,
+    prev: Option<DdlKey>,
+    next: Option<DdlKey>,
+}
 
 /// All capabilities owned by one kernel, indexed by packed DDL key.
 #[derive(Debug, Default, Clone)]
 pub struct MappingDb {
     caps: DetHashMap<RawDdlKey, Capability>,
+    /// Sibling links, keyed by child (local or remote); every link's
+    /// parent is a record in `caps`.
+    links: DetHashMap<RawDdlKey, Link>,
 }
 
 impl MappingDb {
@@ -62,11 +81,6 @@ impl MappingDb {
         self.caps.contains_key(&key.raw())
     }
 
-    /// Removes a capability, returning it.
-    pub fn remove(&mut self, key: DdlKey) -> Option<Capability> {
-        self.caps.remove(&key.raw())
-    }
-
     /// Number of capabilities in the database.
     pub fn len(&self) -> usize {
         self.caps.len()
@@ -79,25 +93,65 @@ impl MappingDb {
 
     /// Iterates over all capabilities in unspecified (but per-run
     /// deterministic) order. Diagnostics only — protocol code must walk
-    /// the tree via child lists instead.
+    /// the tree via [`MappingDb::children`] instead.
     pub fn iter(&self) -> impl Iterator<Item = &Capability> {
         self.caps.values()
     }
 
-    /// Registers `child` in `parent`'s child list (both may be remote;
-    /// this touches only the local parent).
+    /// The children of `key` in creation order (double-ended; revocation
+    /// walks push them back to front). Empty if `key` is not local.
+    pub fn children(&self, key: DdlKey) -> Children<'_> {
+        let (front, back, remaining) = match self.caps.get(&key.raw()) {
+            Some(c) => (c.first_child, c.last_child, c.children),
+            None => (None, None, 0),
+        };
+        Children { links: &self.links, front, back, remaining }
+    }
+
+    /// Appends `child` (local or remote) to the local `parent`'s child
+    /// list; linking it again under the same parent is a no-op.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `child` is linked under another parent — a capability
+    /// has one parent, so that is a kernel bug.
     pub fn link_child(&mut self, parent: DdlKey, child: DdlKey) -> Result<()> {
-        self.get_mut(parent)?.add_child(child);
+        let p = self.caps.get_mut(&parent.raw()).ok_or_else(|| Error::new(Code::NoSuchCap))?;
+        if let Some(link) = self.links.get(&child.raw()) {
+            assert_eq!(link.parent, parent, "{child:?} linked under two parents");
+            return Ok(());
+        }
+        let prev = p.last_child.replace(child);
+        p.first_child.get_or_insert(child);
+        p.children += 1;
+        self.links.insert(child.raw(), Link { parent, prev, next: None });
+        if let Some(prev) = prev {
+            self.links.get_mut(&prev.raw()).expect("the old tail is linked").next = Some(child);
+        }
         Ok(())
     }
 
-    /// Drops `child` from `parent`'s child list, if the parent still
-    /// exists locally. Returns whether the link existed.
+    /// Drops `child` from `parent`'s child list. Returns whether the
+    /// link existed.
     pub fn unlink_child(&mut self, parent: DdlKey, child: DdlKey) -> bool {
-        match self.caps.get_mut(&parent.raw()) {
-            Some(p) => p.remove_child(child),
-            None => false,
+        let Some(&Link { parent: linked, prev, next }) = self.links.get(&child.raw()) else {
+            return false;
+        };
+        if linked != parent {
+            return false;
         }
+        self.links.remove(&child.raw());
+        let p = self.caps.get_mut(&parent.raw()).expect("a link's parent is local");
+        p.children -= 1;
+        match prev {
+            Some(k) => self.links.get_mut(&k.raw()).expect("sibling is linked").next = next,
+            None => p.first_child = next,
+        }
+        match next {
+            Some(k) => self.links.get_mut(&k.raw()).expect("sibling is linked").prev = prev,
+            None => p.last_child = prev,
+        }
+        true
     }
 
     /// Marks the capability for revocation. Returns the previous state so
@@ -118,27 +172,26 @@ impl MappingDb {
     /// several roots drain `deleted` between roots or at the end.
     /// Deletion order is preorder, children in creation order (the
     /// order the kernel's mark walk visits them in); remote children —
-    /// keys not in this database — are skipped.
+    /// keys not in this database — are skipped. Every deleted record's
+    /// child links go with it, remote children's included.
     pub fn delete_local_subtree_into(
         &mut self,
         key: DdlKey,
         stack: &mut Vec<DdlKey>,
         deleted: &mut Vec<Capability>,
     ) {
-        debug_assert!(stack.is_empty());
-        if let Some(root) = self.caps.get(&key.raw()) {
-            if let Some(parent) = root.parent {
-                self.unlink_child(parent, key);
-            }
+        assert!(stack.is_empty(), "the walk stack must start empty");
+        if let Some(parent) = self.caps.get(&key.raw()).and_then(|c| c.parent) {
+            self.unlink_child(parent, key);
         }
         stack.push(key);
         while let Some(k) = stack.pop() {
-            // Remote children are not in this database: skipped, exactly
-            // as the collect-then-remove implementation skipped them.
             if let Some(cap) = self.caps.remove(&k.raw()) {
-                // Reverse keeps preorder left-to-right after pop().
-                for child in cap.children().rev() {
-                    stack.push(child);
+                // Newest first, so pop() visits them oldest first.
+                let mut child = cap.last_child;
+                while let Some(c) = child {
+                    child = self.links.remove(&c.raw()).expect("sibling is linked").prev;
+                    stack.push(c);
                 }
                 deleted.push(cap);
             }
@@ -149,17 +202,30 @@ impl MappingDb {
     /// violation (in ascending key order, so reports are stable).
     /// Test-and-debug aid used by the property tests:
     ///
-    /// 1. Every local child reference of a local capability points back
-    ///    via `parent`.
-    /// 2. Every local capability with a local parent is in that parent's
-    ///    child list.
+    /// 1. Every link's parent is a local record, and each record's
+    ///    child count is the length of its child list walked from
+    ///    either end, with `first`/`last`/`prev`/`next` agreeing.
+    /// 2. Every local child of a local capability points back via
+    ///    `parent`, and every local capability with a local parent is
+    ///    in that parent's child list.
     /// 3. No capability is its own ancestor (tree, not graph).
     pub fn check_invariants(&self) -> core::result::Result<(), String> {
+        let mut links: Vec<(&RawDdlKey, &Link)> = self.links.iter().collect();
+        links.sort_unstable_by_key(|(child, _)| **child);
+        for (child, link) in links {
+            if !self.caps.contains_key(&link.parent.raw()) {
+                return Err(format!("link of {child:#x} names missing parent {:?}", link.parent));
+            }
+        }
         let mut raws: Vec<RawDdlKey> = self.caps.keys().copied().collect();
         raws.sort_unstable();
+        let mut walked = 0;
         for raw in raws {
             let cap = &self.caps[&raw];
-            for child in cap.children() {
+            let children = self.walk(cap, true)?;
+            self.walk(cap, false)?;
+            walked += children.len();
+            for child in children {
                 if let Some(c) = self.caps.get(&child.raw()) {
                     if c.parent != Some(cap.key) {
                         return Err(format!(
@@ -171,13 +237,12 @@ impl MappingDb {
                 }
             }
             if let Some(parent) = cap.parent {
-                if let Some(p) = self.caps.get(&parent.raw()) {
-                    if !p.has_child(cap.key) {
-                        return Err(format!(
-                            "{key:?} not in parent {parent:?} child list",
-                            key = cap.key
-                        ));
-                    }
+                let linked = self.links.get(&raw).map(|l| l.parent);
+                if self.caps.contains_key(&parent.raw()) && linked != Some(parent) {
+                    return Err(format!(
+                        "{key:?} not in parent {parent:?} child list",
+                        key = cap.key
+                    ));
                 }
             }
             // Walk up; local chains are short, remote parents terminate.
@@ -191,9 +256,82 @@ impl MappingDb {
                 cur = self.caps.get(&k.raw()).and_then(|c| c.parent);
             }
         }
+        if walked != self.links.len() {
+            return Err(format!("{} links, {walked} on their parents' lists", self.links.len()));
+        }
         Ok(())
     }
+
+    /// `cap`'s child list walked from the front (or the back), checked
+    /// link by link against the record's ends and count.
+    fn walk(&self, cap: &Capability, forward: bool) -> core::result::Result<Vec<DdlKey>, String> {
+        let key = cap.key;
+        let (mut cur, end) = if forward {
+            (cap.first_child, cap.last_child)
+        } else {
+            (cap.last_child, cap.first_child)
+        };
+        let mut seen: Vec<DdlKey> = Vec::new();
+        while let Some(k) = cur {
+            if seen.len() == cap.child_count() {
+                return Err(format!("{key:?}: child list longer than its count {}", cap.children));
+            }
+            let link =
+                self.links.get(&k.raw()).ok_or_else(|| format!("{k:?} of {key:?} unlinked"))?;
+            let (back, ahead) =
+                if forward { (link.prev, link.next) } else { (link.next, link.prev) };
+            if link.parent != key || back != seen.last().copied() {
+                return Err(format!("{key:?}: link of child {k:?} disagrees: {link:?}"));
+            }
+            seen.push(k);
+            cur = ahead;
+        }
+        if seen.len() != cap.child_count() || seen.last().copied() != end {
+            return Err(format!(
+                "{key:?}: {} children end at {:?}, record says {}",
+                seen.len(),
+                seen.last(),
+                cap.children
+            ));
+        }
+        Ok(seen)
+    }
 }
+
+/// Double-ended creation-order iterator over one capability's children
+/// ([`MappingDb::children`]).
+pub struct Children<'a> {
+    links: &'a DetHashMap<RawDdlKey, Link>,
+    front: Option<DdlKey>,
+    back: Option<DdlKey>,
+    remaining: u32,
+}
+
+impl Iterator for Children<'_> {
+    type Item = DdlKey;
+
+    fn next(&mut self) -> Option<DdlKey> {
+        self.remaining = self.remaining.checked_sub(1)?;
+        let key = self.front?;
+        self.front = self.links[&key.raw()].next;
+        Some(key)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining as usize, Some(self.remaining as usize))
+    }
+}
+
+impl DoubleEndedIterator for Children<'_> {
+    fn next_back(&mut self) -> Option<DdlKey> {
+        self.remaining = self.remaining.checked_sub(1)?;
+        let key = self.back?;
+        self.back = self.links[&key.raw()].prev;
+        Some(key)
+    }
+}
+
+impl ExactSizeIterator for Children<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -230,13 +368,27 @@ mod tests {
         deleted.iter().map(|c| c.key).collect()
     }
 
+    fn children(db: &MappingDb, parent: DdlKey) -> Vec<DdlKey> {
+        db.children(parent).collect()
+    }
+
+    /// A root at `key(100)` with remote children `remote_key(0..n)`.
+    fn wide(n: u32) -> MappingDb {
+        let mut db = MappingDb::new();
+        root(&mut db, key(100));
+        for i in 0..n {
+            db.link_child(key(100), remote_key(i)).unwrap();
+        }
+        db
+    }
+
     #[test]
     fn insert_get_remove() {
         let mut db = MappingDb::new();
         root(&mut db, key(0));
         assert!(db.contains(key(0)));
         assert_eq!(db.get(key(0)).unwrap().key, key(0));
-        assert!(db.remove(key(0)).is_some());
+        assert_eq!(deletion_order(&mut db, key(0)), vec![key(0)]);
         assert_eq!(db.get(key(0)).unwrap_err().code(), Code::NoSuchCap);
     }
 
@@ -268,6 +420,20 @@ mod tests {
         // The remote child — a key not in this database — is skipped.
         assert_eq!(deletion_order(&mut db, key(0)), vec![key(0), key(1)]);
         assert!(db.is_empty());
+    }
+
+    #[test]
+    fn deleting_a_parent_drops_its_remote_childs_link() {
+        let mut db = MappingDb::new();
+        root(&mut db, key(0));
+        db.link_child(key(0), remote_key(7)).unwrap();
+        deletion_order(&mut db, key(0));
+        assert!(db.links.is_empty());
+        // The key is free to be linked under another parent.
+        root(&mut db, key(1));
+        db.link_child(key(1), remote_key(7)).unwrap();
+        assert_eq!(children(&db, key(1)), vec![remote_key(7)]);
+        db.check_invariants().unwrap();
     }
 
     #[test]
@@ -305,6 +471,17 @@ mod tests {
     }
 
     #[test]
+    fn invariants_catch_a_broken_sibling_chain() {
+        let mut db = wide(3);
+        db.check_invariants().unwrap();
+        db.links.get_mut(&remote_key(1).raw()).unwrap().prev = None;
+        assert!(db.check_invariants().unwrap_err().contains("disagrees"));
+        let mut db = wide(3);
+        db.get_mut(key(100)).unwrap().children = 2;
+        assert!(db.check_invariants().is_err());
+    }
+
+    #[test]
     fn invariants_ok_with_remote_parent() {
         let mut db = MappingDb::new();
         db.insert(Capability::child(key(1), mem(), VpeId(0), CapSel(0), remote_key(3)));
@@ -315,13 +492,15 @@ mod tests {
     fn unlink_missing_parent_is_noop() {
         let mut db = MappingDb::new();
         assert!(!db.unlink_child(key(0), key(1)));
+        let mut db = wide(1);
+        assert!(!db.unlink_child(key(0), remote_key(0)), "linked under another parent");
     }
 
     #[test]
     fn preorder_is_stable_at_scale() {
         // The subtree walk must not depend on map order: build a two-level
         // tree and check the preorder twice, including after unrelated
-        // insert/remove churn that would perturb a hash map's iteration.
+        // insert/delete churn that would perturb a hash map's iteration.
         let mut db = MappingDb::new();
         root(&mut db, key(0));
         for i in 1..=50 {
@@ -332,10 +511,90 @@ mod tests {
             root(&mut db, key(i));
         }
         for i in 100..200 {
-            db.remove(key(i));
+            deletion_order(&mut db, key(i));
         }
         let after = deletion_order(&mut db, key(0));
         assert_eq!(before, after);
         assert_eq!(before.len(), 51);
+    }
+
+    #[test]
+    fn keeps_creation_order_across_interleaved_link_unlink() {
+        let mut db = wide(6);
+        let p = key(100);
+        // Unlink from the middle, the head, and the tail.
+        for i in [2, 0, 5] {
+            assert!(db.unlink_child(p, remote_key(i)));
+        }
+        assert_eq!(children(&db, p), [1, 3, 4].map(remote_key));
+        // New links append after survivors; an unlinked key re-links.
+        db.link_child(p, remote_key(7)).unwrap();
+        db.link_child(p, remote_key(0)).unwrap();
+        assert_eq!(children(&db, p), [1, 3, 4, 7, 0].map(remote_key));
+        assert_eq!(db.get(p).unwrap().child_count(), 5);
+        db.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn link_is_idempotent() {
+        let mut db = wide(1);
+        db.link_child(key(100), remote_key(0)).unwrap();
+        assert_eq!(children(&db, key(100)), vec![remote_key(0)]);
+        db.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn unlink_reports_presence() {
+        let mut db = wide(1);
+        assert!(db.unlink_child(key(100), remote_key(0)));
+        assert!(!db.unlink_child(key(100), remote_key(0)));
+        assert_eq!(children(&db, key(100)), Vec::<DdlKey>::new());
+        db.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn reverse_iteration_mirrors_forward() {
+        let mut db = MappingDb::new();
+        root(&mut db, key(100));
+        for i in [3, 1, 2] {
+            db.link_child(key(100), remote_key(i)).unwrap();
+        }
+        let fwd = children(&db, key(100));
+        let mut rev: Vec<_> = db.children(key(100)).rev().collect();
+        rev.reverse();
+        assert_eq!(fwd, rev);
+        assert_eq!(fwd, [3, 1, 2].map(remote_key));
+    }
+
+    #[test]
+    fn double_ended_meets_in_the_middle() {
+        let db = wide(4);
+        let mut it = db.children(key(100));
+        assert_eq!(it.next(), Some(remote_key(0)));
+        assert_eq!(it.next_back(), Some(remote_key(3)));
+        assert_eq!(it.next(), Some(remote_key(1)));
+        assert_eq!(it.next_back(), Some(remote_key(2)));
+        assert_eq!(it.next(), None);
+        assert_eq!(it.next_back(), None);
+    }
+
+    /// The m3fs close-one-extent-at-a-time pattern: a wide parent loses
+    /// one child per close, oldest first — the order m3fs produces when
+    /// a trace closes files in the order it opened them, and the worst
+    /// case for a list that scans or compacts. Unlink is O(1) whatever
+    /// the width: it touches only the child's link and its two
+    /// neighbours, never the parent's other children.
+    #[test]
+    fn one_at_a_time_teardown_is_linear() {
+        const N: u32 = 4096;
+        let mut db = wide(N);
+        for i in 0..N {
+            assert!(db.unlink_child(key(100), remote_key(i)));
+            if i % 1024 == 0 {
+                db.check_invariants().unwrap();
+            }
+        }
+        assert_eq!(db.get(key(100)).unwrap().child_count(), 0);
+        assert!(db.links.is_empty());
     }
 }

@@ -48,7 +48,7 @@ impl MembershipTable {
             }
             start += size;
         }
-        debug_assert_eq!(kernel_of_pe.len(), num_pes as usize);
+        assert_eq!(kernel_of_pe.len(), num_pes as usize);
         MembershipTable { kernel_of_pe, kernel_pes }
     }
 

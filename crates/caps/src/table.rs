@@ -6,25 +6,27 @@
 //!
 //! # Performance and determinism
 //!
-//! The table is the owner-side bottleneck of revocation sweeps: every
-//! capability deleted by a sweep must drop its owner's selector binding,
-//! addressed *by DDL key*. The forward map (`selector → key`) stays a
-//! `BTreeMap` because selector-ordered iteration is protocol-visible
-//! (VPE teardown revokes in selector order); a reverse index
-//! (`packed key → selector`, [`semper_base::RawDdlKey`]) makes
-//! [`CapTable::remove_key`] O(log n) instead of a linear scan — the
-//! pre-refactor scan made large revocations quadratic in table size.
-//! Freed selectors go to a LIFO free list so long-running workloads
-//! (nginx churning per-request capabilities) no longer leak selector
-//! space.
+//! Selectors are dense by construction — fresh ones are bumped from
+//! `first_free`, freed ones are reused LIFO — so the table is a slot
+//! vector indexed by selector: a lookup is one bounds-checked index, and
+//! iteration in index order is the selector order VPE teardown revokes
+//! in (protocol-visible). Explicit [`CapTable::insert`] is only for the
+//! reserved selectors below `first_free`, so a freed selector can never
+//! be re-occupied behind the free list's back.
+//!
+//! Revocation sweeps drop bindings *by DDL key* ([`CapTable::remove_key`],
+//! which the repo benchmark's caps probe calls too); the reverse index
+//! (`packed key → selector`, [`semper_base::RawDdlKey`]) makes that O(1)
+//! instead of a linear scan — the scan made large revocations quadratic
+//! in table size.
 
 use semper_base::{CapSel, Code, DdlKey, DetHashMap, Error, RawDdlKey, Result};
-use std::collections::BTreeMap;
 
 /// One VPE's capability space.
 #[derive(Debug, Default, Clone)]
 pub struct CapTable {
-    slots: BTreeMap<CapSel, DdlKey>,
+    /// Slot `s` holds the key bound to selector `s`.
+    slots: Vec<Option<DdlKey>>,
     /// Reverse index for O(1) key → selector resolution during sweeps.
     by_key: DetHashMap<RawDdlKey, CapSel>,
     /// Selectors freed by removals, reused LIFO. Never contains
@@ -41,74 +43,71 @@ impl CapTable {
     /// capabilities (the VPE's own cap, its syscall gate, ...), mirroring
     /// M3's convention.
     pub fn new(first_free: u32) -> CapTable {
-        CapTable {
-            slots: BTreeMap::new(),
-            by_key: DetHashMap::default(),
-            free: Vec::new(),
-            first_free,
-            next_sel: first_free,
-        }
+        CapTable { first_free, next_sel: first_free, ..CapTable::default() }
     }
 
     /// Allocates the next free selector: the most recently freed one if
     /// any (LIFO reuse keeps tables dense), else a fresh one.
     pub fn alloc_sel(&mut self) -> CapSel {
-        while let Some(sel) = self.free.pop() {
-            // A freed selector can have been re-occupied by an explicit
-            // `insert` in the meantime; skip those.
-            if !self.slots.contains_key(&CapSel(sel)) {
-                return CapSel(sel);
-            }
-        }
-        loop {
-            let sel = CapSel(self.next_sel);
+        CapSel(self.free.pop().unwrap_or_else(|| {
             self.next_sel += 1;
-            if !self.slots.contains_key(&sel) {
-                return sel;
-            }
-        }
+            self.next_sel - 1
+        }))
     }
 
-    /// Binds `sel` to `key`.
+    /// Binds the reserved selector `sel` to `key`.
     ///
-    /// Fails with [`Code::Exists`] if the selector is occupied.
+    /// Fails with [`Code::InvalidArgs`] outside the reserved range (use
+    /// [`CapTable::insert_new`]) and with [`Code::Exists`] if the
+    /// selector is occupied.
     pub fn insert(&mut self, sel: CapSel, key: DdlKey) -> Result<()> {
-        if self.slots.contains_key(&sel) {
+        if sel.0 >= self.first_free {
+            return Err(Error::new(Code::InvalidArgs));
+        }
+        if self.get(sel).is_ok() {
             return Err(Error::new(Code::Exists));
         }
-        let prev = self.by_key.insert(key.raw(), sel);
-        debug_assert!(prev.is_none(), "DDL key bound to two selectors in one table");
-        self.slots.insert(sel, key);
+        self.bind(sel, key);
         Ok(())
     }
 
     /// Allocates a selector and binds it to `key` in one step.
     pub fn insert_new(&mut self, key: DdlKey) -> CapSel {
         let sel = self.alloc_sel();
-        self.insert(sel, key).expect("alloc_sel returned a free selector");
+        self.bind(sel, key);
         sel
+    }
+
+    /// Binds a free selector, growing the slot vector to reach it.
+    fn bind(&mut self, sel: CapSel, key: DdlKey) {
+        let prev = self.by_key.insert(key.raw(), sel);
+        assert!(prev.is_none(), "DDL key bound to two selectors in one table");
+        let idx = sel.0 as usize;
+        if idx >= self.slots.len() {
+            self.slots.resize(idx + 1, None);
+        }
+        self.slots[idx] = Some(key);
     }
 
     /// Looks up the key bound to `sel`.
     pub fn get(&self, sel: CapSel) -> Result<DdlKey> {
-        self.slots.get(&sel).copied().ok_or_else(|| Error::new(Code::NoSuchCap))
+        self.slots.get(sel.0 as usize).copied().flatten().ok_or_else(|| Error::new(Code::NoSuchCap))
     }
 
     /// Removes the binding for `sel`; returns the key if it existed.
     pub fn remove(&mut self, sel: CapSel) -> Option<DdlKey> {
-        let key = self.slots.remove(&sel)?;
+        let key = self.slots.get_mut(sel.0 as usize)?.take()?;
         self.by_key.remove(&key.raw());
         self.release(sel);
         Some(key)
     }
 
     /// Removes the binding pointing at `key` (reverse removal used when a
-    /// revoke deletes by DDL key). O(log n) via the reverse index; the
-    /// pre-refactor implementation scanned the whole table.
+    /// revoke deletes by DDL key). O(1) via the reverse index.
     pub fn remove_key(&mut self, key: DdlKey) -> Option<CapSel> {
         let sel = self.by_key.remove(&key.raw())?;
-        let bound = self.slots.remove(&sel);
-        debug_assert_eq!(bound, Some(key), "reverse index out of sync");
+        let bound = self.slots[sel.0 as usize].take();
+        assert_eq!(bound, Some(key), "reverse index out of sync");
         self.release(sel);
         Some(sel)
     }
@@ -122,17 +121,17 @@ impl CapTable {
 
     /// Number of occupied selectors.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.by_key.len()
     }
 
     /// True if no selectors are occupied.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.by_key.is_empty()
     }
 
     /// Iterates over `(selector, key)` pairs in selector order.
     pub fn iter(&self) -> impl Iterator<Item = (CapSel, DdlKey)> + '_ {
-        self.slots.iter().map(|(s, k)| (*s, *k))
+        self.slots.iter().enumerate().filter_map(|(s, k)| Some((CapSel(s as u32), (*k)?)))
     }
 }
 
@@ -154,22 +153,42 @@ mod tests {
 
     #[test]
     fn insert_and_get() {
-        let mut t = CapTable::new(0);
+        let mut t = CapTable::new(2);
         t.insert(CapSel(1), key(9)).unwrap();
         assert_eq!(t.get(CapSel(1)).unwrap(), key(9));
+        assert_eq!(t.get(CapSel(0)).unwrap_err().code(), Code::NoSuchCap);
         assert_eq!(t.get(CapSel(2)).unwrap_err().code(), Code::NoSuchCap);
     }
 
     #[test]
     fn double_insert_fails() {
-        let mut t = CapTable::new(0);
+        let mut t = CapTable::new(2);
         t.insert(CapSel(1), key(1)).unwrap();
         assert_eq!(t.insert(CapSel(1), key(2)).unwrap_err().code(), Code::Exists);
     }
 
     #[test]
+    fn insert_outside_reserved_range_is_refused() {
+        let mut t = CapTable::new(2);
+        for sel in [CapSel(2), CapSel(7), CapSel::INVALID] {
+            assert_eq!(t.insert(sel, key(1)).unwrap_err().code(), Code::InvalidArgs);
+        }
+        assert!(t.is_empty());
+        assert_eq!(t.alloc_sel(), CapSel(2));
+    }
+
+    #[test]
+    fn invalid_selector_is_no_such_cap_and_does_not_grow_the_table() {
+        let mut t = CapTable::new(2);
+        t.insert_new(key(1));
+        assert_eq!(t.get(CapSel::INVALID).unwrap_err().code(), Code::NoSuchCap);
+        assert_eq!(t.remove(CapSel::INVALID), None);
+        assert_eq!(t.slots.len(), 3);
+    }
+
+    #[test]
     fn alloc_skips_occupied() {
-        let mut t = CapTable::new(0);
+        let mut t = CapTable::new(2);
         t.insert(CapSel(0), key(0)).unwrap();
         t.insert(CapSel(1), key(1)).unwrap();
         assert_eq!(t.alloc_sel(), CapSel(2));
@@ -186,11 +205,14 @@ mod tests {
 
     #[test]
     fn iter_in_selector_order() {
-        let mut t = CapTable::new(0);
-        t.insert(CapSel(3), key(3)).unwrap();
-        t.insert(CapSel(1), key(1)).unwrap();
+        let mut t = CapTable::new(1);
+        let (a, b, c) = (t.insert_new(key(1)), t.insert_new(key(2)), t.insert_new(key(3)));
+        t.remove(a);
+        t.remove(c);
+        t.insert_new(key(4));
+        t.insert(CapSel(0), key(0)).unwrap();
         let sels: Vec<_> = t.iter().map(|(s, _)| s).collect();
-        assert_eq!(sels, vec![CapSel(1), CapSel(3)]);
+        assert_eq!(sels, vec![CapSel(0), b, c]);
     }
 
     #[test]
@@ -245,9 +267,10 @@ mod tests {
         let mut t = CapTable::new(0);
         let a = t.insert_new(key(1));
         t.remove(a);
-        // Explicitly re-occupy the freed selector; alloc must skip it.
-        t.insert(a, key(2)).unwrap();
-        assert_ne!(t.alloc_sel(), a);
+        // A freed selector belongs to the free list: an explicit insert
+        // is refused, and the next allocation hands it out.
+        assert_eq!(t.insert(a, key(2)).unwrap_err().code(), Code::InvalidArgs);
+        assert_eq!(t.alloc_sel(), a);
     }
 
     #[test]

@@ -206,7 +206,7 @@ impl Kernel {
         assert!(!self.pe2vpe.contains_key(&pe), "PE already hosts a VPE");
         let mut table = CapTable::new(FIRST_FREE_SEL);
         let key = self.keys.alloc(pe, vpe, semper_base::CapType::Vpe);
-        table.insert(semper_base::CapSel(SEL_VPE), key).expect("fresh table has free selector 0");
+        table.insert(semper_base::CapSel(SEL_VPE), key).expect("selector 0 is reserved and free");
         self.mapdb.insert(Capability::root(
             key,
             semper_base::msg::CapKindDesc::Vpe { vpe },
@@ -546,7 +546,7 @@ impl Kernel {
             .mapdb
             .iter()
             .map(|c| {
-                let children: Vec<semper_base::DdlKey> = c.children().collect();
+                let children: Vec<semper_base::DdlKey> = self.mapdb.children(c.key).collect();
                 format!(
                     "cap {:?} kind={:?} owner={} sel={:?} parent={:?} children={children:?}",
                     c.key, c.kind, c.owner, c.sel, c.parent
@@ -564,7 +564,9 @@ impl Kernel {
 
     /// Structural self-check used by tests: mapping-database invariants,
     /// endpoint-binding forward/reverse agreement, plus agreement
-    /// between capability tables and the database.
+    /// between capability tables and the database in both directions —
+    /// every binding names a record that names it back, and every record
+    /// is bound at its own `(owner, sel)`.
     pub fn check_invariants(&self) -> core::result::Result<(), String> {
         self.mapdb.check_invariants()?;
         self.eps.check_sync()?;
@@ -576,9 +578,23 @@ impl Kernel {
                     .mapdb
                     .get(key)
                     .map_err(|_| format!("{vpe} {sel:?} points at missing cap {key:?}"))?;
-                if cap.owner != *vpe {
-                    return Err(format!("{key:?} owner mismatch: {} vs {vpe}", cap.owner));
+                if (cap.owner, cap.sel) != (*vpe, sel) {
+                    return Err(format!(
+                        "{vpe} {sel:?} binds {key:?}, which names {} {:?}",
+                        cap.owner, cap.sel
+                    ));
                 }
+            }
+        }
+        let mut caps: Vec<&Capability> = self.mapdb.iter().collect();
+        caps.sort_by_key(|c| c.key);
+        for cap in caps {
+            let bound = self.tables.get(&cap.owner).and_then(|t| t.get(cap.sel).ok());
+            if bound != Some(cap.key) {
+                return Err(format!(
+                    "{:?} is not bound at {} {:?} ({bound:?} is)",
+                    cap.key, cap.owner, cap.sel
+                ));
             }
         }
         Ok(())

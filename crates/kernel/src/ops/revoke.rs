@@ -222,7 +222,8 @@ impl Kernel {
         if own {
             return Ok(vec![key]);
         }
-        Ok(self.mapdb.get(key)?.children().collect())
+        self.mapdb.get(key)?;
+        Ok(self.mapdb.children(key).collect())
     }
 
     /// Revocation for VPE exit: one root at a time; the table entry may
@@ -340,7 +341,7 @@ impl Kernel {
                 }
                 continue;
             }
-            for child in cap.children().rev() {
+            for child in self.mapdb.children(key).rev() {
                 stack.push(child);
             }
             self.mapdb.mark_revoking(key).expect("present");
