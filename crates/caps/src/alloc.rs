@@ -4,16 +4,18 @@
 //! The kernel allocates object ids from a monotone counter per creator
 //! VPE; uniqueness of keys then follows from uniqueness of the counter,
 //! with no cross-kernel coordination — the point of the DDL scheme.
+//! It also makes (VPE, object id) unique among one kernel's objects,
+//! which is what lets [`crate::MappingDb`] store a record at that
+//! address instead of hashing its key.
 
-use semper_base::{CapType, DdlKey, DetHashMap, PeId, VpeId};
+use semper_base::{CapType, DdlKey, PeId, VpeId};
 
 /// Allocates fresh DDL keys for objects created on behalf of local VPEs.
-///
-/// The counter map is hash-backed (never iterated): key allocation sits
-/// on the capability-creation hot path.
 #[derive(Debug, Default, Clone)]
 pub struct KeyAllocator {
-    next_id: DetHashMap<VpeId, u32>,
+    /// The next object id of each creator VPE, indexed by VPE id; grown
+    /// on a VPE's first allocation.
+    next_id: Vec<u32>,
 }
 
 impl KeyAllocator {
@@ -30,7 +32,10 @@ impl KeyAllocator {
     /// Panics if a single VPE exhausts the 24-bit object-id space (16.7M
     /// objects) — far beyond any workload in this reproduction.
     pub fn alloc(&mut self, pe: PeId, vpe: VpeId, ty: CapType) -> DdlKey {
-        let id = self.next_id.entry(vpe).or_insert(0);
+        if vpe.idx() >= self.next_id.len() {
+            self.next_id.resize(vpe.idx() + 1, 0);
+        }
+        let id = &mut self.next_id[vpe.idx()];
         let key = DdlKey::new(pe, vpe, ty, *id);
         *id = id.checked_add(1).expect("object-id space exhausted");
         key

@@ -2,18 +2,34 @@
 //!
 //! As in other microkernel-based systems (§3.4), the kernel tracks
 //! capability sharing in a tree to enable recursive revocation. Here the
-//! tree is stored as a flat `DdlKey → Capability` map with explicit
-//! parent/child links, because links may point at capabilities owned by
-//! *other* kernels — a local pointer structure cannot represent that.
+//! tree is stored as flat records with explicit parent/child links,
+//! because links may point at capabilities owned by *other* kernels — a
+//! local pointer structure cannot represent that.
+//!
+//! # Records are addressed, not hashed
+//!
+//! A DDL key names its creator VPE and a per-creator object id that the
+//! kernel's monotone counter hands out (§3.2, [`crate::KeyAllocator`]),
+//! so the key already says where its record sits: `key.vpe()` selects a
+//! per-VPE page table and `key.object_id()` a slot in it. A page holds
+//! a fixed run of slots and a live count, and is freed when its last
+//! record goes, so memory follows live records. A slot is found by its
+//! (VPE, object id) alone, so every lookup also compares the full key: a
+//! key that differs from the record's in its PE or type field is
+//! [`Code::NoSuchCap`]. Only [`MappingDb::insert`] grows the tables; a
+//! lookup past them is `NoSuchCap` and allocates nothing.
 //!
 //! # Child lists
 //!
 //! A record keeps only its oldest and newest child and its child count.
 //! The sibling links between them are one map owned by the database,
 //! keyed by *child*: a child has one parent, and it may be remote, so its
-//! link cannot live in its own record. Link and unlink are O(1) hash
-//! operations that touch the child's link and its two neighbours,
-//! however wide the parent; the record itself allocates nothing.
+//! link cannot live in its own record. Nor can it be addressed like a
+//! record — a remote child's (VPE, object id) belongs to another
+//! kernel's counter, not to this kernel's — so links stay hashed. Link
+//! and unlink are O(1) hash operations that touch the child's link and
+//! its two neighbours, however wide the parent; the record itself
+//! allocates nothing.
 //!
 //! # Determinism contract
 //!
@@ -21,16 +37,89 @@
 //! ([`MappingDb::children`]). That order is protocol-visible — it fixes
 //! the order of inter-kernel revoke messages and of
 //! [`MappingDb::delete_local_subtree_into`]'s preorder — and must never
-//! be replaced by hash-ordered iteration. The two maps are hash maps
-//! keyed on the packed 64-bit key ([`semper_base::RawDdlKey`]) with the
-//! fixed-seed hasher from [`semper_base::hash`]; their iteration order is
-//! *not* part of the protocol. The only whole-map iterations are
-//! [`MappingDb::iter`] (diagnostics; unspecified order) and
-//! [`MappingDb::check_invariants`] (sorted explicitly so failure reports
-//! are stable).
+//! be replaced by storage order. Neither the records' (VPE, object id)
+//! order nor the link map's hash order (packed keys,
+//! [`semper_base::RawDdlKey`], fixed-seed hasher from
+//! [`semper_base::hash`]) is part of the protocol. The only whole-map
+//! iterations are [`MappingDb::iter`] (diagnostics) and
+//! [`MappingDb::check_invariants`] (in record order, links sorted, so
+//! failure reports are stable).
 
 use crate::cap::{CapState, Capability};
 use semper_base::{Code, DdlKey, DetHashMap, Error, RawDdlKey, Result};
+
+/// Consecutive object ids per page of a creator VPE's record table.
+const PAGE: usize = 16;
+
+/// The records of `PAGE` consecutive object ids of one creator VPE.
+#[derive(Debug, Clone)]
+struct Page {
+    slots: [Option<Capability>; PAGE],
+    /// Occupied slots; the page is freed when this reaches 0.
+    live: u32,
+}
+
+/// Records at their key's address: `vpes[vpe][object_id / PAGE]`, slot
+/// `object_id % PAGE`.
+#[derive(Debug, Default, Clone)]
+struct Records {
+    vpes: Vec<Vec<Option<Box<Page>>>>,
+    len: usize,
+}
+
+impl Records {
+    fn get(&self, key: DdlKey) -> Option<&Capability> {
+        let id = key.object_id() as usize;
+        let page = self.vpes.get(key.vpe().idx())?.get(id / PAGE)?.as_deref()?;
+        page.slots[id % PAGE].as_ref().filter(|c| c.key == key)
+    }
+
+    fn get_mut(&mut self, key: DdlKey) -> Option<&mut Capability> {
+        let id = key.object_id() as usize;
+        let page = self.vpes.get_mut(key.vpe().idx())?.get_mut(id / PAGE)?.as_deref_mut()?;
+        page.slots[id % PAGE].as_mut().filter(|c| c.key == key)
+    }
+
+    fn insert(&mut self, cap: Capability) {
+        let (vpe, id) = (cap.key.vpe().idx(), cap.key.object_id() as usize);
+        if vpe >= self.vpes.len() {
+            self.vpes.resize_with(vpe + 1, Vec::new);
+        }
+        let pages = &mut self.vpes[vpe];
+        if id / PAGE >= pages.len() {
+            pages.resize_with(id / PAGE + 1, || None);
+        }
+        let page = pages[id / PAGE]
+            .get_or_insert_with(|| Box::new(Page { slots: Default::default(), live: 0 }));
+        let slot = &mut page.slots[id % PAGE];
+        assert!(slot.is_none(), "duplicate DDL key (VPE, object id) in mapping database");
+        *slot = Some(cap);
+        page.live += 1;
+        self.len += 1;
+    }
+
+    fn remove(&mut self, key: DdlKey) -> Option<Capability> {
+        let id = key.object_id() as usize;
+        let entry = self.vpes.get_mut(key.vpe().idx())?.get_mut(id / PAGE)?;
+        let page = entry.as_deref_mut()?;
+        let slot = &mut page.slots[id % PAGE];
+        if slot.as_ref()?.key != key {
+            return None;
+        }
+        let cap = slot.take();
+        page.live -= 1;
+        if page.live == 0 {
+            *entry = None;
+        }
+        self.len -= 1;
+        cap
+    }
+
+    /// Every record in (VPE, object id) order.
+    fn iter(&self) -> impl Iterator<Item = &Capability> {
+        self.vpes.iter().flatten().flatten().flat_map(|page| page.slots.iter().flatten())
+    }
+}
 
 /// A child's place in its parent's child list.
 #[derive(Debug, Clone, Copy)]
@@ -40,12 +129,12 @@ struct Link {
     next: Option<DdlKey>,
 }
 
-/// All capabilities owned by one kernel, indexed by packed DDL key.
+/// All capabilities owned by one kernel, addressed by DDL key.
 #[derive(Debug, Default, Clone)]
 pub struct MappingDb {
-    caps: DetHashMap<RawDdlKey, Capability>,
+    records: Records,
     /// Sibling links, keyed by child (local or remote); every link's
-    /// parent is a record in `caps`.
+    /// parent is a record.
     links: DetHashMap<RawDdlKey, Link>,
 }
 
@@ -59,49 +148,49 @@ impl MappingDb {
     ///
     /// # Panics
     ///
-    /// Panics if the key is already present — keys are globally unique by
-    /// construction, so a duplicate indicates a kernel bug.
+    /// Panics if a record with the key's (VPE, object id) is present —
+    /// the kernel's counter makes those unique, so a duplicate indicates
+    /// a kernel bug.
     pub fn insert(&mut self, cap: Capability) {
-        let prev = self.caps.insert(cap.key.raw(), cap);
-        assert!(prev.is_none(), "duplicate DDL key in mapping database");
+        self.records.insert(cap);
     }
 
     /// Looks up a capability.
     pub fn get(&self, key: DdlKey) -> Result<&Capability> {
-        self.caps.get(&key.raw()).ok_or_else(|| Error::new(Code::NoSuchCap))
+        self.records.get(key).ok_or_else(|| Error::new(Code::NoSuchCap))
     }
 
     /// Looks up a capability mutably.
     pub fn get_mut(&mut self, key: DdlKey) -> Result<&mut Capability> {
-        self.caps.get_mut(&key.raw()).ok_or_else(|| Error::new(Code::NoSuchCap))
+        self.records.get_mut(key).ok_or_else(|| Error::new(Code::NoSuchCap))
     }
 
     /// True if the key is present.
     pub fn contains(&self, key: DdlKey) -> bool {
-        self.caps.contains_key(&key.raw())
+        self.records.get(key).is_some()
     }
 
     /// Number of capabilities in the database.
     pub fn len(&self) -> usize {
-        self.caps.len()
+        self.records.len
     }
 
     /// True if the database is empty.
     pub fn is_empty(&self) -> bool {
-        self.caps.is_empty()
+        self.records.len == 0
     }
 
-    /// Iterates over all capabilities in unspecified (but per-run
-    /// deterministic) order. Diagnostics only — protocol code must walk
-    /// the tree via [`MappingDb::children`] instead.
+    /// Iterates over all capabilities in (creator VPE, object id) order.
+    /// Diagnostics only — protocol code must walk the tree via
+    /// [`MappingDb::children`] instead.
     pub fn iter(&self) -> impl Iterator<Item = &Capability> {
-        self.caps.values()
+        self.records.iter()
     }
 
     /// The children of `key` in creation order (double-ended; revocation
     /// walks push them back to front). Empty if `key` is not local.
     pub fn children(&self, key: DdlKey) -> Children<'_> {
-        let (front, back, remaining) = match self.caps.get(&key.raw()) {
+        let (front, back, remaining) = match self.records.get(key) {
             Some(c) => (c.first_child, c.last_child, c.children),
             None => (None, None, 0),
         };
@@ -116,7 +205,7 @@ impl MappingDb {
     /// Panics if `child` is linked under another parent — a capability
     /// has one parent, so that is a kernel bug.
     pub fn link_child(&mut self, parent: DdlKey, child: DdlKey) -> Result<()> {
-        let p = self.caps.get_mut(&parent.raw()).ok_or_else(|| Error::new(Code::NoSuchCap))?;
+        let p = self.records.get_mut(parent).ok_or_else(|| Error::new(Code::NoSuchCap))?;
         if let Some(link) = self.links.get(&child.raw()) {
             assert_eq!(link.parent, parent, "{child:?} linked under two parents");
             return Ok(());
@@ -141,7 +230,7 @@ impl MappingDb {
             return false;
         }
         self.links.remove(&child.raw());
-        let p = self.caps.get_mut(&parent.raw()).expect("a link's parent is local");
+        let p = self.records.get_mut(parent).expect("a link's parent is local");
         p.children -= 1;
         match prev {
             Some(k) => self.links.get_mut(&k.raw()).expect("sibling is linked").next = next,
@@ -181,12 +270,12 @@ impl MappingDb {
         deleted: &mut Vec<Capability>,
     ) {
         assert!(stack.is_empty(), "the walk stack must start empty");
-        if let Some(parent) = self.caps.get(&key.raw()).and_then(|c| c.parent) {
+        if let Some(parent) = self.records.get(key).and_then(|c| c.parent) {
             self.unlink_child(parent, key);
         }
         stack.push(key);
         while let Some(k) = stack.pop() {
-            if let Some(cap) = self.caps.remove(&k.raw()) {
+            if let Some(cap) = self.records.remove(k) {
                 // Newest first, so pop() visits them oldest first.
                 let mut child = cap.last_child;
                 while let Some(c) = child {
@@ -199,9 +288,11 @@ impl MappingDb {
     }
 
     /// Checks structural invariants; returns a description of the first
-    /// violation (in ascending key order, so reports are stable).
+    /// violation (in record order, so reports are stable).
     /// Test-and-debug aid used by the property tests:
     ///
+    /// 0. Every record is found at its own key, and the record count
+    ///    agrees.
     /// 1. Every link's parent is a local record, and each record's
     ///    child count is the length of its child list walked from
     ///    either end, with `first`/`last`/`prev`/`next` agreeing.
@@ -213,20 +304,21 @@ impl MappingDb {
         let mut links: Vec<(&RawDdlKey, &Link)> = self.links.iter().collect();
         links.sort_unstable_by_key(|(child, _)| **child);
         for (child, link) in links {
-            if !self.caps.contains_key(&link.parent.raw()) {
+            if !self.contains(link.parent) {
                 return Err(format!("link of {child:#x} names missing parent {:?}", link.parent));
             }
         }
-        let mut raws: Vec<RawDdlKey> = self.caps.keys().copied().collect();
-        raws.sort_unstable();
-        let mut walked = 0;
-        for raw in raws {
-            let cap = &self.caps[&raw];
+        let (mut records, mut walked) = (0, 0);
+        for cap in self.records.iter() {
+            records += 1;
+            if !self.records.get(cap.key).is_some_and(|c| core::ptr::eq(c, cap)) {
+                return Err(format!("{:?} is not at its key's address", cap.key));
+            }
             let children = self.walk(cap, true)?;
             self.walk(cap, false)?;
             walked += children.len();
             for child in children {
-                if let Some(c) = self.caps.get(&child.raw()) {
+                if let Some(c) = self.records.get(child) {
                     if c.parent != Some(cap.key) {
                         return Err(format!(
                             "child {child:?} of {key:?} has parent {parent:?}",
@@ -237,8 +329,8 @@ impl MappingDb {
                 }
             }
             if let Some(parent) = cap.parent {
-                let linked = self.links.get(&raw).map(|l| l.parent);
-                if self.caps.contains_key(&parent.raw()) && linked != Some(parent) {
+                let linked = self.links.get(&cap.key.raw()).map(|l| l.parent);
+                if self.contains(parent) && linked != Some(parent) {
                     return Err(format!(
                         "{key:?} not in parent {parent:?} child list",
                         key = cap.key
@@ -253,8 +345,11 @@ impl MappingDb {
                     return Err(format!("cycle through {k:?}"));
                 }
                 seen.push(k);
-                cur = self.caps.get(&k.raw()).and_then(|c| c.parent);
+                cur = self.records.get(k).and_then(|c| c.parent);
             }
+        }
+        if records != self.len() {
+            return Err(format!("{records} records, count {}", self.len()));
         }
         if walked != self.links.len() {
             return Err(format!("{} links, {walked} on their parents' lists", self.links.len()));
@@ -596,5 +691,132 @@ mod tests {
         }
         assert_eq!(db.get(key(100)).unwrap().child_count(), 0);
         assert!(db.links.is_empty());
+    }
+
+    /// Pages currently allocated, over all VPEs.
+    fn pages(db: &MappingDb) -> usize {
+        db.records.vpes.iter().flatten().flatten().count()
+    }
+
+    /// Every access path a key can take, none of which may find or
+    /// change anything for `k`.
+    fn assert_absent(db: &mut MappingDb, k: DdlKey) {
+        let before = format!("{db:?}");
+        assert_eq!(db.get(k).unwrap_err().code(), Code::NoSuchCap);
+        assert_eq!(db.get_mut(k).unwrap_err().code(), Code::NoSuchCap);
+        assert!(!db.contains(k));
+        assert_eq!(db.link_child(k, remote_key(50)).unwrap_err().code(), Code::NoSuchCap);
+        assert!(!db.unlink_child(k, remote_key(0)));
+        assert_eq!(db.mark_revoking(k).unwrap_err().code(), Code::NoSuchCap);
+        assert_eq!(db.children(k).len(), 0);
+        assert_eq!(deletion_order(db, k), Vec::<DdlKey>::new());
+        assert_eq!(format!("{db:?}"), before, "{k:?} changed the database");
+    }
+
+    /// A slot is found by (VPE, object id); a key that shares both with
+    /// a live record but names another PE or type is not that record.
+    #[test]
+    fn forged_key_is_no_such_cap() {
+        let mut db = MappingDb::new();
+        root(&mut db, key(3));
+        db.link_child(key(3), remote_key(0)).unwrap();
+        for forged in [
+            DdlKey::new(PeId(1), VpeId(0), CapType::Memory, 3),
+            DdlKey::new(PeId(0), VpeId(0), CapType::Session, 3),
+        ] {
+            assert_eq!((forged.vpe(), forged.object_id()), (key(3).vpe(), key(3).object_id()));
+            assert_absent(&mut db, forged);
+        }
+        assert_eq!(children(&db, key(3)), vec![remote_key(0)]);
+        db.check_invariants().unwrap();
+    }
+
+    /// Lookups past every allocated VPE or object id grow nothing.
+    #[test]
+    fn out_of_range_key_is_no_such_cap_and_grows_nothing() {
+        let mut db = MappingDb::new();
+        root(&mut db, key(0));
+        db.link_child(key(0), remote_key(0)).unwrap();
+        let shape = |db: &MappingDb| (db.records.vpes.len(), db.records.vpes[0].len());
+        let before = shape(&db);
+        for k in [
+            DdlKey::new(PeId(0), VpeId(1), CapType::Memory, 0),
+            DdlKey::new(PeId(0), VpeId(u16::MAX), CapType::Memory, 0),
+            key(PAGE as u32),
+            key(semper_base::ddl::MAX_OBJECT_ID),
+        ] {
+            assert_absent(&mut db, k);
+        }
+        assert_eq!(shape(&db), before);
+    }
+
+    /// Memory follows live records: a page goes with its last record.
+    #[test]
+    fn deleting_every_record_frees_every_page() {
+        let mut db = MappingDb::new();
+        for i in 0..1000 {
+            root(&mut db, key(i));
+        }
+        assert_eq!(pages(&db), 1000usize.div_ceil(PAGE));
+        // Delete half of each page first, then the rest: a page stays
+        // while any record on it does.
+        for i in (0..1000).filter(|i| i % 2 == 0) {
+            deletion_order(&mut db, key(i));
+        }
+        assert_eq!(pages(&db), 1000usize.div_ceil(PAGE));
+        db.check_invariants().unwrap();
+        for i in (0..1000).filter(|i| i % 2 == 1) {
+            deletion_order(&mut db, key(i));
+        }
+        assert!(db.is_empty());
+        assert_eq!(pages(&db), 0);
+        db.check_invariants().unwrap();
+    }
+
+    /// `iter()` yields exactly the live records, in (VPE, object id)
+    /// order, however inserts and deletes interleave across pages.
+    #[test]
+    fn iter_yields_exactly_the_live_set() {
+        use std::collections::BTreeSet;
+        let mut db = MappingDb::new();
+        let mut live: BTreeSet<(u16, u32)> = BTreeSet::new();
+        let mut next_id = [0u32; 4];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for step in 0..3000 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let r = (x >> 33) as usize;
+            if !r.is_multiple_of(3) || live.is_empty() {
+                let vpe = (r / 3 % 4) as u16;
+                let id = next_id[vpe as usize];
+                next_id[vpe as usize] += 1;
+                let k = DdlKey::new(PeId(vpe), VpeId(vpe), CapType::Memory, id);
+                db.insert(Capability::root(k, mem(), VpeId(vpe), CapSel(0)));
+                live.insert((vpe, id));
+            } else {
+                let &(vpe, id) = live.iter().nth(r / 3 % live.len()).unwrap();
+                let k = DdlKey::new(PeId(vpe), VpeId(vpe), CapType::Memory, id);
+                assert_eq!(deletion_order(&mut db, k), vec![k]);
+                live.remove(&(vpe, id));
+            }
+            if step % 250 == 0 {
+                let seen: Vec<(u16, u32)> =
+                    db.iter().map(|c| (c.key.vpe().0, c.key.object_id())).collect();
+                assert_eq!(seen, live.iter().copied().collect::<Vec<_>>());
+                assert_eq!(db.len(), live.len());
+                db.check_invariants().unwrap();
+            }
+        }
+        assert!(next_id.iter().all(|&n| n as usize > 4 * PAGE), "inserts crossed pages");
+        let seen: Vec<(u16, u32)> = db.iter().map(|c| (c.key.vpe().0, c.key.object_id())).collect();
+        assert_eq!(seen, live.into_iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn invariants_catch_a_record_off_its_address() {
+        let mut db = MappingDb::new();
+        root(&mut db, key(0));
+        db.check_invariants().unwrap();
+        db.get_mut(key(0)).unwrap().key = key(1);
+        assert!(db.check_invariants().unwrap_err().contains("not at its key's address"));
     }
 }

@@ -31,7 +31,7 @@ impl Kernel {
             if ep.0 >= EP_COUNT {
                 return Err(Error::new(Code::InvalidArgs));
             }
-            let key = self.tables.get(&vpe).ok_or(Error::new(Code::NoSuchVpe))?.get(sel)?;
+            let key = self.table(vpe).ok_or(Error::new(Code::NoSuchVpe))?.get(sel)?;
             let cap = self.mapdb.get(key)?;
             if cap.revoking() {
                 return Err(Error::new(Code::RevokeInProgress));

@@ -2,10 +2,18 @@
 //!
 //! # Bookkeeping determinism contract
 //!
-//! All per-capability bookkeeping (mapping database, table reverse
-//! indices, pending operations, revoke waiters, endpoint bindings) lives
-//! in fixed-seed hash maps ([`semper_base::hash`]) so the hot paths are
-//! O(1). Protocol-visible ordering never comes from map iteration: the
+//! State named by a small integer is stored at that integer: per-VPE
+//! tables and state are vectors indexed by [`VpeId`], the PE → VPE map
+//! by [`PeId`], the credit gate by [`KernelId`], and mapping-database
+//! records at their DDL key's (VPE, object id) address. A group's VPEs
+//! are scattered over the global id space, so per-VPE slots are boxed:
+//! an empty slot costs one word. What has no such name — sibling links
+//! keyed by a possibly remote child, table reverse indices, pending
+//! operations, revoke waiters, endpoint bindings — lives in fixed-seed
+//! hash maps ([`semper_base::hash`]). Every lookup is O(1), and one with
+//! an id past a vector's end misses without growing it.
+//!
+//! Protocol-visible ordering never comes from storage order: the
 //! `semper_sim::EventQueue`'s FIFO tie-break stays the sole ordering
 //! authority, subtree walks follow creation-ordered child lists, and the
 //! one teardown path that collects from a map sorts by op id before
@@ -15,7 +23,7 @@ use std::collections::VecDeque;
 
 use semper_base::config::{KernelMode, MachineConfig};
 use semper_base::msg::{KReply, Kcall, Payload, SysReplyData, Syscall, Upcall};
-use semper_base::{Code, DetHashMap, Error, KernelId, Msg, OpId, PeId, Result, VpeId};
+use semper_base::{Code, Error, KernelId, Msg, OpId, PeId, Result, VpeId};
 use semper_caps::{CapTable, Capability, KeyAllocator, MappingDb, MembershipTable};
 use semper_noc::GlobalMemory;
 
@@ -41,9 +49,11 @@ pub struct Kernel {
     pub(crate) vpe_dir: Vec<PeId>,
 
     pub(crate) mapdb: MappingDb,
-    pub(crate) tables: DetHashMap<VpeId, CapTable>,
-    pub(crate) vpes: DetHashMap<VpeId, VpeState>,
-    pub(crate) pe2vpe: DetHashMap<PeId, VpeId>,
+    /// The group's capability tables and VPE states, indexed by VPE id.
+    tables: Vec<Option<Box<CapTable>>>,
+    vpes: Vec<Option<Box<VpeState>>>,
+    /// The VPE on each PE of the group, indexed by PE id.
+    pe2vpe: Vec<Option<VpeId>>,
     pub(crate) keys: KeyAllocator,
     pub(crate) registry: Registry,
     pub(crate) mem: GlobalMemory,
@@ -79,29 +89,38 @@ pub struct Kernel {
 /// The credit gate of §4.1: at most `M_inflight` requests are in
 /// flight towards each peer kernel (one per DTU message slot); further
 /// requests queue here until a consumed request returns its credit.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct CreditGate {
-    /// Send credits left towards each peer kernel contacted so far.
-    credits: DetHashMap<KernelId, u32>,
-    /// Requests waiting for a credit, per peer kernel.
-    queue: DetHashMap<KernelId, VecDeque<Kcall>>,
+    /// Send credits left towards each kernel, indexed by kernel id.
+    credits: Vec<u32>,
+    /// Requests waiting for a credit, per kernel.
+    queue: Vec<VecDeque<Kcall>>,
 }
 
 impl CreditGate {
+    /// A full window of `credits` towards each of `kernels` kernels.
+    fn new(kernels: usize, credits: u32) -> CreditGate {
+        CreditGate { credits: vec![credits; kernels], queue: vec![VecDeque::new(); kernels] }
+    }
+
     /// Drops the requests stalled towards a dead peer (nobody will
     /// consume them; their operations abort instead).
     pub(crate) fn drop_queue(&mut self, peer: KernelId) {
-        self.queue.remove(&peer);
+        self.queue[peer.idx()].clear();
     }
 
     /// No request is stalled behind the gate.
     pub(crate) fn quiescent(&self) -> core::result::Result<(), String> {
-        let mut stalled: Vec<(KernelId, usize)> =
-            self.queue.iter().filter(|(_, q)| !q.is_empty()).map(|(k, q)| (*k, q.len())).collect();
+        let stalled: Vec<(KernelId, usize)> = self
+            .queue
+            .iter()
+            .enumerate()
+            .filter(|(_, q)| !q.is_empty())
+            .map(|(k, q)| (KernelId(k as u16), q.len()))
+            .collect();
         if stalled.is_empty() {
             return Ok(());
         }
-        stalled.sort_unstable();
         Err(format!("credit-stalled requests: {stalled:?}"))
     }
 }
@@ -126,16 +145,17 @@ impl Kernel {
         mem: GlobalMemory,
     ) -> Kernel {
         let pe = membership.kernel_pe(id);
+        let kgate = CreditGate::new(membership.kernel_count(), cfg.max_inflight);
         Kernel {
             id,
             pe,
+            pe2vpe: vec![None; membership.pe_count()],
             cfg,
             membership,
             vpe_dir: Vec::new(),
             mapdb: MappingDb::new(),
-            tables: DetHashMap::default(),
-            vpes: DetHashMap::default(),
-            pe2vpe: DetHashMap::default(),
+            tables: Vec::new(),
+            vpes: Vec::new(),
             keys: KeyAllocator::new(),
             registry: Registry::new(),
             mem,
@@ -143,7 +163,7 @@ impl Kernel {
             next_op: 1,
             revoke: Default::default(),
             continuation_cost: 0,
-            kgate: CreditGate::default(),
+            kgate,
             eps: crate::epbind::EpBindings::new(),
             fault: Default::default(),
             stats: KernelStats::default(),
@@ -203,7 +223,7 @@ impl Kernel {
     /// VPE.
     pub fn add_vpe(&mut self, vpe: VpeId, pe: PeId) {
         assert_eq!(self.membership.kernel_of(pe), self.id, "PE not in this group");
-        assert!(!self.pe2vpe.contains_key(&pe), "PE already hosts a VPE");
+        assert!(self.pe2vpe[pe.idx()].is_none(), "PE already hosts a VPE");
         let mut table = CapTable::new(FIRST_FREE_SEL);
         let key = self.keys.alloc(pe, vpe, semper_base::CapType::Vpe);
         table.insert(semper_base::CapSel(SEL_VPE), key).expect("selector 0 is reserved and free");
@@ -214,19 +234,44 @@ impl Kernel {
             semper_base::CapSel(SEL_VPE),
         ));
         self.stats.caps_created += 1;
-        self.tables.insert(vpe, table);
-        self.vpes.insert(vpe, VpeState::new(vpe, pe));
-        self.pe2vpe.insert(pe, vpe);
+        if vpe.idx() >= self.tables.len() {
+            self.tables.resize_with(vpe.idx() + 1, || None);
+            self.vpes.resize_with(vpe.idx() + 1, || None);
+        }
+        self.tables[vpe.idx()] = Some(Box::new(table));
+        self.vpes[vpe.idx()] = Some(Box::new(VpeState::new(vpe, pe)));
+        self.pe2vpe[pe.idx()] = Some(vpe);
     }
 
     /// The capability table of a VPE (tests and verification).
     pub fn table(&self, vpe: VpeId) -> Option<&CapTable> {
-        self.tables.get(&vpe)
+        self.tables.get(vpe.idx())?.as_deref()
+    }
+
+    /// The capability table of a VPE of this group.
+    pub(crate) fn table_mut(&mut self, vpe: VpeId) -> Option<&mut CapTable> {
+        self.tables.get_mut(vpe.idx())?.as_deref_mut()
+    }
+
+    /// Every capability table of the group, in VPE order.
+    fn tables(&self) -> impl Iterator<Item = (VpeId, &CapTable)> {
+        let tables = self.tables.iter().enumerate();
+        tables.filter_map(|(v, t)| Some((VpeId(v as u16), t.as_deref()?)))
+    }
+
+    /// The state of a VPE of this group.
+    pub(crate) fn vpe_state(&self, vpe: VpeId) -> Option<&VpeState> {
+        self.vpes.get(vpe.idx())?.as_deref()
+    }
+
+    /// The state of a VPE of this group, mutably.
+    pub(crate) fn vpe_state_mut(&mut self, vpe: VpeId) -> Option<&mut VpeState> {
+        self.vpes.get_mut(vpe.idx())?.as_deref_mut()
     }
 
     /// True if the VPE is registered here and alive.
     pub fn vpe_alive(&self, vpe: VpeId) -> bool {
-        self.vpes.get(&vpe).map(|v| v.alive()).unwrap_or(false)
+        self.vpe_state(vpe).is_some_and(|v| v.alive())
     }
 
     // ----- id helpers -------------------------------------------------
@@ -252,7 +297,7 @@ impl Kernel {
 
     /// The VPE on a PE of this group.
     pub(crate) fn vpe_on_pe(&self, pe: PeId) -> Result<VpeId> {
-        self.pe2vpe.get(&pe).copied().ok_or_else(|| Error::new(Code::NoSuchVpe))
+        self.pe2vpe.get(pe.idx()).copied().flatten().ok_or_else(|| Error::new(Code::NoSuchVpe))
     }
 
     /// Cost of following one capability reference: plain lookup in M3
@@ -283,15 +328,18 @@ impl Kernel {
         }
         self.pending.insert(op, state);
         let in_use = self.pending.threads_in_use();
+        // The pool only grows (VPEs are added, never removed), so only a
+        // new maximum can exceed it.
         if in_use > self.stats.max_pending_ops {
             self.stats.max_pending_ops = in_use;
+            let vpes = self.vpes.iter().flatten().count() as u32;
+            let pool = u64::from(self.cfg.thread_pool_size(vpes));
+            assert!(
+                in_use <= pool,
+                "kernel {id}: {in_use} thread-holding ops exceed pool {pool}",
+                id = self.id
+            );
         }
-        let pool = u64::from(self.cfg.thread_pool_size(self.vpes.len() as u32));
-        debug_assert!(
-            in_use <= pool,
-            "kernel {id}: {in_use} thread-holding ops exceed pool {pool}",
-            id = self.id
-        );
     }
 
     // ----- messaging helpers -------------------------------------------
@@ -317,7 +365,7 @@ impl Kernel {
         tag: u64,
         result: Result<SysReplyData>,
     ) {
-        if let Some(op) = self.vpes.get(&vpe).and_then(|v| v.batch) {
+        if let Some(op) = self.vpe_state(vpe).and_then(|v| v.batch) {
             self.bulk_item_done(op, tag as usize, result, out);
             return;
         }
@@ -345,8 +393,8 @@ impl Kernel {
         call: Kcall,
         after: Option<u64>,
     ) {
-        debug_assert_ne!(peer, self.id, "kcall to self");
-        let credits = self.kgate.credits.entry(peer).or_insert(self.cfg.max_inflight);
+        assert_ne!(peer, self.id, "kcall to self");
+        let credits = &mut self.kgate.credits[peer.idx()];
         if *credits > 0 {
             *credits -= 1;
             self.stats.kcalls_out += 1;
@@ -357,7 +405,7 @@ impl Kernel {
             }
         } else {
             self.stats.kcalls_credit_stalled += 1;
-            self.kgate.queue.entry(peer).or_default().push_back(call);
+            self.kgate.queue[peer.idx()].push_back(call);
         }
     }
 
@@ -377,14 +425,14 @@ impl Kernel {
     /// chains), and the thread-pool formula `K_max · M_inflight`
     /// accounts for requests that are consumed but not yet answered.
     pub fn return_credit(&mut self, out: &mut Outbox, peer: KernelId) {
-        let credits = self.kgate.credits.entry(peer).or_insert(self.cfg.max_inflight);
+        let credits = &mut self.kgate.credits[peer.idx()];
         // Capped at the configured window: a duplicated request under
         // fault injection is consumed twice at the peer and would
         // otherwise mint a credit out of thin air.
         if *credits < self.cfg.max_inflight {
             *credits += 1;
         }
-        let queued = self.kgate.queue.get_mut(&peer).and_then(|q| q.pop_front());
+        let queued = self.kgate.queue[peer.idx()].pop_front();
         if let Some(call) = queued {
             // Re-send through the credit gate (a credit is available now).
             self.send_kcall(out, peer, call);
@@ -440,7 +488,7 @@ impl Kernel {
         out: &mut Outbox,
     ) -> u64 {
         let entry = self.cfg.cost.syscall_entry;
-        let caller = match self.vpe_on_pe(src).ok().and_then(|vpe| self.vpes.get(&vpe)) {
+        let caller = match self.vpe_on_pe(src).ok().and_then(|vpe| self.vpe_state(vpe)) {
             // A VPE blocked on an active batch may not issue a further
             // call (its reply would be taken for an item completion).
             Some(v) if v.alive() => {
@@ -512,7 +560,7 @@ impl Kernel {
     /// Tears a VPE down: the one path behind `Syscall::Exit` and
     /// [`Kernel::kill_vpe`].
     pub(crate) fn terminate_vpe(&mut self, vpe: VpeId, out: &mut Outbox) -> u64 {
-        if let Some(v) = self.vpes.get_mut(&vpe) {
+        if let Some(v) = self.vpe_state_mut(vpe) {
             v.life = VpeLife::Dead;
         } else {
             return 0;
@@ -527,7 +575,7 @@ impl Kernel {
         // the roots we own. Children in other groups are reached by the
         // revocation protocol itself.
         let roots: Vec<semper_base::CapSel> =
-            self.tables.get(&vpe).map(|t| t.iter().map(|(s, _)| s).collect()).unwrap_or_default();
+            self.table(vpe).map(|t| t.iter().map(|(s, _)| s).collect()).unwrap_or_default();
         let mut cost = 0;
         for sel in roots {
             cost += self.revoke_for_exit(vpe, sel, out);
@@ -553,7 +601,7 @@ impl Kernel {
                 )
             })
             .collect();
-        for (vpe, table) in &self.tables {
+        for (vpe, table) in self.tables() {
             for (sel, key) in table.iter() {
                 lines.push(format!("bind {vpe} {sel:?} -> {key:?}"));
             }
@@ -570,15 +618,13 @@ impl Kernel {
     pub fn check_invariants(&self) -> core::result::Result<(), String> {
         self.mapdb.check_invariants()?;
         self.eps.check_sync()?;
-        let mut by_vpe: Vec<(&VpeId, &CapTable)> = self.tables.iter().collect();
-        by_vpe.sort_by_key(|(vpe, _)| **vpe);
-        for (vpe, table) in by_vpe {
+        for (vpe, table) in self.tables() {
             for (sel, key) in table.iter() {
                 let cap = self
                     .mapdb
                     .get(key)
                     .map_err(|_| format!("{vpe} {sel:?} points at missing cap {key:?}"))?;
-                if (cap.owner, cap.sel) != (*vpe, sel) {
+                if (cap.owner, cap.sel) != (vpe, sel) {
                     return Err(format!(
                         "{vpe} {sel:?} binds {key:?}, which names {} {:?}",
                         cap.owner, cap.sel
@@ -586,10 +632,8 @@ impl Kernel {
                 }
             }
         }
-        let mut caps: Vec<&Capability> = self.mapdb.iter().collect();
-        caps.sort_by_key(|c| c.key);
-        for cap in caps {
-            let bound = self.tables.get(&cap.owner).and_then(|t| t.get(cap.sel).ok());
+        for cap in self.mapdb.iter() {
+            let bound = self.table(cap.owner).and_then(|t| t.get(cap.sel).ok());
             if bound != Some(cap.key) {
                 return Err(format!(
                     "{:?} is not bound at {} {:?} ({bound:?} is)",

@@ -145,7 +145,7 @@ impl Kernel {
             advancing: false,
         };
         self.park(op, PendingOp::Bulk(Phase::Run(Box::new(bulk))));
-        let prev = self.vpes.get_mut(&vpe).expect("caller is local").batch.replace(op);
+        let prev = self.vpe_state_mut(vpe).expect("caller is local").batch.replace(op);
         debug_assert!(prev.is_none(), "{vpe} batch-while-batch not refused");
         self.bulk_advance(op, out)
     }
@@ -197,7 +197,7 @@ impl Kernel {
                     let Some(PendingOp::Bulk(Phase::Run(b))) = self.pending.remove(op) else {
                         unreachable!("checked above");
                     };
-                    if let Some(v) = self.vpes.get_mut(&b.vpe) {
+                    if let Some(v) = self.vpe_state_mut(b.vpe) {
                         v.batch = None;
                     }
                     let results: Vec<Result<SysReplyData>> =
@@ -345,7 +345,7 @@ impl Kernel {
     /// resolve through their own dead-VPE paths; their late results are
     /// dropped.
     pub(crate) fn bulk_vpe_died(&mut self, vpe: VpeId) {
-        if let Some(op) = self.vpes.get_mut(&vpe).and_then(|v| v.batch.take()) {
+        if let Some(op) = self.vpe_state_mut(vpe).and_then(|v| v.batch.take()) {
             self.pending.remove(op);
         }
     }

@@ -238,7 +238,7 @@ impl Kernel {
         // not be under revocation (denying *pointless* exchanges).
         let parent_key = match kind {
             ExchangeKind::Delegate => {
-                let key = self.tables.get(&vpe).ok_or(Error::new(Code::NoSuchVpe))?.get(own_sel)?;
+                let key = self.table(vpe).ok_or(Error::new(Code::NoSuchVpe))?.get(own_sel)?;
                 let cap = self.mapdb.get(key)?;
                 if cap.revoking() {
                     return Err(Error::new(Code::RevokeInProgress));
@@ -254,8 +254,7 @@ impl Kernel {
                 return Err(Error::new(Code::VpeGone));
             }
             if kind == ExchangeKind::Obtain {
-                let key =
-                    self.tables.get(&other).ok_or(Error::new(Code::NoSuchVpe))?.get(other_sel)?;
+                let key = self.table(other).ok_or(Error::new(Code::NoSuchVpe))?.get(other_sel)?;
                 if self.mapdb.get(key)?.revoking() {
                     return Err(Error::new(Code::RevokeInProgress));
                 }
@@ -378,7 +377,7 @@ impl Kernel {
     /// Creates a child of `owner`'s capability at `sel` for `receiver`
     /// (both VPEs in this group). Returns the receiver-side selector.
     fn insert_child_for(&mut self, owner: VpeId, sel: CapSel, receiver: VpeId) -> Result<CapSel> {
-        let parent_key = self.tables.get(&owner).ok_or(Error::new(Code::NoSuchVpe))?.get(sel)?;
+        let parent_key = self.table(owner).ok_or(Error::new(Code::NoSuchVpe))?.get(sel)?;
         let parent = self.mapdb.get(parent_key)?;
         if parent.revoking() {
             return Err(Error::new(Code::RevokeInProgress));
@@ -386,7 +385,7 @@ impl Kernel {
         let desc = parent.kind;
         let recv_pe = self.pe_of_vpe(receiver)?;
         let child_key = self.keys.alloc(recv_pe, receiver, key_type_for(&desc));
-        let recv_table = self.tables.get_mut(&receiver).ok_or(Error::new(Code::NoSuchVpe))?;
+        let recv_table = self.table_mut(receiver).ok_or(Error::new(Code::NoSuchVpe))?;
         let recv_sel = recv_table.insert_new(child_key);
         self.mapdb.insert(Capability::child(child_key, desc, receiver, recv_sel, parent_key));
         self.mapdb.link_child(parent_key, child_key)?;
@@ -413,8 +412,7 @@ impl Kernel {
             if !self.vpe_alive(owner_vpe) {
                 return Err(Error::new(Code::VpeGone));
             }
-            let key =
-                self.tables.get(&owner_vpe).ok_or(Error::new(Code::NoSuchVpe))?.get(owner_sel)?;
+            let key = self.table(owner_vpe).ok_or(Error::new(Code::NoSuchVpe))?.get(owner_sel)?;
             if self.mapdb.get(key)?.revoking() {
                 return Err(Error::new(Code::RevokeInProgress));
             }
@@ -520,7 +518,7 @@ impl Kernel {
                     );
                     return self.cfg.cost.kcall_exit;
                 }
-                let table = self.tables.get_mut(&requester).expect("alive VPE has table");
+                let table = self.table_mut(requester).expect("alive VPE has table");
                 let sel = table.insert_new(child_key);
                 self.mapdb
                     .insert(Capability::child(child_key, desc.kind, requester, sel, desc.key));
@@ -622,7 +620,7 @@ impl Kernel {
 
         if self.cfg.has_feature(Feature::OneWayDelegate) {
             // Ablation: naive one-way protocol — insert immediately.
-            let table = self.tables.get_mut(&recv).expect("alive VPE has table");
+            let table = self.table_mut(recv).expect("alive VPE has table");
             let sel = table.insert_new(child_key);
             self.mapdb.insert(cap.with_sel(sel));
             self.stats.caps_created += 1;
@@ -770,7 +768,7 @@ impl Kernel {
             self.stats.orphans_cleaned += 1;
             Err(Error::new(Code::VpeGone))
         } else {
-            let table = self.tables.get_mut(&cap.owner).expect("alive VPE has table");
+            let table = self.table_mut(cap.owner).expect("alive VPE has table");
             let sel = table.insert_new(cap.key);
             self.mapdb.insert((*cap).with_sel(sel));
             self.stats.caps_created += 1;

@@ -36,12 +36,12 @@ impl PendingTable {
     ///
     /// # Panics
     ///
-    /// Debug-panics if the op id is already registered (ids are unique
-    /// by construction).
+    /// Panics if the op id is already registered (ids are unique by
+    /// construction).
     pub fn insert(&mut self, op: OpId, state: PendingOp) {
         self.threads += u64::from(state.holds_thread());
         let prev = self.ops.insert(op.0, state);
-        debug_assert!(prev.is_none(), "op id {op} registered twice");
+        assert!(prev.is_none(), "op id {op} registered twice");
     }
 
     /// Removes and returns a suspended operation.

@@ -35,7 +35,7 @@ impl Kernel {
             let addr = self.mem.alloc(size)?;
             let pe = self.pe_of_vpe(vpe)?;
             let key = self.keys.alloc(pe, vpe, CapType::Memory);
-            let table = self.tables.get_mut(&vpe).ok_or(Error::new(Code::NoSuchVpe))?;
+            let table = self.table_mut(vpe).ok_or(Error::new(Code::NoSuchVpe))?;
             let sel = table.insert_new(key);
             self.mapdb.insert(Capability::root(
                 key,
@@ -63,7 +63,7 @@ impl Kernel {
         out: &mut Outbox,
     ) -> u64 {
         let result = (|| -> Result<SysReplyData> {
-            let parent_key = self.tables.get(&vpe).ok_or(Error::new(Code::NoSuchVpe))?.get(src)?;
+            let parent_key = self.table(vpe).ok_or(Error::new(Code::NoSuchVpe))?.get(src)?;
             let parent = self.mapdb.get(parent_key)?;
             if parent.revoking() {
                 return Err(Error::new(Code::RevokeInProgress));
@@ -82,7 +82,7 @@ impl Kernel {
             }
             let pe = self.pe_of_vpe(vpe)?;
             let key = self.keys.alloc(pe, vpe, CapType::Memory);
-            let table = self.tables.get_mut(&vpe).expect("checked above");
+            let table = self.table_mut(vpe).expect("checked above");
             let sel = table.insert_new(key);
             self.mapdb.insert(Capability::child(
                 key,

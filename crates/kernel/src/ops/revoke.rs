@@ -218,7 +218,7 @@ impl Kernel {
     /// Resolves the subtree roots of a revoke call: the capability itself
     /// (`own = true`) or each of its children (`own = false`).
     pub(crate) fn revoke_roots(&self, vpe: VpeId, sel: CapSel, own: bool) -> Result<Vec<DdlKey>> {
-        let key = self.tables.get(&vpe).ok_or(Error::new(Code::NoSuchVpe))?.get(sel)?;
+        let key = self.table(vpe).ok_or(Error::new(Code::NoSuchVpe))?.get(sel)?;
         if own {
             return Ok(vec![key]);
         }
@@ -229,11 +229,11 @@ impl Kernel {
     /// Revocation for VPE exit: one root at a time; the table entry may
     /// already be gone if an earlier root's subtree covered it.
     pub(crate) fn revoke_for_exit(&mut self, vpe: VpeId, sel: CapSel, out: &mut Outbox) -> u64 {
-        let Some(table) = self.tables.get(&vpe) else { return 0 };
+        let Some(table) = self.table(vpe) else { return 0 };
         let Ok(key) = table.get(sel) else { return 0 };
         if !self.mapdb.contains(key) {
             // Deleted by a previous root's sweep; drop the stale binding.
-            if let Some(t) = self.tables.get_mut(&vpe) {
+            if let Some(t) = self.table_mut(vpe) {
                 t.remove(sel);
             }
             return 0;
@@ -468,7 +468,7 @@ impl Kernel {
         let mut i = 0;
         while i < deleted.len() {
             let owner = deleted[i].owner;
-            let mut table = self.tables.get_mut(&owner);
+            let mut table = self.table_mut(owner);
             while i < deleted.len() && deleted[i].owner == owner {
                 if let Some(t) = table.as_deref_mut() {
                     t.remove_key(deleted[i].key);

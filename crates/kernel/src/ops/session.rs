@@ -113,7 +113,7 @@ impl Kernel {
         let local_count = self.registry.iter().filter(|s| s.owner == self.id).count() as u16;
         let id = ServiceId((self.id.0 << 8) | local_count);
 
-        let table = self.tables.get_mut(&vpe).expect("caller is local");
+        let table = self.table_mut(vpe).expect("caller is local");
         let sel = table.insert_new(srv_key);
         self.mapdb.insert(Capability::root(srv_key, CapKindDesc::Service { id }, vpe, sel));
         self.stats.caps_created += 1;
@@ -396,7 +396,7 @@ impl Kernel {
         ident: u64,
         link_local_parent: bool,
     ) -> semper_base::CapSel {
-        let table = self.tables.get_mut(&client).expect("alive client has table");
+        let table = self.table_mut(client).expect("alive client has table");
         let sel = table.insert_new(child_key);
         self.mapdb.insert(Capability::child(
             child_key,

@@ -632,6 +632,27 @@ fn obtain_nonexistent_selector_fails() {
     assert_eq!(r.result.unwrap_err().code(), Code::NoSuchCap);
 }
 
+/// A VPE id past every allocated one is `NoSuchVpe`, whichever side
+/// of the exchange names it, and changes nothing.
+#[test]
+fn exchange_with_an_unknown_vpe_is_refused() {
+    let mut c = TestCluster::new(2, 1);
+    let sel = create_mem(&mut c, VpeId(0));
+    let digests = |c: &TestCluster| c.kernels.iter().map(|k| k.state_digest()).collect::<Vec<_>>();
+    let before = digests(&c);
+    for (own_sel, other_sel, kind) in [
+        (sel, CapSel::INVALID, ExchangeKind::Delegate),
+        (CapSel::INVALID, sel, ExchangeKind::Obtain),
+    ] {
+        let call = Syscall::Exchange { other: VpeId(u16::MAX), own_sel, other_sel, kind };
+        let r = c.syscall(VpeId(0), call);
+        assert_eq!(r.result.unwrap_err().code(), Code::NoSuchVpe, "{kind:?}");
+    }
+    assert_eq!(digests(&c), before);
+    assert!(c.kernels.iter().all(|k| k.pending_ops() == 0));
+    c.check_invariants();
+}
+
 // ----- batching (ablation) -----------------------------------------------
 
 #[test]
@@ -1073,15 +1094,16 @@ fn delegate_ack_from_an_unasked_kernel_is_counted_under_fault_injection() {
 // ----- messages a kernel does not serve ----------------------------------
 
 /// A system call from a PE that hosts no VPE of the kernel's group —
-/// another group's VPE, or the kernel's own PE — is answered
-/// `NoSuchVpe` at the ordinary refusal price: membership is static, so
-/// no other kernel will answer in this one's place, and the caller must
-/// not block forever.
+/// another group's VPE, the kernel's own PE, or a PE id past the
+/// machine — is answered `NoSuchVpe` at the ordinary refusal price:
+/// membership is static, so no other kernel will answer in this one's
+/// place, and the caller must not block forever.
 #[test]
 fn syscall_from_outside_the_group_is_refused() {
     let mut c = TestCluster::new(2, 1);
     let cost = semper_base::config::MachineConfig::small().cost;
-    for src in [c.pe_of(VpeId(1)), c.kernels[0].pe()] {
+    let digest = c.kernels[0].state_digest();
+    for src in [c.pe_of(VpeId(1)), c.kernels[0].pe(), PeId(u16::MAX)] {
         let msg = Msg::new(src, c.kernels[0].pe(), Payload::sys(7, Syscall::Noop));
         let mut out = Outbox::new();
         let cycles = c.kernels[0].handle(&msg, &mut out);
@@ -1091,6 +1113,8 @@ fn syscall_from_outside_the_group_is_refused() {
         assert_eq!(reply.tag, 7);
         assert_eq!(reply.result.unwrap_err().code(), Code::NoSuchVpe);
     }
+    assert_eq!(c.kernels[0].state_digest(), digest);
+    assert_eq!(c.kernels[0].pending_ops(), 0);
 }
 
 /// Payloads meant for other actors (a reply, an upcall, filesystem or
