@@ -137,16 +137,6 @@ impl LoadGen {
         self.completed
     }
 
-    /// (Re)assigns the target servers and depth in place, reusing the
-    /// existing target buffer — machine build constructs every load
-    /// generator empty and assigns its round-robin share afterwards,
-    /// which used to allocate a fresh `Vec` per generator per boot.
-    pub fn set_targets(&mut self, servers: impl Iterator<Item = PeId>, depth: u32) {
-        self.servers.clear();
-        self.servers.extend(servers);
-        self.depth = depth;
-    }
-
     /// Response payload bytes received.
     pub fn bytes(&self) -> u64 {
         self.bytes

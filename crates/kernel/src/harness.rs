@@ -3,8 +3,10 @@
 //! [`TestCluster`] wires several kernels with stub VPEs and a FIFO
 //! message queue — no timing, no NoC model — so protocol logic can be
 //! unit- and property-tested in isolation. The FIFO queue preserves the
-//! per-channel ordering precondition (§4.3.1). Timing-accurate execution
-//! lives in the `semperos` crate's machine.
+//! per-channel ordering precondition (§4.3.1). The kernels, the stubs
+//! and the delivery step are [`crate::host`]'s, shared with the timed
+//! machine in the `semperos` crate; the queue and the fault verdicts
+//! are the cluster's own.
 //!
 //! The stubs auto-accept exchanges and sessions unless told otherwise,
 //! and the queue can be stepped one message at a time to construct the
@@ -16,15 +18,16 @@
 //! by the same `dispatch` every fault-free message takes. The fault
 //! clock is the cluster's step counter.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use semper_base::config::MachineConfig;
-use semper_base::msg::{Payload, SysReply, Syscall, Upcall, UpcallReply};
+use semper_base::msg::{Payload, SysReply, Syscall};
 use semper_base::{KernelId, Msg, PeId, VpeId};
 use semper_caps::MembershipTable;
 use semper_noc::GlobalMemory;
 use semper_sim::{FaultPlan, NetVerdict};
 
+use crate::host::{self, StubVpe};
 use crate::kernel::Kernel;
 use crate::outbox::Outbox;
 
@@ -34,15 +37,9 @@ pub struct TestCluster {
     pub kernels: Vec<Kernel>,
     queue: VecDeque<Msg>,
     membership: MembershipTable,
-    vpe_of_pe: BTreeMap<PeId, VpeId>,
     pe_of_vpe: Vec<PeId>,
-    /// VPEs that deny capability exchanges.
-    deny: BTreeSet<VpeId>,
-    /// VPEs that have been killed (their stub no longer responds).
-    dead: BTreeSet<VpeId>,
-    /// Collected system-call replies, per VPE.
-    replies: BTreeMap<VpeId, Vec<SysReply>>,
-    next_session_ident: u64,
+    /// The stub VPEs, indexed by PE (a kernel's PE holds an unused one).
+    stubs: Vec<StubVpe>,
     tag_counter: u64,
     /// When armed, every dispatched message is recorded (delivery order,
     /// full payload) — the protocol-trace fingerprint used by the
@@ -59,9 +56,6 @@ pub struct TestCluster {
     /// per [`TestCluster::step`] in fault mode (plus quiet-network
     /// jumps to the next release or deadline).
     fault_step: u64,
-    /// Kernels taken down by a scripted crash; all traffic to their
-    /// island drops.
-    dead_islands: BTreeSet<KernelId>,
 }
 
 impl TestCluster {
@@ -69,8 +63,7 @@ impl TestCluster {
     /// VPEs each. PE layout: each group occupies a contiguous PE range;
     /// the group's first PE hosts the kernel, the rest host VPEs.
     pub fn new(kernels: u16, vpes_per_group: u16) -> TestCluster {
-        let group = 1 + vpes_per_group;
-        let num_pes = kernels * group;
+        let num_pes = kernels * (1 + vpes_per_group);
         let mut cfg = MachineConfig::small();
         cfg.num_pes = num_pes;
         cfg.mesh_width = semper_base::config::mesh_width_for(num_pes);
@@ -78,46 +71,25 @@ impl TestCluster {
         cfg.mode = semper_base::KernelMode::SemperOS;
 
         let membership = MembershipTable::contiguous(num_pes, kernels);
-        let mut ks = Vec::new();
-        let mut vpe_of_pe = BTreeMap::new();
-        let mut pe_of_vpe = Vec::new();
-
-        for k in 0..kernels {
-            let mem = GlobalMemory::new((k as u64 + 1) << 32, 1 << 30);
-            ks.push(Kernel::new(KernelId(k), cfg.clone(), membership.clone(), mem));
-        }
-        let mut next_vpe = 0u16;
-        for k in 0..kernels {
-            for p in 1..group {
-                let pe = PeId(k * group + p);
-                let vpe = VpeId(next_vpe);
-                next_vpe += 1;
-                ks[k as usize].add_vpe(vpe, pe);
-                vpe_of_pe.insert(pe, vpe);
-                pe_of_vpe.push(pe);
-            }
-        }
-        let dir: Vec<PeId> = pe_of_vpe.clone();
-        for k in &mut ks {
-            k.set_vpe_dir(dir.clone());
-        }
+        let pe_of_vpe: Vec<PeId> = (0..num_pes)
+            .map(PeId)
+            .filter(|&pe| host::kernel_at(&membership, pe).is_none())
+            .collect();
+        let kernels = host::kernels(&cfg, &membership, &pe_of_vpe, |k| {
+            GlobalMemory::new((u64::from(k.0) + 1) << 32, 1 << 30)
+        });
         TestCluster {
-            kernels: ks,
+            kernels,
             queue: VecDeque::new(),
             membership,
-            vpe_of_pe,
             pe_of_vpe,
-            deny: BTreeSet::new(),
-            dead: BTreeSet::new(),
-            replies: BTreeMap::new(),
-            next_session_ident: 1,
+            stubs: (0..num_pes).map(|_| StubVpe::default()).collect(),
             tag_counter: 0,
             trace: None,
             fault_plan: None,
             delayed: BTreeMap::new(),
             delay_seq: 0,
             fault_step: 0,
-            dead_islands: BTreeSet::new(),
         }
     }
 
@@ -141,36 +113,32 @@ impl TestCluster {
 
     /// The kernel managing a VPE.
     pub fn kernel_of(&self, vpe: VpeId) -> KernelId {
-        for k in &self.kernels {
-            if k.vpe_alive(vpe) || k.table(vpe).is_some() {
-                return k.id();
-            }
-        }
-        panic!("{vpe} not found in any kernel");
+        self.membership.kernel_of(self.pe_of(vpe))
+    }
+
+    fn stub(&mut self, vpe: VpeId) -> &mut StubVpe {
+        &mut self.stubs[self.pe_of_vpe[vpe.idx()].idx()]
     }
 
     /// Makes `vpe` deny future exchange upcalls.
     pub fn deny_exchanges(&mut self, vpe: VpeId) {
-        self.deny.insert(vpe);
+        self.stub(vpe).deny = true;
     }
 
     /// Kills `vpe`: its kernel revokes everything; its stub stops
     /// responding to in-flight upcalls.
     pub fn kill(&mut self, vpe: VpeId) {
-        self.dead.insert(vpe);
+        self.stub(vpe).dead = true;
         let k = self.kernel_of(vpe);
         let mut out = Outbox::new();
         self.kernels[k.idx()].kill_vpe(vpe, &mut out);
-        self.enqueue(out);
+        self.enqueue_from(k, out);
     }
 
     /// Issues a system call from `vpe` without pumping; returns the tag.
     pub fn syscall_async(&mut self, vpe: VpeId, call: Syscall) -> u64 {
-        self.tag_counter += 1;
-        let tag = self.tag_counter;
-        let k = self.kernel_of(vpe);
-        let dst = self.kernels[k.idx()].pe();
-        self.queue.push_back(Msg::new(self.pe_of(vpe), dst, Payload::sys(tag, call)));
+        let (tag, msg) = self.sys_msg(vpe, call);
+        self.queue.push_back(msg);
         tag
     }
 
@@ -180,12 +148,18 @@ impl TestCluster {
     /// under the per-channel FIFO precondition — it is exactly how the
     /// Table 2 races arise on real hardware.
     pub fn syscall_front(&mut self, vpe: VpeId, call: Syscall) -> u64 {
-        self.tag_counter += 1;
-        let tag = self.tag_counter;
-        let k = self.kernel_of(vpe);
-        let dst = self.kernels[k.idx()].pe();
-        self.queue.push_front(Msg::new(self.pe_of(vpe), dst, Payload::sys(tag, call)));
+        let (tag, msg) = self.sys_msg(vpe, call);
+        self.queue.push_front(msg);
         tag
+    }
+
+    /// A fresh tag and the message carrying `call` from `vpe` to its
+    /// kernel.
+    fn sys_msg(&mut self, vpe: VpeId, call: Syscall) -> (u64, Msg) {
+        self.tag_counter += 1;
+        let kernel_pe = self.membership.kernel_pe(self.kernel_of(vpe));
+        let msg = Msg::new(self.pe_of(vpe), kernel_pe, Payload::sys(self.tag_counter, call));
+        (self.tag_counter, msg)
     }
 
     /// Issues a system call and pumps to quiescence; returns the reply.
@@ -197,9 +171,7 @@ impl TestCluster {
 
     /// Removes and returns the reply with the given tag, if present.
     pub fn take_reply(&mut self, vpe: VpeId, tag: u64) -> Option<SysReply> {
-        let list = self.replies.get_mut(&vpe)?;
-        let idx = list.iter().position(|r| r.tag == tag)?;
-        Some(list.remove(idx))
+        self.stub(vpe).take_reply(tag)
     }
 
     /// Processes a single queued message; returns false when idle. In
@@ -235,18 +207,10 @@ impl TestCluster {
         }
     }
 
-    /// Number of queued messages.
-    pub fn queued(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Checks invariants on every kernel (crashed islands excluded —
-    /// their state froze mid-operation by design).
+    /// Checks invariants on every kernel (crashed ones excluded — their
+    /// state froze mid-operation by design).
     pub fn check_invariants(&self) {
-        for k in &self.kernels {
-            if self.dead_islands.contains(&k.id()) {
-                continue;
-            }
+        for k in self.kernels.iter().filter(|k| !k.crashed()) {
             k.check_invariants().unwrap_or_else(|e| panic!("kernel {}: {e}", k.id()));
         }
     }
@@ -273,16 +237,6 @@ impl TestCluster {
         self.fault_plan.as_ref().map(|p| p.stats())
     }
 
-    /// Kernels taken down by scripted crashes.
-    pub fn dead_kernels(&self) -> &BTreeSet<KernelId> {
-        &self.dead_islands
-    }
-
-    /// True if this kernel is still up.
-    pub fn kernel_alive(&self, k: KernelId) -> bool {
-        !self.dead_islands.contains(&k)
-    }
-
     /// Asserts that the cluster reached true quiescence: no queued or
     /// delayed messages, and every surviving kernel passes
     /// [`Kernel::check_quiescent`] (empty ledger, no leaked waiters).
@@ -290,10 +244,7 @@ impl TestCluster {
     pub fn assert_quiescent(&self) {
         assert!(self.queue.is_empty(), "{} messages still queued", self.queue.len());
         assert!(self.delayed.is_empty(), "{} messages still delayed", self.delayed.len());
-        for k in &self.kernels {
-            if self.dead_islands.contains(&k.id()) {
-                continue;
-            }
+        for k in self.kernels.iter().filter(|k| !k.crashed()) {
             k.check_quiescent().unwrap_or_else(|e| panic!("not quiescent: {e}"));
         }
     }
@@ -317,7 +268,7 @@ impl TestCluster {
             let next = self
                 .kernels
                 .iter()
-                .filter(|k| !self.dead_islands.contains(&k.id()))
+                .filter(|k| !k.crashed())
                 .filter_map(|k| k.next_fault_deadline())
                 .min();
             let Some(deadline) = next else {
@@ -340,35 +291,26 @@ impl TestCluster {
         self.queue.extend(due.into_values());
     }
 
-    /// Runs every surviving kernel's deadline poll (in kernel-id order)
-    /// and injects whatever the aborts produced.
+    /// Runs every surviving kernel's deadline poll and injects whatever
+    /// the aborts produced.
     fn poll_fault_deadlines(&mut self) {
-        for kidx in 0..self.kernels.len() {
-            if self.dead_islands.contains(&self.kernels[kidx].id()) {
-                continue;
-            }
-            let mut out = Outbox::new();
-            self.kernels[kidx].poll_faults(self.fault_step, &mut out);
-            self.enqueue(out);
-            if self.kernels[kidx].crashed() {
-                // A crash point on an abort path (e.g. a re-park).
-                self.kernel_down(self.kernels[kidx].id());
-            }
-        }
+        let now = self.fault_step;
+        self.each_survivor(|k, out| k.poll_faults(now, out));
     }
 
-    /// Delivers one message under the fault plan: traffic to dead
-    /// islands drops, inter-kernel messages take the plan's verdict,
+    /// Delivers one message under the fault plan: traffic to crashed
+    /// kernels drops, inter-kernel messages take the plan's verdict,
     /// and whatever survives both goes through [`TestCluster::dispatch`]
     /// like any fault-free message.
     fn deliver_faulted(&mut self, msg: Msg) {
-        let (src, dst) = self.kernel_ends(&msg);
-        // Traffic addressed to a crashed island vanishes. A request's
+        let src = host::kernel_at(&self.membership, msg.src);
+        let dst = host::kernel_at(&self.membership, msg.dst);
+        // Traffic addressed to a crashed kernel vanishes. A request's
         // DTU slot at the dead end is gone with it; release the
         // sender's credit so its queue towards the corpse keeps
         // draining (those requests abort via peer-death or deadline).
-        if dst.is_some_and(|d| self.dead_islands.contains(&d)) {
-            self.free_slot(&msg, src, dst);
+        if dst.is_some_and(|d| self.kernels[d.idx()].crashed()) {
+            self.free_slot(&msg);
             return;
         }
         // The plan's verdict applies to the inter-kernel NoC boundary
@@ -383,7 +325,7 @@ impl TestCluster {
                     // The message is lost *after* the wire: treat the
                     // slot as consumed so credit accounting cannot
                     // deadlock the sender.
-                    self.free_slot(&msg, src, dst);
+                    self.free_slot(&msg);
                     return;
                 }
                 NetVerdict::Duplicate => {
@@ -401,18 +343,22 @@ impl TestCluster {
         self.dispatch(msg);
     }
 
-    /// Takes a crashed kernel's island down: marks it dead and runs
-    /// peer-death detection on every survivor (in kernel-id order), so
-    /// their in-flight operations towards the corpse abort.
+    /// Takes a crashed kernel's island down: runs peer-death detection
+    /// on every survivor (in kernel-id order), so their in-flight
+    /// operations towards the corpse abort.
     fn kernel_down(&mut self, dead: KernelId) {
-        self.dead_islands.insert(dead);
+        self.each_survivor(|k, out| k.peer_down(dead, out));
+    }
+
+    /// Runs `f` on every surviving kernel, in kernel-id order, and queues
+    /// what each emits.
+    fn each_survivor(&mut self, f: impl Fn(&mut Kernel, &mut Outbox)) {
         for i in 0..self.kernels.len() {
-            if self.dead_islands.contains(&self.kernels[i].id()) {
-                continue;
+            if !self.kernels[i].crashed() {
+                let mut out = Outbox::new();
+                f(&mut self.kernels[i], &mut out);
+                self.enqueue_from(KernelId(i as u16), out);
             }
-            let mut out = Outbox::new();
-            self.kernels[i].peer_down(dead, &mut out);
-            self.enqueue(out);
         }
     }
 
@@ -421,86 +367,54 @@ impl TestCluster {
         self.kernels.iter().map(|k| k.mapdb().len()).sum()
     }
 
-    /// The kernels at the two ends of `msg`: `None` for an end that is
-    /// not a kernel's own PE.
-    fn kernel_ends(&self, msg: &Msg) -> (Option<KernelId>, Option<KernelId>) {
-        let at = |pe: PeId| {
-            let k = self.membership.kernel_of(pe);
-            (self.membership.kernel_pe(k) == pe).then_some(k)
-        };
-        (at(msg.src), at(msg.dst))
-    }
-
     /// Appends a handler's output to the message queue.
     fn enqueue(&mut self, mut out: Outbox) {
         self.queue.extend(out.drain_iter().map(|(m, _)| m));
     }
 
-    /// DTU slot tracking: an inter-kernel request that was consumed (or
-    /// lost past the wire) frees its slot at `dst`, which returns the
-    /// sender's credit (see [`Kernel::return_credit`]) and queues
-    /// whatever the credit released. A crashed sender gets nothing back.
-    fn free_slot(&mut self, msg: &Msg, src: Option<KernelId>, dst: Option<KernelId>) {
-        let (Some(src), Some(dst), Payload::Kcall(_)) = (src, dst, &msg.payload) else { return };
-        if self.dead_islands.contains(&src) {
-            return;
-        }
-        let mut out = Outbox::new();
-        self.kernels[src.idx()].return_credit(&mut out, dst);
+    /// Queues what kernel `k` emitted outside a delivery (a kill, a
+    /// deadline poll, a peer-death abort). A crash point that fired on
+    /// the way (an abort path can re-park) takes the kernel down, as
+    /// one inside a delivery does.
+    fn enqueue_from(&mut self, k: KernelId, out: Outbox) {
         self.enqueue(out);
+        if self.kernels[k.idx()].crashed() {
+            self.kernel_down(k);
+        }
+    }
+
+    /// Frees the DTU slot of a request lost past the wire (see
+    /// [`host::free_slot`]) and queues whatever the credit released.
+    fn free_slot(&mut self, msg: &Msg) {
+        let mut credits = Outbox::new();
+        host::free_slot(&mut self.kernels, &self.membership, msg, &mut credits);
+        self.enqueue(credits);
     }
 
     /// The one delivery funnel: every message that reaches its
     /// destination — fault-free, or past the plan's verdict — is handled
-    /// here.
+    /// here, by [`host::deliver`] for a kernel and by its stub for a
+    /// VPE. A kernel's output is queued before the credit traffic.
     fn dispatch(&mut self, msg: Msg) {
         if let Some(trace) = &mut self.trace {
             trace.push(format!("{}->{} {:?}", msg.src, msg.dst, msg.payload));
         }
-        let (src, dst) = self.kernel_ends(&msg);
-        if let Some(k) = dst {
-            let mut out = Outbox::new();
-            self.kernels[k.idx()].handle(&msg, &mut out);
-            if self.kernels[k.idx()].crashed() {
-                // A scripted crash point fired *inside* this handler:
-                // the island dies with the handler's output unsent.
-                self.kernel_down(k);
-                return;
-            }
+        let mut out = Outbox::new();
+        let Some(k) = host::kernel_at(&self.membership, msg.dst) else {
+            // The cluster is untimed: the stub's cost goes unused.
+            self.stubs[msg.dst.idx()].handle(&msg, &mut out, &self.kernels[0].cfg.cost);
             self.enqueue(out);
-            self.free_slot(&msg, src, dst);
             return;
-        }
-        // VPE stub.
-        let Some(vpe) = self.vpe_of_pe.get(&msg.dst).copied() else {
-            panic!("message to unknown PE {}", msg.dst);
         };
-        if self.dead.contains(&vpe) {
-            // Dead PEs drop traffic.
-            return;
-        }
-        match msg.payload {
-            Payload::SysReply(reply) => {
-                self.replies.entry(vpe).or_default().push(reply);
-            }
-            Payload::Upcall(Upcall::AcceptExchange { op, .. }) => {
-                let accept = !self.deny.contains(&vpe);
-                self.queue.push_back(Msg::new(
-                    msg.dst,
-                    msg.src,
-                    Payload::upcall_reply(UpcallReply::AcceptExchange { op, accept }),
-                ));
-            }
-            Payload::Upcall(Upcall::SessionOpen { op, .. }) => {
-                let ident = self.next_session_ident;
-                self.next_session_ident += 1;
-                self.queue.push_back(Msg::new(
-                    msg.dst,
-                    msg.src,
-                    Payload::upcall_reply(UpcallReply::SessionOpen { op, result: Ok(ident) }),
-                ));
-            }
-            other => panic!("stub VPE {vpe} got unexpected payload {other:?}"),
+        let mut credits = Outbox::new();
+        let handled =
+            host::deliver(&mut self.kernels, &self.membership, &msg, &mut out, &mut credits);
+        self.enqueue(out);
+        self.enqueue(credits);
+        if handled.is_none() {
+            // A scripted crash point fired *inside* this handler: the
+            // island died with the handler's output unsent.
+            self.kernel_down(k);
         }
     }
 }
@@ -538,49 +452,35 @@ mod tests {
     fn create_mem_gives_selector() {
         let mut c = TestCluster::new(1, 2);
         let r = c.syscall(VpeId(0), Syscall::CreateMem { size: 4096, perms: Perms::RW });
-        match r.result {
-            Ok(SysReplyData::Mem { sel, .. }) => assert_ne!(sel, CapSel::INVALID),
-            other => panic!("unexpected reply {other:?}"),
-        }
+        assert!(matches!(r.result, Ok(SysReplyData::Mem { sel, .. }) if sel != CapSel::INVALID));
         c.check_invariants();
+    }
+
+    /// VPE 1 obtains VPE 0's fresh memory capability; returns the
+    /// kernels' exchange counters (local, spanning).
+    fn obtain_from_vpe0(mut c: TestCluster) -> Vec<(u64, u64)> {
+        let r = c.syscall(VpeId(0), Syscall::CreateMem { size: 64, perms: Perms::RW });
+        let Ok(SysReplyData::Mem { sel, .. }) = r.result else { panic!() };
+        let kind = ExchangeKind::Obtain;
+        let call =
+            Syscall::Exchange { other: VpeId(0), own_sel: CapSel::INVALID, other_sel: sel, kind };
+        let r = c.syscall(VpeId(1), call);
+        assert!(matches!(r.result, Ok(SysReplyData::Sel(_))), "{:?}", r.result);
+        c.check_invariants();
+        c.kernels
+            .iter()
+            .map(|k| (k.stats().exchanges_local, k.stats().exchanges_spanning))
+            .collect()
     }
 
     #[test]
     fn local_obtain_roundtrip() {
-        let mut c = TestCluster::new(1, 2);
-        let r = c.syscall(VpeId(0), Syscall::CreateMem { size: 64, perms: Perms::RW });
-        let Ok(SysReplyData::Mem { sel, .. }) = r.result else { panic!() };
-        let r = c.syscall(
-            VpeId(1),
-            Syscall::Exchange {
-                other: VpeId(0),
-                own_sel: CapSel::INVALID,
-                other_sel: sel,
-                kind: ExchangeKind::Obtain,
-            },
-        );
-        assert!(matches!(r.result, Ok(SysReplyData::Sel(_))), "{:?}", r.result);
-        c.check_invariants();
-        assert_eq!(c.kernels[0].stats().exchanges_local, 1);
+        assert_eq!(obtain_from_vpe0(TestCluster::new(1, 2)), [(1, 0)]);
     }
 
     #[test]
     fn spanning_obtain_roundtrip() {
-        let mut c = TestCluster::new(2, 1);
-        // VPE0 in group 0, VPE1 in group 1.
-        let r = c.syscall(VpeId(0), Syscall::CreateMem { size: 64, perms: Perms::RW });
-        let Ok(SysReplyData::Mem { sel, .. }) = r.result else { panic!() };
-        let r = c.syscall(
-            VpeId(1),
-            Syscall::Exchange {
-                other: VpeId(0),
-                own_sel: CapSel::INVALID,
-                other_sel: sel,
-                kind: ExchangeKind::Obtain,
-            },
-        );
-        assert!(matches!(r.result, Ok(SysReplyData::Sel(_))), "{:?}", r.result);
-        c.check_invariants();
-        assert_eq!(c.kernels[1].stats().exchanges_spanning, 1);
+        // VPE 0 in group 0, VPE 1 in group 1.
+        assert_eq!(obtain_from_vpe0(TestCluster::new(2, 1)), [(0, 0), (0, 1)]);
     }
 }

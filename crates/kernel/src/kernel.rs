@@ -45,7 +45,7 @@ pub struct Kernel {
     pub(crate) pe: PeId,
     pub(crate) cfg: MachineConfig,
     pub(crate) membership: MembershipTable,
-    /// Global VPE → PE directory (static; set up at boot by the machine).
+    /// Global VPE → PE directory (static).
     pub(crate) vpe_dir: Vec<PeId>,
 
     pub(crate) mapdb: MappingDb,
@@ -92,7 +92,7 @@ pub struct Kernel {
 #[derive(Debug)]
 pub(crate) struct CreditGate {
     /// Send credits left towards each kernel, indexed by kernel id.
-    credits: Vec<u32>,
+    pub(crate) credits: Vec<u32>,
     /// Requests waiting for a credit, per kernel.
     queue: Vec<VecDeque<Kcall>>,
 }
@@ -133,7 +133,8 @@ pub(crate) fn nestable(call: &Syscall) -> bool {
 }
 
 impl Kernel {
-    /// Creates a kernel for group `id` running on PE `pe`.
+    /// Creates a kernel for group `id` of `membership`, with the global
+    /// VPE → PE directory `vpe_dir` and no VPEs of its own yet.
     ///
     /// `mem` is this kernel's partition of the global address space
     /// (kernels allocate memory independently — state is kept where it
@@ -142,6 +143,7 @@ impl Kernel {
         id: KernelId,
         cfg: MachineConfig,
         membership: MembershipTable,
+        vpe_dir: Vec<PeId>,
         mem: GlobalMemory,
     ) -> Kernel {
         let pe = membership.kernel_pe(id);
@@ -152,7 +154,7 @@ impl Kernel {
             pe2vpe: vec![None; membership.pe_count()],
             cfg,
             membership,
-            vpe_dir: Vec::new(),
+            vpe_dir,
             mapdb: MappingDb::new(),
             tables: Vec::new(),
             vpes: Vec::new(),
@@ -199,11 +201,6 @@ impl Kernel {
     /// threads in use (§4.2).
     pub fn pending_ops(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Installs the global VPE → PE directory (boot).
-    pub fn set_vpe_dir(&mut self, dir: Vec<PeId>) {
-        self.vpe_dir = dir;
     }
 
     /// Enables an optional protocol feature at runtime (ablation tests
@@ -418,9 +415,9 @@ impl Kernel {
 
     /// Returns one credit for `peer` and drains its queue if possible.
     ///
-    /// Called by the machine layer when the peer's DTU *consumed* our
-    /// request (freeing its message slot) — the paper's slot tracking
-    /// (§4.1). Note credits return on consumption, not on the protocol
+    /// Called by the host ([`crate::host::free_slot`]) when the peer's
+    /// DTU *consumed* our request (freeing its message slot) — the
+    /// paper's slot tracking (§4.1). Note credits return on consumption, not on the protocol
     /// reply: replies can be arbitrarily delayed (e.g. deep revocation
     /// chains), and the thread-pool formula `K_max · M_inflight`
     /// accounts for requests that are consumed but not yet answered.

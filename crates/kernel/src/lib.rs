@@ -39,6 +39,7 @@
 pub mod epbind;
 pub mod gates;
 pub mod harness;
+pub mod host;
 pub mod kernel;
 pub mod ops;
 pub mod outbox;

@@ -196,7 +196,7 @@ fn run_plan(name: &'static str, plan: FaultPlan) -> String {
         fs.injected, fs.dropped, fs.duplicated, fs.delayed, fs.partitioned, fs.partitions_healed
     );
     for k in &c.kernels {
-        if !c.kernel_alive(k.id()) {
+        if k.crashed() {
             out.push_str(&format!("  kernel {}: crashed\n", k.id()));
             continue;
         }
@@ -296,8 +296,8 @@ fn kernel_crash_mid_spanning_revoke() {
     let tag = c.syscall_async(VpeId(0), Syscall::Revoke { sel: root, own: true });
     c.pump_all();
 
-    assert!(!c.kernel_alive(KernelId(2)), "the scripted crash point never fired");
-    assert_eq!(c.dead_kernels().len(), 1, "only kernel 2 may die");
+    assert!(c.kernels[2].crashed(), "the scripted crash point never fired");
+    assert_eq!(c.kernels.iter().filter(|k| k.crashed()).count(), 1, "only kernel 2 may die");
     let reply = c.take_reply(VpeId(0), tag).expect("initiator must be answered");
     assert!(reply.result.is_ok(), "revoke replies are always-Ok: {:?}", reply.result);
     // The initiator lost a leg: its deadline fired and re-sent the
@@ -307,7 +307,7 @@ fn kernel_crash_mid_spanning_revoke() {
     // with its handler's output unsent, so the one capability *behind*
     // it — known only to kernel 2 — is orphaned, and nothing else.
     let mut left = Vec::new();
-    for k in c.kernels.iter().filter(|k| c.kernel_alive(k.id())) {
+    for k in c.kernels.iter().filter(|k| !k.crashed()) {
         for vpe in (0..8u16).map(VpeId) {
             let sels = k.table(vpe).into_iter().flat_map(|t| t.iter());
             left.extend(sels.filter(|(sel, _)| sel.0 != 0).map(|(sel, _)| (vpe, sel)));
@@ -374,7 +374,7 @@ fn peer_crash_at_delegate_at_recv_yields_real_error() {
 
     let root = create_mem(&mut c, VpeId(0));
     let r = c.syscall(VpeId(0), exchange(VpeId(2), root, ExchangeKind::Delegate));
-    assert!(!c.kernel_alive(KernelId(1)), "the scripted crash point never fired");
+    assert!(c.kernels[1].crashed(), "the scripted crash point never fired");
     assert_eq!(r.result.unwrap_err().code(), Code::Timeout, "a dead peer must abort the delegate");
     let k0 = &c.kernels[0];
     assert!(k0.stats().ops_aborted >= 1, "the delegate leg never aborted");
