@@ -356,9 +356,8 @@ impl Replayer {
     }
 
     fn on_fs_reply(&mut self, reply: &FsReply, out: &mut Outbox) -> (u64, bool) {
-        // Previously a `debug_assert!` — a mismatched tag in a release
-        // build silently dropped the reply and wedged the client. Now
-        // it is a hard error surfaced through `ClientPhase::Failed`.
+        // A mismatched tag is a hard error, surfaced through
+        // `ClientPhase::Failed` in every build profile.
         if let Err(e) = self.fs.accept(reply.tag) {
             self.fail(e);
             return (0, false);

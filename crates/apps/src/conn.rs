@@ -1,35 +1,11 @@
 //! The one kernel connection (and reply correlator) every client uses.
 //!
-//! Before this module, every actor that talked to a kernel or a service
-//! hand-rolled the same three pieces of state: a tag counter, a
-//! "waiting for tag X" marker, and a `debug_assert!` that the echoed
-//! tag matched — which meant a mismatched reply was *silently dropped*
-//! in release builds. [`KernelConn`] and [`Correlator`] are the single
-//! implementation of that bookkeeping: typed submission, completion
-//! matching that returns a hard [`Error`] on any mismatch, and a
-//! [`BatchBuilder`] for issuing several capability operations as one
-//! [`Syscall::Batch`].
-//!
-//! # Migrating from hand-rolled tags
-//!
-//! The pre-`KernelConn` pattern, repeated in the trace replayer, the
-//! webserver, and the m3fs service:
-//!
-//! ```text
-//! // before: every actor owned this state machine
-//! next_tag: u64,
-//! syscall_busy: bool,            // or: waiting: Waiting::Fs(tag)
-//! ...
-//! let tag = self.next_tag;
-//! self.next_tag += 1;
-//! self.syscall_busy = true;
-//! out.push(Msg::new(self.pe, self.kernel_pe, Payload::sys(tag, call)));
-//! ...
-//! // on reply: drops mismatches in release builds!
-//! debug_assert!(self.waiting == Waiting::Fs(reply.tag));
-//! ```
-//!
-//! becomes:
+//! Every actor that talks to a kernel or a service — the trace
+//! replayer, the webserver and the m3fs service — keeps its request
+//! tags here. [`KernelConn`] and [`Correlator`] are the single
+//! implementation of that bookkeeping: typed submission, and completion
+//! matching that returns a hard [`Error`] on any mismatch, in every
+//! build profile:
 //!
 //! ```
 //! # use semper_apps::conn::KernelConn;
@@ -56,8 +32,7 @@ use semper_base::{Code, Error, Msg, PeId, Result};
 /// Matches request tags to reply tags for a channel with one request in
 /// flight at a time (syscalls to a kernel, filesystem IPC over a
 /// session). Allocates tags monotonically; rejects replies that do not
-/// match the outstanding request with a hard error instead of a
-/// debug-only assertion.
+/// match the outstanding request with a hard error.
 #[derive(Debug, Clone)]
 pub struct Correlator {
     next_tag: u64,
@@ -65,9 +40,7 @@ pub struct Correlator {
 }
 
 impl Correlator {
-    /// A correlator whose first issued tag is `first_tag` (existing
-    /// actors keep their historical tag sequences, so message payloads
-    /// are byte-identical to the hand-rolled counters they replace).
+    /// A correlator whose first issued tag is `first_tag`.
     pub fn new(first_tag: u64) -> Correlator {
         Correlator { next_tag: first_tag, waiting: None }
     }
@@ -86,10 +59,11 @@ impl Correlator {
     ///
     /// # Panics
     ///
-    /// Debug-panics if a request is already outstanding (one blocking
-    /// request per channel).
+    /// Panics if a request is already outstanding (one blocking request
+    /// per channel): overwriting its tag would turn its reply into an
+    /// unrelated mismatch.
     pub fn issue(&mut self) -> u64 {
-        debug_assert!(self.waiting.is_none(), "one request in flight at a time");
+        assert!(self.waiting.is_none(), "one request in flight at a time");
         let tag = self.next_tag;
         self.next_tag += 1;
         self.waiting = Some(tag);
@@ -130,7 +104,7 @@ impl Token {
 
 /// A VPE's connection to its group's kernel: typed submission of
 /// [`Syscall`]s, single-slot completion tracking, hard-error reply
-/// matching. See the module docs for the migration story.
+/// matching.
 #[derive(Debug, Clone)]
 pub struct KernelConn {
     pe: PeId,
@@ -146,7 +120,7 @@ impl KernelConn {
     }
 
     /// Like [`KernelConn::new`] with an explicit first tag (the trace
-    /// replayer historically tags its session call 0).
+    /// replayer tags its session call 0).
     pub fn starting_at(pe: PeId, kernel_pe: PeId, first_tag: u64) -> KernelConn {
         KernelConn { pe, kernel_pe, corr: Correlator::new(first_tag) }
     }
@@ -180,45 +154,6 @@ impl KernelConn {
     /// Clears the in-flight marker (failure teardown).
     pub fn reset(&mut self) {
         self.corr.reset();
-    }
-}
-
-/// Builds a [`Syscall::Batch`]: N capability operations submitted as
-/// one message, answered by one
-/// [`SysReplyData::Batch`](semper_base::msg::SysReplyData::Batch) of
-/// per-item results. The m3fs service uses this to revoke all of a
-/// closed file's delegated extents in one round trip; see
-/// `semper_kernel::ops::bulk` for the kernel side.
-#[derive(Debug, Default, Clone)]
-pub struct BatchBuilder {
-    items: Vec<Syscall>,
-}
-
-impl BatchBuilder {
-    /// An empty batch.
-    pub fn new() -> BatchBuilder {
-        BatchBuilder::default()
-    }
-
-    /// Appends one operation; items execute in push order.
-    pub fn push(&mut self, call: Syscall) -> &mut BatchBuilder {
-        self.items.push(call);
-        self
-    }
-
-    /// Number of queued operations.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True if nothing was queued.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Submits the batch over `conn` as a single [`Syscall::Batch`].
-    pub fn submit(self, conn: &mut KernelConn, out: &mut Outbox) -> Token {
-        conn.submit(Syscall::Batch(self.items.into_boxed_slice()), out)
     }
 }
 
@@ -266,22 +201,13 @@ mod tests {
         assert!(!c.busy());
     }
 
+    /// A second request while one is outstanding is refused in every
+    /// build profile, before it can overwrite the outstanding tag.
     #[test]
-    fn batch_builder_wraps_items_in_order() {
-        let mut conn = KernelConn::new(PeId(5), PeId(0));
-        let mut out = Outbox::new();
-        let mut b = BatchBuilder::new();
-        assert!(b.is_empty());
-        b.push(Syscall::Noop);
-        b.push(Syscall::Revoke { sel: semper_base::CapSel(7), own: true });
-        assert_eq!(b.len(), 2);
-        let _ = b.submit(&mut conn, &mut out);
-        let msgs = out.drain();
-        let Payload::Sys { call: Syscall::Batch(items), .. } = &msgs[0].0.payload else {
-            panic!("expected a batch syscall");
-        };
-        assert_eq!(items.len(), 2);
-        assert!(matches!(items[0], Syscall::Noop));
-        assert!(matches!(items[1], Syscall::Revoke { .. }));
+    #[should_panic(expected = "one request in flight at a time")]
+    fn second_issue_while_busy_panics() {
+        let mut c = Correlator::new(1);
+        let _ = c.issue();
+        let _ = c.issue();
     }
 }

@@ -17,8 +17,8 @@
 //! * [`nginx`] — the webserver experiment (§5.3.3): server VPEs that
 //!   replay a request-handling trace and closed-loop load generators.
 //! * [`conn`] — the one kernel-connection/reply-matching implementation
-//!   ([`KernelConn`], [`conn::Correlator`], [`conn::BatchBuilder`])
-//!   shared by every actor above and by the m3fs service.
+//!   ([`KernelConn`], [`conn::Correlator`]) shared by every actor above
+//!   and by the m3fs service.
 
 pub mod client;
 pub mod conn;
@@ -26,6 +26,6 @@ pub mod nginx;
 pub mod trace;
 
 pub use client::{AppClient, ClientPhase, ClientStats};
-pub use conn::{BatchBuilder, KernelConn};
+pub use conn::KernelConn;
 pub use nginx::{LoadGen, NginxServer};
 pub use trace::{AppKind, Trace, TraceOp};

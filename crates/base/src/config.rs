@@ -36,10 +36,12 @@ pub enum KernelMode {
 /// Optional protocol features (for ablation experiments): each one
 /// changes which messages a kernel sends. Mechanisms that are inert
 /// until used are not features — fault tolerance arms with the harness's
-/// `FaultPlan` (`Kernel::enable_fault_injection`), and a `Syscall::Batch`
-/// coalesces its revoke runs per destination kernel for any client that
-/// builds one. Revocation has two drivers, both the paper's: Algorithm 1
-/// (the default) and its §5.2 batching ([`Feature::RevokeBatching`]).
+/// `FaultPlan` (`Kernel::enable_fault_injection`), and a
+/// `Syscall::RevokeMany` groups its revoke requests per destination
+/// kernel for any client that issues one. Revocation has two drivers,
+/// both the paper's: Algorithm 1 (the default) and its §5.2 batching
+/// ([`Feature::RevokeBatching`]). The other feature is the paper's
+/// handshake ablation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Feature {
     /// Batch revoke requests to the same remote kernel into one message
@@ -49,12 +51,6 @@ pub enum Feature {
     /// the invalid-capability window of the naive protocol; never enable
     /// outside the ablation benchmark).
     OneWayDelegate,
-    /// Services issue their capability operations through
-    /// `Syscall::Batch` where the workload allows it (m3fs batches the
-    /// close-time revokes of a file's delegated extents into one
-    /// message). Off by default so the sequential scenarios stay
-    /// bit-identical; the `file_workload_batched` scale pin enables it.
-    SyscallBatching,
 }
 
 /// Full description of a simulated machine and its OS deployment.

@@ -41,10 +41,10 @@ pub struct CostModel {
     pub syscall_entry: u64,
     /// Building and sending the system-call reply.
     pub syscall_exit: u64,
-    /// Decoding one item of a batched system call out of the batch
-    /// buffer ([`Syscall::Batch`](crate::msg::Syscall::Batch) pays
-    /// `syscall_entry` once plus this per item; the item's own handler
-    /// cost comes on top).
+    /// Decoding and resolving one selector of a
+    /// [`Syscall::RevokeMany`](crate::msg::Syscall::RevokeMany), which
+    /// pays `syscall_entry` once plus this per selector; the combined
+    /// revocation's cost comes on top.
     pub batch_item: u64,
     /// Decoding and dispatching an incoming inter-kernel call.
     pub kcall_entry: u64,

@@ -213,17 +213,24 @@ pub enum Syscall {
     },
     /// Voluntary exit; the kernel revokes all capabilities of the VPE.
     Exit,
-    /// Several capability operations in one message (the paper's bulk
-    /// treatment of capability operations, §5.2): the kernel executes
-    /// the items in order and replies once with per-item results
-    /// ([`SysReplyData::Batch`]). Still one blocking system call from
-    /// the VPE's point of view — one request message, one reply message,
-    /// however many items. Runs of consecutive `Revoke` items are
-    /// coalesced into a single revocation fan-out whose cross-kernel
-    /// requests are grouped per destination kernel (see
-    /// `semper_kernel::ops::bulk`). `Batch` and `Exit` may not appear
-    /// as items.
-    Batch(Box<[Syscall]>),
+    /// Revokes several capabilities, each with its subtree, in one
+    /// system call (the paper's bulk treatment of capability
+    /// operations, §5.2), answered by one [`SysReplyData::Revoked`]
+    /// with a result per selector. Each selector is resolved on its
+    /// own, and one that does not resolve fails alone. The rest run as
+    /// *one* revocation: its revoke requests for remote children are
+    /// grouped into one [`Kcall::RevokeBatchReq`] per kernel, and a
+    /// selector whose capability an earlier one's subtree covers
+    /// (a duplicate, or a descendant held by the caller) reports `Ok`.
+    ///
+    /// A capability that descends from another listed one *through
+    /// another kernel* must not be listed with it: the peer's revoke
+    /// request for it would wait on the very revocation that waits for
+    /// the peer.
+    RevokeMany {
+        /// The capabilities to revoke, in reply order.
+        sels: Box<[CapSel]>,
+    },
 }
 
 /// Payload of a successful system-call reply.
@@ -259,12 +266,11 @@ pub enum SysReplyData {
         /// subsequent request on this session).
         ident: u64,
     },
-    /// Per-item outcomes of a [`Syscall::Batch`], in item order: entry
-    /// `i` is exactly the reply item `i` would have produced as a
-    /// standalone system call. Boxed *thin* (`Box<Vec<..>>`, one
-    /// pointer) so this variant does not widen `SysReplyData` — and
-    /// thereby every `Msg` — past the slim-layout budget.
-    Batch(Box<Vec<Result<SysReplyData>>>),
+    /// Per-selector outcomes of a [`Syscall::RevokeMany`], in request
+    /// order. Boxed *thin* (`Box<Vec<..>>`, one pointer) so this variant
+    /// does not widen `SysReplyData` — and thereby every `Msg` — past
+    /// the slim-layout budget.
+    Revoked(Box<Vec<Result<()>>>),
 }
 
 /// Reply to a system call.
@@ -775,9 +781,9 @@ fn kcall_size(call: &Kcall) -> u32 {
 }
 
 /// Architectural payload bytes of one system call (excluding the DTU
-/// header). A [`Syscall::Batch`] pays one 8-byte batch header plus the
-/// item payloads — the per-message DTU header is what batching
-/// amortizes.
+/// header). A [`Syscall::RevokeMany`] pays one 8-byte list header plus
+/// a revoke's 16 bytes per selector — the per-message DTU header is
+/// what it amortizes.
 fn syscall_size(call: &Syscall) -> u32 {
     match call {
         Syscall::Noop => 8,
@@ -789,17 +795,17 @@ fn syscall_size(call: &Syscall) -> u32 {
         Syscall::OpenSession { .. } => 16,
         Syscall::Activate { .. } => 16,
         Syscall::Exit => 8,
-        Syscall::Batch(items) => 8 + items.iter().map(syscall_size).sum::<u32>(),
+        Syscall::RevokeMany { sels } => 8 + 16 * sels.len() as u32,
     }
 }
 
 /// Architectural payload bytes of one system-call reply (excluding the
-/// DTU header). A batch reply carries one 8-byte item count plus the
-/// per-item reply payloads.
+/// DTU header). A [`SysReplyData::Revoked`] carries one 8-byte item
+/// count plus a plain reply's 16 bytes per item.
 fn sys_reply_size(result: &Result<SysReplyData>) -> u32 {
     match result {
         Ok(SysReplyData::Session { .. }) => 32,
-        Ok(SysReplyData::Batch(items)) => 8 + items.iter().map(sys_reply_size).sum::<u32>(),
+        Ok(SysReplyData::Revoked(items)) => 8 + 16 * items.len() as u32,
         _ => 16,
     }
 }
@@ -864,23 +870,22 @@ mod tests {
         assert!(long.wire_size() > short.wire_size());
     }
 
-    /// One batch of N calls must ride a single DTU header: cheaper on
-    /// the wire than N separate messages, but still charged for every
-    /// item's payload.
+    /// A revoke of N capabilities rides a single DTU header: 8 bytes of
+    /// list header plus a plain revoke's (or reply's) 16 bytes per item,
+    /// cheaper on the wire than N separate messages.
     #[test]
     fn batch_amortizes_the_message_header() {
-        let items: Box<[Syscall]> =
-            (0..4).map(|_| Syscall::Revoke { sel: crate::CapSel(3), own: true }).collect();
-        let batched = Payload::sys(0, Syscall::Batch(items));
+        let sels: Box<[crate::CapSel]> = (0..4).map(crate::CapSel).collect();
+        let many = Payload::sys(0, Syscall::RevokeMany { sels });
         let single = Payload::sys(0, Syscall::Revoke { sel: crate::CapSel(3), own: true });
-        assert!(batched.wire_size() < 4 * single.wire_size());
-        assert!(batched.wire_size() > single.wire_size());
+        assert_eq!(many.wire_size(), 16 + 8 + 4 * 16);
+        assert!(many.wire_size() < 4 * single.wire_size());
 
-        let results: Vec<Result<SysReplyData>> = (0..4).map(|_| Ok(SysReplyData::None)).collect();
-        let breply = Payload::sys_reply(0, Ok(SysReplyData::Batch(Box::new(results))));
+        let results = vec![Ok(()), Err(crate::Error::new(crate::Code::NoSuchCap)), Ok(()), Ok(())];
+        let mreply = Payload::sys_reply(0, Ok(SysReplyData::Revoked(Box::new(results))));
         let sreply = Payload::sys_reply(0, Ok(SysReplyData::None));
-        assert!(breply.wire_size() < 4 * sreply.wire_size());
-        assert!(breply.wire_size() > sreply.wire_size());
+        assert_eq!(mreply.wire_size(), 16 + 8 + 4 * 16);
+        assert!(mreply.wire_size() < 4 * sreply.wire_size());
     }
 
     #[test]

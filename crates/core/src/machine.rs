@@ -168,18 +168,14 @@ impl Machine {
                     let vpe = topo.service_vpes[s as usize];
                     let (image, region_size) =
                         image_parts.get_or_insert_with(|| build_image(app_clients.max(clients)));
-                    let mut svc = FsService::new(
+                    Node::Service(Box::new(FsService::new(
                         vpe,
                         pe,
                         kernel_pe,
                         cfg.cost,
                         std::sync::Arc::clone(image),
                         *region_size,
-                    );
-                    // The service-side half of syscall batching: close
-                    // one file = one batched revoke of its extents.
-                    svc.set_batched_ops(cfg.has_feature(semper_base::Feature::SyscallBatching));
-                    Node::Service(Box::new(svc))
+                    )))
                 }
                 Role::Client(c) => {
                     let vpe = topo.client_vpes[c as usize];
@@ -490,22 +486,14 @@ impl Machine {
         }
     }
 
-    /// Enables an optional protocol feature on every kernel — and, for
-    /// syscall batching, on the services that are its actor-side half
-    /// (ablation benchmarks).
+    /// Enables an optional protocol feature on every kernel (ablation
+    /// benchmarks).
     pub fn enable_feature_everywhere(&mut self, f: semper_base::Feature) {
         if !self.cfg.features.contains(&f) {
             self.cfg.features.push(f);
         }
         for k in &mut self.kernels {
             k.enable_feature_for_test(f);
-        }
-        if f == semper_base::Feature::SyscallBatching {
-            for node in &mut self.nodes {
-                if let Node::Service(s) = node {
-                    s.set_batched_ops(true);
-                }
-            }
         }
     }
 

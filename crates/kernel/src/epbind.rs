@@ -77,7 +77,7 @@ impl EpBindings {
         };
         for slot in &victims {
             let removed = self.forward.remove(slot);
-            debug_assert_eq!(removed, Some(key), "reverse index out of sync");
+            assert_eq!(removed, Some(key), "reverse index out of sync");
         }
         victims
     }

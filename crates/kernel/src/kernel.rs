@@ -63,11 +63,6 @@ pub struct Kernel {
     /// Revocation state: waiter registry and work buffers (see
     /// [`crate::ops::revoke`]).
     pub(crate) revoke: crate::ops::revoke::RevokeState,
-    /// Modeled cycles of continuations that ran from within the
-    /// completion funnel ([`Kernel::reply_sys`]): a batch advancing to
-    /// its next items. They execute within the surrounding handler's
-    /// window; [`Kernel::charge`] folds them into its cost.
-    pub(crate) continuation_cost: u64,
 
     /// The inter-kernel request credit gate (§4.1).
     pub(crate) kgate: CreditGate,
@@ -125,13 +120,6 @@ impl CreditGate {
     }
 }
 
-/// True if `call` may run as a batch item. `Exit` has no reply to
-/// collect; a nested batch would nest the one-blocking-syscall
-/// invariant.
-pub(crate) fn nestable(call: &Syscall) -> bool {
-    !matches!(call, Syscall::Exit | Syscall::Batch(_))
-}
-
 impl Kernel {
     /// Creates a kernel for group `id` of `membership`, with the global
     /// VPE → PE directory `vpe_dir` and no VPEs of its own yet.
@@ -164,7 +152,6 @@ impl Kernel {
             pending: PendingTable::default(),
             next_op: 1,
             revoke: Default::default(),
-            continuation_cost: 0,
             kgate,
             eps: crate::epbind::EpBindings::new(),
             fault: Default::default(),
@@ -349,12 +336,7 @@ impl Kernel {
     }
 
     /// Sends a system-call reply to a VPE — the single completion
-    /// funnel of every syscall path. If the VPE is blocked
-    /// on a [`Syscall::Batch`](semper_base::msg::Syscall::Batch), the
-    /// "reply" is one item's completion: it is recorded in the batch
-    /// (whose combined reply leaves when all items are done) instead of
-    /// leaving as a message. Otherwise this is the plain single-call
-    /// path.
+    /// funnel of every syscall path.
     pub(crate) fn reply_sys(
         &mut self,
         out: &mut Outbox,
@@ -362,10 +344,6 @@ impl Kernel {
         tag: u64,
         result: Result<SysReplyData>,
     ) {
-        if let Some(op) = self.vpe_state(vpe).and_then(|v| v.batch) {
-            self.bulk_item_done(op, tag as usize, result, out);
-            return;
-        }
         if let Ok(pe) = self.pe_of_vpe(vpe) {
             out.push(Msg::new(self.pe, pe, Payload::sys_reply(tag, result)));
         }
@@ -468,11 +446,8 @@ impl Kernel {
         self.charge(cost)
     }
 
-    /// Closes a handler window: adds the continuations that ran inside
-    /// it (see `continuation_cost`) and books the kernel busy for the
-    /// total.
-    fn charge(&mut self, handler_cost: u64) -> u64 {
-        let cost = handler_cost + std::mem::take(&mut self.continuation_cost);
+    /// Closes a handler window: books the kernel busy for its cost.
+    fn charge(&mut self, cost: u64) -> u64 {
         self.stats.busy_cycles += cost;
         cost
     }
@@ -485,42 +460,21 @@ impl Kernel {
         out: &mut Outbox,
     ) -> u64 {
         let entry = self.cfg.cost.syscall_entry;
-        let caller = match self.vpe_on_pe(src).ok().and_then(|vpe| self.vpe_state(vpe)) {
-            // A VPE blocked on an active batch may not issue a further
-            // call (its reply would be taken for an item completion).
-            Some(v) if v.alive() => {
-                if v.batch.is_some() {
-                    Err(Code::InvalidArgs)
-                } else {
-                    Ok(v.id)
-                }
-            }
+        let Some(vpe) = self.vpe_on_pe(src).ok().filter(|vpe| self.vpe_alive(*vpe)) else {
             // A dead VPE, or a PE that hosts no VPE of this group
             // (another group's PE, or an unused one): membership is
-            // static, so nobody else will answer for it either.
-            _ => Err(Code::NoSuchVpe),
-        };
-        let vpe = match caller {
-            Ok(vpe) => vpe,
-            Err(code) => {
-                // Refused directly, not through the completion funnel,
-                // which would misroute exactly these replies.
-                out.push(Msg::new(self.pe, src, Payload::sys_reply(tag, Err(Error::new(code)))));
-                return entry + self.cfg.cost.syscall_exit;
-            }
+            // static, so nobody else will answer for it either. The
+            // refusal goes straight back to the sending PE.
+            let refusal = Payload::sys_reply(tag, Err(Error::new(Code::NoSuchVpe)));
+            out.push(Msg::new(self.pe, src, refusal));
+            return entry + self.cfg.cost.syscall_exit;
         };
         entry + self.dispatch_syscall(vpe, tag, call, out)
     }
 
     /// Dispatches one syscall to its handler — the one `Syscall` →
-    /// handler table, shared by fresh calls and batch items.
-    pub(crate) fn dispatch_syscall(
-        &mut self,
-        vpe: VpeId,
-        tag: u64,
-        call: &Syscall,
-        out: &mut Outbox,
-    ) -> u64 {
+    /// handler table.
+    fn dispatch_syscall(&mut self, vpe: VpeId, tag: u64, call: &Syscall, out: &mut Outbox) -> u64 {
         match call {
             Syscall::Noop => {
                 self.reply_sys(out, vpe, tag, Ok(SysReplyData::None));
@@ -534,13 +488,13 @@ impl Kernel {
                 self.sys_exchange(vpe, tag, *other, *own_sel, *other_sel, *kind, out)
             }
             Syscall::Revoke { sel, own } => self.sys_revoke(vpe, tag, *sel, *own, out),
+            Syscall::RevokeMany { sels } => self.sys_revoke_many(vpe, tag, sels, out),
             Syscall::CreateSrv { name } => self.sys_create_srv(vpe, tag, *name, out),
             Syscall::OpenSession { name } => self.sys_open_session(vpe, tag, *name, out),
             Syscall::Activate { sel, ep } => self.sys_activate(vpe, tag, *sel, *ep, out),
             // Voluntary exit: revoke everything, mark dead. No reply
             // (the VPE is gone).
             Syscall::Exit => self.terminate_vpe(vpe, out),
-            Syscall::Batch(items) => self.sys_batch(vpe, tag, items, out),
         }
     }
 
@@ -566,7 +520,6 @@ impl Kernel {
         // Operations suspended elsewhere detect the death via
         // `vpe_alive` when their replies arrive (producing orphan
         // cleanups per §4.3.2).
-        self.bulk_vpe_died(vpe);
         self.cancel_upcall_waiters(vpe, out);
         // Revoke all capabilities still in the VPE's table, starting at
         // the roots we own. Children in other groups are reached by the
@@ -584,8 +537,9 @@ impl Kernel {
     /// one line per capability record (key, resource, owner, selector,
     /// parent, children in creation order) and per table binding,
     /// sorted. Two kernels with equal digests are indistinguishable to
-    /// the capability protocol — the equivalence the batched-vs-
-    /// sequential property tests compare (`tests/proptests.rs`).
+    /// the capability protocol — the equivalence the property test of
+    /// `RevokeMany` against sequential revokes compares
+    /// (`tests/proptests.rs`).
     pub fn state_digest(&self) -> Vec<String> {
         let mut lines: Vec<String> = self
             .mapdb

@@ -11,9 +11,8 @@
 //! Three mechanisms, all inert unless [`Kernel::enable_fault_injection`]
 //! was called (so the default configuration stays bit-identical):
 //!
-//! * **Deadlines.** Every parked phase (except the purely local batch
-//!   tracker) is armed with an expiry on the fault clock — the
-//!   harness's step counter (`TestCluster::step`).
+//! * **Deadlines.** Every parked phase is armed with an expiry on the
+//!   fault clock — the harness's step counter (`TestCluster::step`).
 //!   [`Kernel::poll_faults`] first re-sends recorded idempotent
 //!   request legs (bounded retries — revoke requests are safe to
 //!   replay because re-revoking a deleted subtree is vacuous), then
@@ -119,9 +118,7 @@ impl Kernel {
     }
 
     /// Bookkeeping hook of [`Kernel::park`]: checks the crash script
-    /// and arms the phase's deadline. The batch tracker is exempt from
-    /// deadlines — it is pure local bookkeeping whose sub-operations
-    /// carry their own deadlines and abort paths.
+    /// and arms the phase's deadline.
     pub(crate) fn note_parked(&mut self, op: OpId, phase: &'static str) {
         if !self.fault.crashed {
             for entry in &mut self.fault.crash_script {
@@ -134,7 +131,7 @@ impl Kernel {
                 }
             }
         }
-        if phase != "bulk-batch" && self.fault.deadline_budget > 0 {
+        if self.fault.deadline_budget > 0 {
             self.fault.deadlines.insert(op, self.fault.now + self.fault.deadline_budget);
         }
     }
@@ -268,7 +265,6 @@ impl Kernel {
                 // (with retries towards the survivors) covers it.
                 revoke::Phase::Run(_) => None,
             },
-            PendingOp::Bulk(_) => None,
         }
     }
 
@@ -331,17 +327,13 @@ impl Kernel {
                     );
                 }
             },
-            PendingOp::Bulk(_) => unreachable!(
-                "a batch tracker is never aborted: `note_parked` arms no deadline for \
-                 `bulk-batch` and `awaited_kernel` names no peer for it"
-            ),
         }
     }
 
     /// Asserts that the kernel reached true quiescence: no suspended
-    /// operations (which covers active batches), and every protocol's
-    /// own state drained — no marked capability awaiting deletion, no
-    /// request stalled behind the credit gate.
+    /// operations, and every protocol's own state drained — no marked
+    /// capability awaiting deletion, no request stalled behind the
+    /// credit gate.
     /// The fault suites call this after every run — a leak here is
     /// exactly the silent hang the termination hardening exists to
     /// prevent.

@@ -9,7 +9,7 @@
 //! a set of typed phases plus the handler for each phase transition:
 //!
 //! * [`PendingOp`] — the union of all suspended phases, one variant per
-//!   protocol ([`exchange`], [`session`], [`revoke`], [`bulk`]).
+//!   protocol ([`exchange`], [`session`], [`revoke`]).
 //!   Each phase carries exactly the continuation state its resume
 //!   handler needs.
 //! * [`PhaseSpec`] — the per-phase declaration: what the phase awaits
@@ -30,22 +30,19 @@
 //! # One of each
 //!
 //! Every protocol-independent concept exists once: one `Syscall` →
-//! handler table (`Kernel::dispatch_syscall`, which batch items also go
-//! through, with `kernel::nestable` saying which calls may), one
-//! completion funnel (`Kernel::reply_sys`: the VPE's active batch, else
-//! a message to the VPE), one credit-gated request send
-//! (`Kernel::send_kcall_at`), one mark walk and one delete pass for
-//! Algorithm 1 (`Kernel::mark_subtree` / `Kernel::delete_marked` in
-//! [`revoke`], driven by single revokes and coalesced bulk runs
-//! alike), and one way to kill a VPE (`Kernel::terminate_vpe`, behind
-//! both `Syscall::Exit` and the machine's `Kernel::kill_vpe`).
+//! handler table (`Kernel::dispatch_syscall`), one completion funnel
+//! (`Kernel::reply_sys`, a message to the VPE), one credit-gated
+//! request send (`Kernel::send_kcall_at`), one mark walk and one delete
+//! pass for Algorithm 1 (`Kernel::mark_subtree` /
+//! `Kernel::delete_marked` in [`revoke`], driven by single revokes and
+//! `Syscall::RevokeMany` alike), and one way to kill a VPE
+//! (`Kernel::terminate_vpe`, behind both `Syscall::Exit` and the
+//! machine's `Kernel::kill_vpe`).
 //!
 //! State that outlives a single parked phase lives with its protocol,
-//! not as loose fields on `Kernel`: `revoke::RevokeState`, the kernel's
-//! `CreditGate`, and one per-VPE marker in [`crate::VpeState`] (the
-//! active batch). The rest of the kernel asks each of them two
-//! questions only — *are you quiescent?* (`Kernel::check_quiescent`)
-//! and *VPE `v` died* (`Kernel::terminate_vpe`).
+//! not as loose fields on `Kernel`: `revoke::RevokeState` and the
+//! kernel's `CreditGate`. The rest of the kernel asks each of them one
+//! question only — *are you quiescent?* (`Kernel::check_quiescent`).
 //!
 //! # Paper §4.3 → engine phases
 //!
@@ -57,7 +54,7 @@
 //! | §4.3.2 two-way delegate handshake, second leg | [`exchange::Phase::DelegatePendingInsert`] / [`exchange::Phase::DelegateWaitDone`] / [`exchange::Phase::DelegateAborted`] |
 //! | §3.4 session capability attachment | [`session::Phase::OpenRemote`] → [`session::Phase::AtService`], [`session::Phase::OpenLocal`] |
 //! | §4.3.3 Algorithm 1 mark/delete + reply counting | [`revoke::Phase::Run`]; an incoming `RevokeBatchReq` (§5.2 message batching) tracks its keys in [`revoke::Phase::Batch`] |
-//! | §5.2 bulk capability operations (`Syscall::Batch`) | [`bulk::Phase::Run`] |
+//! | §5.2 bulk revocation (`Syscall::RevokeMany`) | one [`revoke::Phase::Run`] over all its roots |
 //!
 //! # What a new protocol costs
 //!
@@ -79,7 +76,6 @@
 //! `tests/determinism.rs` and the full-trace fingerprints in
 //! `crates/kernel/tests/ops_trace.rs`.
 
-pub mod bulk;
 pub mod exchange;
 pub mod faults;
 pub mod ledger;
@@ -211,9 +207,6 @@ pub enum PendingOp {
     Session(session::Phase),
     /// Revocation (§4.3.3, Algorithm 1).
     Revoke(revoke::Phase),
-    /// A batched system call ([`bulk`]): N capability operations in one
-    /// message, executed in order with coalesced revoke fan-outs.
-    Bulk(bulk::Phase),
 }
 
 impl PendingOp {
@@ -223,7 +216,6 @@ impl PendingOp {
             PendingOp::Exchange(p) => p.spec(),
             PendingOp::Session(p) => p.spec(),
             PendingOp::Revoke(p) => p.spec(),
-            PendingOp::Bulk(p) => p.spec(),
         }
     }
 
@@ -234,10 +226,6 @@ impl PendingOp {
             Thread::Holds => true,
             Thread::Free => false,
             Thread::PerInitiator => match self {
-                // Bulk-initiated revokes carry the batch syscall's
-                // thread: the batch op itself is declared `Free`, and
-                // ordered execution guarantees at most one coalesced
-                // run is suspended per batch.
                 PendingOp::Revoke(revoke::Phase::Run(op)) => op.initiator.holds_thread(),
                 other => unreachable!("{} has no initiator", other.spec().name),
             },
@@ -253,7 +241,7 @@ impl PendingOp {
         match self {
             PendingOp::Exchange(p) => p.upcall_responder(),
             PendingOp::Session(p) => p.upcall_responder(),
-            PendingOp::Revoke(_) | PendingOp::Bulk(_) => None,
+            PendingOp::Revoke(_) => None,
         }
     }
 }

@@ -21,6 +21,11 @@
 //!   is acyclic — no deadlock (the property the paper's multithreading
 //!   design establishes; our event-driven kernel inherits it).
 //!
+//! A `Syscall::RevokeMany` is one operation with many roots: one mark
+//! phase over every capability it names, whose remote children leave as
+//! one grouped request per kernel, and one sweep. A root that an earlier
+//! root's walk already marked folds into that walk.
+//!
 //! Revocations triggered by applications can bounce between kernels (the
 //! adversarial cross-kernel *chain* of §5.2); each bounce is a fresh
 //! request handled without blocking, so kernels stay responsive — the
@@ -46,10 +51,8 @@ use crate::outbox::Outbox;
 /// to back; allocating a fresh stack, deletion list, and remote-child
 /// list for each of them dominated the *host* wall clock of the
 /// `dense_table_teardown` benchmark without changing any modeled cycle.
-/// The buffers are taken/restored around each use (`std::mem::take`),
-/// so re-entrant completions — a revoke's notification advancing a
-/// batch, which starts the next revoke — each see an empty buffer and
-/// restores stay balanced.
+/// The buffers are taken around each use (`std::mem::take`) and
+/// restored empty; every use asserts that it found them so.
 #[derive(Debug, Default)]
 pub(crate) struct RevokeState {
     /// Operations waiting for a capability another operation is already
@@ -81,7 +84,7 @@ impl RevokeState {
 
 /// Who started a revocation, and therefore who must be notified when it
 /// completes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Initiator {
     /// A local VPE's revoke system call.
     Syscall {
@@ -89,6 +92,18 @@ pub enum Initiator {
         vpe: VpeId,
         /// Tag to echo in the reply.
         tag: u64,
+    },
+    /// A local VPE's [`Syscall::RevokeMany`](semper_base::msg::Syscall::RevokeMany):
+    /// one operation over every selector that resolved, with its
+    /// cross-kernel requests grouped per destination kernel.
+    Many {
+        /// The calling VPE.
+        vpe: VpeId,
+        /// Tag to echo in the reply.
+        tag: u64,
+        /// One result per selector, in request order: the resolution
+        /// errors, and `Ok` for every selector this operation revokes.
+        results: Box<Vec<Result<()>>>,
     },
     /// Another kernel's [`Kcall::RevokeReq`].
     Kcall {
@@ -107,29 +122,14 @@ pub enum Initiator {
         /// The local batch-tracker operation.
         batch: OpId,
     },
-    /// A coalesced run of consecutive `Revoke` items of a local VPE's
-    /// [`Syscall::Batch`](semper_base::msg::Syscall::Batch): one
-    /// combined operation covering all the run's subtree roots, with
-    /// cross-kernel requests grouped per destination kernel (see
-    /// [`crate::ops::bulk`]). Completion reports to the batch op, which
-    /// resolves the run's items.
-    Bulk {
-        /// The local batch operation.
-        batch: OpId,
-        /// First item index of the coalesced run.
-        first_item: u32,
-        /// Number of items in the run.
-        items: u32,
-    },
 }
 
 impl Initiator {
     /// True if the revocation runs on the starter's cooperative thread
-    /// (§4.2): syscalls and internal cleanup hold the calling thread —
-    /// a coalesced bulk run carries its batch syscall's — while
-    /// incoming requests are thread-free.
+    /// (§4.2): syscalls and internal cleanup hold the calling thread,
+    /// while incoming requests are thread-free.
     pub fn holds_thread(&self) -> bool {
-        matches!(self, Initiator::Syscall { .. } | Initiator::Internal | Initiator::Bulk { .. })
+        matches!(self, Initiator::Syscall { .. } | Initiator::Many { .. } | Initiator::Internal)
     }
 }
 
@@ -215,10 +215,41 @@ impl Kernel {
         resolve + self.start_revoke(roots, Initiator::Syscall { vpe, tag }, out)
     }
 
+    /// Entry point for the `RevokeMany` system call: resolves each
+    /// selector on its own (one that does not resolve fails alone),
+    /// then starts one revocation over every resolved capability.
+    pub(crate) fn sys_revoke_many(
+        &mut self,
+        vpe: VpeId,
+        tag: u64,
+        sels: &[CapSel],
+        out: &mut Outbox,
+    ) -> u64 {
+        let decode = sels.len() as u64 * self.cfg.cost.batch_item;
+        let mut roots = Vec::with_capacity(sels.len());
+        let results = sels
+            .iter()
+            .map(|sel| {
+                roots.push(self.held(vpe, *sel)?);
+                Ok(())
+            })
+            .collect();
+        let initiator = Initiator::Many { vpe, tag, results: Box::new(results) };
+        if roots.is_empty() {
+            return decode + self.notify_initiator(initiator, false, 0, out);
+        }
+        decode + self.start_revoke(roots, initiator, out)
+    }
+
+    /// The capability `vpe` holds at `sel`.
+    fn held(&self, vpe: VpeId, sel: CapSel) -> Result<DdlKey> {
+        self.table(vpe).ok_or(Error::new(Code::NoSuchVpe))?.get(sel)
+    }
+
     /// Resolves the subtree roots of a revoke call: the capability itself
     /// (`own = true`) or each of its children (`own = false`).
-    pub(crate) fn revoke_roots(&self, vpe: VpeId, sel: CapSel, own: bool) -> Result<Vec<DdlKey>> {
-        let key = self.table(vpe).ok_or(Error::new(Code::NoSuchVpe))?.get(sel)?;
+    fn revoke_roots(&self, vpe: VpeId, sel: CapSel, own: bool) -> Result<Vec<DdlKey>> {
+        let key = self.held(vpe, sel)?;
         if own {
             return Ok(vec![key]);
         }
@@ -254,16 +285,16 @@ impl Kernel {
             RevokeOp { initiator, fanin: FanIn::new(), local_roots: Vec::new(), spanning: false };
         let mut cost = 0;
         let mut remote = std::mem::take(&mut self.revoke.remote);
-        debug_assert!(remote.is_empty());
-        // A coalesced bulk run may name overlapping roots (duplicates,
-        // or one root inside another root's subtree). Keys this call
-        // marked itself are tracked so a later root that is already
-        // `Revoking` *by us* folds into the earlier subtree instead of
-        // registering a dependency on itself — which would deadlock.
-        // Single-root operations (every non-bulk path) never revisit a
-        // node and skip the tracking.
+        assert!(remote.is_empty(), "remote-child buffer not drained");
+        // A `RevokeMany` may name overlapping roots (duplicates, or one
+        // root inside another root's subtree). Keys this call marked
+        // itself are tracked so a later root that is already `Revoking`
+        // *by us* folds into the earlier subtree instead of registering
+        // a dependency on itself — which would deadlock. Every other
+        // operation's roots are disjoint, so it skips the tracking.
         let mut marked: Option<DetHashSet<RawDdlKey>> =
-            (matches!(initiator, Initiator::Bulk { .. }) && roots.len() > 1).then(Default::default);
+            (matches!(op.initiator, Initiator::Many { .. }) && roots.len() > 1)
+                .then(Default::default);
 
         for root in roots {
             // A missing root is already revoked and deleted — vacuously
@@ -290,9 +321,6 @@ impl Kernel {
             cost += self.send_revoke_requests(op_id, &mut op, &mut remote, out);
         }
 
-        // Restore the scratch buffer before the completion path: the
-        // initiator's notification can re-enter `start_revoke` (a batch
-        // advancing to its next item).
         self.revoke.remote = remote;
 
         if op.fanin.idle() {
@@ -321,7 +349,7 @@ impl Kernel {
     ) -> (u64, u32) {
         let (mut cost, mut deps) = (0, 0);
         let mut stack = std::mem::take(&mut self.revoke.stack);
-        debug_assert!(stack.is_empty());
+        assert!(stack.is_empty(), "walk stack not drained");
         stack.push(root);
         while let Some(key) = stack.pop() {
             let Ok(cap) = self.mapdb.get(key) else {
@@ -334,7 +362,7 @@ impl Kernel {
             // two capability references per visited local node.
             cost += 2 * self.ref_cost();
             if cap.revoking() {
-                debug_assert_ne!(key, root, "caller checked the root");
+                assert_ne!(key, root, "caller checked the root");
                 if !marked.as_ref().is_some_and(|m| m.contains(&key.raw())) {
                     self.revoke.wait_for(key, waiter);
                     deps += 1;
@@ -356,9 +384,9 @@ impl Kernel {
 
     /// Sends revoke requests for remote children — one message per child,
     /// or one batch per kernel when [`Feature::RevokeBatching`] is on
-    /// (the optimisation §5.2 proposes). Bulk-initiated operations
-    /// ([`Initiator::Bulk`]) always group per kernel: coalescing the
-    /// cross-kernel fan-out is the point of batching the system calls.
+    /// (the optimisation §5.2 proposes). A `RevokeMany`
+    /// ([`Initiator::Many`]) always groups per kernel: one message per
+    /// peer is the point of revoking many capabilities in one call.
     fn send_revoke_requests(
         &mut self,
         op_id: OpId,
@@ -368,7 +396,7 @@ impl Kernel {
     ) -> u64 {
         let mut cost = 0;
         if self.cfg.has_feature(Feature::RevokeBatching)
-            || matches!(op.initiator, Initiator::Bulk { .. })
+            || matches!(op.initiator, Initiator::Many { .. })
         {
             // Ascending kernel id, arrival order within a group.
             let mut by_kernel: BTreeMap<KernelId, Vec<DdlKey>> = BTreeMap::new();
@@ -426,11 +454,11 @@ impl Kernel {
         let mut woken = Vec::new();
         let (cost, deleted) = self.delete_marked(std::mem::take(&mut op.local_roots), &mut woken);
         op.fanin.add(deleted);
-        self.notify_initiator(op.initiator, op.spanning, op.fanin.tally(), out);
+        let notify = self.notify_initiator(op.initiator, op.spanning, op.fanin.tally(), out);
         for waiter in woken {
             self.wake_waiter(waiter, ready);
         }
-        cost + self.cfg.cost.revoke_finish
+        cost + notify + self.cfg.cost.revoke_finish
     }
 
     /// The one delete pass (Algorithm 1, phase 2): deletes the marked
@@ -446,7 +474,7 @@ impl Kernel {
     fn delete_marked(&mut self, roots: Vec<DdlKey>, woken: &mut Vec<OpId>) -> (u64, u64) {
         let mut stack = std::mem::take(&mut self.revoke.stack);
         let mut deleted = std::mem::take(&mut self.revoke.deleted);
-        debug_assert!(deleted.is_empty());
+        assert!(deleted.is_empty(), "deletion buffer not drained");
         for root in roots {
             self.mapdb.delete_local_subtree_into(root, &mut stack, &mut deleted);
         }
@@ -504,32 +532,39 @@ impl Kernel {
     }
 
     /// Notifies whoever started a revocation (Algorithm 1, lines
-    /// 19-23).
+    /// 19-23). Returns the modeled cost the notification adds:
+    /// `syscall_exit` for a `RevokeMany`'s reply, 0 for every other
+    /// initiator.
     fn notify_initiator(
         &mut self,
         initiator: Initiator,
         spanning: bool,
         deleted: u64,
         out: &mut Outbox,
-    ) {
+    ) -> u64 {
         // Only top-level revocations count as capability operations;
         // kcall- and batch-initiated sub-revokes are part of a revoke
-        // already counted at the initiating kernel.
-        match initiator {
-            Initiator::Syscall { .. } | Initiator::Internal => {
-                if spanning {
-                    self.stats.revokes_spanning += 1;
-                } else {
-                    self.stats.revokes_local += 1;
-                }
-            }
-            // Bulk runs count one revocation per *item*, recorded when
-            // the items resolve (see `Kernel::bulk_revokes_done`).
-            Initiator::Kcall { .. } | Initiator::Batch { .. } | Initiator::Bulk { .. } => {}
+        // already counted at the initiating kernel. A `RevokeMany`
+        // counts one per selector it revoked, classified by the whole
+        // operation's locality: its remote children share one fan-out,
+        // so which selector reached another kernel is not known.
+        let revokes = match &initiator {
+            Initiator::Syscall { .. } | Initiator::Internal => 1,
+            Initiator::Many { results, .. } => results.iter().filter(|r| r.is_ok()).count() as u64,
+            Initiator::Kcall { .. } | Initiator::Batch { .. } => 0,
+        };
+        if spanning {
+            self.stats.revokes_spanning += revokes;
+        } else {
+            self.stats.revokes_local += revokes;
         }
         match initiator {
             Initiator::Syscall { vpe, tag } => {
                 self.reply_sys(out, vpe, tag, Ok(SysReplyData::None));
+            }
+            Initiator::Many { vpe, tag, results } => {
+                self.reply_sys(out, vpe, tag, Ok(SysReplyData::Revoked(results)));
+                return self.cfg.cost.syscall_exit;
             }
             Initiator::Kcall { op: caller_op, from, cap_key } => {
                 self.send_kreply(
@@ -542,10 +577,8 @@ impl Kernel {
             Initiator::Batch { batch } => {
                 self.batch_entry_done(batch, deleted, out);
             }
-            Initiator::Bulk { batch, first_item, items } => {
-                self.bulk_revokes_done(batch, first_item, items, spanning, out);
-            }
         }
+        0
     }
 
     /// Accounts one completed entry of an incoming revoke batch; replies

@@ -4,7 +4,7 @@
 //! single-threaded process (§2.2). Each VPE runs on exactly one PE of the
 //! kernel's group and has its own capability table.
 
-use semper_base::{OpId, PeId, VpeId};
+use semper_base::{PeId, VpeId};
 
 /// Lifecycle of a VPE as seen by its kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,17 +25,12 @@ pub struct VpeState {
     pub pe: PeId,
     /// Lifecycle state.
     pub life: VpeLife,
-    /// The batched system call the VPE is blocked on (at most one: a
-    /// batch *is* its blocking syscall). While set, every syscall reply
-    /// addressed to the VPE is a batch-item completion (see
-    /// `Kernel::reply_sys` and [`crate::ops::bulk`]).
-    pub batch: Option<OpId>,
 }
 
 impl VpeState {
     /// Creates a fresh, alive VPE.
     pub fn new(id: VpeId, pe: PeId) -> VpeState {
-        VpeState { id, pe, life: VpeLife::Alive, batch: None }
+        VpeState { id, pe, life: VpeLife::Alive }
     }
 
     /// True if the VPE is alive.

@@ -12,7 +12,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use semper_apps::conn::{BatchBuilder, KernelConn};
+use semper_apps::conn::KernelConn;
 use semper_base::msg::{
     ExchangeKind, FsOp, FsReplyData, FsReq, Outbox, Payload, Perms, SysReply, SysReplyData,
     Syscall, Upcall, UpcallReply,
@@ -108,14 +108,8 @@ pub struct FsService {
     next_fid: u64,
 
     /// The kernel connection: tag allocation, the one-blocking-syscall
-    /// marker, and hard-error reply matching (`semper_apps::conn` — the
-    /// hand-rolled `syscall_busy`/`next_tag` pair this actor used to
-    /// keep).
+    /// marker, and hard-error reply matching (`semper_apps::conn`).
     conn: KernelConn,
-    /// When set, the close path revokes all of a file's delegated
-    /// extents as one `Syscall::Batch` instead of one revoke syscall
-    /// per extent (`Feature::SyscallBatching`'s service-side half).
-    batch_ops: bool,
     queue: VecDeque<Work>,
     current: Option<Work>,
 
@@ -147,19 +141,10 @@ impl FsService {
             files: BTreeMap::new(),
             next_fid: 1,
             conn: KernelConn::new(pe, kernel_pe),
-            batch_ops: false,
             queue: VecDeque::new(),
             current: None,
             stats: FsServiceStats::default(),
         }
-    }
-
-    /// Switches the close path to batched revocation: one
-    /// `Syscall::Batch` revokes every delegated extent of a closed file
-    /// in a single kernel round trip. Off by default — the sequential
-    /// path is the baseline the determinism goldens pin.
-    pub fn set_batched_ops(&mut self, on: bool) {
-        self.batch_ops = on;
     }
 
     /// This instance's VPE.
@@ -370,30 +355,16 @@ impl FsService {
                 self.syscall(call, out);
             }
             Work::Close { remaining, .. } => {
-                if self.batch_ops && remaining.len() > 1 {
-                    // Bulk path: revoke every delegated extent of the
-                    // file in one batched system call — one round trip,
-                    // and the kernel coalesces the cross-kernel fan-out.
-                    let mut batch = BatchBuilder::new();
-                    for sel in remaining {
-                        batch.push(Syscall::Revoke { sel: *sel, own: true });
-                    }
-                    self.current = Some(work);
-                    batch.submit(&mut self.conn, out);
-                } else {
-                    let sel = remaining[0];
-                    self.current = Some(work);
-                    self.syscall(Syscall::Revoke { sel, own: true }, out);
-                }
+                let sel = remaining[0];
+                self.current = Some(work);
+                self.syscall(Syscall::Revoke { sel, own: true }, out);
             }
         }
     }
 
     fn handle_sys_reply(&mut self, reply: &SysReply, out: &mut Outbox) -> u64 {
-        // Previously `syscall_busy = false` with no tag check — a
-        // mismatched reply was silently absorbed. A reply the connection
-        // cannot match is a protocol violation; fail loudly in every
-        // build.
+        // A reply the connection cannot match is a protocol violation;
+        // fail loudly in every build.
         if let Err(e) = self.conn.accept(reply) {
             panic!("m3fs: unmatched syscall reply tag {}: {e}", reply.tag);
         }
@@ -497,25 +468,10 @@ impl FsService {
                 }
             },
             Work::Close { client_pe, tag, fid, mut remaining } => {
-                if let Ok(SysReplyData::Batch(results)) = &reply.result {
-                    // Batched close: one reply covers every delegated
-                    // extent of the file. A failed item must reach the
-                    // client as an error, and so must a reply that is
-                    // short of items — reporting either as a clean close
-                    // would leave extent capabilities alive behind it.
-                    self.stats.revokes += results.iter().filter(|r| r.is_ok()).count() as u64;
-                    let failed = results.iter().find_map(|r| r.as_ref().err().copied());
-                    let outcome = match failed {
-                        Some(e) => Err(e),
-                        None if results.len() != remaining.len() => {
-                            Err(Error::new(Code::InternalError))
-                        }
-                        None => Ok(FsReplyData::Ok),
-                    };
-                    self.reply_fs(out, client_pe, tag, outcome);
-                } else if let Err(e) = &reply.result {
-                    // Sequential close, same rule: the first failed
-                    // revoke ends the close and is the client's answer.
+                if let Err(e) = &reply.result {
+                    // The first failed revoke ends the close and is the
+                    // client's answer: reporting a clean close would
+                    // leave extent capabilities alive behind it.
                     self.reply_fs(out, client_pe, tag, Err(*e));
                 } else {
                     self.stats.revokes += 1;

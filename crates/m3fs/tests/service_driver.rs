@@ -194,24 +194,6 @@ fn close_reports_a_failed_revoke_to_the_client() {
     assert_eq!(s.stats().revokes, 1, "only the revoke that succeeded counts");
 }
 
-/// A batched close whose reply is short of items may not report a clean
-/// close: a revoke nobody answered for may have left its capability
-/// alive. In every build profile the client gets `InternalError`.
-#[test]
-fn batched_close_reports_a_short_reply_to_the_client() {
-    let mut s = service_with_two_extents();
-    s.set_batched_ops(true);
-    let mut out = fs_req(&mut s, 13, FsOp::Close { fid: 1 });
-    let (tag, call) = expect_syscall(&mut out);
-    let Syscall::Batch(items) = call else { panic!("expected a batch, got {call:?}") };
-    assert_eq!(items.len(), 2);
-    // One outcome for two revokes.
-    let short = SysReplyData::Batch(Box::new(vec![Ok(SysReplyData::None)]));
-    let mut out = sys_reply(&mut s, tag, Ok(short));
-    assert_eq!(expect_fs_reply(&mut out, 13).unwrap_err().code(), Code::InternalError);
-    assert_eq!(s.stats().revokes, 1, "only the revoke that was answered counts");
-}
-
 #[test]
 fn close_without_extents_replies_immediately() {
     let mut s = booted_service();

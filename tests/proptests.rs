@@ -17,7 +17,7 @@
 //! Case numbering (and thus every case's RNG stream) is unchanged.
 
 use semper_base::msg::{ExchangeKind, Perms, SysReplyData, Syscall};
-use semper_base::{CapSel, CapType, DdlKey, PeId, VpeId};
+use semper_base::{CapSel, CapType, Code, DdlKey, PeId, Result, VpeId};
 use semper_kernel::harness::TestCluster;
 use semper_sim::{DetRng, FaultPlan};
 use semperos::Runner;
@@ -214,95 +214,189 @@ fn revoke_removes_exactly_the_subtree() {
     });
 }
 
-/// One randomly drawn batch item over a pool of live root capabilities.
-/// Targets are drawn only from `live`, and a revoked root leaves the
-/// pool, so items are structurally independent — the regime in which
-/// `Syscall::Batch` guarantees item-for-item equivalence with
-/// sequential issue (overlapping revokes in one run are documented to
-/// report the conservative outcome instead).
-fn draw_batch_item(rng: &mut DetRng, live: &mut Vec<CapSel>, vpes: u16) -> Syscall {
-    let pick = |rng: &mut DetRng, live: &[CapSel]| live[rng.below(live.len() as u64) as usize];
-    match rng.below(12) {
-        0..=2 => Syscall::CreateMem { size: 4096, perms: Perms::RW },
-        3..=4 if !live.is_empty() => {
-            Syscall::DeriveMem { src: pick(rng, live), offset: 0, size: 64, perms: Perms::R }
-        }
-        5..=7 if !live.is_empty() => Syscall::Exchange {
-            // Delegate a live root to some other VPE (possibly in
-            // another group: the spanning two-way handshake).
-            other: VpeId(1 + rng.below(vpes as u64 - 1) as u16),
-            own_sel: pick(rng, live),
-            other_sel: CapSel::INVALID,
-            kind: ExchangeKind::Delegate,
-        },
-        8..=10 if !live.is_empty() => {
-            let idx = rng.below(live.len() as u64) as usize;
-            let sel = live.remove(idx);
-            Syscall::Revoke { sel, own: true }
-        }
-        _ => Syscall::Noop,
-    }
+/// A capability in a random forest: its holder, its selector there, and
+/// the index of the holding it was derived or delegated from.
+type Holding = (VpeId, CapSel, Option<usize>);
+
+/// Issues `call` from `vpe` on both clusters, which must answer alike.
+fn on_both(cs: &mut [TestCluster; 2], vpe: VpeId, call: Syscall) -> Result<SysReplyData> {
+    let r = cs[0].syscall(vpe, call.clone()).result;
+    assert_eq!(r, cs[1].syscall(vpe, call).result, "clusters diverged");
+    r
 }
 
-/// A `Batch` of N random capability operations leaves the kernels in
-/// the same final state as the same N operations issued sequentially —
-/// identical capability records and table bindings (state digests),
-/// invariants intact, full quiescence — and the batch reply corresponds
-/// item-for-item to the sequential replies.
-#[test]
-fn batched_ops_match_sequential() {
-    for_cases(48, |case| {
-        let mut rng = DetRng::split(0xBA7C_4ED5, case);
-        let n_items = rng.between(1, 17) as usize;
-        let mut seq = TestCluster::new(3, 2);
-        let mut bat = TestCluster::new(3, 2);
-
-        // Identical pre-seeded roots in both clusters.
-        let mut live: Vec<CapSel> = Vec::new();
-        for _ in 0..3 {
-            let create = |c: &mut TestCluster| match c
-                .syscall(VpeId(0), Syscall::CreateMem { size: 4096, perms: Perms::RW })
-                .result
-            {
-                Ok(SysReplyData::Mem { sel, .. }) => sel,
-                other => panic!("case {case}: create_mem failed: {other:?}"),
-            };
-            let sel = create(&mut seq);
-            assert_eq!(sel, create(&mut bat), "case {case}: clusters diverged during seeding");
-            live.push(sel);
+/// Builds one random capability forest on both clusters (3 kernels x 2
+/// VPEs; VPE v lives in group v / 2): memory of VPE 0, memory derived
+/// from any held capability, and delegations — between the two VPEs of
+/// kernel 0 either way, and outwards from kernel 0 or between the other
+/// two kernels. Nothing is delegated *into* kernel 0 from another
+/// kernel: a `RevokeMany` may not name a capability together with one
+/// that descends from it through another kernel. Returns every holding
+/// with the index of the holding it was made from.
+fn build_forest(rng: &mut DetRng, cs: &mut [TestCluster; 2]) -> Vec<Holding> {
+    let mut held: Vec<Holding> = Vec::new();
+    for _ in 0..rng.between(4, 24) {
+        let from = (!held.is_empty()).then(|| rng.below(held.len() as u64) as usize);
+        match (rng.below(4), from) {
+            (0, _) | (_, None) => {
+                let call = Syscall::CreateMem { size: 4096, perms: Perms::RW };
+                if let Ok(SysReplyData::Mem { sel, .. }) = on_both(cs, VpeId(0), call) {
+                    held.push((VpeId(0), sel, None));
+                }
+            }
+            (1, Some(i)) => {
+                let (vpe, src, _) = held[i];
+                let call = Syscall::DeriveMem { src, offset: 0, size: 64, perms: Perms::R };
+                if let Ok(SysReplyData::Sel(sel)) = on_both(cs, vpe, call) {
+                    held.push((vpe, sel, Some(i)));
+                }
+            }
+            (_, Some(i)) => {
+                let (vpe, own_sel, _) = held[i];
+                // Kernel 0's VPEs delegate anywhere; the others only
+                // among VPEs 2-5.
+                let to = (if vpe.0 < 2 { rng.below(6) } else { 2 + rng.below(4) }) as u16;
+                if to == vpe.0 {
+                    continue;
+                }
+                let call = Syscall::Exchange {
+                    other: VpeId(to),
+                    own_sel,
+                    other_sel: CapSel::INVALID,
+                    kind: ExchangeKind::Delegate,
+                };
+                if let Ok(SysReplyData::Delegated { recv_sel }) = on_both(cs, vpe, call) {
+                    held.push((VpeId(to), recv_sel, Some(i)));
+                }
+            }
         }
+    }
+    held
+}
 
-        let items: Vec<Syscall> =
-            (0..n_items).map(|_| draw_batch_item(&mut rng, &mut live, 6)).collect();
+/// Draws the selector list of one `RevokeMany` for VPE 0: its holdings
+/// at random (so duplicates), repeats of earlier entries, a holding
+/// together with one of its VPE-0 ancestors in either order, and
+/// selectors that do not resolve.
+fn draw_sels(rng: &mut DetRng, held: &[Holding]) -> Vec<CapSel> {
+    let own: Vec<usize> = (0..held.len()).filter(|&i| held[i].0 == VpeId(0)).collect();
+    let ancestor_in_own = |mut i: usize| loop {
+        i = held[i].2?;
+        if held[i].0 == VpeId(0) {
+            return Some(i);
+        }
+    };
+    let mut sels = Vec::new();
+    for _ in 0..rng.between(1, 12) {
+        match rng.below(10) {
+            0..=4 if !own.is_empty() => {
+                sels.push(held[own[rng.below(own.len() as u64) as usize]].1)
+            }
+            5..=6 if !sels.is_empty() => sels.push(sels[rng.below(sels.len() as u64) as usize]),
+            7..=8 if !own.is_empty() => {
+                let i = own[rng.below(own.len() as u64) as usize];
+                if let Some(a) = ancestor_in_own(i) {
+                    let pair = [held[a].1, held[i].1];
+                    let first = rng.below(2) as usize;
+                    sels.extend([pair[first], pair[1 - first]]);
+                }
+            }
+            _ => sels.push([CapSel(999), CapSel::INVALID][rng.below(2) as usize]),
+        }
+    }
+    sels
+}
 
-        // Sequential reference: each item as its own blocking syscall.
-        let seq_replies: Vec<_> =
-            items.iter().map(|item| seq.syscall(VpeId(0), item.clone()).result).collect();
+/// The parent of the capability behind `key`, at whichever kernel
+/// holds it.
+fn parent_of(c: &TestCluster, key: DdlKey) -> Option<DdlKey> {
+    c.kernels.iter().find_map(|k| k.mapdb().get(key).ok()).and_then(|cap| cap.parent)
+}
 
-        // One batch with the same items.
-        let r = bat.syscall(VpeId(0), Syscall::Batch(items.clone().into_boxed_slice()));
-        let Ok(SysReplyData::Batch(bat_replies)) = r.result else {
-            panic!("case {case}: batch failed: {:?}", r.result);
+/// One `RevokeMany` over a random forest leaves the kernels in the same
+/// state as the same selectors revoked one `Revoke` at a time —
+/// identical capability records and table bindings (state digests),
+/// invariants intact, full quiescence — and each of its results equals
+/// the sequential reply, except that a selector whose capability an
+/// earlier selector's subtree covers reports `Ok` where sequential
+/// issue finds it gone (`NoSuchCap`). Across the cases, covered,
+/// failing and kernel-spanning items must each occur.
+#[test]
+fn revoke_many_matches_sequential_revokes() {
+    let exercised = Runner::new(4).map((0..48).collect(), |_, case| {
+        let mut rng = DetRng::split(0x4E70_CA11, case);
+        let mut cs = [TestCluster::new(3, 2), TestCluster::new(3, 2)];
+        let held = build_forest(&mut rng, &mut cs);
+        // Sometimes revoke a holding of VPE 0 up front, so its selector
+        // (and any in its subtree) no longer resolves.
+        let own: Vec<CapSel> = held.iter().filter(|h| h.0 == VpeId(0)).map(|h| h.1).collect();
+        if !own.is_empty() && rng.below(2) == 0 {
+            let sel = own[rng.below(own.len() as u64) as usize];
+            let _ = on_both(&mut cs, VpeId(0), Syscall::Revoke { sel, own: true });
+        }
+        let sels = draw_sels(&mut rng, &held);
+        let [seq, many] = &mut cs;
+
+        // Which selectors an earlier selector's subtree covers: a key
+        // equal to, or descending from, an earlier resolved key.
+        let table = many.kernels[0].table(VpeId(0)).expect("VPE 0 is local");
+        let keys: Vec<Option<DdlKey>> = sels.iter().map(|sel| table.get(*sel).ok()).collect();
+        let covered: Vec<bool> = (0..sels.len())
+            .map(|i| {
+                let Some(mut key) = keys[i] else { return false };
+                let earlier = &keys[..i];
+                loop {
+                    if earlier.contains(&Some(key)) {
+                        return true;
+                    }
+                    match parent_of(many, key) {
+                        Some(parent) => key = parent,
+                        None => return false,
+                    }
+                }
+            })
+            .collect();
+
+        let seq_replies: Vec<Result<()>> = sels
+            .iter()
+            .map(|sel| seq.syscall(VpeId(0), Syscall::Revoke { sel: *sel, own: true }).result)
+            .map(|r| r.map(|data| assert_eq!(data, SysReplyData::None)))
+            .collect();
+        let spanning_before = many.kernels[0].stats().revokes_spanning;
+        let r = many.syscall(VpeId(0), Syscall::RevokeMany { sels: sels.as_slice().into() });
+        let spanning = many.kernels[0].stats().revokes_spanning > spanning_before;
+        let Ok(SysReplyData::Revoked(replies)) = r.result else {
+            panic!("case {case}: revoke-many failed: {:?}", r.result);
         };
 
-        assert_eq!(bat_replies.len(), seq_replies.len(), "case {case}: reply count");
-        for (i, (b, s)) in bat_replies.iter().zip(&seq_replies).enumerate() {
-            assert_eq!(b, s, "case {case}: item {i} ({:?}) diverged", items[i]);
+        assert_eq!(replies.len(), sels.len(), "case {case}: reply count");
+        for (i, (m, s)) in replies.iter().zip(&seq_replies).enumerate() {
+            if covered[i] {
+                assert_eq!(*m, Ok(()), "case {case}: covered item {i} ({:?})", sels[i]);
+                assert_eq!(s.map_err(|e| e.code()), Err(Code::NoSuchCap), "case {case}: item {i}");
+            } else {
+                assert_eq!(m, s, "case {case}: item {i} ({:?}) diverged", sels[i]);
+            }
         }
 
         // Same final kernel state, bit for bit.
-        seq.check_invariants();
-        bat.check_invariants();
-        for (ks, kb) in seq.kernels.iter().zip(&bat.kernels) {
+        for c in [&*seq, &*many] {
+            c.check_invariants();
+            c.assert_quiescent();
+        }
+        for (ks, km) in seq.kernels.iter().zip(&many.kernels) {
             assert_eq!(
                 ks.state_digest(),
-                kb.state_digest(),
+                km.state_digest(),
                 "case {case}: kernel {} state diverged",
                 ks.id()
             );
-            assert_eq!(kb.pending_ops(), 0, "case {case}: suspended ops after batch");
         }
+        let failed = replies.iter().filter(|r| r.is_err()).count();
+        [covered.iter().filter(|c| **c).count(), failed, usize::from(spanning)]
     });
+    let totals = exercised.iter().fold([0; 3], |t, e| [t[0] + e[0], t[1] + e[1], t[2] + e[2]]);
+    assert!(totals.iter().all(|n| *n > 0), "[covered, failed, spanning] items: {totals:?}");
 }
 
 /// One full faulted run: a random capability workload executed under a

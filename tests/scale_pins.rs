@@ -1,7 +1,7 @@
 //! Cycle pins at 10–100× the paper's evaluation scale.
 //!
 //! The paper's revocation experiments (Figures 4 and 5) stop at chains
-//! and trees of ~100 capabilities. These ten scenarios push the same
+//! and trees of ~100 capabilities. These nine scenarios push the same
 //! shapes — and the protocols added on top of them — to thousands of
 //! capabilities, and pin every *deterministic* output of each run:
 //! simulated cycles, events, capabilities deleted, cross-kernel
@@ -16,15 +16,15 @@
 //! expected ones and say so in CHANGES.md. Anything else that moves a
 //! line is a regression.
 //!
-//! The two twins keep their claims as plain asserts: a batched teardown
-//! sends fewer cross-kernel requests than the sequential one, and one
-//! `Syscall::Batch` of revokes (per-kernel coalescing in
-//! `kernel::ops::bulk`, no feature) needs at most ⅔ of the sequential
-//! cycles and half of its handler dispatches.
+//! The two sequential/batched twins keep their claims as plain asserts:
+//! one `Syscall::RevokeMany` (its remote children grouped per kernel,
+//! no feature) sends fewer cross-kernel requests than the sequential
+//! revokes of a spanning teardown, and needs at most ⅔ of the
+//! sequential cycles and half of its handler dispatches on a dense one.
 
 use semper_apps::AppKind;
 use semper_base::msg::{SysReplyData, Syscall};
-use semper_base::{CapSel, Feature, KernelMode, MachineConfig, VpeId};
+use semper_base::{CapSel, KernelMode, MachineConfig, VpeId};
 use semper_kernel::KernelStats;
 use semperos::experiment::{run_app_instances, MicroMachine};
 use semperos::machine::Machine;
@@ -146,14 +146,13 @@ fn dense_table_teardown(caps: u32) -> Row {
     Row::of("dense_table_teardown", caps, cycles, m.machine(), &before)
 }
 
-/// Revokes `sels` of `vpe` as one `Syscall::Batch`; every item must
-/// succeed. Returns the cycles of the batch.
+/// Revokes `sels` of `vpe` as one `Syscall::RevokeMany`; every item
+/// must succeed. Returns the cycles of the call.
 fn revoke_batch(m: &mut MicroMachine, vpe: VpeId, sels: &[CapSel]) -> u64 {
-    let items: Box<[Syscall]> =
-        sels.iter().map(|sel| Syscall::Revoke { sel: *sel, own: true }).collect();
-    let (r, cycles) = m.machine().syscall_blocking(vpe, Syscall::Batch(items));
+    let call = Syscall::RevokeMany { sels: sels.into() };
+    let (r, cycles) = m.machine().syscall_blocking(vpe, call);
     match r.result {
-        Ok(SysReplyData::Batch(results)) => {
+        Ok(SysReplyData::Revoked(results)) => {
             assert_eq!(results.len(), sels.len());
             assert!(results.iter().all(|i| i.is_ok()), "batched revoke item failed");
         }
@@ -166,8 +165,8 @@ fn revoke_batch(m: &mut MicroMachine, vpe: VpeId, sels: &[CapSel]) -> u64 {
 /// owns `caps` capabilities, each delegated once round-robin to groups
 /// 1–3, so the revocation subtree spans three peer kernels. Teardown is
 /// one blocking `Revoke` per capability in reverse allocation order, or
-/// one `Syscall::Batch` with no feature on: the coalesced revoke run
-/// groups its remote children into one request per owning kernel.
+/// one `Syscall::RevokeMany` with no feature on, which groups its
+/// remote children into one request per owning kernel.
 fn dense_table_spanning(caps: u32, batched: bool) -> Row {
     let mut m = MicroMachine::new(4, 2, KernelMode::SemperOS);
     let a = m.vpe(0, 0);
@@ -192,9 +191,8 @@ fn dense_table_spanning(caps: u32, batched: bool) -> Row {
 /// Spanning revoke, sequential vs batched: one VPE of group 0 owns `n`
 /// capabilities, each delegated once to a VPE of group 1, so every
 /// revoke has exactly one remote child. Teardown is `n` separate
-/// `Revoke` syscalls, or one `Syscall::Batch` whose coalesced fan-out
-/// sends a single grouped request to the peer kernel
-/// (`kernel::ops::bulk`). Same final state.
+/// `Revoke` syscalls, or one `Syscall::RevokeMany` that sends a single
+/// grouped request to the peer kernel. Same final state.
 fn spanning_revoke(n: u32, batched: bool) -> Row {
     let mut m = MicroMachine::new(2, 2, KernelMode::SemperOS);
     let a = m.vpe(0, 0);
@@ -215,28 +213,29 @@ fn spanning_revoke(n: u32, batched: bool) -> Row {
     Row::of(name, n, cycles, m.machine(), &before)
 }
 
-/// File workload, sequential vs batched: `instances` tar replays against
-/// m3fs on a 4-kernel/2-service machine — fewer services than kernels,
-/// so half the clients open *cross-group* sessions and their extent
-/// capabilities span kernels. Under `Feature::SyscallBatching` each file
-/// close revokes its delegated extents through one `Syscall::Batch`
-/// instead of one revoke per extent. `sim_cycles` is the run's makespan
-/// and every counter covers the whole run.
-fn file_workload(instances: u32, batched: bool) -> Row {
+/// File workload: `instances` tar replays against m3fs on a
+/// 4-kernel/2-service machine — fewer services than kernels, so half
+/// the clients open *cross-group* sessions and their extent
+/// capabilities span kernels. `sim_cycles` is the run's makespan and
+/// every counter covers the whole run.
+fn file_workload(instances: u32) -> Row {
     let mut cfg = MachineConfig::small();
     cfg.num_pes = 24;
     cfg.kernels = 4;
     cfg.services = 2;
     cfg.mesh_width = semper_base::config::mesh_width_for(cfg.num_pes);
-    if batched {
-        cfg = cfg.with_feature(Feature::SyscallBatching);
-    }
     let res = run_app_instances(&cfg, AppKind::Tar, instances);
-    let name = if batched { "file_workload_batched" } else { "file_workload_sequential" };
-    Row::new(name, instances, res.makespan, res.events, &[], &res.kernel_stats)
+    Row::new(
+        "file_workload_sequential",
+        instances,
+        res.makespan,
+        res.events,
+        &[],
+        &res.kernel_stats,
+    )
 }
 
-/// The ten scenarios with every size divided by `div` (1 = the full
+/// The nine scenarios with every size divided by `div` (1 = the full
 /// sizes the module docs quote).
 fn suite(div: u32) -> Vec<Job<'static, Row>> {
     // Floor: with fewer than 4 tar instances every client sits in a
@@ -249,25 +248,20 @@ fn suite(div: u32) -> Vec<Job<'static, Row>> {
         Box::new(move || dense_table_teardown(10_000 / div)),
         Box::new(move || spanning_revoke(2048 / div, false)),
         Box::new(move || spanning_revoke(2048 / div, true)),
-        Box::new(move || file_workload(instances, false)),
-        Box::new(move || file_workload(instances, true)),
+        Box::new(move || file_workload(instances)),
         Box::new(move || dense_table_spanning(10_000 / div, false)),
         Box::new(move || dense_table_spanning(10_000 / div, true)),
     ]
 }
 
-/// What each feature twin claims over its baseline, on deterministic
-/// counters only.
+/// What each batched twin claims over its sequential baseline, on
+/// deterministic counters only.
 fn assert_twin_claims(rows: &[Row]) {
     let row = |name: &str| rows.iter().find(|r| r.name == name).expect("scenario ran");
 
-    for (seq, bat) in [
-        ("spanning_revoke_sequential", "spanning_revoke_batched"),
-        ("file_workload_sequential", "file_workload_batched"),
-    ] {
-        let (s, b) = (row(seq).get("kcalls"), row(bat).get("kcalls"));
-        assert!(b < s, "{bat}: {b} cross-kernel requests, not fewer than {seq}'s {s}");
-    }
+    let (seq, bat) = ("spanning_revoke_sequential", "spanning_revoke_batched");
+    let (s, b) = (row(seq).get("kcalls"), row(bat).get("kcalls"));
+    assert!(b < s, "{bat}: {b} cross-kernel requests, not fewer than {seq}'s {s}");
 
     let seq = row("dense_table_teardown_sequential");
     let bat = row("dense_table_teardown_batched");
