@@ -6,7 +6,9 @@
 //! (modeled as compute time per the paper's non-contended-memory
 //! methodology), and closes files, triggering revocations at the
 //! service. [`AppClient`] wraps one replayer around one application
-//! trace; the Nginx server reuses the replayer for per-request traces.
+//! trace; the Nginx server reuses one replayer for every request, each
+//! loading a shared handle on its page's trace. A replayer only reads
+//! its trace, so a loaded trace is an `Arc<Trace>`.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -94,7 +96,7 @@ pub struct Replayer {
     fs: Correlator,
 
     session: Option<(u64, PeId)>,
-    trace: Option<Trace>,
+    trace: Option<Arc<Trace>>,
     ip: usize,
     files: BTreeMap<Arc<str>, FileState>,
     io: Option<Io>,
@@ -156,16 +158,25 @@ impl Replayer {
     }
 
     /// Issues the `OpenSession` system call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session is already open.
     pub fn open_session(&mut self, out: &mut Outbox) -> u64 {
-        debug_assert!(self.session.is_none());
+        assert!(self.session.is_none(), "session already open");
         let _ = self.sys.submit(Syscall::OpenSession { name: self.service_name }, out);
         self.cost.fs_meta_op / 4
     }
 
     /// Loads a trace for execution (requires an established session and
     /// no trace in progress).
-    pub fn load(&mut self, trace: Trace) {
-        debug_assert!(self.trace.is_none(), "trace already loaded");
+    ///
+    /// # Panics
+    ///
+    /// Panics if a trace is still loaded: replacing it would hand the
+    /// next reply to the wrong trace.
+    pub fn load(&mut self, trace: Arc<Trace>) {
+        assert!(self.trace.is_none(), "trace already loaded");
         self.trace = Some(trace);
         self.ip = 0;
         self.io = None;
@@ -416,7 +427,7 @@ impl Replayer {
 /// One application benchmark instance: a replayer bound to one trace.
 pub struct AppClient {
     replayer: Replayer,
-    trace: Option<Trace>,
+    trace: Option<Arc<Trace>>,
     phase: ClientPhase,
 }
 
@@ -432,7 +443,7 @@ impl AppClient {
     ) -> AppClient {
         AppClient {
             replayer: Replayer::new(vpe, pe, kernel_pe, cost, service_name),
-            trace: Some(trace),
+            trace: Some(Arc::new(trace)),
             phase: ClientPhase::Cold,
         }
     }
@@ -453,8 +464,12 @@ impl AppClient {
     }
 
     /// Starts the client: opens the service session.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the client was started before.
     pub fn boot(&mut self, out: &mut Outbox) -> u64 {
-        debug_assert_eq!(self.phase, ClientPhase::Cold);
+        assert_eq!(self.phase, ClientPhase::Cold, "client booted twice");
         self.phase = ClientPhase::OpeningSession;
         self.replayer.open_session(out)
     }
@@ -560,5 +575,43 @@ mod tests {
             Msg::new(PeId(5), PeId(1), Payload::Http(semper_base::msg::HttpReq { id: 1, uri: 0 }));
         c.handle(&stray, &mut out);
         assert_eq!(c.phase(), ClientPhase::Failed(Error::new(Code::InternalError)));
+    }
+
+    #[test]
+    #[should_panic(expected = "client booted twice")]
+    fn second_boot_panics() {
+        let mut c = client();
+        c.boot(&mut Outbox::new());
+        c.boot(&mut Outbox::new());
+    }
+
+    /// A replayer on PE 1 whose session (ident 1, service on PE 9) is open.
+    fn replayer_with_session() -> Replayer {
+        let mut r = Replayer::new(VpeId(0), PeId(1), PeId(0), CostModel::calibrated(), 7);
+        let mut out = Outbox::new();
+        r.open_session(&mut out);
+        let session =
+            SysReplyData::Session { sel: semper_base::CapSel(3), srv_pe: PeId(9), ident: 1 };
+        r.on_msg(&Msg::new(PeId(0), PeId(1), Payload::sys_reply(0, Ok(session))), &mut out);
+        assert!(r.has_session());
+        r
+    }
+
+    #[test]
+    #[should_panic(expected = "session already open")]
+    fn second_session_open_panics() {
+        replayer_with_session().open_session(&mut Outbox::new());
+    }
+
+    /// Loading over a running trace would hand the next reply to the new
+    /// trace; every build profile refuses it.
+    #[test]
+    #[should_panic(expected = "trace already loaded")]
+    fn loading_over_a_running_trace_panics() {
+        let mut r = replayer_with_session();
+        r.load(Arc::new(AppKind::Find.trace(0)));
+        r.run(&mut Outbox::new());
+        assert!(r.busy());
+        r.load(Arc::new(AppKind::Find.trace(1)));
     }
 }

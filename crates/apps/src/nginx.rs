@@ -8,16 +8,20 @@
 //! closed loop with a configurable number of outstanding requests.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use semper_base::msg::{HttpReq, HttpResp, Outbox, Payload};
 use semper_base::{CostModel, Msg, PeId, VpeId};
 
 use crate::client::Replayer;
-use crate::trace::nginx_request;
+use crate::trace::{nginx_request, Trace, DOCROOT_PAGES};
 
 /// One webserver VPE serving requests from load generators.
 pub struct NginxServer {
     replayer: Replayer,
+    /// The request trace of each docroot page, built once; a request
+    /// replays a shared handle.
+    pages: Vec<Arc<Trace>>,
     pe: PeId,
     pending: VecDeque<(PeId, HttpReq)>,
     current: Option<(PeId, HttpReq)>,
@@ -36,6 +40,7 @@ impl NginxServer {
     ) -> NginxServer {
         NginxServer {
             replayer: Replayer::new(vpe, pe, kernel_pe, cost, service_name),
+            pages: (0..DOCROOT_PAGES).map(|page| Arc::new(nginx_request(page))).collect(),
             pe,
             pending: VecDeque::new(),
             current: None,
@@ -60,8 +65,12 @@ impl NginxServer {
     }
 
     /// Starts the server: opens its m3fs session.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the server was started before.
     pub fn boot(&mut self, out: &mut Outbox) -> u64 {
-        debug_assert!(!self.booted);
+        assert!(!self.booted, "server booted twice");
         self.booted = true;
         self.replayer.open_session(out)
     }
@@ -98,7 +107,7 @@ impl NginxServer {
             return 0;
         }
         let Some((src, req)) = self.pending.pop_front() else { return 0 };
-        self.replayer.load(nginx_request(req.uri));
+        self.replayer.load(Arc::clone(&self.pages[(req.uri % DOCROOT_PAGES) as usize]));
         self.current = Some((src, req));
         let (cost, done) = self.replayer.run(out);
         if done {
@@ -142,12 +151,13 @@ impl LoadGen {
         self.bytes
     }
 
-    /// Starts the load: `depth` requests to every server. Iterates the
-    /// target list by index — the previous implementation cloned the
-    /// whole target `Vec` on every boot just to appease the borrow on
-    /// `send_request`.
+    /// Starts the load: `depth` requests to every server.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the load was started before.
     pub fn boot(&mut self, out: &mut Outbox) -> u64 {
-        debug_assert!(!self.started);
+        assert!(!self.started, "load generator started twice");
         self.started = true;
         for s in 0..self.servers.len() {
             let server = self.servers[s];
@@ -161,7 +171,11 @@ impl LoadGen {
     fn send_request(&mut self, server: PeId, out: &mut Outbox) {
         let id = self.next_id;
         self.next_id += 1;
-        out.push(Msg::new(self.pe, server, Payload::Http(HttpReq { id, uri: (id % 8) as u32 })));
+        out.push(Msg::new(
+            self.pe,
+            server,
+            Payload::Http(HttpReq { id, uri: (id % u64::from(DOCROOT_PAGES)) as u32 }),
+        ));
     }
 
     /// Handles one response; immediately issues the next request
@@ -207,6 +221,43 @@ mod tests {
         let msgs = out.drain();
         assert_eq!(msgs.len(), 1);
         assert_eq!(msgs[0].0.dst, PeId(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "load generator started twice")]
+    fn loadgen_second_boot_panics() {
+        let mut lg = LoadGen::new(PeId(0), vec![PeId(1)], 1);
+        lg.boot(&mut Outbox::new());
+        lg.boot(&mut Outbox::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "server booted twice")]
+    fn server_second_boot_panics() {
+        let mut s = NginxServer::new(VpeId(2), PeId(1), PeId(0), CostModel::calibrated(), 7);
+        s.boot(&mut Outbox::new());
+        s.boot(&mut Outbox::new());
+    }
+
+    /// Request ids cycle through the docroot's pages, and the server
+    /// holds one trace per page.
+    #[test]
+    fn requests_cover_every_docroot_page_once_per_cycle() {
+        let mut lg = LoadGen::new(PeId(0), vec![PeId(1)], DOCROOT_PAGES);
+        let mut out = Outbox::new();
+        lg.boot(&mut out);
+        let mut uris: Vec<u32> = out
+            .drain()
+            .iter()
+            .map(|(m, _)| match &m.payload {
+                Payload::Http(req) => req.uri,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        uris.sort_unstable();
+        assert_eq!(uris, (0..DOCROOT_PAGES).collect::<Vec<_>>());
+        let s = NginxServer::new(VpeId(2), PeId(1), PeId(0), CostModel::calibrated(), 7);
+        assert_eq!(s.pages.len(), DOCROOT_PAGES as usize);
     }
 
     #[test]

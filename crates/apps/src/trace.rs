@@ -205,8 +205,8 @@ pub fn required_image() -> (Vec<String>, Vec<(String, u64)>) {
             files.push((format!("/tree/d{d}/e{e}"), 256));
         }
     }
-    // Nginx docroot: eight 16 KiB pages.
-    for p in 0..8 {
+    // Nginx docroot: 16 KiB pages.
+    for p in 0..DOCROOT_PAGES {
         files.push((format!("/docroot/page{p}.html"), 16 * 1024));
     }
     (dirs, files)
@@ -218,6 +218,9 @@ pub const TAR_MEMBER_KIB: [u64; 5] = [128, 256, 512, 1024, 2048];
 pub const TAR_ARCHIVE_BYTES: u64 = 4 << 20;
 /// Entries in the `find` directory tree, §5.3.1.
 pub const FIND_ENTRIES: usize = 80;
+/// Pages in the Nginx docroot; request URI `u` serves page
+/// `u % DOCROOT_PAGES`.
+pub const DOCROOT_PAGES: u32 = 8;
 
 /// Think-time scale: cycles of compute per KiB processed (memory-bound
 /// apps like tar get little; compute-bound apps like SQLite get more).
@@ -465,7 +468,7 @@ fn postmark(instance: u32) -> Trace {
 /// The per-request trace an Nginx worker replays (§5.3.3): serve one
 /// static file.
 pub fn nginx_request(uri: u32) -> Trace {
-    let path: Arc<str> = format!("/docroot/page{}.html", uri % 8).into();
+    let path: Arc<str> = format!("/docroot/page{}.html", uri % DOCROOT_PAGES).into();
     Trace {
         name: "nginx-req".into(),
         ops: vec![

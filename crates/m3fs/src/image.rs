@@ -5,12 +5,25 @@
 //! Only metadata is modeled — contents live in the simulated global
 //! memory whose accesses cost cycles but carry no data, matching the
 //! paper's methodology (§5.3.1).
+//!
+//! # Layout
+//!
+//! Inodes live in an arena, a `Vec` indexed by [`InodeId`]. One name
+//! index, a hash map from normalised path to id, is the only place a
+//! path is searched: the service resolves a path once per `Open` and
+//! serves every extent of that open file by id. The index is not
+//! ordered, so [`FsImage::read_dir`] collects a directory's names and
+//! sorts them, which is the byte order a sorted map of paths would
+//! list them in.
+//!
+//! Unlinking a file drops its name and empties its slot, and no slot is
+//! reused. An id held past the unlink therefore reaches nothing
+//! (`NoSuchFile`), and a file later created at the same path is a new
+//! inode with a new id.
 
 use semper_base::msg::FileStat;
-use semper_base::{Code, Error, Result};
+use semper_base::{Code, DetHashMap, Error, Result};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
-use std::ops::Bound;
 
 /// Size of one extent in bytes (the range granularity at which m3fs
 /// hands out memory capabilities).
@@ -78,10 +91,19 @@ impl FsSpec {
     }
 }
 
+/// Names an inode of one [`FsImage`]: its slot in the image's inode
+/// arena. An id is never reused (see the module's "Layout").
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct InodeId(u32);
+
 /// The filesystem image: metadata plus extent allocation.
 #[derive(Debug, Clone)]
 pub struct FsImage {
-    inodes: BTreeMap<String, Inode>,
+    /// The inode arena, indexed by [`InodeId`]; an unlinked file's slot
+    /// is `None`.
+    inodes: Vec<Option<Inode>>,
+    /// Normalised path → inode, one entry per live inode.
+    names: DetHashMap<Box<str>, InodeId>,
     region_size: u64,
     next_extent: u64,
 }
@@ -93,88 +115,106 @@ impl FsImage {
     ///
     /// Panics if the spec does not fit into `region_size` bytes.
     pub fn build(spec: &FsSpec, region_size: u64) -> FsImage {
-        let mut img = FsImage { inodes: BTreeMap::new(), region_size, next_extent: 0 };
-        img.inodes.insert("/".to_string(), Inode { size: 0, extents: Vec::new(), is_dir: true });
+        let mut img = FsImage {
+            inodes: Vec::new(),
+            names: DetHashMap::default(),
+            region_size,
+            next_extent: 0,
+        };
+        img.insert("/", true);
         for d in &spec.dirs {
             img.mkdir_all(&normalize(d));
         }
         for (path, size) in &spec.files {
-            img.create_file(path).expect("spec paths are valid");
-            img.grow_to(path, *size).expect("spec fits in region");
+            let id = img.create_file(path).expect("spec paths are valid");
+            img.grow(id, *size).expect("spec fits in region");
         }
         img
     }
 
+    /// Adds an empty inode named `norm` (a normalised path that is not
+    /// yet in the index).
+    fn insert(&mut self, norm: &str, is_dir: bool) -> InodeId {
+        let id = InodeId(u32::try_from(self.inodes.len()).expect("fewer than 2^32 inodes"));
+        self.inodes.push(Some(Inode { size: 0, extents: Vec::new(), is_dir }));
+        self.names.insert(norm.into(), id);
+        id
+    }
+
     /// Creates `norm` (a normalised path) and every missing ancestor.
     fn mkdir_all(&mut self, norm: &str) {
-        let mut cur = String::new();
-        for part in norm.split('/').filter(|p| !p.is_empty()) {
-            cur.push('/');
-            cur.push_str(part);
-            self.inodes.entry(cur.clone()).or_insert(Inode {
-                size: 0,
-                extents: Vec::new(),
-                is_dir: true,
-            });
+        // Each ancestor is the prefix of `norm` before one of its slashes.
+        let ends = norm.match_indices('/').map(|(i, _)| i).skip(1).chain([norm.len()]);
+        for end in ends {
+            if !self.names.contains_key(&norm[..end]) {
+                self.insert(&norm[..end], true);
+            }
         }
     }
 
+    /// The live inode `id` names.
+    fn inode(&self, id: InodeId) -> Result<&Inode> {
+        self.inodes.get(id.0 as usize).and_then(Option::as_ref).ok_or(Error::new(Code::NoSuchFile))
+    }
+
+    /// The inode named by `path`.
+    pub fn lookup(&self, path: &str) -> Result<InodeId> {
+        self.names.get(&*normalize(path)).copied().ok_or(Error::new(Code::NoSuchFile))
+    }
+
     /// Creates an empty file; fails if the path exists.
-    pub fn create_file(&mut self, path: &str) -> Result<()> {
+    pub fn create_file(&mut self, path: &str) -> Result<InodeId> {
         let norm = normalize(path);
-        if self.inodes.contains_key(&*norm) {
+        if self.names.contains_key(&*norm) {
             return Err(Error::new(Code::FileExists));
         }
         if let Some(parent) = parent_of(&norm) {
             self.mkdir_all(parent);
         }
-        self.inodes
-            .insert(norm.into_owned(), Inode { size: 0, extents: Vec::new(), is_dir: false });
-        Ok(())
+        Ok(self.insert(&norm, false))
     }
 
-    /// Grows a file to at least `size` bytes, allocating extents.
-    pub fn grow_to(&mut self, path: &str, size: u64) -> Result<()> {
-        let norm = normalize(path);
+    /// Grows file `id` to at least `size` bytes, allocating extents.
+    pub fn grow(&mut self, id: InodeId, size: u64) -> Result<()> {
         let needed = size.div_ceil(EXTENT_BYTES);
         // Check capacity before touching the inode.
-        let have = {
-            let inode = self.inodes.get(&*norm).ok_or(Error::new(Code::NoSuchFile))?;
-            if inode.is_dir {
-                return Err(Error::new(Code::IsDir));
-            }
-            inode.extents.len() as u64
-        };
-        let extra = needed.saturating_sub(have);
+        let inode = self.inode(id)?;
+        if inode.is_dir {
+            return Err(Error::new(Code::IsDir));
+        }
+        let extra = needed.saturating_sub(inode.extents.len() as u64);
         if self.next_extent + extra * EXTENT_BYTES > self.region_size {
             return Err(Error::new(Code::NoSpace));
         }
-        let mut new_extents = Vec::new();
-        for _ in 0..extra {
-            new_extents.push(Extent { region_offset: self.next_extent });
-            self.next_extent += EXTENT_BYTES;
-        }
-        let inode = self.inodes.get_mut(&*norm).expect("checked above");
-        inode.extents.extend(new_extents);
+        let first = self.next_extent;
+        self.next_extent += extra * EXTENT_BYTES;
+        let inode = self.inodes[id.0 as usize].as_mut().expect("checked above");
+        let offsets = (0..extra).map(|i| first + i * EXTENT_BYTES);
+        inode.extents.extend(offsets.map(|region_offset| Extent { region_offset }));
         inode.size = inode.size.max(size);
         Ok(())
     }
 
+    /// The metadata of inode `id`.
+    pub fn stat_of(&self, id: InodeId) -> Result<FileStat> {
+        let inode = self.inode(id)?;
+        Ok(FileStat { size: inode.size, is_dir: inode.is_dir, extents: inode.extents.len() as u32 })
+    }
+
     /// Looks up an inode.
     pub fn stat(&self, path: &str) -> Result<FileStat> {
-        let inode = self.inodes.get(&*normalize(path)).ok_or(Error::new(Code::NoSuchFile))?;
-        Ok(FileStat { size: inode.size, is_dir: inode.is_dir, extents: inode.extents.len() as u32 })
+        self.stat_of(self.lookup(path)?)
     }
 
     /// True if the path exists.
     pub fn exists(&self, path: &str) -> bool {
-        self.inodes.contains_key(&*normalize(path))
+        self.lookup(path).is_ok()
     }
 
-    /// The extent covering byte `offset` of the file, with the file
-    /// offset the extent starts at.
-    pub fn extent_at(&self, path: &str, offset: u64) -> Result<(Extent, u64, u64)> {
-        let inode = self.inodes.get(&*normalize(path)).ok_or(Error::new(Code::NoSuchFile))?;
+    /// The extent covering byte `offset` of file `id`, with the file
+    /// offset the extent starts at and its length.
+    pub fn extent_of(&self, id: InodeId, offset: u64) -> Result<(Extent, u64, u64)> {
+        let inode = self.inode(id)?;
         if inode.is_dir {
             return Err(Error::new(Code::IsDir));
         }
@@ -188,47 +228,52 @@ impl FsImage {
         Ok((ext, start, len))
     }
 
-    /// Removes a file.
+    /// The extent covering byte `offset` of the file, with the file
+    /// offset the extent starts at and its length.
+    pub fn extent_at(&self, path: &str, offset: u64) -> Result<(Extent, u64, u64)> {
+        self.extent_of(self.lookup(path)?, offset)
+    }
+
+    /// Removes a file. Its slot stays empty: an id held past the unlink
+    /// reaches nothing, not a file created later at the same path.
     pub fn unlink(&mut self, path: &str) -> Result<()> {
         let norm = normalize(path);
-        let inode = self.inodes.get(&*norm).ok_or(Error::new(Code::NoSuchFile))?;
-        if inode.is_dir {
+        let id = *self.names.get(&*norm).ok_or(Error::new(Code::NoSuchFile))?;
+        if self.inode(id)?.is_dir {
             return Err(Error::new(Code::IsDir));
         }
         // Extent storage is not reclaimed (bump allocation) — the
         // workloads' churn fits the headroom; see FsSpec::region_size.
-        self.inodes.remove(&*norm);
+        self.names.remove(&*norm);
+        self.inodes[id.0 as usize] = None;
         Ok(())
     }
 
     /// Creates a directory.
     pub fn mkdir(&mut self, path: &str) -> Result<()> {
         let norm = normalize(path);
-        if self.inodes.contains_key(&*norm) {
+        if self.names.contains_key(&*norm) {
             return Err(Error::new(Code::FileExists));
         }
         self.mkdir_all(&norm);
         Ok(())
     }
 
-    /// Names of entries directly inside a directory.
+    /// Names of entries directly inside a directory, in byte order.
     pub fn read_dir(&self, path: &str) -> Result<Vec<String>> {
         let norm = normalize(path);
-        let dir = self.inodes.get(&*norm).ok_or(Error::new(Code::NoSuchFile))?;
-        if !dir.is_dir {
+        if !self.inode(self.lookup(&norm)?)?.is_dir {
             return Err(Error::new(Code::InvalidArgs));
         }
         let prefix = if norm == "/" { "/".to_string() } else { format!("{norm}/") };
-        // Everything below the directory sorts in one block starting at
-        // the prefix: stop at the first key outside it.
-        let mut names = Vec::new();
-        let below = (Bound::Included(prefix.as_str()), Bound::Unbounded);
-        for (key, _) in self.inodes.range::<str, _>(below) {
-            let Some(rest) = key.strip_prefix(&prefix) else { break };
-            if !rest.is_empty() && !rest.contains('/') {
-                names.push(rest.to_string());
-            }
-        }
+        let mut names: Vec<String> = self
+            .names
+            .keys()
+            .filter_map(|key| key.strip_prefix(&*prefix))
+            .filter(|rest| !rest.is_empty() && !rest.contains('/'))
+            .map(str::to_string)
+            .collect();
+        names.sort_unstable();
         Ok(names)
     }
 }
@@ -308,7 +353,7 @@ mod tests {
     #[test]
     fn grow_allocates_new_extents() {
         let mut i = img();
-        i.grow_to("/data/a.txt", EXTENT_BYTES + 300_000).unwrap();
+        i.grow(i.lookup("/data/a.txt").unwrap(), EXTENT_BYTES + 300_000).unwrap();
         assert_eq!(i.stat("/data/a.txt").unwrap().extents, 2);
         assert_eq!(i.stat("/data/a.txt").unwrap().size, EXTENT_BYTES + 300_000);
     }
@@ -317,7 +362,8 @@ mod tests {
     fn grow_beyond_region_fails() {
         let spec = FsSpec::empty().file("/x", 1);
         let mut i = FsImage::build(&spec, EXTENT_BYTES);
-        assert_eq!(i.grow_to("/x", 10 << 20).unwrap_err().code(), Code::NoSpace);
+        let x = i.lookup("/x").unwrap();
+        assert_eq!(i.grow(x, 10 << 20).unwrap_err().code(), Code::NoSpace);
     }
 
     #[test]
@@ -362,6 +408,39 @@ mod tests {
         assert_eq!(i.read_dir("/data2").unwrap(), vec!["y"]);
         assert_eq!(i.read_dir("/").unwrap(), vec!["data", "data-old", "data2", "data2.txt"]);
         assert_eq!(i.read_dir("/data/sub/").unwrap(), vec!["deep.txt"]);
+    }
+
+    /// The listing is sorted, not the order the names were created in.
+    #[test]
+    fn read_dir_order_does_not_depend_on_creation_order() {
+        let listing = |names: &[&str]| {
+            let spec =
+                names.iter().fold(FsSpec::empty(), |spec, n| spec.file(&format!("/d/{n}"), 1));
+            FsImage::build(&spec, 64 << 20).read_dir("/d").unwrap()
+        };
+        let forward = ["b", "a.txt", "a", "c-1", "A", "c"];
+        let mut backward = forward;
+        backward.reverse();
+        assert_eq!(listing(&forward), listing(&backward));
+        assert_eq!(listing(&forward), vec!["A", "a", "a.txt", "b", "c", "c-1"]);
+    }
+
+    /// An id resolved before an unlink reaches nothing after it, and a
+    /// file created again at the same path is a new inode.
+    #[test]
+    fn unlinked_id_reaches_nothing_and_a_recreated_path_is_a_new_inode() {
+        let mut i = img();
+        let old = i.lookup("/data/a.txt").unwrap();
+        i.unlink("/data/a.txt").unwrap();
+        assert_eq!(i.stat_of(old).unwrap_err().code(), Code::NoSuchFile);
+        assert_eq!(i.extent_of(old, 0).unwrap_err().code(), Code::NoSuchFile);
+        assert_eq!(i.grow(old, 1).unwrap_err().code(), Code::NoSuchFile);
+
+        let new = i.create_file("/data/a.txt").unwrap();
+        assert_ne!(new, old);
+        assert_eq!(i.lookup("/data/a.txt").unwrap(), new);
+        assert_eq!(i.stat_of(old).unwrap_err().code(), Code::NoSuchFile);
+        assert_eq!(i.stat_of(new).unwrap().size, 0);
     }
 
     #[test]

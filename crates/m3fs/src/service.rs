@@ -9,7 +9,7 @@
 //! the exact capability lifecycle the paper describes for m3fs (§2.2)
 //! and what generates the capability operations counted in Table 4.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use semper_apps::conn::KernelConn;
@@ -17,9 +17,9 @@ use semper_base::msg::{
     ExchangeKind, FsOp, FsReplyData, FsReq, Outbox, Payload, Perms, SysReply, SysReplyData,
     Syscall, Upcall, UpcallReply,
 };
-use semper_base::{CapSel, Code, CostModel, Error, Msg, PeId, Result, VpeId};
+use semper_base::{CapSel, Code, CostModel, DetHashMap, Error, Msg, PeId, Result, VpeId};
 
-use crate::image::{FsImage, EXTENT_BYTES};
+use crate::image::{FsImage, InodeId, EXTENT_BYTES};
 use crate::M3FS_NAME;
 
 /// Counters maintained by each service instance.
@@ -53,10 +53,14 @@ enum BootState {
 }
 
 /// An open file handle.
+///
+/// It names its file by the inode `Open` resolved, so no later request
+/// on it searches a path. After the file is unlinked, `NextExtent` on
+/// the handle is `NoSuchFile`, and a file created again at the same path
+/// is a new inode the handle does not reach (see the image's "Layout").
 #[derive(Debug)]
 struct OpenFile {
-    /// The path of the `Open` request, shared with it.
-    path: Arc<str>,
+    inode: InodeId,
     session: u64,
     /// Service-side selectors of extent capabilities delegated for this
     /// file (children of the image capability; revoked on close).
@@ -102,9 +106,10 @@ pub struct FsService {
     image_addr: u64,
     image_size: u64,
 
-    sessions: BTreeMap<u64, (VpeId, PeId)>,
-    next_ident: u64,
-    files: BTreeMap<u64, OpenFile>,
+    /// The client of session ident `i` is at index `i − 1`: idents are
+    /// 1, 2, … in accept order, and a session is never closed.
+    sessions: Vec<(VpeId, PeId)>,
+    files: DetHashMap<u64, OpenFile>,
     next_fid: u64,
 
     /// The kernel connection: tag allocation, the one-blocking-syscall
@@ -136,9 +141,8 @@ impl FsService {
             image_sel: CapSel::INVALID,
             image_addr: 0,
             image_size,
-            sessions: BTreeMap::new(),
-            next_ident: 1,
-            files: BTreeMap::new(),
+            sessions: Vec::new(),
+            files: DetHashMap::default(),
             next_fid: 1,
             conn: KernelConn::new(pe, kernel_pe),
             queue: VecDeque::new(),
@@ -184,9 +188,8 @@ impl FsService {
     pub fn handle(&mut self, msg: &Msg, out: &mut Outbox) -> u64 {
         match &msg.payload {
             Payload::Upcall(Upcall::SessionOpen { op, client_vpe, client_pe }) => {
-                let ident = self.next_ident;
-                self.next_ident += 1;
-                self.sessions.insert(ident, (*client_vpe, *client_pe));
+                self.sessions.push((*client_vpe, *client_pe));
+                let ident = self.sessions.len() as u64;
                 self.stats.sessions += 1;
                 out.push(Msg::new(
                     self.pe,
@@ -209,6 +212,13 @@ impl FsService {
         }
     }
 
+    /// The client of session `ident`; `None` for an ident this service
+    /// never handed out.
+    fn client(&self, ident: u64) -> Option<(VpeId, PeId)> {
+        let idx = usize::try_from(ident.checked_sub(1)?).ok()?;
+        self.sessions.get(idx).copied()
+    }
+
     fn reply_fs(&self, out: &mut Outbox, dst: PeId, tag: u64, result: Result<FsReplyData>) {
         out.push(Msg::new(self.pe, dst, Payload::fs_reply(tag, result)));
     }
@@ -218,7 +228,7 @@ impl FsService {
             self.reply_fs(out, src, req.tag, Err(Error::new(Code::InvalidSession)));
             return self.cost.fs_meta_op;
         }
-        let Some((client_vpe, client_pe)) = self.sessions.get(&req.session).copied() else {
+        let Some((client_vpe, client_pe)) = self.client(req.session) else {
             self.reply_fs(out, src, req.tag, Err(Error::new(Code::InvalidSession)));
             return self.cost.fs_meta_op;
         };
@@ -226,16 +236,15 @@ impl FsService {
             FsOp::Open { path, write, create } => {
                 self.stats.opens += 1;
                 let result = (|| -> Result<FsReplyData> {
-                    // One lookup when the file exists; `stat` fails with
-                    // `NoSuchFile` only.
-                    let stat = match self.image.stat(path) {
+                    // The one path search of this open file; `lookup`
+                    // fails with `NoSuchFile` only.
+                    let inode = match self.image.lookup(path) {
                         Err(_) if *create && *write => {
-                            let image = Arc::make_mut(&mut self.image);
-                            image.create_file(path)?;
-                            image.stat(path)?
+                            Arc::make_mut(&mut self.image).create_file(path)?
                         }
                         found => found?,
                     };
+                    let stat = self.image.stat_of(inode)?;
                     if stat.is_dir {
                         return Err(Error::new(Code::IsDir));
                     }
@@ -243,11 +252,7 @@ impl FsService {
                     self.next_fid += 1;
                     self.files.insert(
                         fid,
-                        OpenFile {
-                            path: path.clone(),
-                            session: req.session,
-                            delegated: Vec::new(),
-                        },
+                        OpenFile { inode, session: req.session, delegated: Vec::new() },
                     );
                     Ok(FsReplyData::Opened { fid, size: stat.size })
                 })();
@@ -286,10 +291,9 @@ impl FsService {
                     }
                     if *write {
                         // Appending: make sure the extent exists.
-                        Arc::make_mut(&mut self.image)
-                            .grow_to(&file.path, offset + EXTENT_BYTES)?;
+                        Arc::make_mut(&mut self.image).grow(file.inode, offset + EXTENT_BYTES)?;
                     }
-                    let (ext, file_offset, len) = self.image.extent_at(&file.path, *offset)?;
+                    let (ext, file_offset, len) = self.image.extent_of(file.inode, *offset)?;
                     Ok(Work::Extent {
                         client_vpe,
                         client_pe,

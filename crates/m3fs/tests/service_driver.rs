@@ -257,6 +257,58 @@ fn unknown_session_and_fid_rejected() {
     assert_eq!(expect_fs_reply(&mut out, 6).unwrap_err().code(), Code::InvalidArgs);
 }
 
+/// A session ident is an index into the service's session table; a
+/// forged one — below the first ident, past every ident, or one never
+/// handed out — is `InvalidSession`, never a panic or another client's
+/// session.
+#[test]
+fn forged_session_idents_are_invalid_session() {
+    let mut s = booted_service();
+    for session in [0, 2, u64::MAX, u64::MAX - 1, 1 << 32] {
+        for op in [
+            FsOp::Stat { path: "/f.dat".into() },
+            FsOp::Open { path: "/f.dat".into(), write: false, create: false },
+            FsOp::NextExtent { fid: 1, offset: 0, write: false },
+        ] {
+            let mut out = Outbox::new();
+            s.handle(
+                &Msg::new(CLIENT_PE, SVC_PE, Payload::fs(FsReq { session, tag: 5, op })),
+                &mut out,
+            );
+            assert_eq!(expect_fs_reply(&mut out, 5).unwrap_err().code(), Code::InvalidSession);
+        }
+    }
+    assert_eq!(s.stats().opens, 0);
+}
+
+/// An open file is its inode, not its path: after an unlink the next
+/// extent request is `NoSuchFile`, and a file created again at the same
+/// path is a new inode the old fid does not reach, even to grow it.
+#[test]
+fn unlink_while_open_leaves_the_fid_without_a_file() {
+    let mut s = booted_service();
+    let mut out =
+        fs_req(&mut s, 10, FsOp::Open { path: "/f.dat".into(), write: false, create: false });
+    let _ = expect_fs_reply(&mut out, 10);
+    let mut out = fs_req(&mut s, 11, FsOp::Unlink { path: "/f.dat".into() });
+    assert!(matches!(expect_fs_reply(&mut out, 11), Ok(FsReplyData::Ok)));
+    let mut out = fs_req(&mut s, 12, FsOp::NextExtent { fid: 1, offset: 0, write: false });
+    assert_eq!(expect_fs_reply(&mut out, 12).unwrap_err().code(), Code::NoSuchFile);
+
+    let mut out =
+        fs_req(&mut s, 13, FsOp::Open { path: "/f.dat".into(), write: true, create: true });
+    assert!(matches!(expect_fs_reply(&mut out, 13), Ok(FsReplyData::Opened { fid: 2, size: 0 })));
+    for (tag, write) in [(14, false), (15, true)] {
+        let mut out = fs_req(&mut s, tag, FsOp::NextExtent { fid: 1, offset: 0, write });
+        assert_eq!(expect_fs_reply(&mut out, tag).unwrap_err().code(), Code::NoSuchFile);
+    }
+    let mut out = fs_req(&mut s, 16, FsOp::Stat { path: "/f.dat".into() });
+    match expect_fs_reply(&mut out, 16) {
+        Ok(FsReplyData::Stat(stat)) => assert_eq!((stat.size, stat.extents), (0, 0)),
+        other => panic!("unexpected: {other:?}"),
+    }
+}
+
 #[test]
 fn append_grows_the_file() {
     let mut s = booted_service();
