@@ -18,6 +18,7 @@ pub mod faults;
 pub mod queue;
 pub mod rng;
 pub mod sched;
+pub(crate) mod slab;
 pub mod time;
 
 pub use faults::{CrashPoint, FaultPlan, FaultStats, NetVerdict, PartitionWindow};

@@ -2,27 +2,43 @@
 //!
 //! # Layout
 //!
-//! The queue is a radix heap (Ahuja, Mehlhorn, Orlin, Tarjan) over the
-//! 64-bit timestamp, with `now` — the timestamp of the last pop — as its
-//! origin:
+//! The queue has two tiers, split at the *horizon* `now + WHEEL`
+//! (saturating at `u64::MAX`), where `now` is the timestamp of the last
+//! pop and `WHEEL` is 2¹³:
 //!
-//! * `front` holds the pending entries whose timestamp equals `now`;
-//! * `buckets[k]` holds the entries whose timestamp first differs from
-//!   `now` in bit `k`, counted from the least significant (so bucket 0
-//!   is `now + 1` when `now` is even, and bucket 63 is everything at or
-//!   above 2⁶³ while `now` is below it);
-//! * each bucket knows its smallest timestamp, and bit `k` of `occupied`
-//!   says whether `buckets[k]` holds anything.
+//! * The **near tier** is a timing wheel (Varghese and Lauck; Brown's
+//!   calendar queue) of `WHEEL` slots one cycle wide. An entry with
+//!   `at < horizon` is appended to slot `at mod WHEEL`. Each slot is a
+//!   circular singly linked list through a node pool (the engine's
+//!   `Slab`): the slot stores its newest node, and that node's `next` is
+//!   the oldest. A 128-word occupancy bitmap with a 2-word summary (one
+//!   bit per word) finds the next occupied slot, scanning circularly
+//!   from `now`'s slot. A slot names its timestamp: the first instant at
+//!   or after `now` that it is congruent to.
+//! * The **far tier** holds the entries with `at ≥ horizon`. It is a
+//!   radix heap (Ahuja, Mehlhorn, Orlin, Tarjan) over the 64-bit
+//!   timestamp with an origin of its own, which moves only when the
+//!   far tier pops: `front` holds its entries at the origin, and
+//!   `buckets[k]` those whose timestamp first differs from the origin
+//!   in bit `k`, counted from the least significant. Each bucket knows
+//!   its smallest timestamp, bit `k` of `occupied` says whether
+//!   `buckets[k]` holds anything, and the queue caches the tier's
+//!   minimum in `far_min` (`u64::MAX` when the tier is empty).
 //!
-//! [`EventQueue::schedule`] is one push: compute the bucket from
-//! `at ^ now`, append. [`EventQueue::pop`] takes the head of `front`;
-//! when `front` is empty it finds the lowest occupied bucket (one
-//! `trailing_zeros`), moves `now` to that bucket's minimum and *spreads*
-//! the bucket: entries at the new `now` go to `front`, the rest to the
-//! lower bucket their timestamp now selects. A bucket holding a single
-//! entry is handed out directly — on the shallow queues of the
-//! capability micro-benchmarks (one to three pending events) that is
-//! every pop.
+//! [`EventQueue::schedule`] writes an entry once: to the tail of its
+//! slot, or to the far bucket `at ^ origin` selects. [`EventQueue::pop`]
+//! takes the head of the first occupied slot or, with the wheel empty,
+//! pops the far tier: the lowest occupied bucket (one
+//! `trailing_zeros`) moves the origin to its minimum and is *spread*,
+//! its entries at the new origin going to `front` and the rest to the
+//! lower bucket their timestamp now selects. Either pop moves `now`,
+//! and with it the horizon; every far entry the horizon passed then
+//! *migrates* — popped from the far tier, oldest first, and appended to
+//! its slot — before the pop returns.
+//!
+//! On the simulated machine nearly every event is a NoC delivery or a
+//! handler's completion a few thousand cycles ahead, so nearly every
+//! entry is written once and read once, and nothing is compared.
 //!
 //! # Why the order is exact
 //!
@@ -31,36 +47,63 @@
 //! construction, not by tolerance:
 //!
 //! 1. *Keys are monotone.* `schedule` refuses `at < now`, and `now` only
-//!    moves to the minimum of everything pending, so the origin never
-//!    passes a pending entry.
-//! 2. *Buckets are ordered by time against each other.* A timestamp in
-//!    bucket `k` agrees with `now` above bit `k` and has bit `k` set
-//!    where `now` has it clear (it is larger), so everything in bucket
-//!    `k` is smaller than everything in bucket `j > k`, and `front` is
-//!    smaller than both. The lowest occupied bucket holds the minimum.
-//! 3. *Moving the origin keeps every other bucket valid.* The new `now`
-//!    lies in bucket `k` and so differs from the old one only at or
-//!    below bit `k`; an entry of bucket `j > k` still first differs from
-//!    it in bit `j`. The entries of bucket `k` itself agree with the new
-//!    `now` in bit `k` and above, so they spread strictly downward, into
-//!    buckets that were empty (`k` was the lowest occupied one).
-//! 4. *Every bucket, and `front`, is in sequence-number order.*
-//!    `schedule` appends, and sequence numbers only grow; a spread
-//!    appends to empty buckets and an empty `front` in the order it
-//!    found the entries. An arrival at the current timestamp carries a
-//!    larger sequence number than anything in `front` and appends to it.
-//!    First-in-first-out among equal timestamps is therefore the order
-//!    entries already sit in — nothing is compared and no entry stores
-//!    its sequence number; the counter survives for the sequence-range
-//!    callers below and for [`EventQueue::heap_ops`].
+//!    moves to the minimum of everything pending.
+//! 2. *The tiers are ordered against each other.* Between operations
+//!    every wheel entry lies below the horizon and every far entry at
+//!    or above it. `schedule` sorts an entry with the predicate
+//!    `at < horizon`; the horizon moves only in a pop, and that pop
+//!    migrates every far entry the new horizon passed, with the same
+//!    predicate, before it returns. The wheel's minimum, if there is
+//!    one, is therefore the minimum of the queue.
+//! 3. *A slot holds one timestamp.* The wheel's entries lie in
+//!    `now .. horizon`, at most `WHEEL` consecutive instants, which are
+//!    distinct modulo `WHEEL`. The first occupied slot, counting from
+//!    `now`'s, holds the smallest timestamp.
+//! 4. *A slot is in sequence-number order.* Entries only append to it.
+//!    The entries at a timestamp `T` reach the wheel by migration, in
+//!    the pop that first moves the horizon past `T`, or by `schedule`,
+//!    afterwards. Migration takes them in the far tier's own exact order
+//!    (point 5), and each of them was scheduled before `T` entered the
+//!    window, so before any entry `schedule` appends at `T`. Because
+//!    both use one predicate, an entry at `u64::MAX` stays far even
+//!    once the horizon saturates there: entries at the end of time all
+//!    queue in the far tier, in the order they came.
+//! 5. *The far tier is exact on its own.* Its origin is the timestamp
+//!    of its last pop, which was below the horizon then (a migrated
+//!    entry) or was `now` itself, so every far entry lies at or above
+//!    it. A timestamp in bucket `k` agrees with the origin above bit
+//!    `k` and has bit `k` set where the origin has it clear, so
+//!    everything in bucket `k` is smaller than everything in bucket
+//!    `j > k`, and `front` is smaller than both. Moving the origin to
+//!    bucket `k`'s minimum changes it only at or below bit `k`, so every
+//!    other bucket stays valid, and bucket `k`'s entries spread strictly
+//!    downward, into buckets that were empty. Buckets and `front` are
+//!    appended to in sequence order, and a spread appends in the order
+//!    it found the entries.
 //!
-//! The `model` tests at the bottom check all of this against a
-//! `BinaryHeap` ordered by `(timestamp, sequence number)`.
+//! First-in-first-out among equal timestamps is therefore the order
+//! entries already sit in: no entry stores its sequence number; the
+//! counter survives for the sequence-range callers below and for
+//! [`EventQueue::heap_ops`]. The `model` tests at the bottom check all
+//! of this against a `BinaryHeap` ordered by `(timestamp, sequence
+//! number)`.
 
+use crate::slab::{Slab, NIL};
 use crate::time::Cycles;
 use std::collections::VecDeque;
+use std::mem::MaybeUninit;
 
-/// Bits in a timestamp: one bucket per bit.
+/// Slots of the near tier, one cycle each: the length of the window.
+/// 99.6 % of the Fig. 6 application mix's schedules land inside it; at
+/// 2¹¹, a quarter of them would not.
+const WHEEL: usize = 1 << 13;
+
+/// Words of the wheel's occupancy bitmap: one bit of the two summary
+/// words each.
+const WORDS: usize = WHEEL / 64;
+const _: () = assert!(WORDS == 2 * 64);
+
+/// Bits in a timestamp: one far bucket per bit.
 const BUCKETS: usize = u64::BITS as usize;
 
 struct Entry<E> {
@@ -68,13 +111,105 @@ struct Entry<E> {
     event: E,
 }
 
-/// One radix bucket.
+/// A wheel entry. Its slot names its timestamp.
+struct Node<E> {
+    /// Initialised while the node is linked into a slot: `push_near`
+    /// writes it, `unlink` moves it out and releases the node, and
+    /// `EventQueue`'s `Drop` drops what is left. Not an `Option`: moving
+    /// an event out of one, whose discriminant lives inside the event,
+    /// cost `nginx_256_8k8s` 7 % of its host time.
+    event: MaybeUninit<E>,
+    /// The entry appended after this one to the same slot; the newest
+    /// entry's is the oldest.
+    next: u32,
+}
+
+/// One radix bucket of the far tier.
 struct Bucket<E> {
     /// Smallest timestamp in `entries`; meaningful while the bucket's
     /// bit in `occupied` is set.
     min: u64,
     /// Oldest first.
     entries: Vec<Entry<E>>,
+}
+
+/// The far tier: a radix heap around its own origin (module docs).
+struct RadixHeap<E> {
+    /// The timestamp of the last pop.
+    origin: u64,
+    /// Entries at `origin`, oldest first.
+    front: VecDeque<Entry<E>>,
+    /// `buckets[k]`: entries whose timestamp first differs from
+    /// `origin` in bit `k`.
+    buckets: [Bucket<E>; BUCKETS],
+    /// Bit `k` set: `buckets[k]` is not empty.
+    occupied: u64,
+}
+
+impl<E> RadixHeap<E> {
+    fn new() -> RadixHeap<E> {
+        RadixHeap {
+            origin: 0,
+            front: VecDeque::new(),
+            buckets: std::array::from_fn(|_| Bucket { min: 0, entries: Vec::new() }),
+            occupied: 0,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.front.is_empty() && self.occupied == 0
+    }
+
+    /// The smallest pending timestamp, `u64::MAX` when empty.
+    fn min(&self) -> u64 {
+        if !self.front.is_empty() {
+            self.origin
+        } else if self.occupied == 0 {
+            u64::MAX
+        } else {
+            self.buckets[self.occupied.trailing_zeros() as usize].min
+        }
+    }
+
+    /// Appends `entry`, which lies at or after the origin, to `front` or
+    /// to the bucket its timestamp selects.
+    fn place(&mut self, entry: Entry<E>) {
+        let diff = entry.at ^ self.origin;
+        if diff == 0 {
+            self.front.push_back(entry);
+            return;
+        }
+        let k = diff.ilog2();
+        let bucket = &mut self.buckets[k as usize];
+        let bit = 1u64 << k;
+        if self.occupied & bit == 0 || entry.at < bucket.min {
+            bucket.min = entry.at;
+        }
+        self.occupied |= bit;
+        bucket.entries.push(entry);
+    }
+
+    /// Removes the earliest entry — among equal timestamps, the oldest —
+    /// moving the origin to its timestamp.
+    fn pop(&mut self) -> Option<Entry<E>> {
+        if self.front.is_empty() {
+            if self.occupied == 0 {
+                return None;
+            }
+            let k = self.occupied.trailing_zeros() as usize;
+            self.occupied &= !(1u64 << k);
+            self.origin = self.buckets[k].min;
+            // The entries at the new origin go to `front` and every
+            // later one to its lower bucket, all in the order they were
+            // found. The bucket keeps its capacity.
+            let mut bucket = std::mem::take(&mut self.buckets[k].entries);
+            for entry in bucket.drain(..) {
+                self.place(entry);
+            }
+            self.buckets[k].entries = bucket;
+        }
+        self.front.pop_front()
+    }
 }
 
 /// A deterministic event queue.
@@ -85,13 +220,21 @@ struct Bucket<E> {
 /// channel ordering (§4.3.1), which the NoC implements on top of this
 /// queue.
 pub struct EventQueue<E> {
-    /// Entries at `now`, oldest first.
-    front: VecDeque<Entry<E>>,
-    /// `buckets[k]`: entries whose timestamp first differs from `now`
-    /// in bit `k`.
-    buckets: [Bucket<E>; BUCKETS],
-    /// Bit `k` set: `buckets[k]` is not empty.
-    occupied: u64,
+    /// `tails[s]`: the newest entry of slot `s`, or `NIL`.
+    tails: Box<[u32; WHEEL]>,
+    /// Bit `s % 64` of word `s / 64` set: slot `s` is occupied.
+    slots_occupied: Box<[u64; WORDS]>,
+    /// Bit `w % 64` of `summary[w / 64]` set: word `w` of
+    /// `slots_occupied` is not zero. Not a `u128`: its shifts by a
+    /// variable amount made a pop on a shallow queue (`exchange_churn`)
+    /// several per cent slower.
+    summary: [u64; 2],
+    /// The wheel's entries.
+    nodes: Slab<Node<E>>,
+    far: RadixHeap<E>,
+    /// `far.min()`, kept beside the wheel: the migration test reads it
+    /// after every pop.
+    far_min: u64,
     next_seq: u64,
     now: Cycles,
     popped: u64,
@@ -105,9 +248,12 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> EventQueue<E> {
         EventQueue {
-            front: VecDeque::new(),
-            buckets: std::array::from_fn(|_| Bucket { min: 0, entries: Vec::new() }),
-            occupied: 0,
+            tails: vec![NIL; WHEEL].into_boxed_slice().try_into().expect("WHEEL slots"),
+            slots_occupied: Box::new([0; WORDS]),
+            summary: [0; 2],
+            nodes: Slab::new(),
+            far: RadixHeap::new(),
+            far_min: u64::MAX,
             next_seq: 0,
             now: Cycles::ZERO,
             popped: 0,
@@ -142,7 +288,14 @@ impl<E> EventQueue<E> {
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.front.is_empty() && self.occupied == 0
+        self.wheel_is_empty() && self.far.is_empty()
+    }
+
+    /// The end of the wheel's window: an entry before it goes to the
+    /// wheel, any other to the far tier. `schedule` and migration both
+    /// test against it (module docs, points 2 and 4).
+    fn horizon(&self) -> u64 {
+        self.now.0.saturating_add(WHEEL as u64)
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -154,7 +307,12 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, at: Cycles, event: E) {
         assert!(at >= self.now, "event scheduled in the past: {} < now {}", at, self.now);
         self.next_seq += 1;
-        self.place(Entry { at: at.0, event });
+        if at.0 < self.horizon() {
+            self.push_near(at.0, event);
+        } else {
+            self.far_min = self.far_min.min(at.0);
+            self.far.place(Entry { at: at.0, event });
+        }
     }
 
     /// Schedules `event` `delay` cycles from now.
@@ -162,61 +320,133 @@ impl<E> EventQueue<E> {
         self.schedule(self.now + delay, event);
     }
 
-    /// Appends `entry` to `front` or to the bucket its timestamp selects
-    /// against the current origin.
-    fn place(&mut self, entry: Entry<E>) {
-        let diff = entry.at ^ self.now.0;
-        if diff == 0 {
-            self.front.push_back(entry);
-            return;
-        }
-        let k = diff.ilog2();
-        let bucket = &mut self.buckets[k as usize];
-        let bit = 1u64 << k;
-        if self.occupied & bit == 0 || entry.at < bucket.min {
-            bucket.min = entry.at;
-        }
-        self.occupied |= bit;
-        bucket.entries.push(entry);
-    }
-
     /// Pops the earliest event — among equal timestamps, the one
     /// scheduled first — advancing `now` to its timestamp.
-    ///
-    /// With `front` empty, `now` moves to the minimum of the lowest
-    /// occupied bucket and that bucket is spread (module docs, points 2
-    /// and 3); a bucket of one entry is that minimum and is returned
-    /// without passing through `front`.
     pub fn pop(&mut self) -> Option<(Cycles, E)> {
-        if self.front.is_empty() {
-            if self.occupied == 0 {
-                return None;
-            }
-            let k = self.occupied.trailing_zeros() as usize;
-            self.occupied &= !(1u64 << k);
-            let bucket = &mut self.buckets[k];
-            self.now = Cycles(bucket.min);
-            if bucket.entries.len() == 1 {
-                let entry = bucket.entries.pop().expect("length checked");
-                self.popped += 1;
-                return Some((Cycles(entry.at), entry.event));
-            }
-            self.spread(k);
-        }
-        let entry = self.front.pop_front().expect("a spread fills front");
-        self.popped += 1;
-        Some((Cycles(entry.at), entry.event))
+        self.pop_until(Cycles::MAX)
     }
 
-    /// Empties bucket `k` after `now` moved to its minimum: the entries
-    /// at `now` go to `front` and every later one to its lower bucket,
-    /// all in the order they were found. The bucket keeps its capacity.
-    fn spread(&mut self, k: usize) {
-        let mut bucket = std::mem::take(&mut self.buckets[k].entries);
-        for entry in bucket.drain(..) {
-            self.place(entry);
+    /// [`EventQueue::pop`], unless the earliest event lies after
+    /// `deadline`: then nothing moves and the result is `None`. Finds
+    /// the earliest slot once, where a peek and a pop would scan twice.
+    pub(crate) fn pop_until(&mut self, deadline: Cycles) -> Option<(Cycles, E)> {
+        let (at, event) = if !self.wheel_is_empty() {
+            let (slot, at) = self.first_slot();
+            if at > deadline.0 {
+                return None;
+            }
+            (at, self.unlink(slot))
+        } else if self.far_min <= deadline.0 {
+            let entry = self.far.pop()?;
+            self.far_min = self.far.min();
+            (entry.at, entry.event)
+        } else {
+            return None;
+        };
+        self.now = Cycles(at);
+        self.popped += 1;
+        let horizon = self.horizon();
+        while self.far_min < horizon {
+            let entry = self.far.pop().expect("far_min names a pending entry");
+            self.far_min = self.far.min();
+            self.push_near(entry.at, entry.event);
         }
-        self.buckets[k].entries = bucket;
+        Some((Cycles(at), event))
+    }
+
+    /// Timestamp of the earliest pending event: the first occupied
+    /// slot's, or with the wheel empty the far tier's minimum.
+    pub fn peek_time(&self) -> Option<Cycles> {
+        if !self.wheel_is_empty() {
+            Some(Cycles(self.first_slot().1))
+        } else if self.far.is_empty() {
+            None
+        } else {
+            Some(Cycles(self.far_min))
+        }
+    }
+
+    // ----- the wheel ------------------------------------------------------
+
+    fn wheel_is_empty(&self) -> bool {
+        self.summary == [0; 2]
+    }
+
+    /// Appends `event` to the slot of `at`, which lies before the
+    /// horizon.
+    fn push_near(&mut self, at: u64, event: E) {
+        let slot = at as usize % WHEEL;
+        let tail = self.tails[slot];
+        let event = MaybeUninit::new(event);
+        self.tails[slot] = if tail == NIL {
+            let node = self.nodes.insert(Node { event, next: NIL });
+            self.nodes[node].next = node;
+            let word = slot / 64;
+            self.slots_occupied[word] |= 1 << (slot % 64);
+            self.summary[word / 64] |= 1 << (word % 64);
+            node
+        } else {
+            let node = self.nodes.insert(Node { event, next: self.nodes[tail].next });
+            self.nodes[tail].next = node;
+            node
+        };
+    }
+
+    /// The first occupied slot, counting circularly from `now`'s, and
+    /// its timestamp. The wheel must not be empty.
+    fn first_slot(&self) -> (usize, u64) {
+        let now = self.now.0;
+        let from = now as usize % WHEEL;
+        let word = from / 64;
+        let here = self.slots_occupied[word] & (u64::MAX << (from % 64));
+        let slot = if here != 0 {
+            word * 64 + here.trailing_zeros() as usize
+        } else {
+            // The next non-zero word after `word`, wrapping round to
+            // `word` itself, whose bits below `from` are the window's
+            // last slots.
+            let [lo, hi] = self.summary;
+            let after = |bits: u64, first: usize| {
+                bits & u64::MAX.checked_shl((word + 1).saturating_sub(first) as u32).unwrap_or(0)
+            };
+            let (lo_after, hi_after) = (after(lo, 0), after(hi, 64));
+            let w = if lo_after != 0 {
+                lo_after.trailing_zeros() as usize
+            } else if hi_after != 0 {
+                64 + hi_after.trailing_zeros() as usize
+            } else if lo != 0 {
+                lo.trailing_zeros() as usize
+            } else {
+                64 + hi.trailing_zeros() as usize
+            };
+            w * 64 + self.slots_occupied[w].trailing_zeros() as usize
+        };
+        (slot, now + ((slot as u64).wrapping_sub(now) % WHEEL as u64))
+    }
+
+    /// Removes and returns the oldest entry of occupied slot `slot`. An
+    /// empty slot's `NIL` tail indexes past the node pool and panics.
+    fn unlink(&mut self, slot: usize) -> E {
+        let tail = self.tails[slot];
+        let head = self.nodes[tail].next;
+        if head == tail {
+            self.tails[slot] = NIL;
+            let word = slot / 64;
+            self.slots_occupied[word] &= !(1 << (slot % 64));
+            if self.slots_occupied[word] == 0 {
+                self.summary[word / 64] &= !(1 << (word % 64));
+            }
+        } else {
+            self.nodes[tail].next = self.nodes[head].next;
+        }
+        self.nodes.release(head);
+        // SAFETY: `slot` is occupied (both callers take it from
+        // `first_slot`), so `head` was linked into it until the lines
+        // above, and a linked node's event is initialised: `push_near`
+        // writes it before linking the node, and only this function
+        // unlinks one. Nothing reuses the released node before this
+        // read, the only one of its event, so the event moves out once.
+        unsafe { self.nodes[head].event.assume_init_read() }
     }
 
     // ----- sequence ranges ------------------------------------------------
@@ -246,16 +476,15 @@ impl<E> EventQueue<E> {
         self.popped += n;
         self.credited += n;
     }
+}
 
-    /// Timestamp of the earliest pending event: `now` while `front`
-    /// holds anything, else the minimum of the lowest occupied bucket.
-    pub fn peek_time(&self) -> Option<Cycles> {
-        if !self.front.is_empty() {
-            Some(self.now)
-        } else if self.occupied == 0 {
-            None
-        } else {
-            Some(Cycles(self.buckets[self.occupied.trailing_zeros() as usize].min))
+impl<E> Drop for EventQueue<E> {
+    fn drop(&mut self) {
+        // A node does not drop its event (`Node::event`): drop those
+        // still in the wheel.
+        while !self.wheel_is_empty() {
+            let (slot, _) = self.first_slot();
+            drop(self.unlink(slot));
         }
     }
 }
@@ -343,6 +572,33 @@ mod tests {
         assert_eq!(q.processed(), 1);
         assert_eq!(q.len(), 1);
     }
+
+    #[test]
+    fn a_bounded_pop_leaves_later_events_alone() {
+        let mut q = EventQueue::new();
+        q.schedule(Cycles(10), 'a');
+        q.schedule(Cycles(WHEEL as u64 + 20), 'b');
+        assert_eq!(q.pop_until(Cycles(9)), None);
+        assert_eq!(q.pop_until(Cycles(10)), Some((Cycles(10), 'a')));
+        // Only a far entry is left.
+        assert_eq!(q.pop_until(Cycles(WHEEL as u64 + 19)), None);
+        assert_eq!((q.now(), q.processed(), q.len()), (Cycles(10), 1, 1));
+        assert_eq!(q.pop_until(Cycles(WHEEL as u64 + 20)), Some((Cycles(WHEEL as u64 + 20), 'b')));
+        assert_eq!(q.pop_until(Cycles::MAX), None);
+    }
+
+    #[test]
+    fn pending_events_drop_with_the_queue() {
+        let event = std::rc::Rc::new(());
+        let mut q = EventQueue::new();
+        for at in [0, 1, 1, 9, WHEEL as u64 - 1, WHEEL as u64, 1 << 40] {
+            q.schedule(Cycles(at), event.clone());
+        }
+        q.pop();
+        assert_eq!(std::rc::Rc::strong_count(&event), 7);
+        drop(q);
+        assert_eq!(std::rc::Rc::strong_count(&event), 1);
+    }
 }
 
 /// The queue against an independent reference: a `BinaryHeap` ordered
@@ -379,6 +635,16 @@ mod model {
                 pops: 0,
                 credited: 0,
             }
+        }
+
+        /// A pair whose clock stands at `start`.
+        fn at(start: u64) -> Pair {
+            let mut p = Pair::new();
+            if start > 0 {
+                p.schedule(start);
+                p.pop();
+            }
+            p
         }
 
         fn schedule(&mut self, at: u64) {
@@ -420,14 +686,17 @@ mod model {
             assert_eq!(self.q.now(), Cycles(self.now));
             assert_eq!(self.q.processed(), self.pops + self.credited);
             assert_eq!(self.q.heap_ops(), self.pushes + self.pops);
+            assert_eq!(self.q.far_min, self.q.far.min());
         }
     }
 
     /// A timestamp at or after `now`: equal to it, a few cycles on,
     /// just either side of the next multiple of 2ᵏ for small and large
-    /// k, or anywhere up to 2⁴⁰ cycles away. Saturates at `u64::MAX`.
+    /// k, anywhere in the wheel's window, just either side of its
+    /// horizon, or anywhere up to 2⁴⁰ cycles away. Saturates at
+    /// `u64::MAX`.
     fn timestamp(rng: &mut DetRng, now: u64) -> u64 {
-        match rng.below(8) {
+        match rng.below(9) {
             0 => now,
             1 | 2 => now.saturating_add(rng.below(4)),
             3 | 4 => {
@@ -440,7 +709,9 @@ mod model {
                     _ => boundary.saturating_add(rng.below(3)),
                 }
             }
-            5 | 6 => now.saturating_add(rng.below(1 << 12)),
+            5 | 6 => now.saturating_add(rng.below(WHEEL as u64)),
+            // `now + WHEEL − 1`, `now + WHEEL` or `now + WHEEL + 1`.
+            7 => now.saturating_add(WHEEL as u64 - 1 + rng.below(3)),
             _ => now.saturating_add(rng.below((1 << 40) + 1)),
         }
     }
@@ -450,11 +721,7 @@ mod model {
     /// reference after each one.
     fn drive(seed: u64, start: u64, steps: usize) {
         let mut rng = DetRng::seed_from(seed);
-        let mut p = Pair::new();
-        if start > 0 {
-            p.schedule(start);
-            p.pop();
-        }
+        let mut p = Pair::at(start);
         for _ in 0..steps {
             // Keep the queue between empty and a few hundred deep.
             let pop_share = if p.q.len() > 300 { 7 } else { 4 };
@@ -488,8 +755,8 @@ mod model {
 
     #[test]
     fn random_operations_match_a_binary_heap() {
-        // 6 × 20 000 steps; bursts and the final drain make that 250 965
-        // checked operations.
+        // 6 × 20 000 steps; bursts and the final drain make about a
+        // quarter of a million checked operations.
         for seed in 1..=6 {
             drive(seed, 0, 20_000);
         }
@@ -504,16 +771,13 @@ mod model {
         drive(9, (1 << 63) - 3, 10_000);
     }
 
-    /// What the single-entry fast path serves, and the smallest spreads.
+    /// The smallest queues: one entry, two, and two with an arrival at
+    /// the popped timestamp in between.
     #[test]
     fn one_and_two_entries() {
         for start in [0, 1, 6, 7, 8, 1023, 1 << 40, u64::MAX - 64] {
             for (a, b) in [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (3, 4), (4, 3), (8, 9)] {
-                let mut p = Pair::new();
-                if start > 0 {
-                    p.schedule(start);
-                    p.pop();
-                }
+                let mut p = Pair::at(start);
                 // One entry alone.
                 p.schedule(start + a);
                 p.pop();
@@ -534,5 +798,84 @@ mod model {
                 p.pop();
             }
         }
+    }
+
+    /// An entry scheduled beyond the horizon, then one at the same
+    /// timestamp once the window has reached it: the far one is older
+    /// and pops first, whether a wheel pop or a far pop moved the
+    /// horizon.
+    #[test]
+    fn a_migrated_entry_pops_before_a_later_one_at_its_timestamp() {
+        let wheel = WHEEL as u64;
+        for start in [0, 5, wheel - 1, wheel, 1 << 40, u64::MAX - 3 * wheel] {
+            for far_pop in [false, true] {
+                let mut p = Pair::at(start);
+                let t = start + wheel + 7;
+                p.schedule(t);
+                p.schedule(t);
+                // The next pop moves the horizon past `t`: from the
+                // wheel, or with the wheel empty from the far tier.
+                p.schedule(if far_pop { t - 1 } else { start + 10 });
+                assert!(!p.q.far.is_empty());
+                p.pop();
+                assert!(p.q.far.is_empty(), "the pop migrated every entry at {t}");
+                p.schedule(t);
+                p.schedule(t);
+                for _ in 0..5 {
+                    p.pop();
+                }
+            }
+        }
+    }
+
+    /// With the horizon saturated at `u64::MAX`, entries there stay in
+    /// the far tier — both those scheduled before `now` came within
+    /// `WHEEL` of it and those scheduled after — and pop in the order
+    /// they came.
+    #[test]
+    fn entries_at_the_end_of_time_stay_far_in_order() {
+        let wheel = WHEEL as u64;
+        let mut p = Pair::at(u64::MAX - wheel - 10);
+        p.schedule(u64::MAX);
+        p.schedule(u64::MAX);
+        p.schedule(u64::MAX - wheel + 5);
+        p.pop();
+        assert_eq!(p.q.horizon(), u64::MAX);
+        p.schedule(u64::MAX - 1);
+        p.schedule(u64::MAX);
+        p.pop();
+        assert!(p.q.wheel_is_empty() && !p.q.far.is_empty());
+        p.schedule(u64::MAX);
+        p.pop();
+        p.pop();
+        // At the end of time itself.
+        p.schedule(u64::MAX);
+        while !p.heap.is_empty() {
+            p.pop();
+        }
+        p.pop();
+    }
+
+    /// Deltas inside the window never reach the far tier, and the node
+    /// pool holds no more nodes than entries were ever pending at once:
+    /// each entry is written once, to a node a pop freed.
+    #[test]
+    fn near_events_are_written_once() {
+        let mut rng = DetRng::seed_from(10);
+        let mut p = Pair::new();
+        let mut peak = 0;
+        for _ in 0..100_000 {
+            let pop_share = if p.q.len() > 300 { 7 } else { 4 };
+            if rng.below(10) < pop_share {
+                p.pop();
+            } else {
+                let at = p.now + rng.below(WHEEL as u64);
+                p.schedule(at);
+            }
+            peak = peak.max(p.q.len());
+            assert!(p.q.far.is_empty());
+            assert!(p.q.nodes.allocated() <= peak);
+        }
+        assert!(peak > 100, "the queue reached {peak} entries");
     }
 }

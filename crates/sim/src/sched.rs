@@ -67,6 +67,7 @@
 //! cycle counts.
 
 use crate::queue::EventQueue;
+use crate::slab::{Slab, NIL};
 use crate::time::Cycles;
 
 /// Heap entry: a fresh delivery, or the first wake token of a run.
@@ -85,9 +86,6 @@ enum Tok<E> {
         run: u32,
     },
 }
-
-/// End of a chain of parked events.
-const NIL: u32 = u32::MAX;
 
 /// A parked event and the one parked behind it in the same run.
 struct Parked<E> {
@@ -109,55 +107,6 @@ struct Run {
     /// The parked events, `head` first, linked through [`Parked::next`].
     head: u32,
     tail: u32,
-}
-
-/// A `Vec` whose vacated indices are handed out again.
-struct Slab<T> {
-    items: Vec<T>,
-    free: Vec<u32>,
-}
-
-impl<T> Slab<T> {
-    fn new() -> Slab<T> {
-        Slab { items: Vec::new(), free: Vec::new() }
-    }
-
-    fn insert(&mut self, item: T) -> u32 {
-        match self.free.pop() {
-            Some(i) => {
-                self.items[i as usize] = item;
-                i
-            }
-            None => {
-                let i = u32::try_from(self.items.len()).ok().filter(|&i| i != NIL);
-                self.items.push(item);
-                i.expect("fewer than 2^32 - 1 parked events")
-            }
-        }
-    }
-
-    /// Marks `i` reusable. The item stays in place until overwritten.
-    fn release(&mut self, i: u32) {
-        self.free.push(i);
-    }
-
-    /// Indices handed out and not released.
-    fn live(&self) -> usize {
-        self.items.len() - self.free.len()
-    }
-}
-
-impl<T> std::ops::Index<u32> for Slab<T> {
-    type Output = T;
-    fn index(&self, i: u32) -> &T {
-        &self.items[i as usize]
-    }
-}
-
-impl<T> std::ops::IndexMut<u32> for Slab<T> {
-    fn index_mut(&mut self, i: u32) -> &mut T {
-        &mut self.items[i as usize]
-    }
 }
 
 /// A deterministic event schedule over a fixed set of serializing PEs.
@@ -277,7 +226,7 @@ impl<E> PeSchedule<E> {
     /// the sequence numbers and counting the pops the old retry loop
     /// spent on it one event at a time.
     pub fn pop_ready(&mut self) -> Option<(Cycles, usize, E)> {
-        self.pop_ready_bounded(None)
+        self.pop_ready_before(Cycles::MAX)
     }
 
     /// Like [`PeSchedule::pop_ready`], but never pops a heap entry
@@ -288,22 +237,18 @@ impl<E> PeSchedule<E> {
     /// their requeued entries in the heap the same way. May park
     /// in-deadline entries (consuming pops) and still return `None`.
     pub fn pop_ready_before(&mut self, deadline: Cycles) -> Option<(Cycles, usize, E)> {
-        self.pop_ready_bounded(Some(deadline))
-    }
-
-    fn pop_ready_bounded(&mut self, deadline: Option<Cycles>) -> Option<(Cycles, usize, E)> {
         loop {
-            if let Some(deadline) = deadline {
-                if self.peek_time()? > deadline {
-                    return None;
-                }
-            }
-            let (t, run) = match self.held.take() {
+            let (t, run) = match self.held {
                 Some(run) => {
+                    let at = self.runs[run].at;
+                    if at > deadline {
+                        return None;
+                    }
+                    self.held = None;
                     self.queue.credit_pops(1);
-                    (self.runs[run].at, run)
+                    (at, run)
                 }
-                None => match self.queue.pop()? {
+                None => match self.queue.pop_until(deadline)? {
                     (t, Tok::Deliver { pe, event }) => {
                         let busy = self.busy_until[pe as usize];
                         if busy > t {
@@ -460,7 +405,7 @@ mod tests {
             s.set_busy(0, Cycles(base + 51));
         }
         // One deferral per round, always through the same recycled slot.
-        assert_eq!(s.lane_slots.items.len(), 1);
-        assert_eq!(s.runs.items.len(), 1);
+        assert_eq!(s.lane_slots.allocated(), 1);
+        assert_eq!(s.runs.allocated(), 1);
     }
 }
