@@ -8,64 +8,20 @@
 //! * **Cost** — the handshake adds one inter-kernel round trip to every
 //!   group-spanning delegate.
 
-use semper_base::config::Feature;
-use semper_base::msg::{ExchangeKind, Perms, SysReplyData, Syscall};
-use semper_base::{CapSel, KernelMode, VpeId};
 use semper_bench::banner;
-use semper_kernel::harness::TestCluster;
-use semperos::experiment::MicroMachine;
-
-fn race_leaks(one_way: bool) -> bool {
-    let mut c = TestCluster::new(2, 1);
-    if one_way {
-        for k in &mut c.kernels {
-            k.enable_feature_for_test(Feature::OneWayDelegate);
-        }
-    }
-    let r = c.syscall(VpeId(0), Syscall::CreateMem { size: 4096, perms: Perms::RW });
-    let Ok(SysReplyData::Mem { sel, .. }) = r.result else { panic!() };
-    c.syscall_async(
-        VpeId(0),
-        Syscall::Exchange {
-            other: VpeId(1),
-            own_sel: sel,
-            other_sel: CapSel::INVALID,
-            kind: ExchangeKind::Delegate,
-        },
-    );
-    c.pump_n(4);
-    let rt = c.syscall_front(VpeId(0), Syscall::Revoke { sel, own: true });
-    c.pump_all();
-    assert!(c.take_reply(VpeId(0), rt).unwrap().result.is_ok());
-    let leaked = c.kernels[1]
-        .mapdb()
-        .iter()
-        .any(|cap| matches!(cap.kind, semper_base::msg::CapKindDesc::Memory { .. }));
-    leaked
-}
-
-fn delegate_latency(one_way: bool) -> u64 {
-    let mut m = MicroMachine::new(2, 2, KernelMode::SemperOS);
-    if one_way {
-        m.machine().enable_feature_everywhere(Feature::OneWayDelegate);
-    }
-    let a = m.vpe(0, 0);
-    let b = m.vpe(1, 0);
-    let sel = m.create_mem(a);
-    let (_, cycles) = m.delegate(a, b, sel);
-    cycles
-}
+use semper_bench::figures::ablate_handshake;
 
 fn main() {
     banner("Ablation: two-way delegate handshake", "§4.3.2 / Table 2 'Invalid'");
-    let two_way_leaks = race_leaks(false);
-    let one_way_leaks = race_leaks(true);
+    let h = ablate_handshake();
     println!("delegate/revoke race leaves an invalid capability:");
-    println!("  two-way handshake (SemperOS): {two_way_leaks}   <- must be false");
-    println!("  one-way (naive) protocol:     {one_way_leaks}   <- the window the paper closes");
+    println!("  two-way handshake (SemperOS): {}   <- must be false", h.two_way_leaks);
+    println!(
+        "  one-way (naive) protocol:     {}   <- the window the paper closes",
+        h.one_way_leaks
+    );
     println!();
-    let lat2 = delegate_latency(false);
-    let lat1 = delegate_latency(true);
+    let (lat2, lat1) = (h.two_way_cycles, h.one_way_cycles);
     println!("group-spanning delegate latency:");
     println!("  two-way handshake: {lat2} cycles");
     println!("  one-way protocol:  {lat1} cycles");
@@ -75,5 +31,4 @@ fn main() {
         100.0 * (lat2 as f64 - lat1 as f64) / lat1 as f64
     );
     println!("  invalid capabilities entirely.");
-    assert!(!two_way_leaks && one_way_leaks, "ablation must show the window");
 }

@@ -8,33 +8,23 @@
 //! by the two-phase algorithm). The M3 line is the single-kernel
 //! baseline.
 
-use semper_base::KernelMode;
 use semper_bench::banner;
-use semperos::experiment::MicroMachine;
+use semper_bench::figures::{fig4_anchors, fig4_chain_revoke};
 
 fn main() {
     banner("Figure 4: revoking capability chains of varying sizes", "Figure 4");
-    // One machine per shape, reused across all chain lengths —
-    // measurement cycles are identical on a quiesced reused machine.
-    let mut semper = MicroMachine::new(2, 2, KernelMode::SemperOS);
-    let mut m3 = MicroMachine::new(1, 2, KernelMode::M3);
+    let rows = fig4_chain_revoke();
     println!(
         "{:<8} {:>16} {:>20} {:>14}",
         "Length", "Local (cycles)", "Spanning (cycles)", "M3 (cycles)"
     );
-    for len in [1u32, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100] {
-        let local = semper.measure_chain_revoke(len, false);
-        let spanning = semper.measure_chain_revoke(len, true);
-        let base = m3.measure_chain_revoke(len, false);
-        println!("{len:<8} {local:>16} {spanning:>20} {base:>14}");
+    for r in &rows {
+        println!("{:<8} {:>16} {:>20} {:>14}", r.len, r.local, r.spanning, r.m3);
     }
     println!();
-    let l100 = semper.measure_chain_revoke(100, false);
-    let s100 = semper.measure_chain_revoke(100, true);
-    let m100 = m3.measure_chain_revoke(100, false);
+    let a = fig4_anchors(&rows);
     println!(
-        "At length 100: spanning/local = {:.2}x (paper ~3x), local/M3 = {:.2}x (paper ~2x)",
-        s100 as f64 / l100 as f64,
-        l100 as f64 / m100 as f64
+        "At length 100: spanning/local = {:.2}x (paper ~{}x), local/M3 = {:.2}x (paper ~{}x)",
+        a[0].measured, a[0].paper, a[1].measured, a[1].paper
     );
 }

@@ -5,68 +5,41 @@
 //! kernel for both; group-spanning uses two kernels. The M3 baseline
 //! runs the single-kernel mode with plain capability references.
 
-use semper_base::KernelMode;
+use semper_bench::figures::{table3_anchors, table3_cap_ops};
 use semper_bench::{banner, dev};
-use semperos::experiment::MicroMachine;
 
 fn main() {
     banner("Table 3: runtimes of capability operations", "Table 3");
-
-    let ex_local = MicroMachine::new(2, 2, KernelMode::SemperOS).measure_exchange_local();
-    let ex_span = MicroMachine::new(2, 2, KernelMode::SemperOS).measure_exchange_spanning();
-    let rv_local = MicroMachine::new(2, 2, KernelMode::SemperOS).measure_revoke_local();
-    let rv_span = MicroMachine::new(2, 2, KernelMode::SemperOS).measure_revoke_spanning();
-    let m3_ex = MicroMachine::new(1, 2, KernelMode::M3).measure_exchange_local();
-    let m3_rv = MicroMachine::new(1, 2, KernelMode::M3).measure_revoke_local();
-
+    let rows = table3_cap_ops();
     println!(
         "{:<10} {:<9} {:>9} {:>8} {:>7} | {:>8} {:>7}",
         "Operation", "Scope", "SemperOS", "paper", "dev", "M3", "paper"
     );
-    println!(
-        "{:<10} {:<9} {:>9} {:>8} {:>7} | {:>8} {:>7}",
-        "Exchange",
-        "Local",
-        ex_local,
-        3597,
-        dev(ex_local as f64, 3597.0),
-        m3_ex,
-        3250
-    );
-    println!(
-        "{:<10} {:<9} {:>9} {:>8} {:>7} | {:>8} {:>7}",
-        "Exchange",
-        "Spanning",
-        ex_span,
-        6484,
-        dev(ex_span as f64, 6484.0),
-        "—",
-        "—"
-    );
-    println!(
-        "{:<10} {:<9} {:>9} {:>8} {:>7} | {:>8} {:>7}",
-        "Revoke",
-        "Local",
-        rv_local,
-        1997,
-        dev(rv_local as f64, 1997.0),
-        m3_rv,
-        1423
-    );
-    println!(
-        "{:<10} {:<9} {:>9} {:>8} {:>7} | {:>8} {:>7}",
-        "Revoke",
-        "Spanning",
-        rv_span,
-        3876,
-        dev(rv_span as f64, 3876.0),
-        "—",
-        "—"
-    );
+    for r in &rows {
+        let (m3, m3_paper) = match r.m3 {
+            Some((m3, paper)) => (m3.to_string(), paper.to_string()),
+            None => ("—".to_string(), "—".to_string()),
+        };
+        println!(
+            "{:<10} {:<9} {:>9} {:>8} {:>7} | {:>8} {:>7}",
+            r.op,
+            r.scope,
+            r.cycles,
+            r.paper,
+            dev(r.cycles as f64, r.paper as f64),
+            m3,
+            m3_paper
+        );
+    }
     println!();
+    let anchors = table3_anchors(&rows);
+    let increase = |name| {
+        let a = anchors.iter().find(|a| a.name == name).expect("Table 3 anchor");
+        (100.0 * a.measured, 100.0 * a.paper)
+    };
+    let (ex, ex_paper) = increase("exchange_increase_over_m3");
+    let (rv, rv_paper) = increase("revoke_increase_over_m3");
     println!(
-        "Increase over M3: exchange {:+.1}% (paper +10.7%), revoke {:+.1}% (paper +40.3%)",
-        100.0 * (ex_local as f64 - m3_ex as f64) / m3_ex as f64,
-        100.0 * (rv_local as f64 - m3_rv as f64) / m3_rv as f64,
+        "Increase over M3: exchange {ex:+.1}% (paper {ex_paper:+.1}%), revoke {rv:+.1}% (paper {rv_paper:+.1}%)"
     );
 }

@@ -1,10 +1,17 @@
 //! Support library for the benchmark harness.
 //!
 //! Every table and figure of the paper's evaluation (§5) has a bench
-//! target in `benches/`; running `cargo bench` regenerates them all.
-//! Each target prints the measured rows next to the paper's published
-//! values where the paper gives them, so shape deviations are visible at
-//! a glance. See `EXPERIMENTS.md` for the recorded comparison.
+//! target in `benches/`, which prints the measured rows next to the
+//! paper's published values where the paper gives them.
+//!
+//! The recorded comparison is `tests/goldens/paper_figures.txt`: for
+//! the six sub-second benches (Tables 2 and 3, Figures 4 and 5, and the
+//! batching and handshake ablations, whose rows [`figures`] computes)
+//! it pins every printed cell and records each anchor's published
+//! value, source and relative error. `tests/paper_pins.rs` checks it in
+//! every `cargo test`.
+
+pub mod figures;
 
 use semper_apps::AppKind;
 use semper_base::MachineConfig;
