@@ -19,7 +19,7 @@
 
 use crate::ddl::DdlKey;
 use crate::error::Result;
-use crate::ids::{CapSel, EpId, OpId, PeId, ServiceId, VpeId};
+use crate::ids::{CapSel, EpId, KernelId, OpId, PeId, ServiceId, VpeId};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -221,12 +221,8 @@ pub enum Syscall {
     /// *one* revocation: its revoke requests for remote children are
     /// grouped into one [`Kcall::RevokeBatchReq`] per kernel, and a
     /// selector whose capability an earlier one's subtree covers
-    /// (a duplicate, or a descendant held by the caller) reports `Ok`.
-    ///
-    /// A capability that descends from another listed one *through
-    /// another kernel* must not be listed with it: the peer's revoke
-    /// request for it would wait on the very revocation that waits for
-    /// the peer.
+    /// (a duplicate, or a descendant held by the caller, through any
+    /// number of kernels) reports `Ok`.
     RevokeMany {
         /// The capabilities to revoke, in reply order.
         sels: Box<[CapSel]>,
@@ -293,7 +289,7 @@ pub enum Kcall {
         /// Service name.
         name: u64,
         /// Kernel owning the service's group.
-        owner: crate::ids::KernelId,
+        owner: KernelId,
         /// DDL key of the service capability.
         srv_key: DdlKey,
         /// PE the service VPE runs on.
@@ -355,6 +351,9 @@ pub enum Kcall {
     RevokeReq {
         /// Correlation id (sender-local).
         op: OpId,
+        /// The revocation this request serves — its kernel and op id
+        /// there — passed on unchanged by every request it causes.
+        origin: (KernelId, OpId),
         /// DDL key of the subtree root to revoke.
         cap_key: DdlKey,
     },
@@ -364,6 +363,8 @@ pub enum Kcall {
     RevokeBatchReq {
         /// Correlation id (sender-local).
         op: OpId,
+        /// As in [`Kcall::RevokeReq`].
+        origin: (KernelId, OpId),
         /// DDL keys of the subtree roots to revoke.
         cap_keys: Vec<DdlKey>,
     },
@@ -411,29 +412,17 @@ pub enum KReply {
         /// the receiving VPE's table.
         result: Result<CapSel>,
     },
-    /// Reply to [`Kcall::RevokeReq`] — sent only when the remote subtree
-    /// is completely gone (never acknowledges an incomplete revoke).
+    /// Reply to [`Kcall::RevokeReq`] and [`Kcall::RevokeBatchReq`], sent
+    /// only when every subtree the request named is gone (never
+    /// acknowledges an incomplete revoke; a key already gone is done).
     Revoke {
         /// Correlation id echoed from the request.
         op: OpId,
-        /// DDL key the request named (identifies which child finished).
-        cap_key: DdlKey,
-        /// Number of capabilities deleted in the remote subtree
+        /// Number of keys the request named (the reply's wire size).
+        keys: u32,
+        /// Number of capabilities deleted in the remote subtrees
         /// (statistics only).
         deleted: u64,
-        /// Outcome (errors only for unknown keys, which count as done).
-        result: Result<()>,
-    },
-    /// Reply to [`Kcall::RevokeBatchReq`].
-    RevokeBatch {
-        /// Correlation id echoed from the request.
-        op: OpId,
-        /// Keys from the request that are now fully revoked.
-        cap_keys: Vec<DdlKey>,
-        /// Total number of capabilities deleted.
-        deleted: u64,
-        /// Outcome.
-        result: Result<()>,
     },
     /// Reply to [`Kcall::OpenSessReq`].
     OpenSess {
@@ -453,7 +442,6 @@ impl KReply {
             | KReply::Delegate { op, .. }
             | KReply::DelegateDone { op, .. }
             | KReply::Revoke { op, .. }
-            | KReply::RevokeBatch { op, .. }
             | KReply::OpenSess { op, .. } => *op,
         }
     }
@@ -736,8 +724,7 @@ impl Payload {
                 KReply::Obtain { .. } => 40,
                 KReply::Delegate { .. } => 32,
                 KReply::DelegateDone { .. } => 16,
-                KReply::Revoke { .. } => 32,
-                KReply::RevokeBatch { cap_keys, .. } => 24 + 8 * cap_keys.len() as u32,
+                KReply::Revoke { keys, .. } => 24 + 8 * keys,
                 KReply::OpenSess { .. } => 24,
             },
             Payload::Upcall(_) | Payload::UpcallReply(_) => 24,
@@ -847,16 +834,23 @@ mod tests {
         assert_eq!(Perms::R.to_string(), "r--");
     }
 
+    /// The revoke messages' wire sizes are architectural constants: a
+    /// request or reply for one key, and 8 bytes more per further key.
     #[test]
     fn wire_sizes_scale_with_content() {
-        let small = Payload::kcall(Kcall::RevokeReq {
-            op: OpId(1),
-            cap_key: DdlKey::new(PeId(0), VpeId(0), CapType::Memory, 1),
-        });
-        let keys =
-            (0..10).map(|i| DdlKey::new(PeId(0), VpeId(0), CapType::Memory, i)).collect::<Vec<_>>();
-        let big = Payload::kcall(Kcall::RevokeBatchReq { op: OpId(1), cap_keys: keys });
-        assert!(big.wire_size() > small.wire_size());
+        let origin = (KernelId(0), OpId(7));
+        let key = |i| DdlKey::new(PeId(0), VpeId(0), CapType::Memory, i);
+        let single = Payload::kcall(Kcall::RevokeReq { op: OpId(1), origin, cap_key: key(1) });
+        assert_eq!(single.wire_size(), 16 + 24);
+        for n in [1, 10] {
+            let cap_keys = (0..n).map(key).collect();
+            let batch = Payload::kcall(Kcall::RevokeBatchReq { op: OpId(1), origin, cap_keys });
+            assert_eq!(batch.wire_size(), 16 + 16 + 8 * n);
+            let reply = Payload::kreply(KReply::Revoke { op: OpId(1), keys: n, deleted: 3 });
+            assert_eq!(reply.wire_size(), 16 + 24 + 8 * n);
+        }
+        let one = Payload::kreply(KReply::Revoke { op: OpId(1), keys: 1, deleted: 0 });
+        assert_eq!(one.wire_size(), 16 + 32);
     }
 
     #[test]

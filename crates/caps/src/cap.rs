@@ -45,9 +45,6 @@ pub struct Capability {
     pub(crate) children: u32,
     /// Lifecycle state.
     pub state: CapState,
-    /// Outstanding inter-kernel revoke replies for this capability
-    /// (Algorithm 1's per-capability counter).
-    pub outstanding: u32,
 }
 
 impl Capability {
@@ -63,7 +60,6 @@ impl Capability {
             last_child: None,
             children: 0,
             state: CapState::Usable,
-            outstanding: 0,
         }
     }
 
@@ -115,7 +111,6 @@ mod tests {
         let c = Capability::root(key(0), mem_desc(), VpeId(1), CapSel(2));
         assert_eq!(c.parent, None);
         assert!(!c.revoking());
-        assert_eq!(c.outstanding, 0);
     }
 
     #[test]
@@ -166,8 +161,8 @@ mod tests {
     #[test]
     fn record_is_at_most_72_bytes() {
         // The resource (24 bytes), four one-word keys (own, parent, first
-        // and last child) and four small fields; nothing is allocated
-        // per record.
+        // and last child) and four small fields (owner, selector, child
+        // count, state); nothing is allocated per record.
         assert!(core::mem::size_of::<Capability>() <= 72);
     }
 

@@ -312,19 +312,10 @@ impl Kernel {
                 revoke::Phase::Run(rop) => {
                     self.complete_revoke(rop, out);
                 }
-                // Report what the completed sub-revokes deleted; the
-                // caller's protocol treats revoke replies as always-Ok.
-                revoke::Phase::Batch { caller_op, caller_kernel, cap_keys, fanin } => {
-                    self.send_kreply(
-                        out,
-                        caller_kernel,
-                        KReply::RevokeBatch {
-                            op: caller_op,
-                            cap_keys,
-                            deleted: fanin.tally(),
-                            result: Ok(()),
-                        },
-                    );
+                // Report what the completed sub-revokes deleted.
+                revoke::Phase::Batch { caller_op, caller_kernel, keys, fanin } => {
+                    let reply = KReply::Revoke { op: caller_op, keys, deleted: fanin.tally() };
+                    self.send_kreply(out, caller_kernel, reply);
                 }
             },
         }

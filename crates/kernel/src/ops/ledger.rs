@@ -92,7 +92,7 @@ mod tests {
     use super::*;
     use crate::ops::revoke::{Initiator, Phase, RevokeOp};
     use crate::ops::FanIn;
-    use semper_base::{CapType, DdlKey, KernelId, PeId, VpeId};
+    use semper_base::{KernelId, VpeId};
 
     fn revoke_op(initiator: Initiator) -> PendingOp {
         PendingOp::Revoke(Phase::Run(RevokeOp {
@@ -100,6 +100,7 @@ mod tests {
             fanin: FanIn::new(),
             local_roots: Vec::new(),
             spanning: false,
+            marked: None,
         }))
     }
 
@@ -115,14 +116,7 @@ mod tests {
         assert_eq!(t.threads_in_use(), 0);
         // Syscall-initiated revokes hold a thread; kcall-initiated do not.
         t.insert(OpId(1), revoke_op(Initiator::Syscall { vpe: VpeId(0), tag: 0 }));
-        t.insert(
-            OpId(2),
-            revoke_op(Initiator::Kcall {
-                op: OpId(9),
-                from: KernelId(1),
-                cap_key: DdlKey::new(PeId(0), VpeId(0), CapType::Vpe, 0),
-            }),
-        );
+        t.insert(OpId(2), revoke_op(Initiator::Kcall { op: OpId(9), from: KernelId(1) }));
         assert_eq!(t.threads_in_use(), 1);
         assert_eq!(t.len(), 2);
         assert!(t.remove(OpId(1)).is_some());

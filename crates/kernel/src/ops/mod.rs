@@ -53,8 +53,8 @@
 //! | §4.3.2 two-way delegate handshake, first leg | [`exchange::Phase::DelegateRemote`] → [`exchange::Phase::DelegateAtRecv`] |
 //! | §4.3.2 two-way delegate handshake, second leg | [`exchange::Phase::DelegatePendingInsert`] / [`exchange::Phase::DelegateWaitDone`] / [`exchange::Phase::DelegateAborted`] |
 //! | §3.4 session capability attachment | [`session::Phase::OpenRemote`] → [`session::Phase::AtService`], [`session::Phase::OpenLocal`] |
-//! | §4.3.3 Algorithm 1 mark/delete + reply counting | [`revoke::Phase::Run`]; an incoming `RevokeBatchReq` (§5.2 message batching) tracks its keys in [`revoke::Phase::Batch`] |
-//! | §5.2 bulk revocation (`Syscall::RevokeMany`) | one [`revoke::Phase::Run`] over all its roots |
+//! | §4.3.3 Algorithm 1 mark/delete + reply counting | [`revoke::Phase::Run`]; an incoming `RevokeBatchReq` (§5.2 message batching) counts its sub-revokes in [`revoke::Phase::Batch`] |
+//! | §5.2 bulk revocation (`Syscall::RevokeMany`) | one [`revoke::Phase::Run`] over all its roots, whose marks every request it causes folds into when it comes back |
 //!
 //! # What a new protocol costs
 //!
@@ -293,9 +293,11 @@ impl Kernel {
             Kcall::DelegateAck { op, reply_op, commit } => {
                 self.delegate_ack(from, *op, *reply_op, *commit, out)
             }
-            Kcall::RevokeReq { op, cap_key } => self.revoke_request(from, *op, *cap_key, out),
-            Kcall::RevokeBatchReq { op, cap_keys } => {
-                self.revoke_batch_request(from, *op, cap_keys, out)
+            Kcall::RevokeReq { op, origin, cap_key } => {
+                self.revoke_request(from, *op, *origin, *cap_key, out)
+            }
+            Kcall::RevokeBatchReq { op, origin, cap_keys } => {
+                self.revoke_batch_request(from, *op, *origin, cap_keys, out)
             }
             Kcall::OpenSessReq { op, child_key, service, client_vpe } => {
                 self.open_sess_request(from, *op, *child_key, *service, *client_vpe, out)
@@ -310,25 +312,15 @@ impl Kernel {
     /// dropped at zero cost.
     pub(crate) fn route_kreply(&mut self, src: PeId, reply: &KReply, out: &mut Outbox) -> u64 {
         let Some(from) = self.sending_kernel(src) else { return 0 };
-        // Revoke completions are counter decrements (Algorithm 1's
-        // `receive_revoke_reply`), far cheaper to dispatch than the
-        // protocol replies that resume full continuations.
-        let entry = match reply {
-            KReply::Revoke { .. } | KReply::RevokeBatch { .. } => self.cfg.cost.thread_switch,
-            _ => self.cfg.cost.kcall_entry,
-        };
-        entry
-            + match reply {
-                KReply::Revoke { op, deleted, result, .. } => {
-                    debug_assert!(result.is_ok(), "revoke replies always succeed");
-                    self.revoke_reply_arrived(*op, *deleted, out)
-                }
-                KReply::RevokeBatch { op, deleted, result, .. } => {
-                    debug_assert!(result.is_ok(), "revoke replies always succeed");
-                    self.revoke_reply_arrived(*op, *deleted, out)
-                }
-                other => self.resume_from_kreply(from, other, out),
+        match reply {
+            // Revoke completions are counter decrements (Algorithm 1's
+            // `receive_revoke_reply`), far cheaper to dispatch than the
+            // protocol replies that resume full continuations.
+            KReply::Revoke { op, deleted, .. } => {
+                self.cfg.cost.thread_switch + self.revoke_reply_arrived(*op, *deleted, out)
             }
+            other => self.cfg.cost.kcall_entry + self.resume_from_kreply(from, other, out),
+        }
     }
 
     /// Resumes the phase parked under a reply's correlation id — if

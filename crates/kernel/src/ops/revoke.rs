@@ -17,14 +17,25 @@
 //!   running operation owns that subtree; the new operation registers as
 //!   a waiter and completes only after the capability is actually
 //!   deleted. This is how overlapping revokes serialize without ever
-//!   acknowledging early. The dependency graph follows tree edges, so it
-//!   is acyclic — no deadlock (the property the paper's multithreading
-//!   design establishes; our event-driven kernel inherits it).
+//!   acknowledging early.
 //!
 //! A `Syscall::RevokeMany` is one operation with many roots: one mark
 //! phase over every capability it names, whose remote children leave as
-//! one grouped request per kernel, and one sweep. A root that an earlier
-//! root's walk already marked folds into that walk.
+//! one grouped request per kernel, and one sweep. Its roots may nest,
+//! locally or through other kernels, so it records what it marks, and
+//! every revoke request names the revocation it serves (its *origin*).
+//! One fold rule applies at every kernel: a `Revoking` capability the
+//! origin marked is *folded* — left, marked and unusable, for the
+//! origin's own sweep — instead of waited on.
+//!
+//! The dependency graph is therefore acyclic — no deadlock (the property
+//! the paper's multithreading design establishes; our event-driven
+//! kernel inherits it): a dependency follows a tree edge into a subtree
+//! another revocation marked first, a single-root revocation never meets
+//! its own marks, and a multi-root one folds them. One cycle is left: a
+//! concurrent revoke of a capability *between* two nested roots, which
+//! marks it before the origin's request reaches it and then waits for
+//! the inner root.
 //!
 //! Revocations triggered by applications can bounce between kernels (the
 //! adversarial cross-kernel *chain* of §5.2); each bounce is a fresh
@@ -111,8 +122,6 @@ pub enum Initiator {
         op: OpId,
         /// The requesting kernel.
         from: KernelId,
-        /// The subtree root the request named.
-        cap_key: DdlKey,
     },
     /// Kernel-internal cleanup (VPE exit); nobody to notify.
     Internal,
@@ -133,6 +142,10 @@ impl Initiator {
     }
 }
 
+/// The revocation a revoke request serves: the kernel that started it
+/// and its correlation id there.
+type Origin = (KernelId, OpId);
+
 /// A revocation in progress (Algorithm 1 state).
 #[derive(Debug, Clone)]
 pub struct RevokeOp {
@@ -147,6 +160,9 @@ pub struct RevokeOp {
     /// True if any inter-kernel call was needed (statistics:
     /// local vs spanning revoke).
     pub spanning: bool,
+    /// What a multi-root revocation marked; `None` for the others,
+    /// whose roots cannot nest.
+    pub marked: Option<Box<DetHashSet<RawDdlKey>>>,
 }
 
 /// The revocation protocol's phase table.
@@ -162,8 +178,8 @@ pub enum Phase {
         caller_op: OpId,
         /// The requesting kernel.
         caller_kernel: KernelId,
-        /// Keys from the request (echoed in the reply).
-        cap_keys: Vec<DdlKey>,
+        /// Number of keys the request named.
+        keys: u32,
         /// Sub-revokes still running, tallying deletions across the
         /// batch.
         fanin: FanIn,
@@ -212,7 +228,7 @@ impl Kernel {
             self.reply_sys(out, vpe, tag, Ok(SysReplyData::None));
             return resolve + self.cfg.cost.syscall_exit;
         }
-        resolve + self.start_revoke(roots, Initiator::Syscall { vpe, tag }, out)
+        resolve + self.start_revoke(roots, Initiator::Syscall { vpe, tag }, None, out)
     }
 
     /// Entry point for the `RevokeMany` system call: resolves each
@@ -238,7 +254,7 @@ impl Kernel {
         if roots.is_empty() {
             return decode + self.notify_initiator(initiator, false, 0, out);
         }
-        decode + self.start_revoke(roots, initiator, out)
+        decode + self.start_revoke(roots, initiator, None, out)
     }
 
     /// The capability `vpe` holds at `sel`.
@@ -269,32 +285,38 @@ impl Kernel {
             }
             return 0;
         }
-        self.start_revoke(vec![key], Initiator::Internal, out)
+        self.start_revoke(vec![key], Initiator::Internal, None, out)
     }
 
-    /// Phase 1 (mark) for a set of subtree roots; completes immediately
-    /// if the fan-in stays idle (no remote children, no dependencies).
+    /// Phase 1 (mark) for a set of subtree roots, serving the request's
+    /// `origin` (`None`: the revocation is its own origin); completes
+    /// immediately if the fan-in stays idle (no remote children, no
+    /// dependencies).
     pub(crate) fn start_revoke(
         &mut self,
         roots: Vec<DdlKey>,
         initiator: Initiator,
+        origin: Option<Origin>,
         out: &mut Outbox,
     ) -> u64 {
         let op_id = self.alloc_op();
-        let mut op =
-            RevokeOp { initiator, fanin: FanIn::new(), local_roots: Vec::new(), spanning: false };
+        let origin = origin.unwrap_or((self.id, op_id));
+        // A `RevokeMany` may name nested roots (duplicates, or one root
+        // inside another's subtree, locally or through other kernels),
+        // so it records its marks; every other operation's roots are
+        // disjoint.
+        let marked =
+            (matches!(initiator, Initiator::Many { .. }) && roots.len() > 1).then(Box::default);
+        let mut op = RevokeOp {
+            initiator,
+            fanin: FanIn::new(),
+            local_roots: Vec::new(),
+            spanning: false,
+            marked,
+        };
         let mut cost = 0;
         let mut remote = std::mem::take(&mut self.revoke.remote);
         assert!(remote.is_empty(), "remote-child buffer not drained");
-        // A `RevokeMany` may name overlapping roots (duplicates, or one
-        // root inside another root's subtree). Keys this call marked
-        // itself are tracked so a later root that is already `Revoking`
-        // *by us* folds into the earlier subtree instead of registering
-        // a dependency on itself — which would deadlock. Every other
-        // operation's roots are disjoint, so it skips the tracking.
-        let mut marked: Option<DetHashSet<RawDdlKey>> =
-            (matches!(op.initiator, Initiator::Many { .. }) && roots.len() > 1)
-                .then(Default::default);
 
         for root in roots {
             // A missing root is already revoked and deleted — vacuously
@@ -302,23 +324,21 @@ impl Kernel {
             let Ok(cap) = self.mapdb.get(root) else { continue };
             if cap.revoking() {
                 // A running revocation owns this subtree: wait for the
-                // capability to be deleted — unless that revocation is
-                // this very operation (an earlier root covered it).
-                if !marked.as_ref().is_some_and(|m| m.contains(&root.raw())) {
+                // capability to be deleted — unless the fold rule leaves
+                // it to the origin's sweep.
+                if !self.folds(&op, origin, root) {
                     self.revoke.wait_for(root, op_id);
                     op.fanin.arm();
                 }
                 continue;
             }
-            let (c, deps) = self.mark_subtree(root, op_id, marked.as_mut(), &mut remote);
-            cost += c;
-            op.fanin.arm_n(deps);
+            cost += self.mark_subtree(root, op_id, &mut op, origin, &mut remote);
             op.local_roots.push(root);
         }
 
         if !remote.is_empty() {
             op.spanning = true;
-            cost += self.send_revoke_requests(op_id, &mut op, &mut remote, out);
+            cost += self.send_revoke_requests(op_id, origin, &mut op, &mut remote, out);
         }
 
         self.revoke.remote = remote;
@@ -331,23 +351,34 @@ impl Kernel {
         }
     }
 
+    /// The fold rule: a `Revoking` capability `key` that revocation `op`
+    /// meets is folded if `op`'s origin marked it — `op` itself, or the
+    /// origin parked at this kernel.
+    fn folds(&self, op: &RevokeOp, (kernel, origin): Origin, key: DdlKey) -> bool {
+        let marks = match self.pending.get(origin) {
+            Some(PendingOp::Revoke(Phase::Run(o))) if kernel == self.id => o.marked.as_deref(),
+            _ => op.marked.as_deref(),
+        };
+        marks.is_some_and(|m| m.contains(&key.raw()))
+    }
+
     /// The one mark walk (Algorithm 1, phase 1): depth-first over the
     /// local subtree under `root`, which must be present and not yet
-    /// revoking. Children owned by other kernels are appended to
-    /// `foreign`. A capability that is already `Revoking` belongs to a
-    /// running revocation: `waiter` is registered for its deletion and
-    /// counted as a dependency — unless `marked` (kept by multi-root
-    /// operations, which can revisit their own territory) shows this
-    /// same operation marked it. Returns the modeled cost and the
-    /// number of dependencies registered.
+    /// revoking, for operation `op_id`. Children owned by other kernels
+    /// are appended to `foreign`. A capability that is already
+    /// `Revoking` belongs to a running revocation: unless the fold rule
+    /// (`Kernel::folds`) folds it, `op_id` is registered for its
+    /// deletion and counted as a dependency on `op`'s fan-in. Returns
+    /// the modeled cost.
     fn mark_subtree(
         &mut self,
         root: DdlKey,
-        waiter: OpId,
-        mut marked: Option<&mut DetHashSet<RawDdlKey>>,
+        op_id: OpId,
+        op: &mut RevokeOp,
+        origin: Origin,
         foreign: &mut Vec<DdlKey>,
-    ) -> (u64, u32) {
-        let (mut cost, mut deps) = (0, 0);
+    ) -> u64 {
+        let mut cost = 0;
         let mut stack = std::mem::take(&mut self.revoke.stack);
         assert!(stack.is_empty(), "walk stack not drained");
         stack.push(root);
@@ -363,9 +394,15 @@ impl Kernel {
             cost += 2 * self.ref_cost();
             if cap.revoking() {
                 assert_ne!(key, root, "caller checked the root");
-                if !marked.as_ref().is_some_and(|m| m.contains(&key.raw())) {
-                    self.revoke.wait_for(key, waiter);
-                    deps += 1;
+                if !self.folds(op, origin, key) {
+                    self.revoke.wait_for(key, op_id);
+                    op.fanin.arm();
+                } else if op.marked.is_none() {
+                    // Folded into a parked origin: detached from its
+                    // parent, so this operation's sweep leaves it to the
+                    // origin's.
+                    let parent = self.mapdb.get_mut(key).expect("present").parent.take();
+                    self.mapdb.unlink_child(parent.expect("reached from its parent"), key);
                 }
                 continue;
             }
@@ -373,13 +410,13 @@ impl Kernel {
                 stack.push(child);
             }
             self.mapdb.mark_revoking(key).expect("present");
-            if let Some(m) = marked.as_deref_mut() {
+            if let Some(m) = op.marked.as_mut() {
                 m.insert(key.raw());
             }
             cost += self.cfg.cost.revoke_mark;
         }
         self.revoke.stack = stack;
-        (cost, deps)
+        cost
     }
 
     /// Sends revoke requests for remote children — one message per child,
@@ -390,6 +427,7 @@ impl Kernel {
     fn send_revoke_requests(
         &mut self,
         op_id: OpId,
+        origin: Origin,
         op: &mut RevokeOp,
         remote: &mut Vec<DdlKey>,
         out: &mut Outbox,
@@ -406,7 +444,7 @@ impl Kernel {
             for (k, cap_keys) in by_kernel {
                 op.fanin.arm();
                 cost += self.cfg.cost.kcall_exit;
-                let call = Kcall::RevokeBatchReq { op: op_id, cap_keys };
+                let call = Kcall::RevokeBatchReq { op: op_id, origin, cap_keys };
                 self.record_retry_leg(op_id, k, &call);
                 self.send_kcall(out, k, call);
             }
@@ -421,7 +459,7 @@ impl Kernel {
                 cost +=
                     self.cfg.cost.kcall_exit + self.cfg.cost.revoke_mark + self.cfg.cost.dtu_send;
                 let k = self.membership.kernel_of_key(cap_key);
-                let call = Kcall::RevokeReq { op: op_id, cap_key };
+                let call = Kcall::RevokeReq { op: op_id, origin, cap_key };
                 self.record_retry_leg(op_id, k, &call);
                 self.send_kcall_at(out, k, call, Some(cost));
             }
@@ -566,12 +604,8 @@ impl Kernel {
                 self.reply_sys(out, vpe, tag, Ok(SysReplyData::Revoked(results)));
                 return self.cfg.cost.syscall_exit;
             }
-            Initiator::Kcall { op: caller_op, from, cap_key } => {
-                self.send_kreply(
-                    out,
-                    from,
-                    KReply::Revoke { op: caller_op, cap_key, deleted, result: Ok(()) },
-                );
+            Initiator::Kcall { op: caller_op, from } => {
+                self.send_kreply(out, from, KReply::Revoke { op: caller_op, keys: 1, deleted });
             }
             Initiator::Internal => {}
             Initiator::Batch { batch } => {
@@ -584,7 +618,7 @@ impl Kernel {
     /// Accounts one completed entry of an incoming revoke batch; replies
     /// to the requesting kernel when the whole batch is done.
     fn batch_entry_done(&mut self, batch: OpId, deleted: u64, out: &mut Outbox) {
-        let Some(PendingOp::Revoke(Phase::Batch { caller_op, caller_kernel, cap_keys, fanin })) =
+        let Some(PendingOp::Revoke(Phase::Batch { caller_op, caller_kernel, keys, fanin })) =
             self.pending.get_mut(batch)
         else {
             // Under fault injection: the batch tracker already aborted
@@ -593,14 +627,12 @@ impl Kernel {
             return;
         };
         if fanin.complete_one(deleted) {
-            let (caller_op, caller_kernel, cap_keys, total) =
-                (*caller_op, *caller_kernel, std::mem::take(cap_keys), fanin.tally());
-            self.pending.remove(batch);
-            self.send_kreply(
-                out,
-                caller_kernel,
-                KReply::RevokeBatch { op: caller_op, cap_keys, deleted: total, result: Ok(()) },
+            let (caller_kernel, reply) = (
+                *caller_kernel,
+                KReply::Revoke { op: *caller_op, keys: *keys, deleted: fanin.tally() },
             );
+            self.pending.remove(batch);
+            self.send_kreply(out, caller_kernel, reply);
         }
     }
 
@@ -612,13 +644,14 @@ impl Kernel {
         &mut self,
         from: KernelId,
         op: OpId,
+        origin: Origin,
         cap_key: DdlKey,
         out: &mut Outbox,
     ) -> u64 {
         if !self.mapdb.contains(cap_key) {
             // Already gone (e.g. revoked by a concurrent operation that
             // completed): vacuously done.
-            self.send_kreply(out, from, KReply::Revoke { op, cap_key, deleted: 0, result: Ok(()) });
+            self.send_kreply(out, from, KReply::Revoke { op, keys: 1, deleted: 0 });
             return self.cfg.cost.kcall_exit;
         }
         // Validating the foreign key against the membership table and
@@ -626,7 +659,7 @@ impl Kernel {
         // validation plus a reference.
         self.cfg.cost.xfer_desc
             + self.ref_cost()
-            + self.start_revoke(vec![cap_key], Initiator::Kcall { op, from, cap_key }, out)
+            + self.start_revoke(vec![cap_key], Initiator::Kcall { op, from }, Some(origin), out)
     }
 
     /// Request handler for [`Kcall::RevokeBatchReq`]: runs one
@@ -635,21 +668,18 @@ impl Kernel {
         &mut self,
         from: KernelId,
         op: OpId,
+        origin: Origin,
         cap_keys: &[DdlKey],
         out: &mut Outbox,
     ) -> u64 {
         let batch = self.alloc_op();
         // Every key gets a sub-revoke; each reports exactly once.
+        let keys = cap_keys.len() as u32;
         let mut fanin = FanIn::new();
-        fanin.arm_n(cap_keys.len() as u32);
+        fanin.arm_n(keys);
         self.park(
             batch,
-            PendingOp::Revoke(Phase::Batch {
-                caller_op: op,
-                caller_kernel: from,
-                cap_keys: cap_keys.to_vec(),
-                fanin,
-            }),
+            PendingOp::Revoke(Phase::Batch { caller_op: op, caller_kernel: from, keys, fanin }),
         );
         let mut cost = 0;
         for key in cap_keys {
@@ -659,13 +689,13 @@ impl Kernel {
                 self.batch_entry_done(batch, 0, out);
                 continue;
             }
-            cost += self.start_revoke(vec![*key], Initiator::Batch { batch }, out);
+            cost += self.start_revoke(vec![*key], Initiator::Batch { batch }, Some(origin), out);
         }
         cost
     }
 
-    /// Completion handler for [`KReply::Revoke`] and
-    /// [`KReply::RevokeBatch`]: decrements the operation's fan-in
+    /// Completion handler for [`KReply::Revoke`]: decrements the
+    /// operation's fan-in
     /// (Algorithm 1, `receive_revoke_reply`) and sweeps when it drains.
     pub(crate) fn revoke_reply_arrived(&mut self, op: OpId, deleted: u64, out: &mut Outbox) -> u64 {
         match self.pending.get_mut(op) {

@@ -1,10 +1,12 @@
 //! Protocol tests of bulk revocation (`Syscall::RevokeMany`): the
-//! per-kernel grouping of its cross-kernel requests, overlapping roots,
-//! per-selector errors, the empty list, and the caller dying mid-revoke.
+//! per-kernel grouping of its cross-kernel requests, overlapping roots
+//! (locally and through another kernel), per-selector errors, the empty
+//! list, and the caller dying mid-revoke.
 
-use semper_base::msg::{ExchangeKind, Perms, SysReplyData, Syscall};
-use semper_base::{CapSel, Code, Error, VpeId};
+use semper_base::msg::{ExchangeKind, Kcall, Perms, SysReplyData, Syscall};
+use semper_base::{CapSel, Code, Error, Feature, KernelId, Msg, OpId, Payload, VpeId};
 use semper_kernel::harness::TestCluster;
+use semper_kernel::Outbox;
 
 fn create_mem(c: &mut TestCluster, vpe: VpeId) -> CapSel {
     let r = c.syscall(vpe, Syscall::CreateMem { size: 4096, perms: Perms::RW });
@@ -159,4 +161,151 @@ fn killing_the_issuer_mid_batch_quiesces() {
     assert!(c.take_reply(VpeId(0), tag).is_none(), "a dead VPE drops its reply");
     // The dead VPE holds nothing.
     assert_eq!(c.kernels[0].table(VpeId(0)).unwrap().len(), 0);
+}
+
+/// On a 2 × 2 cluster — kernel A (0) holds VPEs 0 and 1, kernel B (1)
+/// VPEs 2 and 3 — VPE 0's `r1` is delegated to B and back to VPE 0 as
+/// `r2`: directly, so B's revoke request for its child names `r2`, or
+/// through VPE 1, so it names `r2`'s parent. `r2`'s own subtree reaches
+/// B again. Returns `(r1, r2)`.
+fn nested_through_b(c: &mut TestCluster, via_ancestor: bool) -> (CapSel, CapSel) {
+    let r1 = create_mem(c, VpeId(0));
+    let b1 = delegate(c, VpeId(0), VpeId(2), r1);
+    let r2 = if via_ancestor {
+        let a2 = delegate(c, VpeId(2), VpeId(1), b1);
+        delegate(c, VpeId(1), VpeId(0), a2)
+    } else {
+        delegate(c, VpeId(2), VpeId(0), b1)
+    };
+    let _ = delegate(c, VpeId(0), VpeId(3), r2);
+    (r1, r2)
+}
+
+/// A `RevokeMany` of `r1` and `r2`, where `r2` descends from `r1`
+/// through kernel B (A → B → A), completes in both list orders, with
+/// B's request back to A a `RevokeReq` or (with
+/// `Feature::RevokeBatching`) a `RevokeBatchReq`, and whether that
+/// request names `r2` or its parent: the request carries the
+/// `RevokeMany` as its origin, and A folds what the `RevokeMany` marked
+/// instead of waiting for it. Both subtrees are gone on every kernel,
+/// and the covered selector reports `Ok`.
+#[test]
+fn roots_nested_through_another_kernel_fold() {
+    for via_ancestor in [false, true] {
+        for batching in [false, true] {
+            for reversed in [false, true] {
+                let case =
+                    format!("via_ancestor={via_ancestor} batching={batching} reversed={reversed}");
+                let mut c = TestCluster::new(2, 2);
+                if batching {
+                    for k in &mut c.kernels {
+                        k.enable_feature_for_test(Feature::RevokeBatching);
+                    }
+                }
+                let (r1, r2) = nested_through_b(&mut c, via_ancestor);
+                let sels = if reversed { [r2, r1] } else { [r1, r2] };
+                c.enable_tracing();
+                assert_eq!(revoke_many(&mut c, VpeId(0), &sels), vec![Ok(()); 2], "{case}");
+
+                let kind = if batching { "RevokeBatchReq" } else { "RevokeReq" };
+                let back = format!("{}->{} Kcall({kind} ", c.kernels[1].pe(), c.kernels[0].pe());
+                assert!(
+                    c.take_trace()
+                        .iter()
+                        .any(|l| l.starts_with(&back) && l.contains("origin: (KernelId(0), ")),
+                    "{case}: no {kind} from B to A serving A's revocation"
+                );
+                c.check_invariants();
+                c.assert_quiescent();
+                assert_eq!(c.total_caps(), 4, "{case}: only the self-capabilities remain");
+                let table = c.kernels[0].table(VpeId(0)).unwrap();
+                assert!(sels.iter().all(|sel| table.get(*sel).is_err()), "{case}");
+            }
+        }
+    }
+}
+
+/// A folded capability stays, marked, until the origin's own sweep:
+/// when B asks A to revoke `r2`'s parent, A deletes the parent at once
+/// but leaves `r2`, which the `RevokeMany` marked, for the
+/// `RevokeMany`'s sweep — a revocation waiting on `r2` is not woken
+/// while `r2`'s subtree is still being revoked.
+#[test]
+fn folded_capability_stays_until_the_origins_sweep() {
+    let mut c = TestCluster::new(2, 2);
+    let (r1, r2) = nested_through_b(&mut c, true);
+    let r2_key = c.kernels[0].table(VpeId(0)).unwrap().get(r2).unwrap();
+    let tag = c.syscall_async(VpeId(0), Syscall::RevokeMany { sels: [r1, r2].into() });
+    // A marks both roots; B revokes its part and asks A to revoke
+    // `r2`'s parent; A folds `r2` and answers.
+    c.pump_n(3);
+    assert_eq!(c.kernels[0].pending_ops(), 1, "the RevokeMany waits for B");
+    let cap = c.kernels[0].mapdb().get(r2_key).expect("`r2` waits for the RevokeMany's sweep");
+    assert!(cap.revoking());
+    c.pump_all();
+    assert_eq!(c.take_reply(VpeId(0), tag).unwrap().result.map(|_| ()), Ok(()));
+    assert!(c.kernels[0].mapdb().get(r2_key).is_err());
+    c.check_invariants();
+    c.assert_quiescent();
+}
+
+/// The origin op id of the first request in `trace` that names one.
+fn first_origin_op(trace: &[String]) -> u64 {
+    const ORIGIN: &str = "origin: (KernelId(0), OpId(";
+    let line = trace.iter().find(|l| l.contains(ORIGIN)).expect("a request with an origin");
+    let rest = &line[line.find(ORIGIN).unwrap() + ORIGIN.len()..];
+    rest[..rest.find(')').unwrap()].parse().unwrap()
+}
+
+/// The fold rule is about *the origin's* marks: a request serving one
+/// parked `RevokeMany` for a capability that a *different* revocation
+/// marked registers a waiter, like any revoke that meets a concurrent
+/// one. Answering it at once would acknowledge a subtree that is still
+/// alive — Table 2's *incomplete* outcome.
+#[test]
+fn request_for_another_revocations_mark_waits() {
+    let mut c = TestCluster::new(2, 2);
+    // `k` (VPE 1) and VPE 0's `y1`, `y2` each have a child at B, so
+    // both revocations below park at A waiting for B.
+    let k = create_mem(&mut c, VpeId(1));
+    let _ = delegate(&mut c, VpeId(1), VpeId(2), k);
+    let ys: Vec<CapSel> = (0..2)
+        .map(|_| {
+            let y = create_mem(&mut c, VpeId(0));
+            let _ = delegate(&mut c, VpeId(0), VpeId(3), y);
+            y
+        })
+        .collect();
+    let k_key = c.kernels[0].table(VpeId(1)).unwrap().get(k).unwrap();
+
+    c.enable_tracing();
+    let ty = c.syscall_async(VpeId(0), Syscall::RevokeMany { sels: ys.as_slice().into() });
+    let tk = c.syscall_async(VpeId(1), Syscall::Revoke { sel: k, own: true });
+    // Both syscalls, then the `RevokeMany`'s request to B.
+    c.pump_n(3);
+    assert_eq!(c.kernels[0].pending_ops(), 2, "both revocations park at A");
+    let many = OpId(first_origin_op(&c.take_trace()));
+
+    // B asks A, on the `RevokeMany`'s behalf, to revoke `k`, which the
+    // single revoke marked.
+    let origin = (KernelId(0), many);
+    let req = Kcall::RevokeReq { op: OpId(1), origin, cap_key: k_key };
+    let msg = Msg::new(c.kernels[1].pe(), c.kernels[0].pe(), Payload::kcall(req));
+    let mut out = Outbox::new();
+    c.kernels[0].handle(&msg, &mut out);
+    assert!(out.is_empty(), "answered before `k` was deleted: {:?}", out.drain());
+    assert_eq!(c.kernels[0].pending_ops(), 3, "the request waits for `k`");
+
+    // The waiter's answer reaches B for an op B never sent.
+    c.kernels[1].enable_fault_injection(0);
+    c.pump_all();
+    assert_eq!(c.kernels[1].stats().fault_anomalies, 1);
+    assert_eq!(
+        c.take_reply(VpeId(0), ty).unwrap().result,
+        Ok(SysReplyData::Revoked(Box::new(vec![Ok(()); 2])))
+    );
+    assert!(c.take_reply(VpeId(1), tk).unwrap().result.is_ok());
+    c.check_invariants();
+    c.assert_quiescent();
+    assert_eq!(c.total_caps(), 4);
 }

@@ -133,7 +133,7 @@ fn spanning_chain_revoke_trace_matches_golden() {
     assert!(r.result.is_ok(), "{r:?}");
     c.check_invariants();
     assert_eq!(c.total_caps(), 3, "only the self-capabilities remain");
-    check(c.take_trace(), 10, 0x505df7ed76ac416c, "spanning chain revoke");
+    check(c.take_trace(), 10, 0xe392ffcd80afa96e, "spanning chain revoke");
 }
 
 /// The same wide-tree revoke with [`Feature::RevokeBatching`]: remote
@@ -163,7 +163,7 @@ fn batched_revoke_trace_matches_golden() {
     let r = c.syscall(VpeId(0), Syscall::Revoke { sel: root, own: true });
     assert!(r.result.is_ok(), "{r:?}");
     c.check_invariants();
-    check(c.take_trace(), 6, 0x43014bb3e421a812, "batched revoke");
+    check(c.take_trace(), 6, 0xd52724a8d67c0ea0, "batched revoke");
 }
 
 /// The full session lifecycle across three kernels: service
@@ -193,7 +193,7 @@ fn session_lifecycle_trace_matches_golden() {
     let r = c.syscall(VpeId(2), Syscall::Revoke { sel: srv_sel, own: true });
     assert!(r.result.is_ok(), "{r:?}");
     c.check_invariants();
-    check(c.take_trace(), 28, 0xddf24b722fba7583, "session lifecycle");
+    check(c.take_trace(), 28, 0x9d10076c47579b05, "session lifecycle");
 }
 
 /// Failure interleavings (Table 2): the obtainer dies while its obtain

@@ -227,12 +227,9 @@ fn on_both(cs: &mut [TestCluster; 2], vpe: VpeId, call: Syscall) -> Result<SysRe
 
 /// Builds one random capability forest on both clusters (3 kernels x 2
 /// VPEs; VPE v lives in group v / 2): memory of VPE 0, memory derived
-/// from any held capability, and delegations — between the two VPEs of
-/// kernel 0 either way, and outwards from kernel 0 or between the other
-/// two kernels. Nothing is delegated *into* kernel 0 from another
-/// kernel: a `RevokeMany` may not name a capability together with one
-/// that descends from it through another kernel. Returns every holding
-/// with the index of the holding it was made from.
+/// from any held capability, and delegations between any two VPEs.
+/// Returns every holding with the index of the holding it was made
+/// from.
 fn build_forest(rng: &mut DetRng, cs: &mut [TestCluster; 2]) -> Vec<Holding> {
     let mut held: Vec<Holding> = Vec::new();
     for _ in 0..rng.between(4, 24) {
@@ -253,9 +250,7 @@ fn build_forest(rng: &mut DetRng, cs: &mut [TestCluster; 2]) -> Vec<Holding> {
             }
             (_, Some(i)) => {
                 let (vpe, own_sel, _) = held[i];
-                // Kernel 0's VPEs delegate anywhere; the others only
-                // among VPEs 2-5.
-                let to = (if vpe.0 < 2 { rng.below(6) } else { 2 + rng.below(4) }) as u16;
+                let to = rng.below(6) as u16;
                 if to == vpe.0 {
                     continue;
                 }
@@ -313,6 +308,24 @@ fn parent_of(c: &TestCluster, key: DdlKey) -> Option<DdlKey> {
     c.kernels.iter().find_map(|k| k.mapdb().get(key).ok()).and_then(|cap| cap.parent)
 }
 
+/// True if one of `keys` descends from another through a capability
+/// that kernel 0 does not hold — the nesting a `RevokeMany` must fold
+/// across kernels.
+fn nests_through_another_kernel(c: &TestCluster, keys: &[DdlKey]) -> bool {
+    keys.iter().any(|&key| {
+        let mut crossed = false;
+        let mut at = parent_of(c, key);
+        while let Some(ancestor) = at {
+            if keys.contains(&ancestor) && crossed {
+                return true;
+            }
+            crossed |= c.kernels[0].mapdb().get(ancestor).is_err();
+            at = parent_of(c, ancestor);
+        }
+        false
+    })
+}
+
 /// One `RevokeMany` over a random forest leaves the kernels in the same
 /// state as the same selectors revoked one `Revoke` at a time —
 /// identical capability records and table bindings (state digests),
@@ -320,7 +333,8 @@ fn parent_of(c: &TestCluster, key: DdlKey) -> Option<DdlKey> {
 /// the sequential reply, except that a selector whose capability an
 /// earlier selector's subtree covers reports `Ok` where sequential
 /// issue finds it gone (`NoSuchCap`). Across the cases, covered,
-/// failing and kernel-spanning items must each occur.
+/// failing and kernel-spanning items must each occur, and so must lists
+/// where one capability descends from another through another kernel.
 #[test]
 fn revoke_many_matches_sequential_revokes() {
     let exercised = Runner::new(4).map((0..48).collect(), |_, case| {
@@ -356,6 +370,8 @@ fn revoke_many_matches_sequential_revokes() {
                 }
             })
             .collect();
+        let resolved: Vec<DdlKey> = keys.iter().flatten().copied().collect();
+        let nested = nests_through_another_kernel(many, &resolved);
 
         let seq_replies: Vec<Result<()>> = sels
             .iter()
@@ -393,10 +409,15 @@ fn revoke_many_matches_sequential_revokes() {
             );
         }
         let failed = replies.iter().filter(|r| r.is_err()).count();
-        [covered.iter().filter(|c| **c).count(), failed, usize::from(spanning)]
+        let covered = covered.iter().filter(|c| **c).count();
+        [covered, failed, usize::from(spanning), usize::from(nested)]
     });
-    let totals = exercised.iter().fold([0; 3], |t, e| [t[0] + e[0], t[1] + e[1], t[2] + e[2]]);
-    assert!(totals.iter().all(|n| *n > 0), "[covered, failed, spanning] items: {totals:?}");
+    let totals =
+        exercised.iter().fold([0; 4], |t, e| [t[0] + e[0], t[1] + e[1], t[2] + e[2], t[3] + e[3]]);
+    assert!(
+        totals.iter().all(|n| *n > 0),
+        "[covered, failed, spanning items, cases nesting through another kernel]: {totals:?}"
+    );
 }
 
 /// One full faulted run: a random capability workload executed under a
