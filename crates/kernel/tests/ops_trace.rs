@@ -12,8 +12,11 @@
 //! The golden fingerprints below were recorded on the hand-rolled
 //! per-module state machines (`exchange.rs` / `revoke.rs` /
 //! `session.rs`) *before* the port onto the `kernel::ops` engine; the
-//! engine must reproduce them byte-for-byte. On mismatch the full trace
-//! is printed so the first diverging message can be found by diffing.
+//! engine must reproduce them byte-for-byte. The three whose traces
+//! carry revoke messages were re-recorded once since, when revoke
+//! requests gained their origin and the two revoke replies became one.
+//! On mismatch the full trace is printed so the first diverging message
+//! can be found by diffing.
 //! Re-record (`cargo test -p semper-kernel --test ops_trace -- --nocapture`)
 //! only when the protocol intentionally changes.
 
