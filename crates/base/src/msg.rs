@@ -351,9 +351,6 @@ pub enum Kcall {
     RevokeReq {
         /// Correlation id (sender-local).
         op: OpId,
-        /// The revocation this request serves — its kernel and op id
-        /// there — passed on unchanged by every request it causes.
-        origin: (KernelId, OpId),
         /// DDL key of the subtree root to revoke.
         cap_key: DdlKey,
     },
@@ -363,8 +360,6 @@ pub enum Kcall {
     RevokeBatchReq {
         /// Correlation id (sender-local).
         op: OpId,
-        /// As in [`Kcall::RevokeReq`].
-        origin: (KernelId, OpId),
         /// DDL keys of the subtree roots to revoke.
         cap_keys: Vec<DdlKey>,
     },
@@ -838,13 +833,12 @@ mod tests {
     /// request or reply for one key, and 8 bytes more per further key.
     #[test]
     fn wire_sizes_scale_with_content() {
-        let origin = (KernelId(0), OpId(7));
         let key = |i| DdlKey::new(PeId(0), VpeId(0), CapType::Memory, i);
-        let single = Payload::kcall(Kcall::RevokeReq { op: OpId(1), origin, cap_key: key(1) });
+        let single = Payload::kcall(Kcall::RevokeReq { op: OpId(1), cap_key: key(1) });
         assert_eq!(single.wire_size(), 16 + 24);
         for n in [1, 10] {
             let cap_keys = (0..n).map(key).collect();
-            let batch = Payload::kcall(Kcall::RevokeBatchReq { op: OpId(1), origin, cap_keys });
+            let batch = Payload::kcall(Kcall::RevokeBatchReq { op: OpId(1), cap_keys });
             assert_eq!(batch.wire_size(), 16 + 16 + 8 * n);
             let reply = Payload::kreply(KReply::Revoke { op: OpId(1), keys: n, deleted: 3 });
             assert_eq!(reply.wire_size(), 16 + 24 + 8 * n);

@@ -100,7 +100,6 @@ mod tests {
             fanin: FanIn::new(),
             local_roots: Vec::new(),
             spanning: false,
-            marked: None,
         }))
     }
 

@@ -54,7 +54,7 @@
 //! | §4.3.2 two-way delegate handshake, second leg | [`exchange::Phase::DelegatePendingInsert`] / [`exchange::Phase::DelegateWaitDone`] / [`exchange::Phase::DelegateAborted`] |
 //! | §3.4 session capability attachment | [`session::Phase::OpenRemote`] → [`session::Phase::AtService`], [`session::Phase::OpenLocal`] |
 //! | §4.3.3 Algorithm 1 mark/delete + reply counting | [`revoke::Phase::Run`]; an incoming `RevokeBatchReq` (§5.2 message batching) counts its sub-revokes in [`revoke::Phase::Batch`] |
-//! | §5.2 bulk revocation (`Syscall::RevokeMany`) | one [`revoke::Phase::Run`] over all its roots, whose marks every request it causes folds into when it comes back |
+//! | §5.2 bulk revocation (`Syscall::RevokeMany`) | one [`revoke::Phase::Run`] over all its roots; any other revocation that meets its marks takes them over instead of waiting |
 //!
 //! # What a new protocol costs
 //!
@@ -293,11 +293,9 @@ impl Kernel {
             Kcall::DelegateAck { op, reply_op, commit } => {
                 self.delegate_ack(from, *op, *reply_op, *commit, out)
             }
-            Kcall::RevokeReq { op, origin, cap_key } => {
-                self.revoke_request(from, *op, *origin, *cap_key, out)
-            }
-            Kcall::RevokeBatchReq { op, origin, cap_keys } => {
-                self.revoke_batch_request(from, *op, *origin, cap_keys, out)
+            Kcall::RevokeReq { op, cap_key } => self.revoke_request(from, *op, *cap_key, out),
+            Kcall::RevokeBatchReq { op, cap_keys } => {
+                self.revoke_batch_request(from, *op, cap_keys, out)
             }
             Kcall::OpenSessReq { op, child_key, service, client_vpe } => {
                 self.open_sess_request(from, *op, *child_key, *service, *client_vpe, out)

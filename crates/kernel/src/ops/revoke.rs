@@ -22,20 +22,31 @@
 //! A `Syscall::RevokeMany` is one operation with many roots: one mark
 //! phase over every capability it names, whose remote children leave as
 //! one grouped request per kernel, and one sweep. Its roots may nest,
-//! locally or through other kernels, so it records what it marks, and
-//! every revoke request names the revocation it serves (its *origin*).
-//! One fold rule applies at every kernel: a `Revoking` capability the
-//! origin marked is *folded* — left, marked and unusable, for the
-//! origin's own sweep — instead of waited on.
+//! locally or through other kernels, so the kernel records what a
+//! multi-root revocation marks, and one rule decides what a mark walk
+//! does with a `Revoking` capability it meets, at its root or inside:
+//!
+//! * marked by the walking revocation itself (a nested root): skipped,
+//!   its own sweep deletes it;
+//! * marked by another multi-root revocation: *taken over* — the walk
+//!   goes on through it as through its own marks, requests its remote
+//!   children again, waits for what other revocations marked below it,
+//!   and sweeps it (the multi-root revocation's sweep deletes it
+//!   instead, should that come first: its fan-in, too, covered
+//!   everything below it). Only a system call's or a VPE exit's
+//!   revocation of that one capability waits for it instead, as below:
+//!   it marks nothing, and nothing but its caller waits for it;
+//! * marked by any other revocation: a dependency, as above.
 //!
 //! The dependency graph is therefore acyclic — no deadlock (the property
 //! the paper's multithreading design establishes; our event-driven
-//! kernel inherits it): a dependency follows a tree edge into a subtree
-//! another revocation marked first, a single-root revocation never meets
-//! its own marks, and a multi-root one folds them. One cycle is left: a
-//! concurrent revoke of a capability *between* two nested roots, which
-//! marks it before the origin's request reaches it and then waits for
-//! the inner root.
+//! kernel inherits it): a revocation waits for one rooted strictly below
+//! its roots — a remote child's, or one that marked a capability below
+//! them first — or for one that marked one of its roots before it
+//! started; and nothing waits for a multi-root revocation but such a
+//! revocation of one capability, which marks nothing and which nothing
+//! waits for. A taken-over capability is still deleted only once
+//! everything below it is gone, so the rule acknowledges nothing early.
 //!
 //! Revocations triggered by applications can bounce between kernels (the
 //! adversarial cross-kernel *chain* of §5.2); each bounce is a fresh
@@ -47,7 +58,7 @@ use semper_base::msg::{KReply, Kcall, SysReplyData};
 use std::collections::BTreeMap;
 
 use semper_base::{
-    CapSel, Code, DdlKey, DetHashMap, DetHashSet, Error, KernelId, OpId, RawDdlKey, Result, VpeId,
+    CapSel, Code, DdlKey, DetHashMap, Error, KernelId, OpId, RawDdlKey, Result, VpeId,
 };
 use semper_caps::Capability;
 
@@ -75,6 +86,9 @@ pub(crate) struct RevokeState {
     deleted: Vec<Capability>,
     /// Remote children collected by one mark phase.
     remote: Vec<DdlKey>,
+    /// Capabilities marked by a multi-root revocation, with its op id
+    /// (module docs: what a walk meets is skipped or taken over).
+    many: DetHashMap<RawDdlKey, OpId>,
 }
 
 impl RevokeState {
@@ -88,6 +102,9 @@ impl RevokeState {
     pub(crate) fn quiescent(&self) -> core::result::Result<(), String> {
         if !self.waiters.is_empty() {
             return Err(format!("{} revoke-waiter entries at quiescence", self.waiters.len()));
+        }
+        if !self.many.is_empty() {
+            return Err(format!("{} multi-root marks at quiescence", self.many.len()));
         }
         Ok(())
     }
@@ -142,10 +159,6 @@ impl Initiator {
     }
 }
 
-/// The revocation a revoke request serves: the kernel that started it
-/// and its correlation id there.
-type Origin = (KernelId, OpId);
-
 /// A revocation in progress (Algorithm 1 state).
 #[derive(Debug, Clone)]
 pub struct RevokeOp {
@@ -160,9 +173,6 @@ pub struct RevokeOp {
     /// True if any inter-kernel call was needed (statistics:
     /// local vs spanning revoke).
     pub spanning: bool,
-    /// What a multi-root revocation marked; `None` for the others,
-    /// whose roots cannot nest.
-    pub marked: Option<Box<DetHashSet<RawDdlKey>>>,
 }
 
 /// The revocation protocol's phase table.
@@ -228,7 +238,7 @@ impl Kernel {
             self.reply_sys(out, vpe, tag, Ok(SysReplyData::None));
             return resolve + self.cfg.cost.syscall_exit;
         }
-        resolve + self.start_revoke(roots, Initiator::Syscall { vpe, tag }, None, out)
+        resolve + self.start_revoke(roots, Initiator::Syscall { vpe, tag }, out)
     }
 
     /// Entry point for the `RevokeMany` system call: resolves each
@@ -254,7 +264,7 @@ impl Kernel {
         if roots.is_empty() {
             return decode + self.notify_initiator(initiator, false, 0, out);
         }
-        decode + self.start_revoke(roots, initiator, None, out)
+        decode + self.start_revoke(roots, initiator, out)
     }
 
     /// The capability `vpe` holds at `sel`.
@@ -285,35 +295,30 @@ impl Kernel {
             }
             return 0;
         }
-        self.start_revoke(vec![key], Initiator::Internal, None, out)
+        self.start_revoke(vec![key], Initiator::Internal, out)
     }
 
-    /// Phase 1 (mark) for a set of subtree roots, serving the request's
-    /// `origin` (`None`: the revocation is its own origin); completes
-    /// immediately if the fan-in stays idle (no remote children, no
-    /// dependencies).
+    /// Phase 1 (mark) for a set of subtree roots; completes immediately
+    /// if the fan-in stays idle (no remote children, no dependencies).
     pub(crate) fn start_revoke(
         &mut self,
         roots: Vec<DdlKey>,
         initiator: Initiator,
-        origin: Option<Origin>,
         out: &mut Outbox,
     ) -> u64 {
         let op_id = self.alloc_op();
-        let origin = origin.unwrap_or((self.id, op_id));
         // A `RevokeMany` may name nested roots (duplicates, or one root
         // inside another's subtree, locally or through other kernels),
-        // so it records its marks; every other operation's roots are
+        // so its marks are recorded; every other operation's roots are
         // disjoint.
-        let marked =
-            (matches!(initiator, Initiator::Many { .. }) && roots.len() > 1).then(Box::default);
-        let mut op = RevokeOp {
-            initiator,
-            fanin: FanIn::new(),
-            local_roots: Vec::new(),
-            spanning: false,
-            marked,
-        };
+        let many = matches!(initiator, Initiator::Many { .. }) && roots.len() > 1;
+        // A root another multi-root revocation marked is taken over,
+        // unless this revocation's only root is that one and nobody
+        // waits for it but its caller (module docs).
+        let take = roots.len() > 1
+            || matches!(initiator, Initiator::Kcall { .. } | Initiator::Batch { .. });
+        let mut op =
+            RevokeOp { initiator, fanin: FanIn::new(), local_roots: Vec::new(), spanning: false };
         let mut cost = 0;
         let mut remote = std::mem::take(&mut self.revoke.remote);
         assert!(remote.is_empty(), "remote-child buffer not drained");
@@ -322,23 +327,16 @@ impl Kernel {
             // A missing root is already revoked and deleted — vacuously
             // complete.
             let Ok(cap) = self.mapdb.get(root) else { continue };
-            if cap.revoking() {
-                // A running revocation owns this subtree: wait for the
-                // capability to be deleted — unless the fold rule leaves
-                // it to the origin's sweep.
-                if !self.folds(&op, origin, root) {
-                    self.revoke.wait_for(root, op_id);
-                    op.fanin.arm();
-                }
+            if cap.revoking() && !self.walks_through(root, op_id, &mut op, many, take) {
                 continue;
             }
-            cost += self.mark_subtree(root, op_id, &mut op, origin, &mut remote);
+            cost += self.mark_subtree(root, op_id, &mut op, many, &mut remote);
             op.local_roots.push(root);
         }
 
         if !remote.is_empty() {
             op.spanning = true;
-            cost += self.send_revoke_requests(op_id, origin, &mut op, &mut remote, out);
+            cost += self.send_revoke_requests(op_id, &mut op, &mut remote, out);
         }
 
         self.revoke.remote = remote;
@@ -351,31 +349,51 @@ impl Kernel {
         }
     }
 
-    /// The fold rule: a `Revoking` capability `key` that revocation `op`
-    /// meets is folded if `op`'s origin marked it — `op` itself, or the
-    /// origin parked at this kernel.
-    fn folds(&self, op: &RevokeOp, (kernel, origin): Origin, key: DdlKey) -> bool {
-        let marks = match self.pending.get(origin) {
-            Some(PendingOp::Revoke(Phase::Run(o))) if kernel == self.id => o.marked.as_deref(),
-            _ => op.marked.as_deref(),
-        };
-        marks.is_some_and(|m| m.contains(&key.raw()))
+    /// Decides what revocation `op_id` does with a `Revoking` capability
+    /// `key` it meets (module docs) and returns whether its walk goes on
+    /// through `key`. Marked by `op_id` itself: no, its sweep covers
+    /// `key`. Marked by another multi-root revocation, and `take`: yes —
+    /// `op_id` takes `key` over, recording the mark as its own if `many`.
+    /// Otherwise `op_id` waits for `key`'s deletion: no.
+    fn walks_through(
+        &mut self,
+        key: DdlKey,
+        op_id: OpId,
+        op: &mut RevokeOp,
+        many: bool,
+        take: bool,
+    ) -> bool {
+        match self.revoke.many.get_mut(&key.raw()) {
+            Some(marker) if *marker == op_id => return false,
+            Some(marker) if take => {
+                *marker = op_id;
+                if !many {
+                    self.revoke.many.remove(&key.raw());
+                }
+                return true;
+            }
+            _ => {}
+        }
+        self.revoke.wait_for(key, op_id);
+        op.fanin.arm();
+        false
     }
 
     /// The one mark walk (Algorithm 1, phase 1): depth-first over the
-    /// local subtree under `root`, which must be present and not yet
-    /// revoking, for operation `op_id`. Children owned by other kernels
-    /// are appended to `foreign`. A capability that is already
-    /// `Revoking` belongs to a running revocation: unless the fold rule
-    /// (`Kernel::folds`) folds it, `op_id` is registered for its
-    /// deletion and counted as a dependency on `op`'s fan-in. Returns
-    /// the modeled cost.
+    /// local subtree under `root`, which is present and either not yet
+    /// revoking or taken over (`Kernel::walks_through`), for operation
+    /// `op_id` (recording its marks if `many`). Children owned by other
+    /// kernels are appended to `foreign`. Another `Revoking` capability the walk
+    /// meets is skipped, taken over and walked through, or — if a
+    /// running revocation owns it — waited for: `op_id` is registered
+    /// for its deletion and counted as a dependency on `op`'s fan-in.
+    /// Returns the modeled cost.
     fn mark_subtree(
         &mut self,
         root: DdlKey,
         op_id: OpId,
         op: &mut RevokeOp,
-        origin: Origin,
+        many: bool,
         foreign: &mut Vec<DdlKey>,
     ) -> u64 {
         let mut cost = 0;
@@ -392,28 +410,20 @@ impl Kernel {
             // Following the parent link and scanning the child list are
             // two capability references per visited local node.
             cost += 2 * self.ref_cost();
-            if cap.revoking() {
-                assert_ne!(key, root, "caller checked the root");
-                if !self.folds(op, origin, key) {
-                    self.revoke.wait_for(key, op_id);
-                    op.fanin.arm();
-                } else if op.marked.is_none() {
-                    // Folded into a parked origin: detached from its
-                    // parent, so this operation's sweep leaves it to the
-                    // origin's.
-                    let parent = self.mapdb.get_mut(key).expect("present").parent.take();
-                    self.mapdb.unlink_child(parent.expect("reached from its parent"), key);
-                }
+            let fresh = !cap.revoking();
+            if !fresh && key != root && !self.walks_through(key, op_id, op, many, true) {
                 continue;
             }
             for child in self.mapdb.children(key).rev() {
                 stack.push(child);
             }
-            self.mapdb.mark_revoking(key).expect("present");
-            if let Some(m) = op.marked.as_mut() {
-                m.insert(key.raw());
+            if fresh {
+                self.mapdb.mark_revoking(key).expect("present");
+                if many {
+                    self.revoke.many.insert(key.raw(), op_id);
+                }
+                cost += self.cfg.cost.revoke_mark;
             }
-            cost += self.cfg.cost.revoke_mark;
         }
         self.revoke.stack = stack;
         cost
@@ -427,7 +437,6 @@ impl Kernel {
     fn send_revoke_requests(
         &mut self,
         op_id: OpId,
-        origin: Origin,
         op: &mut RevokeOp,
         remote: &mut Vec<DdlKey>,
         out: &mut Outbox,
@@ -444,7 +453,7 @@ impl Kernel {
             for (k, cap_keys) in by_kernel {
                 op.fanin.arm();
                 cost += self.cfg.cost.kcall_exit;
-                let call = Kcall::RevokeBatchReq { op: op_id, origin, cap_keys };
+                let call = Kcall::RevokeBatchReq { op: op_id, cap_keys };
                 self.record_retry_leg(op_id, k, &call);
                 self.send_kcall(out, k, call);
             }
@@ -459,7 +468,7 @@ impl Kernel {
                 cost +=
                     self.cfg.cost.kcall_exit + self.cfg.cost.revoke_mark + self.cfg.cost.dtu_send;
                 let k = self.membership.kernel_of_key(cap_key);
-                let call = Kcall::RevokeReq { op: op_id, origin, cap_key };
+                let call = Kcall::RevokeReq { op: op_id, cap_key };
                 self.record_retry_leg(op_id, k, &call);
                 self.send_kcall_at(out, k, call, Some(cost));
             }
@@ -528,6 +537,9 @@ impl Kernel {
             // Wake operations waiting for this capability.
             if let Some(ws) = self.revoke.waiters.remove(&cap.key.raw()) {
                 woken.extend(ws);
+            }
+            if !self.revoke.many.is_empty() {
+                self.revoke.many.remove(&cap.key.raw());
             }
         }
         // Remove the owners' table bindings, grouped by run.
@@ -644,7 +656,6 @@ impl Kernel {
         &mut self,
         from: KernelId,
         op: OpId,
-        origin: Origin,
         cap_key: DdlKey,
         out: &mut Outbox,
     ) -> u64 {
@@ -659,7 +670,7 @@ impl Kernel {
         // validation plus a reference.
         self.cfg.cost.xfer_desc
             + self.ref_cost()
-            + self.start_revoke(vec![cap_key], Initiator::Kcall { op, from }, Some(origin), out)
+            + self.start_revoke(vec![cap_key], Initiator::Kcall { op, from }, out)
     }
 
     /// Request handler for [`Kcall::RevokeBatchReq`]: runs one
@@ -668,7 +679,6 @@ impl Kernel {
         &mut self,
         from: KernelId,
         op: OpId,
-        origin: Origin,
         cap_keys: &[DdlKey],
         out: &mut Outbox,
     ) -> u64 {
@@ -689,7 +699,7 @@ impl Kernel {
                 self.batch_entry_done(batch, 0, out);
                 continue;
             }
-            cost += self.start_revoke(vec![*key], Initiator::Batch { batch }, Some(origin), out);
+            cost += self.start_revoke(vec![*key], Initiator::Batch { batch }, out);
         }
         cost
     }

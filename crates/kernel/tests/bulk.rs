@@ -1,10 +1,11 @@
 //! Protocol tests of bulk revocation (`Syscall::RevokeMany`): the
 //! per-kernel grouping of its cross-kernel requests, overlapping roots
-//! (locally and through another kernel), per-selector errors, the empty
-//! list, and the caller dying mid-revoke.
+//! (locally and through another kernel, alone and beside a concurrent
+//! revoke), per-selector errors, the empty list, and the caller dying
+//! mid-revoke.
 
 use semper_base::msg::{ExchangeKind, Kcall, Perms, SysReplyData, Syscall};
-use semper_base::{CapSel, Code, Error, Feature, KernelId, Msg, OpId, Payload, VpeId};
+use semper_base::{CapSel, Code, DdlKey, Error, Feature, Msg, OpId, Payload, VpeId};
 use semper_kernel::harness::TestCluster;
 use semper_kernel::Outbox;
 
@@ -163,34 +164,70 @@ fn killing_the_issuer_mid_batch_quiesces() {
     assert_eq!(c.kernels[0].table(VpeId(0)).unwrap().len(), 0);
 }
 
+/// Capabilities of a chain that nests `r2` under `r1` through kernel B.
+struct Nested {
+    /// VPE 0's outer root.
+    r1: CapSel,
+    /// VPE 2's copy of `r1`, at kernel B.
+    b1: CapSel,
+    /// VPE 1's copy of `b1`, at kernel A, if the chain passes through it.
+    a2: Option<CapSel>,
+    /// VPE 0's inner root.
+    r2: CapSel,
+}
+
 /// On a 2 × 2 cluster — kernel A (0) holds VPEs 0 and 1, kernel B (1)
-/// VPEs 2 and 3 — VPE 0's `r1` is delegated to B and back to VPE 0 as
-/// `r2`: directly, so B's revoke request for its child names `r2`, or
-/// through VPE 1, so it names `r2`'s parent. `r2`'s own subtree reaches
-/// B again. Returns `(r1, r2)`.
-fn nested_through_b(c: &mut TestCluster, via_ancestor: bool) -> (CapSel, CapSel) {
+/// VPEs 2 and 3 — VPE 0's `r1` is delegated to VPE 2 as `b1` and back to
+/// VPE 0 as `r2`: directly, so B's revoke request for its child names
+/// `r2`, or through VPE 1's `a2`, so it names `r2`'s parent. `r2`'s own
+/// subtree reaches B again (VPE 3).
+fn nested_through_b(c: &mut TestCluster, via_ancestor: bool) -> Nested {
     let r1 = create_mem(c, VpeId(0));
     let b1 = delegate(c, VpeId(0), VpeId(2), r1);
-    let r2 = if via_ancestor {
+    let (a2, r2) = if via_ancestor {
         let a2 = delegate(c, VpeId(2), VpeId(1), b1);
-        delegate(c, VpeId(1), VpeId(0), a2)
+        (Some(a2), delegate(c, VpeId(1), VpeId(0), a2))
     } else {
-        delegate(c, VpeId(2), VpeId(0), b1)
+        (None, delegate(c, VpeId(2), VpeId(0), b1))
     };
     let _ = delegate(c, VpeId(0), VpeId(3), r2);
-    (r1, r2)
+    Nested { r1, b1, a2, r2 }
+}
+
+/// The DDL key `vpe` holds at `sel`.
+fn key_of(c: &TestCluster, vpe: VpeId, sel: CapSel) -> DdlKey {
+    c.kernels[c.kernel_of(vpe).idx()].table(vpe).unwrap().get(sel).unwrap()
+}
+
+/// Every capability in the subtree under `key`, on any kernel.
+fn subtree(c: &TestCluster, key: DdlKey) -> Vec<DdlKey> {
+    let mut keys = vec![key];
+    let mut i = 0;
+    while i < keys.len() {
+        for k in &c.kernels {
+            if k.mapdb().contains(keys[i]) {
+                keys.extend(k.mapdb().children(keys[i]));
+            }
+        }
+        i += 1;
+    }
+    keys
+}
+
+/// True if some kernel still holds `key`.
+fn alive(c: &TestCluster, key: DdlKey) -> bool {
+    c.kernels.iter().any(|k| k.mapdb().contains(key))
 }
 
 /// A `RevokeMany` of `r1` and `r2`, where `r2` descends from `r1`
 /// through kernel B (A → B → A), completes in both list orders, with
 /// B's request back to A a `RevokeReq` or (with
 /// `Feature::RevokeBatching`) a `RevokeBatchReq`, and whether that
-/// request names `r2` or its parent: the request carries the
-/// `RevokeMany` as its origin, and A folds what the `RevokeMany` marked
-/// instead of waiting for it. Both subtrees are gone on every kernel,
-/// and the covered selector reports `Ok`.
+/// request names `r2` or its parent: the revocation it starts at A takes
+/// `r2` over instead of waiting for the `RevokeMany`. Both subtrees are
+/// gone on every kernel, and the covered selector reports `Ok`.
 #[test]
-fn roots_nested_through_another_kernel_fold() {
+fn roots_nested_through_another_kernel_complete() {
     for via_ancestor in [false, true] {
         for batching in [false, true] {
             for reversed in [false, true] {
@@ -202,18 +239,16 @@ fn roots_nested_through_another_kernel_fold() {
                         k.enable_feature_for_test(Feature::RevokeBatching);
                     }
                 }
-                let (r1, r2) = nested_through_b(&mut c, via_ancestor);
-                let sels = if reversed { [r2, r1] } else { [r1, r2] };
+                let n = nested_through_b(&mut c, via_ancestor);
+                let sels = if reversed { [n.r2, n.r1] } else { [n.r1, n.r2] };
                 c.enable_tracing();
                 assert_eq!(revoke_many(&mut c, VpeId(0), &sels), vec![Ok(()); 2], "{case}");
 
                 let kind = if batching { "RevokeBatchReq" } else { "RevokeReq" };
                 let back = format!("{}->{} Kcall({kind} ", c.kernels[1].pe(), c.kernels[0].pe());
                 assert!(
-                    c.take_trace()
-                        .iter()
-                        .any(|l| l.starts_with(&back) && l.contains("origin: (KernelId(0), ")),
-                    "{case}: no {kind} from B to A serving A's revocation"
+                    c.take_trace().iter().any(|l| l.starts_with(&back)),
+                    "{case}: no {kind} from B back to A"
                 );
                 c.check_invariants();
                 c.assert_quiescent();
@@ -225,85 +260,78 @@ fn roots_nested_through_another_kernel_fold() {
     }
 }
 
-/// A folded capability stays, marked, until the origin's own sweep:
-/// when B asks A to revoke `r2`'s parent, A deletes the parent at once
-/// but leaves `r2`, which the `RevokeMany` marked, for the
-/// `RevokeMany`'s sweep — a revocation waiting on `r2` is not woken
-/// while `r2`'s subtree is still being revoked.
+/// A revoke of a capability between two nested roots, issued at every
+/// point of the `RevokeMany`'s run, completes, and is acknowledged only
+/// once its whole subtree — the inner root's included — is gone on
+/// every kernel. Issued early, it marks the capability before the
+/// `RevokeMany`'s request reaches it, and then meets the inner root;
+/// issued late, it finds the capability marked by the `RevokeMany`'s
+/// request and waits for that request's revocation, which meets the
+/// inner root. Either way the revocation that meets `r2` takes it over,
+/// so neither waits for the other, and neither answers before `r2` and
+/// its subtree are deleted.
 #[test]
-fn folded_capability_stays_until_the_origins_sweep() {
-    let mut c = TestCluster::new(2, 2);
-    let (r1, r2) = nested_through_b(&mut c, true);
-    let r2_key = c.kernels[0].table(VpeId(0)).unwrap().get(r2).unwrap();
-    let tag = c.syscall_async(VpeId(0), Syscall::RevokeMany { sels: [r1, r2].into() });
-    // A marks both roots; B revokes its part and asks A to revoke
-    // `r2`'s parent; A folds `r2` and answers.
-    c.pump_n(3);
-    assert_eq!(c.kernels[0].pending_ops(), 1, "the RevokeMany waits for B");
-    let cap = c.kernels[0].mapdb().get(r2_key).expect("`r2` waits for the RevokeMany's sweep");
-    assert!(cap.revoking());
-    c.pump_all();
-    assert_eq!(c.take_reply(VpeId(0), tag).unwrap().result.map(|_| ()), Ok(()));
-    assert!(c.kernels[0].mapdb().get(r2_key).is_err());
-    c.check_invariants();
-    c.assert_quiescent();
+fn a_revoke_between_nested_roots_waits_for_the_inner_root() {
+    for (via_ancestor, mid_vpe) in [(false, VpeId(2)), (true, VpeId(2)), (true, VpeId(1))] {
+        for delay in 0..16 {
+            let case = format!("via_ancestor={via_ancestor} mid={mid_vpe} delay={delay}");
+            let mut c = TestCluster::new(2, 2);
+            let n = nested_through_b(&mut c, via_ancestor);
+            let mid = if mid_vpe == VpeId(1) { n.a2.unwrap() } else { n.b1 };
+            let below = subtree(&c, key_of(&c, mid_vpe, mid));
+            let many = c.syscall_async(VpeId(0), Syscall::RevokeMany { sels: [n.r1, n.r2].into() });
+            c.pump_n(delay);
+            let one = c.syscall_async(mid_vpe, Syscall::Revoke { sel: mid, own: true });
+            let mut answered = false;
+            while c.step() {
+                if let Some(r) = c.take_reply(mid_vpe, one) {
+                    assert!(!answered, "{case}: two answers");
+                    answered = true;
+                    if r.result.is_ok() {
+                        let left: Vec<_> = below.iter().filter(|k| alive(&c, **k)).collect();
+                        assert!(left.is_empty(), "{case}: acknowledged with {left:?} alive");
+                    }
+                }
+            }
+            assert!(answered, "{case}: the revoke between the roots never completed");
+            let r = c.take_reply(VpeId(0), many).expect("the RevokeMany completes");
+            assert_eq!(r.result, Ok(SysReplyData::Revoked(Box::new(vec![Ok(()); 2]))), "{case}");
+            c.check_invariants();
+            c.assert_quiescent();
+            assert_eq!(c.total_caps(), 4, "{case}");
+        }
+    }
 }
 
-/// The origin op id of the first request in `trace` that names one.
-fn first_origin_op(trace: &[String]) -> u64 {
-    const ORIGIN: &str = "origin: (KernelId(0), OpId(";
-    let line = trace.iter().find(|l| l.contains(ORIGIN)).expect("a request with an origin");
-    let rest = &line[line.find(ORIGIN).unwrap() + ORIGIN.len()..];
-    rest[..rest.find(')').unwrap()].parse().unwrap()
-}
-
-/// The fold rule is about *the origin's* marks: a request serving one
-/// parked `RevokeMany` for a capability that a *different* revocation
-/// marked registers a waiter, like any revoke that meets a concurrent
-/// one. Answering it at once would acknowledge a subtree that is still
+/// Taking over is for a multi-root revocation's marks only: a revoke
+/// request for a capability that a single-root revocation marked
+/// registers a waiter, like any revoke that meets a concurrent one.
+/// Answering it at once would acknowledge a subtree that is still
 /// alive — Table 2's *incomplete* outcome.
 #[test]
 fn request_for_another_revocations_mark_waits() {
     let mut c = TestCluster::new(2, 2);
-    // `k` (VPE 1) and VPE 0's `y1`, `y2` each have a child at B, so
-    // both revocations below park at A waiting for B.
+    // `k` (VPE 1) has a child at B, so its revocation parks at A.
     let k = create_mem(&mut c, VpeId(1));
     let _ = delegate(&mut c, VpeId(1), VpeId(2), k);
-    let ys: Vec<CapSel> = (0..2)
-        .map(|_| {
-            let y = create_mem(&mut c, VpeId(0));
-            let _ = delegate(&mut c, VpeId(0), VpeId(3), y);
-            y
-        })
-        .collect();
-    let k_key = c.kernels[0].table(VpeId(1)).unwrap().get(k).unwrap();
+    let k_key = key_of(&c, VpeId(1), k);
 
-    c.enable_tracing();
-    let ty = c.syscall_async(VpeId(0), Syscall::RevokeMany { sels: ys.as_slice().into() });
     let tk = c.syscall_async(VpeId(1), Syscall::Revoke { sel: k, own: true });
-    // Both syscalls, then the `RevokeMany`'s request to B.
-    c.pump_n(3);
-    assert_eq!(c.kernels[0].pending_ops(), 2, "both revocations park at A");
-    let many = OpId(first_origin_op(&c.take_trace()));
+    c.pump_n(1);
+    assert_eq!(c.kernels[0].pending_ops(), 1, "the revoke of `k` parks at A");
 
-    // B asks A, on the `RevokeMany`'s behalf, to revoke `k`, which the
-    // single revoke marked.
-    let origin = (KernelId(0), many);
-    let req = Kcall::RevokeReq { op: OpId(1), origin, cap_key: k_key };
+    // B asks A to revoke `k`, which the single revoke marked.
+    let req = Kcall::RevokeReq { op: OpId(1), cap_key: k_key };
     let msg = Msg::new(c.kernels[1].pe(), c.kernels[0].pe(), Payload::kcall(req));
     let mut out = Outbox::new();
     c.kernels[0].handle(&msg, &mut out);
     assert!(out.is_empty(), "answered before `k` was deleted: {:?}", out.drain());
-    assert_eq!(c.kernels[0].pending_ops(), 3, "the request waits for `k`");
+    assert_eq!(c.kernels[0].pending_ops(), 2, "the request waits for `k`");
 
     // The waiter's answer reaches B for an op B never sent.
     c.kernels[1].enable_fault_injection(0);
     c.pump_all();
     assert_eq!(c.kernels[1].stats().fault_anomalies, 1);
-    assert_eq!(
-        c.take_reply(VpeId(0), ty).unwrap().result,
-        Ok(SysReplyData::Revoked(Box::new(vec![Ok(()); 2])))
-    );
     assert!(c.take_reply(VpeId(1), tk).unwrap().result.is_ok());
     c.check_invariants();
     c.assert_quiescent();

@@ -13,8 +13,8 @@
 //! per-module state machines (`exchange.rs` / `revoke.rs` /
 //! `session.rs`) *before* the port onto the `kernel::ops` engine; the
 //! engine must reproduce them byte-for-byte. The three whose traces
-//! carry revoke messages were re-recorded once since, when revoke
-//! requests gained their origin and the two revoke replies became one.
+//! carry revoke replies were re-recorded once since, when the two revoke
+//! replies became one.
 //! On mismatch the full trace is printed so the first diverging message
 //! can be found by diffing.
 //! Re-record (`cargo test -p semper-kernel --test ops_trace -- --nocapture`)
@@ -136,7 +136,7 @@ fn spanning_chain_revoke_trace_matches_golden() {
     assert!(r.result.is_ok(), "{r:?}");
     c.check_invariants();
     assert_eq!(c.total_caps(), 3, "only the self-capabilities remain");
-    check(c.take_trace(), 10, 0xe392ffcd80afa96e, "spanning chain revoke");
+    check(c.take_trace(), 10, 0x2ac7e6b438fc0586, "spanning chain revoke");
 }
 
 /// The same wide-tree revoke with [`Feature::RevokeBatching`]: remote
@@ -166,7 +166,7 @@ fn batched_revoke_trace_matches_golden() {
     let r = c.syscall(VpeId(0), Syscall::Revoke { sel: root, own: true });
     assert!(r.result.is_ok(), "{r:?}");
     c.check_invariants();
-    check(c.take_trace(), 6, 0xd52724a8d67c0ea0, "batched revoke");
+    check(c.take_trace(), 6, 0xb5d772f76003a9e2, "batched revoke");
 }
 
 /// The full session lifecycle across three kernels: service
@@ -196,7 +196,7 @@ fn session_lifecycle_trace_matches_golden() {
     let r = c.syscall(VpeId(2), Syscall::Revoke { sel: srv_sel, own: true });
     assert!(r.result.is_ok(), "{r:?}");
     c.check_invariants();
-    check(c.take_trace(), 28, 0x9d10076c47579b05, "session lifecycle");
+    check(c.take_trace(), 28, 0xf9c01acc677e7a91, "session lifecycle");
 }
 
 /// Failure interleavings (Table 2): the obtainer dies while its obtain

@@ -6,7 +6,7 @@ use semper_base::msg::{
     ExchangeKind, HttpReq, KReply, Kcall, Outbox, Payload, Perms, SysReply, SysReplyData, Syscall,
     UpcallReply,
 };
-use semper_base::{CapSel, Code, Error, KernelId, Msg, OpId, PeId, VpeId};
+use semper_base::{CapSel, Code, Error, Msg, OpId, PeId, VpeId};
 use semper_kernel::harness::TestCluster;
 
 /// Convenience: create a memory capability and return its selector.
@@ -969,7 +969,7 @@ fn forged_revoke_request_from_a_vpe_pe_is_dropped() {
     let sel = create_mem(&mut c, VpeId(0));
     let cap_key = c.kernels[0].table(VpeId(0)).unwrap().get(sel).unwrap();
     let caps = c.kernels[0].mapdb().len();
-    let forged = Kcall::RevokeReq { op: OpId(1), origin: (KernelId(1), OpId(1)), cap_key };
+    let forged = Kcall::RevokeReq { op: OpId(1), cap_key };
     let msg = Msg::new(c.pe_of(VpeId(1)), c.kernels[0].pe(), Payload::kcall(forged));
     let mut out = Outbox::new();
     assert_eq!(c.kernels[0].handle(&msg, &mut out), 0, "a dropped forgery costs nothing");

@@ -225,16 +225,41 @@ fn on_both(cs: &mut [TestCluster; 2], vpe: VpeId, call: Syscall) -> Result<SysRe
     r
 }
 
+/// Delegates `held[i]` to `to` on both clusters; records and returns
+/// the index of the new holding.
+fn delegate_on_both(
+    cs: &mut [TestCluster; 2],
+    held: &mut Vec<Holding>,
+    i: usize,
+    to: VpeId,
+) -> Option<usize> {
+    let (vpe, own_sel, _) = held[i];
+    if to == vpe {
+        return None;
+    }
+    let call = Syscall::Exchange {
+        other: to,
+        own_sel,
+        other_sel: CapSel::INVALID,
+        kind: ExchangeKind::Delegate,
+    };
+    let Ok(SysReplyData::Delegated { recv_sel }) = on_both(cs, vpe, call) else { return None };
+    held.push((to, recv_sel, Some(i)));
+    Some(held.len() - 1)
+}
+
 /// Builds one random capability forest on both clusters (3 kernels x 2
 /// VPEs; VPE v lives in group v / 2): memory of VPE 0, memory derived
-/// from any held capability, and delegations between any two VPEs.
-/// Returns every holding with the index of the holding it was made
-/// from.
+/// from any held capability, delegations between any two VPEs, and
+/// round trips from a holding through a VPE of kernel 1 or 2 back to
+/// VPE 0 — so a `RevokeMany` often names capabilities that nest through
+/// another kernel. Returns every holding with the index of the holding
+/// it was made from.
 fn build_forest(rng: &mut DetRng, cs: &mut [TestCluster; 2]) -> Vec<Holding> {
     let mut held: Vec<Holding> = Vec::new();
     for _ in 0..rng.between(4, 24) {
         let from = (!held.is_empty()).then(|| rng.below(held.len() as u64) as usize);
-        match (rng.below(4), from) {
+        match (rng.below(5), from) {
             (0, _) | (_, None) => {
                 let call = Syscall::CreateMem { size: 4096, perms: Perms::RW };
                 if let Ok(SysReplyData::Mem { sel, .. }) = on_both(cs, VpeId(0), call) {
@@ -248,21 +273,14 @@ fn build_forest(rng: &mut DetRng, cs: &mut [TestCluster; 2]) -> Vec<Holding> {
                     held.push((vpe, sel, Some(i)));
                 }
             }
+            (4, Some(i)) => {
+                let via = VpeId(2 + rng.below(4) as u16);
+                if let Some(j) = delegate_on_both(cs, &mut held, i, via) {
+                    let _ = delegate_on_both(cs, &mut held, j, VpeId(0));
+                }
+            }
             (_, Some(i)) => {
-                let (vpe, own_sel, _) = held[i];
-                let to = rng.below(6) as u16;
-                if to == vpe.0 {
-                    continue;
-                }
-                let call = Syscall::Exchange {
-                    other: VpeId(to),
-                    own_sel,
-                    other_sel: CapSel::INVALID,
-                    kind: ExchangeKind::Delegate,
-                };
-                if let Ok(SysReplyData::Delegated { recv_sel }) = on_both(cs, vpe, call) {
-                    held.push((VpeId(to), recv_sel, Some(i)));
-                }
+                let _ = delegate_on_both(cs, &mut held, i, VpeId(rng.below(6) as u16));
             }
         }
     }
@@ -414,10 +432,122 @@ fn revoke_many_matches_sequential_revokes() {
     });
     let totals =
         exercised.iter().fold([0; 4], |t, e| [t[0] + e[0], t[1] + e[1], t[2] + e[2], t[3] + e[3]]);
+    let [covered, failed, spanning, nested] = totals;
     assert!(
-        totals.iter().all(|n| *n > 0),
+        covered > 0 && failed > 0 && spanning > 0 && nested >= 8,
         "[covered, failed, spanning items, cases nesting through another kernel]: {totals:?}"
     );
+}
+
+/// Every capability in the subtree under `key`, on any kernel.
+fn subtree(c: &TestCluster, key: DdlKey) -> Vec<DdlKey> {
+    let mut keys = vec![key];
+    let mut i = 0;
+    while i < keys.len() {
+        for k in &c.kernels {
+            if k.mapdb().contains(keys[i]) {
+                keys.extend(k.mapdb().children(keys[i]));
+            }
+        }
+        i += 1;
+    }
+    keys
+}
+
+/// The keys of `keys` some kernel still holds.
+fn alive(c: &TestCluster, keys: &[DdlKey]) -> Vec<DdlKey> {
+    keys.iter().copied().filter(|key| c.kernels.iter().any(|k| k.mapdb().contains(*key))).collect()
+}
+
+/// A `RevokeMany` over a random forest and a `Revoke` of one holding,
+/// issued after a random number of delivered messages, both complete,
+/// and each is acknowledged only once every capability that was in its
+/// subtrees when it was issued is gone on every kernel; the final state
+/// is that of the two calls issued one after the other. In half the
+/// cases that can have one, the single revoke names a holding strictly
+/// between two listed ones — the schedule where a revocation meets a
+/// multi-root one's marks from outside.
+#[test]
+fn revoke_many_beside_a_concurrent_revoke_acknowledges_nothing_early() {
+    let between_cases = Runner::new(4).map((0..48).collect(), |_, case| {
+        let mut rng = DetRng::split(0xC0_2E70CE, case);
+        let mut cs = [TestCluster::new(3, 2), TestCluster::new(3, 2)];
+        let held = build_forest(&mut rng, &mut cs);
+        let sels = draw_sels(&mut rng, &held);
+
+        // Holdings strictly between a listed holding and its nearest
+        // listed ancestor.
+        let listed: Vec<usize> = (0..held.len())
+            .filter(|&i| held[i].0 == VpeId(0) && sels.contains(&held[i].1))
+            .collect();
+        let between: Vec<usize> = listed
+            .iter()
+            .flat_map(|&i| {
+                let mut up = Vec::new();
+                let mut at = held[i].2;
+                while let Some(a) = at.filter(|a| !listed.contains(a)) {
+                    up.push(a);
+                    at = held[a].2;
+                }
+                if at.is_some() {
+                    up
+                } else {
+                    Vec::new()
+                }
+            })
+            .collect();
+        let hit = !between.is_empty() && rng.below(2) == 0;
+        let pick = if hit {
+            between[rng.below(between.len() as u64) as usize]
+        } else {
+            rng.below(held.len() as u64) as usize
+        };
+        let (vpe, sel, _) = held[pick];
+        let many_call = Syscall::RevokeMany { sels: sels.as_slice().into() };
+        let one_call = Syscall::Revoke { sel, own: true };
+        let [seq, conc] = &mut cs;
+        seq.syscall(VpeId(0), many_call.clone());
+        seq.syscall(vpe, one_call.clone());
+
+        let table = conc.kernels[0].table(VpeId(0)).expect("VPE 0 is local");
+        let roots: Vec<DdlKey> = sels.iter().filter_map(|sel| table.get(*sel).ok()).collect();
+        let many_below: Vec<DdlKey> = roots.iter().flat_map(|r| subtree(conc, *r)).collect();
+        let many = conc.syscall_async(VpeId(0), many_call);
+        conc.pump_n(rng.below(12) as usize);
+        let holder = conc.kernel_of(vpe).idx();
+        let one_below = match conc.kernels[holder].table(vpe).unwrap().get(sel) {
+            Ok(key) => subtree(conc, key),
+            Err(_) => Vec::new(),
+        };
+        let one = conc.syscall_async(vpe, one_call);
+        let (mut many_done, mut one_done) = (false, false);
+        while conc.step() {
+            if let Some(r) = conc.take_reply(VpeId(0), many) {
+                assert!(matches!(r.result, Ok(SysReplyData::Revoked(_))), "case {case}: {r:?}");
+                let left = alive(conc, &many_below);
+                assert!(left.is_empty(), "case {case}: RevokeMany acknowledged with {left:?}");
+                many_done = true;
+            }
+            if let Some(r) = conc.take_reply(vpe, one) {
+                if r.result.is_ok() {
+                    let left = alive(conc, &one_below);
+                    assert!(left.is_empty(), "case {case}: Revoke acknowledged with {left:?}");
+                }
+                one_done = true;
+            }
+        }
+        assert!(many_done && one_done, "case {case}: a call never completed");
+        for c in [&*seq, &*conc] {
+            c.check_invariants();
+            c.assert_quiescent();
+        }
+        for (ks, kc) in seq.kernels.iter().zip(&conc.kernels) {
+            assert_eq!(ks.state_digest(), kc.state_digest(), "case {case}: kernel {}", ks.id());
+        }
+        usize::from(hit)
+    });
+    let hits: usize = between_cases.iter().sum();
+    assert!(hits >= 8, "{hits} of 48 cases revoke a holding between two listed ones");
 }
 
 /// One full faulted run: a random capability workload executed under a
