@@ -32,14 +32,13 @@ fn main() {
         );
     }
     println!();
-    let anchors = table3_anchors(&rows);
-    let increase = |name| {
-        let a = anchors.iter().find(|a| a.name == name).expect("Table 3 anchor");
-        (100.0 * a.measured, 100.0 * a.paper)
-    };
-    let (ex, ex_paper) = increase("exchange_increase_over_m3");
-    let (rv, rv_paper) = increase("revoke_increase_over_m3");
+    let [ex, rv] = table3_anchors(&rows);
+    let pct = |v: f64| 100.0 * v;
     println!(
-        "Increase over M3: exchange {ex:+.1}% (paper {ex_paper:+.1}%), revoke {rv:+.1}% (paper {rv_paper:+.1}%)"
+        "Increase over M3: exchange {:+.1}% (paper {:+.1}%), revoke {:+.1}% (paper {:+.1}%)",
+        pct(ex.measured),
+        pct(ex.paper),
+        pct(rv.measured),
+        pct(rv.paper)
     );
 }
