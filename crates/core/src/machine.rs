@@ -72,11 +72,6 @@ struct Net {
     /// messages arriving while their destination is still executing
     /// (see [`semper_sim::sched`] for the ordering contract).
     sched: PeSchedule<Msg>,
-    /// Message-level tracing to stderr (`MACHINE_TRACE=1`), cached at
-    /// build time. A diagnostics aid for stalls: prints every event as
-    /// it is dispatched and every message as it is injected, so
-    /// lost-versus-parked messages can be told apart.
-    trace: bool,
 }
 
 impl Net {
@@ -92,12 +87,6 @@ impl Net {
                 Some(o) => (start + o).min(end),
             };
             let delivery = self.noc.route(&m, at);
-            if self.trace {
-                eprintln!(
-                    "  [emit@{at} deliver@{delivery}] {} -> {}: {:?}",
-                    m.src, m.dst, m.payload
-                );
-            }
             let dst = m.dst.idx();
             self.sched.schedule(delivery, dst, m);
         }
@@ -207,11 +196,7 @@ impl Machine {
         });
         Machine {
             nodes: nodes.collect(),
-            net: Net {
-                noc,
-                sched: PeSchedule::new(cfg.num_pes as usize),
-                trace: std::env::var_os("MACHINE_TRACE").is_some(),
-            },
+            net: Net { noc, sched: PeSchedule::new(cfg.num_pes as usize) },
             cfg,
             topo,
             kernels,
@@ -281,9 +266,6 @@ impl Machine {
             None => self.net.sched.pop_ready(),
             Some(d) => self.net.sched.pop_ready_before(d),
         }?;
-        if self.net.trace {
-            eprintln!("[{t}] {} -> {} (pe {pe}): {:?}", msg.src, msg.dst, msg.payload);
-        }
         let out = &mut self.scratch;
         let cost = match &mut self.nodes[pe] {
             Node::Kernel(_) => {

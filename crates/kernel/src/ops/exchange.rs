@@ -29,7 +29,7 @@ use semper_base::{
 use semper_caps::Capability;
 
 use crate::kernel::Kernel;
-use crate::ops::{Awaits, PendingOp, PhaseSpec, Thread};
+use crate::ops::{PendingOp, PhaseSpec, Thread};
 use crate::outbox::Outbox;
 
 /// The exchange protocol's phase table (Figure 3 sequences A and B,
@@ -140,44 +140,30 @@ impl Phase {
     /// The declared spec of each phase.
     pub fn spec(&self) -> &'static PhaseSpec {
         match self {
-            Phase::LocalAccept { .. } => &PhaseSpec {
-                name: "exchange-local",
-                awaits: Awaits::UpcallReply,
-                thread: Thread::Holds,
-            },
-            Phase::ObtainRemote { .. } => {
-                &PhaseSpec { name: "obtain-remote", awaits: Awaits::KReply, thread: Thread::Holds }
+            Phase::LocalAccept { .. } => {
+                &PhaseSpec { name: "exchange-local", thread: Thread::Holds }
             }
-            Phase::ObtainAtOwner { .. } => &PhaseSpec {
-                name: "obtain-at-owner",
-                awaits: Awaits::UpcallReply,
-                thread: Thread::Holds,
-            },
-            Phase::DelegateRemote { .. } => &PhaseSpec {
-                name: "delegate-remote",
-                awaits: Awaits::KReply,
-                thread: Thread::Holds,
-            },
-            Phase::DelegateWaitDone { .. } => &PhaseSpec {
-                name: "delegate-wait-done",
-                awaits: Awaits::KReply,
-                thread: Thread::Holds,
-            },
-            Phase::DelegateAtRecv { .. } => &PhaseSpec {
-                name: "delegate-at-recv",
-                awaits: Awaits::UpcallReply,
-                thread: Thread::Holds,
-            },
-            Phase::DelegatePendingInsert { .. } => &PhaseSpec {
-                name: "delegate-pending-insert",
-                awaits: Awaits::KReply,
-                thread: Thread::Free,
-            },
-            Phase::DelegateAborted { .. } => &PhaseSpec {
-                name: "delegate-aborted",
-                awaits: Awaits::KReply,
-                thread: Thread::Holds,
-            },
+            Phase::ObtainRemote { .. } => {
+                &PhaseSpec { name: "obtain-remote", thread: Thread::Holds }
+            }
+            Phase::ObtainAtOwner { .. } => {
+                &PhaseSpec { name: "obtain-at-owner", thread: Thread::Holds }
+            }
+            Phase::DelegateRemote { .. } => {
+                &PhaseSpec { name: "delegate-remote", thread: Thread::Holds }
+            }
+            Phase::DelegateWaitDone { .. } => {
+                &PhaseSpec { name: "delegate-wait-done", thread: Thread::Holds }
+            }
+            Phase::DelegateAtRecv { .. } => {
+                &PhaseSpec { name: "delegate-at-recv", thread: Thread::Holds }
+            }
+            Phase::DelegatePendingInsert { .. } => {
+                &PhaseSpec { name: "delegate-pending-insert", thread: Thread::Free }
+            }
+            Phase::DelegateAborted { .. } => {
+                &PhaseSpec { name: "delegate-aborted", thread: Thread::Holds }
+            }
         }
     }
 

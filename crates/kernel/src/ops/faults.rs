@@ -230,8 +230,8 @@ impl Kernel {
 
     /// The one peer kernel `state` cannot make progress without — written
     /// down once, for two readers. [`Kernel::peer_down`] aborts every
-    /// phase whose kernel died; the reply router resumes an
-    /// `Awaits::KReply` phase only for a reply from this kernel
+    /// phase whose kernel died; the reply router resumes a phase that
+    /// awaits a kernel reply only for a reply from this kernel
     /// (membership is static and nothing is relayed, so the kernel that
     /// was asked is the only one that can answer). For the phases that
     /// await a local VPE's upcall answer on a remote caller's behalf it

@@ -12,10 +12,10 @@
 //!   protocol ([`exchange`], [`session`], [`revoke`]).
 //!   Each phase carries exactly the continuation state its resume
 //!   handler needs.
-//! * [`PhaseSpec`] — the per-phase declaration: what the phase awaits
-//!   ([`Awaits`]) and whether it parks a cooperative kernel thread
-//!   ([`Thread`], the §4.2 pool accounting). The ledger derives thread
-//!   accounting from the spec instead of hand-maintained match arms.
+//! * [`PhaseSpec`] — the per-phase declaration: its name and whether
+//!   it parks a cooperative kernel thread ([`Thread`], the §4.2 pool
+//!   accounting). The ledger derives thread accounting from the spec
+//!   instead of hand-maintained match arms.
 //! * [`ledger::PendingTable`] — the one shared pending-op ledger, keyed
 //!   by correlation id ([`semper_base::OpId`]).
 //! * The **reply router** (`Kernel::route_kcall` / `route_kreply` /
@@ -89,18 +89,6 @@ use semper_base::{Code, Error, KernelId, OpId, PeId, VpeId};
 use crate::kernel::Kernel;
 use crate::outbox::Outbox;
 
-/// What a suspended phase is waiting for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Awaits {
-    /// A consent/notification upcall answer from a local VPE.
-    UpcallReply,
-    /// A protocol reply (or reply-like call, e.g. the delegate ack)
-    /// from one specific peer kernel.
-    KReply,
-    /// A counted set of completions ([`FanIn`] reaches zero).
-    FanIn,
-}
-
 /// Whether a suspended phase occupies a cooperative kernel thread
 /// (§4.2). Only operations that *park a thread* count against the pool
 /// `V_group + K_max · M_inflight`.
@@ -123,8 +111,6 @@ pub enum Thread {
 pub struct PhaseSpec {
     /// Phase label for logs, statistics, and assertions.
     pub name: &'static str,
-    /// What the phase awaits.
-    pub awaits: Awaits,
     /// Thread-pool accounting class.
     pub thread: Thread,
 }
@@ -271,7 +257,6 @@ impl Kernel {
     /// zero cost, in every profile.
     pub(crate) fn route_kcall(&mut self, src: PeId, call: &Kcall, out: &mut Outbox) -> u64 {
         let Some(from) = self.sending_kernel(src) else { return 0 };
-        self.stats.kcalls_in += 1;
         let cost = match call {
             Kcall::AnnounceService { id, name, owner, srv_key, srv_pe, srv_vpe } => self
                 .announce_service(crate::registry::ServiceInfo {

@@ -63,7 +63,7 @@ use semper_base::{
 use semper_caps::Capability;
 
 use crate::kernel::Kernel;
-use crate::ops::{Awaits, FanIn, PendingOp, PhaseSpec, Thread};
+use crate::ops::{FanIn, PendingOp, PhaseSpec, Thread};
 use crate::outbox::Outbox;
 
 /// Kernel-wide state of the revocation protocol: the waiter registry
@@ -200,14 +200,8 @@ impl Phase {
     /// The declared spec of each phase.
     pub fn spec(&self) -> &'static PhaseSpec {
         match self {
-            Phase::Run(_) => &PhaseSpec {
-                name: "revoke-run",
-                awaits: Awaits::FanIn,
-                thread: Thread::PerInitiator,
-            },
-            Phase::Batch { .. } => {
-                &PhaseSpec { name: "revoke-batch", awaits: Awaits::FanIn, thread: Thread::Free }
-            }
+            Phase::Run(_) => &PhaseSpec { name: "revoke-run", thread: Thread::PerInitiator },
+            Phase::Batch { .. } => &PhaseSpec { name: "revoke-batch", thread: Thread::Free },
         }
     }
 }

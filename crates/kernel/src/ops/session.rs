@@ -10,11 +10,13 @@
 //! resource; the child/parent link crosses the boundary via DDL keys.
 
 use semper_base::msg::{CapKindDesc, KReply, Kcall, Payload, SysReplyData, Upcall};
-use semper_base::{CapType, Code, DdlKey, Error, KernelId, Msg, OpId, Result, ServiceId, VpeId};
+use semper_base::{
+    CapType, Code, DdlKey, Error, KernelId, Msg, OpId, PeId, Result, ServiceId, VpeId,
+};
 use semper_caps::Capability;
 
 use crate::kernel::Kernel;
-use crate::ops::{Awaits, PendingOp, PhaseSpec, Thread};
+use crate::ops::{PendingOp, PhaseSpec, Thread};
 use crate::outbox::Outbox;
 use crate::registry::ServiceInfo;
 
@@ -62,21 +64,13 @@ impl Phase {
     /// The declared spec of each phase.
     pub fn spec(&self) -> &'static PhaseSpec {
         match self {
-            Phase::OpenRemote { .. } => &PhaseSpec {
-                name: "open-sess-remote",
-                awaits: Awaits::KReply,
-                thread: Thread::Holds,
-            },
-            Phase::AtService { .. } => &PhaseSpec {
-                name: "session-at-service",
-                awaits: Awaits::UpcallReply,
-                thread: Thread::Holds,
-            },
-            Phase::OpenLocal { .. } => &PhaseSpec {
-                name: "session-local",
-                awaits: Awaits::UpcallReply,
-                thread: Thread::Holds,
-            },
+            Phase::OpenRemote { .. } => {
+                &PhaseSpec { name: "open-sess-remote", thread: Thread::Holds }
+            }
+            Phase::AtService { .. } => {
+                &PhaseSpec { name: "session-at-service", thread: Thread::Holds }
+            }
+            Phase::OpenLocal { .. } => &PhaseSpec { name: "session-local", thread: Thread::Holds },
         }
     }
 
@@ -106,12 +100,17 @@ impl Kernel {
         name: u64,
         out: &mut Outbox,
     ) -> u64 {
+        // Service ids are globally unique without coordination: the
+        // owning kernel's id in the high bits, a local count in the low
+        // eight. A 257th service would take another service's id.
+        let local_count = self.registry.iter().filter(|s| s.owner == self.id).count();
+        let Ok(local_count) = u8::try_from(local_count) else {
+            self.reply_sys(out, vpe, tag, Err(Error::new(Code::NoSpace)));
+            return self.cfg.cost.syscall_exit;
+        };
+        let id = ServiceId((self.id.0 << 8) | u16::from(local_count));
         let pe = self.pe_of_vpe(vpe).expect("caller is local");
         let srv_key = self.keys.alloc(pe, vpe, CapType::Service);
-        // Service ids are globally unique without coordination: the
-        // owning kernel's id in the high bits, a local count below.
-        let local_count = self.registry.iter().filter(|s| s.owner == self.id).count() as u16;
-        let id = ServiceId((self.id.0 << 8) | local_count);
 
         let table = self.table_mut(vpe).expect("caller is local");
         let sel = table.insert_new(srv_key);
@@ -206,7 +205,7 @@ impl Kernel {
         client_vpe: VpeId,
         out: &mut Outbox,
     ) -> u64 {
-        let check = (|| -> Result<ServiceInfo> {
+        let check = (|| -> Result<(ServiceInfo, PeId)> {
             let srv = *self.registry.get(service).ok_or(Error::new(Code::NoSuchService))?;
             if srv.owner != self.id || !self.vpe_alive(srv.srv_vpe) {
                 return Err(Error::new(Code::NoSuchService));
@@ -214,16 +213,15 @@ impl Kernel {
             if self.mapdb.get(srv.srv_key)?.revoking() {
                 return Err(Error::new(Code::RevokeInProgress));
             }
-            Ok(srv)
+            Ok((srv, self.pe_of_vpe(client_vpe)?))
         })();
         match check {
             Err(e) => {
                 self.send_kreply(out, from, KReply::OpenSess { op, result: Err(e) });
                 self.cfg.cost.kcall_exit
             }
-            Ok(srv) => {
+            Ok((srv, client_pe)) => {
                 let my_op = self.alloc_op();
-                let client_pe = self.pe_of_vpe(client_vpe).unwrap_or(semper_base::PeId(0));
                 self.send_upcall(
                     out,
                     srv.srv_pe,

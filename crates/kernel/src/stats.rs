@@ -9,8 +9,6 @@
 pub struct KernelStats {
     /// System calls received.
     pub syscalls: u64,
-    /// Inter-kernel requests received.
-    pub kcalls_in: u64,
     /// Inter-kernel requests sent.
     pub kcalls_out: u64,
     /// Capability exchanges completed with both parties in this group.

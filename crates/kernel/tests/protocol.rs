@@ -6,7 +6,9 @@ use semper_base::msg::{
     ExchangeKind, HttpReq, KReply, Kcall, Outbox, Payload, Perms, SysReply, SysReplyData, Syscall,
     UpcallReply,
 };
-use semper_base::{CapSel, Code, Error, Msg, OpId, PeId, VpeId};
+use semper_base::{
+    CapSel, CapType, Code, DdlKey, Error, KernelId, Msg, OpId, PeId, ServiceId, VpeId,
+};
 use semper_kernel::harness::TestCluster;
 
 /// Convenience: create a memory capability and return its selector.
@@ -466,6 +468,59 @@ fn open_session_unknown_service_fails() {
     let mut c = TestCluster::new(1, 1);
     let r = c.syscall(VpeId(0), Syscall::OpenSession { name: 999 });
     assert_eq!(r.result.unwrap_err().code(), Code::NoSuchService);
+}
+
+/// A session request naming a client VPE no kernel knows is refused at
+/// the service's kernel: the service is not asked to open a session
+/// whose replies would go nowhere, and nothing is parked.
+#[test]
+fn open_session_request_for_an_unknown_client_is_refused() {
+    let mut c = TestCluster::new(2, 1);
+    let r = c.syscall(VpeId(0), Syscall::CreateSrv { name: 7 });
+    assert!(matches!(r.result, Ok(SysReplyData::Sel(_))), "{r:?}");
+    let service = c.kernels[0].registry().iter().next().expect("the service is registered").id;
+    let child_key = DdlKey::new(c.pe_of(VpeId(1)), VpeId(1), CapType::Session, 1);
+    let req = Kcall::OpenSessReq { op: OpId(5), child_key, service, client_vpe: VpeId(u16::MAX) };
+    let msg = Msg::new(c.kernels[1].pe(), c.kernels[0].pe(), Payload::kcall(req));
+    let mut out = Outbox::new();
+    c.kernels[0].handle(&msg, &mut out);
+    match &out.drain()[..] {
+        [(Msg { dst, payload: Payload::KReply(reply), .. }, _)] => {
+            assert_eq!(*dst, c.kernels[1].pe());
+            let KReply::OpenSess { op: OpId(5), result: Err(e) } = **reply else {
+                panic!("expected a refused OpenSess reply, got {reply:?}");
+            };
+            assert_eq!(e.code(), Code::NoSuchVpe);
+        }
+        other => panic!("expected exactly one kernel reply, got {other:?}"),
+    }
+    assert_eq!(c.kernels[0].pending_ops(), 0);
+    c.check_invariants();
+}
+
+/// A kernel numbers its services `(kernel << 8) | count`, so it has 256
+/// ids. The 257th `CreateSrv` is refused before anything is created or
+/// announced: were it numbered, kernel 0's id 256 would be kernel 1's
+/// first service, overwritten in every registry.
+#[test]
+fn a_kernels_257th_service_is_refused() {
+    let mut c = TestCluster::new(2, 1);
+    let r = c.syscall(VpeId(1), Syscall::CreateSrv { name: 1 });
+    assert!(matches!(r.result, Ok(SysReplyData::Sel(_))), "{r:?}");
+    for name in 0..256 {
+        let r = c.syscall(VpeId(0), Syscall::CreateSrv { name: 1000 + name });
+        assert!(matches!(r.result, Ok(SysReplyData::Sel(_))), "{r:?}");
+    }
+    let caps = c.total_caps();
+    let r = c.syscall(VpeId(0), Syscall::CreateSrv { name: 2000 });
+    assert_eq!(r.result.unwrap_err().code(), Code::NoSpace);
+    assert_eq!(c.total_caps(), caps, "the refused call created a capability");
+    for k in &c.kernels {
+        assert_eq!(k.registry().len(), 257);
+        let first = k.registry().get(ServiceId(1 << 8)).expect("kernel 1's first service");
+        assert_eq!((first.owner, first.name), (KernelId(1), 1));
+    }
+    c.check_invariants();
 }
 
 // A service is a VPE like any other: it can revoke its service

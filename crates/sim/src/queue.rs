@@ -15,26 +15,15 @@
 //!   bit per word) finds the next occupied slot, scanning circularly
 //!   from `now`'s slot. A slot names its timestamp: the first instant at
 //!   or after `now` that it is congruent to.
-//! * The **far tier** holds the entries with `at ≥ horizon`. It is a
-//!   radix heap (Ahuja, Mehlhorn, Orlin, Tarjan) over the 64-bit
-//!   timestamp with an origin of its own, which moves only when the
-//!   far tier pops: `front` holds its entries at the origin, and
-//!   `buckets[k]` those whose timestamp first differs from the origin
-//!   in bit `k`, counted from the least significant. Each bucket knows
-//!   its smallest timestamp, bit `k` of `occupied` says whether
-//!   `buckets[k]` holds anything, and the queue caches the tier's
-//!   minimum in `far_min` (`u64::MAX` when the tier is empty).
+//! * The **far tier** holds the entries with `at ≥ horizon`: a std
+//!   `BinaryHeap` keyed by `(timestamp, sequence number)`.
 //!
 //! [`EventQueue::schedule`] writes an entry once: to the tail of its
-//! slot, or to the far bucket `at ^ origin` selects. [`EventQueue::pop`]
-//! takes the head of the first occupied slot or, with the wheel empty,
-//! pops the far tier: the lowest occupied bucket (one
-//! `trailing_zeros`) moves the origin to its minimum and is *spread*,
-//! its entries at the new origin going to `front` and the rest to the
-//! lower bucket their timestamp now selects. Either pop moves `now`,
-//! and with it the horizon; every far entry the horizon passed then
-//! *migrates* — popped from the far tier, oldest first, and appended to
-//! its slot — before the pop returns.
+//! slot, or to the far heap. [`EventQueue::pop`] takes the head of the
+//! first occupied slot or, with the wheel empty, the far heap's minimum.
+//! Either pop moves `now`, and with it the horizon; every far entry the
+//! horizon passed then *migrates* — popped from the far tier, earliest
+//! first, and appended to its slot — before the pop returns.
 //!
 //! On the simulated machine nearly every event is a NoC delivery or a
 //! handler's completion a few thousand cycles ahead, so nearly every
@@ -68,29 +57,20 @@
 //!    both use one predicate, an entry at `u64::MAX` stays far even
 //!    once the horizon saturates there: entries at the end of time all
 //!    queue in the far tier, in the order they came.
-//! 5. *The far tier is exact on its own.* Its origin is the timestamp
-//!    of its last pop, which was below the horizon then (a migrated
-//!    entry) or was `now` itself, so every far entry lies at or above
-//!    it. A timestamp in bucket `k` agrees with the origin above bit
-//!    `k` and has bit `k` set where the origin has it clear, so
-//!    everything in bucket `k` is smaller than everything in bucket
-//!    `j > k`, and `front` is smaller than both. Moving the origin to
-//!    bucket `k`'s minimum changes it only at or below bit `k`, so every
-//!    other bucket stays valid, and bucket `k`'s entries spread strictly
-//!    downward, into buckets that were empty. Buckets and `front` are
-//!    appended to in sequence order, and a spread appends in the order
-//!    it found the entries.
+//! 5. *The far tier is exact on its own.* It pops in `(timestamp,
+//!    sequence number)` order, and sequence numbers are unique.
 //!
-//! First-in-first-out among equal timestamps is therefore the order
-//! entries already sit in: no entry stores its sequence number; the
-//! counter survives for the sequence-range callers below and for
-//! [`EventQueue::heap_ops`]. The `model` tests at the bottom check all
-//! of this against a `BinaryHeap` ordered by `(timestamp, sequence
-//! number)`.
+//! First-in-first-out among equal timestamps is therefore, in the wheel,
+//! the order entries already sit in: a wheel entry stores no sequence
+//! number, a far entry does. The counter also serves the sequence-range
+//! callers below and [`EventQueue::heap_ops`]. The `model` tests at the
+//! bottom check all of this against a `BinaryHeap` ordered by
+//! `(timestamp, sequence number)`.
 
 use crate::slab::{Slab, NIL};
 use crate::time::Cycles;
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::mem::MaybeUninit;
 
 /// Slots of the near tier, one cycle each: the length of the window.
@@ -103,13 +83,33 @@ const WHEEL: usize = 1 << 13;
 const WORDS: usize = WHEEL / 64;
 const _: () = assert!(WORDS == 2 * 64);
 
-/// Bits in a timestamp: one far bucket per bit.
-const BUCKETS: usize = u64::BITS as usize;
-
-struct Entry<E> {
+/// A far entry, ordered in reverse of `(at, seq)` so that the max-heap
+/// `BinaryHeap` pops the earliest, and among equal timestamps the oldest.
+struct Far<E> {
     at: u64,
+    seq: u64,
     event: E,
 }
+
+impl<E> Ord for Far<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+impl<E> PartialOrd for Far<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> PartialEq for Far<E> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+
+impl<E> Eq for Far<E> {}
 
 /// A wheel entry. Its slot names its timestamp.
 struct Node<E> {
@@ -122,94 +122,6 @@ struct Node<E> {
     /// The entry appended after this one to the same slot; the newest
     /// entry's is the oldest.
     next: u32,
-}
-
-/// One radix bucket of the far tier.
-struct Bucket<E> {
-    /// Smallest timestamp in `entries`; meaningful while the bucket's
-    /// bit in `occupied` is set.
-    min: u64,
-    /// Oldest first.
-    entries: Vec<Entry<E>>,
-}
-
-/// The far tier: a radix heap around its own origin (module docs).
-struct RadixHeap<E> {
-    /// The timestamp of the last pop.
-    origin: u64,
-    /// Entries at `origin`, oldest first.
-    front: VecDeque<Entry<E>>,
-    /// `buckets[k]`: entries whose timestamp first differs from
-    /// `origin` in bit `k`.
-    buckets: [Bucket<E>; BUCKETS],
-    /// Bit `k` set: `buckets[k]` is not empty.
-    occupied: u64,
-}
-
-impl<E> RadixHeap<E> {
-    fn new() -> RadixHeap<E> {
-        RadixHeap {
-            origin: 0,
-            front: VecDeque::new(),
-            buckets: std::array::from_fn(|_| Bucket { min: 0, entries: Vec::new() }),
-            occupied: 0,
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.front.is_empty() && self.occupied == 0
-    }
-
-    /// The smallest pending timestamp, `u64::MAX` when empty.
-    fn min(&self) -> u64 {
-        if !self.front.is_empty() {
-            self.origin
-        } else if self.occupied == 0 {
-            u64::MAX
-        } else {
-            self.buckets[self.occupied.trailing_zeros() as usize].min
-        }
-    }
-
-    /// Appends `entry`, which lies at or after the origin, to `front` or
-    /// to the bucket its timestamp selects.
-    fn place(&mut self, entry: Entry<E>) {
-        let diff = entry.at ^ self.origin;
-        if diff == 0 {
-            self.front.push_back(entry);
-            return;
-        }
-        let k = diff.ilog2();
-        let bucket = &mut self.buckets[k as usize];
-        let bit = 1u64 << k;
-        if self.occupied & bit == 0 || entry.at < bucket.min {
-            bucket.min = entry.at;
-        }
-        self.occupied |= bit;
-        bucket.entries.push(entry);
-    }
-
-    /// Removes the earliest entry — among equal timestamps, the oldest —
-    /// moving the origin to its timestamp.
-    fn pop(&mut self) -> Option<Entry<E>> {
-        if self.front.is_empty() {
-            if self.occupied == 0 {
-                return None;
-            }
-            let k = self.occupied.trailing_zeros() as usize;
-            self.occupied &= !(1u64 << k);
-            self.origin = self.buckets[k].min;
-            // The entries at the new origin go to `front` and every
-            // later one to its lower bucket, all in the order they were
-            // found. The bucket keeps its capacity.
-            let mut bucket = std::mem::take(&mut self.buckets[k].entries);
-            for entry in bucket.drain(..) {
-                self.place(entry);
-            }
-            self.buckets[k].entries = bucket;
-        }
-        self.front.pop_front()
-    }
 }
 
 /// A deterministic event queue.
@@ -231,10 +143,7 @@ pub struct EventQueue<E> {
     summary: [u64; 2],
     /// The wheel's entries.
     nodes: Slab<Node<E>>,
-    far: RadixHeap<E>,
-    /// `far.min()`, kept beside the wheel: the migration test reads it
-    /// after every pop.
-    far_min: u64,
+    far: BinaryHeap<Far<E>>,
     next_seq: u64,
     now: Cycles,
     popped: u64,
@@ -252,8 +161,7 @@ impl<E> EventQueue<E> {
             slots_occupied: Box::new([0; WORDS]),
             summary: [0; 2],
             nodes: Slab::new(),
-            far: RadixHeap::new(),
-            far_min: u64::MAX,
+            far: BinaryHeap::new(),
             next_seq: 0,
             now: Cycles::ZERO,
             popped: 0,
@@ -306,12 +214,12 @@ impl<E> EventQueue<E> {
     /// indicates a bug in a cost computation.
     pub fn schedule(&mut self, at: Cycles, event: E) {
         assert!(at >= self.now, "event scheduled in the past: {} < now {}", at, self.now);
+        let seq = self.next_seq;
         self.next_seq += 1;
         if at.0 < self.horizon() {
             self.push_near(at.0, event);
         } else {
-            self.far_min = self.far_min.min(at.0);
-            self.far.place(Entry { at: at.0, event });
+            self.far.push(Far { at: at.0, seq, event });
         }
     }
 
@@ -336,20 +244,18 @@ impl<E> EventQueue<E> {
                 return None;
             }
             (at, self.unlink(slot))
-        } else if self.far_min <= deadline.0 {
-            let entry = self.far.pop()?;
-            self.far_min = self.far.min();
-            (entry.at, entry.event)
+        } else if self.far.peek()?.at <= deadline.0 {
+            let far = self.far.pop().expect("peeked");
+            (far.at, far.event)
         } else {
             return None;
         };
         self.now = Cycles(at);
         self.popped += 1;
         let horizon = self.horizon();
-        while self.far_min < horizon {
-            let entry = self.far.pop().expect("far_min names a pending entry");
-            self.far_min = self.far.min();
-            self.push_near(entry.at, entry.event);
+        while self.far.peek().is_some_and(|far| far.at < horizon) {
+            let far = self.far.pop().expect("peeked");
+            self.push_near(far.at, far.event);
         }
         Some((Cycles(at), event))
     }
@@ -359,10 +265,8 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&self) -> Option<Cycles> {
         if !self.wheel_is_empty() {
             Some(Cycles(self.first_slot().1))
-        } else if self.far.is_empty() {
-            None
         } else {
-            Some(Cycles(self.far_min))
+            self.far.peek().map(|far| Cycles(far.at))
         }
     }
 
@@ -686,7 +590,6 @@ mod model {
             assert_eq!(self.q.now(), Cycles(self.now));
             assert_eq!(self.q.processed(), self.pops + self.credited);
             assert_eq!(self.q.heap_ops(), self.pushes + self.pops);
-            assert_eq!(self.q.far_min, self.q.far.min());
         }
     }
 
