@@ -73,8 +73,8 @@ impl DdlKey {
     ///
     /// # Panics
     ///
-    /// Panics if `object_id` exceeds [`MAX_OBJECT_ID`]; object-id
-    /// allocation in the kernel wraps far below that bound.
+    /// Panics if `object_id` exceeds [`MAX_OBJECT_ID`]; the kernel's key
+    /// allocator refuses to count past that bound itself.
     pub fn new(pe: PeId, vpe: VpeId, ty: CapType, object_id: u32) -> DdlKey {
         assert!(object_id <= MAX_OBJECT_ID, "object id overflows DDL key field");
         let raw =

@@ -1,10 +1,12 @@
 //! Deterministic, fast hashing for the kernel hot paths.
 //!
-//! The kernels keep their bookkeeping (mapping database, per-VPE tables'
-//! reverse indices, pending operations, revoke waiters, endpoint
-//! bindings) in hash maps so that every per-capability step of the
-//! protocol is O(1). Two properties matter and both rule out
-//! `std::collections::HashMap`'s default state:
+//! The kernels keep the bookkeeping that no small integer names
+//! (sibling links keyed by a possibly remote child, pending operations,
+//! revoke waiters, endpoint bindings) in hash maps so that every
+//! per-capability step of the protocol is O(1); mapping-database records
+//! and capability tables' reverse indices are stored at their DDL key's
+//! (VPE, object id) address instead. Two properties matter and both rule
+//! out `std::collections::HashMap`'s default state:
 //!
 //! 1. **Determinism.** `RandomState` seeds per process, so map iteration
 //!    order — and therefore anything accidentally derived from it —

@@ -8,6 +8,7 @@
 //! which is what lets [`crate::MappingDb`] store a record at that
 //! address instead of hashing its key.
 
+use semper_base::ddl::MAX_OBJECT_ID;
 use semper_base::{CapType, DdlKey, PeId, VpeId};
 
 /// Allocates fresh DDL keys for objects created on behalf of local VPEs.
@@ -29,15 +30,18 @@ impl KeyAllocator {
     ///
     /// # Panics
     ///
-    /// Panics if a single VPE exhausts the 24-bit object-id space (16.7M
-    /// objects) — far beyond any workload in this reproduction.
+    /// Panics if a single VPE exhausts the 24-bit object-id space
+    /// ([`MAX_OBJECT_ID`] + 1 objects, 16.7M) — far beyond any workload
+    /// in this reproduction. The bound also caps a creator's page vector
+    /// in the mapping database at 2²⁰ entries.
     pub fn alloc(&mut self, pe: PeId, vpe: VpeId, ty: CapType) -> DdlKey {
         if vpe.idx() >= self.next_id.len() {
             self.next_id.resize(vpe.idx() + 1, 0);
         }
         let id = &mut self.next_id[vpe.idx()];
+        assert!(*id <= MAX_OBJECT_ID, "object-id space of {vpe} exhausted");
         let key = DdlKey::new(pe, vpe, ty, *id);
-        *id = id.checked_add(1).expect("object-id space exhausted");
+        *id += 1;
         key
     }
 }
@@ -63,6 +67,16 @@ mod tests {
         let k = a.alloc(PeId(1), VpeId(2), CapType::Vpe);
         assert_eq!(k.object_id(), 0);
         assert_eq!(a.alloc(PeId(1), VpeId(1), CapType::Vpe).object_id(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "object-id space of")]
+    fn the_last_object_id_is_the_last_key() {
+        let mut a = KeyAllocator::new();
+        let _ = a.alloc(PeId(1), VpeId(3), CapType::Memory);
+        a.next_id[3] = MAX_OBJECT_ID;
+        assert_eq!(a.alloc(PeId(1), VpeId(3), CapType::Memory).object_id(), MAX_OBJECT_ID);
+        let _ = a.alloc(PeId(1), VpeId(3), CapType::Memory);
     }
 
     #[test]

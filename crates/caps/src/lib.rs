@@ -21,6 +21,7 @@ pub mod alloc;
 pub mod cap;
 pub mod mapdb;
 pub mod membership;
+mod pages;
 pub mod table;
 
 pub use alloc::KeyAllocator;

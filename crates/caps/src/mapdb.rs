@@ -11,9 +11,10 @@
 //! A DDL key names its creator VPE and a per-creator object id that the
 //! kernel's monotone counter hands out (§3.2, [`crate::KeyAllocator`]),
 //! so the key already says where its record sits: `key.vpe()` selects a
-//! per-VPE page table and `key.object_id()` a slot in it. A page holds
-//! a fixed run of slots and a live count, and is freed when its last
-//! record goes, so memory follows live records. A slot is found by its
+//! per-VPE `IdPages` (`pages.rs`) and `key.object_id()` a slot in it.
+//! Its pages are freed as their records go, so memory follows live
+//! records (see its "Page policy"); a capability table's reverse index
+//! is addressed the same way ([`crate::CapTable`]). A slot is found by its
 //! (VPE, object id) alone, so every lookup also compares the full key: a
 //! key that differs from the record's in its PE or type field is
 //! [`Code::NoSuchCap`]. Only [`MappingDb::insert`] grows the tables; a
@@ -46,78 +47,47 @@
 //! failure reports are stable).
 
 use crate::cap::{CapState, Capability};
+use crate::pages::IdPages;
 use semper_base::{Code, DdlKey, DetHashMap, Error, RawDdlKey, Result};
 
-/// Consecutive object ids per page of a creator VPE's record table.
-const PAGE: usize = 16;
-
-/// The records of `PAGE` consecutive object ids of one creator VPE.
-#[derive(Debug, Clone)]
-struct Page {
-    slots: [Option<Capability>; PAGE],
-    /// Occupied slots; the page is freed when this reaches 0.
-    live: u32,
-}
-
-/// Records at their key's address: `vpes[vpe][object_id / PAGE]`, slot
-/// `object_id % PAGE`.
+/// Records at their key's address: `vpes[vpe]`, at the object id.
 #[derive(Debug, Default, Clone)]
 struct Records {
-    vpes: Vec<Vec<Option<Box<Page>>>>,
+    vpes: Vec<IdPages<Capability>>,
     len: usize,
 }
 
 impl Records {
     fn get(&self, key: DdlKey) -> Option<&Capability> {
-        let id = key.object_id() as usize;
-        let page = self.vpes.get(key.vpe().idx())?.get(id / PAGE)?.as_deref()?;
-        page.slots[id % PAGE].as_ref().filter(|c| c.key == key)
+        self.vpes.get(key.vpe().idx())?.get(key.object_id()).filter(|c| c.key == key)
     }
 
     fn get_mut(&mut self, key: DdlKey) -> Option<&mut Capability> {
-        let id = key.object_id() as usize;
-        let page = self.vpes.get_mut(key.vpe().idx())?.get_mut(id / PAGE)?.as_deref_mut()?;
-        page.slots[id % PAGE].as_mut().filter(|c| c.key == key)
+        self.vpes.get_mut(key.vpe().idx())?.get_mut(key.object_id()).filter(|c| c.key == key)
     }
 
     fn insert(&mut self, cap: Capability) {
-        let (vpe, id) = (cap.key.vpe().idx(), cap.key.object_id() as usize);
+        let vpe = cap.key.vpe().idx();
         if vpe >= self.vpes.len() {
-            self.vpes.resize_with(vpe + 1, Vec::new);
+            self.vpes.resize_with(vpe + 1, IdPages::default);
         }
-        let pages = &mut self.vpes[vpe];
-        if id / PAGE >= pages.len() {
-            pages.resize_with(id / PAGE + 1, || None);
+        let id = cap.key.object_id();
+        if self.vpes[vpe].insert(id, cap).is_err() {
+            panic!("duplicate DDL key (VPE, object id) in mapping database");
         }
-        let page = pages[id / PAGE]
-            .get_or_insert_with(|| Box::new(Page { slots: Default::default(), live: 0 }));
-        let slot = &mut page.slots[id % PAGE];
-        assert!(slot.is_none(), "duplicate DDL key (VPE, object id) in mapping database");
-        *slot = Some(cap);
-        page.live += 1;
         self.len += 1;
     }
 
     fn remove(&mut self, key: DdlKey) -> Option<Capability> {
-        let id = key.object_id() as usize;
-        let entry = self.vpes.get_mut(key.vpe().idx())?.get_mut(id / PAGE)?;
-        let page = entry.as_deref_mut()?;
-        let slot = &mut page.slots[id % PAGE];
-        if slot.as_ref()?.key != key {
-            return None;
-        }
-        let cap = slot.take();
-        page.live -= 1;
-        if page.live == 0 {
-            *entry = None;
-        }
+        let cap =
+            self.vpes.get_mut(key.vpe().idx())?.remove_if(key.object_id(), |c| c.key == key)?;
         self.len -= 1;
-        cap
+        Some(cap)
     }
 
     /// Every record in (VPE, object id) order.
     fn iter(&self) -> impl Iterator<Item = &Capability> {
-        self.vpes.iter().flatten().flatten().flat_map(|page| page.slots.iter().flatten())
+        self.vpes.iter().flat_map(|pages| pages.iter().map(|(_, cap)| cap))
     }
 }
 
@@ -431,6 +401,7 @@ impl ExactSizeIterator for Children<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pages::PAGE;
     use semper_base::msg::{CapKindDesc, Perms};
     use semper_base::{CapSel, CapType, PeId, VpeId};
 
@@ -695,7 +666,7 @@ mod tests {
 
     /// Pages currently allocated, over all VPEs.
     fn pages(db: &MappingDb) -> usize {
-        db.records.vpes.iter().flatten().flatten().count()
+        db.records.vpes.iter().map(IdPages::open_pages).sum()
     }
 
     /// Every access path a key can take, none of which may find or
@@ -737,7 +708,7 @@ mod tests {
         let mut db = MappingDb::new();
         root(&mut db, key(0));
         db.link_child(key(0), remote_key(0)).unwrap();
-        let shape = |db: &MappingDb| (db.records.vpes.len(), db.records.vpes[0].len());
+        let shape = |db: &MappingDb| (db.records.vpes.len(), db.records.vpes[0].reach());
         let before = shape(&db);
         for k in [
             DdlKey::new(PeId(0), VpeId(1), CapType::Memory, 0),
@@ -750,7 +721,8 @@ mod tests {
         assert_eq!(shape(&db), before);
     }
 
-    /// Memory follows live records: a page goes with its last record.
+    /// Memory follows live records: a page goes with its last record,
+    /// except the newest page, which goes when a later page opens.
     #[test]
     fn deleting_every_record_frees_every_page() {
         let mut db = MappingDb::new();
@@ -769,7 +741,15 @@ mod tests {
             deletion_order(&mut db, key(i));
         }
         assert!(db.is_empty());
-        assert_eq!(pages(&db), 0);
+        assert_eq!(pages(&db), 1, "the newest page stays");
+        db.check_invariants().unwrap();
+        // The next page to open frees it.
+        let next = 1000usize.div_ceil(PAGE) * PAGE;
+        root(&mut db, key(next as u32));
+        assert_eq!(pages(&db), 1);
+        deletion_order(&mut db, key(next as u32));
+        root(&mut db, key((next + PAGE) as u32));
+        assert_eq!(pages(&db), 1);
         db.check_invariants().unwrap();
     }
 

@@ -15,20 +15,31 @@
 //! be re-occupied behind the free list's back.
 //!
 //! Revocation sweeps drop bindings *by DDL key* ([`CapTable::remove_key`],
-//! which the repo benchmark's caps probe calls too); the reverse index
-//! (`packed key → selector`, [`semper_base::RawDdlKey`]) makes that O(1)
-//! instead of a linear scan — the scan made large revocations quadratic
-//! in table size.
+//! which the repo benchmark's caps probe calls too); a reverse index
+//! makes that O(1) instead of a linear scan — the scan made large
+//! revocations quadratic in table size. Every key a table binds was
+//! allocated for the table's own VPE, so its object id alone names it:
+//! the index holds selector + 1 (a 4-byte slot) at the object id, in the
+//! same pages the mapping database keeps its records in (`IdPages`,
+//! `pages.rs`), and a lookup compares the bound key in full, so a key
+//! from another creator is not found. Binding two keys with one object
+//! id panics.
 
-use semper_base::{CapSel, Code, DdlKey, DetHashMap, Error, RawDdlKey, Result};
+use core::num::NonZeroU32;
+
+use semper_base::{CapSel, Code, DdlKey, Error, Result};
+
+use crate::pages::IdPages;
 
 /// One VPE's capability space.
 #[derive(Debug, Default, Clone)]
 pub struct CapTable {
     /// Slot `s` holds the key bound to selector `s`.
     slots: Vec<Option<DdlKey>>,
-    /// Reverse index for O(1) key → selector resolution during sweeps.
-    by_key: DetHashMap<RawDdlKey, CapSel>,
+    /// Reverse index: selector + 1 at the bound key's object id.
+    by_id: IdPages<NonZeroU32>,
+    /// Occupied selectors.
+    len: usize,
     /// Selectors freed by removals, reused LIFO. Never contains
     /// selectors below `first_free` (those are reserved).
     free: Vec<u32>,
@@ -79,14 +90,23 @@ impl CapTable {
     }
 
     /// Binds a free selector, growing the slot vector to reach it.
+    /// Panics if `key`'s object id is bound already: keys of one creator
+    /// differ in their object ids, so that is a kernel bug.
     fn bind(&mut self, sel: CapSel, key: DdlKey) {
-        let prev = self.by_key.insert(key.raw(), sel);
-        assert!(prev.is_none(), "DDL key bound to two selectors in one table");
+        let entry = NonZeroU32::MIN.checked_add(sel.0).expect("selector space exhausted");
+        if let Err(held) = self.by_id.insert(key.object_id(), entry) {
+            panic!(
+                "object id {} of {key:?} is already bound at selector {}",
+                key.object_id(),
+                held.get() - 1
+            );
+        }
         let idx = sel.0 as usize;
         if idx >= self.slots.len() {
             self.slots.resize(idx + 1, None);
         }
         self.slots[idx] = Some(key);
+        self.len += 1;
     }
 
     /// Looks up the key bound to `sel`.
@@ -97,23 +117,28 @@ impl CapTable {
     /// Removes the binding for `sel`; returns the key if it existed.
     pub fn remove(&mut self, sel: CapSel) -> Option<DdlKey> {
         let key = self.slots.get_mut(sel.0 as usize)?.take()?;
-        self.by_key.remove(&key.raw());
+        self.by_id.remove_if(key.object_id(), |_| true);
         self.release(sel);
         Some(key)
     }
 
-    /// Removes the binding pointing at `key` (reverse removal used when a
-    /// revoke deletes by DDL key). O(1) via the reverse index.
+    /// Removes the binding of `key` (reverse removal used when a revoke
+    /// deletes by DDL key); `None` if `key` is not bound here. O(1) via
+    /// the reverse index.
     pub fn remove_key(&mut self, key: DdlKey) -> Option<CapSel> {
-        let sel = self.by_key.remove(&key.raw())?;
-        let bound = self.slots[sel.0 as usize].take();
-        assert_eq!(bound, Some(key), "reverse index out of sync");
+        let slots = &mut self.slots;
+        let entry =
+            self.by_id.remove_if(key.object_id(), |e| slots[e.get() as usize - 1] == Some(key))?;
+        let sel = CapSel(entry.get() - 1);
+        slots[sel.0 as usize] = None;
         self.release(sel);
         Some(sel)
     }
 
-    /// Returns a selector to the free list (reserved ones stay reserved).
+    /// Counts a binding gone and returns its selector to the free list
+    /// (reserved ones stay reserved).
     fn release(&mut self, sel: CapSel) {
+        self.len -= 1;
         if sel.0 >= self.first_free {
             self.free.push(sel.0);
         }
@@ -121,12 +146,12 @@ impl CapTable {
 
     /// Number of occupied selectors.
     pub fn len(&self) -> usize {
-        self.by_key.len()
+        self.len
     }
 
     /// True if no selectors are occupied.
     pub fn is_empty(&self) -> bool {
-        self.by_key.is_empty()
+        self.len == 0
     }
 
     /// Iterates over `(selector, key)` pairs in selector order.
@@ -271,6 +296,33 @@ mod tests {
         // is refused, and the next allocation hands it out.
         assert_eq!(t.insert(a, key(2)).unwrap_err().code(), Code::InvalidArgs);
         assert_eq!(t.alloc_sel(), a);
+    }
+
+    /// The index is found by object id alone; a key of another creator,
+    /// PE or type with a bound object id is not the bound key.
+    #[test]
+    fn remove_key_compares_the_whole_key() {
+        let mut t = CapTable::new(0);
+        let s = t.insert_new(key(5));
+        for other in [
+            DdlKey::new(PeId(0), VpeId(1), CapType::Memory, 5),
+            DdlKey::new(PeId(1), VpeId(0), CapType::Memory, 5),
+            DdlKey::new(PeId(0), VpeId(0), CapType::Session, 5),
+            key(6),
+            key(semper_base::ddl::MAX_OBJECT_ID),
+        ] {
+            assert_eq!(t.remove_key(other), None, "{other:?}");
+        }
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.remove_key(key(5)), Some(s));
+    }
+
+    #[test]
+    #[should_panic(expected = "object id 5 of")]
+    fn binding_a_bound_object_id_again_panics() {
+        let mut t = CapTable::new(0);
+        t.insert_new(key(5));
+        t.insert_new(DdlKey::new(PeId(0), VpeId(1), CapType::Memory, 5));
     }
 
     #[test]

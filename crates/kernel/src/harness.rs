@@ -473,6 +473,25 @@ mod tests {
             .collect()
     }
 
+    /// A table indexes its keys by object id alone, so a binding whose
+    /// key names another VPE is an invariant violation even when the
+    /// table and the record agree.
+    #[test]
+    fn a_binding_of_another_vpes_key_is_caught() {
+        use semper_base::msg::CapKindDesc;
+        use semper_base::{CapType, DdlKey};
+        use semper_caps::Capability;
+        let mut c = TestCluster::new(1, 2);
+        c.check_invariants();
+        let k = &mut c.kernels[0];
+        let forged = DdlKey::new(PeId(2), VpeId(1), CapType::Memory, 1000);
+        let sel = k.table_mut(VpeId(0)).unwrap().insert_new(forged);
+        let kind = CapKindDesc::Memory { addr: 0, size: 64, perms: Perms::RW };
+        k.mapdb.insert(Capability::root(forged, kind, VpeId(0), sel));
+        let err = k.check_invariants().unwrap_err();
+        assert!(err.contains("a key of VPE1"), "{err}");
+    }
+
     #[test]
     fn local_obtain_roundtrip() {
         assert_eq!(obtain_from_vpe0(TestCluster::new(1, 2)), [(1, 0)]);

@@ -4,14 +4,15 @@
 //!
 //! State named by a small integer is stored at that integer: per-VPE
 //! tables and state are vectors indexed by [`VpeId`], the PE → VPE map
-//! by [`PeId`], the credit gate by [`KernelId`], and mapping-database
-//! records at their DDL key's (VPE, object id) address. A group's VPEs
-//! are scattered over the global id space, so per-VPE slots are boxed:
-//! an empty slot costs one word. What has no such name — sibling links
-//! keyed by a possibly remote child, table reverse indices, pending
-//! operations, revoke waiters, endpoint bindings — lives in fixed-seed
-//! hash maps ([`semper_base::hash`]). Every lookup is O(1), and one with
-//! an id past a vector's end misses without growing it.
+//! by [`PeId`], the credit gate by [`KernelId`], mapping-database
+//! records at their DDL key's (VPE, object id) address, and a table's
+//! reverse index at the bound key's object id. A group's VPEs are
+//! scattered over the global id space, so per-VPE slots are boxed: an
+//! empty slot costs one word. What has no such name — sibling links
+//! keyed by a possibly remote child, pending operations, revoke
+//! waiters, endpoint bindings — lives in fixed-seed hash maps
+//! ([`semper_base::hash`]). Every lookup is O(1), and one with an id
+//! past a vector's end misses without growing it.
 //!
 //! Protocol-visible ordering never comes from storage order: the
 //! `semper_sim::EventQueue`'s FIFO tie-break stays the sole ordering
@@ -565,12 +566,17 @@ impl Kernel {
     /// endpoint-binding forward/reverse agreement, plus agreement
     /// between capability tables and the database in both directions —
     /// every binding names a record that names it back, and every record
-    /// is bound at its own `(owner, sel)`.
+    /// is bound at its own `(owner, sel)`. Every binding's key also
+    /// names its table's VPE as creator, which is what lets a table
+    /// index its keys by object id alone ([`CapTable`]).
     pub fn check_invariants(&self) -> core::result::Result<(), String> {
         self.mapdb.check_invariants()?;
         self.eps.check_sync()?;
         for (vpe, table) in self.tables() {
             for (sel, key) in table.iter() {
+                if key.vpe() != vpe {
+                    return Err(format!("{vpe} {sel:?} binds {key:?}, a key of {}", key.vpe()));
+                }
                 let cap = self
                     .mapdb
                     .get(key)

@@ -228,7 +228,10 @@ impl FsService {
             self.reply_fs(out, src, req.tag, Err(Error::new(Code::InvalidSession)));
             return self.cost.fs_meta_op;
         }
-        let Some((client_vpe, client_pe)) = self.client(req.session) else {
+        // A session is its client's: an ident sent from another PE is
+        // no session of the sender's.
+        let Some((client_vpe, client_pe)) = self.client(req.session).filter(|&(_, pe)| pe == src)
+        else {
             self.reply_fs(out, src, req.tag, Err(Error::new(Code::InvalidSession)));
             return self.cost.fs_meta_op;
         };
@@ -319,6 +322,10 @@ impl FsService {
             }
             FsOp::Close { fid } => {
                 self.stats.closes += 1;
+                if self.files.get(fid).is_some_and(|file| file.session != req.session) {
+                    self.reply_fs(out, src, req.tag, Err(Error::new(Code::InvalidSession)));
+                    return self.cost.fs_meta_op;
+                }
                 let Some(file) = self.files.remove(fid) else {
                     self.reply_fs(out, src, req.tag, Err(Error::new(Code::InvalidArgs)));
                     return self.cost.fs_meta_op;

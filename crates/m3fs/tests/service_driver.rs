@@ -281,6 +281,80 @@ fn forged_session_idents_are_invalid_session() {
     assert_eq!(s.stats().opens, 0);
 }
 
+const OTHER_PE: PeId = PeId(8);
+
+/// Opens a second session, for `VpeId(2)` on [`OTHER_PE`]; its ident is 2.
+fn open_second_session(s: &mut FsService) {
+    let open = Upcall::SessionOpen { op: OpId(2), client_vpe: VpeId(2), client_pe: OTHER_PE };
+    s.handle(&Msg::new(KRN_PE, SVC_PE, Payload::Upcall(open)), &mut Outbox::new());
+}
+
+/// `req` as sent from `src`.
+fn fs_req_from(s: &mut FsService, src: PeId, req: FsReq) -> Outbox {
+    let mut out = Outbox::new();
+    s.handle(&Msg::new(src, SVC_PE, Payload::fs(req)), &mut out);
+    out
+}
+
+/// A file belongs to the session that opened it: another session's
+/// close is `InvalidSession`, revokes nothing, and leaves the file to
+/// its owner's close.
+#[test]
+fn another_sessions_close_is_invalid_session_and_leaves_the_file() {
+    let mut s = service_with_two_extents();
+    open_second_session(&mut s);
+    let close = FsReq { session: 2, tag: 20, op: FsOp::Close { fid: 1 } };
+    let mut out = fs_req_from(&mut s, OTHER_PE, close);
+    let msgs = out.drain();
+    assert!(!msgs.iter().any(|(m, _)| matches!(m.payload, Payload::Sys { .. })), "{msgs:?}");
+    let [(reply, _)] = &msgs[..] else { panic!("one reply expected: {msgs:?}") };
+    assert_eq!(reply.dst, OTHER_PE);
+    let Payload::FsReply(r) = &reply.payload else { panic!("{reply:?}") };
+    assert_eq!(r.tag, 20);
+    assert_eq!(r.result.as_ref().unwrap_err().code(), Code::InvalidSession);
+    assert_eq!(s.stats().revokes, 0);
+
+    // The owner's close still revokes both extents.
+    let mut out = fs_req(&mut s, 21, FsOp::Close { fid: 1 });
+    for derived in [CapSel(8), CapSel(9)] {
+        let (tag, call) = expect_syscall(&mut out);
+        assert!(matches!(call, Syscall::Revoke { sel, .. } if sel == derived), "{call:?}");
+        out = sys_reply(&mut s, tag, Ok(SysReplyData::None));
+    }
+    assert!(matches!(expect_fs_reply(&mut out, 21), Ok(FsReplyData::Ok)));
+    assert_eq!(s.stats().revokes, 2);
+}
+
+/// A session ident is valid only from its client's PE: the same ident
+/// sent from another PE — even one with a session of its own — is
+/// `InvalidSession` for every request.
+#[test]
+fn a_session_ident_from_another_pe_is_invalid_session() {
+    let mut s = service_with_two_extents();
+    for with_own_session in [false, true] {
+        if with_own_session {
+            open_second_session(&mut s);
+        }
+        for op in [
+            FsOp::Stat { path: "/f.dat".into() },
+            FsOp::Open { path: "/f.dat".into(), write: false, create: false },
+            FsOp::NextExtent { fid: 1, offset: 0, write: false },
+            FsOp::Close { fid: 1 },
+        ] {
+            let mut out = fs_req_from(&mut s, OTHER_PE, FsReq { session: 1, tag: 30, op });
+            let msgs = out.drain();
+            assert!(!msgs.iter().any(|(m, _)| matches!(m.payload, Payload::Sys { .. })));
+            let [(reply, _)] = &msgs[..] else { panic!("one reply expected: {msgs:?}") };
+            let Payload::FsReply(r) = &reply.payload else { panic!("{reply:?}") };
+            assert_eq!(r.result.as_ref().unwrap_err().code(), Code::InvalidSession);
+        }
+    }
+    assert_eq!((s.stats().opens, s.stats().meta_ops, s.stats().revokes), (1, 0, 0));
+    // The file is still the owner's to close.
+    let mut out = fs_req(&mut s, 31, FsOp::Close { fid: 1 });
+    assert!(matches!(expect_syscall(&mut out).1, Syscall::Revoke { sel: CapSel(8), .. }));
+}
+
 /// An open file is its inode, not its path: after an unlink the next
 /// extent request is `NoSuchFile`, and a file created again at the same
 /// path is a new inode the old fid does not reach, even to grow it.

@@ -129,12 +129,13 @@ fn a_delivered_message_costs_about_one_allocation() {
 }
 
 /// Allocations per served request the webserver path may spend.
-/// Measured 11.86 (15 747 allocations for the 1 328 requests served in
-/// the window below), the same in both build profiles. It read 15.71
-/// when each request built its own trace: the `format!`ted path, its
+/// Measured 11.17 (14 834 allocations for the 1 328 requests served in
+/// the window below), the same in both build profiles. It read 11.85
+/// while capability tables hashed their reverse index, and 15.71 when
+/// each request built its own trace: the `format!`ted path, its
 /// `Arc<str>`, the trace's name and its step vector. One more allocation
 /// per request adds 1.
-const REQUEST_BUDGET: f64 = 12.5;
+const REQUEST_BUDGET: f64 = 11.82;
 
 /// Fig. 10's OS-bound corner in small: 64 webservers and 8 load
 /// generators on 8 kernels and 8 m3fs instances, counted over 4 M cycles
@@ -162,11 +163,12 @@ fn a_served_request_costs_a_bounded_number_of_allocations() {
 }
 
 /// Allocations per exchange system call the capability path may spend.
-/// Measured 2.078 (8 312 for the 4 000 calls below); 2.061 (8 242) when
-/// mapping-database records were hashed: a record page costs one
+/// Measured 2.025 (8 098 for the 4 000 calls below), the same in both
+/// build profiles; 2.111 (8 442) while capability tables hashed their
+/// reverse index. A page of records or of table index entries costs one
 /// allocation per 16 capabilities, where a doubling hash map allocates
 /// a handful of times in all. One more allocation per call adds 1.
-const EXCHANGE_BUDGET: f64 = 2.25;
+const EXCHANGE_BUDGET: f64 = 2.164;
 
 const KERNELS: u16 = 13;
 const VPES_PER_GROUP: u16 = 12;
