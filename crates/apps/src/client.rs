@@ -8,9 +8,9 @@
 //! service. [`AppClient`] wraps one replayer around one application
 //! trace; the Nginx server reuses one replayer for every request, each
 //! loading a shared handle on its page's trace. A replayer only reads
-//! its trace, so a loaded trace is an `Arc<Trace>`.
+//! its trace, so a loaded trace is an `Arc<Trace>`. Its open files are
+//! indexed by the trace's [`PathId`]s.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use semper_base::msg::{
@@ -19,7 +19,7 @@ use semper_base::msg::{
 use semper_base::{Code, CostModel, Error, Msg, PeId, VpeId};
 
 use crate::conn::{Correlator, KernelConn};
-use crate::trace::{Trace, TraceOp};
+use crate::trace::{PathId, Trace, TraceOp};
 
 /// Lifecycle of an application client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,9 +70,9 @@ impl FileState {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Io {
-    path: Arc<str>,
+    path: PathId,
     /// Next file offset to access.
     offset: u64,
     /// End of the requested range (clamped for reads).
@@ -84,9 +84,11 @@ struct Io {
 ///
 /// Reply correlation lives in [`crate::conn`]: `sys` is the kernel
 /// connection (the one blocking system call — here, `OpenSession`),
-/// `fs` correlates filesystem IPC over the session. A reply that
-/// matches neither is a hard error surfacing as
-/// [`ClientPhase::Failed`], never a silently dropped message.
+/// `fs` correlates filesystem IPC over the session. A reply is believed
+/// only from the PE that was asked (the kernel, or the session's
+/// service) and only of the kind that answers the outstanding request;
+/// anything else is a hard error surfacing as [`ClientPhase::Failed`],
+/// never a silently dropped message.
 pub struct Replayer {
     vpe: VpeId,
     pe: PeId,
@@ -98,7 +100,8 @@ pub struct Replayer {
     session: Option<(u64, PeId)>,
     trace: Option<Arc<Trace>>,
     ip: usize,
-    files: BTreeMap<Arc<str>, FileState>,
+    /// The loaded trace's open files, indexed by [`PathId`].
+    files: Vec<Option<FileState>>,
     io: Option<Io>,
     stats: ClientStats,
     error: Option<Error>,
@@ -125,7 +128,7 @@ impl Replayer {
             session: None,
             trace: None,
             ip: 0,
-            files: BTreeMap::new(),
+            files: Vec::new(),
             io: None,
             stats: ClientStats::default(),
             error: None,
@@ -177,6 +180,10 @@ impl Replayer {
     /// next reply to the wrong trace.
     pub fn load(&mut self, trace: Arc<Trace>) {
         assert!(self.trace.is_none(), "trace already loaded");
+        // One slot per path of the trace. The table keeps its capacity
+        // across loads, so a webserver's request allocates none.
+        self.files.clear();
+        self.files.resize(trace.paths.len(), None);
         self.trace = Some(trace);
         self.ip = 0;
         self.io = None;
@@ -191,41 +198,39 @@ impl Replayer {
         }
         loop {
             let Some(trace) = &self.trace else { return (cost, false) };
-            let Some(op) = trace.ops.get(self.ip) else {
+            let Some(&op) = trace.ops.get(self.ip) else {
                 // Trace complete.
                 self.trace = None;
                 return (cost, true);
             };
-            // The step stays in the trace: a request takes a handle on
-            // its path, nothing is copied.
-            match op {
+            // A request takes a handle on the trace's path; nothing is
+            // copied. A step naming a path the trace does not have, or
+            // a file that is not open, is refused.
+            let request = match op {
                 TraceOp::Compute { cycles } => {
                     cost += cycles;
                     self.stats.compute_cycles += cycles;
                     self.ip += 1;
-                }
-                TraceOp::Open { path, write, create } => {
-                    let (write, create) = (*write, *create);
-                    cost += self.send_fs(out, FsOp::Open { path: path.clone(), write, create });
-                    return (cost, false);
+                    continue;
                 }
                 TraceOp::Read { path, bytes } => {
-                    let Some(f) = self.files.get(path) else {
+                    let Some(f) = self.file(path) else {
                         self.fail(Error::new(Code::InvalidArgs));
                         return (cost, false);
                     };
-                    let end = (*bytes).min(f.size);
+                    let end = bytes.min(f.size);
                     if end == 0 {
                         self.ip += 1;
                         continue;
                     }
-                    self.io = Some(Io { path: path.clone(), offset: 0, end, write: false });
+                    self.io = Some(Io { path, offset: 0, end, write: false });
                     if self.drive_io(out, &mut cost) {
                         return (cost, false);
                     }
+                    continue;
                 }
                 TraceOp::Write { path, bytes } => {
-                    let Some(f) = self.files.get_mut(path) else {
+                    let Some(f) = self.file(path) else {
                         self.fail(Error::new(Code::InvalidArgs));
                         return (cost, false);
                     };
@@ -233,37 +238,43 @@ impl Replayer {
                     let start = f.size;
                     let end = start + bytes;
                     f.size = end;
-                    self.io = Some(Io { path: path.clone(), offset: start, end, write: true });
+                    self.io = Some(Io { path, offset: start, end, write: true });
                     if self.drive_io(out, &mut cost) {
                         return (cost, false);
                     }
+                    continue;
                 }
-                TraceOp::Stat { path } => {
-                    cost += self.send_fs(out, FsOp::Stat { path: path.clone() });
-                    return (cost, false);
+                TraceOp::Open { path, write, create } => {
+                    trace.path(path).map(|p| FsOp::Open { path: p.clone(), write, create })
                 }
+                TraceOp::Stat { path } => trace.path(path).map(|p| FsOp::Stat { path: p.clone() }),
                 TraceOp::ReadDir { path } => {
-                    cost += self.send_fs(out, FsOp::ReadDir { path: path.clone() });
-                    return (cost, false);
+                    trace.path(path).map(|p| FsOp::ReadDir { path: p.clone() })
                 }
                 TraceOp::Mkdir { path } => {
-                    cost += self.send_fs(out, FsOp::Mkdir { path: path.clone() });
-                    return (cost, false);
+                    trace.path(path).map(|p| FsOp::Mkdir { path: p.clone() })
                 }
                 TraceOp::Unlink { path } => {
-                    cost += self.send_fs(out, FsOp::Unlink { path: path.clone() });
-                    return (cost, false);
+                    trace.path(path).map(|p| FsOp::Unlink { path: p.clone() })
                 }
-                TraceOp::Close { path } => {
-                    let Some(f) = self.files.remove(path) else {
-                        self.fail(Error::new(Code::InvalidArgs));
-                        return (cost, false);
-                    };
-                    cost += self.send_fs(out, FsOp::Close { fid: f.fid });
-                    return (cost, false);
-                }
-            }
+                TraceOp::Close { path } => self
+                    .files
+                    .get_mut(path.idx())
+                    .and_then(Option::take)
+                    .map(|f| FsOp::Close { fid: f.fid }),
+            };
+            let Some(request) = request else {
+                self.fail(Error::new(Code::InvalidArgs));
+                return (cost, false);
+            };
+            cost += self.send_fs(out, request);
+            return (cost, false);
         }
+    }
+
+    /// The open file `path` names, if any.
+    fn file(&mut self, path: PathId) -> Option<&mut FileState> {
+        self.files.get_mut(path.idx())?.as_mut()
     }
 
     /// Advances the current IO as far as the cached extent capabilities
@@ -278,7 +289,7 @@ impl Replayer {
                 self.ip += 1;
                 return false;
             }
-            let Some(f) = self.files.get(&io.path) else {
+            let Some(f) = self.files.get(io.path.idx()).and_then(Option::as_ref) else {
                 self.fail(Error::new(Code::InvalidArgs));
                 return false;
             };
@@ -323,8 +334,13 @@ impl Replayer {
 
     /// Handles one incoming message. Returns `(cost, trace_finished)`.
     pub fn on_msg(&mut self, msg: &Msg, out: &mut Outbox) -> (u64, bool) {
+        // Upcalls and system-call replies come from the kernel, filesystem
+        // replies from the session's service; from any other PE they are
+        // forgeries, refused like the mismatched tags below.
+        let from_kernel = msg.src == self.sys.kernel_pe();
+        let from_service = self.session.is_some_and(|(_, srv_pe)| srv_pe == msg.src);
         match &msg.payload {
-            Payload::Upcall(Upcall::AcceptExchange { op, .. }) => {
+            Payload::Upcall(Upcall::AcceptExchange { op, .. }) if from_kernel => {
                 // The kernel asks whether we accept a capability (the
                 // service delegating an extent): always yes.
                 out.push(Msg::new(
@@ -334,7 +350,7 @@ impl Replayer {
                 ));
                 (self.cost.upcall_work, false)
             }
-            Payload::SysReply(reply) => {
+            Payload::SysReply(reply) if from_kernel => {
                 // A reply that matches nothing in flight is a protocol
                 // violation — fail hard instead of dropping it.
                 if let Err(e) = self.sys.accept(reply) {
@@ -356,7 +372,7 @@ impl Replayer {
                     }
                 }
             }
-            Payload::FsReply(reply) => self.on_fs_reply(reply, out),
+            Payload::FsReply(reply) if from_service => self.on_fs_reply(reply, out),
             _ => {
                 // Nothing else is ever addressed to a client: a protocol
                 // violation like the two above, in every build.
@@ -374,26 +390,28 @@ impl Replayer {
             return (0, false);
         }
         let mut cost = self.cost.dtu_recv;
-        match &reply.result {
-            Ok(FsReplyData::Opened { fid, size }) => {
-                // The Open op told us the path.
-                let Some(TraceOp::Open { path, .. }) =
-                    self.trace.as_ref().and_then(|t| t.ops.get(self.ip))
-                else {
+        // A reply answers only the request outstanding: an extent's while
+        // an IO is in flight, else the one the step at `ip` sent.
+        let step = match self.io {
+            Some(_) => None,
+            None => self.trace.as_ref().and_then(|t| t.ops.get(self.ip)).copied(),
+        };
+        match (&reply.result, step) {
+            (Ok(FsReplyData::Opened { fid, size }), Some(TraceOp::Open { path, .. })) => {
+                let Some(slot) = self.files.get_mut(path.idx()) else {
                     self.fail(Error::new(Code::InternalError));
                     return (cost, false);
                 };
-                let file = FileState { fid: *fid, size: *size, cached: Vec::new() };
-                self.files.insert(path.clone(), file);
+                *slot = Some(FileState { fid: *fid, size: *size, cached: Vec::new() });
                 self.ip += 1;
             }
-            Ok(FsReplyData::Extent { sel: _, addr: _, offset, len }) => {
+            (Ok(FsReplyData::Extent { sel: _, addr: _, offset, len }), None) => {
                 self.stats.extents += 1;
-                let Some(io) = &self.io else {
+                let Some(io) = self.io else {
                     self.fail(Error::new(Code::InternalError));
                     return (cost, false);
                 };
-                let Some(f) = self.files.get_mut(&io.path) else {
+                let Some(f) = self.file(io.path) else {
                     self.fail(Error::new(Code::InternalError));
                     return (cost, false);
                 };
@@ -404,18 +422,27 @@ impl Replayer {
                     return (cost, false);
                 }
             }
-            Ok(FsReplyData::Stat(_)) | Ok(FsReplyData::Dir { .. }) | Ok(FsReplyData::Ok) => {
+            (Ok(FsReplyData::Stat(_)), Some(TraceOp::Stat { .. }))
+            | (Ok(FsReplyData::Dir { .. }), Some(TraceOp::ReadDir { .. }))
+            | (
+                Ok(FsReplyData::Ok),
+                Some(TraceOp::Mkdir { .. } | TraceOp::Unlink { .. } | TraceOp::Close { .. }),
+            ) => {
                 self.ip += 1;
             }
-            Err(e)
-                if e.code() == Code::EndOfFile && self.io.as_ref().is_some_and(|io| !io.write) =>
+            (Err(e), None)
+                if e.code() == Code::EndOfFile && self.io.is_some_and(|io| !io.write) =>
             {
                 // Reading past the end: treat as a short read.
                 self.io = None;
                 self.ip += 1;
             }
-            Err(e) => {
+            (Err(e), _) => {
                 self.fail(*e);
+                return (cost, false);
+            }
+            _ => {
+                self.fail(Error::new(Code::InternalError));
                 return (cost, false);
             }
         }
@@ -575,6 +602,88 @@ mod tests {
             Msg::new(PeId(5), PeId(1), Payload::Http(semper_base::msg::HttpReq { id: 1, uri: 0 }));
         c.handle(&stray, &mut out);
         assert_eq!(c.phase(), ClientPhase::Failed(Error::new(Code::InternalError)));
+    }
+
+    /// A `Session` reply is believed only from the client's kernel: one
+    /// from another PE fails the client, which then sends nothing to the
+    /// service PE the forged reply named.
+    #[test]
+    fn session_reply_from_another_pe_fails_the_client() {
+        let mut c = client();
+        let mut out = Outbox::new();
+        c.boot(&mut out);
+        out.drain();
+        let session =
+            SysReplyData::Session { sel: semper_base::CapSel(3), srv_pe: PeId(5), ident: 1 };
+        let forged = Msg::new(PeId(5), PeId(1), Payload::sys_reply(0, Ok(session)));
+        c.handle(&forged, &mut out);
+        assert_eq!(c.phase(), ClientPhase::Failed(Error::new(Code::InternalError)));
+        assert!(out.drain().is_empty());
+    }
+
+    /// The client's session with its kernel on PE 0 and service on PE 9,
+    /// and the filesystem request the client then has outstanding.
+    fn running_client() -> (AppClient, FsReq) {
+        let mut c = client();
+        let mut out = Outbox::new();
+        c.boot(&mut out);
+        out.drain();
+        let session =
+            SysReplyData::Session { sel: semper_base::CapSel(3), srv_pe: PeId(9), ident: 1 };
+        c.handle(&Msg::new(PeId(0), PeId(1), Payload::sys_reply(0, Ok(session))), &mut out);
+        let req = outstanding(&mut out);
+        (c, req)
+    }
+
+    /// The last filesystem request in `out`.
+    fn outstanding(out: &mut Outbox) -> FsReq {
+        let msgs = out.drain();
+        let req = msgs.iter().rev().find_map(|(m, _)| match &m.payload {
+            Payload::Fs(req) => Some((**req).clone()),
+            _ => None,
+        });
+        req.expect("a filesystem request outstanding")
+    }
+
+    /// A reply from a PE other than the session's service fails the
+    /// client even though it carries the outstanding request's tag.
+    #[test]
+    fn fs_reply_from_another_pe_fails_the_client() {
+        let (mut c, req) = running_client();
+        assert!(matches!(req.op, FsOp::Open { .. }));
+        let opened = FsReplyData::Opened { fid: 1, size: 4096 };
+        let forged = Msg::new(PeId(5), PeId(1), Payload::fs_reply(req.tag, Ok(opened)));
+        c.handle(&forged, &mut Outbox::new());
+        assert_eq!(c.phase(), ClientPhase::Failed(Error::new(Code::InternalError)));
+    }
+
+    /// A filesystem reply of the wrong kind is not success: an `Ok` to
+    /// the outstanding `NextExtent` of find's index read fails the
+    /// client instead of skipping the read.
+    #[test]
+    fn fs_reply_of_the_wrong_kind_fails_the_client() {
+        let (mut c, mut req) = running_client();
+        let mut out = Outbox::new();
+        // Answer every request correctly up to the first extent request.
+        while !matches!(req.op, FsOp::NextExtent { .. }) {
+            let data = match &req.op {
+                FsOp::Open { .. } => FsReplyData::Opened { fid: 1, size: 4096 },
+                FsOp::Stat { .. } => FsReplyData::Stat(semper_base::msg::FileStat {
+                    size: 256,
+                    is_dir: false,
+                    extents: 1,
+                }),
+                FsOp::ReadDir { .. } => FsReplyData::Dir { names: Vec::new() },
+                _ => FsReplyData::Ok,
+            };
+            c.handle(&Msg::new(PeId(9), PeId(1), Payload::fs_reply(req.tag, Ok(data))), &mut out);
+            assert_eq!(c.phase(), ClientPhase::Running);
+            req = outstanding(&mut out);
+        }
+        let wrong = Msg::new(PeId(9), PeId(1), Payload::fs_reply(req.tag, Ok(FsReplyData::Ok)));
+        c.handle(&wrong, &mut out);
+        assert_eq!(c.phase(), ClientPhase::Failed(Error::new(Code::InternalError)));
+        assert_eq!(c.stats().bytes_read, 0);
     }
 
     #[test]

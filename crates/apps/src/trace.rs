@@ -18,16 +18,39 @@
 //! revocations at close, and each session open is one more capability
 //! operation. The `table4_app_capops` bench prints measured counts next
 //! to the paper's.
+//!
+//! The paper replays one recorded trace in every instance (§5.3), and
+//! so does this module: a trace is one op sequence per application,
+//! shared by every instance, plus a path table of the instance's own.
+//! An op names a path by its index in that table ([`PathId`]). The
+//! generators intern each path at its first use and never branch on the
+//! instance number, so the sequences of all instances are equal; only
+//! the strings of the table differ (`/work/<n>/…`). [`AppKind::trace`]
+//! builds each application's sequence once per process and hands every
+//! instance a handle on it.
 
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// The index of a path in its trace's path table ([`Trace::path`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+pub struct PathId(pub u16);
+
+impl PathId {
+    /// The index as a `usize`.
+    pub fn idx(self) -> usize {
+        usize::from(self.0)
+    }
+}
 
 /// One step of an application trace.
 ///
-/// Paths are shared: the generators below build each distinct path once
-/// per trace and every step naming it holds a handle, so replaying a
-/// step (and sending its request) copies no path bytes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// A step names its path by [`PathId`], an index into the trace's path
+/// table, so a step is 16 bytes and the op sequence holds no handle of
+/// an instance's own: every instance of one application replays the
+/// same sequence. Sending a request takes a handle on the table's path;
+/// no path bytes are copied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TraceOp {
     /// Pure computation for the given number of cycles (think time; also
     /// stands in for syscalls SemperOS does not implement, which the
@@ -39,7 +62,7 @@ pub enum TraceOp {
     /// Open a file.
     Open {
         /// Path within the instance's m3fs.
-        path: Arc<str>,
+        path: PathId,
         /// Open for writing.
         write: bool,
         /// Create if missing.
@@ -49,7 +72,7 @@ pub enum TraceOp {
     /// delegated extent capabilities.
     Read {
         /// Path (must be open).
-        path: Arc<str>,
+        path: PathId,
         /// Bytes to read; clamped to the file size.
         bytes: u64,
     },
@@ -57,44 +80,97 @@ pub enum TraceOp {
     /// as needed).
     Write {
         /// Path (must be open for writing).
-        path: Arc<str>,
+        path: PathId,
         /// Bytes to write.
         bytes: u64,
     },
     /// Stat a path (metadata only, no capabilities).
     Stat {
         /// Path to inspect.
-        path: Arc<str>,
+        path: PathId,
     },
     /// List a directory.
     ReadDir {
         /// Directory path.
-        path: Arc<str>,
+        path: PathId,
     },
     /// Create a directory.
     Mkdir {
         /// New directory path.
-        path: Arc<str>,
+        path: PathId,
     },
     /// Remove a file.
     Unlink {
         /// Path to remove.
-        path: Arc<str>,
+        path: PathId,
     },
     /// Close an open file (revokes its extent capabilities).
     Close {
         /// Path (must be open).
-        path: Arc<str>,
+        path: PathId,
     },
 }
 
-/// A full application trace.
+// A step is a tag, a path id and one `u64`: 512 instances read one
+// sequence per application, so its size is the replay's cache footprint.
+const _: () = assert!(std::mem::size_of::<TraceOp>() == 16);
+
+/// A full application trace: a shared op sequence and the instance's
+/// own path table.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Trace {
     /// Application name (for reports).
     pub name: String,
-    /// The operations, in order.
-    pub ops: Vec<TraceOp>,
+    /// The operations, in order; every instance of one application
+    /// holds the same allocation.
+    pub ops: Arc<[TraceOp]>,
+    /// The paths the operations name, indexed by [`PathId`].
+    pub paths: Box<[Arc<str>]>,
+}
+
+impl Trace {
+    /// The path `id` names, or `None` if it is not in this trace's
+    /// table.
+    pub fn path(&self, id: PathId) -> Option<&Arc<str>> {
+        self.paths.get(id.idx())
+    }
+}
+
+/// Builds one trace: interns each path at its first use, by string
+/// equality and in first-use order, and records the ops unless only the
+/// path table is wanted.
+struct Builder {
+    record: bool,
+    ops: Vec<TraceOp>,
+    paths: Vec<Arc<str>>,
+}
+
+impl Builder {
+    fn new(record: bool) -> Builder {
+        Builder { record, ops: Vec::new(), paths: Vec::new() }
+    }
+
+    /// The id of `path`, added to the table if it is new.
+    fn path(&mut self, path: &str) -> PathId {
+        let idx = match self.paths.iter().position(|p| **p == *path) {
+            Some(idx) => idx,
+            None => {
+                self.paths.push(path.into());
+                self.paths.len() - 1
+            }
+        };
+        PathId(u16::try_from(idx).expect("a trace names at most 2^16 paths"))
+    }
+
+    fn op(&mut self, op: TraceOp) {
+        if self.record {
+            self.ops.push(op);
+        }
+    }
+
+    fn finish(self, name: &str) -> Trace {
+        Trace { name: name.into(), ops: self.ops.into(), paths: self.paths.into() }
+    }
 }
 
 /// The benchmark applications of §5.3.
@@ -149,20 +225,34 @@ impl AppKind {
         }
     }
 
-    /// Generates the trace for one instance. `instance` individualises
-    /// paths so parallel instances do not collide inside one m3fs image.
+    /// The trace of one instance. `instance` individualises the path
+    /// table so parallel instances do not collide inside one m3fs
+    /// image; the op sequence is the application's, built on first use
+    /// and shared by every instance.
     pub fn trace(self, instance: u32) -> Trace {
-        let mut t = match self {
-            AppKind::Tar => tar(instance),
-            AppKind::Untar => untar(instance),
-            AppKind::Find => find(instance),
-            AppKind::Sqlite => sqlite(instance),
-            AppKind::LevelDb => leveldb(instance),
-            AppKind::PostMark => postmark(instance),
-        };
-        t.ops = inject_chatter(t.ops, self.chatter_ops());
-        t.ops = pad_with_think(t.ops, replay_think(self));
-        t
+        static OPS: [OnceLock<Arc<[TraceOp]>>; 6] = [const { OnceLock::new() }; 6];
+        let ops = OPS[self as usize].get_or_init(|| self.build(instance, true).ops.into());
+        let paths = self.build(instance, false).paths;
+        Trace { name: self.name().into(), ops: Arc::clone(ops), paths: paths.into() }
+    }
+
+    /// Runs this application's generator for `instance`: the path table
+    /// always, the op sequence (chatter and think time included) if
+    /// `record`.
+    fn build(self, instance: u32, record: bool) -> Builder {
+        let mut b = Builder::new(record);
+        match self {
+            AppKind::Tar => tar(&mut b, instance),
+            AppKind::Untar => untar(&mut b, instance),
+            AppKind::Find => find(&mut b),
+            AppKind::Sqlite => sqlite(&mut b, instance),
+            AppKind::LevelDb => leveldb(&mut b, instance),
+            AppKind::PostMark => postmark(&mut b, instance),
+        }
+        let chatter = b.path(CHATTER_PATH);
+        let ops = inject_chatter(std::mem::take(&mut b.ops), chatter, self.chatter_ops());
+        b.ops = pad_with_think(ops, replay_think(self));
+        b
     }
 
     /// Number of small metadata requests ("chatter") one instance sends
@@ -246,27 +336,29 @@ fn replay_think(app: AppKind) -> u64 {
     }
 }
 
-/// Spreads `count` metadata requests (stat of a static path) evenly
-/// through the trace.
-fn inject_chatter(ops: Vec<TraceOp>, count: u32) -> Vec<TraceOp> {
+/// The static path the metadata chatter stats.
+const CHATTER_PATH: &str = "/input/member0.dat";
+
+/// Spreads `count` metadata requests (stat of `path`) evenly through
+/// the trace.
+fn inject_chatter(ops: Vec<TraceOp>, path: PathId, count: u32) -> Vec<TraceOp> {
     if count == 0 || ops.is_empty() {
         return ops;
     }
     let per_slot = count as usize / ops.len().max(1) + 1;
-    let path: Arc<str> = "/input/member0.dat".into();
     let mut out = Vec::with_capacity(ops.len() + count as usize);
     let mut injected = 0usize;
     for op in ops {
         out.push(op);
         for _ in 0..per_slot {
             if injected < count as usize {
-                out.push(TraceOp::Stat { path: path.clone() });
+                out.push(TraceOp::Stat { path });
                 injected += 1;
             }
         }
     }
     while injected < count as usize {
-        out.push(TraceOp::Stat { path: path.clone() });
+        out.push(TraceOp::Stat { path });
         injected += 1;
     }
     out
@@ -291,198 +383,186 @@ fn pad_with_think(mut ops: Vec<TraceOp>, total: u64) -> Vec<TraceOp> {
     padded
 }
 
-fn tar(instance: u32) -> Trace {
+fn tar(b: &mut Builder, instance: u32) {
     // Reads five input files, writes one 4 MiB archive.
     // Cap ops: 1 session + (5 member reads = 6 extents) + (archive write
     // = 4 extents) → 10 delegations + 10 revokes + 1 session = 21.
-    let mut ops = Vec::new();
-    let archive: Arc<str> = format!("/work/{instance}/out.tar").into();
-    ops.push(TraceOp::Open { path: archive.clone(), write: true, create: true });
+    let archive = b.path(&format!("/work/{instance}/out.tar"));
+    b.op(TraceOp::Open { path: archive, write: true, create: true });
     for (i, kib) in TAR_MEMBER_KIB.iter().enumerate() {
-        let path: Arc<str> = format!("/input/member{i}.dat").into();
-        ops.push(TraceOp::Open { path: path.clone(), write: false, create: false });
-        ops.push(TraceOp::Read { path: path.clone(), bytes: kib * 1024 });
-        ops.push(TraceOp::Compute { cycles: LIGHT_COMPUTE * kib / 128 });
-        ops.push(TraceOp::Close { path });
+        let path = b.path(&format!("/input/member{i}.dat"));
+        b.op(TraceOp::Open { path, write: false, create: false });
+        b.op(TraceOp::Read { path, bytes: kib * 1024 });
+        b.op(TraceOp::Compute { cycles: LIGHT_COMPUTE * kib / 128 });
+        b.op(TraceOp::Close { path });
         // Append this member to the archive (bytes accumulate; extents
         // are delegated as the file grows).
-        ops.push(TraceOp::Write { path: archive.clone(), bytes: kib * 1024 });
+        b.op(TraceOp::Write { path: archive, bytes: kib * 1024 });
     }
-    ops.push(TraceOp::Close { path: archive });
-    Trace { name: "tar".into(), ops }
+    b.op(TraceOp::Close { path: archive });
 }
 
-fn untar(instance: u32) -> Trace {
+fn untar(b: &mut Builder, instance: u32) {
     // Reads the 4 MiB archive once (4 extents) and unpacks into a
     // per-instance scratch file opened once (1 extent delegated for the
     // whole unpack buffer). Cap ops: 1 session + 5 delegations + 5
     // revokes = 11.
-    let mut ops = Vec::new();
-    let archive: Arc<str> = "/input/archive.tar".into();
-    let scratch: Arc<str> = format!("/work/{instance}/unpacked.dat").into();
-    ops.push(TraceOp::Open { path: archive.clone(), write: false, create: false });
-    ops.push(TraceOp::Open { path: scratch.clone(), write: true, create: true });
-    ops.push(TraceOp::Read { path: archive.clone(), bytes: TAR_ARCHIVE_BYTES });
-    ops.push(TraceOp::Compute { cycles: LIGHT_COMPUTE * 32 });
+    let archive = b.path("/input/archive.tar");
+    let scratch = b.path(&format!("/work/{instance}/unpacked.dat"));
+    b.op(TraceOp::Open { path: archive, write: false, create: false });
+    b.op(TraceOp::Open { path: scratch, write: true, create: true });
+    b.op(TraceOp::Read { path: archive, bytes: TAR_ARCHIVE_BYTES });
+    b.op(TraceOp::Compute { cycles: LIGHT_COMPUTE * 32 });
     // The unpack writes land in the first extent of the scratch file.
-    ops.push(TraceOp::Write { path: scratch.clone(), bytes: 512 * 1024 });
-    ops.push(TraceOp::Close { path: archive });
-    ops.push(TraceOp::Close { path: scratch });
-    Trace { name: "untar".into(), ops }
+    b.op(TraceOp::Write { path: scratch, bytes: 512 * 1024 });
+    b.op(TraceOp::Close { path: archive });
+    b.op(TraceOp::Close { path: scratch });
 }
 
-fn find(_instance: u32) -> Trace {
+fn find(b: &mut Builder) {
     // Pure metadata scan: readdir + stat over 80 entries looking for a
     // file that does not exist, plus one read of the directory index.
     // Cap ops: 1 session + 1 delegation + 1 revoke = 3.
-    let mut ops = Vec::new();
-    let index: Arc<str> = "/tree/index.dat".into();
-    ops.push(TraceOp::Open { path: index.clone(), write: false, create: false });
-    ops.push(TraceOp::Read { path: index.clone(), bytes: 4096 });
+    let index = b.path("/tree/index.dat");
+    b.op(TraceOp::Open { path: index, write: false, create: false });
+    b.op(TraceOp::Read { path: index, bytes: 4096 });
     for d in 0..4 {
-        ops.push(TraceOp::ReadDir { path: format!("/tree/d{d}").into() });
+        let dir = b.path(&format!("/tree/d{d}"));
+        b.op(TraceOp::ReadDir { path: dir });
         for e in 0..(FIND_ENTRIES / 4) {
-            ops.push(TraceOp::Stat { path: format!("/tree/d{d}/e{e}").into() });
-            ops.push(TraceOp::Compute { cycles: 300 });
+            let entry = b.path(&format!("/tree/d{d}/e{e}"));
+            b.op(TraceOp::Stat { path: entry });
+            b.op(TraceOp::Compute { cycles: 300 });
         }
     }
-    ops.push(TraceOp::Close { path: index });
-    Trace { name: "find".into(), ops }
+    b.op(TraceOp::Close { path: index });
 }
 
-fn sqlite(instance: u32) -> Trace {
+fn sqlite(b: &mut Builder, instance: u32) {
     // Create a table, insert 8 rows, select them back — with journaling.
     // The database and journal are opened/closed around bursts, giving
     // several short-lived extent capabilities.
     // Cap ops: 1 session + db(2 opens × 1 extent) + journal(4 opens × 1)
     // + table page (2 × 1) + select read (2) + backup page (1)
     //   = 11 delegations + 11 revokes + 1 session ≈ 24 (paper: 24).
-    let mut ops = Vec::new();
-    let db: Arc<str> = format!("/work/{instance}/app.db").into();
-    let journal: Arc<str> = format!("/work/{instance}/app.db-journal").into();
+    let db = b.path(&format!("/work/{instance}/app.db"));
+    let journal = b.path(&format!("/work/{instance}/app.db-journal"));
     // Phase 1: create table (db + journal).
-    ops.push(TraceOp::Open { path: db.clone(), write: true, create: true });
-    ops.push(TraceOp::Compute { cycles: HEAVY_COMPUTE });
-    ops.push(TraceOp::Write { path: db.clone(), bytes: 64 * 1024 });
-    ops.push(TraceOp::Open { path: journal.clone(), write: true, create: true });
-    ops.push(TraceOp::Write { path: journal.clone(), bytes: 32 * 1024 });
-    ops.push(TraceOp::Compute { cycles: HEAVY_COMPUTE });
-    ops.push(TraceOp::Close { path: journal.clone() });
-    ops.push(TraceOp::Close { path: db.clone() });
+    b.op(TraceOp::Open { path: db, write: true, create: true });
+    b.op(TraceOp::Compute { cycles: HEAVY_COMPUTE });
+    b.op(TraceOp::Write { path: db, bytes: 64 * 1024 });
+    b.op(TraceOp::Open { path: journal, write: true, create: true });
+    b.op(TraceOp::Write { path: journal, bytes: 32 * 1024 });
+    b.op(TraceOp::Compute { cycles: HEAVY_COMPUTE });
+    b.op(TraceOp::Close { path: journal });
+    b.op(TraceOp::Close { path: db });
     // Phase 2: insert 8 rows in four journaled bursts.
     for _ in 0..4 {
-        ops.push(TraceOp::Open { path: db.clone(), write: true, create: false });
-        ops.push(TraceOp::Open { path: journal.clone(), write: true, create: false });
-        ops.push(TraceOp::Compute { cycles: HEAVY_COMPUTE });
-        ops.push(TraceOp::Write { path: journal.clone(), bytes: 16 * 1024 });
-        ops.push(TraceOp::Write { path: db.clone(), bytes: 32 * 1024 });
-        ops.push(TraceOp::Compute { cycles: HEAVY_COMPUTE });
-        ops.push(TraceOp::Close { path: journal.clone() });
-        ops.push(TraceOp::Close { path: db.clone() });
+        b.op(TraceOp::Open { path: db, write: true, create: false });
+        b.op(TraceOp::Open { path: journal, write: true, create: false });
+        b.op(TraceOp::Compute { cycles: HEAVY_COMPUTE });
+        b.op(TraceOp::Write { path: journal, bytes: 16 * 1024 });
+        b.op(TraceOp::Write { path: db, bytes: 32 * 1024 });
+        b.op(TraceOp::Compute { cycles: HEAVY_COMPUTE });
+        b.op(TraceOp::Close { path: journal });
+        b.op(TraceOp::Close { path: db });
     }
     // Phase 3: select the rows back.
-    ops.push(TraceOp::Open { path: db.clone(), write: false, create: false });
-    ops.push(TraceOp::Read { path: db.clone(), bytes: 96 * 1024 });
-    ops.push(TraceOp::Compute { cycles: HEAVY_COMPUTE * 2 });
-    ops.push(TraceOp::Close { path: db });
-    Trace { name: "SQLite".into(), ops }
+    b.op(TraceOp::Open { path: db, write: false, create: false });
+    b.op(TraceOp::Read { path: db, bytes: 96 * 1024 });
+    b.op(TraceOp::Compute { cycles: HEAVY_COMPUTE * 2 });
+    b.op(TraceOp::Close { path: db });
 }
 
-fn leveldb(instance: u32) -> Trace {
+fn leveldb(b: &mut Builder, instance: u32) {
     // LevelDB: log-structured — writes go to a log, then a table file;
     // higher file-access frequency than SQLite, less compute per access.
     // Cap ops target: 22 = 1 session + ~10-11 delegations + revokes.
-    let mut ops = Vec::new();
-    let log: Arc<str> = format!("/work/{instance}/000001.log").into();
-    let manifest: Arc<str> = format!("/work/{instance}/MANIFEST").into();
-    let table: Arc<str> = format!("/work/{instance}/000002.ldb").into();
-    ops.push(TraceOp::Open { path: manifest.clone(), write: true, create: true });
-    ops.push(TraceOp::Write { path: manifest.clone(), bytes: 4 * 1024 });
-    ops.push(TraceOp::Close { path: manifest.clone() });
+    let log = b.path(&format!("/work/{instance}/000001.log"));
+    let manifest = b.path(&format!("/work/{instance}/MANIFEST"));
+    let table = b.path(&format!("/work/{instance}/000002.ldb"));
+    b.op(TraceOp::Open { path: manifest, write: true, create: true });
+    b.op(TraceOp::Write { path: manifest, bytes: 4 * 1024 });
+    b.op(TraceOp::Close { path: manifest });
     // 8 inserts hitting the log in 4 reopened batches.
     for _ in 0..4 {
-        ops.push(TraceOp::Open { path: log.clone(), write: true, create: true });
-        ops.push(TraceOp::Write { path: log.clone(), bytes: 8 * 1024 });
-        ops.push(TraceOp::Compute { cycles: MEDIUM_COMPUTE });
-        ops.push(TraceOp::Close { path: log.clone() });
+        b.op(TraceOp::Open { path: log, write: true, create: true });
+        b.op(TraceOp::Write { path: log, bytes: 8 * 1024 });
+        b.op(TraceOp::Compute { cycles: MEDIUM_COMPUTE });
+        b.op(TraceOp::Close { path: log });
     }
     // Compaction: read the log, write the table.
-    ops.push(TraceOp::Open { path: log.clone(), write: false, create: false });
-    ops.push(TraceOp::Read { path: log.clone(), bytes: 32 * 1024 });
-    ops.push(TraceOp::Close { path: log });
-    ops.push(TraceOp::Open { path: table.clone(), write: true, create: true });
-    ops.push(TraceOp::Write { path: table.clone(), bytes: 32 * 1024 });
-    ops.push(TraceOp::Close { path: table.clone() });
+    b.op(TraceOp::Open { path: log, write: false, create: false });
+    b.op(TraceOp::Read { path: log, bytes: 32 * 1024 });
+    b.op(TraceOp::Close { path: log });
+    b.op(TraceOp::Open { path: table, write: true, create: true });
+    b.op(TraceOp::Write { path: table, bytes: 32 * 1024 });
+    b.op(TraceOp::Close { path: table });
     // Selects: read the table twice, reopening in between.
     for _ in 0..2 {
-        ops.push(TraceOp::Open { path: table.clone(), write: false, create: false });
-        ops.push(TraceOp::Read { path: table.clone(), bytes: 32 * 1024 });
-        ops.push(TraceOp::Compute { cycles: MEDIUM_COMPUTE });
-        ops.push(TraceOp::Close { path: table.clone() });
+        b.op(TraceOp::Open { path: table, write: false, create: false });
+        b.op(TraceOp::Read { path: table, bytes: 32 * 1024 });
+        b.op(TraceOp::Compute { cycles: MEDIUM_COMPUTE });
+        b.op(TraceOp::Close { path: table });
     }
     // Update the manifest at shutdown.
-    ops.push(TraceOp::Open { path: manifest.clone(), write: true, create: false });
-    ops.push(TraceOp::Write { path: manifest.clone(), bytes: 4 * 1024 });
-    ops.push(TraceOp::Close { path: manifest });
-    Trace { name: "LevelDB".into(), ops }
+    b.op(TraceOp::Open { path: manifest, write: true, create: false });
+    b.op(TraceOp::Write { path: manifest, bytes: 4 * 1024 });
+    b.op(TraceOp::Close { path: manifest });
 }
 
-fn postmark(instance: u32) -> Trace {
+fn postmark(b: &mut Builder, instance: u32) {
     // PostMark: little computation, many small mail files — the highest
     // capability-system load (38 cap ops per instance in Table 4).
     // 1 session + 18 file open/access/close rounds + 1 mailbox index
     //   ≈ 18-19 delegations + revokes.
-    let mut ops = Vec::new();
     let dir = format!("/work/{instance}");
-    ops.push(TraceOp::Mkdir { path: format!("{dir}/mail").into() });
+    let maildir = b.path(&format!("{dir}/mail"));
+    b.op(TraceOp::Mkdir { path: maildir });
     // Mailbox index read.
-    let index: Arc<str> = format!("{dir}/mail/index").into();
-    ops.push(TraceOp::Open { path: index.clone(), write: true, create: true });
-    ops.push(TraceOp::Write { path: index.clone(), bytes: 8 * 1024 });
-    ops.push(TraceOp::Close { path: index });
+    let index = b.path(&format!("{dir}/mail/index"));
+    b.op(TraceOp::Open { path: index, write: true, create: true });
+    b.op(TraceOp::Write { path: index, bytes: 8 * 1024 });
+    b.op(TraceOp::Close { path: index });
     // 8 create+write (deliver), 6 read (fetch), 3 append (flag update);
     // deliveries later unlinked (maildir churn).
-    let mails: Vec<Arc<str>> = (0..8).map(|i| format!("{dir}/mail/msg{i}").into()).collect();
-    for mail in &mails {
-        ops.push(TraceOp::Open { path: mail.clone(), write: true, create: true });
-        ops.push(TraceOp::Write { path: mail.clone(), bytes: 6 * 1024 });
-        ops.push(TraceOp::Compute { cycles: LIGHT_COMPUTE });
-        ops.push(TraceOp::Close { path: mail.clone() });
+    let mails: Vec<PathId> = (0..8).map(|i| b.path(&format!("{dir}/mail/msg{i}"))).collect();
+    for &mail in &mails {
+        b.op(TraceOp::Open { path: mail, write: true, create: true });
+        b.op(TraceOp::Write { path: mail, bytes: 6 * 1024 });
+        b.op(TraceOp::Compute { cycles: LIGHT_COMPUTE });
+        b.op(TraceOp::Close { path: mail });
     }
-    for mail in &mails[..6] {
-        ops.push(TraceOp::Open { path: mail.clone(), write: false, create: false });
-        ops.push(TraceOp::Read { path: mail.clone(), bytes: 6 * 1024 });
-        ops.push(TraceOp::Close { path: mail.clone() });
+    for &mail in &mails[..6] {
+        b.op(TraceOp::Open { path: mail, write: false, create: false });
+        b.op(TraceOp::Read { path: mail, bytes: 6 * 1024 });
+        b.op(TraceOp::Close { path: mail });
     }
-    for mail in &mails[..3] {
-        ops.push(TraceOp::Open { path: mail.clone(), write: true, create: false });
-        ops.push(TraceOp::Write { path: mail.clone(), bytes: 1024 });
-        ops.push(TraceOp::Close { path: mail.clone() });
+    for &mail in &mails[..3] {
+        b.op(TraceOp::Open { path: mail, write: true, create: false });
+        b.op(TraceOp::Write { path: mail, bytes: 1024 });
+        b.op(TraceOp::Close { path: mail });
     }
-    for mail in &mails[..4] {
-        ops.push(TraceOp::Unlink { path: mail.clone() });
+    for &mail in &mails[..4] {
+        b.op(TraceOp::Unlink { path: mail });
     }
-    Trace { name: "PostMark".into(), ops }
 }
 
 /// The per-request trace an Nginx worker replays (§5.3.3): serve one
 /// static file.
 pub fn nginx_request(uri: u32) -> Trace {
-    let path: Arc<str> = format!("/docroot/page{}.html", uri % DOCROOT_PAGES).into();
-    Trace {
-        name: "nginx-req".into(),
-        ops: vec![
-            // Parse the request, resolve the URI.
-            TraceOp::Compute { cycles: 40_000 },
-            TraceOp::Open { path: path.clone(), write: false, create: false },
-            TraceOp::Read { path: path.clone(), bytes: 16 * 1024 },
-            // Build headers, log, serialise the response (the bulk of a
-            // webserver's per-request time; ~100 µs/request total,
-            // matching the paper's per-server throughput).
-            TraceOp::Compute { cycles: 140_000 },
-            TraceOp::Close { path },
-        ],
-    }
+    let mut b = Builder::new(true);
+    let path = b.path(&format!("/docroot/page{}.html", uri % DOCROOT_PAGES));
+    // Parse the request, resolve the URI.
+    b.op(TraceOp::Compute { cycles: 40_000 });
+    b.op(TraceOp::Open { path, write: false, create: false });
+    b.op(TraceOp::Read { path, bytes: 16 * 1024 });
+    // Build headers, log, serialise the response (the bulk of a
+    // webserver's per-request time; ~100 µs/request total, matching the
+    // paper's per-server throughput).
+    b.op(TraceOp::Compute { cycles: 140_000 });
+    b.op(TraceOp::Close { path });
+    b.finish("nginx-req")
 }
 
 #[cfg(test)]
@@ -498,11 +578,43 @@ mod tests {
         }
     }
 
+    /// Instances differ only in their path tables: no `/work/` path of
+    /// instance 0 is in instance 1's table.
     #[test]
     fn instances_use_disjoint_work_paths() {
-        let a = AppKind::Sqlite.trace(0);
-        let b = AppKind::Sqlite.trace(1);
-        assert_ne!(a.ops, b.ops);
+        for app in AppKind::ALL {
+            let (a, b) = (app.trace(0), app.trace(1));
+            for path in a.paths.iter().filter(|p| p.starts_with("/work/")) {
+                assert!(!b.paths.contains(path), "{}: {path} in both tables", app.name());
+            }
+        }
+    }
+
+    /// Every instance of one application holds the same op sequence,
+    /// and it is the sequence an unshared build of another instance
+    /// records.
+    #[test]
+    fn instances_share_their_applications_ops() {
+        for app in AppKind::ALL {
+            let (first, last) = (app.trace(0), app.trace(511));
+            assert!(Arc::ptr_eq(&first.ops, &last.ops), "{}: ops not shared", app.name());
+            let unshared = app.build(511, true);
+            assert_eq!(*last.ops, *unshared.ops, "{}", app.name());
+            assert_eq!(*last.paths, *unshared.paths, "{}", app.name());
+        }
+    }
+
+    /// Paths are interned by string equality: tar's first member is also
+    /// the path the chatter stats, and both name it by one id.
+    #[test]
+    fn equal_paths_share_one_id() {
+        let t = AppKind::Tar.trace(0);
+        let member0 = t.paths.iter().filter(|p| ***p == *CHATTER_PATH).count();
+        assert_eq!(member0, 1);
+        let mut sorted = t.paths.to_vec();
+        sorted.sort();
+        sorted.dedup();
+        assert_eq!(sorted.len(), t.paths.len(), "a path interned twice");
     }
 
     #[test]
@@ -533,10 +645,8 @@ mod tests {
     #[test]
     fn nginx_request_reads_docroot() {
         let t = nginx_request(3);
-        assert!(t
-            .ops
-            .iter()
-            .any(|op| matches!(op, TraceOp::Open { path, .. } if path.contains("docroot"))));
+        assert!(t.ops.iter().any(|op| matches!(op,
+            TraceOp::Open { path, .. } if t.path(*path).is_some_and(|p| p.contains("docroot")))));
     }
 
     #[test]
