@@ -12,6 +12,9 @@
 //!   and the sibling links of every child list, with the
 //!   tree-maintenance operations the exchange and revoke protocols
 //!   build on.
+//! * [`spec`] — the sequential specification: the capability forest
+//!   with every operation one atomic step, the reference the protocol's
+//!   outcomes are checked against.
 //!
 //! The *protocol* that mutates these structures across kernels lives in
 //! `semper-kernel`; everything here is single-kernel state with
@@ -22,6 +25,7 @@ pub mod cap;
 pub mod mapdb;
 pub mod membership;
 mod pages;
+pub mod spec;
 pub mod table;
 
 pub use alloc::KeyAllocator;

@@ -17,7 +17,10 @@
 //! Case numbering (and thus every case's RNG stream) is unchanged.
 
 use semper_base::msg::{ExchangeKind, Perms, SysReplyData, Syscall};
+use std::collections::BTreeSet;
+
 use semper_base::{CapSel, CapType, Code, DdlKey, PeId, Result, VpeId};
+use semper_caps::spec::{self, Spec};
 use semper_kernel::harness::TestCluster;
 use semper_sim::{DetRng, FaultPlan};
 use semperos::Runner;
@@ -64,6 +67,48 @@ fn newest_sel(c: &TestCluster, vpe: VpeId) -> Option<CapSel> {
     table.iter().map(|(sel, _)| sel).filter(|s| s.0 >= 2).max()
 }
 
+/// The system call `action` has `c` issue, and its caller; `None` for
+/// an action that issues none (a dead or self-paired VPE, no capability
+/// to name, a pump or a kill).
+fn call_for(c: &TestCluster, action: &Action, dead: &BTreeSet<u16>) -> Option<(VpeId, Syscall)> {
+    let live = |v: &u16| !dead.contains(v);
+    match *action {
+        Action::CreateMem { vpe } if live(&vpe) => {
+            Some((VpeId(vpe), Syscall::CreateMem { size: 4096, perms: Perms::RW }))
+        }
+        Action::Delegate { from, to } if from != to && live(&from) && live(&to) => {
+            let sel = newest_sel(c, VpeId(from))?;
+            let call = Syscall::Exchange {
+                other: VpeId(to),
+                own_sel: sel,
+                other_sel: CapSel::INVALID,
+                kind: ExchangeKind::Delegate,
+            };
+            Some((VpeId(from), call))
+        }
+        Action::Obtain { by, from } if by != from && live(&by) && live(&from) => {
+            let sel = newest_sel(c, VpeId(from))?;
+            let call = Syscall::Exchange {
+                other: VpeId(from),
+                own_sel: CapSel::INVALID,
+                other_sel: sel,
+                kind: ExchangeKind::Obtain,
+            };
+            Some((VpeId(by), call))
+        }
+        Action::RevokeNewest { vpe } if live(&vpe) => {
+            let sel = newest_sel(c, VpeId(vpe))?;
+            Some((VpeId(vpe), Syscall::Revoke { sel, own: true }))
+        }
+        Action::Derive { vpe } if live(&vpe) => {
+            let sel = newest_sel(c, VpeId(vpe))?;
+            let call = Syscall::DeriveMem { src: sel, offset: 0, size: 64, perms: Perms::R };
+            Some((VpeId(vpe), call))
+        }
+        _ => None,
+    }
+}
+
 /// Random CMO interleavings never violate the capability-tree
 /// invariants, never deadlock, and always quiesce.
 #[test]
@@ -73,69 +118,18 @@ fn random_cmo_interleavings_preserve_invariants() {
         let n_actions = rng.between(1, 39) as usize;
         // 3 kernels x 2 VPEs; VPE v lives in group v / 2.
         let mut c = TestCluster::new(3, 2);
-        let mut dead = std::collections::BTreeSet::new();
+        let mut dead = BTreeSet::new();
         for _ in 0..n_actions {
             match draw_action(&mut rng, 6) {
-                Action::CreateMem { vpe } => {
-                    if dead.contains(&vpe) {
-                        continue;
-                    }
-                    c.syscall_async(
-                        VpeId(vpe),
-                        Syscall::CreateMem { size: 4096, perms: Perms::RW },
-                    );
-                }
-                Action::Delegate { from, to } => {
-                    if from == to || dead.contains(&from) || dead.contains(&to) {
-                        continue;
-                    }
-                    let Some(sel) = newest_sel(&c, VpeId(from)) else { continue };
-                    c.syscall_async(
-                        VpeId(from),
-                        Syscall::Exchange {
-                            other: VpeId(to),
-                            own_sel: sel,
-                            other_sel: CapSel::INVALID,
-                            kind: ExchangeKind::Delegate,
-                        },
-                    );
-                }
-                Action::Obtain { by, from } => {
-                    if by == from || dead.contains(&by) || dead.contains(&from) {
-                        continue;
-                    }
-                    let Some(sel) = newest_sel(&c, VpeId(from)) else { continue };
-                    c.syscall_async(
-                        VpeId(by),
-                        Syscall::Exchange {
-                            other: VpeId(from),
-                            own_sel: CapSel::INVALID,
-                            other_sel: sel,
-                            kind: ExchangeKind::Obtain,
-                        },
-                    );
-                }
-                Action::RevokeNewest { vpe } => {
-                    if dead.contains(&vpe) {
-                        continue;
-                    }
-                    let Some(sel) = newest_sel(&c, VpeId(vpe)) else { continue };
-                    c.syscall_async(VpeId(vpe), Syscall::Revoke { sel, own: true });
-                }
-                Action::Derive { vpe } => {
-                    if dead.contains(&vpe) {
-                        continue;
-                    }
-                    let Some(sel) = newest_sel(&c, VpeId(vpe)) else { continue };
-                    c.syscall_async(
-                        VpeId(vpe),
-                        Syscall::DeriveMem { src: sel, offset: 0, size: 64, perms: Perms::R },
-                    );
-                }
                 Action::PumpSome { n } => c.pump_n(n),
                 Action::Kill { vpe } => {
                     if dead.insert(vpe) {
                         c.kill(VpeId(vpe));
+                    }
+                }
+                action => {
+                    if let Some((vpe, call)) = call_for(&c, &action, &dead) {
+                        c.syscall_async(vpe, call);
                     }
                 }
             }
@@ -163,19 +157,81 @@ fn random_cmo_interleavings_preserve_invariants() {
     });
 }
 
+/// A model of `c`'s world before any call: every VPE, holding its own
+/// capability.
+fn model(c: &TestCluster, vpes: u16) -> Spec {
+    let mut spec = Spec::new();
+    (0..vpes).for_each(|v| spec.add_vpe(VpeId(v)));
+    assert_eq!(forest(c), spec.forest(), "the model's first state is the cluster's");
+    spec
+}
+
+/// The capability forest of every kernel of `c`, modulo key naming.
+fn forest(c: &TestCluster) -> Vec<String> {
+    spec::canonical(c.kernels.iter().flat_map(|k| k.state_digest()))
+}
+
+/// Takes `call` of `vpe` as one step of `spec`, naming what it creates
+/// as `reply` does, and returns the model's answer. A refused call
+/// names nothing, and the model's answer to it is refused too unless
+/// the model disagrees.
+fn on_spec(
+    spec: &mut Spec,
+    vpe: VpeId,
+    call: &Syscall,
+    reply: &Result<SysReplyData>,
+) -> Result<()> {
+    let (new, addr) = match reply {
+        Ok(SysReplyData::Mem { sel, addr }) => (*sel, *addr),
+        Ok(SysReplyData::Sel(sel) | SysReplyData::Delegated { recv_sel: sel }) => (*sel, 0),
+        _ => (CapSel::INVALID, 0),
+    };
+    match call {
+        Syscall::CreateMem { size, perms } => spec.create_mem(vpe, new, addr, *size, *perms),
+        Syscall::DeriveMem { src, offset, size, perms } => {
+            spec.derive_mem(vpe, *src, new, *offset, *size, *perms)
+        }
+        Syscall::Exchange { other, own_sel, kind: ExchangeKind::Delegate, .. } => {
+            spec.delegate(vpe, *other, *own_sel, new)
+        }
+        Syscall::Exchange { other, other_sel, kind: ExchangeKind::Obtain, .. } => {
+            spec.obtain(vpe, *other, *other_sel, new)
+        }
+        Syscall::Revoke { sel, own } => spec.revoke(vpe, *sel, *own),
+        other => panic!("the model has no step for {other:?}"),
+    }
+}
+
+/// Issues `call` of `vpe` on `c` and as the next step of `spec`; the
+/// cluster must answer as the model does.
+fn checked(
+    c: &mut TestCluster,
+    spec: &mut Spec,
+    vpe: VpeId,
+    call: Syscall,
+) -> Result<SysReplyData> {
+    let reply = c.syscall(vpe, call.clone()).result;
+    let expected = on_spec(spec, vpe, &call, &reply);
+    assert_eq!(reply.clone().map(|_| ()), expected, "{vpe} {call:?}: the model answers otherwise");
+    reply
+}
+
 /// Revoking the root of any randomly built delegation structure
-/// removes exactly the descendants, across any number of kernels.
+/// removes exactly the descendants, across any number of kernels. The
+/// calls are issued one at a time, every reply is the sequential
+/// specification's, and so is the final forest.
 #[test]
 fn revoke_removes_exactly_the_subtree() {
     for_cases(64, |case| {
         let mut rng = DetRng::split(0xDE1E_647E, case);
         let n_edges = rng.between(1, 23) as usize;
         let mut c = TestCluster::new(4, 2);
-        let root_sel =
-            match c.syscall(VpeId(0), Syscall::CreateMem { size: 4096, perms: Perms::RW }).result {
-                Ok(SysReplyData::Mem { sel, .. }) => sel,
-                other => panic!("case {case}: create_mem failed: {other:?}"),
-            };
+        let mut spec = model(&c, 8);
+        let call = Syscall::CreateMem { size: 4096, perms: Perms::RW };
+        let root_sel = match checked(&mut c, &mut spec, VpeId(0), call) {
+            Ok(SysReplyData::Mem { sel, .. }) => sel,
+            other => panic!("case {case}: create_mem failed: {other:?}"),
+        };
         // Holders of copies: vpe -> selectors (starting from the root).
         let mut sels: Vec<(VpeId, CapSel)> = vec![(VpeId(0), root_sel)];
         for _ in 0..n_edges {
@@ -185,25 +241,26 @@ fn revoke_removes_exactly_the_subtree() {
             if to == from {
                 continue;
             }
-            let r = c.syscall(
-                from,
-                Syscall::Exchange {
-                    other: to,
-                    own_sel: from_sel,
-                    other_sel: CapSel::INVALID,
-                    kind: ExchangeKind::Delegate,
-                },
-            );
-            if let Ok(SysReplyData::Delegated { recv_sel }) = r.result {
+            let call = Syscall::Exchange {
+                other: to,
+                own_sel: from_sel,
+                other_sel: CapSel::INVALID,
+                kind: ExchangeKind::Delegate,
+            };
+            if let Ok(SysReplyData::Delegated { recv_sel }) = checked(&mut c, &mut spec, from, call)
+            {
                 sels.push((to, recv_sel));
             }
         }
+        assert_eq!(forest(&c), spec.forest(), "case {case}: the forests differ before the revoke");
         let before = c.total_caps();
-        let r = c.syscall(VpeId(0), Syscall::Revoke { sel: root_sel, own: true });
-        assert!(r.result.is_ok(), "case {case}: revoke failed: {:?}", r.result);
+        let call = Syscall::Revoke { sel: root_sel, own: true };
+        let r = checked(&mut c, &mut spec, VpeId(0), call);
+        assert!(r.is_ok(), "case {case}: revoke failed: {r:?}");
         // Exactly the tree (root + all successful delegations) vanished.
         assert_eq!(c.total_caps(), before - sels.len(), "case {case}");
         c.check_invariants();
+        assert_eq!(forest(&c), spec.forest(), "case {case}: the forests differ after the revoke");
         for (vpe, sel) in sels {
             let k = c.kernel_of(vpe);
             assert!(
@@ -212,6 +269,158 @@ fn revoke_removes_exactly_the_subtree() {
             );
         }
     });
+}
+
+/// One step of a concurrent case: the caller, and its system call and
+/// the cluster's reply, or `None` for the caller's exit.
+type Issued = (VpeId, Option<(Syscall, Result<SysReplyData>)>);
+
+/// True if some order of `programs` (one list of steps per VPE, each
+/// taken in its own order) answers every step as the cluster did and
+/// leaves `spec` with the forest `target`. Brute force: at most six
+/// steps.
+fn linearizable(
+    spec: &Spec,
+    programs: &[Vec<Issued>],
+    next: &mut [usize],
+    target: &[String],
+) -> bool {
+    let mut done = true;
+    for v in 0..programs.len() {
+        let Some((vpe, step)) = programs[v].get(next[v]) else { continue };
+        done = false;
+        let mut s = spec.clone();
+        let agrees = match step {
+            Some((call, reply)) => on_spec(&mut s, *vpe, call, reply).is_ok() == reply.is_ok(),
+            None => {
+                s.exit(*vpe);
+                true
+            }
+        };
+        if agrees {
+            next[v] += 1;
+            let found = linearizable(&s, programs, next, target);
+            next[v] -= 1;
+            if found {
+                return true;
+            }
+        }
+    }
+    done && spec.forest() == target
+}
+
+/// Runs `c` until `vpe`'s outstanding call, if any, is answered, and
+/// records the reply with the call.
+fn finish(
+    c: &mut TestCluster,
+    waiting: &mut [Option<u64>],
+    programs: &mut [Vec<Issued>],
+    vpe: u16,
+    case: u64,
+) {
+    let Some(tag) = waiting[usize::from(vpe)].take() else { return };
+    let reply = loop {
+        if let Some(r) = c.take_reply(VpeId(vpe), tag) {
+            break r.result;
+        }
+        assert!(c.step(), "case {case}: VPE{vpe}'s call {tag} was never answered");
+    };
+    let last = programs[usize::from(vpe)].last_mut().and_then(|(_, step)| step.as_mut());
+    last.expect("the waiting call was recorded").1 = reply;
+}
+
+/// Cases of at most six actions drawn as in
+/// `random_cmo_interleavings_preserve_invariants`, on a world where
+/// every VPE roots a three-level tree across two kernels, with each
+/// VPE's
+/// calls blocking as the paper's VPEs do: a VPE's next call, or its
+/// kill, waits for its previous reply, while the other VPEs' calls and
+/// the kernels' messages interleave freely. Every case must be
+/// linearizable against the sequential specification: some order of
+/// the steps that keeps each VPE's program order answers every call as
+/// the cluster did (so no reply says `Ok` for a capability the model
+/// says is gone) and ends in the cluster's forest, modulo key naming.
+#[test]
+fn random_cmo_interleavings_linearize() {
+    let exercised = Runner::new(4).map((0..256).collect(), |_, case| {
+        let mut rng = DetRng::split(0x11_4EA4, case);
+        let mut c = TestCluster::new(3, 2);
+        let mut spec = model(&c, 6);
+        let mut held = [CapSel::INVALID; 6];
+        for v in 0..6 {
+            let call = Syscall::CreateMem { size: 4096, perms: Perms::RW };
+            let Ok(SysReplyData::Mem { sel, .. }) = checked(&mut c, &mut spec, VpeId(v), call)
+            else {
+                panic!("case {case}: create_mem failed");
+            };
+            held[usize::from(v)] = sel;
+        }
+        // Each VPE's memory goes to its group neighbour, and on from
+        // there to a VPE of the next group: every VPE holds a tree with
+        // a local child and a remote grandchild.
+        for hop in [|v: u16| v ^ 1, |v: u16| (v + 2) % 6] {
+            let mut next = held;
+            for v in 0..6 {
+                let (own_sel, other) = (held[usize::from(v)], VpeId(hop(v)));
+                let kind = ExchangeKind::Delegate;
+                let call = Syscall::Exchange { other, own_sel, other_sel: CapSel::INVALID, kind };
+                let Ok(SysReplyData::Delegated { recv_sel }) =
+                    checked(&mut c, &mut spec, VpeId(v), call)
+                else {
+                    panic!("case {case}: delegate failed");
+                };
+                next[other.idx()] = recv_sel;
+            }
+            held = next;
+        }
+        let mut programs: Vec<Vec<Issued>> = vec![Vec::new(); 6];
+        let mut waiting: Vec<Option<u64>> = vec![None; 6];
+        let mut dead = BTreeSet::new();
+        let mut overlapped = false;
+        for _ in 0..rng.between(1, 6) {
+            match draw_action(&mut rng, 6) {
+                Action::PumpSome { n } => c.pump_n(n),
+                Action::Kill { vpe } => {
+                    if !dead.contains(&vpe) {
+                        finish(&mut c, &mut waiting, &mut programs, vpe, case);
+                        dead.insert(vpe);
+                        c.kill(VpeId(vpe));
+                        programs[vpe as usize].push((VpeId(vpe), None));
+                    }
+                }
+                action => {
+                    let Some((vpe, _)) = call_for(&c, &action, &dead) else { continue };
+                    finish(&mut c, &mut waiting, &mut programs, vpe.0, case);
+                    // The wait may have changed what the action names.
+                    let Some((vpe, call)) = call_for(&c, &action, &dead) else { continue };
+                    overlapped |= waiting.iter().any(Option::is_some);
+                    waiting[vpe.idx()] = Some(c.syscall_async(vpe, call.clone()));
+                    let unanswered = Err(semper_base::Error::new(Code::InternalError));
+                    programs[vpe.idx()].push((vpe, Some((call, unanswered))));
+                }
+            }
+        }
+        for vpe in 0..6 {
+            finish(&mut c, &mut waiting, &mut programs, vpe, case);
+        }
+        c.pump_all();
+        c.check_invariants();
+        c.assert_quiescent();
+        let target = forest(&c);
+        let steps: usize = programs.iter().map(Vec::len).sum();
+        assert!(
+            linearizable(&spec, &programs, &mut [0; 6], &target),
+            "case {case}: no order of the {steps} steps answers as the cluster did and ends \
+             in its forest\nsteps: {programs:#?}\ncluster forest: {target:#?}"
+        );
+        [usize::from(overlapped), usize::from(!dead.is_empty()), steps]
+    });
+    let totals = exercised.iter().fold([0; 3], |t, e| [t[0] + e[0], t[1] + e[1], t[2] + e[2]]);
+    let [overlapped, killed, steps] = totals;
+    assert!(
+        overlapped >= 128 && killed >= 16 && steps >= 512,
+        "[cases with calls in flight together, cases with a kill, steps]: {totals:?}"
+    );
 }
 
 /// A capability in a random forest: its holder, its selector there, and
