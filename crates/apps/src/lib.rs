@@ -28,4 +28,4 @@ pub mod trace;
 pub use client::{AppClient, ClientPhase, ClientStats};
 pub use conn::KernelConn;
 pub use nginx::{LoadGen, NginxServer};
-pub use trace::{AppKind, Trace, TraceOp};
+pub use trace::{AppKind, PathId, Trace, TraceOp};

@@ -167,10 +167,6 @@ impl Builder {
             self.ops.push(op);
         }
     }
-
-    fn finish(self, name: &str) -> Trace {
-        Trace { name: name.into(), ops: self.ops.into(), paths: self.paths.into() }
-    }
 }
 
 /// The benchmark applications of §5.3.
@@ -549,20 +545,26 @@ fn postmark(b: &mut Builder, instance: u32) {
 }
 
 /// The per-request trace an Nginx worker replays (§5.3.3): serve one
-/// static file.
+/// static file. Every page's request runs the same five ops on its one
+/// path, so they are built once and shared like an application's.
 pub fn nginx_request(uri: u32) -> Trace {
-    let mut b = Builder::new(true);
-    let path = b.path(&format!("/docroot/page{}.html", uri % DOCROOT_PAGES));
-    // Parse the request, resolve the URI.
-    b.op(TraceOp::Compute { cycles: 40_000 });
-    b.op(TraceOp::Open { path, write: false, create: false });
-    b.op(TraceOp::Read { path, bytes: 16 * 1024 });
-    // Build headers, log, serialise the response (the bulk of a
-    // webserver's per-request time; ~100 µs/request total, matching the
-    // paper's per-server throughput).
-    b.op(TraceOp::Compute { cycles: 140_000 });
-    b.op(TraceOp::Close { path });
-    b.finish("nginx-req")
+    static OPS: OnceLock<Arc<[TraceOp]>> = OnceLock::new();
+    let ops = OPS.get_or_init(|| {
+        let path = PathId(0);
+        Arc::new([
+            // Parse the request, resolve the URI.
+            TraceOp::Compute { cycles: 40_000 },
+            TraceOp::Open { path, write: false, create: false },
+            TraceOp::Read { path, bytes: 16 * 1024 },
+            // Build headers, log, serialise the response (the bulk of a
+            // webserver's per-request time; ~100 µs/request total,
+            // matching the paper's per-server throughput).
+            TraceOp::Compute { cycles: 140_000 },
+            TraceOp::Close { path },
+        ])
+    });
+    let path: Arc<str> = format!("/docroot/page{}.html", uri % DOCROOT_PAGES).into();
+    Trace { name: "nginx-req".into(), ops: Arc::clone(ops), paths: Box::new([path]) }
 }
 
 #[cfg(test)]
@@ -647,6 +649,15 @@ mod tests {
         let t = nginx_request(3);
         assert!(t.ops.iter().any(|op| matches!(op,
             TraceOp::Open { path, .. } if t.path(*path).is_some_and(|p| p.contains("docroot")))));
+    }
+
+    /// Every docroot page's request replays one shared op sequence on
+    /// a path of its own.
+    #[test]
+    fn nginx_pages_share_their_ops() {
+        let (a, b) = (nginx_request(0), nginx_request(1));
+        assert!(Arc::ptr_eq(&a.ops, &b.ops));
+        assert_ne!(a.paths, b.paths);
     }
 
     #[test]
