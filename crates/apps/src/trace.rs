@@ -226,7 +226,8 @@ impl AppKind {
     /// image; the op sequence is the application's, built on first use
     /// and shared by every instance.
     pub fn trace(self, instance: u32) -> Trace {
-        static OPS: [OnceLock<Arc<[TraceOp]>>; 6] = [const { OnceLock::new() }; 6];
+        const APPS: usize = AppKind::ALL.len();
+        static OPS: [OnceLock<Arc<[TraceOp]>>; APPS] = [const { OnceLock::new() }; APPS];
         let ops = OPS[self as usize].get_or_init(|| self.build(instance, true).ops.into());
         let paths = self.build(instance, false).paths;
         Trace { name: self.name().into(), ops: Arc::clone(ops), paths: paths.into() }

@@ -32,7 +32,7 @@ use semper_base::{CapSel, Code, Error, Result, ServiceId, VpeId};
 pub type Name = (VpeId, CapSel);
 
 /// The selector of every VPE's own capability.
-pub const VPE_SEL: CapSel = CapSel(0);
+const VPE_SEL: CapSel = CapSel(0);
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Node {
@@ -55,7 +55,7 @@ impl Spec {
         Spec::default()
     }
 
-    /// Adds a live VPE holding its own capability at [`VPE_SEL`].
+    /// Adds a live VPE holding its own capability at selector 0.
     ///
     /// # Panics
     ///
@@ -63,26 +63,6 @@ impl Spec {
     pub fn add_vpe(&mut self, vpe: VpeId) {
         assert!(self.vpes.insert(vpe, true).is_none(), "{vpe} added twice");
         self.bind((vpe, VPE_SEL), CapKindDesc::Vpe { vpe }, None);
-    }
-
-    /// True if `vpe` was added and has not exited.
-    pub fn alive(&self, vpe: VpeId) -> bool {
-        self.vpes.get(&vpe).copied().unwrap_or(false)
-    }
-
-    /// True if the capability `name` exists.
-    pub fn holds(&self, name: Name) -> bool {
-        self.caps.contains_key(&name)
-    }
-
-    /// The number of capabilities in the forest.
-    pub fn len(&self) -> usize {
-        self.caps.len()
-    }
-
-    /// True if the forest holds no capability.
-    pub fn is_empty(&self) -> bool {
-        self.caps.is_empty()
     }
 
     /// `CreateMem`: a root memory capability at `sel` for the region
@@ -251,6 +231,11 @@ impl Spec {
         lines
     }
 
+    /// True if `vpe` was added and has not exited.
+    fn alive(&self, vpe: VpeId) -> bool {
+        self.vpes.get(&vpe).copied().unwrap_or(false)
+    }
+
     fn caller(&self, vpe: VpeId) -> Result<()> {
         if self.alive(vpe) {
             Ok(())
@@ -377,6 +362,10 @@ mod tests {
         VpeId(n)
     }
 
+    fn holds(s: &Spec, name: Name) -> bool {
+        s.caps.contains_key(&name)
+    }
+
     fn world() -> Spec {
         let mut s = Spec::new();
         for n in 0..3 {
@@ -392,12 +381,12 @@ mod tests {
         s.delegate(v(0), v(1), CapSel(2), CapSel(2)).unwrap();
         s.obtain(v(2), v(1), CapSel(2), CapSel(2)).unwrap();
         s.derive_mem(v(2), CapSel(2), CapSel(3), 0, 64, Perms::R).unwrap();
-        assert_eq!(s.len(), 3 + 4);
+        assert_eq!(s.caps.len(), 3 + 4);
         s.revoke(v(1), CapSel(2), false).unwrap();
-        assert!(s.holds((v(1), CapSel(2))));
-        assert!(!s.holds((v(2), CapSel(2))) && !s.holds((v(2), CapSel(3))));
+        assert!(holds(&s, (v(1), CapSel(2))));
+        assert!(!holds(&s, (v(2), CapSel(2))) && !holds(&s, (v(2), CapSel(3))));
         s.revoke(v(0), CapSel(2), true).unwrap();
-        assert_eq!(s.len(), 3);
+        assert_eq!(s.caps.len(), 3);
         assert_eq!(s.revoke(v(0), CapSel(2), true), Err(Error::new(Code::NoSuchCap)));
     }
 
@@ -429,9 +418,9 @@ mod tests {
         s.create_mem(v(1), CapSel(2), 8192, 4096, Perms::RW).unwrap();
         s.exit(v(0));
         assert!(!s.alive(v(0)));
-        assert!(!s.holds((v(1), CapSel(5))), "a delegated child dies with its parent");
-        assert!(s.holds((v(1), CapSel(2))));
-        assert_eq!(s.len(), 3);
+        assert!(!holds(&s, (v(1), CapSel(5))), "a delegated child dies with its parent");
+        assert!(holds(&s, (v(1), CapSel(2))));
+        assert_eq!(s.caps.len(), 3);
     }
 
     #[test]
@@ -446,10 +435,10 @@ mod tests {
         );
         assert_eq!(code(s.close_session(v(0), CapSel(2))), Code::InvalidArgs);
         s.close_session(v(1), CapSel(2)).unwrap();
-        assert!(!s.holds((v(1), CapSel(2))));
+        assert!(!holds(&s, (v(1), CapSel(2))));
         s.open_session(v(2), (v(0), CapSel(2)), CapSel(2), 2).unwrap();
         s.exit(v(0));
-        assert!(!s.holds((v(2), CapSel(2))), "a session dies with its service");
+        assert!(!holds(&s, (v(2), CapSel(2))), "a session dies with its service");
     }
 
     /// A kernel digest and the model print the same forest once keys
