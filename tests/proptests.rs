@@ -16,9 +16,9 @@
 //! heavy suites are wall-clock-bound exactly like the bench scenarios.
 //! Case numbering (and thus every case's RNG stream) is unchanged.
 
-use semper_base::msg::{ExchangeKind, Perms, SysReplyData, Syscall};
 use std::collections::BTreeSet;
 
+use semper_base::msg::{ExchangeKind, Perms, SysReplyData, Syscall};
 use semper_base::{CapSel, CapType, Code, DdlKey, PeId, Result, VpeId};
 use semper_caps::spec::{self, Spec};
 use semper_kernel::harness::TestCluster;
