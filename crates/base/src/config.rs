@@ -36,12 +36,10 @@ pub enum KernelMode {
 /// Optional protocol features (for ablation experiments): each one
 /// changes which messages a kernel sends. Mechanisms that are inert
 /// until used are not features — fault tolerance arms with the harness's
-/// `FaultPlan` (`Kernel::enable_fault_injection`), and a
-/// `Syscall::RevokeMany` groups its revoke requests per destination
-/// kernel for any client that issues one. Revocation has two drivers,
-/// both the paper's: Algorithm 1 (the default) and its §5.2 batching
-/// ([`Feature::RevokeBatching`]). The other feature is the paper's
-/// handshake ablation.
+/// `FaultPlan` (`Kernel::enable_fault_injection`). Revocation has two
+/// drivers, both the paper's: Algorithm 1 (the default) and its §5.2
+/// batching ([`Feature::RevokeBatching`]). The other feature is the
+/// paper's handshake ablation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Feature {
     /// Batch revoke requests to the same remote kernel into one message

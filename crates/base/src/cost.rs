@@ -41,11 +41,6 @@ pub struct CostModel {
     pub syscall_entry: u64,
     /// Building and sending the system-call reply.
     pub syscall_exit: u64,
-    /// Decoding and resolving one selector of a
-    /// [`Syscall::RevokeMany`](crate::msg::Syscall::RevokeMany), which
-    /// pays `syscall_entry` once plus this per selector; the combined
-    /// revocation's cost comes on top.
-    pub batch_item: u64,
     /// Decoding and dispatching an incoming inter-kernel call.
     pub kcall_entry: u64,
     /// Building and sending an inter-kernel reply.
@@ -107,7 +102,6 @@ impl CostModel {
 
             syscall_entry: 120,
             syscall_exit: 100,
-            batch_item: 35,
             kcall_entry: 520,
             kcall_exit: 400,
             thread_switch: 120,

@@ -213,20 +213,6 @@ pub enum Syscall {
     },
     /// Voluntary exit; the kernel revokes all capabilities of the VPE.
     Exit,
-    /// Revokes several capabilities, each with its subtree, in one
-    /// system call (the paper's bulk treatment of capability
-    /// operations, §5.2), answered by one [`SysReplyData::Revoked`]
-    /// with a result per selector. Each selector is resolved on its
-    /// own, and one that does not resolve fails alone. The rest run as
-    /// *one* revocation: its revoke requests for remote children are
-    /// grouped into one [`Kcall::RevokeBatchReq`] per kernel, and a
-    /// selector whose capability an earlier one's subtree covers
-    /// (a duplicate, or a descendant held by the caller, through any
-    /// number of kernels) reports `Ok`.
-    RevokeMany {
-        /// The capabilities to revoke, in reply order.
-        sels: Box<[CapSel]>,
-    },
 }
 
 /// Payload of a successful system-call reply.
@@ -262,11 +248,6 @@ pub enum SysReplyData {
         /// subsequent request on this session).
         ident: u64,
     },
-    /// Per-selector outcomes of a [`Syscall::RevokeMany`], in request
-    /// order. Boxed *thin* (`Box<Vec<..>>`, one pointer) so this variant
-    /// does not widen `SysReplyData` — and thereby every `Msg` — past
-    /// the slim-layout budget.
-    Revoked(Box<Vec<Result<()>>>),
 }
 
 /// Reply to a system call.
@@ -763,9 +744,7 @@ fn kcall_size(call: &Kcall) -> u32 {
 }
 
 /// Architectural payload bytes of one system call (excluding the DTU
-/// header). A [`Syscall::RevokeMany`] pays one 8-byte list header plus
-/// a revoke's 16 bytes per selector — the per-message DTU header is
-/// what it amortizes.
+/// header).
 fn syscall_size(call: &Syscall) -> u32 {
     match call {
         Syscall::Noop => 8,
@@ -777,17 +756,14 @@ fn syscall_size(call: &Syscall) -> u32 {
         Syscall::OpenSession { .. } => 16,
         Syscall::Activate { .. } => 16,
         Syscall::Exit => 8,
-        Syscall::RevokeMany { sels } => 8 + 16 * sels.len() as u32,
     }
 }
 
 /// Architectural payload bytes of one system-call reply (excluding the
-/// DTU header). A [`SysReplyData::Revoked`] carries one 8-byte item
-/// count plus a plain reply's 16 bytes per item.
+/// DTU header).
 fn sys_reply_size(result: &Result<SysReplyData>) -> u32 {
     match result {
         Ok(SysReplyData::Session { .. }) => 32,
-        Ok(SysReplyData::Revoked(items)) => 8 + 16 * items.len() as u32,
         _ => 16,
     }
 }
@@ -856,24 +832,6 @@ mod tests {
             op: FsOp::Stat { path: "a/very/long/path/name".into() },
         });
         assert!(long.wire_size() > short.wire_size());
-    }
-
-    /// A revoke of N capabilities rides a single DTU header: 8 bytes of
-    /// list header plus a plain revoke's (or reply's) 16 bytes per item,
-    /// cheaper on the wire than N separate messages.
-    #[test]
-    fn batch_amortizes_the_message_header() {
-        let sels: Box<[crate::CapSel]> = (0..4).map(crate::CapSel).collect();
-        let many = Payload::sys(0, Syscall::RevokeMany { sels });
-        let single = Payload::sys(0, Syscall::Revoke { sel: crate::CapSel(3), own: true });
-        assert_eq!(many.wire_size(), 16 + 8 + 4 * 16);
-        assert!(many.wire_size() < 4 * single.wire_size());
-
-        let results = vec![Ok(()), Err(crate::Error::new(crate::Code::NoSuchCap)), Ok(()), Ok(())];
-        let mreply = Payload::sys_reply(0, Ok(SysReplyData::Revoked(Box::new(results))));
-        let sreply = Payload::sys_reply(0, Ok(SysReplyData::None));
-        assert_eq!(mreply.wire_size(), 16 + 8 + 4 * 16);
-        assert!(mreply.wire_size() < 4 * sreply.wire_size());
     }
 
     #[test]

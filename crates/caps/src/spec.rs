@@ -6,8 +6,8 @@
 //! root (the capability itself, or only its children), session open
 //! and close, and VPE exit. There are no kernels, no messages and no
 //! `Revoking` state: what the protocol spreads over several kernels and
-//! phases happens here at once. `Syscall::RevokeMany` is left out on
-//! purpose.
+//! phases happens here at once. Every system call the kernel serves is
+//! one of these steps.
 //!
 //! A capability is named as a VPE names it, by holder and selector
 //! ([`Name`]). The model allocates no selectors and no memory: a step

@@ -489,7 +489,6 @@ impl Kernel {
                 self.sys_exchange(vpe, tag, *other, *own_sel, *other_sel, *kind, out)
             }
             Syscall::Revoke { sel, own } => self.sys_revoke(vpe, tag, *sel, *own, out),
-            Syscall::RevokeMany { sels } => self.sys_revoke_many(vpe, tag, sels, out),
             Syscall::CreateSrv { name } => self.sys_create_srv(vpe, tag, *name, out),
             Syscall::OpenSession { name } => self.sys_open_session(vpe, tag, *name, out),
             Syscall::Activate { sel, ep } => self.sys_activate(vpe, tag, *sel, *ep, out),
@@ -539,8 +538,8 @@ impl Kernel {
     /// parent, children in creation order) and per table binding,
     /// sorted. Two kernels with equal digests are indistinguishable to
     /// the capability protocol — the equivalence the property test of
-    /// `RevokeMany` against sequential revokes compares
-    /// (`tests/proptests.rs`).
+    /// two concurrent revokes against the same revokes issued one after
+    /// the other compares (`tests/proptests.rs`).
     pub fn state_digest(&self) -> Vec<String> {
         let mut lines: Vec<String> = self
             .mapdb

@@ -34,10 +34,10 @@
 //! (`Kernel::reply_sys`, a message to the VPE), one credit-gated
 //! request send (`Kernel::send_kcall_at`), one mark walk and one delete
 //! pass for Algorithm 1 (`Kernel::mark_subtree` /
-//! `Kernel::delete_marked` in [`revoke`], driven by single revokes and
-//! `Syscall::RevokeMany` alike), and one way to kill a VPE
-//! (`Kernel::terminate_vpe`, behind both `Syscall::Exit` and the
-//! machine's `Kernel::kill_vpe`).
+//! `Kernel::delete_marked` in [`revoke`], driven by revoke system
+//! calls, VPE exits and incoming revoke requests alike), and one way to
+//! kill a VPE (`Kernel::terminate_vpe`, behind both `Syscall::Exit` and
+//! the machine's `Kernel::kill_vpe`).
 //!
 //! State that outlives a single parked phase lives with its protocol,
 //! not as loose fields on `Kernel`: `revoke::RevokeState` and the
@@ -54,7 +54,6 @@
 //! | §4.3.2 two-way delegate handshake, second leg | [`exchange::Phase::DelegatePendingInsert`] / [`exchange::Phase::DelegateWaitDone`] / [`exchange::Phase::DelegateAborted`] |
 //! | §3.4 session capability attachment | [`session::Phase::OpenRemote`] → [`session::Phase::AtService`], [`session::Phase::OpenLocal`] |
 //! | §4.3.3 Algorithm 1 mark/delete + reply counting | [`revoke::Phase::Run`]; an incoming `RevokeBatchReq` (§5.2 message batching) counts its sub-revokes in [`revoke::Phase::Batch`] |
-//! | §5.2 bulk revocation (`Syscall::RevokeMany`) | one [`revoke::Phase::Run`] over all its roots; any other revocation that meets its marks takes them over instead of waiting |
 //!
 //! # What a new protocol costs
 //!

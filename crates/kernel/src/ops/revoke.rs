@@ -19,34 +19,13 @@
 //!   deleted. This is how overlapping revokes serialize without ever
 //!   acknowledging early.
 //!
-//! A `Syscall::RevokeMany` is one operation with many roots: one mark
-//! phase over every capability it names, whose remote children leave as
-//! one grouped request per kernel, and one sweep. Its roots may nest,
-//! locally or through other kernels, so the kernel records what a
-//! multi-root revocation marks, and one rule decides what a mark walk
-//! does with a `Revoking` capability it meets, at its root or inside:
-//!
-//! * marked by the walking revocation itself (a nested root): skipped,
-//!   its own sweep deletes it;
-//! * marked by another multi-root revocation: *taken over* — the walk
-//!   goes on through it as through its own marks, requests its remote
-//!   children again, waits for what other revocations marked below it,
-//!   and sweeps it (the multi-root revocation's sweep deletes it
-//!   instead, should that come first: its fan-in, too, covered
-//!   everything below it). Only a system call's or a VPE exit's
-//!   revocation of that one capability waits for it instead, as below:
-//!   it marks nothing, and nothing but its caller waits for it;
-//! * marked by any other revocation: a dependency, as above.
-//!
 //! The dependency graph is therefore acyclic — no deadlock (the property
 //! the paper's multithreading design establishes; our event-driven
-//! kernel inherits it): a revocation waits for one rooted strictly below
-//! its roots — a remote child's, or one that marked a capability below
-//! them first — or for one that marked one of its roots before it
-//! started; and nothing waits for a multi-root revocation but such a
-//! revocation of one capability, which marks nothing and which nothing
-//! waits for. A taken-over capability is still deleted only once
-//! everything below it is gone, so the rule acknowledges nothing early.
+//! kernel inherits it): a revocation waits only for one rooted strictly
+//! below its root — a remote child's, or one that marked a capability
+//! below the root first — or for one that marked its root before it
+//! started, in which case it marks nothing below that root, so nothing
+//! waits for it there.
 //!
 //! Revocations triggered by applications can bounce between kernels (the
 //! adversarial cross-kernel *chain* of §5.2); each bounce is a fresh
@@ -86,25 +65,13 @@ pub(crate) struct RevokeState {
     deleted: Vec<Capability>,
     /// Remote children collected by one mark phase.
     remote: Vec<DdlKey>,
-    /// Capabilities marked by a multi-root revocation, with its op id
-    /// (module docs: what a walk meets is skipped or taken over).
-    many: DetHashMap<RawDdlKey, OpId>,
 }
 
 impl RevokeState {
-    /// Registers `waiter` for the deletion of `key`, which a running
-    /// revocation owns.
-    fn wait_for(&mut self, key: DdlKey, waiter: OpId) {
-        self.waiters.entry(key.raw()).or_default().push(waiter);
-    }
-
     /// Nothing marked is left waiting to be deleted.
     pub(crate) fn quiescent(&self) -> core::result::Result<(), String> {
         if !self.waiters.is_empty() {
             return Err(format!("{} revoke-waiter entries at quiescence", self.waiters.len()));
-        }
-        if !self.many.is_empty() {
-            return Err(format!("{} multi-root marks at quiescence", self.many.len()));
         }
         Ok(())
     }
@@ -120,18 +87,6 @@ pub enum Initiator {
         vpe: VpeId,
         /// Tag to echo in the reply.
         tag: u64,
-    },
-    /// A local VPE's [`Syscall::RevokeMany`](semper_base::msg::Syscall::RevokeMany):
-    /// one operation over every selector that resolved, with its
-    /// cross-kernel requests grouped per destination kernel.
-    Many {
-        /// The calling VPE.
-        vpe: VpeId,
-        /// Tag to echo in the reply.
-        tag: u64,
-        /// One result per selector, in request order: the resolution
-        /// errors, and `Ok` for every selector this operation revokes.
-        results: Box<Vec<Result<()>>>,
     },
     /// Another kernel's [`Kcall::RevokeReq`].
     Kcall {
@@ -155,7 +110,7 @@ impl Initiator {
     /// (§4.2): syscalls and internal cleanup hold the calling thread,
     /// while incoming requests are thread-free.
     pub fn holds_thread(&self) -> bool {
-        matches!(self, Initiator::Syscall { .. } | Initiator::Many { .. } | Initiator::Internal)
+        matches!(self, Initiator::Syscall { .. } | Initiator::Internal)
     }
 }
 
@@ -235,41 +190,10 @@ impl Kernel {
         resolve + self.start_revoke(roots, Initiator::Syscall { vpe, tag }, out)
     }
 
-    /// Entry point for the `RevokeMany` system call: resolves each
-    /// selector on its own (one that does not resolve fails alone),
-    /// then starts one revocation over every resolved capability.
-    pub(crate) fn sys_revoke_many(
-        &mut self,
-        vpe: VpeId,
-        tag: u64,
-        sels: &[CapSel],
-        out: &mut Outbox,
-    ) -> u64 {
-        let decode = sels.len() as u64 * self.cfg.cost.batch_item;
-        let mut roots = Vec::with_capacity(sels.len());
-        let results = sels
-            .iter()
-            .map(|sel| {
-                roots.push(self.held(vpe, *sel)?);
-                Ok(())
-            })
-            .collect();
-        let initiator = Initiator::Many { vpe, tag, results: Box::new(results) };
-        if roots.is_empty() {
-            return decode + self.notify_initiator(initiator, false, 0, out);
-        }
-        decode + self.start_revoke(roots, initiator, out)
-    }
-
-    /// The capability `vpe` holds at `sel`.
-    fn held(&self, vpe: VpeId, sel: CapSel) -> Result<DdlKey> {
-        self.table(vpe).ok_or(Error::new(Code::NoSuchVpe))?.get(sel)
-    }
-
     /// Resolves the subtree roots of a revoke call: the capability itself
     /// (`own = true`) or each of its children (`own = false`).
     fn revoke_roots(&self, vpe: VpeId, sel: CapSel, own: bool) -> Result<Vec<DdlKey>> {
-        let key = self.held(vpe, sel)?;
+        let key = self.table(vpe).ok_or(Error::new(Code::NoSuchVpe))?.get(sel)?;
         if own {
             return Ok(vec![key]);
         }
@@ -301,16 +225,7 @@ impl Kernel {
         out: &mut Outbox,
     ) -> u64 {
         let op_id = self.alloc_op();
-        // A `RevokeMany` may name nested roots (duplicates, or one root
-        // inside another's subtree, locally or through other kernels),
-        // so its marks are recorded; every other operation's roots are
-        // disjoint.
-        let many = matches!(initiator, Initiator::Many { .. }) && roots.len() > 1;
-        // A root another multi-root revocation marked is taken over,
-        // unless this revocation's only root is that one and nobody
-        // waits for it but its caller (module docs).
-        let take = roots.len() > 1
-            || matches!(initiator, Initiator::Kcall { .. } | Initiator::Batch { .. });
+        // The roots are disjoint: one capability, or the children of one.
         let mut op =
             RevokeOp { initiator, fanin: FanIn::new(), local_roots: Vec::new(), spanning: false };
         let mut cost = 0;
@@ -321,10 +236,11 @@ impl Kernel {
             // A missing root is already revoked and deleted — vacuously
             // complete.
             let Ok(cap) = self.mapdb.get(root) else { continue };
-            if cap.revoking() && !self.walks_through(root, op_id, &mut op, many, take) {
+            if cap.revoking() {
+                self.wait_for(root, op_id, &mut op);
                 continue;
             }
-            cost += self.mark_subtree(root, op_id, &mut op, many, &mut remote);
+            cost += self.mark_subtree(root, op_id, &mut op, &mut remote);
             op.local_roots.push(root);
         }
 
@@ -343,51 +259,25 @@ impl Kernel {
         }
     }
 
-    /// Decides what revocation `op_id` does with a `Revoking` capability
-    /// `key` it meets (module docs) and returns whether its walk goes on
-    /// through `key`. Marked by `op_id` itself: no, its sweep covers
-    /// `key`. Marked by another multi-root revocation, and `take`: yes —
-    /// `op_id` takes `key` over, recording the mark as its own if `many`.
-    /// Otherwise `op_id` waits for `key`'s deletion: no.
-    fn walks_through(
-        &mut self,
-        key: DdlKey,
-        op_id: OpId,
-        op: &mut RevokeOp,
-        many: bool,
-        take: bool,
-    ) -> bool {
-        match self.revoke.many.get_mut(&key.raw()) {
-            Some(marker) if *marker == op_id => return false,
-            Some(marker) if take => {
-                *marker = op_id;
-                if !many {
-                    self.revoke.many.remove(&key.raw());
-                }
-                return true;
-            }
-            _ => {}
-        }
-        self.revoke.wait_for(key, op_id);
+    /// Makes revocation `op_id` wait for the deletion of `key`, which a
+    /// running revocation marked: one dependency on `op`'s fan-in.
+    fn wait_for(&mut self, key: DdlKey, op_id: OpId, op: &mut RevokeOp) {
+        self.revoke.waiters.entry(key.raw()).or_default().push(op_id);
         op.fanin.arm();
-        false
     }
 
     /// The one mark walk (Algorithm 1, phase 1): depth-first over the
-    /// local subtree under `root`, which is present and either not yet
-    /// revoking or taken over (`Kernel::walks_through`), for operation
-    /// `op_id` (recording its marks if `many`). Children owned by other
-    /// kernels are appended to `foreign`. Another `Revoking` capability the walk
-    /// meets is skipped, taken over and walked through, or — if a
-    /// running revocation owns it — waited for: `op_id` is registered
-    /// for its deletion and counted as a dependency on `op`'s fan-in.
-    /// Returns the modeled cost.
+    /// local subtree under `root`, which is present and not yet
+    /// revoking, for operation `op_id`. Children owned by other kernels
+    /// are appended to `foreign`. A `Revoking` capability the walk meets
+    /// belongs to a running revocation and is waited for: `op_id` is
+    /// registered for its deletion and counted as a dependency on
+    /// `op`'s fan-in. Returns the modeled cost.
     fn mark_subtree(
         &mut self,
         root: DdlKey,
         op_id: OpId,
         op: &mut RevokeOp,
-        many: bool,
         foreign: &mut Vec<DdlKey>,
     ) -> u64 {
         let mut cost = 0;
@@ -404,20 +294,15 @@ impl Kernel {
             // Following the parent link and scanning the child list are
             // two capability references per visited local node.
             cost += 2 * self.ref_cost();
-            let fresh = !cap.revoking();
-            if !fresh && key != root && !self.walks_through(key, op_id, op, many, true) {
+            if cap.revoking() {
+                self.wait_for(key, op_id, op);
                 continue;
             }
             for child in self.mapdb.children(key).rev() {
                 stack.push(child);
             }
-            if fresh {
-                self.mapdb.mark_revoking(key).expect("present");
-                if many {
-                    self.revoke.many.insert(key.raw(), op_id);
-                }
-                cost += self.cfg.cost.revoke_mark;
-            }
+            self.mapdb.mark_revoking(key).expect("present");
+            cost += self.cfg.cost.revoke_mark;
         }
         self.revoke.stack = stack;
         cost
@@ -425,9 +310,7 @@ impl Kernel {
 
     /// Sends revoke requests for remote children — one message per child,
     /// or one batch per kernel when [`Feature::RevokeBatching`] is on
-    /// (the optimisation §5.2 proposes). A `RevokeMany`
-    /// ([`Initiator::Many`]) always groups per kernel: one message per
-    /// peer is the point of revoking many capabilities in one call.
+    /// (the optimisation §5.2 proposes).
     fn send_revoke_requests(
         &mut self,
         op_id: OpId,
@@ -436,9 +319,7 @@ impl Kernel {
         out: &mut Outbox,
     ) -> u64 {
         let mut cost = 0;
-        if self.cfg.has_feature(Feature::RevokeBatching)
-            || matches!(op.initiator, Initiator::Many { .. })
-        {
+        if self.cfg.has_feature(Feature::RevokeBatching) {
             // Ascending kernel id, arrival order within a group.
             let mut by_kernel: BTreeMap<KernelId, Vec<DdlKey>> = BTreeMap::new();
             for key in remote.drain(..) {
@@ -495,11 +376,11 @@ impl Kernel {
         let mut woken = Vec::new();
         let (cost, deleted) = self.delete_marked(std::mem::take(&mut op.local_roots), &mut woken);
         op.fanin.add(deleted);
-        let notify = self.notify_initiator(op.initiator, op.spanning, op.fanin.tally(), out);
+        self.notify_initiator(op.initiator, op.spanning, op.fanin.tally(), out);
         for waiter in woken {
             self.wake_waiter(waiter, ready);
         }
-        cost + notify + self.cfg.cost.revoke_finish
+        cost + self.cfg.cost.revoke_finish
     }
 
     /// The one delete pass (Algorithm 1, phase 2): deletes the marked
@@ -531,9 +412,6 @@ impl Kernel {
             // Wake operations waiting for this capability.
             if let Some(ws) = self.revoke.waiters.remove(&cap.key.raw()) {
                 woken.extend(ws);
-            }
-            if !self.revoke.many.is_empty() {
-                self.revoke.many.remove(&cap.key.raw());
             }
         }
         // Remove the owners' table bindings, grouped by run.
@@ -576,25 +454,19 @@ impl Kernel {
     }
 
     /// Notifies whoever started a revocation (Algorithm 1, lines
-    /// 19-23). Returns the modeled cost the notification adds:
-    /// `syscall_exit` for a `RevokeMany`'s reply, 0 for every other
-    /// initiator.
+    /// 19-23).
     fn notify_initiator(
         &mut self,
         initiator: Initiator,
         spanning: bool,
         deleted: u64,
         out: &mut Outbox,
-    ) -> u64 {
+    ) {
         // Only top-level revocations count as capability operations;
         // kcall- and batch-initiated sub-revokes are part of a revoke
-        // already counted at the initiating kernel. A `RevokeMany`
-        // counts one per selector it revoked, classified by the whole
-        // operation's locality: its remote children share one fan-out,
-        // so which selector reached another kernel is not known.
+        // already counted at the initiating kernel.
         let revokes = match &initiator {
             Initiator::Syscall { .. } | Initiator::Internal => 1,
-            Initiator::Many { results, .. } => results.iter().filter(|r| r.is_ok()).count() as u64,
             Initiator::Kcall { .. } | Initiator::Batch { .. } => 0,
         };
         if spanning {
@@ -606,10 +478,6 @@ impl Kernel {
             Initiator::Syscall { vpe, tag } => {
                 self.reply_sys(out, vpe, tag, Ok(SysReplyData::None));
             }
-            Initiator::Many { vpe, tag, results } => {
-                self.reply_sys(out, vpe, tag, Ok(SysReplyData::Revoked(results)));
-                return self.cfg.cost.syscall_exit;
-            }
             Initiator::Kcall { op: caller_op, from } => {
                 self.send_kreply(out, from, KReply::Revoke { op: caller_op, keys: 1, deleted });
             }
@@ -618,7 +486,6 @@ impl Kernel {
                 self.batch_entry_done(batch, deleted, out);
             }
         }
-        0
     }
 
     /// Accounts one completed entry of an incoming revoke batch; replies

@@ -419,6 +419,155 @@ fn double_revoke_same_cap() {
     c.check_invariants();
 }
 
+/// Capabilities of a chain that nests `r2` under `r1` through kernel B.
+struct Nested {
+    /// VPE 0's outer root.
+    r1: CapSel,
+    /// VPE 2's copy of `r1`, at kernel B.
+    b1: CapSel,
+    /// VPE 1's copy of `b1`, at kernel A, if the chain passes through it.
+    a2: Option<CapSel>,
+    /// VPE 0's inner root.
+    r2: CapSel,
+}
+
+/// On a 2 × 2 cluster — kernel A (0) holds VPEs 0 and 1, kernel B (1)
+/// VPEs 2 and 3 — VPE 0's `r1` is delegated to VPE 2 as `b1` and back to
+/// VPE 0 as `r2`: directly, so B's revoke request for its child names
+/// `r2`, or through VPE 1's `a2`, so it names `r2`'s parent. `r2`'s own
+/// subtree is a chain of four copies alternating between B (VPE 3) and
+/// A (VPE 1), so its revocation outlasts the rest of a revoke of `r1`.
+fn nested_through_b(c: &mut TestCluster, via_ancestor: bool) -> Nested {
+    let r1 = create_mem(c, VpeId(0));
+    let b1 = delegate(c, VpeId(0), VpeId(2), r1);
+    let (a2, r2) = if via_ancestor {
+        let a2 = delegate(c, VpeId(2), VpeId(1), b1);
+        (Some(a2), delegate(c, VpeId(1), VpeId(0), a2))
+    } else {
+        (None, delegate(c, VpeId(2), VpeId(0), b1))
+    };
+    let mut tail = (VpeId(0), r2);
+    for to in [3, 1, 3, 1].map(VpeId) {
+        tail = (to, delegate(c, tail.0, to, tail.1));
+    }
+    Nested { r1, b1, a2, r2 }
+}
+
+/// The DDL key `vpe` holds at `sel`.
+fn key_of(c: &TestCluster, vpe: VpeId, sel: CapSel) -> DdlKey {
+    c.kernels[c.kernel_of(vpe).idx()].table(vpe).unwrap().get(sel).unwrap()
+}
+
+/// Every capability in the subtree under `key`, on any kernel.
+fn subtree(c: &TestCluster, key: DdlKey) -> Vec<DdlKey> {
+    let mut keys = vec![key];
+    let mut i = 0;
+    while i < keys.len() {
+        for k in &c.kernels {
+            if k.mapdb().contains(keys[i]) {
+                keys.extend(k.mapdb().children(keys[i]));
+            }
+        }
+        i += 1;
+    }
+    keys
+}
+
+/// True if some kernel still holds `key`.
+fn alive(c: &TestCluster, key: DdlKey) -> bool {
+    c.kernels.iter().any(|k| k.mapdb().contains(key))
+}
+
+/// A revoke of `r1` (VPE 0, kernel A) and a revoke of `mid` inside its
+/// subtree — `b1` at kernel B, `a2` back at A, or `r2` — issued at every
+/// point of the first one's run, both complete, and each is acknowledged
+/// only once its whole subtree is gone on every kernel. Issued early,
+/// the revoke of `mid` marks it before `r1`'s request reaches it, and
+/// the revocation that request starts waits for it: at its root, or —
+/// for `r2` under `a2` — below it. Issued late, it finds `mid` marked
+/// and waits for that revocation.
+#[test]
+fn a_revoke_inside_a_spanning_revoke_acknowledges_nothing_early() {
+    let mids = [
+        (false, VpeId(2)),
+        (false, VpeId(0)),
+        (true, VpeId(2)),
+        (true, VpeId(1)),
+        (true, VpeId(0)),
+    ];
+    for (via_ancestor, mid_vpe) in mids {
+        for delay in 0..16 {
+            let case = format!("via_ancestor={via_ancestor} mid={mid_vpe} delay={delay}");
+            let mut c = TestCluster::new(2, 2);
+            let n = nested_through_b(&mut c, via_ancestor);
+            let mid = match mid_vpe {
+                VpeId(0) => n.r2,
+                VpeId(1) => n.a2.unwrap(),
+                _ => n.b1,
+            };
+            let calls = [(VpeId(0), n.r1), (mid_vpe, mid)];
+            let below = calls.map(|(vpe, sel)| subtree(&c, key_of(&c, vpe, sel)));
+            let outer = c.syscall_async(VpeId(0), Syscall::Revoke { sel: n.r1, own: true });
+            c.pump_n(delay);
+            let inner = c.syscall_async(mid_vpe, Syscall::Revoke { sel: mid, own: true });
+            let tags = [outer, inner];
+            let mut answered = [false; 2];
+            while c.step() {
+                for i in 0..2 {
+                    let Some(r) = c.take_reply(calls[i].0, tags[i]) else { continue };
+                    assert!(!answered[i], "{case}: two answers to call {i}");
+                    answered[i] = true;
+                    assert!(i == 1 || r.result.is_ok(), "{case}: {r:?}");
+                    if r.result.is_ok() {
+                        let left: Vec<_> = below[i].iter().filter(|k| alive(&c, **k)).collect();
+                        assert!(left.is_empty(), "{case}: call {i} acknowledged with {left:?}");
+                    }
+                }
+            }
+            assert_eq!(answered, [true; 2], "{case}: a revoke never completed");
+            c.check_invariants();
+            c.assert_quiescent();
+            assert_eq!(c.total_caps(), 4, "{case}: only the self-capabilities remain");
+            let table = c.kernels[0].table(VpeId(0)).unwrap();
+            assert!(table.get(n.r1).is_err() && table.get(n.r2).is_err(), "{case}");
+        }
+    }
+}
+
+/// A revoke request for a capability that another revocation marked
+/// registers a waiter, like any revoke that meets a concurrent one.
+/// Answering it at once would acknowledge a subtree that is still
+/// alive — Table 2's *incomplete* outcome.
+#[test]
+fn request_for_another_revocations_mark_waits() {
+    let mut c = TestCluster::new(2, 2);
+    // `k` (VPE 1) has a child at B, so its revocation parks at A.
+    let k = create_mem(&mut c, VpeId(1));
+    let _ = delegate(&mut c, VpeId(1), VpeId(2), k);
+    let k_key = key_of(&c, VpeId(1), k);
+
+    let tk = c.syscall_async(VpeId(1), Syscall::Revoke { sel: k, own: true });
+    c.pump_n(1);
+    assert_eq!(c.kernels[0].pending_ops(), 1, "the revoke of `k` parks at A");
+
+    // B asks A to revoke `k`, which the running revoke marked.
+    let req = Kcall::RevokeReq { op: OpId(1), cap_key: k_key };
+    let msg = Msg::new(c.kernels[1].pe(), c.kernels[0].pe(), Payload::kcall(req));
+    let mut out = Outbox::new();
+    c.kernels[0].handle(&msg, &mut out);
+    assert!(out.is_empty(), "answered before `k` was deleted: {:?}", out.drain());
+    assert_eq!(c.kernels[0].pending_ops(), 2, "the request waits for `k`");
+
+    // The waiter's answer reaches B for an op B never sent.
+    c.kernels[1].enable_fault_injection(0);
+    c.pump_all();
+    assert_eq!(c.kernels[1].stats().fault_anomalies, 1);
+    assert!(c.take_reply(VpeId(1), tk).unwrap().result.is_ok());
+    c.check_invariants();
+    c.assert_quiescent();
+    assert_eq!(c.total_caps(), 4);
+}
+
 // ----- sessions ----------------------------------------------------------
 
 #[test]

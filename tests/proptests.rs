@@ -461,9 +461,9 @@ fn delegate_on_both(
 /// VPEs; VPE v lives in group v / 2): memory of VPE 0, memory derived
 /// from any held capability, delegations between any two VPEs, and
 /// round trips from a holding through a VPE of kernel 1 or 2 back to
-/// VPE 0 — so a `RevokeMany` often names capabilities that nest through
-/// another kernel. Returns every holding with the index of the holding
-/// it was made from.
+/// VPE 0 — so a capability often descends from another through another
+/// kernel. Returns every holding with the index of the holding it was
+/// made from.
 fn build_forest(rng: &mut DetRng, cs: &mut [TestCluster; 2]) -> Vec<Holding> {
     let mut held: Vec<Holding> = Vec::new();
     for _ in 0..rng.between(4, 24) {
@@ -496,158 +496,6 @@ fn build_forest(rng: &mut DetRng, cs: &mut [TestCluster; 2]) -> Vec<Holding> {
     held
 }
 
-/// Draws the selector list of one `RevokeMany` for VPE 0: its holdings
-/// at random (so duplicates), repeats of earlier entries, a holding
-/// together with one of its VPE-0 ancestors in either order, and
-/// selectors that do not resolve.
-fn draw_sels(rng: &mut DetRng, held: &[Holding]) -> Vec<CapSel> {
-    let own: Vec<usize> = (0..held.len()).filter(|&i| held[i].0 == VpeId(0)).collect();
-    let ancestor_in_own = |mut i: usize| loop {
-        i = held[i].2?;
-        if held[i].0 == VpeId(0) {
-            return Some(i);
-        }
-    };
-    let mut sels = Vec::new();
-    for _ in 0..rng.between(1, 12) {
-        match rng.below(10) {
-            0..=4 if !own.is_empty() => {
-                sels.push(held[own[rng.below(own.len() as u64) as usize]].1)
-            }
-            5..=6 if !sels.is_empty() => sels.push(sels[rng.below(sels.len() as u64) as usize]),
-            7..=8 if !own.is_empty() => {
-                let i = own[rng.below(own.len() as u64) as usize];
-                if let Some(a) = ancestor_in_own(i) {
-                    let pair = [held[a].1, held[i].1];
-                    let first = rng.below(2) as usize;
-                    sels.extend([pair[first], pair[1 - first]]);
-                }
-            }
-            _ => sels.push([CapSel(999), CapSel::INVALID][rng.below(2) as usize]),
-        }
-    }
-    sels
-}
-
-/// The parent of the capability behind `key`, at whichever kernel
-/// holds it.
-fn parent_of(c: &TestCluster, key: DdlKey) -> Option<DdlKey> {
-    c.kernels.iter().find_map(|k| k.mapdb().get(key).ok()).and_then(|cap| cap.parent)
-}
-
-/// True if one of `keys` descends from another through a capability
-/// that kernel 0 does not hold — the nesting a `RevokeMany` must fold
-/// across kernels.
-fn nests_through_another_kernel(c: &TestCluster, keys: &[DdlKey]) -> bool {
-    keys.iter().any(|&key| {
-        let mut crossed = false;
-        let mut at = parent_of(c, key);
-        while let Some(ancestor) = at {
-            if keys.contains(&ancestor) && crossed {
-                return true;
-            }
-            crossed |= c.kernels[0].mapdb().get(ancestor).is_err();
-            at = parent_of(c, ancestor);
-        }
-        false
-    })
-}
-
-/// One `RevokeMany` over a random forest leaves the kernels in the same
-/// state as the same selectors revoked one `Revoke` at a time —
-/// identical capability records and table bindings (state digests),
-/// invariants intact, full quiescence — and each of its results equals
-/// the sequential reply, except that a selector whose capability an
-/// earlier selector's subtree covers reports `Ok` where sequential
-/// issue finds it gone (`NoSuchCap`). Across the cases, covered,
-/// failing and kernel-spanning items must each occur, and so must lists
-/// where one capability descends from another through another kernel.
-#[test]
-fn revoke_many_matches_sequential_revokes() {
-    let exercised = Runner::new(4).map((0..48).collect(), |_, case| {
-        let mut rng = DetRng::split(0x4E70_CA11, case);
-        let mut cs = [TestCluster::new(3, 2), TestCluster::new(3, 2)];
-        let held = build_forest(&mut rng, &mut cs);
-        // Sometimes revoke a holding of VPE 0 up front, so its selector
-        // (and any in its subtree) no longer resolves.
-        let own: Vec<CapSel> = held.iter().filter(|h| h.0 == VpeId(0)).map(|h| h.1).collect();
-        if !own.is_empty() && rng.below(2) == 0 {
-            let sel = own[rng.below(own.len() as u64) as usize];
-            let _ = on_both(&mut cs, VpeId(0), Syscall::Revoke { sel, own: true });
-        }
-        let sels = draw_sels(&mut rng, &held);
-        let [seq, many] = &mut cs;
-
-        // Which selectors an earlier selector's subtree covers: a key
-        // equal to, or descending from, an earlier resolved key.
-        let table = many.kernels[0].table(VpeId(0)).expect("VPE 0 is local");
-        let keys: Vec<Option<DdlKey>> = sels.iter().map(|sel| table.get(*sel).ok()).collect();
-        let covered: Vec<bool> = (0..sels.len())
-            .map(|i| {
-                let Some(mut key) = keys[i] else { return false };
-                let earlier = &keys[..i];
-                loop {
-                    if earlier.contains(&Some(key)) {
-                        return true;
-                    }
-                    match parent_of(many, key) {
-                        Some(parent) => key = parent,
-                        None => return false,
-                    }
-                }
-            })
-            .collect();
-        let resolved: Vec<DdlKey> = keys.iter().flatten().copied().collect();
-        let nested = nests_through_another_kernel(many, &resolved);
-
-        let seq_replies: Vec<Result<()>> = sels
-            .iter()
-            .map(|sel| seq.syscall(VpeId(0), Syscall::Revoke { sel: *sel, own: true }).result)
-            .map(|r| r.map(|data| assert_eq!(data, SysReplyData::None)))
-            .collect();
-        let spanning_before = many.kernels[0].stats().revokes_spanning;
-        let r = many.syscall(VpeId(0), Syscall::RevokeMany { sels: sels.as_slice().into() });
-        let spanning = many.kernels[0].stats().revokes_spanning > spanning_before;
-        let Ok(SysReplyData::Revoked(replies)) = r.result else {
-            panic!("case {case}: revoke-many failed: {:?}", r.result);
-        };
-
-        assert_eq!(replies.len(), sels.len(), "case {case}: reply count");
-        for (i, (m, s)) in replies.iter().zip(&seq_replies).enumerate() {
-            if covered[i] {
-                assert_eq!(*m, Ok(()), "case {case}: covered item {i} ({:?})", sels[i]);
-                assert_eq!(s.map_err(|e| e.code()), Err(Code::NoSuchCap), "case {case}: item {i}");
-            } else {
-                assert_eq!(m, s, "case {case}: item {i} ({:?}) diverged", sels[i]);
-            }
-        }
-
-        // Same final kernel state, bit for bit.
-        for c in [&*seq, &*many] {
-            c.check_invariants();
-            c.assert_quiescent();
-        }
-        for (ks, km) in seq.kernels.iter().zip(&many.kernels) {
-            assert_eq!(
-                ks.state_digest(),
-                km.state_digest(),
-                "case {case}: kernel {} state diverged",
-                ks.id()
-            );
-        }
-        let failed = replies.iter().filter(|r| r.is_err()).count();
-        let covered = covered.iter().filter(|c| **c).count();
-        [covered, failed, usize::from(spanning), usize::from(nested)]
-    });
-    let totals =
-        exercised.iter().fold([0; 4], |t, e| [t[0] + e[0], t[1] + e[1], t[2] + e[2], t[3] + e[3]]);
-    let [covered, failed, spanning, nested] = totals;
-    assert!(
-        covered > 0 && failed > 0 && spanning > 0 && nested >= 8,
-        "[covered, failed, spanning items, cases nesting through another kernel]: {totals:?}"
-    );
-}
-
 /// Every capability in the subtree under `key`, on any kernel.
 fn subtree(c: &TestCluster, key: DdlKey) -> Vec<DdlKey> {
     let mut keys = vec![key];
@@ -668,84 +516,79 @@ fn alive(c: &TestCluster, keys: &[DdlKey]) -> Vec<DdlKey> {
     keys.iter().copied().filter(|key| c.kernels.iter().any(|k| k.mapdb().contains(*key))).collect()
 }
 
-/// A `RevokeMany` over a random forest and a `Revoke` of one holding,
-/// issued after a random number of delivered messages, both complete,
-/// and each is acknowledged only once every capability that was in its
-/// subtrees when it was issued is gone on every kernel; the final state
-/// is that of the two calls issued one after the other. In half the
-/// cases that can have one, the single revoke names a holding strictly
-/// between two listed ones — the schedule where a revocation meets a
-/// multi-root one's marks from outside.
+/// Two `Revoke`s over a random forest, issued by VPEs of different
+/// kernels with a random number of delivered messages between them,
+/// both complete, and each is acknowledged only once every capability
+/// that was in its subtree when it was issued is gone on every kernel;
+/// the final state is that of the two calls issued one after the other.
+/// In half the cases that can have one, one root lies strictly inside
+/// the other's subtree, at another kernel, and either is issued first —
+/// the schedules where a revocation's walk, at its root or below it,
+/// meets the other's marks.
 #[test]
-fn revoke_many_beside_a_concurrent_revoke_acknowledges_nothing_early() {
-    let between_cases = Runner::new(4).map((0..48).collect(), |_, case| {
+fn overlapping_revokes_from_two_kernels_acknowledge_nothing_early() {
+    let nested_cases = Runner::new(4).map((0..48).collect(), |_, case| {
         let mut rng = DetRng::split(0xC0_2E70CE, case);
         let mut cs = [TestCluster::new(3, 2), TestCluster::new(3, 2)];
         let held = build_forest(&mut rng, &mut cs);
-        let sels = draw_sels(&mut rng, &held);
 
-        // Holdings strictly between a listed holding and its nearest
-        // listed ancestor.
-        let listed: Vec<usize> = (0..held.len())
-            .filter(|&i| held[i].0 == VpeId(0) && sels.contains(&held[i].1))
-            .collect();
-        let between: Vec<usize> = listed
-            .iter()
-            .flat_map(|&i| {
-                let mut up = Vec::new();
-                let mut at = held[i].2;
-                while let Some(a) = at.filter(|a| !listed.contains(a)) {
-                    up.push(a);
-                    at = held[a].2;
-                }
-                if at.is_some() {
-                    up
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        let hit = !between.is_empty() && rng.below(2) == 0;
-        let pick = if hit {
-            between[rng.below(between.len() as u64) as usize]
-        } else {
-            rng.below(held.len() as u64) as usize
-        };
-        let (vpe, sel, _) = held[pick];
-        let many_call = Syscall::RevokeMany { sels: sels.as_slice().into() };
-        let one_call = Syscall::Revoke { sel, own: true };
-        let [seq, conc] = &mut cs;
-        seq.syscall(VpeId(0), many_call.clone());
-        seq.syscall(vpe, one_call.clone());
-
-        let table = conc.kernels[0].table(VpeId(0)).expect("VPE 0 is local");
-        let roots: Vec<DdlKey> = sels.iter().filter_map(|sel| table.get(*sel).ok()).collect();
-        let many_below: Vec<DdlKey> = roots.iter().flat_map(|r| subtree(conc, *r)).collect();
-        let many = conc.syscall_async(VpeId(0), many_call);
-        conc.pump_n(rng.below(12) as usize);
-        let holder = conc.kernel_of(vpe).idx();
-        let one_below = match conc.kernels[holder].table(vpe).unwrap().get(sel) {
-            Ok(key) => subtree(conc, key),
-            Err(_) => Vec::new(),
-        };
-        let one = conc.syscall_async(vpe, one_call);
-        let (mut many_done, mut one_done) = (false, false);
-        while conc.step() {
-            if let Some(r) = conc.take_reply(VpeId(0), many) {
-                assert!(matches!(r.result, Ok(SysReplyData::Revoked(_))), "case {case}: {r:?}");
-                let left = alive(conc, &many_below);
-                assert!(left.is_empty(), "case {case}: RevokeMany acknowledged with {left:?}");
-                many_done = true;
+        // Pairs of holdings at different kernels, and those whose second
+        // descends from the first.
+        let kernel: Vec<_> = held.iter().map(|h| cs[0].kernel_of(h.0)).collect();
+        let descends = |mut j: usize, i: usize| loop {
+            match held[j].2 {
+                Some(a) if a == i => return true,
+                Some(a) => j = a,
+                None => return false,
             }
-            if let Some(r) = conc.take_reply(vpe, one) {
+        };
+        let pairs: Vec<(usize, usize)> = (0..held.len())
+            .flat_map(|i| (0..held.len()).map(move |j| (i, j)))
+            .filter(|&(i, j)| kernel[i] != kernel[j])
+            .collect();
+        let nested: Vec<(usize, usize)> =
+            pairs.iter().copied().filter(|&(i, j)| descends(j, i)).collect();
+        assert!(!pairs.is_empty(), "case {case}: every holding is at one kernel");
+        let hit = !nested.is_empty() && rng.below(2) == 0;
+        let from = if hit { &nested } else { &pairs };
+        let (outer, inner) = from[rng.below(from.len() as u64) as usize];
+        let (first, second) =
+            if hit && rng.below(2) == 0 { (inner, outer) } else { (outer, inner) };
+        let calls = [first, second].map(|i| (held[i].0, held[i].1));
+        let call = |i: usize| Syscall::Revoke { sel: calls[i].1, own: true };
+
+        let [seq, conc] = &mut cs;
+        for (i, (vpe, _)) in calls.iter().enumerate() {
+            seq.syscall(*vpe, call(i));
+        }
+
+        // Each call's subtree as it stands when the call is issued.
+        let below_now = |c: &TestCluster, (vpe, sel): (VpeId, CapSel)| {
+            let holder = c.kernel_of(vpe).idx();
+            match c.kernels[holder].table(vpe).unwrap().get(sel) {
+                Ok(key) => subtree(c, key),
+                Err(_) => Vec::new(),
+            }
+        };
+        let mut below = [below_now(conc, calls[0]), Vec::new()];
+        let mut tags = [conc.syscall_async(calls[0].0, call(0)), 0];
+        conc.pump_n(rng.below(12) as usize);
+        below[1] = below_now(conc, calls[1]);
+        tags[1] = conc.syscall_async(calls[1].0, call(1));
+        let mut done = [false; 2];
+        while conc.step() {
+            for i in 0..2 {
+                let Some(r) = conc.take_reply(calls[i].0, tags[i]) else { continue };
+                assert!(!done[i], "case {case}: call {i} answered twice");
+                assert!(i == 1 || r.result.is_ok(), "case {case}: {r:?}");
                 if r.result.is_ok() {
-                    let left = alive(conc, &one_below);
-                    assert!(left.is_empty(), "case {case}: Revoke acknowledged with {left:?}");
+                    let left = alive(conc, &below[i]);
+                    assert!(left.is_empty(), "case {case}: call {i} acknowledged with {left:?}");
                 }
-                one_done = true;
+                done[i] = true;
             }
         }
-        assert!(many_done && one_done, "case {case}: a call never completed");
+        assert_eq!(done, [true; 2], "case {case}: a call never completed");
         for c in [&*seq, &*conc] {
             c.check_invariants();
             c.assert_quiescent();
@@ -755,8 +598,8 @@ fn revoke_many_beside_a_concurrent_revoke_acknowledges_nothing_early() {
         }
         usize::from(hit)
     });
-    let hits: usize = between_cases.iter().sum();
-    assert!(hits >= 8, "{hits} of 48 cases revoke a holding between two listed ones");
+    let hits: usize = nested_cases.iter().sum();
+    assert!(hits >= 8, "{hits} of 48 cases revoke a root inside the other's subtree");
 }
 
 /// One full faulted run: a random capability workload executed under a

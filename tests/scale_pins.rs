@@ -1,7 +1,7 @@
 //! Cycle pins at 10–100× the paper's evaluation scale.
 //!
 //! The paper's revocation experiments (Figures 4 and 5) stop at chains
-//! and trees of ~100 capabilities. These nine scenarios push the same
+//! and trees of ~100 capabilities. These seven scenarios push the same
 //! shapes — and the protocols added on top of them — to thousands of
 //! capabilities, and pin every *deterministic* output of each run:
 //! simulated cycles, events, capabilities deleted, cross-kernel
@@ -15,16 +15,9 @@
 //! cost-model or protocol change, paste the actual lines over the
 //! expected ones and say so in CHANGES.md. Anything else that moves a
 //! line is a regression.
-//!
-//! The two sequential/batched twins keep their claims as plain asserts:
-//! one `Syscall::RevokeMany` (its remote children grouped per kernel,
-//! no feature) sends fewer cross-kernel requests than the sequential
-//! revokes of a spanning teardown, and needs at most ⅔ of the
-//! sequential cycles and half of its handler dispatches on a dense one.
 
 use semper_apps::AppKind;
-use semper_base::msg::{SysReplyData, Syscall};
-use semper_base::{CapSel, KernelMode, MachineConfig, VpeId};
+use semper_base::{CapSel, KernelMode, MachineConfig};
 use semper_kernel::KernelStats;
 use semperos::experiment::{run_app_instances, MicroMachine};
 use semperos::machine::Machine;
@@ -71,10 +64,6 @@ impl Row {
         before: &[KernelStats],
     ) -> Row {
         Row::new(name, size, sim_cycles, m.events(), before, &m.kernel_stats())
-    }
-
-    fn get(&self, key: &str) -> u64 {
-        self.fields.iter().find(|(k, _)| *k == key).map_or(0, |(_, v)| *v)
     }
 
     fn line(&self, scale: &str) -> String {
@@ -146,28 +135,11 @@ fn dense_table_teardown(caps: u32) -> Row {
     Row::of("dense_table_teardown", caps, cycles, m.machine(), &before)
 }
 
-/// Revokes `sels` of `vpe` as one `Syscall::RevokeMany`; every item
-/// must succeed. Returns the cycles of the call.
-fn revoke_batch(m: &mut MicroMachine, vpe: VpeId, sels: &[CapSel]) -> u64 {
-    let call = Syscall::RevokeMany { sels: sels.into() };
-    let (r, cycles) = m.machine().syscall_blocking(vpe, call);
-    match r.result {
-        Ok(SysReplyData::Revoked(results)) => {
-            assert_eq!(results.len(), sels.len());
-            assert!(results.iter().all(|i| i.is_ok()), "batched revoke item failed");
-        }
-        other => panic!("batched revoke failed: {other:?}"),
-    }
-    cycles
-}
-
-/// Dense spanning teardown, sequential vs batched: one VPE of group 0
-/// owns `caps` capabilities, each delegated once round-robin to groups
-/// 1–3, so the revocation subtree spans three peer kernels. Teardown is
-/// one blocking `Revoke` per capability in reverse allocation order, or
-/// one `Syscall::RevokeMany` with no feature on, which groups its
-/// remote children into one request per owning kernel.
-fn dense_table_spanning(caps: u32, batched: bool) -> Row {
+/// Dense spanning teardown: one VPE of group 0 owns `caps`
+/// capabilities, each delegated once round-robin to groups 1–3, so the
+/// revocation subtree spans three peer kernels. Teardown is one
+/// blocking `Revoke` per capability in reverse allocation order.
+fn dense_table_spanning(caps: u32) -> Row {
     let mut m = MicroMachine::new(4, 2, KernelMode::SemperOS);
     let a = m.vpe(0, 0);
     let sels: Vec<CapSel> = (0..caps).map(|_| m.create_mem(a)).collect();
@@ -177,23 +149,15 @@ fn dense_table_spanning(caps: u32, batched: bool) -> Row {
     }
 
     let before = m.machine().kernel_stats();
-    let cycles = if batched {
-        revoke_batch(&mut m, a, &sels)
-    } else {
-        sels.into_iter().rev().map(|sel| m.revoke(a, sel)).sum()
-    };
+    let cycles = sels.into_iter().rev().map(|sel| m.revoke(a, sel)).sum();
     m.machine().check_invariants();
-    let name =
-        if batched { "dense_table_teardown_batched" } else { "dense_table_teardown_sequential" };
-    Row::of(name, caps, cycles, m.machine(), &before)
+    Row::of("dense_table_teardown_spanning", caps, cycles, m.machine(), &before)
 }
 
-/// Spanning revoke, sequential vs batched: one VPE of group 0 owns `n`
-/// capabilities, each delegated once to a VPE of group 1, so every
-/// revoke has exactly one remote child. Teardown is `n` separate
-/// `Revoke` syscalls, or one `Syscall::RevokeMany` that sends a single
-/// grouped request to the peer kernel. Same final state.
-fn spanning_revoke(n: u32, batched: bool) -> Row {
+/// Spanning revoke: one VPE of group 0 owns `n` capabilities, each
+/// delegated once to a VPE of group 1, so every revoke has exactly one
+/// remote child. Teardown is `n` separate `Revoke` syscalls.
+fn spanning_revoke(n: u32) -> Row {
     let mut m = MicroMachine::new(2, 2, KernelMode::SemperOS);
     let a = m.vpe(0, 0);
     let b = m.vpe(1, 0);
@@ -203,14 +167,9 @@ fn spanning_revoke(n: u32, batched: bool) -> Row {
     }
 
     let before = m.machine().kernel_stats();
-    let cycles = if batched {
-        revoke_batch(&mut m, a, &sels)
-    } else {
-        sels.into_iter().map(|sel| m.revoke(a, sel)).sum()
-    };
+    let cycles = sels.into_iter().map(|sel| m.revoke(a, sel)).sum();
     m.machine().check_invariants();
-    let name = if batched { "spanning_revoke_batched" } else { "spanning_revoke_sequential" };
-    Row::of(name, n, cycles, m.machine(), &before)
+    Row::of("spanning_revoke", n, cycles, m.machine(), &before)
 }
 
 /// File workload: `instances` tar replays against m3fs on a
@@ -225,17 +184,10 @@ fn file_workload(instances: u32) -> Row {
     cfg.services = 2;
     cfg.mesh_width = semper_base::config::mesh_width_for(cfg.num_pes);
     let res = run_app_instances(&cfg, AppKind::Tar, instances);
-    Row::new(
-        "file_workload_sequential",
-        instances,
-        res.makespan,
-        res.events,
-        &[],
-        &res.kernel_stats,
-    )
+    Row::new("file_workload", instances, res.makespan, res.events, &[], &res.kernel_stats)
 }
 
-/// The nine scenarios with every size divided by `div` (1 = the full
+/// The seven scenarios with every size divided by `div` (1 = the full
 /// sizes the module docs quote).
 fn suite(div: u32) -> Vec<Job<'static, Row>> {
     // Floor: with fewer than 4 tar instances every client sits in a
@@ -246,29 +198,10 @@ fn suite(div: u32) -> Vec<Job<'static, Row>> {
         Box::new(move || chain_revoke(1024 / div, true)),
         Box::new(move || tree_revoke(10_000 / div, 10_000 / div)),
         Box::new(move || dense_table_teardown(10_000 / div)),
-        Box::new(move || spanning_revoke(2048 / div, false)),
-        Box::new(move || spanning_revoke(2048 / div, true)),
+        Box::new(move || spanning_revoke(2048 / div)),
         Box::new(move || file_workload(instances)),
-        Box::new(move || dense_table_spanning(10_000 / div, false)),
-        Box::new(move || dense_table_spanning(10_000 / div, true)),
+        Box::new(move || dense_table_spanning(10_000 / div)),
     ]
-}
-
-/// What each batched twin claims over its sequential baseline, on
-/// deterministic counters only.
-fn assert_twin_claims(rows: &[Row]) {
-    let row = |name: &str| rows.iter().find(|r| r.name == name).expect("scenario ran");
-
-    let (seq, bat) = ("spanning_revoke_sequential", "spanning_revoke_batched");
-    let (s, b) = (row(seq).get("kcalls"), row(bat).get("kcalls"));
-    assert!(b < s, "{bat}: {b} cross-kernel requests, not fewer than {seq}'s {s}");
-
-    let seq = row("dense_table_teardown_sequential");
-    let bat = row("dense_table_teardown_batched");
-    let (s, b) = (seq.get("sim_cycles"), bat.get("sim_cycles"));
-    assert!(b * 3 <= s * 2, "batched teardown: {b} cycles, more than 2/3 of sequential's {s}");
-    let (s, b) = (seq.get("handler_dispatches"), bat.get("handler_dispatches"));
-    assert!(b * 2 <= s, "batched teardown: {b} handler dispatches, more than half of {s}");
 }
 
 /// Every deterministic field of every scenario, at both scales, against
@@ -283,7 +216,6 @@ fn scale_capops_rows_match_golden() {
 
     let mut actual = Vec::new();
     for ((scale, _), rows) in scales.iter().zip(rows.chunks(per_scale)) {
-        assert_twin_claims(rows);
         actual.extend(rows.iter().map(|r| r.line(scale)));
     }
     let expected: Vec<&str> = include_str!("goldens/scale_capops.txt")
