@@ -35,8 +35,8 @@ pub enum KernelMode {
 
 /// Optional protocol features (for ablation experiments): each one
 /// changes which messages a kernel sends. Mechanisms that are inert
-/// until used are not features — fault tolerance arms with the harness's
-/// `FaultPlan` (`Kernel::enable_fault_injection`). Revocation has two
+/// until used are not features — fail-stop fault handling arms with the
+/// harness's `FaultPlan` (`TestCluster::set_fault_plan`). Revocation has two
 /// drivers, both the paper's: Algorithm 1 (the default) and its §5.2
 /// batching ([`Feature::RevokeBatching`]). The other feature is the
 /// paper's handshake ablation.

@@ -53,10 +53,10 @@ pub enum Code {
     /// already destroyed).
     NoSuchVpe,
     /// Timeout while waiting for a remote party. The protocols
-    /// themselves are timeout-free; under fault injection the fault
-    /// engine answers this when it aborts an operation whose deadline
-    /// expired or whose peer kernel died (`Kernel::poll_faults`,
-    /// `Kernel::peer_down`).
+    /// themselves are timeout-free; under a fault plan the kernel
+    /// answers this when a VPE's answer is starved past its phase's
+    /// deadline, or when the peer kernel an operation needs has crashed
+    /// (`Kernel::poll_faults`, `Kernel::peer_down`).
     Timeout,
 }
 

@@ -5,27 +5,26 @@
 //! unit- and property-tested in isolation. The FIFO queue preserves the
 //! per-channel ordering precondition (§4.3.1). The kernels, the stubs
 //! and the delivery step are [`crate::host`]'s, shared with the timed
-//! machine in the `semperos` crate; the queue and the fault verdicts
-//! are the cluster's own.
+//! machine in the `semperos` crate; the queue is the cluster's own.
 //!
 //! The stubs auto-accept exchanges and sessions unless told otherwise,
 //! and the queue can be stepped one message at a time to construct the
 //! exact interleavings of Table 2.
 //!
-//! The cluster is also the one host of fault injection
-//! ([`TestCluster::set_fault_plan`]): the plan decides each
-//! inter-kernel message's fate, and what it lets through is delivered
-//! by the same `dispatch` every fault-free message takes. The fault
-//! clock is the cluster's step counter.
+//! The cluster is also the one host of fail-stop fault injection
+//! ([`TestCluster::set_fault_plan`]): the plan's crash points stop
+//! kernels, traffic to a stopped kernel vanishes, and everything else
+//! is delivered by the one `dispatch`. The fault clock — the deadlines'
+//! time — is the cluster's step counter.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use semper_base::config::MachineConfig;
 use semper_base::msg::{Payload, SysReply, Syscall};
 use semper_base::{KernelId, Msg, PeId, VpeId};
 use semper_caps::MembershipTable;
 use semper_noc::GlobalMemory;
-use semper_sim::{FaultPlan, NetVerdict};
+use semper_sim::FaultPlan;
 
 use crate::host::{self, StubVpe};
 use crate::kernel::Kernel;
@@ -48,13 +47,9 @@ pub struct TestCluster {
     /// The scripted fault plan, when this cluster runs under fault
     /// injection (see [`TestCluster::set_fault_plan`]).
     fault_plan: Option<FaultPlan>,
-    /// Delayed messages by `(release_step, seq)`; `seq` preserves
-    /// submission order among messages released at the same step.
-    delayed: BTreeMap<(u64, u64), Msg>,
-    delay_seq: u64,
     /// The fault clock — the only one the fault engine has: one tick
-    /// per [`TestCluster::step`] in fault mode (plus quiet-network
-    /// jumps to the next release or deadline).
+    /// per [`TestCluster::step`] under a plan (plus quiet-network jumps
+    /// to the next deadline).
     fault_step: u64,
 }
 
@@ -87,8 +82,6 @@ impl TestCluster {
             tag_counter: 0,
             trace: None,
             fault_plan: None,
-            delayed: BTreeMap::new(),
-            delay_seq: 0,
             fault_step: 0,
         }
     }
@@ -126,10 +119,14 @@ impl TestCluster {
     }
 
     /// Kills `vpe`: its kernel revokes everything; its stub stops
-    /// responding to in-flight upcalls.
+    /// responding to in-flight upcalls. A crashed kernel revokes
+    /// nothing.
     pub fn kill(&mut self, vpe: VpeId) {
         self.stub(vpe).dead = true;
         let k = self.kernel_of(vpe);
+        if self.kernels[k.idx()].crashed() {
+            return;
+        }
         let mut out = Outbox::new();
         self.kernels[k.idx()].kill_vpe(vpe, &mut out);
         self.enqueue_from(k, out);
@@ -174,18 +171,35 @@ impl TestCluster {
         self.stub(vpe).take_reply(tag)
     }
 
-    /// Processes a single queued message; returns false when idle. In
-    /// fault mode (a plan is set) idleness additionally requires the
-    /// delay buffer to be empty and no pending-op deadline to be armed:
-    /// a fault run is only over once every op completed or aborted.
+    /// Processes a single queued message; returns false when idle.
+    /// Under a fault plan each step ticks the fault clock and polls every
+    /// surviving kernel's deadlines, and idleness additionally requires
+    /// that no deadline is armed: with the network quiet, the clock
+    /// jumps to the earliest one, so a starved operation aborts instead
+    /// of hanging the run.
     pub fn step(&mut self) -> bool {
-        if self.fault_plan.is_some() {
-            return self.step_faulted();
+        let planned = self.fault_plan.is_some();
+        if planned {
+            self.fault_step += 1;
         }
         let Some(msg) = self.queue.pop_front() else {
-            return false;
+            let next = self
+                .kernels
+                .iter()
+                .filter(|k| !k.crashed())
+                .filter_map(|k| k.next_fault_deadline())
+                .min();
+            let Some(deadline) = next else {
+                return false;
+            };
+            self.fault_step = self.fault_step.max(deadline);
+            self.poll_fault_deadlines();
+            return true;
         };
         self.dispatch(msg);
+        if planned {
+            self.poll_fault_deadlines();
+        }
         true
     }
 
@@ -217,13 +231,12 @@ impl TestCluster {
 
     // ----- fault injection ----------------------------------------------
 
-    /// Arms a fault plan: NoC verdicts apply to every inter-kernel
-    /// message, scripted crash points are installed, and each kernel
-    /// runs fault-tolerant with per-pending-op deadlines of
-    /// `deadline_budget` steps. Must be set before the workload starts.
+    /// Arms a fault plan: scripted crash points are installed, and each
+    /// kernel arms a deadline of `deadline_budget` steps on every phase
+    /// that awaits a VPE. Must be set before the workload starts.
     pub fn set_fault_plan(&mut self, plan: FaultPlan, deadline_budget: u64) {
         for k in &mut self.kernels {
-            k.enable_fault_injection(deadline_budget);
+            k.arm_deadlines(deadline_budget);
             let points = plan.crash_points(k.id().0);
             if !points.is_empty() {
                 k.arm_crash_points(points);
@@ -232,63 +245,15 @@ impl TestCluster {
         self.fault_plan = Some(plan);
     }
 
-    /// The armed plan's NoC-level fault counters, if a plan is set.
-    pub fn fault_stats(&self) -> Option<&semper_sim::FaultStats> {
-        self.fault_plan.as_ref().map(|p| p.stats())
-    }
-
-    /// Asserts that the cluster reached true quiescence: no queued or
-    /// delayed messages, and every surviving kernel passes
+    /// Asserts that the cluster reached true quiescence: no queued
+    /// messages, and every surviving kernel passes
     /// [`Kernel::check_quiescent`] (empty ledger, no leaked waiters).
     /// The termination property of the fault engine.
     pub fn assert_quiescent(&self) {
         assert!(self.queue.is_empty(), "{} messages still queued", self.queue.len());
-        assert!(self.delayed.is_empty(), "{} messages still delayed", self.delayed.len());
         for k in self.kernels.iter().filter(|k| !k.crashed()) {
             k.check_quiescent().unwrap_or_else(|e| panic!("not quiescent: {e}"));
         }
-    }
-
-    /// One step of the faulted cluster: advance the fault clock, release
-    /// due delayed messages, deliver one message through the plan's
-    /// verdict, then poll every surviving kernel's deadlines. With the
-    /// network quiet, the clock jumps to the next armed deadline so
-    /// starved operations abort instead of hanging the run.
-    fn step_faulted(&mut self) -> bool {
-        self.fault_step += 1;
-        self.release_delayed();
-        let Some(msg) = self.queue.pop_front() else {
-            // Quiet network: jump the clock forward. First to the next
-            // delayed release, otherwise to the earliest deadline.
-            if let Some((&(release, _), _)) = self.delayed.first_key_value() {
-                self.fault_step = self.fault_step.max(release);
-                self.release_delayed();
-                return true;
-            }
-            let next = self
-                .kernels
-                .iter()
-                .filter(|k| !k.crashed())
-                .filter_map(|k| k.next_fault_deadline())
-                .min();
-            let Some(deadline) = next else {
-                return false;
-            };
-            self.fault_step = self.fault_step.max(deadline);
-            self.poll_fault_deadlines();
-            return true;
-        };
-        self.deliver_faulted(msg);
-        self.poll_fault_deadlines();
-        true
-    }
-
-    /// Moves every delayed message whose release step arrived back into
-    /// the queue, in (release, submission) order.
-    fn release_delayed(&mut self) {
-        let later = self.delayed.split_off(&(self.fault_step + 1, 0));
-        let due = std::mem::replace(&mut self.delayed, later);
-        self.queue.extend(due.into_values());
     }
 
     /// Runs every surviving kernel's deadline poll and injects whatever
@@ -298,54 +263,9 @@ impl TestCluster {
         self.each_survivor(|k, out| k.poll_faults(now, out));
     }
 
-    /// Delivers one message under the fault plan: traffic to crashed
-    /// kernels drops, inter-kernel messages take the plan's verdict,
-    /// and whatever survives both goes through [`TestCluster::dispatch`]
-    /// like any fault-free message.
-    fn deliver_faulted(&mut self, msg: Msg) {
-        let src = host::kernel_at(&self.membership, msg.src);
-        let dst = host::kernel_at(&self.membership, msg.dst);
-        // Traffic addressed to a crashed kernel vanishes. A request's
-        // DTU slot at the dead end is gone with it; release the
-        // sender's credit so its queue towards the corpse keeps
-        // draining (those requests abort via peer-death or deadline).
-        if dst.is_some_and(|d| self.kernels[d.idx()].crashed()) {
-            self.free_slot(&msg);
-            return;
-        }
-        // The plan's verdict applies to the inter-kernel NoC boundary
-        // only: requests and replies between two kernel islands.
-        if let (Some(from), Some(to), Payload::Kcall(_) | Payload::KReply(_)) =
-            (src, dst, &msg.payload)
-        {
-            let plan = self.fault_plan.as_mut().expect("faulted delivery runs under a plan");
-            match plan.verdict(from.0, to.0, self.fault_step) {
-                NetVerdict::Deliver => {}
-                NetVerdict::Drop => {
-                    // The message is lost *after* the wire: treat the
-                    // slot as consumed so credit accounting cannot
-                    // deadlock the sender.
-                    self.free_slot(&msg);
-                    return;
-                }
-                NetVerdict::Duplicate => {
-                    // Deliver now and once more later; the copy takes
-                    // its own verdict when it surfaces.
-                    self.queue.push_back(msg.clone());
-                }
-                NetVerdict::Delay(d) => {
-                    self.delayed.insert((self.fault_step + d, self.delay_seq), msg);
-                    self.delay_seq += 1;
-                    return;
-                }
-            }
-        }
-        self.dispatch(msg);
-    }
-
     /// Takes a crashed kernel's island down: runs peer-death detection
     /// on every survivor (in kernel-id order), so their in-flight
-    /// operations towards the corpse abort.
+    /// operations towards the corpse end.
     fn kernel_down(&mut self, dead: KernelId) {
         self.each_survivor(|k, out| k.peer_down(dead, out));
     }
@@ -374,7 +294,7 @@ impl TestCluster {
 
     /// Queues what kernel `k` emitted outside a delivery (a kill, a
     /// deadline poll, a peer-death abort). A crash point that fired on
-    /// the way (an abort path can re-park) takes the kernel down, as
+    /// the way (a kill's revocations park) takes the kernel down, as
     /// one inside a delivery does.
     fn enqueue_from(&mut self, k: KernelId, out: Outbox) {
         self.enqueue(out);
@@ -383,24 +303,22 @@ impl TestCluster {
         }
     }
 
-    /// Frees the DTU slot of a request lost past the wire (see
-    /// [`host::free_slot`]) and queues whatever the credit released.
-    fn free_slot(&mut self, msg: &Msg) {
-        let mut credits = Outbox::new();
-        host::free_slot(&mut self.kernels, &self.membership, msg, &mut credits);
-        self.enqueue(credits);
-    }
-
-    /// The one delivery funnel: every message that reaches its
-    /// destination — fault-free, or past the plan's verdict — is handled
-    /// here, by [`host::deliver`] for a kernel and by its stub for a
-    /// VPE. A kernel's output is queued before the credit traffic.
+    /// The one delivery funnel: every message is handled here, by
+    /// [`host::deliver`] for a kernel and by its stub for a VPE. A
+    /// kernel's output is queued before the credit traffic. Traffic to
+    /// a crashed kernel vanishes, and a request's credit with it: no
+    /// survivor sends the crashed kernel another request
+    /// ([`Kernel::peer_down`]).
     fn dispatch(&mut self, msg: Msg) {
+        let dst = host::kernel_at(&self.membership, msg.dst);
+        if dst.is_some_and(|d| self.kernels[d.idx()].crashed()) {
+            return;
+        }
         if let Some(trace) = &mut self.trace {
             trace.push(format!("{}->{} {:?}", msg.src, msg.dst, msg.payload));
         }
         let mut out = Outbox::new();
-        let Some(k) = host::kernel_at(&self.membership, msg.dst) else {
+        let Some(k) = dst else {
             // The cluster is untimed: the stub's cost goes unused.
             self.stubs[msg.dst.idx()].handle(&msg, &mut out, &self.kernels[0].cfg.cost);
             self.enqueue(out);

@@ -13,7 +13,7 @@
 //!
 //! So the two hosts differ only in which deliverable message goes next,
 //! and when: the machine keeps the NoC and the per-PE schedule, the
-//! cluster its FIFO and the fault verdicts.
+//! cluster its FIFO and its fault plan's crashes and deadlines.
 
 use semper_base::msg::{Payload, SysReply, Upcall, UpcallReply};
 use semper_base::{CostModel, KernelId, MachineConfig, Msg, PeId, VpeId};
@@ -122,10 +122,10 @@ pub fn deliver(
     Some(cost)
 }
 
-/// DTU slot tracking (§4.1): an inter-kernel request that was consumed,
-/// or lost past the wire, frees its slot at the receiver, which returns
-/// the sender's credit ([`Kernel::return_credit`]); whatever the credit
-/// released goes to `credits`. This is a hardware-level exchange: it
+/// DTU slot tracking (§4.1): an inter-kernel request that was consumed
+/// frees its slot at the receiver, which returns the sender's credit
+/// ([`Kernel::return_credit`]); whatever the credit released goes to
+/// `credits`. This is a hardware-level exchange: it
 /// occupies no kernel CPU. A sender that is not a kernel's own PE, or
 /// whose kernel crashed, gets nothing back.
 pub fn free_slot(

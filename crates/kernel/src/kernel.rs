@@ -74,9 +74,8 @@ pub struct Kernel {
     /// (see [`crate::epbind::EpBindings`] and the `gates` module).
     pub(crate) eps: crate::epbind::EpBindings,
 
-    /// Fault-tolerance state (deadlines, retry legs, crash script);
-    /// inert unless [`Kernel::enable_fault_injection`] ran (see
-    /// [`crate::ops::faults`]).
+    /// Fail-stop fault state (deadlines, crash script, dead peers);
+    /// inert unless the harness armed it (see [`crate::ops::faults`]).
     pub(crate) fault: crate::ops::faults::FaultState,
 
     pub(crate) stats: KernelStats,
@@ -308,9 +307,7 @@ impl Kernel {
     /// handlers return without pausing; at most two threads process the
     /// queue), so it is exempt.
     pub(crate) fn park(&mut self, op: OpId, state: PendingOp) {
-        if self.fault.enabled {
-            self.note_parked(op, state.spec().name);
-        }
+        self.note_parked(op, &state);
         self.pending.insert(op, state);
         let in_use = self.pending.threads_in_use();
         // The pool only grows (VPEs are added, never removed), so only a
@@ -402,9 +399,9 @@ impl Kernel {
     /// accounts for requests that are consumed but not yet answered.
     pub fn return_credit(&mut self, out: &mut Outbox, peer: KernelId) {
         let credits = &mut self.kgate.credits[peer.idx()];
-        // Capped at the configured window: a duplicated request under
-        // fault injection is consumed twice at the peer and would
-        // otherwise mint a credit out of thin air.
+        // Capped at the configured window: a service announcement
+        // bypasses the gate (see `Kernel::sys_create_srv`) but frees a
+        // slot like any consumed request.
         if *credits < self.cfg.max_inflight {
             *credits += 1;
         }

@@ -265,7 +265,11 @@ impl Kernel {
             );
             Ok(2 * self.ref_cost())
         } else {
-            // Group-spanning: involve the peer's kernel (sequence B).
+            // Group-spanning: involve the peer's kernel (sequence B),
+            // unless it crashed.
+            if self.peer_dead(peer_kernel) {
+                return Err(Error::new(Code::Timeout));
+            }
             let op = self.alloc_op();
             match kind {
                 ExchangeKind::Obtain => {
@@ -731,15 +735,9 @@ impl Kernel {
             }
             _ => None,
         };
-        if asked != Some(from) {
-            // Under fault injection: a duplicated ack, or the
-            // pending insert already aborted (its capability was
-            // never inserted, so dropping the ack is safe). An ack from
-            // a kernel other than the delegator's is the same anomaly;
-            // the pending insert stays parked for the real one.
-            self.fault_anomaly(&format!("delegate ack {op} from {from}: no pending insert of its"));
-            return 0;
-        }
+        // A second ack, or one from a kernel other than the
+        // delegator's, is a kernel bug.
+        assert!(asked == Some(from), "delegate ack {op} from {from}: no pending insert of its");
         let Some(PendingOp::Exchange(Phase::DelegatePendingInsert { cap, .. })) =
             self.pending.remove(op)
         else {

@@ -1,64 +1,48 @@
-//! Fault tolerance for the ops engine, armed by
-//! [`Kernel::enable_fault_injection`].
+//! Fail-stop faults on the ops engine: kernel crashes and unresponsive
+//! VPEs, armed by the cluster's fault plan
+//! (`TestCluster::set_fault_plan`).
 //!
-//! A lossy NoC (see `semper_sim::faults`) breaks the engine's core
-//! assumption that every request eventually produces exactly one reply.
-//! This module hardens the pending-op ledger so that under any
-//! `FaultPlan` every operation still **terminates**: it either completes
-//! normally or aborts with a real `Err` — never a silent hang, never a
-//! leaked ledger entry.
+//! The engine's core assumption holds under every fault this module
+//! handles: **every request gets exactly one reply**. The NoC loses,
+//! duplicates and reorders nothing (the DTU's credits bound what is in
+//! flight, §4.1) and kernels are trusted, so a reply that resumes
+//! nothing, a reply from a kernel that was not asked and a completion
+//! of an idle fan-in are kernel bugs and panic, with or without a fault
+//! plan. What this module adds is that every operation still
+//! **terminates** when a party stops: it completes, or aborts with a
+//! real `Err` — never a silent hang, never a leaked ledger entry.
 //!
-//! Three mechanisms, all inert unless [`Kernel::enable_fault_injection`]
-//! was called (so the default configuration stays bit-identical):
+//! Two mechanisms, one per party that can stop:
 //!
-//! * **Deadlines.** Every parked phase is armed with an expiry on the
-//!   fault clock — the harness's step counter (`TestCluster::step`).
-//!   [`Kernel::poll_faults`] first re-sends recorded idempotent
-//!   request legs (bounded retries — revoke requests are safe to
-//!   replay because re-revoking a deleted subtree is vacuous), then
-//!   aborts the op: the ledger entry is reaped, held
-//!   threads release, and whoever waits is woken with an error.
-//! * **Peer death.** When the harness declares a kernel crashed
-//!   ([`Kernel::peer_down`]), every in-flight op waiting on that peer
-//!   aborts immediately, and queued requests towards it are dropped.
-//! * **Anomaly absorption.** Duplicated messages produce replies for
-//!   ops that already completed and duplicate fan-in completions.
-//!   Outside fault mode these are hard bugs
-//!   (panics, in every profile); under fault mode they are counted in
-//!   `stats.fault_anomalies` and ignored.
+//! * **Deadlines, for VPEs.** A phase that awaits a VPE's upcall answer
+//!   ([`PendingOp::upcall_responder`]) is armed with an expiry on the
+//!   fault clock — the cluster's step counter. [`Kernel::poll_faults`]
+//!   aborts it when the answer is starved: the ledger entry is reaped,
+//!   the held thread released, and whoever waits is answered with an
+//!   error. A phase that awaits a kernel gets no deadline: a slow kernel
+//!   is not a dead one, and it ends by that kernel's reply or by its
+//!   death.
+//! * **Peer death, for kernels.** When the cluster declares a kernel
+//!   crashed ([`Kernel::peer_down`]), every phase that awaits it aborts,
+//!   every revoke leg towards it completes (its part of the subtree died
+//!   with it), and queued requests towards it are dropped. From then on
+//!   its messages are dropped unread, and no new request goes its way.
 //!
-//! Abort is per-phase surgery, not a generic drop: a revocation that
-//! already marked subtrees must still *sweep* them (leaving `Revoking`
-//! marks behind would wedge every later operation that touches them).
+//! Abort is per-phase surgery, not a generic drop: each arm meets the
+//! phase's reply obligation towards whoever started it.
 
-use semper_base::msg::{KReply, Kcall};
 use semper_base::{Code, DetHashMap, Error, KernelId, OpId};
 
 use crate::kernel::Kernel;
-use crate::ops::{exchange, revoke, session, PendingOp};
+use crate::ops::{exchange, session, PendingOp};
 use crate::outbox::Outbox;
 
-/// How many times an expired op re-sends its recorded request legs
-/// before aborting.
-const MAX_LEG_RETRIES: u32 = 2;
-
-/// Recorded idempotent request legs of one pending op, re-sent when its
-/// deadline expires.
-#[derive(Debug, Default)]
-pub(crate) struct RetryLegs {
-    /// Deadline expiries spent on re-sending so far.
-    attempts: u32,
-    /// The legs: destination kernel and the exact request.
-    legs: Vec<(KernelId, Kcall)>,
-}
-
-/// Per-kernel fault-tolerance state. Default-constructed (inert) unless
-/// fault injection is enabled for the run.
+/// Per-kernel fault state. Default-constructed (inert) unless the
+/// cluster runs under a fault plan.
 #[derive(Debug, Default)]
 pub struct FaultState {
-    /// True once [`Kernel::enable_fault_injection`] ran.
-    pub(crate) enabled: bool,
-    /// Steps granted to each parked phase (0 = no deadlines).
+    /// Steps granted to each parked phase that awaits a VPE (0 = no
+    /// deadlines).
     pub(crate) deadline_budget: u64,
     /// The fault clock: the harness's step counter at the last
     /// `poll_faults`.
@@ -69,21 +53,17 @@ pub struct FaultState {
     /// True once a scripted crash point fired; the harness checks this
     /// after every dispatch and discards the crashed handler's output.
     pub(crate) crashed: bool,
-    /// Expiry step per pending op.
+    /// Expiry step per pending op that awaits a VPE.
     pub(crate) deadlines: DetHashMap<OpId, u64>,
-    /// Re-sendable request legs per pending op.
-    pub(crate) retry_legs: DetHashMap<OpId, RetryLegs>,
     /// Peer kernels declared dead by the harness.
     pub(crate) dead_peers: Vec<KernelId>,
 }
 
 impl Kernel {
-    /// Switches this kernel into fault-tolerant operation: arms
-    /// per-pending-op deadlines of `deadline_budget` steps and softens
-    /// the duplicate-message asserts into counters. The harness must
-    /// then advance the clock via [`Kernel::poll_faults`].
-    pub fn enable_fault_injection(&mut self, deadline_budget: u64) {
-        self.fault.enabled = true;
+    /// Arms deadlines of `deadline_budget` steps on every phase that
+    /// awaits a VPE's answer. The harness must then advance the clock
+    /// via [`Kernel::poll_faults`].
+    pub fn arm_deadlines(&mut self, deadline_budget: u64) {
         self.fault.deadline_budget = deadline_budget;
     }
 
@@ -108,19 +88,16 @@ impl Kernel {
         self.fault.deadlines.values().copied().min()
     }
 
-    /// Counts one absorbed protocol anomaly (duplicate or stray
-    /// message). Outside fault mode the event is a hard bug, in every
-    /// profile: a release kernel must not silently drop a reply that
-    /// resumes nothing.
-    pub(crate) fn fault_anomaly(&mut self, what: &str) {
-        assert!(self.fault.enabled, "{what}");
-        self.stats.fault_anomalies += 1;
+    /// True once the harness declared `peer` dead ([`Kernel::peer_down`]).
+    pub(crate) fn peer_dead(&self, peer: KernelId) -> bool {
+        self.fault.dead_peers.contains(&peer)
     }
 
     /// Bookkeeping hook of [`Kernel::park`]: checks the crash script
-    /// and arms the phase's deadline.
-    pub(crate) fn note_parked(&mut self, op: OpId, phase: &'static str) {
+    /// and arms the deadline of a phase that awaits a VPE.
+    pub(crate) fn note_parked(&mut self, op: OpId, state: &PendingOp) {
         if !self.fault.crashed {
+            let phase = state.spec().name;
             for entry in &mut self.fault.crash_script {
                 if entry.0 == phase && entry.1 > 0 {
                     entry.1 -= 1;
@@ -131,85 +108,52 @@ impl Kernel {
                 }
             }
         }
-        if self.fault.deadline_budget > 0 {
+        if self.fault.deadline_budget > 0 && state.upcall_responder().is_some() {
             self.fault.deadlines.insert(op, self.fault.now + self.fault.deadline_budget);
         }
     }
 
-    /// Records one idempotent request leg of `op` for deadline-driven
-    /// re-sending. Only revoke requests are recorded: replaying them
-    /// against an already-revoked subtree is vacuous at the receiver, so
-    /// a retry recovers a *dropped request* without corrupting state (a
-    /// duplicated *reply* is absorbed by the saturating fan-in).
-    pub(crate) fn record_retry_leg(&mut self, op: OpId, peer: KernelId, call: &Kcall) {
-        if !self.fault.enabled {
-            return;
-        }
-        self.fault.retry_legs.entry(op).or_default().legs.push((peer, call.clone()));
-    }
-
-    /// Advances the fault clock and handles every expired deadline, in
-    /// op-id order: ops with retry budget re-send their recorded legs
-    /// (skipping dead peers) and re-arm; everything else aborts.
+    /// Advances the fault clock and aborts every op whose deadline
+    /// expired, in op-id order.
     pub fn poll_faults(&mut self, now: u64, out: &mut Outbox) {
-        if !self.fault.enabled {
-            return;
-        }
         self.fault.now = now;
         if self.fault.deadlines.is_empty() {
             return;
         }
-        let mut entries: Vec<(OpId, u64)> =
-            self.fault.deadlines.iter().map(|(op, dl)| (*op, *dl)).collect();
-        entries.sort_unstable();
-        for (op, dl) in entries {
-            if self.pending.get(op).is_none() {
-                // The op completed since its deadline was armed; reap
-                // the stale entries lazily (op ids are never reused).
-                self.fault.deadlines.remove(&op);
-                self.fault.retry_legs.remove(&op);
-                continue;
+        let mut expired: Vec<OpId> = Vec::new();
+        self.fault.deadlines.retain(|op, dl| {
+            // An op that completed since its deadline was armed is
+            // reaped lazily (op ids are never reused).
+            if self.pending.get(*op).is_none() {
+                return false;
             }
-            if dl > now {
-                continue;
+            if *dl <= now {
+                expired.push(*op);
+                return false;
             }
-            let legs = match self.fault.retry_legs.get_mut(&op) {
-                Some(r) if r.attempts < MAX_LEG_RETRIES => {
-                    r.attempts += 1;
-                    Some(r.legs.clone())
-                }
-                _ => None,
-            };
-            if let Some(legs) = legs {
-                self.fault.deadlines.insert(op, now + self.fault.deadline_budget.max(1));
-                for (peer, call) in legs {
-                    if self.fault.dead_peers.contains(&peer) {
-                        continue;
-                    }
-                    self.stats.retries += 1;
-                    self.send_kcall(out, peer, call);
-                }
-            } else {
-                self.fault.deadlines.remove(&op);
-                self.fault.retry_legs.remove(&op);
-                if let Some(state) = self.pending.remove(op) {
-                    self.abort_op(state, out);
-                }
+            true
+        });
+        expired.sort_unstable();
+        for op in expired {
+            // Aborting one op can complete others; re-check.
+            if let Some(state) = self.pending.remove(op) {
+                self.abort_op(state, out);
             }
         }
     }
 
-    /// Declares a peer kernel dead: drops queued requests towards it
-    /// and aborts every pending op waiting on it (in op-id order, so
-    /// the abort replies leave deterministically). The harness calls
-    /// this on every surviving kernel when a scripted crash fires.
+    /// Declares a peer kernel dead: drops queued requests towards it,
+    /// aborts every pending op waiting on it and completes every revoke
+    /// leg towards it (each in op-id order, so the replies leave
+    /// deterministically). The harness calls this on every surviving
+    /// kernel when a scripted crash fires.
     pub fn peer_down(&mut self, dead: KernelId, out: &mut Outbox) {
-        if !self.fault.enabled || self.fault.dead_peers.contains(&dead) {
+        if self.peer_dead(dead) {
             return;
         }
         self.fault.dead_peers.push(dead);
         // Requests stalled behind the credit gate towards the dead
-        // kernel would never be consumed; their ops abort below.
+        // kernel would never be consumed; their ops end below.
         self.kgate.drop_queue(dead);
         let mut doomed: Vec<OpId> = self
             .pending
@@ -220,12 +164,12 @@ impl Kernel {
         doomed.sort_unstable();
         for op in doomed {
             self.fault.deadlines.remove(&op);
-            self.fault.retry_legs.remove(&op);
-            // Aborting one op can complete others (waiter cascades);
-            // re-check that this one is still parked.
+            // Aborting one op can complete others; re-check that this
+            // one is still parked.
             let Some(state) = self.pending.remove(op) else { continue };
             self.abort_op(state, out);
         }
+        self.revoke_legs_lost(dead, out);
     }
 
     /// The one peer kernel `state` cannot make progress without — written
@@ -235,8 +179,8 @@ impl Kernel {
     /// (membership is static and nothing is relayed, so the kernel that
     /// was asked is the only one that can answer). For the phases that
     /// await a local VPE's upcall answer on a remote caller's behalf it
-    /// is that caller. `None` for phases waiting on local VPEs only or
-    /// on a fan-in of many peers; those are covered by their deadline.
+    /// is that caller. `None` for phases waiting on local VPEs only and
+    /// for revocations, whose legs are counted per kernel instead.
     pub(crate) fn awaited_kernel(&self, state: &PendingOp) -> Option<KernelId> {
         match state {
             PendingOp::Exchange(p) => match p {
@@ -258,19 +202,18 @@ impl Kernel {
                 session::Phase::AtService { caller_kernel, .. } => Some(*caller_kernel),
                 session::Phase::OpenLocal { .. } => None,
             },
-            PendingOp::Revoke(p) => match p {
-                revoke::Phase::Batch { caller_kernel, .. } => Some(*caller_kernel),
-                // A revoke fans out to many peers without
-                // recording which legs are outstanding; its deadline
-                // (with retries towards the survivors) covers it.
-                revoke::Phase::Run(_) => None,
-            },
+            // A revocation awaits its own legs (`revoke::RevokeState`
+            // counts them per kernel) and the local revocations it waits
+            // for; a batch tracker awaits its local sub-revokes. Neither
+            // awaits the kernel it answers.
+            PendingOp::Revoke(_) => None,
         }
     }
 
     /// Aborts one pending op with per-phase surgery so the system stays
-    /// consistent: waiters are woken, marked subtrees are swept, and
-    /// reply obligations towards callers are met (with an error).
+    /// consistent: reply obligations towards callers are met (with an
+    /// error). Reached by a starved VPE-awaiting phase's deadline and by
+    /// the death of the kernel a phase awaits; a revocation is neither.
     fn abort_op(&mut self, state: PendingOp, out: &mut Outbox) {
         self.stats.ops_aborted += 1;
         let err = Error::new(Code::Timeout);
@@ -302,32 +245,18 @@ impl Kernel {
                 exchange::Phase::DelegatePendingInsert { .. } => {}
             },
             PendingOp::Session(phase) => self.cancel_session_phase(phase, err, out),
-            PendingOp::Revoke(phase) => match phase {
-                // Completing with the legs that did answer is the only
-                // consistent abort: marked subtrees must be swept
-                // (stale `Revoking` marks would wedge every later
-                // operation touching them) and dependents woken. The
-                // unresponsive remote subtrees belong to a dead or
-                // unreachable kernel — orphaned there, gone with it.
-                revoke::Phase::Run(rop) => {
-                    self.complete_revoke(rop, out);
-                }
-                // Report what the completed sub-revokes deleted.
-                revoke::Phase::Batch { caller_op, caller_kernel, keys, fanin } => {
-                    let reply = KReply::Revoke { op: caller_op, keys, deleted: fanin.tally() };
-                    self.send_kreply(out, caller_kernel, reply);
-                }
-            },
+            PendingOp::Revoke(phase) => {
+                unreachable!("{} has no deadline and awaits no kernel", phase.spec().name)
+            }
         }
     }
 
     /// Asserts that the kernel reached true quiescence: no suspended
     /// operations, and every protocol's own state drained — no marked
-    /// capability awaiting deletion, no request stalled behind the
-    /// credit gate.
+    /// capability awaiting deletion, no revoke leg outstanding, no
+    /// request stalled behind the credit gate.
     /// The fault suites call this after every run — a leak here is
-    /// exactly the silent hang the termination hardening exists to
-    /// prevent.
+    /// exactly the silent hang the termination guarantees rule out.
     pub fn check_quiescent(&self) -> core::result::Result<(), String> {
         let ledger = if self.pending.is_empty() {
             Ok(())

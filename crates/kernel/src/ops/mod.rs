@@ -62,7 +62,7 @@
 //! per phase, one request handler per participant role, one resume
 //! handler per phase, and — for a phase that awaits a peer kernel — a
 //! row in `Kernel::awaited_kernel` ([`faults`]), which tells the reply
-//! router who may answer and the fault engine whose death dooms the
+//! router who may answer and `Kernel::peer_down` whose death ends the
 //! phase. The ledger, router, credit gating, thread accounting, and
 //! fan-in counting are all inherited. The pre-engine protocols carried
 //! ~150 LoC of that plumbing *each*.
@@ -150,20 +150,17 @@ impl FanIn {
     }
 
     /// Records one completion carrying `n` tally units; returns true
-    /// when this was the last outstanding completion. A completion
-    /// against an already-idle fan-in is absorbed (returns false): a
-    /// lossy NoC duplicates replies, and a fault-aborted operation can
-    /// receive the straggler leg it gave up on. Without fault injection
-    /// neither happens, so normal runs are bit-identical.
+    /// when this was the last outstanding completion.
+    ///
+    /// # Panics
+    ///
+    /// Panics if nothing is outstanding: every armed completion arrives
+    /// exactly once, so one more is a kernel bug.
     pub fn complete_one(&mut self, n: u64) -> bool {
+        assert!(self.outstanding > 0, "completion of an idle fan-in");
         self.tally += n;
-        match self.outstanding {
-            0 => false,
-            left => {
-                self.outstanding = left - 1;
-                self.outstanding == 0
-            }
-        }
+        self.outstanding -= 1;
+        self.outstanding == 0
     }
 
     /// True if no completions are outstanding.
@@ -244,16 +241,19 @@ impl Kernel {
     /// kernel's own PE. The membership table maps a *VPE's* PE to its
     /// group's kernel too, so the group lookup alone would let any VPE
     /// speak as its kernel to every other kernel (in the real system
-    /// the DTU's endpoint configuration forbids that).
+    /// the DTU's endpoint configuration forbids that). Also `None` for a
+    /// kernel declared dead (`Kernel::peer_down`): every phase its reply
+    /// could answer has ended, and a request from it could only park a
+    /// phase that awaits it.
     fn sending_kernel(&self, src: PeId) -> Option<KernelId> {
         let from = self.membership.kernel_of(src);
-        (self.membership.kernel_pe(from) == src).then_some(from)
+        (self.membership.kernel_pe(from) == src && !self.peer_dead(from)).then_some(from)
     }
 
     /// Routes one inter-kernel request to its protocol handler.
     /// Membership is static, so the request is always handled where it
-    /// arrives. One that does not come from a kernel PE is dropped at
-    /// zero cost, in every profile.
+    /// arrives. One that does not come from a live kernel's PE is
+    /// dropped at zero cost, in every profile.
     pub(crate) fn route_kcall(&mut self, src: PeId, call: &Kcall, out: &mut Outbox) -> u64 {
         let Some(from) = self.sending_kernel(src) else { return 0 };
         let cost = match call {
@@ -290,8 +290,8 @@ impl Kernel {
 
     /// Routes one inter-kernel reply: counted completions (revocation)
     /// decrement their fan-in; everything else resumes a parked phase.
-    /// Like a request, a reply that does not come from a kernel PE is
-    /// dropped at zero cost.
+    /// Like a request, a reply that does not come from a live kernel's
+    /// PE is dropped at zero cost.
     pub(crate) fn route_kreply(&mut self, src: PeId, reply: &KReply, out: &mut Outbox) -> u64 {
         let Some(from) = self.sending_kernel(src) else { return 0 };
         match reply {
@@ -299,7 +299,7 @@ impl Kernel {
             // `receive_revoke_reply`), far cheaper to dispatch than the
             // protocol replies that resume full continuations.
             KReply::Revoke { op, deleted, .. } => {
-                self.cfg.cost.thread_switch + self.revoke_reply_arrived(*op, *deleted, out)
+                self.cfg.cost.thread_switch + self.revoke_reply_arrived(from, *op, *deleted, out)
             }
             other => self.cfg.cost.kcall_entry + self.resume_from_kreply(from, other, out),
         }
@@ -308,23 +308,18 @@ impl Kernel {
     /// Resumes the phase parked under a reply's correlation id — if
     /// `from` is the kernel that phase awaits (`Kernel::awaited_kernel`;
     /// nothing is relayed, so a reply can only come from the kernel
-    /// that was asked). A kernel is a trusted party: an answer from the
-    /// wrong one is a protocol bug, handled like a stray reply.
+    /// that was asked). A kernel is a trusted party and every request
+    /// gets exactly one reply: a stray reply, an answer from the wrong
+    /// kernel and one of the wrong kind are protocol bugs, and panic.
     fn resume_from_kreply(&mut self, from: KernelId, reply: &KReply, out: &mut Outbox) -> u64 {
         use exchange::Phase as Ex;
         use session::Phase as Sess;
 
         let op = reply.op();
         let Some(asked) = self.pending.get(op).map(|state| self.awaited_kernel(state)) else {
-            // Under fault injection: a duplicated reply, or a straggler
-            // for an op that already aborted.
-            self.fault_anomaly(&format!("reply {reply:?} without a pending op"));
-            return 0;
+            panic!("reply {reply:?} without a pending op");
         };
-        if asked != Some(from) {
-            self.fault_anomaly(&format!("reply {reply:?} from {from}, asked {asked:?}"));
-            return 0;
-        }
+        assert_eq!(asked, Some(from), "reply {reply:?} from {from}, asked {asked:?}");
         let state = self.pending.remove(op).expect("looked up above");
         match (state, reply) {
             (
@@ -347,14 +342,7 @@ impl Kernel {
                 PendingOp::Session(Sess::OpenRemote { tag, client, child_key, srv }),
                 KReply::OpenSess { result, .. },
             ) => self.open_sess_reply(tag, client, child_key, srv, *result, out),
-            (state, reply) => {
-                // Under fault injection: a duplicated reply arriving
-                // after the op legitimately advanced to another phase.
-                // Re-park the phase untouched.
-                self.fault_anomaly(&format!("reply {reply:?} cannot resume {}", state.spec().name));
-                self.pending.insert(op, state);
-                0
-            }
+            (state, reply) => panic!("reply {reply:?} cannot resume {}", state.spec().name),
         }
     }
 
@@ -482,5 +470,21 @@ impl Kernel {
                 other => unreachable!("{} awaits no upcall answer", other.spec().name),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::FanIn;
+
+    /// Every armed completion arrives exactly once, with or without a
+    /// fault plan — a fan-in has no mode — so one more panics.
+    #[test]
+    #[should_panic(expected = "completion of an idle fan-in")]
+    fn an_idle_fan_ins_completion_panics() {
+        let mut fanin = FanIn::new();
+        fanin.arm();
+        assert!(fanin.complete_one(1));
+        fanin.complete_one(1);
     }
 }

@@ -45,8 +45,8 @@ use crate::kernel::Kernel;
 use crate::ops::{FanIn, PendingOp, PhaseSpec, Thread};
 use crate::outbox::Outbox;
 
-/// Kernel-wide state of the revocation protocol: the waiter registry
-/// plus reusable host-side work buffers.
+/// Kernel-wide state of the revocation protocol: the waiter registry,
+/// the outstanding legs, plus reusable host-side work buffers.
 ///
 /// A dense teardown runs thousands of mark walks and delete passes back
 /// to back; allocating a fresh stack, deletion list, and remote-child
@@ -59,6 +59,11 @@ pub(crate) struct RevokeState {
     /// Operations waiting for a capability another operation is already
     /// revoking: packed key → waiting op ids, in registration order.
     waiters: DetHashMap<RawDdlKey, Vec<OpId>>,
+    /// Revoke requests still unanswered, per revocation and the kernel
+    /// each went to. A reply is accepted only against one of these, and
+    /// a kernel's death completes its own. The map keeps its capacity,
+    /// so steady state allocates nothing.
+    legs: DetHashMap<(OpId, KernelId), u32>,
     /// DFS stack shared by mark and delete walks.
     stack: Vec<DdlKey>,
     /// Deleted capabilities of one delete pass.
@@ -72,6 +77,9 @@ impl RevokeState {
     pub(crate) fn quiescent(&self) -> core::result::Result<(), String> {
         if !self.waiters.is_empty() {
             return Err(format!("{} revoke-waiter entries at quiescence", self.waiters.len()));
+        }
+        if !self.legs.is_empty() {
+            return Err(format!("{} revoke legs outstanding at quiescence", self.legs.len()));
         }
         Ok(())
     }
@@ -119,9 +127,10 @@ impl Initiator {
 pub struct RevokeOp {
     /// Who to notify on completion.
     pub initiator: Initiator,
-    /// Outstanding completions (inter-kernel revoke replies plus
-    /// dependencies on concurrent revokes), tallying capabilities
-    /// deleted on behalf of this operation.
+    /// Outstanding completions (inter-kernel revoke replies, whose
+    /// kernels `RevokeState` records, plus dependencies on concurrent
+    /// revokes), tallying capabilities deleted on behalf of this
+    /// operation.
     pub fanin: FanIn,
     /// Roots of locally marked subtrees to sweep in phase 2.
     pub local_roots: Vec<DdlKey>,
@@ -233,9 +242,15 @@ impl Kernel {
         assert!(remote.is_empty(), "remote-child buffer not drained");
 
         for root in roots {
-            // A missing root is already revoked and deleted — vacuously
-            // complete.
-            let Ok(cap) = self.mapdb.get(root) else { continue };
+            let Ok(cap) = self.mapdb.get(root) else {
+                // A child another kernel owns is revoked there, like one
+                // the mark walk meets. A missing root of ours is already
+                // revoked and deleted — vacuously complete.
+                if self.membership.kernel_of_key(root) != self.id {
+                    remote.push(root);
+                }
+                continue;
+            };
             if cap.revoking() {
                 self.wait_for(root, op_id, &mut op);
                 continue;
@@ -310,7 +325,9 @@ impl Kernel {
 
     /// Sends revoke requests for remote children — one message per child,
     /// or one batch per kernel when [`Feature::RevokeBatching`] is on
-    /// (the optimisation §5.2 proposes).
+    /// (the optimisation §5.2 proposes) — and records each as a leg
+    /// towards its kernel. A child at a dead kernel died with it: no
+    /// request goes there.
     fn send_revoke_requests(
         &mut self,
         op_id: OpId,
@@ -323,18 +340,23 @@ impl Kernel {
             // Ascending kernel id, arrival order within a group.
             let mut by_kernel: BTreeMap<KernelId, Vec<DdlKey>> = BTreeMap::new();
             for key in remote.drain(..) {
-                by_kernel.entry(self.membership.kernel_of_key(key)).or_default().push(key);
+                let k = self.membership.kernel_of_key(key);
+                if !self.peer_dead(k) {
+                    by_kernel.entry(k).or_default().push(key);
+                }
             }
             for (k, cap_keys) in by_kernel {
-                op.fanin.arm();
+                self.arm_leg(op_id, op, k);
                 cost += self.cfg.cost.kcall_exit;
-                let call = Kcall::RevokeBatchReq { op: op_id, cap_keys };
-                self.record_retry_leg(op_id, k, &call);
-                self.send_kcall(out, k, call);
+                self.send_kcall(out, k, Kcall::RevokeBatchReq { op: op_id, cap_keys });
             }
         } else {
             for cap_key in remote.drain(..) {
-                op.fanin.arm();
+                let k = self.membership.kernel_of_key(cap_key);
+                if self.peer_dead(k) {
+                    continue;
+                }
+                self.arm_leg(op_id, op, k);
                 // Marshalling one revoke request: compose the message,
                 // inject it through the DTU, and record the outstanding
                 // entry. Requests are pipelined: each leaves as the loop
@@ -342,20 +364,22 @@ impl Kernel {
                 // the fan-out.
                 cost +=
                     self.cfg.cost.kcall_exit + self.cfg.cost.revoke_mark + self.cfg.cost.dtu_send;
-                let k = self.membership.kernel_of_key(cap_key);
-                let call = Kcall::RevokeReq { op: op_id, cap_key };
-                self.record_retry_leg(op_id, k, &call);
-                self.send_kcall_at(out, k, call, Some(cost));
+                self.send_kcall_at(out, k, Kcall::RevokeReq { op: op_id, cap_key }, Some(cost));
             }
         }
         cost
     }
 
+    /// Arms one completion of `op`'s fan-in for a request to kernel `k`.
+    fn arm_leg(&mut self, op_id: OpId, op: &mut RevokeOp, k: KernelId) {
+        op.fanin.arm();
+        *self.revoke.legs.entry((op_id, k)).or_insert(0) += 1;
+    }
+
     /// Phase 2: sweep the marked local subtrees, fire waiters, notify the
     /// initiator. Completion of waiters can cascade; a worklist keeps the
-    /// recursion bounded. Also the fault engine's forced-completion path
-    /// for a revoke whose remote legs stopped answering.
-    pub(crate) fn complete_revoke(&mut self, op: RevokeOp, out: &mut Outbox) -> u64 {
+    /// recursion bounded.
+    fn complete_revoke(&mut self, op: RevokeOp, out: &mut Outbox) -> u64 {
         // Each step may push woken dependents whose fan-in drained.
         let mut ready = vec![op];
         let mut cost = 0;
@@ -447,9 +471,7 @@ impl Kernel {
                     ready.push(wop);
                 }
             }
-            // Under fault injection: the waiter aborted (or was forced
-            // to completion) before its wake arrived.
-            _ => self.fault_anomaly(&format!("waiter {waiter} is not a pending revoke")),
+            _ => panic!("waiter {waiter} is not a pending revoke"),
         }
     }
 
@@ -494,10 +516,7 @@ impl Kernel {
         let Some(PendingOp::Revoke(Phase::Batch { caller_op, caller_kernel, keys, fanin })) =
             self.pending.get_mut(batch)
         else {
-            // Under fault injection: the batch tracker already aborted
-            // (replied with its partial tally); drop the late entry.
-            self.fault_anomaly(&format!("batch tracker {batch} missing"));
-            return;
+            panic!("batch tracker {batch} missing");
         };
         if fanin.complete_one(deleted) {
             let (caller_kernel, reply) = (
@@ -565,30 +584,65 @@ impl Kernel {
         cost
     }
 
-    /// Completion handler for [`KReply::Revoke`]: decrements the
-    /// operation's fan-in
-    /// (Algorithm 1, `receive_revoke_reply`) and sweeps when it drains.
-    pub(crate) fn revoke_reply_arrived(&mut self, op: OpId, deleted: u64, out: &mut Outbox) -> u64 {
-        match self.pending.get_mut(op) {
-            Some(PendingOp::Revoke(Phase::Run(rop))) => {
-                if rop.fanin.complete_one(deleted) {
-                    let Some(PendingOp::Revoke(Phase::Run(rop))) = self.pending.remove(op) else {
-                        unreachable!("checked above");
-                    };
-                    self.complete_revoke(rop, out)
-                } else {
-                    // Decrementing the outstanding counter (Algorithm
-                    // 1's `receive_revoke_reply` fast path) is
-                    // essentially free.
-                    0
-                }
-            }
-            _ => {
-                // Under fault injection: a duplicated reply, or a
-                // straggler leg of an op that already aborted.
-                self.fault_anomaly(&format!("revoke reply for unknown op {op}"));
-                0
-            }
+    /// Completion handler for [`KReply::Revoke`] from kernel `from`:
+    /// completes one of the operation's legs towards `from` (Algorithm
+    /// 1, `receive_revoke_reply`) and sweeps when its fan-in drains. A
+    /// reply with no such leg outstanding — for an op that is not a
+    /// running revocation, or from a kernel it did not ask — is a kernel
+    /// bug: acting on it would acknowledge a subtree that may still be
+    /// alive (Table 2's *incomplete*).
+    pub(crate) fn revoke_reply_arrived(
+        &mut self,
+        from: KernelId,
+        op: OpId,
+        deleted: u64,
+        out: &mut Outbox,
+    ) -> u64 {
+        let Some(left) = self.revoke.legs.get_mut(&(op, from)) else {
+            panic!("revoke reply for {op} from {from}: no leg outstanding");
+        };
+        *left -= 1;
+        if *left == 0 {
+            self.revoke.legs.remove(&(op, from));
         }
+        self.complete_legs(op, 1, deleted, out)
+    }
+
+    /// Completes every leg towards `dead`, a crashed kernel: its part of
+    /// each subtree died with it. In op-id order.
+    pub(crate) fn revoke_legs_lost(&mut self, dead: KernelId, out: &mut Outbox) {
+        let mut lost: Vec<(OpId, u32)> = self
+            .revoke
+            .legs
+            .iter()
+            .filter(|((_, k), _)| *k == dead)
+            .map(|((op, _), n)| (*op, *n))
+            .collect();
+        lost.sort_unstable();
+        for (op, n) in lost {
+            self.revoke.legs.remove(&(op, dead));
+            self.complete_legs(op, n, 0, out);
+        }
+    }
+
+    /// Completes `n` legs of running revocation `op`, which deleted
+    /// `deleted` capabilities, and sweeps when its fan-in drains.
+    fn complete_legs(&mut self, op: OpId, n: u32, deleted: u64, out: &mut Outbox) -> u64 {
+        let Some(PendingOp::Revoke(Phase::Run(rop))) = self.pending.get_mut(op) else {
+            unreachable!("{op} has legs outstanding but is not a running revocation");
+        };
+        let mut drained = rop.fanin.complete_one(deleted);
+        for _ in 1..n {
+            drained = rop.fanin.complete_one(0);
+        }
+        if !drained {
+            // Decrementing the outstanding counter (Algorithm 1's
+            // `receive_revoke_reply` fast path) is essentially free.
+            return 0;
+        }
+        let Some(PendingOp::Revoke(Phase::Run(rop))) = self.pending.remove(op) else {
+            unreachable!("checked above");
+        };
+        self.complete_revoke(rop, out)
     }
 }

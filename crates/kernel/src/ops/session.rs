@@ -160,6 +160,10 @@ impl Kernel {
             self.reply_sys(out, vpe, tag, Err(Error::new(Code::NoSuchService)));
             return self.cfg.cost.syscall_exit;
         };
+        if self.peer_dead(srv.owner) {
+            self.reply_sys(out, vpe, tag, Err(Error::new(Code::Timeout)));
+            return self.cfg.cost.syscall_exit;
+        }
         let client_pe = self.pe_of_vpe(vpe).expect("caller is local");
         // The session capability is created by the client's kernel; its
         // DDL key names the client as creator so ownership stays here.
@@ -365,8 +369,8 @@ impl Kernel {
 
     /// Fails a parked open towards whoever waits for it — the client,
     /// or the client's kernel: the service VPE died before answering
-    /// (`VpeGone`, the teardown sweep) or the fault engine gave up on
-    /// the phase (`Timeout`).
+    /// (`VpeGone`, the teardown sweep), or its answer was starved past
+    /// the phase's deadline or the kernel it awaits died (`Timeout`).
     pub(crate) fn cancel_session_phase(&mut self, phase: Phase, err: Error, out: &mut Outbox) {
         match phase {
             Phase::OpenRemote { tag, client, .. } | Phase::OpenLocal { tag, client, .. } => {

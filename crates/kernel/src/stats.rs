@@ -41,22 +41,14 @@ pub struct KernelStats {
     /// revoked (the enforcement action of a revoke).
     pub eps_invalidated: u64,
     /// Host-side handler dispatches: one per message handled by this
-    /// kernel (syscalls, kcalls, replies, upcall answers). The bulk
-    /// path's host-cost metric — a coalesced revoke run processes a
-    /// whole per-kernel group per dispatch instead of one capability
-    /// per dispatch.
+    /// kernel (syscalls, kcalls, replies, upcall answers) — the
+    /// host-cost counter of a revocation, where §5.2's batching sends
+    /// one request per remote kernel instead of one per capability.
     pub handler_dispatches: u64,
-    /// Idempotent request legs re-sent after a deadline expired (fault
-    /// injection only).
-    pub retries: u64,
-    /// Pending operations aborted with `Err` — deadline expiry with no
-    /// retry budget left, or a peer kernel declared dead (fault
-    /// injection only).
+    /// Pending operations aborted with `Err`: a VPE's answer starved
+    /// past its phase's deadline, or the peer kernel a phase awaits
+    /// declared dead (fault plans only).
     pub ops_aborted: u64,
-    /// Protocol anomalies absorbed under fault injection: replies for
-    /// unknown ops, duplicate fan-in completions — events that are
-    /// hard errors outside fault mode.
-    pub fault_anomalies: u64,
 }
 
 impl KernelStats {

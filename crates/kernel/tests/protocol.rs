@@ -10,6 +10,7 @@ use semper_base::{
     CapSel, CapType, Code, DdlKey, Error, KernelId, Msg, OpId, PeId, ServiceId, VpeId,
 };
 use semper_kernel::harness::TestCluster;
+use semper_sim::FaultPlan;
 
 /// Convenience: create a memory capability and return its selector.
 fn create_mem(c: &mut TestCluster, vpe: VpeId) -> CapSel {
@@ -187,16 +188,22 @@ fn wide_tree_revoke_across_kernels() {
     c.check_invariants();
 }
 
+/// The child lives at the root's kernel, and at another kernel: a
+/// children-only revoke deletes it either way.
 #[test]
 fn revoke_children_only_keeps_root() {
-    let mut c = TestCluster::new(1, 2);
-    let sel = create_mem(&mut c, VpeId(0));
-    let _ = delegate(&mut c, VpeId(0), VpeId(1), sel);
-    let r = c.syscall(VpeId(0), Syscall::Revoke { sel, own: false });
-    assert!(r.result.is_ok());
-    // Root survives, child is gone.
-    assert!(c.kernels[0].table(VpeId(0)).unwrap().get(sel).is_ok());
-    c.check_invariants();
+    for (kernels, vpes_per_group) in [(1, 2), (2, 1)] {
+        let mut c = TestCluster::new(kernels, vpes_per_group);
+        let sel = create_mem(&mut c, VpeId(0));
+        let _ = delegate(&mut c, VpeId(0), VpeId(1), sel);
+        let r = c.syscall(VpeId(0), Syscall::Revoke { sel, own: false });
+        assert!(r.result.is_ok(), "{kernels} kernels: {r:?}");
+        // Root survives, child is gone.
+        assert!(c.kernels[0].table(VpeId(0)).unwrap().get(sel).is_ok());
+        assert_eq!(c.total_caps(), 3, "{kernels} kernels: two self-capabilities and the root");
+        c.check_invariants();
+        c.assert_quiescent();
+    }
 }
 
 // ----- Table 2: interference cases -------------------------------------
@@ -547,7 +554,7 @@ fn request_for_another_revocations_mark_waits() {
     let k_key = key_of(&c, VpeId(1), k);
 
     let tk = c.syscall_async(VpeId(1), Syscall::Revoke { sel: k, own: true });
-    c.pump_n(1);
+    c.pump_n(2); // A marks `k` and asks B; B deletes the child and answers
     assert_eq!(c.kernels[0].pending_ops(), 1, "the revoke of `k` parks at A");
 
     // B asks A to revoke `k`, which the running revoke marked.
@@ -558,13 +565,28 @@ fn request_for_another_revocations_mark_waits() {
     assert!(out.is_empty(), "answered before `k` was deleted: {:?}", out.drain());
     assert_eq!(c.kernels[0].pending_ops(), 2, "the request waits for `k`");
 
-    // The waiter's answer reaches B for an op B never sent.
-    c.kernels[1].enable_fault_injection(0);
-    c.pump_all();
-    assert_eq!(c.kernels[1].stats().fault_anomalies, 1);
-    assert!(c.take_reply(VpeId(1), tk).unwrap().result.is_ok());
+    // B's answer to A's request (op 3: the delegate took ops 1 and 2),
+    // handed to A directly, deletes `k`: the revoke of `k` is answered,
+    // and so is the waiting request. Its answer goes to B for an op B
+    // never sent, so it is read here and not delivered; the copy of B's
+    // answer still queued is never delivered either.
+    let done = KReply::Revoke { op: OpId(3), keys: 1, deleted: 1 };
+    let msg = Msg::new(c.kernels[1].pe(), c.kernels[0].pe(), Payload::kreply(done));
+    c.kernels[0].handle(&msg, &mut out);
+    let sent: Vec<Msg> = out.drain().into_iter().map(|(m, _)| m).collect();
+    let to_vpe1 = Payload::sys_reply(tk, Ok(SysReplyData::None));
+    let waiter = KReply::Revoke { op: OpId(1), keys: 1, deleted: 0 };
+    assert_eq!(
+        sent,
+        [
+            Msg::new(c.kernels[0].pe(), c.pe_of(VpeId(1)), to_vpe1),
+            Msg::new(c.kernels[0].pe(), c.kernels[1].pe(), Payload::kreply(waiter)),
+        ]
+    );
     c.check_invariants();
-    c.assert_quiescent();
+    for k in &c.kernels {
+        k.check_quiescent().unwrap();
+    }
     assert_eq!(c.total_caps(), 4);
 }
 
@@ -1137,29 +1159,43 @@ fn stray_obtain_reply(c: &TestCluster) -> Msg {
     obtain_reply(c, c.kernels[1].pe(), OpId(99))
 }
 
-/// Without fault injection every request produces exactly one reply,
-/// so a reply that resumes nothing is a kernel bug — in release builds
-/// as much as in debug builds.
-#[test]
-#[should_panic(expected = "without a pending op")]
-fn stray_kreply_panics_a_fault_free_kernel() {
-    let mut c = TestCluster::new(2, 1);
-    let msg = stray_obtain_reply(&c);
-    c.kernels[0].handle(&msg, &mut Outbox::new());
+/// Runs `body` on a `kernels` × 1 cluster twice — without a fault
+/// plan, and with one that arms deadlines — and asserts that both runs
+/// panic with a message containing `expected`. Every request gets
+/// exactly one reply, crash or no crash, so what is a kernel bug
+/// without a plan is one with a plan too.
+fn panics_with_and_without_a_fault_plan(
+    kernels: u16,
+    expected: &str,
+    body: impl Fn(&mut TestCluster),
+) {
+    for planned in [false, true] {
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut c = TestCluster::new(kernels, 1);
+            if planned {
+                c.set_fault_plan(FaultPlan::empty(), 64);
+            }
+            body(&mut c);
+        }));
+        let payload = run.expect_err("the kernel did not panic");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(msg.contains(expected), "fault plan {planned}: panicked with {msg:?}");
+    }
 }
 
-/// Under fault injection the same reply is a duplicate or a straggler:
-/// counted and dropped.
+/// Every request produces exactly one reply, so a reply that resumes
+/// nothing is a kernel bug — in release builds as much as in debug
+/// builds.
 #[test]
-fn stray_kreply_is_counted_under_fault_injection() {
-    let mut c = TestCluster::new(2, 1);
-    c.kernels[0].enable_fault_injection(64);
-    let msg = stray_obtain_reply(&c);
-    let mut out = Outbox::new();
-    c.kernels[0].handle(&msg, &mut out);
-    assert!(out.is_empty());
-    assert_eq!(c.kernels[0].stats().fault_anomalies, 1);
-    assert_eq!(c.kernels[0].pending_ops(), 0);
+fn stray_kreply_panics() {
+    panics_with_and_without_a_fault_plan(2, "without a pending op", |c| {
+        let msg = stray_obtain_reply(c);
+        c.kernels[0].handle(&msg, &mut Outbox::new());
+    });
 }
 
 // ----- who may speak as a kernel, and which kernel may answer -------------
@@ -1218,32 +1254,12 @@ fn forged_obtain_reply_from_a_vpe_pe_leaves_the_phase_parked() {
 /// answering an obtain put to kernel 1 is a kernel bug, in every
 /// profile.
 #[test]
-#[should_panic(expected = "asked Some(")]
-fn obtain_reply_from_an_unasked_kernel_panics_a_fault_free_kernel() {
-    let mut c = TestCluster::new(3, 1);
-    park_obtain_remote(&mut c, VpeId(1));
-    let msg = obtain_reply(&c, c.kernels[2].pe(), OpId(1));
-    c.kernels[0].handle(&msg, &mut Outbox::new());
-}
-
-/// Under fault injection the same reply is counted and the phase stays
-/// parked for the kernel it awaits.
-#[test]
-fn obtain_reply_from_an_unasked_kernel_is_counted_under_fault_injection() {
-    let mut c = TestCluster::new(3, 1);
-    c.kernels[0].enable_fault_injection(64);
-    let tag = park_obtain_remote(&mut c, VpeId(1));
-    let msg = obtain_reply(&c, c.kernels[2].pe(), OpId(1));
-    let mut out = Outbox::new();
-    c.kernels[0].handle(&msg, &mut out);
-    assert!(out.is_empty(), "the un-asked kernel's reply was acted on: {:?}", out.drain());
-    assert_eq!(c.kernels[0].stats().fault_anomalies, 1);
-    assert_eq!(c.kernels[0].pending_ops(), 1, "the un-asked kernel's reply unparked the obtain");
-
-    c.pump_all();
-    let r = c.take_reply(VpeId(0), tag).expect("kernel 1's reply completes the obtain");
-    assert!(matches!(r.result, Ok(SysReplyData::Sel(_))), "{r:?}");
-    c.check_invariants();
+fn obtain_reply_from_an_unasked_kernel_panics() {
+    panics_with_and_without_a_fault_plan(3, "asked Some(", |c| {
+        park_obtain_remote(c, VpeId(1));
+        let msg = obtain_reply(c, c.kernels[2].pe(), OpId(1));
+        c.kernels[0].handle(&msg, &mut Outbox::new());
+    });
 }
 
 /// Starts a spanning delegate VPE 0 (kernel 0) → VPE 1 (kernel 1) and
@@ -1270,29 +1286,29 @@ fn park_pending_insert(c: &mut TestCluster) -> (u64, Msg) {
 /// The second leg of the handshake is a request that resumes a phase:
 /// only the delegator's kernel may commit the pending insert.
 #[test]
-#[should_panic(expected = "no pending insert of its")]
-fn delegate_ack_from_an_unasked_kernel_panics_a_fault_free_kernel() {
-    let mut c = TestCluster::new(3, 1);
-    let (_, ack) = park_pending_insert(&mut c);
-    c.kernels[1].handle(&ack, &mut Outbox::new());
+fn delegate_ack_from_an_unasked_kernel_panics() {
+    panics_with_and_without_a_fault_plan(3, "no pending insert of its", |c| {
+        let (_, ack) = park_pending_insert(c);
+        c.kernels[1].handle(&ack, &mut Outbox::new());
+    });
 }
 
+/// A revocation counts its legs per kernel: with kernel 0's spanning
+/// revoke (op 3; the delegate took ops 1 and 2) parked on kernel 1, a
+/// reply from kernel 2 would acknowledge the system call while kernel
+/// 1's child is alive — Table 2's *incomplete*.
 #[test]
-fn delegate_ack_from_an_unasked_kernel_is_counted_under_fault_injection() {
-    let mut c = TestCluster::new(3, 1);
-    c.kernels[1].enable_fault_injection(64);
-    let (tag, ack) = park_pending_insert(&mut c);
-    let mut out = Outbox::new();
-    c.kernels[1].handle(&ack, &mut out);
-    assert!(out.is_empty(), "kernel 2's ack was answered: {:?}", out.drain());
-    assert_eq!(c.kernels[1].stats().fault_anomalies, 1);
-    assert_eq!(c.kernels[1].pending_ops(), 1, "kernel 2's ack consumed the pending insert");
-    assert_eq!(c.kernels[1].table(VpeId(1)).unwrap().len(), 1, "kernel 2's ack inserted it");
-
-    c.pump_all();
-    let r = c.take_reply(VpeId(0), tag).expect("kernel 0's ack completes the delegate");
-    assert!(matches!(r.result, Ok(SysReplyData::Delegated { .. })), "{r:?}");
-    c.check_invariants();
+fn revoke_reply_from_an_unasked_kernel_panics() {
+    panics_with_and_without_a_fault_plan(3, "no leg outstanding", |c| {
+        let sel = create_mem(c, VpeId(0));
+        let _ = delegate(c, VpeId(0), VpeId(1), sel);
+        c.syscall_async(VpeId(0), Syscall::Revoke { sel, own: true });
+        c.pump_n(1);
+        assert_eq!(c.kernels[0].pending_ops(), 1, "the revoke parks at kernel 0");
+        let reply = KReply::Revoke { op: OpId(3), keys: 1, deleted: 1 };
+        let msg = Msg::new(c.kernels[2].pe(), c.kernels[0].pe(), Payload::kreply(reply));
+        c.kernels[0].handle(&msg, &mut Outbox::new());
+    });
 }
 
 // ----- messages a kernel does not serve ----------------------------------

@@ -21,7 +21,7 @@ pub mod sched;
 pub(crate) mod slab;
 pub mod time;
 
-pub use faults::{CrashPoint, FaultPlan, FaultStats, NetVerdict, PartitionWindow};
+pub use faults::{CrashPoint, FaultPlan};
 pub use queue::EventQueue;
 pub use rng::DetRng;
 pub use sched::PeSchedule;

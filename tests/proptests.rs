@@ -22,7 +22,7 @@ use semper_base::msg::{ExchangeKind, Perms, SysReplyData, Syscall};
 use semper_base::{CapSel, CapType, Code, DdlKey, PeId, Result, VpeId};
 use semper_caps::spec::{self, Spec};
 use semper_kernel::harness::TestCluster;
-use semper_sim::{DetRng, FaultPlan};
+use semper_sim::{CrashPoint, DetRng, FaultPlan};
 use semperos::Runner;
 
 mod common;
@@ -602,38 +602,41 @@ fn overlapping_revokes_from_two_kernels_acknowledge_nothing_early() {
     assert!(hits >= 8, "{hits} of 48 cases revoke a root inside the other's subtree");
 }
 
-/// One full faulted run: a random capability workload executed under a
-/// random fault plan, pumped to quiescence within a step bound.
-/// Returns a complete observable transcript — every reply, every
-/// kernel's state digest, and all fault counters — so the caller can
-/// demand bit-identical replays.
-fn run_faulted_case(case: u64) -> String {
+/// The phases the faulted workload parks (exchanges and revocations
+/// without batching), where a crash point can fire.
+const CRASH_PHASES: [&str; 9] = [
+    "exchange-local",
+    "obtain-remote",
+    "obtain-at-owner",
+    "delegate-remote",
+    "delegate-wait-done",
+    "delegate-at-recv",
+    "delegate-pending-insert",
+    "delegate-aborted",
+    "revoke-run",
+];
+
+/// One full faulted run: a random capability workload executed under
+/// one crash point — `forced`, or else a random one — pumped to
+/// quiescence within a step bound. Returns a complete observable
+/// transcript — every reply, which kernel crashed, every surviving
+/// kernel's abort count and state digest — so the caller can demand
+/// bit-identical replays.
+fn run_faulted_case(case: u64, forced: Option<CrashPoint>) -> String {
     let mut rng = DetRng::split(0xFA_17CA5E, case);
     let mut c = TestCluster::new(3, 2);
 
-    // A random plan: drop/duplicate/delay rates, and (in half the
-    // cases) a one-way partition window between two random kernels.
-    // Scripted crashes are exercised by the dedicated scenario tests —
-    // here every kernel survives, so the "every op is answered"
-    // property stays unconditional.
-    let mut plan = FaultPlan::seeded(DetRng::split(0xFA_17CA5E, case).next_u64())
-        .with_drop(rng.below(120))
-        .with_duplicate(rng.below(80))
-        .with_delay(rng.below(120), rng.between(1, 16));
-    if rng.below(2) == 0 {
-        let from = rng.below(3) as u16;
-        let to = (from + 1 + rng.below(2) as u16) % 3;
-        let start = rng.below(64);
-        plan = plan.with_partition(semper_sim::PartitionWindow {
-            from,
-            to,
-            start,
-            end: start + rng.between(16, 128),
-        });
-    }
-    c.set_fault_plan(plan, 512);
+    // One crash point: a kernel, a phase, and which park of it. It may
+    // never fire if the workload parks that phase fewer times.
+    let drawn = CrashPoint {
+        kernel: rng.below(3) as u16,
+        phase: CRASH_PHASES[rng.below(CRASH_PHASES.len() as u64) as usize],
+        after_nth: rng.between(1, 3) as u32,
+    };
+    let crash = forced.unwrap_or(drawn);
+    c.set_fault_plan(FaultPlan::empty().with_crash(crash), 512);
 
-    let n_actions = rng.between(8, 40) as usize;
+    let n_actions = rng.between(32, 96) as usize;
     let mut tags: Vec<(VpeId, u64)> = Vec::new();
     let mut dead = std::collections::BTreeSet::new();
     for _ in 0..n_actions {
@@ -706,8 +709,9 @@ fn run_faulted_case(case: u64) -> String {
         }
     }
 
-    // Termination within a hard step bound: deadlines must abort every
-    // starved operation instead of letting the run hang or storm.
+    // Termination within a hard step bound: deadlines and peer death
+    // must end every starved operation instead of letting the run hang
+    // or storm.
     let mut steps = 0u64;
     while c.step() {
         steps += 1;
@@ -715,14 +719,15 @@ fn run_faulted_case(case: u64) -> String {
     }
 
     // Every issued operation was answered — Ok or Err, never silence.
-    // The one exemption: an issuer killed after issuing no longer
-    // receives traffic, so its outstanding replies are legitimately
-    // dropped on the floor (the op itself still terminated — the
-    // quiescence check below would catch a leaked ledger entry).
-    let mut transcript = String::new();
+    // Two exemptions: an issuer killed after issuing no longer receives
+    // traffic, so its outstanding replies are legitimately dropped on
+    // the floor (the op itself still terminated — the quiescence check
+    // below would catch a leaked ledger entry); and a VPE of the crashed
+    // kernel's group has no kernel left to answer it.
+    let mut transcript = format!("crash {crash:?}\n");
     for (vpe, tag) in tags {
         let reply = c.take_reply(vpe, tag);
-        if !dead.contains(&vpe.0) {
+        if !dead.contains(&vpe.0) && !c.kernels[c.kernel_of(vpe).idx()].crashed() {
             assert!(reply.is_some(), "case {case}: {vpe} tag {tag} was never answered");
         }
         transcript.push_str(&format!("{vpe} {tag}: {:?}\n", reply.map(|r| r.result)));
@@ -732,20 +737,12 @@ fn run_faulted_case(case: u64) -> String {
     c.check_invariants();
     c.assert_quiescent();
 
-    let fs = c.fault_stats().expect("plan installed");
-    transcript.push_str(&format!(
-        "net: injected {} dropped {} duplicated {} delayed {} partitioned {} healed {}\n",
-        fs.injected, fs.dropped, fs.duplicated, fs.delayed, fs.partitioned, fs.partitions_healed
-    ));
     for k in &c.kernels {
-        let s = k.stats();
-        transcript.push_str(&format!(
-            "kernel {}: retries {} aborted {} anomalies {}\n",
-            k.id(),
-            s.retries,
-            s.ops_aborted,
-            s.fault_anomalies
-        ));
+        if k.crashed() {
+            transcript.push_str(&format!("kernel {}: crashed\n", k.id()));
+            continue;
+        }
+        transcript.push_str(&format!("kernel {}: aborted {}\n", k.id(), k.stats().ops_aborted));
         for line in k.state_digest() {
             transcript.push_str(&line);
             transcript.push('\n');
@@ -754,24 +751,49 @@ fn run_faulted_case(case: u64) -> String {
     transcript
 }
 
-/// Under any random fault plan, every operation terminates (a reply
+/// Under any random crash point, every operation terminates (a reply
 /// arrives within a bounded number of steps — completed or aborted),
 /// the cluster reaches true quiescence with no ledger leaks, and the
 /// run is deterministic: replaying the same plan and seed reproduces
-/// every reply, every kernel state digest, and every fault counter
-/// bit-identically. The 48 transcripts are also pinned against a
-/// recorded fingerprint (96d084c): a harness change that reorders
-/// faulted delivery deterministically would pass the replay check.
+/// every reply and every kernel state digest bit-identically. The 48
+/// transcripts are also pinned against a recorded fingerprint: a
+/// harness change that reorders delivery deterministically would pass
+/// the replay check.
 #[test]
 fn faulted_ops_terminate() {
     let transcripts = Runner::new(4).map((0..48).collect(), |_, case| {
-        let first = run_faulted_case(case);
-        let replay = run_faulted_case(case);
+        let first = run_faulted_case(case, None);
+        let replay = run_faulted_case(case, None);
         assert_eq!(first, replay, "case {case}: replay diverged from the first run");
         first
     });
     let fp = common::fingerprint(&transcripts.concat());
-    assert_eq!(fp, 0xb124_6b3b_fbdd_06d5, "faulted transcripts moved (fp {fp:#x})");
+    assert_eq!(fp, 0xae19_4bb0_2d3f_1966, "faulted transcripts moved (fp {fp:#x})");
+}
+
+/// A random crash point fires in few cases, so the same property is
+/// also checked at every crash point of [`CRASH_PHASES`] — each kernel,
+/// each phase, its first three parks — on 16 workloads: every operation
+/// a surviving VPE issued is answered, and the survivors reach true
+/// quiescence. Each phase must crash a kernel in at least one run.
+#[test]
+fn every_crash_point_terminates() {
+    let points: Vec<CrashPoint> = (0..3)
+        .flat_map(|kernel| {
+            CRASH_PHASES.iter().flat_map(move |&phase| {
+                (1..=3).map(move |after_nth| CrashPoint { kernel, phase, after_nth })
+            })
+        })
+        .collect();
+    let fired = Runner::new(4).map(points, |_, crash| {
+        let crashed =
+            (0..16).filter(|&case| run_faulted_case(case, Some(crash)).contains(": crashed"));
+        (crash.phase, crashed.count())
+    });
+    for phase in CRASH_PHASES {
+        let hits: usize = fired.iter().filter(|(p, _)| *p == phase).map(|(_, n)| n).sum();
+        assert!(hits > 0, "no crash at {phase} ever fired");
+    }
 }
 
 /// DDL keys pack and unpack losslessly for every field combination.
