@@ -157,9 +157,7 @@ impl MachineConfig {
                 "a kernel would manage {per_kernel} PEs, max is {MAX_PES_PER_KERNEL}"
             ));
         }
-        if self.mesh_width == 0
-            || (self.mesh_width as u32 * self.mesh_width as u32) < self.num_pes as u32 / 2
-        {
+        if (self.mesh_width as u32 * self.mesh_width as u32) < self.num_pes as u32 {
             return Err("mesh too small for PE count".into());
         }
         Ok(())
@@ -216,6 +214,20 @@ mod tests {
         assert_eq!(mesh_width_for(640), 26);
         assert_eq!(mesh_width_for(16), 4);
         assert_eq!(mesh_width_for(1), 1);
+    }
+
+    #[test]
+    fn mesh_must_hold_every_pe() {
+        let mut c = MachineConfig::paper_testbed(8, 8);
+        // 18² = 324 slots for 640 PEs: PE 639 would sit at (9, 35).
+        c.mesh_width = 18;
+        assert!(c.validate().is_err());
+        c.mesh_width = 25;
+        assert!(c.validate().is_err());
+        c.mesh_width = mesh_width_for(c.num_pes);
+        assert_eq!(c.validate(), Ok(()));
+        c.mesh_width = 0;
+        assert!(c.validate().is_err());
     }
 
     #[test]
