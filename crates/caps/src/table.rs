@@ -14,10 +14,10 @@
 //! reserved selectors below `first_free`, so a freed selector can never
 //! be re-occupied behind the free list's back.
 //!
-//! Revocation sweeps drop bindings *by DDL key* ([`CapTable::remove_key`],
-//! which the repo benchmark's caps probe calls too); a reverse index
-//! makes that O(1) instead of a linear scan — the scan made large
-//! revocations quadratic in table size. Every key a table binds was
+//! The kernel's revocation sweep unbinds a deleted capability by the
+//! selector its record names ([`CapTable::remove`]). Removal *by DDL
+//! key* ([`CapTable::remove_key`]) and the reverse index behind it serve
+//! only the repo benchmark's caps probe. Every key a table binds was
 //! allocated for the table's own VPE, so its object id alone names it:
 //! the index holds selector + 1 (a 4-byte slot) at the object id, in the
 //! same pages the mapping database keeps its records in (`IdPages`,

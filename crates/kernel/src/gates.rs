@@ -9,6 +9,10 @@
 //! when the backing capability is revoked — this is the moment a revoke
 //! actually severs the hardware access path, and why revocation speed
 //! matters for designs like copy-on-write filesystems (§3).
+//!
+//! The endpoint registers live in the VPE's record next to its
+//! capability table; the revocation sweep clears them
+//! (`Kernel::delete_marked`).
 
 use semper_base::config::EP_COUNT;
 use semper_base::msg::SysReplyData;
@@ -41,10 +45,9 @@ impl Kernel {
                 CapKindDesc::Memory { .. } | CapKindDesc::SendGate { .. } => {}
                 _ => return Err(Error::new(Code::InvalidArgs)),
             }
-            // (Re)configure: an endpoint holds at most one binding;
-            // EpBindings drops a previous binding from the reverse
-            // index internally.
-            self.eps.bind(vpe, ep, key);
+            // (Re)configure: the register holds one capability.
+            let record = self.vpe_mut(vpe).expect("the caller is a VPE of this group");
+            record.eps[usize::from(ep.0)] = Some(key);
             Ok(SysReplyData::None)
         })();
         if let Err(e) = &result {
@@ -59,17 +62,6 @@ impl Kernel {
     /// The capability currently activated on `(vpe, ep)`, if any
     /// (tests and verification).
     pub fn ep_binding(&self, vpe: VpeId, ep: EpId) -> Option<DdlKey> {
-        self.eps.get(vpe, ep)
-    }
-
-    /// Invalidates every endpoint configured for a deleted capability.
-    /// Called from the revocation sweep; returns the modeled cost (one
-    /// DTU reconfiguration per invalidated endpoint). O(1) per deleted
-    /// capability via the reverse index — the pre-refactor version
-    /// scanned every configured endpoint of the group per deletion.
-    pub(crate) fn invalidate_eps_for(&mut self, key: DdlKey) -> u64 {
-        let victims = self.eps.unbind_key(key);
-        self.stats.eps_invalidated += victims.len() as u64;
-        victims.len() as u64 * self.cfg.cost.cap_insert
+        *self.vpe(vpe)?.eps.get(usize::from(ep.0))?
     }
 }

@@ -403,11 +403,29 @@ mod tests {
         c.check_invariants();
         let k = &mut c.kernels[0];
         let forged = DdlKey::new(PeId(2), VpeId(1), CapType::Memory, 1000);
-        let sel = k.table_mut(VpeId(0)).unwrap().insert_new(forged);
         let kind = CapKindDesc::Memory { addr: 0, size: 64, perms: Perms::RW };
-        k.mapdb.insert(Capability::root(forged, kind, VpeId(0), sel));
+        k.install(Capability::root(forged, kind, VpeId(0), CapSel::INVALID));
         let err = k.check_invariants().unwrap_err();
         assert!(err.contains("a key of VPE1"), "{err}");
+    }
+
+    /// A VPE activates only capabilities of its own table, so an
+    /// endpoint register that names another VPE's capability is an
+    /// invariant violation.
+    #[test]
+    fn a_register_naming_another_vpes_capability_is_caught() {
+        use semper_base::EpId;
+        let mut c = TestCluster::new(1, 2);
+        let r = c.syscall(VpeId(1), Syscall::CreateMem { size: 64, perms: Perms::RW });
+        let Ok(SysReplyData::Mem { sel, .. }) = r.result else { panic!("{:?}", r.result) };
+        let r = c.syscall(VpeId(1), Syscall::Activate { sel, ep: EpId(5) });
+        assert!(r.result.is_ok(), "{:?}", r.result);
+        c.check_invariants();
+        let k = &mut c.kernels[0];
+        let theirs = k.ep_binding(VpeId(1), EpId(5)).expect("VPE 1's endpoint 5 is active");
+        k.vpe_mut(VpeId(0)).unwrap().eps[5] = Some(theirs);
+        let err = k.check_invariants().unwrap_err();
+        assert!(err.contains("VPE0 EP5 is activated for"), "{err}");
     }
 
     #[test]

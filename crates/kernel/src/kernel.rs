@@ -2,17 +2,23 @@
 //!
 //! # Bookkeeping determinism contract
 //!
-//! State named by a small integer is stored at that integer: per-VPE
-//! tables and state are vectors indexed by [`VpeId`], the PE → VPE map
-//! by [`PeId`], the credit gate by [`KernelId`], mapping-database
-//! records at their DDL key's (VPE, object id) address, and a table's
-//! reverse index at the bound key's object id. A group's VPEs are
-//! scattered over the global id space, so per-VPE slots are boxed: an
-//! empty slot costs one word. What has no such name — sibling links
-//! keyed by a possibly remote child, pending operations, revoke
-//! waiters, endpoint bindings — lives in fixed-seed hash maps
+//! State named by a small integer is stored at that integer: the VPE
+//! records (life, capability table, DTU endpoint registers) in a vector
+//! indexed by [`VpeId`], a record's endpoint registers at their
+//! endpoint number, the PE → VPE map by [`PeId`], the credit gate by
+//! [`KernelId`], mapping-database records at their DDL key's (VPE,
+//! object id) address, and a table's reverse index at the bound key's
+//! object id. A group's VPEs are scattered over the global id space, so
+//! VPE records are boxed: an empty slot costs one word. What has no
+//! such name — sibling links keyed by a possibly remote child, pending
+//! operations, revoke waiters — lives in fixed-seed hash maps
 //! ([`semper_base::hash`]). Every lookup is O(1), and one with an id
 //! past a vector's end misses without growing it.
+//!
+//! A capability enters a table only through `Kernel::install` (bar
+//! each VPE's self-capability at selector 0) and leaves it only through
+//! the revocation sweep, which also clears the endpoint registers that
+//! name it.
 //!
 //! Protocol-visible ordering never comes from storage order: the
 //! `semper_sim::EventQueue`'s FIFO tie-break stays the sole ordering
@@ -24,7 +30,7 @@ use std::collections::VecDeque;
 
 use semper_base::config::{KernelMode, MachineConfig};
 use semper_base::msg::{KReply, Kcall, Payload, SysReplyData, Syscall, Upcall};
-use semper_base::{Code, Error, KernelId, Msg, OpId, PeId, Result, VpeId};
+use semper_base::{CapSel, Code, Error, KernelId, Msg, OpId, PeId, Result, VpeId};
 use semper_caps::{CapTable, Capability, KeyAllocator, MappingDb, MembershipTable};
 use semper_noc::GlobalMemory;
 
@@ -33,7 +39,7 @@ use crate::ops::PendingOp;
 use crate::outbox::Outbox;
 use crate::registry::Registry;
 use crate::stats::KernelStats;
-use crate::vpes::{VpeLife, VpeState};
+use crate::vpes::Vpe;
 
 /// Selector 0 of every VPE holds its own VPE capability.
 pub const SEL_VPE: u32 = 0;
@@ -50,9 +56,8 @@ pub struct Kernel {
     pub(crate) vpe_dir: Vec<PeId>,
 
     pub(crate) mapdb: MappingDb,
-    /// The group's capability tables and VPE states, indexed by VPE id.
-    tables: Vec<Option<Box<CapTable>>>,
-    vpes: Vec<Option<Box<VpeState>>>,
+    /// The group's VPEs, indexed by VPE id.
+    pub(crate) vpes: Vec<Option<Box<Vpe>>>,
     /// The VPE on each PE of the group, indexed by PE id.
     pe2vpe: Vec<Option<VpeId>>,
     pub(crate) keys: KeyAllocator,
@@ -67,12 +72,6 @@ pub struct Kernel {
 
     /// The inter-kernel request credit gate (§4.1).
     pub(crate) kgate: CreditGate,
-    /// DTU endpoint configurations of the group's VPEs: which capability
-    /// each endpoint is activated for, with the reverse index that makes
-    /// the revocation sweep's per-deletion endpoint invalidation O(1).
-    /// Forward and reverse maps are encapsulated so they cannot drift
-    /// (see [`crate::epbind::EpBindings`] and the `gates` module).
-    pub(crate) eps: crate::epbind::EpBindings,
 
     /// Fail-stop fault state (deadlines, crash script, dead peers);
     /// inert unless the harness armed it (see [`crate::ops::faults`]).
@@ -144,7 +143,6 @@ impl Kernel {
             membership,
             vpe_dir,
             mapdb: MappingDb::new(),
-            tables: Vec::new(),
             vpes: Vec::new(),
             keys: KeyAllocator::new(),
             registry: Registry::new(),
@@ -153,7 +151,6 @@ impl Kernel {
             next_op: 1,
             revoke: Default::default(),
             kgate,
-            eps: crate::epbind::EpBindings::new(),
             fault: Default::default(),
             stats: KernelStats::default(),
         }
@@ -210,52 +207,53 @@ impl Kernel {
         assert!(self.pe2vpe[pe.idx()].is_none(), "PE already hosts a VPE");
         let mut table = CapTable::new(FIRST_FREE_SEL);
         let key = self.keys.alloc(pe, vpe, semper_base::CapType::Vpe);
-        table.insert(semper_base::CapSel(SEL_VPE), key).expect("selector 0 is reserved and free");
-        self.mapdb.insert(Capability::root(
-            key,
-            semper_base::msg::CapKindDesc::Vpe { vpe },
-            vpe,
-            semper_base::CapSel(SEL_VPE),
-        ));
+        table.insert(CapSel(SEL_VPE), key).expect("selector 0 is reserved and free");
+        let kind = semper_base::msg::CapKindDesc::Vpe { vpe };
+        self.mapdb.insert(Capability::root(key, kind, vpe, CapSel(SEL_VPE)));
         self.stats.caps_created += 1;
-        if vpe.idx() >= self.tables.len() {
-            self.tables.resize_with(vpe.idx() + 1, || None);
+        if vpe.idx() >= self.vpes.len() {
             self.vpes.resize_with(vpe.idx() + 1, || None);
         }
-        self.tables[vpe.idx()] = Some(Box::new(table));
-        self.vpes[vpe.idx()] = Some(Box::new(VpeState::new(vpe, pe)));
+        self.vpes[vpe.idx()] = Some(Box::new(Vpe::new(table)));
         self.pe2vpe[pe.idx()] = Some(vpe);
+    }
+
+    /// Installs a new capability: binds a fresh selector in its owner's
+    /// table, inserts the record at that selector (whatever `cap.sel`
+    /// said) and counts it created. The owner must be a VPE of this
+    /// group.
+    pub(crate) fn install(&mut self, cap: Capability) -> CapSel {
+        let owner = self.vpe_mut(cap.owner).expect("the owner is a VPE of this group");
+        let sel = owner.table.insert_new(cap.key);
+        self.mapdb.insert(cap.with_sel(sel));
+        self.stats.caps_created += 1;
+        sel
     }
 
     /// The capability table of a VPE (tests and verification).
     pub fn table(&self, vpe: VpeId) -> Option<&CapTable> {
-        self.tables.get(vpe.idx())?.as_deref()
+        Some(&self.vpe(vpe)?.table)
     }
 
-    /// The capability table of a VPE of this group.
-    pub(crate) fn table_mut(&mut self, vpe: VpeId) -> Option<&mut CapTable> {
-        self.tables.get_mut(vpe.idx())?.as_deref_mut()
-    }
-
-    /// Every capability table of the group, in VPE order.
-    fn tables(&self) -> impl Iterator<Item = (VpeId, &CapTable)> {
-        let tables = self.tables.iter().enumerate();
-        tables.filter_map(|(v, t)| Some((VpeId(v as u16), t.as_deref()?)))
-    }
-
-    /// The state of a VPE of this group.
-    pub(crate) fn vpe_state(&self, vpe: VpeId) -> Option<&VpeState> {
+    /// The record of a VPE of this group.
+    pub(crate) fn vpe(&self, vpe: VpeId) -> Option<&Vpe> {
         self.vpes.get(vpe.idx())?.as_deref()
     }
 
-    /// The state of a VPE of this group, mutably.
-    pub(crate) fn vpe_state_mut(&mut self, vpe: VpeId) -> Option<&mut VpeState> {
+    /// The record of a VPE of this group, mutably.
+    pub(crate) fn vpe_mut(&mut self, vpe: VpeId) -> Option<&mut Vpe> {
         self.vpes.get_mut(vpe.idx())?.as_deref_mut()
+    }
+
+    /// Every VPE record of the group, in VPE order.
+    fn records(&self) -> impl Iterator<Item = (VpeId, &Vpe)> {
+        let vpes = self.vpes.iter().enumerate();
+        vpes.filter_map(|(v, r)| Some((VpeId(v as u16), r.as_deref()?)))
     }
 
     /// True if the VPE is registered here and alive.
     pub fn vpe_alive(&self, vpe: VpeId) -> bool {
-        self.vpe_state(vpe).is_some_and(|v| v.alive())
+        self.vpe(vpe).is_some_and(|v| v.alive)
     }
 
     // ----- id helpers -------------------------------------------------
@@ -399,12 +397,15 @@ impl Kernel {
     /// accounts for requests that are consumed but not yet answered.
     pub fn return_credit(&mut self, out: &mut Outbox, peer: KernelId) {
         let credits = &mut self.kgate.credits[peer.idx()];
-        // Capped at the configured window: a service announcement
-        // bypasses the gate (see `Kernel::sys_create_srv`) but frees a
-        // slot like any consumed request.
-        if *credits < self.cfg.max_inflight {
-            *credits += 1;
-        }
+        // Every request, announcements included, took the credit its
+        // consumption returns.
+        *credits += 1;
+        assert!(
+            *credits <= self.cfg.max_inflight,
+            "kernel {}: more credits towards {peer} than the window of {}",
+            self.id,
+            self.cfg.max_inflight
+        );
         let queued = self.kgate.queue[peer.idx()].pop_front();
         if let Some(call) = queued {
             // Re-send through the credit gate (a credit is available now).
@@ -508,11 +509,8 @@ impl Kernel {
     /// Tears a VPE down: the one path behind `Syscall::Exit` and
     /// [`Kernel::kill_vpe`].
     pub(crate) fn terminate_vpe(&mut self, vpe: VpeId, out: &mut Outbox) -> u64 {
-        if let Some(v) = self.vpe_state_mut(vpe) {
-            v.life = VpeLife::Dead;
-        } else {
-            return 0;
-        }
+        let Some(v) = self.vpe_mut(vpe) else { return 0 };
+        v.alive = false;
         // Every protocol drops what it kept on the dying VPE's behalf.
         // Operations suspended elsewhere detect the death via
         // `vpe_alive` when their replies arrive (producing orphan
@@ -521,7 +519,7 @@ impl Kernel {
         // Revoke all capabilities still in the VPE's table, starting at
         // the roots we own. Children in other groups are reached by the
         // revocation protocol itself.
-        let roots: Vec<semper_base::CapSel> =
+        let roots: Vec<CapSel> =
             self.table(vpe).map(|t| t.iter().map(|(s, _)| s).collect()).unwrap_or_default();
         let mut cost = 0;
         for sel in roots {
@@ -549,8 +547,8 @@ impl Kernel {
                 )
             })
             .collect();
-        for (vpe, table) in self.tables() {
-            for (sel, key) in table.iter() {
+        for (vpe, record) in self.records() {
+            for (sel, key) in record.table.iter() {
                 lines.push(format!("bind {vpe} {sel:?} -> {key:?}"));
             }
         }
@@ -559,17 +557,26 @@ impl Kernel {
     }
 
     /// Structural self-check used by tests: mapping-database invariants,
-    /// endpoint-binding forward/reverse agreement, plus agreement
-    /// between capability tables and the database in both directions —
-    /// every binding names a record that names it back, and every record
-    /// is bound at its own `(owner, sel)`. Every binding's key also
-    /// names its table's VPE as creator, which is what lets a table
-    /// index its keys by object id alone ([`CapTable`]).
+    /// plus agreement between capability tables and the database in
+    /// both directions — every binding names a record that names it
+    /// back, and every record is bound at its own `(owner, sel)`. Every
+    /// binding's key also names its table's VPE as creator, which is
+    /// what lets a table index its keys by object id alone
+    /// ([`CapTable`]), and every activated endpoint names a record its
+    /// own VPE owns.
     pub fn check_invariants(&self) -> core::result::Result<(), String> {
         self.mapdb.check_invariants()?;
-        self.eps.check_sync()?;
-        for (vpe, table) in self.tables() {
-            for (sel, key) in table.iter() {
+        for (vpe, record) in self.records() {
+            for (ep, key) in record.eps.iter().enumerate() {
+                let Some(key) = key else { continue };
+                let owner = self.mapdb.get(*key).ok().map(|cap| cap.owner);
+                if owner != Some(vpe) {
+                    return Err(format!(
+                        "{vpe} EP{ep} is activated for {key:?}, owned by {owner:?}"
+                    ));
+                }
+            }
+            for (sel, key) in record.table.iter() {
                 if key.vpe() != vpe {
                     return Err(format!("{vpe} {sel:?} binds {key:?}, a key of {}", key.vpe()));
                 }

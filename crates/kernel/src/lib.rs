@@ -36,7 +36,6 @@
 //! never exceeded) as a checked invariant, derived from each phase's
 //! declared spec.
 
-pub mod epbind;
 pub mod gates;
 pub mod harness;
 pub mod host;
@@ -45,11 +44,9 @@ pub mod ops;
 pub mod outbox;
 pub mod registry;
 pub mod stats;
-pub mod vpes;
+mod vpes;
 
-pub use epbind::EpBindings;
 pub use kernel::Kernel;
 pub use outbox::Outbox;
 pub use registry::ServiceInfo;
 pub use stats::KernelStats;
-pub use vpes::VpeState;

@@ -375,11 +375,9 @@ impl Kernel {
         let desc = parent.kind;
         let recv_pe = self.pe_of_vpe(receiver)?;
         let child_key = self.keys.alloc(recv_pe, receiver, key_type_for(&desc));
-        let recv_table = self.table_mut(receiver).ok_or(Error::new(Code::NoSuchVpe))?;
-        let recv_sel = recv_table.insert_new(child_key);
-        self.mapdb.insert(Capability::child(child_key, desc, receiver, recv_sel, parent_key));
+        let child = Capability::child(child_key, desc, receiver, CapSel::INVALID, parent_key);
+        let recv_sel = self.install(child);
         self.mapdb.link_child(parent_key, child_key)?;
-        self.stats.caps_created += 1;
         Ok(recv_sel)
     }
 
@@ -508,11 +506,9 @@ impl Kernel {
                     );
                     return self.cfg.cost.kcall_exit;
                 }
-                let table = self.table_mut(requester).expect("alive VPE has table");
-                let sel = table.insert_new(child_key);
-                self.mapdb
-                    .insert(Capability::child(child_key, desc.kind, requester, sel, desc.key));
-                self.stats.caps_created += 1;
+                let child =
+                    Capability::child(child_key, desc.kind, requester, CapSel::INVALID, desc.key);
+                let sel = self.install(child);
                 self.stats.exchanges_spanning += 1;
                 self.reply_sys(out, requester, tag, Ok(SysReplyData::Sel(sel)));
                 self.cfg.cost.xfer_desc
@@ -610,10 +606,7 @@ impl Kernel {
 
         if self.cfg.has_feature(Feature::OneWayDelegate) {
             // Ablation: naive one-way protocol — insert immediately.
-            let table = self.table_mut(recv).expect("alive VPE has table");
-            let sel = table.insert_new(child_key);
-            self.mapdb.insert(cap.with_sel(sel));
-            self.stats.caps_created += 1;
+            self.install(cap);
             let my_op = self.alloc_op();
             self.send_kreply(
                 out,
@@ -752,11 +745,7 @@ impl Kernel {
             self.stats.orphans_cleaned += 1;
             Err(Error::new(Code::VpeGone))
         } else {
-            let table = self.table_mut(cap.owner).expect("alive VPE has table");
-            let sel = table.insert_new(cap.key);
-            self.mapdb.insert((*cap).with_sel(sel));
-            self.stats.caps_created += 1;
-            Ok(sel)
+            Ok(self.install(*cap))
         };
         self.send_kreply(out, from, KReply::DelegateDone { op: reply_op, result });
         self.cfg.cost.cap_insert + self.cfg.cost.kcall_exit

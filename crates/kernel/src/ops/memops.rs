@@ -35,15 +35,8 @@ impl Kernel {
             let addr = self.mem.alloc(size)?;
             let pe = self.pe_of_vpe(vpe)?;
             let key = self.keys.alloc(pe, vpe, CapType::Memory);
-            let table = self.table_mut(vpe).ok_or(Error::new(Code::NoSuchVpe))?;
-            let sel = table.insert_new(key);
-            self.mapdb.insert(Capability::root(
-                key,
-                CapKindDesc::Memory { addr, size, perms },
-                vpe,
-                sel,
-            ));
-            self.stats.caps_created += 1;
+            let kind = CapKindDesc::Memory { addr, size, perms };
+            let sel = self.install(Capability::root(key, kind, vpe, CapSel::INVALID));
             Ok(SysReplyData::Mem { sel, addr })
         })();
         self.reply_sys(out, vpe, tag, result);
@@ -82,17 +75,9 @@ impl Kernel {
             }
             let pe = self.pe_of_vpe(vpe)?;
             let key = self.keys.alloc(pe, vpe, CapType::Memory);
-            let table = self.table_mut(vpe).expect("checked above");
-            let sel = table.insert_new(key);
-            self.mapdb.insert(Capability::child(
-                key,
-                CapKindDesc::Memory { addr: addr + offset, size, perms },
-                vpe,
-                sel,
-                parent_key,
-            ));
+            let kind = CapKindDesc::Memory { addr: addr + offset, size, perms };
+            let sel = self.install(Capability::child(key, kind, vpe, CapSel::INVALID, parent_key));
             self.mapdb.link_child(parent_key, key)?;
-            self.stats.caps_created += 1;
             Ok(SysReplyData::Sel(sel))
         })();
         if let Err(e) = &result {

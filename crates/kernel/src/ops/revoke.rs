@@ -215,13 +215,8 @@ impl Kernel {
     pub(crate) fn revoke_for_exit(&mut self, vpe: VpeId, sel: CapSel, out: &mut Outbox) -> u64 {
         let Some(table) = self.table(vpe) else { return 0 };
         let Ok(key) = table.get(sel) else { return 0 };
-        if !self.mapdb.contains(key) {
-            // Deleted by a previous root's sweep; drop the stale binding.
-            if let Some(t) = self.table_mut(vpe) {
-                t.remove(sel);
-            }
-            return 0;
-        }
+        // The sweep removes a binding with its record.
+        assert!(self.mapdb.contains(key), "{vpe} {sel:?} binds deleted {key:?}");
         self.start_revoke(vec![key], Initiator::Internal, out)
     }
 
@@ -407,16 +402,16 @@ impl Kernel {
         cost + self.cfg.cost.revoke_finish
     }
 
-    /// The one delete pass (Algorithm 1, phase 2): deletes the marked
-    /// subtrees under `roots` and processes the deleted capabilities in
-    /// one batch — per-capability cost and endpoint invalidation,
-    /// waiter collection, and the owners' table bindings removed with
-    /// **one table lookup per run of consecutive same-owner
-    /// capabilities** (a dense teardown of thousands of same-table
-    /// capabilities collapses into a handful of lookups). Operations
-    /// waiting on a deleted capability are appended to `woken` for the
-    /// caller to fire. Returns the modeled cost and the number of
-    /// capabilities deleted.
+    /// The one delete pass (Algorithm 1, phase 2), the inverse of
+    /// `Kernel::install`: deletes the marked subtrees under `roots` and
+    /// unbinds each deleted capability at its own selector, with **one
+    /// record lookup per run of consecutive same-owner capabilities** (a
+    /// dense teardown of thousands of same-table capabilities collapses
+    /// into a handful of lookups). Each deletion also clears the owner's
+    /// endpoint registers activated for it — the step that severs
+    /// hardware access — and appends the operations waiting on it to
+    /// `woken` for the caller to fire. Returns the modeled cost and the
+    /// number of capabilities deleted.
     fn delete_marked(&mut self, roots: Vec<DdlKey>, woken: &mut Vec<OpId>) -> (u64, u64) {
         let mut stack = std::mem::take(&mut self.revoke.stack);
         let mut deleted = std::mem::take(&mut self.revoke.deleted);
@@ -424,33 +419,30 @@ impl Kernel {
         for root in roots {
             self.mapdb.delete_local_subtree_into(root, &mut stack, &mut deleted);
         }
-        let mut cost = 0;
-        for cap in deleted.iter() {
-            self.stats.caps_deleted += 1;
-            // Each deletion resolves the owner's table binding and the
-            // parent unlink through DDL keys, and deconfigures any DTU
-            // endpoint activated for the capability — the step that
-            // severs hardware access.
-            cost += self.cfg.cost.revoke_delete + 2 * self.ref_cost();
-            cost += self.invalidate_eps_for(cap.key);
-            // Wake operations waiting for this capability.
-            if let Some(ws) = self.revoke.waiters.remove(&cap.key.raw()) {
-                woken.extend(ws);
-            }
-        }
-        // Remove the owners' table bindings, grouped by run.
-        let mut i = 0;
-        while i < deleted.len() {
-            let owner = deleted[i].owner;
-            let mut table = self.table_mut(owner);
-            while i < deleted.len() && deleted[i].owner == owner {
-                if let Some(t) = table.as_deref_mut() {
-                    t.remove_key(deleted[i].key);
+        // Each deletion resolves the owner's table binding and the
+        // parent unlink through DDL keys; each cleared endpoint costs
+        // one DTU reconfiguration.
+        let per_cap = self.cfg.cost.revoke_delete + 2 * self.ref_cost();
+        let mut invalidated = 0;
+        for run in deleted.chunk_by(|a, b| a.owner == b.owner) {
+            let owner = self.vpes.get_mut(run[0].owner.idx()).and_then(Option::as_deref_mut);
+            let owner = owner.expect("a record's owner is a VPE of this group");
+            for cap in run {
+                let unbound = owner.table.remove(cap.sel);
+                assert_eq!(unbound, Some(cap.key), "{} {:?} did not bind it", cap.owner, cap.sel);
+                for ep in owner.eps.iter_mut().filter(|ep| **ep == Some(cap.key)) {
+                    *ep = None;
+                    invalidated += 1;
                 }
-                i += 1;
+                if let Some(ws) = self.revoke.waiters.remove(&cap.key.raw()) {
+                    woken.extend(ws);
+                }
             }
         }
         let count = deleted.len() as u64;
+        self.stats.caps_deleted += count;
+        self.stats.eps_invalidated += invalidated;
+        let cost = count * per_cap + invalidated * self.cfg.cost.cap_insert;
         deleted.clear();
         self.revoke.stack = stack;
         self.revoke.deleted = deleted;

@@ -1,7 +1,8 @@
 //! Service registration and session establishment on the op engine.
 //!
 //! Services register with `CreateSrv`; their kernel announces the
-//! instance to every other kernel (inter-kernel call group 1/2, §4.1).
+//! instance to every other live kernel (inter-kernel call group 1/2,
+//! §4.1).
 //! A client's `OpenSession` creates a **session capability as a child of
 //! the service capability** — the paper's running example of a
 //! cross-kernel capability relation (§3.4): the session capability is
@@ -9,9 +10,9 @@
 //! capability) may live at another kernel. Exactly one kernel owns each
 //! resource; the child/parent link crosses the boundary via DDL keys.
 
-use semper_base::msg::{CapKindDesc, KReply, Kcall, Payload, SysReplyData, Upcall};
+use semper_base::msg::{CapKindDesc, KReply, Kcall, SysReplyData, Upcall};
 use semper_base::{
-    CapType, Code, DdlKey, Error, KernelId, Msg, OpId, PeId, Result, ServiceId, VpeId,
+    CapSel, CapType, Code, DdlKey, Error, KernelId, OpId, PeId, Result, ServiceId, VpeId,
 };
 use semper_caps::Capability;
 
@@ -112,36 +113,23 @@ impl Kernel {
         let pe = self.pe_of_vpe(vpe).expect("caller is local");
         let srv_key = self.keys.alloc(pe, vpe, CapType::Service);
 
-        let table = self.table_mut(vpe).expect("caller is local");
-        let sel = table.insert_new(srv_key);
-        self.mapdb.insert(Capability::root(srv_key, CapKindDesc::Service { id }, vpe, sel));
-        self.stats.caps_created += 1;
+        let kind = CapKindDesc::Service { id };
+        let sel = self.install(Capability::root(srv_key, kind, vpe, CapSel::INVALID));
 
         let info = ServiceInfo { id, name, owner: self.id, srv_key, srv_pe: pe, srv_vpe: vpe };
         self.registry.add(info);
 
-        // Announce to all other kernels. Announcements are startup
-        // traffic with no reply; they bypass the request credit budget
-        // (they use the boot channel, not the capability-protocol one).
+        // Announce to every other live kernel. An announcement has no
+        // reply; like any request it takes a credit until consumed.
         for k in 0..self.membership.kernel_count() {
             let k = KernelId(k as u16);
-            if k == self.id {
+            if k == self.id || self.peer_dead(k) {
                 continue;
             }
-            let dst = self.membership.kernel_pe(k);
-            self.stats.kcalls_out += 1;
-            out.push(Msg::new(
-                self.pe,
-                dst,
-                Payload::kcall(Kcall::AnnounceService {
-                    id,
-                    name,
-                    owner: self.id,
-                    srv_key,
-                    srv_pe: pe,
-                    srv_vpe: vpe,
-                }),
-            ));
+            let owner = self.id;
+            let call =
+                Kcall::AnnounceService { id, name, owner, srv_key, srv_pe: pe, srv_vpe: vpe };
+            self.send_kcall(out, k, call);
         }
 
         self.reply_sys(out, vpe, tag, Ok(SysReplyData::Sel(sel)));
@@ -397,17 +385,10 @@ impl Kernel {
         srv: ServiceInfo,
         ident: u64,
         link_local_parent: bool,
-    ) -> semper_base::CapSel {
-        let table = self.table_mut(client).expect("alive client has table");
-        let sel = table.insert_new(child_key);
-        self.mapdb.insert(Capability::child(
-            child_key,
-            CapKindDesc::Session { service: srv.id, ident },
-            client,
-            sel,
-            srv.srv_key,
-        ));
-        self.stats.caps_created += 1;
+    ) -> CapSel {
+        let kind = CapKindDesc::Session { service: srv.id, ident };
+        let sel =
+            self.install(Capability::child(child_key, kind, client, CapSel::INVALID, srv.srv_key));
         if link_local_parent {
             self.mapdb.link_child(srv.srv_key, child_key).expect("caller checked the parent");
         }

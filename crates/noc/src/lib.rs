@@ -4,11 +4,11 @@
 //! (DTU): a per-PE gateway that is the only way a PE can reach other PEs
 //! or memory. Controlling DTU configuration therefore suffices to isolate
 //! PEs — "NoC-level isolation". The DTU state the protocol depends on
-//! lives with the kernel that configures it: endpoint activation in
-//! `semper_kernel::EpBindings`, the per-peer message-slot credits in the
-//! kernel's credit gate, and send/receive cost in the cost model's
-//! `dtu_send`/`dtu_recv`. This crate models the network between the
-//! DTUs:
+//! lives with the kernel that configures it: each VPE's endpoint
+//! registers in its kernel's record of the VPE (`semper_kernel::gates`),
+//! the per-peer message-slot credits in the kernel's credit gate, and
+//! send/receive cost in the cost model's `dtu_send`/`dtu_recv`. This
+//! crate models the network between the DTUs:
 //!
 //! * [`mesh`] — PE placement and hop counts on a 2D mesh.
 //! * [`noc`] — message routing with per-channel FIFO ordering (the

@@ -357,6 +357,31 @@ fn peer_crash_at_session_at_service_times_out_the_open() {
     c.assert_quiescent();
 }
 
+/// No request goes to a dead kernel, announcements included: with
+/// kernel 1 crashed (on a group-local obtain's `exchange-local` park),
+/// a service created at kernel 0 is announced to kernel 2 alone, and
+/// only kernel 2 learns of it.
+#[test]
+fn a_new_service_is_announced_to_live_kernels_only() {
+    let mut c = TestCluster::new(3, 2);
+    let plan = FaultPlan::empty().with_crash(CrashPoint {
+        kernel: 1,
+        phase: "exchange-local",
+        after_nth: 1,
+    });
+    c.set_fault_plan(plan, 64);
+    let root = create_mem(&mut c, VpeId(2));
+    c.syscall_async(VpeId(3), exchange(VpeId(2), root, ExchangeKind::Obtain));
+    c.pump_all();
+    assert!(c.kernels[1].crashed(), "the scripted crash point never fired");
+    let before = c.kernels[0].stats().kcalls_out;
+    assert!(c.syscall(VpeId(0), Syscall::CreateSrv { name: 7 }).result.is_ok());
+    assert_eq!(c.kernels[0].stats().kcalls_out - before, 1, "one announcement, to kernel 2");
+    assert_eq!(c.kernels[2].registry().iter().filter(|s| s.name == 7).count(), 1);
+    c.check_invariants();
+    c.assert_quiescent();
+}
+
 /// `revoke-batch` awaits its own sub-revokes, not the kernel that sent
 /// the batch: kernel 1 tracks a batch from kernel 0 whose sub-revoke
 /// waits on kernel 2 when kernel 0 crashes (on its second `revoke-run`
