@@ -1,113 +1,88 @@
-//! Forward/reverse agreement of the endpoint-binding table.
+//! Endpoint bindings: the DTU endpoint registers a kernel keeps in each
+//! VPE's record.
 //!
-//! [`EpBindings`] encapsulates the pair of maps that used to live as
-//! two hand-synchronized kernel fields. These tests prove the pair
-//! cannot diverge through any public mutation: every operation is
-//! exercised directly, then a DetRng-driven random walk replays
-//! thousands of mixed operations against a naive model while checking
-//! [`EpBindings::check_sync`] after every step. The kernel-level
-//! `check_invariants` now runs the same agreement check, which is what
-//! replaced the ad-hoc per-site bookkeeping.
+//! `Activate` writes a register with the key of a memory capability the
+//! VPE owns, and a revocation clears every register of the owner that
+//! names a deleted capability. These tests drive both through system
+//! calls and read the registers back with `Kernel::ep_binding`;
+//! `check_invariants` checks that every activated endpoint names a
+//! capability its own VPE holds.
 
-use semper_base::{CapType, DdlKey, EpId, PeId, VpeId};
-use semper_kernel::EpBindings;
-use semper_sim::DetRng;
+use semper_base::msg::{Perms, SysReplyData, Syscall};
+use semper_base::{CapSel, DdlKey, EpId, VpeId};
+use semper_kernel::harness::TestCluster;
 
-fn key(n: u32) -> DdlKey {
-    DdlKey::new(PeId(0), VpeId(0), CapType::Memory, n)
+fn create_mem(c: &mut TestCluster) -> CapSel {
+    let r = c.syscall(VpeId(0), Syscall::CreateMem { size: 4096, perms: Perms::RW });
+    match r.result {
+        Ok(SysReplyData::Mem { sel, .. }) => sel,
+        other => panic!("create_mem failed: {other:?}"),
+    }
+}
+
+fn activate(c: &mut TestCluster, sel: CapSel, ep: u8) {
+    let r = c.syscall(VpeId(0), Syscall::Activate { sel, ep: EpId(ep) });
+    assert!(r.result.is_ok(), "activate failed: {:?}", r.result);
+}
+
+fn revoke(c: &mut TestCluster, sel: CapSel) {
+    let r = c.syscall(VpeId(0), Syscall::Revoke { sel, own: true });
+    assert!(matches!(r.result, Ok(SysReplyData::None)), "revoke failed: {:?}", r.result);
+}
+
+fn key(c: &TestCluster, sel: CapSel) -> DdlKey {
+    c.kernels[0].table(VpeId(0)).unwrap().get(sel).unwrap()
+}
+
+fn binding(c: &TestCluster, ep: u8) -> Option<DdlKey> {
+    c.kernels[0].ep_binding(VpeId(0), EpId(ep))
 }
 
 #[test]
 fn bind_then_get_roundtrips() {
-    let mut b = EpBindings::new();
-    assert!(b.is_empty());
-    assert_eq!(b.bind(VpeId(1), EpId(2), key(7)), None);
-    assert_eq!(b.get(VpeId(1), EpId(2)), Some(key(7)));
-    assert_eq!(b.get(VpeId(1), EpId(3)), None);
-    assert_eq!(b.len(), 1);
-    b.check_sync().unwrap();
+    let mut c = TestCluster::new(1, 1);
+    let a = create_mem(&mut c);
+    assert_eq!(binding(&c, 2), None);
+    activate(&mut c, a, 2);
+    assert_eq!(binding(&c, 2), Some(key(&c, a)));
+    assert_eq!(binding(&c, 3), None, "never activated");
+    c.check_invariants();
 }
 
-#[test]
-fn rebind_replaces_and_reports_old_binding() {
-    let mut b = EpBindings::new();
-    b.bind(VpeId(1), EpId(2), key(7));
-    assert_eq!(b.bind(VpeId(1), EpId(2), key(8)), Some(key(7)));
-    assert_eq!(b.get(VpeId(1), EpId(2)), Some(key(8)));
-    assert_eq!(b.len(), 1);
-    // The old key has no bindings left; unbinding it touches nothing.
-    assert!(b.unbind_key(key(7)).is_empty());
-    b.check_sync().unwrap();
-}
-
-#[test]
-fn unbind_key_clears_all_slots_in_activation_order() {
-    let mut b = EpBindings::new();
-    b.bind(VpeId(2), EpId(0), key(7));
-    b.bind(VpeId(1), EpId(5), key(7));
-    b.bind(VpeId(1), EpId(6), key(9));
-    let victims = b.unbind_key(key(7));
-    assert_eq!(victims, vec![(VpeId(2), EpId(0)), (VpeId(1), EpId(5))]);
-    assert_eq!(b.get(VpeId(2), EpId(0)), None);
-    assert_eq!(b.get(VpeId(1), EpId(5)), None);
-    assert_eq!(b.get(VpeId(1), EpId(6)), Some(key(9)), "other keys untouched");
-    assert_eq!(b.len(), 1);
-    b.check_sync().unwrap();
-}
-
+/// One capability activated on one endpoint twice occupies one register:
+/// its revoke clears it and counts one invalidation.
 #[test]
 fn rebind_same_key_keeps_one_reverse_entry() {
-    let mut b = EpBindings::new();
-    b.bind(VpeId(1), EpId(2), key(7));
-    // Rebinding the same slot to the same key must not duplicate the
-    // reverse entry (the divergence the old ad-hoc sites risked).
-    b.bind(VpeId(1), EpId(2), key(7));
-    b.check_sync().unwrap();
-    assert_eq!(b.unbind_key(key(7)), vec![(VpeId(1), EpId(2))]);
-    assert!(b.is_empty());
-    b.check_sync().unwrap();
+    let mut c = TestCluster::new(1, 1);
+    let a = create_mem(&mut c);
+    activate(&mut c, a, 2);
+    activate(&mut c, a, 2);
+    assert_eq!(binding(&c, 2), Some(key(&c, a)));
+    c.check_invariants();
+    revoke(&mut c, a);
+    assert_eq!(binding(&c, 2), None);
+    assert_eq!(c.kernels[0].stats().eps_invalidated, 1);
+    c.check_invariants();
 }
 
-/// A DetRng random walk over all public mutations, checked against a
-/// naive `(slot, key)` list model after every operation. Any path that
-/// could desynchronize the forward and reverse maps fails here.
+/// One capability activated on two endpoints, the higher one first: its
+/// revoke clears both, whatever order they were activated in, and leaves
+/// another capability's endpoint alone.
 #[test]
-fn random_walk_agrees_with_model_and_stays_in_sync() {
-    let mut rng = DetRng::seed_from(0x5EED_EB1D);
-    let mut b = EpBindings::new();
-    let mut model: Vec<((VpeId, EpId), DdlKey)> = Vec::new();
-
-    for step in 0..5_000u32 {
-        let vpe = VpeId((rng.next_u64() % 4) as u16);
-        let ep = EpId((rng.next_u64() % 4) as u8);
-        let k = key((rng.next_u64() % 6) as u32);
-        match rng.next_u64() % 3 {
-            // bind
-            0 | 1 => {
-                let expected_old = model.iter().find(|(s, _)| *s == (vpe, ep)).map(|(_, k)| *k);
-                let old = b.bind(vpe, ep, k);
-                assert_eq!(old, expected_old, "step {step}: replaced binding mismatch");
-                model.retain(|(s, _)| *s != (vpe, ep));
-                model.push(((vpe, ep), k));
-            }
-            // unbind a whole key (what the revocation sweep does)
-            _ => {
-                let expected: Vec<(VpeId, EpId)> =
-                    model.iter().filter(|(_, mk)| *mk == k).map(|(s, _)| *s).collect();
-                let mut victims = b.unbind_key(k);
-                // The model is insertion-ordered by last bind, the
-                // table by first activation; compare as sets.
-                victims.sort();
-                let mut expected = expected;
-                expected.sort();
-                assert_eq!(victims, expected, "step {step}: unbound slots mismatch");
-                model.retain(|(_, mk)| *mk != k);
-            }
-        }
-        assert_eq!(b.len(), model.len(), "step {step}: size drifted");
-        for (slot, mk) in &model {
-            assert_eq!(b.get(slot.0, slot.1), Some(*mk), "step {step}: lookup drifted");
-        }
-        b.check_sync().unwrap_or_else(|e| panic!("step {step}: {e}"));
-    }
+fn unbind_key_clears_all_slots_in_activation_order() {
+    let mut c = TestCluster::new(1, 1);
+    let a = create_mem(&mut c);
+    let other = create_mem(&mut c);
+    activate(&mut c, a, 5);
+    activate(&mut c, a, 0);
+    activate(&mut c, other, 6);
+    assert_eq!(binding(&c, 5), Some(key(&c, a)));
+    assert_eq!(binding(&c, 0), Some(key(&c, a)));
+    c.check_invariants();
+    revoke(&mut c, a);
+    assert_eq!(binding(&c, 5), None);
+    assert_eq!(binding(&c, 0), None);
+    assert_eq!(binding(&c, 6), Some(key(&c, other)), "another capability's endpoint");
+    assert_eq!(c.kernels[0].stats().eps_invalidated, 2);
+    c.check_invariants();
 }

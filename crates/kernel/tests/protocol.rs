@@ -996,35 +996,6 @@ fn activate_rebinding_replaces_previous() {
     assert_eq!(bound, key_b, "rebinding must replace the previous binding");
 }
 
-/// One capability activated on two endpoints of its VPE (one of them
-/// twice): a revoke clears both and counts two invalidations, and leaves
-/// another capability's endpoint alone.
-#[test]
-fn revoke_clears_every_endpoint_of_the_capability() {
-    use semper_base::EpId;
-    let mut c = TestCluster::new(1, 1);
-    let a = create_mem(&mut c, VpeId(0));
-    let other = create_mem(&mut c, VpeId(0));
-    for (sel, ep) in [(a, 1), (a, 1), (a, 2), (other, 3)] {
-        let r = c.syscall(VpeId(0), Syscall::Activate { sel, ep: EpId(ep) });
-        assert!(r.result.is_ok(), "{:?}", r.result);
-    }
-    let k = &c.kernels[0];
-    let key_a = k.table(VpeId(0)).unwrap().get(a).unwrap();
-    assert_eq!(k.ep_binding(VpeId(0), EpId(1)), Some(key_a));
-    assert_eq!(k.ep_binding(VpeId(0), EpId(2)), Some(key_a));
-    assert_eq!(k.ep_binding(VpeId(0), EpId(4)), None, "never activated");
-    c.check_invariants();
-    revoke(&mut c, VpeId(0), a);
-    let k = &c.kernels[0];
-    assert_eq!(k.ep_binding(VpeId(0), EpId(1)), None);
-    assert_eq!(k.ep_binding(VpeId(0), EpId(2)), None);
-    let key_other = k.table(VpeId(0)).unwrap().get(other).unwrap();
-    assert_eq!(k.ep_binding(VpeId(0), EpId(3)), Some(key_other), "another capability's endpoint");
-    assert_eq!(k.stats().eps_invalidated, 2);
-    c.check_invariants();
-}
-
 /// Endpoint 5 rebound from capability a to b: revoking a leaves the
 /// endpoint on b and invalidates nothing.
 #[test]
