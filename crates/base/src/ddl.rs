@@ -60,8 +60,8 @@ impl CapType {
 /// A globally valid capability address (64-bit packed DDL key).
 ///
 /// The type field of a valid key is never 0, so the packed form is
-/// never 0 either: `Option<DdlKey>` is 8 bytes, which is what keeps the
-/// mapping database's parent and sibling links one word each.
+/// never 0 either: `Option<DdlKey>` is 8 bytes, which is what keeps a
+/// mapping-database record's parent link one word.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct DdlKey(NonZeroU64);
 

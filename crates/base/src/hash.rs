@@ -1,12 +1,13 @@
 //! Deterministic, fast hashing for the kernel hot paths.
 //!
 //! The kernels keep the bookkeeping that no small integer names
-//! (sibling links keyed by a possibly remote child, pending operations,
-//! revoke waiters) in hash maps so that every per-capability step of the
-//! protocol is O(1); mapping-database records and capability tables'
-//! reverse indices are stored at their DDL key's (VPE, object id)
-//! address instead, and a VPE's DTU endpoint registers in its kernel's
-//! record of the VPE, at their endpoint number. Two properties matter and both rule
+//! (pending operations, revoke waiters) in hash maps so that every
+//! per-capability step of the protocol is O(1); mapping-database records
+//! and capability tables' reverse indices are stored at their DDL key's
+//! (VPE, object id) address instead, child lists as nodes linked by
+//! index in the mapping database's node store, and a VPE's DTU endpoint
+//! registers in its kernel's record of the VPE, at their endpoint
+//! number. Two properties matter and both rule
 //! out `std::collections::HashMap`'s default state:
 //!
 //! 1. **Determinism.** `RandomState` seeds per process, so map iteration

@@ -7,10 +7,13 @@
 //! baseline mode the same structure is used but lookups skip the DDL
 //! decode cost.
 //!
-//! The record holds only the ends of its child list and its length;
-//! the sibling links between them live in [`crate::MappingDb`], because
-//! a child may be another kernel's capability.
+//! The record holds the nodes at the ends of its child list, the
+//! list's length and its own node in its local parent's list: indices
+//! into [`crate::MappingDb`]'s node store, which holds the sibling
+//! links (a child may be another kernel's capability, with no record
+//! here).
 
+use crate::mapdb::NIL;
 use semper_base::msg::CapKindDesc;
 use semper_base::{CapSel, DdlKey, VpeId};
 
@@ -38,11 +41,15 @@ pub struct Capability {
     pub sel: CapSel,
     /// Parent in the capability tree (`None` for root capabilities).
     pub parent: Option<DdlKey>,
-    /// Oldest and newest child and the child count; the links between
-    /// them are in [`crate::MappingDb`] ([`crate::MappingDb::children`]).
-    pub(crate) first_child: Option<DdlKey>,
-    pub(crate) last_child: Option<DdlKey>,
+    /// Nodes of the oldest and newest child and the child count; the
+    /// links between them are in [`crate::MappingDb`]'s node store
+    /// ([`crate::MappingDb::children`]).
+    pub(crate) first_child: u32,
+    pub(crate) last_child: u32,
     pub(crate) children: u32,
+    /// This capability's node in its local parent's child list, or
+    /// `NIL` if its parent is remote or it has none.
+    pub(crate) link: u32,
     /// Lifecycle state.
     pub state: CapState,
 }
@@ -56,9 +63,10 @@ impl Capability {
             owner,
             sel,
             parent: None,
-            first_child: None,
-            last_child: None,
+            first_child: NIL,
+            last_child: NIL,
             children: 0,
+            link: NIL,
             state: CapState::Usable,
         }
     }
@@ -128,16 +136,21 @@ mod tests {
     }
 
     fn ends(db: &MappingDb) -> (Option<DdlKey>, Option<DdlKey>, usize) {
-        let c = db.get(key(0)).unwrap();
-        (c.first_child, c.last_child, c.child_count())
+        let children: Vec<DdlKey> = db.children(key(0)).collect();
+        (children.first().copied(), children.last().copied(), db.get(key(0)).unwrap().child_count())
     }
 
+    /// Linking a local child again under its parent changes nothing (a
+    /// remote child is not deduplicated: the wire delivers each link
+    /// once, and `check_invariants` reports a key listed twice).
     #[test]
     fn add_child_is_idempotent() {
         let mut db = db_with_root();
+        db.insert(Capability::child(key(1), mem_desc(), VpeId(1), CapSel(3), key(0)));
         db.link_child(key(0), key(1)).unwrap();
         db.link_child(key(0), key(1)).unwrap();
         assert_eq!(ends(&db), (Some(key(1)), Some(key(1)), 1));
+        db.check_invariants().unwrap();
     }
 
     #[test]
@@ -164,6 +177,14 @@ mod tests {
         // and last child) and four small fields (owner, selector, child
         // count, state); nothing is allocated per record.
         assert!(core::mem::size_of::<Capability>() <= 72);
+    }
+
+    #[test]
+    fn record_is_one_cache_line() {
+        // The resource (24 bytes), two one-word keys (own and parent),
+        // three node indices (first and last child, own link), the child
+        // count, owner, selector and state: 63 bytes.
+        assert!(core::mem::size_of::<Capability>() <= 64);
     }
 
     #[test]

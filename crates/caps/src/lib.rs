@@ -9,7 +9,7 @@
 //!   parent and the ends of its child list.
 //! * [`table`] — per-VPE capability tables (selector → DDL key).
 //! * [`mapdb`] — the kernel-wide mapping database (DDL key → capability)
-//!   and the sibling links of every child list, with the
+//!   and the index-linked nodes of every child list, with the
 //!   tree-maintenance operations the exchange and revoke protocols
 //!   build on.
 //! * [`spec`] — the sequential specification: the capability forest

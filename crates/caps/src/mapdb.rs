@@ -22,15 +22,20 @@
 //!
 //! # Child lists
 //!
-//! A record keeps only its oldest and newest child and its child count.
-//! The sibling links between them are one map owned by the database,
-//! keyed by *child*: a child has one parent, and it may be remote, so its
-//! link cannot live in its own record. Nor can it be addressed like a
-//! record — a remote child's (VPE, object id) belongs to another
-//! kernel's counter, not to this kernel's — so links stay hashed. Link
-//! and unlink are O(1) hash operations that touch the child's link and
-//! its two neighbours, however wide the parent; the record itself
-//! allocates nothing.
+//! A child list is a doubly linked list of nodes `{ child, prev, next }`
+//! in a node store the database owns, linked by `u32` node index, as
+//! seL4 threads its derivation tree through its capability slots. A
+//! record keeps the nodes of its oldest and newest child, its child
+//! count, and `link`: its own node in its *local* parent's list. A
+//! remote child has no record here, so only its node names it. The
+//! store grows in chunks of `CHUNK` nodes and never moves a node;
+//! freed nodes are reused through a free list threaded through `next`.
+//!
+//! Link appends a node. Unlinking a local child is O(1) through its
+//! `link`; a remote child is found by scanning its parent's list, which
+//! only orphan clean-up and a failed delegate do. Deleting a subtree
+//! frees its nodes as it walks them. No step hashes anything, and the
+//! record itself allocates nothing.
 //!
 //! # Determinism contract
 //!
@@ -39,16 +44,24 @@
 //! the order of inter-kernel revoke messages and of
 //! [`MappingDb::delete_local_subtree_into`]'s preorder — and must never
 //! be replaced by storage order. Neither the records' (VPE, object id)
-//! order nor the link map's hash order (packed keys,
-//! [`semper_base::RawDdlKey`], fixed-seed hasher from
-//! [`semper_base::hash`]) is part of the protocol. The only whole-map
-//! iterations are [`MappingDb::iter`] (diagnostics) and
-//! [`MappingDb::check_invariants`] (in record order, links sorted, so
-//! failure reports are stable).
+//! order nor node indices, which are host-side addresses, are part of
+//! the protocol. The only whole-database iterations are
+//! [`MappingDb::iter`] (diagnostics) and [`MappingDb::check_invariants`]
+//! (in record order, so failure reports are stable).
 
 use crate::cap::{CapState, Capability};
 use crate::pages::IdPages;
-use semper_base::{Code, DdlKey, DetHashMap, Error, RawDdlKey, Result};
+use semper_base::{Code, DdlKey, Error, Result};
+
+/// No node: the end of a child list, or the `link` of a record that is
+/// on no local parent's list.
+pub(crate) const NIL: u32 = u32::MAX;
+
+/// Nodes per chunk of the node store: one 4 KiB page. Every kernel
+/// opens a first chunk, and on a machine of many kernels with short
+/// lists (32 on `apps_mix_512`) 1 024-node chunks raised peak memory
+/// by 0.3 MiB.
+const CHUNK: usize = 256;
 
 /// Records at their key's address: `vpes[vpe]`, at the object id.
 #[derive(Debug, Default, Clone)]
@@ -91,21 +104,82 @@ impl Records {
     }
 }
 
-/// A child's place in its parent's child list.
+/// One child's place in its parent's child list (16 bytes).
 #[derive(Debug, Clone, Copy)]
-struct Link {
-    parent: DdlKey,
-    prev: Option<DdlKey>,
-    next: Option<DdlKey>,
+struct Node {
+    child: DdlKey,
+    prev: u32,
+    next: u32,
+}
+
+/// Child-list nodes at their index: chunk `i / CHUNK`, slot `i % CHUNK`.
+/// Each chunk is a `Vec` with room for `CHUNK` nodes that is filled by
+/// pushing, so no node ever moves and the last chunk holds only nodes
+/// that were allocated.
+#[derive(Debug, Clone)]
+struct Nodes {
+    chunks: Vec<Vec<Node>>,
+    /// Head of the free list, threaded through `next`.
+    free: u32,
+    /// Nodes on some child list.
+    live: u32,
+}
+
+impl Default for Nodes {
+    fn default() -> Self {
+        Nodes { chunks: Vec::new(), free: NIL, live: 0 }
+    }
+}
+
+impl Nodes {
+    fn get(&self, i: u32) -> &Node {
+        &self.chunks[i as usize / CHUNK][i as usize % CHUNK]
+    }
+
+    fn get_mut(&mut self, i: u32) -> &mut Node {
+        &mut self.chunks[i as usize / CHUNK][i as usize % CHUNK]
+    }
+
+    /// Node `i`, if it was ever allocated.
+    fn try_get(&self, i: u32) -> Option<&Node> {
+        self.chunks.get(i as usize / CHUNK)?.get(i as usize % CHUNK)
+    }
+
+    /// Stores `node` in a free slot, opening a chunk if none is free.
+    fn alloc(&mut self, node: Node) -> u32 {
+        self.live += 1;
+        if self.free != NIL {
+            let i = self.free;
+            self.free = self.get(i).next;
+            *self.get_mut(i) = node;
+            return i;
+        }
+        if self.chunks.last().is_none_or(|c| c.len() == CHUNK) {
+            assert!(self.chunks.len() < NIL as usize / CHUNK, "child-list node store is full");
+            self.chunks.push(Vec::with_capacity(CHUNK));
+        }
+        let last = self.chunks.len() - 1;
+        let chunk = &mut self.chunks[last];
+        chunk.push(node);
+        (last * CHUNK + chunk.len() - 1) as u32
+    }
+
+    /// Returns node `i` to the free list.
+    fn free(&mut self, i: u32) {
+        let head = self.free;
+        self.get_mut(i).next = head;
+        self.free = i;
+        self.live -= 1;
+    }
 }
 
 /// All capabilities owned by one kernel, addressed by DDL key.
 #[derive(Debug, Default, Clone)]
 pub struct MappingDb {
     records: Records,
-    /// Sibling links, keyed by child (local or remote); every link's
-    /// parent is a record.
-    links: DetHashMap<RawDdlKey, Link>,
+    /// The nodes of every child list; every live node is on exactly one
+    /// record's list.
+    nodes: Nodes,
 }
 
 impl MappingDb {
@@ -162,54 +236,90 @@ impl MappingDb {
     pub fn children(&self, key: DdlKey) -> Children<'_> {
         let (front, back, remaining) = match self.records.get(key) {
             Some(c) => (c.first_child, c.last_child, c.children),
-            None => (None, None, 0),
+            None => (NIL, NIL, 0),
         };
-        Children { links: &self.links, front, back, remaining }
+        Children { nodes: &self.nodes, front, back, remaining }
     }
 
-    /// Appends `child` (local or remote) to the local `parent`'s child
-    /// list; linking it again under the same parent is a no-op.
+    /// Appends `child` to the local `parent`'s child list. A local child
+    /// must be inserted first; linking it again under the same parent is
+    /// a no-op. A remote child is not checked for a duplicate link: each
+    /// link arrives once, and [`MappingDb::check_invariants`] reports a
+    /// remote key listed twice.
     ///
     /// # Panics
     ///
-    /// Panics if `child` is linked under another parent — a capability
-    /// has one parent, so that is a kernel bug.
+    /// Panics if a local `child`'s record names another parent — a
+    /// capability has one parent, so that is a kernel bug.
     pub fn link_child(&mut self, parent: DdlKey, child: DdlKey) -> Result<()> {
-        let p = self.records.get_mut(parent).ok_or_else(|| Error::new(Code::NoSuchCap))?;
-        if let Some(link) = self.links.get(&child.raw()) {
-            assert_eq!(link.parent, parent, "{child:?} linked under two parents");
-            return Ok(());
+        if !self.contains(parent) {
+            return Err(Error::new(Code::NoSuchCap));
         }
-        let prev = p.last_child.replace(child);
-        p.first_child.get_or_insert(child);
+        let local = match self.records.get(child) {
+            Some(c) => {
+                assert_eq!(c.parent, Some(parent), "{child:?} linked under two parents");
+                if c.link != NIL {
+                    return Ok(());
+                }
+                true
+            }
+            None => false,
+        };
+        let p = self.records.get_mut(parent).expect("checked above");
+        let prev = p.last_child;
+        let node = self.nodes.alloc(Node { child, prev, next: NIL });
+        p.last_child = node;
+        if prev == NIL {
+            p.first_child = node;
+        } else {
+            self.nodes.get_mut(prev).next = node;
+        }
         p.children += 1;
-        self.links.insert(child.raw(), Link { parent, prev, next: None });
-        if let Some(prev) = prev {
-            self.links.get_mut(&prev.raw()).expect("the old tail is linked").next = Some(child);
+        if local {
+            self.records.get_mut(child).expect("checked above").link = node;
         }
         Ok(())
     }
 
     /// Drops `child` from `parent`'s child list. Returns whether the
-    /// link existed.
+    /// link existed. A local child leaves through its own `link`; a
+    /// remote one is searched for from the front of the list.
     pub fn unlink_child(&mut self, parent: DdlKey, child: DdlKey) -> bool {
-        let Some(&Link { parent: linked, prev, next }) = self.links.get(&child.raw()) else {
-            return false;
+        let node = match self.records.get_mut(child) {
+            Some(c) => {
+                if c.link == NIL || c.parent != Some(parent) {
+                    return false;
+                }
+                core::mem::replace(&mut c.link, NIL)
+            }
+            None => {
+                let Some(p) = self.records.get(parent) else {
+                    return false;
+                };
+                let mut i = p.first_child;
+                while i != NIL && self.nodes.get(i).child != child {
+                    i = self.nodes.get(i).next;
+                }
+                if i == NIL {
+                    return false;
+                }
+                i
+            }
         };
-        if linked != parent {
-            return false;
-        }
-        self.links.remove(&child.raw());
-        let p = self.records.get_mut(parent).expect("a link's parent is local");
+        let Node { prev, next, .. } = *self.nodes.get(node);
+        let p = self.records.get_mut(parent).expect("a linked child's parent is local");
         p.children -= 1;
-        match prev {
-            Some(k) => self.links.get_mut(&k.raw()).expect("sibling is linked").next = next,
-            None => p.first_child = next,
+        if prev == NIL {
+            p.first_child = next;
+        } else {
+            self.nodes.get_mut(prev).next = next;
         }
-        match next {
-            Some(k) => self.links.get_mut(&k.raw()).expect("sibling is linked").prev = prev,
-            None => p.last_child = prev,
+        if next == NIL {
+            p.last_child = prev;
+        } else {
+            self.nodes.get_mut(next).prev = prev;
         }
+        self.nodes.free(node);
         true
     }
 
@@ -232,7 +342,7 @@ impl MappingDb {
     /// Deletion order is preorder, children in creation order (the
     /// order the kernel's mark walk visits them in); remote children —
     /// keys not in this database — are skipped. Every deleted record's
-    /// child links go with it, remote children's included.
+    /// child-list nodes are freed with it, remote children's included.
     pub fn delete_local_subtree_into(
         &mut self,
         key: DdlKey,
@@ -247,10 +357,12 @@ impl MappingDb {
         while let Some(k) = stack.pop() {
             if let Some(cap) = self.records.remove(k) {
                 // Newest first, so pop() visits them oldest first.
-                let mut child = cap.last_child;
-                while let Some(c) = child {
-                    child = self.links.remove(&c.raw()).expect("sibling is linked").prev;
-                    stack.push(c);
+                let mut node = cap.last_child;
+                while node != NIL {
+                    let Node { child, prev, .. } = *self.nodes.get(node);
+                    self.nodes.free(node);
+                    stack.push(child);
+                    node = prev;
                 }
                 deleted.push(cap);
             }
@@ -263,112 +375,149 @@ impl MappingDb {
     ///
     /// 0. Every record is found at its own key, and the record count
     ///    agrees.
-    /// 1. Every link's parent is a local record, and each record's
-    ///    child count is the length of its child list walked from
-    ///    either end, with `first`/`last`/`prev`/`next` agreeing.
+    /// 1. Each record's child count is the length of its child list
+    ///    walked from either end, with `first`/`last`/`prev`/`next`
+    ///    agreeing, and every live node is on some record's list.
     /// 2. Every local child of a local capability points back via
-    ///    `parent`, and every local capability with a local parent is
-    ///    in that parent's child list.
-    /// 3. No capability is its own ancestor (tree, not graph).
+    ///    `parent` and names its node via `link`; every local capability
+    ///    with a local parent is on that parent's child list, and no
+    ///    other capability has a `link`. No remote key is listed twice.
+    /// 3. No capability is its own ancestor (tree, not graph): walking
+    ///    down from the records whose parent is absent or remote reaches
+    ///    every record, in O(records).
     pub fn check_invariants(&self) -> core::result::Result<(), String> {
-        let mut links: Vec<(&RawDdlKey, &Link)> = self.links.iter().collect();
-        links.sort_unstable_by_key(|(child, _)| **child);
-        for (child, link) in links {
-            if !self.contains(link.parent) {
-                return Err(format!("link of {child:#x} names missing parent {:?}", link.parent));
-            }
-        }
-        let (mut records, mut walked) = (0, 0);
+        let (mut records, mut walked, mut local_listed, mut local_parented) = (0, 0, 0, 0);
+        let (mut remote, mut nodes, mut back) = (Vec::new(), Vec::new(), Vec::new());
         for cap in self.records.iter() {
             records += 1;
-            if !self.records.get(cap.key).is_some_and(|c| core::ptr::eq(c, cap)) {
-                return Err(format!("{:?} is not at its key's address", cap.key));
+            let key = cap.key;
+            if !self.records.get(key).is_some_and(|c| core::ptr::eq(c, cap)) {
+                return Err(format!("{key:?} is not at its key's address"));
             }
-            let children = self.walk(cap, true)?;
-            self.walk(cap, false)?;
-            walked += children.len();
-            for child in children {
-                if let Some(c) = self.records.get(child) {
-                    if c.parent != Some(cap.key) {
-                        return Err(format!(
-                            "child {child:?} of {key:?} has parent {parent:?}",
-                            key = cap.key,
-                            parent = c.parent
-                        ));
-                    }
+            self.walk(cap, true, &mut nodes)?;
+            self.walk(cap, false, &mut back)?;
+            walked += nodes.len();
+            for &i in &nodes {
+                let child = self.nodes.get(i).child;
+                let Some(c) = self.records.get(child) else {
+                    remote.push(child);
+                    continue;
+                };
+                if c.parent != Some(key) {
+                    return Err(format!("child {child:?} of {key:?} has parent {:?}", c.parent));
                 }
-            }
-            if let Some(parent) = cap.parent {
-                let linked = self.links.get(&cap.key.raw()).map(|l| l.parent);
-                if self.contains(parent) && linked != Some(parent) {
+                if c.link != i {
                     return Err(format!(
-                        "{key:?} not in parent {parent:?} child list",
-                        key = cap.key
+                        "child {child:?} of {key:?} is at node {i}, link {}",
+                        c.link
                     ));
                 }
+                local_listed += 1;
             }
-            // Walk up; local chains are short, remote parents terminate.
-            let mut seen = vec![cap.key];
-            let mut cur = cap.parent;
-            while let Some(k) = cur {
-                if seen.contains(&k) {
-                    return Err(format!("cycle through {k:?}"));
+            match cap.parent.filter(|&p| self.contains(p)) {
+                Some(parent) if cap.link == NIL => {
+                    return Err(format!("{key:?} not in parent {parent:?} child list"));
                 }
-                seen.push(k);
-                cur = self.records.get(k).and_then(|c| c.parent);
+                Some(_) => local_parented += 1,
+                None if cap.link != NIL => {
+                    return Err(format!("{key:?} has link {} but no local parent", cap.link));
+                }
+                None => {}
             }
         }
         if records != self.len() {
             return Err(format!("{records} records, count {}", self.len()));
         }
-        if walked != self.links.len() {
-            return Err(format!("{} links, {walked} on their parents' lists", self.links.len()));
+        if local_listed != local_parented {
+            return Err(format!(
+                "{local_parented} records with a local parent, {local_listed} on its list"
+            ));
+        }
+        if walked != self.nodes.live as usize {
+            return Err(format!("{} live nodes, {walked} on child lists", self.nodes.live));
+        }
+        remote.sort_unstable();
+        if let Some(w) = remote.windows(2).find(|w| w[0] == w[1]) {
+            return Err(format!("remote child {:?} listed twice", w[0]));
+        }
+        self.check_acyclic()
+    }
+
+    /// Walks down from every record whose parent is absent or remote;
+    /// with every local child listed once (checked before), the walk
+    /// reaches every record iff no local parent chain is a cycle.
+    fn check_acyclic(&self) -> core::result::Result<(), String> {
+        let mut stack: Vec<DdlKey> = self
+            .records
+            .iter()
+            .filter(|c| !c.parent.is_some_and(|p| self.contains(p)))
+            .map(|c| c.key)
+            .collect();
+        let mut reached = 0;
+        while let Some(k) = stack.pop() {
+            if self.contains(k) {
+                reached += 1;
+                stack.extend(self.children(k));
+            }
+        }
+        if reached != self.len() {
+            return Err(format!(
+                "{} of {} records are on a parent cycle",
+                self.len() - reached,
+                self.len()
+            ));
         }
         Ok(())
     }
 
-    /// `cap`'s child list walked from the front (or the back), checked
-    /// link by link against the record's ends and count.
-    fn walk(&self, cap: &Capability, forward: bool) -> core::result::Result<Vec<DdlKey>, String> {
+    /// `cap`'s child-list nodes walked from the front (or the back) into
+    /// `seen`, checked node by node against the record's ends and count.
+    fn walk(
+        &self,
+        cap: &Capability,
+        forward: bool,
+        seen: &mut Vec<u32>,
+    ) -> core::result::Result<(), String> {
         let key = cap.key;
         let (mut cur, end) = if forward {
             (cap.first_child, cap.last_child)
         } else {
             (cap.last_child, cap.first_child)
         };
-        let mut seen: Vec<DdlKey> = Vec::new();
-        while let Some(k) = cur {
+        seen.clear();
+        while cur != NIL {
             if seen.len() == cap.child_count() {
                 return Err(format!("{key:?}: child list longer than its count {}", cap.children));
             }
-            let link =
-                self.links.get(&k.raw()).ok_or_else(|| format!("{k:?} of {key:?} unlinked"))?;
+            let Some(node) = self.nodes.try_get(cur) else {
+                return Err(format!("{key:?}: node {cur} was never allocated"));
+            };
             let (back, ahead) =
-                if forward { (link.prev, link.next) } else { (link.next, link.prev) };
-            if link.parent != key || back != seen.last().copied() {
-                return Err(format!("{key:?}: link of child {k:?} disagrees: {link:?}"));
+                if forward { (node.prev, node.next) } else { (node.next, node.prev) };
+            if back != seen.last().copied().unwrap_or(NIL) {
+                return Err(format!("{key:?}: node {cur} disagrees: {node:?}"));
             }
-            seen.push(k);
+            seen.push(cur);
             cur = ahead;
         }
-        if seen.len() != cap.child_count() || seen.last().copied() != end {
+        if seen.len() != cap.child_count() || seen.last().copied().unwrap_or(NIL) != end {
             return Err(format!(
-                "{key:?}: {} children end at {:?}, record says {}",
+                "{key:?}: {} children end at node {:?}, record says {}",
                 seen.len(),
                 seen.last(),
                 cap.children
             ));
         }
-        Ok(seen)
+        Ok(())
     }
 }
 
 /// Double-ended creation-order iterator over one capability's children
 /// ([`MappingDb::children`]).
 pub struct Children<'a> {
-    links: &'a DetHashMap<RawDdlKey, Link>,
-    front: Option<DdlKey>,
-    back: Option<DdlKey>,
+    nodes: &'a Nodes,
+    front: u32,
+    back: u32,
     remaining: u32,
 }
 
@@ -377,9 +526,9 @@ impl Iterator for Children<'_> {
 
     fn next(&mut self) -> Option<DdlKey> {
         self.remaining = self.remaining.checked_sub(1)?;
-        let key = self.front?;
-        self.front = self.links[&key.raw()].next;
-        Some(key)
+        let node = self.nodes.get(self.front);
+        self.front = node.next;
+        Some(node.child)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -390,9 +539,9 @@ impl Iterator for Children<'_> {
 impl DoubleEndedIterator for Children<'_> {
     fn next_back(&mut self) -> Option<DdlKey> {
         self.remaining = self.remaining.checked_sub(1)?;
-        let key = self.back?;
-        self.back = self.links[&key.raw()].prev;
-        Some(key)
+        let node = self.nodes.get(self.back);
+        self.back = node.prev;
+        Some(node.child)
     }
 }
 
@@ -494,7 +643,7 @@ mod tests {
         root(&mut db, key(0));
         db.link_child(key(0), remote_key(7)).unwrap();
         deletion_order(&mut db, key(0));
-        assert!(db.links.is_empty());
+        assert_eq!(db.nodes.live, 0);
         // The key is free to be linked under another parent.
         root(&mut db, key(1));
         db.link_child(key(1), remote_key(7)).unwrap();
@@ -540,7 +689,8 @@ mod tests {
     fn invariants_catch_a_broken_sibling_chain() {
         let mut db = wide(3);
         db.check_invariants().unwrap();
-        db.links.get_mut(&remote_key(1).raw()).unwrap().prev = None;
+        let second = db.nodes.get(db.get(key(100)).unwrap().first_child).next;
+        db.nodes.get_mut(second).prev = NIL;
         assert!(db.check_invariants().unwrap_err().contains("disagrees"));
         let mut db = wide(3);
         db.get_mut(key(100)).unwrap().children = 2;
@@ -601,12 +751,26 @@ mod tests {
         db.check_invariants().unwrap();
     }
 
+    /// Linking a local child again under its parent changes nothing.
     #[test]
     fn link_is_idempotent() {
-        let mut db = wide(1);
-        db.link_child(key(100), remote_key(0)).unwrap();
-        assert_eq!(children(&db, key(100)), vec![remote_key(0)]);
+        let mut db = MappingDb::new();
+        root(&mut db, key(100));
+        child(&mut db, key(1), key(100));
+        db.link_child(key(100), key(1)).unwrap();
+        assert_eq!(children(&db, key(100)), vec![key(1)]);
+        assert_eq!(db.nodes.live, 1);
         db.check_invariants().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "linked under two parents")]
+    fn linking_a_local_child_under_another_parent_panics() {
+        let mut db = MappingDb::new();
+        root(&mut db, key(100));
+        root(&mut db, key(101));
+        child(&mut db, key(1), key(100));
+        let _ = db.link_child(key(101), key(1));
     }
 
     #[test]
@@ -645,23 +809,29 @@ mod tests {
     }
 
     /// The m3fs close-one-extent-at-a-time pattern: a wide parent loses
-    /// one child per close, oldest first — the order m3fs produces when
-    /// a trace closes files in the order it opened them, and the worst
-    /// case for a list that scans or compacts. Unlink is O(1) whatever
-    /// the width: it touches only the child's link and its two
-    /// neighbours, never the parent's other children.
+    /// one local child per close, oldest first — the order m3fs produces
+    /// when a trace closes files in the order it opened them, and the
+    /// worst case for a list that scans or compacts. Unlinking a local
+    /// child is O(1) whatever the width: it goes through the child's own
+    /// `link` and touches only its two neighbours, never the parent's
+    /// other children.
     #[test]
     fn one_at_a_time_teardown_is_linear() {
         const N: u32 = 4096;
-        let mut db = wide(N);
-        for i in 0..N {
-            assert!(db.unlink_child(key(100), remote_key(i)));
+        let mut db = MappingDb::new();
+        root(&mut db, key(0));
+        for i in 1..=N {
+            child(&mut db, key(i), key(0));
+        }
+        for i in 1..=N {
+            assert_eq!(deletion_order(&mut db, key(i)), vec![key(i)]);
             if i % 1024 == 0 {
                 db.check_invariants().unwrap();
             }
         }
-        assert_eq!(db.get(key(100)).unwrap().child_count(), 0);
-        assert!(db.links.is_empty());
+        assert_eq!(db.get(key(0)).unwrap().child_count(), 0);
+        assert_eq!(db.nodes.live, 0);
+        db.check_invariants().unwrap();
     }
 
     /// Pages currently allocated, over all VPEs.
@@ -798,5 +968,227 @@ mod tests {
         db.check_invariants().unwrap();
         db.get_mut(key(0)).unwrap().key = key(1);
         assert!(db.check_invariants().unwrap_err().contains("not at its key's address"));
+    }
+
+    /// A local child's `link` naming a sibling's node.
+    #[test]
+    fn invariants_catch_a_link_naming_a_siblings_node() {
+        let mut db = MappingDb::new();
+        root(&mut db, key(0));
+        child(&mut db, key(1), key(0));
+        child(&mut db, key(2), key(0));
+        db.check_invariants().unwrap();
+        db.get_mut(key(1)).unwrap().link = db.get(key(2)).unwrap().link;
+        assert!(db.check_invariants().unwrap_err().contains("is at node"));
+    }
+
+    /// A remote child has one parent and is linked once.
+    #[test]
+    fn invariants_catch_a_remote_key_listed_twice() {
+        let mut db = wide(3);
+        db.link_child(key(100), remote_key(1)).unwrap();
+        assert!(db.check_invariants().unwrap_err().contains("listed twice"));
+    }
+
+    /// A node on no list: live nodes differ from the nodes walked.
+    #[test]
+    fn invariants_catch_a_leaked_node() {
+        let mut db = wide(2);
+        db.nodes.alloc(Node { child: remote_key(9), prev: NIL, next: NIL });
+        assert!(db.check_invariants().unwrap_err().contains("live nodes"));
+    }
+
+    /// Two local records, each the other's parent and on the other's
+    /// list: every list is consistent, but no root reaches them.
+    #[test]
+    fn invariants_catch_a_parent_cycle() {
+        let mut db = MappingDb::new();
+        root(&mut db, key(0));
+        db.insert(Capability::child(key(1), mem(), VpeId(0), CapSel(0), key(2)));
+        db.insert(Capability::child(key(2), mem(), VpeId(0), CapSel(0), key(1)));
+        db.link_child(key(2), key(1)).unwrap();
+        db.link_child(key(1), key(2)).unwrap();
+        assert!(db.check_invariants().unwrap_err().contains("cycle"));
+    }
+
+    /// The acyclicity check walks down once, so a deep local chain costs
+    /// O(records), not O(records · depth²).
+    #[test]
+    fn invariants_check_a_deep_chain() {
+        const N: u32 = 20_000;
+        let mut db = MappingDb::new();
+        root(&mut db, key(0));
+        for i in 1..N {
+            child(&mut db, key(i), key(i - 1));
+        }
+        db.check_invariants().unwrap();
+        assert_eq!(deletion_order(&mut db, key(0)).len(), N as usize);
+        assert_eq!(db.nodes.live, 0);
+    }
+
+    /// Nodes freed by unlinks are reused before a new chunk opens, and a
+    /// subtree delete frees its nodes.
+    #[test]
+    fn freed_nodes_are_reused() {
+        let mut db = wide(CHUNK as u32);
+        assert_eq!(db.nodes.chunks.len(), 1);
+        for i in 0..10 {
+            assert!(db.unlink_child(key(100), remote_key(i)));
+        }
+        root(&mut db, key(0));
+        for i in 0..10 {
+            child(&mut db, key(1 + i), key(0));
+        }
+        assert_eq!(db.nodes.chunks.len(), 1);
+        deletion_order(&mut db, key(100));
+        assert_eq!(db.nodes.live, 10);
+        db.check_invariants().unwrap();
+    }
+
+    /// A seeded walk of links (local and remote), unlinks at the head,
+    /// middle and tail of a list (local through the child's `link`,
+    /// remote through the scan) and subtree deletes, against a model
+    /// that keeps each record's children as a `Vec`. After every step
+    /// both iteration directions match the model, the invariants hold,
+    /// and the live nodes are exactly the model's links.
+    #[test]
+    fn child_lists_match_a_model() {
+        use std::collections::BTreeMap;
+        const STEPS: usize = 20_000;
+        let mut db = MappingDb::new();
+        // Local record -> its children in creation order.
+        let mut model: BTreeMap<DdlKey, Vec<DdlKey>> = BTreeMap::new();
+        // Local record -> its local parent.
+        let mut parents: BTreeMap<DdlKey, DdlKey> = BTreeMap::new();
+        let mut next_id = [0u32; 3];
+        let mut next_remote = 0u32;
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut rand = move |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        };
+        // Half the links go under one of the three oldest records, so
+        // some lists grow wide enough to have a distinct middle.
+        let parent_pick = |rand: &mut dyn FnMut(usize) -> usize| {
+            if rand(2) == 0 {
+                rand(3)
+            } else {
+                rand(usize::MAX)
+            }
+        };
+        let pick =
+            |m: &BTreeMap<DdlKey, Vec<DdlKey>>, r: usize| *m.keys().nth(r % m.len()).unwrap();
+        let (mut local_unlinks, mut remote_unlinks, mut deletes) = (0, 0, 0);
+        for _ in 0..STEPS {
+            let op = if model.is_empty() { 0 } else { rand(100) };
+            let grow = model.len() < 64;
+            match op {
+                // A new root, or a new local child under a random record.
+                0..=39 if grow => {
+                    let vpe = rand(3);
+                    let k = DdlKey::new(
+                        PeId(vpe as u16),
+                        VpeId(vpe as u16),
+                        CapType::Memory,
+                        next_id[vpe],
+                    );
+                    next_id[vpe] += 1;
+                    if op < 10 {
+                        root(&mut db, k);
+                    } else {
+                        let p = pick(&model, parent_pick(&mut rand));
+                        child(&mut db, k, p);
+                        model.get_mut(&p).unwrap().push(k);
+                        parents.insert(k, p);
+                    }
+                    model.insert(k, Vec::new());
+                }
+                // A new remote child.
+                40..=59 if grow => {
+                    let p = pick(&model, parent_pick(&mut rand));
+                    let k = remote_key(next_remote);
+                    next_remote += 1;
+                    db.link_child(p, k).unwrap();
+                    model.get_mut(&p).unwrap().push(k);
+                }
+                // Unlink at the head, middle or tail of a non-empty list.
+                40..=79 => {
+                    let listed: Vec<DdlKey> =
+                        model.iter().filter(|(_, l)| !l.is_empty()).map(|(&p, _)| p).collect();
+                    if listed.is_empty() {
+                        continue;
+                    }
+                    let p = listed[rand(listed.len())];
+                    let len = model[&p].len();
+                    let at = [0, len / 2, len - 1][rand(3)];
+                    let c = model[&p][at];
+                    assert!(db.unlink_child(p, c));
+                    assert!(!db.unlink_child(p, c), "unlinked twice");
+                    model.get_mut(&p).unwrap().remove(at);
+                    let forward: Vec<DdlKey> = db.children(p).collect();
+                    assert_eq!(forward, model[&p]);
+                    if model.contains_key(&c) {
+                        // A local child unlinked stays a record naming
+                        // its parent until its subtree goes.
+                        local_unlinks += 1;
+                        delete_in_model(&mut db, &mut model, &mut parents, c);
+                    } else {
+                        remote_unlinks += 1;
+                    }
+                }
+                // Relinking a local child is a no-op; an unlink naming
+                // the wrong parent finds nothing.
+                80..=84 => {
+                    let Some((&c, &p)) =
+                        parents.iter().nth(rand(usize::MAX) % parents.len().max(1))
+                    else {
+                        continue;
+                    };
+                    db.link_child(p, c).unwrap();
+                    let other = pick(&model, rand(usize::MAX));
+                    if other != p {
+                        assert!(!db.unlink_child(other, c));
+                    }
+                }
+                // Delete the subtree of a random record.
+                _ => {
+                    let k = pick(&model, rand(usize::MAX));
+                    deletes += 1;
+                    delete_in_model(&mut db, &mut model, &mut parents, k);
+                }
+            }
+            for (&p, list) in &model {
+                assert!(db.children(p).eq(list.iter().copied()), "{p:?} forwards");
+                assert!(db.children(p).rev().eq(list.iter().rev().copied()), "{p:?} backwards");
+            }
+            assert_eq!(db.len(), model.len());
+            assert_eq!(db.nodes.live as usize, model.values().map(Vec::len).sum::<usize>());
+            db.check_invariants().unwrap();
+        }
+        assert!(local_unlinks > 100 && remote_unlinks > 100 && deletes > 100);
+    }
+
+    /// Deletes `k`'s subtree from the database and from the model.
+    fn delete_in_model(
+        db: &mut MappingDb,
+        model: &mut std::collections::BTreeMap<DdlKey, Vec<DdlKey>>,
+        parents: &mut std::collections::BTreeMap<DdlKey, DdlKey>,
+        k: DdlKey,
+    ) {
+        if let Some(p) = parents.get(&k) {
+            model.get_mut(p).unwrap().retain(|&c| c != k);
+        }
+        let mut expected = Vec::new();
+        let mut stack = vec![k];
+        while let Some(k) = stack.pop() {
+            if let Some(list) = model.remove(&k) {
+                parents.remove(&k);
+                expected.push(k);
+                stack.extend(list.iter().rev());
+            }
+        }
+        assert_eq!(deletion_order(db, k), expected);
     }
 }

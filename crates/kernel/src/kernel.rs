@@ -9,11 +9,12 @@
 //! [`KernelId`], mapping-database records at their DDL key's (VPE,
 //! object id) address, and a table's reverse index at the bound key's
 //! object id. A group's VPEs are scattered over the global id space, so
-//! VPE records are boxed: an empty slot costs one word. What has no
-//! such name — sibling links keyed by a possibly remote child, pending
-//! operations, revoke waiters — lives in fixed-seed hash maps
-//! ([`semper_base::hash`]). Every lookup is O(1), and one with an id
-//! past a vector's end misses without growing it.
+//! VPE records are boxed: an empty slot costs one word. Child lists,
+//! whose children may be remote, are nodes linked by index in the
+//! mapping database's node store, each record naming its own node. What
+//! has no such name — pending operations, revoke waiters — lives in
+//! fixed-seed hash maps ([`semper_base::hash`]). Every lookup is O(1),
+//! and one with an id past a vector's end misses without growing it.
 //!
 //! A capability enters a table only through `Kernel::install` (bar
 //! each VPE's self-capability at selector 0) and leaves it only through
