@@ -167,7 +167,7 @@ impl Replayer {
     /// Panics if the session is already open.
     pub fn open_session(&mut self, out: &mut Outbox) -> u64 {
         assert!(self.session.is_none(), "session already open");
-        let _ = self.sys.submit(Syscall::OpenSession { name: self.service_name }, out);
+        self.sys.submit(Syscall::OpenSession { name: self.service_name }, out);
         self.cost.fs_meta_op / 4
     }
 

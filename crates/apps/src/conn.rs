@@ -13,18 +13,19 @@
 //! # use semper_base::{Msg, PeId};
 //! let mut conn = KernelConn::new(PeId(3), PeId(0));
 //! let mut out = Outbox::new();
-//! let token = conn.submit(Syscall::Noop, &mut out);
+//! conn.submit(Syscall::Noop, &mut out);
 //! assert!(conn.busy());
-//! // ... the kernel replies ...
-//! let reply = SysReply { tag: token.tag(), result: Ok(SysReplyData::None) };
+//! // ... the kernel replies, echoing the tag the call carried ...
+//! let Payload::Sys { tag, .. } = &out.drain()[0].0.payload else { unreachable!() };
+//! let reply = SysReply { tag: *tag, result: Ok(SysReplyData::None) };
 //! conn.accept(&reply).expect("tag mismatch is a hard error, not a dropped reply");
 //! assert!(!conn.busy());
 //! ```
 //!
 //! VPEs have exactly one blocking system call in flight (the invariant
 //! the paper's thread-pool sizing rests on), so "completion polling" is
-//! a single-slot affair: [`KernelConn::pending`] names the in-flight
-//! token, [`KernelConn::accept`] resolves it.
+//! a single-slot affair: [`KernelConn::busy`] says whether a call is in
+//! flight, [`KernelConn::accept`] resolves it.
 
 use semper_base::msg::{Outbox, Payload, SysReply, Syscall};
 use semper_base::{Code, Error, Msg, PeId, Result};
@@ -48,11 +49,6 @@ impl Correlator {
     /// True while a request is outstanding.
     pub fn busy(&self) -> bool {
         self.waiting.is_some()
-    }
-
-    /// The tag of the outstanding request, if any.
-    pub fn pending(&self) -> Option<u64> {
-        self.waiting
     }
 
     /// Allocates the next tag and marks it outstanding.
@@ -90,18 +86,6 @@ impl Correlator {
     }
 }
 
-/// Handle for one submitted system call (resolved by the next matching
-/// [`KernelConn::accept`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Token(u64);
-
-impl Token {
-    /// The wire tag carried by the submitted call.
-    pub fn tag(&self) -> u64 {
-        self.0
-    }
-}
-
 /// A VPE's connection to its group's kernel: typed submission of
 /// [`Syscall`]s, single-slot completion tracking, hard-error reply
 /// matching.
@@ -136,25 +120,18 @@ impl KernelConn {
         self.corr.busy()
     }
 
-    /// The token of the in-flight system call, if any.
-    pub fn pending(&self) -> Option<Token> {
-        self.corr.pending().map(Token)
-    }
-
     /// Submits a system call to the kernel; the message leaves with the
-    /// handler's output. Returns the token the reply will resolve.
-    pub fn submit(&mut self, call: Syscall, out: &mut Outbox) -> Token {
+    /// handler's output, under the tag the reply must echo.
+    pub fn submit(&mut self, call: Syscall, out: &mut Outbox) {
         let tag = self.corr.issue();
         out.push(Msg::new(self.pe, self.kernel_pe, Payload::sys(tag, call)));
-        Token(tag)
     }
 
-    /// Resolves the in-flight call against a reply. Returns the token
-    /// on a match; a mismatched or unexpected reply is a hard error
-    /// (never silently dropped — the caller fails or panics).
-    pub fn accept(&mut self, reply: &SysReply) -> Result<Token> {
-        self.corr.accept(reply.tag)?;
-        Ok(Token(reply.tag))
+    /// Resolves the in-flight call against a reply. A mismatched or
+    /// unexpected reply is a hard error (never silently dropped — the
+    /// caller fails or panics).
+    pub fn accept(&mut self, reply: &SysReply) -> Result<()> {
+        self.corr.accept(reply.tag)
     }
 
     /// Clears the in-flight marker (failure teardown).
@@ -172,15 +149,13 @@ mod tests {
     fn submit_and_accept_roundtrip() {
         let mut conn = KernelConn::new(PeId(5), PeId(0));
         let mut out = Outbox::new();
-        let token = conn.submit(Syscall::Noop, &mut out);
-        assert_eq!(token.tag(), 1);
+        conn.submit(Syscall::Noop, &mut out);
         assert!(conn.busy());
-        assert_eq!(conn.pending(), Some(token));
         let msgs = out.drain();
         assert!(matches!(&msgs[0].0.payload, Payload::Sys { tag: 1, call: Syscall::Noop }));
         assert_eq!(msgs[0].0.dst, PeId(0));
         let reply = SysReply { tag: 1, result: Ok(SysReplyData::None) };
-        assert_eq!(conn.accept(&reply).unwrap(), token);
+        conn.accept(&reply).unwrap();
         assert!(!conn.busy());
     }
 
@@ -188,7 +163,7 @@ mod tests {
     fn mismatched_reply_is_a_hard_error() {
         let mut conn = KernelConn::new(PeId(5), PeId(0));
         let mut out = Outbox::new();
-        let _ = conn.submit(Syscall::Noop, &mut out);
+        conn.submit(Syscall::Noop, &mut out);
         let bogus = SysReply { tag: 42, result: Ok(SysReplyData::None) };
         assert_eq!(conn.accept(&bogus).unwrap_err().code(), Code::InternalError);
         // An unsolicited reply with nothing in flight is also an error.

@@ -101,31 +101,9 @@ impl MachineConfig {
         }
     }
 
-    /// M3 baseline on the same hardware: one kernel, plain references.
-    pub fn m3_baseline(num_pes: u16) -> MachineConfig {
-        MachineConfig {
-            num_pes,
-            mesh_width: mesh_width_for(num_pes),
-            kernels: 1,
-            services: 1,
-            mode: KernelMode::M3,
-            max_inflight: DEFAULT_MAX_INFLIGHT,
-            features: Vec::new(),
-            cost: CostModel::calibrated(),
-        }
-    }
-
     /// True if the given feature is enabled.
     pub fn has_feature(&self, f: Feature) -> bool {
         self.features.contains(&f)
-    }
-
-    /// Enables a feature (builder style).
-    pub fn with_feature(mut self, f: Feature) -> MachineConfig {
-        if !self.features.contains(&f) {
-            self.features.push(f);
-        }
-        self
     }
 
     /// Kernel thread-pool size per the paper's formula (§4.2):
@@ -190,7 +168,17 @@ mod tests {
 
     #[test]
     fn m3_mode_requires_single_kernel() {
-        let mut c = MachineConfig::m3_baseline(64);
+        // The M3 baseline: one kernel, plain references.
+        let mut c = MachineConfig {
+            num_pes: 64,
+            mesh_width: mesh_width_for(64),
+            kernels: 1,
+            services: 1,
+            mode: KernelMode::M3,
+            max_inflight: DEFAULT_MAX_INFLIGHT,
+            features: Vec::new(),
+            cost: CostModel::calibrated(),
+        };
         assert_eq!(c.validate(), Ok(()));
         c.kernels = 2;
         assert!(c.validate().is_err());
@@ -228,12 +216,5 @@ mod tests {
         assert_eq!(c.validate(), Ok(()));
         c.mesh_width = 0;
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn features_builder() {
-        let c = MachineConfig::small().with_feature(Feature::RevokeBatching);
-        assert!(c.has_feature(Feature::RevokeBatching));
-        assert!(!c.has_feature(Feature::OneWayDelegate));
     }
 }

@@ -51,11 +51,6 @@ impl Perms {
     pub fn contains(self, other: Perms) -> bool {
         self.0 & other.0 == other.0
     }
-
-    /// Intersection of two permission sets.
-    pub fn intersect(self, other: Perms) -> Perms {
-        Perms(self.0 & other.0)
-    }
 }
 
 impl core::fmt::Display for Perms {
@@ -800,7 +795,6 @@ mod tests {
     fn perms_subset_logic() {
         assert!(Perms::RWX.contains(Perms::RW));
         assert!(!Perms::R.contains(Perms::W));
-        assert_eq!(Perms::RW.intersect(Perms::W), Perms::W);
         assert_eq!(Perms::RWX.to_string(), "rwx");
         assert_eq!(Perms::R.to_string(), "r--");
     }

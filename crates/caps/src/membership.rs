@@ -90,11 +90,6 @@ impl MembershipTable {
             .filter(move |(_, kk)| **kk == k)
             .map(|(p, _)| PeId(p as u16))
     }
-
-    /// Size of one kernel's group.
-    pub fn group_size(&self, k: KernelId) -> usize {
-        self.kernel_of_pe.iter().filter(|kk| **kk == k).count()
-    }
 }
 
 #[cfg(test)]
@@ -119,10 +114,9 @@ mod tests {
     fn uneven_partitioning_assigns_all() {
         let t = MembershipTable::contiguous(10, 3);
         // 10 PEs over 3 kernels: balanced groups of 4, 3, 3.
-        assert_eq!(t.group_size(KernelId(0)), 4);
-        assert_eq!(t.group_size(KernelId(1)), 3);
-        assert_eq!(t.group_size(KernelId(2)), 3);
-        let total: usize = (0..3).map(|k| t.group_size(KernelId(k))).sum();
+        let sizes: Vec<usize> = (0..3).map(|k| t.group_pes(KernelId(k)).count()).collect();
+        assert_eq!(sizes, [4, 3, 3]);
+        let total: usize = sizes.iter().sum();
         assert_eq!(total, 10);
     }
 
@@ -135,7 +129,7 @@ mod tests {
             for k in 0..kernels {
                 assert!(t.kernel_pe(KernelId(k)).0 < 640, "{kernels} kernels, K{k}");
             }
-            let total: usize = (0..kernels).map(|k| t.group_size(KernelId(k))).sum();
+            let total: usize = (0..kernels).map(|k| t.group_pes(KernelId(k)).count()).sum();
             assert_eq!(total, 640);
         }
     }

@@ -35,13 +35,9 @@ impl Kernel {
             if ep.0 >= EP_COUNT {
                 return Err(Error::new(Code::InvalidArgs));
             }
-            let key = self.table(vpe).ok_or(Error::new(Code::NoSuchVpe))?.get(sel)?;
-            let cap = self.mapdb.get(key)?;
-            if cap.revoking() {
-                return Err(Error::new(Code::RevokeInProgress));
-            }
+            let key = self.bound(vpe, sel)?;
             use semper_base::msg::CapKindDesc;
-            match cap.kind {
+            match self.usable(key)?.kind {
                 CapKindDesc::Memory { .. } | CapKindDesc::SendGate { .. } => {}
                 _ => return Err(Error::new(Code::InvalidArgs)),
             }
@@ -50,11 +46,6 @@ impl Kernel {
             record.eps[usize::from(ep.0)] = Some(key);
             Ok(SysReplyData::None)
         })();
-        if let Err(e) = &result {
-            if e.code() == Code::RevokeInProgress {
-                self.stats.pointless_denied += 1;
-            }
-        }
         self.reply_sys(out, vpe, tag, result);
         self.ref_cost() + self.cfg.cost.cap_insert + self.cfg.cost.syscall_exit
     }

@@ -19,7 +19,10 @@
 //! A capability enters a table only through `Kernel::install` (bar
 //! each VPE's self-capability at selector 0) and leaves it only through
 //! the revocation sweep, which also clears the endpoint registers that
-//! name it.
+//! name it. A system call names a capability through `Kernel::bound`
+//! alone, and an operation builds on one only after `Kernel::usable`
+//! admitted it: the one place that refuses a capability under
+//! revocation and counts the refusal.
 //!
 //! Protocol-visible ordering never comes from storage order: the
 //! `semper_sim::EventQueue`'s FIFO tie-break stays the sole ordering
@@ -31,7 +34,7 @@ use std::collections::VecDeque;
 
 use semper_base::config::{KernelMode, MachineConfig};
 use semper_base::msg::{KReply, Kcall, Payload, SysReplyData, Syscall, Upcall};
-use semper_base::{CapSel, Code, Error, KernelId, Msg, OpId, PeId, Result, VpeId};
+use semper_base::{CapSel, Code, DdlKey, Error, KernelId, Msg, OpId, PeId, Result, VpeId};
 use semper_caps::{CapTable, Capability, KeyAllocator, MappingDb, MembershipTable};
 use semper_noc::GlobalMemory;
 
@@ -231,6 +234,27 @@ impl Kernel {
         sel
     }
 
+    /// The key bound at `sel` in `vpe`'s table: the one selector lookup
+    /// behind every system call that names a capability.
+    pub(crate) fn bound(&self, vpe: VpeId, sel: CapSel) -> Result<DdlKey> {
+        self.table(vpe).ok_or(Error::new(Code::NoSuchVpe))?.get(sel)
+    }
+
+    /// The one admission check: the record of `key`, if an operation may
+    /// build on it. A capability under revocation is refused with
+    /// `RevokeInProgress` and counted — building on it would be
+    /// *pointless* in Table 2's terms, and a child linked under it would
+    /// be *invalid* once the revoke finishes. A missing one is
+    /// `NoSuchCap`.
+    pub(crate) fn usable(&mut self, key: DdlKey) -> Result<&Capability> {
+        let cap = self.mapdb.get(key)?;
+        if cap.revoking() {
+            self.stats.pointless_denied += 1;
+            return Err(Error::new(Code::RevokeInProgress));
+        }
+        Ok(cap)
+    }
+
     /// The capability table of a VPE (tests and verification).
     pub fn table(&self, vpe: VpeId) -> Option<&CapTable> {
         Some(&self.vpe(vpe)?.table)
@@ -344,6 +368,13 @@ impl Kernel {
         if let Ok(pe) = self.pe_of_vpe(vpe) {
             out.push(Msg::new(self.pe, pe, Payload::sys_reply(tag, result)));
         }
+    }
+
+    /// Refuses a system call: replies `err` and returns the exit cost —
+    /// the one answer of every handler that gives up before doing work.
+    pub(crate) fn refuse(&mut self, out: &mut Outbox, vpe: VpeId, tag: u64, err: Error) -> u64 {
+        self.reply_sys(out, vpe, tag, Err(err));
+        self.cfg.cost.syscall_exit
     }
 
     /// Sends an inter-kernel request when the handler completes (see

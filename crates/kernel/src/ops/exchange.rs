@@ -194,13 +194,7 @@ impl Kernel {
     ) -> u64 {
         match self.exchange_start(vpe, tag, other, own_sel, other_sel, kind, out) {
             Ok(cost) => cost,
-            Err(e) => {
-                if e.code() == Code::RevokeInProgress {
-                    self.stats.pointless_denied += 1;
-                }
-                self.reply_sys(out, vpe, tag, Err(e));
-                self.cfg.cost.syscall_exit
-            }
+            Err(e) => self.refuse(out, vpe, tag, e),
         }
     }
 
@@ -220,16 +214,11 @@ impl Kernel {
         }
         let peer_kernel = self.kernel_of_vpe(other)?;
 
-        // For a delegate, the initiator's capability must exist and must
-        // not be under revocation (denying *pointless* exchanges).
-        let parent_key = match kind {
+        // For a delegate, the initiator's capability must be usable.
+        let parent = match kind {
             ExchangeKind::Delegate => {
-                let key = self.table(vpe).ok_or(Error::new(Code::NoSuchVpe))?.get(own_sel)?;
-                let cap = self.mapdb.get(key)?;
-                if cap.revoking() {
-                    return Err(Error::new(Code::RevokeInProgress));
-                }
-                Some(key)
+                let key = self.bound(vpe, own_sel)?;
+                Some((key, self.usable(key)?.kind))
             }
             ExchangeKind::Obtain => None,
         };
@@ -240,10 +229,7 @@ impl Kernel {
                 return Err(Error::new(Code::VpeGone));
             }
             if kind == ExchangeKind::Obtain {
-                let key = self.table(other).ok_or(Error::new(Code::NoSuchVpe))?.get(other_sel)?;
-                if self.mapdb.get(key)?.revoking() {
-                    return Err(Error::new(Code::RevokeInProgress));
-                }
+                self.usable(self.bound(other, other_sel)?)?;
             }
             let op = self.alloc_op();
             let peer_pe = self.pe_of_vpe(other)?;
@@ -299,8 +285,7 @@ impl Kernel {
                     );
                 }
                 ExchangeKind::Delegate => {
-                    let parent_key = parent_key.expect("checked above for delegate");
-                    let desc = self.mapdb.get(parent_key)?.kind;
+                    let (parent_key, desc) = parent.expect("checked above for delegate");
                     self.send_kcall(
                         out,
                         peer_kernel,
@@ -336,8 +321,7 @@ impl Kernel {
         out: &mut Outbox,
     ) -> u64 {
         if !accept {
-            self.reply_sys(out, initiator, tag, Err(Error::new(Code::ExchangeDenied)));
-            return self.cfg.cost.syscall_exit;
+            return self.refuse(out, initiator, tag, Error::new(Code::ExchangeDenied));
         }
         if !self.vpe_alive(initiator) {
             // The initiator died while the upcall was in flight; nothing
@@ -354,8 +338,6 @@ impl Kernel {
         };
         if result.is_ok() {
             self.stats.exchanges_local += 1;
-        } else if result.as_ref().err().map(|e| e.code()) == Some(Code::RevokeInProgress) {
-            self.stats.pointless_denied += 1;
         }
         self.reply_sys(out, initiator, tag, result);
         self.cfg.cost.cap_create
@@ -367,12 +349,8 @@ impl Kernel {
     /// Creates a child of `owner`'s capability at `sel` for `receiver`
     /// (both VPEs in this group). Returns the receiver-side selector.
     fn insert_child_for(&mut self, owner: VpeId, sel: CapSel, receiver: VpeId) -> Result<CapSel> {
-        let parent_key = self.table(owner).ok_or(Error::new(Code::NoSuchVpe))?.get(sel)?;
-        let parent = self.mapdb.get(parent_key)?;
-        if parent.revoking() {
-            return Err(Error::new(Code::RevokeInProgress));
-        }
-        let desc = parent.kind;
+        let parent_key = self.bound(owner, sel)?;
+        let desc = self.usable(parent_key)?.kind;
         let recv_pe = self.pe_of_vpe(receiver)?;
         let child_key = self.keys.alloc(recv_pe, receiver, key_type_for(&desc));
         let child = Capability::child(child_key, desc, receiver, CapSel::INVALID, parent_key);
@@ -400,17 +378,12 @@ impl Kernel {
             if !self.vpe_alive(owner_vpe) {
                 return Err(Error::new(Code::VpeGone));
             }
-            let key = self.table(owner_vpe).ok_or(Error::new(Code::NoSuchVpe))?.get(owner_sel)?;
-            if self.mapdb.get(key)?.revoking() {
-                return Err(Error::new(Code::RevokeInProgress));
-            }
+            let key = self.bound(owner_vpe, owner_sel)?;
+            self.usable(key)?;
             Ok(key)
         })();
         match check {
             Err(e) => {
-                if e.code() == Code::RevokeInProgress {
-                    self.stats.pointless_denied += 1;
-                }
                 self.send_kreply(out, from, KReply::Obtain { op, result: Err(e) });
                 self.cfg.cost.kcall_exit
             }
@@ -458,22 +431,13 @@ impl Kernel {
             if !accept {
                 return Err(Error::new(Code::ExchangeDenied));
             }
-            let parent = self.mapdb.get(parent_key)?;
-            if parent.revoking() {
-                return Err(Error::new(Code::RevokeInProgress));
-            }
-            let kind = parent.kind;
+            let kind = self.usable(parent_key)?.kind;
             // C1 is added to C2's child list *before* the reply (§4.3.2);
             // if the requester died, it becomes an orphan the requester's
             // kernel tells us to remove.
             self.mapdb.link_child(parent_key, child_key)?;
             Ok(CapDesc { key: parent_key, kind })
         })();
-        if let Err(e) = &result {
-            if e.code() == Code::RevokeInProgress {
-                self.stats.pointless_denied += 1;
-            }
-        }
         self.send_kreply(out, caller_kernel, KReply::Obtain { op: caller_op, result });
         self.ref_cost() + self.cfg.cost.cap_insert + self.cfg.cost.kcall_exit
     }
@@ -490,10 +454,7 @@ impl Kernel {
         out: &mut Outbox,
     ) -> u64 {
         match result {
-            Err(e) => {
-                self.reply_sys(out, requester, tag, Err(*e));
-                self.cfg.cost.syscall_exit
-            }
+            Err(e) => self.refuse(out, requester, tag, *e),
             Ok(desc) => {
                 if !self.vpe_alive(requester) {
                     // Orphaned: tell the kernel that answered — the
@@ -643,10 +604,7 @@ impl Kernel {
         out: &mut Outbox,
     ) -> u64 {
         match result {
-            Err(e) => {
-                self.reply_sys(out, delegator, tag, Err(*e));
-                self.cfg.cost.syscall_exit
-            }
+            Err(e) => self.refuse(out, delegator, tag, *e),
             Ok((child_key, peer_op)) => {
                 if self.cfg.has_feature(Feature::OneWayDelegate) {
                     // Ablation: link blindly, no validation, no ack.
@@ -661,12 +619,31 @@ impl Kernel {
                     return self.cfg.cost.cap_insert + self.cfg.cost.syscall_exit;
                 }
 
-                // Validate: parent must still exist, not be in
-                // revocation, and the delegator must still be alive.
-                let valid = self.vpe_alive(delegator)
-                    && self.mapdb.get(parent_key).map(|c| !c.revoking()).unwrap_or(false);
+                // Validate: the delegator must still be alive and the
+                // parent still usable.
+                let admitted = if self.vpe_alive(delegator) {
+                    self.usable(parent_key).map(|_| ())
+                } else {
+                    Err(Error::new(Code::VpeGone))
+                };
                 let reply_op = self.alloc_op();
-                if valid {
+                if let Err(reason) = admitted {
+                    self.send_kcall(
+                        out,
+                        from,
+                        Kcall::DelegateAck { op: *peer_op, reply_op, commit: false },
+                    );
+                    self.park(
+                        reply_op,
+                        PendingOp::Exchange(Phase::DelegateAborted {
+                            tag,
+                            delegator,
+                            peer_kernel: from,
+                            reason,
+                        }),
+                    );
+                    self.ref_cost()
+                } else {
                     self.mapdb.link_child(parent_key, *child_key).expect("parent checked above");
                     self.send_kcall(
                         out,
@@ -683,30 +660,6 @@ impl Kernel {
                         }),
                     );
                     self.ref_cost() + self.cfg.cost.xfer_desc + self.cfg.cost.cap_insert
-                } else {
-                    let reason = if !self.vpe_alive(delegator) {
-                        Error::new(Code::VpeGone)
-                    } else if self.mapdb.contains(parent_key) {
-                        self.stats.pointless_denied += 1;
-                        Error::new(Code::RevokeInProgress)
-                    } else {
-                        Error::new(Code::NoSuchCap)
-                    };
-                    self.send_kcall(
-                        out,
-                        from,
-                        Kcall::DelegateAck { op: *peer_op, reply_op, commit: false },
-                    );
-                    self.park(
-                        reply_op,
-                        PendingOp::Exchange(Phase::DelegateAborted {
-                            tag,
-                            delegator,
-                            peer_kernel: from,
-                            reason,
-                        }),
-                    );
-                    self.ref_cost()
                 }
             }
         }
@@ -775,19 +728,6 @@ impl Kernel {
             }
         }
         self.ref_cost() + self.cfg.cost.syscall_exit
-    }
-
-    /// Resumes [`Phase::DelegateAborted`]: the receiver confirmed the
-    /// abort; fail the system call with the recorded reason.
-    pub(crate) fn delegate_done_aborted(
-        &mut self,
-        tag: u64,
-        delegator: VpeId,
-        reason: Error,
-        out: &mut Outbox,
-    ) -> u64 {
-        self.reply_sys(out, delegator, tag, Err(reason));
-        self.cfg.cost.syscall_exit
     }
 
     /// Cancellation for exchange phases awaiting a consent upcall whose

@@ -56,12 +56,10 @@ impl Kernel {
         out: &mut Outbox,
     ) -> u64 {
         let result = (|| -> Result<SysReplyData> {
-            let parent_key = self.table(vpe).ok_or(Error::new(Code::NoSuchVpe))?.get(src)?;
-            let parent = self.mapdb.get(parent_key)?;
-            if parent.revoking() {
-                return Err(Error::new(Code::RevokeInProgress));
-            }
-            let CapKindDesc::Memory { addr, size: psize, perms: pperms } = parent.kind else {
+            let parent_key = self.bound(vpe, src)?;
+            let CapKindDesc::Memory { addr, size: psize, perms: pperms } =
+                self.usable(parent_key)?.kind
+            else {
                 return Err(Error::new(Code::InvalidArgs));
             };
             // A derived capability must stay within the parent's range
@@ -80,11 +78,6 @@ impl Kernel {
             self.mapdb.link_child(parent_key, key)?;
             Ok(SysReplyData::Sel(sel))
         })();
-        if let Err(e) = &result {
-            if e.code() == Code::RevokeInProgress {
-                self.stats.pointless_denied += 1;
-            }
-        }
         self.reply_sys(out, vpe, tag, result);
         self.ref_cost()
             + self.cfg.cost.cap_create

@@ -31,7 +31,11 @@
 //!
 //! Every protocol-independent concept exists once: one `Syscall` →
 //! handler table (`Kernel::dispatch_syscall`), one completion funnel
-//! (`Kernel::reply_sys`, a message to the VPE), one credit-gated
+//! (`Kernel::reply_sys`, a message to the VPE) and one refusal on it
+//! (`Kernel::refuse`, which also charges the exit), one selector lookup
+//! (`Kernel::bound`), one admission check (`Kernel::usable`: a
+//! capability under revocation is refused and counted there, Table 2's
+//! *pointless* case, and nowhere else), one credit-gated
 //! request send (`Kernel::send_kcall_at`), one mark walk and one delete
 //! pass for Algorithm 1 (`Kernel::mark_subtree` /
 //! `Kernel::delete_marked` in [`revoke`], driven by revoke system
@@ -334,10 +338,12 @@ impl Kernel {
                 PendingOp::Exchange(Ex::DelegateWaitDone { tag, delegator, parent_key, child_key }),
                 KReply::DelegateDone { result, .. },
             ) => self.delegate_done(tag, delegator, parent_key, child_key, *result, out),
+            // The receiver confirmed the abort: fail the system call
+            // with the recorded reason.
             (
                 PendingOp::Exchange(Ex::DelegateAborted { tag, delegator, reason, .. }),
                 KReply::DelegateDone { .. },
-            ) => self.delegate_done_aborted(tag, delegator, reason, out),
+            ) => self.refuse(out, delegator, tag, reason),
             (
                 PendingOp::Session(Sess::OpenRemote { tag, client, child_key, srv }),
                 KReply::OpenSess { result, .. },

@@ -36,9 +36,7 @@ use semper_base::config::Feature;
 use semper_base::msg::{KReply, Kcall, SysReplyData};
 use std::collections::BTreeMap;
 
-use semper_base::{
-    CapSel, Code, DdlKey, DetHashMap, Error, KernelId, OpId, RawDdlKey, Result, VpeId,
-};
+use semper_base::{CapSel, DdlKey, DetHashMap, KernelId, OpId, RawDdlKey, Result, VpeId};
 use semper_caps::Capability;
 
 use crate::kernel::Kernel;
@@ -182,27 +180,23 @@ impl Kernel {
     ) -> u64 {
         // Target resolution is folded into the per-capability reference
         // costs charged by the mark phase.
-        let resolve = 0;
         let roots = match self.revoke_roots(vpe, sel, own) {
             Ok(r) => r,
-            Err(e) => {
-                self.reply_sys(out, vpe, tag, Err(e));
-                return resolve + self.cfg.cost.syscall_exit;
-            }
+            Err(e) => return self.refuse(out, vpe, tag, e),
         };
         if roots.is_empty() {
             // Revoking the children of a childless capability: done.
             self.stats.revokes_local += 1;
             self.reply_sys(out, vpe, tag, Ok(SysReplyData::None));
-            return resolve + self.cfg.cost.syscall_exit;
+            return self.cfg.cost.syscall_exit;
         }
-        resolve + self.start_revoke(roots, Initiator::Syscall { vpe, tag }, out)
+        self.start_revoke(roots, Initiator::Syscall { vpe, tag }, out)
     }
 
     /// Resolves the subtree roots of a revoke call: the capability itself
     /// (`own = true`) or each of its children (`own = false`).
     fn revoke_roots(&self, vpe: VpeId, sel: CapSel, own: bool) -> Result<Vec<DdlKey>> {
-        let key = self.table(vpe).ok_or(Error::new(Code::NoSuchVpe))?.get(sel)?;
+        let key = self.bound(vpe, sel)?;
         if own {
             return Ok(vec![key]);
         }

@@ -106,8 +106,7 @@ impl Kernel {
         // eight. A 257th service would take another service's id.
         let local_count = self.registry.iter().filter(|s| s.owner == self.id).count();
         let Ok(local_count) = u8::try_from(local_count) else {
-            self.reply_sys(out, vpe, tag, Err(Error::new(Code::NoSpace)));
-            return self.cfg.cost.syscall_exit;
+            return self.refuse(out, vpe, tag, Error::new(Code::NoSpace));
         };
         let id = ServiceId((self.id.0 << 8) | u16::from(local_count));
         let pe = self.pe_of_vpe(vpe).expect("caller is local");
@@ -145,12 +144,10 @@ impl Kernel {
         out: &mut Outbox,
     ) -> u64 {
         let Some(srv) = self.registry.pick(name, self.id, vpe).copied() else {
-            self.reply_sys(out, vpe, tag, Err(Error::new(Code::NoSuchService)));
-            return self.cfg.cost.syscall_exit;
+            return self.refuse(out, vpe, tag, Error::new(Code::NoSuchService));
         };
         if self.peer_dead(srv.owner) {
-            self.reply_sys(out, vpe, tag, Err(Error::new(Code::Timeout)));
-            return self.cfg.cost.syscall_exit;
+            return self.refuse(out, vpe, tag, Error::new(Code::Timeout));
         }
         let client_pe = self.pe_of_vpe(vpe).expect("caller is local");
         // The session capability is created by the client's kernel; its
@@ -202,9 +199,7 @@ impl Kernel {
             if srv.owner != self.id || !self.vpe_alive(srv.srv_vpe) {
                 return Err(Error::new(Code::NoSuchService));
             }
-            if self.mapdb.get(srv.srv_key)?.revoking() {
-                return Err(Error::new(Code::RevokeInProgress));
-            }
+            self.service_cap_usable(&srv)?;
             Ok((srv, self.pe_of_vpe(client_vpe)?))
         })();
         match check {
@@ -245,10 +240,7 @@ impl Kernel {
         out: &mut Outbox,
     ) -> u64 {
         match result {
-            Err(e) => {
-                self.reply_sys(out, client, tag, Err(e));
-                self.cfg.cost.syscall_exit
-            }
+            Err(e) => self.refuse(out, client, tag, e),
             Ok(ident) => {
                 if !self.vpe_alive(client) {
                     // Client died while the service was deciding;
@@ -256,8 +248,7 @@ impl Kernel {
                     return 0;
                 }
                 if let Err(e) = self.service_cap_usable(&srv) {
-                    self.reply_sys(out, client, tag, Err(e));
-                    return self.cfg.cost.syscall_exit;
+                    return self.refuse(out, client, tag, e);
                 }
                 let sel = self.insert_session(client, child_key, srv, ident, true);
                 self.stats.sessions_opened += 1;
@@ -309,10 +300,7 @@ impl Kernel {
         out: &mut Outbox,
     ) -> u64 {
         match result {
-            Err(e) => {
-                self.reply_sys(out, client, tag, Err(e));
-                self.cfg.cost.syscall_exit
-            }
+            Err(e) => self.refuse(out, client, tag, e),
             Ok(ident) => {
                 if !self.vpe_alive(client) {
                     // Orphaned session: unlink at the service's kernel.
@@ -337,21 +325,15 @@ impl Kernel {
         }
     }
 
-    /// Re-validates a local service's capability when the service
-    /// answers an open, as `obtain_owner_accept` does for an obtain: the
-    /// check made when the open arrived is stale by now — the service
-    /// may have revoked the capability (gone: `NoSuchService`) or be
-    /// revoking it (marked: `RevokeInProgress`, a *pointless* exchange
-    /// in Table 2's terms; a session linked under a marked parent would
-    /// be an *invalid* capability once the revoke finishes).
+    /// `Kernel::usable` for a local service's capability, checked when
+    /// an open arrives and again when the service answers it, as
+    /// `obtain_owner_accept` does for an obtain: by then the service may
+    /// have revoked the capability (gone: `NoSuchService`) or be
+    /// revoking it (marked: `RevokeInProgress`).
     fn service_cap_usable(&mut self, srv: &ServiceInfo) -> Result<()> {
-        match self.mapdb.get(srv.srv_key) {
-            Err(_) => Err(Error::new(Code::NoSuchService)),
-            Ok(cap) if cap.revoking() => {
-                self.stats.pointless_denied += 1;
-                Err(Error::new(Code::RevokeInProgress))
-            }
-            Ok(_) => Ok(()),
+        match self.usable(srv.srv_key) {
+            Err(e) if e.code() == Code::NoSuchCap => Err(Error::new(Code::NoSuchService)),
+            other => other.map(|_| ()),
         }
     }
 

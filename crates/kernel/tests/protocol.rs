@@ -744,6 +744,26 @@ fn local_open_answered_after_service_cap_revoked_is_refused() {
     assert_eq!(c.total_caps(), 2, "only the two self-capabilities may survive");
 }
 
+/// On three kernels of one VPE each, a service on VPE 0 with a session
+/// open at VPE 1: a revoke of the service capability parks on kernel 1.
+/// Returns the service capability's selector.
+fn service_with_a_remote_session(c: &mut TestCluster) -> CapSel {
+    let r = c.syscall(VpeId(0), Syscall::CreateSrv { name: 7 });
+    let Ok(SysReplyData::Sel(srv_sel)) = r.result else { panic!("{r:?}") };
+    assert!(c.syscall(VpeId(1), Syscall::OpenSession { name: 7 }).result.is_ok());
+    srv_sel
+}
+
+/// VPE 2's open of that service, answered while the service capability
+/// is marked; returns the open's tag.
+fn open_answered_during_revoke(c: &mut TestCluster) -> u64 {
+    let srv_sel = service_with_a_remote_session(c);
+    let tag = c.syscall_async(VpeId(2), Syscall::OpenSession { name: 7 });
+    c.pump_n(3); // the service's answer is queued
+    revoke_ahead_of_queue(c, srv_sel);
+    tag
+}
+
 /// Table 2's *invalid* capability, for sessions: the service capability
 /// already has a remote session, so its revoke parks on kernel 1 — and
 /// the answer to a second open arrives while it is marked. Linking the
@@ -752,12 +772,7 @@ fn local_open_answered_after_service_cap_revoked_is_refused() {
 #[test]
 fn open_answered_during_service_cap_revoke_leaves_no_invalid_cap() {
     let mut c = TestCluster::new(3, 1);
-    let r = c.syscall(VpeId(0), Syscall::CreateSrv { name: 7 });
-    let Ok(SysReplyData::Sel(srv_sel)) = r.result else { panic!("{r:?}") };
-    assert!(c.syscall(VpeId(1), Syscall::OpenSession { name: 7 }).result.is_ok());
-    let tag = c.syscall_async(VpeId(2), Syscall::OpenSession { name: 7 });
-    c.pump_n(3);
-    revoke_ahead_of_queue(&mut c, srv_sel);
+    let tag = open_answered_during_revoke(&mut c);
     assert_open_refused(&mut c, VpeId(2), tag, Code::RevokeInProgress);
     assert_eq!(c.kernels[0].stats().pointless_denied, 1);
     for cap in c.kernels.iter().flat_map(|k| k.mapdb().iter()) {
@@ -769,6 +784,211 @@ fn open_answered_during_service_cap_revoke_leaves_no_invalid_cap() {
         );
     }
     assert_eq!(c.total_caps(), 3, "only the three self-capabilities may survive");
+}
+
+#[test]
+fn spanning_open_after_the_service_cap_is_gone_is_no_such_service() {
+    let mut c = TestCluster::new(2, 1);
+    let r = c.syscall(VpeId(0), Syscall::CreateSrv { name: 7 });
+    let Ok(SysReplyData::Sel(srv_sel)) = r.result else { panic!("{r:?}") };
+    revoke(&mut c, VpeId(0), srv_sel);
+    // Kernel 1 still knows the service; its kernel has no capability
+    // for it any more.
+    let tag = c.syscall_async(VpeId(1), Syscall::OpenSession { name: 7 });
+    c.pump_all();
+    assert_open_refused(&mut c, VpeId(1), tag, Code::NoSuchService);
+    assert!(c.kernels.iter().all(|k| k.stats().pointless_denied == 0));
+}
+
+// ----- one admission check ------------------------------------------------
+
+/// One site where an operation meets a capability under revocation —
+/// Table 2's *pointless* case: the cluster it runs on, and the driver
+/// that builds the marked capability and issues the call the refusal
+/// answers (returning that call's VPE and tag).
+struct Refusal {
+    site: &'static str,
+    kernels: u16,
+    vpes: u16,
+    drive: fn(&mut TestCluster) -> (VpeId, u64),
+    /// The kernel that refuses, and the only one that counts it.
+    refuser: usize,
+}
+
+/// `owner`'s revoke of `sel`, delivered ahead of everything queued and
+/// stopped after the mark: `sel` stays marked until the kernels of its
+/// remote children answer the revoke requests now queued.
+fn mark_now(c: &mut TestCluster, owner: VpeId, sel: CapSel) {
+    c.syscall_front(owner, Syscall::Revoke { sel, own: true });
+    c.pump_n(1);
+}
+
+/// `owner`'s new memory capability with a child at `child`, a VPE of
+/// another group, marked by `mark_now`.
+fn marked_mem(c: &mut TestCluster, owner: VpeId, child: VpeId) -> CapSel {
+    let sel = create_mem(c, owner);
+    let _ = delegate(c, owner, child, sel);
+    mark_now(c, owner, sel);
+    sel
+}
+
+fn exchange(other: VpeId, sel: CapSel, kind: ExchangeKind) -> Syscall {
+    match kind {
+        ExchangeKind::Obtain => {
+            Syscall::Exchange { other, own_sel: CapSel::INVALID, other_sel: sel, kind }
+        }
+        ExchangeKind::Delegate => {
+            Syscall::Exchange { other, own_sel: sel, other_sel: CapSel::INVALID, kind }
+        }
+    }
+}
+
+/// On two kernels of two VPEs each, VPEs 0 and 1 are kernel 0's, VPEs
+/// 2 and 3 kernel 1's; on three kernels of one, VPE `k` is kernel `k`'s.
+/// A site refusing at the start has the VPE it would ask deny: were the
+/// start let through, the answer would be `ExchangeDenied`.
+const REFUSALS: &[Refusal] = &[
+    Refusal {
+        site: "Activate",
+        kernels: 2,
+        vpes: 2,
+        drive: |c| {
+            let sel = marked_mem(c, VpeId(0), VpeId(2));
+            let ep = semper_base::EpId(2);
+            (VpeId(0), c.syscall_async(VpeId(0), Syscall::Activate { sel, ep }))
+        },
+        refuser: 0,
+    },
+    Refusal {
+        site: "DeriveMem",
+        kernels: 2,
+        vpes: 2,
+        drive: |c| {
+            let sel = marked_mem(c, VpeId(0), VpeId(2));
+            let call = Syscall::DeriveMem { src: sel, offset: 0, size: 64, perms: Perms::R };
+            (VpeId(0), c.syscall_async(VpeId(0), call))
+        },
+        refuser: 0,
+    },
+    Refusal {
+        site: "local obtain, at the start",
+        kernels: 2,
+        vpes: 2,
+        drive: |c| {
+            let sel = marked_mem(c, VpeId(0), VpeId(2));
+            c.deny_exchanges(VpeId(0));
+            (VpeId(1), obtain_async(c, VpeId(1), VpeId(0), sel))
+        },
+        refuser: 0,
+    },
+    Refusal {
+        site: "local obtain, at the consent",
+        kernels: 2,
+        vpes: 2,
+        drive: |c| {
+            let sel = create_mem(c, VpeId(0));
+            let _ = delegate(c, VpeId(0), VpeId(2), sel);
+            let tag = obtain_async(c, VpeId(1), VpeId(0), sel);
+            c.pump_n(1); // the consent upcall to VPE 0 is queued
+            mark_now(c, VpeId(0), sel);
+            (VpeId(1), tag)
+        },
+        refuser: 0,
+    },
+    Refusal {
+        site: "local delegate",
+        kernels: 2,
+        vpes: 2,
+        drive: |c| {
+            let sel = marked_mem(c, VpeId(0), VpeId(2));
+            c.deny_exchanges(VpeId(1));
+            let call = exchange(VpeId(1), sel, ExchangeKind::Delegate);
+            (VpeId(0), c.syscall_async(VpeId(0), call))
+        },
+        refuser: 0,
+    },
+    Refusal {
+        site: "spanning obtain, at the request",
+        kernels: 2,
+        vpes: 2,
+        drive: |c| {
+            let sel = marked_mem(c, VpeId(2), VpeId(1));
+            c.deny_exchanges(VpeId(2));
+            // Ahead of the revoke request, so the obtain request reaches
+            // kernel 1 before the revoke's reply does.
+            let call = exchange(VpeId(2), sel, ExchangeKind::Obtain);
+            (VpeId(0), c.syscall_front(VpeId(0), call))
+        },
+        refuser: 1,
+    },
+    Refusal {
+        site: "spanning obtain, at the owner's consent",
+        kernels: 2,
+        vpes: 2,
+        drive: |c| {
+            let sel = create_mem(c, VpeId(2));
+            let _ = delegate(c, VpeId(2), VpeId(1), sel);
+            let tag = obtain_async(c, VpeId(0), VpeId(2), sel);
+            c.pump_n(2); // the consent upcall to VPE 2 is queued
+            mark_now(c, VpeId(2), sel);
+            (VpeId(0), tag)
+        },
+        refuser: 1,
+    },
+    Refusal {
+        site: "spanning delegate, at the first leg's reply",
+        kernels: 2,
+        vpes: 2,
+        drive: |c| {
+            let sel = create_mem(c, VpeId(0));
+            let _ = delegate(c, VpeId(0), VpeId(3), sel);
+            let call = exchange(VpeId(2), sel, ExchangeKind::Delegate);
+            let tag = c.syscall_async(VpeId(0), call);
+            c.pump_n(4); // kernel 1's first-leg reply is queued
+            mark_now(c, VpeId(0), sel);
+            (VpeId(0), tag)
+        },
+        refuser: 0,
+    },
+    Refusal {
+        site: "spanning OpenSession, at the request",
+        kernels: 3,
+        vpes: 1,
+        drive: |c| {
+            let srv_sel = service_with_a_remote_session(c);
+            mark_now(c, VpeId(0), srv_sel);
+            (VpeId(2), c.syscall_front(VpeId(2), Syscall::OpenSession { name: 7 }))
+        },
+        refuser: 0,
+    },
+    Refusal {
+        site: "spanning OpenSession, at the service's answer",
+        kernels: 3,
+        vpes: 1,
+        drive: |c| (VpeId(2), open_answered_during_revoke(c)),
+        refuser: 0,
+    },
+];
+
+/// Every site that refuses an operation on a marked capability answers
+/// `RevokeInProgress` and counts it exactly once, at the kernel that
+/// refused: `Kernel::usable` is the one place that does both.
+#[test]
+fn every_pointless_refusal_counts_once_at_the_refusing_kernel() {
+    for case in REFUSALS {
+        let mut c = TestCluster::new(case.kernels, case.vpes);
+        let (vpe, tag) = (case.drive)(&mut c);
+        c.pump_all();
+        let r = c.take_reply(vpe, tag).unwrap_or_else(|| panic!("{}: no reply", case.site));
+        let code = r.result.map(|_| ()).map_err(|e| e.code());
+        assert_eq!(code, Err(Code::RevokeInProgress), "{}", case.site);
+        let counts: Vec<u64> = c.kernels.iter().map(|k| k.stats().pointless_denied).collect();
+        let mut want = vec![0; counts.len()];
+        want[case.refuser] = 1;
+        assert_eq!(counts, want, "{}: pointless denials per kernel", case.site);
+        c.check_invariants();
+        c.assert_quiescent();
+    }
 }
 
 #[test]
@@ -810,6 +1030,24 @@ fn derive_mem_creates_attenuated_child() {
     let r2 = c
         .syscall(VpeId(0), Syscall::DeriveMem { src: sel, offset: 0, size: 64, perms: Perms::RWX });
     assert_eq!(r2.result.unwrap_err().code(), Code::NoPerm);
+    c.check_invariants();
+}
+
+/// A size whose alignment wraps past the top of the address space is
+/// refused, and the allocator does not move: the next region is a fresh
+/// one, not an alias of the last.
+#[test]
+fn create_mem_of_a_huge_size_is_refused() {
+    let mut c = TestCluster::new(1, 2);
+    let mem_addr = |r: SysReply| match r.result {
+        Ok(SysReplyData::Mem { addr, .. }) => addr,
+        other => panic!("create failed: {other:?}"),
+    };
+    let first = mem_addr(c.syscall(VpeId(0), Syscall::CreateMem { size: 4096, perms: Perms::RW }));
+    let huge = Syscall::CreateMem { size: u64::MAX - 10, perms: Perms::RW };
+    assert_eq!(c.syscall(VpeId(0), huge).result.unwrap_err().code(), Code::NoSpace);
+    let next = mem_addr(c.syscall(VpeId(1), Syscall::CreateMem { size: 4096, perms: Perms::RW }));
+    assert_eq!(next, first + 4096, "the refused create moved the allocator");
     c.check_invariants();
 }
 

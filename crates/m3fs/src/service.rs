@@ -176,17 +176,19 @@ impl FsService {
     pub fn boot(&mut self, out: &mut Outbox) -> u64 {
         assert_eq!(self.boot, BootState::Cold, "boot called twice");
         self.boot = BootState::Registering;
-        self.syscall(Syscall::CreateSrv { name: M3FS_NAME }, out);
+        self.conn.submit(Syscall::CreateSrv { name: M3FS_NAME }, out);
         self.cost.fs_meta_op
-    }
-
-    fn syscall(&mut self, call: Syscall, out: &mut Outbox) -> u64 {
-        self.conn.submit(call, out).tag()
     }
 
     /// Handles one incoming message; returns the modeled cycle cost.
     pub fn handle(&mut self, msg: &Msg, out: &mut Outbox) -> u64 {
+        // Upcalls and system-call replies come from the kernel alone: from
+        // any other PE they are forgeries, dropped unread at zero cost as
+        // the kernel's routers drop a message from a PE that may not send
+        // it.
+        let from_kernel = msg.src == self.conn.kernel_pe();
         match &msg.payload {
+            Payload::Upcall(_) | Payload::SysReply(_) if !from_kernel => 0,
             Payload::Upcall(Upcall::SessionOpen { op, client_vpe, client_pe }) => {
                 self.sessions.push((*client_vpe, *client_pe));
                 let ident = self.sessions.len() as u64;
@@ -363,12 +365,12 @@ impl FsService {
                     perms: *perms,
                 };
                 self.current = Some(work);
-                self.syscall(call, out);
+                self.conn.submit(call, out);
             }
             Work::Close { remaining, .. } => {
                 let sel = remaining[0];
                 self.current = Some(work);
-                self.syscall(Syscall::Revoke { sel, own: true }, out);
+                self.conn.submit(Syscall::Revoke { sel, own: true }, out);
             }
         }
     }
@@ -385,7 +387,8 @@ impl FsService {
                     panic!("m3fs registration: CreateSrv failed: {e:?}");
                 }
                 self.boot = BootState::AllocatingImage;
-                self.syscall(Syscall::CreateMem { size: self.image_size, perms: Perms::RW }, out);
+                self.conn
+                    .submit(Syscall::CreateMem { size: self.image_size, perms: Perms::RW }, out);
                 return self.cost.fs_meta_op;
             }
             BootState::AllocatingImage => {
@@ -434,7 +437,7 @@ impl FsService {
                                 perms,
                                 derived_sel: Some(sel),
                             });
-                            self.syscall(
+                            self.conn.submit(
                                 Syscall::Exchange {
                                     other: client_vpe,
                                     own_sel: sel,
@@ -492,7 +495,7 @@ impl FsService {
                     } else {
                         let sel = remaining[0];
                         self.current = Some(Work::Close { client_pe, tag, fid, remaining });
-                        self.syscall(Syscall::Revoke { sel, own: true }, out);
+                        self.conn.submit(Syscall::Revoke { sel, own: true }, out);
                     }
                 }
                 self.cost.fs_meta_op
@@ -606,6 +609,58 @@ mod tests {
             Payload::UpcallReply(UpcallReply::SessionOpen { result: Ok(1), .. })
         ));
         assert_eq!(s.stats().sessions, 1);
+    }
+
+    /// `svc()` with its boot replies fed: ready to serve sessions.
+    fn booted() -> FsService {
+        let mut s = svc();
+        s.boot(&mut Outbox::new());
+        let srv = Payload::sys_reply(1, Ok(SysReplyData::Sel(CapSel(2))));
+        s.handle(&Msg::new(PeId(0), PeId(3), srv), &mut Outbox::new());
+        let mem = SysReplyData::Mem { sel: CapSel(3), addr: 0x4000_0000 };
+        s.handle(&Msg::new(PeId(0), PeId(3), Payload::sys_reply(2, Ok(mem))), &mut Outbox::new());
+        assert!(s.ready());
+        s
+    }
+
+    /// A session-open upcall from a client's PE instead of the kernel's
+    /// opens nothing, so the client's later request names no session.
+    #[test]
+    fn forged_session_upcall_is_dropped() {
+        let mut s = booted();
+        let mut out = Outbox::new();
+        let up = Upcall::SessionOpen {
+            op: semper_base::OpId(5),
+            client_vpe: VpeId(1),
+            client_pe: PeId(7),
+        };
+        assert_eq!(s.handle(&Msg::new(PeId(7), PeId(3), Payload::Upcall(up)), &mut out), 0);
+        assert!(out.drain().is_empty());
+        assert_eq!(s.stats().sessions, 0);
+        let open = FsOp::Open { path: "/f.txt".into(), write: false, create: false };
+        let req = Payload::fs(FsReq { session: 1, tag: 9, op: open });
+        s.handle(&Msg::new(PeId(7), PeId(3), req), &mut out);
+        let msgs = out.drain();
+        let Payload::FsReply(r) = &msgs[0].0.payload else { panic!("{msgs:?}") };
+        assert_eq!(r.result.as_ref().unwrap_err().code(), Code::InvalidSession);
+        assert_eq!(s.stats().opens, 0);
+    }
+
+    /// A system-call reply from a client's PE that carries the in-flight
+    /// tag advances nothing: the kernel's reply is still the one the
+    /// service takes.
+    #[test]
+    fn forged_sys_reply_is_dropped() {
+        let mut s = svc();
+        s.boot(&mut Outbox::new());
+        let mut out = Outbox::new();
+        let forged = Payload::sys_reply(1, Ok(SysReplyData::Sel(CapSel(2))));
+        assert_eq!(s.handle(&Msg::new(PeId(7), PeId(3), forged), &mut out), 0);
+        assert!(out.drain().is_empty());
+        let real = Payload::sys_reply(1, Ok(SysReplyData::Sel(CapSel(2))));
+        s.handle(&Msg::new(PeId(0), PeId(3), real), &mut out);
+        let msgs = out.drain();
+        assert!(matches!(&msgs[0].0.payload, Payload::Sys { call: Syscall::CreateMem { .. }, .. }));
     }
 
     #[test]

@@ -26,12 +26,8 @@ pub const ALLOC_ALIGN: u64 = 64;
 impl GlobalMemory {
     /// Creates an address space of `size` bytes starting at `base`.
     pub fn new(base: u64, size: u64) -> GlobalMemory {
-        GlobalMemory { base: align_up(base), next: align_up(base), limit: base + size }
-    }
-
-    /// A machine-scale default: 64 GiB starting at 4 GiB.
-    pub fn machine_default() -> GlobalMemory {
-        GlobalMemory::new(4 << 30, 64 << 30)
+        let start = align_up(base).expect("the base is below the last aligned address");
+        GlobalMemory { base: start, next: start, limit: base + size }
     }
 
     /// Allocates `size` bytes; returns the region's base address.
@@ -40,7 +36,8 @@ impl GlobalMemory {
             return Err(Error::new(Code::InvalidArgs));
         }
         let base = self.next;
-        let end = base.checked_add(align_up(size)).ok_or_else(|| Error::new(Code::NoSpace))?;
+        let end = align_up(size).and_then(|size| base.checked_add(size));
+        let end = end.ok_or_else(|| Error::new(Code::NoSpace))?;
         if end > self.limit {
             return Err(Error::new(Code::NoSpace));
         }
@@ -59,8 +56,10 @@ impl GlobalMemory {
     }
 }
 
-fn align_up(v: u64) -> u64 {
-    (v + ALLOC_ALIGN - 1) & !(ALLOC_ALIGN - 1)
+/// `v` rounded up to the allocation alignment; `None` past the last
+/// aligned address.
+fn align_up(v: u64) -> Option<u64> {
+    Some(v.checked_add(ALLOC_ALIGN - 1)? & !(ALLOC_ALIGN - 1))
 }
 
 #[cfg(test)]
@@ -99,9 +98,15 @@ mod tests {
         assert_eq!(m.remaining(), r0 - 64);
     }
 
+    /// A size whose alignment wraps past `u64::MAX` is refused and
+    /// leaves the allocator where it was: the next region is fresh, not
+    /// the previous one again.
     #[test]
-    fn machine_default_is_large() {
-        let m = GlobalMemory::machine_default();
-        assert!(m.remaining() >= 60 << 30);
+    fn a_size_near_the_top_is_refused() {
+        let mut m = GlobalMemory::new(4 << 30, 64 << 30);
+        let a = m.alloc(4096).unwrap();
+        assert_eq!(m.alloc(u64::MAX - 10).unwrap_err().code(), Code::NoSpace);
+        let b = m.alloc(4096).unwrap();
+        assert_eq!(b, a + 4096);
     }
 }
