@@ -476,6 +476,7 @@ impl AppClient {
     }
 
     /// Current lifecycle phase.
+    #[inline]
     pub fn phase(&self) -> ClientPhase {
         self.phase
     }

@@ -126,7 +126,10 @@ impl NginxServer {
 pub struct LoadGen {
     pe: PeId,
     servers: Vec<PeId>,
-    /// Outstanding requests per server.
+    /// Requests sent to each server and not yet answered, by index into
+    /// `servers`.
+    outstanding: Vec<u32>,
+    /// Requests the closed loop keeps outstanding at each server.
     depth: u32,
     next_id: u64,
     completed: u64,
@@ -138,7 +141,17 @@ impl LoadGen {
     /// Creates a load generator targeting `servers` with `depth`
     /// outstanding requests per server.
     pub fn new(pe: PeId, servers: Vec<PeId>, depth: u32) -> LoadGen {
-        LoadGen { pe, servers, depth, next_id: 1, completed: 0, bytes: 0, started: false }
+        let outstanding = vec![0; servers.len()];
+        LoadGen {
+            pe,
+            servers,
+            outstanding,
+            depth,
+            next_id: 1,
+            completed: 0,
+            bytes: 0,
+            started: false,
+        }
     }
 
     /// Requests completed so far.
@@ -160,37 +173,43 @@ impl LoadGen {
         assert!(!self.started, "load generator started twice");
         self.started = true;
         for s in 0..self.servers.len() {
-            let server = self.servers[s];
             for _ in 0..self.depth {
-                self.send_request(server, out);
+                self.send_request(s, out);
             }
         }
         0
     }
 
-    fn send_request(&mut self, server: PeId, out: &mut Outbox) {
+    /// Sends the next request to server `s` (an index into `servers`).
+    fn send_request(&mut self, s: usize, out: &mut Outbox) {
         let id = self.next_id;
         self.next_id += 1;
+        self.outstanding[s] += 1;
         out.push(Msg::new(
             self.pe,
-            server,
+            self.servers[s],
             Payload::Http(HttpReq { id, uri: (id % u64::from(DOCROOT_PAGES)) as u32 }),
         ));
     }
 
     /// Handles one response; immediately issues the next request
-    /// (closed loop).
+    /// (closed loop). A response counts only from one of this
+    /// generator's servers with a request outstanding; anything else —
+    /// a forged response, another actor's payload — is dropped unread
+    /// at zero cost.
     pub fn handle(&mut self, msg: &Msg, out: &mut Outbox) -> u64 {
-        match &msg.payload {
-            Payload::HttpReply(resp) => {
-                self.completed += 1;
-                self.bytes += resp.bytes;
-                let server = msg.src;
-                self.send_request(server, out);
-                0
-            }
-            other => panic!("loadgen got unexpected payload {other:?}"),
+        let Payload::HttpReply(resp) = &msg.payload else { return 0 };
+        let Some(s) = self.servers.iter().position(|&server| server == msg.src) else {
+            return 0;
+        };
+        if self.outstanding[s] == 0 {
+            return 0;
         }
+        self.outstanding[s] -= 1;
+        self.completed += 1;
+        self.bytes += resp.bytes;
+        self.send_request(s, out);
+        0
     }
 }
 
@@ -260,11 +279,36 @@ mod tests {
         assert_eq!(s.pages.len(), DOCROOT_PAGES as usize);
     }
 
+    /// Anything but a response is dropped unread at zero cost.
     #[test]
-    #[should_panic(expected = "loadgen got unexpected payload")]
-    fn loadgen_rejects_anything_but_a_response() {
+    fn loadgen_drops_anything_but_a_response() {
         let mut lg = LoadGen::new(PeId(0), vec![PeId(1)], 1);
+        lg.boot(&mut Outbox::new());
+        let mut out = Outbox::new();
         let stray = Msg::new(PeId(1), PeId(0), Payload::Http(HttpReq { id: 1, uri: 0 }));
-        lg.handle(&stray, &mut Outbox::new());
+        assert_eq!(lg.handle(&stray, &mut out), 0);
+        assert!(out.is_empty());
+        assert_eq!(lg.completed(), 0);
+    }
+
+    /// A response counts only from one of the generator's servers with
+    /// a request outstanding: a forged one from another PE, or one from
+    /// a server that was sent nothing yet, is dropped and sends nothing.
+    #[test]
+    fn loadgen_drops_a_response_it_did_not_ask_for() {
+        let mut lg = LoadGen::new(PeId(0), vec![PeId(1)], 1);
+        let mut out = Outbox::new();
+        let reply =
+            |src| Msg::new(PeId(src), PeId(0), Payload::HttpReply(HttpResp { id: 1, bytes: 10 }));
+        // Before the load starts, no request is outstanding.
+        assert_eq!(lg.handle(&reply(1), &mut out), 0);
+        lg.boot(&mut Outbox::new());
+        assert_eq!(lg.handle(&reply(9), &mut out), 0);
+        assert!(out.is_empty());
+        assert_eq!((lg.completed(), lg.bytes()), (0, 0));
+        // The outstanding request's answer counts and sends the next.
+        lg.handle(&reply(1), &mut out);
+        assert_eq!(out.drain().len(), 1);
+        assert_eq!(lg.completed(), 1);
     }
 }

@@ -127,6 +127,7 @@ impl CostModel {
     }
 
     /// Cycles to transfer `bytes` of payload across `hops` mesh hops.
+    #[inline]
     pub fn noc_latency(&self, hops: u64, bytes: u64) -> u64 {
         self.noc_base_latency + self.noc_per_hop * hops + bytes / self.noc_bytes_per_cycle
     }

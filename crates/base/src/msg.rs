@@ -647,36 +647,43 @@ pub enum Payload {
 
 impl Payload {
     /// A system call.
+    #[inline]
     pub fn sys(tag: u64, call: Syscall) -> Payload {
         Payload::Sys { tag, call }
     }
 
     /// A system-call reply.
+    #[inline]
     pub fn sys_reply(tag: u64, result: Result<SysReplyData>) -> Payload {
         Payload::SysReply(SysReply { tag, result })
     }
 
     /// An inter-kernel request.
+    #[inline]
     pub fn kcall(call: Kcall) -> Payload {
         Payload::Kcall(Box::new(call))
     }
 
     /// An inter-kernel reply.
+    #[inline]
     pub fn kreply(reply: KReply) -> Payload {
         Payload::KReply(Box::new(reply))
     }
 
     /// A VPE's response to an upcall.
+    #[inline]
     pub fn upcall_reply(reply: UpcallReply) -> Payload {
         Payload::UpcallReply(reply)
     }
 
     /// A filesystem request.
+    #[inline]
     pub fn fs(req: FsReq) -> Payload {
         Payload::Fs(Box::new(req))
     }
 
     /// A filesystem reply.
+    #[inline]
     pub fn fs_reply(tag: u64, result: Result<FsReplyData>) -> Payload {
         Payload::FsReply(Box::new(FsReply { tag, result }))
     }
@@ -685,6 +692,7 @@ impl Payload {
     /// Sizes approximate the real M3 message formats: a 16-byte DTU header
     /// plus the architectural payload. Strings count their length;
     /// batched revokes count 8 bytes per key.
+    #[inline]
     pub fn wire_size(&self) -> u32 {
         const HDR: u32 = 16;
         HDR + match self {
@@ -725,6 +733,7 @@ impl Payload {
 
 /// Architectural payload bytes of one inter-kernel call (excluding the
 /// DTU header). Batched revokes count 8 bytes per key.
+#[inline]
 fn kcall_size(call: &Kcall) -> u32 {
     match call {
         Kcall::AnnounceService { .. } => 48,
@@ -740,6 +749,7 @@ fn kcall_size(call: &Kcall) -> u32 {
 
 /// Architectural payload bytes of one system call (excluding the DTU
 /// header).
+#[inline]
 fn syscall_size(call: &Syscall) -> u32 {
     match call {
         Syscall::Noop => 8,
@@ -756,6 +766,7 @@ fn syscall_size(call: &Syscall) -> u32 {
 
 /// Architectural payload bytes of one system-call reply (excluding the
 /// DTU header).
+#[inline]
 fn sys_reply_size(result: &Result<SysReplyData>) -> u32 {
     match result {
         Ok(SysReplyData::Session { .. }) => 32,
@@ -776,11 +787,13 @@ pub struct Msg {
 
 impl Msg {
     /// Creates a message.
+    #[inline]
     pub fn new(src: PeId, dst: PeId, payload: Payload) -> Msg {
         Msg { src, dst, payload }
     }
 
     /// Wire size of the message in bytes.
+    #[inline]
     pub fn wire_size(&self) -> u32 {
         self.payload.wire_size()
     }
@@ -870,6 +883,7 @@ impl Outbox {
 
     /// Queues a message, injected when the handler's modeled execution
     /// completes (the handler composes the message as part of its work).
+    #[inline]
     pub fn push(&mut self, msg: Msg) {
         self.msgs.push((msg, None));
     }
@@ -878,6 +892,7 @@ impl Outbox {
     /// *started* — used by loops that send as they iterate (e.g. the
     /// revocation fan-out), so remote kernels overlap with the rest of
     /// the loop instead of waiting for it to finish.
+    #[inline]
     pub fn push_after(&mut self, msg: Msg, offset: u64) {
         self.msgs.push((msg, Some(offset)));
     }
@@ -894,6 +909,7 @@ impl Outbox {
     /// backing buffer — a long-lived outbox reused across handler
     /// invocations stops allocating once warm (the machine's event loop
     /// ran one allocation/free per delivered message before this).
+    #[inline]
     pub fn drain_iter(&mut self) -> impl Iterator<Item = (Msg, Option<u64>)> + '_ {
         self.msgs.drain(..)
     }
@@ -904,6 +920,7 @@ impl Outbox {
     }
 
     /// True if nothing was queued.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.msgs.is_empty()
     }

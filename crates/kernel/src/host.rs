@@ -59,11 +59,8 @@ pub struct StubVpe {
 impl StubVpe {
     /// Handles one message; returns the modeled cycle cost: `upcall_work`
     /// for an exchange consent, `session_accept` for a session open, 0
-    /// for a reply (and for anything a dead stub drops).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a payload no VPE is ever sent.
+    /// for a reply, for anything a dead stub drops, and for a payload no
+    /// stub serves, which it drops unread.
     pub fn handle(&mut self, msg: &Msg, out: &mut Outbox, cost: &CostModel) -> u64 {
         if self.dead {
             return 0;
@@ -81,7 +78,14 @@ impl StubVpe {
                 let result = Ok(self.sessions);
                 (UpcallReply::SessionOpen { op: *op, result }, cost.session_accept)
             }
-            other => panic!("stub VPE on {} got unexpected payload {other:?}", msg.dst),
+            Payload::Sys { .. }
+            | Payload::Kcall(_)
+            | Payload::KReply(_)
+            | Payload::UpcallReply(_)
+            | Payload::Fs(_)
+            | Payload::FsReply(_)
+            | Payload::Http(_)
+            | Payload::HttpReply(_) => return 0,
         };
         out.push(Msg::new(msg.dst, msg.src, Payload::upcall_reply(reply)));
         cost
@@ -95,6 +99,7 @@ impl StubVpe {
 }
 
 /// The kernel whose own PE is `pe`, if any.
+#[inline]
 pub(crate) fn kernel_at(membership: &MembershipTable, pe: PeId) -> Option<KernelId> {
     let k = membership.kernel_of(pe);
     (membership.kernel_pe(k) == pe).then_some(k)
@@ -105,6 +110,7 @@ pub(crate) fn kernel_at(membership: &MembershipTable, pe: PeId) -> Option<Kernel
 /// handler — the kernel is down and its output was discarded. The
 /// handler's output goes to `out`; the credit traffic of a consumed
 /// request goes to `credits`, so each host picks the injection order.
+#[inline]
 pub fn deliver(
     kernels: &mut [Kernel],
     membership: &MembershipTable,
@@ -128,6 +134,7 @@ pub fn deliver(
 /// `credits`. This is a hardware-level exchange: it
 /// occupies no kernel CPU. A sender that is not a kernel's own PE, or
 /// whose kernel crashed, gets nothing back.
+#[inline]
 pub fn free_slot(
     kernels: &mut [Kernel],
     membership: &MembershipTable,
@@ -148,7 +155,7 @@ pub fn free_slot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use semper_base::msg::{ExchangeKind, SysReplyData, Syscall};
+    use semper_base::msg::{ExchangeKind, FsReplyData, HttpReq, SysReplyData, Syscall};
     use semper_base::{CapSel, OpId};
 
     fn consent() -> Msg {
@@ -181,6 +188,26 @@ mod tests {
             assert_eq!(stub.handle(&msg, &mut out, &cost), 0);
         }
         assert!(out.is_empty() && stub.take_reply(3).is_none());
+    }
+
+    /// A payload no VPE serves — a system call, a filesystem reply, an
+    /// HTTP request — is dropped unread at zero cost.
+    #[test]
+    fn a_live_stub_drops_a_stray_payload() {
+        let cost = CostModel::calibrated();
+        let mut stub = StubVpe::default();
+        let mut out = Outbox::new();
+        let strays = [
+            Payload::sys(3, Syscall::Noop),
+            Payload::fs_reply(3, Ok(FsReplyData::Ok)),
+            Payload::Http(HttpReq { id: 3, uri: 0 }),
+        ];
+        for payload in strays {
+            assert_eq!(stub.handle(&Msg::new(PeId(0), PeId(1), payload), &mut out, &cost), 0);
+        }
+        assert!(out.is_empty() && stub.take_reply(3).is_none());
+        // It still answers what it serves.
+        assert_eq!(stub.handle(&consent(), &mut out, &cost), cost.upcall_work);
     }
 
     /// Two kernels of three VPEs each (PEs 1–3 and 5–7) with a window of

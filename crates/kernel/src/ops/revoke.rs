@@ -36,7 +36,7 @@ use semper_base::config::Feature;
 use semper_base::msg::{KReply, Kcall, SysReplyData};
 use std::collections::BTreeMap;
 
-use semper_base::{CapSel, DdlKey, DetHashMap, KernelId, OpId, RawDdlKey, Result, VpeId};
+use semper_base::{CapSel, DdlKey, DetHashMap, KernelId, OpId, RawDdlKey, VpeId};
 use semper_caps::Capability;
 
 use crate::kernel::Kernel;
@@ -68,6 +68,10 @@ pub(crate) struct RevokeState {
     deleted: Vec<Capability>,
     /// Remote children collected by one mark phase.
     remote: Vec<DdlKey>,
+    /// The sweep's worklist: revocations whose fan-in drained.
+    ready: Vec<RevokeOp>,
+    /// Operations woken by one delete pass.
+    woken: Vec<OpId>,
 }
 
 impl RevokeState {
@@ -180,7 +184,15 @@ impl Kernel {
     ) -> u64 {
         // Target resolution is folded into the per-capability reference
         // costs charged by the mark phase.
-        let roots = match self.revoke_roots(vpe, sel, own) {
+        let initiator = Initiator::Syscall { vpe, tag };
+        // The subtree roots: the capability itself (`own`), or each of
+        // its children.
+        let roots = match self.bound(vpe, sel) {
+            Ok(key) if own => return self.start_revoke([key], initiator, out),
+            Ok(key) => self.mapdb.get(key).map(|_| self.mapdb.children(key).collect::<Vec<_>>()),
+            Err(e) => Err(e),
+        };
+        let roots = match roots {
             Ok(r) => r,
             Err(e) => return self.refuse(out, vpe, tag, e),
         };
@@ -190,18 +202,7 @@ impl Kernel {
             self.reply_sys(out, vpe, tag, Ok(SysReplyData::None));
             return self.cfg.cost.syscall_exit;
         }
-        self.start_revoke(roots, Initiator::Syscall { vpe, tag }, out)
-    }
-
-    /// Resolves the subtree roots of a revoke call: the capability itself
-    /// (`own = true`) or each of its children (`own = false`).
-    fn revoke_roots(&self, vpe: VpeId, sel: CapSel, own: bool) -> Result<Vec<DdlKey>> {
-        let key = self.bound(vpe, sel)?;
-        if own {
-            return Ok(vec![key]);
-        }
-        self.mapdb.get(key)?;
-        Ok(self.mapdb.children(key).collect())
+        self.start_revoke(roots, initiator, out)
     }
 
     /// Revocation for VPE exit: one root at a time; the table entry may
@@ -211,14 +212,14 @@ impl Kernel {
         let Ok(key) = table.get(sel) else { return 0 };
         // The sweep removes a binding with its record.
         assert!(self.mapdb.contains(key), "{vpe} {sel:?} binds deleted {key:?}");
-        self.start_revoke(vec![key], Initiator::Internal, out)
+        self.start_revoke([key], Initiator::Internal, out)
     }
 
     /// Phase 1 (mark) for a set of subtree roots; completes immediately
     /// if the fan-in stays idle (no remote children, no dependencies).
     pub(crate) fn start_revoke(
         &mut self,
-        roots: Vec<DdlKey>,
+        roots: impl IntoIterator<Item = DdlKey>,
         initiator: Initiator,
         out: &mut Outbox,
     ) -> u64 {
@@ -370,11 +371,14 @@ impl Kernel {
     /// recursion bounded.
     fn complete_revoke(&mut self, op: RevokeOp, out: &mut Outbox) -> u64 {
         // Each step may push woken dependents whose fan-in drained.
-        let mut ready = vec![op];
+        let mut ready = std::mem::take(&mut self.revoke.ready);
+        assert!(ready.is_empty(), "revoke worklist not drained");
+        ready.push(op);
         let mut cost = 0;
         while let Some(op) = ready.pop() {
             cost += self.finish_one_revoke(op, &mut ready, out);
         }
+        self.revoke.ready = ready;
         cost
     }
 
@@ -386,13 +390,15 @@ impl Kernel {
         ready: &mut Vec<RevokeOp>,
         out: &mut Outbox,
     ) -> u64 {
-        let mut woken = Vec::new();
+        let mut woken = std::mem::take(&mut self.revoke.woken);
+        assert!(woken.is_empty(), "woken-waiter buffer not drained");
         let (cost, deleted) = self.delete_marked(std::mem::take(&mut op.local_roots), &mut woken);
         op.fanin.add(deleted);
         self.notify_initiator(op.initiator, op.spanning, op.fanin.tally(), out);
-        for waiter in woken {
+        for waiter in woken.drain(..) {
             self.wake_waiter(waiter, ready);
         }
+        self.revoke.woken = woken;
         cost + self.cfg.cost.revoke_finish
     }
 
@@ -427,6 +433,9 @@ impl Kernel {
                 for ep in owner.eps.iter_mut().filter(|ep| **ep == Some(cap.key)) {
                     *ep = None;
                     invalidated += 1;
+                }
+                if self.revoke.waiters.is_empty() {
+                    continue;
                 }
                 if let Some(ws) = self.revoke.waiters.remove(&cap.key.raw()) {
                     woken.extend(ws);
@@ -536,7 +545,7 @@ impl Kernel {
         // validation plus a reference.
         self.cfg.cost.xfer_desc
             + self.ref_cost()
-            + self.start_revoke(vec![cap_key], Initiator::Kcall { op, from }, out)
+            + self.start_revoke([cap_key], Initiator::Kcall { op, from }, out)
     }
 
     /// Request handler for [`Kcall::RevokeBatchReq`]: runs one
@@ -565,7 +574,7 @@ impl Kernel {
                 self.batch_entry_done(batch, 0, out);
                 continue;
             }
-            cost += self.start_revoke(vec![*key], Initiator::Batch { batch }, out);
+            cost += self.start_revoke([*key], Initiator::Batch { batch }, out);
         }
         cost
     }

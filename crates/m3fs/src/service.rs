@@ -210,7 +210,16 @@ impl FsService {
             }
             Payload::Fs(req) => self.handle_fs(msg.src, req, out),
             Payload::SysReply(reply) => self.handle_sys_reply(reply, out),
-            other => panic!("m3fs got unexpected payload {other:?}"),
+            // Nothing a service serves: another actor's payload, from
+            // whichever PE. Dropped unread at zero cost, as the kernel
+            // drops one.
+            Payload::Sys { .. }
+            | Payload::Kcall(_)
+            | Payload::KReply(_)
+            | Payload::UpcallReply(_)
+            | Payload::FsReply(_)
+            | Payload::Http(_)
+            | Payload::HttpReply(_) => 0,
         }
     }
 
@@ -581,12 +590,26 @@ mod tests {
         s.handle(&reply, &mut Outbox::new());
     }
 
+    /// A payload no service serves — a filesystem reply, an HTTP
+    /// request, a system call — is dropped unread at zero cost, from a
+    /// client PE or from the kernel's.
     #[test]
-    #[should_panic(expected = "m3fs got unexpected payload")]
-    fn stray_payload_panics() {
-        let mut s = svc();
-        let stray = Msg::new(PeId(7), PeId(3), Payload::fs_reply(1, Ok(FsReplyData::Ok)));
-        s.handle(&stray, &mut Outbox::new());
+    fn stray_payload_is_dropped() {
+        let mut s = booted();
+        let before = *s.stats();
+        let strays = [
+            Payload::fs_reply(1, Ok(FsReplyData::Ok)),
+            Payload::Http(semper_base::msg::HttpReq { id: 1, uri: 0 }),
+            Payload::sys(1, Syscall::Noop),
+        ];
+        for payload in strays {
+            for src in [PeId(7), PeId(0)] {
+                let mut out = Outbox::new();
+                assert_eq!(s.handle(&Msg::new(src, PeId(3), payload.clone()), &mut out), 0);
+                assert!(out.is_empty());
+            }
+        }
+        assert_eq!(*s.stats(), before);
     }
 
     #[test]

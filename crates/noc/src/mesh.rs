@@ -28,11 +28,13 @@ impl Mesh {
     }
 
     /// The (x, y) coordinate of a PE.
+    #[inline]
     pub fn coords(&self, pe: PeId) -> (u16, u16) {
         (pe.0 % self.width, pe.0 / self.width)
     }
 
     /// Manhattan distance between two PEs (number of mesh hops).
+    #[inline]
     pub fn hops(&self, a: PeId, b: PeId) -> u64 {
         let (ax, ay) = self.coords(a);
         let (bx, by) = self.coords(b);

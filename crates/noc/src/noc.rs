@@ -64,6 +64,7 @@ impl Noc {
     /// # Panics
     ///
     /// Panics if the source or destination PE lies off the mesh.
+    #[inline]
     pub fn route(&mut self, msg: &Msg, now: Cycles) -> Cycles {
         assert!(
             msg.src.idx() < self.capacity && msg.dst.idx() < self.capacity,
