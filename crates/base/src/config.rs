@@ -43,7 +43,9 @@ pub enum KernelMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Feature {
     /// Batch revoke requests to the same remote kernel into one message
-    /// (the paper's proposed message-batching optimisation, §5.2).
+    /// (the paper's proposed message-batching optimisation, §5.2). The
+    /// receiver runs one revocation per batch, over all its keys, and
+    /// answers it once.
     RevokeBatching,
     /// *Disable* the two-way delegate handshake (ablation: demonstrates
     /// the invalid-capability window of the naive protocol; never enable

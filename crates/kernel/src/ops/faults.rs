@@ -204,8 +204,7 @@ impl Kernel {
             },
             // A revocation awaits its own legs (`revoke::RevokeState`
             // counts them per kernel) and the local revocations it waits
-            // for; a batch tracker awaits its local sub-revokes. Neither
-            // awaits the kernel it answers.
+            // for, never the kernel it answers.
             PendingOp::Revoke(_) => None,
         }
     }
@@ -230,11 +229,12 @@ impl Kernel {
                 exchange::Phase::DelegateRemote { tag, delegator, .. } => {
                     self.reply_sys(out, delegator, tag, Err(err));
                 }
-                // The receiver inserted (or will insert) the child; we
-                // can no longer learn which. Fail the syscall and leave
-                // the child as an orphan for the §4.3.2 cleanup.
+                // The receiver's kernel died, with the child inserted or
+                // not; we can no longer learn which. Fail the syscall.
+                // Nothing is cleaned up: the delegator keeps its link to
+                // the child, like every link a survivor holds into a
+                // dead kernel.
                 exchange::Phase::DelegateWaitDone { tag, delegator, .. } => {
-                    self.stats.orphans_cleaned += 1;
                     self.reply_sys(out, delegator, tag, Err(err));
                 }
                 exchange::Phase::DelegateAborted { tag, delegator, reason, .. } => {
@@ -245,8 +245,8 @@ impl Kernel {
                 exchange::Phase::DelegatePendingInsert { .. } => {}
             },
             PendingOp::Session(phase) => self.cancel_session_phase(phase, err, out),
-            PendingOp::Revoke(phase) => {
-                unreachable!("{} has no deadline and awaits no kernel", phase.spec().name)
+            PendingOp::Revoke(op) => {
+                unreachable!("{} has no deadline and awaits no kernel", op.spec().name)
             }
         }
     }

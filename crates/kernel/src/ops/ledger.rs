@@ -90,17 +90,16 @@ impl PendingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::revoke::{Initiator, Phase, RevokeOp};
-    use crate::ops::FanIn;
+    use crate::ops::revoke::{FanIn, Initiator, RevokeOp};
     use semper_base::{KernelId, VpeId};
 
     fn revoke_op(initiator: Initiator) -> PendingOp {
-        PendingOp::Revoke(Phase::Run(RevokeOp {
+        PendingOp::Revoke(RevokeOp {
             initiator,
             fanin: FanIn::new(),
             local_roots: Vec::new(),
             spanning: false,
-        }))
+        })
     }
 
     #[test]
@@ -115,7 +114,7 @@ mod tests {
         assert_eq!(t.threads_in_use(), 0);
         // Syscall-initiated revokes hold a thread; kcall-initiated do not.
         t.insert(OpId(1), revoke_op(Initiator::Syscall { vpe: VpeId(0), tag: 0 }));
-        t.insert(OpId(2), revoke_op(Initiator::Kcall { op: OpId(9), from: KernelId(1) }));
+        t.insert(OpId(2), revoke_op(Initiator::Kcall { op: OpId(9), from: KernelId(1), keys: 1 }));
         assert_eq!(t.threads_in_use(), 1);
         assert_eq!(t.len(), 2);
         assert!(t.remove(OpId(1)).is_some());
@@ -141,8 +140,9 @@ mod tests {
     fn fanin_counts_and_tallies() {
         let mut f = FanIn::new();
         assert!(f.idle());
-        f.arm_n(2);
-        f.arm();
+        for _ in 0..3 {
+            f.arm();
+        }
         assert_eq!(f.outstanding(), 3);
         f.add(5);
         assert!(!f.complete_one(1));

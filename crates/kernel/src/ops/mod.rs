@@ -23,9 +23,10 @@
 //!   inter-kernel call, reply, and upcall answer. Replies resume the
 //!   parked phase through one ledger lookup; requests dispatch straight
 //!   to the protocol's request handler.
-//! * [`FanIn`] — counted completion shared by every fan-out phase
-//!   (revocation's outstanding remote subtrees, batched revokes), with
-//!   a running tally for the statistics the reply carries back.
+//! * [`revoke::FanIn`] — revocation's counted completion (its
+//!   outstanding remote subtrees and the concurrent revokes it waits
+//!   for), with a running tally for the statistics the reply carries
+//!   back.
 //!
 //! # One of each
 //!
@@ -39,9 +40,9 @@
 //! request send (`Kernel::send_kcall_at`), one mark walk and one delete
 //! pass for Algorithm 1 (`Kernel::mark_subtree` /
 //! `Kernel::delete_marked` in [`revoke`], driven by revoke system
-//! calls, VPE exits and incoming revoke requests alike), and one way to
-//! kill a VPE (`Kernel::terminate_vpe`, behind both `Syscall::Exit` and
-//! the machine's `Kernel::kill_vpe`).
+//! calls, VPE exits and incoming revoke requests, batched or not,
+//! alike), and one way to kill a VPE (`Kernel::terminate_vpe`, behind
+//! both `Syscall::Exit` and the machine's `Kernel::kill_vpe`).
 //!
 //! State that outlives a single parked phase lives with its protocol,
 //! not as loose fields on `Kernel`: `revoke::RevokeState` and the
@@ -57,7 +58,7 @@
 //! | §4.3.2 two-way delegate handshake, first leg | [`exchange::Phase::DelegateRemote`] → [`exchange::Phase::DelegateAtRecv`] |
 //! | §4.3.2 two-way delegate handshake, second leg | [`exchange::Phase::DelegatePendingInsert`] / [`exchange::Phase::DelegateWaitDone`] / [`exchange::Phase::DelegateAborted`] |
 //! | §3.4 session capability attachment | [`session::Phase::OpenRemote`] → [`session::Phase::AtService`], [`session::Phase::OpenLocal`] |
-//! | §4.3.3 Algorithm 1 mark/delete + reply counting | [`revoke::Phase::Run`]; an incoming `RevokeBatchReq` (§5.2 message batching) counts its sub-revokes in [`revoke::Phase::Batch`] |
+//! | §4.3.3 Algorithm 1 mark/delete + reply counting | [`revoke::RevokeOp`] (`revoke-run`); an incoming `RevokeBatchReq` (§5.2 message batching) is one revocation of all its keys, like a `RevokeReq` of one |
 //!
 //! # What a new protocol costs
 //!
@@ -67,8 +68,8 @@
 //! handler per phase, and — for a phase that awaits a peer kernel — a
 //! row in `Kernel::awaited_kernel` ([`faults`]), which tells the reply
 //! router who may answer and `Kernel::peer_down` whose death ends the
-//! phase. The ledger, router, credit gating, thread accounting, and
-//! fan-in counting are all inherited. The pre-engine protocols carried
+//! phase. The ledger, router, credit gating and thread accounting are
+//! all inherited. The pre-engine protocols carried
 //! ~150 LoC of that plumbing *each*.
 //!
 //! # Determinism contract
@@ -118,71 +119,6 @@ pub struct PhaseSpec {
     pub thread: Thread,
 }
 
-/// Counted fan-out completion with a running tally.
-///
-/// Shared by every phase that waits for N independent completions:
-/// revocation (one per remote subtree plus one per dependency on a
-/// concurrent revoke) and batched revokes (one per key). The tally
-/// accumulates what the completions report (deleted capabilities) for
-/// the completion notification.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FanIn {
-    outstanding: u32,
-    tally: u64,
-}
-
-impl FanIn {
-    /// A fan-in with nothing armed.
-    pub fn new() -> FanIn {
-        FanIn::default()
-    }
-
-    /// Arms one more expected completion.
-    pub fn arm(&mut self) {
-        self.outstanding += 1;
-    }
-
-    /// Arms `n` expected completions.
-    pub fn arm_n(&mut self, n: u32) {
-        self.outstanding += n;
-    }
-
-    /// Adds to the tally without consuming a completion (local work
-    /// accounted by the operation itself).
-    pub fn add(&mut self, n: u64) {
-        self.tally += n;
-    }
-
-    /// Records one completion carrying `n` tally units; returns true
-    /// when this was the last outstanding completion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if nothing is outstanding: every armed completion arrives
-    /// exactly once, so one more is a kernel bug.
-    pub fn complete_one(&mut self, n: u64) -> bool {
-        assert!(self.outstanding > 0, "completion of an idle fan-in");
-        self.tally += n;
-        self.outstanding -= 1;
-        self.outstanding == 0
-    }
-
-    /// True if no completions are outstanding.
-    pub fn idle(&self) -> bool {
-        self.outstanding == 0
-    }
-
-    /// Completions still outstanding.
-    pub fn outstanding(&self) -> u32 {
-        self.outstanding
-    }
-
-    /// The accumulated tally.
-    pub fn tally(&self) -> u64 {
-        self.tally
-    }
-}
-
 /// A suspended distributed operation: one protocol's phase, parked in
 /// the shared ledger under its correlation id.
 #[derive(Debug, Clone)]
@@ -191,8 +127,8 @@ pub enum PendingOp {
     Exchange(exchange::Phase),
     /// Session establishment (§3.4).
     Session(session::Phase),
-    /// Revocation (§4.3.3, Algorithm 1).
-    Revoke(revoke::Phase),
+    /// Revocation (§4.3.3, Algorithm 1), its one phase.
+    Revoke(revoke::RevokeOp),
 }
 
 impl PendingOp {
@@ -201,7 +137,7 @@ impl PendingOp {
         match self {
             PendingOp::Exchange(p) => p.spec(),
             PendingOp::Session(p) => p.spec(),
-            PendingOp::Revoke(p) => p.spec(),
+            PendingOp::Revoke(op) => op.spec(),
         }
     }
 
@@ -212,7 +148,7 @@ impl PendingOp {
             Thread::Holds => true,
             Thread::Free => false,
             Thread::PerInitiator => match self {
-                PendingOp::Revoke(revoke::Phase::Run(op)) => op.initiator.holds_thread(),
+                PendingOp::Revoke(op) => op.initiator.holds_thread(),
                 other => unreachable!("{} has no initiator", other.spec().name),
             },
         }
@@ -281,10 +217,10 @@ impl Kernel {
             Kcall::DelegateAck { op, reply_op, commit } => {
                 self.delegate_ack(from, *op, *reply_op, *commit, out)
             }
-            Kcall::RevokeReq { op, cap_key } => self.revoke_request(from, *op, *cap_key, out),
-            Kcall::RevokeBatchReq { op, cap_keys } => {
-                self.revoke_batch_request(from, *op, cap_keys, out)
+            Kcall::RevokeReq { op, cap_key } => {
+                self.revoke_request(from, *op, std::slice::from_ref(cap_key), out)
             }
+            Kcall::RevokeBatchReq { op, cap_keys } => self.revoke_request(from, *op, cap_keys, out),
             Kcall::OpenSessReq { op, child_key, service, client_vpe } => {
                 self.open_sess_request(from, *op, *child_key, *service, *client_vpe, out)
             }
@@ -481,7 +417,7 @@ impl Kernel {
 
 #[cfg(test)]
 mod tests {
-    use super::FanIn;
+    use super::revoke::FanIn;
 
     /// Every armed completion arrives exactly once, with or without a
     /// fault plan — a fan-in has no mode — so one more panics.

@@ -9,6 +9,12 @@
 //! while any part of its subtree survives (ruling out the *incomplete*
 //! case of Table 2).
 //!
+//! One revocation has one or more disjoint roots, whoever starts it: a
+//! system call revokes a capability or each of its children, and an
+//! incoming request revokes the one key of a [`Kcall::RevokeReq`] or
+//! every key of a [`Kcall::RevokeBatchReq`] (§5.2 batching) — the remote
+//! children one mark walk collected — and is answered once.
+//!
 //! Two kinds of completions are armed on the fan-in:
 //!
 //! * replies to inter-kernel revoke requests for remote children, and
@@ -40,7 +46,7 @@ use semper_base::{CapSel, DdlKey, DetHashMap, KernelId, OpId, RawDdlKey, VpeId};
 use semper_caps::Capability;
 
 use crate::kernel::Kernel;
-use crate::ops::{FanIn, PendingOp, PhaseSpec, Thread};
+use crate::ops::{PendingOp, PhaseSpec, Thread};
 use crate::outbox::Outbox;
 
 /// Kernel-wide state of the revocation protocol: the waiter registry,
@@ -64,6 +70,10 @@ pub(crate) struct RevokeState {
     legs: DetHashMap<(OpId, KernelId), u32>,
     /// DFS stack shared by mark and delete walks.
     stack: Vec<DdlKey>,
+    /// The next revocation's [`RevokeOp::local_roots`]. A revocation
+    /// takes it and its sweep hands it back; one that parks keeps it
+    /// until it completes.
+    roots: Vec<DdlKey>,
     /// Deleted capabilities of one delete pass.
     deleted: Vec<Capability>,
     /// Remote children collected by one mark phase.
@@ -87,6 +97,63 @@ impl RevokeState {
     }
 }
 
+/// Counted fan-out completion with a running tally: a revocation's
+/// outstanding completions (one per request to another kernel plus one
+/// per dependency on a concurrent revoke), tallying the capabilities
+/// deleted on its behalf for the completion notification.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FanIn {
+    outstanding: u32,
+    tally: u64,
+}
+
+impl FanIn {
+    /// A fan-in with nothing armed.
+    pub fn new() -> FanIn {
+        FanIn::default()
+    }
+
+    /// Arms one more expected completion.
+    pub fn arm(&mut self) {
+        self.outstanding += 1;
+    }
+
+    /// Adds to the tally without consuming a completion (local work
+    /// accounted by the operation itself).
+    pub fn add(&mut self, n: u64) {
+        self.tally += n;
+    }
+
+    /// Records one completion carrying `n` tally units; returns true
+    /// when this was the last outstanding completion.
+    ///
+    /// # Panics
+    ///
+    /// Panics if nothing is outstanding: every armed completion arrives
+    /// exactly once, so one more is a kernel bug.
+    pub fn complete_one(&mut self, n: u64) -> bool {
+        assert!(self.outstanding > 0, "completion of an idle fan-in");
+        self.tally += n;
+        self.outstanding -= 1;
+        self.outstanding == 0
+    }
+
+    /// True if no completions are outstanding.
+    pub fn idle(&self) -> bool {
+        self.outstanding == 0
+    }
+
+    /// Completions still outstanding.
+    pub fn outstanding(&self) -> u32 {
+        self.outstanding
+    }
+
+    /// The accumulated tally.
+    pub fn tally(&self) -> u64 {
+        self.tally
+    }
+}
+
 /// Who started a revocation, and therefore who must be notified when it
 /// completes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,21 +165,17 @@ pub enum Initiator {
         /// Tag to echo in the reply.
         tag: u64,
     },
-    /// Another kernel's [`Kcall::RevokeReq`].
+    /// Another kernel's [`Kcall::RevokeReq`] or [`Kcall::RevokeBatchReq`].
     Kcall {
         /// The requester's correlation id, echoed in the reply.
         op: OpId,
         /// The requesting kernel.
         from: KernelId,
+        /// The number of keys the request named, echoed in the reply.
+        keys: u32,
     },
     /// Kernel-internal cleanup (VPE exit); nobody to notify.
     Internal,
-    /// One entry of a batched revoke request; completion is reported to
-    /// the batch tracker op instead of a kernel.
-    Batch {
-        /// The local batch-tracker operation.
-        batch: OpId,
-    },
 }
 
 impl Initiator {
@@ -124,7 +187,8 @@ impl Initiator {
     }
 }
 
-/// A revocation in progress (Algorithm 1 state).
+/// A revocation in progress (Algorithm 1 state), parked in the ledger
+/// while its fan-in has completions outstanding.
 #[derive(Debug, Clone)]
 pub struct RevokeOp {
     /// Who to notify on completion.
@@ -141,34 +205,12 @@ pub struct RevokeOp {
     pub spanning: bool,
 }
 
-/// The revocation protocol's phase table.
-#[derive(Debug, Clone)]
-pub enum Phase {
-    /// A revocation awaiting its fan-in (remote completions and
+impl RevokeOp {
+    /// The declared spec of a parked revocation, the protocol's one
+    /// phase: it awaits its fan-in (remote completions and
     /// concurrent-revoke dependencies).
-    Run(RevokeOp),
-    /// Tracker for an incoming batched revoke request: replies to the
-    /// requesting kernel once every key in the batch is fully revoked.
-    Batch {
-        /// The requester's correlation id.
-        caller_op: OpId,
-        /// The requesting kernel.
-        caller_kernel: KernelId,
-        /// Number of keys the request named.
-        keys: u32,
-        /// Sub-revokes still running, tallying deletions across the
-        /// batch.
-        fanin: FanIn,
-    },
-}
-
-impl Phase {
-    /// The declared spec of each phase.
     pub fn spec(&self) -> &'static PhaseSpec {
-        match self {
-            Phase::Run(_) => &PhaseSpec { name: "revoke-run", thread: Thread::PerInitiator },
-            Phase::Batch { .. } => &PhaseSpec { name: "revoke-batch", thread: Thread::Free },
-        }
+        &PhaseSpec { name: "revoke-run", thread: Thread::PerInitiator }
     }
 }
 
@@ -224,9 +266,12 @@ impl Kernel {
         out: &mut Outbox,
     ) -> u64 {
         let op_id = self.alloc_op();
-        // The roots are disjoint: one capability, or the children of one.
-        let mut op =
-            RevokeOp { initiator, fanin: FanIn::new(), local_roots: Vec::new(), spanning: false };
+        // The roots are disjoint: one capability, the children of one, or
+        // the keys of one incoming batch (remote children that one mark
+        // walk collected, and a walk stops at a remote child).
+        let local_roots = std::mem::take(&mut self.revoke.roots);
+        assert!(local_roots.is_empty(), "root buffer not drained");
+        let mut op = RevokeOp { initiator, fanin: FanIn::new(), local_roots, spanning: false };
         let mut cost = 0;
         let mut remote = std::mem::take(&mut self.revoke.remote);
         assert!(remote.is_empty(), "remote-child buffer not drained");
@@ -259,7 +304,7 @@ impl Kernel {
         if op.fanin.idle() {
             cost + self.complete_revoke(op, out)
         } else {
-            self.park(op_id, PendingOp::Revoke(Phase::Run(op)));
+            self.park(op_id, PendingOp::Revoke(op));
             cost + self.cfg.cost.thread_switch
         }
     }
@@ -392,8 +437,11 @@ impl Kernel {
     ) -> u64 {
         let mut woken = std::mem::take(&mut self.revoke.woken);
         assert!(woken.is_empty(), "woken-waiter buffer not drained");
-        let (cost, deleted) = self.delete_marked(std::mem::take(&mut op.local_roots), &mut woken);
+        let (cost, deleted) = self.delete_marked(&op.local_roots, &mut woken);
         op.fanin.add(deleted);
+        // The buffer serves the next revocation.
+        op.local_roots.clear();
+        self.revoke.roots = op.local_roots;
         self.notify_initiator(op.initiator, op.spanning, op.fanin.tally(), out);
         for waiter in woken.drain(..) {
             self.wake_waiter(waiter, ready);
@@ -412,11 +460,11 @@ impl Kernel {
     /// hardware access — and appends the operations waiting on it to
     /// `woken` for the caller to fire. Returns the modeled cost and the
     /// number of capabilities deleted.
-    fn delete_marked(&mut self, roots: Vec<DdlKey>, woken: &mut Vec<OpId>) -> (u64, u64) {
+    fn delete_marked(&mut self, roots: &[DdlKey], woken: &mut Vec<OpId>) -> (u64, u64) {
         let mut stack = std::mem::take(&mut self.revoke.stack);
         let mut deleted = std::mem::take(&mut self.revoke.deleted);
         assert!(deleted.is_empty(), "deletion buffer not drained");
-        for root in roots {
+        for &root in roots {
             self.mapdb.delete_local_subtree_into(root, &mut stack, &mut deleted);
         }
         // Each deletion resolves the owner's table binding and the
@@ -457,10 +505,9 @@ impl Kernel {
     /// ready worklist.
     fn wake_waiter(&mut self, waiter: OpId, ready: &mut Vec<RevokeOp>) {
         match self.pending.get_mut(waiter) {
-            Some(PendingOp::Revoke(Phase::Run(wop))) => {
+            Some(PendingOp::Revoke(wop)) => {
                 if wop.fanin.complete_one(0) {
-                    let Some(PendingOp::Revoke(Phase::Run(wop))) = self.pending.remove(waiter)
-                    else {
+                    let Some(PendingOp::Revoke(wop)) = self.pending.remove(waiter) else {
                         unreachable!("checked above");
                     };
                     ready.push(wop);
@@ -479,12 +526,12 @@ impl Kernel {
         deleted: u64,
         out: &mut Outbox,
     ) {
-        // Only top-level revocations count as capability operations;
-        // kcall- and batch-initiated sub-revokes are part of a revoke
-        // already counted at the initiating kernel.
+        // Only top-level revocations count as capability operations; a
+        // requested one is part of a revoke already counted at the
+        // initiating kernel.
         let revokes = match &initiator {
             Initiator::Syscall { .. } | Initiator::Internal => 1,
-            Initiator::Kcall { .. } | Initiator::Batch { .. } => 0,
+            Initiator::Kcall { .. } => 0,
         };
         if spanning {
             self.stats.revokes_spanning += revokes;
@@ -495,88 +542,39 @@ impl Kernel {
             Initiator::Syscall { vpe, tag } => {
                 self.reply_sys(out, vpe, tag, Ok(SysReplyData::None));
             }
-            Initiator::Kcall { op: caller_op, from } => {
-                self.send_kreply(out, from, KReply::Revoke { op: caller_op, keys: 1, deleted });
+            Initiator::Kcall { op: caller_op, from, keys } => {
+                self.send_kreply(out, from, KReply::Revoke { op: caller_op, keys, deleted });
             }
             Initiator::Internal => {}
-            Initiator::Batch { batch } => {
-                self.batch_entry_done(batch, deleted, out);
-            }
-        }
-    }
-
-    /// Accounts one completed entry of an incoming revoke batch; replies
-    /// to the requesting kernel when the whole batch is done.
-    fn batch_entry_done(&mut self, batch: OpId, deleted: u64, out: &mut Outbox) {
-        let Some(PendingOp::Revoke(Phase::Batch { caller_op, caller_kernel, keys, fanin })) =
-            self.pending.get_mut(batch)
-        else {
-            panic!("batch tracker {batch} missing");
-        };
-        if fanin.complete_one(deleted) {
-            let (caller_kernel, reply) = (
-                *caller_kernel,
-                KReply::Revoke { op: *caller_op, keys: *keys, deleted: fanin.tally() },
-            );
-            self.pending.remove(batch);
-            self.send_kreply(out, caller_kernel, reply);
         }
     }
 
     // ----- incoming inter-kernel revokes ---------------------------------
 
-    /// Request handler for [`Kcall::RevokeReq`]: one subtree root owned
-    /// by this kernel (Algorithm 1, `receive_revoke_request`).
+    /// Request handler for [`Kcall::RevokeReq`] (one key) and
+    /// [`Kcall::RevokeBatchReq`] (§5.2 batching): subtree roots owned by
+    /// this kernel, revoked as one operation and answered once
+    /// (Algorithm 1, `receive_revoke_request`).
     pub(crate) fn revoke_request(
-        &mut self,
-        from: KernelId,
-        op: OpId,
-        cap_key: DdlKey,
-        out: &mut Outbox,
-    ) -> u64 {
-        if !self.mapdb.contains(cap_key) {
-            // Already gone (e.g. revoked by a concurrent operation that
-            // completed): vacuously done.
-            self.send_kreply(out, from, KReply::Revoke { op, keys: 1, deleted: 0 });
-            return self.cfg.cost.kcall_exit;
-        }
-        // Validating the foreign key against the membership table and
-        // setting up the remote-initiated operation costs one descriptor
-        // validation plus a reference.
-        self.cfg.cost.xfer_desc
-            + self.ref_cost()
-            + self.start_revoke([cap_key], Initiator::Kcall { op, from }, out)
-    }
-
-    /// Request handler for [`Kcall::RevokeBatchReq`]: runs one
-    /// sub-revocation per key and replies once all of them completed.
-    pub(crate) fn revoke_batch_request(
         &mut self,
         from: KernelId,
         op: OpId,
         cap_keys: &[DdlKey],
         out: &mut Outbox,
     ) -> u64 {
-        let batch = self.alloc_op();
-        // Every key gets a sub-revoke; each reports exactly once.
         let keys = cap_keys.len() as u32;
-        let mut fanin = FanIn::new();
-        fanin.arm_n(keys);
-        self.park(
-            batch,
-            PendingOp::Revoke(Phase::Batch { caller_op: op, caller_kernel: from, keys, fanin }),
-        );
-        let mut cost = 0;
-        for key in cap_keys {
-            if !self.mapdb.contains(*key) {
-                // Already gone (e.g. revoked by a concurrent operation
-                // that completed): vacuously done.
-                self.batch_entry_done(batch, 0, out);
-                continue;
-            }
-            cost += self.start_revoke([*key], Initiator::Batch { batch }, out);
+        if !cap_keys.iter().any(|&key| self.mapdb.contains(key)) {
+            // Already gone (e.g. revoked by a concurrent operation that
+            // completed): vacuously done.
+            self.send_kreply(out, from, KReply::Revoke { op, keys, deleted: 0 });
+            return self.cfg.cost.kcall_exit;
         }
-        cost
+        // Validating the foreign keys against the membership table and
+        // setting up the remote-initiated operation costs one descriptor
+        // validation plus a reference, once per message.
+        self.cfg.cost.xfer_desc
+            + self.ref_cost()
+            + self.start_revoke(cap_keys.iter().copied(), Initiator::Kcall { op, from, keys }, out)
     }
 
     /// Completion handler for [`KReply::Revoke`] from kernel `from`:
@@ -623,7 +621,7 @@ impl Kernel {
     /// Completes `n` legs of running revocation `op`, which deleted
     /// `deleted` capabilities, and sweeps when its fan-in drains.
     fn complete_legs(&mut self, op: OpId, n: u32, deleted: u64, out: &mut Outbox) -> u64 {
-        let Some(PendingOp::Revoke(Phase::Run(rop))) = self.pending.get_mut(op) else {
+        let Some(PendingOp::Revoke(rop)) = self.pending.get_mut(op) else {
             unreachable!("{op} has legs outstanding but is not a running revocation");
         };
         let mut drained = rop.fanin.complete_one(deleted);
@@ -635,9 +633,105 @@ impl Kernel {
             // `receive_revoke_reply` fast path) is essentially free.
             return 0;
         }
-        let Some(PendingOp::Revoke(Phase::Run(rop))) = self.pending.remove(op) else {
+        let Some(PendingOp::Revoke(rop)) = self.pending.remove(op) else {
             unreachable!("checked above");
         };
         self.complete_revoke(rop, out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use semper_base::msg::{KReply, Kcall, Payload, Perms, SysReply, SysReplyData, Syscall};
+    use semper_base::{CapSel, DdlKey, KernelId, MachineConfig, Msg, OpId, PeId, VpeId};
+    use semper_caps::MembershipTable;
+    use semper_noc::GlobalMemory;
+
+    use crate::host;
+    use crate::kernel::Kernel;
+    use crate::outbox::Outbox;
+
+    /// Kernel `k`'s answer to `call` from the VPE on `pe`.
+    fn syscall(ks: &mut [Kernel], k: usize, pe: u16, call: Syscall) -> SysReplyData {
+        let mut out = Outbox::new();
+        let msg = Msg::new(PeId(pe), ks[k].pe(), Payload::sys(1, call));
+        ks[k].handle(&msg, &mut out);
+        match out.drain().pop().map(|(reply, _)| reply.payload) {
+            Some(Payload::SysReply(SysReply { result: Ok(data), .. })) => data,
+            other => panic!("{msg:?} answered {other:?}"),
+        }
+    }
+
+    /// A new memory capability of the VPE on `pe`, at kernel `k`.
+    fn create_mem(ks: &mut [Kernel], k: usize, pe: u16) -> CapSel {
+        match syscall(ks, k, pe, Syscall::CreateMem { size: 4096, perms: Perms::RW }) {
+            SysReplyData::Mem { sel, .. } => sel,
+            other => panic!("create_mem answered {other:?}"),
+        }
+    }
+
+    /// Kernel 0 sends kernel 1 a batch of `cap_keys` under op 9 through
+    /// its credit gate, and kernel 1's answer comes back from
+    /// [`host::deliver`].
+    fn deliver_batch(
+        ks: &mut [Kernel],
+        membership: &MembershipTable,
+        cap_keys: Vec<DdlKey>,
+    ) -> Vec<Msg> {
+        let (mut out, mut credits) = (Outbox::new(), Outbox::new());
+        ks[0].send_kcall(&mut out, KernelId(1), Kcall::RevokeBatchReq { op: OpId(9), cap_keys });
+        let [(request, None)] = &out.drain()[..] else { panic!("one request leaves at once") };
+        assert!(host::deliver(ks, membership, request, &mut out, &mut credits).is_some());
+        assert!(credits.is_empty(), "nothing was stalled behind the credit");
+        out.drain().into_iter().map(|(msg, _)| msg).collect()
+    }
+
+    /// An incoming batch is one revocation of all its keys, answered
+    /// once: a live root with a subtree and a key that is already gone
+    /// get one reply for both keys, counting the subtree; a batch of gone
+    /// keys only is answered at once and parks nothing.
+    #[test]
+    fn a_revoke_batch_is_one_revocation_answered_once() {
+        // Two kernels of two VPEs each: PEs 1–2 and 4–5.
+        let mut cfg = MachineConfig::small();
+        (cfg.num_pes, cfg.kernels) = (6, 2);
+        let membership = MembershipTable::contiguous(6, 2);
+        let dir = [1, 2, 4, 5].map(PeId);
+        let mut ks = host::kernels(&cfg, &membership, &dir, |k| {
+            GlobalMemory::new((u64::from(k.0) + 1) << 32, 1 << 30)
+        });
+        // At kernel 1: VPE 2's root with two derived children, and VPE
+        // 3's capability, revoked already.
+        let root = create_mem(&mut ks, 1, 4);
+        for offset in [0, 64] {
+            let derive = Syscall::DeriveMem { src: root, offset, size: 64, perms: Perms::R };
+            syscall(&mut ks, 1, 4, derive);
+        }
+        let gone = create_mem(&mut ks, 1, 5);
+        let key = |ks: &[Kernel], vpe, sel| ks[1].table(VpeId(vpe)).unwrap().get(sel).unwrap();
+        let (root_key, gone_key) = (key(&ks, 2, root), key(&ks, 3, gone));
+        syscall(&mut ks, 1, 5, Syscall::Revoke { sel: gone, own: true });
+        let subtree: Vec<DdlKey> =
+            std::iter::once(root_key).chain(ks[1].mapdb().children(root_key)).collect();
+        assert_eq!(subtree.len(), 3);
+
+        let deleted = ks[1].stats().caps_deleted;
+        let answer = |deleted| {
+            let reply = KReply::Revoke { op: OpId(9), keys: 2, deleted };
+            [Msg::new(PeId(3), PeId(0), Payload::kreply(reply))]
+        };
+        let sent = deliver_batch(&mut ks, &membership, vec![root_key, gone_key]);
+        assert_eq!(sent, answer(3));
+        assert_eq!(ks[1].stats().caps_deleted - deleted, 3);
+        assert!(subtree.iter().all(|&k| !ks[1].mapdb().contains(k)), "the subtree survived");
+        assert_eq!(ks[1].pending_ops(), 0);
+
+        let sent = deliver_batch(&mut ks, &membership, vec![root_key, gone_key]);
+        assert_eq!(sent, answer(0));
+        assert_eq!(ks[1].pending_ops(), 0);
+        for k in &ks {
+            k.check_invariants().unwrap();
+            k.check_quiescent().unwrap();
+        }
     }
 }

@@ -330,6 +330,30 @@ fn peer_crash_at_delegate_at_recv_yields_real_error() {
     c.assert_quiescent();
 }
 
+/// Kernel 1 crashes while the delegator's kernel waits in
+/// `delegate-wait-done` for it to confirm the insert (on an obtain it
+/// parks first, which jumps the queue). The delegate fails `Timeout`,
+/// and nothing is cleaned up: the receiver may have installed the
+/// child, so the delegator keeps its link, and no orphan is counted.
+#[test]
+fn receivers_crash_under_delegate_wait_done_cleans_nothing() {
+    let mut c = TestCluster::new(2, 2);
+    let crash = CrashPoint { kernel: 1, phase: "obtain-remote", after_nth: 1 };
+    c.set_fault_plan(FaultPlan::empty().with_crash(crash), 64);
+    let root = create_mem(&mut c, VpeId(0));
+    let tag = c.syscall_async(VpeId(0), exchange(VpeId(2), root, ExchangeKind::Delegate));
+    step_until_parked(&mut c, 0, "delegate-wait-done");
+    c.syscall_front(VpeId(3), exchange(VpeId(0), root, ExchangeKind::Obtain));
+    let r = drained(&mut c, VpeId(0), tag);
+    assert!(c.kernels[1].crashed(), "the scripted crash point never fired");
+    assert_eq!(r.unwrap_err().code(), Code::Timeout, "a dead receiver must fail the delegate");
+    let k0 = &c.kernels[0];
+    assert_eq!(k0.stats().ops_aborted, 1, "the wait for the insert never aborted");
+    assert_eq!(k0.stats().orphans_cleaned, 0, "an orphan was counted, and nothing cleaned it");
+    let root_key = k0.table(VpeId(0)).expect("VPE 0 is local").get(root).expect("root survives");
+    assert_eq!(k0.mapdb().get(root_key).expect("root survives").child_count(), 1);
+}
+
 /// The service's kernel crashes while it asks the service to accept a
 /// remote client (`session-at-service` park). The client's kernel learns
 /// of the death and aborts its `open-sess-remote`: the open is answered
@@ -382,12 +406,12 @@ fn a_new_service_is_announced_to_live_kernels_only() {
     c.assert_quiescent();
 }
 
-/// `revoke-batch` awaits its own sub-revokes, not the kernel that sent
-/// the batch: kernel 1 tracks a batch from kernel 0 whose sub-revoke
-/// waits on kernel 2 when kernel 0 crashes (on its second `revoke-run`
-/// park, a revoke of another root). The tracker outlives its caller,
-/// finishes once kernel 2 answers, and its reply to the dead kernel
-/// vanishes; no survivor aborts anything.
+/// A revocation a batch started awaits its own legs, not the kernel
+/// that sent the batch: kernel 1 runs a batch from kernel 0 as one
+/// `revoke-run`, which waits on kernel 2 when kernel 0 crashes (on its
+/// second `revoke-run` park, a revoke of another root). The revocation
+/// outlives its caller, finishes once kernel 2 answers, and its reply
+/// to the dead kernel vanishes; no survivor aborts anything.
 #[test]
 fn revoke_batch_outlives_its_callers_crash() {
     let mut c = TestCluster::new(3, 2);
@@ -405,7 +429,7 @@ fn revoke_batch_outlives_its_callers_crash() {
         root
     });
     c.syscall_async(VpeId(0), Syscall::Revoke { sel: roots[0], own: true });
-    step_until_parked(&mut c, 1, "revoke-batch");
+    step_until_parked(&mut c, 1, "revoke-run");
     c.syscall_async(VpeId(1), Syscall::Revoke { sel: roots[1], own: true });
     c.pump_all();
     assert!(c.kernels[0].crashed(), "the scripted crash point never fired");
@@ -560,10 +584,10 @@ fn starved_service_answer_aborts_local_and_remote_opens() {
     }
 }
 
-/// `revoke-batch` under [`Feature::RevokeBatching`]: kernel 1 tracks a
-/// batch of two sub-revokes whose children live on kernel 2, and kernel
-/// 2's answers are starved past kernel 1's budget. The tracker awaits
-/// its sub-revokes, and they await kernel 2: it outlives the flood and
+/// `revoke-run` under [`Feature::RevokeBatching`]: kernel 1 runs a
+/// batch of two keys, whose children live on kernel 2, as one
+/// revocation, and kernel 2's answers are starved past kernel 1's
+/// budget. The revocation awaits kernel 2: it outlives the flood and
 /// then reports the full tally, with nothing aborted.
 #[test]
 fn starved_revoke_batch_reports_its_partial_tally() {
@@ -577,9 +601,9 @@ fn starved_revoke_batch_reports_its_partial_tally() {
         let _ = delegate(&mut c, to, VpeId(4), copy);
     }
     let tag = c.syscall_async(VpeId(0), Syscall::Revoke { sel: root, own: true });
-    step_until_parked(&mut c, 1, "revoke-batch");
+    step_until_parked(&mut c, 1, "revoke-run");
     starve(&mut c, VpeId(1));
-    assert_outlives_the_flood(&mut c, 1, "revoke-batch");
+    assert_outlives_the_flood(&mut c, 1, "revoke-run");
     let r = drained(&mut c, VpeId(0), tag);
     assert!(r.is_ok(), "revoke replies are always-Ok: {r:?}");
     assert_nothing_aborted(&c);

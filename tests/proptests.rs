@@ -18,6 +18,7 @@
 
 use std::collections::BTreeSet;
 
+use semper_base::config::Feature;
 use semper_base::msg::{ExchangeKind, Perms, SysReplyData, Syscall};
 use semper_base::{CapSel, CapType, Code, DdlKey, PeId, Result, VpeId};
 use semper_caps::spec::{self, Spec};
@@ -524,12 +525,28 @@ fn alive(c: &TestCluster, keys: &[DdlKey]) -> Vec<DdlKey> {
 /// In half the cases that can have one, one root lies strictly inside
 /// the other's subtree, at another kernel, and either is issued first —
 /// the schedules where a revocation's walk, at its root or below it,
-/// meets the other's marks.
+/// meets the other's marks. The 48 cases run twice: as the paper's
+/// Algorithm 1 sends its requests, and with §5.2 batching on every
+/// kernel, where a kernel revokes a batch's keys as one revocation.
 #[test]
 fn overlapping_revokes_from_two_kernels_acknowledge_nothing_early() {
-    let nested_cases = Runner::new(4).map((0..48).collect(), |_, case| {
+    for batching in [false, true] {
+        overlapping_revokes(batching);
+    }
+}
+
+/// One pass of the 48 cases of
+/// `overlapping_revokes_from_two_kernels_acknowledge_nothing_early`,
+/// with [`Feature::RevokeBatching`] on every kernel if `batching`.
+fn overlapping_revokes(batching: bool) {
+    let nested_cases = Runner::new(4).map((0..48).collect(), move |_, case| {
         let mut rng = DetRng::split(0xC0_2E70CE, case);
         let mut cs = [TestCluster::new(3, 2), TestCluster::new(3, 2)];
+        if batching {
+            for k in cs.iter_mut().flat_map(|c| &mut c.kernels) {
+                k.enable_feature_for_test(Feature::RevokeBatching);
+            }
+        }
         let held = build_forest(&mut rng, &mut cs);
 
         // Pairs of holdings at different kernels, and those whose second
@@ -548,7 +565,10 @@ fn overlapping_revokes_from_two_kernels_acknowledge_nothing_early() {
             .collect();
         let nested: Vec<(usize, usize)> =
             pairs.iter().copied().filter(|&(i, j)| descends(j, i)).collect();
-        assert!(!pairs.is_empty(), "case {case}: every holding is at one kernel");
+        assert!(
+            !pairs.is_empty(),
+            "case {case}, batching {batching}: every holding is at one kernel"
+        );
         let hit = !nested.is_empty() && rng.below(2) == 0;
         let from = if hit { &nested } else { &pairs };
         let (outer, inner) = from[rng.below(from.len() as u64) as usize];
@@ -579,27 +599,38 @@ fn overlapping_revokes_from_two_kernels_acknowledge_nothing_early() {
         while conc.step() {
             for i in 0..2 {
                 let Some(r) = conc.take_reply(calls[i].0, tags[i]) else { continue };
-                assert!(!done[i], "case {case}: call {i} answered twice");
-                assert!(i == 1 || r.result.is_ok(), "case {case}: {r:?}");
+                assert!(!done[i], "case {case}, batching {batching}: call {i} answered twice");
+                assert!(i == 1 || r.result.is_ok(), "case {case}, batching {batching}: {r:?}");
                 if r.result.is_ok() {
                     let left = alive(conc, &below[i]);
-                    assert!(left.is_empty(), "case {case}: call {i} acknowledged with {left:?}");
+                    assert!(
+                        left.is_empty(),
+                        "case {case}, batching {batching}: call {i} acknowledged with {left:?}"
+                    );
                 }
                 done[i] = true;
             }
         }
-        assert_eq!(done, [true; 2], "case {case}: a call never completed");
+        assert_eq!(done, [true; 2], "case {case}, batching {batching}: a call never completed");
         for c in [&*seq, &*conc] {
             c.check_invariants();
             c.assert_quiescent();
         }
         for (ks, kc) in seq.kernels.iter().zip(&conc.kernels) {
-            assert_eq!(ks.state_digest(), kc.state_digest(), "case {case}: kernel {}", ks.id());
+            assert_eq!(
+                ks.state_digest(),
+                kc.state_digest(),
+                "case {case}, batching {batching}: kernel {}",
+                ks.id()
+            );
         }
         usize::from(hit)
     });
     let hits: usize = nested_cases.iter().sum();
-    assert!(hits >= 8, "{hits} of 48 cases revoke a root inside the other's subtree");
+    assert!(
+        hits >= 8,
+        "{hits} of 48 cases revoke a root inside the other's subtree, batching {batching}"
+    );
 }
 
 /// The phases the faulted workload parks (exchanges and revocations
