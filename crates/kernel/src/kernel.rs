@@ -388,7 +388,9 @@ impl Kernel {
     /// reply returns a credit (prevents DTU message-slot overruns, §4.1).
     /// With `after`, an admitted message is injected that many cycles
     /// after the handler *started* (pipelined send from within a loop)
-    /// instead of when it completes.
+    /// instead of when it completes. The revoke fan-out passes its send
+    /// loop's own cost only, so its requests leave ahead of the cycles
+    /// charged before the loop (entry, validation, mark walk).
     pub(crate) fn send_kcall_at(
         &mut self,
         out: &mut Outbox,

@@ -34,7 +34,7 @@
 //! (§4.2) and notes the two formulations are equivalent; we keep the
 //! thread-pool *accounting* (pool sized `V_group + K_max · M_inflight`,
 //! never exceeded) as a checked invariant, derived from each phase's
-//! declared spec.
+//! own answer ([`ops::PendingOp::holds_thread`]).
 
 pub mod gates;
 pub mod harness;

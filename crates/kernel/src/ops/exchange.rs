@@ -29,7 +29,7 @@ use semper_base::{
 use semper_caps::Capability;
 
 use crate::kernel::Kernel;
-use crate::ops::{PendingOp, PhaseSpec, Thread};
+use crate::ops::PendingOp;
 use crate::outbox::Outbox;
 
 /// The exchange protocol's phase table (Figure 3 sequences A and B,
@@ -98,6 +98,8 @@ pub enum Phase {
         parent_key: DdlKey,
         /// Key of the child capability at the receiver.
         child_key: DdlKey,
+        /// The receiver's kernel, which confirms the insert.
+        peer_kernel: KernelId,
     },
     /// Receiver side: awaiting the receiving VPE's consent upcall.
     DelegateAtRecv {
@@ -137,34 +139,24 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// The declared spec of each phase.
-    pub fn spec(&self) -> &'static PhaseSpec {
+    /// The phase's name, for crash points, logs and assertions.
+    pub fn name(&self) -> &'static str {
         match self {
-            Phase::LocalAccept { .. } => {
-                &PhaseSpec { name: "exchange-local", thread: Thread::Holds }
-            }
-            Phase::ObtainRemote { .. } => {
-                &PhaseSpec { name: "obtain-remote", thread: Thread::Holds }
-            }
-            Phase::ObtainAtOwner { .. } => {
-                &PhaseSpec { name: "obtain-at-owner", thread: Thread::Holds }
-            }
-            Phase::DelegateRemote { .. } => {
-                &PhaseSpec { name: "delegate-remote", thread: Thread::Holds }
-            }
-            Phase::DelegateWaitDone { .. } => {
-                &PhaseSpec { name: "delegate-wait-done", thread: Thread::Holds }
-            }
-            Phase::DelegateAtRecv { .. } => {
-                &PhaseSpec { name: "delegate-at-recv", thread: Thread::Holds }
-            }
-            Phase::DelegatePendingInsert { .. } => {
-                &PhaseSpec { name: "delegate-pending-insert", thread: Thread::Free }
-            }
-            Phase::DelegateAborted { .. } => {
-                &PhaseSpec { name: "delegate-aborted", thread: Thread::Holds }
-            }
+            Phase::LocalAccept { .. } => "exchange-local",
+            Phase::ObtainRemote { .. } => "obtain-remote",
+            Phase::ObtainAtOwner { .. } => "obtain-at-owner",
+            Phase::DelegateRemote { .. } => "delegate-remote",
+            Phase::DelegateWaitDone { .. } => "delegate-wait-done",
+            Phase::DelegateAtRecv { .. } => "delegate-at-recv",
+            Phase::DelegatePendingInsert { .. } => "delegate-pending-insert",
+            Phase::DelegateAborted { .. } => "delegate-aborted",
         }
+    }
+
+    /// True if the phase parks a cooperative kernel thread (§4.2): all
+    /// but an uninserted delegate capability, which is pure state.
+    pub fn holds_thread(&self) -> bool {
+        !matches!(self, Phase::DelegatePendingInsert { .. })
     }
 
     /// The VPE whose consent upcall this phase awaits (its death
@@ -175,6 +167,20 @@ impl Phase {
             Phase::ObtainAtOwner { owner, .. } => Some(*owner),
             Phase::DelegateAtRecv { recv, .. } => Some(*recv),
             _ => None,
+        }
+    }
+
+    /// The peer kernel the phase awaits ([`PendingOp::awaited_kernel`]).
+    pub fn awaited_kernel(&self) -> Option<KernelId> {
+        match self {
+            Phase::ObtainRemote { peer_kernel, .. }
+            | Phase::DelegateRemote { peer_kernel, .. }
+            | Phase::DelegateWaitDone { peer_kernel, .. }
+            | Phase::DelegateAborted { peer_kernel, .. } => Some(*peer_kernel),
+            Phase::ObtainAtOwner { caller_kernel, .. }
+            | Phase::DelegateAtRecv { caller_kernel, .. }
+            | Phase::DelegatePendingInsert { caller_kernel, .. } => Some(*caller_kernel),
+            Phase::LocalAccept { .. } => None,
         }
     }
 }
@@ -657,6 +663,7 @@ impl Kernel {
                             delegator,
                             parent_key,
                             child_key: *child_key,
+                            peer_kernel: from,
                         }),
                     );
                     self.ref_cost() + self.cfg.cost.xfer_desc + self.cfg.cost.cap_insert
@@ -675,19 +682,13 @@ impl Kernel {
         commit: bool,
         out: &mut Outbox,
     ) -> u64 {
-        let asked = match self.pending.get(op) {
-            Some(state @ PendingOp::Exchange(Phase::DelegatePendingInsert { .. })) => {
-                self.awaited_kernel(state)
-            }
-            _ => None,
-        };
         // A second ack, or one from a kernel other than the
         // delegator's, is a kernel bug.
-        assert!(asked == Some(from), "delegate ack {op} from {from}: no pending insert of its");
+        let asked = self.pending.get(op).and_then(PendingOp::awaited_kernel);
         let Some(PendingOp::Exchange(Phase::DelegatePendingInsert { cap, .. })) =
-            self.pending.remove(op)
+            self.pending.remove(op).filter(|_| asked == Some(from))
         else {
-            unreachable!("checked above");
+            panic!("delegate ack {op} from {from}: no pending insert of its");
         };
         let result = if !commit {
             Err(Error::new(Code::ExchangeDenied))
@@ -730,28 +731,33 @@ impl Kernel {
         self.ref_cost() + self.cfg.cost.syscall_exit
     }
 
-    /// Cancellation for exchange phases awaiting a consent upcall whose
-    /// responder VPE died (engine teardown sweep).
-    pub(crate) fn cancel_exchange_phase(&mut self, phase: Phase, out: &mut Outbox) {
+    /// Fails a parked exchange towards whoever waits for it — the VPE
+    /// that made the system call, or the caller's kernel — with `err`
+    /// (see `Kernel::fail_parked`).
+    pub(crate) fn fail_exchange_phase(&mut self, phase: Phase, err: Error, out: &mut Outbox) {
         match phase {
-            Phase::LocalAccept { tag, initiator, .. } => {
-                self.reply_sys(out, initiator, tag, Err(Error::new(Code::VpeGone)));
+            // For `DelegateWaitDone` the receiver's kernel died, with the
+            // child inserted or not; we can no longer learn which.
+            // Nothing is cleaned up: the delegator keeps its link to the
+            // child, like every link a survivor holds into a dead kernel.
+            Phase::LocalAccept { tag, initiator: vpe, .. }
+            | Phase::ObtainRemote { tag, requester: vpe, .. }
+            | Phase::DelegateRemote { tag, delegator: vpe, .. }
+            | Phase::DelegateWaitDone { tag, delegator: vpe, .. } => {
+                self.reply_sys(out, vpe, tag, Err(err));
             }
-            Phase::ObtainAtOwner { caller_op, caller_kernel, .. } => {
-                self.send_kreply(
-                    out,
-                    caller_kernel,
-                    KReply::Obtain { op: caller_op, result: Err(Error::new(Code::VpeGone)) },
-                );
+            Phase::DelegateAborted { tag, delegator, reason, .. } => {
+                self.reply_sys(out, delegator, tag, Err(reason));
             }
-            Phase::DelegateAtRecv { caller_op, caller_kernel, .. } => {
-                self.send_kreply(
-                    out,
-                    caller_kernel,
-                    KReply::Delegate { op: caller_op, result: Err(Error::new(Code::VpeGone)) },
-                );
+            Phase::ObtainAtOwner { caller_op: op, caller_kernel, .. } => {
+                self.send_kreply(out, caller_kernel, KReply::Obtain { op, result: Err(err) });
             }
-            other => unreachable!("{} is not cancelled via upcall sweep", other.spec().name),
+            Phase::DelegateAtRecv { caller_op: op, caller_kernel, .. } => {
+                self.send_kreply(out, caller_kernel, KReply::Delegate { op, result: Err(err) });
+            }
+            // Never inserted — §4.3.2's whole point: dropping the
+            // pending capability is safe and complete.
+            Phase::DelegatePendingInsert { .. } => {}
         }
     }
 }

@@ -18,23 +18,25 @@
 //!   ([`PendingOp::upcall_responder`]) is armed with an expiry on the
 //!   fault clock — the cluster's step counter. [`Kernel::poll_faults`]
 //!   aborts it when the answer is starved: the ledger entry is reaped,
-//!   the held thread released, and whoever waits is answered with an
-//!   error. A phase that awaits a kernel gets no deadline: a slow kernel
-//!   is not a dead one, and it ends by that kernel's reply or by its
-//!   death.
+//!   the held thread released, and whoever waits is answered with
+//!   `Timeout`. A phase that awaits a kernel gets no deadline: a slow
+//!   kernel is not a dead one, and it ends by that kernel's reply or by
+//!   its death.
 //! * **Peer death, for kernels.** When the cluster declares a kernel
-//!   crashed ([`Kernel::peer_down`]), every phase that awaits it aborts,
-//!   every revoke leg towards it completes (its part of the subtree died
-//!   with it), and queued requests towards it are dropped. From then on
-//!   its messages are dropped unread, and no new request goes its way.
+//!   crashed ([`Kernel::peer_down`]), every phase that awaits it
+//!   ([`PendingOp::awaited_kernel`]) aborts with `Timeout`, every revoke
+//!   leg towards it completes (its part of the subtree died with it),
+//!   and queued requests towards it are dropped. From then on its
+//!   messages are dropped unread, and no new request goes its way.
 //!
-//! Abort is per-phase surgery, not a generic drop: each arm meets the
-//! phase's reply obligation towards whoever started it.
+//! Both abort through the engine's one sweep (`Kernel::fail_parked`,
+//! which VPE death uses too), where each protocol fails its own phase
+//! towards whoever started it. This module names no phase.
 
 use semper_base::{Code, DetHashMap, Error, KernelId, OpId};
 
 use crate::kernel::Kernel;
-use crate::ops::{exchange, session, PendingOp};
+use crate::ops::PendingOp;
 use crate::outbox::Outbox;
 
 /// Per-kernel fault state. Default-constructed (inert) unless the
@@ -97,7 +99,7 @@ impl Kernel {
     /// and arms the deadline of a phase that awaits a VPE.
     pub(crate) fn note_parked(&mut self, op: OpId, state: &PendingOp) {
         if !self.fault.crashed {
-            let phase = state.spec().name;
+            let phase = state.name();
             for entry in &mut self.fault.crash_script {
                 if entry.0 == phase && entry.1 > 0 {
                     entry.1 -= 1;
@@ -117,29 +119,17 @@ impl Kernel {
     /// expired, in op-id order.
     pub fn poll_faults(&mut self, now: u64, out: &mut Outbox) {
         self.fault.now = now;
-        if self.fault.deadlines.is_empty() {
-            return;
-        }
         let mut expired: Vec<OpId> = Vec::new();
         self.fault.deadlines.retain(|op, dl| {
-            // An op that completed since its deadline was armed is
-            // reaped lazily (op ids are never reused).
-            if self.pending.get(*op).is_none() {
-                return false;
-            }
-            if *dl <= now {
+            // An op that completed or failed since its deadline was armed
+            // is reaped lazily (op ids are never reused).
+            let parked = self.pending.get(*op).is_some();
+            if parked && *dl <= now {
                 expired.push(*op);
-                return false;
             }
-            true
+            parked && *dl > now
         });
-        expired.sort_unstable();
-        for op in expired {
-            // Aborting one op can complete others; re-check.
-            if let Some(state) = self.pending.remove(op) {
-                self.abort_op(state, out);
-            }
-        }
+        self.stats.ops_aborted += self.fail_parked(expired, Error::new(Code::Timeout), out);
     }
 
     /// Declares a peer kernel dead: drops queued requests towards it,
@@ -155,100 +145,15 @@ impl Kernel {
         // Requests stalled behind the credit gate towards the dead
         // kernel would never be consumed; their ops end below.
         self.kgate.drop_queue(dead);
-        let mut doomed: Vec<OpId> = self
+        let doomed: Vec<OpId> = self
             .pending
             .iter()
-            .filter(|(_, state)| self.awaited_kernel(state) == Some(dead))
+            .filter(|(_, state)| state.awaited_kernel() == Some(dead))
             .map(|(op, _)| op)
             .collect();
-        doomed.sort_unstable();
-        for op in doomed {
-            self.fault.deadlines.remove(&op);
-            // Aborting one op can complete others; re-check that this
-            // one is still parked.
-            let Some(state) = self.pending.remove(op) else { continue };
-            self.abort_op(state, out);
-        }
+        // A doomed op's deadline is reaped by the next `poll_faults`.
+        self.stats.ops_aborted += self.fail_parked(doomed, Error::new(Code::Timeout), out);
         self.revoke_legs_lost(dead, out);
-    }
-
-    /// The one peer kernel `state` cannot make progress without — written
-    /// down once, for two readers. [`Kernel::peer_down`] aborts every
-    /// phase whose kernel died; the reply router resumes a phase that
-    /// awaits a kernel reply only for a reply from this kernel
-    /// (membership is static and nothing is relayed, so the kernel that
-    /// was asked is the only one that can answer). For the phases that
-    /// await a local VPE's upcall answer on a remote caller's behalf it
-    /// is that caller. `None` for phases waiting on local VPEs only and
-    /// for revocations, whose legs are counted per kernel instead.
-    pub(crate) fn awaited_kernel(&self, state: &PendingOp) -> Option<KernelId> {
-        match state {
-            PendingOp::Exchange(p) => match p {
-                exchange::Phase::ObtainRemote { peer_kernel, .. }
-                | exchange::Phase::DelegateRemote { peer_kernel, .. }
-                | exchange::Phase::DelegateAborted { peer_kernel, .. } => Some(*peer_kernel),
-                exchange::Phase::ObtainAtOwner { caller_kernel, .. }
-                | exchange::Phase::DelegateAtRecv { caller_kernel, .. }
-                | exchange::Phase::DelegatePendingInsert { caller_kernel, .. } => {
-                    Some(*caller_kernel)
-                }
-                exchange::Phase::DelegateWaitDone { child_key, .. } => {
-                    Some(self.membership.kernel_of_key(*child_key))
-                }
-                exchange::Phase::LocalAccept { .. } => None,
-            },
-            PendingOp::Session(p) => match p {
-                session::Phase::OpenRemote { srv, .. } => Some(srv.owner),
-                session::Phase::AtService { caller_kernel, .. } => Some(*caller_kernel),
-                session::Phase::OpenLocal { .. } => None,
-            },
-            // A revocation awaits its own legs (`revoke::RevokeState`
-            // counts them per kernel) and the local revocations it waits
-            // for, never the kernel it answers.
-            PendingOp::Revoke(_) => None,
-        }
-    }
-
-    /// Aborts one pending op with per-phase surgery so the system stays
-    /// consistent: reply obligations towards callers are met (with an
-    /// error). Reached by a starved VPE-awaiting phase's deadline and by
-    /// the death of the kernel a phase awaits; a revocation is neither.
-    fn abort_op(&mut self, state: PendingOp, out: &mut Outbox) {
-        self.stats.ops_aborted += 1;
-        let err = Error::new(Code::Timeout);
-        match state {
-            PendingOp::Exchange(phase) => match phase {
-                // The upcall-cancellation sweep already knows how to
-                // fail these three towards their initiators.
-                p @ (exchange::Phase::LocalAccept { .. }
-                | exchange::Phase::ObtainAtOwner { .. }
-                | exchange::Phase::DelegateAtRecv { .. }) => self.cancel_exchange_phase(p, out),
-                exchange::Phase::ObtainRemote { tag, requester, .. } => {
-                    self.reply_sys(out, requester, tag, Err(err));
-                }
-                exchange::Phase::DelegateRemote { tag, delegator, .. } => {
-                    self.reply_sys(out, delegator, tag, Err(err));
-                }
-                // The receiver's kernel died, with the child inserted or
-                // not; we can no longer learn which. Fail the syscall.
-                // Nothing is cleaned up: the delegator keeps its link to
-                // the child, like every link a survivor holds into a
-                // dead kernel.
-                exchange::Phase::DelegateWaitDone { tag, delegator, .. } => {
-                    self.reply_sys(out, delegator, tag, Err(err));
-                }
-                exchange::Phase::DelegateAborted { tag, delegator, reason, .. } => {
-                    self.reply_sys(out, delegator, tag, Err(reason));
-                }
-                // Never inserted — §4.3.2's whole point: dropping the
-                // pending capability is safe and complete.
-                exchange::Phase::DelegatePendingInsert { .. } => {}
-            },
-            PendingOp::Session(phase) => self.cancel_session_phase(phase, err, out),
-            PendingOp::Revoke(op) => {
-                unreachable!("{} has no deadline and awaits no kernel", op.spec().name)
-            }
-        }
     }
 
     /// Asserts that the kernel reached true quiescence: no suspended
@@ -262,7 +167,7 @@ impl Kernel {
             Ok(())
         } else {
             let mut stuck: Vec<String> =
-                self.pending.iter().map(|(op, s)| format!("{op}:{}", s.spec().name)).collect();
+                self.pending.iter().map(|(op, s)| format!("{op}:{}", s.name())).collect();
             stuck.sort_unstable();
             Err(format!("pending ops at quiescence: {stuck:?}"))
         };

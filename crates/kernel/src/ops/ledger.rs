@@ -6,7 +6,7 @@
 //! [`PendingOp`] phase in this ledger; the engine's reply router
 //! resumes it when the awaited message arrives. Thread-pool accounting
 //! (`pending ≤ V_group + K_max · M_inflight`) is derived from each
-//! phase's declared [`crate::ops::PhaseSpec`] and maintained
+//! phase's own answer ([`PendingOp::holds_thread`]) and maintained
 //! incrementally.
 //!
 //! Op ids are allocated from a per-kernel monotone counter, so they are
@@ -100,12 +100,6 @@ mod tests {
             local_roots: Vec::new(),
             spanning: false,
         })
-    }
-
-    #[test]
-    fn specs_are_distinct_for_key_ops() {
-        let a = revoke_op(Initiator::Internal);
-        assert_eq!(a.spec().name, "revoke-run");
     }
 
     #[test]

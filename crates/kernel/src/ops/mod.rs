@@ -12,10 +12,11 @@
 //!   protocol ([`exchange`], [`session`], [`revoke`]).
 //!   Each phase carries exactly the continuation state its resume
 //!   handler needs.
-//! * [`PhaseSpec`] — the per-phase declaration: its name and whether
-//!   it parks a cooperative kernel thread ([`Thread`], the §4.2 pool
-//!   accounting). The ledger derives thread accounting from the spec
-//!   instead of hand-maintained match arms.
+//! * Each protocol answers the per-phase questions about its own
+//!   phases: a phase's name (crash points, logs), whether it parks a
+//!   cooperative kernel thread (the §4.2 pool accounting the ledger
+//!   keeps), which VPE or kernel it awaits, and how it fails when that
+//!   answer will not come. [`PendingOp`] only forwards to the protocol.
 //! * [`ledger::PendingTable`] — the one shared pending-op ledger, keyed
 //!   by correlation id ([`semper_base::OpId`]).
 //! * The **reply router** (`Kernel::route_kcall` / `route_kreply` /
@@ -63,14 +64,15 @@
 //! # What a new protocol costs
 //!
 //! Session establishment ([`session`]) is the smallest example: a
-//! distributed operation is its phase enum (three variants), a spec row
-//! per phase, one request handler per participant role, one resume
-//! handler per phase, and — for a phase that awaits a peer kernel — a
-//! row in `Kernel::awaited_kernel` ([`faults`]), which tells the reply
-//! router who may answer and `Kernel::peer_down` whose death ends the
-//! phase. The ledger, router, credit gating and thread accounting are
-//! all inherited. The pre-engine protocols carried
-//! ~150 LoC of that plumbing *each*.
+//! distributed operation is its phase enum (three variants) with its
+//! answers — `name`, `upcall_responder`, `awaited_kernel` (which tells
+//! the reply router who may answer and `Kernel::peer_down` whose death
+//! ends the phase) and one `fail_*_phase` — one request handler per
+//! participant role, one resume handler per phase, and one arm in each
+//! of [`PendingOp`]'s forwarders. The ledger, router, credit gating,
+//! thread accounting and the one sweep that ends a parked phase
+//! (`Kernel::fail_parked`) are all inherited. The pre-engine protocols
+//! carried ~150 LoC of that plumbing *each*.
 //!
 //! # Determinism contract
 //!
@@ -93,32 +95,6 @@ use semper_base::{Code, Error, KernelId, OpId, PeId, VpeId};
 use crate::kernel::Kernel;
 use crate::outbox::Outbox;
 
-/// Whether a suspended phase occupies a cooperative kernel thread
-/// (§4.2). Only operations that *park a thread* count against the pool
-/// `V_group + K_max · M_inflight`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Thread {
-    /// Parks a thread: syscall-initiated waits and consent-upcall waits.
-    Holds,
-    /// Thread-free bookkeeping: the paper's revoke handlers return
-    /// without pausing (Algorithm 1), and a parked-but-uninserted
-    /// delegate capability is pure state.
-    Free,
-    /// Depends on who initiated the operation (revocation: syscalls and
-    /// internal cleanup hold the calling thread; incoming requests are
-    /// thread-free).
-    PerInitiator,
-}
-
-/// The declared shape of one protocol phase.
-#[derive(Debug, Clone, Copy)]
-pub struct PhaseSpec {
-    /// Phase label for logs, statistics, and assertions.
-    pub name: &'static str,
-    /// Thread-pool accounting class.
-    pub thread: Thread,
-}
-
 /// A suspended distributed operation: one protocol's phase, parked in
 /// the shared ledger under its correlation id.
 #[derive(Debug, Clone)]
@@ -132,37 +108,46 @@ pub enum PendingOp {
 }
 
 impl PendingOp {
-    /// The phase's declared spec.
-    pub fn spec(&self) -> &'static PhaseSpec {
+    /// The phase's name, for crash points, logs and assertions.
+    pub fn name(&self) -> &'static str {
         match self {
-            PendingOp::Exchange(p) => p.spec(),
-            PendingOp::Session(p) => p.spec(),
-            PendingOp::Revoke(op) => op.spec(),
+            PendingOp::Exchange(p) => p.name(),
+            PendingOp::Session(p) => p.name(),
+            PendingOp::Revoke(op) => op.name(),
         }
     }
 
     /// True if this suspended phase parks a cooperative kernel thread
-    /// (§4.2) — derived from the phase table.
+    /// (§4.2). A revocation holds one as its initiator does.
     pub fn holds_thread(&self) -> bool {
-        match self.spec().thread {
-            Thread::Holds => true,
-            Thread::Free => false,
-            Thread::PerInitiator => match self {
-                PendingOp::Revoke(op) => op.initiator.holds_thread(),
-                other => unreachable!("{} has no initiator", other.spec().name),
-            },
+        match self {
+            PendingOp::Exchange(p) => p.holds_thread(),
+            PendingOp::Session(_) => true,
+            PendingOp::Revoke(op) => op.initiator.holds_thread(),
         }
     }
 
     /// The local VPE whose upcall answer this phase awaits: the VPE
     /// asked for consent to an exchange, or the service VPE asked to
-    /// open a session. It can die while the upcall is in flight, and
-    /// the initiator (possibly at another kernel) must then be
-    /// unblocked with `VpeGone`.
+    /// open a session. Its death fails the phase with `VpeGone`.
     pub fn upcall_responder(&self) -> Option<VpeId> {
         match self {
             PendingOp::Exchange(p) => p.upcall_responder(),
             PendingOp::Session(p) => p.upcall_responder(),
+            PendingOp::Revoke(_) => None,
+        }
+    }
+
+    /// The one peer kernel this phase cannot make progress without: the
+    /// kernel it asked, or the remote caller it serves. The reply router
+    /// resumes the phase only for a reply from it (nothing is relayed),
+    /// and `Kernel::peer_down` fails the phase when it dies. `None` for
+    /// phases waiting on local VPEs only, and for a revocation, which
+    /// awaits its legs (counted per kernel) and local revocations.
+    pub fn awaited_kernel(&self) -> Option<KernelId> {
+        match self {
+            PendingOp::Exchange(p) => p.awaited_kernel(),
+            PendingOp::Session(p) => p.awaited_kernel(),
             PendingOp::Revoke(_) => None,
         }
     }
@@ -246,7 +231,7 @@ impl Kernel {
     }
 
     /// Resumes the phase parked under a reply's correlation id — if
-    /// `from` is the kernel that phase awaits (`Kernel::awaited_kernel`;
+    /// `from` is the kernel that phase awaits ([`PendingOp::awaited_kernel`];
     /// nothing is relayed, so a reply can only come from the kernel
     /// that was asked). A kernel is a trusted party and every request
     /// gets exactly one reply: a stray reply, an answer from the wrong
@@ -256,7 +241,7 @@ impl Kernel {
         use session::Phase as Sess;
 
         let op = reply.op();
-        let Some(asked) = self.pending.get(op).map(|state| self.awaited_kernel(state)) else {
+        let Some(asked) = self.pending.get(op).map(PendingOp::awaited_kernel) else {
             panic!("reply {reply:?} without a pending op");
         };
         assert_eq!(asked, Some(from), "reply {reply:?} from {from}, asked {asked:?}");
@@ -271,7 +256,13 @@ impl Kernel {
                 KReply::Delegate { result, .. },
             ) => self.delegate_reply(from, tag, delegator, parent_key, result, out),
             (
-                PendingOp::Exchange(Ex::DelegateWaitDone { tag, delegator, parent_key, child_key }),
+                PendingOp::Exchange(Ex::DelegateWaitDone {
+                    tag,
+                    delegator,
+                    parent_key,
+                    child_key,
+                    ..
+                }),
                 KReply::DelegateDone { result, .. },
             ) => self.delegate_done(tag, delegator, parent_key, child_key, *result, out),
             // The receiver confirmed the abort: fail the system call
@@ -284,7 +275,7 @@ impl Kernel {
                 PendingOp::Session(Sess::OpenRemote { tag, client, child_key, srv }),
                 KReply::OpenSess { result, .. },
             ) => self.open_sess_reply(tag, client, child_key, srv, *result, out),
-            (state, reply) => panic!("reply {reply:?} cannot resume {}", state.spec().name),
+            (state, reply) => panic!("reply {reply:?} cannot resume {}", state.name()),
         }
     }
 
@@ -312,13 +303,10 @@ impl Kernel {
         let asked = match (self.pending.get(op), reply) {
             // The operation was cancelled (e.g. a party died); ignore.
             (None, _) => return 0,
-            (Some(PendingOp::Exchange(phase)), UpcallReply::AcceptExchange { .. }) => {
-                phase.upcall_responder().and_then(|vpe| self.pe_of_vpe(vpe).ok())
+            (Some(state @ PendingOp::Exchange(_)), UpcallReply::AcceptExchange { .. })
+            | (Some(state @ PendingOp::Session(_)), UpcallReply::SessionOpen { .. }) => {
+                state.upcall_responder().and_then(|vpe| self.pe_of_vpe(vpe).ok())
             }
-            (
-                Some(PendingOp::Session(Sess::OpenLocal { srv, .. } | Sess::AtService { srv, .. })),
-                UpcallReply::SessionOpen { .. },
-            ) => Some(srv.srv_pe),
             (Some(_), _) => None,
         };
         if asked != Some(src) {
@@ -385,39 +373,200 @@ impl Kernel {
                 self.session_service_accept(caller_op, caller_kernel, child_key, srv, *result, out)
             }
             (state, reply) => {
-                unreachable!("{reply:?} passed the check for {}", state.spec().name)
+                unreachable!("{reply:?} passed the check for {}", state.name())
             }
         }
     }
 
-    /// Cancels every pending operation awaiting an upcall answer from
-    /// `vpe` (the VPE died). The cancellation order is protocol-visible
-    /// (each cancel emits a reply), so the collected ops are sorted by
-    /// id — the order the pre-hash-map id-ordered ledger iterated in.
+    /// Fails every pending operation awaiting an upcall answer from
+    /// `vpe` (the VPE died) with `VpeGone`.
     pub(crate) fn cancel_upcall_waiters(&mut self, vpe: VpeId, out: &mut Outbox) {
-        let mut cancelled: Vec<OpId> = self
+        let waiting: Vec<OpId> = self
             .pending
             .iter()
             .filter(|(_, p)| p.upcall_responder() == Some(vpe))
             .map(|(op, _)| op)
             .collect();
-        cancelled.sort_unstable();
-        for op in cancelled {
-            let p = self.pending.remove(op).expect("collected above");
-            match p {
-                PendingOp::Exchange(phase) => self.cancel_exchange_phase(phase, out),
-                PendingOp::Session(phase) => {
-                    self.cancel_session_phase(phase, Error::new(Code::VpeGone), out)
-                }
-                other => unreachable!("{} awaits no upcall answer", other.spec().name),
+        self.fail_parked(waiting, Error::new(Code::VpeGone), out);
+    }
+
+    /// Ends each parked phase in `ops` without the answer it awaits, as
+    /// when its VPE dies (`VpeGone`), or its deadline expires or the
+    /// kernel it awaits crashes (`Timeout`): its protocol answers
+    /// whoever started it with `err`. Each answer is protocol-visible,
+    /// so they leave in op-id order. Returns how many phases failed.
+    pub(crate) fn fail_parked(&mut self, mut ops: Vec<OpId>, err: Error, out: &mut Outbox) -> u64 {
+        ops.sort_unstable();
+        let mut failed = 0;
+        for op in ops {
+            // Failing one phase can complete others; skip those.
+            let Some(state) = self.pending.remove(op) else { continue };
+            failed += 1;
+            match state {
+                PendingOp::Exchange(phase) => self.fail_exchange_phase(phase, err, out),
+                PendingOp::Session(phase) => self.fail_session_phase(phase, err, out),
+                // A revocation awaits no VPE and no kernel.
+                PendingOp::Revoke(revoke) => unreachable!("{} cannot be failed", revoke.name()),
             }
         }
+        failed
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::revoke::FanIn;
+    use super::revoke::{FanIn, Initiator, RevokeOp};
+    use super::{exchange, session, PendingOp};
+    use crate::registry::ServiceInfo;
+    use semper_base::msg::{CapKindDesc, Perms};
+    use semper_base::{
+        CapSel, CapType, Code, DdlKey, Error, ExchangeKind, KernelId, OpId, PeId, ServiceId, VpeId,
+    };
+    use semper_caps::Capability;
+
+    /// The phase table: every phase of every protocol, with its name (a
+    /// crash point's, byte for byte) and whether it parks a cooperative
+    /// kernel thread (§4.2). A revocation appears once per initiator.
+    #[test]
+    fn every_phase_declares_its_name_and_thread_class() {
+        use exchange::Phase as Ex;
+        use session::Phase as Sess;
+
+        let (tag, vpe, k, op) = (7, VpeId(1), KernelId(1), OpId(3));
+        let key = DdlKey::new(PeId(1), vpe, CapType::Memory, 1);
+        let desc = CapKindDesc::Memory { addr: 0, size: 4096, perms: Perms::RW };
+        let srv = ServiceInfo {
+            id: ServiceId(1),
+            name: 9,
+            owner: k,
+            srv_key: key,
+            srv_pe: PeId(1),
+            srv_vpe: vpe,
+        };
+        let revoke = |initiator| {
+            PendingOp::Revoke(RevokeOp {
+                initiator,
+                fanin: FanIn::new(),
+                local_roots: Vec::new(),
+                spanning: false,
+            })
+        };
+        let table = [
+            (
+                PendingOp::Exchange(Ex::LocalAccept {
+                    tag,
+                    initiator: vpe,
+                    peer: vpe,
+                    kind: ExchangeKind::Obtain,
+                    own_sel: CapSel(1),
+                    other_sel: CapSel(2),
+                }),
+                "exchange-local",
+                true,
+            ),
+            (
+                PendingOp::Exchange(Ex::ObtainRemote {
+                    tag,
+                    requester: vpe,
+                    child_key: key,
+                    peer_kernel: k,
+                }),
+                "obtain-remote",
+                true,
+            ),
+            (
+                PendingOp::Exchange(Ex::ObtainAtOwner {
+                    caller_op: op,
+                    caller_kernel: k,
+                    child_key: key,
+                    parent_key: key,
+                    owner: vpe,
+                }),
+                "obtain-at-owner",
+                true,
+            ),
+            (
+                PendingOp::Exchange(Ex::DelegateRemote {
+                    tag,
+                    delegator: vpe,
+                    parent_key: key,
+                    peer_kernel: k,
+                }),
+                "delegate-remote",
+                true,
+            ),
+            (
+                PendingOp::Exchange(Ex::DelegateWaitDone {
+                    tag,
+                    delegator: vpe,
+                    parent_key: key,
+                    child_key: key,
+                    peer_kernel: k,
+                }),
+                "delegate-wait-done",
+                true,
+            ),
+            (
+                PendingOp::Exchange(Ex::DelegateAtRecv {
+                    caller_op: op,
+                    caller_kernel: k,
+                    parent_key: key,
+                    desc,
+                    recv: vpe,
+                }),
+                "delegate-at-recv",
+                true,
+            ),
+            (
+                PendingOp::Exchange(Ex::DelegatePendingInsert {
+                    caller_kernel: k,
+                    cap: Box::new(Capability::root(key, desc, vpe, CapSel(1))),
+                }),
+                "delegate-pending-insert",
+                false,
+            ),
+            (
+                PendingOp::Exchange(Ex::DelegateAborted {
+                    tag,
+                    delegator: vpe,
+                    peer_kernel: k,
+                    reason: Error::new(Code::NoSuchCap),
+                }),
+                "delegate-aborted",
+                true,
+            ),
+            (
+                PendingOp::Session(Sess::OpenRemote { tag, client: vpe, child_key: key, srv }),
+                "open-sess-remote",
+                true,
+            ),
+            (
+                PendingOp::Session(Sess::AtService {
+                    caller_op: op,
+                    caller_kernel: k,
+                    child_key: key,
+                    srv,
+                }),
+                "session-at-service",
+                true,
+            ),
+            (
+                PendingOp::Session(Sess::OpenLocal { tag, client: vpe, child_key: key, srv }),
+                "session-local",
+                true,
+            ),
+            (revoke(Initiator::Syscall { vpe, tag }), "revoke-run", true),
+            (revoke(Initiator::Internal), "revoke-run", true),
+            (revoke(Initiator::Kcall { op, from: k, keys: 1 }), "revoke-run", false),
+        ];
+        for (phase, name, holds_thread) in &table {
+            assert_eq!(phase.name(), *name);
+            assert_eq!(phase.holds_thread(), *holds_thread, "{name}");
+        }
+        // Each kernel-awaiting phase carries its kernel in a field, and a
+        // ledger entry stays within 64 bytes (a revocation's size).
+        assert!(std::mem::size_of::<PendingOp>() <= 64);
+    }
 
     /// Every armed completion arrives exactly once, with or without a
     /// fault plan — a fan-in has no mode — so one more panics.

@@ -46,7 +46,7 @@ use semper_base::{CapSel, DdlKey, DetHashMap, KernelId, OpId, RawDdlKey, VpeId};
 use semper_caps::Capability;
 
 use crate::kernel::Kernel;
-use crate::ops::{PendingOp, PhaseSpec, Thread};
+use crate::ops::PendingOp;
 use crate::outbox::Outbox;
 
 /// Kernel-wide state of the revocation protocol: the waiter registry,
@@ -206,11 +206,10 @@ pub struct RevokeOp {
 }
 
 impl RevokeOp {
-    /// The declared spec of a parked revocation, the protocol's one
-    /// phase: it awaits its fan-in (remote completions and
-    /// concurrent-revoke dependencies).
-    pub fn spec(&self) -> &'static PhaseSpec {
-        &PhaseSpec { name: "revoke-run", thread: Thread::PerInitiator }
+    /// The name of the protocol's one phase: a revocation awaiting its
+    /// fan-in (remote completions and concurrent-revoke dependencies).
+    pub fn name(&self) -> &'static str {
+        "revoke-run"
     }
 }
 
@@ -394,9 +393,11 @@ impl Kernel {
                 self.arm_leg(op_id, op, k);
                 // Marshalling one revoke request: compose the message,
                 // inject it through the DTU, and record the outstanding
-                // entry. Requests are pipelined: each leaves as the loop
-                // reaches it, so remote kernels overlap with the rest of
-                // the fan-out.
+                // entry. Requests are pipelined: each leaves `cost` cycles
+                // after the handler's start — ahead of the entry,
+                // validation and mark walk charged before this loop (a
+                // batch leaves at the handler's end) — so remote kernels
+                // overlap with the rest of the fan-out.
                 cost +=
                     self.cfg.cost.kcall_exit + self.cfg.cost.revoke_mark + self.cfg.cost.dtu_send;
                 self.send_kcall_at(out, k, Kcall::RevokeReq { op: op_id, cap_key }, Some(cost));

@@ -17,7 +17,7 @@ use semper_base::{
 use semper_caps::Capability;
 
 use crate::kernel::Kernel;
-use crate::ops::{PendingOp, PhaseSpec, Thread};
+use crate::ops::PendingOp;
 use crate::outbox::Outbox;
 use crate::registry::ServiceInfo;
 
@@ -62,16 +62,13 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// The declared spec of each phase.
-    pub fn spec(&self) -> &'static PhaseSpec {
+    /// The phase's name, for crash points, logs and assertions. Every
+    /// session phase parks a cooperative kernel thread (§4.2).
+    pub fn name(&self) -> &'static str {
         match self {
-            Phase::OpenRemote { .. } => {
-                &PhaseSpec { name: "open-sess-remote", thread: Thread::Holds }
-            }
-            Phase::AtService { .. } => {
-                &PhaseSpec { name: "session-at-service", thread: Thread::Holds }
-            }
-            Phase::OpenLocal { .. } => &PhaseSpec { name: "session-local", thread: Thread::Holds },
+            Phase::OpenRemote { .. } => "open-sess-remote",
+            Phase::AtService { .. } => "session-at-service",
+            Phase::OpenLocal { .. } => "session-local",
         }
     }
 
@@ -81,6 +78,15 @@ impl Phase {
         match self {
             Phase::OpenLocal { srv, .. } | Phase::AtService { srv, .. } => Some(srv.srv_vpe),
             Phase::OpenRemote { .. } => None,
+        }
+    }
+
+    /// The peer kernel the phase awaits ([`PendingOp::awaited_kernel`]).
+    pub fn awaited_kernel(&self) -> Option<KernelId> {
+        match self {
+            Phase::OpenRemote { srv, .. } => Some(srv.owner),
+            Phase::AtService { caller_kernel, .. } => Some(*caller_kernel),
+            Phase::OpenLocal { .. } => None,
         }
     }
 }
@@ -338,10 +344,8 @@ impl Kernel {
     }
 
     /// Fails a parked open towards whoever waits for it — the client,
-    /// or the client's kernel: the service VPE died before answering
-    /// (`VpeGone`, the teardown sweep), or its answer was starved past
-    /// the phase's deadline or the kernel it awaits died (`Timeout`).
-    pub(crate) fn cancel_session_phase(&mut self, phase: Phase, err: Error, out: &mut Outbox) {
+    /// or the client's kernel — with `err` (see `Kernel::fail_parked`).
+    pub(crate) fn fail_session_phase(&mut self, phase: Phase, err: Error, out: &mut Outbox) {
         match phase {
             Phase::OpenRemote { tag, client, .. } | Phase::OpenLocal { tag, client, .. } => {
                 self.reply_sys(out, client, tag, Err(err));

@@ -24,7 +24,8 @@
 pub struct CrashPoint {
     /// Raw id of the kernel that dies.
     pub kernel: u16,
-    /// `PhaseSpec` name that triggers the crash when parked.
+    /// Name of the phase that triggers the crash when parked (the
+    /// kernel's `PendingOp::name`).
     pub phase: &'static str,
     /// Which park of that phase triggers it (1 = the first).
     pub after_nth: u32,

@@ -502,7 +502,9 @@ fn drained(c: &mut TestCluster, client: VpeId, tag: u64) -> semper_base::Result<
 }
 
 /// `exchange-local`: the owner's consent to a group-local obtain is
-/// starved; the kernel fails the obtain as if the owner were gone.
+/// starved; the kernel fails the obtain with `Timeout`, as it fails a
+/// starved session open. The owner is alive, so `VpeGone` would be
+/// false.
 #[test]
 fn starved_local_consent_aborts_the_exchange() {
     let mut c = impatient_cluster(1, 3, 0);
@@ -511,15 +513,17 @@ fn starved_local_consent_aborts_the_exchange() {
     step_until_parked(&mut c, 0, "exchange-local");
     starve(&mut c, VpeId(2));
     let r = drained(&mut c, VpeId(1), tag);
-    assert_eq!(r.unwrap_err().code(), Code::VpeGone);
+    assert_eq!(r.unwrap_err().code(), Code::Timeout);
+    assert!(c.kernels[0].vpe_alive(VpeId(0)), "the starved owner died");
     assert_eq!(c.kernels[0].stats().ops_aborted, 1);
     assert_eq!(c.total_caps(), 4, "three self-capabilities and the root");
 }
 
 /// `obtain-at-owner` and `delegate-at-recv`: the remote VPE's consent
 /// to a spanning exchange is starved at its kernel, which answers the
-/// caller's kernel with an error; the caller's patient phase resumes on
-/// it and fails the system call.
+/// caller's kernel with `Timeout` (the remote VPE is alive, so not
+/// `VpeGone`); the caller's patient phase resumes on it and fails the
+/// system call.
 #[test]
 fn starved_remote_consent_aborts_both_spanning_exchanges() {
     for (kind, phase) in
@@ -534,7 +538,8 @@ fn starved_remote_consent_aborts_both_spanning_exchanges() {
         step_until_parked(&mut c, 1, phase);
         starve(&mut c, VpeId(1));
         let r = drained(&mut c, VpeId(0), tag);
-        assert_eq!(r.unwrap_err().code(), Code::VpeGone, "{phase}");
+        assert_eq!(r.unwrap_err().code(), Code::Timeout, "{phase}");
+        assert!(c.kernels[1].vpe_alive(VpeId(2)), "{phase}: the starved VPE died");
         assert_eq!(c.kernels[1].stats().ops_aborted, 1, "{phase} never aborted");
         assert_eq!(c.kernels[0].stats().ops_aborted, 0, "{phase}: the caller's kernel gave up");
         assert_eq!(c.total_caps(), 5, "{phase}: four self-capabilities and the root");
