@@ -121,10 +121,8 @@ impl Replayer {
             pe,
             cost,
             service_name,
-            // Tag sequences match the hand-rolled counters this struct
-            // used to keep: session call 0, filesystem requests from 1.
-            sys: KernelConn::starting_at(pe, kernel_pe, 0),
-            fs: Correlator::new(1),
+            sys: KernelConn::new(pe, kernel_pe),
+            fs: Correlator::default(),
             session: None,
             trace: None,
             ip: 0,
@@ -542,6 +540,18 @@ mod tests {
         )
     }
 
+    /// The tag of the system call in `out`, which its reply must echo.
+    fn sys_tag(out: &mut Outbox) -> u64 {
+        let msgs = out.drain();
+        let Some(tag) = msgs.iter().find_map(|(m, _)| match m.payload {
+            Payload::Sys { tag, .. } => Some(tag),
+            _ => None,
+        }) else {
+            panic!("no system call in {msgs:?}")
+        };
+        tag
+    }
+
     #[test]
     fn boot_opens_session() {
         let mut c = client();
@@ -560,12 +570,12 @@ mod tests {
         let mut c = client();
         let mut out = Outbox::new();
         c.boot(&mut out);
-        out.drain();
+        let tag = sys_tag(&mut out);
         let reply = Msg::new(
             PeId(0),
             PeId(1),
             Payload::sys_reply(
-                0,
+                tag,
                 Ok(SysReplyData::Session {
                     sel: semper_base::CapSel(3),
                     srv_pe: PeId(9),
@@ -585,8 +595,8 @@ mod tests {
         let mut c = client();
         let mut out = Outbox::new();
         c.boot(&mut out);
-        let reply =
-            Msg::new(PeId(0), PeId(1), Payload::sys_reply(0, Err(Error::new(Code::NoSuchService))));
+        let err = Err(Error::new(Code::NoSuchService));
+        let reply = Msg::new(PeId(0), PeId(1), Payload::sys_reply(sys_tag(&mut out), err));
         c.handle(&reply, &mut out);
         assert!(matches!(c.phase(), ClientPhase::Failed(_)));
     }
@@ -613,10 +623,10 @@ mod tests {
         let mut c = client();
         let mut out = Outbox::new();
         c.boot(&mut out);
-        out.drain();
+        let tag = sys_tag(&mut out);
         let session =
             SysReplyData::Session { sel: semper_base::CapSel(3), srv_pe: PeId(5), ident: 1 };
-        let forged = Msg::new(PeId(5), PeId(1), Payload::sys_reply(0, Ok(session)));
+        let forged = Msg::new(PeId(5), PeId(1), Payload::sys_reply(tag, Ok(session)));
         c.handle(&forged, &mut out);
         assert_eq!(c.phase(), ClientPhase::Failed(Error::new(Code::InternalError)));
         assert!(out.drain().is_empty());
@@ -628,10 +638,10 @@ mod tests {
         let mut c = client();
         let mut out = Outbox::new();
         c.boot(&mut out);
-        out.drain();
+        let tag = sys_tag(&mut out);
         let session =
             SysReplyData::Session { sel: semper_base::CapSel(3), srv_pe: PeId(9), ident: 1 };
-        c.handle(&Msg::new(PeId(0), PeId(1), Payload::sys_reply(0, Ok(session))), &mut out);
+        c.handle(&Msg::new(PeId(0), PeId(1), Payload::sys_reply(tag, Ok(session))), &mut out);
         let req = outstanding(&mut out);
         (c, req)
     }
@@ -700,9 +710,10 @@ mod tests {
         let mut r = Replayer::new(VpeId(0), PeId(1), PeId(0), CostModel::calibrated(), 7);
         let mut out = Outbox::new();
         r.open_session(&mut out);
+        let tag = sys_tag(&mut out);
         let session =
             SysReplyData::Session { sel: semper_base::CapSel(3), srv_pe: PeId(9), ident: 1 };
-        r.on_msg(&Msg::new(PeId(0), PeId(1), Payload::sys_reply(0, Ok(session))), &mut out);
+        r.on_msg(&Msg::new(PeId(0), PeId(1), Payload::sys_reply(tag, Ok(session))), &mut out);
         assert!(r.has_session());
         r
     }

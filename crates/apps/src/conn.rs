@@ -32,20 +32,16 @@ use semper_base::{Code, Error, Msg, PeId, Result};
 
 /// Matches request tags to reply tags for a channel with one request in
 /// flight at a time (syscalls to a kernel, filesystem IPC over a
-/// session). Allocates tags monotonically; rejects replies that do not
-/// match the outstanding request with a hard error.
-#[derive(Debug, Clone)]
+/// session). Allocates tags monotonically from 1; rejects replies that
+/// do not match the outstanding request with a hard error.
+#[derive(Debug, Clone, Default)]
 pub struct Correlator {
-    next_tag: u64,
+    /// The last tag issued (0 before the first).
+    last_tag: u64,
     waiting: Option<u64>,
 }
 
 impl Correlator {
-    /// A correlator whose first issued tag is `first_tag`.
-    pub fn new(first_tag: u64) -> Correlator {
-        Correlator { next_tag: first_tag, waiting: None }
-    }
-
     /// True while a request is outstanding.
     pub fn busy(&self) -> bool {
         self.waiting.is_some()
@@ -60,10 +56,9 @@ impl Correlator {
     /// unrelated mismatch.
     pub fn issue(&mut self) -> u64 {
         assert!(self.waiting.is_none(), "one request in flight at a time");
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        self.waiting = Some(tag);
-        tag
+        self.last_tag += 1;
+        self.waiting = Some(self.last_tag);
+        self.last_tag
     }
 
     /// Resolves the outstanding request against an echoed tag. A reply
@@ -98,15 +93,9 @@ pub struct KernelConn {
 
 impl KernelConn {
     /// A connection from the VPE on `pe` to the kernel on `kernel_pe`,
-    /// issuing tags from 1 (the convention of the service actors).
+    /// issuing tags from 1.
     pub fn new(pe: PeId, kernel_pe: PeId) -> KernelConn {
-        KernelConn::starting_at(pe, kernel_pe, 1)
-    }
-
-    /// Like [`KernelConn::new`] with an explicit first tag (the trace
-    /// replayer tags its session call 0).
-    pub fn starting_at(pe: PeId, kernel_pe: PeId, first_tag: u64) -> KernelConn {
-        KernelConn { pe, kernel_pe, corr: Correlator::new(first_tag) }
+        KernelConn { pe, kernel_pe, corr: Correlator::default() }
     }
 
     /// The PE of the kernel this connection talks to: the only PE whose
@@ -174,11 +163,11 @@ mod tests {
 
     #[test]
     fn correlator_tags_are_monotone_from_first() {
-        let mut c = Correlator::new(0);
-        assert_eq!(c.issue(), 0);
-        c.accept(0).unwrap();
+        let mut c = Correlator::default();
         assert_eq!(c.issue(), 1);
         c.accept(1).unwrap();
+        assert_eq!(c.issue(), 2);
+        c.accept(2).unwrap();
         assert!(!c.busy());
     }
 
@@ -187,7 +176,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one request in flight at a time")]
     fn second_issue_while_busy_panics() {
-        let mut c = Correlator::new(1);
+        let mut c = Correlator::default();
         let _ = c.issue();
         let _ = c.issue();
     }

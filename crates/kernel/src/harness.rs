@@ -31,6 +31,7 @@ use crate::kernel::Kernel;
 use crate::outbox::Outbox;
 
 /// A deterministic, untimed cluster of kernels and stub VPEs.
+#[derive(Clone)]
 pub struct TestCluster {
     /// The kernels, indexed by kernel id.
     pub kernels: Vec<Kernel>,

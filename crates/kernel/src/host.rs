@@ -45,7 +45,7 @@ pub fn kernels(
 /// A stub VPE: consents to every exchange unless told to deny, accepts
 /// every session open with its own ident sequence, and collects its
 /// system-call replies.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct StubVpe {
     /// Refuses exchange consent.
     pub(crate) deny: bool,

@@ -51,6 +51,7 @@ pub const SEL_VPE: u32 = 0;
 pub const FIRST_FREE_SEL: u32 = 2;
 
 /// One SemperOS kernel instance, managing one PE group.
+#[derive(Clone)]
 pub struct Kernel {
     pub(crate) id: KernelId,
     pub(crate) pe: PeId,
@@ -87,7 +88,7 @@ pub struct Kernel {
 /// The credit gate of §4.1: at most `M_inflight` requests are in
 /// flight towards each peer kernel (one per DTU message slot); further
 /// requests queue here until a consumed request returns its credit.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct CreditGate {
     /// Send credits left towards each kernel, indexed by kernel id.
     pub(crate) credits: Vec<u32>,

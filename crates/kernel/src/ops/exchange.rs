@@ -20,152 +20,186 @@
 //!   the *invalid* case the paper rules out. The one-way variant can be
 //!   enabled as an ablation ([`Feature::OneWayDelegate`]) to demonstrate
 //!   exactly that window.
+//!
+//! # Paper §4.3.2 → phases
+//!
+//! | paper step | phase |
+//! |---|---|
+//! | Fig. 3 A.2/A.3 consent upcall (group-local exchange) | [`LocalAccept`] |
+//! | Fig. 3 B.2 obtain request at the owner's kernel | [`ObtainRemote`] → [`ObtainAtOwner`] |
+//! | two-way delegate handshake, first leg | [`DelegateRemote`] → [`DelegateAtRecv`] |
+//! | two-way delegate handshake, second leg | [`DelegatePendingInsert`] / [`DelegateWaitDone`] / [`DelegateAborted`] |
 
 use semper_base::config::Feature;
-use semper_base::msg::{CapDesc, CapKindDesc, KReply, Kcall, SysReplyData, Upcall};
+use semper_base::msg::{CapDesc, CapKindDesc, KReply, Kcall, SysReplyData, Upcall, UpcallReply};
 use semper_base::{
     CapSel, CapType, Code, DdlKey, Error, ExchangeKind, KernelId, OpId, Result, VpeId,
 };
 use semper_caps::Capability;
 
 use crate::kernel::Kernel;
-use crate::ops::PendingOp;
+use crate::ops::{Answer, PendingOp};
 use crate::outbox::Outbox;
 
-/// The exchange protocol's phase table (Figure 3 sequences A and B,
-/// plus the §4.3.2 delegate handshake legs).
+/// The exchange protocol's phases (Figure 3 sequences A and B, plus the
+/// §4.3.2 delegate handshake legs). Each variant holds the struct of its
+/// name: the whole continuation its resume handler takes back.
 #[derive(Debug, Clone)]
 pub enum Phase {
-    /// A.2: group-local exchange awaiting the peer VPE's consent.
-    LocalAccept {
-        /// Tag of the initiating system call.
-        tag: u64,
-        /// The initiating VPE.
-        initiator: VpeId,
-        /// The peer VPE (same group).
-        peer: VpeId,
-        /// Obtain or delegate.
-        kind: ExchangeKind,
-        /// Delegate: the initiator's capability selector.
-        own_sel: CapSel,
-        /// Obtain: the peer's capability selector.
-        other_sel: CapSel,
-    },
-    /// B.2 (requester side): awaiting `KReply::Obtain` from the owner's
-    /// kernel.
-    ObtainRemote {
-        /// Tag of the initiating system call.
-        tag: u64,
-        /// The obtaining VPE.
-        requester: VpeId,
-        /// Pre-allocated key of the new child capability.
-        child_key: DdlKey,
-        /// The owner's kernel.
-        peer_kernel: KernelId,
-    },
-    /// B.3 (owner side): awaiting the owner VPE's consent upcall.
-    ObtainAtOwner {
-        /// The requester kernel's correlation id (echo in reply).
-        caller_op: OpId,
-        /// The requester's kernel.
-        caller_kernel: KernelId,
-        /// Key of the new child capability (allocated by the caller).
-        child_key: DdlKey,
-        /// Key of the parent capability (owned here).
-        parent_key: DdlKey,
-        /// The VPE owning the parent.
-        owner: VpeId,
-    },
-    /// Handshake leg 1 (delegator side): awaiting `KReply::Delegate`.
-    DelegateRemote {
-        /// Tag of the initiating system call.
-        tag: u64,
-        /// The delegating VPE.
-        delegator: VpeId,
-        /// Key of the capability being delegated.
-        parent_key: DdlKey,
-        /// The receiver's kernel.
-        peer_kernel: KernelId,
-    },
-    /// Handshake leg 2 (delegator side): commit ack sent, awaiting
-    /// `KReply::DelegateDone`.
-    DelegateWaitDone {
-        /// Tag of the initiating system call.
-        tag: u64,
-        /// The delegating VPE.
-        delegator: VpeId,
-        /// Key of the parent capability.
-        parent_key: DdlKey,
-        /// Key of the child capability at the receiver.
-        child_key: DdlKey,
-        /// The receiver's kernel, which confirms the insert.
-        peer_kernel: KernelId,
-    },
-    /// Receiver side: awaiting the receiving VPE's consent upcall.
-    DelegateAtRecv {
-        /// The delegator kernel's correlation id (echo in reply).
-        caller_op: OpId,
-        /// The delegator's kernel.
-        caller_kernel: KernelId,
-        /// Key of the parent capability (owned by the caller).
-        parent_key: DdlKey,
-        /// Resource description for the new capability.
-        desc: CapKindDesc,
-        /// The receiving VPE.
-        recv: VpeId,
-    },
-    /// Receiver side: capability created but *not inserted*, awaiting
-    /// `Kcall::DelegateAck` (§4.3.2's two-way handshake; prevents
-    /// *invalid* capabilities).
-    DelegatePendingInsert {
-        /// The delegator's kernel (to report insertion failure).
-        caller_kernel: KernelId,
-        /// The fully built but uninserted capability.
-        cap: Box<Capability>,
-    },
-    /// Delegator side: parent turned out invalid after leg 1; abort ack
-    /// sent, awaiting the `DelegateDone` confirmation before failing
-    /// the system call.
-    DelegateAborted {
-        /// Tag of the initiating system call.
-        tag: u64,
-        /// The delegating VPE.
-        delegator: VpeId,
-        /// The receiver's kernel, which confirms the abort.
-        peer_kernel: KernelId,
-        /// Why the delegate was aborted.
-        reason: Error,
-    },
+    LocalAccept(LocalAccept),
+    ObtainRemote(ObtainRemote),
+    ObtainAtOwner(ObtainAtOwner),
+    DelegateRemote(DelegateRemote),
+    DelegateWaitDone(DelegateWaitDone),
+    DelegateAtRecv(DelegateAtRecv),
+    DelegatePendingInsert(DelegatePendingInsert),
+    DelegateAborted(DelegateAborted),
+}
+
+/// A.2: group-local exchange awaiting the peer VPE's consent.
+#[derive(Debug, Clone)]
+pub struct LocalAccept {
+    /// Tag of the initiating system call.
+    pub tag: u64,
+    /// The initiating VPE.
+    pub initiator: VpeId,
+    /// The peer VPE (same group).
+    pub peer: VpeId,
+    /// Obtain or delegate.
+    pub kind: ExchangeKind,
+    /// Delegate: the initiator's capability selector.
+    pub own_sel: CapSel,
+    /// Obtain: the peer's capability selector.
+    pub other_sel: CapSel,
+}
+
+/// B.2 (requester side): awaiting `KReply::Obtain` from the owner's
+/// kernel.
+#[derive(Debug, Clone)]
+pub struct ObtainRemote {
+    /// Tag of the initiating system call.
+    pub tag: u64,
+    /// The obtaining VPE.
+    pub requester: VpeId,
+    /// Pre-allocated key of the new child capability.
+    pub child_key: DdlKey,
+    /// The owner's kernel.
+    pub peer_kernel: KernelId,
+}
+
+/// B.3 (owner side): awaiting the owner VPE's consent upcall.
+#[derive(Debug, Clone)]
+pub struct ObtainAtOwner {
+    /// The requester kernel's correlation id (echo in reply).
+    pub caller_op: OpId,
+    /// The requester's kernel.
+    pub caller_kernel: KernelId,
+    /// Key of the new child capability (allocated by the caller).
+    pub child_key: DdlKey,
+    /// Key of the parent capability (owned here).
+    pub parent_key: DdlKey,
+    /// The VPE owning the parent.
+    pub owner: VpeId,
+}
+
+/// Handshake leg 1 (delegator side): awaiting `KReply::Delegate`.
+#[derive(Debug, Clone)]
+pub struct DelegateRemote {
+    /// Tag of the initiating system call.
+    pub tag: u64,
+    /// The delegating VPE.
+    pub delegator: VpeId,
+    /// Key of the capability being delegated.
+    pub parent_key: DdlKey,
+    /// The receiver's kernel.
+    pub peer_kernel: KernelId,
+}
+
+/// Handshake leg 2 (delegator side): commit ack sent, awaiting
+/// `KReply::DelegateDone`.
+#[derive(Debug, Clone)]
+pub struct DelegateWaitDone {
+    /// Tag of the initiating system call.
+    pub tag: u64,
+    /// The delegating VPE.
+    pub delegator: VpeId,
+    /// Key of the parent capability.
+    pub parent_key: DdlKey,
+    /// Key of the child capability at the receiver.
+    pub child_key: DdlKey,
+    /// The receiver's kernel, which confirms the insert.
+    pub peer_kernel: KernelId,
+}
+
+/// Receiver side: awaiting the receiving VPE's consent upcall.
+#[derive(Debug, Clone)]
+pub struct DelegateAtRecv {
+    /// The delegator kernel's correlation id (echo in reply).
+    pub caller_op: OpId,
+    /// The delegator's kernel.
+    pub caller_kernel: KernelId,
+    /// Key of the parent capability (owned by the caller).
+    pub parent_key: DdlKey,
+    /// Resource description for the new capability.
+    pub desc: CapKindDesc,
+    /// The receiving VPE.
+    pub recv: VpeId,
+}
+
+/// Receiver side: capability created but *not inserted*, awaiting
+/// `Kcall::DelegateAck` (§4.3.2's two-way handshake; prevents
+/// *invalid* capabilities).
+#[derive(Debug, Clone)]
+pub struct DelegatePendingInsert {
+    /// The delegator's kernel (to report insertion failure).
+    pub caller_kernel: KernelId,
+    /// The fully built but uninserted capability.
+    pub cap: Box<Capability>,
+}
+
+/// Delegator side: parent turned out invalid after leg 1; abort ack
+/// sent, awaiting the `DelegateDone` confirmation before failing the
+/// system call.
+#[derive(Debug, Clone)]
+pub struct DelegateAborted {
+    /// Tag of the initiating system call.
+    pub tag: u64,
+    /// The delegating VPE.
+    pub delegator: VpeId,
+    /// The receiver's kernel, which confirms the abort.
+    pub peer_kernel: KernelId,
+    /// Why the delegate was aborted.
+    pub reason: Error,
 }
 
 impl Phase {
     /// The phase's name, for crash points, logs and assertions.
     pub fn name(&self) -> &'static str {
         match self {
-            Phase::LocalAccept { .. } => "exchange-local",
-            Phase::ObtainRemote { .. } => "obtain-remote",
-            Phase::ObtainAtOwner { .. } => "obtain-at-owner",
-            Phase::DelegateRemote { .. } => "delegate-remote",
-            Phase::DelegateWaitDone { .. } => "delegate-wait-done",
-            Phase::DelegateAtRecv { .. } => "delegate-at-recv",
-            Phase::DelegatePendingInsert { .. } => "delegate-pending-insert",
-            Phase::DelegateAborted { .. } => "delegate-aborted",
+            Phase::LocalAccept(_) => "exchange-local",
+            Phase::ObtainRemote(_) => "obtain-remote",
+            Phase::ObtainAtOwner(_) => "obtain-at-owner",
+            Phase::DelegateRemote(_) => "delegate-remote",
+            Phase::DelegateWaitDone(_) => "delegate-wait-done",
+            Phase::DelegateAtRecv(_) => "delegate-at-recv",
+            Phase::DelegatePendingInsert(_) => "delegate-pending-insert",
+            Phase::DelegateAborted(_) => "delegate-aborted",
         }
     }
 
     /// True if the phase parks a cooperative kernel thread (§4.2): all
     /// but an uninserted delegate capability, which is pure state.
     pub fn holds_thread(&self) -> bool {
-        !matches!(self, Phase::DelegatePendingInsert { .. })
+        !matches!(self, Phase::DelegatePendingInsert(_))
     }
 
     /// The VPE whose consent upcall this phase awaits (its death
     /// cancels the operation; see [`PendingOp::upcall_responder`]).
     pub fn upcall_responder(&self) -> Option<VpeId> {
         match self {
-            Phase::LocalAccept { peer, .. } => Some(*peer),
-            Phase::ObtainAtOwner { owner, .. } => Some(*owner),
-            Phase::DelegateAtRecv { recv, .. } => Some(*recv),
+            Phase::LocalAccept(p) => Some(p.peer),
+            Phase::ObtainAtOwner(p) => Some(p.owner),
+            Phase::DelegateAtRecv(p) => Some(p.recv),
             _ => None,
         }
     }
@@ -173,14 +207,16 @@ impl Phase {
     /// The peer kernel the phase awaits ([`PendingOp::awaited_kernel`]).
     pub fn awaited_kernel(&self) -> Option<KernelId> {
         match self {
-            Phase::ObtainRemote { peer_kernel, .. }
-            | Phase::DelegateRemote { peer_kernel, .. }
-            | Phase::DelegateWaitDone { peer_kernel, .. }
-            | Phase::DelegateAborted { peer_kernel, .. } => Some(*peer_kernel),
-            Phase::ObtainAtOwner { caller_kernel, .. }
-            | Phase::DelegateAtRecv { caller_kernel, .. }
-            | Phase::DelegatePendingInsert { caller_kernel, .. } => Some(*caller_kernel),
-            Phase::LocalAccept { .. } => None,
+            Phase::ObtainRemote(ObtainRemote { peer_kernel: k, .. })
+            | Phase::DelegateRemote(DelegateRemote { peer_kernel: k, .. })
+            | Phase::DelegateWaitDone(DelegateWaitDone { peer_kernel: k, .. })
+            | Phase::DelegateAborted(DelegateAborted { peer_kernel: k, .. })
+            | Phase::ObtainAtOwner(ObtainAtOwner { caller_kernel: k, .. })
+            | Phase::DelegateAtRecv(DelegateAtRecv { caller_kernel: k, .. })
+            | Phase::DelegatePendingInsert(DelegatePendingInsert { caller_kernel: k, .. }) => {
+                Some(*k)
+            }
+            Phase::LocalAccept(_) => None,
         }
     }
 }
@@ -244,17 +280,8 @@ impl Kernel {
                 peer_pe,
                 Upcall::AcceptExchange { op, from_vpe: vpe, kind, sel: other_sel },
             );
-            self.park(
-                op,
-                PendingOp::Exchange(Phase::LocalAccept {
-                    tag,
-                    initiator: vpe,
-                    peer: other,
-                    kind,
-                    own_sel,
-                    other_sel,
-                }),
-            );
+            let phase = LocalAccept { tag, initiator: vpe, peer: other, kind, own_sel, other_sel };
+            self.park(op, PendingOp::Exchange(Phase::LocalAccept(phase)));
             Ok(2 * self.ref_cost())
         } else {
             // Group-spanning: involve the peer's kernel (sequence B),
@@ -280,15 +307,8 @@ impl Kernel {
                             requester_vpe: vpe,
                         },
                     );
-                    self.park(
-                        op,
-                        PendingOp::Exchange(Phase::ObtainRemote {
-                            tag,
-                            requester: vpe,
-                            child_key,
-                            peer_kernel,
-                        }),
-                    );
+                    let phase = ObtainRemote { tag, requester: vpe, child_key, peer_kernel };
+                    self.park(op, PendingOp::Exchange(Phase::ObtainRemote(phase)));
                 }
                 ExchangeKind::Delegate => {
                     let (parent_key, desc) = parent.expect("checked above for delegate");
@@ -297,35 +317,18 @@ impl Kernel {
                         peer_kernel,
                         Kcall::DelegateReq { op, parent_key, desc, recv_vpe: other },
                     );
-                    self.park(
-                        op,
-                        PendingOp::Exchange(Phase::DelegateRemote {
-                            tag,
-                            delegator: vpe,
-                            parent_key,
-                            peer_kernel,
-                        }),
-                    );
+                    let phase = DelegateRemote { tag, delegator: vpe, parent_key, peer_kernel };
+                    self.park(op, PendingOp::Exchange(Phase::DelegateRemote(phase)));
                 }
             }
             Ok(2 * self.ref_cost())
         }
     }
 
-    /// Resumes [`Phase::LocalAccept`]: the peer answered the consent
-    /// upcall; complete the group-local exchange.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn local_exchange_accept(
-        &mut self,
-        tag: u64,
-        initiator: VpeId,
-        peer: VpeId,
-        kind: ExchangeKind,
-        own_sel: CapSel,
-        other_sel: CapSel,
-        accept: bool,
-        out: &mut Outbox,
-    ) -> u64 {
+    /// Resumes [`LocalAccept`]: the peer answered the consent upcall;
+    /// complete the group-local exchange.
+    fn local_exchange_accept(&mut self, phase: LocalAccept, accept: bool, out: &mut Outbox) -> u64 {
+        let LocalAccept { tag, initiator, peer, kind, own_sel, other_sel } = phase;
         if !accept {
             return self.refuse(out, initiator, tag, Error::new(Code::ExchangeDenied));
         }
@@ -368,7 +371,7 @@ impl Kernel {
     // ----- obtain, group-spanning ---------------------------------------
 
     /// Owner-side request handler for [`Kcall::ObtainReq`]: validate,
-    /// then fan out the consent upcall ([`Phase::ObtainAtOwner`]).
+    /// then fan out the consent upcall ([`ObtainAtOwner`]).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn obtain_request(
         &mut self,
@@ -406,33 +409,24 @@ impl Kernel {
                         sel: owner_sel,
                     },
                 );
-                self.park(
-                    my_op,
-                    PendingOp::Exchange(Phase::ObtainAtOwner {
-                        caller_op: op,
-                        caller_kernel: from,
-                        child_key,
-                        parent_key,
-                        owner: owner_vpe,
-                    }),
-                );
+                let phase = ObtainAtOwner {
+                    caller_op: op,
+                    caller_kernel: from,
+                    child_key,
+                    parent_key,
+                    owner: owner_vpe,
+                };
+                self.park(my_op, PendingOp::Exchange(Phase::ObtainAtOwner(phase)));
                 self.ref_cost() + self.cfg.cost.xfer_desc
             }
         }
     }
 
-    /// Resumes [`Phase::ObtainAtOwner`]: the owner accepted (or denied)
-    /// a remote obtain; link the child and reply with the capability
+    /// Resumes [`ObtainAtOwner`]: the owner accepted (or denied) a
+    /// remote obtain; link the child and reply with the capability
     /// description.
-    pub(crate) fn obtain_owner_accept(
-        &mut self,
-        caller_op: OpId,
-        caller_kernel: KernelId,
-        child_key: DdlKey,
-        parent_key: DdlKey,
-        accept: bool,
-        out: &mut Outbox,
-    ) -> u64 {
+    fn obtain_owner_accept(&mut self, phase: ObtainAtOwner, accept: bool, out: &mut Outbox) -> u64 {
+        let ObtainAtOwner { caller_op, caller_kernel, child_key, parent_key, .. } = phase;
         let result = (|| -> Result<CapDesc> {
             if !accept {
                 return Err(Error::new(Code::ExchangeDenied));
@@ -448,17 +442,15 @@ impl Kernel {
         self.ref_cost() + self.cfg.cost.cap_insert + self.cfg.cost.kcall_exit
     }
 
-    /// Resumes [`Phase::ObtainRemote`]: requester-side completion of a
+    /// Resumes [`ObtainRemote`]: requester-side completion of a
     /// group-spanning obtain.
-    pub(crate) fn obtain_reply(
+    fn obtain_reply(
         &mut self,
-        from: KernelId,
-        tag: u64,
-        requester: VpeId,
-        child_key: DdlKey,
+        phase: ObtainRemote,
         result: &Result<CapDesc>,
         out: &mut Outbox,
     ) -> u64 {
+        let ObtainRemote { tag, requester, child_key, peer_kernel } = phase;
         match result {
             Err(e) => self.refuse(out, requester, tag, *e),
             Ok(desc) => {
@@ -468,7 +460,7 @@ impl Kernel {
                     // optimistically created.
                     self.send_kcall(
                         out,
-                        from,
+                        peer_kernel,
                         Kcall::OrphanNotice { parent_key: desc.key, child_key },
                     );
                     return self.cfg.cost.kcall_exit;
@@ -498,7 +490,7 @@ impl Kernel {
     // ----- delegate, group-spanning --------------------------------------
 
     /// Receiver-side request handler for [`Kcall::DelegateReq`] (first
-    /// leg): fan out the consent upcall ([`Phase::DelegateAtRecv`]).
+    /// leg): fan out the consent upcall ([`DelegateAtRecv`]).
     pub(crate) fn delegate_request(
         &mut self,
         from: KernelId,
@@ -528,37 +520,26 @@ impl Kernel {
                 sel: CapSel::INVALID,
             },
         );
-        self.park(
-            my_op,
-            PendingOp::Exchange(Phase::DelegateAtRecv {
-                caller_op: op,
-                caller_kernel: from,
-                parent_key,
-                desc,
-                recv: recv_vpe,
-            }),
-        );
+        let phase =
+            DelegateAtRecv { caller_op: op, caller_kernel: from, parent_key, desc, recv: recv_vpe };
+        self.park(my_op, PendingOp::Exchange(Phase::DelegateAtRecv(phase)));
         self.ref_cost() + self.cfg.cost.xfer_desc
     }
 
-    /// Resumes [`Phase::DelegateAtRecv`]: the receiver accepted a remote
+    /// Resumes [`DelegateAtRecv`]: the receiver accepted a remote
     /// delegate; create the capability.
     ///
     /// With the two-way handshake (default) the capability is parked
     /// uninserted until the delegator's kernel confirms the parent is
     /// still alive. With [`Feature::OneWayDelegate`] (ablation) it is
     /// inserted immediately — opening the *invalid-capability* window.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn delegate_recv_accept(
+    fn delegate_recv_accept(
         &mut self,
-        caller_op: OpId,
-        caller_kernel: KernelId,
-        parent_key: DdlKey,
-        desc: CapKindDesc,
-        recv: VpeId,
+        phase: DelegateAtRecv,
         accept: bool,
         out: &mut Outbox,
     ) -> u64 {
+        let DelegateAtRecv { caller_op, caller_kernel, parent_key, desc, recv } = phase;
         if !accept {
             self.send_kreply(
                 out,
@@ -584,10 +565,8 @@ impl Kernel {
         }
 
         let my_op = self.alloc_op();
-        self.park(
-            my_op,
-            PendingOp::Exchange(Phase::DelegatePendingInsert { caller_kernel, cap: Box::new(cap) }),
-        );
+        let phase = DelegatePendingInsert { caller_kernel, cap: Box::new(cap) };
+        self.park(my_op, PendingOp::Exchange(Phase::DelegatePendingInsert(phase)));
         self.send_kreply(
             out,
             caller_kernel,
@@ -596,19 +575,17 @@ impl Kernel {
         self.cfg.cost.cap_create + self.cfg.cost.kcall_exit
     }
 
-    /// Resumes [`Phase::DelegateRemote`]: delegator-side handling of the
+    /// Resumes [`DelegateRemote`]: delegator-side handling of the
     /// first-leg reply — validate the parent is still alive, then
-    /// commit or abort. The ack goes to `from`, the receiver's kernel
-    /// (the router resumed this phase for its reply only).
-    pub(crate) fn delegate_reply(
+    /// commit or abort. The ack goes to the receiver's kernel, the one
+    /// that answered.
+    fn delegate_reply(
         &mut self,
-        from: KernelId,
-        tag: u64,
-        delegator: VpeId,
-        parent_key: DdlKey,
+        phase: DelegateRemote,
         result: &Result<(DdlKey, OpId)>,
         out: &mut Outbox,
     ) -> u64 {
+        let DelegateRemote { tag, delegator, parent_key, peer_kernel } = phase;
         match result {
             Err(e) => self.refuse(out, delegator, tag, *e),
             Ok((child_key, peer_op)) => {
@@ -636,60 +613,43 @@ impl Kernel {
                 if let Err(reason) = admitted {
                     self.send_kcall(
                         out,
-                        from,
+                        peer_kernel,
                         Kcall::DelegateAck { op: *peer_op, reply_op, commit: false },
                     );
-                    self.park(
-                        reply_op,
-                        PendingOp::Exchange(Phase::DelegateAborted {
-                            tag,
-                            delegator,
-                            peer_kernel: from,
-                            reason,
-                        }),
-                    );
+                    let phase = DelegateAborted { tag, delegator, peer_kernel, reason };
+                    self.park(reply_op, PendingOp::Exchange(Phase::DelegateAborted(phase)));
                     self.ref_cost()
                 } else {
                     self.mapdb.link_child(parent_key, *child_key).expect("parent checked above");
                     self.send_kcall(
                         out,
-                        from,
+                        peer_kernel,
                         Kcall::DelegateAck { op: *peer_op, reply_op, commit: true },
                     );
-                    self.park(
-                        reply_op,
-                        PendingOp::Exchange(Phase::DelegateWaitDone {
-                            tag,
-                            delegator,
-                            parent_key,
-                            child_key: *child_key,
-                            peer_kernel: from,
-                        }),
-                    );
+                    let phase = DelegateWaitDone {
+                        tag,
+                        delegator,
+                        parent_key,
+                        child_key: *child_key,
+                        peer_kernel,
+                    };
+                    self.park(reply_op, PendingOp::Exchange(Phase::DelegateWaitDone(phase)));
                     self.ref_cost() + self.cfg.cost.xfer_desc + self.cfg.cost.cap_insert
                 }
             }
         }
     }
 
-    /// Receiver-side handler for [`Kcall::DelegateAck`] (second leg):
-    /// resumes [`Phase::DelegatePendingInsert`] through the ledger.
-    pub(crate) fn delegate_ack(
+    /// Resumes [`DelegatePendingInsert`] with the delegator kernel's
+    /// [`Kcall::DelegateAck`] (second leg): insert or drop the capability.
+    fn delegate_ack(
         &mut self,
-        from: KernelId,
-        op: OpId,
+        phase: DelegatePendingInsert,
         reply_op: OpId,
         commit: bool,
         out: &mut Outbox,
     ) -> u64 {
-        // A second ack, or one from a kernel other than the
-        // delegator's, is a kernel bug.
-        let asked = self.pending.get(op).and_then(PendingOp::awaited_kernel);
-        let Some(PendingOp::Exchange(Phase::DelegatePendingInsert { cap, .. })) =
-            self.pending.remove(op).filter(|_| asked == Some(from))
-        else {
-            panic!("delegate ack {op} from {from}: no pending insert of its");
-        };
+        let DelegatePendingInsert { caller_kernel, cap } = phase;
         let result = if !commit {
             Err(Error::new(Code::ExchangeDenied))
         } else if !self.vpe_alive(cap.owner) {
@@ -701,21 +661,19 @@ impl Kernel {
         } else {
             Ok(self.install(*cap))
         };
-        self.send_kreply(out, from, KReply::DelegateDone { op: reply_op, result });
+        self.send_kreply(out, caller_kernel, KReply::DelegateDone { op: reply_op, result });
         self.cfg.cost.cap_insert + self.cfg.cost.kcall_exit
     }
 
-    /// Resumes [`Phase::DelegateWaitDone`]: delegator-side completion of
-    /// the handshake.
-    pub(crate) fn delegate_done(
+    /// Resumes [`DelegateWaitDone`]: delegator-side completion of the
+    /// handshake.
+    fn delegate_done(
         &mut self,
-        tag: u64,
-        delegator: VpeId,
-        parent_key: DdlKey,
-        child_key: DdlKey,
+        phase: DelegateWaitDone,
         result: Result<CapSel>,
         out: &mut Outbox,
     ) -> u64 {
+        let DelegateWaitDone { tag, delegator, parent_key, child_key, .. } = phase;
         match result {
             Ok(recv_sel) => {
                 self.stats.exchanges_spanning += 1;
@@ -731,6 +689,48 @@ impl Kernel {
         self.ref_cost() + self.cfg.cost.syscall_exit
     }
 
+    /// Resumes a parked exchange with the answer it awaited; the router
+    /// checked who answered (see `Kernel::resume`). An answer of another
+    /// kind from the awaited kernel is a kernel bug, and panics.
+    pub(crate) fn resume_exchange(
+        &mut self,
+        phase: Phase,
+        answer: Answer,
+        out: &mut Outbox,
+    ) -> u64 {
+        use UpcallReply::AcceptExchange as Consent;
+        match (phase, answer) {
+            (Phase::LocalAccept(p), Answer::Upcall(Consent { accept, .. })) => {
+                self.local_exchange_accept(p, *accept, out)
+            }
+            (Phase::ObtainAtOwner(p), Answer::Upcall(Consent { accept, .. })) => {
+                self.obtain_owner_accept(p, *accept, out)
+            }
+            (Phase::DelegateAtRecv(p), Answer::Upcall(Consent { accept, .. })) => {
+                self.delegate_recv_accept(p, *accept, out)
+            }
+            (Phase::ObtainRemote(p), Answer::KReply(KReply::Obtain { result, .. })) => {
+                self.obtain_reply(p, result, out)
+            }
+            (Phase::DelegateRemote(p), Answer::KReply(KReply::Delegate { result, .. })) => {
+                self.delegate_reply(p, result, out)
+            }
+            (
+                Phase::DelegatePendingInsert(p),
+                Answer::Kcall(Kcall::DelegateAck { reply_op, commit, .. }),
+            ) => self.delegate_ack(p, *reply_op, *commit, out),
+            (Phase::DelegateWaitDone(p), Answer::KReply(KReply::DelegateDone { result, .. })) => {
+                self.delegate_done(p, *result, out)
+            }
+            // The receiver confirmed the abort: fail the system call
+            // with the recorded reason.
+            (Phase::DelegateAborted(p), Answer::KReply(KReply::DelegateDone { .. })) => {
+                self.refuse(out, p.delegator, p.tag, p.reason)
+            }
+            (phase, answer) => panic!("{answer:?} cannot resume {}", phase.name()),
+        }
+    }
+
     /// Fails a parked exchange towards whoever waits for it — the VPE
     /// that made the system call, or the caller's kernel — with `err`
     /// (see `Kernel::fail_parked`).
@@ -740,24 +740,24 @@ impl Kernel {
             // child inserted or not; we can no longer learn which.
             // Nothing is cleaned up: the delegator keeps its link to the
             // child, like every link a survivor holds into a dead kernel.
-            Phase::LocalAccept { tag, initiator: vpe, .. }
-            | Phase::ObtainRemote { tag, requester: vpe, .. }
-            | Phase::DelegateRemote { tag, delegator: vpe, .. }
-            | Phase::DelegateWaitDone { tag, delegator: vpe, .. } => {
+            Phase::LocalAccept(LocalAccept { tag, initiator: vpe, .. })
+            | Phase::ObtainRemote(ObtainRemote { tag, requester: vpe, .. })
+            | Phase::DelegateRemote(DelegateRemote { tag, delegator: vpe, .. })
+            | Phase::DelegateWaitDone(DelegateWaitDone { tag, delegator: vpe, .. }) => {
                 self.reply_sys(out, vpe, tag, Err(err));
             }
-            Phase::DelegateAborted { tag, delegator, reason, .. } => {
-                self.reply_sys(out, delegator, tag, Err(reason));
+            Phase::DelegateAborted(p) => self.reply_sys(out, p.delegator, p.tag, Err(p.reason)),
+            Phase::ObtainAtOwner(p) => {
+                let reply = KReply::Obtain { op: p.caller_op, result: Err(err) };
+                self.send_kreply(out, p.caller_kernel, reply);
             }
-            Phase::ObtainAtOwner { caller_op: op, caller_kernel, .. } => {
-                self.send_kreply(out, caller_kernel, KReply::Obtain { op, result: Err(err) });
-            }
-            Phase::DelegateAtRecv { caller_op: op, caller_kernel, .. } => {
-                self.send_kreply(out, caller_kernel, KReply::Delegate { op, result: Err(err) });
+            Phase::DelegateAtRecv(p) => {
+                let reply = KReply::Delegate { op: p.caller_op, result: Err(err) };
+                self.send_kreply(out, p.caller_kernel, reply);
             }
             // Never inserted — §4.3.2's whole point: dropping the
             // pending capability is safe and complete.
-            Phase::DelegatePendingInsert { .. } => {}
+            Phase::DelegatePendingInsert(_) => {}
         }
     }
 }

@@ -41,7 +41,7 @@ use crate::outbox::Outbox;
 
 /// Per-kernel fault state. Default-constructed (inert) unless the
 /// cluster runs under a fault plan.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct FaultState {
     /// Steps granted to each parked phase that awaits a VPE (0 = no
     /// deadlines).

@@ -25,7 +25,7 @@ use semper_base::{DetHashMap, OpId};
 use crate::ops::PendingOp;
 
 /// O(1) storage for suspended operations, keyed by [`OpId`].
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct PendingTable {
     ops: DetHashMap<u64, PendingOp>,
     threads: u64,

@@ -9,9 +9,10 @@
 //! a set of typed phases plus the handler for each phase transition:
 //!
 //! * [`PendingOp`] — the union of all suspended phases, one variant per
-//!   protocol ([`exchange`], [`session`], [`revoke`]).
-//!   Each phase carries exactly the continuation state its resume
-//!   handler needs.
+//!   protocol ([`exchange`], [`session`], [`revoke`]). Each phase is a
+//!   named struct carrying exactly the continuation state its resume
+//!   handler takes back whole. Each protocol's module doc maps the
+//!   paper's steps to its phases.
 //! * Each protocol answers the per-phase questions about its own
 //!   phases: a phase's name (crash points, logs), whether it parks a
 //!   cooperative kernel thread (the §4.2 pool accounting the ledger
@@ -21,9 +22,13 @@
 //!   by correlation id ([`semper_base::OpId`]).
 //! * The **reply router** (`Kernel::route_kcall` / `route_kreply` /
 //!   `route_upcall_reply` below) — the single dispatch point for every
-//!   inter-kernel call, reply, and upcall answer. Replies resume the
-//!   parked phase through one ledger lookup; requests dispatch straight
-//!   to the protocol's request handler.
+//!   inter-kernel call, reply, and upcall answer. Requests dispatch
+//!   straight to the protocol's request handler. For an answer the
+//!   router checks only who answered: the kernel the phase awaits, or
+//!   the VPE asked, with an answer of its protocol's kind. Then
+//!   `Kernel::resume` takes the phase out of the ledger and hands it,
+//!   with the answer, to its protocol, which matches its own
+//!   (phase, answer) pairs.
 //! * [`revoke::FanIn`] — revocation's counted completion (its
 //!   outstanding remote subtrees and the concurrent revokes it waits
 //!   for), with a running tally for the statistics the reply carries
@@ -50,29 +55,19 @@
 //! kernel's `CreditGate`. The rest of the kernel asks each of them one
 //! question only — *are you quiescent?* (`Kernel::check_quiescent`).
 //!
-//! # Paper §4.3 → engine phases
-//!
-//! | paper step | engine phase |
-//! |---|---|
-//! | Fig. 3 A.2/A.3 consent upcall (group-local exchange) | [`exchange::Phase::LocalAccept`] |
-//! | Fig. 3 B.2 obtain request at the owner's kernel | [`exchange::Phase::ObtainRemote`] → [`exchange::Phase::ObtainAtOwner`] |
-//! | §4.3.2 two-way delegate handshake, first leg | [`exchange::Phase::DelegateRemote`] → [`exchange::Phase::DelegateAtRecv`] |
-//! | §4.3.2 two-way delegate handshake, second leg | [`exchange::Phase::DelegatePendingInsert`] / [`exchange::Phase::DelegateWaitDone`] / [`exchange::Phase::DelegateAborted`] |
-//! | §3.4 session capability attachment | [`session::Phase::OpenRemote`] → [`session::Phase::AtService`], [`session::Phase::OpenLocal`] |
-//! | §4.3.3 Algorithm 1 mark/delete + reply counting | [`revoke::RevokeOp`] (`revoke-run`); an incoming `RevokeBatchReq` (§5.2 message batching) is one revocation of all its keys, like a `RevokeReq` of one |
-//!
 //! # What a new protocol costs
 //!
 //! Session establishment ([`session`]) is the smallest example: a
-//! distributed operation is its phase enum (three variants) with its
-//! answers — `name`, `upcall_responder`, `awaited_kernel` (which tells
-//! the reply router who may answer and `Kernel::peer_down` whose death
-//! ends the phase) and one `fail_*_phase` — one request handler per
-//! participant role, one resume handler per phase, and one arm in each
-//! of [`PendingOp`]'s forwarders. The ledger, router, credit gating,
-//! thread accounting and the one sweep that ends a parked phase
-//! (`Kernel::fail_parked`) are all inherited. The pre-engine protocols
-//! carried ~150 LoC of that plumbing *each*.
+//! distributed operation is its phase enum (three variants, one struct
+//! each) with its answers — `name`, `upcall_responder`, `awaited_kernel`
+//! (which tells the reply router who may answer and `Kernel::peer_down`
+//! whose death ends the phase), one `resume_*` that matches each phase
+//! with the answer it awaits, and one `fail_*_phase` — one request
+//! handler per participant role, one resume handler per phase, and one
+//! arm in each of [`PendingOp`]'s forwarders and `Kernel::resume`. The
+//! ledger, router, credit gating, thread accounting and the one sweep
+//! that ends a parked phase (`Kernel::fail_parked`) are all inherited.
+//! The pre-engine protocols carried ~150 LoC of that plumbing *each*.
 //!
 //! # Determinism contract
 //!
@@ -94,6 +89,18 @@ use semper_base::{Code, Error, KernelId, OpId, PeId, VpeId};
 
 use crate::kernel::Kernel;
 use crate::outbox::Outbox;
+
+/// The answer a parked phase awaits, as it arrived: a kernel's reply or
+/// request (the delegate handshake's ack), or a VPE's upcall answer.
+#[derive(Debug)]
+pub(crate) enum Answer<'a> {
+    /// An inter-kernel request that resumes a phase.
+    Kcall(&'a Kcall),
+    /// An inter-kernel reply.
+    KReply(&'a KReply),
+    /// A VPE's upcall answer.
+    Upcall(&'a UpcallReply),
+}
 
 /// A suspended distributed operation: one protocol's phase, parked in
 /// the shared ledger under its correlation id.
@@ -157,10 +164,10 @@ impl Kernel {
     // ----- the reply router ---------------------------------------------
     //
     // One dispatch point per message class. Requests go straight to the
-    // protocol's request handler; replies resume the parked phase
-    // through a single ledger lookup. The modeled entry costs are
-    // charged here, once, so every protocol pays the same dispatch
-    // price it did pre-engine.
+    // protocol's request handler; answers resume the parked phase
+    // through `Kernel::resume`. The modeled entry costs are charged
+    // here, once, so every protocol pays the same dispatch price it did
+    // pre-engine.
 
     /// The kernel speaking from `src`, or `None` if `src` is not a
     /// kernel's own PE. The membership table maps a *VPE's* PE to its
@@ -199,8 +206,8 @@ impl Kernel {
             Kcall::DelegateReq { op, parent_key, desc, recv_vpe } => {
                 self.delegate_request(from, *op, *parent_key, *desc, *recv_vpe, out)
             }
-            Kcall::DelegateAck { op, reply_op, commit } => {
-                self.delegate_ack(from, *op, *reply_op, *commit, out)
+            Kcall::DelegateAck { op, .. } => {
+                self.resume_from_kernel(from, *op, Answer::Kcall(call), out)
             }
             Kcall::RevokeReq { op, cap_key } => {
                 self.revoke_request(from, *op, std::slice::from_ref(cap_key), out)
@@ -226,57 +233,33 @@ impl Kernel {
             KReply::Revoke { op, deleted, .. } => {
                 self.cfg.cost.thread_switch + self.revoke_reply_arrived(from, *op, *deleted, out)
             }
-            other => self.cfg.cost.kcall_entry + self.resume_from_kreply(from, other, out),
+            other => {
+                let resumed = self.resume_from_kernel(from, other.op(), Answer::KReply(other), out);
+                self.cfg.cost.kcall_entry + resumed
+            }
         }
     }
 
-    /// Resumes the phase parked under a reply's correlation id — if
-    /// `from` is the kernel that phase awaits ([`PendingOp::awaited_kernel`];
-    /// nothing is relayed, so a reply can only come from the kernel
+    /// Resumes the phase parked under `op` with a kernel's answer — a
+    /// reply, or the delegate handshake's second-leg ack — if `from` is
+    /// the kernel that phase awaits ([`PendingOp::awaited_kernel`];
+    /// nothing is relayed, so an answer can only come from the kernel
     /// that was asked). A kernel is a trusted party and every request
-    /// gets exactly one reply: a stray reply, an answer from the wrong
-    /// kernel and one of the wrong kind are protocol bugs, and panic.
-    fn resume_from_kreply(&mut self, from: KernelId, reply: &KReply, out: &mut Outbox) -> u64 {
-        use exchange::Phase as Ex;
-        use session::Phase as Sess;
-
-        let op = reply.op();
+    /// gets exactly one reply: a stray answer, an answer from the wrong
+    /// kernel and one of the wrong kind (its protocol's check) are
+    /// protocol bugs, and panic.
+    fn resume_from_kernel(
+        &mut self,
+        from: KernelId,
+        op: OpId,
+        answer: Answer,
+        out: &mut Outbox,
+    ) -> u64 {
         let Some(asked) = self.pending.get(op).map(PendingOp::awaited_kernel) else {
-            panic!("reply {reply:?} without a pending op");
+            panic!("{answer:?} without a pending op");
         };
-        assert_eq!(asked, Some(from), "reply {reply:?} from {from}, asked {asked:?}");
-        let state = self.pending.remove(op).expect("looked up above");
-        match (state, reply) {
-            (
-                PendingOp::Exchange(Ex::ObtainRemote { tag, requester, child_key, .. }),
-                KReply::Obtain { result, .. },
-            ) => self.obtain_reply(from, tag, requester, child_key, result, out),
-            (
-                PendingOp::Exchange(Ex::DelegateRemote { tag, delegator, parent_key, .. }),
-                KReply::Delegate { result, .. },
-            ) => self.delegate_reply(from, tag, delegator, parent_key, result, out),
-            (
-                PendingOp::Exchange(Ex::DelegateWaitDone {
-                    tag,
-                    delegator,
-                    parent_key,
-                    child_key,
-                    ..
-                }),
-                KReply::DelegateDone { result, .. },
-            ) => self.delegate_done(tag, delegator, parent_key, child_key, *result, out),
-            // The receiver confirmed the abort: fail the system call
-            // with the recorded reason.
-            (
-                PendingOp::Exchange(Ex::DelegateAborted { tag, delegator, reason, .. }),
-                KReply::DelegateDone { .. },
-            ) => self.refuse(out, delegator, tag, reason),
-            (
-                PendingOp::Session(Sess::OpenRemote { tag, client, child_key, srv }),
-                KReply::OpenSess { result, .. },
-            ) => self.open_sess_reply(tag, client, child_key, srv, *result, out),
-            (state, reply) => panic!("reply {reply:?} cannot resume {}", state.name()),
-        }
+        assert_eq!(asked, Some(from), "{answer:?} from {from}, asked {asked:?}");
+        self.resume(op, answer, out)
     }
 
     /// Routes a VPE's upcall answer: resumes the phase parked under the
@@ -294,87 +277,32 @@ impl Kernel {
         reply: &UpcallReply,
         out: &mut Outbox,
     ) -> u64 {
-        use exchange::Phase as Ex;
-        use session::Phase as Sess;
-
         let op = match reply {
             UpcallReply::AcceptExchange { op, .. } | UpcallReply::SessionOpen { op, .. } => *op,
         };
         let asked = match (self.pending.get(op), reply) {
-            // The operation was cancelled (e.g. a party died); ignore.
-            (None, _) => return 0,
             (Some(state @ PendingOp::Exchange(_)), UpcallReply::AcceptExchange { .. })
             | (Some(state @ PendingOp::Session(_)), UpcallReply::SessionOpen { .. }) => {
                 state.upcall_responder().and_then(|vpe| self.pe_of_vpe(vpe).ok())
             }
-            (Some(_), _) => None,
+            // Cancelled, or a question of another protocol: ignore.
+            _ => None,
         };
         if asked != Some(src) {
             return 0;
         }
-        let state = self.pending.remove(op).expect("looked up above");
-        match (state, reply) {
-            (
-                PendingOp::Exchange(Ex::LocalAccept {
-                    tag,
-                    initiator,
-                    peer,
-                    kind,
-                    own_sel,
-                    other_sel,
-                }),
-                UpcallReply::AcceptExchange { accept, .. },
-            ) => self.local_exchange_accept(
-                tag, initiator, peer, kind, own_sel, other_sel, *accept, out,
-            ),
-            (
-                PendingOp::Exchange(Ex::ObtainAtOwner {
-                    caller_op,
-                    caller_kernel,
-                    child_key,
-                    parent_key,
-                    ..
-                }),
-                UpcallReply::AcceptExchange { accept, .. },
-            ) => self.obtain_owner_accept(
-                caller_op,
-                caller_kernel,
-                child_key,
-                parent_key,
-                *accept,
-                out,
-            ),
-            (
-                PendingOp::Exchange(Ex::DelegateAtRecv {
-                    caller_op,
-                    caller_kernel,
-                    parent_key,
-                    desc,
-                    recv,
-                }),
-                UpcallReply::AcceptExchange { accept, .. },
-            ) => self.delegate_recv_accept(
-                caller_op,
-                caller_kernel,
-                parent_key,
-                desc,
-                recv,
-                *accept,
-                out,
-            ),
-            (
-                PendingOp::Session(Sess::OpenLocal { tag, client, child_key, srv }),
-                UpcallReply::SessionOpen { result, .. },
-            ) => self.session_local_accept(tag, client, child_key, srv, *result, out),
-            (
-                PendingOp::Session(Sess::AtService { caller_op, caller_kernel, child_key, srv }),
-                UpcallReply::SessionOpen { result, .. },
-            ) => {
-                self.session_service_accept(caller_op, caller_kernel, child_key, srv, *result, out)
-            }
-            (state, reply) => {
-                unreachable!("{reply:?} passed the check for {}", state.name())
-            }
+        self.resume(op, Answer::Upcall(reply), out)
+    }
+
+    /// Takes the phase parked under `op` out of the ledger and hands it
+    /// whole, with `answer`, to its protocol: the one way a parked phase
+    /// resumes. The routers checked who answered.
+    fn resume(&mut self, op: OpId, answer: Answer, out: &mut Outbox) -> u64 {
+        match self.pending.remove(op).expect("the router looked the op up") {
+            PendingOp::Exchange(phase) => self.resume_exchange(phase, answer, out),
+            PendingOp::Session(phase) => self.resume_session(phase, answer, out),
+            // A revocation awaits no single kernel and no VPE.
+            PendingOp::Revoke(revoke) => unreachable!("{answer:?} resumed {}", revoke.name()),
         }
     }
 
@@ -453,105 +381,115 @@ mod tests {
         };
         let table = [
             (
-                PendingOp::Exchange(Ex::LocalAccept {
+                PendingOp::Exchange(Ex::LocalAccept(exchange::LocalAccept {
                     tag,
                     initiator: vpe,
                     peer: vpe,
                     kind: ExchangeKind::Obtain,
                     own_sel: CapSel(1),
                     other_sel: CapSel(2),
-                }),
+                })),
                 "exchange-local",
                 true,
             ),
             (
-                PendingOp::Exchange(Ex::ObtainRemote {
+                PendingOp::Exchange(Ex::ObtainRemote(exchange::ObtainRemote {
                     tag,
                     requester: vpe,
                     child_key: key,
                     peer_kernel: k,
-                }),
+                })),
                 "obtain-remote",
                 true,
             ),
             (
-                PendingOp::Exchange(Ex::ObtainAtOwner {
+                PendingOp::Exchange(Ex::ObtainAtOwner(exchange::ObtainAtOwner {
                     caller_op: op,
                     caller_kernel: k,
                     child_key: key,
                     parent_key: key,
                     owner: vpe,
-                }),
+                })),
                 "obtain-at-owner",
                 true,
             ),
             (
-                PendingOp::Exchange(Ex::DelegateRemote {
+                PendingOp::Exchange(Ex::DelegateRemote(exchange::DelegateRemote {
                     tag,
                     delegator: vpe,
                     parent_key: key,
                     peer_kernel: k,
-                }),
+                })),
                 "delegate-remote",
                 true,
             ),
             (
-                PendingOp::Exchange(Ex::DelegateWaitDone {
+                PendingOp::Exchange(Ex::DelegateWaitDone(exchange::DelegateWaitDone {
                     tag,
                     delegator: vpe,
                     parent_key: key,
                     child_key: key,
                     peer_kernel: k,
-                }),
+                })),
                 "delegate-wait-done",
                 true,
             ),
             (
-                PendingOp::Exchange(Ex::DelegateAtRecv {
+                PendingOp::Exchange(Ex::DelegateAtRecv(exchange::DelegateAtRecv {
                     caller_op: op,
                     caller_kernel: k,
                     parent_key: key,
                     desc,
                     recv: vpe,
-                }),
+                })),
                 "delegate-at-recv",
                 true,
             ),
             (
-                PendingOp::Exchange(Ex::DelegatePendingInsert {
+                PendingOp::Exchange(Ex::DelegatePendingInsert(exchange::DelegatePendingInsert {
                     caller_kernel: k,
                     cap: Box::new(Capability::root(key, desc, vpe, CapSel(1))),
-                }),
+                })),
                 "delegate-pending-insert",
                 false,
             ),
             (
-                PendingOp::Exchange(Ex::DelegateAborted {
+                PendingOp::Exchange(Ex::DelegateAborted(exchange::DelegateAborted {
                     tag,
                     delegator: vpe,
                     peer_kernel: k,
                     reason: Error::new(Code::NoSuchCap),
-                }),
+                })),
                 "delegate-aborted",
                 true,
             ),
             (
-                PendingOp::Session(Sess::OpenRemote { tag, client: vpe, child_key: key, srv }),
+                PendingOp::Session(Sess::OpenRemote(session::OpenRemote {
+                    tag,
+                    client: vpe,
+                    child_key: key,
+                    srv,
+                })),
                 "open-sess-remote",
                 true,
             ),
             (
-                PendingOp::Session(Sess::AtService {
+                PendingOp::Session(Sess::AtService(session::AtService {
                     caller_op: op,
                     caller_kernel: k,
                     child_key: key,
                     srv,
-                }),
+                })),
                 "session-at-service",
                 true,
             ),
             (
-                PendingOp::Session(Sess::OpenLocal { tag, client: vpe, child_key: key, srv }),
+                PendingOp::Session(Sess::OpenLocal(session::OpenLocal {
+                    tag,
+                    client: vpe,
+                    child_key: key,
+                    srv,
+                })),
                 "session-local",
                 true,
             ),

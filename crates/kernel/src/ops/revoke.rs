@@ -13,7 +13,9 @@
 //! system call revokes a capability or each of its children, and an
 //! incoming request revokes the one key of a [`Kcall::RevokeReq`] or
 //! every key of a [`Kcall::RevokeBatchReq`] (§5.2 batching) — the remote
-//! children one mark walk collected — and is answered once.
+//! children one mark walk collected — and is answered once. Its one
+//! phase is [`RevokeOp`] (`revoke-run`): Algorithm 1's mark, delete and
+//! reply counting.
 //!
 //! Two kinds of completions are armed on the fan-in:
 //!
@@ -58,7 +60,7 @@ use crate::outbox::Outbox;
 /// `dense_table_teardown` benchmark without changing any modeled cycle.
 /// The buffers are taken around each use (`std::mem::take`) and
 /// restored empty; every use asserts that it found them so.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct RevokeState {
     /// Operations waiting for a capability another operation is already
     /// revoking: packed key → waiting op ids, in registration order.

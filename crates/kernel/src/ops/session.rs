@@ -9,66 +9,82 @@
 //! owned by the *client's* kernel while its parent (the service
 //! capability) may live at another kernel. Exactly one kernel owns each
 //! resource; the child/parent link crosses the boundary via DDL keys.
+//!
+//! # Paper §3.4 → phases
+//!
+//! A client of another group parks [`OpenRemote`] at its kernel, which
+//! asks the service's kernel to park [`AtService`]; a client of the
+//! service's own group parks [`OpenLocal`].
 
-use semper_base::msg::{CapKindDesc, KReply, Kcall, SysReplyData, Upcall};
+use semper_base::msg::{CapKindDesc, KReply, Kcall, SysReplyData, Upcall, UpcallReply};
 use semper_base::{
     CapSel, CapType, Code, DdlKey, Error, KernelId, OpId, PeId, Result, ServiceId, VpeId,
 };
 use semper_caps::Capability;
 
 use crate::kernel::Kernel;
-use crate::ops::PendingOp;
+use crate::ops::{Answer, PendingOp};
 use crate::outbox::Outbox;
 use crate::registry::ServiceInfo;
 
-/// The session protocol's phase table.
+/// The session protocol's phases. Each variant holds the struct of its
+/// name: the whole continuation its resume handler takes back. Every
+/// one parks a cooperative kernel thread (§4.2).
 #[derive(Debug, Clone)]
 pub enum Phase {
-    /// Client side, remote service: awaiting `KReply::OpenSess`.
-    OpenRemote {
-        /// Tag of the initiating system call.
-        tag: u64,
-        /// The connecting client VPE.
-        client: VpeId,
-        /// Pre-allocated key of the session capability.
-        child_key: DdlKey,
-        /// The chosen service instance.
-        srv: ServiceInfo,
-    },
-    /// Service side, on behalf of a remote client: awaiting the service
-    /// VPE's upcall reply.
-    AtService {
-        /// The client kernel's correlation id (echo in reply).
-        caller_op: OpId,
-        /// The client's kernel.
-        caller_kernel: KernelId,
-        /// Key of the session capability (allocated by the caller).
-        child_key: DdlKey,
-        /// The service instance.
-        srv: ServiceInfo,
-    },
-    /// Client and service in the same group: awaiting the service VPE's
-    /// upcall reply.
-    OpenLocal {
-        /// Tag of the initiating system call.
-        tag: u64,
-        /// The connecting client VPE.
-        client: VpeId,
-        /// Pre-allocated key of the session capability.
-        child_key: DdlKey,
-        /// The service instance.
-        srv: ServiceInfo,
-    },
+    OpenRemote(OpenRemote),
+    AtService(AtService),
+    OpenLocal(OpenLocal),
+}
+
+/// Client side, remote service: awaiting `KReply::OpenSess`.
+#[derive(Debug, Clone)]
+pub struct OpenRemote {
+    /// Tag of the initiating system call.
+    pub tag: u64,
+    /// The connecting client VPE.
+    pub client: VpeId,
+    /// Pre-allocated key of the session capability.
+    pub child_key: DdlKey,
+    /// The chosen service instance.
+    pub srv: ServiceInfo,
+}
+
+/// Service side, on behalf of a remote client: awaiting the service
+/// VPE's upcall reply.
+#[derive(Debug, Clone)]
+pub struct AtService {
+    /// The client kernel's correlation id (echo in reply).
+    pub caller_op: OpId,
+    /// The client's kernel.
+    pub caller_kernel: KernelId,
+    /// Key of the session capability (allocated by the caller).
+    pub child_key: DdlKey,
+    /// The service instance.
+    pub srv: ServiceInfo,
+}
+
+/// Client and service in the same group: awaiting the service VPE's
+/// upcall reply.
+#[derive(Debug, Clone)]
+pub struct OpenLocal {
+    /// Tag of the initiating system call.
+    pub tag: u64,
+    /// The connecting client VPE.
+    pub client: VpeId,
+    /// Pre-allocated key of the session capability.
+    pub child_key: DdlKey,
+    /// The service instance.
+    pub srv: ServiceInfo,
 }
 
 impl Phase {
-    /// The phase's name, for crash points, logs and assertions. Every
-    /// session phase parks a cooperative kernel thread (§4.2).
+    /// The phase's name, for crash points, logs and assertions.
     pub fn name(&self) -> &'static str {
         match self {
-            Phase::OpenRemote { .. } => "open-sess-remote",
-            Phase::AtService { .. } => "session-at-service",
-            Phase::OpenLocal { .. } => "session-local",
+            Phase::OpenRemote(_) => "open-sess-remote",
+            Phase::AtService(_) => "session-at-service",
+            Phase::OpenLocal(_) => "session-local",
         }
     }
 
@@ -76,17 +92,19 @@ impl Phase {
     /// cancels the open; see [`PendingOp::upcall_responder`]).
     pub fn upcall_responder(&self) -> Option<VpeId> {
         match self {
-            Phase::OpenLocal { srv, .. } | Phase::AtService { srv, .. } => Some(srv.srv_vpe),
-            Phase::OpenRemote { .. } => None,
+            Phase::OpenLocal(OpenLocal { srv, .. }) | Phase::AtService(AtService { srv, .. }) => {
+                Some(srv.srv_vpe)
+            }
+            Phase::OpenRemote(_) => None,
         }
     }
 
     /// The peer kernel the phase awaits ([`PendingOp::awaited_kernel`]).
     pub fn awaited_kernel(&self) -> Option<KernelId> {
         match self {
-            Phase::OpenRemote { srv, .. } => Some(srv.owner),
-            Phase::AtService { caller_kernel, .. } => Some(*caller_kernel),
-            Phase::OpenLocal { .. } => None,
+            Phase::OpenRemote(p) => Some(p.srv.owner),
+            Phase::AtService(p) => Some(p.caller_kernel),
+            Phase::OpenLocal(_) => None,
         }
     }
 }
@@ -155,6 +173,13 @@ impl Kernel {
         if self.peer_dead(srv.owner) {
             return self.refuse(out, vpe, tag, Error::new(Code::Timeout));
         }
+        // A service of this group is checked here, as its kernel checks
+        // a remote client's open.
+        if srv.owner == self.id {
+            if let Err(e) = self.service_open(&srv) {
+                return self.refuse(out, vpe, tag, e);
+            }
+        }
         let client_pe = self.pe_of_vpe(vpe).expect("caller is local");
         // The session capability is created by the client's kernel; its
         // DDL key names the client as creator so ownership stays here.
@@ -168,10 +193,8 @@ impl Kernel {
                 srv.srv_pe,
                 Upcall::SessionOpen { op, client_vpe: vpe, client_pe },
             );
-            self.park(
-                op,
-                PendingOp::Session(Phase::OpenLocal { tag, client: vpe, child_key, srv }),
-            );
+            let phase = OpenLocal { tag, client: vpe, child_key, srv };
+            self.park(op, PendingOp::Session(Phase::OpenLocal(phase)));
             self.ref_cost()
         } else {
             let op = self.alloc_op();
@@ -180,17 +203,14 @@ impl Kernel {
                 srv.owner,
                 Kcall::OpenSessReq { op, child_key, service: srv.id, client_vpe: vpe },
             );
-            self.park(
-                op,
-                PendingOp::Session(Phase::OpenRemote { tag, client: vpe, child_key, srv }),
-            );
+            let phase = OpenRemote { tag, client: vpe, child_key, srv };
+            self.park(op, PendingOp::Session(Phase::OpenRemote(phase)));
             self.ref_cost()
         }
     }
 
     /// Request handler for [`Kcall::OpenSessReq`]: validate the service
-    /// instance, then fan out the notification upcall
-    /// ([`Phase::AtService`]).
+    /// instance, then fan out the notification upcall ([`AtService`]).
     pub(crate) fn open_sess_request(
         &mut self,
         from: KernelId,
@@ -202,10 +222,7 @@ impl Kernel {
     ) -> u64 {
         let check = (|| -> Result<(ServiceInfo, PeId)> {
             let srv = *self.registry.get(service).ok_or(Error::new(Code::NoSuchService))?;
-            if srv.owner != self.id || !self.vpe_alive(srv.srv_vpe) {
-                return Err(Error::new(Code::NoSuchService));
-            }
-            self.service_cap_usable(&srv)?;
+            self.service_open(&srv)?;
             Ok((srv, self.pe_of_vpe(client_vpe)?))
         })();
         match check {
@@ -220,31 +237,22 @@ impl Kernel {
                     srv.srv_pe,
                     Upcall::SessionOpen { op: my_op, client_vpe, client_pe },
                 );
-                self.park(
-                    my_op,
-                    PendingOp::Session(Phase::AtService {
-                        caller_op: op,
-                        caller_kernel: from,
-                        child_key,
-                        srv,
-                    }),
-                );
+                let phase = AtService { caller_op: op, caller_kernel: from, child_key, srv };
+                self.park(my_op, PendingOp::Session(Phase::AtService(phase)));
                 self.ref_cost()
             }
         }
     }
 
-    /// Resumes [`Phase::OpenLocal`]: the service VPE answered the
-    /// session-open upcall for a same-group client.
-    pub(crate) fn session_local_accept(
+    /// Resumes [`OpenLocal`]: the service VPE answered the session-open
+    /// upcall for a same-group client.
+    fn session_local_accept(
         &mut self,
-        tag: u64,
-        client: VpeId,
-        child_key: DdlKey,
-        srv: ServiceInfo,
+        phase: OpenLocal,
         result: Result<u64>,
         out: &mut Outbox,
     ) -> u64 {
+        let OpenLocal { tag, client, child_key, srv } = phase;
         match result {
             Err(e) => self.refuse(out, client, tag, e),
             Ok(ident) => {
@@ -272,19 +280,17 @@ impl Kernel {
         }
     }
 
-    /// Resumes [`Phase::AtService`]: the service VPE answered the upcall
-    /// for a remote client; re-validate the service capability and link
-    /// the session capability under it before replying — the same
-    /// ordering obtain uses.
-    pub(crate) fn session_service_accept(
+    /// Resumes [`AtService`]: the service VPE answered the upcall for a
+    /// remote client; re-validate the service capability and link the
+    /// session capability under it before replying — the same ordering
+    /// obtain uses.
+    fn session_service_accept(
         &mut self,
-        caller_op: OpId,
-        caller_kernel: KernelId,
-        child_key: DdlKey,
-        srv: ServiceInfo,
+        phase: AtService,
         result: Result<u64>,
         out: &mut Outbox,
     ) -> u64 {
+        let AtService { caller_op, caller_kernel, child_key, srv } = phase;
         let reply = result.and_then(|ident| {
             self.service_cap_usable(&srv)?;
             self.mapdb.link_child(srv.srv_key, child_key)?;
@@ -294,17 +300,10 @@ impl Kernel {
         self.ref_cost() + self.cfg.cost.cap_insert + self.cfg.cost.kcall_exit
     }
 
-    /// Resumes [`Phase::OpenRemote`]: client-side completion of a remote
-    /// session open.
-    pub(crate) fn open_sess_reply(
-        &mut self,
-        tag: u64,
-        client: VpeId,
-        child_key: DdlKey,
-        srv: ServiceInfo,
-        result: Result<u64>,
-        out: &mut Outbox,
-    ) -> u64 {
+    /// Resumes [`OpenRemote`]: client-side completion of a remote session
+    /// open.
+    fn open_sess_reply(&mut self, phase: OpenRemote, result: Result<u64>, out: &mut Outbox) -> u64 {
+        let OpenRemote { tag, client, child_key, srv } = phase;
         match result {
             Err(e) => self.refuse(out, client, tag, e),
             Ok(ident) => {
@@ -331,6 +330,17 @@ impl Kernel {
         }
     }
 
+    /// Whether a service instance of this group can take an open: its
+    /// VPE lives and its capability is usable. Checked before the
+    /// upcall, for a client of this group and for a remote client's
+    /// kernel alike.
+    fn service_open(&mut self, srv: &ServiceInfo) -> Result<()> {
+        if srv.owner != self.id || !self.vpe_alive(srv.srv_vpe) {
+            return Err(Error::new(Code::NoSuchService));
+        }
+        self.service_cap_usable(srv)
+    }
+
     /// `Kernel::usable` for a local service's capability, checked when
     /// an open arrives and again when the service answers it, as
     /// `obtain_owner_accept` does for an obtain: by then the service may
@@ -343,19 +353,35 @@ impl Kernel {
         }
     }
 
+    /// Resumes a parked open with the answer it awaited; the router
+    /// checked who answered (see `Kernel::resume`). An answer of another
+    /// kind from the awaited kernel is a kernel bug, and panics.
+    pub(crate) fn resume_session(&mut self, phase: Phase, answer: Answer, out: &mut Outbox) -> u64 {
+        match (phase, answer) {
+            (Phase::OpenLocal(p), Answer::Upcall(UpcallReply::SessionOpen { result, .. })) => {
+                self.session_local_accept(p, *result, out)
+            }
+            (Phase::AtService(p), Answer::Upcall(UpcallReply::SessionOpen { result, .. })) => {
+                self.session_service_accept(p, *result, out)
+            }
+            (Phase::OpenRemote(p), Answer::KReply(KReply::OpenSess { result, .. })) => {
+                self.open_sess_reply(p, *result, out)
+            }
+            (phase, answer) => panic!("{answer:?} cannot resume {}", phase.name()),
+        }
+    }
+
     /// Fails a parked open towards whoever waits for it — the client,
     /// or the client's kernel — with `err` (see `Kernel::fail_parked`).
     pub(crate) fn fail_session_phase(&mut self, phase: Phase, err: Error, out: &mut Outbox) {
         match phase {
-            Phase::OpenRemote { tag, client, .. } | Phase::OpenLocal { tag, client, .. } => {
+            Phase::OpenRemote(OpenRemote { tag, client, .. })
+            | Phase::OpenLocal(OpenLocal { tag, client, .. }) => {
                 self.reply_sys(out, client, tag, Err(err));
             }
-            Phase::AtService { caller_op, caller_kernel, .. } => {
-                self.send_kreply(
-                    out,
-                    caller_kernel,
-                    KReply::OpenSess { op: caller_op, result: Err(err) },
-                );
+            Phase::AtService(p) => {
+                let reply = KReply::OpenSess { op: p.caller_op, result: Err(err) };
+                self.send_kreply(out, p.caller_kernel, reply);
             }
         }
     }

@@ -14,7 +14,7 @@ use semper_base::DdlKey;
 use semper_caps::CapTable;
 
 /// One VPE of the group, as its kernel sees it.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Vpe {
     /// False once the VPE exited or was killed; its capabilities are
     /// being (or have been) revoked. The id is never recycled within a

@@ -146,6 +146,32 @@ fn spanning_obtain_then_owner_revoke() {
     assert_eq!(c.kernels[0].stats().revokes_spanning, 1);
 }
 
+/// A cluster is its state: a clone taken in the middle of a spanning
+/// revoke, with requests in flight and the revocation parked, runs to
+/// the same end as the original.
+#[test]
+fn a_cloned_cluster_finishes_a_spanning_revoke_alike() {
+    let mut c = TestCluster::new(3, 1);
+    let sel = create_mem(&mut c, VpeId(0));
+    let _ = delegate(&mut c, VpeId(0), VpeId(1), sel);
+    let _ = delegate(&mut c, VpeId(0), VpeId(2), sel);
+    let tag = c.syscall_async(VpeId(0), Syscall::Revoke { sel, own: true });
+    c.pump_n(2);
+    assert_eq!(c.kernels[0].pending_ops(), 1, "the revoke parks at kernel 0");
+    let mut twin = c.clone();
+    let mut ends = Vec::new();
+    for run in [&mut c, &mut twin] {
+        run.pump_all();
+        run.check_invariants();
+        run.assert_quiescent();
+        let reply = run.take_reply(VpeId(0), tag).expect("the revoke is answered");
+        let kernels: Vec<_> = run.kernels.iter().map(|k| (k.state_digest(), *k.stats())).collect();
+        ends.push((format!("{reply:?}"), kernels));
+    }
+    assert_eq!(ends[0], ends[1]);
+    assert_eq!(c.total_caps(), 3, "only the three self-capabilities may survive");
+}
+
 #[test]
 fn cross_kernel_chain_revokes_fully() {
     // The adversarial ping-pong chain of §5.2: a capability delegated
@@ -744,20 +770,21 @@ fn local_open_answered_after_service_cap_revoked_is_refused() {
     assert_eq!(c.total_caps(), 2, "only the two self-capabilities may survive");
 }
 
-/// On three kernels of one VPE each, a service on VPE 0 with a session
-/// open at VPE 1: a revoke of the service capability parks on kernel 1.
-/// Returns the service capability's selector.
-fn service_with_a_remote_session(c: &mut TestCluster) -> CapSel {
+/// A service on VPE 0 with a session open at `client`, a VPE of another
+/// group: a revoke of the service capability parks on the client's
+/// kernel. Returns the service capability's selector.
+fn service_with_a_remote_session(c: &mut TestCluster, client: VpeId) -> CapSel {
     let r = c.syscall(VpeId(0), Syscall::CreateSrv { name: 7 });
     let Ok(SysReplyData::Sel(srv_sel)) = r.result else { panic!("{r:?}") };
-    assert!(c.syscall(VpeId(1), Syscall::OpenSession { name: 7 }).result.is_ok());
+    assert!(c.syscall(client, Syscall::OpenSession { name: 7 }).result.is_ok());
     srv_sel
 }
 
-/// VPE 2's open of that service, answered while the service capability
-/// is marked; returns the open's tag.
+/// On three kernels of one VPE each, VPE 2's open of a service with a
+/// session at VPE 1, answered while the service capability is marked;
+/// returns the open's tag.
 fn open_answered_during_revoke(c: &mut TestCluster) -> u64 {
-    let srv_sel = service_with_a_remote_session(c);
+    let srv_sel = service_with_a_remote_session(c, VpeId(1));
     let tag = c.syscall_async(VpeId(2), Syscall::OpenSession { name: 7 });
     c.pump_n(3); // the service's answer is queued
     revoke_ahead_of_queue(c, srv_sel);
@@ -784,6 +811,32 @@ fn open_answered_during_service_cap_revoke_leaves_no_invalid_cap() {
         );
     }
     assert_eq!(c.total_caps(), 3, "only the three self-capabilities may survive");
+}
+
+/// VPE 1's open of VPE 0's service after VPE 0 died, on `kernels`
+/// kernels of `vpes` VPEs each: refused at once, nothing left parked.
+fn open_to_a_dead_service_is_refused(kernels: u16, vpes: u16) {
+    let mut c = TestCluster::new(kernels, vpes);
+    let r = c.syscall(VpeId(0), Syscall::CreateSrv { name: 7 });
+    assert!(matches!(r.result, Ok(SysReplyData::Sel(_))), "{r:?}");
+    c.kill(VpeId(0));
+    c.pump_all();
+    let tag = c.syscall_async(VpeId(1), Syscall::OpenSession { name: 7 });
+    c.pump_all();
+    assert_open_refused(&mut c, VpeId(1), tag, Code::NoSuchService);
+}
+
+/// The client's kernel checks a service of its own group as the
+/// service's kernel checks a remote client's request: no upcall goes to
+/// a VPE that will never answer it.
+#[test]
+fn local_open_to_a_dead_service_is_no_such_service() {
+    open_to_a_dead_service_is_refused(1, 2);
+}
+
+#[test]
+fn spanning_open_to_a_dead_service_is_no_such_service() {
+    open_to_a_dead_service_is_refused(2, 1);
 }
 
 #[test]
@@ -955,7 +1008,7 @@ const REFUSALS: &[Refusal] = &[
         kernels: 3,
         vpes: 1,
         drive: |c| {
-            let srv_sel = service_with_a_remote_session(c);
+            let srv_sel = service_with_a_remote_session(c, VpeId(1));
             mark_now(c, VpeId(0), srv_sel);
             (VpeId(2), c.syscall_front(VpeId(2), Syscall::OpenSession { name: 7 }))
         },
@@ -966,6 +1019,30 @@ const REFUSALS: &[Refusal] = &[
         kernels: 3,
         vpes: 1,
         drive: |c| (VpeId(2), open_answered_during_revoke(c)),
+        refuser: 0,
+    },
+    Refusal {
+        site: "local OpenSession, at the request",
+        kernels: 2,
+        vpes: 2,
+        drive: |c| {
+            let srv_sel = service_with_a_remote_session(c, VpeId(2));
+            mark_now(c, VpeId(0), srv_sel);
+            (VpeId(1), c.syscall_front(VpeId(1), Syscall::OpenSession { name: 7 }))
+        },
+        refuser: 0,
+    },
+    Refusal {
+        site: "local OpenSession, at the service's answer",
+        kernels: 2,
+        vpes: 2,
+        drive: |c| {
+            let srv_sel = service_with_a_remote_session(c, VpeId(2));
+            let tag = c.syscall_async(VpeId(1), Syscall::OpenSession { name: 7 });
+            c.pump_n(1); // the session-open upcall to VPE 0 is queued
+            mark_now(c, VpeId(0), srv_sel);
+            (VpeId(1), tag)
+        },
         refuser: 0,
     },
 ];
@@ -1518,6 +1595,19 @@ fn obtain_reply_from_an_unasked_kernel_panics() {
     });
 }
 
+/// An answer of another kind from the kernel a phase awaits is a kernel
+/// bug too: the protocol that matches each phase with its answer
+/// panics.
+#[test]
+fn kreply_of_the_wrong_kind_panics() {
+    panics_with_and_without_a_fault_plan(2, "cannot resume obtain-remote", |c| {
+        park_obtain_remote(c, VpeId(1));
+        let reply = KReply::Delegate { op: OpId(1), result: Err(Error::new(Code::NoSuchCap)) };
+        let msg = Msg::new(c.kernels[1].pe(), c.kernels[0].pe(), Payload::kreply(reply));
+        c.kernels[0].handle(&msg, &mut Outbox::new());
+    });
+}
+
 /// Starts a spanning delegate VPE 0 (kernel 0) → VPE 1 (kernel 1) and
 /// stops with the uninserted capability parked at kernel 1 under op 2
 /// (op 1 was the consent upcall), the first-leg reply still queued.
@@ -1543,7 +1633,7 @@ fn park_pending_insert(c: &mut TestCluster) -> (u64, Msg) {
 /// only the delegator's kernel may commit the pending insert.
 #[test]
 fn delegate_ack_from_an_unasked_kernel_panics() {
-    panics_with_and_without_a_fault_plan(3, "no pending insert of its", |c| {
+    panics_with_and_without_a_fault_plan(3, "asked Some(", |c| {
         let (_, ack) = park_pending_insert(c);
         c.kernels[1].handle(&ack, &mut Outbox::new());
     });

@@ -86,7 +86,7 @@ enum Work {
         derived_sel: Option<CapSel>,
     },
     /// Close a file: revoke each delegated capability, then ack.
-    Close { client_pe: PeId, tag: u64, fid: u64, remaining: Vec<CapSel> },
+    Close { client_pe: PeId, tag: u64, remaining: Vec<CapSel> },
 }
 
 /// One m3fs instance.
@@ -346,7 +346,7 @@ impl FsService {
                     return self.cost.fs_meta_op;
                 }
                 self.enqueue(
-                    Work::Close { client_pe, tag: req.tag, fid: *fid, remaining: file.delegated },
+                    Work::Close { client_pe, tag: req.tag, remaining: file.delegated },
                     out,
                 );
                 self.cost.fs_meta_op
@@ -415,95 +415,77 @@ impl FsService {
             BootState::Ready => {}
         }
 
-        let Some(work) = self.current.take() else {
+        let Some(mut work) = self.current.take() else {
             panic!("m3fs: sys reply without in-flight work: {reply:?}");
         };
-        let cost = match work {
+        let cost = match &mut work {
+            Work::Extent { client_vpe, client_pe, tag, derived_sel: derived @ None, .. } => {
+                // DeriveMem completed → delegate to the client.
+                match &reply.result {
+                    Ok(SysReplyData::Sel(sel)) => {
+                        *derived = Some(*sel);
+                        let call = Syscall::Exchange {
+                            other: *client_vpe,
+                            own_sel: *sel,
+                            other_sel: CapSel::INVALID,
+                            kind: ExchangeKind::Delegate,
+                        };
+                        self.current = Some(work);
+                        self.conn.submit(call, out);
+                    }
+                    other => self.reply_fs(out, *client_pe, *tag, Err(extract_err(other))),
+                }
+                self.cost.fs_extent_op
+            }
             Work::Extent {
-                client_vpe,
                 client_pe,
                 tag,
                 fid,
                 region_offset,
                 file_offset,
                 len,
-                perms,
-                derived_sel,
-            } => match derived_sel {
-                None => {
-                    // DeriveMem completed → delegate to the client.
-                    match &reply.result {
-                        Ok(SysReplyData::Sel(sel)) => {
-                            let sel = *sel;
-                            self.current = Some(Work::Extent {
-                                client_vpe,
-                                client_pe,
-                                tag,
-                                fid,
-                                region_offset,
-                                file_offset,
-                                len,
-                                perms,
-                                derived_sel: Some(sel),
-                            });
-                            self.conn.submit(
-                                Syscall::Exchange {
-                                    other: client_vpe,
-                                    own_sel: sel,
-                                    other_sel: CapSel::INVALID,
-                                    kind: ExchangeKind::Delegate,
-                                },
-                                out,
-                            );
-                            self.cost.fs_extent_op
+                derived_sel: Some(own_sel),
+                ..
+            } => {
+                // Delegate completed → tell the client its selector.
+                match &reply.result {
+                    Ok(SysReplyData::Delegated { recv_sel }) => {
+                        if let Some(f) = self.files.get_mut(fid) {
+                            f.delegated.push(*own_sel);
                         }
-                        other => {
-                            self.reply_fs(out, client_pe, tag, Err(extract_err(other)));
-                            self.cost.fs_extent_op
-                        }
+                        self.stats.extents_served += 1;
+                        self.reply_fs(
+                            out,
+                            *client_pe,
+                            *tag,
+                            Ok(FsReplyData::Extent {
+                                sel: *recv_sel,
+                                addr: self.image_addr + *region_offset,
+                                offset: *file_offset,
+                                len: *len,
+                            }),
+                        );
+                    }
+                    other => {
+                        self.reply_fs(out, *client_pe, *tag, Err(extract_err(other)));
                     }
                 }
-                Some(own_sel) => {
-                    // Delegate completed → tell the client its selector.
-                    match &reply.result {
-                        Ok(SysReplyData::Delegated { recv_sel }) => {
-                            if let Some(f) = self.files.get_mut(&fid) {
-                                f.delegated.push(own_sel);
-                            }
-                            self.stats.extents_served += 1;
-                            self.reply_fs(
-                                out,
-                                client_pe,
-                                tag,
-                                Ok(FsReplyData::Extent {
-                                    sel: *recv_sel,
-                                    addr: self.image_addr + region_offset,
-                                    offset: file_offset,
-                                    len,
-                                }),
-                            );
-                        }
-                        other => {
-                            self.reply_fs(out, client_pe, tag, Err(extract_err(other)));
-                        }
-                    }
-                    self.cost.fs_extent_op
-                }
-            },
-            Work::Close { client_pe, tag, fid, mut remaining } => {
+                self.cost.fs_extent_op
+            }
+            Work::Close { client_pe, tag, remaining } => {
                 if let Err(e) = &reply.result {
                     // The first failed revoke ends the close and is the
                     // client's answer: reporting a clean close would
                     // leave extent capabilities alive behind it.
-                    self.reply_fs(out, client_pe, tag, Err(*e));
+                    self.reply_fs(out, *client_pe, *tag, Err(*e));
                 } else {
                     self.stats.revokes += 1;
                     remaining.remove(0);
                     if remaining.is_empty() {
-                        self.reply_fs(out, client_pe, tag, Ok(FsReplyData::Ok));
+                        self.reply_fs(out, *client_pe, *tag, Ok(FsReplyData::Ok));
                     } else {
                         let sel = remaining[0];
-                        self.current = Some(Work::Close { client_pe, tag, fid, remaining });
+                        self.current = Some(work);
                         self.conn.submit(Syscall::Revoke { sel, own: true }, out);
                     }
                 }
