@@ -16,13 +16,15 @@
 //! fixed-seed hash maps ([`semper_base::hash`]). Every lookup is O(1),
 //! and one with an id past a vector's end misses without growing it.
 //!
-//! A capability enters a table only through `Kernel::install` (bar
-//! each VPE's self-capability at selector 0) and leaves it only through
-//! the revocation sweep, which also clears the endpoint registers that
-//! name it. A system call names a capability through `Kernel::bound`
-//! alone, and an operation builds on one only after `Kernel::usable`
-//! admitted it: the one place that refuses a capability under
-//! revocation and counts the refusal.
+//! Every DDL key comes from `Kernel::new_key`. A capability enters a
+//! table only through `Kernel::install` (bar each VPE's self-capability
+//! at selector 0), which also links it under a parent of this kernel,
+//! and leaves it only through the revocation sweep, which also clears
+//! the endpoint registers that name it. Outside the sweep a child leaves
+//! its parent's list only through `Kernel::unlink`. A system call names
+//! a capability through `Kernel::bound` alone, and an operation builds
+//! on one only after `Kernel::usable` admitted it: the one place that
+//! refuses a capability under revocation and counts the refusal.
 //!
 //! Protocol-visible ordering never comes from storage order: the
 //! `semper_sim::EventQueue`'s FIFO tie-break stays the sole ordering
@@ -34,7 +36,7 @@ use std::collections::VecDeque;
 
 use semper_base::config::{KernelMode, MachineConfig};
 use semper_base::msg::{KReply, Kcall, Payload, SysReplyData, Syscall, Upcall};
-use semper_base::{CapSel, Code, DdlKey, Error, KernelId, Msg, OpId, PeId, Result, VpeId};
+use semper_base::{CapSel, CapType, Code, DdlKey, Error, KernelId, Msg, OpId, PeId, Result, VpeId};
 use semper_caps::{CapTable, Capability, KeyAllocator, MappingDb, MembershipTable};
 use semper_noc::GlobalMemory;
 
@@ -211,7 +213,7 @@ impl Kernel {
         assert_eq!(self.membership.kernel_of(pe), self.id, "PE not in this group");
         assert!(self.pe2vpe[pe.idx()].is_none(), "PE already hosts a VPE");
         let mut table = CapTable::new(FIRST_FREE_SEL);
-        let key = self.keys.alloc(pe, vpe, semper_base::CapType::Vpe);
+        let key = self.new_key(vpe, CapType::Vpe).expect("a booting VPE has keys left");
         table.insert(CapSel(SEL_VPE), key).expect("selector 0 is reserved and free");
         let kind = semper_base::msg::CapKindDesc::Vpe { vpe };
         self.mapdb.insert(Capability::root(key, kind, vpe, CapSel(SEL_VPE)));
@@ -223,16 +225,48 @@ impl Kernel {
         self.pe2vpe[pe.idx()] = Some(vpe);
     }
 
+    /// Allocates the DDL key of a new capability of type `ty` that
+    /// `owner` will hold, at its PE from the VPE directory: the one key
+    /// allocation of the kernel (§3.2, the creating kernel names it).
+    pub(crate) fn new_key(&mut self, owner: VpeId, ty: CapType) -> Result<DdlKey> {
+        let pe = self.pe_of_vpe(owner)?;
+        Ok(self.keys.alloc(pe, owner, ty))
+    }
+
     /// Installs a new capability: binds a fresh selector in its owner's
     /// table, inserts the record at that selector (whatever `cap.sel`
-    /// said) and counts it created. The owner must be a VPE of this
-    /// group.
+    /// said), links it under its parent if the parent's key routes here
+    /// (a remote parent's kernel linked it before it answered) and counts
+    /// it created. The owner must be a VPE of this group.
     pub(crate) fn install(&mut self, cap: Capability) -> CapSel {
         let owner = self.vpe_mut(cap.owner).expect("the owner is a VPE of this group");
         let sel = owner.table.insert_new(cap.key);
+        let (key, parent) = (cap.key, cap.parent);
         self.mapdb.insert(cap.with_sel(sel));
+        if let Some(parent) = parent.filter(|&p| self.membership.kernel_of_key(p) == self.id) {
+            self.mapdb.link_child(parent, key).expect("a local parent is present");
+        }
         self.stats.caps_created += 1;
         sel
+    }
+
+    /// Drops `child` from `parent`'s child list, in place if the parent's
+    /// key routes here, else by a [`Kcall::OrphanNotice`] to a live
+    /// parent's kernel. Returns whether a link was dropped or a notice
+    /// left.
+    pub(crate) fn unlink(&mut self, parent: DdlKey, child: DdlKey, out: &mut Outbox) -> bool {
+        match self.membership.kernel_of_key(parent) {
+            k if k == self.id => self.mapdb.unlink_child(parent, child),
+            k if self.peer_dead(k) => false,
+            k => {
+                self.send_kcall(
+                    out,
+                    k,
+                    Kcall::OrphanNotice { parent_key: parent, child_key: child },
+                );
+                true
+            }
+        }
     }
 
     /// The key bound at `sel` in `vpe`'s table: the one selector lookup
@@ -294,8 +328,7 @@ impl Kernel {
     /// The kernel managing `vpe` (via the global directory and the
     /// membership table).
     pub(crate) fn kernel_of_vpe(&self, vpe: VpeId) -> Result<KernelId> {
-        let pe = self.vpe_dir.get(vpe.idx()).copied().ok_or_else(|| Error::new(Code::NoSuchVpe))?;
-        Ok(self.membership.kernel_of(pe))
+        Ok(self.membership.kernel_of(self.pe_of_vpe(vpe)?))
     }
 
     /// The PE of a VPE (any group).

@@ -294,8 +294,7 @@ impl Kernel {
                 ExchangeKind::Obtain => {
                     // Pre-allocate the child key; nothing is inserted
                     // until the owner's kernel replies.
-                    let pe = self.pe_of_vpe(vpe)?;
-                    let child_key = self.keys.alloc(pe, vpe, CapType::Memory);
+                    let child_key = self.new_key(vpe, CapType::Memory)?;
                     self.send_kcall(
                         out,
                         peer_kernel,
@@ -360,12 +359,8 @@ impl Kernel {
     fn insert_child_for(&mut self, owner: VpeId, sel: CapSel, receiver: VpeId) -> Result<CapSel> {
         let parent_key = self.bound(owner, sel)?;
         let desc = self.usable(parent_key)?.kind;
-        let recv_pe = self.pe_of_vpe(receiver)?;
-        let child_key = self.keys.alloc(recv_pe, receiver, key_type_for(&desc));
-        let child = Capability::child(child_key, desc, receiver, CapSel::INVALID, parent_key);
-        let recv_sel = self.install(child);
-        self.mapdb.link_child(parent_key, child_key)?;
-        Ok(recv_sel)
+        let child_key = self.new_key(receiver, key_type_for(&desc))?;
+        Ok(self.install(Capability::child(child_key, desc, receiver, CapSel::INVALID, parent_key)))
     }
 
     // ----- obtain, group-spanning ---------------------------------------
@@ -450,19 +445,15 @@ impl Kernel {
         result: &Result<CapDesc>,
         out: &mut Outbox,
     ) -> u64 {
-        let ObtainRemote { tag, requester, child_key, peer_kernel } = phase;
+        let ObtainRemote { tag, requester, child_key, .. } = phase;
         match result {
             Err(e) => self.refuse(out, requester, tag, *e),
             Ok(desc) => {
                 if !self.vpe_alive(requester) {
-                    // Orphaned: tell the kernel that answered — the
-                    // parent's owner — to unlink the child reference it
-                    // optimistically created.
-                    self.send_kcall(
-                        out,
-                        peer_kernel,
-                        Kcall::OrphanNotice { parent_key: desc.key, child_key },
-                    );
+                    // Orphaned: the parent's kernel, which answered,
+                    // unlinks the child reference it optimistically
+                    // created.
+                    self.unlink(desc.key, child_key, out);
                     return self.cfg.cost.kcall_exit;
                 }
                 let child =
@@ -480,8 +471,8 @@ impl Kernel {
 
     /// Owner-side cleanup of an orphaned child reference (the obtainer
     /// died before receiving the capability).
-    pub(crate) fn orphan_notice(&mut self, parent_key: DdlKey, child_key: DdlKey) -> u64 {
-        if self.mapdb.unlink_child(parent_key, child_key) {
+    pub(crate) fn orphan_notice(&mut self, parent: DdlKey, child: DdlKey, out: &mut Outbox) -> u64 {
+        if self.unlink(parent, child, out) {
             self.stats.orphans_cleaned += 1;
         }
         self.ref_cost()
@@ -540,16 +531,16 @@ impl Kernel {
         out: &mut Outbox,
     ) -> u64 {
         let DelegateAtRecv { caller_op, caller_kernel, parent_key, desc, recv } = phase;
-        if !accept {
-            self.send_kreply(
-                out,
-                caller_kernel,
-                KReply::Delegate { op: caller_op, result: Err(Error::new(Code::ExchangeDenied)) },
-            );
-            return self.cfg.cost.kcall_exit;
-        }
-        let pe = self.pe_of_vpe(recv).expect("recv is local");
-        let child_key = self.keys.alloc(pe, recv, key_type_for(&desc));
+        let denied = Err(Error::new(Code::ExchangeDenied));
+        let key = if accept { self.new_key(recv, key_type_for(&desc)) } else { denied };
+        let child_key = match key {
+            Ok(key) => key,
+            Err(e) => {
+                let reply = KReply::Delegate { op: caller_op, result: Err(e) };
+                self.send_kreply(out, caller_kernel, reply);
+                return self.cfg.cost.kcall_exit;
+            }
+        };
         let cap = Capability::child(child_key, desc, recv, CapSel::INVALID, parent_key);
 
         if self.cfg.has_feature(Feature::OneWayDelegate) {
@@ -682,7 +673,7 @@ impl Kernel {
             Err(e) => {
                 // Insertion failed (receiver died): unlink the child
                 // reference we optimistically added.
-                self.mapdb.unlink_child(parent_key, child_key);
+                self.unlink(parent_key, child_key, out);
                 self.reply_sys(out, delegator, tag, Err(e));
             }
         }

@@ -33,8 +33,7 @@ impl Kernel {
     ) -> u64 {
         let result = (|| -> Result<SysReplyData> {
             let addr = self.mem.alloc(size)?;
-            let pe = self.pe_of_vpe(vpe)?;
-            let key = self.keys.alloc(pe, vpe, CapType::Memory);
+            let key = self.new_key(vpe, CapType::Memory)?;
             let kind = CapKindDesc::Memory { addr, size, perms };
             let sel = self.install(Capability::root(key, kind, vpe, CapSel::INVALID));
             Ok(SysReplyData::Mem { sel, addr })
@@ -71,11 +70,9 @@ impl Kernel {
             if !pperms.contains(perms) {
                 return Err(Error::new(Code::NoPerm));
             }
-            let pe = self.pe_of_vpe(vpe)?;
-            let key = self.keys.alloc(pe, vpe, CapType::Memory);
+            let key = self.new_key(vpe, CapType::Memory)?;
             let kind = CapKindDesc::Memory { addr: addr + offset, size, perms };
             let sel = self.install(Capability::child(key, kind, vpe, CapSel::INVALID, parent_key));
-            self.mapdb.link_child(parent_key, key)?;
             Ok(SysReplyData::Sel(sel))
         })();
         self.reply_sys(out, vpe, tag, result);

@@ -39,13 +39,16 @@
 //! Every protocol-independent concept exists once: one `Syscall` →
 //! handler table (`Kernel::dispatch_syscall`), one completion funnel
 //! (`Kernel::reply_sys`, a message to the VPE) and one refusal on it
-//! (`Kernel::refuse`, which also charges the exit), one selector lookup
-//! (`Kernel::bound`), one admission check (`Kernel::usable`: a
-//! capability under revocation is refused and counted there, Table 2's
-//! *pointless* case, and nowhere else), one credit-gated
-//! request send (`Kernel::send_kcall_at`), one mark walk and one delete
-//! pass for Algorithm 1 (`Kernel::mark_subtree` /
-//! `Kernel::delete_marked` in [`revoke`], driven by revoke system
+//! (`Kernel::refuse`, which also charges the exit), one key allocation
+//! (`Kernel::new_key`), one way into the forest (`Kernel::install`,
+//! which links a child under a local parent) and one out of a parent's
+//! list outside the sweep (`Kernel::unlink`, in place or by a notice to
+//! the parent's kernel), one selector lookup (`Kernel::bound`), one
+//! admission check (`Kernel::usable`: a capability under revocation is
+//! refused and counted there, Table 2's *pointless* case, and nowhere
+//! else), one credit-gated request send (`Kernel::send_kcall_at`), one
+//! mark walk and one delete pass for Algorithm 1 (`Kernel::mark_subtree`
+//! / `Kernel::delete_marked` in [`revoke`], driven by revoke system
 //! calls, VPE exits and incoming revoke requests, batched or not,
 //! alike), and one way to kill a VPE (`Kernel::terminate_vpe`, behind
 //! both `Syscall::Exit` and the machine's `Kernel::kill_vpe`).
@@ -201,7 +204,7 @@ impl Kernel {
             Kcall::ObtainReq { op, child_key, owner_vpe, owner_sel, requester_vpe } => self
                 .obtain_request(from, *op, *child_key, *owner_vpe, *owner_sel, *requester_vpe, out),
             Kcall::OrphanNotice { parent_key, child_key } => {
-                self.orphan_notice(*parent_key, *child_key)
+                self.orphan_notice(*parent_key, *child_key, out)
             }
             Kcall::DelegateReq { op, parent_key, desc, recv_vpe } => {
                 self.delegate_request(from, *op, *parent_key, *desc, *recv_vpe, out)

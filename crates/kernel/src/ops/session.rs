@@ -133,8 +133,11 @@ impl Kernel {
             return self.refuse(out, vpe, tag, Error::new(Code::NoSpace));
         };
         let id = ServiceId((self.id.0 << 8) | u16::from(local_count));
-        let pe = self.pe_of_vpe(vpe).expect("caller is local");
-        let srv_key = self.keys.alloc(pe, vpe, CapType::Service);
+        let srv_key = match self.new_key(vpe, CapType::Service) {
+            Ok(key) => key,
+            Err(e) => return self.refuse(out, vpe, tag, e),
+        };
+        let pe = srv_key.pe();
 
         let kind = CapKindDesc::Service { id };
         let sel = self.install(Capability::root(srv_key, kind, vpe, CapSel::INVALID));
@@ -180,33 +183,25 @@ impl Kernel {
                 return self.refuse(out, vpe, tag, e);
             }
         }
-        let client_pe = self.pe_of_vpe(vpe).expect("caller is local");
         // The session capability is created by the client's kernel; its
         // DDL key names the client as creator so ownership stays here.
-        let child_key = self.keys.alloc(client_pe, vpe, CapType::Session);
-
-        if srv.owner == self.id {
+        let child_key = match self.new_key(vpe, CapType::Session) {
+            Ok(key) => key,
+            Err(e) => return self.refuse(out, vpe, tag, e),
+        };
+        let op = self.alloc_op();
+        let phase = if srv.owner == self.id {
             // Service in our group: ask the service VPE directly.
-            let op = self.alloc_op();
-            self.send_upcall(
-                out,
-                srv.srv_pe,
-                Upcall::SessionOpen { op, client_vpe: vpe, client_pe },
-            );
-            let phase = OpenLocal { tag, client: vpe, child_key, srv };
-            self.park(op, PendingOp::Session(Phase::OpenLocal(phase)));
-            self.ref_cost()
+            let up = Upcall::SessionOpen { op, client_vpe: vpe, client_pe: child_key.pe() };
+            self.send_upcall(out, srv.srv_pe, up);
+            Phase::OpenLocal(OpenLocal { tag, client: vpe, child_key, srv })
         } else {
-            let op = self.alloc_op();
-            self.send_kcall(
-                out,
-                srv.owner,
-                Kcall::OpenSessReq { op, child_key, service: srv.id, client_vpe: vpe },
-            );
-            let phase = OpenRemote { tag, client: vpe, child_key, srv };
-            self.park(op, PendingOp::Session(Phase::OpenRemote(phase)));
-            self.ref_cost()
-        }
+            let call = Kcall::OpenSessReq { op, child_key, service: srv.id, client_vpe: vpe };
+            self.send_kcall(out, srv.owner, call);
+            Phase::OpenRemote(OpenRemote { tag, client: vpe, child_key, srv })
+        };
+        self.park(op, PendingOp::Session(phase));
+        self.ref_cost()
     }
 
     /// Request handler for [`Kcall::OpenSessReq`]: validate the service
@@ -264,7 +259,9 @@ impl Kernel {
                 if let Err(e) = self.service_cap_usable(&srv) {
                     return self.refuse(out, client, tag, e);
                 }
-                let sel = self.insert_session(client, child_key, srv, ident, true);
+                let kind = CapKindDesc::Session { service: srv.id, ident };
+                let cap = Capability::child(child_key, kind, client, CapSel::INVALID, srv.srv_key);
+                let sel = self.install(cap);
                 self.stats.sessions_opened += 1;
                 self.reply_sys(
                     out,
@@ -309,14 +306,12 @@ impl Kernel {
             Ok(ident) => {
                 if !self.vpe_alive(client) {
                     // Orphaned session: unlink at the service's kernel.
-                    self.send_kcall(
-                        out,
-                        srv.owner,
-                        Kcall::OrphanNotice { parent_key: srv.srv_key, child_key },
-                    );
+                    self.unlink(srv.srv_key, child_key, out);
                     return self.cfg.cost.kcall_exit;
                 }
-                let sel = self.insert_session(client, child_key, srv, ident, false);
+                let kind = CapKindDesc::Session { service: srv.id, ident };
+                let cap = Capability::child(child_key, kind, client, CapSel::INVALID, srv.srv_key);
+                let sel = self.install(cap);
                 self.stats.sessions_opened += 1;
                 self.stats.exchanges_spanning += 1;
                 self.reply_sys(
@@ -384,26 +379,5 @@ impl Kernel {
                 self.send_kreply(out, p.caller_kernel, reply);
             }
         }
-    }
-
-    /// Builds and inserts a session capability for `client`. For local
-    /// services the parent link is registered immediately (the caller
-    /// checked the service capability); for remote services the owning
-    /// kernel linked it before replying.
-    fn insert_session(
-        &mut self,
-        client: VpeId,
-        child_key: DdlKey,
-        srv: ServiceInfo,
-        ident: u64,
-        link_local_parent: bool,
-    ) -> CapSel {
-        let kind = CapKindDesc::Session { service: srv.id, ident };
-        let sel =
-            self.install(Capability::child(child_key, kind, client, CapSel::INVALID, srv.srv_key));
-        if link_local_parent {
-            self.mapdb.link_child(srv.srv_key, child_key).expect("caller checked the parent");
-        }
-        sel
     }
 }
