@@ -288,12 +288,12 @@ pub enum Kcall {
         /// The VPE that will receive the new capability.
         requester_vpe: VpeId,
     },
-    /// Notifies the parent's kernel that the obtainer died while the
-    /// obtain was in flight; the orphaned child reference is removed.
+    /// Tells the parent's kernel to drop a child reference: one whose
+    /// receiver died in flight (an orphan), or one revoked elsewhere.
     OrphanNotice {
         /// DDL key of the parent capability.
         parent_key: DdlKey,
-        /// DDL key of the orphaned child reference to drop.
+        /// DDL key of the child reference to drop.
         child_key: DdlKey,
     },
     /// Delegate request (first leg of the two-way handshake, §4.3.2):

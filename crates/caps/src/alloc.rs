@@ -30,19 +30,37 @@ impl KeyAllocator {
     ///
     /// # Panics
     ///
-    /// Panics if a single VPE exhausts the 24-bit object-id space
-    /// ([`MAX_OBJECT_ID`] + 1 objects, 16.7M) — far beyond any workload
-    /// in this reproduction. The bound also caps a creator's page vector
-    /// in the mapping database at 2²⁰ entries.
+    /// Panics where [`KeyAllocator::try_alloc`] finds no id left.
     pub fn alloc(&mut self, pe: PeId, vpe: VpeId, ty: CapType) -> DdlKey {
+        self.try_alloc(pe, vpe, ty).unwrap_or_else(|| panic!("object-id space of {vpe} exhausted"))
+    }
+
+    /// Allocates a key like [`KeyAllocator::alloc`], or `None` once `vpe`
+    /// has used its 24-bit object-id space ([`MAX_OBJECT_ID`] + 1
+    /// objects, 16.7M; ids are never reused). The bound also caps a
+    /// creator's page vector in the mapping database at 2²⁰ entries.
+    pub fn try_alloc(&mut self, pe: PeId, vpe: VpeId, ty: CapType) -> Option<DdlKey> {
         if vpe.idx() >= self.next_id.len() {
             self.next_id.resize(vpe.idx() + 1, 0);
         }
         let id = &mut self.next_id[vpe.idx()];
-        assert!(*id <= MAX_OBJECT_ID, "object-id space of {vpe} exhausted");
-        let key = DdlKey::new(pe, vpe, ty, *id);
+        let key = (*id <= MAX_OBJECT_ID).then(|| DdlKey::new(pe, vpe, ty, *id))?;
         *id += 1;
-        key
+        Some(key)
+    }
+
+    /// Moves `vpe`'s counter forward to `next`, skipping ids that are
+    /// never issued (tests start an allocator at its bound this way).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `next` is below an id already issued.
+    pub fn skip_to(&mut self, vpe: VpeId, next: u32) {
+        if vpe.idx() >= self.next_id.len() {
+            self.next_id.resize(vpe.idx() + 1, 0);
+        }
+        assert!(next >= self.next_id[vpe.idx()], "{vpe}'s object ids only count up");
+        self.next_id[vpe.idx()] = next;
     }
 }
 
@@ -77,6 +95,29 @@ mod tests {
         a.next_id[3] = MAX_OBJECT_ID;
         assert_eq!(a.alloc(PeId(1), VpeId(3), CapType::Memory).object_id(), MAX_OBJECT_ID);
         let _ = a.alloc(PeId(1), VpeId(3), CapType::Memory);
+    }
+
+    /// Past the last object id, `try_alloc` answers `None`, and again
+    /// on every later call: nothing is reissued.
+    #[test]
+    fn try_alloc_stops_at_the_bound() {
+        let mut a = KeyAllocator::new();
+        a.skip_to(VpeId(3), MAX_OBJECT_ID);
+        let last = a.try_alloc(PeId(1), VpeId(3), CapType::Memory).expect("one id is left");
+        assert_eq!(last.object_id(), MAX_OBJECT_ID);
+        for _ in 0..2 {
+            assert_eq!(a.try_alloc(PeId(1), VpeId(3), CapType::Memory), None);
+        }
+        // Other VPEs' counters are their own.
+        assert_eq!(a.try_alloc(PeId(1), VpeId(2), CapType::Memory).unwrap().object_id(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "only count up")]
+    fn skip_to_never_moves_back() {
+        let mut a = KeyAllocator::new();
+        a.skip_to(VpeId(1), 5);
+        a.skip_to(VpeId(1), 4);
     }
 
     #[test]

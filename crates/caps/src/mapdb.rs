@@ -32,10 +32,10 @@
 //! freed nodes are reused through a free list threaded through `next`.
 //!
 //! Link appends a node. Unlinking a local child is O(1) through its
-//! `link`; a remote child is found by scanning its parent's list (orphan
-//! clean-up, a failed delegate, the unlink notice). Deleting a subtree
-//! frees its nodes as it walks them. No step hashes anything, and the
-//! record itself allocates nothing.
+//! `link`; a remote child is found by scanning its parent's list (an
+//! unlink notice, a failed delegate, a children-only revoke's remote
+//! children). Deleting a subtree frees its nodes as it walks them. No
+//! step hashes anything, and the record itself allocates nothing.
 //!
 //! # Determinism contract
 //!

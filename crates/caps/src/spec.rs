@@ -296,13 +296,10 @@ fn cap_line(name: &str, kind: &str, parent: &str, children: &[String]) -> String
 
 /// The kernels' state digests (`Kernel::state_digest`, concatenated
 /// over all kernels) as [`Spec::forest`] lines: each DDL key renamed to
-/// its record's [`Name`] (`?` for a parent no kernel holds a record
-/// of), children sorted. A child key no kernel holds a record of is
-/// left out: revoking a capability whose parent lives at another kernel
-/// leaves the parent's link to it in place, and a later revocation of
-/// the parent finds it gone and completes it vacuously. A table binding
-/// whose key is not the record of that very selector is kept as a line
-/// of its own, which no model forest has.
+/// its record's [`Name`] (`?` for a parent or child no kernel holds a
+/// record of, which no model forest has), children sorted. A table
+/// binding whose key is not the record of that very selector is kept
+/// as a line of its own, which no model forest has either.
 pub fn canonical(digest: impl IntoIterator<Item = String>) -> Vec<String> {
     let digest: Vec<String> = digest.into_iter().collect();
     let mut names: BTreeMap<&str, String> = BTreeMap::new();
@@ -333,7 +330,7 @@ pub fn canonical(digest: impl IntoIterator<Item = String>) -> Vec<String> {
             };
             let list = inner(children, "[");
             let mut children: Vec<String> =
-                list.split(", ").filter_map(|k| names.get(k).cloned()).collect();
+                list.split(", ").filter(|k| !k.is_empty()).map(rename).collect();
             children.sort_unstable();
             cap_line(&rename(key), kind, &parent, &children)
         })
@@ -442,8 +439,8 @@ mod tests {
     }
 
     /// A kernel digest and the model print the same forest once keys
-    /// are renamed; a child link no record backs is dropped, a binding
-    /// to another record shows.
+    /// are renamed; a child link no record backs and a binding to
+    /// another record show.
     #[test]
     fn canonical_renames_digest_keys() {
         let digest = [
@@ -459,7 +456,7 @@ mod tests {
             lines,
             [
                 "bind VPE1/sel5 -> VPE1/sel4",
-                "cap VPE0/sel0 kind=Vpe { vpe: VpeId(0) } parent=- children=[VPE1/sel4]",
+                "cap VPE0/sel0 kind=Vpe { vpe: VpeId(0) } parent=- children=[? VPE1/sel4]",
                 "cap VPE1/sel4 kind=Vpe { vpe: VpeId(0) } parent=VPE0/sel0 children=[]",
             ]
         );

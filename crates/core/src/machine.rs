@@ -461,11 +461,11 @@ impl Machine {
             .sum()
     }
 
-    /// Runs kernel invariant checks (tests).
+    /// Runs kernel invariant checks, and with no event pending the links
+    /// between kernels ([`host::check_invariants`]).
     pub fn check_invariants(&self) {
-        for k in &self.kernels {
-            k.check_invariants().unwrap_or_else(|e| panic!("kernel {}: {e}", k.id()));
-        }
+        let idle = self.net.sched.is_empty();
+        host::check_invariants(&self.kernels, idle).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Enables an optional protocol feature on every kernel (ablation

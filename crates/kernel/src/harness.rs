@@ -223,11 +223,11 @@ impl TestCluster {
     }
 
     /// Checks invariants on every kernel (crashed ones excluded — their
-    /// state froze mid-operation by design).
+    /// state froze mid-operation by design), and with nothing queued the
+    /// links between them ([`host::check_invariants`]).
     pub fn check_invariants(&self) {
-        for k in self.kernels.iter().filter(|k| !k.crashed()) {
-            k.check_invariants().unwrap_or_else(|e| panic!("kernel {}: {e}", k.id()));
-        }
+        host::check_invariants(&self.kernels, self.queue.is_empty())
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     // ----- fault injection ----------------------------------------------
@@ -427,6 +427,26 @@ mod tests {
         k.vpe_mut(VpeId(0)).unwrap().eps[5] = Some(theirs);
         let err = k.check_invariants().unwrap_err();
         assert!(err.contains("VPE0 EP5 is activated for"), "{err}");
+    }
+
+    /// A child link into a live kernel that names no record there is a
+    /// violation once nothing is queued; with a message in flight it is
+    /// not checked (an exchange links a child before it is installed).
+    #[test]
+    fn a_stale_link_into_a_live_kernel_is_caught_at_quiescence() {
+        use semper_base::{CapType, DdlKey};
+        let mut c = TestCluster::new(2, 1);
+        let r = c.syscall(VpeId(0), Syscall::CreateMem { size: 64, perms: Perms::RW });
+        let Ok(SysReplyData::Mem { sel, .. }) = r.result else { panic!("{r:?}") };
+        let parent = c.kernels[0].table(VpeId(0)).unwrap().get(sel).unwrap();
+        let gone = DdlKey::new(c.pe_of(VpeId(1)), VpeId(1), CapType::Memory, 1000);
+        c.kernels[0].mapdb.link_child(parent, gone).unwrap();
+        c.syscall_async(VpeId(1), Syscall::Noop);
+        c.check_invariants();
+        c.pump_all();
+        let caught = std::panic::catch_unwind(|| c.check_invariants()).unwrap_err();
+        let caught = caught.downcast_ref::<String>().unwrap();
+        assert!(caught.contains("lists") && caught.contains("gone at K1"), "{caught}");
     }
 
     #[test]

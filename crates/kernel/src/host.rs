@@ -9,7 +9,9 @@
 //! * [`StubVpe`] is the microbenchmark VPE that consents to exchanges and
 //!   session opens;
 //! * [`deliver`] hands one message to its kernel and frees its DTU slot
-//!   ([`free_slot`], §4.1).
+//!   ([`free_slot`], §4.1);
+//! * [`check_invariants`] checks each live kernel, and at quiescence what
+//!   no one kernel sees: the child links between kernels.
 //!
 //! So the two hosts differ only in which deliverable message goes next,
 //! and when: the machine keeps the NoC and the per-PE schedule, the
@@ -40,6 +42,37 @@ pub fn kernels(
         kernels[membership.kernel_of(pe).idx()].add_vpe(VpeId(vpe as u16), pe);
     }
     kernels
+}
+
+/// Checks every live kernel's invariants ([`Kernel::check_invariants`])
+/// and, if the host's network is `idle` and every live kernel is
+/// quiescent, that every child link into a live kernel names a record
+/// there. Mid-run a link may name a child not yet installed (an
+/// exchange links it before it answers) or one deleted by a revocation
+/// whose unlink notice is still in flight. Allocates nothing per link.
+pub fn check_invariants(kernels: &[Kernel], idle: bool) -> Result<(), String> {
+    let live = |k: &&Kernel| !k.crashed();
+    for k in kernels.iter().filter(live) {
+        k.check_invariants().map_err(|e| format!("kernel {}: {e}", k.id()))?;
+    }
+    if !idle || kernels.iter().filter(live).any(|k| k.check_quiescent().is_err()) {
+        return Ok(());
+    }
+    for k in kernels.iter().filter(live) {
+        for parent in k.mapdb.iter() {
+            for child in k.mapdb.children(parent.key) {
+                let at = &kernels[k.membership.kernel_of_key(child).idx()];
+                if !at.crashed() && !at.mapdb.contains(child) {
+                    let (key, id) = (parent.key, at.id());
+                    return Err(format!(
+                        "kernel {}: {key:?} lists {child:?}, gone at {id}",
+                        k.id()
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// A stub VPE: consents to every exchange unless told to deny, accepts

@@ -228,9 +228,10 @@ impl Kernel {
     /// Allocates the DDL key of a new capability of type `ty` that
     /// `owner` will hold, at its PE from the VPE directory: the one key
     /// allocation of the kernel (§3.2, the creating kernel names it).
+    /// `NoSpace` once `owner` has used every object id.
     pub(crate) fn new_key(&mut self, owner: VpeId, ty: CapType) -> Result<DdlKey> {
         let pe = self.pe_of_vpe(owner)?;
-        Ok(self.keys.alloc(pe, owner, ty))
+        self.keys.try_alloc(pe, owner, ty).ok_or(Error::new(Code::NoSpace))
     }
 
     /// Installs a new capability: binds a fresh selector in its owner's
@@ -670,5 +671,55 @@ impl Kernel {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use semper_base::ddl::MAX_OBJECT_ID;
+    use semper_base::msg::{ExchangeKind, Perms, SysReplyData, Syscall};
+    use semper_base::{CapSel, Code, VpeId};
+
+    use crate::harness::TestCluster;
+
+    /// A VPE that used all its object ids is answered `NoSpace` by every
+    /// system call that would create a capability for it — its own
+    /// creations, a group-local exchange, a spanning obtain, a session
+    /// open, and a delegate to it from another kernel — and its kernel
+    /// keeps serving. The allocator is started at its bound through
+    /// `KeyAllocator::skip_to`.
+    #[test]
+    fn a_vpe_out_of_object_ids_is_answered_no_space() {
+        let mut c = TestCluster::new(2, 2);
+        let (vpe, local, remote) = (VpeId(0), VpeId(1), VpeId(2));
+        let mem = |c: &mut TestCluster, vpe| {
+            let r = c.syscall(vpe, Syscall::CreateMem { size: 4096, perms: Perms::RW });
+            let Ok(SysReplyData::Mem { sel, .. }) = r.result else { panic!("{r:?}") };
+            sel
+        };
+        let (own, theirs, far) = (mem(&mut c, vpe), mem(&mut c, local), mem(&mut c, remote));
+        assert!(c.syscall(remote, Syscall::CreateSrv { name: 7 }).result.is_ok());
+        c.kernels[0].keys.skip_to(vpe, MAX_OBJECT_ID + 1);
+        let caps = c.total_caps();
+        let exchange =
+            |other, own_sel, other_sel, kind| Syscall::Exchange { other, own_sel, other_sel, kind };
+        let calls = [
+            (vpe, Syscall::CreateMem { size: 64, perms: Perms::R }),
+            (vpe, Syscall::DeriveMem { src: own, offset: 0, size: 64, perms: Perms::R }),
+            (vpe, Syscall::CreateSrv { name: 8 }),
+            (vpe, Syscall::OpenSession { name: 7 }),
+            (vpe, exchange(local, CapSel::INVALID, theirs, ExchangeKind::Obtain)),
+            (vpe, exchange(remote, CapSel::INVALID, far, ExchangeKind::Obtain)),
+            (local, exchange(vpe, theirs, CapSel::INVALID, ExchangeKind::Delegate)),
+            (remote, exchange(vpe, far, CapSel::INVALID, ExchangeKind::Delegate)),
+        ];
+        for (caller, call) in calls {
+            let r = c.syscall(caller, call.clone());
+            assert_eq!(r.result.map_err(|e| e.code()), Err(Code::NoSpace), "{call:?}");
+        }
+        assert_eq!(c.total_caps(), caps, "a refused call created a capability");
+        assert!(c.syscall(vpe, Syscall::Noop).result.is_ok());
+        c.check_invariants();
+        c.assert_quiescent();
     }
 }

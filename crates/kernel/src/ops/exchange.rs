@@ -450,11 +450,7 @@ impl Kernel {
             Err(e) => self.refuse(out, requester, tag, *e),
             Ok(desc) => {
                 if !self.vpe_alive(requester) {
-                    // Orphaned: the parent's kernel, which answered,
-                    // unlinks the child reference it optimistically
-                    // created.
-                    self.unlink(desc.key, child_key, out);
-                    return self.cfg.cost.kcall_exit;
+                    return self.orphaned(desc.key, child_key, out);
                 }
                 let child =
                     Capability::child(child_key, desc.kind, requester, CapSel::INVALID, desc.key);
@@ -469,13 +465,15 @@ impl Kernel {
         }
     }
 
-    /// Owner-side cleanup of an orphaned child reference (the obtainer
-    /// died before receiving the capability).
-    pub(crate) fn orphan_notice(&mut self, parent: DdlKey, child: DdlKey, out: &mut Outbox) -> u64 {
+    /// An obtained or session child whose VPE died before it was
+    /// installed is Table 2's *orphaned* case: the parent's kernel, which
+    /// answered, unlinks the child reference it optimistically created.
+    /// Counted here, where the orphan is found, as the notice leaves.
+    pub(crate) fn orphaned(&mut self, parent: DdlKey, child: DdlKey, out: &mut Outbox) -> u64 {
         if self.unlink(parent, child, out) {
             self.stats.orphans_cleaned += 1;
         }
-        self.ref_cost()
+        self.cfg.cost.kcall_exit
     }
 
     // ----- delegate, group-spanning --------------------------------------

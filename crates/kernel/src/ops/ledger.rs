@@ -97,7 +97,7 @@ mod tests {
         PendingOp::Revoke(RevokeOp {
             initiator,
             fanin: FanIn::new(),
-            local_roots: Vec::new(),
+            roots: Vec::new(),
             spanning: false,
         })
     }

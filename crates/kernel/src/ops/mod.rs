@@ -203,8 +203,10 @@ impl Kernel {
                 }),
             Kcall::ObtainReq { op, child_key, owner_vpe, owner_sel, requester_vpe } => self
                 .obtain_request(from, *op, *child_key, *owner_vpe, *owner_sel, *requester_vpe, out),
+            // The unlink notice: an orphan's, or a revoked root's.
             Kcall::OrphanNotice { parent_key, child_key } => {
-                self.orphan_notice(*parent_key, *child_key, out)
+                self.unlink(*parent_key, *child_key, out);
+                self.ref_cost()
             }
             Kcall::DelegateReq { op, parent_key, desc, recv_vpe } => {
                 self.delegate_request(from, *op, *parent_key, *desc, *recv_vpe, out)
@@ -378,7 +380,7 @@ mod tests {
             PendingOp::Revoke(RevokeOp {
                 initiator,
                 fanin: FanIn::new(),
-                local_roots: Vec::new(),
+                roots: Vec::new(),
                 spanning: false,
             })
         };

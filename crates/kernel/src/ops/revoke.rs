@@ -17,6 +17,12 @@
 //! phase is [`RevokeOp`] (`revoke-run`): Algorithm 1's mark, delete and
 //! reply counting.
 //!
+//! The forest stays exact across kernels: when the sweep deletes a root
+//! whose parent another kernel owns, that kernel is told to unlink it,
+//! unless it requested the revocation; and a children-only revoke drops
+//! its remote children from the parent's list once their kernels
+//! answered (`Kernel::unlink`).
+//!
 //! Two kinds of completions are armed on the fan-in:
 //!
 //! * replies to inter-kernel revoke requests for remote children, and
@@ -72,10 +78,10 @@ pub(crate) struct RevokeState {
     legs: DetHashMap<(OpId, KernelId), u32>,
     /// DFS stack shared by mark and delete walks.
     stack: Vec<DdlKey>,
-    /// The next revocation's [`RevokeOp::local_roots`]. A revocation
-    /// takes it and its sweep hands it back; one that parks keeps it
-    /// until it completes.
-    roots: Vec<DdlKey>,
+    /// The next revocation's [`RevokeOp::roots`]. A revocation takes it
+    /// and its sweep hands it back; one that parks keeps it until it
+    /// completes.
+    roots: Vec<(DdlKey, Option<DdlKey>)>,
     /// Deleted capabilities of one delete pass.
     deleted: Vec<Capability>,
     /// Remote children collected by one mark phase.
@@ -200,8 +206,10 @@ pub struct RevokeOp {
     /// revokes), tallying capabilities deleted on behalf of this
     /// operation.
     pub fanin: FanIn,
-    /// Roots of locally marked subtrees to sweep in phase 2.
-    pub local_roots: Vec<DdlKey>,
+    /// The subtree roots, each with its parent: the roots of locally
+    /// marked subtrees, swept in phase 2, and the remote children a
+    /// children-only revoke asked other kernels to revoke.
+    pub roots: Vec<(DdlKey, Option<DdlKey>)>,
     /// True if any inter-kernel call was needed (statistics:
     /// local vs spanning revoke).
     pub spanning: bool,
@@ -230,13 +238,12 @@ impl Kernel {
         let initiator = Initiator::Syscall { vpe, tag };
         // The subtree roots: the capability itself (`own`), or each of
         // its children.
-        let roots = match self.bound(vpe, sel) {
-            Ok(key) if own => return self.start_revoke([key], initiator, out),
-            Ok(key) => self.mapdb.get(key).map(|_| self.mapdb.children(key).collect::<Vec<_>>()),
-            Err(e) => Err(e),
-        };
-        let roots = match roots {
-            Ok(r) => r,
+        let (key, roots) = match self.bound(vpe, sel) {
+            Ok(key) if own => return self.start_revoke([key], None, initiator, out),
+            Ok(key) => match self.mapdb.get(key) {
+                Ok(_) => (key, self.mapdb.children(key).collect::<Vec<_>>()),
+                Err(e) => return self.refuse(out, vpe, tag, e),
+            },
             Err(e) => return self.refuse(out, vpe, tag, e),
         };
         if roots.is_empty() {
@@ -245,7 +252,7 @@ impl Kernel {
             self.reply_sys(out, vpe, tag, Ok(SysReplyData::None));
             return self.cfg.cost.syscall_exit;
         }
-        self.start_revoke(roots, initiator, out)
+        self.start_revoke(roots, Some(key), initiator, out)
     }
 
     /// Revocation for VPE exit: one root at a time; the table entry may
@@ -255,14 +262,16 @@ impl Kernel {
         let Ok(key) = table.get(sel) else { return 0 };
         // The sweep removes a binding with its record.
         assert!(self.mapdb.contains(key), "{vpe} {sel:?} binds deleted {key:?}");
-        self.start_revoke([key], Initiator::Internal, out)
+        self.start_revoke([key], None, Initiator::Internal, out)
     }
 
-    /// Phase 1 (mark) for a set of subtree roots; completes immediately
-    /// if the fan-in stays idle (no remote children, no dependencies).
+    /// Phase 1 (mark) for a set of subtree roots, the children of
+    /// `parent` in a children-only revoke; completes immediately if the
+    /// fan-in stays idle (no remote children, no dependencies).
     pub(crate) fn start_revoke(
         &mut self,
         roots: impl IntoIterator<Item = DdlKey>,
+        parent: Option<DdlKey>,
         initiator: Initiator,
         out: &mut Outbox,
     ) -> u64 {
@@ -270,9 +279,9 @@ impl Kernel {
         // The roots are disjoint: one capability, the children of one, or
         // the keys of one incoming batch (remote children that one mark
         // walk collected, and a walk stops at a remote child).
-        let local_roots = std::mem::take(&mut self.revoke.roots);
-        assert!(local_roots.is_empty(), "root buffer not drained");
-        let mut op = RevokeOp { initiator, fanin: FanIn::new(), local_roots, spanning: false };
+        let buf = std::mem::take(&mut self.revoke.roots);
+        assert!(buf.is_empty(), "root buffer not drained");
+        let mut op = RevokeOp { initiator, fanin: FanIn::new(), roots: buf, spanning: false };
         let mut cost = 0;
         let mut remote = std::mem::take(&mut self.revoke.remote);
         assert!(remote.is_empty(), "remote-child buffer not drained");
@@ -284,6 +293,7 @@ impl Kernel {
                 // revoked and deleted — vacuously complete.
                 if self.membership.kernel_of_key(root) != self.id {
                     remote.push(root);
+                    op.roots.push((root, parent));
                 }
                 continue;
             };
@@ -291,8 +301,9 @@ impl Kernel {
                 self.wait_for(root, op_id, &mut op);
                 continue;
             }
+            let up = cap.parent;
             cost += self.mark_subtree(root, op_id, &mut op, &mut remote);
-            op.local_roots.push(root);
+            op.roots.push((root, up));
         }
 
         if !remote.is_empty() {
@@ -440,17 +451,46 @@ impl Kernel {
     ) -> u64 {
         let mut woken = std::mem::take(&mut self.revoke.woken);
         assert!(woken.is_empty(), "woken-waiter buffer not drained");
-        let (cost, deleted) = self.delete_marked(&op.local_roots, &mut woken);
+        let (cost, deleted) = self.delete_marked(&op.roots, &mut woken);
+        let cost = cost + self.unlink_roots(&op, out);
         op.fanin.add(deleted);
         // The buffer serves the next revocation.
-        op.local_roots.clear();
-        self.revoke.roots = op.local_roots;
+        op.roots.clear();
+        self.revoke.roots = op.roots;
         self.notify_initiator(op.initiator, op.spanning, op.fanin.tally(), out);
         for waiter in woken.drain(..) {
             self.wake_waiter(waiter, ready);
         }
         self.revoke.woken = woken;
         cost + self.cfg.cost.revoke_finish
+    }
+
+    /// Drops each root's link that the sweep cannot drop in place: a
+    /// local root's under a parent another kernel owns, unless that
+    /// kernel requested this revocation (it drops the link itself), and
+    /// a remote root's under its parent here. A remote root leaves only
+    /// now, after its leg was answered: gone from the list earlier, it
+    /// would be missed by a concurrent revoke of the parent, which could
+    /// then acknowledge while the child lives. Returns the modeled cost:
+    /// a reference per link dropped here, a request per notice.
+    fn unlink_roots(&mut self, op: &RevokeOp, out: &mut Outbox) -> u64 {
+        let requester = match op.initiator {
+            Initiator::Kcall { from, .. } => Some(from),
+            Initiator::Syscall { .. } | Initiator::Internal => None,
+        };
+        let mut cost = 0;
+        for &(root, parent) in &op.roots {
+            let Some(parent) = parent else { continue };
+            let (at, root_at) =
+                (self.membership.kernel_of_key(parent), self.membership.kernel_of_key(root));
+            if (at == self.id && root_at == self.id) || Some(at) == requester {
+                continue;
+            }
+            if self.unlink(parent, root, out) {
+                cost += if at == self.id { self.ref_cost() } else { self.cfg.cost.kcall_exit };
+            }
+        }
+        cost
     }
 
     /// The one delete pass (Algorithm 1, phase 2), the inverse of
@@ -463,11 +503,16 @@ impl Kernel {
     /// hardware access — and appends the operations waiting on it to
     /// `woken` for the caller to fire. Returns the modeled cost and the
     /// number of capabilities deleted.
-    fn delete_marked(&mut self, roots: &[DdlKey], woken: &mut Vec<OpId>) -> (u64, u64) {
+    fn delete_marked(
+        &mut self,
+        roots: &[(DdlKey, Option<DdlKey>)],
+        woken: &mut Vec<OpId>,
+    ) -> (u64, u64) {
         let mut stack = std::mem::take(&mut self.revoke.stack);
         let mut deleted = std::mem::take(&mut self.revoke.deleted);
         assert!(deleted.is_empty(), "deletion buffer not drained");
-        for &root in roots {
+        // A remote root has no record here: its delete is a no-op.
+        for &(root, _) in roots {
             self.mapdb.delete_local_subtree_into(root, &mut stack, &mut deleted);
         }
         // Each deletion resolves the owner's table binding and the
@@ -577,7 +622,12 @@ impl Kernel {
         // validation plus a reference, once per message.
         self.cfg.cost.xfer_desc
             + self.ref_cost()
-            + self.start_revoke(cap_keys.iter().copied(), Initiator::Kcall { op, from, keys }, out)
+            + self.start_revoke(
+                cap_keys.iter().copied(),
+                None,
+                Initiator::Kcall { op, from, keys },
+                out,
+            )
     }
 
     /// Completion handler for [`KReply::Revoke`] from kernel `from`:

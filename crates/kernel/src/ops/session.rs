@@ -170,7 +170,8 @@ impl Kernel {
         name: u64,
         out: &mut Outbox,
     ) -> u64 {
-        let Some(srv) = self.registry.pick(name, self.id, vpe).copied() else {
+        let Some(srv) = self.registry.pick(name, self.id, vpe, |v| self.vpe_alive(v)).copied()
+        else {
             return self.refuse(out, vpe, tag, Error::new(Code::NoSuchService));
         };
         if self.peer_dead(srv.owner) {
@@ -305,9 +306,7 @@ impl Kernel {
             Err(e) => self.refuse(out, client, tag, e),
             Ok(ident) => {
                 if !self.vpe_alive(client) {
-                    // Orphaned session: unlink at the service's kernel.
-                    self.unlink(srv.srv_key, child_key, out);
-                    return self.cfg.cost.kcall_exit;
+                    return self.orphaned(srv.srv_key, child_key, out);
                 }
                 let kind = CapKindDesc::Session { service: srv.id, ident };
                 let cap = Capability::child(child_key, kind, client, CapSel::INVALID, srv.srv_key);

@@ -68,15 +68,30 @@ impl Registry {
     /// Hashing matters: client VPE ids are strided by the group layout,
     /// so `idx % len` would alias whole groups onto one instance.
     ///
+    /// Both passes skip an instance of the local group whose VPE is
+    /// not `alive`: entries are never removed, and a dead one would
+    /// shadow a live instance elsewhere. A remote instance's death is
+    /// not seen here; its own kernel refuses the open.
+    ///
     /// Allocation-free: every session open runs through here, and the
     /// previous implementation collected the filtered candidates into
     /// one or two `Vec`s per call. Two passes over the (small, id-
     /// ordered) registry — count, then index — select the exact same
     /// instance without touching the heap.
-    pub fn pick(&self, name: u64, local: KernelId, client: VpeId) -> Option<&ServiceInfo> {
+    pub fn pick(
+        &self,
+        name: u64,
+        local: KernelId,
+        client: VpeId,
+        alive: impl Fn(VpeId) -> bool,
+    ) -> Option<&ServiceInfo> {
         let h = splitmix64(client.idx() as u64) as usize;
         let select = |is_local: bool| -> Option<&ServiceInfo> {
-            let matches = |s: &&ServiceInfo| s.name == name && (!is_local || s.owner == local);
+            let matches = |s: &&ServiceInfo| {
+                s.name == name
+                    && (!is_local || s.owner == local)
+                    && (s.owner != local || alive(s.srv_vpe))
+            };
             let n = self.services.values().filter(matches).count();
             if n == 0 {
                 return None;
@@ -113,7 +128,7 @@ mod tests {
         let mut r = Registry::new();
         r.add(info(0, 1, 0));
         r.add(info(1, 1, 1));
-        let picked = r.pick(1, KernelId(1), VpeId(10)).unwrap();
+        let picked = r.pick(1, KernelId(1), VpeId(10), |_| true).unwrap();
         assert_eq!(picked.owner, KernelId(1));
     }
 
@@ -121,7 +136,7 @@ mod tests {
     fn falls_back_to_remote() {
         let mut r = Registry::new();
         r.add(info(0, 1, 0));
-        let picked = r.pick(1, KernelId(3), VpeId(10)).unwrap();
+        let picked = r.pick(1, KernelId(3), VpeId(10), |_| true).unwrap();
         assert_eq!(picked.id, ServiceId(0));
     }
 
@@ -134,16 +149,34 @@ mod tests {
         // whose ids share a residue class (the stride-aliasing case).
         let mut seen = std::collections::BTreeSet::new();
         for c in (0..64u16).step_by(8) {
-            seen.insert(r.pick(1, KernelId(5), VpeId(c)).unwrap().id);
+            seen.insert(r.pick(1, KernelId(5), VpeId(c), |_| true).unwrap().id);
         }
         assert_eq!(seen.len(), 2, "strided clients must spread over both instances");
+    }
+
+    /// A dead instance of the asking kernel's group is never picked, in
+    /// either pass; a remote one is (its kernel refuses the open).
+    #[test]
+    fn skips_dead_local_instances() {
+        let mut r = Registry::new();
+        r.add(info(0, 1, 0));
+        r.add(info(1, 1, 1));
+        let alive = |v: VpeId| v != VpeId(0);
+        assert_eq!(r.pick(1, KernelId(0), VpeId(10), alive).unwrap().id, ServiceId(1));
+        let dead = |_| false;
+        assert_eq!(r.pick(1, KernelId(0), VpeId(10), dead).unwrap().id, ServiceId(1));
+        assert!(r.pick(1, KernelId(1), VpeId(10), dead).is_some_and(|s| s.id == ServiceId(0)));
+        r.add(info(2, 1, 1));
+        for c in 0..16 {
+            assert_eq!(r.pick(1, KernelId(1), VpeId(c), alive).unwrap().owner, KernelId(1));
+        }
     }
 
     #[test]
     fn unknown_name_is_none() {
         let mut r = Registry::new();
         r.add(info(0, 1, 0));
-        assert!(r.pick(2, KernelId(0), VpeId(0)).is_none());
+        assert!(r.pick(2, KernelId(0), VpeId(0), |_| true).is_none());
     }
 
     #[test]
@@ -151,7 +184,7 @@ mod tests {
         let mut r = Registry::new();
         r.add(info(0, 1, 0));
         r.add(info(1, 2, 0));
-        assert_eq!(r.pick(2, KernelId(0), VpeId(0)).unwrap().id, ServiceId(1));
+        assert_eq!(r.pick(2, KernelId(0), VpeId(0), |_| true).unwrap().id, ServiceId(1));
         assert_eq!(r.len(), 2);
     }
 }

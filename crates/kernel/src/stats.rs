@@ -23,7 +23,8 @@ pub struct KernelStats {
     pub caps_created: u64,
     /// Capabilities deleted by revocation sweeps.
     pub caps_deleted: u64,
-    /// Orphaned capabilities cleaned up after a party died mid-exchange.
+    /// Orphaned capabilities (Table 2) cleaned up after a party died
+    /// mid-exchange, counted by the kernel that finds the orphan.
     pub orphans_cleaned: u64,
     /// Exchanges denied because the capability was marked for revocation
     /// (prevented *pointless* exchanges, Table 2).

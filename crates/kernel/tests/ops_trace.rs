@@ -196,7 +196,7 @@ fn session_lifecycle_trace_matches_golden() {
     let r = c.syscall(VpeId(2), Syscall::Revoke { sel: srv_sel, own: true });
     assert!(r.result.is_ok(), "{r:?}");
     c.check_invariants();
-    check(c.take_trace(), 28, 0xf9c01acc677e7a91, "session lifecycle");
+    check(c.take_trace(), 27, 0xd475b135b23fd1b1, "session lifecycle");
 }
 
 /// Failure interleavings (Table 2): the obtainer dies while its obtain
@@ -221,7 +221,7 @@ fn failure_paths_trace_matches_golden() {
     c.kill(VpeId(1));
     c.pump_all();
     c.check_invariants();
-    assert_eq!(c.kernels[0].stats().orphans_cleaned, 1);
+    assert_eq!(c.kernels[1].stats().orphans_cleaned, 1);
 
     // Receiver dies during a delegate handshake.
     let tag = c.syscall_async(

@@ -234,6 +234,54 @@ fn revoke_children_only_keeps_root() {
 
 // ----- Table 2: interference cases -------------------------------------
 
+/// Ten rounds of VPE 0 (kernel 0) delegating its capability to VPE 1
+/// (kernel 1), each child revoked at kernel 1 — by VPE 1 itself
+/// (`children_only` false) or, after all ten rounds, by VPE 0 revoking
+/// the children of its capability. Returns the cluster and the parent.
+fn ten_remote_children_revoked(children_only: bool) -> (TestCluster, CapSel) {
+    let mut c = TestCluster::new(2, 1);
+    let root = create_mem(&mut c, VpeId(0));
+    for _ in 0..10 {
+        let child = delegate(&mut c, VpeId(0), VpeId(1), root);
+        if !children_only {
+            revoke(&mut c, VpeId(1), child);
+        }
+    }
+    if children_only {
+        let r = c.syscall(VpeId(0), Syscall::Revoke { sel: root, own: false });
+        assert!(matches!(r.result, Ok(SysReplyData::None)), "{r:?}");
+        assert_eq!(c.total_caps(), 3, "two VPE capabilities and the parent are left");
+    }
+    c.check_invariants();
+    (c, root)
+}
+
+/// The forest is exact: a revoked child leaves its remote parent's
+/// list, so the parent's next revoke asks no kernel for anything.
+fn the_parent_lists_no_revoked_child(children_only: bool) {
+    let (mut c, root) = ten_remote_children_revoked(children_only);
+    let k0 = &c.kernels[0];
+    let key = k0.table(VpeId(0)).unwrap().get(root).unwrap();
+    assert_eq!(k0.mapdb().get(key).unwrap().child_count(), 0, "a revoked child is still listed");
+    let kcalls = k0.stats().kcalls_out;
+    revoke(&mut c, VpeId(0), root);
+    assert_eq!(c.kernels[0].stats().kcalls_out - kcalls, 0, "the revoke asked for dead children");
+    c.check_invariants();
+}
+
+/// The child's own kernel revokes it: it tells the parent's kernel.
+#[test]
+fn a_child_revoked_at_its_kernel_leaves_its_remote_parents_list() {
+    the_parent_lists_no_revoked_child(false);
+}
+
+/// The parent's kernel revokes the children: each leaves the list once
+/// its kernel answered the revoke request.
+#[test]
+fn a_children_only_revoke_unlinks_its_remote_children() {
+    the_parent_lists_no_revoked_child(true);
+}
+
 #[test]
 fn orphaned_obtain_cleaned_up() {
     // Obtain followed by the obtainer's death while the inter-kernel
@@ -262,7 +310,8 @@ fn orphaned_obtain_cleaned_up() {
     let k0 = &c.kernels[0];
     let key = k0.table(VpeId(0)).unwrap().get(sel).unwrap();
     assert_eq!(k0.mapdb().get(key).unwrap().child_count(), 0);
-    assert_eq!(k0.stats().orphans_cleaned, 1);
+    // Counted where the orphan is found: at the obtainer's kernel.
+    assert_eq!(c.kernels[1].stats().orphans_cleaned, 1);
 }
 
 #[test]
@@ -837,6 +886,27 @@ fn local_open_to_a_dead_service_is_no_such_service() {
 #[test]
 fn spanning_open_to_a_dead_service_is_no_such_service() {
     open_to_a_dead_service_is_refused(2, 1);
+}
+
+/// A dead instance in the client's own group does not shadow a live
+/// one elsewhere: VPE 1's open of a name whose group-0 instance died
+/// goes to VPE 2's instance in group 1, a spanning session.
+#[test]
+fn an_open_skips_a_dead_instance_of_its_own_group() {
+    let mut c = TestCluster::new(2, 2);
+    for vpe in [VpeId(0), VpeId(2)] {
+        let r = c.syscall(vpe, Syscall::CreateSrv { name: 7 });
+        assert!(matches!(r.result, Ok(SysReplyData::Sel(_))), "{r:?}");
+    }
+    c.kill(VpeId(0));
+    c.pump_all();
+    let r = c.syscall(VpeId(1), Syscall::OpenSession { name: 7 });
+    assert!(
+        matches!(r.result, Ok(SysReplyData::Session { srv_pe, .. }) if srv_pe == c.pe_of(VpeId(2))),
+        "{r:?}"
+    );
+    assert_eq!(c.kernels[0].stats().exchanges_spanning, 1, "the session spans the groups");
+    c.check_invariants();
 }
 
 #[test]

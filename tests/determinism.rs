@@ -151,25 +151,27 @@ fn cross_machine_revocation_matches_golden() {
 /// (PR 3). The engine must reproduce the session-establishment protocol
 /// bit-identically: same upcalls, same inter-kernel messages, same
 /// costs. Re-record via `cargo test session_open -- --nocapture` only if
-/// the cost model or protocol intentionally changed.
+/// the cost model or protocol intentionally changed. Re-recorded once
+/// when a closed session began to leave its service's child list: the
+/// close sends the unlink notice (`CLOSE_CLIENT` +400, `kcall_exit`),
+/// and the service's revoke no longer sends a request for it.
 const GOLDEN_SESS_OPEN_REMOTE_A: u64 = 4441;
 const GOLDEN_SESS_OPEN_REMOTE_B: u64 = 4081;
 const GOLDEN_SESS_OPEN_LOCAL: u64 = 2040;
-const GOLDEN_SESS_CLOSE_CLIENT: u64 = 1267;
-const GOLDEN_SESS_CLOSE_SRV: u64 = 4678;
-const GOLDEN_SESS_FINAL_NOW: u64 = 17629;
-const GOLDEN_SESS_EVENTS: u64 = 30;
+const GOLDEN_SESS_CLOSE_CLIENT: u64 = 1667;
+const GOLDEN_SESS_CLOSE_SRV: u64 = 4656;
+const GOLDEN_SESS_FINAL_NOW: u64 = 18007;
+const GOLDEN_SESS_EVENTS: u64 = 29;
 
 /// A three-kernel machine runs the full session lifecycle: a service
 /// registers in group 1 (announced to every kernel), two clients in
 /// groups 0 and 2 open sessions across kernel boundaries, one client in
 /// group 1 opens locally, then one client closes (revokes its session
-/// capability — the parent link at the service's kernel goes stale), and
-/// finally the service capability is revoked, sweeping the remaining
-/// session children through the revocation protocol — including the
-/// vacuous revoke replies for the already-closed session. Pinned before
-/// the `kernel::ops` port so the refactor is locked to this exact
-/// message choreography.
+/// capability, and its kernel tells the service's kernel to unlink it),
+/// and finally the service capability is revoked, sweeping the remaining
+/// session children through the revocation protocol. Pinned before the
+/// `kernel::ops` port so the refactor is locked to this exact message
+/// choreography.
 #[test]
 fn session_open_close_matches_golden() {
     use semper_base::msg::{SysReplyData, Syscall};
@@ -200,8 +202,7 @@ fn session_open_close_matches_golden() {
         let (_sess_l, open_l) = open(&mut m, client_local);
 
         // Close A's session: a client-side revoke of the session
-        // capability (the stale child reference stays at the service's
-        // kernel until the service capability goes).
+        // capability, which unlinks it at the service's kernel.
         let close_a = m.revoke(client_a, sess_a);
         // Tear the service down: revoking the service capability sweeps
         // the remaining sessions in groups 1 and 2.

@@ -72,7 +72,9 @@ fn obtainer_killed_mid_obtain() -> &'static str {
     c.kill(VpeId(1));
     c.pump_all();
     c.check_invariants();
-    assert_eq!(c.kernels[0].stats().orphans_cleaned, 1, "orphan not cleaned at the owner");
+    // The obtainer's kernel counts the orphan it finds; the link check
+    // above holds once the owner dropped the link.
+    assert_eq!(c.kernels[1].stats().orphans_cleaned, 1, "orphan not found by the obtainer");
     assert_eq!(c.total_caps(), 2, "only VPE0's self-cap and its memory cap may survive");
     assert_no_pending(&c);
     "obtainer_killed_mid_obtain"
