@@ -45,9 +45,9 @@ pub fn kernels(
 }
 
 /// Checks every live kernel's invariants ([`Kernel::check_invariants`])
-/// and, if the host's network is `idle` and every live kernel is
-/// quiescent, that every child link into a live kernel names a record
-/// there. Mid-run a link may name a child not yet installed (an
+/// and, if the host's network is `idle` and no live kernel has an
+/// operation parked, that every child link into a live kernel names a
+/// record there. Mid-run a link may name a child not yet installed (an
 /// exchange links it before it answers) or one deleted by a revocation
 /// whose unlink notice is still in flight. Allocates nothing per link.
 pub fn check_invariants(kernels: &[Kernel], idle: bool) -> Result<(), String> {
@@ -55,7 +55,7 @@ pub fn check_invariants(kernels: &[Kernel], idle: bool) -> Result<(), String> {
     for k in kernels.iter().filter(live) {
         k.check_invariants().map_err(|e| format!("kernel {}: {e}", k.id()))?;
     }
-    if !idle || kernels.iter().filter(live).any(|k| k.check_quiescent().is_err()) {
+    if !idle || kernels.iter().filter(live).any(|k| k.pending_ops() > 0) {
         return Ok(());
     }
     for k in kernels.iter().filter(live) {
