@@ -84,11 +84,10 @@ struct Io {
 ///
 /// Reply correlation lives in [`crate::conn`]: `sys` is the kernel
 /// connection (the one blocking system call — here, `OpenSession`),
-/// `fs` correlates filesystem IPC over the session. A reply is believed
-/// only from the PE that was asked (the kernel, or the session's
-/// service) and only of the kind that answers the outstanding request;
-/// anything else is a hard error surfacing as [`ClientPhase::Failed`],
-/// never a silently dropped message.
+/// `fs` correlates filesystem IPC over the session. Only its kernel and
+/// its service reach it (the hosts' intake rule); a reply is believed
+/// only of the kind that answers the outstanding request, and anything
+/// else is a hard error surfacing as [`ClientPhase::Failed`].
 pub struct Replayer {
     vpe: VpeId,
     pe: PeId,
@@ -97,7 +96,8 @@ pub struct Replayer {
     sys: KernelConn,
     fs: Correlator,
 
-    session: Option<(u64, PeId)>,
+    /// The service PE of the open session.
+    session: Option<PeId>,
     trace: Option<Arc<Trace>>,
     ip: usize,
     /// The loaded trace's open files, indexed by [`PathId`].
@@ -315,10 +315,10 @@ impl Replayer {
     }
 
     fn send_fs(&mut self, out: &mut Outbox, op: FsOp) -> u64 {
-        let (session, srv_pe) = self.session.expect("session established before trace");
+        let srv_pe = self.session.expect("session established before trace");
         let tag = self.fs.issue();
         self.stats.fs_requests += 1;
-        out.push(Msg::new(self.pe, srv_pe, Payload::fs(FsReq { session, tag, op })));
+        out.push(Msg::new(self.pe, srv_pe, Payload::fs(FsReq { tag, op })));
         // Marshalling cost of one IPC request.
         self.cost.dtu_send
     }
@@ -332,13 +332,8 @@ impl Replayer {
 
     /// Handles one incoming message. Returns `(cost, trace_finished)`.
     pub fn on_msg(&mut self, msg: &Msg, out: &mut Outbox) -> (u64, bool) {
-        // Upcalls and system-call replies come from the kernel, filesystem
-        // replies from the session's service; from any other PE they are
-        // forgeries, refused like the mismatched tags below.
-        let from_kernel = msg.src == self.sys.kernel_pe();
-        let from_service = self.session.is_some_and(|(_, srv_pe)| srv_pe == msg.src);
         match &msg.payload {
-            Payload::Upcall(Upcall::AcceptExchange { op, .. }) if from_kernel => {
+            Payload::Upcall(Upcall::AcceptExchange { op, .. }) => {
                 // The kernel asks whether we accept a capability (the
                 // service delegating an extent): always yes.
                 out.push(Msg::new(
@@ -348,7 +343,7 @@ impl Replayer {
                 ));
                 (self.cost.upcall_work, false)
             }
-            Payload::SysReply(reply) if from_kernel => {
+            Payload::SysReply(reply) => {
                 // A reply that matches nothing in flight is a protocol
                 // violation — fail hard instead of dropping it.
                 if let Err(e) = self.sys.accept(reply) {
@@ -356,8 +351,8 @@ impl Replayer {
                     return (0, false);
                 }
                 match &reply.result {
-                    Ok(SysReplyData::Session { srv_pe, ident, .. }) => {
-                        self.session = Some((*ident, *srv_pe));
+                    Ok(SysReplyData::Session { srv_pe, .. }) => {
+                        self.session = Some(*srv_pe);
                         let (c, done) = self.run(out);
                         (c + self.cost.fs_meta_op / 4, done)
                     }
@@ -370,10 +365,10 @@ impl Replayer {
                     }
                 }
             }
-            Payload::FsReply(reply) if from_service => self.on_fs_reply(reply, out),
+            Payload::FsReply(reply) => self.on_fs_reply(reply, out),
             _ => {
                 // Nothing else is ever addressed to a client: a protocol
-                // violation like the two above, in every build.
+                // violation like a mismatched reply, in every build.
                 self.fail(Error::new(Code::InternalError));
                 (0, false)
             }
@@ -527,6 +522,23 @@ impl AppClient {
 mod tests {
     use super::*;
     use crate::trace::AppKind;
+    use semper_caps::MembershipTable;
+    use semper_kernel::host::Channels;
+
+    /// The intake rule on PEs 0–15, the kernel on PE 0.
+    fn rule() -> Channels {
+        Channels::new(MembershipTable::contiguous(16, 1))
+    }
+
+    /// Delivers `msg` to `c` through the intake rule; false if the rule
+    /// refused the send.
+    fn through_rule(c: &mut AppClient, channels: &mut Channels, mut msg: Msg) -> bool {
+        let admitted = channels.admit(&mut msg);
+        if admitted {
+            c.handle(&msg, &mut Outbox::new());
+        }
+        admitted
+    }
 
     /// A `find` client on PE 1, its kernel on PE 0, service name 7.
     fn client() -> AppClient {
@@ -615,9 +627,10 @@ mod tests {
         assert_eq!(c.phase(), ClientPhase::Failed(Error::new(Code::InternalError)));
     }
 
-    /// A `Session` reply is believed only from the client's kernel: one
-    /// from another PE fails the client, which then sends nothing to the
-    /// service PE the forged reply named.
+    /// A `Session` reply reaches the client only from its kernel: the
+    /// intake rule refuses one from another PE, so the client still
+    /// awaits its kernel's reply, and no channel opens to the service PE
+    /// the forged reply named.
     #[test]
     fn session_reply_from_another_pe_fails_the_client() {
         let mut c = client();
@@ -627,9 +640,13 @@ mod tests {
         let session =
             SysReplyData::Session { sel: semper_base::CapSel(3), srv_pe: PeId(5), ident: 1 };
         let forged = Msg::new(PeId(5), PeId(1), Payload::sys_reply(tag, Ok(session)));
-        c.handle(&forged, &mut out);
-        assert_eq!(c.phase(), ClientPhase::Failed(Error::new(Code::InternalError)));
-        assert!(out.drain().is_empty());
+        let mut channels = rule();
+        assert!(!through_rule(&mut c, &mut channels, forged));
+        assert_eq!(c.phase(), ClientPhase::OpeningSession);
+        let request =
+            Msg::new(PeId(1), PeId(5), Payload::fs(FsReq { tag: 1, op: FsOp::Close { fid: 1 } }));
+        assert!(!channels.admit(&mut { request }));
+        assert_eq!(channels.refused, 2);
     }
 
     /// The client's session with its kernel on PE 0 and service on PE 9,
@@ -656,16 +673,24 @@ mod tests {
         req.expect("a filesystem request outstanding")
     }
 
-    /// A reply from a PE other than the session's service fails the
-    /// client even though it carries the outstanding request's tag.
+    /// A reply from a PE other than the session's service never reaches
+    /// the client, though it carries the outstanding request's tag: the
+    /// intake rule refuses it, and the service's own reply is the one the
+    /// client takes.
     #[test]
     fn fs_reply_from_another_pe_fails_the_client() {
         let (mut c, req) = running_client();
         assert!(matches!(req.op, FsOp::Open { .. }));
+        // The kernel's session reply opened the channel to PE 9.
+        let mut channels = rule();
+        channels.open(PeId(1), PeId(9), 1);
         let opened = FsReplyData::Opened { fid: 1, size: 4096 };
-        let forged = Msg::new(PeId(5), PeId(1), Payload::fs_reply(req.tag, Ok(opened)));
-        c.handle(&forged, &mut Outbox::new());
-        assert_eq!(c.phase(), ClientPhase::Failed(Error::new(Code::InternalError)));
+        let forged = Msg::new(PeId(5), PeId(1), Payload::fs_reply(req.tag, Ok(opened.clone())));
+        assert!(!through_rule(&mut c, &mut channels, forged));
+        assert_eq!(c.phase(), ClientPhase::Running);
+        let real = Msg::new(PeId(9), PeId(1), Payload::fs_reply(req.tag, Ok(opened)));
+        assert!(through_rule(&mut c, &mut channels, real));
+        assert_eq!((c.phase(), c.stats().fs_requests), (ClientPhase::Running, 2));
     }
 
     /// A filesystem reply of the wrong kind is not success: an `Ok` to

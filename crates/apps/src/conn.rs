@@ -98,12 +98,6 @@ impl KernelConn {
         KernelConn { pe, kernel_pe, corr: Correlator::default() }
     }
 
-    /// The PE of the kernel this connection talks to: the only PE whose
-    /// replies and upcalls the VPE believes.
-    pub fn kernel_pe(&self) -> PeId {
-        self.kernel_pe
-    }
-
     /// True while a system call is in flight (VPEs block on syscalls).
     pub fn busy(&self) -> bool {
         self.corr.busy()

@@ -193,16 +193,14 @@ impl LoadGen {
     }
 
     /// Handles one response; immediately issues the next request
-    /// (closed loop). A response counts only from one of this
-    /// generator's servers with a request outstanding; anything else —
-    /// a forged response, another actor's payload — is dropped unread
-    /// at zero cost.
+    /// (closed loop). A response arrives over a server's channel, labelled
+    /// with its index in `servers`. The one the intake rule cannot refuse,
+    /// a server's unsolicited reply, is dropped unread at zero cost, like
+    /// another actor's payload.
     pub fn handle(&mut self, msg: &Msg, out: &mut Outbox) -> u64 {
         let Payload::HttpReply(resp) = &msg.payload else { return 0 };
-        let Some(s) = self.servers.iter().position(|&server| server == msg.src) else {
-            return 0;
-        };
-        if self.outstanding[s] == 0 {
+        let s = msg.label as usize;
+        if self.outstanding.get(s).is_none_or(|&n| n == 0) {
             return 0;
         }
         self.outstanding[s] -= 1;
@@ -292,10 +290,14 @@ mod tests {
     }
 
     /// A response counts only from one of the generator's servers with
-    /// a request outstanding: a forged one from another PE, or one from
-    /// a server that was sent nothing yet, is dropped and sends nothing.
+    /// a request outstanding: the intake rule refuses a forged one from
+    /// another PE, and one from a server that was sent nothing yet is
+    /// dropped and sends nothing.
     #[test]
     fn loadgen_drops_a_response_it_did_not_ask_for() {
+        use semper_base::KernelId;
+        use semper_caps::MembershipTable;
+        use semper_kernel::host::Channels;
         let mut lg = LoadGen::new(PeId(0), vec![PeId(1)], 1);
         let mut out = Outbox::new();
         let reply =
@@ -303,11 +305,17 @@ mod tests {
         // Before the load starts, no request is outstanding.
         assert_eq!(lg.handle(&reply(1), &mut out), 0);
         lg.boot(&mut Outbox::new());
-        assert_eq!(lg.handle(&reply(9), &mut out), 0);
-        assert!(out.is_empty());
+        // Server PE 1 answers over its channel; PE 9 has none. The
+        // kernel is on PE 15.
+        let membership = MembershipTable::new(vec![KernelId(0); 16], vec![PeId(15)]);
+        let mut channels = Channels::new(membership);
+        channels.open(PeId(1), PeId(0), 0);
+        assert!(!channels.admit(&mut reply(9)));
         assert_eq!((lg.completed(), lg.bytes()), (0, 0));
         // The outstanding request's answer counts and sends the next.
-        lg.handle(&reply(1), &mut out);
+        let mut answer = reply(1);
+        assert!(channels.admit(&mut answer));
+        lg.handle(&answer, &mut out);
         assert_eq!(out.drain().len(), 1);
         assert_eq!(lg.completed(), 1);
     }

@@ -83,22 +83,6 @@ pub enum CapKindDesc {
         /// Access permissions.
         perms: Perms,
     },
-    /// The right to send messages to a receive gate.
-    SendGate {
-        /// VPE owning the receive side.
-        dst_vpe: VpeId,
-        /// PE of the receive side.
-        dst_pe: PeId,
-        /// Label delivered with each message (identifies the channel).
-        label: u64,
-    },
-    /// A configured receive endpoint.
-    RecvGate {
-        /// PE the receive endpoint lives on.
-        pe: PeId,
-        /// The endpoint number.
-        ep: EpId,
-    },
     /// A registered OS service.
     Service {
         /// Global service id.
@@ -111,8 +95,6 @@ pub enum CapKindDesc {
         /// Service-chosen identifier for the session.
         ident: u64,
     },
-    /// The kernel's root capability.
-    Kernel,
 }
 
 /// A full wire capability descriptor: global key plus resource description.
@@ -188,15 +170,15 @@ pub enum Syscall {
         name: u64,
     },
     /// Opens a session to a service. The kernel picks the closest
-    /// instance registered under `name` (own group first).
+    /// instance registered under `name` (own group first); its reply
+    /// opens the channel to the service, labelled with the session.
     OpenSession {
         /// Service name to connect to.
         name: u64,
     },
     /// Configures one of the calling VPE's DTU endpoints for the
-    /// capability at `sel` (M3's `activate`): a memory capability maps
-    /// the endpoint to its region; a send-gate capability points it at
-    /// the peer's receive endpoint. Only the kernel can configure DTUs
+    /// memory capability at `sel` (M3's `activate`), mapping the
+    /// endpoint to its region. Only the kernel can configure DTUs
     /// (NoC-level isolation, §2.2) — and when the capability is later
     /// revoked, the kernel deconfigures the endpoint, which is what
     /// actually cuts off the hardware access path.
@@ -239,8 +221,8 @@ pub enum SysReplyData {
         sel: CapSel,
         /// PE of the service VPE, for subsequent direct IPC.
         srv_pe: PeId,
-        /// Service-assigned session identifier (carried in every
-        /// subsequent request on this session).
+        /// Service-assigned session identifier: the label of every
+        /// request on the channel this reply opens.
         ident: u64,
     },
 }
@@ -519,11 +501,10 @@ pub enum FsOp {
     },
 }
 
-/// A filesystem request carried over an open session.
+/// A filesystem request over an open session, which is the channel's
+/// label ([`Msg::label`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FsReq {
-    /// Session identifier (from [`SysReplyData::Session`]).
-    pub session: u64,
     /// Caller-chosen tag echoed in the reply.
     pub tag: u64,
     /// The operation.
@@ -781,15 +762,18 @@ pub struct Msg {
     pub src: PeId,
     /// Destination PE.
     pub dst: PeId,
+    /// The label of the channel the message travels on (DTU header, in
+    /// `Msg`'s padding): the intake rule writes it, 0 off a channel.
+    pub label: u32,
     /// The content.
     pub payload: Payload,
 }
 
 impl Msg {
-    /// Creates a message.
+    /// Creates a message with label 0.
     #[inline]
     pub fn new(src: PeId, dst: PeId, payload: Payload) -> Msg {
-        Msg { src, dst, payload }
+        Msg { src, dst, label: 0, payload }
     }
 
     /// Wire size of the message in bytes.
@@ -832,12 +816,9 @@ mod tests {
 
     #[test]
     fn fs_paths_count_into_wire_size() {
-        let short = Payload::fs(FsReq { session: 0, tag: 0, op: FsOp::Stat { path: "a".into() } });
-        let long = Payload::fs(FsReq {
-            session: 0,
-            tag: 0,
-            op: FsOp::Stat { path: "a/very/long/path/name".into() },
-        });
+        let short = Payload::fs(FsReq { tag: 0, op: FsOp::Stat { path: "a".into() } });
+        let long =
+            Payload::fs(FsReq { tag: 0, op: FsOp::Stat { path: "a/very/long/path/name".into() } });
         assert!(long.wire_size() > short.wire_size());
     }
 

@@ -229,6 +229,7 @@ pub fn run_app_instances(cfg: &MachineConfig, app: AppKind, instances: u32) -> A
     let base = m.start_clients();
     m.run_until_idle();
     m.check_invariants();
+    assert_eq!(m.refused_sends(), 0, "the intake rule refused a legitimate send");
 
     let mut durations = Vec::new();
     for (c, (start, end)) in m.client_times() {

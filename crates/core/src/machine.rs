@@ -7,10 +7,10 @@
 //! behaviour the paper measures (parallel efficiency drops as more
 //! instances share a kernel).
 //!
-//! The kernels, the stub VPEs and the kernel delivery step (credit
-//! return included) are [`semper_kernel::host`]'s, shared with the
-//! untimed `TestCluster`; the NoC and the per-PE schedule are the
-//! machine's own.
+//! The kernels, the stub VPEs, the kernel delivery step (credit return
+//! included) and the intake rule every message passes before the NoC
+//! are [`semper_kernel::host`]'s, shared with the untimed `TestCluster`;
+//! the NoC and the per-PE schedule are the machine's own.
 
 use std::collections::BTreeMap;
 
@@ -18,7 +18,7 @@ use semper_apps::client::ClientPhase;
 use semper_apps::{AppClient, LoadGen, NginxServer, Trace};
 use semper_base::msg::{Outbox, Payload, SysReply, Syscall};
 use semper_base::{KernelId, MachineConfig, Msg, PeId, VpeId};
-use semper_kernel::host::{self, StubVpe};
+use semper_kernel::host::{self, Channels, StubVpe};
 use semper_kernel::{Kernel, KernelStats};
 use semper_m3fs::{FsImage, FsService, FsSpec, M3FS_NAME};
 use semper_noc::{GlobalMemory, Mesh, Noc};
@@ -65,8 +65,9 @@ pub enum Workload {
 /// the bursts.
 const CLIENT_STAGGER: u64 = 40;
 
-/// What carries messages between PEs: the NoC and the event schedule.
+/// What carries messages between PEs: channels, NoC and event schedule.
 struct Net {
+    channels: Channels,
     noc: Noc,
     /// The stall-lane event schedule: global heap plus per-PE lanes for
     /// messages arriving while their destination is still executing
@@ -75,13 +76,16 @@ struct Net {
 }
 
 impl Net {
-    /// Injects `out`'s messages into the NoC. Messages without an offset
-    /// leave when the handler completes (`end`); messages with an offset
-    /// leave that many cycles after the handler started (`start`) — the
-    /// pipelined sends of loop-heavy handlers like the revocation
-    /// fan-out.
+    /// Injects what the intake rule ([`Channels::admit`]) admits of
+    /// `out`'s messages into the NoC. Messages without an offset leave
+    /// when the handler completes (`end`); messages with an offset leave
+    /// that many cycles after the handler started (`start`) — the
+    /// pipelined sends of loop-heavy handlers like the revocation fan-out.
     fn inject(&mut self, out: &mut Outbox, start: Cycles, end: Cycles) {
-        for (m, off) in out.drain_iter() {
+        for (mut m, off) in out.drain_iter() {
+            if !self.channels.admit(&mut m) {
+                continue;
+            }
             let at = match off {
                 None => end,
                 Some(o) => (start + o).min(end),
@@ -142,6 +146,7 @@ impl Machine {
         // machines per measurement).
         let mut image_parts: Option<(std::sync::Arc<FsImage>, u64)> = None;
 
+        let mut channels = Channels::new(topo.membership.clone());
         let mut trace_iter = match workload {
             Workload::Apps(traces) => {
                 assert_eq!(traces.len() as u32, app_clients, "one trace per client");
@@ -184,19 +189,21 @@ impl Machine {
                         vpe, pe, kernel_pe, cfg.cost, M3FS_NAME,
                     )))
                 }
-                // A round-robin share of the servers.
+                // A round-robin share of the servers, the i-th answering on label i.
                 Role::LoadGen(l) => {
                     let share = topo.server_pes.iter().enumerate();
                     let gens = topo.loadgen_pes.len();
-                    let servers = share.filter(|(s, _)| s % gens == l as usize).map(|(_, p)| *p);
-                    Node::LoadGen(LoadGen::new(pe, servers.collect(), nginx_depth.unwrap_or(0)))
+                    let servers: Vec<PeId> =
+                        share.filter(|(s, _)| s % gens == l as usize).map(|(_, p)| *p).collect();
+                    servers.iter().zip(0..).for_each(|(&s, i)| channels.open(s, pe, i));
+                    Node::LoadGen(LoadGen::new(pe, servers, nginx_depth.unwrap_or(0)))
                 }
                 Role::Idle => Node::Idle,
             }
         });
         Machine {
             nodes: nodes.collect(),
-            net: Net { noc, sched: PeSchedule::new(cfg.num_pes as usize) },
+            net: Net { channels, noc, sched: PeSchedule::new(cfg.num_pes as usize) },
             cfg,
             topo,
             kernels,
@@ -421,9 +428,7 @@ impl Machine {
             "syscall_blocking requires a stub VPE on {pe}"
         );
         let start = self.net.sched.now().max(self.net.sched.busy_until(pe.idx()));
-        let msg = Msg::new(pe, kernel_pe, Payload::sys(0, call));
-        let delivery = self.net.noc.route(&msg, start);
-        self.net.sched.schedule(delivery, kernel_pe.idx(), msg);
+        self.send(Msg::new(pe, kernel_pe, Payload::sys(0, call)), start);
         loop {
             let Some(t) = self.step_bounded(None) else {
                 panic!("queue drained without a syscall reply for {vpe}");
@@ -436,7 +441,18 @@ impl Machine {
         }
     }
 
+    /// Sends `msg` from its source PE at `at`: through the intake rule into the NoC.
+    pub fn send(&mut self, msg: Msg, at: Cycles) {
+        self.scratch.push(msg);
+        self.net.inject(&mut self.scratch, at, at);
+    }
+
     // ----- metrics ----------------------------------------------------------
+
+    /// Sends the intake rule refused so far ([`Channels::admit`]).
+    pub fn refused_sends(&self) -> u64 {
+        self.net.channels.refused
+    }
 
     /// Per-client `(start, finish)` times; finish is `None` for clients
     /// still running.

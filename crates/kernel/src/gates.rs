@@ -1,9 +1,8 @@
 //! DTU endpoint activation (M3's `activate` system call).
 //!
 //! Capabilities *authorise*; DTU endpoints *enforce*. Before a VPE can
-//! touch the memory behind a memory capability (or send through a send
-//! gate), it asks its kernel to configure one of its DTU endpoints for
-//! the capability (§2.2: "The client can instruct the kernel to
+//! touch the memory behind a memory capability, it asks its kernel to
+//! configure one of its DTU endpoints for the capability (§2.2: "The client can instruct the kernel to
 //! configure a memory endpoint for the memory capability"). The kernel
 //! is the only privileged party, so it also *deconfigures* endpoints
 //! when the backing capability is revoked — this is the moment a revoke
@@ -12,7 +11,8 @@
 //!
 //! The endpoint registers live in the VPE's record next to its
 //! capability table; the revocation sweep clears them
-//! (`Kernel::delete_marked`).
+//! (`Kernel::delete_marked`). Who may send a message to whom is not a
+//! capability here but the hosts' intake rule ([`crate::host::Channels::admit`]).
 
 use semper_base::config::EP_COUNT;
 use semper_base::msg::SysReplyData;
@@ -36,10 +36,8 @@ impl Kernel {
                 return Err(Error::new(Code::InvalidArgs));
             }
             let key = self.bound(vpe, sel)?;
-            use semper_base::msg::CapKindDesc;
-            match self.usable(key)?.kind {
-                CapKindDesc::Memory { .. } | CapKindDesc::SendGate { .. } => {}
-                _ => return Err(Error::new(Code::InvalidArgs)),
+            if !matches!(self.usable(key)?.kind, semper_base::msg::CapKindDesc::Memory { .. }) {
+                return Err(Error::new(Code::InvalidArgs));
             }
             // (Re)configure: the register holds one capability.
             let record = self.vpe_mut(vpe).expect("the caller is a VPE of this group");

@@ -26,7 +26,7 @@ use semper_caps::MembershipTable;
 use semper_noc::GlobalMemory;
 use semper_sim::FaultPlan;
 
-use crate::host::{self, StubVpe};
+use crate::host::{self, Channels, StubVpe};
 use crate::kernel::Kernel;
 use crate::outbox::Outbox;
 
@@ -36,6 +36,7 @@ pub struct TestCluster {
     /// The kernels, indexed by kernel id.
     pub kernels: Vec<Kernel>,
     queue: VecDeque<Msg>,
+    channels: Channels,
     membership: MembershipTable,
     pe_of_vpe: Vec<PeId>,
     /// The stub VPEs, indexed by PE (a kernel's PE holds an unused one).
@@ -77,6 +78,7 @@ impl TestCluster {
         TestCluster {
             kernels,
             queue: VecDeque::new(),
+            channels: Channels::new(membership.clone()),
             membership,
             pe_of_vpe,
             stubs: (0..num_pes).map(|_| StubVpe::default()).collect(),
@@ -135,9 +137,9 @@ impl TestCluster {
 
     /// Issues a system call from `vpe` without pumping; returns the tag.
     pub fn syscall_async(&mut self, vpe: VpeId, call: Syscall) -> u64 {
-        let (tag, msg) = self.sys_msg(vpe, call);
-        self.queue.push_back(msg);
-        tag
+        let msg = self.sys_msg(vpe, call);
+        self.send(msg);
+        self.tag_counter
     }
 
     /// Issues a system call that jumps the message queue (delivered
@@ -146,18 +148,30 @@ impl TestCluster {
     /// under the per-channel FIFO precondition — it is exactly how the
     /// Table 2 races arise on real hardware.
     pub fn syscall_front(&mut self, vpe: VpeId, call: Syscall) -> u64 {
-        let (tag, msg) = self.sys_msg(vpe, call);
-        self.queue.push_front(msg);
-        tag
+        let mut msg = self.sys_msg(vpe, call);
+        if self.channels.admit(&mut msg) {
+            self.queue.push_front(msg);
+        }
+        self.tag_counter
     }
 
-    /// A fresh tag and the message carrying `call` from `vpe` to its
-    /// kernel.
-    fn sys_msg(&mut self, vpe: VpeId, call: Syscall) -> (u64, Msg) {
+    /// The message carrying `call` from `vpe` to its kernel, with a fresh tag.
+    fn sys_msg(&mut self, vpe: VpeId, call: Syscall) -> Msg {
         self.tag_counter += 1;
         let kernel_pe = self.membership.kernel_pe(self.kernel_of(vpe));
-        let msg = Msg::new(self.pe_of(vpe), kernel_pe, Payload::sys(self.tag_counter, call));
-        (self.tag_counter, msg)
+        Msg::new(self.pe_of(vpe), kernel_pe, Payload::sys(self.tag_counter, call))
+    }
+
+    /// Sends `msg` from its source PE: through [`Channels::admit`] to the queue's back.
+    pub fn send(&mut self, mut msg: Msg) {
+        if self.channels.admit(&mut msg) {
+            self.queue.push_back(msg);
+        }
+    }
+
+    /// Sends the intake rule refused so far.
+    pub fn refused_sends(&self) -> u64 {
+        self.channels.refused
     }
 
     /// Issues a system call and pumps to quiescence; returns the reply.
@@ -288,9 +302,11 @@ impl TestCluster {
         self.kernels.iter().map(|k| k.mapdb().len()).sum()
     }
 
-    /// Appends a handler's output to the message queue.
+    /// Sends a handler's output.
     fn enqueue(&mut self, mut out: Outbox) {
-        self.queue.extend(out.drain_iter().map(|(m, _)| m));
+        for (msg, _) in out.drain_iter() {
+            self.send(msg);
+        }
     }
 
     /// Queues what kernel `k` emitted outside a delivery (a kill, a

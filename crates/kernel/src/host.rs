@@ -11,14 +11,16 @@
 //! * [`deliver`] hands one message to its kernel and frees its DTU slot
 //!   ([`free_slot`], §4.1);
 //! * [`check_invariants`] checks each live kernel, and at quiescence what
-//!   no one kernel sees: the child links between kernels.
+//!   no one kernel sees: the child links between kernels;
+//! * [`Channels::admit`] is the one intake rule: who may send what to
+//!   whom, decided before a message enters the network.
 //!
 //! So the two hosts differ only in which deliverable message goes next,
 //! and when: the machine keeps the NoC and the per-PE schedule, the
 //! cluster its FIFO and its fault plan's crashes and deadlines.
 
-use semper_base::msg::{Payload, SysReply, Upcall, UpcallReply};
-use semper_base::{CostModel, KernelId, MachineConfig, Msg, PeId, VpeId};
+use semper_base::msg::{Payload, SysReply, SysReplyData, Upcall, UpcallReply};
+use semper_base::{CostModel, DetHashMap, KernelId, MachineConfig, Msg, PeId, VpeId};
 use semper_caps::MembershipTable;
 use semper_noc::GlobalMemory;
 
@@ -131,6 +133,61 @@ impl StubVpe {
     }
 }
 
+/// The intake rule's table: the kernels' PEs, and the channels between other
+/// PEs (one per pair, with a label each way naming the sender to the receiver).
+#[derive(Debug, Clone)]
+pub struct Channels {
+    membership: MembershipTable,
+    labels: DetHashMap<(PeId, PeId), u32>,
+    /// Sends refused so far.
+    pub refused: u64,
+}
+
+impl Channels {
+    /// No channel open yet, on the machine `membership` describes.
+    pub fn new(membership: MembershipTable) -> Channels {
+        Channels { membership, labels: DetHashMap::default(), refused: 0 }
+    }
+
+    /// Opens the channel between `from` and `to` in place of the pair's
+    /// old one, if any: messages from `from` carry `label`, answers 0.
+    pub fn open(&mut self, from: PeId, to: PeId, label: u32) {
+        self.labels.extend([((from, to), label), ((to, from), 0)]);
+    }
+
+    /// The intake rule, which both hosts apply to every message before it
+    /// enters the network: a kernel's PE sends anything anywhere, another
+    /// PE anything to its own kernel and service payloads over a channel,
+    /// whose label it writes; anything else is refused and counted. A
+    /// kernel's `Session` reply opens the client's channel to the service,
+    /// labelled with the ident if it fits.
+    pub fn admit(&mut self, msg: &mut Msg) -> bool {
+        use Payload::{Fs, FsReply, Http, HttpReply};
+        let m = &self.membership;
+        let label = if kernel_at(m, msg.src).is_some() {
+            if let Payload::SysReply(SysReply {
+                result: Ok(SysReplyData::Session { srv_pe, ident, .. }),
+                ..
+            }) = msg.payload
+            {
+                if let Ok(label) = u32::try_from(ident) {
+                    self.open(msg.dst, srv_pe, label);
+                }
+            }
+            Some(0)
+        } else if msg.dst == m.kernel_pe(m.kernel_of(msg.src)) {
+            Some(0)
+        } else if let Fs(_) | FsReply(_) | Http(_) | HttpReply(_) = msg.payload {
+            self.labels.get(&(msg.src, msg.dst)).copied()
+        } else {
+            None
+        };
+        msg.label = label.unwrap_or(0);
+        self.refused += u64::from(label.is_none());
+        label.is_some()
+    }
+}
+
 /// The kernel whose own PE is `pe`, if any.
 #[inline]
 pub(crate) fn kernel_at(membership: &MembershipTable, pe: PeId) -> Option<KernelId> {
@@ -188,7 +245,9 @@ pub fn free_slot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use semper_base::msg::{ExchangeKind, FsReplyData, HttpReq, SysReplyData, Syscall};
+    use semper_base::msg::{
+        ExchangeKind, FsOp, FsReplyData, FsReq, HttpReq, HttpResp, SysReplyData, Syscall,
+    };
     use semper_base::{CapSel, OpId};
 
     fn consent() -> Msg {
@@ -241,6 +300,92 @@ mod tests {
         assert!(out.is_empty() && stub.take_reply(3).is_none());
         // It still answers what it serves.
         assert_eq!(stub.handle(&consent(), &mut out, &cost), cost.upcall_work);
+    }
+
+    /// PEs 0–7 in two groups: kernels on PEs 0 and 4, VPEs on 1–3 and 5–7.
+    fn two_groups() -> Channels {
+        Channels::new(MembershipTable::contiguous(8, 2))
+    }
+
+    /// `payload` from `src` to `dst` with the label the sender wrote,
+    /// through the rule: the label it arrives with, or `None` if refused.
+    fn admitted(rule: &mut Channels, src: u16, dst: u16, payload: Payload) -> Option<u32> {
+        let mut msg = Msg { label: 9, ..Msg::new(PeId(src), PeId(dst), payload) };
+        rule.admit(&mut msg).then_some(msg.label)
+    }
+
+    /// The kernel on PE 0 answers the client on `client` a session to
+    /// the service on `srv`, with `ident`.
+    fn session_reply(rule: &mut Channels, client: u16, srv: u16, ident: u64) {
+        let session = SysReplyData::Session { sel: CapSel(3), srv_pe: PeId(srv), ident };
+        assert_eq!(admitted(rule, 0, client, Payload::sys_reply(1, Ok(session))), Some(0));
+    }
+
+    fn stat() -> Payload {
+        Payload::fs(FsReq { tag: 1, op: FsOp::Stat { path: "/".into() } })
+    }
+
+    /// A kernel sends anything anywhere, a VPE anything to its own
+    /// kernel; between VPEs nothing travels without a channel, and never
+    /// a payload other than a service's. Each refusal is counted.
+    #[test]
+    fn the_rule_decides_who_may_send_to_whom() {
+        let mut rule = two_groups();
+        let upcall =
+            || Payload::upcall_reply(UpcallReply::AcceptExchange { op: OpId(1), accept: true });
+        assert_eq!(admitted(&mut rule, 0, 5, Payload::sys(1, Syscall::Noop)), Some(0));
+        assert_eq!(admitted(&mut rule, 4, 0, Payload::fs_reply(1, Ok(FsReplyData::Ok))), Some(0));
+        assert_eq!(admitted(&mut rule, 1, 0, upcall()), Some(0));
+        assert_eq!(admitted(&mut rule, 5, 4, Payload::sys(1, Syscall::Noop)), Some(0));
+        assert_eq!(rule.refused, 0);
+        // Another group's kernel, and VPE to VPE without a channel.
+        assert_eq!(admitted(&mut rule, 1, 4, Payload::sys(1, Syscall::Noop)), None);
+        assert_eq!(admitted(&mut rule, 1, 5, stat()), None);
+        assert_eq!(
+            admitted(&mut rule, 2, 1, Payload::HttpReply(HttpResp { id: 1, bytes: 1 })),
+            None
+        );
+        // Over a channel only service payloads travel.
+        session_reply(&mut rule, 1, 5, 3);
+        assert_eq!(admitted(&mut rule, 5, 1, upcall()), None);
+        assert_eq!(admitted(&mut rule, 1, 5, Payload::sys(1, Syscall::Noop)), None);
+        assert_eq!(admitted(&mut rule, 1, 5, stat()), Some(3));
+        assert_eq!(rule.refused, 5);
+    }
+
+    /// The label is the channel's, whatever the sender wrote: the
+    /// session's ident towards the service, 0 on its answers and on
+    /// kernel traffic.
+    #[test]
+    fn a_label_the_sender_wrote_is_overwritten() {
+        let mut rule = two_groups();
+        session_reply(&mut rule, 2, 6, 7);
+        assert_eq!(admitted(&mut rule, 2, 6, stat()), Some(7));
+        assert_eq!(admitted(&mut rule, 6, 2, Payload::fs_reply(1, Ok(FsReplyData::Ok))), Some(0));
+        assert_eq!(admitted(&mut rule, 2, 0, Payload::sys(1, Syscall::Noop)), Some(0));
+        // Another client of the same service sends on its own session.
+        session_reply(&mut rule, 3, 6, 8);
+        assert_eq!(admitted(&mut rule, 3, 6, stat()), Some(8));
+        assert_eq!(admitted(&mut rule, 2, 6, stat()), Some(7));
+    }
+
+    /// An ident that does not fit the 32-bit label opens no channel, and
+    /// a pair has one channel: a second session between the same two PEs
+    /// replaces the first's label, and so do roles the other way round.
+    #[test]
+    fn a_pair_has_one_channel_and_an_ident_past_32_bits_opens_none() {
+        let mut rule = two_groups();
+        session_reply(&mut rule, 1, 5, 1 << 32);
+        assert_eq!(admitted(&mut rule, 1, 5, stat()), None);
+        assert_eq!(admitted(&mut rule, 5, 1, Payload::fs_reply(1, Ok(FsReplyData::Ok))), None);
+        assert!(rule.labels.is_empty());
+        session_reply(&mut rule, 1, 5, 1);
+        session_reply(&mut rule, 1, 5, u64::from(u32::MAX));
+        assert_eq!(admitted(&mut rule, 1, 5, stat()), Some(u32::MAX));
+        rule.open(PeId(5), PeId(1), 4);
+        assert_eq!(admitted(&mut rule, 1, 5, stat()), Some(0));
+        assert_eq!(admitted(&mut rule, 5, 1, stat()), Some(4));
+        assert_eq!(rule.labels.len(), 2);
     }
 
     /// Two kernels of three VPEs each (PEs 1–3 and 5–7) with a window of

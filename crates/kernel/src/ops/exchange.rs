@@ -756,10 +756,7 @@ fn key_type_for(desc: &CapKindDesc) -> CapType {
     match desc {
         CapKindDesc::Vpe { .. } => CapType::Vpe,
         CapKindDesc::Memory { .. } => CapType::Memory,
-        CapKindDesc::SendGate { .. } => CapType::SendGate,
-        CapKindDesc::RecvGate { .. } => CapType::RecvGate,
         CapKindDesc::Service { .. } => CapType::Service,
         CapKindDesc::Session { .. } => CapType::Session,
-        CapKindDesc::Kernel => CapType::Kernel,
     }
 }

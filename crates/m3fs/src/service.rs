@@ -61,7 +61,7 @@ enum BootState {
 #[derive(Debug)]
 struct OpenFile {
     inode: InodeId,
-    session: u64,
+    session: u32,
     /// Service-side selectors of extent capabilities delegated for this
     /// file (children of the image capability; revoked on close).
     delegated: Vec<CapSel>,
@@ -180,15 +180,11 @@ impl FsService {
         self.cost.fs_meta_op
     }
 
-    /// Handles one incoming message; returns the modeled cycle cost.
+    /// Handles one incoming message; returns the modeled cycle cost. The
+    /// intake rule admits upcalls and system-call replies from the kernel
+    /// alone, and a request over a client's channel, labelled with its session.
     pub fn handle(&mut self, msg: &Msg, out: &mut Outbox) -> u64 {
-        // Upcalls and system-call replies come from the kernel alone: from
-        // any other PE they are forgeries, dropped unread at zero cost as
-        // the kernel's routers drop a message from a PE that may not send
-        // it.
-        let from_kernel = msg.src == self.conn.kernel_pe();
         match &msg.payload {
-            Payload::Upcall(_) | Payload::SysReply(_) if !from_kernel => 0,
             Payload::Upcall(Upcall::SessionOpen { op, client_vpe, client_pe }) => {
                 self.sessions.push((*client_vpe, *client_pe));
                 let ident = self.sessions.len() as u64;
@@ -208,7 +204,7 @@ impl FsService {
                 ));
                 self.cost.upcall_work
             }
-            Payload::Fs(req) => self.handle_fs(msg.src, req, out),
+            Payload::Fs(req) => self.handle_fs(msg.src, msg.label, req, out),
             Payload::SysReply(reply) => self.handle_sys_reply(reply, out),
             // Nothing a service serves: another actor's payload, from
             // whichever PE. Dropped unread at zero cost, as the kernel
@@ -225,24 +221,21 @@ impl FsService {
 
     /// The client of session `ident`; `None` for an ident this service
     /// never handed out.
-    fn client(&self, ident: u64) -> Option<(VpeId, PeId)> {
-        let idx = usize::try_from(ident.checked_sub(1)?).ok()?;
-        self.sessions.get(idx).copied()
+    fn client(&self, ident: u32) -> Option<(VpeId, PeId)> {
+        self.sessions.get(usize::try_from(ident.checked_sub(1)?).ok()?).copied()
     }
 
     fn reply_fs(&self, out: &mut Outbox, dst: PeId, tag: u64, result: Result<FsReplyData>) {
         out.push(Msg::new(self.pe, dst, Payload::fs_reply(tag, result)));
     }
 
-    fn handle_fs(&mut self, src: PeId, req: &FsReq, out: &mut Outbox) -> u64 {
+    /// Serves `req`, sent from `src` on session `session`.
+    fn handle_fs(&mut self, src: PeId, session: u32, req: &FsReq, out: &mut Outbox) -> u64 {
         if self.boot != BootState::Ready {
             self.reply_fs(out, src, req.tag, Err(Error::new(Code::InvalidSession)));
             return self.cost.fs_meta_op;
         }
-        // A session is its client's: an ident sent from another PE is
-        // no session of the sender's.
-        let Some((client_vpe, client_pe)) = self.client(req.session).filter(|&(_, pe)| pe == src)
-        else {
+        let Some((client_vpe, client_pe)) = self.client(session) else {
             self.reply_fs(out, src, req.tag, Err(Error::new(Code::InvalidSession)));
             return self.cost.fs_meta_op;
         };
@@ -264,10 +257,7 @@ impl FsService {
                     }
                     let fid = self.next_fid;
                     self.next_fid += 1;
-                    self.files.insert(
-                        fid,
-                        OpenFile { inode, session: req.session, delegated: Vec::new() },
-                    );
+                    self.files.insert(fid, OpenFile { inode, session, delegated: Vec::new() });
                     Ok(FsReplyData::Opened { fid, size: stat.size })
                 })();
                 self.reply_fs(out, src, req.tag, result);
@@ -300,7 +290,7 @@ impl FsService {
             FsOp::NextExtent { fid, offset, write } => {
                 let prep = (|| -> Result<Work> {
                     let file = self.files.get(fid).ok_or(Error::new(Code::InvalidArgs))?;
-                    if file.session != req.session {
+                    if file.session != session {
                         return Err(Error::new(Code::InvalidSession));
                     }
                     if *write {
@@ -333,7 +323,7 @@ impl FsService {
             }
             FsOp::Close { fid } => {
                 self.stats.closes += 1;
-                if self.files.get(fid).is_some_and(|file| file.session != req.session) {
+                if self.files.get(fid).is_some_and(|file| file.session != session) {
                     self.reply_fs(out, src, req.tag, Err(Error::new(Code::InvalidSession)));
                     return self.cost.fs_meta_op;
                 }
@@ -508,6 +498,8 @@ fn extract_err(result: &Result<SysReplyData>) -> Error {
 mod tests {
     use super::*;
     use crate::image::FsSpec;
+    use semper_caps::MembershipTable;
+    use semper_kernel::host::Channels;
 
     fn svc() -> FsService {
         let spec = FsSpec::empty().file("/f.txt", 300_000);
@@ -628,43 +620,54 @@ mod tests {
         s
     }
 
+    /// Delivers `msg` to `s` through the intake rule; `None` if the rule
+    /// refused the send.
+    fn through_rule(
+        s: &mut FsService,
+        channels: &mut Channels,
+        mut msg: Msg,
+    ) -> Option<Vec<(Msg, Option<u64>)>> {
+        channels.admit(&mut msg).then(|| {
+            let mut out = Outbox::new();
+            s.handle(&msg, &mut out);
+            out.drain()
+        })
+    }
+
     /// A session-open upcall from a client's PE instead of the kernel's
-    /// opens nothing, so the client's later request names no session.
+    /// never reaches the service: the intake rule refuses it. So it
+    /// opens nothing, and the client's later request has no channel to
+    /// travel on either.
     #[test]
     fn forged_session_upcall_is_dropped() {
         let mut s = booted();
-        let mut out = Outbox::new();
+        let mut channels = Channels::new(MembershipTable::contiguous(16, 1));
         let up = Upcall::SessionOpen {
             op: semper_base::OpId(5),
             client_vpe: VpeId(1),
             client_pe: PeId(7),
         };
-        assert_eq!(s.handle(&Msg::new(PeId(7), PeId(3), Payload::Upcall(up)), &mut out), 0);
-        assert!(out.drain().is_empty());
+        let forged = Msg::new(PeId(7), PeId(3), Payload::Upcall(up));
+        assert!(through_rule(&mut s, &mut channels, forged).is_none());
         assert_eq!(s.stats().sessions, 0);
         let open = FsOp::Open { path: "/f.txt".into(), write: false, create: false };
-        let req = Payload::fs(FsReq { session: 1, tag: 9, op: open });
-        s.handle(&Msg::new(PeId(7), PeId(3), req), &mut out);
-        let msgs = out.drain();
-        let Payload::FsReply(r) = &msgs[0].0.payload else { panic!("{msgs:?}") };
-        assert_eq!(r.result.as_ref().unwrap_err().code(), Code::InvalidSession);
-        assert_eq!(s.stats().opens, 0);
+        let req = Msg::new(PeId(7), PeId(3), Payload::fs(FsReq { tag: 9, op: open }));
+        assert!(through_rule(&mut s, &mut channels, req).is_none());
+        assert_eq!((s.stats().opens, channels.refused), (0, 2));
     }
 
     /// A system-call reply from a client's PE that carries the in-flight
-    /// tag advances nothing: the kernel's reply is still the one the
-    /// service takes.
+    /// tag is refused by the intake rule and advances nothing: the
+    /// kernel's reply is still the one the service takes.
     #[test]
     fn forged_sys_reply_is_dropped() {
         let mut s = svc();
         s.boot(&mut Outbox::new());
-        let mut out = Outbox::new();
+        let mut channels = Channels::new(MembershipTable::contiguous(16, 1));
         let forged = Payload::sys_reply(1, Ok(SysReplyData::Sel(CapSel(2))));
-        assert_eq!(s.handle(&Msg::new(PeId(7), PeId(3), forged), &mut out), 0);
-        assert!(out.drain().is_empty());
+        assert!(through_rule(&mut s, &mut channels, Msg::new(PeId(7), PeId(3), forged)).is_none());
         let real = Payload::sys_reply(1, Ok(SysReplyData::Sel(CapSel(2))));
-        s.handle(&Msg::new(PeId(0), PeId(3), real), &mut out);
-        let msgs = out.drain();
+        let msgs = through_rule(&mut s, &mut channels, Msg::new(PeId(0), PeId(3), real)).unwrap();
         assert!(matches!(&msgs[0].0.payload, Payload::Sys { call: Syscall::CreateMem { .. }, .. }));
     }
 
@@ -675,7 +678,7 @@ mod tests {
         let req = Msg::new(
             PeId(7),
             PeId(3),
-            Payload::fs(FsReq { session: 1, tag: 9, op: FsOp::Stat { path: "/f.txt".into() } }),
+            Payload::fs(FsReq { tag: 9, op: FsOp::Stat { path: "/f.txt".into() } }),
         );
         s.handle(&req, &mut out);
         let msgs = out.drain();

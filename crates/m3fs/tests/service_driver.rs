@@ -1,11 +1,15 @@
 //! Driver-level tests of the m3fs service: the derive → delegate →
 //! revoke capability pipeline, exercised by feeding the actor messages
-//! by hand (no kernel — the replies are scripted).
+//! by hand (no kernel — the replies are scripted). A request carries
+//! its session as the channel's label, as the hosts' intake rule writes
+//! it; the tests of a sender that may not send go through that rule.
 
 use semper_base::msg::{
     FsOp, FsReply, FsReplyData, FsReq, Outbox, Payload, SysReplyData, Syscall, Upcall,
 };
 use semper_base::{CapSel, Code, CostModel, Error, Msg, OpId, PeId, VpeId};
+use semper_caps::MembershipTable;
+use semper_kernel::host::Channels;
 use semper_m3fs::{FsImage, FsService, FsSpec};
 
 const SVC_PE: PeId = PeId(3);
@@ -52,9 +56,15 @@ fn sys_reply(s: &mut FsService, tag: u64, result: semper_base::Result<SysReplyDa
     out
 }
 
+/// A request from [`CLIENT_PE`] on its session, 1.
 fn fs_req(s: &mut FsService, tag: u64, op: FsOp) -> Outbox {
+    fs_req_on(s, CLIENT_PE, 1, FsReq { tag, op })
+}
+
+/// `req` as it arrives from `src` over a channel labelled `session`.
+fn fs_req_on(s: &mut FsService, src: PeId, session: u32, req: FsReq) -> Outbox {
     let mut out = Outbox::new();
-    s.handle(&Msg::new(CLIENT_PE, SVC_PE, Payload::fs(FsReq { session: 1, tag, op })), &mut out);
+    s.handle(&Msg { label: session, ..Msg::new(src, SVC_PE, Payload::fs(req)) }, &mut out);
     out
 }
 
@@ -240,15 +250,8 @@ fn requests_queue_while_a_syscall_is_in_flight() {
 #[test]
 fn unknown_session_and_fid_rejected() {
     let mut s = booted_service();
-    let mut out = Outbox::new();
-    s.handle(
-        &Msg::new(
-            CLIENT_PE,
-            SVC_PE,
-            Payload::fs(FsReq { session: 999, tag: 5, op: FsOp::Stat { path: "/f.dat".into() } }),
-        ),
-        &mut out,
-    );
+    let stat = FsReq { tag: 5, op: FsOp::Stat { path: "/f.dat".into() } };
+    let mut out = fs_req_on(&mut s, CLIENT_PE, 999, stat);
     match expect_fs_reply(&mut out, 5) {
         Err(e) => assert_eq!(e.code(), Code::InvalidSession),
         other => panic!("unexpected: {other:?}"),
@@ -257,28 +260,38 @@ fn unknown_session_and_fid_rejected() {
     assert_eq!(expect_fs_reply(&mut out, 6).unwrap_err().code(), Code::InvalidArgs);
 }
 
-/// A session ident is an index into the service's session table; a
-/// forged one — below the first ident, past every ident, or one never
-/// handed out — is `InvalidSession`, never a panic or another client's
-/// session.
+/// A session is an index into the service's session table; a label
+/// that names none — below the first ident, past every ident, or one
+/// never handed out — is `InvalidSession`, never a panic or another
+/// client's session.
 #[test]
 fn forged_session_idents_are_invalid_session() {
     let mut s = booted_service();
-    for session in [0, 2, u64::MAX, u64::MAX - 1, 1 << 32] {
+    for session in [0, 2, u32::MAX, u32::MAX - 1] {
         for op in [
             FsOp::Stat { path: "/f.dat".into() },
             FsOp::Open { path: "/f.dat".into(), write: false, create: false },
             FsOp::NextExtent { fid: 1, offset: 0, write: false },
         ] {
-            let mut out = Outbox::new();
-            s.handle(
-                &Msg::new(CLIENT_PE, SVC_PE, Payload::fs(FsReq { session, tag: 5, op })),
-                &mut out,
-            );
+            let mut out = fs_req_on(&mut s, CLIENT_PE, session, FsReq { tag: 5, op });
             assert_eq!(expect_fs_reply(&mut out, 5).unwrap_err().code(), Code::InvalidSession);
         }
     }
     assert_eq!(s.stats().opens, 0);
+}
+
+/// The intake rule's view of the PEs these tests name: PEs 0–15, the
+/// kernel on PE 0, no channel open yet.
+fn rule() -> Channels {
+    Channels::new(MembershipTable::contiguous(16, 1))
+}
+
+/// The kernel's `OpenSession` reply to the client on `client_pe`, which
+/// opens its channel to the service labelled `ident`.
+fn open_channel(rule: &mut Channels, client_pe: PeId, ident: u64) {
+    let session = SysReplyData::Session { sel: CapSel(5), srv_pe: SVC_PE, ident };
+    let mut reply = Msg::new(KRN_PE, client_pe, Payload::sys_reply(1, Ok(session)));
+    assert!(rule.admit(&mut reply));
 }
 
 const OTHER_PE: PeId = PeId(8);
@@ -289,13 +302,6 @@ fn open_second_session(s: &mut FsService) {
     s.handle(&Msg::new(KRN_PE, SVC_PE, Payload::Upcall(open)), &mut Outbox::new());
 }
 
-/// `req` as sent from `src`.
-fn fs_req_from(s: &mut FsService, src: PeId, req: FsReq) -> Outbox {
-    let mut out = Outbox::new();
-    s.handle(&Msg::new(src, SVC_PE, Payload::fs(req)), &mut out);
-    out
-}
-
 /// A file belongs to the session that opened it: another session's
 /// close is `InvalidSession`, revokes nothing, and leaves the file to
 /// its owner's close.
@@ -303,8 +309,8 @@ fn fs_req_from(s: &mut FsService, src: PeId, req: FsReq) -> Outbox {
 fn another_sessions_close_is_invalid_session_and_leaves_the_file() {
     let mut s = service_with_two_extents();
     open_second_session(&mut s);
-    let close = FsReq { session: 2, tag: 20, op: FsOp::Close { fid: 1 } };
-    let mut out = fs_req_from(&mut s, OTHER_PE, close);
+    let close = FsReq { tag: 20, op: FsOp::Close { fid: 1 } };
+    let mut out = fs_req_on(&mut s, OTHER_PE, 2, close);
     let msgs = out.drain();
     assert!(!msgs.iter().any(|(m, _)| matches!(m.payload, Payload::Sys { .. })), "{msgs:?}");
     let [(reply, _)] = &msgs[..] else { panic!("one reply expected: {msgs:?}") };
@@ -325,15 +331,18 @@ fn another_sessions_close_is_invalid_session_and_leaves_the_file() {
     assert_eq!(s.stats().revokes, 2);
 }
 
-/// A session ident is valid only from its client's PE: the same ident
-/// sent from another PE — even one with a session of its own — is
-/// `InvalidSession` for every request.
+/// Session 1 is valid only from its client's PE. Another PE that writes
+/// label 1 on its request gets nowhere: without a session of its own the
+/// intake rule refuses the send, and with one the rule overwrites the
+/// label with its own session's, which does not own session 1's file.
 #[test]
 fn a_session_ident_from_another_pe_is_invalid_session() {
     let mut s = service_with_two_extents();
+    let mut rule = rule();
     for with_own_session in [false, true] {
         if with_own_session {
             open_second_session(&mut s);
+            open_channel(&mut rule, OTHER_PE, 2);
         }
         for op in [
             FsOp::Stat { path: "/f.dat".into() },
@@ -341,7 +350,19 @@ fn a_session_ident_from_another_pe_is_invalid_session() {
             FsOp::NextExtent { fid: 1, offset: 0, write: false },
             FsOp::Close { fid: 1 },
         ] {
-            let mut out = fs_req_from(&mut s, OTHER_PE, FsReq { session: 1, tag: 30, op });
+            let touches_the_file = matches!(op, FsOp::NextExtent { .. } | FsOp::Close { .. });
+            let forged = Msg::new(OTHER_PE, SVC_PE, Payload::fs(FsReq { tag: 30, op }));
+            let mut msg = Msg { label: 1, ..forged };
+            if !rule.admit(&mut msg) {
+                assert!(!with_own_session);
+                continue;
+            }
+            assert_eq!(msg.label, 2, "the rule writes the sender's own session");
+            if !touches_the_file {
+                continue;
+            }
+            let mut out = Outbox::new();
+            s.handle(&msg, &mut out);
             let msgs = out.drain();
             assert!(!msgs.iter().any(|(m, _)| matches!(m.payload, Payload::Sys { .. })));
             let [(reply, _)] = &msgs[..] else { panic!("one reply expected: {msgs:?}") };
@@ -349,6 +370,7 @@ fn a_session_ident_from_another_pe_is_invalid_session() {
             assert_eq!(r.result.as_ref().unwrap_err().code(), Code::InvalidSession);
         }
     }
+    assert_eq!(rule.refused, 4, "every send without a channel is refused");
     assert_eq!((s.stats().opens, s.stats().meta_ops, s.stats().revokes), (1, 0, 0));
     // The file is still the owner's to close.
     let mut out = fs_req(&mut s, 31, FsOp::Close { fid: 1 });

@@ -9,6 +9,9 @@
 //! durations (served requests for the webservers), and the kernels'
 //! counters summed over kernels.
 //!
+//! No run's intake rule refuses a send: every message an actor sends is
+//! one it may send.
+//!
 //! A mismatch prints the expected and the actual line in the golden's
 //! own format. After an intentional cost-model or protocol change,
 //! paste the actual lines over the expected ones and say so in
@@ -64,6 +67,7 @@ fn line(name: &str, fields: &[(&str, u64)]) -> String {
 
 /// One application's run.
 fn app_line(app: AppKind) -> String {
+    // The run asserts that its intake rule refused no send.
     let res = run_app_instances(&config(), app, INSTANCES);
     let mut fields = vec![
         ("makespan", res.makespan),
@@ -87,6 +91,7 @@ fn webserver_line() -> String {
     let before = m.loadgen_completed();
     m.run_until(t0 + 2_000_000);
     m.check_invariants();
+    assert_eq!(m.refused_sends(), 0, "the intake rule refused a legitimate send");
     let stats = m.kernel_stats();
     let cap_ops = stats.iter().map(|s| s.cap_ops() + s.sessions_opened).sum();
     let mut fields = vec![

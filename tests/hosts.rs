@@ -7,10 +7,13 @@
 //! same replies on both — result variant, selectors, session idents and
 //! error codes — and every kernel must count the same work. Cycles are
 //! the machine's alone, and so are memory addresses (each host picks
-//! its own partition).
+//! its own partition). Both apply the one intake rule, so a forged send
+//! is refused on both alike.
 
-use semper_base::msg::{Perms, SysReplyData, Syscall};
-use semper_base::{CapSel, Code, ExchangeKind, KernelMode, Result, VpeId};
+use semper_base::msg::{
+    FsOp, FsReq, HttpResp, Payload, Perms, SysReplyData, Syscall, Upcall, UpcallReply,
+};
+use semper_base::{CapSel, Code, ExchangeKind, KernelMode, Msg, OpId, PeId, Result, VpeId};
 use semper_kernel::harness::TestCluster;
 use semper_kernel::KernelStats;
 use semperos::MicroMachine;
@@ -26,6 +29,13 @@ trait Host {
     fn run(&mut self, vpe: VpeId, call: Syscall) -> Result<SysReplyData>;
     /// Every kernel's counters, by kernel id.
     fn stats(&mut self) -> Vec<KernelStats>;
+    /// The PE of `vpe`, and of its group's kernel.
+    fn pes(&mut self, vpe: VpeId) -> (PeId, PeId);
+    /// Sends `msg` from its source PE and runs the host until it is
+    /// quiet; returns whether the intake rule admitted it.
+    fn send(&mut self, msg: Msg) -> bool;
+    /// Sends the intake rule refused so far.
+    fn refused(&mut self) -> u64;
 }
 
 impl Host for MicroMachine {
@@ -44,6 +54,24 @@ impl Host for MicroMachine {
     fn stats(&mut self) -> Vec<KernelStats> {
         self.machine().kernel_stats()
     }
+
+    fn pes(&mut self, vpe: VpeId) -> (PeId, PeId) {
+        let topo = self.machine().topo();
+        let pe = topo.vpe_dir[vpe.idx()];
+        (pe, topo.membership.kernel_pe(topo.kernel_of(pe)))
+    }
+
+    fn send(&mut self, msg: Msg) -> bool {
+        let refused = self.refused();
+        let now = self.machine().now();
+        self.machine().send(msg, now);
+        self.machine().run_until_idle();
+        self.refused() == refused
+    }
+
+    fn refused(&mut self) -> u64 {
+        self.machine().refused_sends()
+    }
 }
 
 impl Host for TestCluster {
@@ -57,6 +85,21 @@ impl Host for TestCluster {
 
     fn stats(&mut self) -> Vec<KernelStats> {
         self.kernels.iter().map(|k| *k.stats()).collect()
+    }
+
+    fn pes(&mut self, vpe: VpeId) -> (PeId, PeId) {
+        (self.pe_of(vpe), self.kernels[self.kernel_of(vpe).idx()].pe())
+    }
+
+    fn send(&mut self, msg: Msg) -> bool {
+        let refused = self.refused();
+        TestCluster::send(self, msg);
+        self.pump_all();
+        self.refused() == refused
+    }
+
+    fn refused(&mut self) -> u64 {
+        self.refused_sends()
     }
 }
 
@@ -128,4 +171,46 @@ fn machine_and_cluster_give_the_same_replies_and_count_the_same_work() {
     let total = |field: usize| counters.iter().map(|c| c[field]).sum::<u64>();
     assert!(total(1) >= 2 && total(2) >= 2, "local and spanning exchanges: {counters:?}");
     assert!(total(4) > 0, "the revoke deleted nothing: {counters:?}");
+}
+
+/// Sends that the intake rule refuses on both hosts, and one it admits.
+/// Each VPE may send only to its own kernel, and to another VPE only a
+/// service payload over an open channel: a system call to the other
+/// group's kernel, an upcall or upcall reply between two VPEs, and a
+/// filesystem request or HTTP response without a channel are refused
+/// before the network, and no kernel sees them. A session's client then
+/// sends over the channel its kernel's reply opened; the label another
+/// VPE writes opens nothing. Returns what each send did, the refusals
+/// and the kernels' system-call counts.
+fn forge(h: &mut dyn Host) -> (Vec<bool>, u64, Vec<u64>) {
+    let [a, b, srv] = [(0, 0), (0, 1), (1, 2)].map(|(g, j)| h.vpe(g, j));
+    let [(pe_a, _), (pe_b, _), (pe_srv, kernel_1)] = [a, b, srv].map(|v| h.pes(v));
+    let request = || Payload::fs(FsReq { tag: 1, op: FsOp::Stat { path: "/".into() } });
+    let upcall = Upcall::SessionOpen { op: OpId(1), client_vpe: b, client_pe: pe_b };
+    let answer = UpcallReply::AcceptExchange { op: OpId(1), accept: true };
+    let mut sent = vec![
+        h.send(Msg::new(pe_a, kernel_1, Payload::sys(1, Syscall::Noop))),
+        h.send(Msg::new(pe_a, pe_srv, Payload::Upcall(upcall))),
+        h.send(Msg::new(pe_a, pe_b, Payload::upcall_reply(answer))),
+        h.send(Msg::new(pe_a, pe_srv, request())),
+        h.send(Msg::new(pe_srv, pe_a, Payload::HttpReply(HttpResp { id: 1, bytes: 1 }))),
+    ];
+    assert!(matches!(h.run(srv, Syscall::CreateSrv { name: 9 }), Ok(SysReplyData::Sel(_))));
+    let session = h.run(a, Syscall::OpenSession { name: 9 });
+    assert!(matches!(session, Ok(SysReplyData::Session { srv_pe, .. }) if srv_pe == pe_srv));
+    sent.push(h.send(Msg::new(pe_a, pe_srv, request())));
+    sent.push(h.send(Msg { label: 1, ..Msg::new(pe_b, pe_srv, request()) }));
+    let syscalls = h.stats().iter().map(|s| s.syscalls).collect();
+    (sent, h.refused(), syscalls)
+}
+
+#[test]
+fn a_forged_send_is_refused_alike_on_both_hosts() {
+    let machine = forge(&mut MicroMachine::new(KERNELS, VPES_PER_GROUP, KernelMode::SemperOS));
+    let cluster = forge(&mut TestCluster::new(KERNELS, VPES_PER_GROUP));
+    assert_eq!(machine, cluster, "the hosts' intake rules disagree");
+    let (sent, refused, syscalls) = cluster;
+    assert_eq!(sent, [false, false, false, false, false, true, false]);
+    assert_eq!(refused, 6);
+    assert_eq!(syscalls, [1, 1], "only the two real system calls reached a kernel");
 }

@@ -164,6 +164,7 @@ fn random_cmo_interleavings_preserve_invariants() {
         }
         c.pump_all();
         c.check_invariants();
+        assert_eq!(c.refused_sends(), 0, "the intake rule refused a legitimate send");
         // Quiescence: nothing suspended anywhere.
         for k in &c.kernels {
             assert_eq!(
@@ -288,6 +289,7 @@ fn revoke_removes_exactly_the_subtree() {
         // Exactly the tree (root + all successful delegations) vanished.
         assert_eq!(c.total_caps(), before - sels.len(), "case {case}");
         c.check_invariants();
+        assert_eq!(c.refused_sends(), 0, "the intake rule refused a legitimate send");
         assert_eq!(forest(&c), spec.forest(), "case {case}: the forests differ after the revoke");
         for (vpe, sel) in sels {
             let k = c.kernel_of(vpe);
@@ -433,6 +435,7 @@ fn random_cmo_interleavings_linearize() {
         }
         c.pump_all();
         c.check_invariants();
+        assert_eq!(c.refused_sends(), 0, "the intake rule refused a legitimate send");
         c.assert_quiescent();
         let target = forest(&c);
         let steps: usize = programs.iter().map(Vec::len).sum();
@@ -641,6 +644,7 @@ fn overlapping_revokes(batching: bool) {
         assert_eq!(done, [true; 2], "case {case}, batching {batching}: a call never completed");
         for c in [&*seq, &*conc] {
             c.check_invariants();
+            assert_eq!(c.refused_sends(), 0, "the intake rule refused a legitimate send");
             c.assert_quiescent();
         }
         for (ks, kc) in seq.kernels.iter().zip(&conc.kernels) {
@@ -797,6 +801,7 @@ fn run_faulted_case(case: u64, forced: Option<CrashPoint>) -> String {
 
     // No ledger leaks, no open windows, no stalled credit queues.
     c.check_invariants();
+    assert_eq!(c.refused_sends(), 0, "the intake rule refused a legitimate send");
     c.assert_quiescent();
 
     for k in &c.kernels {
@@ -865,7 +870,8 @@ fn ddl_key_roundtrip() {
     for _ in 0..256 {
         let pe = rng.below(1 << 16) as u16;
         let vpe = rng.below(1 << 16) as u16;
-        let ty = CapType::from_u8(rng.between(1, 7) as u8).unwrap();
+        use CapType::*;
+        let ty = [Vpe, Memory, Service, Session, Kernel][rng.below(5) as usize];
         let obj = rng.below(1 << 24) as u32;
         let k = DdlKey::new(PeId(pe), VpeId(vpe), ty, obj);
         assert_eq!(k.pe(), PeId(pe));
