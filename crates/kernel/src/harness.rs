@@ -465,6 +465,30 @@ mod tests {
         assert!(caught.contains("lists") && caught.contains("gone at K1"), "{caught}");
     }
 
+    /// A record whose parent lives on another live kernel is in that
+    /// parent's list once nothing is queued: one that is not, which a
+    /// revocation of the parent would miss, is caught and named.
+    #[test]
+    fn a_record_missing_from_its_remote_parents_list_is_caught_at_quiescence() {
+        use semper_base::msg::CapKindDesc;
+        use semper_base::CapType;
+        use semper_caps::Capability;
+        let mut c = TestCluster::new(2, 1);
+        let r = c.syscall(VpeId(0), Syscall::CreateMem { size: 64, perms: Perms::RW });
+        let Ok(SysReplyData::Mem { sel, addr }) = r.result else { panic!("{r:?}") };
+        let parent = c.kernels[0].table(VpeId(0)).unwrap().get(sel).unwrap();
+        let k = &mut c.kernels[1];
+        let key = k.new_key(VpeId(1), CapType::Memory).unwrap();
+        let kind = CapKindDesc::Memory { addr, size: 64, perms: Perms::R };
+        k.install(Capability::child(key, kind, VpeId(1), CapSel::INVALID, parent));
+        c.syscall_async(VpeId(1), Syscall::Noop);
+        c.check_invariants();
+        c.pump_all();
+        let caught = std::panic::catch_unwind(|| c.check_invariants()).unwrap_err();
+        let caught = caught.downcast_ref::<String>().unwrap();
+        assert!(caught.contains("is missing from") && caught.contains("list at K0"), "{caught}");
+    }
+
     #[test]
     fn local_obtain_roundtrip() {
         assert_eq!(obtain_from_vpe0(TestCluster::new(1, 2)), [(1, 0)]);

@@ -48,10 +48,15 @@ pub fn kernels(
 
 /// Checks every live kernel's invariants ([`Kernel::check_invariants`])
 /// and, if the host's network is `idle` and no live kernel has an
-/// operation parked, that every child link into a live kernel names a
-/// record there. Mid-run a link may name a child not yet installed (an
-/// exchange links it before it answers) or one deleted by a revocation
-/// whose unlink notice is still in flight. Allocates nothing per link.
+/// operation parked, the links between live kernels both ways: every
+/// child link names a record there whose parent is the listing one, and
+/// every record whose parent is on another kernel is in that parent's
+/// list (else a revocation of the parent misses it). Mid-run a link may
+/// name a child not yet installed (an exchange links it before it
+/// answers) or one deleted by a revocation whose unlink notice is still
+/// in flight. Linear in the links, and allocates nothing: the remote
+/// links are counted against the records with a remote parent, and only
+/// a mismatch searches for the missing one.
 pub fn check_invariants(kernels: &[Kernel], idle: bool) -> Result<(), String> {
     let live = |k: &&Kernel| !k.crashed();
     for k in kernels.iter().filter(live) {
@@ -60,21 +65,51 @@ pub fn check_invariants(kernels: &[Kernel], idle: bool) -> Result<(), String> {
     if !idle || kernels.iter().filter(live).any(|k| k.pending_ops() > 0) {
         return Ok(());
     }
+    // The live kernel other than `k` that `key` routes to.
+    let remote = |k: &Kernel, key| {
+        Some(&kernels[k.membership.kernel_of_key(key).idx()])
+            .filter(|at| at.id() != k.id() && !at.crashed())
+    };
+    let (mut links, mut remote_parents) = (0usize, 0usize);
     for k in kernels.iter().filter(live) {
+        let fail = |what: String| Err(format!("kernel {}: {what}", k.id()));
         for parent in k.mapdb.iter() {
+            remote_parents += usize::from(parent.parent.and_then(|p| remote(k, p)).is_some());
             for child in k.mapdb.children(parent.key) {
                 let at = &kernels[k.membership.kernel_of_key(child).idx()];
-                if !at.crashed() && !at.mapdb.contains(child) {
-                    let (key, id) = (parent.key, at.id());
-                    return Err(format!(
-                        "kernel {}: {key:?} lists {child:?}, gone at {id}",
-                        k.id()
-                    ));
+                let (key, id) = (parent.key, at.id());
+                let Ok(c) = at.mapdb.get(child) else {
+                    if at.crashed() {
+                        continue;
+                    }
+                    return fail(format!("{key:?} lists {child:?}, gone at {id}"));
+                };
+                if remote(k, child).is_some() {
+                    if c.parent != Some(key) {
+                        let other = c.parent;
+                        return fail(format!("{key:?} lists {child:?}, whose parent is {other:?}"));
+                    }
+                    links += 1;
                 }
             }
         }
     }
-    Ok(())
+    if links == remote_parents {
+        return Ok(());
+    }
+    for k in kernels.iter().filter(live) {
+        for cap in k.mapdb.iter() {
+            let Some((p, at)) = cap.parent.and_then(|p| Some((p, remote(k, p)?))) else { continue };
+            if !at.mapdb.children(p).any(|c| c == cap.key) {
+                let (key, id) = (cap.key, at.id());
+                return Err(format!(
+                    "kernel {}: {key:?} is missing from {p:?}'s list at {id}",
+                    k.id()
+                ));
+            }
+        }
+    }
+    Err(format!("{links} remote child links for {remote_parents} records: one is listed twice"))
 }
 
 /// A stub VPE: consents to every exchange unless told to deny, accepts
@@ -161,10 +196,11 @@ impl Channels {
     /// whose label it writes; anything else is refused and counted. A
     /// kernel's `Session` reply opens the client's channel to the service,
     /// labelled with the ident if it fits.
+    #[inline]
     pub fn admit(&mut self, msg: &mut Msg) -> bool {
         use Payload::{Fs, FsReply, Http, HttpReply};
-        let m = &self.membership;
-        let label = if kernel_at(m, msg.src).is_some() {
+        let kernel_pe = self.membership.kernel_pe(self.membership.kernel_of(msg.src));
+        let label = if msg.src == kernel_pe {
             if let Payload::SysReply(SysReply {
                 result: Ok(SysReplyData::Session { srv_pe, ident, .. }),
                 ..
@@ -175,7 +211,7 @@ impl Channels {
                 }
             }
             Some(0)
-        } else if msg.dst == m.kernel_pe(m.kernel_of(msg.src)) {
+        } else if msg.dst == kernel_pe {
             Some(0)
         } else if let Fs(_) | FsReply(_) | Http(_) | HttpReply(_) = msg.payload {
             self.labels.get(&(msg.src, msg.dst)).copied()

@@ -722,4 +722,45 @@ mod tests {
         c.check_invariants();
         c.assert_quiescent();
     }
+
+    /// `CreateMem` of `size` from `vpe`: the new region's address and
+    /// the key's object id, or the refusal's code.
+    fn create_mem(c: &mut TestCluster, vpe: VpeId, size: u64) -> Result<(u64, u32), Code> {
+        let r = c.syscall(vpe, Syscall::CreateMem { size, perms: Perms::RW }).result;
+        let Ok(SysReplyData::Mem { sel, addr }) = r else { return Err(r.unwrap_err().code()) };
+        Ok((addr, c.kernels[0].table(vpe).unwrap().get(sel).unwrap().object_id()))
+    }
+
+    /// A `CreateMem` refused for want of object ids takes no region: the
+    /// next creation, by another VPE of the group, lands where it would
+    /// have landed without the refusal.
+    #[test]
+    fn a_create_mem_refused_for_keys_keeps_no_region() {
+        let next_region = |refuse: bool| {
+            let mut c = TestCluster::new(1, 2);
+            if refuse {
+                c.kernels[0].keys.skip_to(VpeId(0), MAX_OBJECT_ID + 1);
+                assert_eq!(create_mem(&mut c, VpeId(0), 64), Err(Code::NoSpace));
+            }
+            create_mem(&mut c, VpeId(1), 4096).unwrap().0
+        };
+        assert_eq!(next_region(true), next_region(false));
+    }
+
+    /// A `CreateMem` refused for its size, empty or past the memory,
+    /// takes no object id: the next creation's key is the one it would
+    /// have been.
+    #[test]
+    fn a_create_mem_refused_for_its_size_keeps_no_object_id() {
+        let next_id = |refused: Option<u64>| {
+            let mut c = TestCluster::new(1, 1);
+            if let Some(size) = refused {
+                assert!(create_mem(&mut c, VpeId(0), size).is_err());
+            }
+            create_mem(&mut c, VpeId(0), 64).unwrap().1
+        };
+        for size in [0, 2 << 30, u64::MAX] {
+            assert_eq!(next_id(Some(size)), next_id(None), "size {size}");
+        }
+    }
 }

@@ -32,8 +32,11 @@ impl Kernel {
         out: &mut Outbox,
     ) -> u64 {
         let result = (|| -> Result<SysReplyData> {
+            // A call refused for its size or for want of keys takes
+            // neither a region nor an object id.
             let addr = self.mem.alloc(size)?;
-            let key = self.new_key(vpe, CapType::Memory)?;
+            let key =
+                self.new_key(vpe, CapType::Memory).inspect_err(|_| self.mem.give_back(addr))?;
             let kind = CapKindDesc::Memory { addr, size, perms };
             let sel = self.install(Capability::root(key, kind, vpe, CapSel::INVALID));
             Ok(SysReplyData::Mem { sel, addr })

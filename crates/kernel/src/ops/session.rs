@@ -178,9 +178,9 @@ impl Kernel {
             return self.refuse(out, vpe, tag, Error::new(Code::Timeout));
         }
         // A service of this group is checked here, as its kernel checks
-        // a remote client's open.
+        // a remote client's open; `pick` already skipped a dead one.
         if srv.owner == self.id {
-            if let Err(e) = self.service_open(&srv) {
+            if let Err(e) = self.service_cap_usable(&srv) {
                 return self.refuse(out, vpe, tag, e);
             }
         }
@@ -326,8 +326,9 @@ impl Kernel {
 
     /// Whether a service instance of this group can take an open: its
     /// VPE lives and its capability is usable. Checked before the
-    /// upcall, for a client of this group and for a remote client's
-    /// kernel alike.
+    /// upcall to a remote client's kernel's request, which names the
+    /// service by id (a client of this group gets a live one from
+    /// `Registry::pick`).
     fn service_open(&mut self, srv: &ServiceInfo) -> Result<()> {
         if srv.owner != self.id || !self.vpe_alive(srv.srv_vpe) {
             return Err(Error::new(Code::NoSuchService));

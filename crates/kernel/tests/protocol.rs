@@ -875,9 +875,10 @@ fn open_to_a_dead_service_is_refused(kernels: u16, vpes: u16) {
     assert_open_refused(&mut c, VpeId(1), tag, Code::NoSuchService);
 }
 
-/// The client's kernel checks a service of its own group as the
-/// service's kernel checks a remote client's request: no upcall goes to
-/// a VPE that will never answer it.
+/// The client's kernel never picks a dead instance of its own group
+/// (`Registry::pick` skips it), so with no other instance the open is
+/// `NoSuchService` at once: no upcall goes to a VPE that will never
+/// answer it.
 #[test]
 fn local_open_to_a_dead_service_is_no_such_service() {
     open_to_a_dead_service_is_refused(1, 2);

@@ -12,7 +12,8 @@ use semper_base::{Code, Error, Result};
 ///
 /// Regions are never reclaimed: the workloads in the evaluation allocate
 /// a bounded amount (filesystem images plus scratch buffers), and keeping
-/// allocation monotone makes address assignment deterministic.
+/// allocation monotone makes address assignment deterministic. Only a
+/// refused creation gives its region straight back.
 #[derive(Debug, Clone)]
 pub struct GlobalMemory {
     base: u64,
@@ -43,6 +44,17 @@ impl GlobalMemory {
         }
         self.next = end;
         Ok(base)
+    }
+
+    /// Gives back the region at `base` that [`GlobalMemory::alloc`] has
+    /// just returned, when the creation that took it is refused.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` is not an address this allocator handed out.
+    pub fn give_back(&mut self, base: u64) {
+        assert!((self.base..=self.next).contains(&base), "{base:#x} was never allocated");
+        self.next = base;
     }
 
     /// Bytes still allocatable.
