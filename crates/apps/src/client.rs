@@ -533,7 +533,7 @@ mod tests {
     /// Delivers `msg` to `c` through the intake rule; false if the rule
     /// refused the send.
     fn through_rule(c: &mut AppClient, channels: &mut Channels, mut msg: Msg) -> bool {
-        let admitted = channels.admit(&mut msg);
+        let admitted = channels.admit(&mut msg).is_some();
         if admitted {
             c.handle(&msg, &mut Outbox::new());
         }
@@ -645,7 +645,7 @@ mod tests {
         assert_eq!(c.phase(), ClientPhase::OpeningSession);
         let request =
             Msg::new(PeId(1), PeId(5), Payload::fs(FsReq { tag: 1, op: FsOp::Close { fid: 1 } }));
-        assert!(!channels.admit(&mut { request }));
+        assert!(channels.admit(&mut { request }).is_none());
         assert_eq!(channels.refused, 2);
     }
 
@@ -667,7 +667,7 @@ mod tests {
     fn outstanding(out: &mut Outbox) -> FsReq {
         let msgs = out.drain();
         let req = msgs.iter().rev().find_map(|(m, _)| match &m.payload {
-            Payload::Fs(req) => Some((**req).clone()),
+            Payload::Fs(req) => Some(req.clone()),
             _ => None,
         });
         req.expect("a filesystem request outstanding")

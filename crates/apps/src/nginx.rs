@@ -310,11 +310,11 @@ mod tests {
         let membership = MembershipTable::new(vec![KernelId(0); 16], vec![PeId(15)]);
         let mut channels = Channels::new(membership);
         channels.open(PeId(1), PeId(0), 0);
-        assert!(!channels.admit(&mut reply(9)));
+        assert!(channels.admit(&mut reply(9)).is_none());
         assert_eq!((lg.completed(), lg.bytes()), (0, 0));
         // The outstanding request's answer counts and sends the next.
         let mut answer = reply(1);
-        assert!(channels.admit(&mut answer));
+        assert!(channels.admit(&mut answer).is_some());
         lg.handle(&answer, &mut out);
         assert_eq!(out.drain().len(), 1);
         assert_eq!(lg.completed(), 1);

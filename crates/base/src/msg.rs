@@ -609,17 +609,17 @@ pub enum Payload {
     /// Kernel → VPE.
     SysReply(SysReply),
     /// Kernel → kernel request.
-    Kcall(Box<Kcall>),
+    Kcall(Kcall),
     /// Kernel → kernel reply.
-    KReply(Box<KReply>),
+    KReply(KReply),
     /// Kernel → VPE request.
     Upcall(Upcall),
     /// VPE → kernel response.
     UpcallReply(UpcallReply),
     /// Client VPE → service VPE.
-    Fs(Box<FsReq>),
+    Fs(FsReq),
     /// Service VPE → client VPE.
-    FsReply(Box<FsReply>),
+    FsReply(FsReply),
     /// Load generator → server VPE.
     Http(HttpReq),
     /// Server VPE → load generator.
@@ -642,13 +642,13 @@ impl Payload {
     /// An inter-kernel request.
     #[inline]
     pub fn kcall(call: Kcall) -> Payload {
-        Payload::Kcall(Box::new(call))
+        Payload::Kcall(call)
     }
 
     /// An inter-kernel reply.
     #[inline]
     pub fn kreply(reply: KReply) -> Payload {
-        Payload::KReply(Box::new(reply))
+        Payload::KReply(reply)
     }
 
     /// A VPE's response to an upcall.
@@ -660,13 +660,13 @@ impl Payload {
     /// A filesystem request.
     #[inline]
     pub fn fs(req: FsReq) -> Payload {
-        Payload::Fs(Box::new(req))
+        Payload::Fs(req)
     }
 
     /// A filesystem reply.
     #[inline]
     pub fn fs_reply(tag: u64, result: Result<FsReplyData>) -> Payload {
-        Payload::FsReply(Box::new(FsReply { tag, result }))
+        Payload::FsReply(FsReply { tag, result })
     }
     /// Estimated wire size in bytes, used by the NoC latency model.
     ///
@@ -680,7 +680,7 @@ impl Payload {
             Payload::Sys { call, .. } => syscall_size(call),
             Payload::SysReply(r) => sys_reply_size(&r.result),
             Payload::Kcall(k) => kcall_size(k),
-            Payload::KReply(r) => match r.as_ref() {
+            Payload::KReply(r) => match r {
                 KReply::Obtain { .. } => 40,
                 KReply::Delegate { .. } => 32,
                 KReply::DelegateDone { .. } => 16,
@@ -830,18 +830,15 @@ mod tests {
         assert_eq!(m.wire_size(), 16 + 8);
     }
 
-    /// The protocol-bearing payload variants are boxed so messages move
-    /// through the event queue (and its stall lanes) as little more
-    /// than a pointer. Guard the size so a new fat inline variant
-    /// cannot silently re-bloat every queue operation.
+    /// A message is stored once while in flight and travels through
+    /// the event queue and its stall lanes by handle, so its size costs
+    /// one write and one read, not a move per queue operation. Guard one
+    /// cache line, so a new fat inline variant cannot make each of those
+    /// touch two.
     #[test]
-    fn msg_stays_slim() {
-        assert!(
-            std::mem::size_of::<Msg>() <= 40,
-            "Msg grew to {} bytes; box large Payload variants",
-            std::mem::size_of::<Msg>()
-        );
-        assert!(std::mem::size_of::<Payload>() <= 32);
+    fn msg_fits_one_cache_line() {
+        let size = std::mem::size_of::<Msg>();
+        assert!(size <= 64, "Msg grew to {size} bytes, past one cache line");
     }
 }
 

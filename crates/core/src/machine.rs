@@ -22,7 +22,7 @@ use semper_kernel::host::{self, Channels, StubVpe};
 use semper_kernel::{Kernel, KernelStats};
 use semper_m3fs::{FsImage, FsService, FsSpec, M3FS_NAME};
 use semper_noc::{GlobalMemory, Mesh, Noc};
-use semper_sim::{Cycles, PeSchedule};
+use semper_sim::{Cycles, PeSchedule, Slab};
 
 use crate::topology::{Role, Topology};
 
@@ -65,14 +65,27 @@ pub enum Workload {
 /// the bursts.
 const CLIENT_STAGGER: u64 = 40;
 
-/// What carries messages between PEs: channels, NoC and event schedule.
+/// What carries messages between PEs: channels, NoC, the messages in
+/// flight and the event schedule.
+///
+/// A message is stored once, in `msgs`, from its injection until its
+/// handler returns; the schedule, its queue and its stall lanes order
+/// only the message's `u32` handle, and the handler reads the message
+/// in its slot, as a DTU's receiver reads a message in its receive
+/// buffer (§2.2). Each message names its channel's route record in the
+/// NoC by the index the intake rule gives it, so routing probes no map
+/// for kernel traffic.
 struct Net {
     channels: Channels,
     noc: Noc,
-    /// The stall-lane event schedule: global heap plus per-PE lanes for
-    /// messages arriving while their destination is still executing
-    /// (see [`semper_sim::sched`] for the ordering contract).
-    sched: PeSchedule<Msg>,
+    /// The messages in flight, each from its injection to the return of
+    /// its handler; a slot is `None` only while it is free.
+    msgs: Slab<Option<Msg>>,
+    /// The stall-lane event schedule of message handles: global queue
+    /// plus per-PE lanes for messages arriving while their destination
+    /// is still executing (see [`semper_sim::sched`] for the ordering
+    /// contract).
+    sched: PeSchedule<u32>,
 }
 
 impl Net {
@@ -83,17 +96,23 @@ impl Net {
     /// pipelined sends of loop-heavy handlers like the revocation fan-out.
     fn inject(&mut self, out: &mut Outbox, start: Cycles, end: Cycles) {
         for (mut m, off) in out.drain_iter() {
-            if !self.channels.admit(&mut m) {
+            let Some(ch) = self.channels.admit(&mut m) else {
                 continue;
-            }
+            };
             let at = match off {
                 None => end,
                 Some(o) => (start + o).min(end),
             };
-            let delivery = self.noc.route(&m, at);
+            let delivery = self.noc.send(ch, &m, at);
             let dst = m.dst.idx();
-            self.sched.schedule(delivery, dst, m);
+            self.sched.schedule(delivery, dst, self.msgs.insert(Some(m)));
         }
+    }
+
+    /// Drops the delivered message `h` and frees its slot.
+    fn retire(&mut self, h: u32) {
+        self.msgs[h] = None;
+        self.msgs.release(h);
     }
 }
 
@@ -203,7 +222,12 @@ impl Machine {
         });
         Machine {
             nodes: nodes.collect(),
-            net: Net { channels, noc, sched: PeSchedule::new(cfg.num_pes as usize) },
+            net: Net {
+                channels,
+                noc,
+                msgs: Slab::new(),
+                sched: PeSchedule::new(cfg.num_pes as usize),
+            },
             cfg,
             topo,
             kernels,
@@ -269,31 +293,31 @@ impl Machine {
     /// stopped when its requeued entry landed past the deadline.
     /// Returns the processed message's delivery time.
     fn step_bounded(&mut self, deadline: Option<Cycles>) -> Option<Cycles> {
-        let (t, pe, msg) = match deadline {
+        let (t, pe, h) = match deadline {
             None => self.net.sched.pop_ready(),
             Some(d) => self.net.sched.pop_ready_before(d),
         }?;
+        let msg = self.net.msgs[h].as_ref().expect("a scheduled handle names a message in flight");
         let out = &mut self.scratch;
         let cost = match &mut self.nodes[pe] {
             Node::Kernel(_) => {
                 let credits = &mut self.credit_scratch;
-                let cost =
-                    host::deliver(&mut self.kernels, &self.topo.membership, &msg, out, credits)
-                        .expect("the timed machine arms no crash points");
-                // A consumed request's credit returns at its delivery, in
-                // the DTU, ahead of the handler's output.
-                if !credits.is_empty() {
-                    self.net.inject(credits, t, t);
-                }
-                cost
+                host::deliver(&mut self.kernels, &self.topo.membership, msg, out, credits)
+                    .expect("the timed machine arms no crash points")
             }
-            Node::Service(s) => s.handle(&msg, out),
-            Node::Client(c) => c.handle(&msg, out),
-            Node::Server(s) => s.handle(&msg, out),
-            Node::LoadGen(l) => l.handle(&msg, out),
-            Node::Stub(stub) => stub.handle(&msg, out, &self.cfg.cost),
+            Node::Service(s) => s.handle(msg, out),
+            Node::Client(c) => c.handle(msg, out),
+            Node::Server(s) => s.handle(msg, out),
+            Node::LoadGen(l) => l.handle(msg, out),
+            Node::Stub(stub) => stub.handle(msg, out, &self.cfg.cost),
             Node::Idle => 0,
         };
+        self.net.retire(h);
+        // A consumed request's credit returns at its delivery, in the
+        // DTU, ahead of the handler's output.
+        if !self.credit_scratch.is_empty() {
+            self.net.inject(&mut self.credit_scratch, t, t);
+        }
         let end = t + cost;
         self.net.sched.set_busy(pe, end);
         // Record client completion.
@@ -478,9 +502,11 @@ impl Machine {
     }
 
     /// Runs kernel invariant checks, and with no event pending the links
-    /// between kernels ([`host::check_invariants`]).
+    /// between kernels ([`host::check_invariants`]) and that no message
+    /// is left in flight.
     pub fn check_invariants(&self) {
         let idle = self.net.sched.is_empty();
+        assert!(!idle || self.net.msgs.live() == 0, "a message outlived its delivery");
         host::check_invariants(&self.kernels, idle).unwrap_or_else(|e| panic!("{e}"));
     }
 

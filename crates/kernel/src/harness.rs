@@ -149,7 +149,7 @@ impl TestCluster {
     /// Table 2 races arise on real hardware.
     pub fn syscall_front(&mut self, vpe: VpeId, call: Syscall) -> u64 {
         let mut msg = self.sys_msg(vpe, call);
-        if self.channels.admit(&mut msg) {
+        if self.channels.admit(&mut msg).is_some() {
             self.queue.push_front(msg);
         }
         self.tag_counter
@@ -164,7 +164,7 @@ impl TestCluster {
 
     /// Sends `msg` from its source PE: through [`Channels::admit`] to the queue's back.
     pub fn send(&mut self, mut msg: Msg) {
-        if self.channels.admit(&mut msg) {
+        if self.channels.admit(&mut msg).is_some() {
             self.queue.push_back(msg);
         }
     }

@@ -22,7 +22,7 @@
 use semper_base::msg::{Payload, SysReply, SysReplyData, Upcall, UpcallReply};
 use semper_base::{CostModel, DetHashMap, KernelId, MachineConfig, Msg, PeId, VpeId};
 use semper_caps::MembershipTable;
-use semper_noc::GlobalMemory;
+use semper_noc::{ChannelId, GlobalMemory};
 
 use crate::kernel::Kernel;
 use crate::outbox::Outbox;
@@ -168,26 +168,79 @@ impl StubVpe {
     }
 }
 
-/// The intake rule's table: the kernels' PEs, and the channels between other
-/// PEs (one per pair, with a label each way naming the sender to the receiver).
+/// The intake rule's table, and the index of each channel it admits.
+///
+/// A channel is a (src, dst) PE pair that a message may travel on, and
+/// its [`ChannelId`] names the pair's route record in the NoC, so a
+/// message is routed by one indexed load. Kernel channels are numbered
+/// from the membership table, with `P` PEs and `K` kernels: a PE `p` to
+/// its own kernel is `2p`, a kernel to a PE `p` of its group `2p + 1`,
+/// kernel `i` to kernel `j` `2P + i·K + j`. Every other admitted pair
+/// (the channels between two non-kernel PEs, opened with a label each
+/// way naming the sender to the receiver, and a kernel's sends outside
+/// its group) takes the next index at its first use, in the rule's one
+/// map. Reopening a pair replaces its label only: the pair keeps its
+/// index, and with it its FIFO floor.
 #[derive(Debug, Clone)]
 pub struct Channels {
-    membership: MembershipTable,
-    labels: DetHashMap<(PeId, PeId), u32>,
+    /// Per PE: its group's kernel, and whether it is that kernel's PE.
+    pes: Vec<Pe>,
+    /// Number of kernels.
+    kernels: u32,
+    /// Label and index of each pair numbered past the kernel channels,
+    /// by [`pair`].
+    pairs: DetHashMap<u32, (u32, ChannelId)>,
+    /// The index the next such pair takes.
+    next: u32,
     /// Sends refused so far.
     pub refused: u64,
+}
+
+/// What the intake rule knows of one PE.
+#[derive(Debug, Clone, Copy)]
+struct Pe {
+    kernel: KernelId,
+    /// The PE is its kernel's own.
+    own: bool,
+}
+
+/// A PE outside the machine: no kernel's, in no group.
+const OUTSIDE: Pe = Pe { kernel: KernelId(u16::MAX), own: false };
+
+/// The packed key of the (src, dst) pair.
+fn pair(src: PeId, dst: PeId) -> u32 {
+    (u32::from(src.0) << 16) | u32::from(dst.0)
 }
 
 impl Channels {
     /// No channel open yet, on the machine `membership` describes.
     pub fn new(membership: MembershipTable) -> Channels {
-        Channels { membership, labels: DetHashMap::default(), refused: 0 }
+        let pes = (0..membership.pe_count() as u16).map(PeId).map(|pe| {
+            let kernel = membership.kernel_of(pe);
+            Pe { kernel, own: membership.kernel_pe(kernel) == pe }
+        });
+        let (p, k) = (membership.pe_count() as u64, membership.kernel_count() as u64);
+        let next = u32::try_from(2 * p + k * k).expect("kernel channels fit 32-bit indices");
+        Channels {
+            pes: pes.collect(),
+            kernels: k as u32,
+            pairs: DetHashMap::default(),
+            next,
+            refused: 0,
+        }
     }
 
-    /// Opens the channel between `from` and `to` in place of the pair's
-    /// old one, if any: messages from `from` carry `label`, answers 0.
+    /// Opens the channel between `from` and `to`, or relabels the pair's
+    /// channel if it has one: messages from `from` carry `label`,
+    /// answers 0.
     pub fn open(&mut self, from: PeId, to: PeId, label: u32) {
-        self.labels.extend([((from, to), label), ((to, from), 0)]);
+        for (key, label) in [(pair(from, to), label), (pair(to, from), 0)] {
+            let next = &mut self.next;
+            self.pairs.entry(key).and_modify(|e| e.0 = label).or_insert_with(|| {
+                *next += 1;
+                (label, ChannelId(*next - 1))
+            });
+        }
     }
 
     /// The intake rule, which both hosts apply to every message before it
@@ -195,32 +248,50 @@ impl Channels {
     /// PE anything to its own kernel and service payloads over a channel,
     /// whose label it writes; anything else is refused and counted. A
     /// kernel's `Session` reply opens the client's channel to the service,
-    /// labelled with the ident if it fits.
+    /// labelled with the ident if it fits. Returns the index of the
+    /// admitted message's channel.
     #[inline]
-    pub fn admit(&mut self, msg: &mut Msg) -> bool {
+    pub fn admit(&mut self, msg: &mut Msg) -> Option<ChannelId> {
         use Payload::{Fs, FsReply, Http, HttpReply};
-        let kernel_pe = self.membership.kernel_pe(self.membership.kernel_of(msg.src));
-        let label = if msg.src == kernel_pe {
+        let (src, dst) = (msg.src, msg.dst);
+        let s = self.pes[src.idx()];
+        let d = self.pes.get(dst.idx()).copied().unwrap_or(OUTSIDE);
+        let channel = if s.own {
             if let Payload::SysReply(SysReply {
                 result: Ok(SysReplyData::Session { srv_pe, ident, .. }),
                 ..
             }) = msg.payload
             {
                 if let Ok(label) = u32::try_from(ident) {
-                    self.open(msg.dst, srv_pe, label);
+                    self.open(dst, srv_pe, label);
                 }
             }
-            Some(0)
-        } else if msg.dst == kernel_pe {
-            Some(0)
+            let ch = if d.own {
+                let kernels = 2 * self.pes.len() as u32;
+                ChannelId(kernels + u32::from(s.kernel.0) * self.kernels + u32::from(d.kernel.0))
+            } else if d.kernel == s.kernel {
+                ChannelId(2 * u32::from(dst.0) + 1)
+            } else {
+                let next = &mut self.next;
+                self.pairs
+                    .entry(pair(src, dst))
+                    .or_insert_with(|| {
+                        *next += 1;
+                        (0, ChannelId(*next - 1))
+                    })
+                    .1
+            };
+            Some((0, ch))
+        } else if d.own && d.kernel == s.kernel {
+            Some((0, ChannelId(2 * u32::from(src.0))))
         } else if let Fs(_) | FsReply(_) | Http(_) | HttpReply(_) = msg.payload {
-            self.labels.get(&(msg.src, msg.dst)).copied()
+            self.pairs.get(&pair(src, dst)).copied()
         } else {
             None
         };
-        msg.label = label.unwrap_or(0);
-        self.refused += u64::from(label.is_none());
-        label.is_some()
+        msg.label = channel.map_or(0, |(label, _)| label);
+        self.refused += u64::from(channel.is_none());
+        channel.map(|(_, ch)| ch)
     }
 }
 
@@ -347,7 +418,7 @@ mod tests {
     /// through the rule: the label it arrives with, or `None` if refused.
     fn admitted(rule: &mut Channels, src: u16, dst: u16, payload: Payload) -> Option<u32> {
         let mut msg = Msg { label: 9, ..Msg::new(PeId(src), PeId(dst), payload) };
-        rule.admit(&mut msg).then_some(msg.label)
+        rule.admit(&mut msg).map(|_| msg.label)
     }
 
     /// The kernel on PE 0 answers the client on `client` a session to
@@ -414,14 +485,14 @@ mod tests {
         session_reply(&mut rule, 1, 5, 1 << 32);
         assert_eq!(admitted(&mut rule, 1, 5, stat()), None);
         assert_eq!(admitted(&mut rule, 5, 1, Payload::fs_reply(1, Ok(FsReplyData::Ok))), None);
-        assert!(rule.labels.is_empty());
+        assert!(rule.pairs.is_empty());
         session_reply(&mut rule, 1, 5, 1);
         session_reply(&mut rule, 1, 5, u64::from(u32::MAX));
         assert_eq!(admitted(&mut rule, 1, 5, stat()), Some(u32::MAX));
         rule.open(PeId(5), PeId(1), 4);
         assert_eq!(admitted(&mut rule, 1, 5, stat()), Some(0));
         assert_eq!(admitted(&mut rule, 5, 1, stat()), Some(4));
-        assert_eq!(rule.labels.len(), 2);
+        assert_eq!(rule.pairs.len(), 2);
     }
 
     /// Two kernels of three VPEs each (PEs 1–3 and 5–7) with a window of

@@ -733,7 +733,7 @@ fn open_session_request_for_an_unknown_client_is_refused() {
     match &out.drain()[..] {
         [(Msg { dst, payload: Payload::KReply(reply), .. }, _)] => {
             assert_eq!(*dst, c.kernels[1].pe());
-            let KReply::OpenSess { op: OpId(5), result: Err(e) } = **reply else {
+            let KReply::OpenSess { op: OpId(5), result: Err(e) } = reply else {
                 panic!("expected a refused OpenSess reply, got {reply:?}");
             };
             assert_eq!(e.code(), Code::NoSuchVpe);

@@ -627,7 +627,7 @@ mod tests {
         channels: &mut Channels,
         mut msg: Msg,
     ) -> Option<Vec<(Msg, Option<u64>)>> {
-        channels.admit(&mut msg).then(|| {
+        channels.admit(&mut msg).is_some().then(|| {
             let mut out = Outbox::new();
             s.handle(&msg, &mut out);
             out.drain()

@@ -71,7 +71,7 @@ fn fs_req_on(s: &mut FsService, src: PeId, session: u32, req: FsReq) -> Outbox {
 fn expect_fs_reply(out: &mut Outbox, tag: u64) -> semper_base::Result<FsReplyData> {
     for (m, _) in out.drain() {
         if let Payload::FsReply(r) = m.payload {
-            let FsReply { tag: t, result } = *r;
+            let FsReply { tag: t, result } = r;
             assert_eq!(t, tag);
             return result;
         }
@@ -240,7 +240,7 @@ fn requests_queue_while_a_syscall_is_in_flight() {
     assert!(msgs.iter().any(|(m, _)| matches!(
         &m.payload,
         Payload::FsReply(r)
-            if matches!(r.as_ref(), FsReply { tag: 11, result: Ok(FsReplyData::Extent { .. }) })
+            if matches!(r, FsReply { tag: 11, result: Ok(FsReplyData::Extent { .. }) })
     )));
     assert!(msgs
         .iter()
@@ -291,7 +291,7 @@ fn rule() -> Channels {
 fn open_channel(rule: &mut Channels, client_pe: PeId, ident: u64) {
     let session = SysReplyData::Session { sel: CapSel(5), srv_pe: SVC_PE, ident };
     let mut reply = Msg::new(KRN_PE, client_pe, Payload::sys_reply(1, Ok(session)));
-    assert!(rule.admit(&mut reply));
+    assert!(rule.admit(&mut reply).is_some());
 }
 
 const OTHER_PE: PeId = PeId(8);
@@ -353,7 +353,7 @@ fn a_session_ident_from_another_pe_is_invalid_session() {
             let touches_the_file = matches!(op, FsOp::NextExtent { .. } | FsOp::Close { .. });
             let forged = Msg::new(OTHER_PE, SVC_PE, Payload::fs(FsReq { tag: 30, op }));
             let mut msg = Msg { label: 1, ..forged };
-            if !rule.admit(&mut msg) {
+            if rule.admit(&mut msg).is_none() {
                 assert!(!with_own_session);
                 continue;
             }

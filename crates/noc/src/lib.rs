@@ -23,4 +23,4 @@ pub mod noc;
 
 pub use memory::GlobalMemory;
 pub use mesh::Mesh;
-pub use noc::Noc;
+pub use noc::{ChannelId, Noc};

@@ -10,6 +10,35 @@ use crate::mesh::Mesh;
 use semper_base::{CostModel, DetHashMap, Msg, PeId};
 use semper_sim::Cycles;
 
+/// The index of a (src, dst) channel. A host numbers the channels it
+/// sends on densely from 0 (`semper_kernel::host::Channels`) and hands
+/// the NoC each message's channel with it ([`Noc::send`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ChannelId(pub u32);
+
+impl ChannelId {
+    /// The index as a `usize`.
+    #[inline]
+    pub fn idx(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// What the NoC keeps per channel.
+#[derive(Debug, Clone, Copy)]
+struct Route {
+    /// One cycle after the channel's previous delivery; 0 before its
+    /// first.
+    floor: u64,
+    /// Everything of a message's delivery time but its bytes on the
+    /// wire: DTU send, the base and per-hop latency, DTU receive.
+    /// [`UNSET`] until the channel's first message.
+    latency: u64,
+}
+
+/// [`Route::latency`] of a channel that has carried no message.
+const UNSET: u64 = u64::MAX;
+
 /// The network-on-chip: computes delivery times for messages.
 ///
 /// **FIFO rule.** A message on channel (src, dst) is delivered at
@@ -19,35 +48,38 @@ use semper_sim::Cycles;
 /// message). A short message sent right behind a long one on the same
 /// channel therefore never overtakes it.
 ///
-/// **Store.** The floors live in a hash map keyed by the packed
-/// (src, dst) pair, holding one entry per channel that has carried a
-/// message. A machine talks over a few thousand of the mesh capacity's
-/// squared channels (kernels and services reach up to about 90 peers
-/// each, applications a handful), so building a NoC allocates nothing
+/// **Store.** One route record per channel, in a vector indexed by
+/// [`ChannelId`]: the channel's FIFO floor and its fixed latency, which
+/// the channel's first message computes (hop count included) and every
+/// later one reads, so a message pays one indexed load, its wire bytes'
+/// division and the floor. The host numbers its channels densely from
+/// the channels it uses — a few thousand of the mesh capacity's squared
+/// pairs (kernels and services reach up to about 90 peers each,
+/// applications a handful) — so building a NoC allocates nothing
 /// proportional to capacity² and routing touches only the channels in
-/// use — as the M3 hardware keeps this state in a few DTU endpoints per
-/// PE rather than in a table over every PE pair.
+/// use, as the M3 hardware keeps this state in a few DTU endpoints per
+/// PE, configured once per channel, rather than in a table over every
+/// PE pair. [`Noc::route`] serves callers that number no channels: it
+/// names each pair's channel in a map of its own, in first-use order.
+/// A NoC is driven one way, by channel ([`Noc::send`]) or by pair.
 #[derive(Debug, Clone)]
 pub struct Noc {
     mesh: Mesh,
     cost: CostModel,
     /// Mesh capacity (width²): PE ids at or past it lie off the mesh.
     capacity: usize,
-    /// FIFO floor (previous delivery + 1) per channel that has carried a
-    /// message, keyed by [`channel`].
-    fifo_floor: DetHashMap<u32, u64>,
-}
-
-/// The packed key of the (src, dst) channel.
-fn channel(src: PeId, dst: PeId) -> u32 {
-    (u32::from(src.0) << 16) | u32::from(dst.0)
+    /// The route record of each channel, indexed by [`ChannelId`].
+    routes: Vec<Route>,
+    /// The channel [`Noc::route`] named for each packed (src, dst) pair;
+    /// empty on a NoC driven by channel.
+    named: DetHashMap<u32, ChannelId>,
 }
 
 impl Noc {
     /// Creates a NoC over the given mesh with the given cost model.
     pub fn new(mesh: Mesh, cost: CostModel) -> Noc {
         let capacity = (mesh.width() as usize) * (mesh.width() as usize);
-        Noc { mesh, cost, capacity, fifo_floor: DetHashMap::default() }
+        Noc { mesh, cost, capacity, routes: Vec::new(), named: DetHashMap::default() }
     }
 
     /// The mesh underlying this NoC.
@@ -55,33 +87,69 @@ impl Noc {
         &self.mesh
     }
 
-    /// Routes `msg` injected at time `now`; returns its delivery time.
-    ///
-    /// Delivery time is `now + dtu_send + wire latency + dtu_recv`,
-    /// bumped if necessary to preserve FIFO ordering on the
-    /// `(src, dst)` channel.
+    /// Routes `msg` injected at time `now` on the channel of its
+    /// (src, dst) pair; returns its delivery time: [`Noc::send`] on the
+    /// channel this NoC names for the pair.
     ///
     /// # Panics
     ///
-    /// Panics if the source or destination PE lies off the mesh.
+    /// Panics if the source or destination PE lies off the mesh, or if
+    /// a host already drives this NoC by channel.
     #[inline]
     pub fn route(&mut self, msg: &Msg, now: Cycles) -> Cycles {
-        assert!(
-            msg.src.idx() < self.capacity && msg.dst.idx() < self.capacity,
-            "route {} -> {}: a PE lies off the {}-wide mesh",
-            msg.src,
-            msg.dst,
-            self.mesh.width()
-        );
-        let hops = self.mesh.hops(msg.src, msg.dst);
-        let wire = self.cost.noc_latency(hops, msg.wire_size() as u64);
-        let arrival = now + self.cost.dtu_send + wire + self.cost.dtu_recv;
+        let next = ChannelId(self.named.len() as u32);
+        let ch = *self.named.entry(pair(msg.src, msg.dst)).or_insert(next);
+        assert!(ch != next || self.routes.len() == next.idx(), "{BY_PAIR_OR_CHANNEL}");
+        self.send(ch, msg, now)
+    }
 
-        let floor = self.fifo_floor.entry(channel(msg.src, msg.dst)).or_insert(0);
-        let delivery = arrival.max(Cycles(*floor));
-        *floor = delivery.0 + 1;
+    /// Routes `msg` injected at time `now` on channel `ch`, which the
+    /// host names for `msg`'s (src, dst) pair and no other; returns its
+    /// delivery time: `now + dtu_send + wire latency + dtu_recv`,
+    /// bumped if necessary to preserve FIFO ordering on the channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the source or destination PE lies off the mesh, or if
+    /// [`Noc::route`] already drives this NoC.
+    #[inline]
+    pub fn send(&mut self, ch: ChannelId, msg: &Msg, now: Cycles) -> Cycles {
+        let i = ch.idx();
+        if self.routes.get(i).is_none_or(|r| r.latency == UNSET) {
+            self.open(i, msg.src, msg.dst);
+        }
+        let route = &mut self.routes[i];
+        let wire = u64::from(msg.wire_size()) / self.cost.noc_bytes_per_cycle;
+        let delivery = (now + route.latency + wire).max(Cycles(route.floor));
+        route.floor = delivery.0 + 1;
         delivery
     }
+
+    /// Computes the latency of channel `i` between `src` and `dst` at
+    /// its first message.
+    #[cold]
+    #[inline(never)]
+    fn open(&mut self, i: usize, src: PeId, dst: PeId) {
+        assert!(
+            src.idx() < self.capacity && dst.idx() < self.capacity,
+            "route {src} -> {dst}: a PE lies off the {}-wide mesh",
+            self.mesh.width()
+        );
+        assert!(self.named.is_empty() || i + 1 == self.named.len(), "{BY_PAIR_OR_CHANNEL}");
+        let hops = self.mesh.hops(src, dst);
+        let latency = self.cost.dtu_send + self.cost.noc_latency(hops, 0) + self.cost.dtu_recv;
+        if self.routes.len() <= i {
+            self.routes.resize(i + 1, Route { floor: 0, latency: UNSET });
+        }
+        self.routes[i].latency = latency;
+    }
+}
+
+const BY_PAIR_OR_CHANNEL: &str = "a NoC is driven by pair or by channel, not both";
+
+/// The packed key of the (src, dst) pair.
+fn pair(src: PeId, dst: PeId) -> u32 {
+    (u32::from(src.0) << 16) | u32::from(dst.0)
 }
 
 #[cfg(test)]
@@ -189,20 +257,23 @@ mod tests {
             now += rng.below(40);
         }
         assert!(bound > 500, "the floor bound only {bound} times");
-        assert_eq!(noc.fifo_floor.len(), dense.iter().filter(|f| **f > 0).count());
+        let used = dense.iter().filter(|f| **f > 0).count();
+        assert_eq!((noc.routes.len(), noc.named.len()), (used, used));
     }
 
+    /// A 32-wide mesh has 2^20 pairs; a NoC that routed 42 channels
+    /// holds 42 route records and names 42 pairs.
     #[test]
     fn store_holds_one_floor_per_channel_in_use() {
         let mut noc = Noc::new(Mesh::new(32), CostModel::calibrated());
-        assert_eq!(noc.fifo_floor.len(), 0);
+        assert_eq!((noc.routes.len(), noc.named.len()), (0, 0));
         let channels: Vec<(u16, u16)> =
             (0..40).map(|i| (i * 25, 1023 - i * 7)).chain([(0, 0), (1023, 1023)]).collect();
         for (t, (src, dst)) in channels.iter().enumerate() {
             noc.route(&noop_msg(*src, *dst), Cycles(t as u64));
             noc.route(&noop_msg(*src, *dst), Cycles(t as u64));
         }
-        assert_eq!(noc.fifo_floor.len(), channels.len());
+        assert_eq!((noc.routes.len(), noc.named.len()), (channels.len(), channels.len()));
     }
 
     #[test]

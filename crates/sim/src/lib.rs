@@ -18,13 +18,14 @@ pub mod faults;
 pub mod queue;
 pub mod rng;
 pub mod sched;
-pub(crate) mod slab;
+pub mod slab;
 pub mod time;
 
 pub use faults::{CrashPoint, FaultPlan};
 pub use queue::EventQueue;
 pub use rng::DetRng;
 pub use sched::PeSchedule;
+pub use slab::Slab;
 pub use time::Cycles;
 
 // The engine holds no `Rc`, `RefCell`, thread-local or global state —

@@ -219,7 +219,7 @@ impl<E> PartialEq for Far<E> {
 impl<E> Eq for Far<E> {}
 
 /// An entry of a slot or a bucket.
-struct Node<E> {
+pub(crate) struct Node<E> {
     /// Initialised while the node is linked into a slot or a bucket:
     /// `push_node` writes it, `unlink` moves it out and releases the
     /// node, and `EventQueue`'s `Drop` drops what is left. Not an

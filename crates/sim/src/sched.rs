@@ -408,4 +408,14 @@ mod tests {
         assert_eq!(s.lane_slots.allocated(), 1);
         assert_eq!(s.runs.allocated(), 1);
     }
+
+    /// A host that schedules `u32` handles to messages it stores itself
+    /// moves at most 24 bytes per queue node and per parked event.
+    #[test]
+    fn a_handle_entry_stays_small() {
+        use std::mem::size_of;
+        let node = size_of::<crate::queue::Node<Tok<u32>>>();
+        let parked = size_of::<Parked<u32>>();
+        assert!(node <= 24 && parked <= 24, "queue node {node} bytes, parked event {parked}");
+    }
 }

@@ -1,23 +1,27 @@
-//! The one index-linked node pool of the engine: the event queue's
+//! The one index-linked node pool of the simulation: the event queue's
 //! wheel nodes and the stall lanes' parked events and runs all live in
-//! [`Slab`]s and link to each other by `u32` index.
+//! [`Slab`]s and link to each other by `u32` index, and the machine keeps
+//! its in-flight messages in one, scheduling their indices.
 
 /// End of a chain of indices; never handed out by [`Slab::insert`].
 pub(crate) const NIL: u32 = u32::MAX;
 
 /// A `Vec` whose vacated indices are handed out again, last released
 /// first, so the hottest slot is the next one written.
-pub(crate) struct Slab<T> {
+pub struct Slab<T> {
     items: Vec<T>,
     free: Vec<u32>,
 }
 
 impl<T> Slab<T> {
-    pub(crate) fn new() -> Slab<T> {
+    /// An empty slab.
+    pub fn new() -> Slab<T> {
         Slab { items: Vec::new(), free: Vec::new() }
     }
 
-    pub(crate) fn insert(&mut self, item: T) -> u32 {
+    /// Stores `item` in the most recently released slot, or a new one;
+    /// returns its index.
+    pub fn insert(&mut self, item: T) -> u32 {
         match self.free.pop() {
             Some(i) => {
                 self.items[i as usize] = item;
@@ -32,12 +36,12 @@ impl<T> Slab<T> {
     }
 
     /// Marks `i` reusable. The item stays in place until overwritten.
-    pub(crate) fn release(&mut self, i: u32) {
+    pub fn release(&mut self, i: u32) {
         self.free.push(i);
     }
 
     /// Indices handed out and not released.
-    pub(crate) fn live(&self) -> usize {
+    pub fn live(&self) -> usize {
         self.items.len() - self.free.len()
     }
 
@@ -45,6 +49,12 @@ impl<T> Slab<T> {
     #[cfg(test)]
     pub(crate) fn allocated(&self) -> usize {
         self.items.len()
+    }
+}
+
+impl<T> Default for Slab<T> {
+    fn default() -> Slab<T> {
+        Slab::new()
     }
 }
 
