@@ -102,6 +102,9 @@ pub struct Replayer {
     ip: usize,
     /// The loaded trace's open files, indexed by [`PathId`].
     files: Vec<Option<FileState>>,
+    /// Emptied [`FileState::cached`] lists, handed to the next opens: a
+    /// file's first extent allocates nothing.
+    spare: Vec<Vec<(u64, u64)>>,
     io: Option<Io>,
     stats: ClientStats,
     error: Option<Error>,
@@ -127,6 +130,7 @@ impl Replayer {
             trace: None,
             ip: 0,
             files: Vec::new(),
+            spare: Vec::new(),
             io: None,
             stats: ClientStats::default(),
             error: None,
@@ -180,7 +184,10 @@ impl Replayer {
         assert!(self.trace.is_none(), "trace already loaded");
         // One slot per path of the trace. The table keeps its capacity
         // across loads, so a webserver's request allocates none.
-        self.files.clear();
+        self.spare.extend(self.files.drain(..).flatten().map(|mut f| {
+            f.cached.clear();
+            f.cached
+        }));
         self.files.resize(trace.paths.len(), None);
         self.trace = Some(trace);
         self.ip = 0;
@@ -255,11 +262,13 @@ impl Replayer {
                 TraceOp::Unlink { path } => {
                     trace.path(path).map(|p| FsOp::Unlink { path: p.clone() })
                 }
-                TraceOp::Close { path } => self
-                    .files
-                    .get_mut(path.idx())
-                    .and_then(Option::take)
-                    .map(|f| FsOp::Close { fid: f.fid }),
+                TraceOp::Close { path } => {
+                    self.files.get_mut(path.idx()).and_then(Option::take).map(|mut f| {
+                        f.cached.clear();
+                        self.spare.push(f.cached);
+                        FsOp::Close { fid: f.fid }
+                    })
+                }
             };
             let Some(request) = request else {
                 self.fail(Error::new(Code::InvalidArgs));
@@ -395,7 +404,8 @@ impl Replayer {
                     self.fail(Error::new(Code::InternalError));
                     return (cost, false);
                 };
-                *slot = Some(FileState { fid: *fid, size: *size, cached: Vec::new() });
+                let cached = self.spare.pop().unwrap_or_default();
+                *slot = Some(FileState { fid: *fid, size: *size, cached });
                 self.ip += 1;
             }
             (Ok(FsReplyData::Extent { sel: _, addr: _, offset, len }), None) => {

@@ -584,19 +584,18 @@ pub struct HttpResp {
 
 /// Union of everything that can travel through the NoC.
 ///
-/// The large variants are boxed: the enum would otherwise be as large
-/// as its fattest member (56 bytes, dominated by the inter-kernel
-/// calls and the path-carrying filesystem requests), and every
-/// event-queue insertion, heap sift, and stall-lane park would move
-/// that much. Boxing `Kcall`/`KReply`/`Fs`/`FsReply` brings a [`Msg`]
-/// down to 40 bytes. The mid-size variants (`Sys`, `SysReply`, the
-/// upcalls, HTTP) deliberately stay inline: they ride the group-local
-/// syscall path that every benchmark hammers, where one allocation per
-/// message costs more than the smaller heap moves save — the
-/// inter-kernel and filesystem messages are both the fattest and the
-/// least frequent, so they carry the boxes. Use the lower-case helper
-/// constructors ([`Payload::sys`], [`Payload::kcall`], …) instead of
-/// spelling the representation out at each send site.
+/// Every body is inline, so building a message allocates nothing. A
+/// message is written once and moves little: the timed machine stores
+/// it in one slot while it is in flight and its queue and stall lanes
+/// order a 4-byte handle to it, as a DTU writes a message once into a
+/// receive-buffer slot that the receiver reads in place (§2.2). A box
+/// per inter-kernel or filesystem body, which kept a [`Msg`] at 40
+/// bytes while whole messages moved through every queue operation, was
+/// then one allocation per message for nothing; inline, a `Msg` is 56
+/// bytes, within one cache line. Wire sizes do not follow the
+/// representation: [`Payload::wire_size`] computes them. Use the
+/// lower-case helper constructors ([`Payload::sys`], [`Payload::kcall`],
+/// …) at send sites.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Payload {
     /// VPE → kernel.
@@ -755,7 +754,8 @@ fn sys_reply_size(result: &Result<SysReplyData>) -> u32 {
     }
 }
 
-/// A message in flight between two PEs.
+/// A message in flight between two PEs: 56 bytes, a handful of
+/// fixed-size header fields and the inline [`Payload`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Msg {
     /// Sending PE.

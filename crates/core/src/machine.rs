@@ -1,11 +1,11 @@
 //! The timed machine: event loop, busy-time modeling, boot sequencing.
 //!
-//! Every PE hosts one [`Node`]. Messages pop from the deterministic
-//! event queue in delivery order; a node that is still executing a
-//! previous handler delays delivery until it is free — this per-PE
-//! serialization is what makes kernels the contention points whose
-//! behaviour the paper measures (parallel efficiency drops as more
-//! instances share a kernel).
+//! Every PE hosts one [`Node`]. Messages pop (by handle; each is stored
+//! once while in flight) from the deterministic event queue in delivery
+//! order; a node that is still executing a previous handler delays
+//! delivery until it is free — this per-PE serialization is what makes
+//! kernels the contention points whose behaviour the paper measures
+//! (parallel efficiency drops as more instances share a kernel).
 //!
 //! The kernels, the stub VPEs, the kernel delivery step (credit return
 //! included) and the intake rule every message passes before the NoC

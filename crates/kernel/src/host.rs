@@ -356,6 +356,8 @@ mod tests {
         ExchangeKind, FsOp, FsReplyData, FsReq, HttpReq, HttpResp, SysReplyData, Syscall,
     };
     use semper_base::{CapSel, OpId};
+    use semper_noc::{Mesh, Noc};
+    use semper_sim::Cycles;
 
     fn consent() -> Msg {
         let (op, from_vpe, kind, sel) = (OpId(7), VpeId(2), ExchangeKind::Obtain, CapSel(2));
@@ -493,6 +495,121 @@ mod tests {
         assert_eq!(admitted(&mut rule, 1, 5, stat()), Some(0));
         assert_eq!(admitted(&mut rule, 5, 1, stat()), Some(4));
         assert_eq!(rule.pairs.len(), 2);
+    }
+
+    /// A filesystem request whose path makes it `bytes` long on the wire
+    /// (less 33): long enough that a short message right behind it on
+    /// the same channel would overtake it without the FIFO floor.
+    fn long_stat(bytes: usize) -> Payload {
+        Payload::fs(FsReq { tag: 1, op: FsOp::Stat { path: "/".repeat(bytes).into() } })
+    }
+
+    /// Every (src, dst) pair of the two-group machine that the rule
+    /// admits, with a channel open between every two VPEs, has a channel
+    /// index of its own, and keeps it from send to send.
+    #[test]
+    fn no_two_pairs_share_a_channel() {
+        let mut rule = two_groups();
+        let vpes = [1, 2, 3, 5, 6, 7];
+        for (i, a) in vpes.into_iter().enumerate() {
+            vpes[i + 1..].iter().for_each(|&b| rule.open(PeId(a), PeId(b), 1));
+        }
+        let mut pair_of = std::collections::BTreeMap::new();
+        for _ in 0..2 {
+            for (src, dst) in (0..8).flat_map(|s| (0..8).map(move |d| (s, d))) {
+                let kernel = |pe| pe % 4 == 0;
+                let payload = if kernel(src) || kernel(dst) {
+                    Payload::sys(1, Syscall::Noop)
+                } else {
+                    stat()
+                };
+                let mut msg = Msg::new(PeId(src), PeId(dst), payload);
+                if let Some(ch) = rule.admit(&mut msg) {
+                    assert_eq!(*pair_of.entry(ch).or_insert((src, dst)), (src, dst), "{ch:?}");
+                }
+            }
+        }
+        // Each kernel to all 8 PEs, each VPE to its kernel and to the 5
+        // other VPEs.
+        assert_eq!(pair_of.len(), 2 * 8 + 6 * (1 + 5));
+    }
+
+    /// Routes `msg` from `src` to `dst` through the rule onto `noc` at
+    /// `now`: its channel and delivery time.
+    fn sent(rule: &mut Channels, noc: &mut Noc, msg: (u16, u16, Payload), now: u64) -> Cycles {
+        let mut msg = Msg::new(PeId(msg.0), PeId(msg.1), msg.2);
+        let ch = rule.admit(&mut msg).expect("admitted");
+        noc.send(ch, &msg, Cycles(now))
+    }
+
+    fn noc() -> Noc {
+        Noc::new(Mesh::new(4), CostModel::calibrated())
+    }
+
+    /// A session reopened between the same two PEs relabels their
+    /// channel and keeps its index, and with it the FIFO floor: a short
+    /// request sent right after the reopen does not overtake a long one
+    /// sent before it.
+    #[test]
+    fn a_reopened_channel_keeps_its_fifo_floor() {
+        let (mut rule, mut noc) = (two_groups(), noc());
+        session_reply(&mut rule, 1, 5, 3);
+        let long = sent(&mut rule, &mut noc, (1, 5, long_stat(4000)), 100);
+        session_reply(&mut rule, 1, 5, 4);
+        assert_eq!(admitted(&mut rule, 1, 5, stat()), Some(4));
+        let short = sent(&mut rule, &mut noc, (1, 5, stat()), 100);
+        assert!(short > long, "the short request ({short}) overtook the long one ({long})");
+    }
+
+    /// A kernel's sends to a PE of another group travel on one channel
+    /// of their own, with a floor: the short message behind the long one
+    /// arrives after it.
+    #[test]
+    fn a_kernel_send_outside_its_group_has_a_floor() {
+        let (mut rule, mut noc) = (two_groups(), noc());
+        let reply = || Payload::sys_reply(1, Ok(SysReplyData::None));
+        let long = sent(&mut rule, &mut noc, (0, 5, long_stat(4000)), 100);
+        let short = sent(&mut rule, &mut noc, (0, 5, reply()), 100);
+        assert!(short > long, "the short message ({short}) overtook the long one ({long})");
+        // PE 5's own kernel reaches it on another channel: no floor.
+        let own = sent(&mut rule, &mut noc, (4, 5, reply()), 100);
+        assert!(own < long);
+    }
+
+    /// One mixed script — kernel traffic within and across groups,
+    /// system calls, requests and answers over reopened sessions, long
+    /// messages followed closely by short ones — routed by the channel
+    /// indices the rule hands out, as the timed machine does, and by
+    /// [`Noc::route`]'s own naming of pairs: every delivery time agrees.
+    #[test]
+    fn indexed_routes_match_pair_routes() {
+        let (mut rule, mut indexed, mut by_pair) = (two_groups(), noc(), noc());
+        let mut rng = semper_sim::DetRng::seed_from(19);
+        let (mut now, mut routed, mut bound) = (0u64, 0, 0);
+        while routed < 4000 {
+            let (src, dst) = (rng.below(8) as u16, rng.below(8) as u16);
+            if rng.below(10) == 0 {
+                session_reply(&mut rule, src, dst, rng.below(4));
+            }
+            let short = if rng.below(2) == 0 { stat() } else { Payload::sys(1, Syscall::Noop) };
+            let burst = match rng.below(3) {
+                0 => vec![(long_stat(rng.between(100, 2000) as usize), 0), (short, rng.below(2))],
+                _ => vec![(short, 0)],
+            };
+            for (payload, gap) in burst {
+                now += gap;
+                let mut msg = Msg::new(PeId(src), PeId(dst), payload);
+                if let Some(ch) = rule.admit(&mut msg) {
+                    let at = Cycles(now);
+                    let delivery = indexed.send(ch, &msg, at);
+                    assert_eq!(delivery, by_pair.route(&msg, at), "message {routed}");
+                    bound += usize::from(delivery > noc().route(&msg, at));
+                    routed += 1;
+                }
+            }
+            now += rng.below(30);
+        }
+        assert!(bound > 200, "the floor bound only {bound} times");
     }
 
     /// Two kernels of three VPEs each (PEs 1–3 and 5–7) with a window of

@@ -111,6 +111,9 @@ pub struct FsService {
     sessions: Vec<(VpeId, PeId)>,
     files: DetHashMap<u64, OpenFile>,
     next_fid: u64,
+    /// Emptied [`OpenFile::delegated`] lists, handed to the next opens:
+    /// a file's first delegated extent allocates nothing.
+    spare: Vec<Vec<CapSel>>,
 
     /// The kernel connection: tag allocation, the one-blocking-syscall
     /// marker, and hard-error reply matching (`semper_apps::conn`).
@@ -144,6 +147,7 @@ impl FsService {
             sessions: Vec::new(),
             files: DetHashMap::default(),
             next_fid: 1,
+            spare: Vec::new(),
             conn: KernelConn::new(pe, kernel_pe),
             queue: VecDeque::new(),
             current: None,
@@ -257,7 +261,8 @@ impl FsService {
                     }
                     let fid = self.next_fid;
                     self.next_fid += 1;
-                    self.files.insert(fid, OpenFile { inode, session, delegated: Vec::new() });
+                    let delegated = self.spare.pop().unwrap_or_default();
+                    self.files.insert(fid, OpenFile { inode, session, delegated });
                     Ok(FsReplyData::Opened { fid, size: stat.size })
                 })();
                 self.reply_fs(out, src, req.tag, result);
@@ -332,6 +337,7 @@ impl FsService {
                     return self.cost.fs_meta_op;
                 };
                 if file.delegated.is_empty() {
+                    self.spare.push(file.delegated);
                     self.reply_fs(out, src, req.tag, Ok(FsReplyData::Ok));
                     return self.cost.fs_meta_op;
                 }
@@ -468,11 +474,14 @@ impl FsService {
                     // client's answer: reporting a clean close would
                     // leave extent capabilities alive behind it.
                     self.reply_fs(out, *client_pe, *tag, Err(*e));
+                    remaining.clear();
+                    self.spare.push(std::mem::take(remaining));
                 } else {
                     self.stats.revokes += 1;
                     remaining.remove(0);
                     if remaining.is_empty() {
                         self.reply_fs(out, *client_pe, *tag, Ok(FsReplyData::Ok));
+                        self.spare.push(std::mem::take(remaining));
                     } else {
                         let sel = remaining[0];
                         self.current = Some(work);

@@ -276,6 +276,38 @@ mod tests {
         assert_eq!((noc.routes.len(), noc.named.len()), (channels.len(), channels.len()));
     }
 
+    /// A channel numbered by a host and a pair named by [`Noc::route`]
+    /// would share index 0 on one NoC: whichever comes second panics.
+    #[test]
+    #[should_panic(expected = "by pair or by channel, not both")]
+    fn route_after_send_panics() {
+        let mut noc = mk_noc();
+        noc.send(ChannelId(0), &noop_msg(0, 5), Cycles::ZERO);
+        noc.route(&noop_msg(1, 5), Cycles::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "by pair or by channel, not both")]
+    fn send_after_route_panics() {
+        let mut noc = mk_noc();
+        noc.route(&noop_msg(0, 5), Cycles::ZERO);
+        noc.send(ChannelId(1), &noop_msg(1, 5), Cycles::ZERO);
+    }
+
+    /// Channel indices need not come in order: a host's first message on
+    /// channel 9 opens its route record alone, and the records below it
+    /// stay closed until their channels' first messages.
+    #[test]
+    fn a_channel_opens_at_its_first_message() {
+        let mut noc = mk_noc();
+        let (far, near) = (noop_msg(0, 15), noop_msg(0, 1));
+        let d9 = noc.send(ChannelId(9), &far, Cycles(100));
+        assert_eq!(noc.routes.iter().filter(|r| r.latency != UNSET).count(), 1);
+        let d2 = noc.send(ChannelId(2), &near, Cycles(100));
+        assert!(d2 < d9, "the nearer channel has its own latency and no floor");
+        assert!(noc.send(ChannelId(9), &far, Cycles(100)) > d9);
+    }
+
     #[test]
     #[should_panic(expected = "lies off the 4-wide mesh")]
     fn route_off_the_mesh_panics() {
