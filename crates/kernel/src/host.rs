@@ -13,7 +13,8 @@
 //! * [`check_invariants`] checks each live kernel, and at quiescence what
 //!   no one kernel sees: the child links between kernels;
 //! * [`Channels::admit`] is the one intake rule: who may send what to
-//!   whom, decided before a message enters the network.
+//!   whom, decided before a message enters the network, and the index
+//!   of the channel an admitted message travels on.
 //!
 //! So the two hosts differ only in which deliverable message goes next,
 //! and when: the machine keeps the NoC and the per-PE schedule, the
@@ -234,13 +235,18 @@ impl Channels {
     /// channel if it has one: messages from `from` carry `label`,
     /// answers 0.
     pub fn open(&mut self, from: PeId, to: PeId, label: u32) {
-        for (key, label) in [(pair(from, to), label), (pair(to, from), 0)] {
-            let next = &mut self.next;
-            self.pairs.entry(key).and_modify(|e| e.0 = label).or_insert_with(|| {
-                *next += 1;
-                (label, ChannelId(*next - 1))
-            });
-        }
+        self.numbered(pair(from, to)).0 = label;
+        self.numbered(pair(to, from)).0 = 0;
+    }
+
+    /// The label and index of the pair `key` packs, the pair numbered
+    /// with the next index (and label 0) if it has none.
+    fn numbered(&mut self, key: u32) -> &mut (u32, ChannelId) {
+        let next = &mut self.next;
+        self.pairs.entry(key).or_insert_with(|| {
+            *next += 1;
+            (0, ChannelId(*next - 1))
+        })
     }
 
     /// The intake rule, which both hosts apply to every message before it
@@ -267,19 +273,13 @@ impl Channels {
                 }
             }
             let ch = if d.own {
-                let kernels = 2 * self.pes.len() as u32;
-                ChannelId(kernels + u32::from(s.kernel.0) * self.kernels + u32::from(d.kernel.0))
+                let pe_channels = 2 * self.pes.len() as u32;
+                let (i, j) = (u32::from(s.kernel.0), u32::from(d.kernel.0));
+                ChannelId(pe_channels + i * self.kernels + j)
             } else if d.kernel == s.kernel {
                 ChannelId(2 * u32::from(dst.0) + 1)
             } else {
-                let next = &mut self.next;
-                self.pairs
-                    .entry(pair(src, dst))
-                    .or_insert_with(|| {
-                        *next += 1;
-                        (0, ChannelId(*next - 1))
-                    })
-                    .1
+                self.numbered(pair(src, dst)).1
             };
             Some((0, ch))
         } else if d.own && d.kernel == s.kernel {
