@@ -188,9 +188,8 @@ pub struct Channels {
     pes: Vec<Pe>,
     /// Number of kernels.
     kernels: u32,
-    /// Label and index of each pair numbered past the kernel channels,
-    /// by [`pair`].
-    pairs: DetHashMap<u32, (u32, ChannelId)>,
+    /// Label and index of each pair numbered past the kernel channels.
+    pairs: DetHashMap<(PeId, PeId), (u32, ChannelId)>,
     /// The index the next such pair takes.
     next: u32,
     /// Sends refused so far.
@@ -207,11 +206,6 @@ struct Pe {
 
 /// A PE outside the machine: no kernel's, in no group.
 const OUTSIDE: Pe = Pe { kernel: KernelId(u16::MAX), own: false };
-
-/// The packed key of the (src, dst) pair.
-fn pair(src: PeId, dst: PeId) -> u32 {
-    (u32::from(src.0) << 16) | u32::from(dst.0)
-}
 
 impl Channels {
     /// No channel open yet, on the machine `membership` describes.
@@ -235,15 +229,15 @@ impl Channels {
     /// channel if it has one: messages from `from` carry `label`,
     /// answers 0.
     pub fn open(&mut self, from: PeId, to: PeId, label: u32) {
-        self.numbered(pair(from, to)).0 = label;
-        self.numbered(pair(to, from)).0 = 0;
+        self.numbered(from, to).0 = label;
+        self.numbered(to, from).0 = 0;
     }
 
-    /// The label and index of the pair `key` packs, the pair numbered
+    /// The label and index of the pair (`src`, `dst`), the pair numbered
     /// with the next index (and label 0) if it has none.
-    fn numbered(&mut self, key: u32) -> &mut (u32, ChannelId) {
+    fn numbered(&mut self, src: PeId, dst: PeId) -> &mut (u32, ChannelId) {
         let next = &mut self.next;
-        self.pairs.entry(key).or_insert_with(|| {
+        self.pairs.entry((src, dst)).or_insert_with(|| {
             *next += 1;
             (0, ChannelId(*next - 1))
         })
@@ -279,13 +273,13 @@ impl Channels {
             } else if d.kernel == s.kernel {
                 ChannelId(2 * u32::from(dst.0) + 1)
             } else {
-                self.numbered(pair(src, dst)).1
+                self.numbered(src, dst).1
             };
             Some((0, ch))
         } else if d.own && d.kernel == s.kernel {
             Some((0, ChannelId(2 * u32::from(src.0))))
         } else if let Fs(_) | FsReply(_) | Http(_) | HttpReply(_) = msg.payload {
-            self.pairs.get(&pair(src, dst)).copied()
+            self.pairs.get(&(src, dst)).copied()
         } else {
             None
         };

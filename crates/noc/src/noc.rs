@@ -13,7 +13,7 @@ use semper_sim::Cycles;
 /// The index of a (src, dst) channel. A host numbers the channels it
 /// sends on densely from 0 (`semper_kernel::host::Channels`) and hands
 /// the NoC each message's channel with it ([`Noc::send`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ChannelId(pub u32);
 
 impl ChannelId {
