@@ -94,6 +94,7 @@ impl Net {
     /// when the handler completes (`end`); messages with an offset leave
     /// that many cycles after the handler started (`start`) — the
     /// pipelined sends of loop-heavy handlers like the revocation fan-out.
+    #[inline]
     fn inject(&mut self, out: &mut Outbox, start: Cycles, end: Cycles) {
         for (mut m, off) in out.drain_iter() {
             let Some(ch) = self.channels.admit(&mut m) else {
@@ -110,6 +111,7 @@ impl Net {
     }
 
     /// Drops the delivered message `h` and frees its slot.
+    #[inline]
     fn retire(&mut self, h: u32) {
         self.msgs[h] = None;
         self.msgs.release(h);
@@ -306,7 +308,20 @@ impl Machine {
                     .expect("the timed machine arms no crash points")
             }
             Node::Service(s) => s.handle(msg, out),
-            Node::Client(c) => c.handle(msg, out),
+            Node::Client(client) => {
+                let cost = client.handle(msg, out);
+                // Record client completion.
+                match (client.phase(), self.topo.roles[pe]) {
+                    (ClientPhase::Done, Role::Client(c)) => {
+                        if let Some(entry) = self.client_times.get_mut(&c) {
+                            entry.1.get_or_insert(t + cost);
+                        }
+                    }
+                    (ClientPhase::Failed(e), Role::Client(c)) => panic!("client {c} failed: {e}"),
+                    _ => {}
+                }
+                cost
+            }
             Node::Server(s) => s.handle(msg, out),
             Node::LoadGen(l) => l.handle(msg, out),
             Node::Stub(stub) => stub.handle(msg, out, &self.cfg.cost),
@@ -320,20 +335,6 @@ impl Machine {
         }
         let end = t + cost;
         self.net.sched.set_busy(pe, end);
-        // Record client completion.
-        if let (Role::Client(c), Node::Client(client)) = (self.topo.roles[pe], &self.nodes[pe]) {
-            match client.phase() {
-                ClientPhase::Done => {
-                    if let Some(entry) = self.client_times.get_mut(&c) {
-                        entry.1.get_or_insert(end);
-                    }
-                }
-                ClientPhase::Failed(e) => {
-                    panic!("client {c} failed: {e}");
-                }
-                _ => {}
-            }
-        }
         self.net.inject(&mut self.scratch, t, end);
         Some(t)
     }
@@ -502,11 +503,13 @@ impl Machine {
     }
 
     /// Runs kernel invariant checks, and with no event pending the links
-    /// between kernels ([`host::check_invariants`]) and that no message
-    /// is left in flight.
+    /// between kernels ([`host::check_invariants`]), that no message is
+    /// left in flight and that no stall lane holds an event or a run.
     pub fn check_invariants(&self) {
         let idle = self.net.sched.is_empty();
         assert!(!idle || self.net.msgs.live() == 0, "a message outlived its delivery");
+        let lanes = (self.net.sched.parked(), self.net.sched.live_runs());
+        assert!(!idle || lanes == (0, 0), "{lanes:?} parked events and runs outlived the queue");
         host::check_invariants(&self.kernels, idle).unwrap_or_else(|e| panic!("{e}"));
     }
 

@@ -92,10 +92,15 @@
 //!
 //! First-in-first-out among equal timestamps is therefore, in the wheel
 //! and the buckets, the order entries already sit in: a node stores no
-//! sequence number, a far entry does. The counter also serves the
-//! sequence-range callers below and [`EventQueue::heap_ops`]. The
-//! `model` tests at the bottom check all of this against a `BinaryHeap`
-//! ordered by `(timestamp, sequence number)`.
+//! sequence number, a far entry does. The counter also serves
+//! [`EventQueue::heap_ops`]. The `model` tests at the bottom check all
+//! of this against a `BinaryHeap` ordered by `(timestamp, sequence
+//! number)`.
+//!
+//! Points 2 to 5 also make the last entry of a slot, or of a bucket,
+//! the last pending entry at its own timestamp: `EventQueue::tail_at`
+//! reads it, so that a caller can fold later entries into it (see
+//! `PeSchedule`).
 
 use crate::slab::{Slab, NIL};
 use crate::time::Cycles;
@@ -148,16 +153,19 @@ impl<const W: usize, const S: usize> Occupancy<W, S> {
         Occupancy { words: Box::new([0; W]), summary: [0; S] }
     }
 
+    #[inline]
     fn is_empty(&self) -> bool {
         self.summary == [0; S]
     }
 
+    #[inline]
     fn set(&mut self, i: usize) {
         let word = i / 64;
         self.words[word] |= 1 << (i % 64);
         self.summary[word / 64] |= 1 << (word % 64);
     }
 
+    #[inline]
     fn clear(&mut self, i: usize) {
         let word = i / 64;
         self.words[word] &= !(1 << (i % 64));
@@ -168,6 +176,7 @@ impl<const W: usize, const S: usize> Occupancy<W, S> {
 
     /// The first set position at or after `from`, counting circularly.
     /// The bitmap must not be empty.
+    #[inline]
     fn first_from(&self, from: usize) -> usize {
         let word = from / 64;
         let here = self.words[word] & (u64::MAX << (from % 64));
@@ -254,8 +263,6 @@ pub struct EventQueue<E> {
     next_seq: u64,
     now: Cycles,
     popped: u64,
-    /// Sequence numbers consumed by `skip_seqs`: never pushed.
-    skipped: u64,
     /// Pops counted by `credit_pops`: never executed.
     credited: u64,
 }
@@ -273,7 +280,6 @@ impl<E> EventQueue<E> {
             next_seq: 0,
             now: Cycles::ZERO,
             popped: 0,
-            skipped: 0,
             credited: 0,
         }
     }
@@ -290,16 +296,16 @@ impl<E> EventQueue<E> {
     }
 
     /// Pushes plus pops executed — the host work behind `processed()`,
-    /// which also counts pops that were only credited. Every sequence
-    /// number not skipped was pushed and every counted pop not credited
-    /// was executed, so nothing is counted per push.
+    /// which also counts pops that were only credited. Every push took a
+    /// sequence number and every counted pop not credited was executed,
+    /// so nothing is counted per push.
     pub fn heap_ops(&self) -> u64 {
-        (self.next_seq - self.skipped) + (self.popped - self.credited)
+        self.next_seq + (self.popped - self.credited)
     }
 
     /// Number of events currently pending: pushed and not yet popped.
     pub fn len(&self) -> usize {
-        ((self.next_seq - self.skipped) - (self.popped - self.credited)) as usize
+        (self.next_seq - (self.popped - self.credited)) as usize
     }
 
     /// True if no events are pending.
@@ -318,6 +324,7 @@ impl<E> EventQueue<E> {
     ///
     /// Panics if `at` lies in the past — an event scheduled before `now`
     /// indicates a bug in a cost computation.
+    #[inline]
     pub fn schedule(&mut self, at: Cycles, event: E) {
         assert!(at >= self.now, "event scheduled in the past: {} < now {}", at, self.now);
         let seq = self.next_seq;
@@ -344,6 +351,7 @@ impl<E> EventQueue<E> {
     /// [`EventQueue::pop`], unless the earliest event lies after
     /// `deadline`: then nothing moves and the result is `None`. Finds
     /// the earliest slot once, where a peek and a pop would scan twice.
+    #[inline]
     pub(crate) fn pop_until(&mut self, deadline: Cycles) -> Option<(Cycles, E)> {
         let (at, event) = if !self.slots.is_empty() {
             let (slot, at) = self.first_slot(self.now.0);
@@ -419,6 +427,7 @@ impl<E> EventQueue<E> {
 
     /// Appends `event` at `at`, `ahead < REACH` blocks after `now`'s, to
     /// its slot or its bucket.
+    #[inline]
     fn push_node(&mut self, at: u64, ahead: u64, event: E) {
         let node =
             self.nodes.insert(Node { event: MaybeUninit::new(event), next: NIL, at: at as u32 });
@@ -433,6 +442,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Appends `node` to the slot its timestamp names.
+    #[inline]
     fn link_slot(&mut self, node: u32) {
         let slot = self.nodes[node].at as usize % WHEEL;
         if append(&mut self.nodes, &mut self.tails[slot], node) {
@@ -443,6 +453,7 @@ impl<E> EventQueue<E> {
     /// The first occupied slot, counting circularly from `base`'s, and
     /// its timestamp: the first instant at or after `base` congruent to
     /// it. The wheel must not be empty.
+    #[inline]
     fn first_slot(&self, base: u64) -> (usize, u64) {
         let slot = self.slots.first_from(base as usize % WHEEL);
         (slot, base + ((slot as u64).wrapping_sub(base) % WHEEL as u64))
@@ -495,6 +506,7 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the oldest entry of occupied slot `slot`. An
     /// empty slot's `NIL` tail indexes past the node pool and panics.
+    #[inline]
     fn unlink(&mut self, slot: usize) -> E {
         let tail = self.tails[slot];
         let head = self.nodes[tail].next;
@@ -515,25 +527,32 @@ impl<E> EventQueue<E> {
         unsafe { self.nodes[head].event.assume_init_read() }
     }
 
-    // ----- sequence ranges ------------------------------------------------
-    //
-    // For a caller that stands one queue entry in for a *run* of entries
-    // with equal timestamps and consecutive sequence numbers (see
-    // `PeSchedule`). Sequence numbers are unique, so no other entry can
-    // sort inside such a run: popping the run's first entry and
-    // accounting for the rest by count is indistinguishable, through
-    // this queue's interface, from pushing and popping each of them.
-
-    /// The sequence number the next [`EventQueue::schedule`] will use.
-    pub(crate) fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Consumes `n` sequence numbers without pushing: the entries they
-    /// would have keyed ride behind an entry already in the queue.
-    pub(crate) fn skip_seqs(&mut self, n: u64) {
-        self.next_seq += n;
-        self.skipped += n;
+    /// The newest pending entry of the list `at` falls in: its slot
+    /// while its block is in the wheel, its bucket while the block is in
+    /// the buckets' reach. `None` if that list is empty, or if `at` is
+    /// far or in the past.
+    ///
+    /// A slot holds one timestamp and a bucket one block (module docs,
+    /// points 3 and 4), every pending entry at `at` is in that list, and
+    /// the list is in scheduling order (point 5). So if the entry
+    /// returned lies at `at`, nothing pending at `at` was scheduled
+    /// after it: an entry scheduled at `at` now would pop right behind
+    /// it.
+    #[inline]
+    pub(crate) fn tail_at(&self, at: Cycles) -> Option<&E> {
+        let ahead = (at.0 >> BLOCK_BITS).wrapping_sub(self.block());
+        let tail = if is_far(at.0, ahead) {
+            NIL
+        } else if ahead < 2 {
+            self.tails[at.0 as usize % WHEEL]
+        } else {
+            self.bucket_tails[(at.0 >> BLOCK_BITS) as usize % BUCKETS]
+        };
+        // SAFETY: a slot's or a bucket's tail is `NIL` or a node linked
+        // into that list, and a linked node's event is initialised (see
+        // `unlink`). The shared borrow of `self` keeps it from being
+        // unlinked while the reference lives.
+        (tail != NIL).then(|| unsafe { self.nodes[tail].event.assume_init_ref() })
     }
 
     /// Counts `n` pops that did not touch the queue: entries that rode
@@ -554,6 +573,7 @@ fn is_far(at: u64, ahead: u64) -> bool {
 
 /// Appends `node` to the circular list whose newest entry is `*tail`
 /// (`NIL`: empty), and reports whether the list was empty.
+#[inline]
 fn append<E>(nodes: &mut Slab<Node<E>>, tail: &mut u32, node: u32) -> bool {
     let empty = *tail == NIL;
     nodes[node].next = if empty {
@@ -641,14 +661,12 @@ mod tests {
     }
 
     #[test]
-    fn sequence_ranges_are_counted_but_not_executed() {
+    fn credited_pops_are_counted_but_not_executed() {
         let mut q = EventQueue::new();
         q.schedule(Cycles(5), 'a');
-        // Three more entries ride behind 'a' under sequence numbers 1..=3.
-        q.skip_seqs(3);
-        assert_eq!(q.next_seq(), 4);
         q.schedule(Cycles(5), 'b');
         assert_eq!(q.pop(), Some((Cycles(5), 'a')));
+        // Three more entries rode behind 'a' and popped with it.
         q.credit_pops(3);
         assert_eq!(q.processed(), 4);
         assert_eq!(q.len(), 1);
@@ -656,6 +674,31 @@ mod tests {
         assert_eq!(q.heap_ops(), 3);
         assert_eq!(q.pop(), Some((Cycles(5), 'b')));
         assert_eq!((q.processed(), q.heap_ops()), (5, 4));
+    }
+
+    #[test]
+    fn tail_at_reads_the_newest_entry_of_a_slot_or_a_bucket() {
+        let mut q = EventQueue::new();
+        let bucket = 5 * BLOCK + 20;
+        assert_eq!(q.tail_at(Cycles(7)), None);
+        q.schedule(Cycles(7), 'a');
+        q.schedule(Cycles(7), 'b');
+        q.schedule(Cycles(8), 'c');
+        q.schedule(Cycles(bucket), 'd');
+        q.schedule(Cycles(bucket + 1), 'e');
+        q.schedule(Cycles(REACH * BLOCK), 'f');
+        assert_eq!(q.tail_at(Cycles(7)), Some(&'b'));
+        assert_eq!(q.tail_at(Cycles(8)), Some(&'c'));
+        // A bucket holds a block: its newest entry, whatever its cycle.
+        assert_eq!(q.tail_at(Cycles(bucket)), Some(&'e'));
+        assert_eq!(q.tail_at(Cycles(bucket - 20)), Some(&'e'));
+        // The far heap is never read.
+        assert_eq!(q.tail_at(Cycles(REACH * BLOCK)), None);
+        assert_eq!(q.tail_at(Cycles(u64::MAX)), None);
+        assert_eq!(q.pop(), Some((Cycles(7), 'a')));
+        assert_eq!(q.tail_at(Cycles(7)), Some(&'b'));
+        q.pop();
+        assert_eq!(q.tail_at(Cycles(7)), None);
     }
 
     #[test]
@@ -756,9 +799,13 @@ mod model {
         fn schedule(&mut self, at: u64) {
             let id = self.next_id;
             self.next_id += 1;
-            self.heap.push(Reverse((at, self.q.next_seq(), id)));
+            self.heap.push(Reverse((at, self.pushes, id)));
             self.pushes += 1;
             self.q.schedule(Cycles(at), id);
+            // The entry just scheduled is the newest of its list.
+            let ahead = (at >> BLOCK_BITS) - (self.now >> BLOCK_BITS);
+            let tail = (!is_far(at, ahead)).then_some(id);
+            assert_eq!(self.q.tail_at(Cycles(at)).copied(), tail);
             self.check();
         }
 
@@ -780,13 +827,12 @@ mod model {
                 self.pops += 1;
             }
             assert_eq!(self.q.pop_until(Cycles(deadline)), expected);
-            self.check();
-        }
-
-        /// Leaves a hole in the sequence numbers, as a run joining an
-        /// entry already queued does.
-        fn skip(&mut self, n: u64) {
-            self.q.skip_seqs(n);
+            // `now`'s slot holds every entry pending at `now`; its tail
+            // is the newest of them.
+            let newest = (self.now != u64::MAX).then(|| {
+                self.heap.iter().filter(|Reverse((at, ..))| *at == self.now).map(|r| r.0 .2).max()
+            });
+            assert_eq!(self.q.tail_at(Cycles(self.now)).copied(), newest.flatten());
             self.check();
         }
 
@@ -879,14 +925,11 @@ mod model {
                     }
                 }
                 9 => {
-                    // A burst at one timestamp, with holes in its
-                    // sequence numbers and pops credited beside it.
+                    // A burst at one timestamp, with pops credited
+                    // beside it.
                     let at = timestamp(&mut rng, p.now);
                     for _ in 0..rng.between(2, 12) {
                         p.schedule(at);
-                        if rng.below(3) == 0 {
-                            p.skip(rng.between(1, 5));
-                        }
                     }
                     if rng.below(2) == 0 {
                         p.credit(rng.between(1, 5));

@@ -3,74 +3,75 @@
 //! Every PE of the simulated machine serializes its handlers: an event
 //! arriving while the PE is still executing must wait until the PE
 //! frees. The original engine expressed that wait by pushing the whole
-//! event back into the global heap (timestamped at `busy_until`) every
+//! event back into the global queue (timestamped at `busy_until`) every
 //! time it popped too early. [`PeSchedule`] keeps that engine's
 //! observable behaviour and none of its cost: a deferred event is
 //! *parked* once in its PE's stall lane and a *wake token* stands in
-//! for it in the ordering, and wake tokens that the heap would pop
-//! back to back are one heap entry, a *run*.
+//! for it in the ordering, and wake tokens that the queue would pop
+//! back to back are one queue entry, a *run*.
 //!
 //! # Runs
 //!
-//! A wake token is the pair `(at, seq)` the retry loop would have
-//! requeued the event under: `at` is the PE's `busy_until` at the
-//! deferral, `seq` the next sequence number of the queue. A run is a
-//! set of tokens of one PE with equal `at` and consecutive `seq`; its
-//! parked events are linked in `seq` order. Only the run's first token
-//! is in the heap (or held back, see below) — the others are a count.
-//! A PE's stall lane is the chains of its runs; all lanes share one
-//! slab of parked events, and an event stays in its slot from park to
-//! delivery however often its run moves.
+//! A wake token stands where the retry loop would have requeued the
+//! event: at `at`, the PE's `busy_until` at the deferral, behind all
+//! then pending at `at`. A run is a set of tokens of one PE at one `at`
+//! that are *adjacent* in the schedule's order, its parked events linked
+//! in that order. Only its first token is in the queue (or held back,
+//! see below); the others are a count. A PE's stall lane is the chains
+//! of its runs; all lanes share one slab of parked events, and an event
+//! stays in its slot from park to delivery however often its run moves.
 //!
-//! * **Park.** An event popping while its PE is busy takes the next
-//!   sequence number. If the newest run belongs to the same PE, wakes
-//!   at the same time and ends at the previous sequence number, the
-//!   event joins it and the heap is not touched; otherwise it starts a
-//!   run, one push.
+//! * **Park.** An event popping while its PE is busy gets a token at
+//!   `busy_until`. If the last entry of that time's list in the queue
+//!   (`EventQueue::tail_at`) is a run of the same PE at the same time,
+//!   the event joins it and the queue and the run slab are not touched;
+//!   otherwise it starts a run, one push.
 //! * **Pop on a free PE.** The head event is handed out. The remainder
-//!   keeps its key `(at, seq + 1)`, which sorts below everything in the
-//!   heap and everything scheduled from now on, so it is the next pop
-//!   by construction: it is held beside the heap instead of making a
+//!   keeps its place right behind the entry just popped, ahead of all
+//!   pending and all scheduled from now on, so it is the next pop by
+//!   construction: it is held beside the queue instead of making a
 //!   push + pop round trip.
 //! * **Pop on a busy PE** (an earlier same-cycle event claimed the PE,
-//!   or the PE's busy time was extended from outside). The retry loop
-//!   would now pop every token of the run in turn and requeue each at
-//!   the new `busy_until` under the next sequence number. The run does
-//!   that as a whole: it takes `count` consecutive sequence numbers,
-//!   `count − 1` pops are credited to [`PeSchedule::processed`], and the
-//!   chain of parked events moves as one link — joined to the newest
-//!   run under the same test as a park, or pushed as one entry.
+//!   or its busy time was extended from outside). The retry loop would
+//!   pop every token of the run in turn and requeue each at the new
+//!   `busy_until`. The run does that as a whole: `count − 1` pops are
+//!   credited to [`PeSchedule::processed`], and the chain moves as one
+//!   link, joined to a run under the same test as a park or queued.
 //!
 //! Every step is O(1) in the length of the run. Draining a lane of N
-//! events behind a busy PE costs about 2 heap operations per handler
-//! where per-event tokens cost N, which on a revocation fan-in is the
-//! difference between 164 thousand and 4 million heap pops for the
-//! same 60 thousand messages (EXPERIMENTS.md, "The stall-lane event
+//! events behind a busy PE costs about 2 queue operations per handler
+//! where per-event tokens cost N (EXPERIMENTS.md, "The stall-lane event
 //! engine").
 //!
 //! # Ordering contract (bit-identical to the retry loop)
 //!
-//! The global heap remains the *sole* ordering authority, and the
-//! equivalence is exact by construction rather than by tolerance.
-//! Sequence numbers are unique integers, so no foreign heap entry can
-//! sort between two tokens of a run: the retry loop would have popped
-//! them back to back, at one timestamp, against one unchanged
-//! `busy_until` — no handler runs between two deferrals — and so would
-//! have made the same decision for each and handed out exactly the
-//! consecutive sequence numbers the run takes. Same-cycle contenders
-//! therefore interleave with freshly delivered traffic in precisely the
-//! order the retry loop produced, [`PeSchedule::processed`] counts the
-//! same pops, [`PeSchedule::now`] reads the same, and every handler
-//! runs at the same cycle. `tests/scheduler.rs` checks this against a
-//! reference model (the retry loop itself) on randomized workloads;
-//! the golden assertions in `tests/determinism.rs` pin it to recorded
-//! cycle counts.
+//! The queue remains the *sole* ordering authority, and the equivalence
+//! is exact by construction. A token joins run `n` only if `n`'s entry
+//! is the last of the wheel slot or bucket `at` falls in and `n` is the
+//! same PE's at the same `at`. A slot holds one timestamp and a bucket
+//! one block (`queue.rs`, points 3 and 4), so every entry pending at
+//! `at` is in that list, in scheduling order: none was scheduled after
+//! `n`'s first token, and `n`'s other tokens joined under this same
+//! test. The retry loop would hold `n`'s tokens and the new one back to
+//! back at `at`, pop them back to back against one unchanged
+//! `busy_until` (no handler runs between two deferrals) and decide
+//! alike for each. So every handler runs at the same cycle and in the
+//! same order, and [`PeSchedule::processed`] counts the same pops. A
+//! joining token takes no queue entry and no sequence number, which the
+//! queue only compares. A far wake time (2²⁶ or more cycles ahead)
+//! never joins: the far heap orders by sequence number, not by list,
+//! and `tail_at` does not read it. No benchmark workload puts an entry
+//! in the far heap.
+//!
+//! `tests/scheduler.rs` checks this against a reference model (the
+//! retry loop itself) on randomized workloads; the golden assertions in
+//! `tests/determinism.rs` pin it to recorded cycle counts.
 
 use crate::queue::EventQueue;
 use crate::slab::{Slab, NIL};
 use crate::time::Cycles;
 
-/// Heap entry: a fresh delivery, or the first wake token of a run.
+/// Queue entry: a fresh delivery, or the first wake token of a run.
 enum Tok<E> {
     /// An event on its first trip through the queue.
     Deliver {
@@ -80,7 +81,7 @@ enum Tok<E> {
         event: E,
     },
     /// The first wake token of run `run`; the run's other tokens are
-    /// its `count`, not heap entries.
+    /// its `count`, not queue entries.
     Wake {
         /// Index into `PeSchedule::runs`.
         run: u32,
@@ -93,16 +94,11 @@ struct Parked<E> {
     next: u32,
 }
 
-/// Wake tokens of one PE with equal wake time and consecutive sequence
-/// numbers, `end − count .. end`. The first token's key is the key of
-/// the run's heap entry; appending at the tail does not change it, and
-/// once the head is delivered the run is out of the heap for good.
+/// Wake tokens of one PE at one wake time, adjacent in the schedule's
+/// order; the first token's place is its queue entry's (or `held`'s).
 struct Run {
     pe: u32,
     at: Cycles,
-    /// One past the last token's sequence number: the number a token
-    /// must take to extend the run.
-    end: u64,
     count: u64,
     /// The parked events, `head` first, linked through [`Parked::next`].
     head: u32,
@@ -120,13 +116,10 @@ pub struct PeSchedule<E> {
     busy_until: Vec<Cycles>,
     /// Parked events of all lanes; a PE's lane is the chains of its runs.
     lane_slots: Slab<Parked<E>>,
-    /// Live runs: each is in the heap exactly once, or is `held`.
+    /// Live runs: each is in the queue exactly once, or is `held`.
     runs: Slab<Run>,
-    /// The run that took the most recent wake-token sequence number —
-    /// the only one the next token can be contiguous with.
-    newest: Option<u32>,
     /// The remainder of the run whose head was delivered last: the next
-    /// pop, kept out of the heap.
+    /// pop, kept out of the queue.
     held: Option<u32>,
     /// Wake tokens issued so far. Every counted pop either hands an
     /// event out or issues one token for it, so deliveries are the
@@ -142,7 +135,6 @@ impl<E> PeSchedule<E> {
             busy_until: vec![Cycles::ZERO; pes],
             lane_slots: Slab::new(),
             runs: Slab::new(),
-            newest: None,
             held: None,
             wake_tokens: 0,
         }
@@ -179,6 +171,11 @@ impl<E> PeSchedule<E> {
         self.lane_slots.live()
     }
 
+    /// Runs live: queued, or held as the next pop (diagnostics).
+    pub fn live_runs(&self) -> usize {
+        self.runs.live()
+    }
+
     /// True if nothing is pending.
     pub fn is_empty(&self) -> bool {
         self.held.is_none() && self.queue.is_empty()
@@ -190,6 +187,7 @@ impl<E> PeSchedule<E> {
     }
 
     /// Marks `pe` busy until `until` (handler completion).
+    #[inline]
     pub fn set_busy(&mut self, pe: usize, until: Cycles) {
         self.busy_until[pe] = until;
     }
@@ -202,6 +200,7 @@ impl<E> PeSchedule<E> {
     }
 
     /// Schedules `event` for PE `pe` at absolute time `at`.
+    #[inline]
     pub fn schedule(&mut self, at: Cycles, pe: usize, event: E) {
         let pe = u32::try_from(pe).expect("fewer than 2^32 PEs");
         self.queue.schedule(at, Tok::Deliver { pe, event });
@@ -216,26 +215,22 @@ impl<E> PeSchedule<E> {
     }
 
     /// Pops the next event whose PE is free at its delivery time,
-    /// advancing `now`; returns `None` when the queue is empty.
-    ///
-    /// Events popping while their PE is busy are parked in the PE's
-    /// stall lane (once — the event is not touched again until
-    /// delivery) behind a wake token at the PE's free time. A run of
-    /// tokens popping while the PE is busy again (an earlier same-cycle
-    /// event won the PE) moves to the new free time as a whole, taking
-    /// the sequence numbers and counting the pops the old retry loop
-    /// spent on it one event at a time.
+    /// advancing `now`; returns `None` when the queue is empty. Events
+    /// popping while their PE is busy park in its stall lane, and a run
+    /// popping on a busy PE moves as a whole (module docs, "Runs").
+    #[inline]
     pub fn pop_ready(&mut self) -> Option<(Cycles, usize, E)> {
         self.pop_ready_before(Cycles::MAX)
     }
 
-    /// Like [`PeSchedule::pop_ready`], but never pops a heap entry
+    /// Like [`PeSchedule::pop_ready`], but never pops a queue entry
     /// with a timestamp after `deadline`. This is the exact granularity
     /// of the old retry loop's deadline-bounded driver (`Machine::
     /// run_until`): deferrals whose wake time lies past the deadline
     /// stay parked rather than delivering early — the retry loop left
     /// their requeued entries in the heap the same way. May park
     /// in-deadline entries (consuming pops) and still return `None`.
+    #[inline]
     pub fn pop_ready_before(&mut self, deadline: Cycles) -> Option<(Cycles, usize, E)> {
         loop {
             let (t, run) = match self.held {
@@ -273,46 +268,52 @@ impl<E> PeSchedule<E> {
         }
     }
 
-    /// Parks `event` in `pe`'s lane behind a wake token at `at`.
+    /// Parks `event` in `pe`'s lane behind a wake token at `at`: in the
+    /// run it joins, or in a run of its own.
+    #[inline]
     fn park(&mut self, pe: u32, at: Cycles, event: E) {
         let slot = self.lane_slots.insert(Parked { event: Some(event), next: NIL });
-        // A run of one; `wake_at` keys it or folds it into the newest run.
-        let run = self.runs.insert(Run { pe, at, end: 0, count: 1, head: slot, tail: slot });
-        self.wake_at(run, at);
+        if !self.join(pe, at, 1, slot, slot) {
+            let run = self.runs.insert(Run { pe, at, count: 1, head: slot, tail: slot });
+            self.queue.schedule(at, Tok::Wake { run });
+        }
     }
 
-    /// Issues wake tokens at `at` under the next `count` sequence
-    /// numbers for the parked events of `run`, which is in neither the
-    /// heap nor `held`: as the tail of the newest run if the tokens are
-    /// contiguous with it, else as one heap entry.
+    /// Issues wake tokens at `at` for the parked events of `run`, which
+    /// is in neither the queue nor `held`: joined to another run, or as
+    /// one queue entry.
+    #[inline]
     fn wake_at(&mut self, run: u32, at: Cycles) {
         let Run { pe, count, head, tail, .. } = self.runs[run];
-        let first = self.queue.next_seq();
-        self.wake_tokens += count;
-        let contiguous = self.newest.filter(|&n| {
-            let n = &self.runs[n];
-            n.pe == pe && n.at == at && n.end == first
-        });
-        if let Some(n) = contiguous {
-            let n = &mut self.runs[n];
-            self.lane_slots[n.tail].next = head;
-            n.tail = tail;
-            n.count += count;
-            n.end += count;
-            self.queue.skip_seqs(count);
+        if self.join(pe, at, count, head, tail) {
             self.runs.release(run);
         } else {
-            let r = &mut self.runs[run];
-            r.at = at;
-            r.end = first + count;
+            self.runs[run].at = at;
             self.queue.schedule(at, Tok::Wake { run });
-            self.queue.skip_seqs(count - 1);
-            self.newest = Some(run);
         }
+    }
+
+    /// Issues `count` wake tokens of `pe` at `at` for the parked chain
+    /// `head ..= tail`, and appends it to the run whose entry is the last
+    /// of `at`'s list if that run is `pe`'s at `at` (module docs,
+    /// "Ordering contract"). If it did not, the caller queues a run.
+    #[inline]
+    fn join(&mut self, pe: u32, at: Cycles, count: u64, head: u32, tail: u32) -> bool {
+        self.wake_tokens += count;
+        let n = match self.queue.tail_at(at) {
+            Some(&Tok::Wake { run }) if (self.runs[run].pe, self.runs[run].at) == (pe, at) => run,
+            _ => return false,
+        };
+        let n = &mut self.runs[n];
+        self.lane_slots[n.tail].next = head;
+        n.tail = tail;
+        n.count += count;
+        true
     }
 
     /// Hands out the head event of `run`, whose first token just popped
     /// on a free PE, and holds the remainder as the next pop.
+    #[inline]
     fn take_head(&mut self, run: u32) -> E {
         let r = &mut self.runs[run];
         let slot = r.head;
@@ -325,9 +326,6 @@ impl<E> PeSchedule<E> {
             self.held = Some(run);
         } else {
             self.runs.release(run);
-            if self.newest == Some(run) {
-                self.newest = None;
-            }
         }
         event
     }
@@ -407,6 +405,50 @@ mod tests {
         // One deferral per round, always through the same recycled slot.
         assert_eq!(s.lane_slots.allocated(), 1);
         assert_eq!(s.runs.allocated(), 1);
+    }
+
+    /// Two parks of PE 0 at one wake time, with a schedule at another
+    /// time between them, share one run while the run's entry is the
+    /// last of its list; an entry at the wake time between them starts
+    /// a second run, and so, in a bucket (which holds a block), does one
+    /// at another cycle of the wake time's block. In the wheel (wake at
+    /// 100) and in a bucket (wake 2¹⁴ or more cycles ahead).
+    #[test]
+    fn parks_join_the_run_at_their_lists_tail() {
+        for wake in [100, 20_000] {
+            let bucket = wake >= 1 << 14;
+            for (between, runs) in
+                [(None, 1), (Some(wake), 2), (Some(wake + 1), 1 + bucket as usize)]
+            {
+                let mut s: PeSchedule<u32> = PeSchedule::new(2);
+                s.schedule(Cycles(10), 0, 1);
+                s.schedule(Cycles(11), 0, 2);
+                s.schedule(Cycles(12), 1, 3);
+                s.schedule(Cycles(13), 0, 4);
+                assert_eq!(s.pop_ready(), Some((Cycles(10), 0, 1)));
+                s.set_busy(0, Cycles(wake));
+                // 2 parks on the way.
+                assert_eq!(s.pop_ready(), Some((Cycles(12), 1, 3)));
+                s.schedule(Cycles(50), 1, 5);
+                if let Some(at) = between {
+                    s.schedule(Cycles(at), 1, 6);
+                }
+                // 4 parks on the way.
+                assert_eq!(s.pop_ready(), Some((Cycles(50), 1, 5)));
+                assert_eq!((s.parked(), s.live_runs()), (2, runs), "wake {wake}, {between:?}");
+                // Zero-cost handlers from here on: PE 0 stays free.
+                assert_eq!(s.pop_ready(), Some((Cycles(wake), 0, 2)));
+                let rest: Vec<u32> =
+                    std::iter::from_fn(|| s.pop_ready()).map(|(.., e)| e).collect();
+                let expected = match between {
+                    None => vec![4],
+                    Some(at) if at == wake => vec![6, 4],
+                    Some(_) => vec![4, 6],
+                };
+                assert_eq!(rest, expected, "wake {wake}, {between:?}");
+                assert_eq!((s.parked(), s.live_runs()), (0, 0));
+            }
+        }
     }
 
     /// A host that schedules `u32` handles to messages it stores itself

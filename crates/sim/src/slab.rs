@@ -21,6 +21,7 @@ impl<T> Slab<T> {
 
     /// Stores `item` in the most recently released slot, or a new one;
     /// returns its index.
+    #[inline]
     pub fn insert(&mut self, item: T) -> u32 {
         match self.free.pop() {
             Some(i) => {
@@ -36,6 +37,7 @@ impl<T> Slab<T> {
     }
 
     /// Marks `i` reusable. The item stays in place until overwritten.
+    #[inline]
     pub fn release(&mut self, i: u32) {
         self.free.push(i);
     }
@@ -60,12 +62,14 @@ impl<T> Default for Slab<T> {
 
 impl<T> std::ops::Index<u32> for Slab<T> {
     type Output = T;
+    #[inline]
     fn index(&self, i: u32) -> &T {
         &self.items[i as usize]
     }
 }
 
 impl<T> std::ops::IndexMut<u32> for Slab<T> {
+    #[inline]
     fn index_mut(&mut self, i: u32) -> &mut T {
         &mut self.items[i as usize]
     }

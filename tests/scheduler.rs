@@ -578,3 +578,111 @@ fn deep_lane_drains_in_linear_heap_operations() {
     assert_eq!(sched.delivered(), n);
     assert!(sched.heap_ops() <= 4 * n, "{} heap operations for {n} events", sched.heap_ops());
 }
+
+// ----- runs join at their list's tail ---------------------------------------
+
+/// What event 3's handler does, between the two parks of `two_parks`,
+/// besides scheduling event 5 at another time.
+#[derive(Debug, Clone, Copy)]
+enum Between {
+    Nothing,
+    /// Schedules event 6 for a PE at a cycle.
+    Deliver(u64, usize),
+    /// Moves PE 0's busy time, so that event 4 parks at another wake
+    /// time than event 2.
+    Busy(u64),
+}
+
+/// A fixed script on two PEs: PE 0 is busy until `wake` while events 2
+/// and 4 arrive for it, so both park. Between the two parks, event 3's
+/// handler on PE 1 schedules event 5 at another time (so the two wake
+/// tokens are not scheduled back to back) and does what `between` says.
+/// Every other handler takes one cycle.
+fn two_parks<G: Engine>(wake: u64, between: Between) -> (G, Trace) {
+    let ev = |id, pe| Ev { id, pe, gen: 0 };
+    let mut engine = G::new(2);
+    for (at, id, pe) in [(10, 1, 0), (11, 2, 0), (12, 3, 1), (13, 4, 0)] {
+        engine.schedule(Cycles(at), ev(id, pe));
+    }
+    let mut trace = Trace::new();
+    while let Some((t, e)) = engine.pop(None) {
+        trace.push((t.0, e.id, e.pe));
+        match e.id {
+            1 => engine.set_busy(0, Cycles(wake)),
+            3 => {
+                engine.schedule(Cycles(50), ev(5, 1));
+                match between {
+                    Between::Nothing => {}
+                    Between::Deliver(at, pe) => engine.schedule(Cycles(at), ev(6, pe)),
+                    Between::Busy(until) => engine.set_busy(0, Cycles(until)),
+                }
+                engine.set_busy(1, t + 1);
+            }
+            _ => engine.set_busy(e.pe, t + 1),
+        }
+    }
+    (engine, trace)
+}
+
+/// Runs `two_parks` on both engines, requires identical traces and
+/// counters, and returns the stall-lane engine's queue operations and
+/// the order in which PE 0 ran its events.
+fn two_parks_agree(wake: u64, between: Between) -> (u64, Vec<u64>) {
+    let (reference, ref_trace) = two_parks::<RetryLoop>(wake, between);
+    let (lanes, trace) = two_parks::<PeSchedule<Ev>>(wake, between);
+    let what = format!("wake {wake}, {between:?}");
+    assert_eq!(trace, ref_trace, "{what}: delivery trace diverged");
+    assert_eq!(lanes.counters(), reference.counters(), "{what}: (pops, now) diverged");
+    assert_eq!(lanes.parked(), 0, "{what}");
+    let on_pe0 = trace.iter().filter(|(_, _, pe)| *pe == 0).map(|(_, id, _)| *id).collect();
+    (lanes.heap_ops(), on_pe0)
+}
+
+/// Two parks for one PE whose wake tokens are not scheduled back to
+/// back, with nothing else at their wake time: the second joins the
+/// first's run. Queue operations: five schedules and two run entries
+/// (the run at `wake`, then what is left of it at `wake + 1`), seven
+/// pops. A run per park would add a push and a pop.
+#[test]
+fn a_park_joins_a_run_across_schedules_at_other_times() {
+    let (ops, on_pe0) = two_parks_agree(100, Between::Nothing);
+    assert_eq!(on_pe0, [1, 2, 4]);
+    assert_eq!(ops, 7 + 7, "one run for both parks");
+}
+
+/// A fresh delivery to the same PE at the wake time, scheduled between
+/// the two parks, sorts between their tokens: the second park must not
+/// join the first's run, and the delivery wins the PE before it. A
+/// delivery to another PE at the wake time separates them too.
+#[test]
+fn an_entry_between_two_parks_keeps_them_apart() {
+    assert_eq!(two_parks_agree(100, Between::Deliver(100, 0)).1, [1, 2, 6, 4]);
+    two_parks_agree(100, Between::Deliver(100, 1));
+    two_parks_agree(100, Between::Busy(101));
+}
+
+/// The same parks with a wake time 2¹⁴ or more cycles ahead, where the
+/// run's entry waits in a bucket, which holds a block: they join as in
+/// the wheel, while an entry between them at the wake time or at
+/// another cycle of the block, or a park at another cycle of the block,
+/// keeps them apart. Every case matches the retry loop.
+#[test]
+fn parks_at_a_bucket_range_wake_time_join_alike() {
+    let wake = 20_000;
+    let (ops, on_pe0) = two_parks_agree(wake, Between::Nothing);
+    assert_eq!(on_pe0, [1, 2, 4]);
+    assert_eq!(ops, 7 + 7, "one run for both parks");
+    for between in [
+        Between::Deliver(wake, 0),
+        Between::Deliver(wake, 1),
+        Between::Deliver(wake + 1, 1),
+        Between::Deliver(wake - 1, 0),
+        Between::Busy(wake + 1),
+        Between::Busy(wake - 1),
+    ] {
+        two_parks_agree(wake, between);
+    }
+    // Event 4 parks behind event 2's run at the next cycle of the same
+    // block: the retry loop serves it first.
+    assert_eq!(two_parks_agree(wake, Between::Busy(wake + 1)).1, [1, 4, 2]);
+}
